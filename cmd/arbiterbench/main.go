@@ -10,15 +10,13 @@
 // Registered sweeps: explore (E15, BENCH_explore.json), store (E18),
 // obs (E17), stabilize (E19), reduction (E20), induct (E21), and dist
 // (E23, BENCH_dist.json — the grid census measured in-RAM, through
-// the disk-spilling store, and across the multi-process cluster). The
-// pre-registry flag triples (-explore/-explore-out, -store-bench/...,
-// -obs-bench/..., -stabilize-bench/..., -reduction/...,
-// -induct-bench/...) survive one release as deprecated aliases for
-// the same sweeps. -obs-addr serves live expvar and pprof endpoints
-// for the duration of any run.
+// the disk-spilling store, and across the multi-process cluster).
+// -explore-users, -store-users, -obs-users and -stabilize-sizes size
+// the sweep they name. -obs-addr serves live expvar and pprof
+// endpoints for the duration of any run.
 //
-// The exploration knobs (-workers, -limit, -dedup, -spill-dir,
-// -dist-*) are the shared set registered by explore.BindFlags —
+// The exploration knobs (-workers, -limit, -spill-dir, -dist-*) are
+// the shared set registered by explore.BindFlags —
 // identical flags and defaults in ioasim (the -dist-* cluster flags
 // act only in ioasim, which hosts the coordinator/worker modes).
 // -workers also sizes the chaos sweep's per-state safety pool.
@@ -26,7 +24,7 @@
 // Usage:
 //
 //	arbiterbench [-b bound] [-seed n] [-max n] [-quick]
-//	             [-workers n] [-limit n] [-dedup]
+//	             [-workers n] [-limit n]
 //	             [-sweep explore|store|obs|stabilize|reduction|induct|dist]
 //	             [-sweep-out file]
 //	             [-explore-users n] [-store-users n] [-obs-users n]
@@ -35,33 +33,30 @@
 //	             [-bench-gate] [-gate-dir d] [-gate-threshold x] [-gate-handicap m]
 //	             [-obs-addr host:port] [-ledger-out file]
 //
-// The -induct-bench sweep (E21) certifies safety invariants by
+// The induct sweep (E21) certifies safety invariants by
 // one-step induction over complete candidate domains — the closed
 // level-1 arbiter, Dijkstra's token ring, the LeLann ring, Burns'
 // mutex over a reachable domain, and Lamport's bounded-clock mutex —
 // and prices each certificate against a full reachability run of the
 // same system. The headline rows walk multi-million-state domains
 // (Dijkstra 8^8 = 16.7M, Lamport 9.1M at channel capacity 2) in O(1)
-// resident memory; -quick drops them. -induct-out writes the rows as
-// JSON (BENCH_induct.json).
+// resident memory; -quick drops them (BENCH_induct.json).
 //
-// The -reduction sweep (E20) measures symmetry quotienting and
+// The reduction sweep (E20) measures symmetry quotienting and
 // ample-set partial-order reduction against unreduced exploration on
 // the closed arbiter systems (spec arbiter under Sₙ, binary-tree and
 // star level-3 under POR, the star additionally under its free Zₙ
 // rotation group), cross-checking the mutual-exclusion verdict in
-// every mode; -reduction-out writes the rows as JSON
-// (BENCH_reduction.json). With -quick the sweep shrinks to smoke
-// sizes.
+// every mode (BENCH_reduction.json). With -quick the sweep shrinks to
+// smoke sizes.
 //
-// The -stabilize-bench sweep (E19) certifies self-stabilization:
+// The stabilize sweep (E19) certifies self-stabilization:
 // Dijkstra's K-state token ring over ring sizes up to -stabilize-sizes
 // (full corruption envelope at K=n, a single-corruption spot envelope,
 // and the K=n-2 boundary where stabilization provably fails), plus the
 // LeLann ring under crash corruption as the negative control. Rows
 // carry the certifier's closure/convergence verdicts and the measured
-// worst-case rounds-to-legitimacy; -stabilize-out writes them as JSON
-// (BENCH_stabilize.json).
+// worst-case rounds-to-legitimacy (BENCH_stabilize.json).
 //
 // The -chaos flag runs only the chaos sweep, with the recovery
 // criterion set by -recover-within (default 60): each cell reports its
@@ -110,22 +105,10 @@ func main() {
 		ex           = explore.BindFlags(flag.CommandLine)
 		sweepName    = flag.String("sweep", "", "run one registered sweep by name and exit (see bench.Sweeps)")
 		sweepOut     = flag.String("sweep-out", "", "write the -sweep rows as JSON to this file")
-		exploreRun   = flag.Bool("explore", false, "deprecated: alias for -sweep explore")
 		exploreUsers = flag.Int("explore-users", 6, "users per arbiter instance in the explore sweep")
-		exploreOut   = flag.String("explore-out", "", "deprecated: alias for -sweep-out (explore sweep)")
-		storeBench   = flag.Bool("store-bench", false, "deprecated: alias for -sweep store")
 		storeUsers   = flag.Int("store-users", 6, "users per arbiter instance in the store sweep")
-		storeOut     = flag.String("store-bench-out", "", "deprecated: alias for -sweep-out (store sweep)")
-		obsBench     = flag.Bool("obs-bench", false, "deprecated: alias for -sweep obs")
 		obsUsers     = flag.Int("obs-users", 6, "users per arbiter instance in the obs sweep")
-		obsOut       = flag.String("obs-bench-out", "", "deprecated: alias for -sweep-out (obs sweep)")
-		stabBench    = flag.Bool("stabilize-bench", false, "deprecated: alias for -sweep stabilize")
 		stabSizes    = flag.Int("stabilize-sizes", 4, "largest Dijkstra ring size in the stabilize sweep")
-		stabOut      = flag.String("stabilize-out", "", "deprecated: alias for -sweep-out (stabilize sweep)")
-		reduction    = flag.Bool("reduction", false, "deprecated: alias for -sweep reduction")
-		reductionOut = flag.String("reduction-out", "", "deprecated: alias for -sweep-out (reduction sweep)")
-		inductBench  = flag.Bool("induct-bench", false, "deprecated: alias for -sweep induct")
-		inductOut    = flag.String("induct-out", "", "deprecated: alias for -sweep-out (induct sweep)")
 		chaosOnly    = flag.Bool("chaos", false, "run only the chaos sweep; exit non-zero if a fault-free cell fails recovery")
 		recoverIn    = flag.Int("recover-within", 60, "chaos recovery window k in states/steps (0 disables the criterion)")
 		obsAddr      = flag.String("obs-addr", "", "serve live expvar + pprof debug endpoints on this address (e.g. :6060)")
@@ -208,34 +191,7 @@ func main() {
 		return
 	}
 
-	// Resolve the deprecated per-sweep flag triples onto the registry
-	// surface; -sweep/-sweep-out win when both are given.
-	name, out := *sweepName, *sweepOut
-	for _, a := range []struct {
-		set        bool
-		flag, name string
-		out        string
-	}{
-		{*exploreRun, "explore", "explore", *exploreOut},
-		{*storeBench, "store-bench", "store", *storeOut},
-		{*obsBench, "obs-bench", "obs", *obsOut},
-		{*stabBench, "stabilize-bench", "stabilize", *stabOut},
-		{*reduction, "reduction", "reduction", *reductionOut},
-		{*inductBench, "induct-bench", "induct", *inductOut},
-	} {
-		if !a.set {
-			continue
-		}
-		log.Printf("-%s is deprecated; use -sweep %s", a.flag, a.name)
-		if name == "" {
-			name = a.name
-		}
-		if out == "" {
-			out = a.out
-		}
-	}
-
-	if name != "" {
+	if name, out := *sweepName, *sweepOut; name != "" {
 		sw, err := bench.FindSweep(name)
 		if err != nil {
 			log.Fatal(err)

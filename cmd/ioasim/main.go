@@ -10,7 +10,7 @@
 //	       [-grid-base m] [-grid-digits k]
 //	       [-faults drop=0.1,dup=0.05,delay=3] [-fault-seed n]
 //	       [-trace] [-json] [-dot] [-reach] [-stabilize] [-induct]
-//	       [-workers n] [-limit n] [-dedup]
+//	       [-workers n] [-limit n]
 //	       [-spill-dir dir] [-spill-mem-mb n]
 //	       [-dist-listen host:port -dist-workers n [-dist-spawn]]
 //	       [-dist-join host:port [-dist-corrupt]]
@@ -72,7 +72,7 @@
 // crash-restart corruption envelope — expected to FAIL, exiting
 // non-zero, since a lost token never regenerates). The exit status is
 // the verdict, so CI can assert both directions. The
-// exploration knobs (-workers, -limit, -dedup) are the shared set
+// exploration knobs (-workers, -limit) are the shared set
 // registered by explore.BindFlags — identical flags and defaults in
 // arbiterbench — and resolve into the explore.Options behind one
 // explore.Engine: -workers selects the sharded parallel explorer (0 =
@@ -222,7 +222,7 @@ func main() {
 	flag.BoolVar(&cfg.progress, "progress", false, "echo live progress snapshots to stderr")
 	flag.DurationVar(&cfg.stallAfter, "stall-after", 30*time.Second, "with -ledger-out/-progress: journal a stall dump when no progress lands within this window (0 disables)")
 	flag.Parse()
-	cfg.explore = ex.Options(nil, nil)
+	cfg.explore = ex.Options()
 	cfg.symmetry = ex.Symmetry()
 	cfg.por = ex.POR()
 	cfg.distListen = ex.DistListen()
@@ -614,7 +614,9 @@ func dispatch(cfg config, auto ioa.Automaton, o *obs.Obs, rec *ledger.Run, out i
 	if cfg.reach {
 		opts := cfg.explore
 		opts.Obs = o
-		if opts.Spill != nil {
+		// The external census refuses -por (no freshness oracle over
+		// disk frontiers); Reach below honours it over the spilled set.
+		if opts.Spill != nil && opts.Ample == nil {
 			if dec, ok := auto.(interface {
 				Decode([]byte) (ioa.State, error)
 			}); ok {
@@ -804,10 +806,17 @@ func coordRun(cfg config, o *obs.Obs, rec *ledger.Run, out io.Writer) error {
 		Limit:    int64(cfg.explore.Limit),
 		Obs:      o,
 	})
+	// A budget abort stops the workers with the coordinator's reason;
+	// their non-zero exits are then the expected echo of the truncation.
+	truncated := errors.Is(err, explore.ErrLimit)
 	for i, cmd := range spawned {
-		if werr := cmd.Wait(); werr != nil {
+		if werr := cmd.Wait(); werr != nil && !truncated {
 			err = errors.Join(err, fmt.Errorf("worker %d: %w", i, werr))
 		}
+	}
+	if truncated {
+		fmt.Fprintf(out, "%s: truncated at state budget %d (pass a larger -limit)\n", cfg.system, cfg.explore.Limit)
+		return nil
 	}
 	if err != nil {
 		return err

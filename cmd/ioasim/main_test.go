@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -292,6 +293,54 @@ func TestWriteFileReportsErrors(t *testing.T) {
 	err := writeFile(path, func(w io.Writer) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Errorf("emit error not propagated: %v", err)
+	}
+}
+
+// TestDistListenTruncation: a sharded -reach that outgrows -limit
+// exits zero with the same "truncated at state budget" line the
+// single-process and census paths print — the cluster's budget abort is
+// explore.ErrLimit, which coordRun recognises.
+func TestDistListenTruncation(t *testing.T) {
+	grid := config{system: "grid", gridM: 4, gridK: 4, reach: true, faults: "none",
+		explore: explore.Options{Limit: 10}}
+	coord := grid
+	coord.distListen, coord.distWorkers = "127.0.0.1:0", 2
+	pr, pw := io.Pipe()
+	coordErr := make(chan error, 1)
+	go func() {
+		err := run(coord, pw)
+		pw.Close()
+		coordErr <- err
+	}()
+	rd := bufio.NewReader(pr)
+	first, err := rd.ReadString('\n') // "coordinating on <addr> (2 workers)"
+	if err != nil {
+		t.Fatalf("coordinator banner: %v (%v)", err, <-coordErr)
+	}
+	fields := strings.Fields(first)
+	if len(fields) < 3 {
+		t.Fatalf("coordinator banner %q", first)
+	}
+	worker := grid
+	worker.distJoin = fields[2]
+	workerErrs := make(chan error, coord.distWorkers)
+	for i := 0; i < coord.distWorkers; i++ {
+		go func() { workerErrs <- run(worker, io.Discard) }()
+	}
+	rest, err := io.ReadAll(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-coordErr; err != nil {
+		t.Fatalf("truncated coordinator run: %v", err)
+	}
+	if !strings.Contains(string(rest), "grid: truncated at state budget 10 (pass a larger -limit)") {
+		t.Fatalf("no truncation line in coordinator output: %q", rest)
+	}
+	for i := 0; i < coord.distWorkers; i++ {
+		if err := <-workerErrs; err == nil || !strings.Contains(err.Error(), "coordinator aborted") {
+			t.Fatalf("worker err = %v, want the coordinator's abort", err)
+		}
 	}
 }
 

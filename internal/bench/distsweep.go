@@ -10,7 +10,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -292,14 +291,6 @@ func distCluster(g *grid.Grid, procs int, now func() time.Time) (cluster.Result,
 		}
 	}
 	return res, elapsed, nil
-}
-
-// WriteDistJSON emits the sweep as an indented DistReport
-// (BENCH_dist.json); headline may be nil.
-func WriteDistJSON(w io.Writer, headline *DistRow, rows []DistRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(DistReport{Headline: headline, Rows: rows})
 }
 
 // PrintDist renders the sweep as a table.

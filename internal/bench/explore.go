@@ -9,7 +9,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -238,13 +237,6 @@ func ExploreSweep(cfg ExploreConfig) ([]ExploreRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// WriteExploreJSON emits the sweep as indented JSON (BENCH_explore.json).
-func WriteExploreJSON(w io.Writer, rows []ExploreRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // PrintExplore renders the sweep as a table.

@@ -22,7 +22,7 @@ func TestExploreSweepAgrees(t *testing.T) {
 		t.Fatalf("got %d rows, want 9", len(rows))
 	}
 	var buf bytes.Buffer
-	if err := WriteExploreJSON(&buf, rows); err != nil {
+	if err := WriteSweepJSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	var back []ExploreRow

@@ -13,7 +13,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -523,11 +522,4 @@ func PrintInduct(w io.Writer, rows []InductRow) {
 			r.Conjuncts, float64(r.CertNS)/1e6, r.ReachStates, float64(r.ReachNS)/1e6)
 	}
 	fmt.Fprintln(w)
-}
-
-// WriteInductJSON writes the rows as indented JSON (BENCH_induct.json).
-func WriteInductJSON(w io.Writer, rows []InductRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }

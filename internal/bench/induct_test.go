@@ -158,7 +158,7 @@ func TestInductSweepQuick(t *testing.T) {
 		t.Fatal("empty table")
 	}
 	buf.Reset()
-	if err := WriteInductJSON(&buf, rows); err != nil {
+	if err := WriteSweepJSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte(`"domain_states"`)) {

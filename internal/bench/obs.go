@@ -10,7 +10,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -154,13 +153,6 @@ func ObsSweep(cfg ObsConfig) ([]ObsRow, error) {
 		rows = append(rows, on)
 	}
 	return rows, nil
-}
-
-// WriteObsJSON emits the sweep as indented JSON (BENCH_obs.json).
-func WriteObsJSON(w io.Writer, rows []ObsRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // PrintObs renders the sweep as a table.

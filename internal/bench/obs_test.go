@@ -46,7 +46,7 @@ func TestObsSweep(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteObsJSON(&buf, rows); err != nil {
+	if err := WriteSweepJSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	var back []ObsRow

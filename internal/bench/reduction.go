@@ -24,7 +24,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -279,12 +278,4 @@ func PrintReduction(w io.Writer, rows []ReductionRow) {
 			r.System, r.Users, r.Mode, r.States, r.StateRatio,
 			float64(r.NS)/1e6, r.Speedup, r.MutexOK)
 	}
-}
-
-// WriteReductionJSON writes the rows as indented JSON
-// (BENCH_reduction.json).
-func WriteReductionJSON(w io.Writer, rows []ReductionRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }

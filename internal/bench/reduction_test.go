@@ -63,7 +63,7 @@ func TestReductionOutputs(t *testing.T) {
 		t.Fatalf("table output missing expected fields:\n%s", tbl.String())
 	}
 	var buf bytes.Buffer
-	if err := WriteReductionJSON(&buf, rows); err != nil {
+	if err := WriteSweepJSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	var back []ReductionRow

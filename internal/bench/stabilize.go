@@ -10,7 +10,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -224,14 +223,6 @@ func lelannCrashCell(opts stabilize.Options) (ioa.Automaton, func(ioa.State) boo
 		explore.Options{Workers: opts.Workers, Limit: opts.Limit})
 	legit := func(s ioa.State) bool { return sys.TokenCount(s) == 1 }
 	return sys.Composite, legit, env, nil
-}
-
-// WriteStabilizeJSON emits the sweep as indented JSON
-// (BENCH_stabilize.json).
-func WriteStabilizeJSON(w io.Writer, rows []StabilizeRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // PrintStabilize renders the sweep as a table.

@@ -63,7 +63,7 @@ func TestStabilizeSweep(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteStabilizeJSON(&buf, rows); err != nil {
+	if err := WriteSweepJSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	var back []StabilizeRow

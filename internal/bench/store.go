@@ -12,7 +12,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -176,13 +175,6 @@ func StoreSweep(cfg StoreConfig) ([]StoreRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// WriteStoreJSON emits the sweep as indented JSON (BENCH_store.json).
-func WriteStoreJSON(w io.Writer, rows []StoreRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }
 
 // PrintStore renders the sweep as a table.

@@ -22,7 +22,7 @@ func TestStoreSweepAgrees(t *testing.T) {
 		t.Fatalf("got %d rows, want 9", len(rows))
 	}
 	var buf bytes.Buffer
-	if err := WriteStoreJSON(&buf, rows); err != nil {
+	if err := WriteSweepJSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
 	var back []StoreRow

@@ -68,6 +68,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -137,9 +138,10 @@ func (r Result) Verdict() string {
 	return "fail " + r.Violation
 }
 
-// ErrLimit is returned by Coordinate when the global admitted-state
-// count exceeds Config.Limit.
-var ErrLimit = errors.New("cluster: state limit exceeded")
+// ErrLimit is returned (wrapped) by Coordinate when the global
+// admitted-state count exceeds Config.Limit. It is explore.ErrLimit —
+// one sentinel for every engine — kept under this name as an alias.
+var ErrLimit = explore.ErrLimit
 
 // Message kinds. One envelope struct keeps gob registration trivial.
 const (
@@ -406,6 +408,17 @@ func Coordinate(ctx context.Context, cfg Config) (Result, error) {
 	o := cfg.Obs
 	if o != nil {
 		o.Dist.Procs.Set(int64(cfg.Procs))
+		// Every exit of the level loop — completion, violation, limit,
+		// abort — reports exactly one Done snapshot.
+		defer func() {
+			o.EmitProgress(obs.Progress{
+				Phase:         "dist",
+				Depth:         res.Depth,
+				States:        res.States,
+				BarrierWaitNS: res.BarrierWaitNS,
+				Done:          true,
+			})
+		}()
 	}
 	res.Procs = cfg.Procs
 	res.PerRank = make([]int64, cfg.Procs)
@@ -477,15 +490,6 @@ func Coordinate(ctx context.Context, cfg Config) (Result, error) {
 		}
 	}
 	drainAll()
-	if o != nil {
-		o.EmitProgress(obs.Progress{
-			Phase:         "dist",
-			Depth:         res.Depth,
-			States:        res.States,
-			BarrierWaitNS: res.BarrierWaitNS,
-			Done:          true,
-		})
-	}
 	return res, nil
 }
 
@@ -591,17 +595,9 @@ func Work(ctx context.Context, cfg Config) error {
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d: build: %w", rank, err)
 	}
-	var seen store.SeenSet
-	if cfg.Spill != nil {
-		spOpts := *cfg.Spill
-		spOpts.Canon = cfg.Canon
-		sp, err := store.NewSpill(spOpts)
-		if err != nil {
-			return fmt.Errorf("cluster: rank %d: %w", rank, err)
-		}
-		seen = sp
-	} else {
-		seen = store.New(store.Options{Canon: cfg.Canon})
+	seen, err := store.Open(cfg.Spill, cfg.Canon)
+	if err != nil {
+		return fmt.Errorf("cluster: rank %d: %w", rank, err)
 	}
 	//lint:ignore errflow storage failures already aborted the level loop; Close here only releases temp files
 	defer seen.Close()
@@ -612,7 +608,8 @@ func Work(ctx context.Context, cfg Config) error {
 		return err
 	}
 
-	inputs := a.Sig().Inputs().Sorted()
+	// The owners sort each level's candidates, so the walk need not.
+	step := explore.NewStep(a, false, nil, nil)
 	// candidates starts as the start states — every rank proposes the
 	// same level-0 set and owner dedup keeps one copy of each.
 	var cands []candidate
@@ -790,12 +787,7 @@ func Work(ctx context.Context, cfg Config) error {
 			return true
 		}
 		for _, s := range frontier {
-			for _, act := range a.Enabled(s) {
-				ioa.VisitNext(a, s, act, yield)
-			}
-			for _, act := range inputs {
-				ioa.VisitNext(a, s, act, yield)
-			}
+			step.Visit(s, yield)
 		}
 	}
 }

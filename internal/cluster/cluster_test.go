@@ -283,16 +283,24 @@ func TestClusterCorruptShardMustFail(t *testing.T) {
 	}
 }
 
+// TestClusterLimit: the budget abort is explore.ErrLimit — the one
+// sentinel ioasim and every engine caller already test for — and the
+// aborted run still reports exactly one Done snapshot.
 func TestClusterLimit(t *testing.T) {
-	_, errs := run(t, 2, nil, Config{Build: buildGrid(4, 4), Limit: 10})
-	limited := false
-	for _, err := range errs {
-		if errors.Is(err, ErrLimit) {
-			limited = true
+	o := obs.New(nil)
+	var done int
+	o.Progress = func(p obs.Progress) { // the coordinator emits from one goroutine
+		if p.Done {
+			done++
 		}
 	}
-	if !limited {
-		t.Fatalf("limit 10 on a 256-state walk not enforced: %v", errs)
+	_, errs := run(t, 2, nil, Config{Build: buildGrid(4, 4), Limit: 10, Obs: o})
+	coorErr := errs[len(errs)-1]
+	if !errors.Is(coorErr, explore.ErrLimit) || !errors.Is(coorErr, ErrLimit) {
+		t.Fatalf("limit 10 on a 256-state walk: coordinator err = %v, want explore.ErrLimit (all: %v)", coorErr, errs)
+	}
+	if done != 1 {
+		t.Fatalf("aborted run emitted %d Done snapshots, want exactly 1", done)
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	"sort"
 
 	"repro/internal/ioa"
-	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -70,7 +69,8 @@ type Summary struct {
 // the external-memory engine documented above; otherwise it streams
 // the in-RAM parallel engine's result. Options.Limit bounds admitted
 // states in either mode; exceeding it returns ErrLimit with the
-// partial summary.
+// partial summary. Options.Ample is honoured by the in-RAM walk and
+// refused with an error by the external one.
 func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (Summary, error) {
 	ctx = ctxOr(ctx)
 	if e.opts.Spill != nil && e.opts.Decode != nil {
@@ -130,9 +130,18 @@ func (c *chunkBatch) reset() {
 	c.offs = c.offs[:1]
 }
 
+// errCensusStop ends the external walk at the first violation; the
+// exit path turns it into a nil error.
+var errCensusStop = errors.New("census: stop")
+
 // censusExternal is the disk-backed walk.
-func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (Summary, error) {
-	var sum Summary
+func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (sum Summary, err error) {
+	if e.opts.Ample != nil {
+		// The ample selector's freshness oracle probes concrete states
+		// against a live or frozen store; the external walk interns in
+		// sorted batches after expansion, so it has no such view.
+		return sum, fmt.Errorf("explore: %s: Census in external mode (Spill + Decode) does not support Ample; unset Decode to run the reduced walk in RAM", a.Name())
+	}
 	o := e.opts.Obs
 	if o != nil {
 		defer o.Tracer.Span(0, "explore", "census "+a.Name())()
@@ -140,15 +149,14 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 	limit := int64(e.opts.limit())
 	decode := e.opts.Decode
 
-	spOpts := *e.opts.Spill
-	spOpts.Canon = e.opts.Canon
-	sp, err := store.NewSpill(spOpts)
+	seen, err := store.Open(e.opts.Spill, e.opts.Canon)
 	if err != nil {
 		return sum, err
 	}
 	//lint:ignore errflow storage failures surface through sp.Err during the walk; Close here only releases temp files
-	defer sp.Close()
-	chunkCap := spOpts.MemBudget
+	defer seen.Close()
+	sp := seen.(*store.Spill) // Census routes here only with Spill set
+	dir, chunkCap := e.opts.Spill.Dir, e.opts.Spill.MemBudget
 	if chunkCap <= 0 {
 		chunkCap = store.DefaultSpillBudget
 	}
@@ -157,20 +165,26 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 	// nxt. Frontiers live next to the runs (when a -spill-dir was
 	// given) so one directory caps the walk's entire disk footprint.
 	var cur, nxt store.Frontier
-	if cur, err = store.NewDiskFrontier(spOpts.Dir); err != nil {
+	if cur, err = store.NewDiskFrontier(dir); err != nil {
 		return sum, err
 	}
 	//lint:ignore errflow frontier Close only removes the temp queue file
 	defer cur.Close()
-	if nxt, err = store.NewDiskFrontier(spOpts.Dir); err != nil {
+	if nxt, err = store.NewDiskFrontier(dir); err != nil {
 		return sum, err
 	}
 	//lint:ignore errflow frontier Close only removes the temp queue file
 	defer nxt.Close()
+	rep := reporter{o: o, st: sp, phase: "census"}
+	defer func() {
+		if err == errCensusStop {
+			err = nil
+		}
+		rep.emit(sum.Depth, sum.States, 0, true)
+	}()
 
 	chunk := newChunkBatch(chunkCap)
 	idx := make([]int, 0, 1<<10)
-	errStop := errors.New("census: stop")
 
 	// flushChunk sorts and dedups the accumulated candidates, then
 	// batch-interns them: fresh states join the next frontier and the
@@ -215,7 +229,7 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 				}
 				if pred != nil && !pred(s) {
 					sum.Violation = &Violation{State: s}
-					return errStop
+					return errCensusStop
 				}
 			}
 			return nxt.Push(enc)
@@ -230,15 +244,17 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 		chunk.offs = append(chunk.offs, len(chunk.arena))
 	}
 	if err := flushChunk(); err != nil {
-		if err == errStop {
-			return sum, nil
-		}
 		return sum, err
 	}
 	cur, nxt = nxt, cur
 
-	scratch := newActionScratch(a)
+	step := NewStep(a, true, nil, nil)
 	var enc []byte
+	yield := func(nxtState ioa.State) bool {
+		enc = sp.AppendCanonical(enc[:0], nxtState)
+		chunk.add(enc)
+		return true
+	}
 	for depth := int64(1); cur.Len() > 0; depth++ {
 		if err := ctx.Err(); err != nil {
 			return sum, err
@@ -258,14 +274,7 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 			if len(a.Enabled(s)) == 0 {
 				sum.Deadlocks++
 			}
-			yield := func(nxtState ioa.State) bool {
-				enc = sp.AppendCanonical(enc[:0], nxtState)
-				chunk.add(enc)
-				return true
-			}
-			for _, act := range scratch.step(a, s) {
-				ioa.VisitNext(a, s, act, yield)
-			}
+			step.Visit(s, yield)
 			if chunk.full() {
 				return flushChunk()
 			}
@@ -275,47 +284,20 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 			err = flushChunk()
 		}
 		if err != nil {
-			if err == errStop {
-				return sum, nil
-			}
 			return sum, err
 		}
 		if nxt.Len() > 0 {
 			sum.Depth = depth
 		}
 		if o != nil {
-			st := sp.Stats()
 			o.Explore.Levels.Add(1)
 			o.Explore.Frontier.Observe(int64(cur.Len()))
-			storeGauges(o, sp)
-			o.EmitProgress(obs.Progress{
-				Phase:        "census",
-				Depth:        depth,
-				States:       sum.States,
-				Frontier:     int64(nxt.Len()),
-				Occupancy:    int64(st.States),
-				ArenaBytes:   st.ArenaBytes,
-				SpilledBytes: st.SpilledBytes,
-			})
 		}
+		rep.emit(depth, sum.States, int64(nxt.Len()), false)
 		if err := cur.Reset(); err != nil {
 			return sum, err
 		}
 		cur, nxt = nxt, cur
-	}
-	if o != nil {
-		o.Explore.States.Add(sum.States)
-		storeGauges(o, sp)
-		st := sp.Stats()
-		o.EmitProgress(obs.Progress{
-			Phase:        "census",
-			Depth:        sum.Depth,
-			States:       sum.States,
-			Occupancy:    int64(st.States),
-			ArenaBytes:   st.ArenaBytes,
-			SpilledBytes: st.SpilledBytes,
-			Done:         true,
-		})
 	}
 	return sum, nil
 }

@@ -117,32 +117,6 @@ func TestDifferentialReachRandom(t *testing.T) {
 	}
 }
 
-// TestDifferentialReachDedup: the Dedup option changes traffic, never
-// results.
-func TestDifferentialReachDedup(t *testing.T) {
-	base := testseed.Base(t)
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(base + 100 + seed))
-		a := randSystem(rng, seed)
-		plain, err := parallelReach(a, explore.Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dedup, err := parallelReach(a, explore.Options{Workers: 4, Dedup: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(plain) != len(dedup) {
-			t.Fatalf("seed %d: dedup changed result size: %d vs %d", seed, len(plain), len(dedup))
-		}
-		for i := range plain {
-			if plain[i].Key() != dedup[i].Key() {
-				t.Fatalf("seed %d: dedup changed result order at %d", seed, i)
-			}
-		}
-	}
-}
-
 // TestDifferentialReachDeterministic: the parallel result is
 // bit-identical across runs and worker counts (canonical ordering).
 func TestDifferentialReachDeterministic(t *testing.T) {

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"time"
 
 	"repro/internal/ioa"
 	"repro/internal/obs"
@@ -45,24 +44,14 @@ type Options struct {
 	// the partial result holds exactly Limit states and ErrLimit is
 	// returned iff an unseen state remains.
 	Limit int
-	// Dedup enables sender-side duplicate suppression in the parallel
-	// engine: each worker additionally filters the successors it
-	// forwards through a local per-level table, reducing outbox traffic
-	// on diamond-heavy state graphs. Results are identical with it on
-	// or off.
-	Dedup bool
 	// Obs, when non-nil, enables observability: per-level spans and
-	// frontier/latency histograms, per-worker expansion spans,
-	// successor/dedup counters, and the state-store occupancy and
-	// arena-bytes gauges. Nil (the default) is the disabled fast path —
-	// the engine performs no clock reads and no metric writes.
-	// Observability never affects the explored state set.
+	// frontier/latency histograms, per-worker expansion spans, the
+	// successor counter, and the state-store occupancy and arena-bytes
+	// gauges. Level timing reads the Obs clock (obs.New injects it).
+	// Nil (the default) is the disabled fast path — the engine performs
+	// no clock reads and no metric writes. Observability never affects
+	// the explored state set.
 	Obs *obs.Obs
-	// Now optionally overrides the clock behind the engine's own timing
-	// measurements (the per-level wall-time histogram). Nil means the
-	// Obs tracer clock, which itself defaults to testseed.Now; with Obs
-	// nil the engine reads no clock at all.
-	Now func() time.Time
 	// Canon, when non-nil, quotients the explored state space by a
 	// symmetry: the state store dedups canonical encodings, so one
 	// concrete representative per orbit is admitted — the first
@@ -86,7 +75,8 @@ type Options struct {
 	// required by Census's external mode, which keeps frontiers on disk
 	// as encodings and must re-expand them; systems whose encodings are
 	// self-describing (KeyState systems, internal/grid) provide it
-	// trivially. Reach and CheckInvariant never call it.
+	// trivially. Reach and CheckInvariant never call it. The external
+	// mode does not support Ample and says so with an error.
 	Decode func(enc []byte) (ioa.State, error)
 	// Ample, when non-nil, enables partial-order reduction: each
 	// explorer goroutine mints one selector and filters every state's
@@ -146,69 +136,58 @@ func New(opts Options) *Engine { return &Engine{opts: opts} }
 // Opts returns the engine's options.
 func (e *Engine) Opts() Options { return e.opts }
 
-// now reads the engine's measurement clock.
-func (e *Engine) now() time.Time {
-	if e.opts.Now != nil {
-		return e.opts.Now()
-	}
-	return e.opts.Obs.Tracer.Now()
-}
-
-// newSeen builds the engine's seen set: the disk-spilling store when
-// Options.Spill is set, the in-RAM arena otherwise. The engine's Canon
-// is threaded into either backend.
-func (e *Engine) newSeen() (store.SeenSet, error) {
-	if e.opts.Spill != nil {
-		o := *e.opts.Spill
-		o.Canon = e.opts.Canon
-		return store.NewSpill(o)
-	}
-	return store.New(store.Options{Canon: e.opts.Canon}), nil
-}
-
 // seenErr wraps a latched storage error for return from an engine
 // method.
 func seenErr(a ioa.Automaton, err error) error {
 	return fmt.Errorf("explore: %s: storage: %w", a.Name(), err)
 }
 
-// storeGauges publishes the store's occupancy to the obs gauges.
-func storeGauges(o *obs.Obs, st store.SeenSet) {
-	if o == nil {
-		return
-	}
-	s := st.Stats()
-	o.Store.Occupancy.Set(int64(s.States))
-	o.Store.ArenaBytes.Set(s.ArenaBytes)
-	o.Store.ArenaCapBytes.Set(s.ArenaCapBytes)
-	o.Store.SpilledBytes.Set(s.SpilledBytes)
-	o.Store.SpillRuns.Set(int64(s.SpillRuns))
+// reporter is the one progress and gauge emitter under every loop: the
+// sequential kernel, the level-synchronized engine and the external
+// census all publish through it, so they cannot disagree about what a
+// running or a finished exploration reports. Each loop defers one
+// emit(…, done=true), so completion, violation, ErrLimit and
+// cancellation all leave through the same report. With a nil Obs emit
+// is a no-op.
+type reporter struct {
+	o       *obs.Obs
+	st      store.SeenSet
+	phase   string
+	counted int64 // states already added to explore.states_admitted
 }
 
-// seqProgressStride is how many expanded states separate progress
-// snapshots in the sequential sweeps (power of two; the check rides
-// the existing i&63 cancellation branch, so the hot path gains no new
-// comparison when observability is off).
-const seqProgressStride = 8192
-
-// emitSeqProgress publishes one sequential-sweep progress snapshot:
-// admitted states, the unexpanded suffix as the frontier, and the
-// store footprint. Raw counts only — the ledger derives rates.
-func emitSeqProgress(o *obs.Obs, admitted, expanded int, st store.SeenSet, done bool) {
-	if o == nil {
+// emit brings explore.states_admitted up to states, publishes the store
+// gauges, and sends one progress snapshot. Raw counts only — the ledger
+// derives rates.
+func (r *reporter) emit(depth, states, frontier int64, done bool) {
+	if r.o == nil {
 		return
 	}
-	s := st.Stats()
-	o.EmitProgress(obs.Progress{
-		Phase:        "explore",
-		States:       int64(admitted),
-		Frontier:     int64(admitted - expanded),
+	r.o.Explore.States.Add(states - r.counted)
+	r.counted = states
+	s := r.st.Stats()
+	r.o.Store.Occupancy.Set(int64(s.States))
+	r.o.Store.ArenaBytes.Set(s.ArenaBytes)
+	r.o.Store.ArenaCapBytes.Set(s.ArenaCapBytes)
+	r.o.Store.SpilledBytes.Set(s.SpilledBytes)
+	r.o.Store.SpillRuns.Set(int64(s.SpillRuns))
+	r.o.EmitProgress(obs.Progress{
+		Phase:        r.phase,
+		Depth:        depth,
+		States:       states,
+		Frontier:     frontier,
 		Occupancy:    int64(s.States),
 		ArenaBytes:   s.ArenaBytes,
 		SpilledBytes: s.SpilledBytes,
 		Done:         done,
 	})
 }
+
+// seqProgressStride is how many expanded states separate progress
+// snapshots in the sequential kernel (power of two; the check rides
+// the existing i&63 cancellation branch, so the hot path gains no new
+// comparison when observability is off).
+const seqProgressStride = 8192
 
 // ctxOr normalizes a nil context.
 func ctxOr(ctx context.Context) context.Context {
@@ -230,7 +209,8 @@ func ctxOr(ctx context.Context) context.Context {
 func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
 	ctx = ctxOr(ctx)
 	if e.opts.workers() <= 1 {
-		return e.reachSeq(ctx, a)
+		order, _, err := e.seqExplore(ctx, a, nil)
+		return order, err
 	}
 	order, _, _, err := e.parallelExplore(ctx, a, nil)
 	return order, err
@@ -250,7 +230,8 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 		return nil, fmt.Errorf("explore: CheckInvariant: nil predicate")
 	}
 	if e.opts.workers() <= 1 {
-		return e.checkSeq(ctx, a, pred)
+		_, v, err := e.seqExplore(ctx, a, pred)
+		return v, err
 	}
 	_, v, _, err := e.parallelExplore(ctx, a, pred)
 	return v, err
@@ -273,231 +254,175 @@ func (e *Engine) Deadlocks(ctx context.Context, a ioa.Automaton) ([]ioa.State, e
 	return out, nil
 }
 
-// actionScratch enumerates, per state, the actions worth stepping:
-// Enabled(s) merged with the input actions, sorted. For I/O automata
-// this loses nothing — inputs are enabled in every state
-// (input-enabledness, §2.1) and a locally-controlled action outside
-// Enabled(s) has no step — and because the merged list is sorted, the
-// successors appear in exactly the order the seed explorer's
-// all-actions sweep discovers them, so visit order stays
-// bit-identical while |acts(A)| − |enabled(s)| transition probes are
-// skipped. Duplicates (an Enabled implementation that also reports
-// inputs) are harmless: the second pass finds every successor already
-// interned.
-type actionScratch struct {
+// A Step enumerates one state's successors, and is the one place the
+// exploration loops decide which actions are worth stepping: Enabled(s)
+// merged with the input actions. For I/O automata this loses nothing —
+// inputs are enabled in every state (input-enabledness, §2.1) and a
+// locally-controlled action outside Enabled(s) has no step — while
+// |acts(A)| − |enabled(s)| transition probes are skipped. Duplicates
+// (an Enabled implementation that also reports inputs) are harmless:
+// the second pass finds every successor already known.
+//
+// A sorted Step walks the merged list in sorted order, so successors
+// appear in exactly the order the seed explorer's all-actions sweep
+// discovers them (the sequential kernel's visit-order pin, and the
+// external census's chunk order). An unsorted Step walks Enabled(s)
+// then the inputs with no copy and no sort, for the level-synchronized
+// loops whose merge sorts the candidates anyway. With an Ampler the
+// merged list is always sorted (seed order is part of the selector's
+// determinism) and filtered through one selector minted for this Step;
+// seen is the freshness oracle the selector's cycle proviso consults.
+// A Step allocates nothing per state and is not safe for concurrent
+// use: each goroutine owns one.
+type Step struct {
+	// Act is the action being stepped; yield callbacks read it to label
+	// the transition that produced their argument.
+	Act ioa.Action
+
+	a      ioa.Automaton
 	inputs []ioa.Action
+	sorted bool
 	buf    []ioa.Action
+	sel    func(ioa.State, []ioa.Action, func(ioa.State) bool) []ioa.Action
+	seen   func(ioa.State) bool
 }
 
-func newActionScratch(a ioa.Automaton) *actionScratch {
-	return &actionScratch{inputs: a.Sig().Inputs().Sorted()}
+// NewStep builds the successor enumerator of a. ample and seen may be
+// nil (no partial-order reduction).
+func NewStep(a ioa.Automaton, sorted bool, ample Ampler, seen func(ioa.State) bool) *Step {
+	st := &Step{a: a, inputs: a.Sig().Inputs().Sorted(), sorted: sorted, seen: seen}
+	if ample != nil {
+		st.sel = ample.NewSelector()
+	}
+	return st
 }
 
-// step returns the sorted actions to probe from s. The slice is reused
-// across calls; callers must not retain it.
-func (c *actionScratch) step(a ioa.Automaton, s ioa.State) []ioa.Action {
+// Visit calls yield on every successor of s worth stepping, with Act
+// set to the producing action, and stops early (returning false) as
+// soon as yield does.
+func (st *Step) Visit(s ioa.State, yield func(ioa.State) bool) bool {
+	if !st.sorted && st.sel == nil {
+		return st.walk(s, st.a.Enabled(s), yield) && st.walk(s, st.inputs, yield)
+	}
 	// Copy before sorting: the memo layer may hand out a shared cached
 	// Enabled slice.
-	c.buf = append(c.buf[:0], a.Enabled(s)...)
-	c.buf = append(c.buf, c.inputs...)
-	sort.Slice(c.buf, func(i, j int) bool { return c.buf[i] < c.buf[j] })
-	return c.buf
+	st.buf = append(append(st.buf[:0], st.a.Enabled(s)...), st.inputs...)
+	sort.Slice(st.buf, func(i, j int) bool { return st.buf[i] < st.buf[j] })
+	acts := st.buf
+	if st.sel != nil {
+		acts = st.sel(s, acts, st.seen)
+	}
+	return st.walk(s, acts, yield)
 }
 
-// reachSeq is the sequential store-backed reachability sweep. The
-// frontier is the unexpanded suffix of the result slice itself (every
-// admitted state is expanded exactly once, in admission order), so
-// visit order is bit-identical to the seed explorer's explicit queue.
-func (e *Engine) reachSeq(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
+// walk steps s by each of acts in order.
+func (st *Step) walk(s ioa.State, acts []ioa.Action, yield func(ioa.State) bool) bool {
+	for _, act := range acts {
+		st.Act = act
+		if !ioa.VisitNext(st.a, s, act, yield) {
+			return false
+		}
+	}
+	return true
+}
+
+// seqExplore is the one sequential kernel, under Reach (pred nil) and
+// CheckInvariant at one worker. The frontier is the unexpanded suffix
+// of the result slice itself (every admitted state is expanded exactly
+// once, in admission order), so visit order is bit-identical to the
+// seed explorer's explicit queue, and slice indices double as interned
+// IDs (both are dense admission order). With a predicate it also
+// records one (parent, act) crumb per state, checks pred on each state
+// as it comes up for expansion, and builds the witness from the crumb
+// chain.
+//
+// The two limit contracts differ on purpose. Reach switches to probe
+// mode once the budget is full: the first unseen successor aborts the
+// enumeration with ErrLimit and exactly Limit states, and an exact-fit
+// exploration (budget full, no unseen successor anywhere) still
+// completes with a nil error. CheckInvariant is stricter (matching the
+// seed): a full store is an error before the next expansion even when
+// the frontier is about to empty, because witnesses for states past
+// the budget could not be built.
+func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (order []ioa.State, v *Violation, err error) {
 	limit := e.opts.limit()
 	o := e.opts.Obs
 	if o != nil {
-		defer o.Tracer.Span(0, "explore", "reach-seq "+a.Name())()
+		defer o.Tracer.Span(0, "explore", "seq "+a.Name())()
 	}
-	scratch := newActionScratch(a)
-	st, err := e.newSeen()
+	st, err := store.Open(e.opts.Spill, e.opts.Canon)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
 	defer st.Close()
-	var sel func(ioa.State, []ioa.Action, func(ioa.State) bool) []ioa.Action
-	var seen func(ioa.State) bool
-	cursor := 0
-	if e.opts.Ample != nil {
-		sel = e.opts.Ample.NewSelector()
-		// The cycle-proviso oracle: a successor counts as seen when it
-		// has already been expanded or is the state being expanded now
-		// (IDs are dense admission order and states expand in ID
-		// order). Merely-discovered frontier states stay "fresh" — a
-		// reduced expansion may point at them freely, because on any
-		// cycle of the reduced graph the state expanded last finds its
-		// cycle successor already expanded and C3 forces it to expand
-		// fully, so nothing is postponed forever.
-		seen = func(t ioa.State) bool {
-			id, ok := st.Has(t)
-			return ok && int(id) <= cursor
-		}
-	}
-	var order []ioa.State
-	push := func(s ioa.State) {
+	rep := reporter{o: o, st: st, phase: "explore"}
+	defer func() { rep.emit(0, int64(len(order)), 0, true) }()
+
+	var crumbs []crumb // indexed like order; kept only under a predicate
+	cur := store.None  // the state being expanded
+	// The cycle-proviso oracle: a successor counts as seen when it has
+	// already been expanded or is the state being expanded now (states
+	// expand in ID order). Merely-discovered frontier states stay
+	// "fresh" — a reduced expansion may point at them freely, because
+	// on any cycle of the reduced graph the state expanded last finds
+	// its cycle successor already expanded and C3 forces it to expand
+	// fully, so nothing is postponed forever.
+	step := NewStep(a, true, e.opts.Ample, func(t ioa.State) bool {
+		id, ok := st.Has(t)
+		return ok && id <= cur
+	})
+	admit := func(s ioa.State) {
 		if _, fresh := st.Intern(s); fresh {
 			order = append(order, s)
+			if pred != nil {
+				crumbs = append(crumbs, crumb{parent: cur, act: step.Act})
+			}
 		}
 	}
 	for _, s := range a.Start() {
-		push(s)
+		admit(s)
 	}
-	// One yield closure for the whole sweep. Once the budget is full it
-	// switches to probe mode: the first unseen successor aborts the
-	// enumeration (yield false) and Reach returns immediately with the
-	// partial order — the seed version kept materializing and scanning
-	// successor slices here. An exact-fit exploration (budget full, no
-	// unseen successor anywhere) still completes with a nil error.
+	// One yield closure for the whole sweep.
 	yield := func(nxt ioa.State) bool {
-		if len(order) >= limit {
+		if pred == nil && len(order) >= limit {
 			_, seen := st.Has(nxt)
 			return seen
 		}
-		push(nxt)
+		admit(nxt)
 		return true
 	}
-	for i := 0; i < len(order); i++ {
+	limited := false
+	for i := 0; i < len(order) && !limited; i++ {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
-				return order, err
+				return order, nil, err
 			}
 			if err := st.Err(); err != nil {
-				return order, seenErr(a, err)
+				return order, nil, seenErr(a, err)
 			}
 			if i&(seqProgressStride-1) == 0 && i > 0 {
-				emitSeqProgress(o, len(order), i, st, false)
+				rep.emit(0, int64(len(order)), int64(len(order)-i), false)
 			}
 		}
 		s := order[i]
-		acts := scratch.step(a, s)
-		if sel != nil {
-			cursor = i
-			acts = sel(s, acts, seen)
-		}
-		for _, act := range acts {
-			if !ioa.VisitNext(a, s, act, yield) {
-				if err := st.Err(); err != nil {
-					return order, seenErr(a, err)
-				}
-				storeGauges(o, st)
-				emitSeqProgress(o, len(order), len(order), st, true)
-				return order, errLimit(a, limit)
+		if pred != nil {
+			if !pred(s) {
+				return order, &Violation{State: s, Trace: witnessFromCrumbs(a, order, crumbs, store.ID(i))}, nil
+			}
+			if len(order) >= limit {
+				return order, nil, errLimit(a, limit)
 			}
 		}
+		cur = store.ID(i)
+		// Only Reach's probe mode ever stops the walk.
+		limited = !step.Visit(s, yield)
 	}
 	if err := st.Err(); err != nil {
-		return order, seenErr(a, err)
+		return order, nil, seenErr(a, err)
 	}
-	storeGauges(o, st)
-	if o != nil {
-		o.Explore.States.Add(int64(len(order)))
+	if limited {
+		return order, nil, errLimit(a, limit)
 	}
-	emitSeqProgress(o, len(order), len(order), st, true)
-	return order, nil
-}
-
-// checkSeq is the sequential store-backed invariant check. Node
-// indices double as interned IDs (both are dense insertion order), so
-// parent links are plain ints into the node slice.
-func (e *Engine) checkSeq(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (*Violation, error) {
-	limit := e.opts.limit()
-	o := e.opts.Obs
-	if o != nil {
-		defer o.Tracer.Span(0, "explore", "check-seq "+a.Name())()
-	}
-	scratch := newActionScratch(a)
-	st, err := e.newSeen()
-	if err != nil {
-		return nil, err
-	}
-	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
-	defer st.Close()
-	var sel func(ioa.State, []ioa.Action, func(ioa.State) bool) []ioa.Action
-	var seen func(ioa.State) bool
-	cursor := 0
-	if e.opts.Ample != nil {
-		sel = e.opts.Ample.NewSelector()
-		// Same expanded-or-current proviso oracle as reachSeq (node
-		// indices are interned IDs).
-		seen = func(t ioa.State) bool {
-			id, ok := st.Has(t)
-			return ok && int(id) <= cursor
-		}
-	}
-	type node struct {
-		state  ioa.State
-		parent int
-		act    ioa.Action
-	}
-	var nodes []node
-	witness := func(i int) *ioa.Execution {
-		var rev []int
-		for j := i; j >= 0; j = nodes[j].parent {
-			rev = append(rev, j)
-		}
-		x := ioa.NewExecution(a, nodes[rev[len(rev)-1]].state)
-		for k := len(rev) - 2; k >= 0; k-- {
-			x.Append(nodes[rev[k]].act, nodes[rev[k]].state)
-		}
-		return x
-	}
-	for _, s := range a.Start() {
-		if _, fresh := st.Intern(s); fresh {
-			nodes = append(nodes, node{state: s, parent: -1, act: ""})
-		}
-	}
-	var curParent int
-	var curAct ioa.Action
-	yield := func(nxt ioa.State) bool {
-		if _, fresh := st.Intern(nxt); fresh {
-			nodes = append(nodes, node{state: nxt, parent: curParent, act: curAct})
-		}
-		return true
-	}
-	for i := 0; i < len(nodes); i++ {
-		if i&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := st.Err(); err != nil {
-				return nil, seenErr(a, err)
-			}
-			if i&(seqProgressStride-1) == 0 && i > 0 {
-				emitSeqProgress(o, len(nodes), i, st, false)
-			}
-		}
-		if !pred(nodes[i].state) {
-			return &Violation{State: nodes[i].state, Trace: witness(i)}, nil
-		}
-		if len(nodes) >= limit {
-			// Stricter than Reach by design (and matching the seed):
-			// the node store being full is an error even when the
-			// frontier is about to empty, because witnesses for states
-			// past the budget could not be built.
-			storeGauges(o, st)
-			return nil, errLimit(a, limit)
-		}
-		curParent = i
-		acts := scratch.step(a, nodes[i].state)
-		if sel != nil {
-			cursor = i
-			acts = sel(nodes[i].state, acts, seen)
-		}
-		for _, act := range acts {
-			curAct = act
-			ioa.VisitNext(a, nodes[i].state, act, yield)
-		}
-	}
-	if err := st.Err(); err != nil {
-		return nil, seenErr(a, err)
-	}
-	storeGauges(o, st)
-	emitSeqProgress(o, len(nodes), len(nodes), st, true)
-	return nil, nil
+	return order, nil, nil
 }

@@ -244,7 +244,7 @@ func (e *Engine) FindLasso(ctx context.Context, a ioa.Automaton, allowed func(io
 // BFS invariant checker (so the witness has minimal length).
 func (e *Engine) witnessTo(ctx context.Context, a ioa.Automaton, target ioa.State) (*ioa.Execution, error) {
 	tk := target.Key()
-	we := New(Options{Workers: 1, Limit: maxInt(e.opts.limit(), DefaultLimit), Obs: e.opts.Obs, Now: e.opts.Now})
+	we := New(Options{Workers: 1, Limit: maxInt(e.opts.limit(), DefaultLimit), Obs: e.opts.Obs})
 	v, err := we.CheckInvariant(ctx, a, func(s ioa.State) bool { return s.Key() != tk })
 	if err != nil {
 		return nil, err

@@ -4,8 +4,8 @@
 // about infinite (fair and unfair) behaviors of finite automata.
 //
 // The entry point is the Engine facade: construct one from Options
-// (worker count, state budget, observability handle, injected clock)
-// with New and call its context-aware methods —
+// (worker count, state budget, observability handle, storage backend,
+// reductions) with New and call its context-aware methods —
 //
 //	eng := explore.New(explore.Options{Workers: 4, Limit: 1 << 20})
 //	states, err := eng.Reach(ctx, a)

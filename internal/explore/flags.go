@@ -9,9 +9,7 @@ package explore
 
 import (
 	"flag"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/store"
 )
 
@@ -20,7 +18,6 @@ import (
 type Flags struct {
 	workers    *int
 	limit      *int
-	dedup      *bool
 	symmetry   *bool
 	por        *bool
 	spillDir   *string
@@ -34,14 +31,12 @@ type Flags struct {
 }
 
 // BindFlags registers the shared exploration flags (-workers, -limit,
-// -dedup, the -spill-* external-memory knobs, and the -dist-* cluster
-// knobs) on fs and returns the handle that resolves them after
-// fs.Parse.
+// the -spill-* external-memory knobs, and the -dist-* cluster knobs) on
+// fs and returns the handle that resolves them after fs.Parse.
 func BindFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
 		workers:    fs.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS, 1 = sequential)"),
 		limit:      fs.Int("limit", DefaultLimit, "exploration state budget"),
-		dedup:      fs.Bool("dedup", false, "sender-side duplicate suppression in the parallel explorer"),
 		symmetry:   fs.Bool("symmetry", false, "quotient the state space by the system's symmetry group (systems with a registered canonicalizer)"),
 		por:        fs.Bool("por", false, "ample-set partial-order reduction (closed systems)"),
 		spillDir:   fs.String("spill-dir", "", "spill the seen set to delta-encoded runs under this directory when RAM budget is exceeded"),
@@ -55,17 +50,14 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	}
 }
 
-// Options resolves the parsed flags into engine Options, attaching the
-// run's observability handle (nil disables instrumentation) and an
-// optional measurement clock.
-func (f *Flags) Options(o *obs.Obs, now func() time.Time) Options {
+// Options resolves the parsed flags into engine Options; the caller
+// attaches the run's observability handle (Options.Obs) where it builds
+// one.
+func (f *Flags) Options() Options {
 	return Options{
 		Workers: *f.workers,
 		Limit:   *f.limit,
-		Dedup:   *f.dedup,
 		Spill:   f.SpillOptions(),
-		Obs:     o,
-		Now:     now,
 	}
 }
 

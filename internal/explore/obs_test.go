@@ -10,14 +10,14 @@ import (
 // TestObsDoesNotChangeResults pins the core observability contract:
 // attaching an Obs changes nothing about the explored state set.
 func TestObsDoesNotChangeResults(t *testing.T) {
-	plain, err := ParallelReachForTest(modCounters(3, 4), Options{Workers: 3, Dedup: true})
+	plain, err := ParallelReachForTest(modCounters(3, 4), Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New(nil)
 	a := modCounters(3, 4)
 	ioa.SetObsDeep(a, o)
-	instrumented, err := ParallelReachForTest(a, Options{Workers: 3, Dedup: true, Obs: o})
+	instrumented, err := ParallelReachForTest(a, Options{Workers: 3, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestObsExploreMetrics(t *testing.T) {
 	o := obs.New(nil)
 	a := modCounters(3, 4) // 64 states
 	ioa.SetObsDeep(a, o)
-	states, err := ParallelReachForTest(a, Options{Workers: 2, Dedup: true, Obs: o})
+	states, err := ParallelReachForTest(a, Options{Workers: 2, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

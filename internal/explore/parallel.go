@@ -59,7 +59,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ioa"
 	"repro/internal/obs"
@@ -118,7 +117,7 @@ func sortCandsByKey(cands []cand) {
 // level in canonical order and the first failing state is returned as
 // a Violation with a witness built from the canonical crumb chain.
 // Cancellation is checked at level granularity.
-func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) ([]ioa.State, *Violation, int, error) {
+func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (states []ioa.State, v *Violation, maxDepth int, err error) {
 	ctx = ctxOr(ctx)
 	w := e.opts.workers()
 	if w < 1 {
@@ -133,19 +132,31 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		}
 		defer o.Tracer.Span(0, "explore", "explore "+a.Name())()
 	}
-	inputs := a.Sig().Inputs().Sorted()
-	gst, err := e.newSeen()
+	gst, err := store.Open(e.opts.Spill, e.opts.Canon)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
 	defer gst.Close()
-	maxDepth := 0          // last completed BFS level
-	var states []ioa.State // indexed by ID; also the returned order
-	var crumbs []crumb     // indexed by ID
+	// states is indexed by ID and is also the returned order; maxDepth
+	// is the last completed BFS level.
+	rep := reporter{o: o, st: gst, phase: "explore"}
+	defer func() { rep.emit(int64(maxDepth), int64(len(states)), 0, true) }()
+	var crumbs []crumb // indexed by ID
+	// One probe and one Step per worker, for the whole run. Ample
+	// selection runs per worker: the selector is a deterministic
+	// function of (state, frozen store), and it finishes before the
+	// successor yields start, so it may share the worker's probe as its
+	// freshness oracle. The frozen store holds every state of depth ≤
+	// current, which is exactly what the BFS cycle proviso needs (a
+	// "fresh" successor is genuinely at depth+1, so postponement chains
+	// strictly increase depth and terminate).
 	probes := make([]store.MemberProbe, w)
+	steps := make([]*Step, w)
 	for i := range probes {
-		probes[i] = gst.Probe()
+		probe := gst.Probe()
+		probes[i] = probe
+		steps[i] = NewStep(a, false, e.opts.Ample, func(t ioa.State) bool { _, _, ok := probe.Lookup(t); return ok })
 	}
 
 	// Level 0: the start states, canonically sorted then interned in
@@ -166,10 +177,6 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	if err := gst.Err(); err != nil {
 		return nil, nil, 0, seenErr(a, err)
 	}
-	storeGauges(o, gst)
-	if o != nil {
-		o.Explore.States.Add(int64(len(states)))
-	}
 	if pred != nil {
 		if v := checkLevel(a, states, crumbs, 0, pred); v != nil {
 			return states, v, maxDepth, nil
@@ -183,15 +190,8 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		if err := ctx.Err(); err != nil {
 			return states, nil, maxDepth, err
 		}
-		var traceStart, levelStart time.Time
-		if o != nil {
-			traceStart = o.Tracer.Now()
-			levelStart = traceStart
-			if e.opts.Now != nil {
-				levelStart = e.opts.Now()
-			}
-		}
-		next := e.expandLevel(a, gst, inputs, states, level, probes, depth, o)
+		levelStart := o.Now()
+		next := expandLevel(a, gst, states, level, probes, steps, depth, o)
 		if err := gst.Err(); err != nil {
 			// A worker's probe latched a storage failure during the
 			// frozen phase: the candidate set may be incomplete, so the
@@ -201,13 +201,8 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		if o != nil {
 			o.Explore.Levels.Add(1)
 			o.Explore.Frontier.Observe(int64(len(level)))
-			end := o.Tracer.Now()
-			levelEnd := end
-			if e.opts.Now != nil {
-				levelEnd = e.opts.Now()
-			}
-			o.Explore.LevelNS.Observe(levelEnd.Sub(levelStart).Nanoseconds())
-			o.Tracer.Complete(0, "explore", fmt.Sprintf("level %d", depth), traceStart,
+			o.Explore.LevelNS.Observe(o.Now().Sub(levelStart).Nanoseconds())
+			o.Tracer.Complete(0, "explore", fmt.Sprintf("level %d", depth), levelStart,
 				map[string]any{"frontier": len(level), "new": len(next)})
 			o.Tracer.CounterEvent(0, "memo", o.Memo.Values())
 		}
@@ -218,7 +213,6 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		if room <= 0 {
 			// An unseen state exists beyond a full budget: the
 			// sequential contract returns the partial result as-is.
-			storeGauges(o, gst)
 			return states, nil, maxDepth, errLimit(a, limit)
 		}
 		over := len(next) > room
@@ -237,49 +231,20 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		if err := gst.Err(); err != nil {
 			return states[:from], nil, maxDepth, seenErr(a, err)
 		}
-		storeGauges(o, gst)
-		if o != nil {
-			o.Explore.States.Add(int64(len(next)))
-			emitLevelProgress(o, gst, depth, len(states), len(level), false)
-		}
+		rep.emit(int64(depth), int64(len(states)), int64(len(level)), false)
 		if pred != nil {
 			if v := checkLevel(a, states, crumbs, from, pred); v != nil {
 				return states, v, maxDepth, nil
 			}
 		}
-		if over {
+		// With a predicate, mirror CheckInvariant's stricter budget
+		// check: it errors once the node store is full even when the
+		// frontier is about to empty.
+		if over || (pred != nil && len(states) >= limit) {
 			return states, nil, maxDepth, errLimit(a, limit)
 		}
-		if pred != nil && len(states) >= limit {
-			// Mirror CheckInvariant's stricter budget check: it errors
-			// once the node store is full even when the frontier is
-			// about to empty.
-			return states, nil, maxDepth, errLimit(a, limit)
-		}
-	}
-	storeGauges(o, gst)
-	if o != nil {
-		emitLevelProgress(o, gst, 0, len(states), 0, true)
 	}
 	return states, nil, maxDepth, nil
-}
-
-// emitLevelProgress publishes one barrier progress snapshot: the
-// completed depth, total admitted states, the freshly interned
-// frontier, and the store footprint. Only called with o non-nil, from
-// the coordinator — the level barrier, so no worker races it.
-func emitLevelProgress(o *obs.Obs, gst store.SeenSet, depth, states, frontier int, done bool) {
-	s := gst.Stats()
-	o.EmitProgress(obs.Progress{
-		Phase:        "explore",
-		Depth:        int64(depth),
-		States:       int64(states),
-		Frontier:     int64(frontier),
-		Occupancy:    int64(s.States),
-		ArenaBytes:   s.ArenaBytes,
-		SpilledBytes: s.SpilledBytes,
-		Done:         done,
-	})
 }
 
 // expandLevel computes the candidate set of undiscovered successors of
@@ -289,8 +254,8 @@ func emitLevelProgress(o *obs.Obs, gst store.SeenSet, depth, states, frontier in
 // through their per-worker probes; merge-time dedup runs one goroutine
 // per shard over hash-routed outboxes, comparing encodings byte-wise
 // against a per-shard scratch arena (hashes route, bytes decide).
-func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Action, states []ioa.State,
-	level []store.ID, probes []store.MemberProbe, depth int, o *obs.Obs) []cand {
+func expandLevel(a ioa.Automaton, gst store.SeenSet, states []ioa.State, level []store.ID,
+	probes []store.MemberProbe, steps []*Step, depth int, o *obs.Obs) []cand {
 	w := len(probes)
 	// outboxes[worker][shard] holds candidate crumbs.
 	outboxes := make([][][]cand, w)
@@ -301,49 +266,20 @@ func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Ac
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			// Per-worker tallies are plain locals (register
-			// increments), flushed to the sharded counters once per
+			// The per-worker tally is a plain local (register
+			// increments), flushed to the sharded counter once per
 			// level — so the disabled path stays metric-free and the
 			// enabled path stays contention-free.
-			var emitted, dedupHits int64
-			var workStart time.Time
-			if o != nil {
-				workStart = o.Tracer.Now()
-			}
-			probe := probes[wi]
+			var emitted int64
+			workStart := o.Now()
+			probe, step := probes[wi], steps[wi]
 			buckets := make([][]cand, w)
-			var local *senderDedup
-			if e.opts.Dedup {
-				local = newSenderDedup()
-			}
-			// Ample selection runs per worker: the selector is a
-			// deterministic function of (state, frozen store), and it
-			// finishes before the successor yields start, so it may
-			// share the worker's probe as its freshness oracle. The
-			// frozen store holds every state of depth ≤ current, which
-			// is exactly what the BFS cycle proviso needs (a "fresh"
-			// successor is genuinely at depth+1, so postponement
-			// chains strictly increase depth and terminate).
-			var scratch *actionScratch
-			var sel func(ioa.State, []ioa.Action, func(ioa.State) bool) []ioa.Action
-			var seen func(ioa.State) bool
-			if e.opts.Ample != nil {
-				scratch = newActionScratch(a)
-				sel = e.opts.Ample.NewSelector()
-				seen = func(t ioa.State) bool { _, _, ok := probe.Lookup(t); return ok }
-			}
 			var curParent store.ID
-			var curAct ioa.Action
 			yield := func(nxt ioa.State) bool {
 				if _, h, ok := probe.Lookup(nxt); !ok {
-					c := cand{state: nxt, parent: curParent, act: curAct, hash: h}
 					emitted++
 					sh := int(h % uint64(w))
-					if local != nil && local.absorb(buckets, sh, c, probe.Bytes()) {
-						dedupHits++
-					} else {
-						buckets[sh] = append(buckets[sh], c)
-					}
+					buckets[sh] = append(buckets[sh], cand{state: nxt, parent: curParent, act: step.Act, hash: h})
 				}
 				return true
 			}
@@ -357,33 +293,13 @@ func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Ac
 					end = len(level)
 				}
 				for _, id := range level[start:end] {
-					s := states[id]
 					curParent = id
-					if sel != nil {
-						// The selector needs the sorted merged list
-						// (seed order is part of its determinism).
-						for _, act := range sel(s, scratch.step(a, s), seen) {
-							curAct = act
-							ioa.VisitNext(a, s, act, yield)
-						}
-						continue
-					}
-					// Do not mutate the Enabled result: the memo layer
-					// may hand out a shared cached slice.
-					for _, act := range a.Enabled(s) {
-						curAct = act
-						ioa.VisitNext(a, s, act, yield)
-					}
-					for _, act := range inputs {
-						curAct = act
-						ioa.VisitNext(a, s, act, yield)
-					}
+					step.Visit(states[id], yield)
 				}
 			}
 			outboxes[wi] = buckets
 			if o != nil {
 				o.Explore.Successors.AddShard(wi, emitted)
-				o.Explore.DedupHits.AddShard(wi, dedupHits)
 				o.Tracer.Complete(wi+1, "explore", "expand", workStart,
 					map[string]any{"level": depth, "emitted": emitted})
 			}
@@ -410,9 +326,7 @@ func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Ac
 					// quotienting, orbit-mates discovered by different
 					// workers must collapse here — the coordinator's
 					// intern loop assumes every merged candidate is
-					// fresh and distinct. (Probe.Bytes, the sender-side
-					// filter's encoding, is canonical for the same
-					// reason.)
+					// fresh and distinct.
 					buf = gst.AppendCanonical(buf[:0], c.state)
 					dup := false
 					for _, ci := range pending[c.hash] {
@@ -445,45 +359,6 @@ func (e *Engine) expandLevel(a ioa.Automaton, gst store.SeenSet, inputs []ioa.Ac
 	}
 	sortCandsByKey(next)
 	return next
-}
-
-// senderDedup is the optional worker-local duplicate filter
-// (Options.Dedup): it remembers the encoding of every candidate the
-// worker has emitted this level, so a repeat discovery is resolved in
-// place (keeping the lexicographically lesser crumb) instead of
-// traveling to the merge. Hashes bucket, bytes decide.
-type senderDedup struct {
-	pos   map[uint64][]dedupPos
-	arena []byte
-}
-
-// dedupPos locates an emitted candidate: its outbox slot and its
-// encoding within the dedup arena.
-type dedupPos struct {
-	shard, idx int
-	off, n     int
-}
-
-func newSenderDedup() *senderDedup {
-	return &senderDedup{pos: make(map[uint64][]dedupPos)}
-}
-
-// absorb resolves c against the already-emitted candidates. It returns
-// true when c was a duplicate (possibly improving the stored crumb in
-// place); false means c is new and was recorded — the caller must then
-// append it to buckets[sh].
-func (d *senderDedup) absorb(buckets [][]cand, sh int, c cand, enc []byte) bool {
-	for _, p := range d.pos[c.hash] {
-		if bytes.Equal(d.arena[p.off:p.off+p.n], enc) {
-			if candLess(c, buckets[p.shard][p.idx]) {
-				buckets[p.shard][p.idx] = c
-			}
-			return true
-		}
-	}
-	d.pos[c.hash] = append(d.pos[c.hash], dedupPos{shard: sh, idx: len(buckets[sh]), off: len(d.arena), n: len(enc)})
-	d.arena = append(d.arena, enc...)
-	return false
 }
 
 // checkLevel evaluates pred over the newly admitted states (IDs from

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ioa"
-	"repro/internal/store"
 )
 
 func TestOptionsResolution(t *testing.T) {
@@ -49,41 +48,5 @@ func TestCandLess(t *testing.T) {
 	d := cand{state: ioa.KeyState("r"), parent: 9, act: "z"}
 	if !candLess(d, a) || candLess(a, d) {
 		t.Error("state key must dominate parent and action")
-	}
-}
-
-func TestSenderDedupAbsorb(t *testing.T) {
-	d := newSenderDedup()
-	buckets := make([][]cand, 2)
-	enc := []byte("state-a")
-	h := store.Hash(enc)
-	c1 := cand{state: ioa.KeyState("state-a"), parent: 5, act: "z", hash: h}
-	if d.absorb(buckets, 1, c1, enc) {
-		t.Fatal("first emission reported as duplicate")
-	}
-	buckets[1] = append(buckets[1], c1)
-	// A lexicographically better crumb for the same state must be
-	// absorbed and replace the stored one in place.
-	c2 := cand{state: ioa.KeyState("state-a"), parent: 3, act: "a", hash: h}
-	if !d.absorb(buckets, 1, c2, enc) {
-		t.Fatal("duplicate not detected")
-	}
-	if got := buckets[1][0]; got.parent != 3 || got.act != "a" {
-		t.Fatalf("crumb not improved in place: %+v", got)
-	}
-	// A worse crumb is absorbed without replacing.
-	c3 := cand{state: ioa.KeyState("state-a"), parent: 9, act: "q", hash: h}
-	if !d.absorb(buckets, 1, c3, enc) {
-		t.Fatal("duplicate not detected")
-	}
-	if got := buckets[1][0]; got.parent != 3 {
-		t.Fatalf("worse crumb overwrote better one: %+v", got)
-	}
-	// A different state sharing the hash must NOT be merged: bytes
-	// decide, hashes only route.
-	other := []byte("state-b")
-	c4 := cand{state: ioa.KeyState("state-b"), parent: 0, act: "a", hash: h}
-	if d.absorb(buckets, 0, c4, other) {
-		t.Fatal("distinct state merged on hash collision")
 	}
 }

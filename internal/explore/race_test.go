@@ -46,7 +46,7 @@ func TestRaceParallelReachPingPong(t *testing.T) {
 		}
 		for iter := 0; iter < 20; iter++ {
 			for _, w := range []int{2, 4, 8} {
-				got, err := parallelReach(a, explore.Options{Workers: w, Dedup: iter%2 == 0})
+				got, err := parallelReach(a, explore.Options{Workers: w})
 				if err != nil {
 					t.Fatal(err)
 				}

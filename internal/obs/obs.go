@@ -100,8 +100,6 @@ type ExploreMetrics struct {
 	// Successors counts successor states emitted by workers before
 	// merge-time deduplication.
 	Successors *Counter
-	// DedupHits counts successors suppressed by sender-side dedup.
-	DedupHits *Counter
 	// Frontier is the distribution of per-level frontier sizes.
 	Frontier *Histogram
 	// LevelNS is the distribution of per-level wall times (ns).
@@ -113,7 +111,6 @@ func newExploreMetrics(r *Registry) *ExploreMetrics {
 		States:     r.Counter("explore.states_admitted"),
 		Levels:     r.Counter("explore.levels"),
 		Successors: r.Counter("explore.successors_emitted"),
-		DedupHits:  r.Counter("explore.dedup_hits"),
 		Frontier:   r.Histogram("explore.frontier_size"),
 		LevelNS:    r.Histogram("explore.level_ns"),
 	}

@@ -25,7 +25,11 @@ func TestCertifyQuotientPreservesBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			env := domain.Explicit("all-corruptions", r.AllStates())
+			all, err := domain.Collect(context.Background(), r.StateDomain())
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := domain.Explicit("all-corruptions", all)
 			full, err := stabilize.Certify(context.Background(), r.Auto, r.Legit, env,
 				stabilize.Options{Workers: 1})
 			if err != nil {

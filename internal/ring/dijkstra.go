@@ -17,7 +17,6 @@ package ring
 // fair counterexample cycles that appear when K is too small.
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -177,17 +176,4 @@ func (r *DijkstraRing) StateDomain() domain.Domain {
 		panic(err) // unreachable: N >= 2 enforced by NewDijkstra
 	}
 	return d
-}
-
-// AllStates enumerates every one of the K^n counter vectors in
-// odometer order, materialized.
-//
-// Deprecated: use StateDomain, which streams the product instead of
-// holding K^n states at once.
-func (r *DijkstraRing) AllStates() []ioa.State {
-	states, err := domain.Collect(context.Background(), r.StateDomain())
-	if err != nil {
-		panic(err) // unreachable: the product visitor cannot fail
-	}
-	return states
 }

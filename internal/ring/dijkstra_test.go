@@ -18,6 +18,16 @@ func mustDijkstra(t *testing.T, n, k int) *DijkstraRing {
 	return r
 }
 
+// allStates materializes the ring's K^n corruption envelope.
+func allStates(t *testing.T, r *DijkstraRing) []ioa.State {
+	t.Helper()
+	all, err := domain.Collect(context.Background(), r.StateDomain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all
+}
+
 func TestNewDijkstraValidation(t *testing.T) {
 	if _, err := NewDijkstra(1, 3); err == nil {
 		t.Fatal("n=1 accepted")
@@ -102,7 +112,7 @@ func TestDijkstraStateAccessors(t *testing.T) {
 // states, odometer order.
 func TestDijkstraAllStates(t *testing.T) {
 	r := mustDijkstra(t, 3, 3)
-	all := r.AllStates()
+	all := allStates(t, r)
 	if len(all) != 27 {
 		t.Fatalf("%d states, want 27", len(all))
 	}
@@ -118,20 +128,20 @@ func TestDijkstraAllStates(t *testing.T) {
 	}
 }
 
-// TestDijkstraStateDomain checks the streamed domain against the
-// deprecated materializing shim elementwise, and its Contains
-// implementation against membership in the enumeration.
+// TestDijkstraStateDomain checks the streamed domain against its
+// materialized collection elementwise, and its Contains implementation
+// against membership in the enumeration.
 func TestDijkstraStateDomain(t *testing.T) {
 	r := mustDijkstra(t, 3, 3)
 	d := r.StateDomain()
 	i := 0
-	all := r.AllStates()
+	all := allStates(t, r)
 	if err := d.Visit(context.Background(), func(s ioa.State) error {
 		if i >= len(all) {
 			return fmt.Errorf("domain visits more than the %d enumerated states", len(all))
 		}
 		if s.Key() != all[i].Key() {
-			return fmt.Errorf("state %d: domain %q, AllStates %q", i, s.Key(), all[i].Key())
+			return fmt.Errorf("state %d: domain %q, collected %q", i, s.Key(), all[i].Key())
 		}
 		i++
 		return nil
@@ -139,7 +149,7 @@ func TestDijkstraStateDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if i != len(all) {
-		t.Fatalf("domain visited %d states, AllStates has %d", i, len(all))
+		t.Fatalf("domain visited %d states, collection has %d", i, len(all))
 	}
 	c, ok := d.(domain.Container)
 	if !ok {
@@ -161,7 +171,7 @@ func TestDijkstraStateDomain(t *testing.T) {
 // envelope.
 func TestDijkstraNoDeadlock(t *testing.T) {
 	r := mustDijkstra(t, 3, 2)
-	for _, s := range r.AllStates() {
+	for _, s := range allStates(t, r) {
 		if len(r.Privileged(s)) == 0 {
 			t.Fatalf("no machine privileged at %q", s.Key())
 		}

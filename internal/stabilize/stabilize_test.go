@@ -283,7 +283,11 @@ func dijkstraFull(t *testing.T, n, k int, opts ...stabilize.Options) (*ring.Dijk
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := domain.Explicit("all-corruptions", r.AllStates())
+	all, err := domain.Collect(context.Background(), r.StateDomain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := domain.Explicit("all-corruptions", all)
 	return r, mustCertify(t, r.Auto, r.Legit, env, opts...)
 }
 

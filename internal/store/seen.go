@@ -58,6 +58,24 @@ type SeenSet interface {
 	Close() error
 }
 
+// Open builds a seen set: the disk-spilling Spill when spill is
+// non-nil, the in-RAM arena Store otherwise. canon is threaded into
+// either backend; a Canon set on spill itself is ignored. It is the one
+// opener behind the exploration engine, the external census and the
+// cluster worker.
+func Open(spill *SpillOptions, canon Canonicalizer) (SeenSet, error) {
+	if spill == nil {
+		return New(Options{Canon: canon}), nil
+	}
+	o := *spill
+	o.Canon = canon
+	sp, err := NewSpill(o)
+	if err != nil {
+		return nil, err
+	}
+	return sp, nil
+}
+
 // Probe returns the arena store's probe behind the MemberProbe
 // interface (NewProbe keeps the concrete type for existing callers).
 func (st *Store) Probe() MemberProbe { return st.NewProbe() }
