@@ -4,16 +4,15 @@
 // combined-message ablation, and the comparison against the [LF81]
 // round-robin and tournament arbiters.
 //
-// It also runs the registered measurement sweeps (bench.Sweeps): one
+// It also runs the registered certification sweeps (bench.Sweeps): one
 // `-sweep <name>` flag selects a sweep by registry name and
-// `-sweep-out <file>` writes its rows as the canonical JSON artifact.
-// Registered sweeps: explore (E15, BENCH_explore.json), store (E18),
-// obs (E17), stabilize (E19), reduction (E20), induct (E21), and dist
-// (E23, BENCH_dist.json — the grid census measured in-RAM, through
-// the disk-spilling store, and across the multi-process cluster).
-// -explore-users, -store-users, -obs-users and -stabilize-sizes size
-// the sweep they name. -obs-addr serves live expvar and pprof
-// endpoints for the duration of any run.
+// `-sweep-out <file>` writes its rows as the canonical JSON artifact
+// (BENCH_<name>.json). Registered sweeps: stabilize (E19), reduction
+// (E20) and induct (E21); -stabilize-sizes sizes the first. Timing the
+// exploration engines is the repository benchmark's job
+// (`go run ./benchmark`, BENCHMARK.json), not this command's.
+// -obs-addr serves live expvar and pprof endpoints for the duration of
+// any run.
 //
 // The exploration knobs (-workers, -limit, -spill-dir, -dist-*) are
 // the shared set registered by explore.BindFlags —
@@ -25,12 +24,9 @@
 //
 //	arbiterbench [-b bound] [-seed n] [-max n] [-quick]
 //	             [-workers n] [-limit n]
-//	             [-sweep explore|store|obs|stabilize|reduction|induct|dist]
-//	             [-sweep-out file]
-//	             [-explore-users n] [-store-users n] [-obs-users n]
+//	             [-sweep stabilize|reduction|induct] [-sweep-out file]
 //	             [-stabilize-sizes n]
 //	             [-chaos] [-recover-within k]
-//	             [-bench-gate] [-gate-dir d] [-gate-threshold x] [-gate-handicap m]
 //	             [-obs-addr host:port] [-ledger-out file]
 //
 // The induct sweep (E21) certifies safety invariants by
@@ -65,15 +61,6 @@
 // non-zero — the CI smoke gate. -recover-within also applies to the
 // chaos sweep at the end of the default full run.
 //
-// The -bench-gate mode (E22) is the trajectory regression gate: it
-// re-runs the obs and store sweeps fresh at the canonical gate
-// configurations, compares state counts exactly and wall times within
-// -gate-threshold (default 5x) against the committed BENCH_*.json
-// files under -gate-dir (default "."), structurally validates the
-// expensive trajectory files, and exits non-zero on any regression.
-// -gate-handicap multiplies fresh wall times before comparison — the
-// CI negative arm runs with a large handicap and requires failure.
-//
 // -ledger-out appends one schema-versioned provenance record per
 // invocation (mode, seed, flags, wall time, verdict) to a JSONL run
 // ledger shared with ioasim; see internal/ledger.
@@ -98,25 +85,18 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("arbiterbench: ")
 	var (
-		b            = flag.Float64("b", 1, "per-step time bound b")
-		seed         = flag.Int64("seed", 1, "scheduler tie-break seed")
-		maxN         = flag.Int("max", 64, "largest user count in sweeps")
-		quick        = flag.Bool("quick", false, "small sweep for smoke testing")
-		ex           = explore.BindFlags(flag.CommandLine)
-		sweepName    = flag.String("sweep", "", "run one registered sweep by name and exit (see bench.Sweeps)")
-		sweepOut     = flag.String("sweep-out", "", "write the -sweep rows as JSON to this file")
-		exploreUsers = flag.Int("explore-users", 6, "users per arbiter instance in the explore sweep")
-		storeUsers   = flag.Int("store-users", 6, "users per arbiter instance in the store sweep")
-		obsUsers     = flag.Int("obs-users", 6, "users per arbiter instance in the obs sweep")
-		stabSizes    = flag.Int("stabilize-sizes", 4, "largest Dijkstra ring size in the stabilize sweep")
-		chaosOnly    = flag.Bool("chaos", false, "run only the chaos sweep; exit non-zero if a fault-free cell fails recovery")
-		recoverIn    = flag.Int("recover-within", 60, "chaos recovery window k in states/steps (0 disables the criterion)")
-		obsAddr      = flag.String("obs-addr", "", "serve live expvar + pprof debug endpoints on this address (e.g. :6060)")
-		benchGate    = flag.Bool("bench-gate", false, "re-run the cheap sweeps against the committed BENCH_*.json trajectory and exit non-zero on regression")
-		gateDir      = flag.String("gate-dir", ".", "directory holding the committed BENCH_*.json files for -bench-gate")
-		gateThresh   = flag.Float64("gate-threshold", 5, "tolerated wall-clock slowdown ratio in -bench-gate")
-		gateHandicap = flag.Float64("gate-handicap", 1, "multiplier on fresh wall times in -bench-gate (>1 is the synthetic-regression negative arm)")
-		ledgerOut    = flag.String("ledger-out", "", "append a provenance record per run to this JSONL journal")
+		b         = flag.Float64("b", 1, "per-step time bound b")
+		seed      = flag.Int64("seed", 1, "scheduler tie-break seed")
+		maxN      = flag.Int("max", 64, "largest user count in sweeps")
+		quick     = flag.Bool("quick", false, "small sweep for smoke testing")
+		ex        = explore.BindFlags(flag.CommandLine)
+		sweepName = flag.String("sweep", "", "run one registered sweep by name and exit (see bench.Sweeps)")
+		sweepOut  = flag.String("sweep-out", "", "write the -sweep rows as JSON to this file")
+		stabSizes = flag.Int("stabilize-sizes", 4, "largest Dijkstra ring size in the stabilize sweep")
+		chaosOnly = flag.Bool("chaos", false, "run only the chaos sweep; exit non-zero if a fault-free cell fails recovery")
+		recoverIn = flag.Int("recover-within", 60, "chaos recovery window k in states/steps (0 disables the criterion)")
+		obsAddr   = flag.String("obs-addr", "", "serve live expvar + pprof debug endpoints on this address (e.g. :6060)")
+		ledgerOut = flag.String("ledger-out", "", "append a provenance record per run to this JSONL journal")
 	)
 	flag.Parse()
 
@@ -171,43 +151,13 @@ func main() {
 		fmt.Printf("obs: serving http://%s/debug/vars and /debug/pprof/\n", addr)
 	}
 
-	if *benchGate {
-		res, err := bench.Gate(bench.GateConfig{Dir: *gateDir, Threshold: *gateThresh, Handicap: *gateHandicap})
-		if err != nil {
-			record("bench-gate", 0, "fail", err.Error())
-			log.Fatalf("bench gate: %v", err)
-		}
-		bench.PrintGate(os.Stdout, res)
-		verdict := "ok"
-		if res.Regressions > 0 {
-			verdict = "fail"
-		}
-		record("bench-gate", int64(len(res.Checks)), verdict,
-			fmt.Sprintf("%d regressions in %d checks (threshold %.1f, handicap %.1f)",
-				res.Regressions, len(res.Checks), *gateThresh, *gateHandicap))
-		if res.Regressions > 0 {
-			log.Fatalf("bench gate: %d regressions against the committed trajectory", res.Regressions)
-		}
-		return
-	}
-
 	if name, out := *sweepName, *sweepOut; name != "" {
 		sw, err := bench.FindSweep(name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		users := 0
-		switch name {
-		case "explore":
-			users = *exploreUsers
-		case "store":
-			users = *storeUsers
-		case "obs":
-			users = *obsUsers
-		}
 		rows, n, err := sw.Run(bench.SweepConfig{
-			Users: users, Sizes: *stabSizes,
-			Workers: ex.Workers(), Limit: ex.Limit(), Quick: *quick,
+			Sizes: *stabSizes, Workers: ex.Workers(), Limit: ex.Limit(), Quick: *quick,
 		})
 		if err != nil {
 			record("sweep-"+name, 0, "fail", err.Error())

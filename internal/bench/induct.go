@@ -9,14 +9,12 @@ package bench
 // combinatorial domains (16.7M counter vectors, 9.1M Lamport states)
 // in O(1) resident memory, because a failed step needs no history and
 // a successful one needs no frontier. Rows are written to
-// BENCH_induct.json by arbiterbench -induct-bench.
+// BENCH_induct.json by arbiterbench -sweep induct.
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"strings"
-	"time"
+	"strconv"
 
 	"repro/internal/arbiter/spec"
 	"repro/internal/arbiter/users"
@@ -27,7 +25,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/mutex"
 	"repro/internal/ring"
-	"repro/internal/testseed"
 )
 
 // An InductSystem is one certification workload: an automaton, a
@@ -391,92 +388,67 @@ type InductRow struct {
 	// CertNS is the best-of-reps induction wall time.
 	CertNS int64 `json:"cert_ns"`
 	// ReachStates and ReachNS are the reachability comparison:
-	// explored state count and best-of-reps wall time. ReachStates is
-	// -1 when the sweep skipped the comparison.
+	// explored state count and best-of-reps wall time.
 	ReachStates int   `json:"reach_states"`
 	ReachNS     int64 `json:"reach_ns"`
 }
 
-// InductConfig parameterizes the sweep.
-type InductConfig struct {
-	// Workers and Limit configure the reachability comparison engine
-	// (and reachable domains).
-	Workers int
-	Limit   int
-	// Reps is how many timed repetitions to take the best of
-	// (default 3).
-	Reps int
-	// Quick drops the multi-million-state rows (CI sanity).
-	Quick bool
-	// Now supplies the wall clock (nil means testseed.Now).
-	Now func() time.Time
-}
-
 // inductCell certifies one workload, best-of-reps timed, then runs
 // the reachability comparison.
-func inductCell(cfg InductConfig, build func() (InductSystem, error)) (InductRow, error) {
-	now := cfg.Now
-	if now == nil {
-		now = testseed.Now
-	}
-	var row InductRow
+func inductCell(cfg SweepConfig, build func() (InductSystem, error)) (InductRow, error) {
 	var sys InductSystem
-	for r := 0; r < cfg.Reps; r++ {
+	var cert induct.Certificate
+	certNS, err := cfg.bestOf(func() (func() error, error) {
 		var err error
 		sys, err = build()
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		start := now()
-		cert, err := induct.Check(context.Background(), sys.Auto, sys.Dom, sys.Inv, induct.Options{})
-		elapsed := now().Sub(start).Nanoseconds()
-		if err != nil {
-			return row, err
-		}
-		if row.CertNS == 0 || elapsed < row.CertNS {
-			row.CertNS = elapsed
-		}
-		row.System = sys.Name
-		row.Domain = sys.Dom.Name()
-		row.DomainStates = cert.DomainStates
-		row.Candidates = cert.Candidates
-		row.Transitions = cert.Transitions
-		row.Inductive = cert.Inductive
-		row.AdequacyChecked = cert.AdequacyChecked
-		row.Conjuncts = sys.Inv.Len()
+		return func() (err error) {
+			cert, err = induct.Check(context.Background(), sys.Auto, sys.Dom, sys.Inv, induct.Options{})
+			return err
+		}, nil
+	})
+	if err != nil {
+		return InductRow{}, err
+	}
+	row := InductRow{
+		System:          sys.Name,
+		Domain:          sys.Dom.Name(),
+		DomainStates:    cert.DomainStates,
+		Candidates:      cert.Candidates,
+		Transitions:     cert.Transitions,
+		Inductive:       cert.Inductive,
+		AdequacyChecked: cert.AdequacyChecked,
+		Conjuncts:       sys.Inv.Len(),
+		CertNS:          certNS,
 	}
 
-	row.ReachStates = -1
-	eng := explore.New(explore.Options{Workers: cfg.Workers, Limit: cfg.Limit})
-	for r := 0; r < cfg.Reps; r++ {
-		start := now()
-		v, err := eng.CheckInvariant(context.Background(), sys.Auto, sys.Invariant)
-		elapsed := now().Sub(start).Nanoseconds()
-		if err != nil {
-			return row, err
-		}
-		if v != nil {
-			return row, fmt.Errorf("bench: induct %s: reachability found an invariant violation at %s",
-				sys.Name, v.State.Key())
-		}
-		if row.ReachNS == 0 || elapsed < row.ReachNS {
-			row.ReachNS = elapsed
-		}
-		states, err := eng.Reach(context.Background(), sys.Auto)
-		if err != nil {
-			return row, err
-		}
-		row.ReachStates = len(states)
+	eng := explore.New(cfg.explore())
+	row.ReachNS, err = cfg.bestOf(func() (func() error, error) {
+		return func() error {
+			v, err := eng.CheckInvariant(context.Background(), sys.Auto, sys.Invariant)
+			if err == nil && v != nil {
+				err = fmt.Errorf("bench: induct %s: reachability found an invariant violation at %s",
+					sys.Name, v.State.Key())
+			}
+			return err
+		}, nil
+	})
+	if err != nil {
+		return row, err
 	}
+	states, err := eng.Reach(context.Background(), sys.Auto)
+	if err != nil {
+		return row, err
+	}
+	row.ReachStates = len(states)
 	return row, nil
 }
 
-// InductSweep runs the certification battery.
-func InductSweep(cfg InductConfig) ([]InductRow, error) {
-	if cfg.Reps <= 0 {
-		cfg.Reps = 3
-	}
-	exOpts := explore.Options{Workers: cfg.Workers, Limit: cfg.Limit}
+// inductRows runs the certification battery; quick drops the
+// multi-million-state rows.
+func inductRows(cfg SweepConfig) ([]InductRow, error) {
 	cells := []func() (InductSystem, error){
 		func() (InductSystem, error) { return InductArbiter1(4) },
 		func() (InductSystem, error) { return InductArbiter1(6) },
@@ -484,7 +456,7 @@ func InductSweep(cfg InductConfig) ([]InductRow, error) {
 		func() (InductSystem, error) { return InductDijkstra(6, 6) },
 		func() (InductSystem, error) { return InductRing(3) },
 		func() (InductSystem, error) { return InductLamport(2, 2, 1) },
-		func() (InductSystem, error) { return InductBurns(exOpts) },
+		func() (InductSystem, error) { return InductBurns(cfg.explore()) },
 	}
 	if !cfg.Quick {
 		cells = append(cells,
@@ -503,23 +475,35 @@ func InductSweep(cfg InductConfig) ([]InductRow, error) {
 	return rows, nil
 }
 
-// PrintInduct renders the sweep as a table.
-func PrintInduct(w io.Writer, rows []InductRow) {
-	title := "Inductive certification — streamed domain vs reachability (best-of-reps)"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	fmt.Fprintf(w, "%-18s %10s %10s %7s %-5s %4s %10s %8s %10s\n",
-		"system", "domain", "cands", "steps", "ind", "conj", "cert-ms", "reach", "reach-ms")
-	for _, r := range rows {
-		verdict := "FAIL"
-		if r.Inductive {
-			verdict = "ok"
-			if !r.AdequacyChecked {
-				verdict = "ok*"
+// inductSweep is the E21 sweep.
+var inductSweep = sweepOf[InductRow]{
+	name:        "induct",
+	description: "inductive-invariant certification vs full reachability (E21)",
+	title:       "Inductive certification — streamed domain vs reachability (best-of-reps)",
+	reps:        3,
+	rows:        inductRows,
+	cols: []column[InductRow]{
+		{"system", -18, func(r InductRow) string { return r.System }},
+		{"domain", 10, func(r InductRow) string { return strconv.FormatInt(r.DomainStates, 10) }},
+		{"cands", 10, func(r InductRow) string { return strconv.FormatInt(r.Candidates, 10) }},
+		{"steps", 7, func(r InductRow) string { return strconv.FormatInt(r.Transitions, 10) }},
+		{"ind", -5, func(r InductRow) string {
+			if r.Inductive && !r.AdequacyChecked {
+				return "ok*"
 			}
+			return okFail(r.Inductive)
+		}},
+		{"conj", 4, func(r InductRow) string { return strconv.Itoa(r.Conjuncts) }},
+		{"cert-ms", 10, func(r InductRow) string { return ms(r.CertNS) }},
+		{"reach", 8, func(r InductRow) string { return strconv.Itoa(r.ReachStates) }},
+		{"reach-ms", 10, func(r InductRow) string { return ms(r.ReachNS) }},
+	},
+	check: func(r InductRow) (key, fault string) {
+		key = fmt.Sprintf("%s/%s", r.System, r.Domain)
+		if !(r.Inductive && r.Conjuncts > 0 && r.DomainStates >= r.Candidates && r.Candidates > 0) {
+			fault = fmt.Sprintf("inductive=%t conjuncts=%d domain=%d candidates=%d",
+				r.Inductive, r.Conjuncts, r.DomainStates, r.Candidates)
 		}
-		fmt.Fprintf(w, "%-18s %10d %10d %7d %-5s %4d %10.1f %8d %10.1f\n",
-			r.System, r.DomainStates, r.Candidates, r.Transitions, verdict,
-			r.Conjuncts, float64(r.CertNS)/1e6, r.ReachStates, float64(r.ReachNS)/1e6)
-	}
-	fmt.Fprintln(w)
+		return key, fault
+	},
 }

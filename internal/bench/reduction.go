@@ -25,8 +25,7 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
-	"time"
+	"strconv"
 
 	"repro/internal/arbiter/users"
 	"repro/internal/explore"
@@ -34,7 +33,6 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/reduce"
 	"repro/internal/store"
-	"repro/internal/testseed"
 )
 
 // ReductionRow is one measurement of the reduction sweep.
@@ -59,25 +57,6 @@ type ReductionRow struct {
 	MutexOK bool `json:"mutex_ok"`
 }
 
-// ReductionConfig parameterizes the sweep.
-type ReductionConfig struct {
-	// SpecUsers are the arbiter1 sizes (default 6).
-	SpecUsers []int
-	// TreeUsers are the binary-tree arbiter3 sizes (default 5, 6).
-	TreeUsers []int
-	// StarUsers are the star arbiter3 sizes (default 8, 12).
-	StarUsers []int
-	// Limit bounds each exploration (0 means explore.DefaultLimit).
-	Limit int
-	// Workers is the explorer pool size (0 or 1 means sequential).
-	Workers int
-	// Reps is how many timed repetitions to take the best of
-	// (default 1; the state counts are deterministic either way).
-	Reps int
-	// Now supplies the wall clock (nil means testseed.Now).
-	Now func() time.Time
-}
-
 // reductionCase is one (system, n) instance with its reducers.
 type reductionCase struct {
 	system string
@@ -87,18 +66,12 @@ type reductionCase struct {
 	por    func(ioa.Automaton) (*reduce.POR, error)
 }
 
-func reductionCases(cfg ReductionConfig) ([]reductionCase, error) {
-	spec := cfg.SpecUsers
-	if spec == nil {
-		spec = []int{6}
-	}
-	tree := cfg.TreeUsers
-	if tree == nil {
-		tree = []int{5, 6}
-	}
-	star := cfg.StarUsers
-	if star == nil {
-		star = []int{8, 12}
+// reductionCases lists the instances: arbiter1 at 6 users, the binary
+// tree at 5 and 6, the star at 8 and 12; smoke sizes under quick.
+func reductionCases(quick bool) ([]reductionCase, error) {
+	spec, tree, star := []int{6}, []int{5, 6}, []int{8, 12}
+	if quick {
+		spec, tree, star = []int{3}, []int{3}, []int{4}
 	}
 	var cases []reductionCase
 	for _, n := range spec {
@@ -179,10 +152,10 @@ func MutexInvariant(s ioa.State) bool {
 	return holding <= 1
 }
 
-// ReductionSweep measures every case under each applicable mode and
+// reductionRows measures every case under each applicable mode and
 // cross-checks the invariant verdicts.
-func ReductionSweep(cfg ReductionConfig) ([]ReductionRow, error) {
-	cases, err := reductionCases(cfg)
+func reductionRows(cfg SweepConfig) ([]ReductionRow, error) {
+	cases, err := reductionCases(cfg.Quick)
 	if err != nil {
 		return nil, err
 	}
@@ -215,67 +188,70 @@ func ReductionSweep(cfg ReductionConfig) ([]ReductionRow, error) {
 	return rows, nil
 }
 
-func reductionMeasure(c reductionCase, cfg ReductionConfig, mode string) (ReductionRow, error) {
+func reductionMeasure(c reductionCase, cfg SweepConfig, mode string) (ReductionRow, error) {
 	row := ReductionRow{System: c.system, Users: c.users, Mode: mode}
-	limit := cfg.Limit
-	if limit <= 0 {
-		limit = explore.DefaultLimit
-	}
-	reps := cfg.Reps
-	if reps <= 0 {
-		reps = 1
-	}
-	now := cfg.Now
-	if now == nil {
-		now = testseed.Now
-	}
-	for r := 0; r < reps; r++ {
+	var states []ioa.State
+	ns, err := cfg.bestOf(func() (func() error, error) {
 		a, err := c.build()
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		opts := explore.Options{Workers: cfg.Workers, Limit: limit}
+		opts := cfg.explore()
 		if mode == "symmetry" || mode == "both" {
 			opts.Canon = c.canon
 		}
 		if mode == "por" || mode == "both" {
 			p, err := c.por(a)
 			if err != nil {
-				return row, err
+				return nil, err
 			}
 			opts.Ample = p
 		}
 		eng := explore.New(opts)
-		start := now()
-		states, err := eng.Reach(context.Background(), a)
-		elapsed := now().Sub(start).Nanoseconds()
-		if err != nil {
-			return row, err
-		}
-		mutexOK := true
-		for _, s := range states {
-			if !MutexInvariant(s) {
-				mutexOK = false
-				break
-			}
-		}
-		row.States = len(states)
-		row.MutexOK = mutexOK
-		if row.NS == 0 || elapsed < row.NS {
-			row.NS = elapsed
+		return func() (err error) {
+			states, err = eng.Reach(context.Background(), a)
+			return err
+		}, nil
+	})
+	if err != nil {
+		return row, err
+	}
+	row.NS = ns
+	row.States = len(states)
+	row.MutexOK = true
+	for _, s := range states {
+		if !MutexInvariant(s) {
+			row.MutexOK = false
+			break
 		}
 	}
 	return row, nil
 }
 
-// PrintReduction writes the sweep as an aligned table.
-func PrintReduction(w io.Writer, rows []ReductionRow) {
-	fmt.Fprintln(w, "Reduction sweep — symmetry quotient and ample-set POR vs unreduced (E20)")
-	fmt.Fprintf(w, "%-14s %6s %-9s %9s %8s %9s %8s %s\n",
-		"system", "users", "mode", "states", "ratio", "ms", "speedup", "mutex")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-14s %6d %-9s %9d %7.2fx %9.1f %7.2fx %v\n",
-			r.System, r.Users, r.Mode, r.States, r.StateRatio,
-			float64(r.NS)/1e6, r.Speedup, r.MutexOK)
-	}
+// reductionSweep is the E20 sweep. One repetition by default: the
+// state counts are deterministic and the full-mode star at 12 users
+// dominates the run.
+var reductionSweep = sweepOf[ReductionRow]{
+	name:        "reduction",
+	description: "symmetry quotient and ample-set POR vs unreduced exploration (E20)",
+	title:       "Reduction sweep — symmetry quotient and ample-set POR vs unreduced (E20)",
+	reps:        1,
+	rows:        reductionRows,
+	cols: []column[ReductionRow]{
+		{"system", -14, func(r ReductionRow) string { return r.System }},
+		{"users", 6, func(r ReductionRow) string { return strconv.Itoa(r.Users) }},
+		{"mode", -9, func(r ReductionRow) string { return r.Mode }},
+		{"states", 9, func(r ReductionRow) string { return strconv.Itoa(r.States) }},
+		{"ratio", 8, func(r ReductionRow) string { return fmt.Sprintf("%.2fx", r.StateRatio) }},
+		{"ms", 9, func(r ReductionRow) string { return ms(r.NS) }},
+		{"speedup", 8, func(r ReductionRow) string { return fmt.Sprintf("%.2fx", r.Speedup) }},
+		{"mutex", 0, func(r ReductionRow) string { return strconv.FormatBool(r.MutexOK) }},
+	},
+	check: func(r ReductionRow) (key, fault string) {
+		key = fmt.Sprintf("%s/u%d/%s", r.System, r.Users, r.Mode)
+		if !(r.MutexOK && r.StateRatio >= 1) {
+			fault = fmt.Sprintf("mutex_ok=%t state_ratio=%.2f", r.MutexOK, r.StateRatio)
+		}
+		return key, fault
+	},
 }

@@ -7,18 +7,13 @@ import (
 	"testing"
 )
 
-// smallReductionConfig keeps the sweep fast enough for -race CI runs.
-func smallReductionConfig() ReductionConfig {
-	return ReductionConfig{SpecUsers: []int{3}, TreeUsers: []int{3}, StarUsers: []int{4, 5}}
-}
-
 // TestReductionSweepSmall pins the sweep's structural guarantees on
-// small instances: verdicts agree across modes (the sweep itself
+// the quick instances: verdicts agree across modes (the sweep itself
 // errors otherwise), the full rows are the baselines, and the star
 // symmetry quotient is exactly n-fold — the rotation action is free,
 // so every orbit has exactly n members.
 func TestReductionSweepSmall(t *testing.T) {
-	rows, err := ReductionSweep(smallReductionConfig())
+	rows, err := reductionRows(SweepConfig{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +53,7 @@ func TestReductionOutputs(t *testing.T) {
 			NS: 1e6, StateRatio: 12, Speedup: 12.4, MutexOK: true},
 	}
 	var tbl bytes.Buffer
-	PrintReduction(&tbl, rows)
+	printTable(&tbl, reductionSweep.title, reductionSweep.cols, rows)
 	if !strings.Contains(tbl.String(), "arbiter3-star") || !strings.Contains(tbl.String(), "12.00x") {
 		t.Fatalf("table output missing expected fields:\n%s", tbl.String())
 	}
@@ -77,14 +72,4 @@ func TestReductionOutputs(t *testing.T) {
 
 func itoa(n int) string {
 	return string(rune('0' + n))
-}
-
-// BenchmarkReductionSweep is the CI sanity hook (-benchtime=1x): one
-// full small sweep per iteration, cross-mode verdict checks included.
-func BenchmarkReductionSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := ReductionSweep(smallReductionConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

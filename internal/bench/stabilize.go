@@ -6,15 +6,12 @@ package bench
 // Each row records the certifier's verdicts (closure, convergence,
 // boundedness), the measured worst-case rounds-to-legitimacy bound,
 // and best-of-reps wall-clock time. Rows are written to
-// BENCH_stabilize.json by arbiterbench -stabilize-bench.
+// BENCH_stabilize.json by arbiterbench -sweep stabilize.
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"strconv"
-	"strings"
-	"time"
 
 	"repro/internal/arbiter/spec"
 	"repro/internal/domain"
@@ -23,7 +20,6 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/ring"
 	"repro/internal/stabilize"
-	"repro/internal/testseed"
 )
 
 // StabilizeRow is one certification cell of the sweep.
@@ -53,53 +49,33 @@ type StabilizeRow struct {
 	NS int64 `json:"ns"`
 }
 
-// StabilizeConfig parameterizes the sweep.
-type StabilizeConfig struct {
-	// Sizes are the Dijkstra ring sizes to certify (default 3..5; the
-	// full envelope has K^n states, so keep n modest).
-	Sizes []int
-	// Workers is the certification engine's worker count.
-	Workers int
-	// Limit bounds each envelope closure (0 = explore.DefaultLimit).
-	Limit int
-	// Reps is how many timed repetitions to take the best of (default
-	// 3).
-	Reps int
-	// Now supplies the wall clock (nil means testseed.Now).
-	Now func() time.Time
-}
-
 // stabilizeCell certifies one (automaton, envelope) cell, best-of-reps
 // timed.
-func stabilizeCell(cfg StabilizeConfig, row StabilizeRow, build func() (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error)) (StabilizeRow, error) {
-	now := cfg.Now
-	if now == nil {
-		now = testseed.Now
-	}
+func stabilizeCell(cfg SweepConfig, row StabilizeRow, build func() (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error)) (StabilizeRow, error) {
 	opts := stabilize.Options{Workers: cfg.Workers, Limit: cfg.Limit}
-	for r := 0; r < cfg.Reps; r++ {
+	var cert *stabilize.Certificate
+	ns, err := cfg.bestOf(func() (func() error, error) {
 		a, legit, env, err := build()
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		start := now()
-		cert, err := stabilize.Certify(context.Background(), a, legit, env, opts)
-		elapsed := now().Sub(start).Nanoseconds()
-		if err != nil {
-			return row, err
-		}
-		if row.NS == 0 || elapsed < row.NS {
-			row.NS = elapsed
-		}
-		row.EnvelopeStates = cert.EnvelopeStates
-		row.States = cert.States
-		row.Stabilizing = cert.Stabilizing()
-		row.Closed = cert.Closed
-		row.Converges = cert.Converges
-		row.Bounded = cert.Bounded
-		row.Bound = cert.K
-		row.MeanRounds = cert.MeanRounds
+		return func() (err error) {
+			cert, err = stabilize.Certify(context.Background(), a, legit, env, opts)
+			return err
+		}, nil
+	})
+	if err != nil {
+		return row, err
 	}
+	row.NS = ns
+	row.EnvelopeStates = cert.EnvelopeStates
+	row.States = cert.States
+	row.Stabilizing = cert.Stabilizing()
+	row.Closed = cert.Closed
+	row.Converges = cert.Converges
+	row.Bounded = cert.Bounded
+	row.Bound = cert.K
+	row.MeanRounds = cert.MeanRounds
 	return row, nil
 }
 
@@ -132,65 +108,53 @@ func (e spotEnvelope) Visit(ctx context.Context, visit func(ioa.State) error) er
 	return nil
 }
 
-// StabilizeSweep certifies Dijkstra rings over the configured sizes —
-// full envelope at K=n, single-corruption spot envelope at K=n, and
-// the K=n-2 full-envelope negative boundary (n >= 4) — plus the
-// LeLann crash-corruption negative control at n=3.
-func StabilizeSweep(cfg StabilizeConfig) ([]StabilizeRow, error) {
-	if cfg.Reps <= 0 {
-		cfg.Reps = 3
+// stabilizeRows certifies Dijkstra rings of size 3..cfg.Sizes — full
+// envelope at K=n, single-corruption spot envelope at K=n, and the
+// K=n-2 full-envelope negative boundary (n >= 4) — plus the LeLann
+// crash-corruption negative control at n=3.
+func stabilizeRows(cfg SweepConfig) ([]StabilizeRow, error) {
+	maxN := cfg.Sizes
+	if maxN <= 0 {
+		maxN = 4
 	}
-	sizes := cfg.Sizes
-	if len(sizes) == 0 {
-		sizes = []int{3, 4, 5}
-	}
-	opts := stabilize.Options{Workers: cfg.Workers, Limit: cfg.Limit}
-	eng := explore.New(explore.Options{Workers: cfg.Workers, Limit: cfg.Limit})
+	eng := explore.New(cfg.explore())
+	full := func(r *ring.DijkstraRing) stabilize.Envelope { return r.StateDomain() }
+	spot := func(r *ring.DijkstraRing) stabilize.Envelope { return spotEnvelope{r: r, eng: eng} }
 	var rows []StabilizeRow
-	for _, n := range sizes {
-		cells := []struct {
-			k        int
-			envelope func(r *ring.DijkstraRing) stabilize.Envelope
-			name     string
-		}{
-			{n, func(r *ring.DijkstraRing) stabilize.Envelope {
-				return r.StateDomain()
-			}, "all-corruptions"},
-			{n, func(r *ring.DijkstraRing) stabilize.Envelope {
-				return spotEnvelope{r: r, eng: eng}
-			}, "single-corruption"},
+	dijkstra := func(n, k int, name string, envelope func(*ring.DijkstraRing) stabilize.Envelope) error {
+		row, err := stabilizeCell(cfg,
+			StabilizeRow{System: "dijkstra", N: n, K: k, Envelope: name},
+			func() (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
+				r, err := ring.NewDijkstra(n, k)
+				if err != nil {
+					return nil, nil, nil, err
+				}
+				return r.Auto, r.Legit, envelope(r), nil
+			})
+		if err != nil {
+			return fmt.Errorf("bench: stabilize dijkstra n=%d K=%d %s: %w", n, k, name, err)
+		}
+		rows = append(rows, row)
+		return nil
+	}
+	for n := 3; n <= maxN; n++ {
+		if err := dijkstra(n, n, "all-corruptions", full); err != nil {
+			return nil, err
+		}
+		if err := dijkstra(n, n, "single-corruption", spot); err != nil {
+			return nil, err
 		}
 		if n >= 4 {
-			cells = append(cells, struct {
-				k        int
-				envelope func(r *ring.DijkstraRing) stabilize.Envelope
-				name     string
-			}{n - 2, func(r *ring.DijkstraRing) stabilize.Envelope {
-				return r.StateDomain()
-			}, "all-corruptions"})
-		}
-		for _, cell := range cells {
-			cell := cell
-			row, err := stabilizeCell(cfg,
-				StabilizeRow{System: "dijkstra", N: n, K: cell.k, Envelope: cell.name},
-				func() (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
-					r, err := ring.NewDijkstra(n, cell.k)
-					if err != nil {
-						return nil, nil, nil, err
-					}
-					return r.Auto, r.Legit, cell.envelope(r), nil
-				})
-			if err != nil {
-				return nil, fmt.Errorf("bench: stabilize dijkstra n=%d K=%d %s: %w", n, cell.k, cell.name, err)
+			if err := dijkstra(n, n-2, "all-corruptions", full); err != nil {
+				return nil, err
 			}
-			rows = append(rows, row)
 		}
 	}
 
 	row, err := stabilizeCell(cfg,
 		StabilizeRow{System: "lelann", N: 3, Envelope: "crash(reset)"},
 		func() (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
-			return lelannCrashCell(opts)
+			return lelannCrashCell(cfg.explore())
 		})
 	if err != nil {
 		return nil, fmt.Errorf("bench: stabilize lelann: %w", err)
@@ -203,7 +167,7 @@ func StabilizeSweep(cfg StabilizeConfig) ([]StabilizeRow, error) {
 // token ring, with the corruption envelope generated by crash-restart
 // (Reset) wrappers around every process, projected back into the
 // clean composition's state space.
-func lelannCrashCell(opts stabilize.Options) (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
+func lelannCrashCell(opts explore.Options) (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
 	sys, err := ring.New(spec.DefaultUsers(3))
 	if err != nil {
 		return nil, nil, nil, err
@@ -219,41 +183,61 @@ func lelannCrashCell(opts stabilize.Options) (ioa.Automaton, func(ioa.State) boo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	env := domain.Reachable("crash(reset)", crashed, domain.TupleMap(domain.CrashInner),
-		explore.Options{Workers: opts.Workers, Limit: opts.Limit})
+	env := domain.Reachable("crash(reset)", crashed, domain.TupleMap(domain.CrashInner), opts)
 	legit := func(s ioa.State) bool { return sys.TokenCount(s) == 1 }
 	return sys.Composite, legit, env, nil
 }
 
-// PrintStabilize renders the sweep as a table.
-func PrintStabilize(w io.Writer, rows []StabilizeRow) {
-	title := "Self-stabilization certification — ring size × corruption envelope (best-of-reps)"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	fmt.Fprintf(w, "%-9s %3s %3s %-18s %9s %8s %-7s %-7s %5s %7s %12s\n",
-		"system", "n", "K", "envelope", "env", "closure", "closed", "conv", "k", "mean", "ns")
-	for _, r := range rows {
-		k := "-"
-		if r.K > 0 {
-			k = strconv.Itoa(r.K)
-		}
-		bound := "-"
-		if r.Bounded {
-			bound = strconv.Itoa(r.Bound)
-		}
-		conv := "FAIL"
-		switch {
-		case r.Converges && r.Bounded:
-			conv = "ok"
-		case r.Converges:
-			conv = "fair"
-		}
-		closed := "FAIL"
-		if r.Closed {
-			closed = "ok"
-		}
-		fmt.Fprintf(w, "%-9s %3d %3s %-18s %9d %8d %-7s %-7s %5s %7.2f %12d\n",
-			r.System, r.N, k, r.Envelope, r.EnvelopeStates, r.States,
-			closed, conv, bound, r.MeanRounds, r.NS)
+// okFail renders a verdict column.
+func okFail(ok bool) string {
+	if ok {
+		return "ok"
 	}
-	fmt.Fprintln(w)
+	return "FAIL"
+}
+
+// stabilizeSweep is the E19 sweep.
+var stabilizeSweep = sweepOf[StabilizeRow]{
+	name:        "stabilize",
+	description: "self-stabilization certification: Dijkstra rings + LeLann negative control (E19)",
+	title:       "Self-stabilization certification — ring size × corruption envelope (best-of-reps)",
+	reps:        3,
+	rows:        stabilizeRows,
+	cols: []column[StabilizeRow]{
+		{"system", -9, func(r StabilizeRow) string { return r.System }},
+		{"n", 3, func(r StabilizeRow) string { return strconv.Itoa(r.N) }},
+		{"K", 3, func(r StabilizeRow) string {
+			if r.K > 0 {
+				return strconv.Itoa(r.K)
+			}
+			return "-"
+		}},
+		{"envelope", -18, func(r StabilizeRow) string { return r.Envelope }},
+		{"env", 9, func(r StabilizeRow) string { return strconv.Itoa(r.EnvelopeStates) }},
+		{"closure", 8, func(r StabilizeRow) string { return strconv.Itoa(r.States) }},
+		{"closed", -7, func(r StabilizeRow) string { return okFail(r.Closed) }},
+		{"conv", -7, func(r StabilizeRow) string {
+			if r.Converges && !r.Bounded {
+				return "fair"
+			}
+			return okFail(r.Converges)
+		}},
+		{"k", 5, func(r StabilizeRow) string {
+			if r.Bounded {
+				return strconv.Itoa(r.Bound)
+			}
+			return "-"
+		}},
+		{"mean", 7, func(r StabilizeRow) string { return fmt.Sprintf("%.2f", r.MeanRounds) }},
+		{"ns", 12, func(r StabilizeRow) string { return strconv.FormatInt(r.NS, 10) }},
+	},
+	check: func(r StabilizeRow) (key, fault string) {
+		key = fmt.Sprintf("%s/n%d/%s", r.System, r.N, r.Envelope)
+		if r.Stabilizing != (r.Closed && r.Converges) {
+			fault = fmt.Sprintf("stabilizing=%t inconsistent with closed=%t && converges=%t",
+				r.Stabilizing, r.Closed, r.Converges)
+		}
+		return key, fault
+	},
+	control: func(r StabilizeRow) bool { return !r.Stabilizing },
 }

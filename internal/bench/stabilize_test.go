@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -12,9 +9,10 @@ import (
 // the verdicts: Dijkstra stabilizes on both envelopes (with the spot
 // bound no worse than the full-envelope bound), the K=n-2 boundary
 // row fails convergence while staying closed, and the LeLann crash
-// row is the certified-unstable negative control.
+// row is the certified-unstable negative control. TestSweepRegistry
+// covers the table and the JSON.
 func TestStabilizeSweep(t *testing.T) {
-	rows, err := StabilizeSweep(StabilizeConfig{Sizes: []int{3, 4}, Workers: 1, Reps: 1})
+	rows, err := stabilizeRows(SweepConfig{Sizes: 4, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,28 +58,5 @@ func TestStabilizeSweep(t *testing.T) {
 	}
 	if lelann.EnvelopeStates == 0 {
 		t.Fatalf("lelann envelope empty: %+v", lelann)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteSweepJSON(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	var back []StabilizeRow
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(rows) {
-		t.Fatalf("round-trip rows: %d vs %d", len(back), len(rows))
-	}
-	if !strings.Contains(buf.String(), `"k_modulus"`) {
-		t.Fatal("json missing k_modulus field")
-	}
-
-	var tab bytes.Buffer
-	PrintStabilize(&tab, rows)
-	for _, want := range []string{"dijkstra", "lelann", "FAIL", "single-corruption"} {
-		if !strings.Contains(tab.String(), want) {
-			t.Fatalf("table missing %q:\n%s", want, tab.String())
-		}
 	}
 }

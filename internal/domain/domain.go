@@ -152,6 +152,9 @@ func (d *reachDomain) materialize(ctx context.Context) error {
 				d.states = append(d.states, s)
 			}
 		}
+		if err := d.seen.Err(); err != nil {
+			d.err = fmt.Errorf("domain: %q: %w", d.name, err)
+		}
 	})
 	return d.err
 }

@@ -1,24 +1,20 @@
 package explore
 
-// The Engine facade. PR 5 consolidates the package's positional entry
-// points (Reach, CheckInvariant, Deadlocks, Behaviors, Schedules,
-// Execs, SameBehaviors, FindLasso, plus the diagnostic EnabledReport
-// and WriteDOT) behind one type constructed from Options, with
-// context.Context cancellation on every method. The old top-level
-// functions survive as thin deprecated shims (shims.go) so downstream
-// callers keep compiling; internal packages are held to the new API by
-// a CI grep.
+// The Engine facade: the package's entry points (Reach,
+// CheckInvariant, Deadlocks, Behaviors, Schedules, Execs,
+// SameBehaviors, FindLasso, plus the diagnostic EnabledReport and
+// WriteDOT) are methods of one type constructed from Options, with
+// context.Context cancellation on every method.
 //
 // Internally every explorer dedups through internal/store: states are
-// byte-encoded once (ioa.AppendState — the Encoder fast path with a
-// Key() fallback), interned into arena-backed shards, and tracked by
-// dense uint64 IDs instead of string-keyed maps; successor enumeration
-// goes through ioa.VisitNext so implementations with a Stepper fast
-// path allocate no intermediate []State per (state, action) step. The
-// visit order is bit-identical to the string-keyed seed explorer
-// (reference.go keeps it as the differential oracle): interning
-// preserves first-insertion order, and encoding equality coincides
-// with Key() equality by the Encoder contract.
+// byte-encoded once (ioa.AppendState — the Key() bytes), interned into
+// arena-backed shards, and tracked by dense uint64 IDs instead of
+// string-keyed maps; successor enumeration goes through ioa.VisitNext
+// so implementations with a Stepper fast path allocate no intermediate
+// []State per (state, action) step. The visit order is bit-identical
+// to the string-keyed seed explorer (reference.go keeps it as the
+// differential oracle): interning preserves first-insertion order, and
+// the encoding is the Key().
 
 import (
 	"context"

@@ -73,6 +73,9 @@ func (e *Engine) Behaviors(ctx context.Context, a ioa.Automaton, depth int) (*io
 			})
 		}
 	}
+	if err := seen.Err(); err != nil {
+		return nil, seenErr(a, err)
+	}
 	list := make([][]ioa.Action, 0, len(traces))
 	for _, tr := range traces {
 		//lint:ignore nondet NewSchedModule keys schedules canonically; list order is unobservable
@@ -292,6 +295,9 @@ func (e *Engine) WriteDOT(ctx context.Context, w io.Writer, a ioa.Automaton) err
 	index := store.New(store.Options{})
 	for _, s := range states {
 		index.Intern(s)
+	}
+	if err := index.Err(); err != nil {
+		return seenErr(a, err)
 	}
 	if _, err := fmt.Fprintf(w, "digraph %q {\n  rankdir=LR;\n", a.Name()); err != nil {
 		return err

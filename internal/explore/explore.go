@@ -14,9 +14,7 @@
 // states with dense IDs) and enumerate successors through
 // ioa.VisitNext (the zero-allocation Stepper fast path); see engine.go
 // and parallel.go. The pre-store string-keyed explorer is preserved in
-// reference.go as the differential-testing oracle. The former
-// top-level functions (Reach, CheckInvariant, ...) remain as
-// deprecated shims in shims.go.
+// reference.go as the differential-testing oracle.
 package explore
 
 import (

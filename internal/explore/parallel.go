@@ -120,9 +120,6 @@ func sortCandsByKey(cands []cand) {
 func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (states []ioa.State, v *Violation, maxDepth int, err error) {
 	ctx = ctxOr(ctx)
 	w := e.opts.workers()
-	if w < 1 {
-		w = 1
-	}
 	limit := e.opts.limit()
 	o := e.opts.Obs
 	if o != nil {

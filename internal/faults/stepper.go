@@ -1,25 +1,13 @@
 package faults
 
-// Stepper and Encoder fast paths for the fault wrappers, so
-// fault-injected systems ride the explorers' zero-allocation successor
-// visitor and byte-interned state store exactly like clean systems.
+// Stepper fast paths for the fault wrappers, so fault-injected systems
+// ride the explorers' zero-allocation successor visitor exactly like
+// clean systems.
 // Network and adversary automata are built through ioa.NewDef and
 // inherit Prog's VisitNext; the hand-rolled wrappers here (crash,
 // clamp) implement their own.
 
 import "repro/internal/ioa"
-
-// AppendBinary implements ioa.Encoder: the cached wrapper key,
-// computed when the state was built.
-func (s *CrashState) AppendBinary(dst []byte) []byte { return append(dst, s.key...) }
-
-var _ ioa.Encoder = (*CrashState)(nil)
-
-// AppendBinary implements ioa.Encoder: the cached channel-contents
-// key, computed when the state was built.
-func (s *NetState) AppendBinary(dst []byte) []byte { return append(dst, s.key...) }
-
-var _ ioa.Encoder = (*NetState)(nil)
 
 // VisitNext implements ioa.Stepper for crash wrappers. The hot
 // non-fault case — the process is up and the action belongs to the

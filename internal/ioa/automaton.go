@@ -16,6 +16,11 @@ type State interface {
 	Key() string
 }
 
+// AppendState appends s's canonical encoding — the Key bytes — to dst
+// and returns the extended slice: the one encoding the interned store,
+// the spill runs and the cluster wire all hash and compare.
+func AppendState(dst []byte, s State) []byte { return append(dst, s.Key()...) }
+
 // KeyState is a trivial State implementation whose identity is a
 // string. Useful for small hand-built automata.
 type KeyState string

@@ -82,8 +82,7 @@ type Composite struct {
 	// Next/Enabled to be deterministic functions of their arguments;
 	// safe for concurrent exploration because each cache is sharded
 	// behind RW mutexes.
-	memo   []compMemo
-	memoOn bool
+	memo []compMemo
 	// obsMemo, when non-nil, counts cache hits and misses. Writes are
 	// sharded by the memo hash, so concurrent workers touching
 	// different shards also touch different counter stripes.
@@ -167,15 +166,9 @@ func Compose(name string, comps ...Automaton) (*Composite, error) {
 	}
 	return &Composite{
 		name: name, comps: comps, sig: sig, parts: parts, who: who, classOwner: owner,
-		memo: make([]compMemo, len(comps)), memoOn: true,
+		memo: make([]compMemo, len(comps)),
 	}, nil
 }
-
-// SetMemo turns the per-component transition/enabled caches on or off
-// (on by default). Off reproduces the uncached seed behavior, e.g.
-// for benchmarking the cache itself. Not safe to toggle while other
-// goroutines are stepping the composite.
-func (c *Composite) SetMemo(on bool) { c.memoOn = on }
 
 // SetObs attaches (or, with nil, detaches) memo-cache metrics.
 // Observability never changes stepping behavior — only hit/miss
@@ -191,8 +184,7 @@ func (c *Composite) SetObs(o *obs.Obs) {
 
 // SetObsDeep applies SetObs to every Composite in the automaton tree,
 // descending through Hide/Rename wrappers and nested compositions —
-// the same traversal as SetMemoDeep, and the one CLI entry points use
-// to instrument a closed system in one call.
+// the one call CLI entry points use to instrument a closed system.
 func SetObsDeep(a Automaton, o *obs.Obs) {
 	switch w := a.(type) {
 	case *Composite:
@@ -214,30 +206,8 @@ func SetObsDeep(a Automaton, o *obs.Obs) {
 	}
 }
 
-// SetMemoDeep applies SetMemo to every Composite in the automaton
-// tree, descending through Hide/Rename wrappers and nested
-// compositions. Needed to benchmark a fully uncached system: a closed
-// system is a composition whose arbiter component is itself a
-// (renamed, hidden) composition with its own caches.
-func SetMemoDeep(a Automaton, on bool) {
-	switch w := a.(type) {
-	case *Composite:
-		w.SetMemo(on)
-		for _, c := range w.comps {
-			SetMemoDeep(c, on)
-		}
-	case *hidden:
-		SetMemoDeep(w.inner, on)
-	case *Renamed:
-		SetMemoDeep(w.inner, on)
-	}
-}
-
 // compNext is comp[i].Next(s, a) through the memo layer.
 func (c *Composite) compNext(i int, s State, a Action) []State {
-	if !c.memoOn {
-		return c.comps[i].Next(s, a)
-	}
 	key := s.Key()
 	h := memoHash(key)
 	sh := &c.memo[i].shards[h%memoShardCount]
@@ -274,9 +244,6 @@ func (c *Composite) compNext(i int, s State, a Action) []State {
 // component's result is cached verbatim (same actions, same order),
 // so callers observe exactly the uncached behavior.
 func (c *Composite) compEnabled(i int, s State) []Action {
-	if !c.memoOn {
-		return c.comps[i].Enabled(s)
-	}
 	key := s.Key()
 	h := memoHash(key)
 	sh := &c.memo[i].shards[h%memoShardCount]

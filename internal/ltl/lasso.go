@@ -15,6 +15,7 @@ package ltl
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/ioa"
 	"repro/internal/store"
@@ -63,6 +64,9 @@ func BuildGraphCanon(ctx context.Context, a ioa.Automaton, states []ioa.State, a
 	index := store.New(store.Options{Canon: canon})
 	for _, s := range states {
 		index.Intern(s)
+	}
+	if err := index.Err(); err != nil {
+		return nil, fmt.Errorf("ltl: indexing %s: %w", a.Name(), err)
 	}
 	acts := a.Sig().Acts().Sorted()
 	g := &StateGraph{States: states, Adj: make([][]Edge, len(states))}

@@ -53,16 +53,10 @@ type LamportState struct {
 	key   string
 }
 
-var (
-	_ ioa.State   = (*LamportState)(nil)
-	_ ioa.Encoder = (*LamportState)(nil)
-)
+var _ ioa.State = (*LamportState)(nil)
 
 // Key implements ioa.State.
 func (s *LamportState) Key() string { return s.key }
-
-// AppendBinary implements ioa.Encoder: the cached key.
-func (s *LamportState) AppendBinary(dst []byte) []byte { return append(dst, s.key...) }
 
 // N returns the process count.
 func (s *LamportState) N() int { return s.n }

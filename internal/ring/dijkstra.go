@@ -32,10 +32,7 @@ type DijkstraState struct {
 	key  string
 }
 
-var (
-	_ ioa.State   = (*DijkstraState)(nil)
-	_ ioa.Encoder = (*DijkstraState)(nil)
-)
+var _ ioa.State = (*DijkstraState)(nil)
 
 // NewDijkstraState builds a state from a copy of vals.
 func NewDijkstraState(vals []int) *DijkstraState {
@@ -52,9 +49,6 @@ func NewDijkstraState(vals []int) *DijkstraState {
 
 // Key implements ioa.State.
 func (s *DijkstraState) Key() string { return s.key }
-
-// AppendBinary implements ioa.Encoder: the cached key.
-func (s *DijkstraState) AppendBinary(dst []byte) []byte { return append(dst, s.key...) }
 
 // Len returns the machine count.
 func (s *DijkstraState) Len() int { return len(s.vals) }

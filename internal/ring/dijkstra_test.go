@@ -103,9 +103,6 @@ func TestDijkstraStateAccessors(t *testing.T) {
 	if s.Val(0) != 2 {
 		t.Fatal("Vals aliases internal slice")
 	}
-	if got := string(s.AppendBinary(nil)); got != s.Key() {
-		t.Fatalf("encoder %q, key %q", got, s.Key())
-	}
 }
 
 // TestDijkstraAllStates checks the envelope enumeration: K^n distinct

@@ -250,6 +250,9 @@ func Certify(ctx context.Context, a ioa.Automaton, legit func(ioa.State) bool, e
 			nEnv++
 		}
 	}
+	if err := distinct.Err(); err != nil {
+		return nil, fmt.Errorf("stabilize: envelope %q: %w", env.Name(), err)
+	}
 
 	// Close the envelope under steps. The first nEnv states of the
 	// result are exactly the distinct envelope states: both engines

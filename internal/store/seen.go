@@ -49,10 +49,10 @@ type SeenSet interface {
 	Stats() Stats
 	// Probe returns a fresh frozen-phase concurrent read view.
 	Probe() MemberProbe
-	// Err returns the first I/O or corruption error the set has
-	// latched. RAM sets always return nil; engines poll it at strides
-	// and barriers so a failing disk surfaces as a clean wrapped error
-	// rather than a wrong state count.
+	// Err returns the first I/O, corruption or capacity error the set
+	// has latched. Engines poll it at strides and barriers so a failing
+	// disk or a full arena surfaces as a clean wrapped error rather
+	// than a wrong state count.
 	Err() error
 	// Close releases any resources (run files, spill directories).
 	Close() error
@@ -79,9 +79,6 @@ func Open(spill *SpillOptions, canon Canonicalizer) (SeenSet, error) {
 // Probe returns the arena store's probe behind the MemberProbe
 // interface (NewProbe keeps the concrete type for existing callers).
 func (st *Store) Probe() MemberProbe { return st.NewProbe() }
-
-// Err implements SeenSet: the in-RAM store cannot fail.
-func (st *Store) Err() error { return nil }
 
 // Close implements SeenSet: nothing to release.
 func (st *Store) Close() error { return nil }

@@ -1,13 +1,12 @@
 // Package store provides a compact interned state store for
 // state-space exploration. Each state is encoded once into its
-// canonical byte representation (the ioa.Encoder fast path, with
-// automatic fallback to Key()), hashed with FNV-64a, and interned into
-// arena-backed shards; interning hands out dense uint64 IDs in
-// insertion order. Explorers keep their seen sets, BFS parent links,
-// and witness reconstruction on IDs instead of map[string] keys, which
-// removes per-state string-map overhead (string headers, per-probe
-// string hashing, GC pressure from millions of map entries) on the
-// reachability hot path.
+// canonical byte representation (ioa.AppendState: the Key() bytes),
+// hashed with FNV-64a, and interned into arena-backed shards;
+// interning hands out dense uint64 IDs in insertion order. Explorers
+// keep their seen sets, BFS parent links, and witness reconstruction on
+// IDs instead of map[string] keys, which removes per-state string-map
+// overhead (string headers, per-probe string hashing, GC pressure from
+// millions of map entries) on the reachability hot path.
 //
 // Concurrency contract. A Store is single-writer: Intern and Has must
 // only be called from one goroutine at a time with no concurrent
@@ -28,6 +27,9 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
 
 	"repro/internal/ioa"
 )
@@ -90,6 +92,10 @@ type loc struct {
 	n     uint32
 }
 
+// arenaLimit is the largest shard arena a loc can address: off and
+// off+n must both fit uint32. A variable so tests can shrink it.
+var arenaLimit uint64 = math.MaxUint32
+
 // shard is one arena plus its hash buckets.
 type shard struct {
 	// table maps a full FNV-64a hash to the IDs whose encodings share
@@ -105,6 +111,8 @@ type Store struct {
 	locs    []loc
 	scratch []byte
 	canon   Canonicalizer
+	// err latches the first arena overflow (see InternEncoded).
+	err error
 }
 
 // New builds an empty store.
@@ -156,6 +164,14 @@ func Hash(b []byte) uint64 {
 	}
 	return h
 }
+
+// ErrArenaFull is latched on Err when an encoding no longer fits the
+// 32-bit offsets of its shard arena.
+var ErrArenaFull = errors.New("store: shard arena full")
+
+// Err returns the first arena overflow InternEncoded latched, nil
+// otherwise. Like Intern it follows the single-writer rule.
+func (st *Store) Err() error { return st.err }
 
 // Len returns the number of interned states.
 func (st *Store) Len() int { return len(st.locs) }
@@ -237,6 +253,12 @@ func (st *Store) Intern(s ioa.State) (ID, bool) {
 // InternEncoded returns, so enc may be reused — or mutated — by the
 // caller immediately afterwards without disturbing the stored
 // encoding; the regression battery pins this no-aliasing contract.
+//
+// An encoding that would grow its shard arena past what a loc can
+// address is not stored: InternEncoded returns (None, false) and
+// latches ErrArenaFull on Err, which the engines poll, so the overflow
+// ends the exploration with an error instead of wrapped offsets and a
+// wrong state count.
 func (st *Store) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 	sh := &st.shards[hash&st.mask]
 	for _, id := range sh.table[hash] {
@@ -246,6 +268,13 @@ func (st *Store) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 	}
 	id := ID(len(st.locs))
 	off := len(sh.arena)
+	if uint64(off)+uint64(len(enc)) > arenaLimit {
+		if st.err == nil {
+			st.err = fmt.Errorf("%w: shard %d holds %d bytes, encoding of %d more exceeds %d",
+				ErrArenaFull, hash&st.mask, off, len(enc), arenaLimit)
+		}
+		return None, false
+	}
 	sh.arena = append(sh.arena, enc...)
 	st.locs = append(st.locs, loc{shard: uint32(hash & st.mask), off: uint32(off), n: uint32(len(enc))})
 	sh.table[hash] = append(sh.table[hash], id)
@@ -309,5 +338,5 @@ func (p *Probe) Lookup(s ioa.State) (ID, uint64, bool) {
 // Lookup. The slice aliases the probe's buffer — never the caller's
 // input state or the store arenas — and is only valid until the next
 // Lookup on this probe; consumers that outlive that window (the
-// sender-side dedup filter, the merge arenas) copy it.
+// merge arenas) copy it.
 func (p *Probe) Bytes() []byte { return p.buf }

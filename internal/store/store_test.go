@@ -137,20 +137,3 @@ func TestShardRounding(t *testing.T) {
 		}
 	}
 }
-
-// fallbackState has no Encoder; AppendState must fall back to Key().
-type fallbackState struct{ k string }
-
-func (f fallbackState) Key() string { return f.k }
-
-func TestEncoderFallbackInterchangeable(t *testing.T) {
-	st := New(Options{})
-	id1, fresh := st.Intern(ioa.KeyState("same"))
-	if !fresh {
-		t.Fatal("first intern should be fresh")
-	}
-	id2, fresh := st.Intern(fallbackState{k: "same"})
-	if fresh || id2 != id1 {
-		t.Fatalf("fallback state interned as (%d,%v), want (%d,false)", id2, fresh, id1)
-	}
-}
