@@ -7,9 +7,10 @@ package explore
 // context.Context cancellation on every method.
 //
 // Internally every explorer dedups through internal/store: states are
-// byte-encoded once (ioa.AppendState — the Key() bytes), interned into
-// arena-backed shards, and tracked by dense uint64 IDs instead of
-// string-keyed maps; successor enumeration goes through ioa.VisitNext
+// byte-encoded once (ioa.AppendState — the bytes of Key(), streamed
+// without building the string), interned into arena-backed shards, and
+// tracked by dense uint64 IDs instead of string-keyed maps; successor
+// enumeration goes through ioa.VisitNext
 // so implementations with a Stepper fast path allocate no intermediate
 // []State per (state, action) step. The visit order is bit-identical
 // to the string-keyed seed explorer (reference.go keeps it as the
@@ -20,7 +21,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/ioa"
 	"repro/internal/obs"
@@ -303,7 +304,7 @@ func (st *Step) Visit(s ioa.State, yield func(ioa.State) bool) bool {
 	// Copy before sorting: the memo layer may hand out a shared cached
 	// Enabled slice.
 	st.buf = append(append(st.buf[:0], st.a.Enabled(s)...), st.inputs...)
-	sort.Slice(st.buf, func(i, j int) bool { return st.buf[i] < st.buf[j] })
+	slices.Sort(st.buf)
 	acts := st.buf
 	if st.sel != nil {
 		acts = st.sel(s, acts, st.seen)

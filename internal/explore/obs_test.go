@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ioa"
@@ -105,5 +106,60 @@ func TestObsStoreGauges(t *testing.T) {
 		if o.Store.ArenaBytes.Value() <= 0 {
 			t.Errorf("workers %d: store.arena_bytes = %d, want > 0", w, o.Store.ArenaBytes.Value())
 		}
+	}
+}
+
+// TestMemoBelongsToLeaves: in a composition of compositions only the
+// leaf components are memoised. The outer composite here has nothing
+// but (wrapped) compositions under it, so its own counters stay at
+// zero while the inner ones count every lookup — and the run is still
+// the reference run, state for state.
+func TestMemoBelongsToLeaves(t *testing.T) {
+	left := modCounters(2, 3).(*ioa.Composite)
+	right := modCounters(2, 4).(*ioa.Composite)
+	renamed, err := ioa.Rename(right, ioa.MustMapping(map[ioa.Action]ioa.Action{
+		ioa.Act("tick", "ctr0"): ioa.Act("tock", "ctr0"),
+		ioa.Act("tick", "ctr1"): ioa.Act("tock", "ctr1"),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer := ioa.MustCompose("nested", ioa.Hide(left, ioa.NewSet()), renamed)
+	outerObs, innerObs := obs.New(nil), obs.New(nil)
+	outer.SetObs(outerObs)
+	left.SetObs(innerObs)
+	right.SetObs(innerObs)
+
+	want, err := ReferenceReach(outer, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		got, err := New(Options{Workers: workers, Obs: outerObs}).Reach(context.Background(), outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers > 1 {
+			sortStatesByKey(got)
+			want = append([]ioa.State(nil), want...)
+			sortStatesByKey(want)
+		}
+		if len(got) != len(want) || len(got) != 9*16 {
+			t.Fatalf("workers %d: reached %d states, reference %d, want 144", workers, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Key() != want[i].Key() {
+				t.Fatalf("workers %d: state %d is %q, reference %q", workers, i, got[i].Key(), want[i].Key())
+			}
+		}
+	}
+	for name, v := range outerObs.Memo.Values() {
+		if v != 0 {
+			t.Errorf("outer composite counted memo.%s = %d; its components are compositions and must be stepped directly", name, v)
+		}
+	}
+	inner := innerObs.Memo.Values()
+	if inner["next_hit"]+inner["next_miss"] == 0 || inner["enabled_hit"]+inner["enabled_miss"] == 0 {
+		t.Errorf("leaf components counted no memo lookups: %v", inner)
 	}
 }

@@ -107,8 +107,9 @@ func candLess(a, b cand) bool {
 }
 
 func sortCandsByKey(cands []cand) {
-	// States carry cached keys (TupleState, the faults wrappers), so
-	// Key() here is a field read, not an encode.
+	// A tuple builds its key on the first Key() and caches it, so each
+	// candidate is encoded to a string once however often the sort
+	// compares it; the other state kinds hold their key as a field.
 	sort.Slice(cands, func(i, j int) bool { return cands[i].state.Key() < cands[j].state.Key() })
 }
 

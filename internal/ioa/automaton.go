@@ -12,14 +12,22 @@ import (
 // equal, so Key must be a canonical encoding of the state's content.
 type State interface {
 	// Key returns a canonical encoding of the state. It is used for
-	// equality, hashing, and diagnostics.
+	// equality, hashing, and diagnostics. An implementation may compute
+	// it lazily (TupleState does), but every call on one state returns
+	// the same string.
 	Key() string
 }
 
 // AppendState appends s's canonical encoding — the Key bytes — to dst
 // and returns the extended slice: the one encoding the interned store,
-// the spill runs and the cluster wire all hash and compare.
-func AppendState(dst []byte, s State) []byte { return append(dst, s.Key()...) }
+// the spill runs and the cluster wire all hash and compare. A tuple's
+// bytes are streamed part by part without building its key string.
+func AppendState(dst []byte, s State) []byte {
+	if t, ok := s.(*TupleState); ok {
+		return t.appendKey(dst)
+	}
+	return append(dst, s.Key()...)
+}
 
 // KeyState is a trivial State implementation whose identity is a
 // string. Useful for small hand-built automata.

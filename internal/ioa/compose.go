@@ -2,31 +2,42 @@ package ioa
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // A TupleState is a state of a composition: one component state per
-// component automaton, in component order (§2.1.1).
+// component automaton, in component order (§2.1.1). Its Key is the
+// JoinKeys framing of the part keys; it is built on first use, not at
+// construction — exploration encodes most tuples once through
+// AppendState, finds them already interned and drops them, so they
+// never own a key string — and is stable from then on.
 type TupleState struct {
 	parts []State
-	key   string
+	// key caches Key() once something asks for it. Tuples are shared by
+	// the parallel workers; racing builders store equal strings.
+	key atomic.Pointer[string]
 }
 
 var _ State = (*TupleState)(nil)
 
 // NewTupleState builds a tuple state from component states.
 func NewTupleState(parts []State) *TupleState {
-	keys := make([]string, len(parts))
-	for i, p := range parts {
-		keys[i] = p.Key()
-	}
-	return &TupleState{parts: append([]State(nil), parts...), key: JoinKeys(keys...)}
+	return &TupleState{parts: append([]State(nil), parts...)}
 }
 
 // Key implements State.
-func (t *TupleState) Key() string { return t.key }
+func (t *TupleState) Key() string {
+	if k := t.key.Load(); k != nil {
+		return *k
+	}
+	k := string(t.appendKey(make([]byte, 0, t.keyLen())))
+	t.key.Store(&k)
+	return k
+}
 
 // At returns the i-th component state (the paper's a|Aᵢ projection on
 // states).
@@ -35,31 +46,49 @@ func (t *TupleState) At(i int) State { return t.parts[i] }
 // Len returns the number of components.
 func (t *TupleState) Len() int { return len(t.parts) }
 
-// newTupleStateOwned builds a tuple state taking ownership of parts
-// (no defensive copy — callers must not retain the slice).
-func newTupleStateOwned(parts []State) *TupleState {
-	keys := make([]string, len(parts))
-	for i, p := range parts {
-		keys[i] = p.Key()
+// keyLen is len(t.Key()) without building the key.
+func (t *TupleState) keyLen() int {
+	if k := t.key.Load(); k != nil {
+		return len(*k)
 	}
-	return &TupleState{parts: parts, key: JoinKeys(keys...)}
+	n := 0
+	for _, p := range t.parts {
+		n += framedLen(partKeyLen(p))
+	}
+	return n
 }
 
-// with returns a copy of t with component i replaced by s.
-func (t *TupleState) with(updates map[int]State) *TupleState {
-	parts := append([]State(nil), t.parts...)
-	for i, s := range updates {
-		parts[i] = s
+// partKeyLen is len(p.Key()), computed without forcing a nested
+// tuple's key.
+func partKeyLen(p State) int {
+	if pt, ok := p.(*TupleState); ok {
+		return pt.keyLen()
 	}
-	return newTupleStateOwned(parts)
+	return len(p.Key())
 }
 
-// with1 returns a copy of t with only component i replaced — the
-// single-owner fast path of composite steps.
-func (t *TupleState) with1(i int, s State) *TupleState {
-	parts := append([]State(nil), t.parts...)
-	parts[i] = s
-	return newTupleStateOwned(parts)
+// framedLen is the length of one JoinKeys frame "n:" + n key bytes.
+func framedLen(n int) int {
+	digits := 1
+	for m := n; m >= 10; m /= 10 {
+		digits++
+	}
+	return digits + 1 + n
+}
+
+// appendKey appends t's key to dst: len:key per part, byte for byte
+// the JoinKeys framing, recursing through nested tuples and copying
+// any key that is already cached.
+func (t *TupleState) appendKey(dst []byte) []byte {
+	if k := t.key.Load(); k != nil {
+		return append(dst, *k...)
+	}
+	for _, p := range t.parts {
+		dst = strconv.AppendInt(dst, int64(partKeyLen(p)), 10)
+		dst = append(dst, ':')
+		dst = AppendState(dst, p)
+	}
+	return dst
 }
 
 // A Composite is the composition A = ∏ᵢAᵢ of compatible automata
@@ -77,12 +106,16 @@ type Composite struct {
 	who map[Action][]int
 	// classOwner[i] is the component index owning composite class i.
 	classOwner []int
-	// memo caches per-component transition and enabled-set results
-	// (one cache per component). Sound because Automaton requires
+	// memo caches per-component transition and enabled-set results,
+	// one cache per leaf component. Sound because Automaton requires
 	// Next/Enabled to be deterministic functions of their arguments;
 	// safe for concurrent exploration because each cache is sharded
-	// behind RW mutexes.
-	memo []compMemo
+	// behind RW mutexes. A component that is itself a composition
+	// (under Hide/Rename) has a nil entry and is stepped directly: its
+	// own leaves are memoised already, and its state key is nearly the
+	// whole global state, so a row per inner state would be retained
+	// for close to no hits.
+	memo []*compMemo
 	// obsMemo, when non-nil, counts cache hits and misses. Writes are
 	// sharded by the memo hash, so concurrent workers touching
 	// different shards also touch different counter stripes.
@@ -164,9 +197,15 @@ func Compose(name string, comps ...Automaton) (*Composite, error) {
 			owner = append(owner, i)
 		}
 	}
+	memo := make([]*compMemo, len(comps))
+	for i, c := range comps {
+		if _, nested := Unwrap(c).(*Composite); !nested {
+			memo[i] = new(compMemo)
+		}
+	}
 	return &Composite{
 		name: name, comps: comps, sig: sig, parts: parts, who: who, classOwner: owner,
-		memo: make([]compMemo, len(comps)),
+		memo: memo,
 	}, nil
 }
 
@@ -206,11 +245,16 @@ func SetObsDeep(a Automaton, o *obs.Obs) {
 	}
 }
 
-// compNext is comp[i].Next(s, a) through the memo layer.
+// compNext is comp[i].Next(s, a), through the memo layer when
+// component i has one.
 func (c *Composite) compNext(i int, s State, a Action) []State {
+	memo := c.memo[i]
+	if memo == nil {
+		return c.comps[i].Next(s, a)
+	}
 	key := s.Key()
 	h := memoHash(key)
-	sh := &c.memo[i].shards[h%memoShardCount]
+	sh := &memo.shards[h%memoShardCount]
 	sh.mu.RLock()
 	if row, ok := sh.next[key]; ok {
 		if out, ok := row[a]; ok {
@@ -240,13 +284,18 @@ func (c *Composite) compNext(i int, s State, a Action) []State {
 	return out
 }
 
-// compEnabled is comp[i].Enabled(s) through the memo layer. The
-// component's result is cached verbatim (same actions, same order),
-// so callers observe exactly the uncached behavior.
+// compEnabled is comp[i].Enabled(s), through the memo layer when
+// component i has one. The component's result is cached verbatim
+// (same actions, same order), so callers observe exactly the uncached
+// behavior.
 func (c *Composite) compEnabled(i int, s State) []Action {
+	memo := c.memo[i]
+	if memo == nil {
+		return c.comps[i].Enabled(s)
+	}
 	key := s.Key()
 	h := memoHash(key)
-	sh := &c.memo[i].shards[h%memoShardCount]
+	sh := &memo.shards[h%memoShardCount]
 	sh.mu.RLock()
 	if _, ok := sh.hasEnabled[key]; ok {
 		out := sh.enabled[key]
@@ -312,62 +361,27 @@ func (c *Composite) Start() []State {
 	return out
 }
 
-// Next implements Automaton: all components sharing the action step
-// simultaneously; others are unchanged.
-func (c *Composite) Next(s State, a Action) []State {
+// tuple returns s as a state of c — a tuple with one part per
+// component — or nil for anything else: a state of another automaton,
+// or a tuple of the wrong arity (a state of another composition, a
+// truncated domain tuple). Next, VisitNext and Enabled all answer
+// "no step" for those.
+func (c *Composite) tuple(s State) *TupleState {
 	ts, ok := s.(*TupleState)
-	if !ok || ts.Len() != len(c.comps) {
+	if !ok || len(ts.parts) != len(c.comps) {
 		return nil
 	}
-	owners := c.who[a]
-	if len(owners) == 0 {
-		return nil
-	}
-	// Single-owner fast path: no cross product, no update maps. This
-	// is the common case (every non-shared action) and the hot path
-	// of exhaustive exploration.
-	if len(owners) == 1 {
-		i := owners[0]
-		next := c.compNext(i, ts.At(i), a)
-		if len(next) == 0 {
-			return nil
-		}
-		out := make([]State, len(next))
-		for k, nxt := range next {
-			out[k] = ts.with1(i, nxt)
-		}
-		return out
-	}
-	// Per-owner successor lists; if any owner cannot step, the
-	// composite cannot step.
-	choices := make([][]State, len(owners))
-	for k, i := range owners {
-		next := c.compNext(i, ts.At(i), a)
-		if len(next) == 0 {
-			return nil
-		}
-		choices[k] = next
-	}
-	// Cross product of owner choices.
-	results := []map[int]State{{}}
-	for k, i := range owners {
-		var expanded []map[int]State
-		for _, partial := range results {
-			for _, nxt := range choices[k] {
-				m := make(map[int]State, len(partial)+1)
-				for idx, st := range partial {
-					m[idx] = st
-				}
-				m[i] = nxt
-				expanded = append(expanded, m)
-			}
-		}
-		results = expanded
-	}
-	out := make([]State, 0, len(results))
-	for _, updates := range results {
-		out = append(out, ts.with(updates))
-	}
+	return ts
+}
+
+// Next implements Automaton: all components sharing the action step
+// simultaneously; others are unchanged. It is VisitNext collected.
+func (c *Composite) Next(s State, a Action) []State {
+	var out []State
+	c.VisitNext(s, a, func(nxt State) bool {
+		out = append(out, nxt)
+		return true
+	})
 	return out
 }
 
@@ -376,16 +390,34 @@ func (c *Composite) Next(s State, a Action) []State {
 // composition iff it is enabled in component i (all other components
 // see it as an input, which is always enabled).
 func (c *Composite) Enabled(s State) []Action {
-	ts, ok := s.(*TupleState)
-	if !ok {
+	ts := c.tuple(s)
+	if ts == nil {
 		return nil
 	}
-	var out []Action
-	for i := range c.comps {
-		out = append(out, c.compEnabled(i, ts.At(i))...)
+	// Gather the components' lists first so the result is allocated
+	// once at its final size; the array keeps the gathering on the
+	// stack for compositions of ordinary width.
+	var stack [enabledStack][]Action
+	per, n := stack[:0], 0
+	for i, part := range ts.parts {
+		en := c.compEnabled(i, part)
+		per = append(per, en)
+		n += len(en)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Action, 0, n)
+	for _, en := range per {
+		out = append(out, en...)
 	}
 	return out
 }
+
+// enabledStack is how many components' enabled lists Enabled gathers
+// without a heap allocation (the closed level-3 arbiter on a seven-user
+// tree is eight components over a composition of seven).
+const enabledStack = 16
 
 // Parts implements Automaton.
 func (c *Composite) Parts() []Class { return c.parts }

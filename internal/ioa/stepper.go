@@ -75,36 +75,53 @@ func (p *Prog) VisitNext(s State, a Action, yield func(State) bool) bool {
 
 var _ Stepper = (*Prog)(nil)
 
-// VisitNext implements Stepper for compositions. The single-owner
-// fast path — every non-shared action, and the hot path of exhaustive
-// exploration — yields each successor tuple directly off the memoized
-// per-component successor list, so no intermediate []State is built
-// per (state, action) step. Multi-owner (synchronizing) actions fall
-// back to the cross-product Next.
+// VisitNext implements Stepper for compositions, and is their one
+// successor enumerator (Next collects it). Every owner of the action
+// steps at once — on the arbiter systems the synchronising case is the
+// common one: each send, receive and user-facing action has two owners
+// — and the other components keep their state. An odometer over the
+// owners' successor lists, first owner most significant, walks their
+// cross product in place, so a successor costs its tuple and one copy
+// of the part vector; an owner that cannot step means no step at all.
 func (c *Composite) VisitNext(s State, a Action, yield func(State) bool) bool {
-	ts, ok := s.(*TupleState)
-	if !ok || ts.Len() != len(c.comps) {
+	ts := c.tuple(s)
+	if ts == nil {
 		return true
 	}
 	owners := c.who[a]
 	if len(owners) == 0 {
 		return true
 	}
-	if len(owners) == 1 {
-		i := owners[0]
-		for _, nxt := range c.compNext(i, ts.At(i), a) {
-			if !yield(ts.with1(i, nxt)) {
-				return false
-			}
+	// Arrays keep the odometer on the stack for up to four owners.
+	var choiceStack [4][]State
+	var idxStack [4]int
+	choices, idx := choiceStack[:0], idxStack[:0]
+	for _, i := range owners {
+		next := c.compNext(i, ts.parts[i], a)
+		if len(next) == 0 {
+			return true
 		}
-		return true
+		choices, idx = append(choices, next), append(idx, 0)
 	}
-	for _, nxt := range c.Next(s, a) {
-		if !yield(nxt) {
+	for {
+		parts := append([]State(nil), ts.parts...)
+		for k, i := range owners {
+			parts[i] = choices[k][idx[k]]
+		}
+		if !yield(&TupleState{parts: parts}) {
 			return false
 		}
+		k := len(owners) - 1
+		for ; k >= 0; k-- {
+			if idx[k]++; idx[k] < len(choices[k]) {
+				break
+			}
+			idx[k] = 0
+		}
+		if k < 0 {
+			return true
+		}
 	}
-	return true
 }
 
 var _ Stepper = (*Composite)(nil)

@@ -49,6 +49,21 @@ func shapeAutomaton(rng *rand.Rand, shape uint8, name string, in, out, internal 
 	return ioa.MustTable(name, sig, states[:1], steps, classes)
 }
 
+// keyless rebuilds tuple states from their parts, so the copy (and
+// every tuple inside it) has never been asked for its key: the form in
+// which the explorers hand successors to Intern.
+func keyless(s ioa.State) ioa.State {
+	ts, ok := s.(*ioa.TupleState)
+	if !ok {
+		return s
+	}
+	parts := make([]ioa.State, ts.Len())
+	for i := range parts {
+		parts[i] = keyless(ts.At(i))
+	}
+	return ioa.NewTupleState(parts)
+}
+
 // checkInternAgreesWithKey explores a (bounded) and asserts, over
 // every ordered pair of visits, that interning equals Key() equality
 // and that fresh IDs arrive densely in insertion order.
@@ -81,6 +96,10 @@ func checkInternAgreesWithKey(t *testing.T, label string, a ioa.Automaton) {
 				t.Fatalf("%s: state %q got ID %d, want dense %d", label, s.Key(), id, want)
 			}
 			byKey[s.Key()] = id
+		}
+		// A copy whose key was never built streams to the same bytes.
+		if cid, cfresh := st.Intern(keyless(s)); cfresh || cid != byKey[s.Key()] {
+			t.Fatalf("%s: keyless copy of %q interned to %d fresh=%t, want %d", label, s.Key(), cid, cfresh, byKey[s.Key()])
 		}
 		// The probe view agrees with the writer view.
 		if pid, _, ok := st.NewProbe().Lookup(s); !ok || pid != byKey[s.Key()] {
@@ -118,9 +137,16 @@ func wrappedSystems(t *testing.T, seed int64, s1, s2, s3 uint8) map[string]ioa.A
 		t.Fatal(err)
 	}
 	clamped := faults.Clamp(a, "id", func(s ioa.State) ioa.State { return s })
+	// A composition of a (wrapped) composition: its states are tuples
+	// in tuples, whose inner keys nothing has asked for.
+	nested, err := ioa.Compose("AB·C", ioa.Hide(ab, ioa.NewSet("y")), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]ioa.Automaton{
 		"composed":  ab,
 		"composed3": abc,
+		"nested":    nested,
 		"hidden":    ioa.Hide(ab, ioa.NewSet("x")),
 		"renamed":   ren,
 		"crash":     crashed,

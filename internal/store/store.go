@@ -1,6 +1,8 @@
 // Package store provides a compact interned state store for
 // state-space exploration. Each state is encoded once into its
-// canonical byte representation (ioa.AppendState: the Key() bytes),
+// canonical byte representation (ioa.AppendState: the bytes of Key(),
+// built on demand — a tuple is streamed part by part and never owns a
+// key string unless something asks for one),
 // hashed with FNV-64a, and interned into arena-backed shards;
 // interning hands out dense uint64 IDs in insertion order. Explorers
 // keep their seen sets, BFS parent links, and witness reconstruction on
