@@ -126,9 +126,6 @@ func newReceiverState(expect int, deliver []string, ackDue int) *ReceiverState {
 // Key implements ioa.State.
 func (s *ReceiverState) Key() string { return s.key }
 
-// Expect returns the bit of the next acceptable message.
-func (s *ReceiverState) Expect() int { return s.expect }
-
 // Deliver returns the accepted kinds not yet delivered to the
 // process, in order.
 func (s *ReceiverState) Deliver() []string { return append([]string(nil), s.deliver...) }
@@ -415,19 +412,6 @@ func (h *Hardened) ReceiverStateOf(st ioa.State, from, to string) (*ReceiverStat
 		return nil, fmt.Errorf("dist: component %d is not a receiver state", i)
 	}
 	return lr, nil
-}
-
-// NetStateOf extracts the packet network's state.
-func (h *Hardened) NetStateOf(st ioa.State) (*faults.NetState, error) {
-	ts, ok := st.(*ioa.TupleState)
-	if !ok {
-		return nil, fmt.Errorf("dist: not a composite state")
-	}
-	ns, ok := ts.At(ts.Len() - 1).(*faults.NetState)
-	if !ok {
-		return nil, fmt.Errorf("dist: last component is not the network state")
-	}
-	return ns, nil
 }
 
 // InTransit is the abstract in-transit predicate of the possibilities

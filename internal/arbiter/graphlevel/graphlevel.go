@@ -77,18 +77,6 @@ func (s *State) HasGrant(v, w int) bool {
 // in reachable states, Lemma 35).
 func (s *State) Root() int { return s.root }
 
-// GrantEdge returns the directed edge (v,w) carrying the grant arrow,
-// or ok=false if none.
-func (s *State) GrantEdge() (v, w int, ok bool) {
-	for id, a := range s.arrows {
-		if a&bitGrant != 0 {
-			v, w = s.tree.Edge(id)
-			return v, w, true
-		}
-	}
-	return 0, 0, false
-}
-
 // RootCount returns the number of grant arrows in the state (Lemma 35
 // asserts this is always exactly 1).
 func (s *State) RootCount() int { return s.rootCount }

@@ -6,7 +6,6 @@
 package spec
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/ioa"
@@ -185,17 +184,4 @@ func E1(a ioa.Automaton, users Users) *proof.CondModule {
 func MutualExclusion(s ioa.State) bool {
 	_, ok := s.(*State)
 	return ok
-}
-
-// SortedRequesters lists the indices of requesting users, ascending; a
-// test convenience.
-func (s *State) SortedRequesters() []int {
-	var out []int
-	for i, r := range s.requesters {
-		if r {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

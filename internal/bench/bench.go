@@ -84,11 +84,6 @@ type Config struct {
 // scheduler, and returns response-time measurements.
 func Run(cfg Config) (*Result, error) {
 	t := cfg.Tree
-	userIDs := t.NodesOf(graph.User)
-	names := make([]string, len(userIDs))
-	for i, u := range userIDs {
-		names[i] = t.Node(u).Name
-	}
 	rootFrom := t.Neighbors(cfg.Holder)[0]
 	a2, err := graphlevel.NewWithOptions(t, rootFrom, cfg.Holder, graphlevel.Options{
 		CombineGrantRequest: cfg.Combine,
@@ -99,32 +94,70 @@ func Run(cfg Config) (*Result, error) {
 	// One fairness class per action: the b-bounded discipline then
 	// matches the per-condition bounds BndedFwdReq₂/BndedFwdGr₂ of
 	// §3.4 exactly.
-	perAction := func(a ioa.Action) string { return string(a) }
 	arb, err := ioa.Rename(a2.Relabel(perAction), graphlevel.F1(t))
 	if err != nil {
 		return nil, err
 	}
-	var env []*ioa.Prog
-	switch cfg.Load {
-	case Light:
-		env = users.LightLoad(names, cfg.Active)
-	case Heavy:
-		env = users.HeavyLoad(names)
-	default:
-		return nil, fmt.Errorf("bench: unknown load %d", cfg.Load)
-	}
-	comps := []ioa.Automaton{arb}
-	for _, u := range env {
-		comps = append(comps, u.Relabel(perAction))
-	}
-	closed, err := ioa.Compose("timed-arbiter", comps...)
+	closed, err := underLoad("timed-arbiter", []ioa.Automaton{arb}, userNames(t), cfg.Load, cfg.Active)
 	if err != nil {
 		return nil, err
 	}
 
+	maxSteps := cfg.MaxSteps
+	if maxSteps == 0 {
+		maxSteps = 200 * cfg.Grants * (t.EdgeCount() + 2)
+	}
 	res := &Result{First: math.NaN()}
-	pending := make(map[string]float64, len(names))
-	observe := func(x *ioa.Execution, now float64) {
+	tx, err := res.timed(closed, cfg.B, cfg.Seed, maxSteps, cfg.Grants, res.specObserver())
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Record {
+		res.Tx = tx
+	}
+	return res, nil
+}
+
+// perAction relabels an automaton to one fairness class per action.
+func perAction(a ioa.Action) string { return string(a) }
+
+// underLoad closes comps with the user automata of the load — active
+// is the one requester under Light — relabelled per action like the
+// arbiter they face.
+func underLoad(name string, comps []ioa.Automaton, names []string, load Load, active int) (ioa.Automaton, error) {
+	var env []*ioa.Prog
+	switch load {
+	case Light:
+		env = users.LightLoad(names, active)
+	case Heavy:
+		env = users.HeavyLoad(names)
+	default:
+		return nil, fmt.Errorf("bench: unknown load %d", load)
+	}
+	for _, u := range env {
+		comps = append(comps, u.Relabel(perAction))
+	}
+	return ioa.Compose(name, comps...)
+}
+
+// served records one grant answered resp after its request.
+func (res *Result) served(resp float64) {
+	res.Stats.Grants++
+	res.Stats.Sum += resp
+	if resp > res.Stats.Max {
+		res.Stats.Max = resp
+	}
+	if math.IsNaN(res.First) {
+		res.First = resp
+	}
+}
+
+// specObserver is the observer of a closed system speaking spec
+// actions: it times each user's request to its grant and counts the
+// two-parameter (edge) actions as messages.
+func (res *Result) specObserver() func(*ioa.Execution, float64) {
+	pending := make(map[string]float64)
+	return func(x *ioa.Execution, now float64) {
 		act := x.Acts[len(x.Acts)-1]
 		if len(act.Params()) != 1 {
 			if len(act.Params()) == 2 {
@@ -140,45 +173,35 @@ func Run(cfg Config) (*Result, error) {
 			}
 		case "grant":
 			if t0, ok := pending[u]; ok {
-				resp := now - t0
-				res.Stats.Grants++
-				res.Stats.Sum += resp
-				if resp > res.Stats.Max {
-					res.Stats.Max = resp
-				}
-				if math.IsNaN(res.First) {
-					res.First = resp
-				}
+				res.served(now - t0)
 				delete(pending, u)
 			}
 		}
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 200 * cfg.Grants * (t.EdgeCount() + 2)
-	}
+}
+
+// timed runs closed under the b-bounded lazy-adversary discipline —
+// every class firing within b of becoming continuously enabled, as
+// late as allowed — until observe has recorded grants responses, and
+// fails if maxSteps steps do not produce them.
+func (res *Result) timed(closed ioa.Automaton, b float64, seed int64, maxSteps, grants int, observe func(*ioa.Execution, float64)) (*sim.TimedExecution, error) {
 	runner := &sim.TimedRunner{
 		Auto:    closed,
-		Bounds:  sim.UniformBounds(cfg.B),
+		Bounds:  sim.UniformBounds(b),
 		Tempo:   sim.Lazy,
-		Seed:    cfg.Seed,
+		Seed:    seed,
 		Observe: observe,
 	}
-	tx, err := runner.Run(maxSteps, func(*sim.TimedExecution) bool {
-		return res.Stats.Grants >= cfg.Grants
-	})
+	tx, err := runner.Run(maxSteps, func(*sim.TimedExecution) bool { return res.Stats.Grants >= grants })
 	if err != nil {
 		return nil, err
 	}
-	if res.Stats.Grants < cfg.Grants {
-		return nil, fmt.Errorf("bench: only %d/%d grants after %d steps", res.Stats.Grants, cfg.Grants, tx.Exec.Len())
+	if res.Stats.Grants < grants {
+		return nil, fmt.Errorf("bench: %s produced %d/%d grants in %d steps", closed.Name(), res.Stats.Grants, grants, tx.Exec.Len())
 	}
 	res.Steps = tx.Exec.Len()
 	res.Duration = tx.Now()
-	if cfg.Record {
-		res.Tx = tx
-	}
-	return res, nil
+	return tx, nil
 }
 
 // FarthestHolderFrom returns the arbiter node maximizing tree distance
@@ -210,6 +233,20 @@ type Row struct {
 	MsgsPerGrant float64
 }
 
+// lightRun is the Theorem 50 configuration: the first user alone
+// requests, three times, with the holder placed farthest from it.
+func lightRun(t *graph.Tree, b float64, seed int64) (*Result, error) {
+	holder := FarthestHolderFrom(t, t.NodesOf(graph.User)[0])
+	return Run(Config{Tree: t, Holder: holder, Load: Light, Active: 0, B: b, Grants: 3, Seed: seed})
+}
+
+// heavyRun is the Theorem 52 configuration: every user requests
+// forever, the first arbiter node holding.
+func heavyRun(t *graph.Tree, b float64, grants int, combine bool, seed int64) (*Result, error) {
+	holder := t.NodesOf(graph.Arbiter)[0]
+	return Run(Config{Tree: t, Holder: holder, Load: Heavy, B: b, Grants: grants, Combine: combine, Seed: seed})
+}
+
 // Theorem50 sweeps light-load first-response times over trees built by
 // build (e.g. graph.BinaryTree or a line builder), checking the
 // 2bd bound of Theorem 50.
@@ -220,17 +257,7 @@ func Theorem50(sizes []int, b float64, build func(int) (*graph.Tree, error), see
 		if err != nil {
 			return nil, err
 		}
-		active := 0
-		uid := t.NodesOf(graph.User)[active]
-		res, err := Run(Config{
-			Tree:   t,
-			Holder: FarthestHolderFrom(t, uid),
-			Load:   Light,
-			Active: active,
-			B:      b,
-			Grants: 3,
-			Seed:   seed,
-		})
+		res, err := lightRun(t, b, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -254,15 +281,7 @@ func Theorem52(sizes []int, b float64, combine bool, seed int64) ([]Row, error) 
 		if err != nil {
 			return nil, err
 		}
-		res, err := Run(Config{
-			Tree:    t,
-			Holder:  t.NodesOf(graph.Arbiter)[0],
-			Load:    Heavy,
-			B:       b,
-			Grants:  6 * n,
-			Combine: combine,
-			Seed:    seed,
-		})
+		res, err := heavyRun(t, b, 6*n, combine, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -304,18 +323,11 @@ func Comparison(sizes []int, b float64, seed int64) ([]CompareRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		uid := t.NodesOf(graph.User)[0]
-		light, err := Run(Config{
-			Tree: t, Holder: FarthestHolderFrom(t, uid), Load: Light, Active: 0,
-			B: b, Grants: 3, Seed: seed,
-		})
+		light, err := lightRun(t, b, seed)
 		if err != nil {
 			return nil, err
 		}
-		heavy, err := Run(Config{
-			Tree: t, Holder: t.NodesOf(graph.Arbiter)[0], Load: Heavy,
-			B: b, Grants: 6 * n, Seed: seed,
-		})
+		heavy, err := heavyRun(t, b, 6*n, false, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -135,10 +135,10 @@ func Chaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	return rows, nil
 }
 
-// chaosSys abstracts over the plain and hardened systems: the hidden
-// automaton, the f₂ renaming, the h₂-style state function into A₂
-// over 𝒢, and access to per-process states.
-type chaosSys struct {
+// level3 abstracts over the plain and hardened level-3 systems: the
+// hidden automaton, the f₂ renaming, the h₂-style state function into
+// A₂ over 𝒢, and access to per-process states.
+type level3 struct {
 	base      ioa.Automaton
 	f2        *ioa.Mapping
 	order     []int
@@ -147,7 +147,9 @@ type chaosSys struct {
 	startEdge func() (int, int, error)
 }
 
-func buildChaosSys(t *graph.Tree, aug *graph.Tree, holder int, inj faults.Injection, hardened bool) (*chaosSys, error) {
+// buildLevel3 builds A₃ʳ (hardened) or A₃ over t, inj applied to the
+// channels; SystemOn and the chaos cells both start from it.
+func buildLevel3(t *graph.Tree, aug *graph.Tree, holder int, inj faults.Injection, hardened bool) (*level3, error) {
 	if hardened {
 		sys, err := dist.NewHardened(t, holder, inj)
 		if err != nil {
@@ -158,7 +160,7 @@ func buildChaosSys(t *graph.Tree, aug *graph.Tree, holder int, inj faults.Inject
 			return nil, err
 		}
 		m := mapping.NewH2RMap(sys, aug)
-		return &chaosSys{
+		return &level3{
 			base: sys.A3R, f2: f2, order: sys.Order,
 			procOf:    sys.ProcStateOf,
 			applyH2:   m.Apply,
@@ -174,7 +176,7 @@ func buildChaosSys(t *graph.Tree, aug *graph.Tree, holder int, inj faults.Inject
 		return nil, err
 	}
 	m := mapping.NewH2Map(sys, aug)
-	return &chaosSys{
+	return &level3{
 		base: sys.A3, f2: f2, order: sys.Order,
 		procOf:    sys.ProcStateOf,
 		applyH2:   m.Apply,
@@ -193,15 +195,12 @@ func chaosCell(cfg ChaosConfig, prof faults.Profile, seed int64, hardened bool) 
 	if err != nil {
 		return row, err
 	}
-	sys, err := buildChaosSys(t, aug, cfg.Holder, faults.Injection{Sched: sched}, hardened)
+	sys, err := buildLevel3(t, aug, cfg.Holder, faults.Injection{Sched: sched}, hardened)
 	if err != nil {
 		return row, err
 	}
 
-	var names []string
-	for _, u := range t.NodesOf(graph.User) {
-		names = append(names, t.Node(u).Name)
-	}
+	names := userNames(t)
 	a3x, err := ioa.Rename(sys.base, sys.f2)
 	if err != nil {
 		return row, err
@@ -372,7 +371,7 @@ type chaosSafety struct {
 // the aggregate verdicts it returns the per-state conjunction okAt
 // (workers write disjoint indices), from which the recovery analysis
 // measures outage lengths.
-func chaosSafetyScan(workers int, t *graph.Tree, sys *chaosSys, states []ioa.State) (chaosSafety, []bool, error) {
+func chaosSafetyScan(workers int, t *graph.Tree, sys *level3, states []ioa.State) (chaosSafety, []bool, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -523,12 +522,6 @@ func PrintChaos(w io.Writer, rows []ChaosRow) {
 	fmt.Fprintf(w, "%-22s %5s %-4s %6s %-12s %7s %4s %4s %4s %4s %4s %4s %8s %7s %5s %6s\n",
 		"faults", "seed", "sys", "steps", "grants", "starved", "ME",
 		"L35", "L36", "L41", "h2", "h1", "maxpend", "outage", "gap", "recov")
-	mark := func(b bool) string {
-		if b {
-			return "ok"
-		}
-		return "FAIL"
-	}
 	for _, r := range rows {
 		sysName := "A3"
 		if r.Hardened {
@@ -541,12 +534,12 @@ func PrintChaos(w io.Writer, rows []ChaosRow) {
 		}
 		recov := "-"
 		if r.RecoverWithin > 0 {
-			recov = mark(r.Recovered)
+			recov = okFail(r.Recovered)
 		}
 		fmt.Fprintf(w, "%-22s %5d %-4s %6d %-12s %7t %4s %4s %4s %4s %4s %4s %8s %7d %5d %6s\n",
 			r.Profile, r.Seed, sysName, r.Steps, grants, r.Starved,
-			mark(r.MutualExclusion), mark(r.Lemma35), mark(r.Lemma36),
-			mark(r.Lemma41), mark(r.RefinesA2), mark(r.RefinesA1), pend,
+			okFail(r.MutualExclusion), okFail(r.Lemma35), okFail(r.Lemma36),
+			okFail(r.Lemma41), okFail(r.RefinesA2), okFail(r.RefinesA1), pend,
 			r.MaxOutage, r.MaxServiceGap, recov)
 	}
 	fmt.Fprintln(w)

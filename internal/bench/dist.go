@@ -7,7 +7,6 @@ import (
 	"repro/internal/arbiter/dist"
 	"repro/internal/graph"
 	"repro/internal/ioa"
-	"repro/internal/sim"
 )
 
 // RunDist measures response times of the fully-distributed arbiter A₃
@@ -23,7 +22,6 @@ func RunDist(t *graph.Tree, holder int, load Load, b float64, grants int, seed i
 	if err != nil {
 		return nil, err
 	}
-	perAction := func(a ioa.Action) string { return string(a) }
 	comps := make([]ioa.Automaton, 0, len(sys.Order)+2)
 	for _, a := range sys.Order {
 		comps = append(comps, sys.Procs[a].Relabel(perAction))
@@ -65,15 +63,7 @@ func RunDist(t *graph.Tree, holder int, load Load, b float64, grants int, seed i
 		case "sendgrant":
 			if params[1][0] == 'u' {
 				if t0, ok := pending[params[1]]; ok {
-					resp := now - t0
-					res.Stats.Grants++
-					res.Stats.Sum += resp
-					if resp > res.Stats.Max {
-						res.Stats.Max = resp
-					}
-					if math.IsNaN(res.First) {
-						res.First = resp
-					}
+					res.served(now - t0)
 					delete(pending, params[1])
 				}
 			}
@@ -83,24 +73,9 @@ func RunDist(t *graph.Tree, holder int, load Load, b float64, grants int, seed i
 			}
 		}
 	}
-	runner := &sim.TimedRunner{
-		Auto:    closed,
-		Bounds:  sim.UniformBounds(b),
-		Tempo:   sim.Lazy,
-		Seed:    seed,
-		Observe: observe,
-	}
-	tx, err := runner.Run(400*grants*(t.EdgeCount()+2), func(*sim.TimedExecution) bool {
-		return res.Stats.Grants >= grants
-	})
-	if err != nil {
+	if _, err := res.timed(closed, b, seed, 400*grants*(t.EdgeCount()+2), grants, observe); err != nil {
 		return nil, err
 	}
-	if res.Stats.Grants < grants {
-		return nil, fmt.Errorf("bench: distributed run produced %d/%d grants", res.Stats.Grants, grants)
-	}
-	res.Steps = tx.Exec.Len()
-	res.Duration = tx.Now()
 	return res, nil
 }
 
@@ -171,9 +146,7 @@ func DistVsGraph(sizes []int, b float64, seed int64) ([]DistVsGraphRow, error) {
 			return nil, err
 		}
 		holder := tr.NodesOf(graph.Arbiter)[0]
-		a2res, err := Run(Config{
-			Tree: tr, Holder: holder, Load: Heavy, B: b, Grants: 5 * n, Seed: seed,
-		})
+		a2res, err := heavyRun(tr, b, 5*n, false, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -32,8 +32,10 @@ import (
 // strengthening decomposition (Base plus Library) that rediscovers it
 // CTI by CTI.
 type InductSystem struct {
-	// Name identifies the workload in rows and tests.
-	Name string
+	// Name identifies the workload in rows and tests; Users is the
+	// user or process count it was built at.
+	Name  string
+	Users int
 	// Auto is the certified automaton.
 	Auto ioa.Automaton
 	// Dom is the candidate domain Check streams.
@@ -123,7 +125,7 @@ func userParts(n int) [][]ioa.State {
 // 2^n·(n+1)·3^n states, 326,592 at n=6 — and the conjunction is
 // TypeOK ∧ Mutex ∧ HolderAgreement.
 func InductArbiter1(n int) (InductSystem, error) {
-	a, err := ExploreSystem(1, n)
+	a, err := closedSpec(n)
 	if err != nil {
 		return InductSystem{}, err
 	}
@@ -143,6 +145,7 @@ func InductArbiter1(n int) (InductSystem, error) {
 	base := lattice.Conj("Inv", arbiter1TypeOK(n), mutexLemma)
 	return InductSystem{
 		Name:      fmt.Sprintf("arbiter1(n=%d)", n),
+		Users:     n,
 		Auto:      a,
 		Dom:       domain.Tuple("arbiter1-typeok", parts),
 		Inv:       base.With(ha),
@@ -172,6 +175,7 @@ func InductDijkstra(n, k int) (InductSystem, error) {
 	})
 	return InductSystem{
 		Name:      fmt.Sprintf("dijkstra(n=%d,K=%d)", n, k),
+		Users:     n,
 		Auto:      r.Auto,
 		Dom:       r.StateDomain(),
 		Inv:       lattice.Conj("Legit", ge1, le1),
@@ -188,13 +192,7 @@ func InductDijkstra(n, k int) (InductSystem, error) {
 // process faces a waiting user (the lemma that keeps a grant from
 // landing on an idle user).
 func InductRing(n int) (InductSystem, error) {
-	names := spec.DefaultUsers(n)
-	sys, err := ring.New(names)
-	if err != nil {
-		return InductSystem{}, err
-	}
-	comps := append([]ioa.Automaton{sys.Arbiter}, users.Automata(users.HeavyLoad(names))...)
-	a, err := ioa.Compose("ring-closed", comps...)
+	a, err := closedRing(n)
 	if err != nil {
 		return InductSystem{}, err
 	}
@@ -286,6 +284,7 @@ func InductRing(n int) (InductSystem, error) {
 	}
 	return InductSystem{
 		Name:      fmt.Sprintf("lelann(n=%d)", n),
+		Users:     n,
 		Auto:      a,
 		Dom:       domain.Tuple("ring-typeok", parts),
 		Inv:       inv,
@@ -305,6 +304,7 @@ func InductLamport(n, maxClock, cap int) (InductSystem, error) {
 	}
 	return InductSystem{
 		Name:      fmt.Sprintf("lamport(n=%d,M=%d,C=%d)", n, maxClock, cap),
+		Users:     n,
 		Auto:      l.Auto,
 		Dom:       l.Domain(),
 		Inv:       l.Inv(),
@@ -322,26 +322,7 @@ func InductLamport(n, maxClock, cap int) (InductSystem, error) {
 // methods and as the battery's exercise of the lifted
 // domain.Reachable generator.
 func InductBurns(opts explore.Options) (InductSystem, error) {
-	sys, err := mutex.New()
-	if err != nil {
-		return InductSystem{}, err
-	}
-	comps := []ioa.Automaton{sys.Mutex}
-	for i := 0; i < 2; i++ {
-		i := i
-		d := ioa.NewDef("User" + string(rune('0'+i)))
-		d.Start(ioa.KeyState("rem"))
-		d.Output(mutex.Try(i), "u"+string(rune('0'+i)),
-			func(s ioa.State) bool { return s.Key() == "rem" },
-			func(ioa.State) ioa.State { return ioa.KeyState("trying") })
-		d.Input(mutex.Crit(i), func(s ioa.State) ioa.State { return ioa.KeyState("crit") })
-		d.Output(mutex.Exit(i), "u"+string(rune('0'+i)),
-			func(s ioa.State) bool { return s.Key() == "crit" },
-			func(ioa.State) ioa.State { return ioa.KeyState("exited") })
-		d.Input(mutex.Rem(i), func(s ioa.State) ioa.State { return ioa.KeyState("rem") })
-		comps = append(comps, d.MustBuild())
-	}
-	composed, err := ioa.Compose("mutex-closed", comps...)
+	composed, err := closedBurns()
 	if err != nil {
 		return InductSystem{}, err
 	}
@@ -361,6 +342,7 @@ func InductBurns(opts explore.Options) (InductSystem, error) {
 	})
 	return InductSystem{
 		Name:      "burns(reachable)",
+		Users:     2,
 		Auto:      a,
 		Dom:       domain.Reachable("reachable", a, nil, opts),
 		Inv:       lattice.Conj("Inv", clientMutex),

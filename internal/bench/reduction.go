@@ -8,19 +8,13 @@ package bench
 // as a coarse differential check (the fine-grained one is the battery
 // in internal/reduce).
 //
-// Topologies measured:
-//
-//   - arbiter1: the specification arbiter, quotiented by the full
-//     symmetric group Sₙ on its users (reduce.ArbiterUsers).
-//   - arbiter3: the distributed algorithm on graph.BinaryTree. Its
-//     round-robin sendgrant scan pins every node's neighbor circle, so
-//     the tree has no nontrivial sound symmetry — only the POR modes
-//     run, and the honest reduction is modest (the holder's visible
-//     grant is enabled in most states, forcing full expansion there).
-//   - arbiter3-star: the same algorithm on graph.Star, whose single
-//     neighbor circle makes the rotation group Zₙ a free automorphism
-//     group — reduce.StarRotation quotients the state space by exactly
-//     n (the headline ≥10x row at n ≥ 10).
+// Measured, each with the reducers of its catalogue entry: arbiter1
+// (the full symmetric group Sₙ on its users), arbiter3 on the binary
+// tree (no sound symmetry — only the POR modes run, and the honest
+// reduction is modest: the holder's visible grant is enabled in most
+// states, forcing full expansion there), and arbiter3-star, whose
+// rotation group Zₙ quotients the state space by exactly n (the
+// headline ≥10x row at n ≥ 10).
 
 import (
 	"context"
@@ -29,9 +23,7 @@ import (
 
 	"repro/internal/arbiter/users"
 	"repro/internal/explore"
-	"repro/internal/graph"
 	"repro/internal/ioa"
-	"repro/internal/reduce"
 	"repro/internal/store"
 )
 
@@ -57,79 +49,43 @@ type ReductionRow struct {
 	MutexOK bool `json:"mutex_ok"`
 }
 
-// reductionCase is one (system, n) instance with its reducers.
+// reductionCase is one (system, n) instance; its reducers are the
+// catalogue entry's.
 type reductionCase struct {
-	system string
+	system string // the row label
 	users  int
-	build  func() (ioa.Automaton, error)
+	sys    System
 	canon  store.Canonicalizer // nil: no sound symmetry, skip those modes
-	por    func(ioa.Automaton) (*reduce.POR, error)
 }
 
 // reductionCases lists the instances: arbiter1 at 6 users, the binary
 // tree at 5 and 6, the star at 8 and 12; smoke sizes under quick.
 func reductionCases(quick bool) ([]reductionCase, error) {
-	spec, tree, star := []int{6}, []int{5, 6}, []int{8, 12}
-	if quick {
-		spec, tree, star = []int{3}, []int{3}, []int{4}
-	}
 	var cases []reductionCase
-	for _, n := range spec {
-		n := n
-		canon, err := reduce.NewArbiterUsers(n)
+	for _, c := range []struct {
+		label, system string
+		users, quick  []int
+	}{
+		{"arbiter1", "arbiter1", []int{6}, []int{3}},
+		{"arbiter3", "arbiter3", []int{5, 6}, []int{3}},
+		{"arbiter3-star", "star", []int{8, 12}, []int{4}},
+	} {
+		sys, err := FindSystem(c.system)
 		if err != nil {
 			return nil, err
 		}
-		cases = append(cases, reductionCase{
-			system: "arbiter1",
-			users:  n,
-			build:  func() (ioa.Automaton, error) { return ExploreSystem(1, n) },
-			canon:  canon,
-			por: func(a ioa.Automaton) (*reduce.POR, error) {
-				return reduce.NewPOR(a, reduce.Options{Visible: reduce.HolderVisibility})
-			},
-		})
-	}
-	for _, n := range tree {
-		n := n
-		tr, err := graph.BinaryTree(n)
-		if err != nil {
-			return nil, err
+		if quick {
+			c.users = c.quick
 		}
-		cases = append(cases, reductionCase{
-			system: "arbiter3",
-			users:  n,
-			build:  func() (ioa.Automaton, error) { return ExploreSystem(3, n) },
-			por: func(a ioa.Automaton) (*reduce.POR, error) {
-				return reduce.NewPOR(a, reduce.Options{
-					Rules:   reduce.ArbiterRules(tr),
-					Visible: reduce.HolderVisibility,
-				})
-			},
-		})
-	}
-	for _, n := range star {
-		n := n
-		tr, err := graph.Star(n)
-		if err != nil {
-			return nil, err
+		for _, n := range c.users {
+			rc := reductionCase{system: c.label, users: n, sys: sys}
+			if sys.Canon != nil {
+				if rc.canon, err = sys.Canon(n); err != nil {
+					return nil, err
+				}
+			}
+			cases = append(cases, rc)
 		}
-		canon, err := reduce.NewStarRotation(n)
-		if err != nil {
-			return nil, err
-		}
-		cases = append(cases, reductionCase{
-			system: "arbiter3-star",
-			users:  n,
-			build:  func() (ioa.Automaton, error) { return StarSystem(n) },
-			canon:  canon,
-			por: func(a ioa.Automaton) (*reduce.POR, error) {
-				return reduce.NewPOR(a, reduce.Options{
-					Rules:   reduce.ArbiterRules(tr),
-					Visible: reduce.HolderVisibility,
-				})
-			},
-		})
 	}
 	return cases, nil
 }
@@ -192,7 +148,7 @@ func reductionMeasure(c reductionCase, cfg SweepConfig, mode string) (ReductionR
 	row := ReductionRow{System: c.system, Users: c.users, Mode: mode}
 	var states []ioa.State
 	ns, err := cfg.bestOf(func() (func() error, error) {
-		a, err := c.build()
+		a, err := c.sys.Build(Params{Users: c.users})
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +157,7 @@ func reductionMeasure(c reductionCase, cfg SweepConfig, mode string) (ReductionR
 			opts.Canon = c.canon
 		}
 		if mode == "por" || mode == "both" {
-			p, err := c.por(a)
+			p, err := c.sys.NewPOR(a, c.users)
 			if err != nil {
 				return nil, err
 			}

@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/arbiter/spec"
-	"repro/internal/arbiter/users"
 	"repro/internal/ioa"
 	"repro/internal/ring"
-	"repro/internal/sim"
 )
 
 // RunRing measures the token-ring arbiter (internal/ring) under the
@@ -19,78 +16,20 @@ import (
 // demand.
 func RunRing(n int, load Load, b float64, grants int, seed int64) (*Result, error) {
 	us := spec.DefaultUsers(n)
-	perAction := func(a ioa.Action) string { return string(a) }
 	comps := make([]ioa.Automaton, 0, 2*n)
 	for i, u := range us {
 		comps = append(comps, ring.NewProcess(i, n, u).Relabel(perAction))
 	}
-	var env []*ioa.Prog
-	switch load {
-	case Light:
-		// The requester sits half a ring away from the initial token
-		// (process 0) — the average-adversarial placement; a full lap
-		// bounds it either way.
-		env = users.LightLoad(us, n/2)
-	case Heavy:
-		env = users.HeavyLoad(us)
-	default:
-		return nil, fmt.Errorf("bench: unknown load %d", load)
-	}
-	for _, u := range env {
-		comps = append(comps, u.Relabel(perAction))
-	}
-	closed, err := ioa.Compose("timed-ring", comps...)
+	// Under light load the requester sits half a ring away from the
+	// initial token (process 0) — the average-adversarial placement; a
+	// full lap bounds it either way.
+	closed, err := underLoad("timed-ring", comps, us, load, n/2)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{First: math.NaN()}
-	pending := make(map[string]float64, n)
-	observe := func(x *ioa.Execution, now float64) {
-		act := x.Acts[len(x.Acts)-1]
-		if len(act.Params()) != 1 {
-			if len(act.Params()) == 2 {
-				res.EdgeMsgs++
-			}
-			return
-		}
-		u := act.Params()[0]
-		switch act.Base() {
-		case "request":
-			if _, dup := pending[u]; !dup {
-				pending[u] = now
-			}
-		case "grant":
-			if t0, ok := pending[u]; ok {
-				resp := now - t0
-				res.Stats.Grants++
-				res.Stats.Sum += resp
-				if resp > res.Stats.Max {
-					res.Stats.Max = resp
-				}
-				if math.IsNaN(res.First) {
-					res.First = resp
-				}
-				delete(pending, u)
-			}
-		}
-	}
-	runner := &sim.TimedRunner{
-		Auto:    closed,
-		Bounds:  sim.UniformBounds(b),
-		Tempo:   sim.Lazy,
-		Seed:    seed,
-		Observe: observe,
-	}
-	tx, err := runner.Run(300*grants*(n+2), func(*sim.TimedExecution) bool {
-		return res.Stats.Grants >= grants
-	})
-	if err != nil {
+	if _, err := res.timed(closed, b, seed, 300*grants*(n+2), grants, res.specObserver()); err != nil {
 		return nil, err
 	}
-	if res.Stats.Grants < grants {
-		return nil, fmt.Errorf("bench: ring produced %d/%d grants", res.Stats.Grants, grants)
-	}
-	res.Steps = tx.Exec.Len()
-	res.Duration = tx.Now()
 	return res, nil
 }

@@ -154,7 +154,7 @@ func stabilizeRows(cfg SweepConfig) ([]StabilizeRow, error) {
 	row, err := stabilizeCell(cfg,
 		StabilizeRow{System: "lelann", N: 3, Envelope: "crash(reset)"},
 		func() (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
-			return lelannCrashCell(cfg.explore())
+			return lelannCrashCell(3, cfg.explore())
 		})
 	if err != nil {
 		return nil, fmt.Errorf("bench: stabilize lelann: %w", err)
@@ -163,12 +163,14 @@ func stabilizeRows(cfg SweepConfig) ([]StabilizeRow, error) {
 	return rows, nil
 }
 
-// lelannCrashCell builds the LeLann negative control: the 3-process
+// lelannCrashCell builds the LeLann negative control: the n-process
 // token ring, with the corruption envelope generated by crash-restart
-// (Reset) wrappers around every process, projected back into the
-// clean composition's state space.
-func lelannCrashCell(opts explore.Options) (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
-	sys, err := ring.New(spec.DefaultUsers(3))
+// (Reset) wrappers around every process — the reachable states of the
+// wrapped ring, explored under opts — projected back into the clean
+// composition's state space. A lost token never regenerates, so the
+// case must fail certification.
+func lelannCrashCell(n int, opts explore.Options) (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
+	sys, err := ring.New(spec.DefaultUsers(n))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -186,6 +188,17 @@ func lelannCrashCell(opts explore.Options) (ioa.Automaton, func(ioa.State) bool,
 	env := domain.Reachable("crash(reset)", crashed, domain.TupleMap(domain.CrashInner), opts)
 	legit := func(s ioa.State) bool { return sys.TokenCount(s) == 1 }
 	return sys.Composite, legit, env, nil
+}
+
+// dijkstraCell builds the positive case: Dijkstra's K-state token
+// ring with n machines and modulus K = n, certified from its full K^n
+// corruption envelope.
+func dijkstraCell(n int, _ explore.Options) (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
+	r, err := ring.NewDijkstra(n, n)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return r.Auto, r.Legit, r.StateDomain(), nil
 }
 
 // okFail renders a verdict column.

@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/explore"
 	"repro/internal/testseed"
@@ -43,8 +42,6 @@ type SweepConfig struct {
 	Reps int
 	// Out receives the table (nil means os.Stdout).
 	Out io.Writer
-	// Now supplies the wall clock (nil means testseed.Now).
-	Now func() time.Time
 }
 
 // explore returns the engine options of the configuration.
@@ -57,19 +54,15 @@ func (c SweepConfig) explore() explore.Options {
 // returns the function to time; bestOf returns the least wall time in
 // nanoseconds over max(Reps, 1) repetitions.
 func (c SweepConfig) bestOf(rep func() (timed func() error, err error)) (int64, error) {
-	now := c.Now
-	if now == nil {
-		now = testseed.Now
-	}
 	var best int64
 	for r := 0; r < max(c.Reps, 1); r++ {
 		timed, err := rep()
 		if err != nil {
 			return 0, err
 		}
-		start := now()
+		start := testseed.Now()
 		err = timed()
-		elapsed := now().Sub(start).Nanoseconds()
+		elapsed := testseed.Now().Sub(start).Nanoseconds()
 		if err != nil {
 			return 0, err
 		}

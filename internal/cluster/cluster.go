@@ -104,9 +104,6 @@ type Config struct {
 	// Obs, when non-nil on the coordinator, receives cluster-wide
 	// progress: dist.* metrics and per-level Progress snapshots.
 	Obs *obs.Obs
-	// Now supplies wall time for barrier-wait measurement; nil means
-	// testseed.Now.
-	Now func() time.Time
 	// CorruptShard is the must-fail test hook: the worker routes every
 	// candidate to the wrong owner, which the receiving owners detect.
 	CorruptShard bool
@@ -561,10 +558,6 @@ func Work(ctx context.Context, cfg Config) error {
 	if cfg.Build == nil {
 		return fmt.Errorf("cluster: worker needs a Build hook")
 	}
-	now := cfg.Now
-	if now == nil {
-		now = testseed.Now
-	}
 	conn, err := dialRetry(ctx, cfg.Addr)
 	if err != nil {
 		return ctxErr(ctx, err)
@@ -648,7 +641,7 @@ func Work(ctx context.Context, cfg Config) error {
 		}
 
 		// Collect batches addressed to this rank until the barrier.
-		barrierStart := now()
+		barrierStart := testseed.Now()
 		refs := make([]ref, 0, len(sentEncs[rank]))
 		for i, e := range sentEncs[rank] {
 			refs = append(refs, ref{enc: e, from: rank, idx: int32(i)})
@@ -671,7 +664,7 @@ func Work(ctx context.Context, cfg Config) error {
 				refs = append(refs, ref{enc: e, from: m.From, idx: m.Base + int32(i)})
 			}
 		}
-		barrierNS := now().Sub(barrierStart).Nanoseconds()
+		barrierNS := testseed.Now().Sub(barrierStart).Nanoseconds()
 
 		// Phase B: owner dedup. Sorting by (enc, from, idx) makes both
 		// the interning order and the winner choice canonical.
@@ -722,7 +715,7 @@ func Work(ctx context.Context, cfg Config) error {
 		}
 
 		// Collect win lists addressed to this rank.
-		barrierStart = now()
+		barrierStart = testseed.Now()
 		myWins := make([][]int32, procs)
 		myWins[rank] = wins[rank]
 		for {
@@ -741,7 +734,7 @@ func Work(ctx context.Context, cfg Config) error {
 			}
 			myWins[m.From] = append(myWins[m.From], m.Win...)
 		}
-		barrierNS += now().Sub(barrierStart).Nanoseconds()
+		barrierNS += testseed.Now().Sub(barrierStart).Nanoseconds()
 
 		// Phase C: assemble the next frontier from winning candidates,
 		// check the invariant, and report the level.

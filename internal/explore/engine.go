@@ -130,9 +130,6 @@ type Engine struct {
 // New builds an Engine from opts.
 func New(opts Options) *Engine { return &Engine{opts: opts} }
 
-// Opts returns the engine's options.
-func (e *Engine) Opts() Options { return e.opts }
-
 // seenErr wraps a latched storage error for return from an engine
 // method.
 func seenErr(a ioa.Automaton, err error) error {

@@ -8,7 +8,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -540,17 +539,6 @@ func Figure32() (*Tree, error) {
 	b.AddEdge(a2, a3)
 	b.AddEdge(a3, u3)
 	return b.Build()
-}
-
-// SortedNames returns node names of the given IDs, sorted; a test
-// convenience.
-func (t *Tree) SortedNames(ids []int) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = t.nodes[id].Name
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Random builds a pseudo-random tree with nArb arbiter nodes and

@@ -61,15 +61,9 @@ func (s *LamportState) Key() string { return s.key }
 // N returns the process count.
 func (s *LamportState) N() int { return s.n }
 
-// Clock returns p's logical clock.
-func (s *LamportState) Clock(p int) int { return s.clock[p] }
-
 // Rec returns p's record of q's request stamp (own stamp when q==p;
 // 0 when none).
 func (s *LamportState) Rec(p, q int) int { return s.req[p*s.n+q] }
-
-// AckMask returns p's ack bitmask.
-func (s *LamportState) AckMask(p int) uint { return s.ack[p] }
 
 // Crit reports whether p is in its critical section.
 func (s *LamportState) Crit(p int) bool { return s.crit[p] }

@@ -194,9 +194,6 @@ func newProcState(pc string) *procState {
 // Key implements ioa.State.
 func (s *procState) Key() string { return s.key }
 
-// PC returns the process's program counter, for invariant checks.
-func (s *procState) PC() string { return s.pc }
-
 // NewProcess builds Peterson process i (with peer j = 1−i):
 //
 //	on try(i):  flag_i := 1; turn := j;

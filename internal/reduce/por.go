@@ -15,8 +15,8 @@ package reduce
 // refined per leaf by a slot function (Options.Slots) when a single
 // leaf automaton is really a bundle of independent resources — the
 // distributed arbiter's message system is one Prog holding every
-// channel queue, and ChannelSlots splits its actions by (from, to) so
-// traffic on distinct channels stays independent.
+// channel queue, and slotting its actions by (from, to) keeps traffic
+// on distinct channels independent.
 //
 // Per state s, a Selector builds candidate stubborn sets T by closure
 // from each enabled seed action, in sorted action order:
@@ -102,20 +102,6 @@ type Options struct {
 	// reduced exploration loses reachable states. Never set it in
 	// production paths.
 	UnsoundNoProviso bool
-}
-
-// ChannelSlots slots message-system actions by their (from, to)
-// parameters, so sends and receives on the same channel conflict while
-// distinct channels stay independent. Sound for leaves like the
-// arbiter's message automaton, whose state is one FIFO queue per
-// channel and whose every action carries (from, to) as its first two
-// parameters; actions with fewer parameters fall into one shared slot.
-func ChannelSlots(a ioa.Action) string {
-	p := a.Params()
-	if len(p) >= 2 {
-		return p[0] + "\x00" + p[1]
-	}
-	return ""
 }
 
 // LeafRules refines the analysis of one leaf automaton beyond the
@@ -375,10 +361,6 @@ func NewPOR(a ioa.Automaton, opts Options) (*POR, error) {
 	}
 	return p, nil
 }
-
-// Leaves reports how many component leaves the analysis found (for
-// diagnostics and bench rows).
-func (p *POR) Leaves() int { return len(p.leaves) }
 
 // NewSelector mints a per-goroutine ample-set selector. The returned
 // function matches explore.Ampler: given a state, its sorted enabled

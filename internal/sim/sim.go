@@ -151,13 +151,6 @@ func NewRandom(seed int64) *Random {
 	return &Random{rng: testseed.Source(seed)}
 }
 
-// NewRandomFrom builds a random policy around an injected generator,
-// for callers that already own a seeded stream (tests deriving from
-// testseed.Rand, or a runner splitting one seed across policies).
-func NewRandomFrom(rng *rand.Rand) *Random {
-	return &Random{rng: rng}
-}
-
 // Choose implements Policy.
 func (r *Random) Choose(a ioa.Automaton, s ioa.State, enabledClasses []int) Choice {
 	ci := enabledClasses[r.rng.Intn(len(enabledClasses))]

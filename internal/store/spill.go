@@ -77,9 +77,6 @@ type SpillOptions struct {
 	// BlockEvery is the restart interval in entries (sparse-index
 	// granularity); 0 means 16.
 	BlockEvery int
-	// BloomBitsPerKey sizes each run's bloom filter; 0 means 10
-	// (~1% false-positive rate at 6 probes).
-	BloomBitsPerKey int
 	// Canon, when non-nil, canonicalizes states before encoding, as in
 	// store.Options.
 	Canon Canonicalizer
@@ -217,13 +214,12 @@ func (h *spillHot) reset() {
 
 // A Spill is the disk-spilling SeenSet implementation.
 type Spill struct {
-	opts        SpillOptions
-	dir         string
-	ownDir      bool
-	canon       Canonicalizer
-	budget      int64
-	blockEvery  int
-	bloomPerKey int
+	opts       SpillOptions
+	dir        string
+	ownDir     bool
+	canon      Canonicalizer
+	budget     int64
+	blockEvery int
 
 	hot         spillHot
 	hotBytes    int64
@@ -255,22 +251,18 @@ func NewSpill(opts SpillOptions) (*Spill, error) {
 		return nil, fmt.Errorf("store: spill dir: %w", err)
 	}
 	sp := &Spill{
-		opts:        opts,
-		dir:         dir,
-		ownDir:      ownDir,
-		canon:       opts.Canon,
-		budget:      opts.MemBudget,
-		blockEvery:  opts.BlockEvery,
-		bloomPerKey: opts.BloomBitsPerKey,
+		opts:       opts,
+		dir:        dir,
+		ownDir:     ownDir,
+		canon:      opts.Canon,
+		budget:     opts.MemBudget,
+		blockEvery: opts.BlockEvery,
 	}
 	if sp.budget <= 0 {
 		sp.budget = DefaultSpillBudget
 	}
 	if sp.blockEvery <= 0 {
 		sp.blockEvery = defaultBlockEvery
-	}
-	if sp.bloomPerKey <= 0 {
-		sp.bloomPerKey = defaultBloomPerKey
 	}
 	sp.hot.init()
 	return sp, nil
@@ -521,7 +513,7 @@ func (rw *runWriter) finish() (*runMeta, error) {
 		rw.f.Close()
 		return nil, fmt.Errorf("store: spill run %s: %w", rw.path, err)
 	}
-	filter := newBloom(rw.count, rw.sp.bloomPerKey)
+	filter := newBloom(rw.count, defaultBloomPerKey)
 	for _, h := range rw.hashes {
 		filter.add(h)
 	}
