@@ -38,12 +38,11 @@
 // (Dijkstra 8^8 = 16.7M, Lamport 9.1M at channel capacity 2) in O(1)
 // resident memory; -quick drops them (BENCH_induct.json).
 //
-// The reduction sweep (E20) measures symmetry quotienting and
-// ample-set partial-order reduction against unreduced exploration on
-// the closed arbiter systems (spec arbiter under Sₙ, binary-tree and
-// star level-3 under POR, the star additionally under its free Zₙ
+// The reduction sweep (E20) measures symmetry quotienting against
+// unreduced exploration on the closed arbiter systems with a sound
+// symmetry (spec arbiter under Sₙ, star level-3 under its free Zₙ
 // rotation group), cross-checking the mutual-exclusion verdict in
-// every mode (BENCH_reduction.json). With -quick the sweep shrinks to
+// both modes (BENCH_reduction.json). With -quick the sweep shrinks to
 // smoke sizes.
 //
 // The stabilize sweep (E19) certifies self-stabilization:

@@ -10,7 +10,7 @@
 //	       [-grid-base m] [-grid-digits k]
 //	       [-faults drop=0.1,dup=0.05,delay=3] [-fault-seed n]
 //	       [-trace] [-json] [-dot] [-reach] [-stabilize] [-induct]
-//	       [-workers n] [-limit n] [-symmetry] [-por]
+//	       [-workers n] [-limit n] [-symmetry]
 //	       [-spill-dir dir] [-spill-mem-mb n]
 //	       [-dist-listen host:port -dist-workers n [-dist-spawn]]
 //	       [-dist-join host:port [-dist-corrupt]]
@@ -19,10 +19,10 @@
 //
 // Two tables decide what an invocation means. The catalogue
 // (bench.Systems) says which systems exist and which of them carry a
-// symmetry, semantic POR rules, an inductive conjunction, a
-// stabilization case or fault-injectable channels; the mode table
-// (modes.go) says which flag selects which entry point and which of
-// -faults, -symmetry and -por it takes. -reach, -dot, -stabilize and
+// symmetry, an inductive conjunction, a stabilization case or
+// fault-injectable channels; the mode table (modes.go) says which flag
+// selects which entry point and which of -faults, -symmetry and
+// -spill-dir it takes. -reach, -dot, -stabilize and
 // -induct each select a mode — give at most one — and `ioasim -h` and
 // every rejection list the systems a flag applies to. README.md walks
 // through each mode.
@@ -99,7 +99,7 @@ type config struct {
 	seed, faultSd                    int64
 	trace, jsonOut                   bool
 	dotOut, reach, stabilize, induct bool // the mode flags, with distJoin and distListen
-	symmetry, por                    bool
+	symmetry                         bool
 	explore                          explore.Options
 
 	distListen, distJoin   string
@@ -153,7 +153,6 @@ func main() {
 	flag.Parse()
 	cfg.explore = ex.Options()
 	cfg.symmetry = ex.Symmetry()
-	cfg.por = ex.POR()
 	cfg.distListen = ex.DistListen()
 	cfg.distWorkers = ex.DistWorkers()
 	cfg.distJoin = ex.DistJoin()
@@ -236,7 +235,6 @@ func run(cfg config, out io.Writer) error {
 		Workers:  cfg.explore.Workers,
 		Limit:    cfg.explore.Limit,
 		Symmetry: cfg.symmetry,
-		POR:      cfg.por,
 		Flags:    cfg.flags,
 	}
 	started := testseed.Now()

@@ -33,13 +33,14 @@ type mode struct {
 	// supports reports whether a system has the hook the mode runs
 	// (nil: every system does).
 	supports func(bench.System) bool
-	// faults, symmetry and por are "" when the mode takes the flag —
-	// the system permitting: -faults needs injectable channels and
+	// faults and symmetry are "" when the mode takes the flag — the
+	// system permitting: -faults needs injectable channels and
 	// -symmetry the canonicalizer canon picks — and otherwise say why
-	// it does not apply.
-	faults, symmetry, por string
-	canon                 func(bench.System) bench.CanonFunc
-	run                   func(*invocation) error
+	// it does not apply. spill does the same for -spill-dir, which only
+	// the modes that open a disk-backed seen set take.
+	faults, symmetry, spill string
+	canon                   func(bench.System) bench.CanonFunc
+	run                     func(*invocation) error
 }
 
 func hasFaults(s bench.System) bool    { return s.Faulty }
@@ -56,7 +57,6 @@ func stabilizeCanon(s bench.System) bench.CanonFunc {
 
 const (
 	concrete = "it follows the concrete transition graph; reductions apply to -reach"
-	noGlobal = "ample sets need a global transition view"
 	walksDom = "induction walks the candidate domain, not the transition graph"
 )
 
@@ -64,21 +64,22 @@ const (
 // flag is set runs, and the last row is the default.
 var modes = []mode{
 	{name: "dist-worker", flag: "-dist-join", set: func(c *config) bool { return c.distJoin != "" },
-		sharded: true, por: noGlobal, canon: exploreCanon, run: workerRun},
+		sharded: true, canon: exploreCanon, run: workerRun},
 	{name: "dist-coordinate", flag: "-dist-listen", set: func(c *config) bool { return c.distListen != "" },
-		sharded: true, needsReach: true, por: noGlobal, canon: exploreCanon, run: coordRun},
+		sharded: true, needsReach: true, canon: exploreCanon, run: coordRun},
 	{name: "stabilize", flag: "-stabilize", set: func(c *config) bool { return c.stabilize },
 		supports: hasStabilize, canon: stabilizeCanon, run: stabilizeRun,
 		faults: "it certifies state-corruption envelopes, not channel faults",
-		por:    "convergence bounds need the full transition graph"},
+		spill:  "convergence bounds need the whole transition graph in RAM"},
 	{name: "induct", flag: "-induct", set: func(c *config) bool { return c.induct },
-		supports: hasInduct, faults: "it certifies the fault-free system", symmetry: walksDom, por: walksDom, run: inductRun},
+		supports: hasInduct, faults: "it certifies the fault-free system", symmetry: walksDom, run: inductRun,
+		spill: "induction streams its candidate domain and keeps no seen set"},
 	{name: "dot", flag: "-dot", set: func(c *config) bool { return c.dotOut },
-		symmetry: concrete, por: concrete, run: dotRun},
+		symmetry: concrete, spill: "it draws at most 4096 states, from RAM", run: dotRun},
 	{name: "reach", flag: "-reach", set: func(c *config) bool { return c.reach },
 		canon: exploreCanon, run: reachRun},
 	{name: "simulate", set: func(*config) bool { return true },
-		symmetry: concrete, por: concrete, run: simulateRun},
+		symmetry: concrete, spill: "a simulation keeps no seen set", run: simulateRun},
 }
 
 // selectMode returns the first row whose flag is set.
@@ -114,7 +115,7 @@ func (m *mode) admit(cfg *config, sys bench.System, prof faults.Profile) error {
 		{m.flag, true, "", m.supports},
 		{"-faults", !prof.Zero(), m.faults, hasFaults},
 		{"-symmetry", cfg.symmetry, m.symmetry, func(s bench.System) bool { return m.canon != nil && m.canon(s) != nil }},
-		{"-por", cfg.por, m.por, nil},
+		{"-spill-dir", cfg.explore.Spill != nil, m.spill, nil},
 	} {
 		switch {
 		case !c.given:
@@ -194,16 +195,10 @@ func dotRun(inv *invocation) error {
 	return eng.WriteDOT(context.Background(), inv.out, auto)
 }
 
-// reachRun explores the reachable state space in this process. A
-// system with residual environment inputs (mutex's unpaired register
-// invocations) is wrapped in explore.ClosedWorld under -por — POR is
-// only defined for closed systems, and the wrapper's name suffix makes
-// the changed baseline visible in the report. With -spill-dir a
-// canonically decodable system runs the external census — frontier
-// and seen set both on disk, O(spill budget) resident memory
-// regardless of state count; the census refuses -por (no freshness
-// oracle over disk frontiers), which Reach honours over the spilled
-// set.
+// reachRun explores the reachable state space in this process. With
+// -spill-dir a canonically decodable system runs the external census —
+// frontier and seen set both on disk, O(spill budget) resident memory
+// regardless of state count.
 func reachRun(inv *invocation) error {
 	auto, err := inv.build()
 	if err != nil {
@@ -211,19 +206,11 @@ func reachRun(inv *invocation) error {
 	}
 	opts := inv.cfg.explore
 	opts.Obs, opts.Canon = inv.o, inv.canon
-	if inv.cfg.por {
-		if auto.Sig().Inputs().Len() > 0 {
-			auto = explore.ClosedWorld(auto)
-		}
-		if opts.Ample, err = inv.sys.NewPOR(auto, inv.cfg.nUsers); err != nil {
-			return err
-		}
-	}
 	rep := reachReport{name: auto.Name(), depth: -1, budget: opts.Limit}
 	dec, decodable := auto.(interface {
 		Decode([]byte) (ioa.State, error)
 	})
-	if opts.Spill != nil && opts.Ample == nil && decodable {
+	if opts.Spill != nil && decodable {
 		opts.Decode = dec.Decode
 		var sum explore.Summary
 		sum, err = explore.New(opts).Census(context.Background(), auto, nil, nil)

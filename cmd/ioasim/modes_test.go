@@ -13,6 +13,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/explore"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // TestReachExploresOnce pins the one exploration per in-RAM -reach:
@@ -49,6 +50,22 @@ func TestReachExploresOnce(t *testing.T) {
 	}
 }
 
+// TestReachQuotesFirstQuiescentKey: state keys may be raw bytes (grid
+// keys are digit bytes), so the report prints the first quiescent
+// state's key quoted.
+func TestReachQuotesFirstQuiescentKey(t *testing.T) {
+	cfg := smoke("grid")
+	cfg.gridK, cfg.reach = 2, true
+	var out bytes.Buffer
+	if err := run(cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	want := "grid-3x2: 9 reachable states\n1 quiescent states (nothing locally controlled enabled); first: \"\\x02\\x02\"\n"
+	if out.String() != want {
+		t.Errorf("report %q, want %q", out.String(), want)
+	}
+}
+
 // modeFlags sets a mode's selecting flag on a config, by the flag the
 // mode table names; a row the map lacks fails TestModeMatrix.
 var modeFlags = map[string]func(*config){
@@ -72,13 +89,15 @@ func smoke(system string) config {
 }
 
 // TestModeMatrix walks every catalogue system × every single-process
-// mode × {plain, -faults, -symmetry, -por} at smoke size. What must
+// mode × {plain, -faults, -symmetry, -spill-dir} at smoke size. What must
 // happen is read off the two tables alone: a combination the mode row
 // and the catalogue entry both take runs (a truncation or a printed
 // negative verdict is a run), and any other is rejected before
 // anything is printed, in a text naming the offending flag — never a
 // panic, never a flag silently ignored.
 func TestModeMatrix(t *testing.T) {
+	// A refused -spill-dir must not even be created.
+	spillDir := filepath.Join(t.TempDir(), "spill")
 	cross := []struct {
 		flag  string
 		apply func(*config)
@@ -89,8 +108,8 @@ func TestModeMatrix(t *testing.T) {
 			func(m *mode, s bench.System) bool { return m.faults == "" && s.Faulty }},
 		{"-symmetry", func(c *config) { c.symmetry = true },
 			func(m *mode, s bench.System) bool { return m.symmetry == "" && m.canon != nil && m.canon(s) != nil }},
-		{"-por", func(c *config) { c.por = true },
-			func(m *mode, s bench.System) bool { return m.por == "" }},
+		{"-spill-dir", func(c *config) { c.explore.Spill = &store.SpillOptions{Dir: spillDir, MemBudget: 1 << 20} },
+			func(m *mode, s bench.System) bool { return m.spill == "" }},
 	}
 	for _, sys := range bench.Systems() {
 		for i := range modes {
@@ -123,24 +142,26 @@ func TestModeMatrix(t *testing.T) {
 					t.Errorf("%s: rejection %q (after printing %d bytes) should name %s and precede all output",
 						name, err, out.Len(), want)
 				}
+				if _, serr := os.Stat(spillDir); want == "-spill-dir" && serr == nil {
+					t.Fatalf("%s: refused -spill-dir, yet created %s", name, spillDir)
+				}
+				if err := os.RemoveAll(spillDir); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
 }
 
 // TestModeRejections covers the mode-level rules of the table: a
-// coordinator needs -reach, the sharded modes refuse -por, and two
-// mode flags at once are an error rather than a silent precedence.
+// coordinator needs -reach, and two mode flags at once are an error rather than a silent precedence.
 // Every case is rejected before a listener is bound or a peer dialed.
 func TestModeRejections(t *testing.T) {
 	for _, c := range []struct {
 		flags []string // modeFlags keys
-		por   bool
 		names []string // what the rejection must name
 	}{
 		{flags: []string{"-dist-listen"}, names: []string{"-dist-listen", "-reach"}},
-		{flags: []string{"-dist-listen", "-reach"}, por: true, names: []string{"-por", "dist-coordinate"}},
-		{flags: []string{"-dist-join"}, por: true, names: []string{"-por", "dist-worker"}},
 		{flags: []string{"-dist-join", "-dist-listen", "-reach"}, names: []string{"-dist-join", "-dist-listen"}},
 		{flags: []string{"-dist-listen", "-reach", "-stabilize"}, names: []string{"-dist-listen", "-stabilize"}},
 		{flags: []string{"-stabilize", "-induct"}, names: []string{"-stabilize", "-induct"}},
@@ -149,19 +170,18 @@ func TestModeRejections(t *testing.T) {
 		{flags: []string{"-dot", "-reach"}, names: []string{"-dot", "-reach"}},
 	} {
 		cfg := smoke("dijkstra")
-		cfg.por = c.por
 		for _, f := range c.flags {
 			modeFlags[f](&cfg)
 		}
 		var out bytes.Buffer
 		err := run(cfg, &out)
 		if err == nil || out.Len() > 0 {
-			t.Errorf("%v por=%t: err = %v after %d bytes of output, want a rejection", c.flags, c.por, err, out.Len())
+			t.Errorf("%v: err = %v after %d bytes of output, want a rejection", c.flags, err, out.Len())
 			continue
 		}
 		for _, n := range c.names {
 			if !strings.Contains(err.Error(), n) {
-				t.Errorf("%v por=%t: rejection %q does not name %s", c.flags, c.por, err, n)
+				t.Errorf("%v: rejection %q does not name %s", c.flags, err, n)
 			}
 		}
 	}
@@ -191,8 +211,8 @@ func TestCatalogueDocs(t *testing.T) {
 		return "–"
 	}
 	for _, s := range bench.Systems() {
-		row := fmt.Sprintf("| `%s` | %s | %s | %s | %s | %s |", s.Name, mark(s.Faulty), mark(s.Canon != nil),
-			mark(s.POR != nil), mark(s.Induct != nil), mark(s.Stabilize != nil))
+		row := fmt.Sprintf("| `%s` | %s | %s | %s | %s |", s.Name, mark(s.Faulty), mark(s.Canon != nil),
+			mark(s.Induct != nil), mark(s.Stabilize != nil))
 		if !strings.Contains(string(readme), row) {
 			t.Errorf("README.md catalogue table lacks the row %q", row)
 		}

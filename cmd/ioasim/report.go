@@ -72,7 +72,7 @@ func (r reachReport) print(inv *invocation, err error) error {
 	}
 	first := ""
 	if r.first != "" {
-		first = "; first: " + r.first
+		first = fmt.Sprintf("; first: %q", r.first)
 	}
 	if r.quiescent == 0 {
 		fmt.Fprintln(out, "no quiescent states")

@@ -1,20 +1,18 @@
 package bench
 
 // Reduction sweep (E20): state-count and wall-time ratios of symmetry
-// quotienting and ample-set partial-order reduction against the
-// unreduced exploration, on the closed arbiter systems. Every row
-// re-checks the mutual-exclusion invariant, and the sweep fails if any
-// reduced mode disagrees with the unreduced verdict — the bench doubles
-// as a coarse differential check (the fine-grained one is the battery
-// in internal/reduce).
+// quotienting against the unreduced exploration, on the closed arbiter
+// systems with a sound symmetry. Every row re-checks the
+// mutual-exclusion invariant, and the sweep fails if the quotient
+// disagrees with the unreduced verdict — the bench doubles as a coarse
+// differential check (the fine-grained one is the battery in
+// internal/reduce).
 //
-// Measured, each with the reducers of its catalogue entry: arbiter1
-// (the full symmetric group Sₙ on its users), arbiter3 on the binary
-// tree (no sound symmetry — only the POR modes run, and the honest
-// reduction is modest: the holder's visible grant is enabled in most
-// states, forcing full expansion there), and arbiter3-star, whose
-// rotation group Zₙ quotients the state space by exactly n (the
-// headline ≥10x row at n ≥ 10).
+// Measured, each with the canonicalizer of its catalogue entry:
+// arbiter1 (the full symmetric group Sₙ on its users) and
+// arbiter3-star, whose rotation group Zₙ quotients the state space by
+// exactly n (the headline ≥10x row at n ≥ 10). The binary tree has no
+// sound symmetry and so no row.
 
 import (
 	"context"
@@ -29,11 +27,11 @@ import (
 
 // ReductionRow is one measurement of the reduction sweep.
 type ReductionRow struct {
-	// System is arbiter1, arbiter3, or arbiter3-star.
+	// System is arbiter1 or arbiter3-star.
 	System string `json:"system"`
 	// Users is the number of user automata.
 	Users int `json:"users"`
-	// Mode is full, symmetry, por, or both.
+	// Mode is full or symmetry.
 	Mode string `json:"mode"`
 	// States is the number of states explored under this mode.
 	States int `json:"states"`
@@ -49,17 +47,17 @@ type ReductionRow struct {
 	MutexOK bool `json:"mutex_ok"`
 }
 
-// reductionCase is one (system, n) instance; its reducers are the
+// reductionCase is one (system, n) instance; its canonicalizer is the
 // catalogue entry's.
 type reductionCase struct {
 	system string // the row label
 	users  int
 	sys    System
-	canon  store.Canonicalizer // nil: no sound symmetry, skip those modes
+	canon  store.Canonicalizer
 }
 
-// reductionCases lists the instances: arbiter1 at 6 users, the binary
-// tree at 5 and 6, the star at 8 and 12; smoke sizes under quick.
+// reductionCases lists the instances: arbiter1 at 6 users, the star at
+// 8 and 12; smoke sizes under quick.
 func reductionCases(quick bool) ([]reductionCase, error) {
 	var cases []reductionCase
 	for _, c := range []struct {
@@ -67,7 +65,6 @@ func reductionCases(quick bool) ([]reductionCase, error) {
 		users, quick  []int
 	}{
 		{"arbiter1", "arbiter1", []int{6}, []int{3}},
-		{"arbiter3", "arbiter3", []int{5, 6}, []int{3}},
 		{"arbiter3-star", "star", []int{8, 12}, []int{4}},
 	} {
 		sys, err := FindSystem(c.system)
@@ -78,13 +75,11 @@ func reductionCases(quick bool) ([]reductionCase, error) {
 			c.users = c.quick
 		}
 		for _, n := range c.users {
-			rc := reductionCase{system: c.label, users: n, sys: sys}
-			if sys.Canon != nil {
-				if rc.canon, err = sys.Canon(n); err != nil {
-					return nil, err
-				}
+			canon, err := sys.Canon(n)
+			if err != nil {
+				return nil, err
 			}
-			cases = append(cases, rc)
+			cases = append(cases, reductionCase{system: c.label, users: n, sys: sys, canon: canon})
 		}
 	}
 	return cases, nil
@@ -108,7 +103,7 @@ func MutexInvariant(s ioa.State) bool {
 	return holding <= 1
 }
 
-// reductionRows measures every case under each applicable mode and
+// reductionRows measures every case unreduced and quotiented, and
 // cross-checks the invariant verdicts.
 func reductionRows(cfg SweepConfig) ([]ReductionRow, error) {
 	cases, err := reductionCases(cfg.Quick)
@@ -117,12 +112,8 @@ func reductionRows(cfg SweepConfig) ([]ReductionRow, error) {
 	}
 	var rows []ReductionRow
 	for _, c := range cases {
-		modes := []string{"full", "por"}
-		if c.canon != nil {
-			modes = []string{"full", "symmetry", "por", "both"}
-		}
 		var full ReductionRow
-		for _, mode := range modes {
+		for _, mode := range []string{"full", "symmetry"} {
 			row, err := reductionMeasure(c, cfg, mode)
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d %s: %w", c.system, c.users, mode, err)
@@ -153,15 +144,8 @@ func reductionMeasure(c reductionCase, cfg SweepConfig, mode string) (ReductionR
 			return nil, err
 		}
 		opts := cfg.explore()
-		if mode == "symmetry" || mode == "both" {
+		if mode == "symmetry" {
 			opts.Canon = c.canon
-		}
-		if mode == "por" || mode == "both" {
-			p, err := c.sys.NewPOR(a, c.users)
-			if err != nil {
-				return nil, err
-			}
-			opts.Ample = p
 		}
 		eng := explore.New(opts)
 		return func() (err error) {
@@ -189,8 +173,8 @@ func reductionMeasure(c reductionCase, cfg SweepConfig, mode string) (ReductionR
 // dominates the run.
 var reductionSweep = sweepOf[ReductionRow]{
 	name:        "reduction",
-	description: "symmetry quotient and ample-set POR vs unreduced exploration (E20)",
-	title:       "Reduction sweep — symmetry quotient and ample-set POR vs unreduced (E20)",
+	description: "symmetry quotient vs unreduced exploration (E20)",
+	title:       "Reduction sweep — symmetry quotient vs unreduced (E20)",
 	reps:        1,
 	rows:        reductionRows,
 	cols: []column[ReductionRow]{

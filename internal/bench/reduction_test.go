@@ -37,7 +37,7 @@ func TestReductionSweepSmall(t *testing.T) {
 		if r.States > base.States {
 			t.Errorf("%s n=%d %s: %d states exceeds full %d", r.System, r.Users, r.Mode, r.States, base.States)
 		}
-		if r.System == "arbiter3-star" && (r.Mode == "symmetry" || r.Mode == "both") {
+		if r.System == "arbiter3-star" && r.Mode == "symmetry" {
 			if r.States*r.Users != base.States {
 				t.Errorf("star n=%d %s: %d states, full %d: want exact %d-fold quotient",
 					r.Users, r.Mode, r.States, base.States, r.Users)
@@ -49,7 +49,7 @@ func TestReductionSweepSmall(t *testing.T) {
 // TestReductionOutputs covers the table and JSON writers.
 func TestReductionOutputs(t *testing.T) {
 	rows := []ReductionRow{
-		{System: "arbiter3-star", Users: 12, Mode: "both", States: 8191,
+		{System: "arbiter3-star", Users: 12, Mode: "symmetry", States: 8191,
 			NS: 1e6, StateRatio: 12, Speedup: 12.4, MutexOK: true},
 	}
 	var tbl bytes.Buffer

@@ -22,7 +22,7 @@ func BenchmarkCompositeStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	step := explore.NewStep(sys, true, nil, nil)
+	step := explore.NewStep(sys, true)
 	var buf []byte
 	successors := 0
 	yield := func(nxt ioa.State) bool {

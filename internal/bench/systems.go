@@ -62,28 +62,11 @@ type System struct {
 	Faulty bool
 	// Canon is the symmetry exploration may quotient by.
 	Canon CanonFunc
-	// POR returns the semantic rules and visibility predicate of the
-	// ample-set reduction; without it the reduction falls back to the
-	// conservative structural analysis, sound for any closed system.
-	POR func(n int) (reduce.Options, error)
 	// Induct builds the inductive-certification workload; opts
 	// configure the exploration behind a reachable domain.
 	Induct func(p Params, opts explore.Options) (InductSystem, error)
 	// Stabilize is the self-stabilization case.
 	Stabilize *Stabilization
-}
-
-// NewPOR analyses a — the system built at n users, closed — for
-// ample-set reduction under the system's rules.
-func (s System) NewPOR(a ioa.Automaton, n int) (*reduce.POR, error) {
-	var opts reduce.Options
-	if s.POR != nil {
-		var err error
-		if opts, err = s.POR(n); err != nil {
-			return nil, err
-		}
-	}
-	return reduce.NewPOR(a, opts)
 }
 
 // canon adapts a typed canonicalizer constructor to a CanonFunc.
@@ -98,8 +81,7 @@ func canon[C store.Canonicalizer](mk func(int) (C, error)) CanonFunc {
 }
 
 // treeArbiter completes the entry of a tree-level arbiter over a
-// topology: Build is SystemOn, and the POR hook the per-leaf
-// ArbiterRules with the mutual-exclusion visibility predicate.
+// topology: Build is SystemOn.
 func treeArbiter(s System, topology func(int) (*graph.Tree, error), level int, hardened bool) System {
 	s.Build = func(p Params) (ioa.Automaton, error) {
 		tr, err := topology(p.Users)
@@ -107,13 +89,6 @@ func treeArbiter(s System, topology func(int) (*graph.Tree, error), level int, h
 			return nil, err
 		}
 		return SystemOn(s.Name, tr, level, hardened, p.Inject)
-	}
-	s.POR = func(n int) (reduce.Options, error) {
-		tr, err := topology(n)
-		if err != nil {
-			return reduce.Options{}, err
-		}
-		return reduce.Options{Rules: reduce.ArbiterRules(tr), Visible: reduce.HolderVisibility}, nil
 	}
 	return s
 }
@@ -137,12 +112,9 @@ var systems = []System{
 	{Name: "fig22", Build: figure(figures.Fig22)},
 	{Name: "fig23c", Build: figure(figures.Fig23C)},
 	{
-		Name:  "arbiter1",
-		Build: func(p Params) (ioa.Automaton, error) { return closedSpec(p.Users) },
-		Canon: canon(reduce.NewArbiterUsers),
-		POR: func(int) (reduce.Options, error) {
-			return reduce.Options{Visible: reduce.HolderVisibility}, nil
-		},
+		Name:   "arbiter1",
+		Build:  func(p Params) (ioa.Automaton, error) { return closedSpec(p.Users) },
+		Canon:  canon(reduce.NewArbiterUsers),
 		Induct: func(p Params, _ explore.Options) (InductSystem, error) { return InductArbiter1(p.Users) },
 	},
 	treeArbiter(System{Name: "arbiter2"}, graph.BinaryTree, 2, false),

@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"cmp"
 	"context"
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/ioa"
 )
 
 // TestExploreSystemLevels: the three levels build and their closed
@@ -24,5 +28,57 @@ func TestExploreSystemLevels(t *testing.T) {
 	}
 	if !(sizes[0] <= sizes[1] && sizes[1] <= sizes[2]) {
 		t.Fatalf("levels should not shrink in state count: %v", sizes)
+	}
+}
+
+// TestStepVisitMatchesAllActionsSweep pins explore.Step against the
+// seed explorer's successor enumeration on every catalogue system at
+// smoke size: a sorted Visit yields exactly the (action, successor
+// key) sequence of the all-actions sweep `for act in sorted acts(A) {
+// Next(s, act) }`, and an unsorted Visit the same multiset.
+func TestStepVisitMatchesAllActionsSweep(t *testing.T) {
+	type edge struct {
+		act ioa.Action
+		key string
+	}
+	for _, sys := range Systems() {
+		a, err := sys.Build(Params{Users: 2, UsersSet: true, GridBase: 3, GridDigits: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", sys.Name, err)
+		}
+		// A truncated reach is as good a sample of states as a whole one.
+		states, err := explore.ReferenceReach(a, 500)
+		if err != nil && !errors.Is(err, explore.ErrLimit) {
+			t.Fatalf("%s: %v", sys.Name, err)
+		}
+		acts := a.Sig().Acts().Sorted()
+		sorted, unsorted := explore.NewStep(a, true), explore.NewStep(a, false)
+		visit := func(st *explore.Step, s ioa.State) (got []edge) {
+			st.Visit(s, func(nxt ioa.State) bool {
+				got = append(got, edge{st.Act, nxt.Key()})
+				return true
+			})
+			return got
+		}
+		byEdge := func(x, y edge) int {
+			return cmp.Or(cmp.Compare(x.act, y.act), cmp.Compare(x.key, y.key))
+		}
+		for _, s := range states {
+			var want []edge
+			for _, act := range acts {
+				for _, nxt := range a.Next(s, act) {
+					want = append(want, edge{act, nxt.Key()})
+				}
+			}
+			if got := visit(sorted, s); !slices.Equal(got, want) {
+				t.Fatalf("%s: sorted Visit at %q:\n got %v\nwant %v", sys.Name, s.Key(), got, want)
+			}
+			got := visit(unsorted, s)
+			slices.SortFunc(got, byEdge)
+			slices.SortStableFunc(want, byEdge)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: unsorted Visit at %q yields another multiset:\n got %v\nwant %v", sys.Name, s.Key(), got, want)
+			}
+		}
 	}
 }

@@ -127,12 +127,13 @@ type Result struct {
 	BarrierWaitNS int64
 }
 
-// Verdict renders the invariant verdict ("ok" / "fail <key>").
+// Verdict renders the invariant verdict ("ok" / "fail <key>", the key
+// quoted: state keys may be raw bytes).
 func (r Result) Verdict() string {
 	if r.Violation == "" {
 		return "ok"
 	}
-	return "fail " + r.Violation
+	return fmt.Sprintf("fail %q", r.Violation)
 }
 
 // ErrLimit is returned (wrapped) by Coordinate when the global
@@ -602,7 +603,7 @@ func Work(ctx context.Context, cfg Config) error {
 	}
 
 	// The owners sort each level's candidates, so the walk need not.
-	step := explore.NewStep(a, false, nil, nil)
+	step := explore.NewStep(a, false)
 	// candidates starts as the start states — every rank proposes the
 	// same level-0 set and owner dedup keeps one copy of each.
 	var cands []candidate

@@ -164,7 +164,7 @@ func TestClusterVerdictsBitIdentical(t *testing.T) {
 		if res.Violation != bad {
 			t.Fatalf("procs=%d: violation %q, want %q", procs, res.Violation, bad)
 		}
-		if res.Verdict() != "fail "+bad {
+		if res.Verdict() != `fail "\x01\x02\x00"` {
 			t.Fatalf("procs=%d: verdict %q", procs, res.Verdict())
 		}
 		if prev != nil && (res.States != prev.States || res.Violation != prev.Violation) {

@@ -69,8 +69,7 @@ type Summary struct {
 // the external-memory engine documented above; otherwise it streams
 // the in-RAM parallel engine's result. Options.Limit bounds admitted
 // states in either mode; exceeding it returns ErrLimit with the
-// partial summary. Options.Ample is honoured by the in-RAM walk and
-// refused with an error by the external one.
+// partial summary.
 func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (Summary, error) {
 	ctx = ctxOr(ctx)
 	if e.opts.Spill != nil && e.opts.Decode != nil {
@@ -136,12 +135,6 @@ var errCensusStop = errors.New("census: stop")
 
 // censusExternal is the disk-backed walk.
 func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (sum Summary, err error) {
-	if e.opts.Ample != nil {
-		// The ample selector's freshness oracle probes concrete states
-		// against a live or frozen store; the external walk interns in
-		// sorted batches after expansion, so it has no such view.
-		return sum, fmt.Errorf("explore: %s: Census in external mode (Spill + Decode) does not support Ample; unset Decode to run the reduced walk in RAM", a.Name())
-	}
 	o := e.opts.Obs
 	if o != nil {
 		defer o.Tracer.Span(0, "explore", "census "+a.Name())()
@@ -248,7 +241,7 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 	}
 	cur, nxt = nxt, cur
 
-	step := NewStep(a, true, nil, nil)
+	step := NewStep(a, true)
 	var enc []byte
 	yield := func(nxtState ioa.State) bool {
 		enc = sp.AppendCanonical(enc[:0], nxtState)

@@ -72,32 +72,8 @@ type Options struct {
 	// required by Census's external mode, which keeps frontiers on disk
 	// as encodings and must re-expand them; systems whose encodings are
 	// self-describing (KeyState systems, internal/grid) provide it
-	// trivially. Reach and CheckInvariant never call it. The external
-	// mode does not support Ample and says so with an error.
+	// trivially. Reach and CheckInvariant never call it.
 	Decode func(enc []byte) (ioa.State, error)
-	// Ample, when non-nil, enables partial-order reduction: each
-	// explorer goroutine mints one selector and filters every state's
-	// sorted enabled-action list through it before stepping. The
-	// selector sees a freshness oracle over the engine's store so it
-	// can enforce the BFS cycle proviso (reduce.NewPOR documents the
-	// ample conditions). Verdict-preserving for orbit/stutter-safe
-	// invariants and for deadlocks; the explored subset may differ
-	// between the sequential and parallel engines (live vs frozen
-	// store freshness), but each mode remains deterministic.
-	Ample Ampler
-}
-
-// An Ampler mints per-goroutine ample-set selectors for partial-order
-// reduction (implemented by reduce.POR). A selector receives the
-// current state, its sorted enabled actions, and a freshness oracle
-// reporting whether a state is already interned in the engine's
-// store; it returns the sub-slice of actions to expand — either the
-// input slice itself (full expansion) or an internal buffer that is
-// only valid until the selector's next call. Selectors must be
-// deterministic functions of (state, store contents); they are never
-// shared across goroutines.
-type Ampler interface {
-	NewSelector() func(s ioa.State, enabled []ioa.Action, seen func(ioa.State) bool) []ioa.Action
 }
 
 // workers resolves the worker count.
@@ -262,12 +238,9 @@ func (e *Engine) Deadlocks(ctx context.Context, a ioa.Automaton) ([]ioa.State, e
 // discovers them (the sequential kernel's visit-order pin, and the
 // external census's chunk order). An unsorted Step walks Enabled(s)
 // then the inputs with no copy and no sort, for the level-synchronized
-// loops whose merge sorts the candidates anyway. With an Ampler the
-// merged list is always sorted (seed order is part of the selector's
-// determinism) and filtered through one selector minted for this Step;
-// seen is the freshness oracle the selector's cycle proviso consults.
-// A Step allocates nothing per state and is not safe for concurrent
-// use: each goroutine owns one.
+// loops whose merge sorts the candidates anyway. A Step allocates
+// nothing per state and is not safe for concurrent use: each goroutine
+// owns one.
 type Step struct {
 	// Act is the action being stepped; yield callbacks read it to label
 	// the transition that produced their argument.
@@ -277,36 +250,25 @@ type Step struct {
 	inputs []ioa.Action
 	sorted bool
 	buf    []ioa.Action
-	sel    func(ioa.State, []ioa.Action, func(ioa.State) bool) []ioa.Action
-	seen   func(ioa.State) bool
 }
 
-// NewStep builds the successor enumerator of a. ample and seen may be
-// nil (no partial-order reduction).
-func NewStep(a ioa.Automaton, sorted bool, ample Ampler, seen func(ioa.State) bool) *Step {
-	st := &Step{a: a, inputs: a.Sig().Inputs().Sorted(), sorted: sorted, seen: seen}
-	if ample != nil {
-		st.sel = ample.NewSelector()
-	}
-	return st
+// NewStep builds the successor enumerator of a.
+func NewStep(a ioa.Automaton, sorted bool) *Step {
+	return &Step{a: a, inputs: a.Sig().Inputs().Sorted(), sorted: sorted}
 }
 
 // Visit calls yield on every successor of s worth stepping, with Act
 // set to the producing action, and stops early (returning false) as
 // soon as yield does.
 func (st *Step) Visit(s ioa.State, yield func(ioa.State) bool) bool {
-	if !st.sorted && st.sel == nil {
+	if !st.sorted {
 		return st.walk(s, st.a.Enabled(s), yield) && st.walk(s, st.inputs, yield)
 	}
 	// Copy before sorting: the memo layer may hand out a shared cached
 	// Enabled slice.
 	st.buf = append(append(st.buf[:0], st.a.Enabled(s)...), st.inputs...)
 	slices.Sort(st.buf)
-	acts := st.buf
-	if st.sel != nil {
-		acts = st.sel(s, acts, st.seen)
-	}
-	return st.walk(s, acts, yield)
+	return st.walk(s, st.buf, yield)
 }
 
 // walk steps s by each of acts in order.
@@ -355,17 +317,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 
 	var crumbs []crumb // indexed like order; kept only under a predicate
 	cur := store.None  // the state being expanded
-	// The cycle-proviso oracle: a successor counts as seen when it has
-	// already been expanded or is the state being expanded now (states
-	// expand in ID order). Merely-discovered frontier states stay
-	// "fresh" — a reduced expansion may point at them freely, because
-	// on any cycle of the reduced graph the state expanded last finds
-	// its cycle successor already expanded and C3 forces it to expand
-	// fully, so nothing is postponed forever.
-	step := NewStep(a, true, e.opts.Ample, func(t ioa.State) bool {
-		id, ok := st.Has(t)
-		return ok && id <= cur
-	})
+	step := NewStep(a, true)
 	admit := func(s ioa.State) {
 		if _, fresh := st.Intern(s); fresh {
 			order = append(order, s)

@@ -5,7 +5,7 @@
 //
 // The entry point is the Engine facade: construct one from Options
 // (worker count, state budget, observability handle, storage backend,
-// reductions) with New and call its context-aware methods —
+// symmetry reduction) with New and call its context-aware methods —
 //
 //	eng := explore.New(explore.Options{Workers: 4, Limit: 1 << 20})
 //	states, err := eng.Reach(ctx, a)
@@ -99,13 +99,6 @@ func (c *closedWorld) VisitNext(s ioa.State, a ioa.Action, yield func(ioa.State)
 
 // Enabled implements Automaton.
 func (c *closedWorld) Enabled(s ioa.State) []ioa.Action { return c.inner.Enabled(s) }
-
-// PeelWrapper implements ioa.Wrapper, so structural analyses (the
-// reduce package's partial-order footprint walk) can reach the
-// composition underneath; action names are unchanged. The removed
-// environment inputs surface there as leaf actions missing from the
-// top-level signature, which the analysis treats as never-firing.
-func (c *closedWorld) PeelWrapper() (ioa.Automaton, *ioa.Mapping) { return c.inner, nil }
 
 // Parts implements Automaton.
 func (c *closedWorld) Parts() []ioa.Class { return c.inner.Parts() }

@@ -19,7 +19,6 @@ type Flags struct {
 	workers    *int
 	limit      *int
 	symmetry   *bool
-	por        *bool
 	spillDir   *string
 	spillMemMB *int
 
@@ -38,7 +37,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 		workers:    fs.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS, 1 = sequential)"),
 		limit:      fs.Int("limit", DefaultLimit, "exploration state budget"),
 		symmetry:   fs.Bool("symmetry", false, "quotient the state space by the system's symmetry group (systems with a registered canonicalizer)"),
-		por:        fs.Bool("por", false, "ample-set partial-order reduction (closed systems)"),
 		spillDir:   fs.String("spill-dir", "", "spill the seen set to delta-encoded runs under this directory when RAM budget is exceeded"),
 		spillMemMB: fs.Int("spill-mem-mb", 512, "in-RAM budget in MiB before the seen set spills (with -spill-dir)"),
 
@@ -72,11 +70,6 @@ func (f *Flags) Limit() int { return *f.limit }
 // itself is system-specific, so the CLI resolves it and fills
 // Options.Canon (erroring on systems with no registered symmetry).
 func (f *Flags) Symmetry() bool { return *f.symmetry }
-
-// POR reports whether -por was requested; the CLI builds the
-// reduce.NewPOR analysis for the selected system and fills
-// Options.Ample.
-func (f *Flags) POR() bool { return *f.por }
 
 // SpillOptions resolves the -spill-* flags into store.SpillOptions,
 // or nil when -spill-dir was not given (pure in-RAM exploration).

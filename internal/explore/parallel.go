@@ -38,19 +38,11 @@ package explore
 // differential test battery checks the resulting state sets against
 // the sequential sweep on every seed.
 //
-// Reduction (Options.Canon / Options.Ample) preserves the argument.
-// Under a canonicalizer, membership and merge dedup run on canonical
-// bytes, so the set of orbits discovered at depth d is still a pure
-// function of the orbits at depths < d, and candLess picks a
-// scheduling-independent concrete representative per orbit. Under an
-// ample selector, each state's expanded action subset is a
-// deterministic function of (state, frozen store) — workers consult
-// nothing level-local — so the reduced frontier is as reproducible as
-// the full one. The sequential and parallel engines may explore
-// different (each sound, each deterministic) reduced subsets, because
-// the cycle proviso's freshness oracle is the live store in one and
-// the frozen previous-levels store in the other; the reduce package's
-// differential battery pins verdict equality across both.
+// Symmetry reduction (Options.Canon) preserves the argument: membership
+// and merge dedup run on canonical bytes, so the set of orbits
+// discovered at depth d is still a pure function of the orbits at
+// depths < d, and candLess picks a scheduling-independent concrete
+// representative per orbit.
 
 import (
 	"bytes"
@@ -141,20 +133,12 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	rep := reporter{o: o, st: gst, phase: "explore"}
 	defer func() { rep.emit(int64(maxDepth), int64(len(states)), 0, true) }()
 	var crumbs []crumb // indexed by ID
-	// One probe and one Step per worker, for the whole run. Ample
-	// selection runs per worker: the selector is a deterministic
-	// function of (state, frozen store), and it finishes before the
-	// successor yields start, so it may share the worker's probe as its
-	// freshness oracle. The frozen store holds every state of depth ≤
-	// current, which is exactly what the BFS cycle proviso needs (a
-	// "fresh" successor is genuinely at depth+1, so postponement chains
-	// strictly increase depth and terminate).
+	// One probe and one Step per worker, for the whole run.
 	probes := make([]store.MemberProbe, w)
 	steps := make([]*Step, w)
 	for i := range probes {
-		probe := gst.Probe()
-		probes[i] = probe
-		steps[i] = NewStep(a, false, e.opts.Ample, func(t ioa.State) bool { _, _, ok := probe.Lookup(t); return ok })
+		probes[i] = gst.Probe()
+		steps[i] = NewStep(a, false)
 	}
 
 	// Level 0: the start states, canonically sorted then interned in

@@ -184,44 +184,6 @@ func TestDifferentialCensusLimit(t *testing.T) {
 	}
 }
 
-// countingAmple is an Ampler that never reduces; it only counts the
-// states whose actions were offered to it.
-type countingAmple struct{ calls *int }
-
-func (c countingAmple) NewSelector() func(ioa.State, []ioa.Action, func(ioa.State) bool) []ioa.Action {
-	return func(_ ioa.State, enabled []ioa.Action, _ func(ioa.State) bool) []ioa.Action {
-		*c.calls++
-		return enabled
-	}
-}
-
-// TestCensusExternalRejectsAmple: the external walk cannot offer an
-// ample selector its freshness oracle, so it refuses Options.Ample
-// outright instead of silently exploring unreduced; the materialized
-// walk keeps honouring it.
-func TestCensusExternalRejectsAmple(t *testing.T) {
-	ctx := context.Background()
-	a := chain(40)
-	calls := 0
-	opts := explore.Options{Workers: 1, Ample: countingAmple{&calls}}
-	sum, err := explore.New(opts).Census(ctx, a, nil, nil)
-	if err != nil || sum.States != 40 {
-		t.Fatalf("materialized census under Ample: %+v, %v", sum, err)
-	}
-	if calls != 40 {
-		t.Fatalf("materialized census offered %d states to the selector, want 40", calls)
-	}
-	calls = 0
-	opts.Spill, opts.Decode = tinySpill(t), keyDecode
-	sum, err = explore.New(opts).Census(ctx, a, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "Ample") {
-		t.Fatalf("external census under Ample: %+v, err = %v; want an explicit error", sum, err)
-	}
-	if calls != 0 || sum.States != 0 {
-		t.Fatalf("external census explored before refusing: %d selector calls, %+v", calls, sum)
-	}
-}
-
 // loopChain is chain(n) plus a back edge b: ci → c(i-1) and a reset
 // r: ci → c0. The back edges make every level re-probe keys that have
 // already been flushed to disk — including the last key of the newest

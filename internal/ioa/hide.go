@@ -54,39 +54,6 @@ func Unwrap(a Automaton) Automaton {
 	}
 }
 
-// A Wrapper is an automaton wrapper from outside this package that
-// structural analyses may peel: PeelWrapper returns the wrapped
-// automaton and the action mapping the wrapper applies (nil when it
-// keeps action names). Implemented by explore's closed-world wrapper
-// so the reduce package's footprint walk can reach the composition
-// underneath.
-type Wrapper interface {
-	PeelWrapper() (Automaton, *Mapping)
-}
-
-// Peel removes one structural wrapper layer (Hide, Rename, or a
-// Wrapper implementation), returning the inner automaton and, for
-// renaming wrappers, the action mapping applied (outer =
-// m.Apply(inner); nil for Hide, which keeps action names). ok is
-// false when a is not a wrapper. Structural analyses (the reduce
-// package's footprint walk) use Peel to reach composite components
-// through the rename chain without losing the action translation that
-// Unwrap discards.
-func Peel(a Automaton) (inner Automaton, m *Mapping, ok bool) {
-	switch w := a.(type) {
-	case *hidden:
-		return w.inner, nil, true
-	case *Renamed:
-		return w.inner, w.m, true
-	default:
-		if w, wok := a.(Wrapper); wok {
-			inner, m := w.PeelWrapper()
-			return inner, m, true
-		}
-		return nil, nil, false
-	}
-}
-
 // Name implements Automaton.
 func (h *hidden) Name() string { return h.inner.Name() }
 

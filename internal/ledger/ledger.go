@@ -85,11 +85,10 @@ type Run struct {
 	System string `json:"system,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
 	Users  int    `json:"users,omitempty"`
-	// Workers/Limit/Symmetry/POR are the exploration engine knobs.
+	// Workers/Limit/Symmetry are the exploration engine knobs.
 	Workers  int  `json:"workers,omitempty"`
 	Limit    int  `json:"limit,omitempty"`
 	Symmetry bool `json:"symmetry,omitempty"`
-	POR      bool `json:"por,omitempty"`
 	// Domain names the induction candidate domain walked, when the
 	// mode has one.
 	Domain string `json:"domain,omitempty"`

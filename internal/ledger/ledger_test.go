@@ -78,6 +78,34 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseReadsRetiredPORField: journals written before PR 16 carry
+// "por":true on run lines whose exploration used the since-deleted
+// ample-set reduction. Schema stays 1, so such a line must still parse
+// and every other field must round-trip.
+func TestParseReadsRetiredPORField(t *testing.T) {
+	var buf bytes.Buffer
+	run := Run{
+		Tool: "ioasim", Mode: "reach", System: "star", Seed: 1, Users: 12,
+		Workers: 2, Limit: 1 << 20, Symmetry: true,
+		Flags:  map[string]string{"reach": "true", "symmetry": "true", "por": "true"},
+		WallNS: 42, States: 8191, Verdict: "ok",
+	}
+	if err := New(&buf, Options{Now: newFakeClock().now}).Record(run); err != nil {
+		t.Fatal(err)
+	}
+	old := strings.Replace(buf.String(), `"symmetry":true,`, `"symmetry":true,"por":true,`, 1)
+	if old == buf.String() {
+		t.Fatalf("could not splice the retired field into %q", buf.String())
+	}
+	entries, err := Parse(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("Parse of a Schema-%d line carrying \"por\": %v", Schema, err)
+	}
+	if len(entries) != 1 || entries[0].Kind != KindRun || !reflect.DeepEqual(*entries[0].Run, run) {
+		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", entries, run)
+	}
+}
+
 // TestSnapshotCadence drives OnProgress with a fake clock and checks
 // the journaling rules: first-of-phase and Done always land, readings
 // inside MinInterval are throttled (but still feed Last), and rates

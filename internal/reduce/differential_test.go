@@ -1,33 +1,36 @@
 package reduce_test
 
-// The oracle-differential battery: every reduced exploration mode —
-// symmetry-only, POR-only, and composed — is replayed against the
-// unreduced explore.ReferenceReach oracle on the repository's closed
-// systems, at worker counts {1, 2, 8}. Checked per case:
+// The oracle-differential battery: the engine, unreduced and under
+// each system's symmetry quotient, is replayed against the
+// explore.ReferenceReach oracle on the repository's closed systems, at
+// worker counts {1, 2, 8}. Checked per case:
 //
-//   - symmetry modes: the reduced reach holds exactly one concrete
-//     member per orbit of the oracle's reachable set (both directions,
-//     compared through the canonicalizer), and deadlock orbits match;
-//   - POR-only: the reduced reach is a subset of the oracle's set that
-//     preserves every deadlock exactly (ample sets are nonempty
-//     whenever any action is enabled, so deadlock states are neither
-//     created nor lost);
-//   - all modes: the invariant verdict matches the oracle's, a
-//     symmetric target predicate that fails somewhere yields a
-//     violation in reduced and unreduced runs alike, and the reduced
-//     run's witness replays step-by-step on the unreduced automaton
-//     via reduce.ReplayTrace.
+//   - the reach holds exactly one concrete member per orbit of the
+//     oracle's reachable set (both directions, compared through the
+//     canonicalizer; with no canonicalizer an orbit is a single state,
+//     so the unreduced arm pins the same state set at every worker
+//     count);
+//   - the invariant verdict matches the oracle's, a symmetric target
+//     predicate that fails somewhere yields a violation in reduced and
+//     unreduced runs alike, and the run's witness replays step-by-step
+//     on the unreduced automaton via reduce.ReplayTrace.
+//
+// TestUnsoundCanonMustFail is the CI must-fail arm: under
+// REDUCE_NEGATIVE=1 it puts an unsound canonicalizer — one that merges
+// states the target predicate separates — through the same assertions,
+// and the reduction CI job requires that run to fail.
 
 import (
 	"context"
 	"fmt"
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/arbiter/spec"
 	"repro/internal/arbiter/users"
 	"repro/internal/bench"
 	"repro/internal/explore"
-	"repro/internal/graph"
 	"repro/internal/ioa"
 	"repro/internal/mutex"
 	"repro/internal/reduce"
@@ -40,7 +43,6 @@ type batteryCase struct {
 	name  string
 	build func(t *testing.T) ioa.Automaton
 	canon store.Canonicalizer
-	por   func(t *testing.T, a ioa.Automaton) *reduce.POR
 	// invariant holds on every reachable state (orbit-invariant).
 	invariant func(ioa.State) bool
 	// target fails on some reachable state (orbit-invariant), to
@@ -80,31 +82,6 @@ func someoneIdle(s ioa.State) bool {
 	return false
 }
 
-func arbiterPOR(tr *graph.Tree) func(t *testing.T, a ioa.Automaton) *reduce.POR {
-	return func(t *testing.T, a ioa.Automaton) *reduce.POR {
-		t.Helper()
-		p, err := reduce.NewPOR(a, reduce.Options{
-			Rules:   reduce.ArbiterRules(tr),
-			Visible: reduce.HolderVisibility,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-}
-
-func plainPOR(opts reduce.Options) func(t *testing.T, a ioa.Automaton) *reduce.POR {
-	return func(t *testing.T, a ioa.Automaton) *reduce.POR {
-		t.Helper()
-		p, err := reduce.NewPOR(a, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-}
-
 func batteryCases(t *testing.T) []batteryCase {
 	t.Helper()
 	var cases []batteryCase
@@ -126,18 +103,14 @@ func batteryCases(t *testing.T) []batteryCase {
 				return a
 			},
 			canon:     canon,
-			por:       plainPOR(reduce.Options{Visible: reduce.HolderVisibility}),
 			invariant: mutexHolds,
 			target:    someoneIdle,
 		})
 	}
 
-	// Distributed arbiter on the binary tree (POR only: the round-robin
-	// sendgrant scan leaves the tree no nontrivial sound symmetry).
-	tr3, err := graph.BinaryTree(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Distributed arbiter on the binary tree (unreduced only: the
+	// round-robin sendgrant scan leaves the tree no nontrivial sound
+	// symmetry).
 	cases = append(cases, batteryCase{
 		name: "arbiter3-n3",
 		build: func(t *testing.T) ioa.Automaton {
@@ -147,16 +120,11 @@ func batteryCases(t *testing.T) []batteryCase {
 			}
 			return a
 		},
-		por:       arbiterPOR(tr3),
 		invariant: mutexHolds,
 		target:    someoneIdle,
 	})
 
 	// Distributed arbiter on the star, under its free rotation group.
-	star4, err := graph.Star(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	starCanon, err := reduce.NewStarRotation(4)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +139,6 @@ func batteryCases(t *testing.T) []batteryCase {
 			return a
 		},
 		canon:     starCanon,
-		por:       arbiterPOR(star4),
 		invariant: mutexHolds,
 		target:    someoneIdle,
 	})
@@ -192,7 +159,6 @@ func batteryCases(t *testing.T) []batteryCase {
 		name:  "dijkstra-n3",
 		build: func(t *testing.T) ioa.Automaton { return dk.Auto },
 		canon: dShift,
-		por:   plainPOR(reduce.Options{}),
 		invariant: func(s ioa.State) bool {
 			return len(dk.Privileged(s)) == 1
 		},
@@ -231,7 +197,6 @@ func batteryCases(t *testing.T) []batteryCase {
 			return a
 		},
 		canon:     ringCanon,
-		por:       plainPOR(reduce.Options{}),
 		invariant: mutexHolds,
 		target:    someoneIdle,
 	})
@@ -267,7 +232,6 @@ func batteryCases(t *testing.T) []batteryCase {
 			}
 			return explore.ClosedWorld(a)
 		},
-		por: plainPOR(reduce.Options{}),
 		invariant: func(s ioa.State) bool {
 			ts, ok := s.(*ioa.TupleState)
 			if !ok {
@@ -313,157 +277,167 @@ func canonKeys(c store.Canonicalizer, states []ioa.State) map[string]bool {
 	return out
 }
 
-func keySet(states []ioa.State) map[string]bool {
-	out := make(map[string]bool, len(states))
-	for _, s := range states {
-		out[s.Key()] = true
-	}
-	return out
+// An oracle is what explore.ReferenceReach establishes about one
+// battery case, unreduced.
+type oracle struct {
+	auto    ioa.Automaton
+	full    []ioa.State
+	verdict bool
 }
 
-func deadlocksOf(a ioa.Automaton, states []ioa.State) []ioa.State {
-	var out []ioa.State
-	for _, s := range states {
-		if len(a.Enabled(s)) == 0 {
-			out = append(out, s)
+// holdsOn reports whether pred holds on every one of states.
+func holdsOn(pred func(ioa.State) bool, states []ioa.State) bool {
+	return !slices.ContainsFunc(states, func(s ioa.State) bool { return !pred(s) })
+}
+
+func consultOracle(t *testing.T, c batteryCase) oracle {
+	t.Helper()
+	o := oracle{auto: c.build(t)}
+	var err error
+	if o.full, err = explore.ReferenceReach(o.auto, explore.DefaultLimit); err != nil {
+		t.Fatal(err)
+	}
+	o.verdict = holdsOn(c.invariant, o.full)
+	if holdsOn(c.target, o.full) {
+		t.Fatalf("battery target predicate never fails on %s; pick a reachable one", c.name)
+	}
+	return o
+}
+
+// checkAgainstOracle explores c at the given worker count, quotiented
+// by canon (nil: unreduced), and holds the run to the oracle.
+func checkAgainstOracle(t *testing.T, c batteryCase, o oracle, mode string, canon store.Canonicalizer, workers int) {
+	a := c.build(t)
+	eng := explore.New(explore.Options{Workers: workers, Canon: canon})
+	reduced, err := eng.Reach(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Quotient-size and membership checks.
+	want := canonKeys(canon, o.full)
+	got := canonKeys(canon, reduced)
+	if len(reduced) != len(want) {
+		t.Errorf("%s reach %d states, oracle has %d orbits", mode, len(reduced), len(want))
+	}
+	for k := range got {
+		if !want[k] {
+			t.Errorf("reduced orbit %q not reachable in oracle", k)
 		}
 	}
-	return out
+	for k := range want {
+		if !got[k] {
+			t.Errorf("oracle orbit %q missing from reduced reach", k)
+		}
+	}
+
+	// Invariant verdict must match the oracle's.
+	if verdict := holdsOn(c.invariant, reduced); verdict != o.verdict {
+		t.Errorf("%s invariant verdict %v, oracle %v", mode, verdict, o.verdict)
+	}
+
+	// The failing target must be caught, and its
+	// witness must replay on the unreduced automaton.
+	v, err := eng.CheckInvariant(context.Background(), a, c.target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v == nil {
+		t.Fatalf("%s missed the target violation the oracle reaches", mode)
+	}
+	if c.target(v.State) {
+		t.Errorf("reported violation state satisfies the target predicate")
+	}
+	if err := reduce.ReplayTrace(o.auto, v.Trace); err != nil {
+		t.Errorf("witness does not replay on the unreduced automaton: %v", err)
+	}
+	if got := v.Trace.States[len(v.Trace.States)-1]; got.Key() != v.State.Key() {
+		t.Errorf("witness ends at %q, violation at %q", got.Key(), v.State.Key())
+	}
 }
 
 // TestDifferentialBattery is the oracle-differential battery over all
-// systems, reduction modes, and worker counts.
+// systems, modes, and worker counts.
 func TestDifferentialBattery(t *testing.T) {
 	for _, c := range batteryCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			oracleAuto := c.build(t)
-			full, err := explore.ReferenceReach(oracleAuto, explore.DefaultLimit)
-			if err != nil {
-				t.Fatal(err)
+			o := consultOracle(t, c)
+			type arm struct {
+				mode  string
+				canon store.Canonicalizer
 			}
-			fullKeys := keySet(full)
-			fullVerdict := true
-			for _, s := range full {
-				if !c.invariant(s) {
-					fullVerdict = false
-					break
-				}
-			}
-			targetViolated := false
-			for _, s := range full {
-				if !c.target(s) {
-					targetViolated = true
-					break
-				}
-			}
-			if !targetViolated {
-				t.Fatalf("battery target predicate never fails on %s; pick a reachable one", c.name)
-			}
-			fullDead := deadlocksOf(oracleAuto, full)
-
-			modes := []string{"por"}
+			arms := []arm{{"full", nil}}
 			if c.canon != nil {
-				modes = append(modes, "symmetry", "both")
+				arms = append(arms, arm{"symmetry", c.canon})
 			}
-			for _, mode := range modes {
+			for _, m := range arms {
 				for _, workers := range []int{1, 2, 8} {
-					mode, workers := mode, workers
-					t.Run(fmt.Sprintf("%s-w%d", mode, workers), func(t *testing.T) {
-						a := c.build(t)
-						opts := explore.Options{Workers: workers}
-						if mode == "symmetry" || mode == "both" {
-							opts.Canon = c.canon
-						}
-						if mode == "por" || mode == "both" {
-							opts.Ample = c.por(t, a)
-						}
-						eng := explore.New(opts)
-						reduced, err := eng.Reach(context.Background(), a)
-						if err != nil {
-							t.Fatal(err)
-						}
-
-						// Quotient-size and membership checks.
-						switch mode {
-						case "symmetry":
-							want := canonKeys(c.canon, full)
-							got := canonKeys(c.canon, reduced)
-							if len(reduced) != len(want) {
-								t.Errorf("symmetry reach %d states, oracle has %d orbits", len(reduced), len(want))
-							}
-							for k := range got {
-								if !want[k] {
-									t.Errorf("reduced orbit %q not reachable in oracle", k)
-								}
-							}
-							for k := range want {
-								if !got[k] {
-									t.Errorf("oracle orbit %q missing from reduced reach", k)
-								}
-							}
-						case "por":
-							for _, s := range reduced {
-								if !fullKeys[s.Key()] {
-									t.Errorf("POR state %q not in oracle reach", s.Key())
-								}
-							}
-							if len(reduced) > len(full) {
-								t.Errorf("POR reach %d exceeds oracle %d", len(reduced), len(full))
-							}
-							// Deadlocks are preserved exactly.
-							redDead := keySet(deadlocksOf(a, reduced))
-							for _, d := range fullDead {
-								if !redDead[d.Key()] {
-									t.Errorf("oracle deadlock %q lost under POR", d.Key())
-								}
-							}
-							if len(redDead) != len(fullDead) {
-								t.Errorf("POR deadlocks %d, oracle %d", len(redDead), len(fullDead))
-							}
-						case "both":
-							want := canonKeys(c.canon, full)
-							for _, s := range reduced {
-								k := c.canon.Canonical(s).Key()
-								if !want[k] {
-									t.Errorf("composed-mode orbit %q not reachable in oracle", k)
-								}
-							}
-						}
-
-						// Invariant verdict must match the oracle's.
-						verdict := true
-						for _, s := range reduced {
-							if !c.invariant(s) {
-								verdict = false
-								break
-							}
-						}
-						if verdict != fullVerdict {
-							t.Errorf("%s invariant verdict %v, oracle %v", mode, verdict, fullVerdict)
-						}
-
-						// The failing target must be caught, and its
-						// witness must replay on the unreduced automaton.
-						v, err := eng.CheckInvariant(context.Background(), a, c.target)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if v == nil {
-							t.Fatalf("%s missed the target violation the oracle reaches", mode)
-						}
-						if c.target(v.State) {
-							t.Errorf("reported violation state satisfies the target predicate")
-						}
-						if err := reduce.ReplayTrace(oracleAuto, v.Trace); err != nil {
-							t.Errorf("witness does not replay on the unreduced automaton: %v", err)
-						}
-						if got := v.Trace.States[len(v.Trace.States)-1]; got.Key() != v.State.Key() {
-							t.Errorf("witness ends at %q, violation at %q", got.Key(), v.State.Key())
-						}
+					m, workers := m, workers
+					t.Run(fmt.Sprintf("%s-w%d", m.mode, workers), func(t *testing.T) {
+						checkAgainstOracle(t, c, o, m.mode, m.canon, workers)
 					})
 				}
 			}
 		})
 	}
+}
+
+// targetBlind is an unsound canonicalizer: it identifies every state
+// that violates the case's target predicate with the start state,
+// which satisfies it — it merges states the predicate separates, so
+// the quotient hides every violation the oracle reaches.
+type targetBlind struct {
+	target func(ioa.State) bool
+	start  ioa.State
+}
+
+func (targetBlind) Name() string { return "target-blind" }
+
+func (c targetBlind) Canonical(s ioa.State) ioa.State {
+	if !c.target(s) {
+		return c.start
+	}
+	return s
+}
+
+// unsoundArm is the first battery case with its oracle and the
+// targetBlind canonicalizer built for it.
+func unsoundArm(t *testing.T) (batteryCase, oracle, store.Canonicalizer) {
+	t.Helper()
+	c := batteryCases(t)[0]
+	o := consultOracle(t, c)
+	return c, o, targetBlind{target: c.target, start: o.auto.Start()[0]}
+}
+
+// TestTargetBlindHidesViolation pins that the must-fail fixture is
+// still unsound: under targetBlind both engines report the target as
+// an invariant, although the oracle reaches a violation.
+func TestTargetBlindHidesViolation(t *testing.T) {
+	c, o, canon := unsoundArm(t)
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			eng := explore.New(explore.Options{Workers: workers, Canon: canon})
+			v, err := eng.CheckInvariant(context.Background(), o.auto, c.target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != nil {
+				t.Errorf("targetBlind still lets the violation %q through: fixture no longer unsound", v.State.Key())
+			}
+		})
+	}
+}
+
+// TestUnsoundCanonMustFail is wired into CI inverted: the reduction
+// job runs it with REDUCE_NEGATIVE=1 and requires the test to FAIL
+// (the quotient misses the target violation the oracle reaches),
+// proving the battery's assertions reject an unsound canonicalizer
+// rather than vacuously passing. Without the env var it is skipped.
+func TestUnsoundCanonMustFail(t *testing.T) {
+	if os.Getenv("REDUCE_NEGATIVE") == "" {
+		t.Skip("negative arm; set REDUCE_NEGATIVE=1 (CI runs this expecting failure)")
+	}
+	c, o, canon := unsoundArm(t)
+	checkAgainstOracle(t, c, o, "symmetry", canon, 1)
 }

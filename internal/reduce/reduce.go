@@ -1,36 +1,25 @@
 // Package reduce shrinks exhaustive state-space exploration without
-// changing its verdicts, by two orthogonal mechanisms:
-//
-//   - Symmetry quotienting (symmetry.go): a store.Canonicalizer that
-//     maps every state to the canonical representative of its orbit
-//     under a declared automorphism group of the automaton —
-//     permutations of interchangeable arbiter users, rotations of the
-//     LeLann ring, counter shifts of Dijkstra's K-state ring. The
-//     explorers intern canonical encodings, so two states that differ
-//     only by a symmetry share one dense ID, and the reachable set
-//     collapses to one concrete representative per orbit. Crumbs and
-//     witness traces never need decanonicalization: the engine keeps
-//     the concrete first-discovered member of each orbit and records
-//     the concrete (parent, action) transition that produced it, so
-//     every reported trace is a genuine execution replayable through
-//     ioa.Stepper.Next.
-//
-//   - Partial-order reduction (por.go): an ample-set successor filter
-//     in the ioa.Stepper.VisitNext layer. Per state it selects a
-//     provably sufficient subset of the enabled actions — a strong
-//     stubborn set of invisible, pairwise-commuting-with-the-rest
-//     actions satisfying the BFS cycle proviso — and skips the rest,
-//     pruning the interleavings of independent components (message
-//     channels, disjoint subtrees of the distributed arbiter, the
-//     mutex registers) that dominate composed state spaces.
+// changing its verdicts, by symmetry quotienting (symmetry.go): a
+// store.Canonicalizer that maps every state to the canonical
+// representative of its orbit under a declared automorphism group of
+// the automaton — permutations of interchangeable arbiter users,
+// rotations of the LeLann ring, counter shifts of Dijkstra's K-state
+// ring. The explorers intern canonical encodings, so two states that
+// differ only by a symmetry share one dense ID, and the reachable set
+// collapses to one concrete representative per orbit. Crumbs and
+// witness traces never need decanonicalization: the engine keeps the
+// concrete first-discovered member of each orbit and records the
+// concrete (parent, action) transition that produced it, so every
+// reported trace is a genuine execution replayable through
+// ioa.Stepper.Next.
 //
 // The paper's §3.4 analysis is parameterized over n structurally
-// identical users; both reductions exploit exactly that regularity.
+// identical users; the quotient exploits exactly that regularity.
 // Soundness is not taken on faith: the differential battery in this
 // package replays every reduced run against the unreduced
 // explore.ReferenceReach oracle — invariant verdicts, quotient sizes,
 // witness validity — and the CI reduction job keeps a deliberately
-// proviso-violating fixture failing.
+// non-automorphic canonicalizer failing.
 package reduce
 
 import (
