@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/arbiter/dist"
-	"repro/internal/arbiter/graphlevel"
 	"repro/internal/arbiter/mapping"
 	"repro/internal/baseline"
 	"repro/internal/bench"
@@ -213,32 +212,11 @@ func BenchmarkRefinementCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	aug, err := graph.Augment(tr)
+	c, err := mapping.NewChain(tr, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := dist.New(tr, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h2m := mapping.NewH2Map(sys, aug)
-	from, at, err := h2m.StartEdge()
-	if err != nil {
-		b.Fatal(err)
-	}
-	a2, err := graphlevel.New(aug, from, at)
-	if err != nil {
-		b.Fatal(err)
-	}
-	f2, err := sys.F2(aug)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a3r, err := ioa.Rename(sys.A3, f2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h2 := h2m.H2(a3r, a2)
+	h2 := c.H2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := h2.Verify(1 << 20); err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/graphlevel"
-	"repro/internal/arbiter/spec"
 	"repro/internal/arbiter/users"
 	"repro/internal/explore"
 	"repro/internal/graph"
@@ -33,44 +32,12 @@ type chain struct {
 
 func buildChain(t *testing.T, tr *graph.Tree, holder int) *chain {
 	t.Helper()
-	aug, err := graph.Augment(tr)
+	c, err := NewChain(tr, holder)
 	if err != nil {
-		t.Fatalf("Augment: %v", err)
+		t.Fatalf("NewChain: %v", err)
 	}
-	sys, err := dist.New(tr, holder)
-	if err != nil {
-		t.Fatalf("dist.New: %v", err)
-	}
-	h2m := NewH2Map(sys, aug)
-	from, at, err := h2m.StartEdge()
-	if err != nil {
-		t.Fatalf("StartEdge: %v", err)
-	}
-	a2, err := graphlevel.New(aug, from, at)
-	if err != nil {
-		t.Fatalf("graphlevel.New: %v", err)
-	}
-	f2, err := sys.F2(aug)
-	if err != nil {
-		t.Fatalf("F2: %v", err)
-	}
-	a3r, err := ioa.Rename(sys.A3, f2)
-	if err != nil {
-		t.Fatalf("rename A3: %v", err)
-	}
-	a2r, err := ioa.Rename(a2, graphlevel.F1(aug))
-	if err != nil {
-		t.Fatalf("rename A2: %v", err)
-	}
-	userNames := make(spec.Users, 0)
-	for _, u := range tr.NodesOf(graph.User) {
-		userNames = append(userNames, tr.Node(u).Name)
-	}
-	a1 := spec.New(userNames)
-	c := &chain{tree: tr, aug: aug, sys: sys, a1: a1, a2: a2, a2r: a2r, a3r: a3r, h2m: h2m}
-	c.h1 = H1(aug, a2r, a1)
-	c.h2 = h2m.H2(a3r, a2)
-	return c
+	return &chain{tree: c.Tree, aug: c.Aug, sys: c.Sys, a1: c.A1, a2: c.A2, a2r: c.A2r, a3r: c.A3r,
+		h2m: c.H2Map, h1: c.H1, h2: c.H2}
 }
 
 func figure32(t *testing.T) *graph.Tree {

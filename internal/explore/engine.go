@@ -76,8 +76,10 @@ type Options struct {
 	Decode func(enc []byte) (ioa.State, error)
 }
 
-// workers resolves the worker count.
-func (o Options) workers() int {
+// WorkerCount resolves Workers: the number of goroutines an engine — or
+// a pass sharded the way the engine's levels are, like the proof
+// package's condition pass — runs under these options.
+func (o Options) WorkerCount() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
@@ -178,7 +180,7 @@ func ctxOr(ctx context.Context) context.Context {
 // far) on cancellation.
 func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
 	ctx = ctxOr(ctx)
-	if e.opts.workers() <= 1 {
+	if e.opts.WorkerCount() <= 1 {
 		order, _, err := e.seqExplore(ctx, a, nil)
 		return order, err
 	}
@@ -199,7 +201,7 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 	if pred == nil {
 		return nil, fmt.Errorf("explore: CheckInvariant: nil predicate")
 	}
-	if e.opts.workers() <= 1 {
+	if e.opts.WorkerCount() <= 1 {
 		_, v, err := e.seqExplore(ctx, a, pred)
 		return v, err
 	}

@@ -112,7 +112,7 @@ func sortCandsByKey(cands []cand) {
 // Cancellation is checked at level granularity.
 func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (states []ioa.State, v *Violation, maxDepth int, err error) {
 	ctx = ctxOr(ctx)
-	w := e.opts.workers()
+	w := e.opts.WorkerCount()
 	limit := e.opts.limit()
 	o := e.opts.Obs
 	if o != nil {
@@ -132,7 +132,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	// is the last completed BFS level.
 	rep := reporter{o: o, st: gst, phase: "explore"}
 	defer func() { rep.emit(int64(maxDepth), int64(len(states)), 0, true) }()
-	var crumbs []crumb // indexed by ID
+	var crumbs []crumb // indexed by ID; kept only under a predicate
 	// One probe and one Step per worker, for the whole run.
 	probes := make([]store.MemberProbe, w)
 	steps := make([]*Step, w)
@@ -152,7 +152,9 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	for _, s := range starts {
 		if id, fresh := gst.Intern(s); fresh {
 			states = append(states, s)
-			crumbs = append(crumbs, crumb{parent: store.None})
+			if pred != nil {
+				crumbs = append(crumbs, crumb{parent: store.None})
+			}
 			level = append(level, id)
 		}
 	}
@@ -207,7 +209,9 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		for _, c := range next {
 			id, _ := gst.Intern(c.state)
 			states = append(states, c.state)
-			crumbs = append(crumbs, crumb{parent: c.parent, act: c.act})
+			if pred != nil {
+				crumbs = append(crumbs, crumb{parent: c.parent, act: c.act})
+			}
 			level = append(level, id)
 		}
 		if err := gst.Err(); err != nil {

@@ -8,13 +8,13 @@ import (
 )
 
 func TestOptionsResolution(t *testing.T) {
-	if got := (Options{}).workers(); got != runtime.GOMAXPROCS(0) {
+	if got := (Options{}).WorkerCount(); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("zero Workers resolved to %d, want GOMAXPROCS", got)
 	}
-	if got := (Options{Workers: 3}).workers(); got != 3 {
+	if got := (Options{Workers: 3}).WorkerCount(); got != 3 {
 		t.Errorf("Workers=3 resolved to %d", got)
 	}
-	if got := (Options{Workers: -1}).workers(); got != 1 {
+	if got := (Options{Workers: -1}).WorkerCount(); got != 1 {
 		t.Errorf("negative Workers resolved to %d, want 1", got)
 	}
 	if got := (Options{}).limit(); got != DefaultLimit {

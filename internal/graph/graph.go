@@ -52,9 +52,12 @@ type Tree struct {
 	nodes []Node
 	// adj[v] lists v's neighbors in v's fixed cyclic order.
 	adj [][]int
-	// edgeIndex maps directed edge (v,w) to a dense index in [0, 2E).
-	edgeIndex map[[2]int]int
-	edges     [][2]int // directed edges by index
+	// edges lists the directed edges by dense index in [0, 2E), grouped
+	// by tail: those leaving v are edges[edgeBase[v]:edgeBase[v+1]], in
+	// the adjacency order Build saw (Augment reorders adj afterwards, so
+	// EdgeID scans edges, not adj).
+	edges    [][2]int
+	edgeBase []int
 	// tin/tout are Euler intervals for orientation queries, rooted at 0.
 	tin, tout []int
 	parent    []int
@@ -115,23 +118,24 @@ func (b *Builder) Build() (*Tree, error) {
 		return nil, fmt.Errorf("graph: %d nodes need %d edges for a tree, have %d", n, n-1, edgeCount/2)
 	}
 	t := &Tree{
-		nodes:     b.nodes,
-		adj:       b.adj,
-		edgeIndex: make(map[[2]int]int, edgeCount),
-		tin:       make([]int, n),
-		tout:      make([]int, n),
-		parent:    make([]int, n),
+		nodes:    b.nodes,
+		adj:      b.adj,
+		edges:    make([][2]int, 0, edgeCount),
+		edgeBase: make([]int, n+1),
+		tin:      make([]int, n),
+		tout:     make([]int, n),
+		parent:   make([]int, n),
 	}
 	for v, nb := range b.adj {
-		for _, w := range nb {
-			key := [2]int{v, w}
-			if _, dup := t.edgeIndex[key]; dup {
+		t.edgeBase[v] = len(t.edges)
+		for i, w := range nb {
+			if indexOf(nb[:i], w) >= 0 {
 				return nil, fmt.Errorf("graph: duplicate edge (%s,%s)", b.nodes[v].Name, b.nodes[w].Name)
 			}
-			t.edgeIndex[key] = len(t.edges)
-			t.edges = append(t.edges, key)
+			t.edges = append(t.edges, [2]int{v, w})
 		}
 	}
+	t.edgeBase[n] = len(t.edges)
 	// Euler tour from node 0; also checks connectivity/acyclicity.
 	timer := 0
 	visited := make([]bool, n)
@@ -187,8 +191,9 @@ func (t *Tree) NodesOf(kind Kind) []int {
 	return out
 }
 
-// Neighbors returns v's neighbors in the fixed cyclic order.
-func (t *Tree) Neighbors(v int) []int { return append([]int(nil), t.adj[v]...) }
+// Neighbors returns v's neighbors in the fixed cyclic order. The slice
+// is the tree's own adjacency list, shared by every caller: read-only.
+func (t *Tree) Neighbors(v int) []int { return t.adj[v] }
 
 // Degree returns the number of neighbors of v.
 func (t *Tree) Degree(v int) int { return len(t.adj[v]) }
@@ -200,10 +205,17 @@ func (t *Tree) EdgeCount() int { return len(t.edges) / 2 }
 func (t *Tree) DirectedEdges() int { return len(t.edges) }
 
 // EdgeID returns the dense index of directed edge (v,w) and whether it
-// exists.
+// exists: a scan of the edges leaving v (degree is small on a tree).
 func (t *Tree) EdgeID(v, w int) (int, bool) {
-	id, ok := t.edgeIndex[[2]int{v, w}]
-	return id, ok
+	if v < 0 || v >= len(t.nodes) {
+		return 0, false
+	}
+	for id := t.edgeBase[v]; id < t.edgeBase[v+1]; id++ {
+		if t.edges[id][1] == w {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // Edge returns the directed edge with the given dense index.

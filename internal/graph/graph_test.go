@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -303,4 +304,70 @@ func TestPointsTowardProperty(t *testing.T) {
 
 func nodeName(i int) string {
 	return string(rune('a'+i%26)) + string(rune('0'+i/26))
+}
+
+// TestEdgeIDAgreesWithEdge pins EdgeID as the inverse of Edge on every
+// directed edge — also on augmented trees, whose adjacency order is
+// rewritten after the edges were numbered — and its refusal of
+// non-edges and out-of-range nodes.
+func TestEdgeIDAgreesWithEdge(t *testing.T) {
+	trees := map[string]*Tree{"figure32": figTree(t)}
+	for name, build := range map[string]func() (*Tree, error){
+		"binary6": func() (*Tree, error) { return BinaryTree(6) },
+		"line4":   func() (*Tree, error) { return Line(4) },
+		"star5":   func() (*Tree, error) { return Star(5) },
+		"random":  func() (*Tree, error) { return Random(testseed.Base(t), 5, 4) },
+	} {
+		tr, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[name] = tr
+	}
+	for name, tr := range trees {
+		aug, err := Augment(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[name+"/aug"] = aug
+	}
+	for name, tr := range trees {
+		isEdge := make(map[[2]int]bool)
+		for id := 0; id < tr.DirectedEdges(); id++ {
+			v, w := tr.Edge(id)
+			isEdge[[2]int{v, w}] = true
+			if got, ok := tr.EdgeID(v, w); !ok || got != id {
+				t.Errorf("%s: EdgeID(%d,%d) = %d,%t, Edge(%d) says %d", name, v, w, got, ok, id, id)
+			}
+		}
+		if len(isEdge) != 2*tr.EdgeCount() {
+			t.Errorf("%s: %d distinct directed edges, want %d", name, len(isEdge), 2*tr.EdgeCount())
+		}
+		for v := -1; v <= tr.N(); v++ {
+			for w := -1; w <= tr.N(); w++ {
+				if _, ok := tr.EdgeID(v, w); ok != isEdge[[2]int{v, w}] {
+					t.Errorf("%s: EdgeID(%d,%d) ok=%t, want %t", name, v, w, ok, !ok)
+				}
+			}
+		}
+		// Every neighbor pair is an edge in both directions.
+		for v := 0; v < tr.N(); v++ {
+			for _, w := range tr.Neighbors(v) {
+				if !isEdge[[2]int{v, w}] || !isEdge[[2]int{w, v}] {
+					t.Errorf("%s: neighbors %d,%d are not edges both ways", name, v, w)
+				}
+			}
+		}
+	}
+}
+
+func TestBuildRejectsDuplicateEdge(t *testing.T) {
+	b := NewBuilder()
+	x, y := b.AddNode("x", Arbiter), b.AddNode("y", User)
+	b.AddNode("z", User) // three nodes, so two edges pass the count check
+	b.AddEdge(x, y)
+	b.AddEdge(x, y)
+	if _, err := b.Build(); err == nil || !strings.Contains(err.Error(), "duplicate edge") {
+		t.Fatalf("want duplicate-edge rejection, got %v", err)
+	}
 }

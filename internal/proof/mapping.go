@@ -1,10 +1,9 @@
 package proof
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
+	"slices"
 
 	"repro/internal/explore"
 	"repro/internal/ioa"
@@ -28,7 +27,12 @@ type PossMapping struct {
 	// B is the abstract (higher-level) automaton.
 	B ioa.Automaton
 	// Map returns h(a), the possibilities for a state of A. For the
-	// common case of a functional mapping, return a singleton.
+	// common case of a functional mapping, return a singleton. The
+	// checks of this package call Map once per start state and once per
+	// reachable state of A — before checking any condition on them, so
+	// also on states past the first failure — and never from two
+	// goroutines at once, whatever Options.Workers says: Map may memoise
+	// without locking.
 	Map func(ioa.State) []ioa.State
 }
 
@@ -44,27 +48,25 @@ func (h *PossMapping) Verify(limit int) error {
 	return h.VerifyOpts(explore.Options{Limit: limit})
 }
 
-// VerifyOpts is Verify with explicit exploration options: the two
-// reachability passes run through the explore engine, so a Workers
-// setting parallelizes the state-space construction. The mapping
-// conditions themselves are then checked sequentially over the
-// canonically ordered result.
+// VerifyOpts is Verify with explicit exploration options. The two
+// reachability passes run through the explore engine, Map is tabulated
+// once over the result, and condition 2 is then checked by
+// Options.Workers goroutines over that table (kernel.go); under
+// Options.Canon the condition pass stays on the calling goroutine. The
+// error is the same at every worker count: the first failure in the
+// order of Reach(A), then sorted action, then Next order, then Map
+// order.
 func (h *PossMapping) VerifyOpts(opts explore.Options) error {
-	o := opts.Obs
-	if o != nil {
+	if o := opts.Obs; o != nil {
 		defer o.Tracer.Span(0, "proof", "verify "+h.A.Name()+" -> "+h.B.Name())()
 	}
 	if !h.A.Sig().External().Equal(h.B.Sig().External()) {
 		return fmt.Errorf("%w: external signatures differ:\n  A: %v\n  B: %v",
 			ErrNotPossibilities, h.A.Sig().External(), h.B.Sig().External())
 	}
-	reachB, err := explore.New(opts).Reach(context.Background(), h.B)
+	reachB, err := reachIndexed(opts, h.B)
 	if err != nil {
 		return err
-	}
-	bReach := make(map[string]struct{}, len(reachB))
-	for _, s := range reachB {
-		bReach[s.Key()] = struct{}{}
 	}
 
 	// Condition 1.
@@ -85,54 +87,11 @@ func (h *PossMapping) VerifyOpts(opts explore.Options) error {
 	}
 
 	// Condition 2, over reachable states of A.
-	reachA, err := explore.New(opts).Reach(context.Background(), h.A)
+	m, err := h.image(opts, reachB)
 	if err != nil {
 		return err
 	}
-	bActs := h.B.Sig().Acts()
-	actsA := h.A.Sig().Acts().Sorted()
-	for _, a := range reachA {
-		var stateStart time.Time
-		if o != nil {
-			stateStart = o.Now()
-			o.Proof.MapStates.Add(1)
-		}
-		for _, act := range actsA {
-			for _, aNext := range h.A.Next(a, act) {
-				if o != nil {
-					o.Proof.MapSteps.Add(1)
-				}
-				nextPoss := h.Map(aNext)
-				for _, b := range h.Map(a) {
-					if _, reachable := bReach[b.Key()]; !reachable {
-						continue // condition applies to reachable possibilities only
-					}
-					if !bActs.Has(act) {
-						if !containsKey(nextPoss, b.Key()) {
-							return fmt.Errorf("%w: step (%q, %s, %q) of %s: possibility %q not preserved (action outside acts(%s))",
-								ErrNotPossibilities, a.Key(), act, aNext.Key(), h.A.Name(), b.Key(), h.B.Name())
-						}
-						continue
-					}
-					ok := false
-					for _, bNext := range h.B.Next(b, act) {
-						if containsKey(nextPoss, bNext.Key()) {
-							ok = true
-							break
-						}
-					}
-					if !ok {
-						return fmt.Errorf("%w: step (%q, %s, %q) of %s: no matching step of %s from possibility %q",
-							ErrNotPossibilities, a.Key(), act, aNext.Key(), h.A.Name(), h.B.Name(), b.Key())
-					}
-				}
-			}
-		}
-		if o != nil {
-			o.Proof.StateNS.Observe(o.Now().Sub(stateStart).Nanoseconds())
-		}
-	}
-	return nil
+	return h.condition2(opts, m)
 }
 
 func containsKey(states []ioa.State, key string) bool {
@@ -224,22 +183,14 @@ func (h *PossMapping) TransferDown(limit int, s func(ioa.State) bool, t func(ioa
 // (see VerifyOpts).
 func (h *PossMapping) TransferDownOpts(opts explore.Options, s func(ioa.State) bool, t func(ioa.Action) bool,
 	u func(ioa.State) bool, v func(ioa.Action) bool) error {
-	reachA, err := explore.New(opts).Reach(context.Background(), h.A)
-	if err != nil {
-		return err
-	}
 	// S ⊇ h⁻¹(U): every reachable a with some possibility in U must be in S.
-	for _, a := range reachA {
-		inU := false
-		for _, b := range h.Map(a) {
-			if u(b) {
-				inU = true
-				break
-			}
-		}
-		if inU && !s(a) {
+	if _, err := h.mapAll(opts, func(a ioa.State, poss []ioa.State) error {
+		if slices.ContainsFunc(poss, u) && !s(a) {
 			return fmt.Errorf("proof: S ⊉ h⁻¹(U): state %q has a possibility in U but is not in S", a.Key())
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	// T ⊆ V over the actions of A shared with B.
 	for act := range h.A.Sig().Acts().Intersect(h.B.Sig().Acts()) {

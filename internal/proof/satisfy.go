@@ -85,29 +85,25 @@ func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
 		}
 	}
 
-	reachB, err := explore.New(opts).Reach(context.Background(), h.B)
+	b, err := reachIndexed(opts, h.B)
 	if err != nil {
 		return err
 	}
-	bReach := make(map[string]struct{}, len(reachB))
-	for _, s := range reachB {
-		bReach[s.Key()] = struct{}{}
-	}
-	reachA, err := explore.New(opts).Reach(context.Background(), h.A)
+	m, err := h.image(opts, b)
 	if err != nil {
 		return err
 	}
-	for _, a := range reachA {
+	for i, a := range m.reachA {
 		enabledA := ioa.NewSet(h.A.Enabled(a)...)
 		for j, d := range partsB {
 			c := partsA[containing[j]]
 			// Is an action of D enabled from a reachable possibility?
 			dEnabledAtPoss := false
-			for _, b := range h.Map(a) {
-				if _, ok := bReach[b.Key()]; !ok {
+			for _, p := range m.row(i) {
+				if p == unreachable {
 					continue
 				}
-				for _, act := range h.B.Enabled(b) {
+				for _, act := range h.B.Enabled(b.states[p]) {
 					if d.Actions.Has(act) {
 						dEnabledAtPoss = true
 						break
