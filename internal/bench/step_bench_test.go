@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/grid"
 	"repro/internal/ioa"
+	"repro/internal/obs"
 )
 
 // BenchmarkCompositeStep is the exploration hot path in isolation: one
@@ -39,5 +41,38 @@ func BenchmarkCompositeStep(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(states)), "states")
+	b.ReportMetric(float64(successors), "successors")
+}
+
+// BenchmarkLevelMerge is the level-synchronized engine where the merge,
+// not the automaton, is the workload: one two-worker Census of the 7^5
+// grid (16 807 states, four in five successors a duplicate inside its
+// level). B/op over the states metric is bytes allocated per state. The
+// successor count comes from one untimed instrumented run.
+func BenchmarkLevelMerge(b *testing.B) {
+	g, err := grid.New(7, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	opts := explore.Options{Workers: 2, Limit: int(g.States()), Obs: obs.New(nil)}
+	if _, err := explore.New(opts).Census(ctx, g, nil, nil); err != nil {
+		b.Fatal(err)
+	}
+	successors := opts.Obs.Explore.Successors.Value()
+	opts.Obs = nil
+	eng := explore.New(opts)
+	var sum explore.Summary
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sum, err = eng.Census(ctx, g, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if sum.States != g.States() {
+		b.Fatalf("census counted %d states, want %d", sum.States, g.States())
+	}
+	b.ReportMetric(float64(sum.States), "states")
 	b.ReportMetric(float64(successors), "successors")
 }

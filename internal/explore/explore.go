@@ -20,7 +20,6 @@ package explore
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/ioa"
 )
@@ -39,10 +38,6 @@ type Violation struct {
 	State ioa.State
 	// Trace is a witness execution from a start state to State.
 	Trace *ioa.Execution
-}
-
-func sortStatesByKey(states []ioa.State) {
-	sort.Slice(states, func(i, j int) bool { return states[i].Key() < states[j].Key() })
 }
 
 // closedWorld removes an automaton's input actions from its signature

@@ -2,6 +2,8 @@ package explore
 
 import (
 	"context"
+	"slices"
+	"strings"
 
 	"repro/internal/ioa"
 )
@@ -19,4 +21,10 @@ func ParallelReachForTest(a ioa.Automaton, opts Options) ([]ioa.State, error) {
 func ParallelCheckForTest(a ioa.Automaton, opts Options, pred func(ioa.State) bool) (*Violation, error) {
 	_, v, _, err := New(opts).parallelExplore(context.Background(), a, pred)
 	return v, err
+}
+
+// sortStatesByKey puts a result in key order, for tests that compare
+// the parallel engine's state set with a reference in another order.
+func sortStatesByKey(states []ioa.State) {
+	slices.SortFunc(states, func(a, b ioa.State) int { return strings.Compare(a.Key(), b.Key()) })
 }

@@ -1,54 +1,37 @@
 package explore
 
 // Parallel sharded state-space exploration over the interned state
-// store. The engine runs a level-synchronized BFS: each level's
-// frontier is expanded by a pool of workers that steal fixed-size
-// chunks of the frontier off a shared cursor, successors are routed to
-// per-(worker, shard) outboxes, and at the level barrier each shard's
-// owner merges its inbox, deduplicating within the level. The store is
-// frozen (read-only, probed through per-worker store.Probes) during
-// expansion and written only between levels by the coordinator, which
-// interns each new level in canonical key-sorted order — so no two
-// goroutines ever write shared state, and dense IDs replace the seed's
-// per-shard map[string] seen maps, parent-key strings, and witness
-// reconstruction keys.
+// store: a level-synchronized BFS. Workers steal fixed-size chunks of
+// the frontier off a shared cursor and deduplicate each undiscovered
+// successor on arrival in their own per-shard level set; at the level
+// barrier each shard's owner folds the other workers' sets into worker
+// 0's. The store is frozen (read-only, probed through per-worker
+// probes) during expansion and written only between levels by the
+// coordinator, which interns each new level in canonical key-sorted
+// order from the encodings and hashes the probes produced — so no two
+// goroutines ever write shared state and nothing is encoded or hashed
+// twice. Which actions a state is stepped by is Step's decision
+// (engine.go).
 //
-// Determinism argument. The set of states discovered at depth d is a
-// pure function of the set at depths < d — it does not depend on which
-// worker expanded which state, because membership is decided against a
-// store that is frozen during expansion and written only at the
-// barrier. Each level is canonically sorted by key before it is
-// interned and appended to the result, so Reach returns a
-// bit-identical slice on every run with any worker count: all states
-// of depth d, ordered by key, preceded by all states of smaller depth.
-// Witness parents are also canonical: when several transitions
-// discover the same state in one level, the merge keeps the least
-// (parent ID, action) pair. That coincides with the seed's least
-// (parent key, action) rule because every candidate parent of a
-// depth-d state lies in the depth-(d-1) frontier, and within one level
-// ID order equals key order by the sorted-interning invariant.
-//
-// Where the sequential explorer probes successors for every action π
-// of the signature, the engine expands only Enabled(s) plus the input
-// actions. This is exact for I/O automata: inputs are enabled in every
-// state (the input-enabledness axiom, §2.1), and a locally-controlled
-// action outside Enabled(s) has no step from s. It turns the per-state
-// cost from |acts(A)| guard evaluations into |enabled(s)| + |in(A)|,
-// which the composition memo layer makes mostly cache hits; the
-// differential test battery checks the resulting state sets against
-// the sequential sweep on every seed.
-//
-// Symmetry reduction (Options.Canon) preserves the argument: membership
-// and merge dedup run on canonical bytes, so the set of orbits
-// discovered at depth d is still a pure function of the orbits at
-// depths < d, and candLess picks a scheduling-independent concrete
-// representative per orbit.
+// Determinism (DESIGN.md "Exploration engine" has the argument in
+// full). The states discovered at depth d are a pure function of those
+// at depths < d: membership is decided against a store frozen during
+// expansion. Scheduling decides which worker's set a candidate lands in
+// and when, but a set keeps the candLess-least candidate per encoding,
+// folding is the same operation, and a minimum does not depend on
+// arrival order. Each level is then sorted by key (by encoding — the
+// key's bytes — without a canonicalizer) and interned in that order, so
+// results are bit-identical at any worker count: depth-major,
+// key-minor, each state with its least (parent ID, action) crumb. Under
+// Options.Canon all of this holds of orbits, candLess picking each
+// orbit's concrete representative.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -65,32 +48,33 @@ type crumb struct {
 	act    ioa.Action
 }
 
-// cand is one candidate new state found during a level expansion,
-// before merge-time deduplication. hash is the FNV-64a of the state's
-// encoding, computed by the worker's probe and reused for shard
-// routing and merge bucketing.
+// cand is one candidate new state of a level and the transition that
+// found it. gather fills in enc (the canonical encoding the finding
+// probe produced, a view into a level-set arena) and its hash.
 type cand struct {
 	state  ioa.State
 	parent store.ID
 	act    ioa.Action
+	enc    []byte
 	hash   uint64
 }
 
-// candLess orders candidate crumbs for the same stored state: least
+// candLess orders candidates for the same stored encoding: least
 // (state key, parent, act) wins, making both the kept concrete
 // representative and its witness crumb deterministic. Without a
-// canonicalizer, merged candidates are byte-identical states, the key
-// comparison ties, and the rule degenerates to the seed's least
-// (parent, act); under symmetry quotienting, candidates in one merge
-// bucket are orbit-mates whose concrete states may differ, and the
-// least key picks the same representative regardless of worker
-// scheduling — with the crumb that actually produced that concrete
-// state, so witnesses remain genuine executions. parent IDs are
-// comparable as keys because all candidates' parents sit in the same
-// (key-sorted-interned) level.
-func candLess(a, b cand) bool {
-	if ak, bk := a.state.Key(), b.state.Key(); ak != bk {
-		return ak < bk
+// canonicalizer (byKey false) equal encodings are equal states, no key
+// is built, and the rule is the seed's least (parent, act); under
+// symmetry quotienting they are orbit-mates whose concrete states may
+// differ, and the least key picks the same representative regardless of
+// worker scheduling — with the crumb that actually produced that
+// concrete state, so witnesses remain genuine executions. parent IDs
+// are comparable as keys because all candidates' parents sit in the
+// same (key-sorted-interned) level.
+func candLess(a, b cand, byKey bool) bool {
+	if byKey {
+		if ak, bk := a.state.Key(), b.state.Key(); ak != bk {
+			return ak < bk
+		}
 	}
 	if a.parent != b.parent {
 		return a.parent < b.parent
@@ -98,11 +82,90 @@ func candLess(a, b cand) bool {
 	return a.act < b.act
 }
 
-func sortCandsByKey(cands []cand) {
-	// A tuple builds its key on the first Key() and caches it, so each
-	// candidate is encoded to a string once however often the sort
-	// compares it; the other state kinds hold their key as a field.
-	sort.Slice(cands, func(i, j int) bool { return cands[i].state.Key() < cands[j].state.Key() })
+// A levelSet holds what one worker found for one shard of one level:
+// the distinct encodings and, entry for entry, the least candidate.
+type levelSet struct {
+	keys  store.Batch
+	cands []cand
+}
+
+// add merges one candidate into the set: a duplicate collapses on the
+// spot, the lesser candidate staying. enc is copied.
+func (ls *levelSet) add(enc []byte, hash uint64, c cand, byKey bool) {
+	if i, ok := ls.keys.Lookup(enc, hash); ok {
+		if candLess(c, ls.cands[i], byKey) {
+			ls.cands[i] = c
+		}
+		return
+	}
+	ls.keys.Add(enc, hash)
+	ls.cands = append(ls.cands, c)
+}
+
+// levelScratch is what a level is deduplicated and ordered in: the
+// gathered result and sets[worker][shard], routed by hash % workers.
+// Allocated once per exploration and reset per level, it costs memory
+// in proportion to workers × the widest level's distinct new states.
+type levelScratch struct {
+	byKey bool // Options.Canon is set: order and dedup follow Key()
+	sets  [][]levelSet
+	next  []cand
+}
+
+func newLevelScratch(workers int, byKey bool) *levelScratch {
+	lv := &levelScratch{byKey: byKey, sets: make([][]levelSet, workers)}
+	for wi := range lv.sets {
+		lv.sets[wi] = make([]levelSet, workers)
+	}
+	return lv
+}
+
+func (lv *levelScratch) add(wi int, enc []byte, hash uint64, c cand) {
+	lv.sets[wi][hash%uint64(len(lv.sets))].add(enc, hash, c, lv.byKey)
+}
+
+// reset empties worker wi's sets as it starts a level, keeping capacity
+// and clearing the kept states so a finished level is collectable.
+func (lv *levelScratch) reset(wi int) {
+	for h := range lv.sets[wi] {
+		ls := &lv.sets[wi][h]
+		ls.keys.Reset()
+		clear(ls.cands)
+		ls.cands = ls.cands[:0]
+	}
+}
+
+// gather folds every worker's sets into worker 0's, one goroutine per
+// shard, and returns the level's distinct candidates in canonical
+// order; they and their enc views are valid until the next reset.
+func (lv *levelScratch) gather() []cand {
+	var wg sync.WaitGroup
+	for h := range lv.sets {
+		wg.Add(1)
+		go func(into *levelSet) {
+			defer wg.Done()
+			for _, row := range lv.sets[1:] {
+				for i, c := range row[h].cands {
+					into.add(row[h].keys.Key(i), row[h].keys.Hash(i), c, lv.byKey)
+				}
+			}
+			for i := range into.cands {
+				into.cands[i].enc, into.cands[i].hash = into.keys.Key(i), into.keys.Hash(i)
+			}
+		}(&lv.sets[0][h])
+	}
+	wg.Wait()
+	clear(lv.next)
+	lv.next = lv.next[:0]
+	for h := range lv.sets {
+		lv.next = append(lv.next, lv.sets[0][h].cands...)
+	}
+	if lv.byKey {
+		slices.SortFunc(lv.next, func(a, b cand) int { return strings.Compare(a.state.Key(), b.state.Key()) })
+	} else {
+		slices.SortFunc(lv.next, func(a, b cand) int { return bytes.Compare(a.enc, b.enc) })
+	}
+	return lv.next
 }
 
 // parallelExplore is the shared engine under the parallel Reach and
@@ -141,23 +204,28 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		steps[i] = NewStep(a, false)
 	}
 
-	// Level 0: the start states, canonically sorted then interned in
-	// that order (deduplicating), establishing the ID-order-equals-
-	// key-order-within-a-level invariant the determinism argument
-	// needs. Like the sequential explorer, starts are admitted
-	// regardless of the limit.
-	starts := append([]ioa.State(nil), a.Start()...)
-	sortStatesByKey(starts)
-	var level []store.ID
-	for _, s := range starts {
-		if id, fresh := gst.Intern(s); fresh {
-			states = append(states, s)
+	lv := newLevelScratch(w, e.opts.Canon != nil)
+	// admit interns a gathered level in order from the bytes it carries.
+	// IDs are dense, so the next frontier is the tail of states it adds.
+	admit := func(next []cand) {
+		for _, c := range next {
+			gst.InternEncoded(c.enc, c.hash)
+			states = append(states, c.state)
 			if pred != nil {
-				crumbs = append(crumbs, crumb{parent: store.None})
+				crumbs = append(crumbs, crumb{parent: c.parent, act: c.act})
 			}
-			level = append(level, id)
 		}
 	}
+
+	// Level 0: the start states, deduplicated, sorted and interned like
+	// any level (ID order equals key order within a level from the
+	// start) but, as in the sequential explorer, regardless of the limit.
+	var enc []byte
+	for _, s := range a.Start() {
+		enc = gst.AppendCanonical(enc[:0], s)
+		lv.add(0, enc, store.Hash(enc), cand{state: s, parent: store.None})
+	}
+	admit(lv.gather())
 	if err := gst.Err(); err != nil {
 		return nil, nil, 0, seenErr(a, err)
 	}
@@ -170,12 +238,13 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		}
 	}
 
-	for depth := 1; len(level) > 0; depth++ {
+	for depth, from := 1, 0; from < len(states); depth++ {
 		if err := ctx.Err(); err != nil {
 			return states, nil, maxDepth, err
 		}
 		levelStart := o.Now()
-		next := expandLevel(a, gst, states, level, probes, steps, depth, o)
+		frontier := len(states) - from
+		next := expandLevel(a, lv, states, from, probes, steps, depth, o)
 		if err := gst.Err(); err != nil {
 			// A worker's probe latched a storage failure during the
 			// frozen phase: the candidate set may be incomplete, so the
@@ -184,10 +253,10 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		}
 		if o != nil {
 			o.Explore.Levels.Add(1)
-			o.Explore.Frontier.Observe(int64(len(level)))
+			o.Explore.Frontier.Observe(int64(frontier))
 			o.Explore.LevelNS.Observe(o.Now().Sub(levelStart).Nanoseconds())
 			o.Tracer.Complete(0, "explore", fmt.Sprintf("level %d", depth), levelStart,
-				map[string]any{"frontier": len(level), "new": len(next)})
+				map[string]any{"frontier": frontier, "new": len(next)})
 			o.Tracer.CounterEvent(0, "memo", o.Memo.Values())
 		}
 		if len(next) == 0 {
@@ -204,20 +273,12 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 			next = next[:room]
 		}
 		maxDepth = depth
-		from := len(states)
-		level = level[:0]
-		for _, c := range next {
-			id, _ := gst.Intern(c.state)
-			states = append(states, c.state)
-			if pred != nil {
-				crumbs = append(crumbs, crumb{parent: c.parent, act: c.act})
-			}
-			level = append(level, id)
-		}
+		from = len(states)
+		admit(next)
 		if err := gst.Err(); err != nil {
 			return states[:from], nil, maxDepth, seenErr(a, err)
 		}
-		rep.emit(int64(depth), int64(len(states)), int64(len(level)), false)
+		rep.emit(int64(depth), int64(len(states)), int64(len(states)-from), false)
 		if pred != nil {
 			if v := checkLevel(a, states, crumbs, from, pred); v != nil {
 				return states, v, maxDepth, nil
@@ -233,25 +294,21 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	return states, nil, maxDepth, nil
 }
 
-// expandLevel computes the candidate set of undiscovered successors of
-// level and returns it deduplicated (canonical least crumb per state)
-// and sorted by key, ready for the coordinator to intern in order.
-// During expansion the store is frozen, so workers probe it freely
-// through their per-worker probes; merge-time dedup runs one goroutine
-// per shard over hash-routed outboxes, comparing encodings byte-wise
-// against a per-shard scratch arena (hashes route, bytes decide).
-func expandLevel(a ioa.Automaton, gst store.SeenSet, states []ioa.State, level []store.ID,
+// expandLevel computes the undiscovered successors of the frontier
+// states[from:], deduplicated (canonical least crumb per state) and in
+// canonical order, ready for the coordinator to intern. The store is
+// frozen meanwhile: workers probe it freely, each deduplicating in its
+// own row of lv's sets on the bytes and hash its probe just produced.
+func expandLevel(a ioa.Automaton, lv *levelScratch, states []ioa.State, from int,
 	probes []store.MemberProbe, steps []*Step, depth int, o *obs.Obs) []cand {
-	w := len(probes)
-	// outboxes[worker][shard] holds candidate crumbs.
-	outboxes := make([][][]cand, w)
 	var cursor int64
 	const chunk = 16
 	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
+	for wi := range probes {
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
+			lv.reset(wi)
 			// The per-worker tally is a plain local (register
 			// increments), flushed to the sharded counter once per
 			// level — so the disabled path stays metric-free and the
@@ -259,31 +316,24 @@ func expandLevel(a ioa.Automaton, gst store.SeenSet, states []ioa.State, level [
 			var emitted int64
 			workStart := o.Now()
 			probe, step := probes[wi], steps[wi]
-			buckets := make([][]cand, w)
 			var curParent store.ID
 			yield := func(nxt ioa.State) bool {
 				if _, h, ok := probe.Lookup(nxt); !ok {
 					emitted++
-					sh := int(h % uint64(w))
-					buckets[sh] = append(buckets[sh], cand{state: nxt, parent: curParent, act: step.Act, hash: h})
+					lv.add(wi, probe.Bytes(), h, cand{state: nxt, parent: curParent, act: step.Act})
 				}
 				return true
 			}
 			for {
-				start := int(atomic.AddInt64(&cursor, chunk)) - chunk
-				if start >= len(level) {
+				end := from + int(atomic.AddInt64(&cursor, chunk))
+				if end-chunk >= len(states) {
 					break
 				}
-				end := start + chunk
-				if end > len(level) {
-					end = len(level)
-				}
-				for _, id := range level[start:end] {
-					curParent = id
-					step.Visit(states[id], yield)
+				for i := end - chunk; i < min(end, len(states)); i++ {
+					curParent = store.ID(i)
+					step.Visit(states[i], yield)
 				}
 			}
-			outboxes[wi] = buckets
 			if o != nil {
 				o.Explore.Successors.AddShard(wi, emitted)
 				o.Tracer.Complete(wi+1, "explore", "expand", workStart,
@@ -292,59 +342,7 @@ func expandLevel(a ioa.Automaton, gst store.SeenSet, states []ioa.State, level [
 		}(wi)
 	}
 	wg.Wait()
-
-	// Per-shard merge: each shard's owner drains every worker's
-	// outbox for that shard, keeping the canonical (least) crumb per
-	// newly discovered state.
-	merged := make([][]cand, w)
-	for h := 0; h < w; h++ {
-		wg.Add(1)
-		go func(h int) {
-			defer wg.Done()
-			var cands []cand
-			pending := make(map[uint64][]int) // hash -> indices into cands
-			var arena []byte
-			var locs [][2]int // per-cand [offset, length] into arena
-			var buf []byte
-			for wi := 0; wi < w; wi++ {
-				for _, c := range outboxes[wi][h] {
-					// Dedup on canonical bytes: under symmetry
-					// quotienting, orbit-mates discovered by different
-					// workers must collapse here — the coordinator's
-					// intern loop assumes every merged candidate is
-					// fresh and distinct.
-					buf = gst.AppendCanonical(buf[:0], c.state)
-					dup := false
-					for _, ci := range pending[c.hash] {
-						l := locs[ci]
-						if bytes.Equal(arena[l[0]:l[0]+l[1]], buf) {
-							if candLess(c, cands[ci]) {
-								cands[ci] = c
-							}
-							dup = true
-							break
-						}
-					}
-					if dup {
-						continue
-					}
-					pending[c.hash] = append(pending[c.hash], len(cands))
-					locs = append(locs, [2]int{len(arena), len(buf)})
-					arena = append(arena, buf...)
-					cands = append(cands, c)
-				}
-			}
-			merged[h] = cands
-		}(h)
-	}
-	wg.Wait()
-
-	var next []cand
-	for h := 0; h < w; h++ {
-		next = append(next, merged[h]...)
-	}
-	sortCandsByKey(next)
-	return next
+	return lv.gather()
 }
 
 // checkLevel evaluates pred over the newly admitted states (IDs from

@@ -130,7 +130,7 @@ func (g *Grid) VisitNext(s ioa.State, a ioa.Action, yield func(ioa.State) bool) 
 // Enabled implements ioa.Automaton: the increments of digits below
 // m-1.
 func (g *Grid) Enabled(s ioa.State) []ioa.Action {
-	var out []ioa.Action
+	out := make([]ioa.Action, 0, g.k)
 	for i, act := range g.acts {
 		if d := g.digit(s, i); d >= 0 && d < g.m-1 {
 			out = append(out, act)

@@ -1,0 +1,129 @@
+package store
+
+import (
+	"bytes"
+	"math/bits"
+)
+
+// An Index is a pointer-free, open-addressed table from a 64-bit hash
+// to a dense ordinal — the one dedup index under the arena Store's
+// shards, the Spill's hot batch and the explorer's level sets. It holds
+// no encodings: Find asks the caller's eq which of the ordinals filed
+// under exactly that hash is the wanted entry (hashes route, bytes
+// decide). A slot is the full hash plus ordinal+1, zero meaning empty,
+// so the table is one allocation the collector never scans and an entry
+// allocates nothing. Probing is linear; the table doubles rather than
+// pass three-quarters full. The zero Index is empty and ready.
+// Single-writer; any number of goroutines may Find concurrently while
+// nobody Inserts or Resets.
+type Index struct {
+	slots []indexSlot
+	n     int
+	shift uint // 64 − log₂ len(slots)
+}
+
+type indexSlot struct{ hash, ord1 uint64 }
+
+// home is a hash's first slot: the top bits of hash × 2⁶⁴/φ. The low
+// bits already routed the encoding to its store shard (hash & mask) or
+// level-set shard (hash % w) and are the same across one table.
+func (ix *Index) home(hash uint64) uint64 {
+	return (hash * 0x9e3779b97f4a7c15) >> ix.shift
+}
+
+// Find returns the first ordinal filed under hash that eq accepts.
+func (ix *Index) Find(hash uint64, eq func(ord int) bool) (int, bool) {
+	if ix.n == 0 {
+		return 0, false
+	}
+	mask := uint64(len(ix.slots) - 1)
+	for i := ix.home(hash); ; i = (i + 1) & mask {
+		s := ix.slots[i]
+		if s.ord1 == 0 {
+			return 0, false
+		}
+		if s.hash == hash && eq(int(s.ord1-1)) {
+			return int(s.ord1 - 1), true
+		}
+	}
+}
+
+// Insert files ord under hash. It does not look for an equal entry:
+// callers Find first and Insert only what was absent.
+func (ix *Index) Insert(hash uint64, ord int) {
+	if (ix.n+1)*4 > len(ix.slots)*3 {
+		old := ix.slots
+		ix.slots = make([]indexSlot, max(16, 2*len(old)))
+		ix.shift = uint(64 - bits.TrailingZeros(uint(len(ix.slots))))
+		ix.n = 0
+		for _, s := range old {
+			if s.ord1 != 0 {
+				ix.Insert(s.hash, int(s.ord1-1))
+			}
+		}
+	}
+	i, mask := ix.home(hash), uint64(len(ix.slots)-1)
+	for ix.slots[i].ord1 != 0 {
+		i = (i + 1) & mask
+	}
+	ix.slots[i] = indexSlot{hash, uint64(ord) + 1}
+	ix.n++
+}
+
+// Reset empties the index and keeps its capacity.
+func (ix *Index) Reset() {
+	if ix.n > 0 {
+		clear(ix.slots)
+		ix.n = 0
+	}
+}
+
+// A Batch is an insertion-ordered set of encodings held in RAM: one
+// arena of concatenated bytes, entry boundaries, per-entry hashes and
+// an Index over them. It is the Spill's hot batch (the hashes feed the
+// bloom filter at flush) and the body of the explorer's level sets (the
+// hashes ride to InternEncoded at the barrier). Boundaries are int, not
+// uint32: SpillOptions.MemBudget may legally exceed 4 GiB and nothing
+// bounds a level, so narrower offsets could wrap silently. The zero
+// Batch is empty and ready; concurrency is the Index's.
+type Batch struct {
+	ix     Index
+	arena  []byte
+	ends   []int // entry i is arena[ends[i-1]:ends[i]], from 0 for i == 0
+	hashes []uint64
+}
+
+// Len returns the number of entries.
+func (b *Batch) Len() int { return len(b.ends) }
+
+// Key returns entry i's encoding, a view valid until the next Add.
+func (b *Batch) Key(i int) []byte {
+	lo := 0
+	if i > 0 {
+		lo = b.ends[i-1]
+	}
+	return b.arena[lo:b.ends[i]]
+}
+
+// Hash returns the hash entry i was added under.
+func (b *Batch) Hash(i int) uint64 { return b.hashes[i] }
+
+// Lookup finds enc, given its hash, and returns its entry number.
+func (b *Batch) Lookup(enc []byte, hash uint64) (int, bool) {
+	return b.ix.Find(hash, func(i int) bool { return bytes.Equal(b.Key(i), enc) })
+}
+
+// Add appends a copy of enc as the next entry. Like Index.Insert it
+// does not dedup: callers Lookup first.
+func (b *Batch) Add(enc []byte, hash uint64) {
+	b.ix.Insert(hash, len(b.ends))
+	b.arena = append(b.arena, enc...)
+	b.ends = append(b.ends, len(b.arena))
+	b.hashes = append(b.hashes, hash)
+}
+
+// Reset empties the batch and keeps its capacity.
+func (b *Batch) Reset() {
+	b.ix.Reset()
+	b.arena, b.ends, b.hashes = b.arena[:0], b.ends[:0], b.hashes[:0]
+}

@@ -60,7 +60,7 @@ const (
 
 	defaultBlockEvery   = 16
 	defaultBloomPerKey  = 10
-	hotEntryOverhead    = 24 // offs + hash + bucket slot, approximate
+	hotEntryOverhead    = 24 // boundary + hash + index slot, approximate
 	spillReadBufferSize = 1 << 16
 )
 
@@ -127,7 +127,7 @@ func (b *bloom) maybe(h uint64) bool {
 
 // blockMeta locates one restart block: its file offset and its first
 // key (a slice into the run's key arena). The key bounds are int for
-// the same overflow reason as spillHot.offs: a large MemBudget can push
+// the same overflow reason as Batch.ends: a large MemBudget can push
 // the first-key arena of a single run past 4 GiB of concatenated keys.
 type blockMeta struct {
 	off     int64
@@ -165,53 +165,6 @@ func (r *runMeta) blockBounds(b int) (off, n int64) {
 	return off, end - off
 }
 
-// spillHot is the in-RAM batch: one arena of concatenated encodings,
-// entry boundaries, per-entry hashes (reused for bloom construction at
-// flush), and a full-hash bucket table for dedup. Offsets are int, not
-// uint32: SpillOptions.MemBudget is an int64 the caller may legally set
-// past 4 GiB, so the arena can outgrow a 32-bit offset before any flush
-// fires — narrower offsets would wrap silently and corrupt key
-// boundaries.
-type spillHot struct {
-	table  map[uint64][]int
-	arena  []byte
-	offs   []int // len = count+1; entry i is arena[offs[i]:offs[i+1]]
-	hashes []uint64
-}
-
-func (h *spillHot) init() {
-	h.table = make(map[uint64][]int)
-	h.offs = append(h.offs[:0], 0)
-}
-
-func (h *spillHot) count() int { return len(h.hashes) }
-
-func (h *spillHot) key(i int) []byte { return h.arena[h.offs[i]:h.offs[i+1]] }
-
-func (h *spillHot) lookup(enc []byte, hash uint64) (int, bool) {
-	for _, i := range h.table[hash] {
-		if bytes.Equal(h.key(i), enc) {
-			return i, true
-		}
-	}
-	return -1, false
-}
-
-func (h *spillHot) add(enc []byte, hash uint64) {
-	i := h.count()
-	h.arena = append(h.arena, enc...)
-	h.offs = append(h.offs, len(h.arena))
-	h.hashes = append(h.hashes, hash)
-	h.table[hash] = append(h.table[hash], i)
-}
-
-func (h *spillHot) reset() {
-	h.arena = h.arena[:0]
-	h.offs = h.offs[:1]
-	h.hashes = h.hashes[:0]
-	clear(h.table)
-}
-
 // A Spill is the disk-spilling SeenSet implementation.
 type Spill struct {
 	opts       SpillOptions
@@ -221,7 +174,7 @@ type Spill struct {
 	budget     int64
 	blockEvery int
 
-	hot         spillHot
+	hot         Batch // always the contiguous ID range [flushedBase, total)
 	hotBytes    int64
 	total       uint64
 	flushedBase uint64
@@ -264,7 +217,6 @@ func NewSpill(opts SpillOptions) (*Spill, error) {
 	if sp.blockEvery <= 0 {
 		sp.blockEvery = defaultBlockEvery
 	}
-	sp.hot.init()
 	return sp, nil
 }
 
@@ -336,7 +288,7 @@ func (sp *Spill) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 		return None, false
 	}
 	id := ID(sp.total)
-	sp.hot.add(enc, hash)
+	sp.hot.Add(enc, hash)
 	sp.total++
 	sp.hotBytes += int64(len(enc)) + hotEntryOverhead
 	if sp.hotBytes >= sp.budget {
@@ -354,7 +306,7 @@ func (sp *Spill) Has(s ioa.State) (ID, bool) {
 // search is the merge-on-lookup membership path: hot batch first, then
 // runs newest-first. Disk errors latch on Err and report not-found.
 func (sp *Spill) search(enc []byte, hash uint64, blockBuf, keyBuf *[]byte) (ID, bool) {
-	if i, ok := sp.hot.lookup(enc, hash); ok {
+	if i, ok := sp.hot.Lookup(enc, hash); ok {
 		return ID(sp.flushedBase + uint64(i)), true
 	}
 	for i := len(sp.runs) - 1; i >= 0; i-- {
@@ -538,7 +490,7 @@ func (rw *runWriter) finish() (*runMeta, error) {
 // Flush writes the hot batch (sorted by key) as one new run and resets
 // it. A no-op on an empty batch.
 func (sp *Spill) Flush() error {
-	n := sp.hot.count()
+	n := sp.hot.Len()
 	if n == 0 {
 		return nil
 	}
@@ -547,20 +499,20 @@ func (sp *Spill) Flush() error {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		return bytes.Compare(sp.hot.key(idx[a]), sp.hot.key(idx[b])) < 0
+		return bytes.Compare(sp.hot.Key(idx[a]), sp.hot.Key(idx[b])) < 0
 	})
 	rw, err := sp.newRunWriter(sp.flushedBase)
 	if err != nil {
 		return err
 	}
 	for _, i := range idx {
-		rw.add(sp.hot.key(i), sp.hot.hashes[i], sp.flushedBase+uint64(i))
+		rw.add(sp.hot.Key(i), sp.hot.Hash(i), sp.flushedBase+uint64(i))
 	}
 	if _, err := rw.finish(); err != nil {
 		return err
 	}
 	sp.flushedBase = sp.total
-	sp.hot.reset()
+	sp.hot.Reset()
 	sp.hotBytes = 0
 	return nil
 }

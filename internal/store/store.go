@@ -44,8 +44,8 @@ type ID uint64
 const None ID = ^ID(0)
 
 // DefaultShards is the arena shard count used when Options.Shards is
-// zero. Sharding bounds individual arena growth (each append only
-// recopies its own shard) and keeps bucket chains short.
+// zero. Sharding bounds individual arena and index growth: an append or
+// a doubling only recopies its own shard.
 const DefaultShards = 16
 
 // A Canonicalizer maps each state to the canonical representative of
@@ -81,8 +81,7 @@ type Options struct {
 	// individual states. Callers still hand Intern concrete states and
 	// may keep them as orbit representatives; only the stored encoding
 	// is canonical. InternEncoded bypasses canonicalization and must be
-	// given canonical bytes (the parallel explorer's merge obtains them
-	// from AppendCanonical / Probe.Bytes).
+	// given canonical bytes (AppendCanonical's or Probe.Bytes').
 	Canon Canonicalizer
 }
 
@@ -98,11 +97,10 @@ type loc struct {
 // off+n must both fit uint32. A variable so tests can shrink it.
 var arenaLimit uint64 = math.MaxUint32
 
-// shard is one arena plus its hash buckets.
+// shard is one arena plus the index of the IDs whose encodings live in
+// it; a hash match is confirmed by byte comparison against the arena.
 type shard struct {
-	// table maps a full FNV-64a hash to the IDs whose encodings share
-	// it (collision chains are resolved by byte comparison).
-	table map[uint64][]ID
+	ix    Index
 	arena []byte
 }
 
@@ -128,11 +126,7 @@ func New(opts Options) *Store {
 	for p < n {
 		p <<= 1
 	}
-	st := &Store{shards: make([]shard, p), mask: uint64(p - 1), canon: opts.Canon}
-	for i := range st.shards {
-		st.shards[i].table = make(map[uint64][]ID)
-	}
-	return st
+	return &Store{shards: make([]shard, p), mask: uint64(p - 1), canon: opts.Canon}
 }
 
 // Canon returns the store's canonicalizer (nil without symmetry
@@ -141,10 +135,9 @@ func (st *Store) Canon() Canonicalizer { return st.canon }
 
 // AppendCanonical appends the canonical encoding of s to dst: the
 // encoding of Canon.Canonical(s) when a canonicalizer is set, s's own
-// encoding otherwise. This is the byte form Intern dedups on; the
-// parallel explorer's merge uses it so orbit-mates discovered by
-// different workers collapse before the barrier. The returned slice
-// follows the append contract and never aliases store-owned memory.
+// encoding otherwise. This is the byte form Intern dedups on. The
+// returned slice follows the append contract and never aliases
+// store-owned memory.
 func (st *Store) AppendCanonical(dst []byte, s ioa.State) []byte {
 	if st.canon != nil {
 		s = st.canon.Canonical(s)
@@ -262,12 +255,10 @@ func (st *Store) Intern(s ioa.State) (ID, bool) {
 // ends the exploration with an error instead of wrapped offsets and a
 // wrong state count.
 func (st *Store) InternEncoded(enc []byte, hash uint64) (ID, bool) {
-	sh := &st.shards[hash&st.mask]
-	for _, id := range sh.table[hash] {
-		if st.equal(id, enc) {
-			return id, false
-		}
+	if id, ok := st.lookup(enc, hash); ok {
+		return id, false
 	}
+	sh := &st.shards[hash&st.mask]
 	id := ID(len(st.locs))
 	off := len(sh.arena)
 	if uint64(off)+uint64(len(enc)) > arenaLimit {
@@ -279,7 +270,7 @@ func (st *Store) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 	}
 	sh.arena = append(sh.arena, enc...)
 	st.locs = append(st.locs, loc{shard: uint32(hash & st.mask), off: uint32(off), n: uint32(len(enc))})
-	sh.table[hash] = append(sh.table[hash], id)
+	sh.ix.Insert(hash, int(id))
 	return id, true
 }
 
@@ -294,22 +285,13 @@ func (st *Store) Has(s ioa.State) (ID, bool) {
 
 // lookup finds an encoding without interning it.
 func (st *Store) lookup(enc []byte, hash uint64) (ID, bool) {
-	sh := &st.shards[hash&st.mask]
-	for _, id := range sh.table[hash] {
-		if st.equal(id, enc) {
-			return id, true
-		}
+	id, ok := st.shards[hash&st.mask].ix.Find(hash, func(id int) bool {
+		return bytes.Equal(st.Encoding(ID(id)), enc)
+	})
+	if !ok {
+		return None, false
 	}
-	return None, false
-}
-
-// equal compares id's interned bytes against enc.
-func (st *Store) equal(id ID, enc []byte) bool {
-	l := st.locs[id]
-	if int(l.n) != len(enc) {
-		return false
-	}
-	return bytes.Equal(st.shards[l.shard].arena[l.off:l.off+l.n], enc)
+	return ID(id), true
 }
 
 // A Probe is a read-only view with its own encoding buffer, letting
@@ -325,7 +307,7 @@ type Probe struct {
 func (st *Store) NewProbe() *Probe { return &Probe{st: st} }
 
 // Lookup reports whether s is interned, returning its ID, the FNV-64a
-// hash of its canonical encoding (for reuse at the merge barrier), and
+// hash of its canonical encoding (for reuse at the level barrier), and
 // the membership verdict. Under a canonicalizer the probe looks up the
 // orbit representative, so a hit means some orbit-mate of s was
 // interned.
@@ -339,6 +321,6 @@ func (p *Probe) Lookup(s ioa.State) (ID, uint64, bool) {
 // Bytes returns the canonical encoding produced by the most recent
 // Lookup. The slice aliases the probe's buffer — never the caller's
 // input state or the store arenas — and is only valid until the next
-// Lookup on this probe; consumers that outlive that window (the
-// merge arenas) copy it.
+// Lookup on this probe; consumers that outlive that window (the level
+// sets) copy it.
 func (p *Probe) Bytes() []byte { return p.buf }
