@@ -8,6 +8,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/ioa"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // BenchmarkCompositeStep is the exploration hot path in isolation: one
@@ -44,35 +45,49 @@ func BenchmarkCompositeStep(b *testing.B) {
 	b.ReportMetric(float64(successors), "successors")
 }
 
-// BenchmarkLevelMerge is the level-synchronized engine where the merge,
-// not the automaton, is the workload: one two-worker Census of the 7^5
-// grid (16 807 states, four in five successors a duplicate inside its
-// level). B/op over the states metric is bytes allocated per state. The
-// successor count comes from one untimed instrumented run.
+// BenchmarkLevelMerge is a Census where the level set, not the
+// automaton, is the workload: the 7^5 grid (16 807 states, four in five
+// successors a duplicate inside its level), as ram — the two-worker
+// level-synchronized engine — and as spill — the external census, its
+// chunk a fifth of the encoded state space. B/op over the states metric
+// is bytes allocated per state. The successor and run counts come from
+// one untimed instrumented run.
 func BenchmarkLevelMerge(b *testing.B) {
 	g, err := grid.New(7, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	opts := explore.Options{Workers: 2, Limit: int(g.States()), Obs: obs.New(nil)}
-	if _, err := explore.New(opts).Census(ctx, g, nil, nil); err != nil {
-		b.Fatal(err)
+	for _, mode := range []string{"ram", "spill"} {
+		b.Run(mode, func(b *testing.B) {
+			opts := explore.Options{Workers: 2, Limit: int(g.States()), Obs: obs.New(nil)}
+			if mode == "spill" {
+				opts.Decode = g.Decode
+				opts.Spill = &store.SpillOptions{Dir: b.TempDir(), MemBudget: 16 << 10}
+			}
+			if _, err := explore.New(opts).Census(ctx, g, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+			successors, runs := opts.Obs.Explore.Successors.Value(), opts.Obs.Store.SpillRuns.Value()
+			opts.Obs = nil
+			eng := explore.New(opts)
+			var sum explore.Summary
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if sum, err = eng.Census(ctx, g, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if sum.States != g.States() {
+				b.Fatalf("census counted %d states, want %d", sum.States, g.States())
+			}
+			b.ReportMetric(float64(sum.States), "states")
+			if mode == "ram" {
+				b.ReportMetric(float64(successors), "successors")
+			} else {
+				b.ReportMetric(float64(runs), "runs")
+			}
+		})
 	}
-	successors := opts.Obs.Explore.Successors.Value()
-	opts.Obs = nil
-	eng := explore.New(opts)
-	var sum explore.Summary
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sum, err = eng.Census(ctx, g, nil, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if sum.States != g.States() {
-		b.Fatalf("census counted %d states, want %d", sum.States, g.States())
-	}
-	b.ReportMetric(float64(sum.States), "states")
-	b.ReportMetric(float64(successors), "successors")
 }

@@ -12,14 +12,15 @@
 // Decode hook:
 //
 //  1. Each worker expands its frontier (states it discovered and won
-//     last level) and routes every successor's canonical encoding to
-//     the encoding's owner, Hash(enc) mod procs, via the coordinator.
-//  2. Each owner merges the candidate batches from all ranks, sorts
-//     them by (encoding, sender, index), deduplicates byte-equal
-//     encodings, and interns the survivors absent from its shard of
-//     the seen set — in sorted order, mirroring the in-process
-//     engine's key-sorted barrier interning. For each fresh encoding
-//     exactly one discoverer — the least (sender, index) — is told it
+//     last level) into one store.LevelSet per owner, Hash(enc) mod
+//     procs — each canonical encoding once, with the concrete state
+//     that produced it — and routes every set's encodings to its owner
+//     via the coordinator.
+//  2. Each owner folds what arrives from all ranks into one level set
+//     keeping the least (sender, index) per encoding, and interns those
+//     absent from its shard of the seen set in the set's Order — byte
+//     order, mirroring the in-process engine's key-sorted barrier
+//     interning. The least discoverer of each fresh encoding is told it
 //     won and will expand the state next level.
 //  3. Workers report per-level counts; the coordinator sums them,
 //     decides continuation, and broadcasts it.
@@ -38,7 +39,8 @@
 // Every received candidate is verified to belong to the receiving
 // rank's shard; a corrupted shard assignment (the -dist-corrupt test
 // hook, or a real routing bug) aborts the whole cluster rather than
-// silently double-counting.
+// silently double-counting. So does a frame whose rank, offset or win
+// index points outside what it may index: the wire is outside input.
 //
 // Flow control: workers send their entire per-level batch set before
 // reading anything, so the coordinator must never let one peer's
@@ -51,19 +53,18 @@
 // coordinator gives every peer an unbounded outbound queue drained by
 // a dedicated writer goroutine, so routing a message only ever
 // enqueues. The cost is that in-flight routed batches buffer in
-// coordinator RAM — bounded by one level's cross-rank candidate
-// volume, the same O(level width) bound the workers themselves carry
+// coordinator RAM — bounded by one level's distinct cross-rank
+// candidates, the same O(level width) bound the workers themselves carry
 // (see the memory note on Work).
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"math"
 	"net"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -170,12 +171,12 @@ type msg struct {
 
 	Procs int      // kWelcome
 	Base  int32    // kBatch: index of Encs[0] within everything From sent To this level
-	Encs  [][]byte // kBatch: candidate encodings, discovery order
+	Encs  [][]byte // kBatch: distinct candidate encodings, discovery order
 	Win   []int32  // kReply: winning indices into the candidates From received from To
 
 	Fresh     int64  // kLevel: encodings this rank interned as owner
 	Owned     int64  // kLevel: this rank's shard size
-	Sent      int64  // kLevel: encodings this rank routed to other ranks
+	Sent      int64  // kLevel: distinct encodings this rank routed to other ranks
 	BarrierNS int64  // kLevel: time blocked at this level's barriers
 	Violation string // kLevel: least violating key among this rank's wins
 
@@ -523,18 +524,9 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// candidate is one successor a worker discovered, pending the owner's
-// verdict.
-type candidate struct {
-	state ioa.State
-	enc   []byte
-}
-
-// ref orders an owner's merged candidates: byte order of the encoding
-// first (sorted interning), then (sender, index) to pick the canonical
-// winner among duplicates.
+// ref names one candidate by its discoverer and its entry number in the
+// set that discoverer keeps for this owner.
 type ref struct {
-	enc  []byte
 	from int
 	idx  int32
 }
@@ -545,16 +537,12 @@ type ref struct {
 // window, since hand-started workers race the coordinator's bind; the
 // retry wraps only the dial, never the exploration.
 //
-// Memory: a worker holds every concrete candidate state of the current
-// level in RAM (the routed batches and the winning frontier), even
-// when Config.Spill backs the seen set — so worker RAM scales with the
-// widest BFS level, not with the spill budget. This is inherent to the
-// no-Decode-hook design: concrete states never cross a process
-// boundary and cannot be rebuilt from spilled encodings, so the
-// discoverer must keep them until the owners' verdicts arrive. Spill
-// still removes the (much larger) cumulative seen set from RAM; for
-// spaces whose single widest level exceeds RAM, use the in-process
-// external census instead.
+// Memory: a worker holds the distinct candidates of the current level —
+// per owner, each encoding it discovered once with the concrete state
+// that produced it; as owner, each encoding routed to it once — so its
+// RAM scales with the widest BFS level's distinct states, like the
+// in-process engine's, even when Config.Spill backs the seen set
+// (DESIGN.md "Worker memory bound" says why the states must stay).
 func Work(ctx context.Context, cfg Config) error {
 	if cfg.Build == nil {
 		return fmt.Errorf("cluster: worker needs a Build hook")
@@ -563,6 +551,11 @@ func Work(ctx context.Context, cfg Config) error {
 	if err != nil {
 		return ctxErr(ctx, err)
 	}
+	return work(ctx, conn, cfg)
+}
+
+// work is Work on an established connection, which it closes.
+func work(ctx context.Context, conn net.Conn, cfg Config) error {
 	defer conn.Close()
 	done := make(chan struct{})
 	defer close(done)
@@ -584,6 +577,9 @@ func Work(ctx context.Context, cfg Config) error {
 		return fmt.Errorf("cluster: protocol: first message kind %d", welcome.Kind)
 	}
 	rank, procs := welcome.To, welcome.Procs
+	if procs < 1 || rank < 0 || rank >= procs {
+		return fmt.Errorf("cluster: protocol: welcome assigns rank %d of %d", rank, procs)
+	}
 
 	a, err := cfg.Build()
 	if err != nil {
@@ -602,37 +598,87 @@ func Work(ctx context.Context, cfg Config) error {
 		return err
 	}
 
-	// The owners sort each level's candidates, so the walk need not.
-	step := explore.NewStep(a, false)
-	// candidates starts as the start states — every rank proposes the
-	// same level-0 set and owner dedup keeps one copy of each.
-	var cands []candidate
-	for _, s := range a.Start() {
-		cands = append(cands, candidate{state: s, enc: seen.AppendCanonical(nil, s)})
+	// out[owner] is what this rank discovered for owner this level: each
+	// encoding once, with the first concrete state that produced it (one
+	// goroutine discovers, so "first" is deterministic). in is what this
+	// rank received as owner, the least (sender, index) per encoding — a
+	// minimum, so independent of the order batches arrive in.
+	out := make([]store.LevelSet[ioa.State], procs)
+	in := store.LevelSet[ref]{Less: func(a, b ref) bool {
+		return a.from < b.from || a.from == b.from && a.idx < b.idx
+	}}
+	var encBuf []byte
+	offer := func(s ioa.State) bool {
+		encBuf = seen.AppendCanonical(encBuf[:0], s)
+		h := store.Hash(encBuf)
+		owner := int(h % uint64(procs))
+		if cfg.CorruptShard {
+			owner = (owner + 1) % procs
+		}
+		out[owner].Add(encBuf, h, s)
+		return true
+	}
+	// receive files one candidate this rank was sent as owner, refusing
+	// what its shard does not own.
+	receive := func(e []byte, h uint64, r ref) error {
+		if owner := h % uint64(procs); owner != uint64(rank) {
+			return fail(fmt.Errorf("cluster: rank %d: shard assignment corrupt: encoding %x from rank %d belongs to rank %d", rank, e, r.from, owner))
+		}
+		in.Add(e, h, r)
+		return nil
+	}
+	// collect handles the messages of kind want routed to this rank until
+	// the coordinator's barrier message all, and returns the time spent
+	// at the barrier. The sender is vetted before handle indexes anything
+	// by it. A stop mid-level is an abort and carries its reason.
+	collect := func(want, all int, handle func(m msg) error) (int64, error) {
+		start := testseed.Now()
+		for {
+			var m msg
+			if err := dec.Decode(&m); err != nil {
+				return 0, ctxErr(ctx, fmt.Errorf("cluster: rank %d: read: %w", rank, err))
+			}
+			switch {
+			case m.Kind == all:
+				return testseed.Now().Sub(start).Nanoseconds(), nil
+			case m.Kind == kCtl && m.Err != "":
+				return 0, ctlErr(rank, m)
+			case m.Kind != want:
+				return 0, fmt.Errorf("cluster: rank %d: protocol: kind %d while collecting kind %d", rank, m.Kind, want)
+			case m.From < 0 || m.From >= procs:
+				return 0, fail(fmt.Errorf("cluster: rank %d: protocol: kind %d message has From %d, want a rank below %d", rank, m.Kind, m.From, procs))
+			}
+			if err := handle(m); err != nil {
+				return 0, err
+			}
+		}
 	}
 
+	// The owners sort each level's candidates, so the walk need not.
+	step := explore.NewStep(a, false)
+	// Level 0: every rank proposes the same start states and owner dedup
+	// keeps one copy of each.
+	for _, s := range a.Start() {
+		offer(s)
+	}
+
+	views := make([][]byte, 0, batchChunk)
 	for {
-		// Phase A: route candidates to their owners.
-		sentStates := make([][]ioa.State, procs)
-		sentEncs := make([][][]byte, procs)
+		// Phase A: route each owner its distinct candidates, as views
+		// into the set's arena.
 		var sentCount int64
-		for _, c := range cands {
-			owner := int(store.Hash(c.enc) % uint64(procs))
-			if cfg.CorruptShard {
-				owner = (owner + 1) % procs
-			}
-			sentStates[owner] = append(sentStates[owner], c.state)
-			sentEncs[owner] = append(sentEncs[owner], c.enc)
-		}
-		for owner := 0; owner < procs; owner++ {
-			encs := sentEncs[owner]
-			if owner == rank || len(encs) == 0 {
+		for owner := range out {
+			if owner == rank {
 				continue
 			}
-			sentCount += int64(len(encs))
-			for base := 0; base < len(encs); base += batchChunk {
-				end := min(base+batchChunk, len(encs))
-				if err := enc.Encode(msg{Kind: kBatch, From: rank, To: owner, Base: int32(base), Encs: encs[base:end]}); err != nil {
+			n := out[owner].Len()
+			sentCount += int64(n)
+			for base := 0; base < n; base += batchChunk {
+				views = views[:0]
+				for i := base; i < min(base+batchChunk, n); i++ {
+					views = append(views, out[owner].Key(i))
+				}
+				if err := enc.Encode(msg{Kind: kBatch, From: rank, To: owner, Base: int32(base), Encs: views}); err != nil {
 					return ctxErr(ctx, fmt.Errorf("cluster: rank %d: send batch: %w", rank, err))
 				}
 			}
@@ -641,67 +687,46 @@ func Work(ctx context.Context, cfg Config) error {
 			return ctxErr(ctx, err)
 		}
 
-		// Collect batches addressed to this rank until the barrier.
-		barrierStart := testseed.Now()
-		refs := make([]ref, 0, len(sentEncs[rank]))
-		for i, e := range sentEncs[rank] {
-			refs = append(refs, ref{enc: e, from: rank, idx: int32(i)})
+		// Phase B: owner dedup, on arrival — this rank's own candidates,
+		// then the batches addressed to it until the barrier.
+		in.Reset()
+		for i := 0; i < out[rank].Len(); i++ {
+			if err := receive(out[rank].Key(i), out[rank].Hash(i), ref{rank, int32(i)}); err != nil {
+				return err
+			}
 		}
-		for {
-			var m msg
-			if err := dec.Decode(&m); err != nil {
-				return ctxErr(ctx, fmt.Errorf("cluster: rank %d: read: %w", rank, err))
-			}
-			if m.Kind == kCandsAll {
-				break
-			}
-			if m.Kind == kCtl {
-				return ctlErr(rank, m)
-			}
-			if m.Kind != kBatch {
-				return fmt.Errorf("cluster: rank %d: protocol: kind %d during candidate barrier", rank, m.Kind)
+		barrierNS, err := collect(kBatch, kCandsAll, func(m msg) error {
+			if m.Base < 0 || int64(m.Base)+int64(len(m.Encs)) > math.MaxInt32 {
+				return fail(fmt.Errorf("cluster: rank %d: protocol: batch from rank %d has Base %d for %d encodings", rank, m.From, m.Base, len(m.Encs)))
 			}
 			for i, e := range m.Encs {
-				refs = append(refs, ref{enc: e, from: m.From, idx: m.Base + int32(i)})
+				if err := receive(e, store.Hash(e), ref{m.From, m.Base + int32(i)}); err != nil {
+					return err
+				}
 			}
-		}
-		barrierNS := testseed.Now().Sub(barrierStart).Nanoseconds()
-
-		// Phase B: owner dedup. Sorting by (enc, from, idx) makes both
-		// the interning order and the winner choice canonical.
-		for _, r := range refs {
-			if store.Hash(r.enc)%uint64(procs) != uint64(rank) {
-				return fail(fmt.Errorf("cluster: rank %d: shard assignment corrupt: encoding %x from rank %d belongs to rank %d",
-					rank, r.enc, r.from, store.Hash(r.enc)%uint64(procs)))
-			}
-		}
-		sort.Slice(refs, func(i, j int) bool {
-			if c := bytes.Compare(refs[i].enc, refs[j].enc); c != 0 {
-				return c < 0
-			}
-			if refs[i].from != refs[j].from {
-				return refs[i].from < refs[j].from
-			}
-			return refs[i].idx < refs[j].idx
+			return nil
 		})
+		if err != nil {
+			return err
+		}
+
+		// Interning in key order, mirroring the in-process engine's
+		// barrier, makes the shard's dense IDs canonical; each fresh
+		// encoding's winner is told.
 		var freshCount int64
 		wins := make([][]int32, procs)
-		for i := 0; i < len(refs); {
-			j := i + 1
-			for j < len(refs) && bytes.Equal(refs[j].enc, refs[i].enc) {
-				j++
-			}
-			if _, fresh := seen.InternEncoded(refs[i].enc, store.Hash(refs[i].enc)); fresh {
+		for _, i := range in.Order() {
+			if _, fresh := seen.InternEncoded(in.Key(i), in.Hash(i)); fresh {
 				freshCount++
-				wins[refs[i].from] = append(wins[refs[i].from], refs[i].idx)
+				r := in.Payload(i)
+				wins[r.from] = append(wins[r.from], r.idx)
 			}
-			i = j
 		}
 		if err := seen.Err(); err != nil {
 			return fail(fmt.Errorf("cluster: rank %d: storage: %w", rank, err))
 		}
 		for r := 0; r < procs; r++ {
-			if r == rank || len(wins[r]) == 0 {
+			if r == rank {
 				continue
 			}
 			for base := 0; base < len(wins[r]); base += batchChunk {
@@ -710,42 +735,36 @@ func Work(ctx context.Context, cfg Config) error {
 					return ctxErr(ctx, err)
 				}
 			}
+			wins[r] = nil // sent; from here wins[r] is what owner r says this rank won
 		}
 		if err := enc.Encode(msg{Kind: kRepliesEnd, From: rank}); err != nil {
 			return ctxErr(ctx, err)
 		}
 
-		// Collect win lists addressed to this rank.
-		barrierStart = testseed.Now()
-		myWins := make([][]int32, procs)
-		myWins[rank] = wins[rank]
-		for {
-			var m msg
-			if err := dec.Decode(&m); err != nil {
-				return ctxErr(ctx, fmt.Errorf("cluster: rank %d: read: %w", rank, err))
+		// Collect win lists addressed to this rank; every index must
+		// point into the set this rank sent that owner.
+		replyNS, err := collect(kReply, kRepliesAll, func(m msg) error {
+			for _, idx := range m.Win {
+				if idx < 0 || int(idx) >= out[m.From].Len() {
+					return fail(fmt.Errorf("cluster: rank %d: protocol: reply from rank %d has Win index %d, sent it %d candidates", rank, m.From, idx, out[m.From].Len()))
+				}
 			}
-			if m.Kind == kRepliesAll {
-				break
-			}
-			if m.Kind == kCtl {
-				return ctlErr(rank, m)
-			}
-			if m.Kind != kReply {
-				return fmt.Errorf("cluster: rank %d: protocol: kind %d during reply barrier", rank, m.Kind)
-			}
-			myWins[m.From] = append(myWins[m.From], m.Win...)
+			wins[m.From] = append(wins[m.From], m.Win...)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
-		barrierNS += testseed.Now().Sub(barrierStart).Nanoseconds()
 
 		// Phase C: assemble the next frontier from winning candidates,
-		// check the invariant, and report the level.
+		// check the invariant, and report the level. Each owner's wins
+		// (wins[rank] is this rank's verdict on itself) are in the key
+		// order it interned in.
 		violation := ""
 		var frontier []ioa.State
-		for owner := 0; owner < procs; owner++ {
-			win := myWins[owner]
-			sort.Slice(win, func(i, j int) bool { return win[i] < win[j] })
+		for owner, win := range wins {
 			for _, idx := range win {
-				s := sentStates[owner][idx]
+				s := out[owner].Payload(int(idx))
 				if cfg.Pred != nil && !cfg.Pred(s) {
 					if k := s.Key(); violation == "" || k < violation {
 						violation = k
@@ -757,7 +776,7 @@ func Work(ctx context.Context, cfg Config) error {
 		if err := enc.Encode(msg{
 			Kind: kLevel, From: rank,
 			Fresh: freshCount, Owned: int64(seen.Len()), Sent: sentCount,
-			BarrierNS: barrierNS, Violation: violation,
+			BarrierNS: barrierNS + replyNS, Violation: violation,
 		}); err != nil {
 			return ctxErr(ctx, err)
 		}
@@ -773,15 +792,11 @@ func Work(ctx context.Context, cfg Config) error {
 		}
 
 		// Expand the frontier into next level's candidates.
-		cands = cands[:0]
-		var encBuf []byte
-		yield := func(nxt ioa.State) bool {
-			encBuf = seen.AppendCanonical(encBuf[:0], nxt)
-			cands = append(cands, candidate{state: nxt, enc: append([]byte(nil), encBuf...)})
-			return true
+		for owner := range out {
+			out[owner].Reset()
 		}
 		for _, s := range frontier {
-			step.Visit(s, yield)
+			step.Visit(s, offer)
 		}
 	}
 }

@@ -11,6 +11,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -31,7 +32,7 @@ import (
 
 // run starts a coordinator and procs workers on an ephemeral port and
 // returns the coordinator's result plus every worker's error.
-func run(t *testing.T, procs int, mut func(rank int, cfg *Config), cfg Config) (Result, []error) {
+func run(t testing.TB, procs int, mut func(rank int, cfg *Config), cfg Config) (Result, []error) {
 	t.Helper()
 	cfg.Procs = procs
 	cfg.Addr = freePort(t)
@@ -73,7 +74,7 @@ func run(t *testing.T, procs int, mut func(rank int, cfg *Config), cfg Config) (
 
 // freePort reserves an ephemeral localhost port and returns it; the
 // coordinator re-listens on it and the workers retry until it is up.
-func freePort(t *testing.T) string {
+func freePort(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -329,6 +330,131 @@ func TestClusterObsGauges(t *testing.T) {
 	if shardSum != 27 {
 		t.Fatalf("shard gauges sum to %d, want 27", shardSum)
 	}
+}
+
+// TestClusterSendsDistinctEncodings: a discoverer keeps one set per
+// owner, so an encoding crosses the wire at most once per level per
+// discovering rank. On a grid every encoding is a candidate of exactly
+// one level, which bounds the whole run at states × (procs − 1). (Routing
+// every successor sent 2.67 per state on the benchmark's grid.)
+func TestClusterSendsDistinctEncodings(t *testing.T) {
+	const procs = 2
+	o := obs.New(nil)
+	res, errs := run(t, procs, nil, Config{Build: buildGrid(4, 4), Obs: o})
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	sent := o.Reg.Snapshot().Counters["dist.sent_encs"]
+	if sent <= 0 || sent > res.States*(procs-1) {
+		t.Fatalf("dist.sent_encs = %d for %d states at %d procs, want in (0, %d]", sent, res.States, procs, res.States*(procs-1))
+	}
+}
+
+// TestWorkRejectsBadFrames: whatever the wire says is outside input. A
+// scripted coordinator over net.Pipe welcomes the worker as rank 0 of 2,
+// plays the level-0 barriers honestly up to the named one, then sends
+// one frame whose From, Base or Win points outside what it may index.
+// Work must return an error naming the field and report kFail — never
+// panic, never reach the level count.
+func TestWorkRejectsBadFrames(t *testing.T) {
+	encs := [][]byte{{0, 0, 0}}
+	cases := []struct {
+		name  string
+		after int // the barrier message the bad frame follows
+		bad   msg
+		want  string
+	}{
+		{"welcome rank beyond procs", 0, msg{Kind: kWelcome, To: 2, Procs: 2}, "rank 2 of 2"},
+		{"welcome without procs", 0, msg{Kind: kWelcome}, "rank 0 of 0"},
+		{"batch From beyond procs", kCandsEnd, msg{Kind: kBatch, From: 2, Encs: encs}, "From 2"},
+		{"batch From negative", kCandsEnd, msg{Kind: kBatch, From: -1, Encs: encs}, "From -1"},
+		{"batch Base negative", kCandsEnd, msg{Kind: kBatch, From: 1, Base: -1, Encs: encs}, "Base -1"},
+		{"batch Base overflows", kCandsEnd, msg{Kind: kBatch, From: 1, Base: 1<<31 - 1, Encs: encs}, "Base 2147483647"},
+		{"reply From beyond procs", kRepliesEnd, msg{Kind: kReply, From: 7, Win: []int32{0}}, "From 7"},
+		{"reply From negative", kRepliesEnd, msg{Kind: kReply, From: -3, Win: []int32{0}}, "From -3"},
+		{"reply Win beyond set", kRepliesEnd, msg{Kind: kReply, From: 1, Win: []int32{1}}, "Win index 1"},
+		{"reply Win negative", kRepliesEnd, msg{Kind: kReply, From: 1, Win: []int32{-1}}, "Win index -1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			client, server := net.Pipe()
+			defer server.Close()
+			workErr := make(chan error, 1)
+			go func() { workErr <- work(ctx, client, Config{Build: buildGrid(3, 3)}) }()
+
+			enc, dec := gob.NewEncoder(server), gob.NewDecoder(server)
+			send := func(m msg) {
+				t.Helper()
+				if err := enc.Encode(m); err != nil {
+					t.Fatalf("coordinator script: send kind %d: %v", m.Kind, err)
+				}
+			}
+			// readUntil consumes the worker's messages up to one of kind
+			// (0: until the worker hangs up) and returns the kinds seen.
+			readUntil := func(kind int) map[int]int {
+				seen := map[int]int{}
+				for {
+					var m msg
+					if err := dec.Decode(&m); err != nil {
+						if kind != 0 {
+							t.Fatalf("coordinator script: waiting for kind %d: %v", kind, err)
+						}
+						return seen
+					}
+					if seen[m.Kind]++; m.Kind == kind {
+						return seen
+					}
+				}
+			}
+			if c.after == 0 {
+				send(c.bad)
+			} else {
+				send(msg{Kind: kWelcome, To: 0, Procs: 2})
+				readUntil(kCandsEnd)
+				if c.after == kRepliesEnd {
+					send(msg{Kind: kCandsAll})
+					readUntil(kRepliesEnd)
+				}
+				send(c.bad)
+			}
+			seen := readUntil(0)
+			err := <-workErr
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Work returned %v, want an error naming %q", err, c.want)
+			}
+			if seen[kLevel] != 0 {
+				t.Fatalf("worker reported a level count after the bad frame (kinds seen: %v)", seen)
+			}
+			if c.after != 0 && (seen[kFail] != 1 || !strings.Contains(err.Error(), "rank 0")) {
+				t.Fatalf("want one kFail and an error naming rank 0; kinds seen %v, error %v", seen, err)
+			}
+		})
+	}
+}
+
+// BenchmarkClusterLevel runs a two-rank in-process cluster over the 7^5
+// grid BenchmarkLevelMerge uses: B/op over states is what the wire and
+// the two level sets cost per state, sent_encs what crossed between the
+// ranks.
+func BenchmarkClusterLevel(b *testing.B) {
+	b.ReportAllocs()
+	var states, sent int64
+	for i := 0; i < b.N; i++ {
+		o := obs.New(nil)
+		res, errs := run(b, 2, nil, Config{Build: buildGrid(7, 5), Obs: o})
+		for rank, err := range errs {
+			if err != nil {
+				b.Fatalf("rank %d: %v", rank, err)
+			}
+		}
+		states, sent = res.States, o.Reg.Snapshot().Counters["dist.sent_encs"]
+	}
+	b.ReportMetric(float64(states), "states")
+	b.ReportMetric(float64(sent), "sent_encs")
 }
 
 // randSystem mirrors the explore battery's random table shapes.

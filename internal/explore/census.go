@@ -9,24 +9,27 @@ package explore
 //   - the frontier is a store.Frontier of canonical encodings
 //     (DiskFrontier once spilling is on), drained sequentially and
 //     re-expanded through Options.Decode;
-//   - successor candidates accumulate in a bounded in-RAM chunk; each
-//     full chunk is sorted, deduplicated, and batch-interned through
-//     Spill.MergeIntern, which merge-joins the sorted chunk against
-//     every on-disk run in one sequential pass — per-level cost is
-//     O(runs read once), not O(candidates × point lookups);
+//   - successor candidates accumulate in a bounded in-RAM chunk, a
+//     store.LevelSet in which a duplicate collapses on arrival, so the
+//     budget (Spill.MemBudget, in encoded bytes) buys distinct
+//     encodings; each full chunk is batch-interned in the set's Order
+//     through Spill.MergeIntern, which merge-joins it against every
+//     on-disk run in one sequential pass — per-level cost is O(runs
+//     read once), not O(candidates × point lookups);
 //   - each fresh state becomes, in the same pass, a member of the new
 //     run and an entry of the next level's frontier.
 //
-// Peak RAM is the chunk budget plus the per-run bloom filters and
-// sparse indexes, independent of the state count — this is the path
-// behind the ≥10⁸-state runs in EXPERIMENTS.md E23.
+// Peak RAM is the chunk plus the per-run bloom filters and sparse
+// indexes, independent of the state count — this is the path behind the
+// ≥10⁸-state runs in EXPERIMENTS.md E23.
 //
 // Determinism: the walk is single-goroutine and chunk boundaries are a
-// pure function of the candidate byte stream, so counts, depths, and
-// verdicts are exactly those of Reach on the same automaton; the
-// dist package's cross-process battery pins the counts against both
+// pure function of the candidate stream and the budget, so counts,
+// depths, and verdicts are exactly those of Reach on the same automaton;
+// the dist package's cross-process battery pins the counts against both
 // engines. Within a level, visit order follows chunk-then-key order
-// (each merged chunk is key-sorted; chunks flush in discovery order).
+// (each chunk is interned in key order; chunks flush in discovery
+// order), so it moves with MemBudget, as does the run count.
 //
 // External mode requires Options.Decode because frontier states are
 // re-built from their canonical encodings. Systems whose encodings
@@ -36,11 +39,9 @@ package explore
 // level-synchronized in-RAM engine and just streams its result.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/ioa"
 	"repro/internal/store"
@@ -100,35 +101,6 @@ func (e *Engine) censusMaterialized(ctx context.Context, a ioa.Automaton, pred f
 	return sum, nil
 }
 
-// chunkBatch is the bounded in-RAM candidate accumulator: one arena of
-// concatenated encodings plus boundaries, sorted and deduplicated at
-// flush time.
-type chunkBatch struct {
-	arena []byte
-	offs  []int // entry i is arena[offs[i]:offs[i+1]]; offs[0] == 0
-	cap   int64
-}
-
-func newChunkBatch(capBytes int64) *chunkBatch {
-	return &chunkBatch{offs: []int{0}, cap: capBytes}
-}
-
-func (c *chunkBatch) add(enc []byte) {
-	c.arena = append(c.arena, enc...)
-	c.offs = append(c.offs, len(c.arena))
-}
-
-func (c *chunkBatch) len() int { return len(c.offs) - 1 }
-
-func (c *chunkBatch) full() bool { return int64(len(c.arena)) >= c.cap }
-
-func (c *chunkBatch) key(i int) []byte { return c.arena[c.offs[i]:c.offs[i+1]] }
-
-func (c *chunkBatch) reset() {
-	c.arena = c.arena[:0]
-	c.offs = c.offs[:1]
-}
-
 // errCensusStop ends the external walk at the first violation; the
 // exit path turns it into a nil error.
 var errCensusStop = errors.New("census: stop")
@@ -176,36 +148,25 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 		rep.emit(sum.Depth, sum.States, 0, true)
 	}()
 
-	chunk := newChunkBatch(chunkCap)
-	idx := make([]int, 0, 1<<10)
+	// chunk is the bounded in-RAM candidate set: duplicates collapse as
+	// they arrive, so the budget buys distinct encodings.
+	var chunk store.LevelSet[struct{}]
 
-	// flushChunk sorts and dedups the accumulated candidates, then
-	// batch-interns them: fresh states join the next frontier and the
-	// new run in one pass. pred/visit run on the decoded fresh states
-	// in merged key order.
+	// flushChunk batch-interns the accumulated candidates in key order:
+	// fresh states join the next frontier and the new run in one pass.
+	// pred/visit run on the decoded fresh states in that order.
 	flushChunk := func() error {
-		if chunk.len() == 0 {
+		if chunk.Len() == 0 {
 			return nil
 		}
-		idx = idx[:0]
-		for i := 0; i < chunk.len(); i++ {
-			idx = append(idx, i)
-		}
-		sort.Slice(idx, func(a, b int) bool {
-			return bytes.Compare(chunk.key(idx[a]), chunk.key(idx[b])) < 0
-		})
-		pos := 0
+		order := chunk.Order()
 		next := func() ([]byte, bool) {
-			for pos < len(idx) {
-				k := chunk.key(idx[pos])
-				if pos > 0 && bytes.Equal(chunk.key(idx[pos-1]), k) {
-					pos++
-					continue
-				}
-				pos++
-				return k, true
+			if len(order) == 0 {
+				return nil, false
 			}
-			return nil, false
+			k := chunk.Key(order[0])
+			order = order[1:]
+			return k, true
 		}
 		_, err := sp.MergeIntern(next, func(enc []byte, id store.ID) error {
 			if sum.States >= limit {
@@ -227,14 +188,19 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 			}
 			return nxt.Push(enc)
 		})
-		chunk.reset()
+		chunk.Reset()
 		return err
 	}
 
 	// Level 0: the canonically sorted start states.
+	var enc []byte
+	offer := func(s ioa.State) bool {
+		enc = sp.AppendCanonical(enc[:0], s)
+		chunk.Add(enc, store.Hash(enc), struct{}{})
+		return true
+	}
 	for _, s := range a.Start() {
-		chunk.arena = sp.AppendCanonical(chunk.arena, s)
-		chunk.offs = append(chunk.offs, len(chunk.arena))
+		offer(s)
 	}
 	if err := flushChunk(); err != nil {
 		return sum, err
@@ -242,12 +208,6 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 	cur, nxt = nxt, cur
 
 	step := NewStep(a, true)
-	var enc []byte
-	yield := func(nxtState ioa.State) bool {
-		enc = sp.AppendCanonical(enc[:0], nxtState)
-		chunk.add(enc)
-		return true
-	}
 	for depth := int64(1); cur.Len() > 0; depth++ {
 		if err := ctx.Err(); err != nil {
 			return sum, err
@@ -267,8 +227,8 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 			if len(a.Enabled(s)) == 0 {
 				sum.Deadlocks++
 			}
-			step.Visit(s, yield)
-			if chunk.full() {
+			step.Visit(s, offer)
+			if chunk.Bytes() >= chunkCap {
 				return flushChunk()
 			}
 			return nil

@@ -1,17 +1,16 @@
 package explore
 
-// Parallel sharded state-space exploration over the interned state
-// store: a level-synchronized BFS. Workers steal fixed-size chunks of
-// the frontier off a shared cursor and deduplicate each undiscovered
-// successor on arrival in their own per-shard level set; at the level
-// barrier each shard's owner folds the other workers' sets into worker
-// 0's. The store is frozen (read-only, probed through per-worker
-// probes) during expansion and written only between levels by the
-// coordinator, which interns each new level in canonical key-sorted
-// order from the encodings and hashes the probes produced — so no two
-// goroutines ever write shared state and nothing is encoded or hashed
-// twice. Which actions a state is stepped by is Step's decision
-// (engine.go).
+// Parallel state-space exploration over the interned state store: a
+// level-synchronized BFS. Workers steal fixed-size chunks of the
+// frontier off a shared cursor and deduplicate each undiscovered
+// successor on arrival in their own store.LevelSet; at the level barrier
+// the coordinator folds the other workers' sets into worker 0's. The
+// store is frozen (read-only, probed through per-worker probes) during
+// expansion and written only between levels by the coordinator, which
+// interns each new level in canonical key-sorted order from the
+// encodings and hashes the probes produced — so no two goroutines ever
+// write shared state and nothing is encoded or hashed twice. Which
+// actions a state is stepped by is Step's decision (engine.go).
 //
 // Determinism (DESIGN.md "Exploration engine" has the argument in
 // full). The states discovered at depth d are a pure function of those
@@ -27,7 +26,6 @@ package explore
 // orbit's concrete representative.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -82,88 +80,52 @@ func candLess(a, b cand, byKey bool) bool {
 	return a.act < b.act
 }
 
-// A levelSet holds what one worker found for one shard of one level:
-// the distinct encodings and, entry for entry, the least candidate.
-type levelSet struct {
-	keys  store.Batch
-	cands []cand
-}
-
-// add merges one candidate into the set: a duplicate collapses on the
-// spot, the lesser candidate staying. enc is copied.
-func (ls *levelSet) add(enc []byte, hash uint64, c cand, byKey bool) {
-	if i, ok := ls.keys.Lookup(enc, hash); ok {
-		if candLess(c, ls.cands[i], byKey) {
-			ls.cands[i] = c
-		}
-		return
-	}
-	ls.keys.Add(enc, hash)
-	ls.cands = append(ls.cands, c)
-}
-
-// levelScratch is what a level is deduplicated and ordered in: the
-// gathered result and sets[worker][shard], routed by hash % workers.
-// Allocated once per exploration and reset per level, it costs memory
-// in proportion to workers × the widest level's distinct new states.
+// levelScratch is what a level is deduplicated and ordered in: one set
+// per worker, keeping the candLess-least candidate per encoding, and the
+// gathered result. Allocated once per exploration and reset per level,
+// it costs memory in proportion to workers × the widest level's distinct
+// new states.
 type levelScratch struct {
 	byKey bool // Options.Canon is set: order and dedup follow Key()
-	sets  [][]levelSet
+	sets  []store.LevelSet[cand]
 	next  []cand
 }
 
 func newLevelScratch(workers int, byKey bool) *levelScratch {
-	lv := &levelScratch{byKey: byKey, sets: make([][]levelSet, workers)}
+	lv := &levelScratch{byKey: byKey, sets: make([]store.LevelSet[cand], workers)}
 	for wi := range lv.sets {
-		lv.sets[wi] = make([]levelSet, workers)
+		lv.sets[wi].Less = func(a, b cand) bool { return candLess(a, b, byKey) }
 	}
 	return lv
 }
 
 func (lv *levelScratch) add(wi int, enc []byte, hash uint64, c cand) {
-	lv.sets[wi][hash%uint64(len(lv.sets))].add(enc, hash, c, lv.byKey)
+	lv.sets[wi].Add(enc, hash, c)
 }
 
-// reset empties worker wi's sets as it starts a level, keeping capacity
-// and clearing the kept states so a finished level is collectable.
-func (lv *levelScratch) reset(wi int) {
-	for h := range lv.sets[wi] {
-		ls := &lv.sets[wi][h]
-		ls.keys.Reset()
-		clear(ls.cands)
-		ls.cands = ls.cands[:0]
-	}
-}
+// reset empties worker wi's set as it starts a level.
+func (lv *levelScratch) reset(wi int) { lv.sets[wi].Reset() }
 
-// gather folds every worker's sets into worker 0's, one goroutine per
-// shard, and returns the level's distinct candidates in canonical
-// order; they and their enc views are valid until the next reset.
+// gather folds every worker's set into worker 0's and returns the
+// level's distinct candidates in canonical order; they and their enc
+// views are valid until the next reset.
 func (lv *levelScratch) gather() []cand {
-	var wg sync.WaitGroup
-	for h := range lv.sets {
-		wg.Add(1)
-		go func(into *levelSet) {
-			defer wg.Done()
-			for _, row := range lv.sets[1:] {
-				for i, c := range row[h].cands {
-					into.add(row[h].keys.Key(i), row[h].keys.Hash(i), c, lv.byKey)
-				}
-			}
-			for i := range into.cands {
-				into.cands[i].enc, into.cands[i].hash = into.keys.Key(i), into.keys.Hash(i)
-			}
-		}(&lv.sets[0][h])
+	level := &lv.sets[0]
+	for wi := 1; wi < len(lv.sets); wi++ {
+		from := &lv.sets[wi]
+		for i := 0; i < from.Len(); i++ {
+			level.Add(from.Key(i), from.Hash(i), from.Payload(i))
+		}
 	}
-	wg.Wait()
 	clear(lv.next)
 	lv.next = lv.next[:0]
-	for h := range lv.sets {
-		lv.next = append(lv.next, lv.sets[0][h].cands...)
+	for _, i := range level.Order() {
+		c := level.Payload(i)
+		c.enc, c.hash = level.Key(i), level.Hash(i)
+		lv.next = append(lv.next, c)
 	}
 	if lv.byKey {
 		slices.SortFunc(lv.next, func(a, b cand) int { return strings.Compare(a.state.Key(), b.state.Key()) })
-	} else {
-		slices.SortFunc(lv.next, func(a, b cand) int { return bytes.Compare(a.enc, b.enc) })
 	}
 	return lv.next
 }

@@ -28,6 +28,7 @@ import (
 	"testing"
 
 	"repro/internal/explore"
+	"repro/internal/grid"
 	"repro/internal/ioa"
 	"repro/internal/ledger"
 	"repro/internal/obs"
@@ -292,5 +293,46 @@ func TestSpillCrashMidCensus(t *testing.T) {
 	}).Census(ctx, chain(200), nil, nil)
 	if !errors.Is(err, store.ErrCorruptRun) {
 		t.Fatalf("err = %v, want wrapped store.ErrCorruptRun", err)
+	}
+}
+
+// TestCensusChunksHoldDistinctEncodings: the external census's chunk
+// deduplicates on arrival, so MemBudget buys distinct encodings and the
+// walk leaves about one run per level's last chunk plus one per budget
+// of distinct bytes. The bound is exact while no encoding is offered to
+// two chunks of one level; the budget here is half the widest level, so
+// chunks do fill and such repeats stay few. (While a chunk kept every
+// successor — four in five are duplicates on a grid — the same walk left
+// 85 runs against this bound of 45.)
+func TestCensusChunksHoldDistinctEncodings(t *testing.T) {
+	ctx := context.Background()
+	g, err := grid.New(6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ramSum, err := explore.New(explore.Options{Workers: 1}).Census(ctx, g, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 2 << 10
+	o := obs.New(nil)
+	var distinctBytes int64
+	extSum, err := explore.New(explore.Options{
+		Workers: 1, Obs: o, Decode: g.Decode,
+		Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: budget},
+	}).Census(ctx, g, nil, func(s ioa.State) { distinctBytes += int64(len(s.Key())) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if extSum != ramSum || extSum.States != g.States() {
+		t.Fatalf("external %+v, materialized %+v, closed form %d states", extSum, ramSum, g.States())
+	}
+	levels := extSum.Depth + 1
+	bound := levels + (distinctBytes+budget-1)/budget
+	if runs := o.Store.SpillRuns.Value(); runs > bound {
+		t.Fatalf("%d runs for %d levels and %d distinct bytes under a %d-byte budget, want at most %d",
+			runs, levels, distinctBytes, budget, bound)
+	} else {
+		t.Logf("%d runs, bound %d", runs, bound)
 	}
 }

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math/bits"
+	"slices"
 )
 
 // An Index is a pointer-free, open-addressed table from a 64-bit hash
@@ -26,7 +27,8 @@ type indexSlot struct{ hash, ord1 uint64 }
 
 // home is a hash's first slot: the top bits of hash × 2⁶⁴/φ. The low
 // bits already routed the encoding to its store shard (hash & mask) or
-// level-set shard (hash % w) and are the same across one table.
+// its cluster owner's set (hash % procs) and are the same across one
+// table.
 func (ix *Index) home(hash uint64) uint64 {
 	return (hash * 0x9e3779b97f4a7c15) >> ix.shift
 }
@@ -81,8 +83,8 @@ func (ix *Index) Reset() {
 // A Batch is an insertion-ordered set of encodings held in RAM: one
 // arena of concatenated bytes, entry boundaries, per-entry hashes and
 // an Index over them. It is the Spill's hot batch (the hashes feed the
-// bloom filter at flush) and the body of the explorer's level sets (the
-// hashes ride to InternEncoded at the barrier). Boundaries are int, not
+// bloom filter at flush) and the body of every LevelSet (the hashes
+// ride to InternEncoded at the barrier). Boundaries are int, not
 // uint32: SpillOptions.MemBudget may legally exceed 4 GiB and nothing
 // bounds a level, so narrower offsets could wrap silently. The zero
 // Batch is empty and ready; concurrency is the Index's.
@@ -91,10 +93,15 @@ type Batch struct {
 	arena  []byte
 	ends   []int // entry i is arena[ends[i-1]:ends[i]], from 0 for i == 0
 	hashes []uint64
+	order  []int // Order's result, reused
 }
 
 // Len returns the number of entries.
 func (b *Batch) Len() int { return len(b.ends) }
+
+// Bytes returns the encoded bytes held — what a byte budget on the
+// batch counts; boundaries, hashes and index slots come on top.
+func (b *Batch) Bytes() int64 { return int64(len(b.arena)) }
 
 // Key returns entry i's encoding, a view valid until the next Add.
 func (b *Batch) Key(i int) []byte {
@@ -122,8 +129,59 @@ func (b *Batch) Add(enc []byte, hash uint64) {
 	b.hashes = append(b.hashes, hash)
 }
 
+// Order returns the entry numbers in bytes.Compare order of their
+// encodings — strictly increasing, since entries are distinct. This is
+// the one place a run, a census chunk or a BFS level gets its canonical
+// order. The slice is the batch's own, valid until the next Order.
+func (b *Batch) Order() []int {
+	b.order = b.order[:0]
+	for i := range b.ends {
+		b.order = append(b.order, i)
+	}
+	slices.SortFunc(b.order, func(x, y int) int { return bytes.Compare(b.Key(x), b.Key(y)) })
+	return b.order
+}
+
 // Reset empties the batch and keeps its capacity.
 func (b *Batch) Reset() {
 	b.ix.Reset()
 	b.arena, b.ends, b.hashes = b.arena[:0], b.ends[:0], b.hashes[:0]
+}
+
+// A LevelSet is the candidate set of one BFS level (or one shard, chunk
+// or destination's share of it): a Batch of distinct encodings and,
+// entry for entry, the payload kept with each — a witness crumb, a
+// concrete state, a (sender, index); struct{} when the bytes are all
+// there is. A duplicate collapses on arrival, so the set costs memory in
+// proportion to the distinct candidates, not the successors.
+type LevelSet[P any] struct {
+	Batch
+	// Less orders the payloads offered for one encoding; the least
+	// stays, so the kept payload does not depend on arrival order. Nil
+	// keeps the first arrival.
+	Less     func(a, b P) bool
+	payloads []P
+}
+
+// Add merges one candidate into the set, copying enc.
+func (ls *LevelSet[P]) Add(enc []byte, hash uint64, p P) {
+	if i, ok := ls.Lookup(enc, hash); ok {
+		if ls.Less != nil && ls.Less(p, ls.payloads[i]) {
+			ls.payloads[i] = p
+		}
+		return
+	}
+	ls.Batch.Add(enc, hash)
+	ls.payloads = append(ls.payloads, p)
+}
+
+// Payload returns the payload kept for entry i.
+func (ls *LevelSet[P]) Payload(i int) P { return ls.payloads[i] }
+
+// Reset empties the set, keeping its capacity and dropping the payloads'
+// references so a finished level is collectable.
+func (ls *LevelSet[P]) Reset() {
+	ls.Batch.Reset()
+	clear(ls.payloads)
+	ls.payloads = ls.payloads[:0]
 }

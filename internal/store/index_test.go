@@ -6,12 +6,17 @@ package store
 // probe chain for a whole run), entries that share only their home
 // slot, survival of every ordinal across doublings, and Reset. Hashes
 // are forged through InternEncoded(enc, hash) and Batch.Add(enc, hash),
-// which take the caller's word for them.
+// which take the caller's word for them. The LevelSet over the Batch
+// (ISSUE 19) rides the same programs: least payload per encoding,
+// Order, and independence from arrival order.
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
+
+	"repro/internal/testseed"
 )
 
 // forgers are the hash functions the battery runs under.
@@ -27,16 +32,21 @@ var forgers = []struct {
 
 // runIndexProgram interprets prog as a stream of keys and resets: 0xff
 // resets the Batch; any other byte b takes the next 1 + b%3 bytes as a
-// key and interns it into a Store and a Batch under hash. Both are held
-// to map oracles at every step and in full at every reset and the end.
+// key and interns it into a Store and a Batch under hash, and offers it
+// to a LevelSet with the program bytes still unread as payload (so each
+// repeat of a key is the lesser). All three are held to map oracles at
+// every step and in full at every reset and the end.
 func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 	t.Helper()
 	st := New(Options{})
 	ids := map[string]ID{}
 	var batch Batch
 	entries := map[string]int{}
+	set := LevelSet[int]{Less: func(a, b int) bool { return a < b }}
+	least := map[string]int{}
 	checkBatch := func() {
 		t.Helper()
+		checkLevelSet(t, &set, least, hash)
 		if batch.Len() != len(entries) {
 			t.Fatalf("batch holds %d entries, oracle %d", batch.Len(), len(entries))
 		}
@@ -54,6 +64,8 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 			checkBatch()
 			batch.Reset()
 			clear(entries)
+			set.Reset()
+			clear(least)
 			continue
 		}
 		n := min(1+int(op%3), len(prog))
@@ -78,6 +90,11 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 			entries[string(key)] = batch.Len()
 			batch.Add(key, h)
 		}
+
+		set.Add(key, h, len(prog))
+		if old, seen := least[string(key)]; !seen || len(prog) < old {
+			least[string(key)] = len(prog)
+		}
 	}
 	checkBatch()
 	if st.Len() != len(ids) {
@@ -86,6 +103,84 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 	for k, want := range ids {
 		if id, fresh := st.InternEncoded([]byte(k), hash([]byte(k))); fresh || id != want || string(st.Encoding(id)) != k {
 			t.Fatalf("store lost %q: InternEncoded = (%d, %v), want (%d, false)", k, id, fresh, want)
+		}
+	}
+}
+
+// checkLevelSet holds a set to its encoding → least-payload oracle:
+// nothing lost, nothing merged, and Order is the oracle's keys, strictly
+// increasing.
+func checkLevelSet[P comparable](t *testing.T, set *LevelSet[P], least map[string]P, hash func([]byte) uint64) {
+	t.Helper()
+	if set.Len() != len(least) {
+		t.Fatalf("level set holds %d entries, oracle %d", set.Len(), len(least))
+	}
+	for k, want := range least {
+		if i, ok := set.Lookup([]byte(k), hash([]byte(k))); !ok || set.Payload(i) != want {
+			t.Fatalf("level set lost %q (found %v) or kept a payload other than %v", k, ok, want)
+		}
+	}
+	order := set.Order()
+	if len(order) != len(least) {
+		t.Fatalf("Order has %d entries, oracle %d", len(order), len(least))
+	}
+	for n, i := range order {
+		if n > 0 && bytes.Compare(set.Key(order[n-1]), set.Key(i)) >= 0 {
+			t.Fatalf("Order not strictly increasing at %d: %q then %q", n, set.Key(order[n-1]), set.Key(i))
+		}
+	}
+}
+
+// TestLevelSetArrivalOrder: the kept payloads and Order are a function
+// of the multiset offered — every permutation gives the same encoding →
+// least-payload map in the same order, whatever chains the hash forges —
+// and Reset keeps capacity while dropping every payload reference.
+func TestLevelSetArrivalOrder(t *testing.T) {
+	type pair struct {
+		enc     []byte
+		payload *int
+	}
+	var pairs []pair
+	for i := 0; i < 300; i++ {
+		pairs = append(pairs, pair{[]byte{byte(i % 37), byte(i % 5)}, &[]int{i}[0]})
+	}
+	rng := testseed.Rand(t, 29)
+	for _, f := range forgers {
+		var want []pair // the first permutation's Order
+		for perm := 0; perm < 6; perm++ {
+			rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+			set := LevelSet[*int]{Less: func(a, b *int) bool { return *a < *b }}
+			least := map[string]*int{}
+			for _, p := range pairs {
+				set.Add(p.enc, f.hash(p.enc), p.payload)
+				if old, seen := least[string(p.enc)]; !seen || *p.payload < *old {
+					least[string(p.enc)] = p.payload
+				}
+			}
+			checkLevelSet(t, &set, least, f.hash)
+			var got []pair
+			for _, i := range set.Order() {
+				got = append(got, pair{slices.Clone(set.Key(i)), set.Payload(i)})
+			}
+			if want == nil {
+				want = got
+			} else if !slices.EqualFunc(got, want, func(a, b pair) bool { return bytes.Equal(a.enc, b.enc) && a.payload == b.payload }) {
+				t.Fatalf("%s: permutation %d kept a different set or order", f.name, perm)
+			}
+
+			n, kept := set.Len(), cap(set.payloads)
+			set.Reset()
+			if set.Len() != 0 || len(set.Order()) != 0 || cap(set.payloads) != kept || cap(set.arena) == 0 {
+				t.Fatalf("%s: Reset left %d entries, payload capacity %d (was %d)", f.name, set.Len(), cap(set.payloads), kept)
+			}
+			for i, p := range set.payloads[:n] {
+				if p != nil {
+					t.Fatalf("%s: Reset kept payload %d alive", f.name, i)
+				}
+			}
+			if _, ok := set.Lookup(pairs[0].enc, f.hash(pairs[0].enc)); ok {
+				t.Fatalf("%s: Reset set still finds %q", f.name, pairs[0].enc)
+			}
 		}
 	}
 }

@@ -175,7 +175,6 @@ type Spill struct {
 	blockEvery int
 
 	hot         Batch // always the contiguous ID range [flushedBase, total)
-	hotBytes    int64
 	total       uint64
 	flushedBase uint64
 	runs        []*runMeta
@@ -239,7 +238,7 @@ func (sp *Spill) Len() int { return int(sp.total) }
 func (sp *Spill) Stats() Stats {
 	return Stats{
 		States:        int(sp.total),
-		ArenaBytes:    int64(len(sp.hot.arena)),
+		ArenaBytes:    sp.hot.Bytes(),
 		ArenaCapBytes: int64(cap(sp.hot.arena)),
 		Shards:        1,
 		SpilledStates: int(sp.flushedBase),
@@ -290,8 +289,7 @@ func (sp *Spill) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 	id := ID(sp.total)
 	sp.hot.Add(enc, hash)
 	sp.total++
-	sp.hotBytes += int64(len(enc)) + hotEntryOverhead
-	if sp.hotBytes >= sp.budget {
+	if sp.hot.Bytes()+int64(sp.hot.Len())*hotEntryOverhead >= sp.budget {
 		sp.setErr(sp.Flush())
 	}
 	return id, true
@@ -490,22 +488,14 @@ func (rw *runWriter) finish() (*runMeta, error) {
 // Flush writes the hot batch (sorted by key) as one new run and resets
 // it. A no-op on an empty batch.
 func (sp *Spill) Flush() error {
-	n := sp.hot.Len()
-	if n == 0 {
+	if sp.hot.Len() == 0 {
 		return nil
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return bytes.Compare(sp.hot.Key(idx[a]), sp.hot.Key(idx[b])) < 0
-	})
 	rw, err := sp.newRunWriter(sp.flushedBase)
 	if err != nil {
 		return err
 	}
-	for _, i := range idx {
+	for _, i := range sp.hot.Order() {
 		rw.add(sp.hot.Key(i), sp.hot.Hash(i), sp.flushedBase+uint64(i))
 	}
 	if _, err := rw.finish(); err != nil {
@@ -513,7 +503,6 @@ func (sp *Spill) Flush() error {
 	}
 	sp.flushedBase = sp.total
 	sp.hot.Reset()
-	sp.hotBytes = 0
 	return nil
 }
 
