@@ -168,10 +168,10 @@ func InductDijkstra(n, k int) (InductSystem, error) {
 		return InductSystem{}, err
 	}
 	ge1 := lattice.L("AtLeastOnePrivileged", func(st ioa.State) bool {
-		return len(r.Privileged(st)) >= 1
+		return r.PrivilegedCount(st) >= 1
 	})
 	le1 := lattice.L("AtMostOnePrivileged", func(st ioa.State) bool {
-		return len(r.Privileged(st)) <= 1
+		return r.PrivilegedCount(st) <= 1
 	})
 	return InductSystem{
 		Name:      fmt.Sprintf("dijkstra(n=%d,K=%d)", n, k),

@@ -20,6 +20,7 @@ package domain
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/explore"
@@ -229,60 +230,198 @@ func (d *containedUnion) Contains(s ioa.State) bool {
 	return false
 }
 
-// Tuple enumerates the cross product of per-component state lists as
-// ioa.TupleState values, rightmost component fastest (odometer
-// order) — the combinatorial domain for composite automata. Only the
-// part lists are held; the product streams. Membership is
-// componentwise key membership.
-func Tuple(name string, parts [][]ioa.State) Domain {
-	return &tupleDomain{name: name, parts: parts}
+// A Filter is a state predicate that declares which odometer digits
+// it reads: positions into a Product's cardinality vector or a
+// Tuple's part list. Nil Reads declares nothing (the predicate may
+// read every digit and is evaluated at the leaves); a non-nil set
+// promises that Pred's value is fixed once those digits are.
+type Filter struct {
+	Name  string
+	Reads []int
+	Pred  func(ioa.State) bool
 }
 
-type tupleDomain struct {
+// Pruner is the optional pruned-walk extension, implemented by the
+// odometer domains (Product, Tuple). VisitWhere streams, in Visit
+// order, exactly the states every filter accepts, each with its
+// enumeration index in the unfiltered walk. A filter is evaluated once
+// per prefix, at the shallowest prefix that fixes all its declared
+// digits, on the prefix's zero-extension — the first leaf below it; a
+// rejection skips the subtree and advances the index by its size.
+//
+// A declaration is checked, not trusted, in the one direction it could
+// lose a state: the rejecting filter is re-evaluated at the subtree's
+// opposite corner (every digit below the prefix at its maximum) and
+// acceptance there is returned as an error. The other direction — a
+// filter accepting the zero-extension of a subtree it rejects
+// elsewhere — only lets extra states through, so consumers that need
+// exactness re-apply their predicates at the visited states.
+type Pruner interface {
+	VisitWhere(ctx context.Context, filters []Filter, visit func(s ioa.State, index int64) error) error
+}
+
+// odometer is the one combinatorial generator: card gives the digit
+// cardinalities (rightmost digit fastest) and build returns the
+// digits→state function for one walk, which owns whatever scratch
+// that function closes over.
+type odometer struct {
 	name  string
-	parts [][]ioa.State
-
-	once sync.Once
-	keys []map[string]struct{}
+	card  []int
+	build func() func(digits []int) ioa.State
 }
 
-func (d *tupleDomain) Name() string { return d.name }
+func (o *odometer) Name() string { return o.name }
 
-func (d *tupleDomain) Visit(ctx context.Context, visit func(ioa.State) error) error {
-	for _, part := range d.parts {
-		if len(part) == 0 {
-			return nil // empty factor: empty product
+// Visit implements Domain: the zero-filter case of VisitWhere.
+func (o *odometer) Visit(ctx context.Context, visit func(ioa.State) error) error {
+	return o.VisitWhere(ctx, nil, func(s ioa.State, _ int64) error { return visit(s) })
+}
+
+// size is the product of the cardinalities, -1 when it overflows
+// int64.
+func (o *odometer) size() int64 {
+	n := int64(1)
+	for _, c := range o.card {
+		if c == 0 {
+			return 0
 		}
 	}
-	idx := make([]int, len(d.parts))
-	cur := make([]ioa.State, len(d.parts))
-	for i := range d.parts {
-		cur[i] = d.parts[i][0]
+	for _, c := range o.card {
+		if n > math.MaxInt64/int64(c) {
+			return -1
+		}
+		n *= int64(c)
 	}
-	for n := 0; ; n++ {
-		if n%ctxStride == 0 {
+	return n
+}
+
+// VisitWhere implements Pruner, and is the only digit-advance loop in
+// the package. After digit i advances, digits[i+1:] are zero, so the
+// one state built for the step is the zero-extension of every prefix
+// longer than i: the filters of those depths are evaluated on it,
+// shallowest first.
+func (o *odometer) VisitWhere(ctx context.Context, filters []Filter, visit func(ioa.State, int64) error) error {
+	n := len(o.card)
+	total := o.size()
+	if total == 0 {
+		return nil // empty factor: empty product
+	}
+	// at[k] holds the filters decided by a prefix of k digits; sub[k]
+	// is the number of leaves below such a prefix.
+	var at [][]Filter
+	var sub []int64
+	var corner []int
+	if len(filters) > 0 {
+		if total < 0 {
+			return fmt.Errorf("domain: %q has more than 2^63 states: a pruned walk cannot index it", o.name)
+		}
+		sub = make([]int64, n+1)
+		sub[n] = 1
+		for k := n - 1; k >= 0; k-- {
+			sub[k] = sub[k+1] * int64(o.card[k])
+		}
+		at = make([][]Filter, n+1)
+		for _, f := range filters {
+			depth := 0
+			if f.Reads == nil {
+				depth = n
+			}
+			for _, r := range f.Reads {
+				if r < 0 || r >= n {
+					return fmt.Errorf("domain: %q: filter %q reads digit %d of %d", o.name, f.Name, r, n)
+				}
+				depth = max(depth, r+1)
+			}
+			at[depth] = append(at[depth], f)
+		}
+		corner = make([]int, n)
+	}
+	build := o.build()
+	digits := make([]int, n)
+	index := int64(0)
+	lo := 0 // digits[lo:] are zero; prefixes of lo or more digits are undecided
+	for it := 0; ; it++ {
+		if it%ctxStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if err := visit(ioa.NewTupleState(cur)); err != nil {
-			return err
+		s := build(digits)
+		cut := -1
+	decide:
+		for k := lo; k < len(at); k++ {
+			for _, f := range at[k] {
+				if f.Pred(s) {
+					continue
+				}
+				if k < n {
+					copy(corner, digits)
+					for j := k; j < n; j++ {
+						corner[j] = o.card[j] - 1
+					}
+					if f.Pred(build(corner)) {
+						return fmt.Errorf("domain: %q: filter %q declares reads %v but changes value below a %d-digit prefix (at %q)",
+							o.name, f.Name, f.Reads, k, s.Key())
+					}
+				}
+				cut = k
+				break decide
+			}
 		}
-		i := len(idx) - 1
+		i := n - 1
+		if cut < 0 {
+			if err := visit(s, index); err != nil {
+				return err
+			}
+			index++
+		} else {
+			index += sub[cut]
+			i = cut - 1
+		}
 		for i >= 0 {
-			idx[i]++
-			if idx[i] < len(d.parts[i]) {
-				cur[i] = d.parts[i][idx[i]]
+			digits[i]++
+			if digits[i] < o.card[i] {
 				break
 			}
-			idx[i] = 0
-			cur[i] = d.parts[i][0]
+			digits[i] = 0
 			i--
 		}
 		if i < 0 {
 			return nil
 		}
+		lo = i + 1
 	}
+}
+
+// Tuple enumerates the cross product of per-component state lists as
+// ioa.TupleState values, rightmost component fastest (odometer
+// order) — the combinatorial domain for composite automata. Only the
+// part lists are held; the product streams. Membership is
+// componentwise key membership. A Tuple is a product whose digits
+// index the part lists, so a Filter's Reads are part positions.
+func Tuple(name string, parts [][]ioa.State) Domain {
+	card := make([]int, len(parts))
+	for i, part := range parts {
+		card[i] = len(part)
+	}
+	build := func() func([]int) ioa.State {
+		cur := make([]ioa.State, len(parts))
+		return func(digits []int) ioa.State {
+			for i, d := range digits {
+				cur[i] = parts[i][d]
+			}
+			return ioa.NewTupleState(cur)
+		}
+	}
+	return &tupleDomain{odometer: odometer{name: name, card: card, build: build}, parts: parts}
+}
+
+type tupleDomain struct {
+	odometer
+	parts [][]ioa.State
+
+	once sync.Once
+	keys []map[string]struct{}
 }
 
 // Contains implements Container.
@@ -327,63 +466,30 @@ func Product(name string, card []int, build func(digits []int) ioa.State, contai
 	if build == nil || contains == nil {
 		return nil, fmt.Errorf("domain: product %q needs build and contains functions", name)
 	}
-	return &productDomain{name: name, card: card, build: build, contains: contains}, nil
+	return &productDomain{
+		odometer: odometer{name: name, card: card, build: func() func([]int) ioa.State { return build }},
+		contains: contains,
+	}, nil
 }
 
 type productDomain struct {
-	name     string
-	card     []int
-	build    func([]int) ioa.State
+	odometer
 	contains func(ioa.State) bool
-}
-
-func (d *productDomain) Name() string { return d.name }
-
-func (d *productDomain) Visit(ctx context.Context, visit func(ioa.State) error) error {
-	digits := make([]int, len(d.card))
-	for n := 0; ; n++ {
-		if n%ctxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if err := visit(d.build(digits)); err != nil {
-			return err
-		}
-		i := len(digits) - 1
-		for i >= 0 {
-			digits[i]++
-			if digits[i] < d.card[i] {
-				break
-			}
-			digits[i] = 0
-			i--
-		}
-		if i < 0 {
-			return nil
-		}
-	}
 }
 
 // Contains implements Container.
 func (d *productDomain) Contains(s ioa.State) bool { return d.contains(s) }
 
-// Size returns the number of states a Product or Tuple domain streams
-// (the product of its cardinalities), or -1 for other domains.
+// Size returns the number of states a domain streams when that is
+// known without enumeration (the product of a Product's or Tuple's
+// cardinalities, a list's length, a union's sum), or -1 when it is
+// not — including when the count overflows int64.
 func Size(d Domain) int64 {
 	switch d := d.(type) {
 	case *productDomain:
-		n := int64(1)
-		for _, c := range d.card {
-			n *= int64(c)
-		}
-		return n
+		return d.size()
 	case *tupleDomain:
-		n := int64(1)
-		for _, part := range d.parts {
-			n *= int64(len(part))
-		}
-		return n
+		return d.size()
 	case *explicitDomain:
 		return int64(len(d.states))
 	case *containedUnion:
@@ -392,7 +498,7 @@ func Size(d Domain) int64 {
 		n := int64(0)
 		for _, p := range d.parts {
 			pn := Size(p)
-			if pn < 0 {
+			if pn < 0 || n > math.MaxInt64-pn {
 				return -1
 			}
 			n += pn

@@ -168,6 +168,7 @@ var errStop = errors.New("induct: stop")
 type checker struct {
 	a        ioa.Automaton
 	inv      *lattice.Conjunction
+	lemmas   []lattice.Lemma      // inv.Lemmas(), copied once per run
 	contains func(ioa.State) bool // nil when the domain has no Contains
 	inputs   []ioa.Action
 
@@ -184,8 +185,9 @@ type checker struct {
 }
 
 // inductProgressStride is how many domain states separate progress
-// snapshots in the streaming walk (power of two so the cadence check
-// is one mask).
+// snapshots in the streaming walk. A pruned walk advances the count
+// by whole subtrees, so a snapshot is due whenever a multiple of the
+// stride has been crossed, not when one is hit.
 const inductProgressStride = 65536
 
 // emitProgress publishes one streaming-walk snapshot. Only called
@@ -221,6 +223,7 @@ func Check(ctx context.Context, a ioa.Automaton, dom domain.Domain, inv *lattice
 	c := &checker{
 		a:          a,
 		inv:        inv,
+		lemmas:     inv.Lemmas(),
 		inputs:     a.Sig().Inputs().Sorted(),
 		discharged: make([]int64, inv.Len()),
 		cert:       &cert,
@@ -256,7 +259,7 @@ func Check(ctx context.Context, a ioa.Automaton, dom domain.Domain, inv *lattice
 	// Inductive step: stream the domain; every state satisfying inv
 	// must step only to states satisfying inv (and staying inside).
 	if c.cti == nil {
-		err := dom.Visit(ctx, c.visitState)
+		err := c.walk(ctx, dom)
 		if err != nil && !errors.Is(err, errStop) {
 			return cert, err
 		}
@@ -266,7 +269,7 @@ func Check(ctx context.Context, a ioa.Automaton, dom domain.Domain, inv *lattice
 	}
 
 	cert.Obligations = make([]Obligation, inv.Len())
-	for i, l := range inv.Lemmas() {
+	for i, l := range c.lemmas {
 		cert.Obligations[i] = Obligation{Conjunct: l.Name, Discharged: c.discharged[i]}
 		m.Obligations(l.Name, c.discharged[i])
 	}
@@ -283,10 +286,39 @@ func Check(ctx context.Context, a ioa.Automaton, dom domain.Domain, inv *lattice
 	return cert, nil
 }
 
-// visitState runs the inductive step for one domain state.
-func (c *checker) visitState(s ioa.State) error {
-	c.cert.DomainStates++
-	if c.o != nil && c.cert.DomainStates&(inductProgressStride-1) == 0 {
+// walk streams the domain through visitState. Lemmas that declare
+// their reads become filters of the domain's pruned walk when it has
+// one: subtrees a declared conjunct rejects are never built, and
+// their sizes reach DomainStates through the enumeration index. The
+// survivors still face the whole conjunction in visitState, so the
+// candidates, their order and hence the CTI are those of the plain
+// walk.
+func (c *checker) walk(ctx context.Context, dom domain.Domain) error {
+	var filters []domain.Filter
+	for _, l := range c.lemmas {
+		if l.Reads != nil {
+			filters = append(filters, domain.Filter{Name: l.Name, Reads: l.Reads, Pred: l.Pred})
+		}
+	}
+	p, ok := dom.(domain.Pruner)
+	if !ok || len(filters) == 0 {
+		return dom.Visit(ctx, func(s ioa.State) error {
+			return c.visitState(s, c.cert.DomainStates)
+		})
+	}
+	if err := p.VisitWhere(ctx, filters, c.visitState); err != nil {
+		return err
+	}
+	c.cert.DomainStates = c.total // the states past the last survivor
+	return nil
+}
+
+// visitState runs the inductive step for the domain state with the
+// given enumeration index.
+func (c *checker) visitState(s ioa.State, index int64) error {
+	before := c.cert.DomainStates
+	c.cert.DomainStates = index + 1
+	if c.o != nil && before/inductProgressStride != c.cert.DomainStates/inductProgressStride {
 		c.emitProgress(false)
 	}
 	if !c.inv.Holds(s) {
@@ -333,7 +365,7 @@ func (c *checker) push(from ioa.State, act ioa.Action, to ioa.State) bool {
 		}
 		return true
 	}
-	for i, l := range c.inv.Lemmas() {
+	for i, l := range c.lemmas {
 		if !l.Pred(to) {
 			c.cti = &CTI{Kind: KindStep, From: from, Act: act, To: to, Conjunct: l.Name}
 			c.cti.Trace = ioa.NewExecution(c.a, from)

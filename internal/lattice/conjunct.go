@@ -26,6 +26,14 @@ type Lemma struct {
 	// state argument and no dependence on map order, time, or
 	// randomness (the invpure analyzer enforces this).
 	Pred func(ioa.State) bool
+	// Reads optionally declares the digit positions of the enumerated
+	// domain (domain.Product cardinalities, domain.Tuple parts) that
+	// Pred depends on; nil declares nothing. The induct engine uses a
+	// declaration to reject whole subtrees of the domain walk before
+	// their states are built, and checks it where it could cost a
+	// candidate (domain.Pruner). A lemma with Reads belongs to the
+	// domain whose layout the positions name.
+	Reads []int
 }
 
 // L builds a lemma.

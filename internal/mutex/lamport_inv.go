@@ -59,6 +59,43 @@ func prec(c1, p1, c2, p2 int) bool {
 	return c1 < c2 || (c1 == c2 && p1 < p2)
 }
 
+// The TypeOK domain's digit layout, the one place Domain (which builds
+// states from digits) and the lemmas' Reads declarations agree on it:
+// process p owns the N+3 digits from p·(N+3) — clock, its N records,
+// ack mask, crit flag — and the N·(N−1) channel digits come last, so
+// a lemma that ignores channels is decided before their fan-out.
+func (l *Lamport) clockDigit(p int) int  { return p * (l.N + 3) }
+func (l *Lamport) recDigit(p, q int) int { return p*(l.N+3) + 1 + q }
+func (l *Lamport) ackDigit(p int) int    { return p*(l.N+3) + 1 + l.N }
+func (l *Lamport) critDigit(p int) int   { return p*(l.N+3) + 2 + l.N }
+
+// chanDigit is the digit of the channel p→q (p ≠ q).
+func (l *Lamport) chanDigit(p, q int) int {
+	if q > p {
+		q--
+	}
+	return l.N*(l.N+3) + p*(l.N-1) + q
+}
+
+// recDigits lists the digits of all of p's records.
+func (l *Lamport) recDigits(p int) []int {
+	out := make([]int, l.N)
+	for q := range out {
+		out[q] = l.recDigit(p, q)
+	}
+	return out
+}
+
+// reads is a lemma's read-set declaration: the digits pick names,
+// over every process.
+func (l *Lamport) reads(pick func(p int) []int) []int {
+	var out []int
+	for p := 0; p < l.N; p++ {
+		out = append(out, pick(p)...)
+	}
+	return out
+}
+
 // TypeOK bounds every component: clocks in 1..M, stamps in 0..M, ack
 // masks within the process set, channels within capacity carrying
 // well-formed messages.
@@ -103,19 +140,21 @@ func (l *Lamport) TypeOK() lattice.Lemma {
 
 // MutexLemma is the certified property: at most one process in crit.
 func (l *Lamport) MutexLemma() lattice.Lemma {
-	return lattice.L("Mutex", func(st ioa.State) bool {
+	reads := l.reads(func(p int) []int { return []int{l.critDigit(p)} })
+	return lattice.Lemma{Name: "Mutex", Reads: reads, Pred: func(st ioa.State) bool {
 		s, ok := l.state(st)
 		if !ok {
 			return false
 		}
 		return l.InCrit(s) <= 1
-	})
+	}}
 }
 
 // CritOK: a critical process holds an outstanding request and every
 // ack.
 func (l *Lamport) CritOK() lattice.Lemma {
-	return lattice.L("CritOK", func(st ioa.State) bool {
+	reads := l.reads(func(p int) []int { return []int{l.recDigit(p, p), l.ackDigit(p), l.critDigit(p)} })
+	return lattice.Lemma{Name: "CritOK", Reads: reads, Pred: func(st ioa.State) bool {
 		s, ok := l.state(st)
 		if !ok {
 			return false
@@ -126,13 +165,14 @@ func (l *Lamport) CritOK() lattice.Lemma {
 			}
 		}
 		return true
-	})
+	}}
 }
 
 // AckOwn: the ack mask is empty exactly outside a request, and a
 // requester holds its own ack bit.
 func (l *Lamport) AckOwn() lattice.Lemma {
-	return lattice.L("AckOwn", func(st ioa.State) bool {
+	reads := l.reads(func(p int) []int { return []int{l.recDigit(p, p), l.ackDigit(p)} })
+	return lattice.Lemma{Name: "AckOwn", Reads: reads, Pred: func(st ioa.State) bool {
 		s, ok := l.state(st)
 		if !ok {
 			return false
@@ -146,14 +186,15 @@ func (l *Lamport) AckOwn() lattice.Lemma {
 			}
 		}
 		return true
-	})
+	}}
 }
 
 // ClockOK: a process's clock dominates its stamps — its own stamp
 // (taken from the clock) and strictly every foreign record (the
 // receive bumped past it).
 func (l *Lamport) ClockOK() lattice.Lemma {
-	return lattice.L("ClockOK", func(st ioa.State) bool {
+	reads := l.reads(func(p int) []int { return append(l.recDigits(p), l.clockDigit(p)) })
+	return lattice.Lemma{Name: "ClockOK", Reads: reads, Pred: func(st ioa.State) bool {
 		s, ok := l.state(st)
 		if !ok {
 			return false
@@ -169,7 +210,7 @@ func (l *Lamport) ClockOK() lattice.Lemma {
 			}
 		}
 		return true
-	})
+	}}
 }
 
 // ChanOK is the per-channel send discipline: at most one of each
@@ -335,7 +376,8 @@ func (l *Lamport) ReqAfterAck() lattice.Lemma {
 // the enter guard, frozen into an invariant so it persists while new
 // (necessarily later-stamped, by PostAckReq) requests arrive.
 func (l *Lamport) CritBeats() lattice.Lemma {
-	return lattice.L("CritBeats", func(st ioa.State) bool {
+	reads := l.reads(func(p int) []int { return append(l.recDigits(p), l.critDigit(p)) })
+	return lattice.Lemma{Name: "CritBeats", Reads: reads, Pred: func(st ioa.State) bool {
 		s, ok := l.state(st)
 		if !ok {
 			return false
@@ -354,7 +396,7 @@ func (l *Lamport) CritBeats() lattice.Lemma {
 			}
 		}
 		return true
-	})
+	}}
 }
 
 // Lemmas returns the strengthening library in discovery order.
@@ -416,64 +458,56 @@ func (l *Lamport) decodeChan(d int) []byte {
 	return ch
 }
 
+// domainCard gives the cardinality of every digit of the layout.
+func (l *Lamport) domainCard() []int {
+	n := l.N
+	card := make([]int, n*(n+3)+n*(n-1))
+	for p := 0; p < n; p++ {
+		card[l.clockDigit(p)] = l.MaxClock // clock-1
+		card[l.ackDigit(p)] = int(l.fullMask()) + 1
+		card[l.critDigit(p)] = 2
+		for q := 0; q < n; q++ {
+			card[l.recDigit(p, q)] = l.MaxClock + 1
+			if q != p {
+				card[l.chanDigit(p, q)] = l.chanCard()
+			}
+		}
+	}
+	return card
+}
+
+// domainState builds the state a digit vector of the layout names.
+func (l *Lamport) domainState(digits []int) ioa.State {
+	n := l.N
+	s := &LamportState{
+		n:     n,
+		clock: make([]int, n),
+		req:   make([]int, n*n),
+		ack:   make([]uint, n),
+		crit:  make([]bool, n),
+		net:   make([][]byte, n*n),
+	}
+	for p := 0; p < n; p++ {
+		s.clock[p] = digits[l.clockDigit(p)] + 1
+		s.ack[p] = uint(digits[l.ackDigit(p)])
+		s.crit[p] = digits[l.critDigit(p)] == 1
+		for q := 0; q < n; q++ {
+			s.req[p*n+q] = digits[l.recDigit(p, q)]
+			if q != p {
+				s.net[p*n+q] = l.decodeChan(digits[l.chanDigit(p, q)])
+			}
+		}
+	}
+	return s.finalize()
+}
+
 // Domain streams every TypeOK-shaped state — the candidate space for
 // inductive certification. Its size is (M·(M+1)^N·2^N·2)^N ·
 // chanCard^(N·(N-1)): 518,400 at (N=2, M=2, C=1), 9.1M at C=2 —
 // walked without ever being materialized.
 func (l *Lamport) Domain() domain.Domain {
-	n := l.N
-	var card []int
-	for p := 0; p < n; p++ {
-		card = append(card, l.MaxClock) // clock-1
-		for q := 0; q < n; q++ {
-			_ = q
-			card = append(card, l.MaxClock+1) // record
-		}
-		card = append(card, int(l.fullMask())+1) // ack mask
-		card = append(card, 2)                   // crit
-	}
-	for p := 0; p < n; p++ {
-		for q := 0; q < n; q++ {
-			if q != p {
-				card = append(card, l.chanCard())
-			}
-		}
-	}
-	build := func(digits []int) ioa.State {
-		s := &LamportState{
-			n:     n,
-			clock: make([]int, n),
-			req:   make([]int, n*n),
-			ack:   make([]uint, n),
-			crit:  make([]bool, n),
-			net:   make([][]byte, n*n),
-		}
-		i := 0
-		for p := 0; p < n; p++ {
-			s.clock[p] = digits[i] + 1
-			i++
-			for q := 0; q < n; q++ {
-				s.req[p*n+q] = digits[i]
-				i++
-			}
-			s.ack[p] = uint(digits[i])
-			i++
-			s.crit[p] = digits[i] == 1
-			i++
-		}
-		for p := 0; p < n; p++ {
-			for q := 0; q < n; q++ {
-				if q != p {
-					s.net[p*n+q] = l.decodeChan(digits[i])
-					i++
-				}
-			}
-		}
-		return s.finalize()
-	}
-	typeOK := l.TypeOK().Pred
-	d, err := domain.Product(fmt.Sprintf("lamport-typeok(n=%d,M=%d,C=%d)", n, l.MaxClock, l.Cap),
-		card, build, typeOK)
+	d, err := domain.Product(fmt.Sprintf("lamport-typeok(n=%d,M=%d,C=%d)", l.N, l.MaxClock, l.Cap),
+		l.domainCard(), l.domainState, l.TypeOK().Pred)
 	if err != nil {
 		panic(err) // unreachable: N >= 2 enforced by NewLamport
 	}

@@ -118,6 +118,14 @@ func NewDijkstra(n, k int) (*DijkstraRing, error) {
 	return &DijkstraRing{N: n, K: k, Auto: d.MustBuild()}, nil
 }
 
+// privileged reports whether machine i holds a privilege in s.
+func (s *DijkstraState) privileged(i int) bool {
+	if i == 0 {
+		return s.vals[0] == s.vals[len(s.vals)-1]
+	}
+	return s.vals[i] != s.vals[i-1]
+}
+
 // Privileged returns the indices of privileged machines in st.
 func (r *DijkstraRing) Privileged(st ioa.State) []int {
 	s, ok := st.(*DijkstraState)
@@ -125,21 +133,35 @@ func (r *DijkstraRing) Privileged(st ioa.State) []int {
 		return nil
 	}
 	var out []int
-	if s.vals[0] == s.vals[r.N-1] {
-		out = append(out, 0)
-	}
-	for i := 1; i < r.N; i++ {
-		if s.vals[i] != s.vals[i-1] {
+	for i := 0; i < r.N; i++ {
+		if s.privileged(i) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
+// PrivilegedCount is len(Privileged(st)) without building the index
+// list: the predicates induction evaluates on every one of the K^n
+// states need only the count.
+func (r *DijkstraRing) PrivilegedCount(st ioa.State) int {
+	s, ok := st.(*DijkstraState)
+	if !ok || len(s.vals) != r.N {
+		return 0
+	}
+	n := 0
+	for i := 0; i < r.N; i++ {
+		if s.privileged(i) {
+			n++
+		}
+	}
+	return n
+}
+
 // Legit reports the legitimacy predicate: exactly one machine is
 // privileged.
 func (r *DijkstraRing) Legit(st ioa.State) bool {
-	return len(r.Privileged(st)) == 1
+	return r.PrivilegedCount(st) == 1
 }
 
 // StateDomain streams every one of the K^n counter vectors in

@@ -186,3 +186,32 @@ func TestDijkstraPrivilegedWrongShape(t *testing.T) {
 		t.Fatal("legit on wrong-length state")
 	}
 }
+
+// TestPrivilegedCountAllocFree: the count the induction predicates
+// call on every one of the K^n states agrees with the index list
+// everywhere and allocates nothing — neither directly nor through
+// Legit.
+func TestPrivilegedCountAllocFree(t *testing.T) {
+	r := mustDijkstra(t, 4, 3)
+	all := allStates(t, r)
+	for _, s := range all {
+		if got, want := r.PrivilegedCount(s), len(r.Privileged(s)); got != want {
+			t.Fatalf("PrivilegedCount(%s) = %d, Privileged lists %d", s.Key(), got, want)
+		}
+	}
+	if r.PrivilegedCount(ioa.KeyState("x")) != 0 {
+		t.Fatal("a foreign state has privileges")
+	}
+	sink := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, s := range all {
+			sink += r.PrivilegedCount(s)
+			if r.Legit(s) {
+				sink++
+			}
+		}
+	})
+	if allocs != 0 || sink == 0 {
+		t.Fatalf("PrivilegedCount + Legit over %d states: %v allocs per run", len(all), allocs)
+	}
+}
