@@ -12,11 +12,20 @@ import (
 )
 
 // BenchmarkCompositeStep is the exploration hot path in isolation: one
-// sorted explore.Step sweep over every reachable state of the closed
-// level-3 arbiter (a composition of a composition), each successor
-// encoded into a reused buffer the way Intern does. allocs/op divided
-// by the successors metric is the per-successor allocation count.
+// sweep over every reachable state of the closed level-3 arbiter (a
+// composition of a composition), each successor encoded into a reused
+// buffer the way Intern does. step is the sorted explore.Step sweep the
+// engines run, its successors borrowed from the Step's scratch; next is
+// the same actions through ioa.VisitNext, the heap adapter every other
+// caller uses. allocs/op divided by the successors metric is the
+// per-successor allocation count — next's minus step's is what a
+// successor's tuples cost, and what is left in step is Enabled.
 func BenchmarkCompositeStep(b *testing.B) {
+	// The package's tests run poisoned (poison_test.go); a poisoned
+	// scratch abandons its memory on every Visit, which is not what the
+	// engines pay.
+	ioa.SetScratchPoison(false)
+	defer ioa.SetScratchPoison(true)
 	sys, err := ExploreSystem(3, 4)
 	if err != nil {
 		b.Fatal(err)
@@ -25,7 +34,6 @@ func BenchmarkCompositeStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	step := explore.NewStep(sys, true)
 	var buf []byte
 	successors := 0
 	yield := func(nxt ioa.State) bool {
@@ -33,16 +41,33 @@ func BenchmarkCompositeStep(b *testing.B) {
 		successors++
 		return true
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		successors = 0
-		for _, s := range states {
-			step.Visit(s, yield)
-		}
+	step := explore.NewStep(sys, true)
+	inputs := sys.Sig().Inputs().Sorted()
+	for _, arm := range []struct {
+		name  string
+		visit func(s ioa.State)
+	}{
+		{"step", func(s ioa.State) { step.Visit(s, yield) }},
+		{"next", func(s ioa.State) {
+			for _, acts := range [][]ioa.Action{sys.Enabled(s), inputs} {
+				for _, act := range acts {
+					ioa.VisitNext(sys, s, act, yield)
+				}
+			}
+		}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				successors = 0
+				for _, s := range states {
+					arm.visit(s)
+				}
+			}
+			b.ReportMetric(float64(len(states)), "states")
+			b.ReportMetric(float64(successors), "successors")
+		})
 	}
-	b.ReportMetric(float64(len(states)), "states")
-	b.ReportMetric(float64(successors), "successors")
 }
 
 // BenchmarkLevelMerge is a Census where the level set, not the

@@ -1,8 +1,12 @@
 // Package cluster shards state-space exploration across OS processes
 // over localhost TCP: ioasim -dist-listen runs the coordinator,
 // ioasim -dist-join runs a worker, and the reachable set is
-// partitioned by the FNV-64a hash of each state's canonical encoding
-// modulo the process count.
+// partitioned by store.Hash of each state's canonical encoding modulo
+// the process count. The hash is unspecified beyond being the same
+// function within one binary, so all ranks of one run must be the same
+// build (-dist-spawn forks the coordinator's own executable); a rank
+// built from other source would route to other owners, and the
+// receiving owner's shard check aborts the run.
 //
 // The protocol is level-synchronized BFS with a
 // discoverer-expands/owner-dedups split, chosen so that concrete
@@ -615,7 +619,10 @@ func work(ctx context.Context, conn net.Conn, cfg Config) error {
 		if cfg.CorruptShard {
 			owner = (owner + 1) % procs
 		}
-		out[owner].Add(encBuf, h, s)
+		// s is borrowed from step: keep the one the set keeps.
+		if kept := out[owner].Add(encBuf, h, s); kept != nil {
+			*kept = ioa.Keep(s)
+		}
 		return true
 	}
 	// receive files one candidate this rank was sent as owner, refusing

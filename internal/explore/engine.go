@@ -10,9 +10,10 @@ package explore
 // byte-encoded once (ioa.AppendState — the bytes of Key(), streamed
 // without building the string), interned into arena-backed shards, and
 // tracked by dense uint64 IDs instead of string-keyed maps; successor
-// enumeration goes through ioa.VisitNext
-// so implementations with a Stepper fast path allocate no intermediate
-// []State per (state, action) step. The visit order is bit-identical
+// enumeration goes through Step, which borrows each successor from its
+// own scratch memory (ioa.VisitBorrowed), so a successor that is found
+// already interned allocates nothing and only a kept one is copied to
+// the heap. The visit order is bit-identical
 // to the string-keyed seed explorer (reference.go keeps it as the
 // differential oracle): interning preserves first-insertion order, and
 // the encoding is the Key().
@@ -243,6 +244,13 @@ func (e *Engine) Deadlocks(ctx context.Context, a ioa.Automaton) ([]ioa.State, e
 // loops whose merge sorts the candidates anyway. A Step allocates
 // nothing per state and is not safe for concurrent use: each goroutine
 // owns one.
+//
+// Successors are borrowed. A Step owns the ioa.Scratch its automaton
+// builds them in — the one object that is already per goroutine and
+// lives as long as the walk — and rewinds it on entry to Visit, so the
+// state handed to yield is valid until the next Visit on this Step;
+// ioa.Keep what you retain. A successor that is encoded, found in the
+// seen set and dropped — most are — then costs no allocation.
 type Step struct {
 	// Act is the action being stepped; yield callbacks read it to label
 	// the transition that produced their argument.
@@ -252,6 +260,7 @@ type Step struct {
 	inputs []ioa.Action
 	sorted bool
 	buf    []ioa.Action
+	sc     ioa.Scratch
 }
 
 // NewStep builds the successor enumerator of a.
@@ -263,6 +272,7 @@ func NewStep(a ioa.Automaton, sorted bool) *Step {
 // set to the producing action, and stops early (returning false) as
 // soon as yield does.
 func (st *Step) Visit(s ioa.State, yield func(ioa.State) bool) bool {
+	st.sc.Reset()
 	if !st.sorted {
 		return st.walk(s, st.a.Enabled(s), yield) && st.walk(s, st.inputs, yield)
 	}
@@ -277,7 +287,7 @@ func (st *Step) Visit(s ioa.State, yield func(ioa.State) bool) bool {
 func (st *Step) walk(s ioa.State, acts []ioa.Action, yield func(ioa.State) bool) bool {
 	for _, act := range acts {
 		st.Act = act
-		if !ioa.VisitNext(st.a, s, act, yield) {
+		if !ioa.VisitBorrowed(st.a, &st.sc, s, act, yield) {
 			return false
 		}
 	}
@@ -322,7 +332,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	step := NewStep(a, true)
 	admit := func(s ioa.State) {
 		if _, fresh := st.Intern(s); fresh {
-			order = append(order, s)
+			order = append(order, ioa.Keep(s))
 			if pred != nil {
 				crumbs = append(crumbs, crumb{parent: cur, act: step.Act})
 			}

@@ -11,9 +11,11 @@
 //	states, err := eng.Reach(ctx, a)
 //
 // All explorers dedup through internal/store (byte-encoded interned
-// states with dense IDs) and enumerate successors through
-// ioa.VisitNext (the zero-allocation Stepper fast path); see engine.go
-// and parallel.go. The pre-store string-keyed explorer is preserved in
+// states with dense IDs). The exhaustive loops enumerate successors
+// through Step, which lends each one from per-goroutine scratch memory
+// and lets the loop keep the few that are new; the bounded enumerators
+// go through ioa.VisitNext and get heap states. See engine.go and
+// parallel.go. The pre-store string-keyed explorer is preserved in
 // reference.go as the differential-testing oracle.
 package explore
 
@@ -48,7 +50,7 @@ type closedWorld struct {
 }
 
 var _ ioa.Automaton = (*closedWorld)(nil)
-var _ ioa.Stepper = (*closedWorld)(nil)
+var _ ioa.BorrowStepper = (*closedWorld)(nil)
 
 // ClosedWorld treats a composition as a closed system: residual input
 // actions — those no component outputs, i.e. pure environment actions
@@ -86,10 +88,16 @@ func (c *closedWorld) Next(s ioa.State, a ioa.Action) []ioa.State {
 // VisitNext implements ioa.Stepper: removed environment inputs have no
 // steps; everything else delegates to the inner automaton's fast path.
 func (c *closedWorld) VisitNext(s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
+	return c.VisitBorrowed(nil, s, a, yield)
+}
+
+// VisitBorrowed implements ioa.BorrowStepper the same way; a nil sc
+// makes it VisitNext.
+func (c *closedWorld) VisitBorrowed(sc *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
 	if !c.sig.HasAction(a) {
 		return true
 	}
-	return ioa.VisitNext(c.inner, s, a, yield)
+	return ioa.VisitBorrowed(c.inner, sc, s, a, yield)
 }
 
 // Enabled implements Automaton.

@@ -99,8 +99,12 @@ func newLevelScratch(workers int, byKey bool) *levelScratch {
 	return lv
 }
 
+// add offers c, whose state may be borrowed from a Step, to worker wi's
+// set, which keeps the state only if it keeps the candidate.
 func (lv *levelScratch) add(wi int, enc []byte, hash uint64, c cand) {
-	lv.sets[wi].Add(enc, hash, c)
+	if kept := lv.sets[wi].Add(enc, hash, c); kept != nil {
+		kept.state = ioa.Keep(kept.state)
+	}
 }
 
 // reset empties worker wi's set as it starts a level.

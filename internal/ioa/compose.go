@@ -20,6 +20,9 @@ type TupleState struct {
 	// key caches Key() once something asks for it. Tuples are shared by
 	// the parallel workers; racing builders store equal strings.
 	key atomic.Pointer[string]
+	// borrowed marks a tuple built in a Scratch: valid until that
+	// Scratch is reset, and what Keep copies.
+	borrowed bool
 }
 
 var _ State = (*TupleState)(nil)
@@ -137,11 +140,9 @@ type memoShard struct {
 	// lists (a present entry means "computed", even when empty).
 	next map[string]map[Action][]State
 	// enabled maps a component state key to the component's enabled
-	// locally-controlled actions, cached verbatim.
+	// locally-controlled actions, cached verbatim (a present entry means
+	// "computed", even when the slice is nil).
 	enabled map[string][]Action
-	// hasEnabled marks enabled-cache presence (the cached slice may
-	// legitimately be nil).
-	hasEnabled map[string]struct{}
 }
 
 // memoHash assigns a state key to a cache shard (FNV-1a over the last
@@ -245,11 +246,15 @@ func SetObsDeep(a Automaton, o *obs.Obs) {
 	}
 }
 
-// compNext is comp[i].Next(s, a), through the memo layer when
-// component i has one.
-func (c *Composite) compNext(i int, s State, a Action) []State {
+// compNext is comp[i].Next(s, a): through the memo layer when
+// component i has one, collected borrowed in sc when it has none and
+// the walk has a scratch.
+func (c *Composite) compNext(sc *Scratch, i int, s State, a Action) []State {
 	memo := c.memo[i]
 	if memo == nil {
+		if sc != nil {
+			return sc.next(c.comps[i], s, a)
+		}
 		return c.comps[i].Next(s, a)
 	}
 	key := s.Key()
@@ -297,8 +302,7 @@ func (c *Composite) compEnabled(i int, s State) []Action {
 	h := memoHash(key)
 	sh := &memo.shards[h%memoShardCount]
 	sh.mu.RLock()
-	if _, ok := sh.hasEnabled[key]; ok {
-		out := sh.enabled[key]
+	if out, ok := sh.enabled[key]; ok {
 		sh.mu.RUnlock()
 		if m := c.obsMemo; m != nil {
 			m.EnabledHit.AddShard(int(h), 1)
@@ -313,10 +317,8 @@ func (c *Composite) compEnabled(i int, s State) []Action {
 	sh.mu.Lock()
 	if sh.enabled == nil {
 		sh.enabled = make(map[string][]Action)
-		sh.hasEnabled = make(map[string]struct{})
 	}
 	sh.enabled[key] = out
-	sh.hasEnabled[key] = struct{}{}
 	sh.mu.Unlock()
 	return out
 }

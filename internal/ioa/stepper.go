@@ -31,6 +31,31 @@ func VisitNext(a Automaton, s State, act Action, yield func(State) bool) bool {
 	return true
 }
 
+// A BorrowStepper is a Stepper that can also build its successors in a
+// caller's Scratch instead of on the heap. VisitBorrowed enumerates
+// exactly what VisitNext does, in the same order; the states it yields
+// are borrowed — valid until sc is next Reset, Keep what is retained —
+// and with a nil sc it is VisitNext. Compositions implement it, and the
+// wrappers that step by delegating (Hide, Rename, explore.ClosedWorld)
+// forward it.
+type BorrowStepper interface {
+	Stepper
+	VisitBorrowed(sc *Scratch, s State, a Action, yield func(State) bool) bool
+}
+
+// VisitBorrowed enumerates the successors of s via act, borrowed in sc
+// when the automaton offers the borrowed walk and through VisitNext —
+// heap states, which Keep leaves alone — when it does not (Table, Prog,
+// wrappers defined outside this package): correct, merely unaccelerated.
+func VisitBorrowed(a Automaton, sc *Scratch, s State, act Action, yield func(State) bool) bool {
+	if sc != nil {
+		if b, ok := a.(BorrowStepper); ok {
+			return b.VisitBorrowed(sc, s, act, yield)
+		}
+	}
+	return VisitNext(a, s, act, yield)
+}
+
 // VisitNext implements Stepper for table automata: the stored
 // successor row is walked in place, skipping the defensive copy Next
 // makes.
@@ -75,15 +100,23 @@ func (p *Prog) VisitNext(s State, a Action, yield func(State) bool) bool {
 
 var _ Stepper = (*Prog)(nil)
 
-// VisitNext implements Stepper for compositions, and is their one
-// successor enumerator (Next collects it). Every owner of the action
-// steps at once — on the arbiter systems the synchronising case is the
-// common one: each send, receive and user-facing action has two owners
-// — and the other components keep their state. An odometer over the
-// owners' successor lists, first owner most significant, walks their
-// cross product in place, so a successor costs its tuple and one copy
-// of the part vector; an owner that cannot step means no step at all.
+// VisitNext implements Stepper for compositions: the borrowed walk
+// with no scratch, which allocates each successor on the heap.
 func (c *Composite) VisitNext(s State, a Action, yield func(State) bool) bool {
+	return c.VisitBorrowed(nil, s, a, yield)
+}
+
+// VisitBorrowed implements BorrowStepper, and is a composition's one
+// successor enumerator (VisitNext is its nil-scratch case and Next
+// collects that). Every owner of the action steps at once — on the
+// arbiter systems the synchronising case is the common one: each send,
+// receive and user-facing action has two owners — and the other
+// components keep their state. An odometer over the owners' successor
+// lists, first owner most significant, walks their cross product in
+// place; a successor is a copy of the parent's part vector with the
+// owners' slots overwritten, in sc when there is one; an owner that
+// cannot step means no step at all.
+func (c *Composite) VisitBorrowed(sc *Scratch, s State, a Action, yield func(State) bool) bool {
 	ts := c.tuple(s)
 	if ts == nil {
 		return true
@@ -97,18 +130,18 @@ func (c *Composite) VisitNext(s State, a Action, yield func(State) bool) bool {
 	var idxStack [4]int
 	choices, idx := choiceStack[:0], idxStack[:0]
 	for _, i := range owners {
-		next := c.compNext(i, ts.parts[i], a)
+		next := c.compNext(sc, i, ts.parts[i], a)
 		if len(next) == 0 {
 			return true
 		}
 		choices, idx = append(choices, next), append(idx, 0)
 	}
 	for {
-		parts := append([]State(nil), ts.parts...)
+		nxt := sc.tuple(ts.parts)
 		for k, i := range owners {
-			parts[i] = choices[k][idx[k]]
+			nxt.parts[i] = choices[k][idx[k]]
 		}
-		if !yield(&TupleState{parts: parts}) {
+		if !yield(nxt) {
 			return false
 		}
 		k := len(owners) - 1
@@ -124,24 +157,34 @@ func (c *Composite) VisitNext(s State, a Action, yield func(State) bool) bool {
 	}
 }
 
-var _ Stepper = (*Composite)(nil)
+var _ BorrowStepper = (*Composite)(nil)
 
 // VisitNext implements Stepper for hidden automata: hiding changes
 // only the signature, so stepping delegates to the inner automaton.
 func (h *hidden) VisitNext(s State, a Action, yield func(State) bool) bool {
-	return VisitNext(h.inner, s, a, yield)
+	return h.VisitBorrowed(nil, s, a, yield)
 }
 
-var _ Stepper = (*hidden)(nil)
+// VisitBorrowed implements BorrowStepper; a nil sc makes it VisitNext.
+func (h *hidden) VisitBorrowed(sc *Scratch, s State, a Action, yield func(State) bool) bool {
+	return VisitBorrowed(h.inner, sc, s, a, yield)
+}
+
+var _ BorrowStepper = (*hidden)(nil)
 
 // VisitNext implements Stepper for renamed automata: actions outside
 // the renamed signature have no steps; everything else delegates
 // through the inverse mapping.
 func (r *Renamed) VisitNext(s State, a Action, yield func(State) bool) bool {
+	return r.VisitBorrowed(nil, s, a, yield)
+}
+
+// VisitBorrowed implements BorrowStepper; a nil sc makes it VisitNext.
+func (r *Renamed) VisitBorrowed(sc *Scratch, s State, a Action, yield func(State) bool) bool {
 	if !r.sig.HasAction(a) {
 		return true
 	}
-	return VisitNext(r.inner, s, r.m.Invert(a), yield)
+	return VisitBorrowed(r.inner, sc, s, r.m.Invert(a), yield)
 }
 
-var _ Stepper = (*Renamed)(nil)
+var _ BorrowStepper = (*Renamed)(nil)

@@ -316,9 +316,25 @@ func fuzzTuple(data *[]byte, depth int) State {
 	return KeyState(strings.Repeat(string(rune('a'+b%26)), lens[int(b/3)%len(lens)]))
 }
 
+// borrowedCopy rebuilds s in sc, level by level: the shape a borrowed
+// walk hands out when every level of a nested composition stepped.
+func borrowedCopy(sc *Scratch, s State) State {
+	t, ok := s.(*TupleState)
+	if !ok {
+		return s
+	}
+	parts := make([]State, len(t.parts))
+	for i, p := range t.parts {
+		parts[i] = borrowedCopy(sc, p)
+	}
+	return sc.tuple(parts)
+}
+
 // FuzzTupleEncoding: for any nesting and any part keys, the streamed
 // encoding, the lazy key and the recursive JoinKeys reference are the
-// same bytes. `go test -fuzz=FuzzTupleEncoding ./internal/ioa`.
+// same bytes — of the tuple, of a borrowed copy of it, of that copy's
+// successor in a reused header, and of what Keep made of it once the
+// scratch is gone. `go test -fuzz=FuzzTupleEncoding ./internal/ioa`.
 func FuzzTupleEncoding(f *testing.F) {
 	f.Add([]byte{})
 	// One flat tuple whose four leaves have lengths 0, 9, 10, 99.
@@ -338,6 +354,35 @@ func FuzzTupleEncoding(f *testing.F) {
 		}
 		if enc := AppendState(nil, s); string(enc) != want {
 			t.Fatalf("AppendState after Key() = %.80q, want %.80q", enc, want)
+		}
+
+		var sc Scratch
+		// The header this Reset rewinds holds the cached key of another
+		// state: the tuple built in it next must not answer with it.
+		sc.tuple([]State{KeyState("stale")}).Key()
+		sc.Reset()
+		b := borrowedCopy(&sc, s)
+		if enc := AppendState(nil, b); string(enc) != want {
+			t.Fatalf("borrowed AppendState = %.80q, want %.80q", enc, want)
+		}
+		if key := b.Key(); key != want {
+			t.Fatalf("borrowed Key() = %.80q, want %.80q", key, want)
+		}
+		kept := Keep(b)
+		if _, isTuple := s.(*TupleState); isTuple == (kept == b) {
+			t.Fatalf("Keep returned the borrowed tuple itself, or copied a leaf")
+		}
+		poisonScratch.Store(true)
+		sc.Reset()
+		poisonScratch.Store(false)
+		if enc := AppendState(nil, kept); string(enc) != want {
+			t.Fatalf("kept AppendState after Reset = %.80q, want %.80q", enc, want)
+		}
+		if key := kept.Key(); key != want {
+			t.Fatalf("kept Key() after Reset = %.80q, want %.80q", key, want)
+		}
+		if bt, ok := b.(*TupleState); ok && len(bt.parts) > 0 && b.Key() == want {
+			t.Fatalf("the borrowed tuple still reads %.80q after a poisoned Reset", want)
 		}
 	})
 }

@@ -353,6 +353,9 @@ func (w *condWorker) matchStep(bNext ioa.State) bool {
 // and since that pass has one worker, Map still runs on the calling
 // goroutine only.
 func (c *condPass) slowStep(a ioa.State, act ioa.Action, aNext ioa.State, row []uint32) error {
+	// aNext is borrowed from the worker's Step; Map may build its
+	// possibilities over it.
+	aNext = ioa.Keep(aNext)
 	nextPoss := c.h.Map(aNext)
 	for _, p := range row {
 		if p == unreachable {

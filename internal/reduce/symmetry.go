@@ -5,8 +5,8 @@ package reduce
 // Canonical picks the orbit representative by sorting interchangeable
 // components into a canonical order (and consistently relabeling every
 // part of the state that references them by index), so the interned
-// byte encoding — and hence the FNV-64a hash and the dense ID — is
-// shared by the whole orbit.
+// byte encoding — and hence its hash and the dense ID — is shared by
+// the whole orbit.
 //
 // Soundness requirement common to all three: the group action must be
 // an automorphism of the closed system's transition relation. That

@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"math/bits"
 	"slices"
 )
@@ -93,7 +95,8 @@ type Batch struct {
 	arena  []byte
 	ends   []int // entry i is arena[ends[i-1]:ends[i]], from 0 for i == 0
 	hashes []uint64
-	order  []int // Order's result, reused
+	order  []int    // Order's result, reused
+	heads  []uint64 // Order's scratch: each entry's first eight bytes
 }
 
 // Len returns the number of entries.
@@ -133,12 +136,27 @@ func (b *Batch) Add(enc []byte, hash uint64) {
 // encodings — strictly increasing, since entries are distinct. This is
 // the one place a run, a census chunk or a BFS level gets its canonical
 // order. The slice is the batch's own, valid until the next Order.
+//
+// The sort compares each entry's first eight bytes as one big-endian
+// word, zero-padded — which orders two keys as bytes.Compare does
+// whenever the words differ — and the keys themselves only on a tie, so
+// short keys (a grid's are six bytes) never reach bytes.Compare. That
+// matters where the entries do not arrive nearly sorted: a cluster
+// owner's level is one ascending run per sender, interleaved.
 func (b *Batch) Order() []int {
-	b.order = b.order[:0]
+	b.order, b.heads = b.order[:0], b.heads[:0]
 	for i := range b.ends {
 		b.order = append(b.order, i)
+		var head [8]byte
+		copy(head[:], b.Key(i))
+		b.heads = append(b.heads, binary.BigEndian.Uint64(head[:]))
 	}
-	slices.SortFunc(b.order, func(x, y int) int { return bytes.Compare(b.Key(x), b.Key(y)) })
+	slices.SortFunc(b.order, func(x, y int) int {
+		if c := cmp.Compare(b.heads[x], b.heads[y]); c != 0 {
+			return c
+		}
+		return bytes.Compare(b.Key(x), b.Key(y))
+	})
 	return b.order
 }
 
@@ -163,16 +181,21 @@ type LevelSet[P any] struct {
 	payloads []P
 }
 
-// Add merges one candidate into the set, copying enc.
-func (ls *LevelSet[P]) Add(enc []byte, hash uint64, p P) {
+// Add merges one candidate into the set, copying enc. It returns where
+// p was stored, nil when the payload already kept for enc stayed — so a
+// caller whose payload borrows memory copies what the set keeps, not
+// every candidate. The pointer is valid until the next Add.
+func (ls *LevelSet[P]) Add(enc []byte, hash uint64, p P) *P {
 	if i, ok := ls.Lookup(enc, hash); ok {
-		if ls.Less != nil && ls.Less(p, ls.payloads[i]) {
-			ls.payloads[i] = p
+		if ls.Less == nil || !ls.Less(p, ls.payloads[i]) {
+			return nil
 		}
-		return
+		ls.payloads[i] = p
+		return &ls.payloads[i]
 	}
 	ls.Batch.Add(enc, hash)
 	ls.payloads = append(ls.payloads, p)
+	return &ls.payloads[len(ls.payloads)-1]
 }
 
 // Payload returns the payload kept for entry i.

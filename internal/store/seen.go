@@ -17,8 +17,7 @@ import "repro/internal/ioa"
 // concurrent goroutine needs its own probe.
 type MemberProbe interface {
 	// Lookup reports whether s is in the set, returning its ID, the
-	// FNV-64a hash of its canonical encoding, and the membership
-	// verdict. Implementations that can fail (disk reads) report
+	// Hash of its canonical encoding, and the membership verdict. Implementations that can fail (disk reads) report
 	// not-found and latch the error on the owning set's Err.
 	Lookup(s ioa.State) (ID, uint64, bool)
 	// Bytes returns the canonical encoding produced by the most recent

@@ -5,7 +5,8 @@ package store
 // flushes it as one immutable sorted run on disk: keys delta-encoded
 // against their predecessor with leveldb-style restart points, a
 // sparse in-memory block index (one first-key per restart block), and
-// a per-run bloom filter over the FNV-64a hashes. Lookups check the
+// a per-run bloom filter over the keys' Hash values — in memory only,
+// rebuilt with every run, so no hash is ever on disk. Lookups check the
 // hot batch, then merge-on-lookup across runs newest-first: bloom
 // test, binary-search the sparse index, read one block with ReadAt,
 // and decode forward until the key passes the target. Because a key
@@ -86,8 +87,8 @@ type SpillOptions struct {
 	AfterFlush func(path string)
 }
 
-// bloom is a fixed-size bloom filter fed the FNV-64a key hashes,
-// probed by double hashing.
+// bloom is a fixed-size bloom filter fed the keys' Hash values, probed
+// by double hashing. It lives and dies with the process that built it.
 type bloom struct {
 	bits []uint64
 	m    uint64

@@ -3,7 +3,9 @@
 // canonical byte representation (ioa.AppendState: the bytes of Key(),
 // built on demand — a tuple is streamed part by part and never owns a
 // key string unless something asks for one),
-// hashed with FNV-64a, and interned into arena-backed shards;
+// hashed (Hash: an unspecified 64-bit function of those bytes, stable
+// within one binary, never persisted and never trusted for equality),
+// and appended to an arena of fixed slabs behind sharded hash indexes;
 // interning hands out dense uint64 IDs in insertion order. Explorers
 // keep their seen sets, BFS parent links, and witness reconstruction on
 // IDs instead of map[string] keys, which removes per-state string-map
@@ -29,9 +31,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/ioa"
 )
@@ -43,16 +47,17 @@ type ID uint64
 // None is the sentinel ID used for absent parent links.
 const None ID = ^ID(0)
 
-// DefaultShards is the arena shard count used when Options.Shards is
-// zero. Sharding bounds individual arena and index growth: an append or
-// a doubling only recopies its own shard.
+// DefaultShards is the index shard count used when Options.Shards is
+// zero. Sharding bounds index growth: a doubling rehashes only its own
+// shard's table. (The encodings themselves sit in slabs that never
+// move, so they need no such bound.)
 const DefaultShards = 16
 
 // A Canonicalizer maps each state to the canonical representative of
 // its symmetry orbit, so that interning quotients the state space: two
 // states related by a symmetry of the automaton canonicalize to the
-// same representative, hash to the same FNV-64a value, and share one
-// dense ID.
+// same representative, encode to the same bytes, and share one dense
+// ID.
 //
 // Contract: Canonical must be a pure function, idempotent
 // (Canonical(Canonical(s)) == Canonical(s)), orbit-invariant
@@ -73,8 +78,8 @@ type Canonicalizer interface {
 
 // Options parameterizes a Store.
 type Options struct {
-	// Shards is the arena/bucket shard count, rounded up to a power of
-	// two; 0 means DefaultShards.
+	// Shards is the index shard count, rounded up to a power of two; 0
+	// means DefaultShards.
 	Shards int
 	// Canon, when non-nil, canonicalizes every state before encoding
 	// and hashing, so the store dedups symmetry orbits instead of
@@ -85,32 +90,50 @@ type Options struct {
 	Canon Canonicalizer
 }
 
-// loc records where one interned encoding lives: its shard and the
-// byte range inside that shard's arena.
+// loc records where one interned encoding lives: its slab and the byte
+// range inside it.
 type loc struct {
-	shard uint32
-	off   uint32
-	n     uint32
+	slab uint32
+	off  uint32
+	n    uint32
 }
 
-// arenaLimit is the largest shard arena a loc can address: off and
-// off+n must both fit uint32. A variable so tests can shrink it.
-var arenaLimit uint64 = math.MaxUint32
+// The arena is a list of slabs, each allocated once at its final
+// capacity, filled by appends that never reallocate, and never copied:
+// Encoding views stay put for the store's life and growing the arena
+// costs the new slab only. Capacities double from slabMin, so a
+// ten-state store reserves kilobytes, up to slabMax, so a large one
+// overshoots by at most a slab. An encoding that does not fit the rest
+// of the last slab starts the next one (one longer than a slab gets a
+// slab of its own size); the tail it leaves is the arena's only waste.
+const (
+	slabMin = 4 << 10
+	slabMax = 1 << 20
+)
 
-// shard is one arena plus the index of the IDs whose encodings live in
-// it; a hash match is confirmed by byte comparison against the arena.
+// arenaLimit is the most encoded bytes a store holds. A loc numbers
+// slabs in 32 bits; an encoding moves on only from a slab it does not
+// fit, so two consecutive full-size slabs hold more than slabMax bytes
+// between them, and below 2³⁰ × slabMax bytes the slab number cannot
+// wrap. A variable so tests can shrink it.
+var arenaLimit uint64 = 1 << 30 * slabMax
+
+// shard is the index of the IDs whose hashes route to it; a hash match
+// is confirmed by byte comparison against the arena.
 type shard struct {
-	ix    Index
-	arena []byte
+	ix Index
 }
 
 // A Store interns state encodings and hands out dense IDs.
 type Store struct {
-	shards  []shard
-	mask    uint64
-	locs    []loc
-	scratch []byte
-	canon   Canonicalizer
+	shards []shard
+	mask   uint64
+	slabs  [][]byte
+	// arenaBytes is the slabs' summed len, kept for the limit check.
+	arenaBytes int64
+	locs       []loc
+	scratch    []byte
+	canon      Canonicalizer
 	// err latches the first arena overflow (see InternEncoded).
 	err error
 }
@@ -145,24 +168,50 @@ func (st *Store) AppendCanonical(dst []byte, s ioa.State) []byte {
 	return ioa.AppendState(dst, s)
 }
 
-// Hash is FNV-64a over b — the hash every store site uses, exported so
-// probes and explorers can share computed values.
+// Hash is the hash every store site uses — shard and cluster-owner
+// routing, index slots, level sets, spill blooms — exported so probes
+// and explorers can share computed values. Its contract is the uses'
+// common need and no more: a 64-bit function of b, well spread in every
+// bit range, the same within one binary. The values are unspecified,
+// are in no persisted format (they may change between builds), and
+// decide nothing: whoever finds a hash match compares the bytes.
+//
+// It reads b a little-endian word at a time. The length goes in first,
+// so a key and the same key zero-padded start apart. Each word is xored
+// into the state and the state folded through a 64×64→128-bit multiply,
+// high half xor low half: unlike a plain multiply, whose top bits never
+// reach the bottom, the fold carries every bit of the word into every
+// bit range at one multiplication per eight bytes. A last fold finishes
+// the short keys that saw at most one.
 func Hash(b []byte) uint64 {
 	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
+		k0 = 0x9e3779b97f4a7c15 // 2⁶⁴/φ
+		k1 = 0xff51afd7ed558ccd // the fmix64 multipliers: odd, bits evenly set
+		k2 = 0xc4ceb9fe1a85ec53
 	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+	h := (uint64(len(b)) + 1) * k0
+	for ; len(b) >= 8; b = b[8:] {
+		h = fold(h^binary.LittleEndian.Uint64(b), k1)
 	}
-	return h
+	if len(b) > 0 {
+		var w uint64
+		for i, c := range b {
+			w |= uint64(c) << (8 * i)
+		}
+		h = fold(h^w, k1)
+	}
+	return fold(h^k0, k2)
 }
 
-// ErrArenaFull is latched on Err when an encoding no longer fits the
-// 32-bit offsets of its shard arena.
-var ErrArenaFull = errors.New("store: shard arena full")
+// fold is the 128-bit product of x and k, high half xor low half.
+func fold(x, k uint64) uint64 {
+	hi, lo := bits.Mul64(x, k)
+	return hi ^ lo
+}
+
+// ErrArenaFull is latched on Err when an encoding no longer fits what
+// a loc can address.
+var ErrArenaFull = errors.New("store: arena full")
 
 // Err returns the first arena overflow InternEncoded latched, nil
 // otherwise. Like Intern it follows the single-writer rule.
@@ -171,26 +220,20 @@ func (st *Store) Err() error { return st.err }
 // Len returns the number of interned states.
 func (st *Store) Len() int { return len(st.locs) }
 
-// ArenaBytes returns the total encoded bytes held across all shard
-// arenas — the store's payload footprint, reported through the obs
-// layer as store.arena_bytes.
-func (st *Store) ArenaBytes() int64 {
-	var n int64
-	for i := range st.shards {
-		n += int64(len(st.shards[i].arena))
-	}
-	return n
-}
+// ArenaBytes returns the total encoded bytes held — the store's payload
+// footprint, reported through the obs layer as store.arena_bytes.
+func (st *Store) ArenaBytes() int64 { return st.arenaBytes }
 
-// ArenaCapBytes returns the total reserved capacity across all shard
-// arenas. The gap to ArenaBytes is append-growth overshoot: memory
-// the process holds but no state occupies yet. Progress snapshots and
-// the store.arena_cap_bytes gauge report it so long walks show their
-// real footprint, not just the payload.
+// ArenaCapBytes returns the total reserved capacity: the sum of the
+// slab capacities. The gap to ArenaBytes is the unfilled rest of the
+// last slab plus the tails earlier slabs were left with: memory the
+// process holds but no state occupies. Progress snapshots and the
+// store.arena_cap_bytes gauge report it so long walks show their real
+// footprint, not just the payload.
 func (st *Store) ArenaCapBytes() int64 {
 	var n int64
-	for i := range st.shards {
-		n += int64(cap(st.shards[i].arena))
+	for _, sl := range st.slabs {
+		n += int64(cap(sl))
 	}
 	return n
 }
@@ -199,10 +242,10 @@ func (st *Store) ArenaCapBytes() int64 {
 type Stats struct {
 	// States is the number of interned states (dense ID space size).
 	States int
-	// ArenaBytes is the total encoded payload across shards.
+	// ArenaBytes is the total encoded payload.
 	ArenaBytes int64
 	// ArenaCapBytes is the total reserved arena capacity; the slack
-	// over ArenaBytes is growth overshoot.
+	// over ArenaBytes is unfilled slab space.
 	ArenaCapBytes int64
 	// Shards is the shard count.
 	Shards int
@@ -226,11 +269,11 @@ func (st *Store) Stats() Stats {
 }
 
 // Encoding returns the interned encoding of id as a view into the
-// shard arena. The result must not be modified and is invalidated by
-// the next Intern.
+// arena. The result must not be modified; it stays valid, at the same
+// address, for the store's life.
 func (st *Store) Encoding(id ID) []byte {
 	l := st.locs[id]
-	return st.shards[l.shard].arena[l.off : l.off+l.n]
+	return st.slabs[l.slab][l.off : l.off+l.n]
 }
 
 // Intern encodes s (canonicalizing first when Options.Canon is set),
@@ -244,34 +287,50 @@ func (st *Store) Intern(s ioa.State) (ID, bool) {
 
 // InternEncoded interns an already-encoded state given its Hash. Under
 // a canonicalizer the bytes must be canonical (AppendCanonical or
-// Probe.Bytes). The bytes are copied into the shard arena before
+// Probe.Bytes). The bytes are copied into the arena before
 // InternEncoded returns, so enc may be reused — or mutated — by the
 // caller immediately afterwards without disturbing the stored
 // encoding; the regression battery pins this no-aliasing contract.
 //
-// An encoding that would grow its shard arena past what a loc can
-// address is not stored: InternEncoded returns (None, false) and
-// latches ErrArenaFull on Err, which the engines poll, so the overflow
-// ends the exploration with an error instead of wrapped offsets and a
-// wrong state count.
+// An encoding that would grow the arena past what a loc can address is
+// not stored: InternEncoded returns (None, false) and latches
+// ErrArenaFull on Err, which the engines poll, so the overflow ends the
+// exploration with an error instead of wrapped offsets and a wrong
+// state count.
 func (st *Store) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 	if id, ok := st.lookup(enc, hash); ok {
 		return id, false
 	}
-	sh := &st.shards[hash&st.mask]
-	id := ID(len(st.locs))
-	off := len(sh.arena)
-	if uint64(off)+uint64(len(enc)) > arenaLimit {
+	if uint64(st.arenaBytes)+uint64(len(enc)) > arenaLimit || uint64(len(enc)) > math.MaxUint32 {
 		if st.err == nil {
-			st.err = fmt.Errorf("%w: shard %d holds %d bytes, encoding of %d more exceeds %d",
-				ErrArenaFull, hash&st.mask, off, len(enc), arenaLimit)
+			st.err = fmt.Errorf("%w: arena holds %d bytes, encoding of %d more exceeds %d",
+				ErrArenaFull, st.arenaBytes, len(enc), arenaLimit)
 		}
 		return None, false
 	}
-	sh.arena = append(sh.arena, enc...)
-	st.locs = append(st.locs, loc{shard: uint32(hash & st.mask), off: uint32(off), n: uint32(len(enc))})
-	sh.ix.Insert(hash, int(id))
+	id := ID(len(st.locs))
+	st.locs = append(st.locs, st.place(enc))
+	st.shards[hash&st.mask].ix.Insert(hash, int(id))
 	return id, true
+}
+
+// place copies enc into the arena, opening a slab when the last one
+// cannot take it, and returns where it went.
+func (st *Store) place(enc []byte) loc {
+	last := len(st.slabs) - 1
+	if last < 0 || cap(st.slabs[last])-len(st.slabs[last]) < len(enc) {
+		size := slabMin
+		if last >= 0 {
+			size = min(2*cap(st.slabs[last]), slabMax)
+		}
+		size = max(size, len(enc))
+		st.slabs = append(st.slabs, make([]byte, 0, size))
+		last++
+	}
+	off := len(st.slabs[last])
+	st.slabs[last] = append(st.slabs[last], enc...)
+	st.arenaBytes += int64(len(enc))
+	return loc{slab: uint32(last), off: uint32(off), n: uint32(len(enc))}
 }
 
 // Has reports whether s (canonicalized when Options.Canon is set) is
@@ -306,8 +365,8 @@ type Probe struct {
 // own.
 func (st *Store) NewProbe() *Probe { return &Probe{st: st} }
 
-// Lookup reports whether s is interned, returning its ID, the FNV-64a
-// hash of its canonical encoding (for reuse at the level barrier), and
+// Lookup reports whether s is interned, returning its ID, the Hash of
+// its canonical encoding (for reuse at the level barrier), and
 // the membership verdict. Under a canonicalizer the probe looks up the
 // orbit representative, so a hit means some orbit-mate of s was
 // interned.

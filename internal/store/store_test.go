@@ -2,22 +2,11 @@ package store
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"testing"
 
 	"repro/internal/ioa"
 )
-
-func TestHashMatchesStdlibFNV64a(t *testing.T) {
-	for _, s := range []string{"", "a", "arbiter", "x=0;y=17", "\x00\xff\x00"} {
-		h := fnv.New64a()
-		h.Write([]byte(s))
-		if got, want := Hash([]byte(s)), h.Sum64(); got != want {
-			t.Fatalf("Hash(%q) = %#x, stdlib fnv64a = %#x", s, got, want)
-		}
-	}
-}
 
 func TestInternDenseIDsAndDedup(t *testing.T) {
 	st := New(Options{})
