@@ -107,3 +107,25 @@ func TestStepVisitAllocatesNothingPerSuccessor(t *testing.T) {
 			len(states), perSweep, stepping, enabledOnly, (stepping-enabledOnly)/float64(perSweep))
 	}
 }
+
+// TestStepRecordsEnabled: Step.Enabled is the length of the Enabled list
+// of the last state visited, sorted walk or not — what the census loops
+// count deadlocks from instead of asking the automaton twice.
+func TestStepRecordsEnabled(t *testing.T) {
+	a, states := closedArbiter(t, 2)
+	deadEnd := chain(3)
+	for _, sorted := range []bool{false, true} {
+		step := explore.NewStep(a, sorted)
+		for _, s := range states {
+			step.Visit(s, func(ioa.State) bool { return true })
+			if want := len(a.Enabled(s)); step.Enabled != want {
+				t.Fatalf("sorted=%v: Step.Enabled = %d at %s, Enabled lists %d", sorted, step.Enabled, s.Key(), want)
+			}
+		}
+		step = explore.NewStep(deadEnd, sorted)
+		step.Visit(ioa.KeyState("c02"), func(ioa.State) bool { t.Fatal("the end of the chain has a successor"); return true })
+		if step.Enabled != 0 {
+			t.Fatalf("sorted=%v: Step.Enabled = %d at a deadlock", sorted, step.Enabled)
+		}
+	}
+}

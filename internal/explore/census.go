@@ -13,15 +13,19 @@ package explore
 //     store.LevelSet in which a duplicate collapses on arrival, so the
 //     budget (Spill.MemBudget, in encoded bytes) buys distinct
 //     encodings; each full chunk is batch-interned in the set's Order
-//     through Spill.MergeIntern, which merge-joins it against every
-//     on-disk run in one sequential pass — per-level cost is O(runs
-//     read once), not O(candidates × point lookups);
+//     through Spill.MergeIntern, which resolves it against the on-disk
+//     runs by whichever is cheaper for that chunk — one sequential pass
+//     over every run, or, for a chunk small beside what the runs hold,
+//     one point lookup per candidate;
 //   - each fresh state becomes, in the same pass, a member of the new
 //     run and an entry of the next level's frontier.
 //
 // Peak RAM is the chunk plus the per-run bloom filters and sparse
-// indexes, independent of the state count — this is the path behind the
-// ≥10⁸-state runs in EXPERIMENTS.md E23.
+// indexes (about 1.3 + 2 bytes per state at the default block size —
+// store.Stats.ResidentBytes reports it, Spill.MemBudget does not bound
+// it) plus a read buffer for each of the O(log states) runs compaction
+// leaves — this is the path behind the ≥10⁸-state runs in
+// EXPERIMENTS.md E23.
 //
 // Determinism: the walk is single-goroutine and chunk boundaries are a
 // pure function of the candidate stream and the budget, so counts,
@@ -81,24 +85,20 @@ func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.Stat
 
 // censusMaterialized wraps the level-synchronized engine: same
 // depth-then-key visit order as censusExternal, with witness-bearing
-// violations.
+// violations. A walk that ran to completion expanded every state, so the
+// deadlock count is the one its workers tallied.
 func (e *Engine) censusMaterialized(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (Summary, error) {
-	order, v, depth, err := e.parallelExplore(ctx, a, pred)
+	order, v, depth, deadlocks, err := e.parallelExplore(ctx, a, pred)
 	sum := Summary{States: int64(len(order)), Depth: int64(depth), Violation: v}
 	if visit != nil {
 		for _, s := range order {
 			visit(s)
 		}
 	}
-	if err != nil || v != nil {
-		return sum, err
+	if err == nil && v == nil {
+		sum.Deadlocks = deadlocks
 	}
-	for _, s := range order {
-		if len(a.Enabled(s)) == 0 {
-			sum.Deadlocks++
-		}
-	}
-	return sum, nil
+	return sum, err
 }
 
 // errCensusStop ends the external walk at the first violation; the
@@ -159,16 +159,7 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 		if chunk.Len() == 0 {
 			return nil
 		}
-		order := chunk.Order()
-		next := func() ([]byte, bool) {
-			if len(order) == 0 {
-				return nil, false
-			}
-			k := chunk.Key(order[0])
-			order = order[1:]
-			return k, true
-		}
-		_, err := sp.MergeIntern(next, func(enc []byte, id store.ID) error {
+		_, err := sp.MergeIntern(&chunk.Batch, func(enc []byte, id store.ID) error {
 			if sum.States >= limit {
 				return errLimit(a, int(limit))
 			}
@@ -224,10 +215,10 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 			if derr != nil {
 				return fmt.Errorf("explore: %s: decode: %w", a.Name(), derr)
 			}
-			if len(a.Enabled(s)) == 0 {
+			step.Visit(s, offer)
+			if step.Enabled == 0 {
 				sum.Deadlocks++
 			}
-			step.Visit(s, offer)
 			if chunk.Bytes() >= chunkCap {
 				return flushChunk()
 			}

@@ -144,6 +144,14 @@ func (r *reporter) emit(depth, states, frontier int64, done bool) {
 	r.o.Store.ArenaCapBytes.Set(s.ArenaCapBytes)
 	r.o.Store.SpilledBytes.Set(s.SpilledBytes)
 	r.o.Store.SpillRuns.Set(int64(s.SpillRuns))
+	r.o.Store.SpillResidentBytes.Set(s.ResidentBytes)
+	r.o.Store.SpillCompactions.Set(s.Compactions)
+	r.o.Store.SpillEntriesDecoded.Set(s.EntriesDecoded)
+	r.o.Store.SpillBlocksRead.Set(s.BlocksRead)
+	r.o.Store.SpillBloomFalsePositives.Set(s.BloomFalsePositives)
+	r.o.Store.SpillMerges.Set(s.Merges)
+	r.o.Store.SpillMergeCandidates.Set(s.MergeCandidates)
+	r.o.Store.SpillMergesProbed.Set(s.MergesProbed)
 	r.o.EmitProgress(obs.Progress{
 		Phase:        r.phase,
 		Depth:        depth,
@@ -185,7 +193,7 @@ func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error
 		order, _, err := e.seqExplore(ctx, a, nil)
 		return order, err
 	}
-	order, _, _, err := e.parallelExplore(ctx, a, nil)
+	order, _, _, _, err := e.parallelExplore(ctx, a, nil)
 	return order, err
 }
 
@@ -206,7 +214,7 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 		_, v, err := e.seqExplore(ctx, a, pred)
 		return v, err
 	}
-	_, v, _, err := e.parallelExplore(ctx, a, pred)
+	_, v, _, _, err := e.parallelExplore(ctx, a, pred)
 	return v, err
 }
 
@@ -255,6 +263,9 @@ type Step struct {
 	// Act is the action being stepped; yield callbacks read it to label
 	// the transition that produced their argument.
 	Act ioa.Action
+	// Enabled is how many locally-controlled actions the state of the
+	// last Visit enabled; zero marks a deadlock.
+	Enabled int
 
 	a      ioa.Automaton
 	inputs []ioa.Action
@@ -273,12 +284,14 @@ func NewStep(a ioa.Automaton, sorted bool) *Step {
 // soon as yield does.
 func (st *Step) Visit(s ioa.State, yield func(ioa.State) bool) bool {
 	st.sc.Reset()
+	enabled := st.a.Enabled(s)
+	st.Enabled = len(enabled)
 	if !st.sorted {
-		return st.walk(s, st.a.Enabled(s), yield) && st.walk(s, st.inputs, yield)
+		return st.walk(s, enabled, yield) && st.walk(s, st.inputs, yield)
 	}
 	// Copy before sorting: the memo layer may hand out a shared cached
 	// Enabled slice.
-	st.buf = append(append(st.buf[:0], st.a.Enabled(s)...), st.inputs...)
+	st.buf = append(append(st.buf[:0], enabled...), st.inputs...)
 	slices.Sort(st.buf)
 	return st.walk(s, st.buf, yield)
 }

@@ -14,12 +14,12 @@ import (
 // sequential engine), so they go straight to parallelExplore here.
 
 func ParallelReachForTest(a ioa.Automaton, opts Options) ([]ioa.State, error) {
-	order, _, _, err := New(opts).parallelExplore(context.Background(), a, nil)
+	order, _, _, _, err := New(opts).parallelExplore(context.Background(), a, nil)
 	return order, err
 }
 
 func ParallelCheckForTest(a ioa.Automaton, opts Options, pred func(ioa.State) bool) (*Violation, error) {
-	_, v, _, err := New(opts).parallelExplore(context.Background(), a, pred)
+	_, v, _, _, err := New(opts).parallelExplore(context.Background(), a, pred)
 	return v, err
 }
 

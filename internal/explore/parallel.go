@@ -138,8 +138,10 @@ func (lv *levelScratch) gather() []cand {
 // CheckInvariant paths. When pred is non-nil it is evaluated on every
 // level in canonical order and the first failing state is returned as
 // a Violation with a witness built from the canonical crumb chain.
+// deadlocks counts the expanded states that enabled nothing: all of
+// them when the walk ran to completion.
 // Cancellation is checked at level granularity.
-func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (states []ioa.State, v *Violation, maxDepth int, err error) {
+func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (states []ioa.State, v *Violation, maxDepth int, deadlocks int64, err error) {
 	ctx = ctxOr(ctx)
 	w := e.opts.WorkerCount()
 	limit := e.opts.limit()
@@ -153,7 +155,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	}
 	gst, err := store.Open(e.opts.Spill, e.opts.Canon)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, 0, err
 	}
 	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
 	defer gst.Close()
@@ -193,29 +195,30 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	}
 	admit(lv.gather())
 	if err := gst.Err(); err != nil {
-		return nil, nil, 0, seenErr(a, err)
+		return nil, nil, 0, 0, seenErr(a, err)
 	}
 	if pred != nil {
 		if v := checkLevel(a, states, crumbs, 0, pred); v != nil {
-			return states, v, maxDepth, nil
+			return states, v, maxDepth, deadlocks, nil
 		}
 		if len(states) >= limit {
-			return states, nil, maxDepth, errLimit(a, limit)
+			return states, nil, maxDepth, deadlocks, errLimit(a, limit)
 		}
 	}
 
 	for depth, from := 1, 0; from < len(states); depth++ {
 		if err := ctx.Err(); err != nil {
-			return states, nil, maxDepth, err
+			return states, nil, maxDepth, deadlocks, err
 		}
 		levelStart := o.Now()
 		frontier := len(states) - from
-		next := expandLevel(a, lv, states, from, probes, steps, depth, o)
+		next, dead := expandLevel(a, lv, states, from, probes, steps, depth, o)
+		deadlocks += dead
 		if err := gst.Err(); err != nil {
 			// A worker's probe latched a storage failure during the
 			// frozen phase: the candidate set may be incomplete, so the
 			// level is abandoned.
-			return states, nil, maxDepth, seenErr(a, err)
+			return states, nil, maxDepth, deadlocks, seenErr(a, err)
 		}
 		if o != nil {
 			o.Explore.Levels.Add(1)
@@ -232,7 +235,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		if room <= 0 {
 			// An unseen state exists beyond a full budget: the
 			// sequential contract returns the partial result as-is.
-			return states, nil, maxDepth, errLimit(a, limit)
+			return states, nil, maxDepth, deadlocks, errLimit(a, limit)
 		}
 		over := len(next) > room
 		if over {
@@ -242,31 +245,32 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		from = len(states)
 		admit(next)
 		if err := gst.Err(); err != nil {
-			return states[:from], nil, maxDepth, seenErr(a, err)
+			return states[:from], nil, maxDepth, deadlocks, seenErr(a, err)
 		}
 		rep.emit(int64(depth), int64(len(states)), int64(len(states)-from), false)
 		if pred != nil {
 			if v := checkLevel(a, states, crumbs, from, pred); v != nil {
-				return states, v, maxDepth, nil
+				return states, v, maxDepth, deadlocks, nil
 			}
 		}
 		// With a predicate, mirror CheckInvariant's stricter budget
 		// check: it errors once the node store is full even when the
 		// frontier is about to empty.
 		if over || (pred != nil && len(states) >= limit) {
-			return states, nil, maxDepth, errLimit(a, limit)
+			return states, nil, maxDepth, deadlocks, errLimit(a, limit)
 		}
 	}
-	return states, nil, maxDepth, nil
+	return states, nil, maxDepth, deadlocks, nil
 }
 
 // expandLevel computes the undiscovered successors of the frontier
 // states[from:], deduplicated (canonical least crumb per state) and in
-// canonical order, ready for the coordinator to intern. The store is
-// frozen meanwhile: workers probe it freely, each deduplicating in its
-// own row of lv's sets on the bytes and hash its probe just produced.
+// canonical order, ready for the coordinator to intern, and counts the
+// frontier states that enable nothing. The store is frozen meanwhile:
+// workers probe it freely, each deduplicating in its own row of lv's
+// sets on the bytes and hash its probe just produced.
 func expandLevel(a ioa.Automaton, lv *levelScratch, states []ioa.State, from int,
-	probes []store.MemberProbe, steps []*Step, depth int, o *obs.Obs) []cand {
+	probes []store.MemberProbe, steps []*Step, depth int, o *obs.Obs) (next []cand, deadlocks int64) {
 	var cursor int64
 	const chunk = 16
 	var wg sync.WaitGroup
@@ -279,7 +283,7 @@ func expandLevel(a ioa.Automaton, lv *levelScratch, states []ioa.State, from int
 			// increments), flushed to the sharded counter once per
 			// level — so the disabled path stays metric-free and the
 			// enabled path stays contention-free.
-			var emitted int64
+			var emitted, dead int64
 			workStart := o.Now()
 			probe, step := probes[wi], steps[wi]
 			var curParent store.ID
@@ -298,8 +302,12 @@ func expandLevel(a ioa.Automaton, lv *levelScratch, states []ioa.State, from int
 				for i := end - chunk; i < min(end, len(states)); i++ {
 					curParent = store.ID(i)
 					step.Visit(states[i], yield)
+					if step.Enabled == 0 {
+						dead++
+					}
 				}
 			}
+			atomic.AddInt64(&deadlocks, dead)
 			if o != nil {
 				o.Explore.Successors.AddShard(wi, emitted)
 				o.Tracer.Complete(wi+1, "explore", "expand", workStart,
@@ -308,7 +316,7 @@ func expandLevel(a ioa.Automaton, lv *levelScratch, states []ioa.State, from int
 		}(wi)
 	}
 	wg.Wait()
-	return lv.gather()
+	return lv.gather(), deadlocks
 }
 
 // checkLevel evaluates pred over the newly admitted states (IDs from

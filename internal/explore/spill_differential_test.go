@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -335,4 +336,135 @@ func TestCensusChunksHoldDistinctEncodings(t *testing.T) {
 	} else {
 		t.Logf("%d runs, bound %d", runs, bound)
 	}
+}
+
+// spillTier is store's size tier of a run of n bytes, ⌊log₄ n⌋.
+func spillTier(n int64) int {
+	t := 0
+	for ; n >= 4; n /= 4 {
+		t++
+	}
+	return t
+}
+
+// TestCensusSpillRunsBounded: tiered compaction leaves the external
+// census fewer than four runs a size tier — the walk of
+// TestCensusChunksHoldDistinctEncodings, which left about forty — and
+// the directory the live runs only, with no half-written merge, each
+// time a run is registered.
+func TestCensusSpillRunsBounded(t *testing.T) {
+	g, err := grid.New(6, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	o := obs.New(nil)
+	mostFiles := 0
+	sum, err := explore.New(explore.Options{
+		Workers: 1, Obs: o, Decode: g.Decode,
+		Spill: &store.SpillOptions{Dir: dir, MemBudget: 2 << 10, AfterFlush: func(string) {
+			files, err := filepath.Glob(filepath.Join(dir, "run*"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				if !strings.HasSuffix(f, ".spill") {
+					t.Errorf("%s left in the spill directory", f)
+				}
+			}
+			mostFiles = max(mostFiles, len(files))
+		}},
+	}).Census(context.Background(), g, nil, nil)
+	if err != nil || sum.States != g.States() || sum.Deadlocks != 1 {
+		t.Fatalf("census %+v, %v", sum, err)
+	}
+	// No run is larger than all of them together, so their total bounds
+	// the tiers in use. While a merge is being registered its inputs are
+	// already gone, so the directory never holds more than the bound plus
+	// the run that triggers a merge.
+	runs, bound := o.Store.SpillRuns.Value(), int64(3*(spillTier(o.Store.SpilledBytes.Value())+1))
+	if runs > bound || int64(mostFiles) > bound+1 || o.Store.SpillCompactions.Value() == 0 {
+		t.Fatalf("%d runs (%d files at most) after %d compactions, bound %d", runs, mostFiles, o.Store.SpillCompactions.Value(), bound)
+	}
+	t.Logf("%d runs, %d files at most, %d compactions, %d merges probed, %d entries decoded, %d bytes resident",
+		runs, mostFiles, o.Store.SpillCompactions.Value(), o.Store.SpillMergesProbed.Value(),
+		o.Store.SpillEntriesDecoded.Value(), o.Store.SpillResidentBytes.Value())
+}
+
+// TestCensusCompactedRunFaultsNeverMiscount damages the n-th compacted
+// run of an external census as it is registered (AfterFlush reports a
+// path for the second time when a merged run takes it over) — cut
+// mid-record, a bit flipped in its first block, its header rewritten —
+// and requires of every schedule a wrapped store.ErrCorruptRun or the
+// closed-form count: never a census that finished on another number. The
+// inputs of the damaged run are unlinked by then; nothing can fall back
+// on them.
+func TestCensusCompactedRunFaultsNeverMiscount(t *testing.T) {
+	g, err := grid.New(5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := map[string]func(path string) error{
+		"truncate": func(path string) error {
+			fi, err := os.Stat(path)
+			if err != nil {
+				return err
+			}
+			return os.Truncate(path, fi.Size()-5)
+		},
+		"flip":   func(path string) error { return writeAt(path, 8, []byte{0x80}) }, // the first block's shared-prefix byte
+		"header": func(path string) error { return writeAt(path, 0, []byte("IOSPILL0")) },
+	}
+	// walk runs the census, damaging the nth compacted run (none for 0),
+	// and reports how many compacted runs were registered.
+	walk := func(nth int, fault func(string) error) (explore.Summary, int, error) {
+		seen, compacted := map[string]bool{}, 0
+		sum, err := explore.New(explore.Options{
+			Workers: 1, Decode: g.Decode,
+			Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: 256, BlockEvery: 4, AfterFlush: func(path string) {
+				if seen[path] {
+					if compacted++; compacted == nth {
+						if err := fault(path); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				seen[path] = true
+			}},
+		}).Census(context.Background(), g, nil, nil)
+		return sum, compacted, err
+	}
+	closedForm := func(sum explore.Summary) bool {
+		return sum.States == g.States() && sum.Depth == g.Depth() && sum.Deadlocks == 1
+	}
+	sum, compactions, err := walk(0, nil)
+	if err != nil || !closedForm(sum) || compactions < 3 {
+		t.Fatalf("undamaged walk: %+v after %d compactions, %v", sum, compactions, err)
+	}
+	refused := 0
+	for name, fault := range faults {
+		for nth := 1; nth <= compactions; nth++ {
+			sum, _, err := walk(nth, fault)
+			if errors.Is(err, store.ErrCorruptRun) {
+				refused++
+			} else if err != nil || !closedForm(sum) {
+				t.Fatalf("%s in compacted run %d: census %+v, %v; closed form is %d states", name, nth, sum, err, g.States())
+			}
+		}
+	}
+	if walks := len(faults) * compactions; refused < walks/2 {
+		t.Fatalf("only %d of %d damaged walks were refused", refused, walks)
+	} else {
+		t.Logf("%d of %d damaged walks refused", refused, walks)
+	}
+}
+
+func writeAt(path string, off int64, b []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	_, err = f.WriteAt(b, off)
+	return err
 }

@@ -232,11 +232,26 @@ type StoreMetrics struct {
 	// ArenaCapBytes is the total reserved arena capacity; the slack
 	// over ArenaBytes is append-growth overshoot.
 	ArenaCapBytes *Gauge
-	// SpilledBytes is the on-disk run volume of a disk-spilling seen
-	// set (store.Spill); 0 while exploring in RAM.
+	// SpilledBytes is the live on-disk run volume of a disk-spilling
+	// seen set (store.Spill); 0 while exploring in RAM.
 	SpilledBytes *Gauge
-	// SpillRuns is the number of sorted runs the spill set holds.
+	// SpillRuns is the number of live sorted runs the spill set holds.
 	SpillRuns *Gauge
+	// SpillResidentBytes is what the spill set holds in memory: hot
+	// batch, run filters and sparse indexes, idle cursor buffers.
+	SpillResidentBytes *Gauge
+	// The spill set's read side, as running totals of the current
+	// exploration: tier compactions, run entries decoded (by cursors and
+	// lookups), blocks read and filter false positives (lookups), and
+	// the batch merges — how many, the candidates they brought, and how
+	// many were resolved by lookups instead of a pass over the runs.
+	SpillCompactions         *Gauge
+	SpillEntriesDecoded      *Gauge
+	SpillBlocksRead          *Gauge
+	SpillBloomFalsePositives *Gauge
+	SpillMerges              *Gauge
+	SpillMergeCandidates     *Gauge
+	SpillMergesProbed        *Gauge
 }
 
 func newStoreMetrics(r *Registry) *StoreMetrics {
@@ -246,6 +261,15 @@ func newStoreMetrics(r *Registry) *StoreMetrics {
 		ArenaCapBytes: r.Gauge("store.arena_cap_bytes"),
 		SpilledBytes:  r.Gauge("store.spilled_bytes"),
 		SpillRuns:     r.Gauge("store.spill_runs"),
+
+		SpillResidentBytes:       r.Gauge("store.spill_resident_bytes"),
+		SpillCompactions:         r.Gauge("store.spill_compactions"),
+		SpillEntriesDecoded:      r.Gauge("store.spill_entries_decoded"),
+		SpillBlocksRead:          r.Gauge("store.spill_blocks_read"),
+		SpillBloomFalsePositives: r.Gauge("store.spill_bloom_false_positives"),
+		SpillMerges:              r.Gauge("store.spill_merges"),
+		SpillMergeCandidates:     r.Gauge("store.spill_merge_candidates"),
+		SpillMergesProbed:        r.Gauge("store.spill_merges_probed"),
 	}
 }
 

@@ -103,7 +103,7 @@ func NewDiskFrontier(dir string) (*DiskFrontier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: frontier: %w", err)
 	}
-	return &DiskFrontier{f: f, path: f.Name(), w: bufio.NewWriterSize(f, spillReadBufferSize)}, nil
+	return &DiskFrontier{f: f, path: f.Name(), w: bufio.NewWriterSize(f, spillBufferSize)}, nil
 }
 
 // Push implements Frontier.
@@ -132,7 +132,7 @@ func (f *DiskFrontier) Drain(fn func(enc []byte) error) error {
 	if err := f.w.Flush(); err != nil {
 		return fmt.Errorf("store: frontier %s: %w", f.path, err)
 	}
-	r := bufio.NewReaderSize(io.NewSectionReader(f.f, 0, f.size), spillReadBufferSize)
+	r := bufio.NewReaderSize(io.NewSectionReader(f.f, 0, f.size), spillBufferSize)
 	var buf []byte
 	for i := 0; i < f.n; i++ {
 		ln, err := binary.ReadUvarint(r)

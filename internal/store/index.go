@@ -57,7 +57,7 @@ func (ix *Index) Find(hash uint64, eq func(ord int) bool) (int, bool) {
 func (ix *Index) Insert(hash uint64, ord int) {
 	if (ix.n+1)*4 > len(ix.slots)*3 {
 		old := ix.slots
-		ix.slots = make([]indexSlot, max(16, 2*len(old)))
+		ix.slots = make([]indexSlot, max(16, slotsFor(ix.n+1)))
 		ix.shift = uint(64 - bits.TrailingZeros(uint(len(ix.slots))))
 		ix.n = 0
 		for _, s := range old {
@@ -73,6 +73,10 @@ func (ix *Index) Insert(hash uint64, ord int) {
 	ix.slots[i] = indexSlot{hash, uint64(ord) + 1}
 	ix.n++
 }
+
+// slotsFor is the table size n >= 1 entries need: the least power of
+// two they leave at most three-quarters full.
+func slotsFor(n int) int { return 1 << bits.Len(uint((4*n-1)/3)) }
 
 // Reset empties the index and keeps its capacity.
 func (ix *Index) Reset() {
@@ -102,9 +106,29 @@ type Batch struct {
 // Len returns the number of entries.
 func (b *Batch) Len() int { return len(b.ends) }
 
-// Bytes returns the encoded bytes held — what a byte budget on the
-// batch counts; boundaries, hashes and index slots come on top.
+// Bytes returns the encoded bytes held; Footprint adds what holding
+// them costs.
 func (b *Batch) Bytes() int64 { return int64(len(b.arena)) }
+
+// Footprint returns the bytes the batch's entries cost it: their
+// encodings, a boundary and a hash each, and the index table they need
+// (16-byte slots; a real table never starts under 16 of them, which
+// only a budget of a few hundred bytes can tell). It is what a memory
+// budget on the batch compares against: a function of the entries, not
+// of the capacity earlier batches left behind.
+func (b *Batch) Footprint() int64 {
+	n := len(b.ends)
+	if n == 0 {
+		return 0
+	}
+	return int64(len(b.arena)) + 16*int64(n) + 16*int64(slotsFor(n))
+}
+
+// Resident returns the bytes the batch holds, spare capacity and
+// Order's scratch included.
+func (b *Batch) Resident() int64 {
+	return int64(cap(b.arena)) + 8*int64(cap(b.ends)+cap(b.hashes)+cap(b.order)+cap(b.heads)) + 16*int64(len(b.ix.slots))
+}
 
 // Key returns entry i's encoding, a view valid until the next Add.
 func (b *Batch) Key(i int) []byte {
@@ -147,9 +171,7 @@ func (b *Batch) Order() []int {
 	b.order, b.heads = b.order[:0], b.heads[:0]
 	for i := range b.ends {
 		b.order = append(b.order, i)
-		var head [8]byte
-		copy(head[:], b.Key(i))
-		b.heads = append(b.heads, binary.BigEndian.Uint64(head[:]))
+		b.heads = append(b.heads, head8(b.Key(i)))
 	}
 	slices.SortFunc(b.order, func(x, y int) int {
 		if c := cmp.Compare(b.heads[x], b.heads[y]); c != 0 {
@@ -158,6 +180,19 @@ func (b *Batch) Order() []int {
 		return bytes.Compare(b.Key(x), b.Key(y))
 	})
 	return b.order
+}
+
+// head8 is a key's first eight bytes as one big-endian word, zero-padded:
+// two keys whose words differ compare as their words do.
+func head8(key []byte) uint64 {
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
+	}
+	var head uint64
+	for i, b := range key {
+		head |= uint64(b) << (56 - 8*i)
+	}
+	return head
 }
 
 // Reset empties the batch and keeps its capacity.

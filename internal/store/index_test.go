@@ -35,11 +35,16 @@ var forgers = []struct {
 // key and interns it into a Store and a Batch under hash, and offers it
 // to a LevelSet with the program bytes still unread as payload (so each
 // repeat of a key is the lesser). All three are held to map oracles at
-// every step and in full at every reset and the end.
+// every step and in full at every reset and the end. A Spill whose
+// budget holds a handful of keys rides along (ISSUE 23): it interns
+// every key under the same hash and must answer as the Store does
+// through its flushes and compactions; a reset hands it the Batch as one
+// MergeIntern, of members only.
 func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 	t.Helper()
 	st := New(Options{})
 	ids := map[string]ID{}
+	sp := newTestSpill(t, SpillOptions{MemBudget: 96, BlockEvery: 1 + len(prog)%16})
 	var batch Batch
 	entries := map[string]int{}
 	set := LevelSet[int]{Less: func(a, b int) bool { return a < b }}
@@ -62,6 +67,9 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 		prog = prog[1:]
 		if op == 0xff {
 			checkBatch()
+			if n, err := sp.MergeIntern(&batch, nil); n != 0 || err != nil {
+				t.Fatalf("MergeIntern of %d members admitted %d: %v", batch.Len(), n, err)
+			}
 			batch.Reset()
 			clear(entries)
 			set.Reset()
@@ -81,6 +89,9 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 			t.Fatalf("InternEncoded(%q) = (%d, %v); oracle has it %v as %d of %d", key, id, fresh, seen, want, len(ids))
 		}
 		ids[string(key)] = id
+		if sid, sfresh := sp.InternEncoded(key, h); sid != id || sfresh != fresh {
+			t.Fatalf("spill InternEncoded(%q) = (%d, %v), store (%d, %v): %v", key, sid, sfresh, id, fresh, sp.Err())
+		}
 
 		i, ok := batch.Lookup(key, h)
 		if want, seen := entries[string(key)]; ok != seen || (seen && i != want) {
@@ -104,6 +115,12 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 		if id, fresh := st.InternEncoded([]byte(k), hash([]byte(k))); fresh || id != want || string(st.Encoding(id)) != k {
 			t.Fatalf("store lost %q: InternEncoded = (%d, %v), want (%d, false)", k, id, fresh, want)
 		}
+		if id, fresh := sp.InternEncoded([]byte(k), hash([]byte(k))); fresh || id != want {
+			t.Fatalf("spill lost %q: InternEncoded = (%d, %v), want (%d, false): %v", k, id, fresh, want, sp.Err())
+		}
+	}
+	if sp.Len() != len(ids) || sp.Err() != nil {
+		t.Fatalf("spill holds %d states, oracle %d: %v", sp.Len(), len(ids), sp.Err())
 	}
 }
 

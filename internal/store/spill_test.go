@@ -45,6 +45,16 @@ func shuffledKeys(n int, seed int64) []string {
 	return keys
 }
 
+// batchOf is the candidate set MergeIntern takes: the distinct keys, in
+// the order given (the batch orders itself).
+func batchOf(keys ...string) *Batch {
+	var b Batch
+	for _, k := range keys {
+		b.Add([]byte(k), Hash([]byte(k)))
+	}
+	return &b
+}
+
 // TestSpillMatchesStoreDifferential interns the same shuffled key
 // sequence (with re-interns of every prior key mixed in) into the
 // arena store and the spill and requires identical IDs and freshness
@@ -166,17 +176,8 @@ func TestSpillMergeIntern(t *testing.T) {
 				wantIDs[c] = id
 			}
 		}
-		i := 0
 		var gotFresh []string
-		n, err := sp.MergeIntern(
-			func() ([]byte, bool) {
-				if i == len(uniq) {
-					return nil, false
-				}
-				enc := []byte(uniq[i])
-				i++
-				return enc, true
-			},
+		n, err := sp.MergeIntern(batchOf(uniq...),
 			func(enc []byte, id ID) error {
 				gotFresh = append(gotFresh, string(enc))
 				if want := wantIDs[string(enc)]; id != want {
@@ -206,23 +207,6 @@ func TestSpillMergeIntern(t *testing.T) {
 		if !ok || gotID != wantID {
 			t.Fatalf("Has(%q) = (%d, %v), want (%d, true)", k, gotID, ok, wantID)
 		}
-	}
-}
-
-func TestSpillMergeInternRejectsUnsortedStream(t *testing.T) {
-	sp := newTestSpill(t, SpillOptions{})
-	batch := [][]byte{[]byte("b"), []byte("a")}
-	i := 0
-	_, err := sp.MergeIntern(func() ([]byte, bool) {
-		if i == len(batch) {
-			return nil, false
-		}
-		enc := batch[i]
-		i++
-		return enc, true
-	}, nil)
-	if err == nil {
-		t.Fatal("unsorted stream accepted")
 	}
 }
 
@@ -294,16 +278,7 @@ func TestSpillTruncatedRunFailsMergeIntern(t *testing.T) {
 	if err := os.Truncate(paths[0], fi.Size()/2); err != nil {
 		t.Fatalf("Truncate: %v", err)
 	}
-	batch := [][]byte{[]byte("zzzz-fresh")}
-	i := 0
-	if _, err := sp.MergeIntern(func() ([]byte, bool) {
-		if i == len(batch) {
-			return nil, false
-		}
-		enc := batch[i]
-		i++
-		return enc, true
-	}, nil); !errors.Is(err, ErrCorruptRun) {
+	if _, err := sp.MergeIntern(batchOf("zzzz-fresh"), nil); !errors.Is(err, ErrCorruptRun) {
 		t.Fatalf("MergeIntern = %v, want ErrCorruptRun", err)
 	}
 	if err := sp.Err(); !errors.Is(err, ErrCorruptRun) {

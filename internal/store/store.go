@@ -252,10 +252,28 @@ type Stats struct {
 	// SpilledStates is the number of interned states whose encodings
 	// live in on-disk runs rather than RAM (zero for the arena store).
 	SpilledStates int
-	// SpilledBytes is the total size of the on-disk run files.
+	// SpilledBytes is the total size of the live on-disk run files.
 	SpilledBytes int64
-	// SpillRuns is the number of sorted runs on disk.
+	// SpillRuns is the number of live sorted runs on disk.
 	SpillRuns int
+	// ResidentBytes is what a Spill holds in memory: the hot batch, every
+	// run's bloom filter and sparse index, and the idle cursor buffers.
+	// Zero for the arena store, whose footprint ArenaCapBytes reports.
+	ResidentBytes int64
+	// Compactions counts the merges of a tier's runs into one.
+	Compactions int64
+	// Merges counts MergeIntern calls, MergeCandidates the candidates
+	// they presented, and MergesProbed the calls resolved by point
+	// lookups rather than by a pass over the runs.
+	Merges, MergeCandidates, MergesProbed int64
+	// EntriesDecoded counts run entries decoded, by cursors and by
+	// point lookups.
+	EntriesDecoded int64
+	// BlocksRead counts the blocks point lookups read.
+	BlocksRead int64
+	// BloomFalsePositives counts the lookups a run's filter let through
+	// and its block refuted.
+	BloomFalsePositives int64
 }
 
 // Stats summarizes the store.
