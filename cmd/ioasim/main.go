@@ -29,9 +29,9 @@
 //
 // -reach explores the reachable state space instead of simulating,
 // reporting the state count and the quiescent states, through the
-// knobs explore.BindFlags shares with arbiterbench: -workers (0 =
-// GOMAXPROCS, 1 = sequential; the per-depth key-sorted order is
-// identical at any count), -limit, and -spill-dir/-spill-mem-mb, which
+// knobs of explore.Flags: -workers (0 = GOMAXPROCS, 1 = sequential;
+// the per-depth key-sorted order is identical at any count) and -limit,
+// which arbiterbench shares, and -spill-dir/-spill-mem-mb, which
 // back the seen set with the disk-spilling store — for a system with a
 // canonical decodable encoding (grid, the m^k-state scale harness) the
 // external census, frontier and seen set both on disk.
@@ -143,7 +143,15 @@ func main() {
 	flag.BoolVar(&cfg.reach, "reach", false, "explore the reachable state space instead of simulating")
 	flag.BoolVar(&cfg.stabilize, "stabilize", false, "certify self-stabilization instead of simulating ("+systemsWith(hasStabilize)+"); exits non-zero when not stabilizing")
 	flag.BoolVar(&cfg.induct, "induct", false, "certify the safety invariant by one-step induction ("+systemsWith(hasInduct)+"); exits non-zero on a CTI")
-	ex := explore.BindFlags(flag.CommandLine)
+	var ex explore.Flags
+	ex.Bind(flag.CommandLine)
+	ex.BindSpill(flag.CommandLine)
+	flag.BoolVar(&cfg.symmetry, "symmetry", false, "quotient the state space by the system's symmetry group (systems with a registered canonicalizer)")
+	flag.StringVar(&cfg.distListen, "dist-listen", "", "coordinate a sharded multi-process exploration, listening on this host:port")
+	flag.IntVar(&cfg.distWorkers, "dist-workers", 2, "worker process count for -dist-listen")
+	flag.StringVar(&cfg.distJoin, "dist-join", "", "join a coordinator at this host:port as a worker process")
+	flag.BoolVar(&cfg.distSpawn, "dist-spawn", false, "with -dist-listen: spawn the worker processes from this binary")
+	flag.BoolVar(&cfg.distCorrupt, "dist-corrupt", false, "deliberately mis-shard this worker's candidates (CI must-fail probe)")
 	flag.StringVar(&cfg.obsAddr, "obs-addr", "", "serve live expvar + pprof debug endpoints on this address (e.g. :6060)")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write a Chrome trace_event JSON file to this path")
 	flag.StringVar(&cfg.metricsOut, "metrics-out", "", "write a metrics snapshot JSON file to this path")
@@ -152,12 +160,6 @@ func main() {
 	flag.DurationVar(&cfg.stallAfter, "stall-after", 30*time.Second, "with -ledger-out/-progress: journal a stall dump when no progress lands within this window (0 disables)")
 	flag.Parse()
 	cfg.explore = ex.Options()
-	cfg.symmetry = ex.Symmetry()
-	cfg.distListen = ex.DistListen()
-	cfg.distWorkers = ex.DistWorkers()
-	cfg.distJoin = ex.DistJoin()
-	cfg.distSpawn = ex.DistSpawn()
-	cfg.distCorrupt = ex.DistCorrupt()
 	cfg.flags = make(map[string]string)
 	flag.Visit(func(f *flag.Flag) { cfg.flags[f.Name] = f.Value.String() })
 	_, cfg.usersSet = cfg.flags["users"]

@@ -13,9 +13,8 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math"
-	"strings"
+	"strconv"
 
 	"repro/internal/arbiter/graphlevel"
 	"repro/internal/arbiter/users"
@@ -72,8 +71,6 @@ type Config struct {
 	// Combine enables the combined grant+request optimization.
 	Combine bool
 	Seed    int64
-	// MaxSteps caps the run (a safety net; 0 picks a default).
-	MaxSteps int
 	// Record keeps the full timed execution on the Result for
 	// post-hoc condition checking (costs memory on long runs).
 	Record bool
@@ -103,12 +100,8 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 200 * cfg.Grants * (t.EdgeCount() + 2)
-	}
 	res := &Result{First: math.NaN()}
-	tx, err := res.timed(closed, cfg.B, cfg.Seed, maxSteps, cfg.Grants, res.specObserver())
+	tx, err := res.timed(closed, cfg.B, cfg.Seed, 200*cfg.Grants*(t.EdgeCount()+2), cfg.Grants, res.specObserver())
 	if err != nil {
 		return nil, err
 	}
@@ -217,20 +210,24 @@ func FarthestHolderFrom(t *graph.Tree, u int) int {
 	return best
 }
 
-// A Row is one line of an experiment table.
+// A Row is one line of a Theorem 50 or Theorem 52 table.
 type Row struct {
-	Label   string
-	N       int     // number of users
-	D       int     // graph diameter
-	E       int     // graph edges
-	Max     float64 // max observed response (units of b)
-	Mean    float64
-	First   float64
-	Bound   float64 // the paper's bound for this configuration
-	WithinB bool    // observed ≤ bound
+	// Variant names the run within its sweep — the tree family
+	// (theorem50) or the message discipline (theorem52); the sweeps fill
+	// it in.
+	Variant string `json:"variant,omitempty"`
+	N       int    `json:"n"` // number of users
+	D       int    `json:"d"` // graph diameter
+	E       int    `json:"e"` // graph edges
+	// Max, Mean and First are observed responses in units of b.
+	Max     float64 `json:"max"`
+	Mean    float64 `json:"mean"`
+	First   float64 `json:"first"`
+	Bound   float64 `json:"bound"`  // the paper's bound for this configuration
+	WithinB bool    `json:"within"` // observed ≤ bound
 	// MsgsPerGrant is the mean number of internal-edge messages per
 	// grant (populated by heavy-load sweeps).
-	MsgsPerGrant float64
+	MsgsPerGrant float64 `json:"msgs_per_grant,omitempty"`
 }
 
 // lightRun is the Theorem 50 configuration: the first user alone
@@ -263,7 +260,7 @@ func Theorem50(sizes []int, b float64, build func(int) (*graph.Tree, error), see
 		}
 		bound := 2 * b * float64(t.Diameter())
 		rows = append(rows, Row{
-			Label: fmt.Sprintf("n=%d", n), N: n, D: t.Diameter(), E: t.EdgeCount(),
+			N: n, D: t.Diameter(), E: t.EdgeCount(),
 			Max: res.Stats.Max, Mean: res.Stats.Mean(), First: res.First,
 			Bound: bound, WithinB: res.Stats.Max <= bound+1e-9,
 		})
@@ -291,7 +288,7 @@ func Theorem52(sizes []int, b float64, combine bool, seed int64) ([]Row, error) 
 			bound = 2 * b * e
 		}
 		rows = append(rows, Row{
-			Label: fmt.Sprintf("n=%d", n), N: n, D: t.Diameter(), E: t.EdgeCount(),
+			N: n, D: t.Diameter(), E: t.EdgeCount(),
 			Max: res.Stats.Max, Mean: res.Stats.Mean(), First: res.First,
 			Bound: bound, WithinB: res.Stats.Max <= bound+1e-9,
 			MsgsPerGrant: float64(res.EdgeMsgs) / float64(res.Stats.Grants),
@@ -303,15 +300,15 @@ func Theorem52(sizes []int, b float64, combine bool, seed int64) ([]Row, error) 
 // CompareRow is one line of the §3.4 arbiter comparison, extended with
 // the token-ring arbiter of internal/ring.
 type CompareRow struct {
-	N          int
-	SchonLight float64 // Schönhage max response, light load
-	SchonHeavy float64 // Schönhage max response, heavy load
-	RRLight    float64 // round-robin
-	RRHeavy    float64
-	TournLight float64 // tournament tree
-	TournHeavy float64
-	RingLight  float64 // token ring
-	RingHeavy  float64
+	N          int     `json:"n"`
+	SchonLight float64 `json:"schonhage_light"`   // Schönhage max response, light load
+	SchonHeavy float64 `json:"schonhage_heavy"`   // Schönhage max response, heavy load
+	RRLight    float64 `json:"round_robin_light"` // round-robin
+	RRHeavy    float64 `json:"round_robin_heavy"`
+	TournLight float64 `json:"tournament_light"` // tournament tree
+	TournHeavy float64 `json:"tournament_heavy"`
+	RingLight  float64 `json:"ring_light"` // token ring
+	RingHeavy  float64 `json:"ring_heavy"`
 }
 
 // Comparison regenerates the arbiter comparison of §3.4 ¶1 over binary
@@ -366,28 +363,78 @@ func Comparison(sizes []int, b float64, seed int64) ([]CompareRow, error) {
 	return rows, nil
 }
 
-// PrintRows renders an experiment table.
-func PrintRows(w io.Writer, title string, rows []Row) {
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	fmt.Fprintf(w, "%-8s %4s %4s %4s %10s %10s %10s %10s %9s %s\n",
-		"config", "n", "d", "e", "first", "mean", "max", "bound", "msgs/gr", "ok")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %4d %4d %4d %10.1f %10.1f %10.1f %10.1f %9.1f %t\n",
-			r.Label, r.N, r.D, r.E, r.First, r.Mean, r.Max, r.Bound, r.MsgsPerGrant, r.WithinB)
+// theoremSweep is a sweep of theorem Rows: one run per variant, named in
+// the lead column.
+func theoremSweep(name, title, lead string, variants []string, run func(cfg SweepConfig, variant string) ([]Row, error)) sweepOf[Row] {
+	return sweepOf[Row]{
+		name: name, title: title,
+		rows: func(cfg SweepConfig) ([]Row, error) {
+			var rows []Row
+			for _, v := range variants {
+				rs, err := run(cfg, v)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", v, err)
+				}
+				for i := range rs {
+					rs[i].Variant = v
+				}
+				rows = append(rows, rs...)
+			}
+			return rows, nil
+		},
+		cols: []column[Row]{
+			{lead, -8, func(r Row) string { return r.Variant }},
+			{"n", 4, func(r Row) string { return strconv.Itoa(r.N) }},
+			{"d", 4, func(r Row) string { return strconv.Itoa(r.D) }},
+			{"e", 4, func(r Row) string { return strconv.Itoa(r.E) }},
+			{"first", 10, func(r Row) string { return tenths(r.First) }},
+			{"mean", 10, func(r Row) string { return tenths(r.Mean) }},
+			{"max", 10, func(r Row) string { return tenths(r.Max) }},
+			{"bound", 10, func(r Row) string { return tenths(r.Bound) }},
+			{"msgs/gr", 9, func(r Row) string { return tenths(r.MsgsPerGrant) }},
+			{"ok", 0, func(r Row) string { return strconv.FormatBool(r.WithinB) }},
+		},
+		check: func(r Row) (key, fault string) {
+			return fmt.Sprintf("%s/n%d", r.Variant, r.N), boundFault(r.Max, r.Bound, r.WithinB)
+		},
 	}
-	fmt.Fprintln(w)
 }
 
-// PrintComparison renders the arbiter comparison table.
-func PrintComparison(w io.Writer, rows []CompareRow) {
-	title := "Arbiter comparison (max response, units of b; light / heavy load)"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	fmt.Fprintf(w, "%4s | %12s | %12s | %12s | %12s\n",
-		"n", "Schönhage", "round-robin", "tournament", "token ring")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%4d | %5.0f /%5.0f | %5.0f /%5.0f | %5.0f /%5.0f | %5.0f /%5.0f\n",
-			r.N, r.SchonLight, r.SchonHeavy, r.RRLight, r.RRHeavy,
-			r.TournLight, r.TournHeavy, r.RingLight, r.RingHeavy)
-	}
-	fmt.Fprintln(w)
+// theorem50Sweep is E1: binary trees, and line graphs, where the bound
+// is nearly tight.
+var theorem50Sweep = theoremSweep("theorem50", "Theorem 50 — light load, binary trees and line graphs (bound 2bd)",
+	"tree", []string{"binary", "line"}, func(cfg SweepConfig, tree string) ([]Row, error) {
+		build := map[string]func(int) (*graph.Tree, error){"binary": graph.BinaryTree, "line": graph.Line}
+		return Theorem50(cfg.sizes(), cfg.B, build[tree], cfg.Seed)
+	})
+
+// theorem52Sweep is E2 and E3: binary trees, plain and with the combined
+// grant+request message of the §3.4 closing remark.
+var theorem52Sweep = theoremSweep("theorem52", "Theorem 52 — heavy load, binary trees (bound 3be−b; combined grant+request 2be)",
+	"variant", []string{"plain", "combined"}, func(cfg SweepConfig, variant string) ([]Row, error) {
+		return Theorem52(cfg.sizes(), cfg.B, variant == "combined", cfg.Seed)
+	})
+
+// comparisonSweep is E4, each arbiter's light/heavy pair in one column.
+// The row carries no bound; a response of zero is a run that served
+// nothing.
+var comparisonSweep = sweepOf[CompareRow]{
+	name:  "comparison",
+	title: "Arbiter comparison (max response, units of b; light/heavy load)",
+	rows: func(cfg SweepConfig) ([]CompareRow, error) {
+		return Comparison(cfg.sizes(), cfg.B, cfg.Seed)
+	},
+	cols: []column[CompareRow]{
+		{"n", 4, func(r CompareRow) string { return strconv.Itoa(r.N) }},
+		{"Schönhage", 12, func(r CompareRow) string { return fmt.Sprintf("%.0f/%.0f", r.SchonLight, r.SchonHeavy) }},
+		{"round-robin", 12, func(r CompareRow) string { return fmt.Sprintf("%.0f/%.0f", r.RRLight, r.RRHeavy) }},
+		{"tournament", 12, func(r CompareRow) string { return fmt.Sprintf("%.0f/%.0f", r.TournLight, r.TournHeavy) }},
+		{"token ring", 12, func(r CompareRow) string { return fmt.Sprintf("%.0f/%.0f", r.RingLight, r.RingHeavy) }},
+	},
+	check: func(r CompareRow) (key, fault string) {
+		if min(r.SchonLight, r.SchonHeavy, r.RRLight, r.RRHeavy, r.TournLight, r.TournHeavy, r.RingLight, r.RingHeavy) <= 0 {
+			fault = "an arbiter recorded no response"
+		}
+		return fmt.Sprintf("n%d", r.N), fault
+	},
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -14,10 +13,10 @@ func TestTheorem50BoundHolds(t *testing.T) {
 	}
 	for _, r := range rows {
 		if !r.WithinB {
-			t.Errorf("%s: max %.1f exceeds 2bd = %.1f", r.Label, r.Max, r.Bound)
+			t.Errorf("n=%d: max %.1f exceeds 2bd = %.1f", r.N, r.Max, r.Bound)
 		}
 		if r.First <= 0 {
-			t.Errorf("%s: first response %.1f", r.Label, r.First)
+			t.Errorf("n=%d: first response %.1f", r.N, r.First)
 		}
 	}
 	// The first response grows with the diameter (shape check).
@@ -38,10 +37,10 @@ func TestTheorem50LineNearTight(t *testing.T) {
 	}
 	for _, r := range rows {
 		if !r.WithinB {
-			t.Errorf("%s: bound violated", r.Label)
+			t.Errorf("n=%d: bound violated", r.N)
 		}
 		if r.First < r.Bound/2-2 {
-			t.Errorf("%s: first %.1f far below bound %.1f; adversary too weak", r.Label, r.First, r.Bound)
+			t.Errorf("n=%d: first %.1f far below bound %.1f; adversary too weak", r.N, r.First, r.Bound)
 		}
 	}
 }
@@ -54,10 +53,10 @@ func TestTheorem52BoundHolds(t *testing.T) {
 	var prev float64
 	for _, r := range rows {
 		if !r.WithinB {
-			t.Errorf("%s: max %.1f exceeds 3be−b = %.1f", r.Label, r.Max, r.Bound)
+			t.Errorf("n=%d: max %.1f exceeds 3be−b = %.1f", r.N, r.Max, r.Bound)
 		}
 		if r.Max <= prev {
-			t.Errorf("%s: heavy-load response should grow with e", r.Label)
+			t.Errorf("n=%d: heavy-load response should grow with e", r.N)
 		}
 		prev = r.Max
 	}
@@ -137,20 +136,6 @@ func TestFarthestHolderFrom(t *testing.T) {
 	}
 }
 
-func TestPrintRows(t *testing.T) {
-	var sb strings.Builder
-	PrintRows(&sb, "title", []Row{{Label: "n=2", N: 2, Max: 1, Bound: 4, WithinB: true}})
-	out := sb.String()
-	if !strings.Contains(out, "title") || !strings.Contains(out, "n=2") {
-		t.Errorf("output: %s", out)
-	}
-	var sb2 strings.Builder
-	PrintComparison(&sb2, []CompareRow{{N: 2}})
-	if !strings.Contains(sb2.String(), "Schönhage") {
-		t.Error("comparison header missing")
-	}
-}
-
 func TestRunRingShape(t *testing.T) {
 	// Token ring: Θ(n) response under both loads.
 	light8, err := RunRing(8, Light, 1, 3, 1)
@@ -191,10 +176,10 @@ func TestTheorem50StarConstantDiameter(t *testing.T) {
 	}
 	for _, r := range rows {
 		if r.D != 2 {
-			t.Fatalf("%s: star diameter %d", r.Label, r.D)
+			t.Fatalf("n=%d: star diameter %d", r.N, r.D)
 		}
 		if !r.WithinB {
-			t.Errorf("%s: bound violated", r.Label)
+			t.Errorf("n=%d: bound violated", r.N)
 		}
 	}
 	if rows[2].Max > rows[0].Max+1e-9 {

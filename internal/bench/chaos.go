@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"runtime"
+	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/graphlevel"
@@ -24,47 +22,50 @@ import (
 // every property of the correctness hierarchy re-checked along the
 // sampled fair execution.
 type ChaosRow struct {
-	Profile  faults.Profile
-	Seed     int64
-	Hardened bool // A₃ʳ when true, plain A₃ when false
+	Profile  faults.Profile `json:"faults"`
+	Seed     int64          `json:"seed"`
+	Hardened bool           `json:"hardened"` // A₃ʳ when true, plain A₃ when false
 	// Steps is the length of the closed-system run.
-	Steps int
+	Steps int `json:"steps"`
 	// Grants counts grant(u) actions per user.
-	Grants []int
+	Grants []int `json:"grants"`
 	// Starved reports an observed no-lockout violation: some user's
 	// final request stayed unanswered for the entire tail of the run.
-	Starved bool
+	Starved bool `json:"starved"`
 	// MutualExclusion reports that at most one process/user held the
 	// resource in every reached state (token uniqueness).
-	MutualExclusion bool
+	MutualExclusion bool `json:"mutual_exclusion"`
 	// Lemma35, Lemma36, and Lemma41 report whether the graph-level
 	// invariants (single grant arrow; requests point to the root;
 	// buffer coherence) held in the h₂-image of every reached state.
-	Lemma35, Lemma36, Lemma41 bool
+	Lemma35 bool `json:"lemma35"`
+	Lemma36 bool `json:"lemma36"`
+	Lemma41 bool `json:"lemma41"`
 	// RefinesA2 reports that the possibilities mapping (h₂ for the
 	// plain system, h₂ʳ for the hardened one) held along the sampled
 	// execution; RefinesA1 that the corresponding A₂ execution lifted
 	// through h₁ to the specification as well.
-	RefinesA2, RefinesA1 bool
+	RefinesA2 bool `json:"refines_a2"`
+	RefinesA1 bool `json:"refines_a1"`
 	// MaxPending is the worst number of steps any spec-level request
 	// obligation stayed open (the untimed §3.4 latency analogue);
 	// -1 when the run does not lift to the specification.
-	MaxPending int
+	MaxPending int `json:"max_pending"`
 	// MaxOutage is the longest consecutive run of reached states in
 	// which some per-state safety property (token uniqueness or a
 	// Lemma 35/36/41 invariant) was violated — how long the system
 	// stayed visibly corrupt before the faults washed out.
-	MaxOutage int
+	MaxOutage int `json:"max_outage"`
 	// MaxServiceGap is the longest span of steps during which some
 	// user's request was pending and no grant fired at all (to
 	// anyone) — how long service stopped, including the run's tail.
-	MaxServiceGap int
+	MaxServiceGap int `json:"max_service_gap"`
 	// RecoverWithin echoes the acceptance window k from the config;
 	// Recovered is the cell's recovery verdict, MaxOutage <= k and
 	// MaxServiceGap <= k. Both are meaningful only when the config set
 	// RecoverWithin > 0.
-	RecoverWithin int
-	Recovered     bool
+	RecoverWithin int  `json:"recover_within"`
+	Recovered     bool `json:"recovered"`
 }
 
 // ChaosConfig parameterizes a chaos sweep.
@@ -79,17 +80,6 @@ type ChaosConfig struct {
 	Seeds []int64
 	// Steps bounds each closed-system run.
 	Steps int
-	// StarveGrants is how many grants to other users an unanswered
-	// request must see before it counts as starvation (0 picks a
-	// default of ten full rotations — an order of magnitude past the
-	// worst queueing delay observed on conforming runs, and two
-	// orders below what genuine lockout produces).
-	StarveGrants int
-	// Workers parallelizes the per-state safety checks of each cell
-	// (mutual exclusion and the Lemma 35/36/41 graph invariants) across
-	// that many goroutines. 0 means GOMAXPROCS; the results are
-	// independent of the worker count.
-	Workers int
 	// RecoverWithin, when positive, turns each cell into a
 	// recovers-within-k acceptance check: the cell passes
 	// (Recovered=true) iff no safety outage and no service gap lasts
@@ -247,11 +237,10 @@ func chaosCell(cfg ChaosConfig, prof faults.Profile, seed int64, hardened bool) 
 	// the request over many times (grants kept flowing to others).
 	// The passing-over threshold separates lockout from degradation:
 	// faulty channels can stretch one wait to a few rotations, but
-	// only a lost obligation explains dozens with none to this user.
-	threshold := cfg.StarveGrants
-	if threshold == 0 {
-		threshold = 10 * len(names)
-	}
+	// only a lost obligation explains dozens with none to this user:
+	// ten full rotations is an order of magnitude past the worst delay
+	// observed on conforming runs, two below what lockout produces.
+	threshold := 10 * len(names)
 	halted := x.Len() < cfg.Steps
 	for u := range names {
 		if lastReq[u] < 0 || lastGrant[u] >= lastReq[u] {
@@ -286,15 +275,11 @@ func chaosCell(cfg ChaosConfig, prof faults.Profile, seed int64, hardened bool) 
 	}
 
 	// Safety in every reached state: token uniqueness directly on the
-	// process states, Lemmas 35/36/41 in the h₂-image. The per-state
-	// checks are pure functions of the state, so they shard across
-	// workers; verdicts are conjunctions and hence order-independent.
-	safety, okAt, err := chaosSafetyScan(cfg.Workers, t, sys, x3.States)
+	// process states, Lemmas 35/36/41 in the h₂-image.
+	okAt, err := row.safetyScan(t, sys, x3.States)
 	if err != nil {
 		return row, err
 	}
-	row.MutualExclusion = safety.mutex
-	row.Lemma35, row.Lemma36, row.Lemma41 = safety.l35, safety.l36, safety.l41
 
 	// Recovery: the longest consecutive stretch of unsafe states, and
 	// the longest stretch of steps with a request pending and no grant
@@ -361,92 +346,39 @@ func chaosCell(cfg ChaosConfig, prof faults.Profile, seed int64, hardened bool) 
 	return row, nil
 }
 
-// chaosSafety aggregates the per-state safety verdicts of one cell.
-type chaosSafety struct {
-	mutex, l35, l36, l41 bool
-}
-
-// chaosSafetyScan evaluates token uniqueness and the Lemma 35/36/41
-// graph invariants over every state, sharded across workers. Besides
-// the aggregate verdicts it returns the per-state conjunction okAt
-// (workers write disjoint indices), from which the recovery analysis
+// safetyScan evaluates token uniqueness and the Lemma 35/36/41 graph
+// invariants over every state into the row's four verdicts. It returns
+// the per-state conjunction okAt, from which the recovery analysis
 // measures outage lengths.
-func chaosSafetyScan(workers int, t *graph.Tree, sys *level3, states []ioa.State) (chaosSafety, []bool, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(states) {
-		workers = len(states)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+func (row *ChaosRow) safetyScan(t *graph.Tree, sys *level3, states []ioa.State) ([]bool, error) {
+	row.MutualExclusion, row.Lemma35, row.Lemma36, row.Lemma41 = true, true, true, true
 	okAt := make([]bool, len(states))
-	results := make([]chaosSafety, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res := chaosSafety{mutex: true, l35: true, l36: true, l41: true}
-			for i := w; i < len(states); i += workers {
-				st := states[i]
-				stateOK := true
-				holders := 0
-				for _, a := range sys.order {
-					ps, err := sys.procOf(st, a)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if ps.Holding() {
-						holders++
-						continue
-					}
-					if v := t.Neighbors(a)[ps.LastForward()]; t.Node(v).Kind == graph.User {
-						holders++
-					}
-				}
-				if holders > 1 {
-					res.mutex = false
-					stateOK = false
-				}
-				img, err := sys.applyH2(st)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if !graphlevel.SingleRoot(img) {
-					res.l35 = false
-					stateOK = false
-				}
-				if !graphlevel.RequestsPointToRoot(img) {
-					res.l36 = false
-					stateOK = false
-				}
-				if !graphlevel.BufferInvariant(img) {
-					res.l41 = false
-					stateOK = false
-				}
-				okAt[i] = stateOK
+	for i, st := range states {
+		holders := 0
+		for _, a := range sys.order {
+			ps, err := sys.procOf(st, a)
+			if err != nil {
+				return nil, err
 			}
-			results[w] = res
-		}()
-	}
-	wg.Wait()
-	out := chaosSafety{mutex: true, l35: true, l36: true, l41: true}
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return out, nil, errs[w]
+			if ps.Holding() {
+				holders++
+				continue
+			}
+			if v := t.Neighbors(a)[ps.LastForward()]; t.Node(v).Kind == graph.User {
+				holders++
+			}
 		}
-		out.mutex = out.mutex && results[w].mutex
-		out.l35 = out.l35 && results[w].l35
-		out.l36 = out.l36 && results[w].l36
-		out.l41 = out.l41 && results[w].l41
+		img, err := sys.applyH2(st)
+		if err != nil {
+			return nil, err
+		}
+		mutex := holders <= 1
+		l35, l36, l41 := graphlevel.SingleRoot(img), graphlevel.RequestsPointToRoot(img), graphlevel.BufferInvariant(img)
+		okAt[i] = mutex && l35 && l36 && l41
+		row.MutualExclusion, row.Lemma35 = row.MutualExclusion && mutex, row.Lemma35 && l35
+		row.Lemma36, row.Lemma41 = row.Lemma36 && l36, row.Lemma41 && l41
 	}
-	return out, okAt, nil
+	return okAt, nil
 }
 
 // longestFalseRun measures the longest consecutive stretch of false
@@ -515,32 +447,67 @@ func chaosGrantResponds(names []string, u int) *proof.LeadsTo {
 	}
 }
 
-// PrintChaos renders a chaos sweep table.
-func PrintChaos(w io.Writer, rows []ChaosRow) {
-	title := "Chaos sweep — fault rates vs surviving correctness properties"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	fmt.Fprintf(w, "%-22s %5s %-4s %6s %-12s %7s %4s %4s %4s %4s %4s %4s %8s %7s %5s %6s\n",
-		"faults", "seed", "sys", "steps", "grants", "starved", "ME",
-		"L35", "L36", "L41", "h2", "h1", "maxpend", "outage", "gap", "recov")
-	for _, r := range rows {
-		sysName := "A3"
-		if r.Hardened {
-			sysName = "A3r"
-		}
-		grants := strings.Trim(fmt.Sprint(r.Grants), "[]")
-		pend := "-"
-		if r.MaxPending >= 0 {
-			pend = fmt.Sprint(r.MaxPending)
-		}
-		recov := "-"
-		if r.RecoverWithin > 0 {
-			recov = okFail(r.Recovered)
-		}
-		fmt.Fprintf(w, "%-22s %5d %-4s %6d %-12s %7t %4s %4s %4s %4s %4s %4s %8s %7d %5d %6s\n",
-			r.Profile, r.Seed, sysName, r.Steps, grants, r.Starved,
-			okFail(r.MutualExclusion), okFail(r.Lemma35), okFail(r.Lemma36),
-			okFail(r.Lemma41), okFail(r.RefinesA2), okFail(r.RefinesA1), pend,
-			r.MaxOutage, r.MaxServiceGap, recov)
+// system names the cell's arbiter variant.
+func (r ChaosRow) system() string {
+	if r.Hardened {
+		return "A3r"
 	}
-	fmt.Fprintln(w)
+	return "A3"
+}
+
+// correct reports that every property of the hierarchy survived the
+// cell's run.
+func (r ChaosRow) correct() bool {
+	return !r.Starved && r.MutualExclusion && r.Lemma35 && r.Lemma36 && r.Lemma41 && r.RefinesA2 && r.RefinesA1
+}
+
+// chaosSweep is E14 over the Figure 3.2 tree. Fault-free cells and
+// every A₃ʳ cell must keep the whole hierarchy, and a fault-free cell
+// must recover within the window; the plain-A₃ cells the faults break
+// are the negative control.
+var chaosSweep = sweepOf[ChaosRow]{
+	name:  "chaos",
+	title: "Chaos sweep — fault rates vs surviving correctness properties",
+	rows: func(cfg SweepConfig) ([]ChaosRow, error) {
+		tr, err := graph.Figure32()
+		if err != nil {
+			return nil, err
+		}
+		steps, seeds := 4000, []int64{1, 2, 5}
+		if cfg.Quick {
+			steps, seeds = 2000, seeds[:1]
+		}
+		return Chaos(ChaosConfig{Tree: tr, Profiles: DefaultChaosProfiles(), Seeds: seeds, Steps: steps, RecoverWithin: cfg.RecoverWithin})
+	},
+	cols: []column[ChaosRow]{
+		{"faults", -22, func(r ChaosRow) string { return r.Profile.String() }},
+		{"seed", 5, func(r ChaosRow) string { return strconv.FormatInt(r.Seed, 10) }},
+		{"sys", -4, ChaosRow.system},
+		{"steps", 6, func(r ChaosRow) string { return strconv.Itoa(r.Steps) }},
+		{"grants", -12, func(r ChaosRow) string { return strings.Trim(fmt.Sprint(r.Grants), "[]") }},
+		{"starved", 7, func(r ChaosRow) string { return strconv.FormatBool(r.Starved) }},
+		{"ME", 4, func(r ChaosRow) string { return okFail(r.MutualExclusion) }},
+		{"L35", 4, func(r ChaosRow) string { return okFail(r.Lemma35) }},
+		{"L36", 4, func(r ChaosRow) string { return okFail(r.Lemma36) }},
+		{"L41", 4, func(r ChaosRow) string { return okFail(r.Lemma41) }},
+		{"h2", 4, func(r ChaosRow) string { return okFail(r.RefinesA2) }},
+		{"h1", 4, func(r ChaosRow) string { return okFail(r.RefinesA1) }},
+		{"maxpend", 8, func(r ChaosRow) string { return orDash(r.MaxPending >= 0, strconv.Itoa(r.MaxPending)) }},
+		{"outage", 7, func(r ChaosRow) string { return strconv.Itoa(r.MaxOutage) }},
+		{"gap", 5, func(r ChaosRow) string { return strconv.Itoa(r.MaxServiceGap) }},
+		{"recov", 6, func(r ChaosRow) string { return orDash(r.RecoverWithin > 0, okFail(r.Recovered)) }},
+	},
+	check: func(r ChaosRow) (key, fault string) {
+		k := r.RecoverWithin
+		switch {
+		case r.Recovered != (k > 0 && r.MaxOutage <= k && r.MaxServiceGap <= k):
+			fault = fmt.Sprintf("recovered=%t with outage %d, gap %d, window %d", r.Recovered, r.MaxOutage, r.MaxServiceGap, k)
+		case r.RefinesA1 && !r.RefinesA2, r.RefinesA1 != (r.MaxPending >= 0):
+			fault = fmt.Sprintf("h1=%t with h2=%t, maxpend %d", r.RefinesA1, r.RefinesA2, r.MaxPending)
+		case (r.Profile.Zero() || r.Hardened) && !r.correct(), r.Profile.Zero() && k > 0 && !r.Recovered:
+			fault = "a fault-free or hardened cell lost a property of the hierarchy, or a fault-free one did not recover"
+		}
+		return fmt.Sprintf("%s/seed%d/%s", r.Profile, r.Seed, r.system()), fault
+	},
+	control: func(r ChaosRow) bool { return !r.Hardened && !r.Profile.Zero() && !r.correct() },
 }

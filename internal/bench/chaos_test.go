@@ -44,7 +44,7 @@ func TestChaosSweep(t *testing.T) {
 		t.Fatalf("expected 12 rows, got %d", len(rows))
 	}
 	var sb strings.Builder
-	PrintChaos(&sb, rows)
+	printTable(&sb, chaosSweep.title, chaosSweep.cols, rows)
 	t.Log("\n" + sb.String())
 
 	allOK := func(r ChaosRow) bool {

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/arbiter/dist"
 	"repro/internal/graph"
@@ -123,13 +124,13 @@ func distUser(user, arb string, rounds int) *ioa.Prog {
 
 // DistVsGraphRow compares the two levels on one tree.
 type DistVsGraphRow struct {
-	N        int
-	EG       int     // edges of G
-	EAug     int     // edges of 𝒢
-	A2Max    float64 // A2-over-G heavy-load max response
-	A3Max    float64 // A3 heavy-load max response
-	BoundAug float64 // 3b·e(𝒢) − b
-	Within   bool
+	N        int     `json:"n"`
+	EG       int     `json:"edges_g"`   // edges of G
+	EAug     int     `json:"edges_aug"` // edges of 𝒢
+	A2Max    float64 `json:"a2_max"`    // A2-over-G heavy-load max response
+	A3Max    float64 `json:"a3_max"`    // A3 heavy-load max response
+	BoundAug float64 `json:"bound"`     // 3b·e(𝒢) − b
+	Within   bool    `json:"within"`
 }
 
 // DistVsGraph sweeps heavy-load response at both levels of
@@ -162,4 +163,27 @@ func DistVsGraph(sizes []int, b float64, seed int64) ([]DistVsGraphRow, error) {
 		})
 	}
 	return rows, nil
+}
+
+// levelsSweep is E13, the cross-level check: the first four sizes only,
+// the A₃ state space being the costly one.
+var levelsSweep = sweepOf[DistVsGraphRow]{
+	name:  "levels",
+	title: "Cross-level check — heavy-load max response at A2 (over G) vs A3 (bound 3b·e(𝒢)−b)",
+	rows: func(cfg SweepConfig) ([]DistVsGraphRow, error) {
+		sizes := cfg.sizes()
+		return DistVsGraph(sizes[:min(len(sizes), 4)], cfg.B, cfg.Seed)
+	},
+	cols: []column[DistVsGraphRow]{
+		{"n", 4, func(r DistVsGraphRow) string { return strconv.Itoa(r.N) }},
+		{"e(G)", 6, func(r DistVsGraphRow) string { return strconv.Itoa(r.EG) }},
+		{"e(𝒢)", 6, func(r DistVsGraphRow) string { return strconv.Itoa(r.EAug) }},
+		{"A2 max", 10, func(r DistVsGraphRow) string { return tenths(r.A2Max) }},
+		{"A3 max", 10, func(r DistVsGraphRow) string { return tenths(r.A3Max) }},
+		{"bound", 10, func(r DistVsGraphRow) string { return tenths(r.BoundAug) }},
+		{"ok", 0, func(r DistVsGraphRow) string { return strconv.FormatBool(r.Within) }},
+	},
+	check: func(r DistVsGraphRow) (key, fault string) {
+		return fmt.Sprintf("n%d", r.N), boundFault(r.A3Max, r.BoundAug, r.Within)
+	},
 }

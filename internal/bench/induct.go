@@ -459,11 +459,10 @@ func inductRows(cfg SweepConfig) ([]InductRow, error) {
 
 // inductSweep is the E21 sweep.
 var inductSweep = sweepOf[InductRow]{
-	name:        "induct",
-	description: "inductive-invariant certification vs full reachability (E21)",
-	title:       "Inductive certification — streamed domain vs reachability (best-of-reps)",
-	reps:        3,
-	rows:        inductRows,
+	name:  "induct",
+	title: "Inductive certification — streamed domain vs reachability (best-of-reps)",
+	reps:  3,
+	rows:  inductRows,
 	cols: []column[InductRow]{
 		{"system", -18, func(r InductRow) string { return r.System }},
 		{"domain", 10, func(r InductRow) string { return strconv.FormatInt(r.DomainStates, 10) }},

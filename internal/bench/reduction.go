@@ -172,11 +172,10 @@ func reductionMeasure(c reductionCase, cfg SweepConfig, mode string) (ReductionR
 // state counts are deterministic and the full-mode star at 12 users
 // dominates the run.
 var reductionSweep = sweepOf[ReductionRow]{
-	name:        "reduction",
-	description: "symmetry quotient vs unreduced exploration (E20)",
-	title:       "Reduction sweep — symmetry quotient vs unreduced (E20)",
-	reps:        1,
-	rows:        reductionRows,
+	name:  "reduction",
+	title: "Reduction sweep — symmetry quotient vs unreduced (E20)",
+	reps:  1,
+	rows:  reductionRows,
 	cols: []column[ReductionRow]{
 		{"system", -14, func(r ReductionRow) string { return r.System }},
 		{"users", 6, func(r ReductionRow) string { return strconv.Itoa(r.Users) }},

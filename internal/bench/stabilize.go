@@ -113,10 +113,6 @@ func (e spotEnvelope) Visit(ctx context.Context, visit func(ioa.State) error) er
 // K=n-2 full-envelope negative boundary (n >= 4) — plus the LeLann
 // crash-corruption negative control at n=3.
 func stabilizeRows(cfg SweepConfig) ([]StabilizeRow, error) {
-	maxN := cfg.Sizes
-	if maxN <= 0 {
-		maxN = 4
-	}
 	eng := explore.New(cfg.explore())
 	full := func(r *ring.DijkstraRing) stabilize.Envelope { return r.StateDomain() }
 	spot := func(r *ring.DijkstraRing) stabilize.Envelope { return spotEnvelope{r: r, eng: eng} }
@@ -137,7 +133,7 @@ func stabilizeRows(cfg SweepConfig) ([]StabilizeRow, error) {
 		rows = append(rows, row)
 		return nil
 	}
-	for n := 3; n <= maxN; n++ {
+	for n := 3; n <= cfg.Sizes; n++ {
 		if err := dijkstra(n, n, "all-corruptions", full); err != nil {
 			return nil, err
 		}
@@ -209,22 +205,25 @@ func okFail(ok bool) string {
 	return "FAIL"
 }
 
+// orDash renders cell, or "-" in a column that does not apply to the
+// row.
+func orDash(applies bool, cell string) string {
+	if applies {
+		return cell
+	}
+	return "-"
+}
+
 // stabilizeSweep is the E19 sweep.
 var stabilizeSweep = sweepOf[StabilizeRow]{
-	name:        "stabilize",
-	description: "self-stabilization certification: Dijkstra rings + LeLann negative control (E19)",
-	title:       "Self-stabilization certification — ring size × corruption envelope (best-of-reps)",
-	reps:        3,
-	rows:        stabilizeRows,
+	name:  "stabilize",
+	title: "Self-stabilization certification — ring size × corruption envelope (best-of-reps)",
+	reps:  3,
+	rows:  stabilizeRows,
 	cols: []column[StabilizeRow]{
 		{"system", -9, func(r StabilizeRow) string { return r.System }},
 		{"n", 3, func(r StabilizeRow) string { return strconv.Itoa(r.N) }},
-		{"K", 3, func(r StabilizeRow) string {
-			if r.K > 0 {
-				return strconv.Itoa(r.K)
-			}
-			return "-"
-		}},
+		{"K", 3, func(r StabilizeRow) string { return orDash(r.K > 0, strconv.Itoa(r.K)) }},
 		{"envelope", -18, func(r StabilizeRow) string { return r.Envelope }},
 		{"env", 9, func(r StabilizeRow) string { return strconv.Itoa(r.EnvelopeStates) }},
 		{"closure", 8, func(r StabilizeRow) string { return strconv.Itoa(r.States) }},
@@ -235,12 +234,7 @@ var stabilizeSweep = sweepOf[StabilizeRow]{
 			}
 			return okFail(r.Converges)
 		}},
-		{"k", 5, func(r StabilizeRow) string {
-			if r.Bounded {
-				return strconv.Itoa(r.Bound)
-			}
-			return "-"
-		}},
+		{"k", 5, func(r StabilizeRow) string { return orDash(r.Bounded, strconv.Itoa(r.Bound)) }},
 		{"mean", 7, func(r StabilizeRow) string { return fmt.Sprintf("%.2f", r.MeanRounds) }},
 		{"ns", 12, func(r StabilizeRow) string { return strconv.FormatInt(r.NS, 10) }},
 	},

@@ -1,21 +1,24 @@
 package bench
 
-// The certification sweeps: every sweep the CLI can run with
-// `arbiterbench -sweep <name> -sweep-out <file>` is one sweepOf value —
+// The sweeps: every table arbiterbench prints is one sweepOf value —
 // how its rows are produced, how a row prints, and what must hold of a
-// row for the certificate it records to be consistent. One
+// row for the verdict it records to follow from its own numbers. One
 // configuration, one best-of-reps timer, one table printer and one
-// JSON encoder carry all of them, and ValidateTrajectories applies the
-// same row conditions to the committed BENCH_*.json files.
+// JSON encoder carry all of them; Run refuses rows that fail their
+// condition, and ValidateTrajectories applies the same conditions to
+// the committed BENCH_*.json files.
 //
 // Timing the exploration engines is not done here: the repository
 // benchmark (benchmark/, BENCHMARK.json) owns every wall-time and
-// memory metric. The ns columns below price a certificate against the
-// reachability run of the same system, nothing more.
+// memory metric. The ns columns of the certification sweeps price a
+// certificate against the reachability run of the same system, nothing
+// more; the §3.4 sweeps, the cross-level check and the chaos matrix
+// time nothing and are exact.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -28,8 +31,7 @@ import (
 
 // SweepConfig is the one configuration every sweep cell reads.
 type SweepConfig struct {
-	// Sizes is the largest Dijkstra ring size of the stabilize sweep
-	// (0 means 4).
+	// Sizes is the largest Dijkstra ring size of the stabilize sweep.
 	Sizes int
 	// Workers and Limit configure every exploration engine a cell
 	// builds.
@@ -37,16 +39,39 @@ type SweepConfig struct {
 	Limit   int
 	// Quick shrinks sweeps to smoke sizes.
 	Quick bool
+	// B is the per-step time bound, Seed the scheduler tie-break seed
+	// and Max the largest user count of the b-bounded runs (the §3.4
+	// sweeps and levels).
+	B    float64
+	Seed int64
+	Max  int
+	// RecoverWithin is the chaos recovery window k in states/steps (0
+	// disables the criterion).
+	RecoverWithin int
 	// Reps is how many timed repetitions a cell takes the best of. Run
 	// replaces 0 by the sweep's own default.
 	Reps int
-	// Out receives the table (nil means os.Stdout).
+	// Out receives the table.
 	Out io.Writer
 }
 
 // explore returns the engine options of the configuration.
 func (c SweepConfig) explore() explore.Options {
 	return explore.Options{Workers: c.Workers, Limit: c.Limit}
+}
+
+// sizes yields the user counts of the b-bounded runs: the powers of two
+// up to Max (up to 8 under Quick).
+func (c SweepConfig) sizes() []int {
+	maxN := c.Max
+	if c.Quick {
+		maxN = 8
+	}
+	var out []int
+	for n := 2; n <= maxN; n *= 2 {
+		out = append(out, n)
+	}
+	return out
 }
 
 // bestOf times a cell. Each repetition calls rep, which does the
@@ -102,14 +127,27 @@ func printTable[R any](w io.Writer, title string, cols []column[R], rows []R) {
 }
 
 // ms renders nanoseconds as milliseconds to one decimal.
-func ms(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/1e6) }
+func ms(ns int64) string { return tenths(float64(ns) / 1e6) }
+
+// tenths renders a measurement to one decimal.
+func tenths(v float64) string { return fmt.Sprintf("%.1f", v) }
+
+// boundFault is what is wrong with a row that records within for a
+// response measured against bound: "" when the verdict follows from the
+// two numbers and the bound holds.
+func boundFault(measured, bound float64, within bool) string {
+	if within && measured <= bound+1e-9 {
+		return ""
+	}
+	return fmt.Sprintf("max %.1f, bound %.1f, within=%t", measured, bound, within)
+}
 
 // sweepOf describes one sweep over rows of type R.
 type sweepOf[R any] struct {
-	name        string
-	description string
-	title       string
-	// reps is the default best-of repetition count.
+	name  string
+	title string
+	// reps is the default best-of repetition count; 0 for a sweep that
+	// times nothing.
 	reps int
 	cols []column[R]
 	// rows runs the cells.
@@ -130,79 +168,74 @@ type Sweep struct {
 	// Artifact is the committed JSON file the sweep's rows land in
 	// (BENCH_<name>.json).
 	Artifact string
-	// Description is the one-line help text.
-	Description string
+	// Exact reports that the sweep times nothing, so that its committed
+	// artifact regenerates byte for byte.
+	Exact bool
 	// Run executes the sweep: prints the table to cfg.Out and returns
-	// the rows for WriteSweepJSON plus their count for the ledger.
+	// the rows for WriteSweepJSON plus their count for the ledger; rows
+	// that fail the row conditions come back with an error.
 	Run func(cfg SweepConfig) (rows any, n int, err error)
 	// Validate decodes rows as WriteSweepJSON wrote them into the
-	// sweep's row type and applies its row conditions: one Check per
-	// row, plus one for the negative control where the sweep has one.
-	Validate func(data []byte) ([]Check, error)
+	// sweep's row type and applies its row conditions.
+	Validate func(data []byte) error
 }
 
-// A Check is one verdict of Validate: a row of a file, whether its
-// recorded verdicts are consistent, and what is wrong when not.
-type Check struct {
-	File   string
-	Key    string
-	OK     bool
-	Detail string
+// verify applies the row conditions: every row's verdicts follow from
+// its own numbers, and a sweep with a negative control still has one.
+// The error has one line per failure, "<sweep> <row key>: <fault>".
+func (d sweepOf[R]) verify(rows []R) error {
+	var failed []error
+	controls := 0
+	for _, row := range rows {
+		if key, fault := d.check(row); fault != "" {
+			failed = append(failed, fmt.Errorf("%s %s: %s", d.name, key, fault))
+		}
+		if d.control != nil && d.control(row) {
+			controls++
+		}
+	}
+	if d.control != nil && controls == 0 {
+		failed = append(failed, fmt.Errorf("%s (sweep): no negative-control row: every system certified", d.name))
+	}
+	return errors.Join(failed...)
 }
 
 // sweep erases the row type.
 func (d sweepOf[R]) sweep() Sweep {
 	artifact := "BENCH_" + d.name + ".json"
 	return Sweep{
-		Name: d.name, Artifact: artifact, Description: d.description,
+		Name: d.name, Artifact: artifact, Exact: d.reps == 0,
 		Run: func(cfg SweepConfig) (any, int, error) {
 			if cfg.Reps <= 0 {
 				cfg.Reps = d.reps
 			}
 			rows, err := d.rows(cfg)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, fmt.Errorf("%s sweep: %w", d.name, err)
 			}
-			out := cfg.Out
-			if out == nil {
-				out = os.Stdout
-			}
-			printTable(out, d.title, d.cols, rows)
-			return rows, len(rows), nil
+			printTable(cfg.Out, d.title, d.cols, rows)
+			return rows, len(rows), d.verify(rows)
 		},
-		Validate: func(data []byte) ([]Check, error) {
+		Validate: func(data []byte) error {
 			var rows []R
 			dec := json.NewDecoder(bytes.NewReader(data))
 			dec.DisallowUnknownFields()
 			if err := dec.Decode(&rows); err != nil {
-				return nil, fmt.Errorf("%s: %w", artifact, err)
+				return fmt.Errorf("%s: %w", artifact, err)
 			}
 			if len(rows) == 0 {
-				return nil, fmt.Errorf("%s: no rows", artifact)
+				return fmt.Errorf("%s: no rows", artifact)
 			}
-			var checks []Check
-			controls := 0
-			for _, row := range rows {
-				key, fault := d.check(row)
-				checks = append(checks, Check{File: artifact, Key: key, OK: fault == "", Detail: fault})
-				if d.control != nil && d.control(row) {
-					controls++
-				}
-			}
-			if d.control != nil {
-				c := Check{File: artifact, Key: "(sweep)", OK: controls > 0}
-				if !c.OK {
-					c.Detail = "no negative-control row: every system certified"
-				}
-				checks = append(checks, c)
-			}
-			return checks, nil
+			return d.verify(rows)
 		},
 	}
 }
 
 // sweeps is the registry, in presentation order.
-var sweeps = []Sweep{stabilizeSweep.sweep(), reductionSweep.sweep(), inductSweep.sweep()}
+var sweeps = []Sweep{
+	theorem50Sweep.sweep(), theorem52Sweep.sweep(), comparisonSweep.sweep(), levelsSweep.sweep(), chaosSweep.sweep(),
+	stabilizeSweep.sweep(), reductionSweep.sweep(), inductSweep.sweep(),
+}
 
 // Sweeps returns the registry in presentation order.
 func Sweeps() []Sweep { return sweeps }
@@ -231,22 +264,19 @@ func WriteSweepJSON(w io.Writer, rows any) error {
 }
 
 // ValidateTrajectories checks the committed BENCH_*.json file of every
-// registered sweep under dir. The sweeps are too expensive to re-run
-// per push, but their files must parse into the row types, their
-// verdicts must be internally consistent, and the negative controls
-// that prove the certifiers can reject must still be present.
-func ValidateTrajectories(dir string) ([]Check, error) {
-	var checks []Check
+// registered sweep under dir: the files must parse into the row types,
+// their verdicts must follow from their own numbers, and the negative
+// controls that prove the checkers can reject must still be present.
+// (The exact sweeps are also regenerated and byte-compared on every
+// push; the timed ones are too expensive to re-run there.)
+func ValidateTrajectories(dir string) error {
+	var failed []error
 	for _, s := range sweeps {
 		data, err := os.ReadFile(filepath.Join(dir, s.Artifact))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		cs, err := s.Validate(data)
-		if err != nil {
-			return nil, err
-		}
-		checks = append(checks, cs...)
+		failed = append(failed, s.Validate(data))
 	}
-	return checks, nil
+	return errors.Join(failed...)
 }

@@ -75,24 +75,24 @@ func (c Class) String() string {
 // The zero Profile is fault-free.
 type Profile struct {
 	// Drop is the probability that a sent message is lost.
-	Drop float64
+	Drop float64 `json:"drop,omitempty"`
 	// Duplicate is the probability that a sent message is enqueued
 	// twice (the copy is placed adjacent to the original, so FIFO
 	// order between distinct messages is preserved).
-	Duplicate float64
+	Duplicate float64 `json:"dup,omitempty"`
 	// Delay bounds how many later sends may overtake a message.
 	// Each message receives a deterministic overtake budget in
 	// [0, Delay]; 0 disables delay faults (per-channel FIFO).
-	Delay int
+	Delay int `json:"delay,omitempty"`
 	// Crash is the probability that a send opens a crash window on its
 	// channel: the receiving endpoint goes down and the next CrashLen
 	// sends on that channel (this one included) are lost. Crash windows
 	// model a crash-restart of the receiver between two sends — a burst
 	// loss, where Drop models independent per-message loss.
-	Crash float64
+	Crash float64 `json:"crash,omitempty"`
 	// CrashLen is the crash-window length in sends; 0 means
 	// DefaultCrashLen. Ignored when Crash is 0.
-	CrashLen int
+	CrashLen int `json:"crashlen,omitempty"`
 }
 
 // DefaultCrashLen is the crash-window length used when

@@ -191,9 +191,7 @@ type condPass struct {
 // condition2 checks condition 2 of the mapping over every reachable
 // state of A and returns the canonical first failure (see the file
 // comment). The calling goroutine is worker 0 and the only one that
-// emits progress; under a canonicalizer — where a successor can fall
-// outside the index and the pass then needs Map — it is the only
-// worker.
+// emits progress.
 func (h *PossMapping) condition2(opts explore.Options, m *image) error {
 	a, err := indexStates(m.reachA)
 	if err != nil {
@@ -203,9 +201,6 @@ func (h *PossMapping) condition2(opts explore.Options, m *image) error {
 	n := int64(len(m.reachA))
 	c.least.Store(n)
 	workers := min(opts.WorkerCount(), (len(m.reachA)+condChunk-1)/condChunk) // no more than chunks
-	if opts.Canon != nil {
-		workers = 1
-	}
 	var wg sync.WaitGroup
 	for wi := 1; wi < workers; wi++ {
 		wg.Add(1)
@@ -290,7 +285,8 @@ type condWorker struct {
 	next []uint32  // h(a′) of the step being checked
 
 	matched, missed bool
-	err             error // a's first failure
+	missedAt        ioa.State // the successor of a possibility that missed Reach(B)
+	err             error     // a's first failure
 	steps           int64
 }
 
@@ -302,8 +298,8 @@ func (w *condWorker) checkStep(aNext ioa.State) bool {
 	w.steps++
 	j := c.a.find(&w.probe, aNext)
 	if j == unreachable {
-		w.err = c.slowStep(w.a, act, aNext, w.row)
-		return w.err == nil
+		w.err = errOutsideReach(c.h.A, w.a, act, aNext)
+		return false
 	}
 	w.next = c.m.row(int(j))
 	inB := c.bActs.Has(act)
@@ -322,8 +318,8 @@ func (w *condWorker) checkStep(aNext ioa.State) bool {
 		w.matched, w.missed = false, false
 		ioa.VisitNext(c.h.B, b, act, w.match)
 		if w.missed {
-			w.err = c.slowStep(w.a, act, aNext, w.row)
-			return w.err == nil
+			w.err = errOutsideReach(c.h.B, b, act, w.missedAt)
+			return false
 		}
 		if !w.matched {
 			w.err = c.h.errNoMatch(w.a, act, aNext, b)
@@ -337,49 +333,30 @@ func (w *condWorker) checkStep(aNext ioa.State) bool {
 func (w *condWorker) matchStep(bNext ioa.State) bool {
 	q := w.c.m.b.find(&w.probe, bNext)
 	if q == unreachable {
-		w.missed = true
+		w.missed, w.missedAt = true, bNext
 		return false
 	}
 	w.matched = slices.Contains(w.next, q)
 	return !w.matched
 }
 
-// slowStep checks one step the way the loop before the kernel checked
-// every step: Map(aNext) afresh and key compares. It is what a probe
-// miss falls back to — a successor outside the index, which only a
-// canonicalizer produces (Reach then returns one representative per
-// orbit; without one every successor of a reachable state is in the
-// completed Reach) — so the verdict under Options.Canon is unchanged,
-// and since that pass has one worker, Map still runs on the calling
-// goroutine only.
-func (c *condPass) slowStep(a ioa.State, act ioa.Action, aNext ioa.State, row []uint32) error {
-	// aNext is borrowed from the worker's Step; Map may build its
-	// possibilities over it.
-	aNext = ioa.Keep(aNext)
-	nextPoss := c.h.Map(aNext)
-	for _, p := range row {
-		if p == unreachable {
-			continue
-		}
-		b := c.m.b.states[p]
-		if !c.bActs.Has(act) {
-			if !containsKey(nextPoss, b.Key()) {
-				return c.h.errNotPreserved(a, act, aNext, b)
-			}
-			continue
-		}
-		ok := false
-		for _, bNext := range c.h.B.Next(b, act) {
-			if containsKey(nextPoss, bNext.Key()) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return c.h.errNoMatch(a, act, aNext, b)
-		}
+// errOutsideReach is the internal error of a probe miss on a successor
+// of a reachable state. Reach completed without ErrLimit, so its result
+// is closed under steps: a miss means x's Next or its encoding gave two
+// answers for one state.
+func errOutsideReach(x ioa.Automaton, from ioa.State, act ioa.Action, to ioa.State) error {
+	return fmt.Errorf("proof: internal error: step (%q, %s, %q) of %s leaves its completed Reach", from.Key(), act, to.Key(), x.Name())
+}
+
+// refuseCanon rejects a canonicalizer. Reach would then return one
+// representative per orbit, and nothing argues that the conditions of
+// a possibilities mapping checked on the representatives alone are the
+// conditions on the automaton.
+func refuseCanon(opts explore.Options) error {
+	if opts.Canon == nil {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("proof: Options.Canon (%s) is not supported: a mapping is checked on every reachable state, not on one per orbit", opts.Canon.Name())
 }
 
 func (h *PossMapping) errNotPreserved(a ioa.State, act ioa.Action, aNext, b ioa.State) error {

@@ -223,32 +223,85 @@ type halfTurn struct{}
 func (halfTurn) Name() string                    { return "half-turn" }
 func (halfTurn) Canonical(s ioa.State) ioa.State { return ks("%d", parity(s)) }
 
-// TestKernelUnderCanon: with a canonicalizer Reach returns one
-// representative per orbit, so successors fall outside the index on
-// either side; the kernel then checks the step the old way and the
-// verdict — accept or refuse — is the reference's.
-func TestKernelUnderCanon(t *testing.T) {
-	mod4, mod2 := counter("mod4", 4, 0, 2), counter("mod2", 2, 0)
-	opts := explore.Options{Canon: halfTurn{}}
-	byParity := func(s ioa.State) []ioa.State { return []ioa.State{ks("%d", parity(s))} }
-	// A-side miss: (1, tick, 2) leaves Reach(mod4)/~ = {0, 1}.
-	if err := agree(t, "A-side miss", &proof.PossMapping{A: mod4, B: mod2, Map: byParity}, opts); err != nil {
-		t.Errorf("parity map under canon: %v", err)
-	}
-	wrongAt2 := func(s ioa.State) []ioa.State {
-		if s.Key() == "2" {
-			return []ioa.State{ks("1")}
+// TestCanonRefused: every check of this package that explores refuses
+// a canonicalizer by name, before it explores or calls Map — a verdict
+// over one representative per orbit would be a verdict about nothing
+// this package can state. The mod-4 counter maps onto the mod-2 one by
+// parity, so each check passes without the canonicalizer.
+func TestCanonRefused(t *testing.T) {
+	calls := 0
+	h := &proof.PossMapping{A: counter("mod4", 4, 0, 2), B: counter("mod2", 2, 0), Map: func(s ioa.State) []ioa.State {
+		calls++
+		return []ioa.State{ks("%d", parity(s))}
+	}}
+	never := func(ioa.State) bool { return false }
+	none := func(ioa.Action) bool { return false }
+	for name, check := range map[string]func(*proof.PossMapping, explore.Options) error{
+		"VerifyOpts":                  (*proof.PossMapping).VerifyOpts,
+		"FairSatisfiesViaMappingOpts": proof.FairSatisfiesViaMappingOpts,
+		"SatisfactionChainOpts": func(h *proof.PossMapping, o explore.Options) error {
+			return proof.SatisfactionChainOpts(o, h)
+		},
+		"TransferDownOpts": func(h *proof.PossMapping, o explore.Options) error {
+			return h.TransferDownOpts(o, never, none, never, none)
+		},
+	} {
+		if err := check(h, explore.Options{}); err != nil {
+			t.Errorf("%s without a canonicalizer: %v", name, err)
 		}
-		return byParity(s)
+		before := calls
+		err := check(h, explore.Options{Canon: halfTurn{}})
+		if err == nil || !strings.Contains(err.Error(), "Options.Canon (half-turn)") || errors.Is(err, proof.ErrNotPossibilities) {
+			t.Errorf("%s under a canonicalizer: %v; want a refusal naming Options.Canon", name, err)
+		}
+		if calls != before {
+			t.Errorf("%s called Map %d times before refusing the canonicalizer", name, calls-before)
+		}
 	}
-	if err := agree(t, "A-side miss, refused", &proof.PossMapping{A: mod4, B: mod2, Map: wrongAt2}, opts); !errors.Is(err, proof.ErrNotPossibilities) {
-		t.Errorf("wrong map under canon: want ErrNotPossibilities, got %v", err)
+}
+
+// liar is an automaton whose tick grows a successor once *lie is set:
+// what a Next that reads state outside its arguments looks like to a
+// check that has already explored it.
+type liar struct {
+	ioa.Automaton
+	lie *bool
+}
+
+func (l liar) Next(s ioa.State, act ioa.Action) []ioa.State {
+	next := l.Automaton.Next(s, act)
+	if *l.lie && act == "tick" {
+		next = append([]ioa.State{ks("ghost")}, next...) // first, or a match ends the walk before it
 	}
-	// B-side miss: from possibility 1 of mod4, tick reaches 2, outside
-	// Reach(mod4)/~ but among h(0) = {0, 2}.
-	orbit := func(s ioa.State) []ioa.State { return []ioa.State{ks("%d", parity(s)), ks("%d", parity(s)+2)} }
-	if err := agree(t, "B-side miss", &proof.PossMapping{A: mod2, B: mod4, Map: orbit}, opts); err != nil {
-		t.Errorf("orbit map under canon: %v", err)
+	return next
+}
+
+// TestStepOutsideReachIsInternalError: a successor the completed Reach
+// does not hold — on either side — is reported as an internal error
+// naming the step, never checked some other way and never a verdict
+// about the mapping. The lie starts at the second Map call, which
+// follows both explorations.
+func TestStepOutsideReachIsInternalError(t *testing.T) {
+	for _, side := range []string{"mod4", "mod2"} {
+		for _, w := range batteryWorkers {
+			lie, calls := false, 0
+			a, b := ioa.Automaton(counter("mod4", 4, 0, 2)), ioa.Automaton(counter("mod2", 2, 0))
+			if side == "mod4" {
+				a = liar{a, &lie}
+			} else {
+				b = liar{b, &lie}
+			}
+			h := &proof.PossMapping{A: a, B: b, Map: func(s ioa.State) []ioa.State {
+				calls++
+				lie = calls >= 2
+				return []ioa.State{ks("%d", parity(s))}
+			}}
+			err := h.VerifyOpts(explore.Options{Workers: w})
+			if err == nil || errors.Is(err, proof.ErrNotPossibilities) ||
+				!strings.Contains(err.Error(), "internal error") || !strings.Contains(err.Error(), `"ghost") of `+side) {
+				t.Errorf("%s lying, workers=%d: %v; want the internal error naming the ghost step of %s", side, w, err, side)
+			}
+		}
 	}
 }
 

@@ -51,12 +51,14 @@ func (h *PossMapping) Verify(limit int) error {
 // VerifyOpts is Verify with explicit exploration options. The two
 // reachability passes run through the explore engine, Map is tabulated
 // once over the result, and condition 2 is then checked by
-// Options.Workers goroutines over that table (kernel.go); under
-// Options.Canon the condition pass stays on the calling goroutine. The
-// error is the same at every worker count: the first failure in the
-// order of Reach(A), then sorted action, then Next order, then Map
-// order.
+// Options.Workers goroutines over that table (kernel.go). The error is
+// the same at every worker count: the first failure in the order of
+// Reach(A), then sorted action, then Next order, then Map order. An
+// Options.Canon is refused, as by every *Opts check here (refuseCanon).
 func (h *PossMapping) VerifyOpts(opts explore.Options) error {
+	if err := refuseCanon(opts); err != nil {
+		return err
+	}
 	if o := opts.Obs; o != nil {
 		defer o.Tracer.Span(0, "proof", "verify "+h.A.Name()+" -> "+h.B.Name())()
 	}
@@ -183,6 +185,9 @@ func (h *PossMapping) TransferDown(limit int, s func(ioa.State) bool, t func(ioa
 // (see VerifyOpts).
 func (h *PossMapping) TransferDownOpts(opts explore.Options, s func(ioa.State) bool, t func(ioa.Action) bool,
 	u func(ioa.State) bool, v func(ioa.Action) bool) error {
+	if err := refuseCanon(opts); err != nil {
+		return err
+	}
 	// S ⊇ h⁻¹(U): every reachable a with some possibility in U must be in S.
 	if _, err := h.mapAll(opts, func(a ioa.State, poss []ioa.State) error {
 		if slices.ContainsFunc(poss, u) && !s(a) {

@@ -60,6 +60,9 @@ func FairSatisfiesViaMapping(h *PossMapping, limit int) error {
 // exploration options: both reachability passes run through
 // the explore engine, so a Workers setting parallelizes them.
 func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
+	if err := refuseCanon(opts); err != nil {
+		return err
+	}
 	partsA, partsB := h.A.Parts(), h.B.Parts()
 	// Partition containment: map each class of B to its containing
 	// class of A.
