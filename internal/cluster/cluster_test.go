@@ -31,11 +31,16 @@ import (
 )
 
 // run starts a coordinator and procs workers on an ephemeral port and
-// returns the coordinator's result plus every worker's error.
+// returns the coordinator's result plus every worker's error. The
+// coordinator is handed the bound listener, so the port is never free
+// for another process to take before the workers dial it.
 func run(t testing.TB, procs int, mut func(rank int, cfg *Config), cfg Config) (Result, []error) {
 	t.Helper()
-	cfg.Procs = procs
-	cfg.Addr = freePort(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	cfg.Procs, cfg.Listener, cfg.Addr = procs, ln, ln.Addr().String()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -61,7 +66,7 @@ func run(t testing.TB, procs int, mut func(rank int, cfg *Config), cfg Config) (
 			if mut != nil {
 				mut(rank, &wcfg)
 			}
-			errs[rank] = dialUntilUp(ctx, wcfg)
+			errs[rank] = Work(ctx, wcfg)
 		}(rank)
 	}
 	wwg.Wait()
@@ -70,26 +75,6 @@ func run(t testing.TB, procs int, mut func(rank int, cfg *Config), cfg Config) (
 		return res, append(errs, coorErr)
 	}
 	return res, errs
-}
-
-// freePort reserves an ephemeral localhost port and returns it; the
-// coordinator re-listens on it and the workers retry until it is up.
-func freePort(t testing.TB) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("reserve port: %v", err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// dialUntilUp runs Work; its internal refused-dial retry covers the
-// window where the reserved port is closed between freePort and
-// Coordinate's re-listen.
-func dialUntilUp(ctx context.Context, cfg Config) error {
-	return Work(ctx, cfg)
 }
 
 func buildGrid(m, k int) func() (ioa.Automaton, error) {

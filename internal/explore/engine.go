@@ -151,7 +151,6 @@ func (r *reporter) emit(depth, states, frontier int64, done bool) {
 	r.o.Store.SpillBloomFalsePositives.Set(s.BloomFalsePositives)
 	r.o.Store.SpillMerges.Set(s.Merges)
 	r.o.Store.SpillMergeCandidates.Set(s.MergeCandidates)
-	r.o.Store.SpillMergesProbed.Set(s.MergesProbed)
 	r.o.EmitProgress(obs.Progress{
 		Phase:        r.phase,
 		Depth:        depth,

@@ -386,8 +386,8 @@ func TestCensusSpillRunsBounded(t *testing.T) {
 	if runs > bound || int64(mostFiles) > bound+1 || o.Store.SpillCompactions.Value() == 0 {
 		t.Fatalf("%d runs (%d files at most) after %d compactions, bound %d", runs, mostFiles, o.Store.SpillCompactions.Value(), bound)
 	}
-	t.Logf("%d runs, %d files at most, %d compactions, %d merges probed, %d entries decoded, %d bytes resident",
-		runs, mostFiles, o.Store.SpillCompactions.Value(), o.Store.SpillMergesProbed.Value(),
+	t.Logf("%d runs, %d files at most, %d compactions, %d entries decoded, %d bytes resident",
+		runs, mostFiles, o.Store.SpillCompactions.Value(),
 		o.Store.SpillEntriesDecoded.Value(), o.Store.SpillResidentBytes.Value())
 }
 

@@ -241,17 +241,15 @@ type StoreMetrics struct {
 	// batch, run filters and sparse indexes, idle cursor buffers.
 	SpillResidentBytes *Gauge
 	// The spill set's read side, as running totals of the current
-	// exploration: tier compactions, run entries decoded (by cursors and
-	// lookups), blocks read and filter false positives (lookups), and
-	// the batch merges — how many, the candidates they brought, and how
-	// many were resolved by lookups instead of a pass over the runs.
+	// exploration: tier compactions, run entries decoded, blocks read one
+	// at a time and filter false positives, and the batch merges — how
+	// many, and the candidates they brought.
 	SpillCompactions         *Gauge
 	SpillEntriesDecoded      *Gauge
 	SpillBlocksRead          *Gauge
 	SpillBloomFalsePositives *Gauge
 	SpillMerges              *Gauge
 	SpillMergeCandidates     *Gauge
-	SpillMergesProbed        *Gauge
 }
 
 func newStoreMetrics(r *Registry) *StoreMetrics {
@@ -269,7 +267,6 @@ func newStoreMetrics(r *Registry) *StoreMetrics {
 		SpillBloomFalsePositives: r.Gauge("store.spill_bloom_false_positives"),
 		SpillMerges:              r.Gauge("store.spill_merges"),
 		SpillMergeCandidates:     r.Gauge("store.spill_merge_candidates"),
-		SpillMergesProbed:        r.Gauge("store.spill_merges_probed"),
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 
 func TestArenaFullLatchesError(t *testing.T) {
 	defer store.ShrinkArenaLimit(8)()
-	st := store.New(store.Options{Shards: 1})
+	st := store.New(store.Options{})
 	if _, fresh := st.Intern(ioa.KeyState("12345678")); !fresh || st.Err() != nil {
 		t.Fatalf("exact fit refused: fresh=%v err=%v", fresh, st.Err())
 	}

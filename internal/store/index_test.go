@@ -250,7 +250,7 @@ func FuzzIndex(f *testing.F) {
 func TestIndexSurvivesDoublings(t *testing.T) {
 	const forged = 0x0123456789abcdef
 	st := New(Options{})
-	ix := &st.shards[forged&st.mask].ix
+	ix := &st.shards[forged%shardCount].ix
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
 	doublings, slots := 0, len(ix.slots)
 	for i := 0; i < 200; i++ {

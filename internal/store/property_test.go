@@ -79,7 +79,7 @@ func checkInternAgreesWithKey(t *testing.T, label string, a ioa.Automaton) {
 	for i, j := len(states), len(visits)-1; i < j; i, j = i+1, j-1 {
 		visits[i], visits[j] = visits[j], visits[i]
 	}
-	st := store.New(store.Options{Shards: 4})
+	st := store.New(store.Options{})
 	byKey := make(map[string]store.ID, len(states))
 	for _, s := range visits {
 		id, fresh := st.Intern(s)

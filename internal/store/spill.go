@@ -22,10 +22,8 @@ package store
 // property the determinism argument rides on.
 //
 // The batch path, MergeIntern, resolves a whole sorted candidate set
-// against the runs at once, by whichever of two ways costs less for
-// that set: one sequential pass over every run through block-decoding
-// cursors (runCursor), or one point lookup per candidate when the
-// candidates are few beside what the runs hold.
+// against the runs at once, in one galloping merge through the cursor
+// (runCursor) that is also every lookup's and compaction's decoder.
 //
 // The number of runs is bounded by size-tiered compaction: a run is in
 // tier ⌊log₄ size⌋, and whenever a run is registered and the newest
@@ -68,9 +66,9 @@ import (
 )
 
 // ErrCorruptRun reports a spill run file whose bytes do not decode
-// cleanly — a truncated tail, an impossible shared-prefix length, an
-// entry overrunning its block, an ID outside the run's range, keys out
-// of order. The error latched on Err wraps it with the run path.
+// cleanly — a truncated tail, an impossible shared-prefix length, a
+// suffix past the file's end, an ID outside the run's range, keys out of
+// order, a bad magic. The error latched on Err wraps it with the path.
 var ErrCorruptRun = errors.New("store: corrupt spill run")
 
 const (
@@ -92,25 +90,6 @@ const (
 	// compactFanIn is k of the tiering rule: this many runs in one
 	// tier are merged into one of the next.
 	compactFanIn = 4
-)
-
-// What MergeIntern's two arms cost, in nanoseconds, as
-// BenchmarkSpillMerge reads them on the 2-vCPU development host
-// (EXPERIMENTS.md E30; 16 807 five-byte keys in 9 runs, 2 101
-// candidates). Scanning pays scanEntryNS for every entry the runs hold:
-// the scan arm's 470 µs over 16 807 entries, opening the cursors and
-// sweeping them per candidate included. Probing pays, per candidate,
-// probeRunNS for every run — the miss arm's 180 ns over 9 runs: a filter
-// test, and the filters' false positives' share of a block read — and
-// one probeReadNS — the probe arm's 700 ns less its filter tests: the
-// sparse index, one ReadAt, half a block decoded — on the assumption
-// that the candidate is in some run, which is the dear case. They are
-// measurements, not knobs: only their ratios matter, and the rule is
-// flat near the break-even.
-const (
-	scanEntryNS = 28
-	probeRunNS  = 20
-	probeReadNS = 600
 )
 
 // SpillOptions parameterizes a disk-spilling seen set.
@@ -157,11 +136,7 @@ func newBloom(n, bitsPerKey int) bloom {
 	if n < 1 {
 		n = 1
 	}
-	m := uint64(n) * uint64(bitsPerKey)
-	m = (m + 63) &^ 63
-	if m == 0 {
-		m = 64
-	}
+	m := (uint64(n)*uint64(bitsPerKey) + 63) &^ 63
 	return bloom{bits: make([]uint64, m/64), m: m, k: 6}
 }
 
@@ -184,14 +159,15 @@ func (b *bloom) maybe(h uint64) bool {
 	return true
 }
 
-// blockMeta locates one restart block: its file offset and its first
-// key (a slice into the run's key arena). The key bounds are int for
-// the same overflow reason as Batch.ends: a large MemBudget can push
-// the first-key arena of a single run past 4 GiB of concatenated keys.
+// blockMeta locates one restart block: its file offset, where its first
+// key starts in the run's key arena (it ends where the next block's
+// starts), and that key's head8. The arena offset is an int for the
+// same overflow reason as Batch.ends: a large MemBudget can push the
+// first-key arena of a single run past 4 GiB of concatenated keys.
 type blockMeta struct {
-	off     int64
-	firstLo int
-	firstHi int
+	off   int64
+	first int
+	head  uint64
 }
 
 // runMeta is one immutable sorted run on disk plus its in-memory
@@ -203,14 +179,18 @@ type runMeta struct {
 	size   int64 // total bytes written, header included
 	count  int
 	base   uint64 // entry ID = base + stored uvarint delta
+	every  int    // entries a block, the last one aside
 	blocks []blockMeta
 	keys   []byte // arena backing blockMeta first keys
 	filter bloom
 }
 
 func (r *runMeta) firstKey(b int) []byte {
-	bm := r.blocks[b]
-	return r.keys[bm.firstLo:bm.firstHi]
+	end := len(r.keys)
+	if b+1 < len(r.blocks) {
+		end = r.blocks[b+1].first
+	}
+	return r.keys[r.blocks[b].first:end]
 }
 
 // blockBounds returns the file offset and expected byte length of
@@ -223,6 +203,18 @@ func (r *runMeta) blockBounds(b int) (off, n int64) {
 		end = r.blocks[b+1].off
 	}
 	return off, end - off
+}
+
+// startsBy reports whether block b exists and starts at or before key,
+// whose head8 is head.
+func (r *runMeta) startsBy(b int, head uint64, key []byte) bool {
+	return b < len(r.blocks) && (r.blocks[b].head < head || r.blocks[b].head == head && bytes.Compare(r.firstKey(b), key) <= 0)
+}
+
+// blockOf returns the last block at or after from that starts at or
+// before key, or from-1 when there is none.
+func (r *runMeta) blockOf(head uint64, key []byte, from int) int {
+	return from - 1 + sort.Search(len(r.blocks)-from, func(i int) bool { return !r.startsBy(from+i, head, key) })
 }
 
 // tier is the run's size tier, ⌊log₄ size⌋.
@@ -241,15 +233,6 @@ func (r *runMeta) shortRead(off int64, m int, n int64, err error) error {
 	return fmt.Errorf("%w: %s: read %d of %d bytes at %d: %w", ErrCorruptRun, r.path, m, n, off, err)
 }
 
-// mergeArm names the two ways MergeIntern resolves a candidate set.
-type mergeArm int
-
-const (
-	armByCost mergeArm = iota
-	armScan
-	armProbe
-)
-
 // A Spill is the disk-spilling SeenSet implementation.
 type Spill struct {
 	opts       SpillOptions
@@ -266,24 +249,19 @@ type Spill struct {
 
 	spilledBytes int64 // live run files
 	scratch      []byte
-	lkBlock      []byte // writer-side search scratch
-	lkKey        []byte
+	lookup       runCursor // the writer's point lookups
 
 	cursors []*runCursor  // idle cursors: their buffers outlive a merge
 	wbuf    *bufio.Writer // the one run writer's buffer
-	hashes  []uint64      // a merge-interned run's bloom feed
 
 	// Counters behind Stats. Lookups run concurrently in frozen phases,
 	// so what they touch is atomic.
 	compactions    int64
-	merges         int64 // MergeIntern calls,
-	mergeCands     int64 // the candidates they brought,
-	mergesProbed   int64 // and how many were resolved by lookups
+	merges         int64 // MergeIntern calls
+	mergeCands     int64 // and the candidates they brought
 	entriesDecoded atomic.Int64
 	blocksRead     atomic.Int64
 	bloomFalse     atomic.Int64
-
-	forceArm mergeArm // tests pin MergeIntern's arm; zero decides by cost
 
 	errMu  sync.Mutex
 	err    error
@@ -348,7 +326,6 @@ func (sp *Spill) Stats() Stats {
 		States:              int(sp.total),
 		ArenaBytes:          sp.hot.Bytes(),
 		ArenaCapBytes:       int64(cap(sp.hot.arena)),
-		Shards:              1,
 		SpilledStates:       int(sp.flushedBase),
 		SpilledBytes:        sp.spilledBytes,
 		SpillRuns:           len(sp.runs),
@@ -356,7 +333,6 @@ func (sp *Spill) Stats() Stats {
 		Compactions:         sp.compactions,
 		Merges:              sp.merges,
 		MergeCandidates:     sp.mergeCands,
-		MergesProbed:        sp.mergesProbed,
 		EntriesDecoded:      sp.entriesDecoded.Load(),
 		BlocksRead:          sp.blocksRead.Load(),
 		BloomFalsePositives: sp.bloomFalse.Load(),
@@ -396,7 +372,7 @@ func (sp *Spill) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 	if sp.Err() != nil {
 		return None, false
 	}
-	if id, ok := sp.search(enc, hash, &sp.lkBlock, &sp.lkKey); ok {
+	if id, ok := sp.search(enc, hash, &sp.lookup); ok {
 		return id, false
 	}
 	if sp.Err() != nil {
@@ -414,16 +390,17 @@ func (sp *Spill) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 // Has reports membership without interning. Writer-side only.
 func (sp *Spill) Has(s ioa.State) (ID, bool) {
 	sp.scratch = sp.AppendCanonical(sp.scratch[:0], s)
-	return sp.search(sp.scratch, Hash(sp.scratch), &sp.lkBlock, &sp.lkKey)
+	return sp.search(sp.scratch, Hash(sp.scratch), &sp.lookup)
 }
 
 // search is the merge-on-lookup membership path: hot batch first, then
-// runs newest-first. Disk errors latch on Err and report not-found.
-func (sp *Spill) search(enc []byte, hash uint64, blockBuf, keyBuf *[]byte) (ID, bool) {
+// runs newest-first through the caller's cursor. Disk errors latch on
+// Err and report not-found.
+func (sp *Spill) search(enc []byte, hash uint64, c *runCursor) (ID, bool) {
 	if i, ok := sp.hot.Lookup(enc, hash); ok {
 		return ID(sp.flushedBase + uint64(i)), true
 	}
-	id, ok, err := sp.searchRuns(enc, blockBuf, keyBuf)
+	id, ok, err := sp.searchRuns(enc, c)
 	sp.setErr(err)
 	return id, ok
 }
@@ -432,99 +409,40 @@ func (sp *Spill) search(enc []byte, hash uint64, blockBuf, keyBuf *[]byte) (ID, 
 // Hash(enc) as the Spill computes it, not about the hash the caller
 // interned enc under: a compacted run's filter is rebuilt from its keys
 // alone, so that is the one hash every filter can have been fed.
-func (sp *Spill) searchRuns(enc []byte, blockBuf, keyBuf *[]byte) (ID, bool, error) {
+func (sp *Spill) searchRuns(enc []byte, c *runCursor) (ID, bool, error) {
 	if len(sp.runs) == 0 {
 		return None, false, nil
 	}
 	hash := Hash(enc)
 	for i := len(sp.runs) - 1; i >= 0; i-- {
-		if id, ok, err := sp.searchRun(sp.runs[i], enc, hash, blockBuf, keyBuf); ok || err != nil {
+		if id, ok, err := sp.searchRun(sp.runs[i], enc, hash, c); ok || err != nil {
 			return id, ok, err
 		}
 	}
 	return None, false, nil
 }
 
-// searchRun probes one run: bloom, sparse index, one block read,
-// forward decode. It is the one point-lookup decoder.
-func (sp *Spill) searchRun(r *runMeta, enc []byte, hash uint64, blockBuf, keyBuf *[]byte) (ID, bool, error) {
-	if r.count == 0 || !r.filter.maybe(hash) {
+// searchRun looks enc up in one run: the filter first, so that a miss
+// costs no more, then the cursor, which asks it again and seeks.
+func (sp *Spill) searchRun(r *runMeta, enc []byte, hash uint64, c *runCursor) (ID, bool, error) {
+	if !r.filter.maybe(hash) {
 		return None, false, nil
 	}
-	id, ok, err := sp.searchBlock(r, enc, blockBuf, keyBuf)
-	if !ok && err == nil {
-		sp.bloomFalse.Add(1)
+	c.reset(r)
+	ok, err := c.find(head8(enc), enc, &hash)
+	sp.account(c)
+	if !ok || err != nil {
+		return None, false, err
 	}
-	return id, ok, err
+	return ID(c.id), true, nil
 }
 
-// searchBlock looks enc up in the one block of r that can hold it.
-func (sp *Spill) searchBlock(r *runMeta, enc []byte, blockBuf, keyBuf *[]byte) (ID, bool, error) {
-	// Last block whose first key is <= enc.
-	b := sort.Search(len(r.blocks), func(i int) bool {
-		return bytes.Compare(r.firstKey(i), enc) > 0
-	}) - 1
-	if b < 0 {
-		return None, false, nil
-	}
-	off, n := r.blockBounds(b)
-	buf := *blockBuf
-	if int64(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	*blockBuf = buf
-	sp.blocksRead.Add(1)
-	if m, err := r.f.ReadAt(buf, off); int64(m) < n {
-		return None, false, r.shortRead(off, m, n, err)
-	}
-	key := (*keyBuf)[:0]
-	decoded := int64(0)
-	defer func() {
-		*keyBuf = key
-		sp.entriesDecoded.Add(decoded)
-	}()
-	corrupt := func(detail string) error {
-		return r.corrupt(fmt.Sprintf("block at %d: %s", off, detail))
-	}
-	pos, first := 0, true
-	for pos < len(buf) {
-		shared, n1 := binary.Uvarint(buf[pos:])
-		if n1 <= 0 {
-			return None, false, corrupt("bad shared-prefix varint")
-		}
-		pos += n1
-		sufLen, n2 := binary.Uvarint(buf[pos:])
-		if n2 <= 0 {
-			return None, false, corrupt("bad suffix-length varint")
-		}
-		pos += n2
-		if (first && shared != 0) || shared > uint64(len(key)) {
-			return None, false, corrupt("shared prefix exceeds previous key")
-		}
-		if uint64(len(buf)-pos) < sufLen {
-			return None, false, corrupt("entry overruns block")
-		}
-		key = append(key[:shared], buf[pos:pos+int(sufLen)]...)
-		pos += int(sufLen)
-		delta, n3 := binary.Uvarint(buf[pos:])
-		if n3 <= 0 {
-			return None, false, corrupt("bad id varint")
-		}
-		pos += n3
-		if delta >= uint64(r.count) {
-			return None, false, corrupt("id delta out of range")
-		}
-		first = false
-		decoded++
-		switch bytes.Compare(key, enc) {
-		case 0:
-			return ID(r.base + delta), true, nil
-		case 1:
-			return None, false, nil
-		}
-	}
-	return None, false, nil
+// account moves what a cursor counted to the Spill's totals.
+func (sp *Spill) account(c *runCursor) {
+	sp.entriesDecoded.Add(c.decoded)
+	sp.blocksRead.Add(c.reads)
+	sp.bloomFalse.Add(c.misses)
+	c.decoded, c.reads, c.misses = 0, 0, 0
 }
 
 // runWriter streams one sorted run to disk, building the sparse index
@@ -540,10 +458,6 @@ type runWriter struct {
 	base   uint64
 	blocks []blockMeta
 	keys   []byte
-	// sized is set when the entry count was known up front: the filter
-	// is then fed directly; otherwise the hashes wait in sp.hashes until
-	// finish knows how many there are.
-	sized  bool
 	filter bloom
 	tmp    [binary.MaxVarintLen64]byte
 }
@@ -553,8 +467,8 @@ func (sp *Spill) runPath(base uint64) string {
 	return filepath.Join(sp.dir, fmt.Sprintf("run%012d.spill", base))
 }
 
-// newRunWriter starts a run of IDs from base at path; count is the
-// number of entries to come, negative when unknown.
+// newRunWriter starts a run of IDs from base at path, sized for count
+// entries at most.
 func (sp *Spill) newRunWriter(path string, base uint64, count int) (*runWriter, error) {
 	f, err := os.Create(path)
 	if err != nil {
@@ -565,12 +479,8 @@ func (sp *Spill) newRunWriter(path string, base uint64, count int) (*runWriter, 
 	} else {
 		sp.wbuf.Reset(f)
 	}
-	rw := &runWriter{sp: sp, f: f, path: path, base: base, w: sp.wbuf}
-	if count >= 0 {
-		rw.sized, rw.filter = true, newBloom(count, defaultBloomPerKey)
-		rw.blocks = make([]blockMeta, 0, (count+sp.blockEvery-1)/sp.blockEvery)
-	}
-	sp.hashes = sp.hashes[:0]
+	rw := &runWriter{sp: sp, f: f, path: path, base: base, w: sp.wbuf, filter: newBloom(count, defaultBloomPerKey)}
+	rw.blocks = make([]blockMeta, 0, (count+sp.blockEvery-1)/sp.blockEvery)
 	rw.w.WriteString(spillMagic)
 	rw.off = spillHeaderLen
 	return rw, nil
@@ -583,20 +493,17 @@ func (rw *runWriter) putUvarint(v uint64) {
 }
 
 func (rw *runWriter) add(key []byte, id uint64) {
-	shared, hash := 0, Hash(key)
+	shared := 0
 	if rw.count%rw.sp.blockEvery == 0 {
 		rw.blocks = append(rw.blocks, blockMeta{
-			off:     rw.off,
-			firstLo: len(rw.keys),
-			firstHi: len(rw.keys) + len(key),
+			off:   rw.off,
+			first: len(rw.keys),
+			head:  head8(key),
 		})
 		rw.keys = append(rw.keys, key...)
 	} else {
-		max := len(rw.prev)
-		if len(key) < max {
-			max = len(key)
-		}
-		for shared < max && rw.prev[shared] == key[shared] {
+		n := min(len(rw.prev), len(key))
+		for shared < n && rw.prev[shared] == key[shared] {
 			shared++
 		}
 	}
@@ -606,11 +513,7 @@ func (rw *runWriter) add(key []byte, id uint64) {
 	rw.off += int64(len(key) - shared)
 	rw.putUvarint(id - rw.base)
 	rw.prev = append(rw.prev[:0], key...)
-	if rw.sized {
-		rw.filter.add(hash)
-	} else {
-		rw.sp.hashes = append(rw.sp.hashes, hash)
-	}
+	rw.filter.add(Hash(key))
 	rw.count++
 }
 
@@ -620,18 +523,12 @@ func (rw *runWriter) abandon() {
 	os.Remove(rw.path)
 }
 
-// finish flushes the file and completes the bloom filter. The run is
-// not yet part of the set: register adds it.
+// finish flushes the file. The run is not yet part of the set: register
+// adds it.
 func (rw *runWriter) finish() (*runMeta, error) {
 	if err := rw.w.Flush(); err != nil {
 		rw.abandon()
 		return nil, fmt.Errorf("store: spill run %s: %w", rw.path, err)
-	}
-	if !rw.sized {
-		rw.filter = newBloom(rw.count, defaultBloomPerKey)
-		for _, h := range rw.sp.hashes {
-			rw.filter.add(h)
-		}
 	}
 	return &runMeta{
 		f:      rw.f,
@@ -639,6 +536,7 @@ func (rw *runWriter) finish() (*runMeta, error) {
 		size:   rw.off,
 		count:  rw.count,
 		base:   rw.base,
+		every:  rw.sp.blockEvery,
 		blocks: rw.blocks,
 		keys:   rw.keys,
 		filter: rw.filter,
@@ -761,6 +659,11 @@ func (sp *Spill) writeMerged(in []*runMeta) (*runMeta, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, c := range curs {
+		if err := c.next(); err != nil {
+			return nil, err
+		}
+	}
 	rw, err := sp.newRunWriter(in[0].path+".merge", in[0].base, count)
 	if err != nil {
 		return nil, err
@@ -793,13 +696,12 @@ func (sp *Spill) writeMerged(in []*runMeta) (*runMeta, error) {
 	}
 }
 
-// spillProbe is the frozen-phase concurrent read view: its own
-// encoding, block, and key buffers over the shared immutable run set.
+// spillProbe is the frozen-phase concurrent read view: its own encoding
+// buffer and cursor over the shared immutable run set.
 type spillProbe struct {
-	sp    *Spill
-	buf   []byte
-	block []byte
-	key   []byte
+	sp  *Spill
+	buf []byte
+	cur runCursor
 }
 
 // Probe returns a fresh probe; each concurrent goroutine needs its
@@ -811,7 +713,7 @@ func (sp *Spill) Probe() MemberProbe { return &spillProbe{sp: sp} }
 func (p *spillProbe) Lookup(s ioa.State) (ID, uint64, bool) {
 	p.buf = p.sp.AppendCanonical(p.buf[:0], s)
 	h := Hash(p.buf)
-	id, ok := p.sp.search(p.buf, h, &p.block, &p.key)
+	id, ok := p.sp.search(p.buf, h, &p.cur)
 	return id, h, ok
 }
 
@@ -819,25 +721,38 @@ func (p *spillProbe) Lookup(s ioa.State) (ID, uint64, bool) {
 // valid until the next Lookup on this probe.
 func (p *spillProbe) Bytes() []byte { return p.buf }
 
-// runCursor decodes one run front to back, for merge-joins and for
-// compaction. It reads the file in buffer-sized pieces with ReadAt and
-// decodes entries from the buffer; key is the current entry's, head its
-// first eight bytes as Batch.Order compares them, id its ID. The buffer
-// and the key belong to the Spill's idle list between uses.
+// runCursor is the one decoder of a run: compaction walks a run front to
+// back with it, merges and lookups seek it to the blocks their keys fall
+// in. It reads with ReadAt — one block at a seek, buffer-sized pieces
+// once decoding runs past what is buffered; key is the current entry's,
+// head its first eight bytes as Batch.Order compares them, id its ID,
+// blk its block.
 type runCursor struct {
 	r      *runMeta
-	buf    []byte // buf[lo:hi] is read and not yet decoded
+	buf    []byte // buf[:hi] is the file up to off; buf[lo:hi] is not yet decoded
 	lo, hi int
 	off    int64 // file offset the next read starts at
 	key    []byte
 	head   uint64
 	id     uint64
-	left   int   // entries not yet decoded
-	done   bool  // moved past the last entry
-	n      int64 // entries decoded, for Stats
+	blk    int
+	left   int  // entries not yet decoded
+	blkEnd int  // left once blk's last entry is decoded
+	fresh  bool // no entry decoded since the open or the seek
+	done   bool // moved past the last entry
+
+	decoded, reads, misses int64 // for Stats
 }
 
-// openCursors puts a cursor on the first entry of each of runs. The
+// reset puts the cursor before the first entry of r, nothing buffered.
+func (c *runCursor) reset(r *runMeta) {
+	c.r, c.lo, c.hi, c.off = r, 0, 0, 0
+	c.key, c.blk, c.left, c.blkEnd, c.fresh, c.done = c.key[:0], -1, r.count, r.count, true, false
+}
+
+// openCursors opens a cursor before the first entry of each of runs,
+// asking each file for its length and reading its magic: a truncated or
+// re-headed run fails every merge, whatever it would have decoded. The
 // cursors opened so far are returned with an error, for closeCursors.
 func (sp *Spill) openCursors(runs []*runMeta) ([]*runCursor, error) {
 	curs := make([]*runCursor, 0, len(runs))
@@ -851,18 +766,23 @@ func (sp *Spill) openCursors(runs []*runMeta) ([]*runCursor, error) {
 		if want := min(spillBufferSize, r.size); int64(cap(c.buf)) < want {
 			c.buf = make([]byte, want)
 		}
-		*c = runCursor{r: r, buf: c.buf[:cap(c.buf)], key: c.key[:0], left: r.count}
+		c.buf = c.buf[:cap(c.buf)]
+		c.reset(r)
 		curs = append(curs, c)
-		if err := c.fill(); err != nil {
-			return curs, err
+		fi, err := r.f.Stat()
+		if err != nil {
+			return curs, fmt.Errorf("store: spill run %s: %w", r.path, err)
 		}
-		if c.hi < len(spillMagic) || string(c.buf[:len(spillMagic)]) != spillMagic {
+		if fi.Size() < r.size {
+			return curs, r.shortRead(fi.Size(), 0, r.size-fi.Size(), nil)
+		}
+		if m, err := r.f.ReadAt(c.buf[:spillHeaderLen], 0); m < len(spillMagic) {
+			return curs, r.shortRead(0, m, spillHeaderLen, err)
+		}
+		if string(c.buf[:spillHeaderLen]) != spillMagic {
 			return curs, r.corrupt("bad magic")
 		}
-		c.lo = len(spillMagic)
-		if err := c.next(); err != nil {
-			return curs, err
-		}
+		c.lo, c.hi, c.off = len(spillMagic), len(spillMagic), spillHeaderLen
 	}
 	return curs, nil
 }
@@ -870,100 +790,172 @@ func (sp *Spill) openCursors(runs []*runMeta) ([]*runCursor, error) {
 // closeCursors returns cursors to the idle list.
 func (sp *Spill) closeCursors(curs []*runCursor) {
 	for _, c := range curs {
-		sp.entriesDecoded.Add(c.n)
+		sp.account(c)
 		c.r = nil
 	}
 	sp.cursors = append(sp.cursors, curs...)
 }
 
-// fill moves the undecoded bytes to the front of the buffer and reads
-// on until the buffer is full or the run's recorded size is reached. A
-// file that ends before its recorded size is corrupt.
-func (c *runCursor) fill() error {
-	c.hi = copy(c.buf, c.buf[c.lo:c.hi])
-	c.lo = 0
-	want := min(int64(len(c.buf)-c.hi), c.r.size-c.off)
-	if want <= 0 {
-		return nil
+// find moves the cursor to key, or no further than the first key past
+// it, and reports whether the run holds key; a merge asks one cursor for
+// increasing keys. Decoding forward reaches key in the cursor's block or
+// the next; a key farther on, or asked of a cursor on no entry, is put
+// to the run's filter and, on a "maybe", sought in the one block that
+// can hold it. hash is Hash(key), or 0 until a filter first asks.
+func (c *runCursor) find(head uint64, key []byte, hash *uint64) (bool, error) {
+	b := 0
+	if !c.fresh {
+		if cmp := c.compare(head, key); cmp >= 0 {
+			return cmp == 0, nil
+		}
+		for b = c.blk; b <= c.blk+1; b++ {
+			if !c.r.startsBy(b+1, head, key) {
+				return c.decodeTo(b, head, key)
+			}
+		}
 	}
-	m, err := c.r.f.ReadAt(c.buf[c.hi:c.hi+int(want)], c.off)
-	if int64(m) < want {
-		return c.r.shortRead(c.off, m, want, err)
+	if *hash == 0 {
+		*hash = Hash(key)
 	}
-	c.hi += m
-	c.off += int64(m)
+	if !c.r.filter.maybe(*hash) {
+		return false, nil
+	}
+	if b = c.r.blockOf(head, key, b); b >= 0 {
+		if err := c.seek(b); err != nil {
+			return false, err
+		}
+		if found, err := c.decodeTo(b, head, key); found || err != nil {
+			return found, err
+		}
+	}
+	c.misses++
+	return false, nil
+}
+
+// seek puts the cursor before the first entry of block b. A block that
+// starts inside the buffered window costs no read; any other is read
+// alone, by its recorded bounds.
+func (c *runCursor) seek(b int) error {
+	off, n := c.r.blockBounds(b)
+	if start := c.off - int64(c.hi); off >= start && off < c.off {
+		c.lo = int(off - start)
+	} else {
+		if int64(len(c.buf)) < n {
+			c.buf = make([]byte, n)
+		}
+		c.reads++
+		if m, err := c.r.f.ReadAt(c.buf[:n], off); int64(m) < n {
+			return c.r.shortRead(off, m, n, err)
+		}
+		c.lo, c.hi, c.off = 0, int(n), off+n
+	}
+	c.left = c.r.count - b*c.r.every
+	c.key, c.blk, c.blkEnd, c.fresh = c.key[:0], b-1, c.left, true
 	return nil
 }
 
-// next advances to the following entry, setting done past the last.
+// decodeTo decodes forward from below key until an entry is at or past
+// key or block b ends, and reports whether the run holds key.
+func (c *runCursor) decodeTo(b int, head uint64, key []byte) (bool, error) {
+	for c.blk < b || c.left != c.blkEnd {
+		if err := c.next(); err != nil {
+			return false, err
+		}
+		if c.head >= head {
+			if cmp := c.compare(head, key); cmp >= 0 {
+				return cmp == 0, nil
+			}
+		}
+	}
+	return false, nil
+}
+
+// next advances to the following entry, setting done past the last. It
+// decodes from the window and reads on only when the entry runs past
+// it, so a seek reads its block and no more.
 func (c *runCursor) next() error {
 	if c.left == 0 {
 		c.done = true
 		return nil
 	}
-	if c.hi-c.lo < 2*binary.MaxVarintLen64 {
-		if err := c.fill(); err != nil {
-			return err
-		}
-	}
 	win := c.buf[c.lo:c.hi]
 	shared, n := binary.Uvarint(win)
 	if n <= 0 {
-		return c.r.corrupt("bad shared-prefix varint")
+		return c.short(n, "bad shared-prefix varint")
 	}
 	pos := n
 	sufLen, n := binary.Uvarint(win[pos:])
 	if n <= 0 {
-		return c.r.corrupt("bad suffix-length varint")
+		return c.short(n, "bad suffix-length varint")
 	}
 	pos += n
 	if shared > uint64(len(c.key)) {
 		return c.r.corrupt("shared prefix exceeds previous key")
 	}
-	if uint64(len(win)-pos) < sufLen || len(win)-pos-int(sufLen) < binary.MaxVarintLen64 {
-		// The suffix and the ID after it are not all in the window. What
-		// the file still holds bounds the suffix before anything is sized
-		// by it: a hostile length allocates nothing.
-		c.lo += pos
-		rest := int64(c.hi-c.lo) + c.r.size - c.off
-		if sufLen > uint64(rest) {
+	if uint64(len(win)-pos) < sufLen {
+		// What the file still holds bounds the suffix before anything is
+		// sized by it: a hostile length allocates nothing.
+		if rest := int64(len(win)-pos) + c.r.size - c.off; sufLen > uint64(rest) {
 			return c.r.corrupt("truncated key suffix")
 		}
-		if need := int(min(int64(sufLen)+binary.MaxVarintLen64, rest)); len(c.buf) < need {
-			// One entry larger than the buffer.
-			c.buf = append(make([]byte, 0, need), c.buf[c.lo:c.hi]...)[:need]
-			c.lo, c.hi = 0, c.hi-c.lo
-		}
-		if err := c.fill(); err != nil {
-			return err
-		}
-		win, pos = c.buf[c.lo:c.hi], 0
+		return c.more(pos + int(sufLen) + binary.MaxVarintLen64)
 	}
 	suffix := win[pos : pos+int(sufLen)]
 	pos += int(sufLen)
+	delta, n := binary.Uvarint(win[pos:])
+	if n <= 0 {
+		return c.short(n, "bad id varint")
+	}
 	// A run's keys strictly increase. Past the shared prefix the first
 	// byte nearly always says so; a restart point shares nothing and may
 	// need the whole comparison.
-	if old := c.key[shared:]; c.left < c.r.count && !(len(suffix) > 0 && (len(old) == 0 || suffix[0] > old[0])) &&
+	if old := c.key[shared:]; !c.fresh && !(len(suffix) > 0 && (len(old) == 0 || suffix[0] > old[0])) &&
 		bytes.Compare(suffix, old) <= 0 {
 		return c.r.corrupt("keys not strictly increasing")
 	}
-	c.key = append(c.key[:shared], suffix...)
-	delta, n := binary.Uvarint(win[pos:])
-	if n <= 0 {
-		return c.r.corrupt("bad id varint")
-	}
-	c.lo += pos + n
 	if delta >= uint64(c.r.count) {
 		return c.r.corrupt("id delta out of range")
 	}
+	c.key = append(c.key[:shared], suffix...)
+	c.lo += pos + n
 	c.id = c.r.base + delta
 	if shared < 8 {
 		c.head = head8(c.key)
 	}
+	if c.left == c.blkEnd {
+		c.blk, c.blkEnd = c.blk+1, max(c.left-c.r.every, 0)
+	}
 	c.left--
-	c.n++
+	c.decoded++
+	c.fresh = false
 	return nil
+}
+
+// short answers for a varint next could not read (n ≤ 0): one the window
+// cut off reads on, an overflowed one or the file's end is corrupt.
+func (c *runCursor) short(n int, detail string) error {
+	if n == 0 && c.off < c.r.size {
+		return c.more(c.hi - c.lo + 1)
+	}
+	return c.r.corrupt(detail)
+}
+
+// more moves the undecoded bytes to the front of the buffer — a larger
+// one when need bytes do not fit —, reads on up to the run's recorded
+// size, and decodes the entry again. A file shorter than that is corrupt.
+func (c *runCursor) more(need int) error {
+	buf := c.buf
+	if need > len(buf) {
+		buf = make([]byte, need)
+	}
+	c.buf, c.hi, c.lo = buf, copy(buf, c.buf[c.lo:c.hi]), 0
+	want := min(int64(len(c.buf)-c.hi), c.r.size-c.off)
+	if m, err := c.r.f.ReadAt(c.buf[c.hi:c.hi+int(want)], c.off); int64(m) < want {
+		return c.r.shortRead(c.off, m, want, err)
+	}
+	c.hi += int(want)
+	c.off += want
+	return c.next()
 }
 
 // compare orders the cursor's key against key, whose head8 is head: an
@@ -978,48 +970,14 @@ func (c *runCursor) compare(head uint64, key []byte) int {
 	return bytes.Compare(c.key, key)
 }
 
-// probeIsCheaper decides MergeIntern's arm for n candidates from counts
-// the set already has: scanning decodes every entry of every run,
-// probing tests every run's filter for every candidate and reads about
-// a block for each.
-func (sp *Spill) probeIsCheaper(n int) bool {
-	if sp.forceArm != armByCost {
-		return sp.forceArm == armProbe
-	}
-	scan := int64(sp.flushedBase) * scanEntryNS
-	probe := int64(n) * (int64(len(sp.runs))*probeRunNS + probeReadNS)
-	return probe < scan
-}
-
-// checkRunSizes asks every run file for its length. The probing arm
-// reads no byte of most runs, so without this a truncated run would
-// fail a merge in one arm and pass it in the other.
-func (sp *Spill) checkRunSizes() error {
-	for _, r := range sp.runs {
-		fi, err := r.f.Stat()
-		if err != nil {
-			return fmt.Errorf("store: spill run %s: %w", r.path, err)
-		}
-		if fi.Size() < r.size {
-			return r.shortRead(fi.Size(), 0, r.size-fi.Size(), nil)
-		}
-	}
-	return nil
-}
-
 // MergeIntern takes a set of distinct canonical encodings, filters out
 // the members, interns the fresh remainder in the batch's Order as one
 // new sorted run, and hands each fresh encoding and its assigned ID to
 // emit before moving on. This is the batch interning path for
-// external-memory BFS: at a level barrier every candidate is resolved
-// against all prior levels at once — by one sequential pass over every
-// run, each candidate advancing each run's cursor past the keys below
-// it, or, when that would decode far more entries than there are
-// candidates to justify it (probeIsCheaper), by one point lookup per
-// candidate and no cursor at all. Both arms admit the same encodings
-// under the same IDs into the same run. Any hot-batch contents are
-// flushed first so the run set is complete. The enc slice passed to
-// emit is only valid during the call.
+// external-memory BFS: at a level barrier the hot batch is flushed and
+// every candidate resolved against all prior levels at once (absent)
+// before anything is written or emitted. The enc slice passed to emit
+// is only valid during the call.
 func (sp *Spill) MergeIntern(cands *Batch, emit func(enc []byte, id ID) error) (int, error) {
 	if err := sp.Err(); err != nil {
 		return 0, err
@@ -1033,60 +991,17 @@ func (sp *Spill) mergeIntern(cands *Batch, emit func(enc []byte, id ID) error) (
 	if err := sp.flush(); err != nil {
 		return 0, err
 	}
-	order := cands.Order()
 	sp.merges++
-	sp.mergeCands += int64(len(order))
-	// member reports whether candidate i is in some run.
-	var member func(i int) (bool, error)
-	var curs []*runCursor
-	if sp.probeIsCheaper(len(order)) {
-		sp.mergesProbed++
-		if err := sp.checkRunSizes(); err != nil {
-			return 0, err
-		}
-		member = func(i int) (bool, error) {
-			_, ok, err := sp.searchRuns(cands.Key(i), &sp.lkBlock, &sp.lkKey)
-			return ok, err
-		}
-	} else {
-		curs, err = sp.openCursors(sp.runs)
-		if err != nil {
-			sp.closeCursors(curs)
-			return 0, err
-		}
-		member = func(i int) (bool, error) {
-			key, head := cands.Key(i), cands.heads[i]
-			for _, c := range curs {
-				for !c.done {
-					cmp := c.compare(head, key)
-					if cmp == 0 {
-						return true, nil
-					}
-					if cmp > 0 {
-						break
-					}
-					if err := c.next(); err != nil {
-						return false, err
-					}
-				}
-			}
-			return false, nil
-		}
+	sp.mergeCands += int64(cands.Len())
+	news, err := sp.absent(cands)
+	if err != nil || len(news) == 0 {
+		return 0, err
 	}
-	var rw *runWriter
-	for _, i := range order {
-		var seen bool
-		if seen, err = member(i); err != nil {
-			break
-		}
-		if seen {
-			continue
-		}
-		if rw == nil {
-			if rw, err = sp.newRunWriter(sp.runPath(sp.total), sp.total, -1); err != nil {
-				break
-			}
-		}
+	rw, err := sp.newRunWriter(sp.runPath(sp.total), sp.total, len(news))
+	if err != nil {
+		return 0, err
+	}
+	for _, i := range news {
 		id := ID(sp.total)
 		rw.add(cands.Key(i), sp.total)
 		sp.total++
@@ -1097,18 +1012,44 @@ func (sp *Spill) mergeIntern(cands *Batch, emit func(enc []byte, id ID) error) (
 			}
 		}
 	}
-	sp.closeCursors(curs)
-	if rw != nil {
-		r, ferr := rw.finish()
-		sp.flushedBase = sp.total
-		if ferr == nil {
-			ferr = sp.register(r)
-		}
-		if err == nil {
-			err = ferr
-		}
+	r, ferr := rw.finish()
+	sp.flushedBase = sp.total
+	if ferr == nil {
+		ferr = sp.register(r)
+	}
+	if err == nil {
+		err = ferr
 	}
 	return fresh, err
+}
+
+// absent returns the candidates no run holds, in Order and over the
+// slice Order returned: one galloping merge, each run's cursor meeting
+// the candidates in order (runCursor.find).
+func (sp *Spill) absent(cands *Batch) ([]int, error) {
+	order := cands.Order()
+	curs, err := sp.openCursors(sp.runs)
+	defer sp.closeCursors(curs)
+	if err != nil {
+		return nil, err
+	}
+	news := order[:0]
+	for _, i := range order {
+		key, head := cands.Key(i), cands.heads[i]
+		seen, hash := false, uint64(0) // Hash(key), taken when a filter first asks
+		for _, c := range curs {
+			if seen, err = c.find(head, key, &hash); seen || err != nil {
+				break
+			}
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !seen {
+			news = append(news, i)
+		}
+	}
+	return news, nil
 }
 
 // Close closes every run file and removes the spill directory (when
@@ -1120,20 +1061,13 @@ func (sp *Spill) Close() error {
 	sp.closed = true
 	var errs []error
 	for _, r := range sp.runs {
-		if err := r.f.Close(); err != nil {
-			errs = append(errs, err)
+		errs = append(errs, r.f.Close())
+		if !sp.ownDir {
+			errs = append(errs, os.Remove(r.path))
 		}
 	}
 	if sp.ownDir {
-		if err := os.RemoveAll(sp.dir); err != nil {
-			errs = append(errs, err)
-		}
-	} else {
-		for _, r := range sp.runs {
-			if err := os.Remove(r.path); err != nil {
-				errs = append(errs, err)
-			}
-		}
+		errs = append(errs, os.RemoveAll(sp.dir))
 	}
 	return errors.Join(errs...)
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -26,19 +27,18 @@ func gridKeys(base, digits int) [][]byte {
 	return keys
 }
 
-// BenchmarkSpillMerge measures what the constants of MergeIntern's cost
-// rule stand for (scanEntryNS, probeRunNS, probeReadNS in spill.go), on
-// the 7^5 grid's 16 807 five-byte keys interned under a 4 KiB budget,
-// and what compaction leaves of them:
+// BenchmarkSpillMerge measures the read side of the Spill on the 7^5
+// grid's 16 807 five-byte keys interned under a 4 KiB budget, and what
+// compaction leaves of them:
 //
-//   - scan and probe resolve the same candidates — every eighth key, all
-//     members, so nothing is admitted and the set does not change —
-//     through MergeIntern with the arm forced. scan's ns/candidate over
-//     its entries_decoded/candidate is scanEntryNS; probe's ns/candidate
-//     is probeReadNS plus the filters tested on the way to the run that
-//     holds the key.
-//   - miss asks the runs for keys of a base-8 digit no run holds: its
-//     ns/candidate over runs is probeRunNS.
+//   - every8, every64 and every512 resolve every 8th, 64th and 512th key
+//     — all members, so nothing is admitted and the set does not change
+//     — through MergeIntern: the one merge from candidates dense enough
+//     to decode every block to so sparse that each is a filter test per
+//     run and one block read. Per candidate they report the time, the
+//     entries decoded and the blocks read one at a time.
+//   - miss asks the runs, through searchRun, for keys of a base-8 digit
+//     no run holds: a filter test per run.
 //   - compact builds the set from empty: ns/candidate is an intern with
 //     its share of flushing and compacting, entries_decoded/candidate
 //     how often compaction rewrote each entry, runs what is left live.
@@ -62,26 +62,23 @@ func BenchmarkSpillMerge(b *testing.B) {
 		n := float64(b.N * cands)
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/candidate")
 		b.ReportMetric(float64(after.EntriesDecoded-before.EntriesDecoded)/n, "entries_decoded/candidate")
+		b.ReportMetric(float64(after.BlocksRead-before.BlocksRead)/n, "blocks_read/candidate")
 		b.ReportMetric(float64(after.SpillRuns), "runs")
 	}
-	// Added in key order, so that Order — paid by either arm — is cheap.
-	var members Batch
-	sample := make([][]byte, 0, len(keys)/8+1)
-	for i := 0; i < len(keys); i += 8 {
-		sample = append(sample, keys[i])
-	}
-	slices.SortFunc(sample, bytes.Compare)
-	for _, k := range sample {
-		members.Add(k, Hash(k))
-	}
-	for _, arm := range []struct {
-		name string
-		arm  mergeArm
-	}{{"scan", armScan}, {"probe", armProbe}} {
-		b.Run(arm.name, func(b *testing.B) {
+	for _, every := range []int{8, 64, 512} {
+		// Added in key order, so that Order is cheap.
+		var members Batch
+		sample := make([][]byte, 0, len(keys)/every+1)
+		for i := 0; i < len(keys); i += every {
+			sample = append(sample, keys[i])
+		}
+		slices.SortFunc(sample, bytes.Compare)
+		for _, k := range sample {
+			members.Add(k, Hash(k))
+		}
+		b.Run(fmt.Sprintf("every%d", every), func(b *testing.B) {
 			sp := build(b)
 			defer sp.Close()
-			sp.forceArm = arm.arm
 			before := sp.Stats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -102,13 +99,13 @@ func BenchmarkSpillMerge(b *testing.B) {
 			for j := 0; j < len(keys); j += 8 {
 				absent := [5]byte(keys[j])
 				absent[j%5] = 7
-				if _, ok, err := sp.searchRuns(absent[:], &sp.lkBlock, &sp.lkKey); ok || err != nil {
+				if _, ok, err := sp.searchRuns(absent[:], &sp.lookup); ok || err != nil {
 					b.Fatalf("absent key found (%v) or failed: %v", ok, err)
 				}
 			}
 		}
 		b.StopTimer()
-		report(b, sp, before, members.Len())
+		report(b, sp, before, (len(keys)+7)/8)
 	})
 	b.Run("compact", func(b *testing.B) {
 		var sp *Spill

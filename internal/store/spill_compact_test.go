@@ -1,9 +1,9 @@
 package store
 
-// Read-side battery of the Spill (ISSUE 23): the block-decoding cursor
-// and what it refuses, the two arms of MergeIntern held to each other,
-// tiered compaction held to its bound and to the arena Store, and
-// faults planted in compacted runs.
+// Read-side battery of the Spill: the block-decoding cursor and what it
+// refuses, MergeIntern held to the arena Store and to the run format,
+// tiered compaction held to its bound, and faults planted in compacted
+// runs.
 
 import (
 	"bytes"
@@ -84,9 +84,11 @@ func wantCorrupt(t *testing.T, what string, err error, path, detail string) {
 }
 
 // TestSpillCursorRefusesDamagedRun: every fault, planted in a flushed
-// run, fails the scanning MergeIntern and the compaction that reads the
-// run — by name, naming the run, latched, and with nothing admitted. The
-// ID and the length are the two fields the cursor used not to check.
+// run, fails a MergeIntern with a candidate in the damaged block and the
+// compaction that reads the run — by name, naming the run, latched, and
+// with nothing admitted, not even the new candidate resolved before the
+// damage was. The ID and the length are the two fields the cursor used
+// not to check.
 func TestSpillCursorRefusesDamagedRun(t *testing.T) {
 	for _, fault := range runFaults {
 		t.Run(fault.name+"/merge", func(t *testing.T) {
@@ -99,8 +101,7 @@ func TestSpillCursorRefusesDamagedRun(t *testing.T) {
 				t.Fatalf("Flush: %v, runs %v", err, paths)
 			}
 			fault.apply(t, paths[0])
-			sp.forceArm = armScan
-			n, err := sp.MergeIntern(batchOf("aaa", "zzz"), func([]byte, ID) error {
+			n, err := sp.MergeIntern(batchOf("aaa", "state-00000", "zzz"), func([]byte, ID) error {
 				t.Error("a candidate was admitted past a damaged run")
 				return nil
 			})
@@ -141,67 +142,98 @@ func TestSpillCursorRefusesDamagedRun(t *testing.T) {
 	}
 }
 
-// TestSpillScanAndProbeAgree: the two arms of MergeIntern, forced in
-// turn on equal run sets and equal batches, admit the same encodings
-// under the same IDs in the same order and write the same run, byte for
-// byte — round after round, through the compactions the rounds set off.
-func TestSpillScanAndProbeAgree(t *testing.T) {
+// runImage is the run file holding keys, in order, under IDs from the
+// run's base, with a restart point every every entries: the format
+// written out by hand, the oracle for what a run writer puts on disk.
+func runImage(keys []string, every int) []byte {
+	img := []byte(spillMagic)
+	prev := ""
+	for i, k := range keys {
+		shared := 0
+		for i%every != 0 && shared < min(len(prev), len(k)) && prev[shared] == k[shared] {
+			shared++
+		}
+		img = binary.AppendUvarint(img, uint64(shared))
+		img = binary.AppendUvarint(img, uint64(len(k)-shared))
+		img = append(img, k[shared:]...)
+		img = binary.AppendUvarint(img, uint64(i))
+		prev = k
+	}
+	return img
+}
+
+// TestSpillMergeMatchesStore holds MergeIntern to the arena Store round
+// after round, through the compactions the rounds set off. Batches of a
+// few candidates against many runs alternate with batches of hundreds;
+// both mix new keys with old ones from every run. The merge must admit
+// what the Store admits when it interns the batch in Order, in that
+// order and under the Store's IDs, and write them as one run whose
+// bytes are the format's.
+func TestSpillMergeMatchesStore(t *testing.T) {
 	type admitted struct {
 		enc string
 		id  ID
 	}
 	rng := testseed.Rand(t, 23)
-	universe := shuffledKeys(900, 23)
-	var last [2]string // newest run file of each arm
-	arms := [2]*Spill{}
-	for a, arm := range []mergeArm{armScan, armProbe} {
-		arms[a] = newTestSpill(t, SpillOptions{MemBudget: 512, AfterFlush: func(p string) { last[a] = p }})
-		arms[a].forceArm = arm
-	}
+	universe := shuffledKeys(4000, 23)
+	st := New(Options{})
+	var img []byte // the run written at runPath(newest), as registered
+	newest := ""
+	sp := newTestSpill(t, SpillOptions{MemBudget: 512, AfterFlush: func(p string) {
+		if p == newest && img == nil {
+			var err error
+			if img, err = os.ReadFile(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}})
 	next := 0
-	for round := 0; round < 25; round++ {
-		// Some keys through the hot batch, then a batch of new and old.
+	for round := 0; round < 40; round++ {
 		for i := 0; i < 20 && next < len(universe); i, next = i+1, next+1 {
-			for _, sp := range arms {
-				sp.Intern(ioa.KeyState(universe[next]))
+			k := []byte(universe[next])
+			wantID, _ := st.InternEncoded(k, Hash(k))
+			if id, fresh := sp.InternEncoded(k, Hash(k)); id != wantID || !fresh {
+				t.Fatalf("round %d: InternEncoded(%s) = (%d, %v), store %d", round, k, id, fresh, wantID)
 			}
 		}
-		var cands []string
-		for i := rng.Intn(30); i > 0 && next < len(universe); i, next = i-1, next+1 {
-			cands = append(cands, universe[next])
+		size := 1 + rng.Intn(4)
+		if round%2 == 1 {
+			size = 100 + rng.Intn(200)
 		}
-		for i := rng.Intn(30); i > 0; i-- {
-			if old := universe[rng.Intn(next)]; !slices.Contains(cands, old) {
-				cands = append(cands, old)
+		var cands Batch
+		for cands.Len() < size {
+			k := []byte(universe[rng.Intn(next)])
+			if rng.Intn(2) == 0 && next < len(universe) {
+				k, next = []byte(universe[next]), next+1
+			}
+			if _, dup := cands.Lookup(k, Hash(k)); !dup {
+				cands.Add(k, Hash(k))
 			}
 		}
-		var got [2][]admitted
-		var img [2][]byte
-		for a, sp := range arms {
-			last[a] = ""
-			n, err := sp.MergeIntern(batchOf(cands...), func(enc []byte, id ID) error {
-				got[a] = append(got[a], admitted{string(enc), id})
-				return nil
-			})
-			if err != nil || n != len(got[a]) {
-				t.Fatalf("round %d arm %d: MergeIntern = %d, %v; emitted %d", round, a, n, err, len(got[a]))
-			}
-			if last[a] != "" {
-				if img[a], err = os.ReadFile(last[a]); err != nil {
-					t.Fatal(err)
-				}
+		var want, got []admitted
+		var wantKeys []string
+		for _, i := range cands.Order() {
+			if id, fresh := st.InternEncoded(cands.Key(i), cands.Hash(i)); fresh {
+				want = append(want, admitted{string(cands.Key(i)), id})
+				wantKeys = append(wantKeys, string(cands.Key(i)))
 			}
 		}
-		if !slices.Equal(got[0], got[1]) {
-			t.Fatalf("round %d: scan admitted %v, probe %v", round, got[0], got[1])
+		img, newest = nil, sp.runPath(uint64(sp.Len()))
+		n, err := sp.MergeIntern(&cands, func(enc []byte, id ID) error {
+			got = append(got, admitted{string(enc), id})
+			return nil
+		})
+		if err != nil || n != len(got) || !slices.Equal(got, want) {
+			t.Fatalf("round %d, %d candidates: MergeIntern = %d, %v\nadmitted %v\nstore     %v", round, size, n, err, got, want)
 		}
-		if !bytes.Equal(img[0], img[1]) {
-			t.Fatalf("round %d: the arms wrote different runs (%d and %d bytes)", round, len(img[0]), len(img[1]))
+		if wantImg := runImage(wantKeys, sp.blockEvery); len(want) > 0 && !bytes.Equal(img, wantImg) {
+			t.Fatalf("round %d: the merged run holds %d bytes, the format %d", round, len(img), len(wantImg))
+		} else if len(want) == 0 && img != nil {
+			t.Fatalf("round %d: a run was written for no fresh key", round)
 		}
 	}
-	scan, probe := arms[0].Stats(), arms[1].Stats()
-	if scan.MergesProbed != 0 || probe.MergesProbed != 25 || scan.Compactions == 0 || scan.Compactions != probe.Compactions {
-		t.Fatalf("scan %+v\nprobe %+v", scan, probe)
+	if s := sp.Stats(); s.Compactions == 0 || s.SpillRuns < 3 || s.States != st.Len() {
+		t.Fatalf("stats %+v, store holds %d", s, st.Len())
 	}
 }
 
@@ -269,13 +301,15 @@ func TestSpillCompactionBound(t *testing.T) {
 // TestSpillCompactedRunFaults plants each fault in the first compacted
 // output (AfterFlush reports a path for the second time when a merged
 // run takes it over) and requires the next point lookup that reads the
-// damage and the next merge, in either arm, to fail cleanly. The header
-// is on no lookup's way, so lookups past a damaged header still answer,
-// and answer right; the truncation is seen by the probing arm because it
-// asks each file for its length.
+// damage, and the next merge, to fail cleanly. Every merge asks each
+// run file for its length and reads its magic, so the truncation and
+// the header fail a merge of many candidates (arm1: every key of the
+// damaged run and a new one) and of one (arm2: the run's first key)
+// alike. The header is on no lookup's way, so lookups past a damaged
+// header still answer, and answer right.
 func TestSpillCompactedRunFaults(t *testing.T) {
 	for _, fault := range runFaults {
-		for _, arm := range []mergeArm{armScan, armProbe} {
+		for arm := 1; arm <= 2; arm++ {
 			t.Run(fmt.Sprintf("%s/arm%d", fault.name, arm), func(t *testing.T) {
 				seen := map[string]bool{}
 				victim := ""
@@ -286,7 +320,6 @@ func TestSpillCompactedRunFaults(t *testing.T) {
 					}
 					seen[p] = true
 				}})
-				sp.forceArm = arm
 				var keys []string
 				for i := 0; victim == "" && i < 500; i++ {
 					keys = append(keys, fmt.Sprintf("state-%05d", i))
@@ -302,20 +335,21 @@ func TestSpillCompactedRunFaults(t *testing.T) {
 				if r.path != victim || r.count >= 127 {
 					t.Fatalf("victim %s, oldest run %s of %d keys", victim, r.path, r.count)
 				}
-				for which, k := range map[string]string{"first": keys[0], "last": keys[r.count-1]} {
-					id, ok, err := sp.searchRuns([]byte(k), &sp.lkBlock, &sp.lkKey)
+				for which, i := range map[string]int{"first": 0, "last": r.count - 1} {
+					id, ok, err := sp.searchRuns([]byte(keys[i]), &sp.lookup)
 					if which == fault.breaks {
-						wantCorrupt(t, "lookup of "+k, err, victim, "")
-					} else if err != nil || !ok || int(id) >= r.count {
-						t.Fatalf("lookup of %s = (%d, %v), %v", k, id, ok, err)
+						wantCorrupt(t, "lookup of "+keys[i], err, victim, "")
+					} else if err != nil || !ok || id != ID(i) {
+						t.Fatalf("lookup of %s = (%d, %v), %v", keys[i], id, ok, err)
 					}
 				}
-				n, err := sp.MergeIntern(batchOf(keys[0], "state-99999"), nil)
-				if arm == armProbe && fault.name == "header" {
-					if n != 1 || err != nil {
-						t.Fatalf("probing past a damaged header: %d, %v", n, err)
-					}
-					return
+				cands := batchOf(keys[0])
+				if arm == 1 {
+					cands = batchOf(append(slices.Clone(keys[:r.count]), "state-99999")...)
+				}
+				n, err := sp.MergeIntern(cands, nil)
+				if n != 0 {
+					t.Fatalf("admitted %d past a damaged run", n)
 				}
 				wantCorrupt(t, "MergeIntern", err, victim, "")
 				wantCorrupt(t, "Err", sp.Err(), victim, "")
@@ -395,7 +429,7 @@ func TestSpillProgramsMatchStore(t *testing.T) {
 		for i := 0; i < 3000; i += 7 {
 			k := []byte(fmt.Sprintf("k%04d", i))
 			wantID, want := ids[string(k)]
-			if id, ok := sp.search(k, f.hash(k), &sp.lkBlock, &sp.lkKey); ok != want || (ok && id != wantID) {
+			if id, ok := sp.search(k, f.hash(k), &sp.lookup); ok != want || (ok && id != wantID) {
 				t.Fatalf("seed %d: search(%q) = (%d, %v), store (%d, %v)", seed, k, id, ok, wantID, want)
 			}
 			if f.name != "fnv" {
@@ -440,7 +474,11 @@ func validRun(t testing.TB, n int) []byte {
 // steps without panicking, hold no key and no buffer larger than the
 // file (a varint and a minimal buffer aside), and either decode a
 // strictly increasing key sequence with IDs inside the run's range or
-// fail with ErrCorruptRun.
+// fail with ErrCorruptRun. Then the sparse index and the filter a
+// writer would have built over what it decoded are put beside the
+// bytes, and every key it decoded is looked up: found under the ID the
+// cursor read, or refused with ErrCorruptRun — never absent, never
+// under another ID.
 func FuzzRunCursor(f *testing.F) {
 	valid := validRun(f, 40)[spillHeaderLen:]
 	f.Add(valid, uint16(40))
@@ -460,17 +498,23 @@ func FuzzRunCursor(f *testing.F) {
 		}
 		defer file.Close()
 		size := spillHeaderLen + int64(len(body))
-		r := &runMeta{f: file, path: path, size: size, count: int(count), base: 1000}
+		r := &runMeta{f: file, path: path, size: size, count: int(count), base: 1000, every: 4}
 		sp := &Spill{}
 		curs, err := sp.openCursors([]*runMeta{r})
-		var prev []byte
-		for steps := 0; err == nil && !curs[0].done; steps++ {
-			c := curs[0]
+		c := curs[0]
+		var keys [][]byte
+		var ids []uint64
+		for err == nil {
+			start := c.off - int64(c.hi-c.lo)
+			if err = c.next(); err != nil || c.done {
+				break
+			}
+			steps := len(keys)
 			if steps >= int(count) {
 				t.Fatalf("cursor still going after %d of %d entries", steps, count)
 			}
-			if steps > 0 && bytes.Compare(prev, c.key) >= 0 {
-				t.Fatalf("key %q after %q", c.key, prev)
+			if steps > 0 && bytes.Compare(keys[steps-1], c.key) >= 0 {
+				t.Fatalf("key %q after %q", c.key, keys[steps-1])
 			}
 			if c.id < r.base || c.id >= r.base+uint64(count) {
 				t.Fatalf("id %d outside [%d, %d)", c.id, r.base, r.base+uint64(count))
@@ -478,11 +522,25 @@ func FuzzRunCursor(f *testing.F) {
 			if int64(len(c.key)) > size || int64(cap(c.buf)) > size+binary.MaxVarintLen64 {
 				t.Fatalf("key of %d bytes, buffer of %d, from a file of %d", len(c.key), cap(c.buf), size)
 			}
-			prev = append(prev[:0], c.key...)
-			err = c.next()
+			if steps%r.every == 0 {
+				r.blocks = append(r.blocks, blockMeta{off: start, first: len(r.keys), head: c.head})
+				r.keys = append(r.keys, c.key...)
+			}
+			keys, ids = append(keys, slices.Clone(c.key)), append(ids, c.id)
 		}
 		if err != nil && !errors.Is(err, ErrCorruptRun) {
 			t.Fatalf("cursor failed with %v, want ErrCorruptRun", err)
+		}
+		r.filter = newBloom(len(keys), defaultBloomPerKey)
+		for _, k := range keys {
+			r.filter.add(Hash(k))
+		}
+		var lookup runCursor
+		for i, k := range keys {
+			id, ok, err := sp.searchRun(r, k, Hash(k), &lookup)
+			if err != nil && !errors.Is(err, ErrCorruptRun) || err == nil && (!ok || uint64(id) != ids[i]) {
+				t.Fatalf("lookup of entry %d, %q = (%d, %v), %v; the cursor read ID %d", i, k, id, ok, err, ids[i])
+			}
 		}
 	})
 }

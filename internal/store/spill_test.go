@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -283,6 +284,77 @@ func TestSpillTruncatedRunFailsMergeIntern(t *testing.T) {
 	}
 	if err := sp.Err(); !errors.Is(err, ErrCorruptRun) {
 		t.Fatalf("Err = %v, want ErrCorruptRun", err)
+	}
+}
+
+// TestSpillRefusesOrderBreak: one run of the 256 keys state-00000 …
+// state-00255, interned in key order, whose first block stops
+// increasing at entry 5 — its one suffix byte, file offset 40, rewritten
+// from '5' to '0', so that it reads state-00000 again. Every way of
+// reading that entry — InternEncoded and Has of the key it held, and
+// MergeIntern of that key alone and of its whole block — must latch
+// ErrCorruptRun, and none may take the key for absent: no second ID for
+// a stored key.
+func TestSpillRefusesOrderBreak(t *testing.T) {
+	const damaged = "state-00005"
+	var block []string
+	for i := 0; i < 16; i++ {
+		block = append(block, fmt.Sprintf("state-%05d", i))
+	}
+	arms := map[string]func(sp *Spill) error{
+		"InternEncoded": func(sp *Spill) error {
+			if id, fresh := sp.InternEncoded([]byte(damaged), Hash([]byte(damaged))); fresh || id != None && id != 5 {
+				return fmt.Errorf("InternEncoded = (%d, %v)", id, fresh)
+			}
+			return nil
+		},
+		"Has": func(sp *Spill) error {
+			if id, ok := sp.Has(ioa.KeyState(damaged)); ok && id != 5 {
+				return fmt.Errorf("Has = (%d, %v)", id, ok)
+			}
+			return nil
+		},
+		"MergeIntern/one": func(sp *Spill) error {
+			n, err := sp.MergeIntern(batchOf(damaged), nil)
+			if n != 0 || !errors.Is(err, ErrCorruptRun) {
+				return fmt.Errorf("MergeIntern admitted %d, err %v", n, err)
+			}
+			return nil
+		},
+		"MergeIntern/block": func(sp *Spill) error {
+			n, err := sp.MergeIntern(batchOf(block...), nil)
+			if n != 0 || !errors.Is(err, ErrCorruptRun) {
+				return fmt.Errorf("MergeIntern admitted %d, err %v", n, err)
+			}
+			return nil
+		},
+	}
+	for name, arm := range arms {
+		t.Run(name, func(t *testing.T) {
+			var path string
+			sp := newTestSpill(t, SpillOptions{MemBudget: 1 << 20, BlockEvery: 16, AfterFlush: func(p string) { path = p }})
+			for i := 0; i < 256; i++ {
+				k := []byte(fmt.Sprintf("state-%05d", i))
+				sp.InternEncoded(k, Hash(k))
+			}
+			if err := sp.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			img, err := os.ReadFile(path)
+			if err != nil || len(img) < 41 || img[40] != '5' {
+				t.Fatalf("run image of %d bytes, byte 40 not entry 5's suffix (%v)", len(img), err)
+			}
+			overwrite(t, path, 40, []byte{'0'})
+			if err := arm(sp); err != nil {
+				t.Fatal(err)
+			}
+			if err := sp.Err(); !errors.Is(err, ErrCorruptRun) || !strings.Contains(err.Error(), "keys not strictly increasing") {
+				t.Fatalf("Err = %v, want ErrCorruptRun: keys not strictly increasing", err)
+			}
+			if sp.Len() != 256 {
+				t.Fatalf("Len %d after the refusal, want 256", sp.Len())
+			}
+		})
 	}
 }
 

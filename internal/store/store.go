@@ -47,11 +47,11 @@ type ID uint64
 // None is the sentinel ID used for absent parent links.
 const None ID = ^ID(0)
 
-// DefaultShards is the index shard count used when Options.Shards is
-// zero. Sharding bounds index growth: a doubling rehashes only its own
-// shard's table. (The encodings themselves sit in slabs that never
-// move, so they need no such bound.)
-const DefaultShards = 16
+// shardCount is the number of index shards, a power of two. Sharding
+// bounds index growth: a doubling rehashes only its own shard's table.
+// (The encodings themselves sit in slabs that never move, so they need
+// no such bound.)
+const shardCount = 16
 
 // A Canonicalizer maps each state to the canonical representative of
 // its symmetry orbit, so that interning quotients the state space: two
@@ -78,9 +78,6 @@ type Canonicalizer interface {
 
 // Options parameterizes a Store.
 type Options struct {
-	// Shards is the index shard count, rounded up to a power of two; 0
-	// means DefaultShards.
-	Shards int
 	// Canon, when non-nil, canonicalizes every state before encoding
 	// and hashing, so the store dedups symmetry orbits instead of
 	// individual states. Callers still hand Intern concrete states and
@@ -126,8 +123,7 @@ type shard struct {
 
 // A Store interns state encodings and hands out dense IDs.
 type Store struct {
-	shards []shard
-	mask   uint64
+	shards [shardCount]shard
 	slabs  [][]byte
 	// arenaBytes is the slabs' summed len, kept for the limit check.
 	arenaBytes int64
@@ -139,18 +135,7 @@ type Store struct {
 }
 
 // New builds an empty store.
-func New(opts Options) *Store {
-	n := opts.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	// Round up to a power of two so shard selection is a mask.
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return &Store{shards: make([]shard, p), mask: uint64(p - 1), canon: opts.Canon}
-}
+func New(opts Options) *Store { return &Store{canon: opts.Canon} }
 
 // Canon returns the store's canonicalizer (nil without symmetry
 // reduction).
@@ -247,8 +232,6 @@ type Stats struct {
 	// ArenaCapBytes is the total reserved arena capacity; the slack
 	// over ArenaBytes is unfilled slab space.
 	ArenaCapBytes int64
-	// Shards is the shard count.
-	Shards int
 	// SpilledStates is the number of interned states whose encodings
 	// live in on-disk runs rather than RAM (zero for the arena store).
 	SpilledStates int
@@ -262,17 +245,17 @@ type Stats struct {
 	ResidentBytes int64
 	// Compactions counts the merges of a tier's runs into one.
 	Compactions int64
-	// Merges counts MergeIntern calls, MergeCandidates the candidates
-	// they presented, and MergesProbed the calls resolved by point
-	// lookups rather than by a pass over the runs.
-	Merges, MergeCandidates, MergesProbed int64
-	// EntriesDecoded counts run entries decoded, by cursors and by
-	// point lookups.
+	// Merges counts MergeIntern calls and MergeCandidates the candidates
+	// they presented.
+	Merges, MergeCandidates int64
+	// EntriesDecoded counts run entries decoded, by merges, point
+	// lookups and compaction.
 	EntriesDecoded int64
-	// BlocksRead counts the blocks point lookups read.
+	// BlocksRead counts the blocks read one at a time: by point lookups,
+	// and by merges seeking past what they have buffered.
 	BlocksRead int64
-	// BloomFalsePositives counts the lookups a run's filter let through
-	// and its block refuted.
+	// BloomFalsePositives counts the keys a run's filter let through and
+	// its block refuted.
 	BloomFalsePositives int64
 }
 
@@ -282,7 +265,6 @@ func (st *Store) Stats() Stats {
 		States:        st.Len(),
 		ArenaBytes:    st.ArenaBytes(),
 		ArenaCapBytes: st.ArenaCapBytes(),
-		Shards:        len(st.shards),
 	}
 }
 
@@ -328,7 +310,7 @@ func (st *Store) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 	}
 	id := ID(len(st.locs))
 	st.locs = append(st.locs, st.place(enc))
-	st.shards[hash&st.mask].ix.Insert(hash, int(id))
+	st.shards[hash%shardCount].ix.Insert(hash, int(id))
 	return id, true
 }
 
@@ -362,7 +344,7 @@ func (st *Store) Has(s ioa.State) (ID, bool) {
 
 // lookup finds an encoding without interning it.
 func (st *Store) lookup(enc []byte, hash uint64) (ID, bool) {
-	id, ok := st.shards[hash&st.mask].ix.Find(hash, func(id int) bool {
+	id, ok := st.shards[hash%shardCount].ix.Find(hash, func(id int) bool {
 		return bytes.Equal(st.Encoding(ID(id)), enc)
 	})
 	if !ok {

@@ -28,7 +28,7 @@ func TestInternDenseIDsAndDedup(t *testing.T) {
 }
 
 func TestEncodingRoundTrip(t *testing.T) {
-	st := New(Options{Shards: 1})
+	st := New(Options{})
 	var ids []ID
 	var keys []string
 	for i := 0; i < 257; i++ {
@@ -48,7 +48,7 @@ func TestEncodingRoundTrip(t *testing.T) {
 }
 
 func TestHasAndProbeAgree(t *testing.T) {
-	st := New(Options{Shards: 4})
+	st := New(Options{})
 	for i := 0; i < 100; i++ {
 		st.Intern(ioa.KeyState(fmt.Sprintf("s%d", i)))
 	}
@@ -90,7 +90,7 @@ func TestProbeHashReuse(t *testing.T) {
 // parallel explorer relies on: many probes racing over a store that is
 // not being written. Run under -race in CI.
 func TestConcurrentProbesFrozen(t *testing.T) {
-	st := New(Options{Shards: 8})
+	st := New(Options{})
 	const n = 500
 	for i := 0; i < n; i++ {
 		st.Intern(ioa.KeyState(fmt.Sprintf("frozen-%d", i)))
@@ -116,13 +116,4 @@ func TestConcurrentProbesFrozen(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-func TestShardRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{{0, DefaultShards}, {1, 1}, {3, 4}, {16, 16}, {17, 32}} {
-		st := New(Options{Shards: tc.in})
-		if got := st.Stats().Shards; got != tc.want {
-			t.Fatalf("Shards(%d) rounded to %d, want %d", tc.in, got, tc.want)
-		}
-	}
 }
