@@ -71,7 +71,8 @@ func TestStepRetainWithoutKeepIsCaught(t *testing.T) {
 // TestStepVisitAllocatesNothingPerSuccessor: a warmed-up sweep whose
 // yield only encodes costs exactly the allocations of Enabled on the
 // same states — no tuple, no part vector, no successor slice, at either
-// level of the nested composition.
+// level of the nested composition — and Enabled is one list: at most
+// one object per state.
 func TestStepVisitAllocatesNothingPerSuccessor(t *testing.T) {
 	ioa.SetScratchPoison(false) // a poisoned scratch abandons its memory on every Reset
 	defer ioa.SetScratchPoison(true)
@@ -105,6 +106,10 @@ func TestStepVisitAllocatesNothingPerSuccessor(t *testing.T) {
 	if stepping > enabledOnly {
 		t.Errorf("a sweep over %d states and %d successors allocates %.0f objects, Enabled alone %.0f: %.2f per successor, want 0",
 			len(states), perSweep, stepping, enabledOnly, (stepping-enabledOnly)/float64(perSweep))
+	}
+	if stepping > float64(len(states)) {
+		t.Errorf("a sweep over %d states allocates %.0f objects: %.2f per state, want at most 1",
+			len(states), stepping, stepping/float64(len(states)))
 	}
 }
 

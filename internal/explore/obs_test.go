@@ -110,10 +110,12 @@ func TestObsStoreGauges(t *testing.T) {
 }
 
 // TestMemoBelongsToLeaves: in a composition of compositions only the
-// leaf components are memoised. The outer composite here has nothing
-// but (wrapped) compositions under it, so its own counters stay at
-// zero while the inner ones count every lookup — and the run is still
-// the reference run, state for state.
+// leaf components are memoised, in rows owned by the composite being
+// stepped. The outer composite here has nothing but (wrapped)
+// compositions under it and is compiled down to their leaves, so its
+// counters count every lookup while the inner ones, never stepped on
+// their own, count none — and the run is still the reference run,
+// state for state.
 func TestMemoBelongsToLeaves(t *testing.T) {
 	left := modCounters(2, 3).(*ioa.Composite)
 	right := modCounters(2, 4).(*ioa.Composite)
@@ -153,13 +155,13 @@ func TestMemoBelongsToLeaves(t *testing.T) {
 			}
 		}
 	}
-	for name, v := range outerObs.Memo.Values() {
+	for name, v := range innerObs.Memo.Values() {
 		if v != 0 {
-			t.Errorf("outer composite counted memo.%s = %d; its components are compositions and must be stepped directly", name, v)
+			t.Errorf("inner composites counted memo.%s = %d; only the outer composite is stepped, and it owns the rows of every leaf", name, v)
 		}
 	}
-	inner := innerObs.Memo.Values()
-	if inner["next_hit"]+inner["next_miss"] == 0 || inner["enabled_hit"]+inner["enabled_miss"] == 0 {
-		t.Errorf("leaf components counted no memo lookups: %v", inner)
+	outerMemo := outerObs.Memo.Values()
+	if outerMemo["next_hit"]+outerMemo["next_miss"] == 0 || outerMemo["enabled_hit"]+outerMemo["enabled_miss"] == 0 {
+		t.Errorf("the outer composite counted no memo lookups: %v", outerMemo)
 	}
 }

@@ -2,6 +2,7 @@ package ioa
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -37,7 +38,7 @@ func (t *TupleState) Key() string {
 	if k := t.key.Load(); k != nil {
 		return *k
 	}
-	k := string(t.appendKey(make([]byte, 0, t.keyLen())))
+	k := string(t.appendKey(make([]byte, 0, 512)))
 	t.key.Store(&k)
 	return k
 }
@@ -49,36 +50,6 @@ func (t *TupleState) At(i int) State { return t.parts[i] }
 // Len returns the number of components.
 func (t *TupleState) Len() int { return len(t.parts) }
 
-// keyLen is len(t.Key()) without building the key.
-func (t *TupleState) keyLen() int {
-	if k := t.key.Load(); k != nil {
-		return len(*k)
-	}
-	n := 0
-	for _, p := range t.parts {
-		n += framedLen(partKeyLen(p))
-	}
-	return n
-}
-
-// partKeyLen is len(p.Key()), computed without forcing a nested
-// tuple's key.
-func partKeyLen(p State) int {
-	if pt, ok := p.(*TupleState); ok {
-		return pt.keyLen()
-	}
-	return len(p.Key())
-}
-
-// framedLen is the length of one JoinKeys frame "n:" + n key bytes.
-func framedLen(n int) int {
-	digits := 1
-	for m := n; m >= 10; m /= 10 {
-		digits++
-	}
-	return digits + 1 + n
-}
-
 // appendKey appends t's key to dst: len:key per part, byte for byte
 // the JoinKeys framing, recursing through nested tuples and copying
 // any key that is already cached.
@@ -87,10 +58,37 @@ func (t *TupleState) appendKey(dst []byte) []byte {
 		return append(dst, *k...)
 	}
 	for _, p := range t.parts {
-		dst = strconv.AppendInt(dst, int64(partKeyLen(p)), 10)
+		if pt, ok := p.(*TupleState); ok && pt.key.Load() == nil {
+			dst = pt.appendFrame(dst)
+			continue
+		}
+		k := p.Key()
+		dst = strconv.AppendInt(dst, int64(len(k)), 10)
 		dst = append(dst, ':')
-		dst = AppendState(dst, p)
+		dst = append(dst, k...)
 	}
+	return dst
+}
+
+// appendFrame appends t's JoinKeys frame, "n:" and its n key bytes, in
+// one pass: it reserves three digits for n (a nested composition's key
+// is usually 100–999 bytes long), streams the key after them and then
+// writes n — moving the key first when n has another number of digits.
+func (t *TupleState) appendFrame(dst []byte) []byte {
+	at := len(dst)
+	dst = t.appendKey(append(dst, "000:"...))
+	body, end := at+4, len(dst)
+	var digits [20]byte
+	n := strconv.AppendInt(digits[:0], int64(end-body), 10)
+	if shift := len(n) - 3; shift != 0 {
+		if shift > 0 {
+			dst = slices.Grow(dst, shift)
+		}
+		dst = dst[:end+shift]
+		copy(dst[body+shift:], dst[body:end])
+	}
+	copy(dst[at:], n)
+	dst[at+len(n)] = ':'
 	return dst
 }
 
@@ -100,69 +98,71 @@ func (t *TupleState) appendKey(dst []byte) []byte {
 // performs π and every other component does not change state. The
 // partition of the composition is the union of the components'
 // partitions, with class names qualified by the component name.
+//
+// Compose compiles it down to its leaves, the components at any depth
+// that are not a Hide/Rename chain over a composition. Hiding and
+// renaming change only the signature (§2.1.2, §2.1.3): they are resolved
+// once, into a route per action and a list of Enabled segments.
 type Composite struct {
-	name  string
-	comps []Automaton
-	sig   Signature
-	parts []Class
-	// who[a] lists the indices of components having action a.
-	who map[Action][]int
-	// classOwner[i] is the component index owning composite class i.
-	classOwner []int
-	// memo caches per-component transition and enabled-set results,
-	// one cache per leaf component. Sound because Automaton requires
-	// Next/Enabled to be deterministic functions of their arguments;
-	// safe for concurrent exploration because each cache is sharded
-	// behind RW mutexes. A component that is itself a composition
-	// (under Hide/Rename) has a nil entry and is stepped directly: its
-	// own leaves are memoised already, and its state key is nearly the
-	// whole global state, so a row per inner state would be retained
-	// for close to no hits.
-	memo []*compMemo
-	// obsMemo, when non-nil, counts cache hits and misses. Writes are
-	// sharded by the memo hash, so concurrent workers touching
-	// different shards also touch different counter stripes.
+	name    string
+	comps   []Automaton
+	sig     Signature
+	parts   []Class
+	nodes   []node  // a state's tuples: nodes[0] the state, parents first
+	leaves  []*leaf // in component order, depth first
+	routes  map[Action]route
+	enabled []segment // what Enabled concatenates
 	obsMemo *obs.MemoMetrics
 }
 
-// memoShardCount shards each component cache to keep lock contention
-// low under parallel exploration.
-const memoShardCount = 16
+// A node is a tuple: part `part` of node `parent`, the state of a
+// composition of arity components.
+type node struct{ parent, part, arity int }
 
-// compMemo is one component's transition/enabled cache.
-type compMemo struct {
-	shards [memoShardCount]memoShard
+// A leaf is a component stepped by its own Next and Enabled, at part
+// `part` of node `node`. renames carry its actions to the composite's,
+// innermost first; rows maps its state keys to *memoRow — sound because
+// Next and Enabled are deterministic functions of their arguments.
+type leaf struct {
+	auto       Automaton
+	node, part int
+	renames    []*Mapping
+	rows       sync.Map
 }
 
-type memoShard struct {
-	mu sync.RWMutex
-	// next maps a component state key to its per-action successor
-	// lists (a present entry means "computed", even when empty).
-	next map[string]map[Action][]State
-	// enabled maps a component state key to the component's enabled
-	// locally-controlled actions, cached verbatim (a present entry means
-	// "computed", even when the slice is nil).
-	enabled map[string][]Action
+// A memoRow is read without a lock: enabled is stored once, already
+// renamed; each route's successors are pushed onto next once computed.
+type memoRow struct {
+	enabled atomic.Pointer[[]Action]
+	next    atomic.Pointer[memoNext]
 }
 
-// memoHash assigns a state key to a cache shard (FNV-1a over the last
-// 32 bytes — structured keys share long prefixes, so the tail carries
-// the entropy and bounding the scan keeps hashing O(1) on big states).
-func memoHash(key string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	start := 0
-	if len(key) > 32 {
-		start = len(key) - 32
-	}
-	h := uint32(offset32)
-	for i := start; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
-	}
-	return h
+type memoNext struct {
+	route  int
+	states []State
+	more   *memoNext
+}
+
+// A route steps one action: the leaves owning it, each by its own name
+// for it, in the order the component-by-component cross product walks
+// them, and the tuples they sit in (nodes[0] the state, parents first).
+// An owner's state is part `part` of route node `at`.
+type route struct {
+	id     int
+	owners []owner
+	nodes  []node
+}
+
+type owner struct {
+	leaf, at, part int
+	act            Action
+}
+
+// A segment of Enabled is a leaf's list (leaf ≥ 0) or a constant — a
+// Hide's newly local inputs — counted while node `node` is well formed.
+type segment struct {
+	leaf, node int
+	acts       []Action
 }
 
 var _ Automaton = (*Composite)(nil)
@@ -181,33 +181,157 @@ func Compose(name string, comps ...Automaton) (*Composite, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ioa: compose %s: %w", name, err)
 	}
-	who := make(map[Action][]int)
-	for i, c := range comps {
-		for a := range c.Sig().Acts() {
+	var parts []Class
+	for _, c := range comps {
+		for _, cl := range c.Parts() {
+			parts = append(parts, Class{Name: c.Name() + "/" + cl.Name, Actions: cl.Actions.Clone()})
+		}
+	}
+	c := &Composite{name: name, comps: comps, sig: sig, parts: parts}
+	c.compile()
+	return c, nil
+}
+
+// compile builds the nodes, leaves, segments and routes. A nested
+// composition was compiled by its own Compose: its tables are copied
+// in, renumbered and carried through the chain over it, so compiling
+// is linear in the signature times the depth.
+func (c *Composite) compile() {
+	c.nodes = []node{{parent: -1, arity: len(c.comps)}}
+	type nested struct {
+		inner              *Composite  // nil for a leaf
+		chain              []Automaton // outermost first
+		nodeBase, leafBase int         // a leaf's leafBase is its leaf
+	}
+	sub := make([]nested, len(c.comps))
+	for i, comp := range c.comps {
+		chain, under := wrappers(comp)
+		inner, _ := under.(*Composite)
+		n := &sub[i]
+		*n = nested{inner, chain, len(c.nodes), len(c.leaves)}
+		if inner == nil {
+			c.enabled = append(c.enabled, segment{leaf: n.leafBase})
+			c.leaves = append(c.leaves, &leaf{auto: comp, part: i})
+			continue
+		}
+		var renames []*Mapping // innermost first
+		for j := len(chain) - 1; j >= 0; j-- {
+			if r, ok := chain[j].(*Renamed); ok {
+				renames = append(renames, r.m)
+			}
+		}
+		c.nodes = append(c.nodes, node{0, i, len(inner.comps)})
+		for _, nd := range inner.nodes[1:] {
+			c.nodes = append(c.nodes, node{nd.parent + n.nodeBase, nd.part, nd.arity})
+		}
+		for _, l := range inner.leaves {
+			c.leaves = append(c.leaves, &leaf{auto: l.auto, node: n.nodeBase + l.node, part: l.part,
+				renames: append(slices.Clip(l.renames), renames...)})
+		}
+		for _, seg := range inner.enabled {
+			if seg.leaf >= 0 {
+				seg.leaf += n.leafBase
+			}
+			c.enabled = append(c.enabled, segment{seg.leaf, seg.node + n.nodeBase, applyAll(renames, seg.acts)})
+		}
+		// A Hide appends its newly local inputs after everything under
+		// it, renamed by the Renames over it.
+		for j, below := len(chain)-1, 0; j >= 0; j-- {
+			switch w := chain[j].(type) {
+			case *Renamed:
+				below++
+			case *hidden:
+				if len(w.newlyLocal) > 0 {
+					c.enabled = append(c.enabled, segment{leaf: -1, acts: applyAll(renames[below:], w.newlyLocal)})
+				}
+			}
+		}
+	}
+
+	who := make(map[Action][]int) // the components having each action, in order
+	for i, comp := range c.comps {
+		for a := range comp.Sig().Acts() {
 			who[a] = append(who[a], i)
 		}
 	}
-	var parts []Class
-	var owner []int
-	for i, c := range comps {
-		for _, cl := range c.Parts() {
-			parts = append(parts, Class{
-				Name:    c.Name() + "/" + cl.Name,
-				Actions: cl.Actions.Clone(),
-			})
-			owner = append(owner, i)
+	c.routes = make(map[Action]route)
+actions:
+	for id, a := range c.sig.Acts().Sorted() {
+		var owners []owner
+		for _, i := range who[a] {
+			n := &sub[i]
+			if n.inner == nil {
+				owners = append(owners, owner{leaf: n.leafBase, act: a})
+				continue
+			}
+			ia, ok := a, true // what the chain's Renames pass down
+			for _, w := range n.chain {
+				if r, isRename := w.(*Renamed); isRename && ok {
+					ia, ok = r.inv[ia]
+				}
+			}
+			r, found := n.inner.routes[ia]
+			if !ok || !found {
+				continue actions // the component cannot step a, so neither can c
+			}
+			for _, o := range r.owners {
+				owners = append(owners, owner{leaf: n.leafBase + o.leaf, act: o.act})
+			}
+		}
+		c.routes[a] = c.route(id, owners)
+	}
+}
+
+// route finishes a route over owners: the nodes on their paths to the
+// root, in node order, and each owner's place among them.
+func (c *Composite) route(id int, owners []owner) route {
+	var at []int
+	for _, o := range owners {
+		for n := c.leaves[o.leaf].node; n >= 0 && !slices.Contains(at, n); n = c.nodes[n].parent {
+			at = append(at, n)
 		}
 	}
-	memo := make([]*compMemo, len(comps))
-	for i, c := range comps {
-		if _, nested := Unwrap(c).(*Composite); !nested {
-			memo[i] = new(compMemo)
+	slices.Sort(at)
+	r := route{id: id, owners: owners, nodes: make([]node, len(at))}
+	for k, n := range at {
+		nd := c.nodes[n]
+		r.nodes[k] = node{parent: slices.Index(at, nd.parent), part: nd.part, arity: nd.arity}
+	}
+	for k, o := range owners {
+		r.owners[k].at, r.owners[k].part = slices.Index(at, c.leaves[o.leaf].node), c.leaves[o.leaf].part
+	}
+	return r
+}
+
+// wrappers splits a into its Hide/Rename chain, outermost first, and
+// the automaton under it.
+func wrappers(a Automaton) ([]Automaton, Automaton) {
+	var chain []Automaton
+	for {
+		switch w := a.(type) {
+		case *hidden:
+			chain, a = append(chain, w), w.inner
+		case *Renamed:
+			chain, a = append(chain, w), w.inner
+		default:
+			return chain, a
 		}
 	}
-	return &Composite{
-		name: name, comps: comps, sig: sig, parts: parts, who: who, classOwner: owner,
-		memo: memo,
-	}, nil
+}
+
+// applyAll maps acts through renames, innermost first.
+func applyAll(renames []*Mapping, acts []Action) []Action {
+	if len(renames) == 0 || len(acts) == 0 {
+		return acts
+	}
+	out := make([]Action, len(acts))
+	for i, a := range acts {
+		for _, m := range renames {
+			a = m.Apply(a)
+		}
+		out[i] = a
+	}
+	return out
 }
 
 // SetObs attaches (or, with nil, detaches) memo-cache metrics.
@@ -215,11 +339,10 @@ func Compose(name string, comps ...Automaton) (*Composite, error) {
 // counters. Not safe to toggle while other goroutines are stepping
 // the composite.
 func (c *Composite) SetObs(o *obs.Obs) {
-	if o == nil {
-		c.obsMemo = nil
-		return
+	c.obsMemo = nil
+	if o != nil {
+		c.obsMemo = o.Memo
 	}
-	c.obsMemo = o.Memo
 }
 
 // SetObsDeep applies SetObs to every Composite in the automaton tree,
@@ -246,81 +369,58 @@ func SetObsDeep(a Automaton, o *obs.Obs) {
 	}
 }
 
-// compNext is comp[i].Next(s, a): through the memo layer when
-// component i has one, collected borrowed in sc when it has none and
-// the walk has a scratch.
-func (c *Composite) compNext(sc *Scratch, i int, s State, a Action) []State {
-	memo := c.memo[i]
-	if memo == nil {
-		if sc != nil {
-			return sc.next(c.comps[i], s, a)
-		}
-		return c.comps[i].Next(s, a)
+// row is leaf i's memo row for state s, created empty on first use.
+func (c *Composite) row(i int, s State) *memoRow {
+	rows := &c.leaves[i].rows
+	if r, ok := rows.Load(s.Key()); ok {
+		return r.(*memoRow)
 	}
-	key := s.Key()
-	h := memoHash(key)
-	sh := &memo.shards[h%memoShardCount]
-	sh.mu.RLock()
-	if row, ok := sh.next[key]; ok {
-		if out, ok := row[a]; ok {
-			sh.mu.RUnlock()
-			if m := c.obsMemo; m != nil {
-				m.NextHit.AddShard(int(h), 1)
-			}
-			return out
-		}
-	}
-	sh.mu.RUnlock()
-	if m := c.obsMemo; m != nil {
-		m.NextMiss.AddShard(int(h), 1)
-	}
-	out := c.comps[i].Next(s, a)
-	sh.mu.Lock()
-	if sh.next == nil {
-		sh.next = make(map[string]map[Action][]State)
-	}
-	row, ok := sh.next[key]
-	if !ok {
-		row = make(map[Action][]State)
-		sh.next[key] = row
-	}
-	row[a] = out
-	sh.mu.Unlock()
-	return out
+	r, _ := rows.LoadOrStore(s.Key(), new(memoRow))
+	return r.(*memoRow)
 }
 
-// compEnabled is comp[i].Enabled(s), through the memo layer when
-// component i has one. The component's result is cached verbatim
-// (same actions, same order), so callers observe exactly the uncached
-// behavior.
-func (c *Composite) compEnabled(i int, s State) []Action {
-	memo := c.memo[i]
-	if memo == nil {
-		return c.comps[i].Enabled(s)
-	}
-	key := s.Key()
-	h := memoHash(key)
-	sh := &memo.shards[h%memoShardCount]
-	sh.mu.RLock()
-	if out, ok := sh.enabled[key]; ok {
-		sh.mu.RUnlock()
-		if m := c.obsMemo; m != nil {
-			m.EnabledHit.AddShard(int(h), 1)
+// leafNext is leaf o.leaf's successors of s by o.act, through its memo
+// row, where route id's entry holds them.
+func (c *Composite) leafNext(id int, o owner, s State) []State {
+	row := c.row(o.leaf, s)
+	for e := row.next.Load(); e != nil; e = e.more {
+		if e.route == id {
+			if m := c.obsMemo; m != nil {
+				m.NextHit.AddShard(o.leaf, 1)
+			}
+			return e.states
 		}
-		return out
 	}
-	sh.mu.RUnlock()
 	if m := c.obsMemo; m != nil {
-		m.EnabledMiss.AddShard(int(h), 1)
+		m.NextMiss.AddShard(o.leaf, 1)
 	}
-	out := c.comps[i].Enabled(s)
-	sh.mu.Lock()
-	if sh.enabled == nil {
-		sh.enabled = make(map[string][]Action)
+	// Racing goroutines push equal lists; lookups find the first.
+	e := &memoNext{route: id, states: c.leaves[o.leaf].auto.Next(s, o.act)}
+	for {
+		e.more = row.next.Load()
+		if row.next.CompareAndSwap(e.more, e) {
+			return e.states
+		}
 	}
-	sh.enabled[key] = out
-	sh.mu.Unlock()
-	return out
+}
+
+// leafEnabled is leaf i's Enabled(s) in the composite's actions,
+// through its memo row: the same actions in the same order.
+func (c *Composite) leafEnabled(i int, s State) []Action {
+	row := c.row(i, s)
+	if en := row.enabled.Load(); en != nil {
+		if m := c.obsMemo; m != nil {
+			m.EnabledHit.AddShard(i, 1)
+		}
+		return *en
+	}
+	if m := c.obsMemo; m != nil {
+		m.EnabledMiss.AddShard(i, 1)
+	}
+	l := c.leaves[i]
+	en := applyAll(l.renames, l.auto.Enabled(s))
+	row.enabled.Store(&en)
+	return en
 }
 
 // MustCompose is Compose but panics on error.
@@ -363,17 +463,27 @@ func (c *Composite) Start() []State {
 	return out
 }
 
-// tuple returns s as a state of c — a tuple with one part per
-// component — or nil for anything else: a state of another automaton,
-// or a tuple of the wrong arity (a state of another composition, a
-// truncated domain tuple). Next, VisitNext and Enabled all answer
-// "no step" for those.
-func (c *Composite) tuple(s State) *TupleState {
-	ts, ok := s.(*TupleState)
-	if !ok || len(ts.parts) != len(c.comps) {
-		return nil
+// resolve appends to dst the tuple of each of nodes in s, nil where that
+// is not its composition's state — another automaton's state, a tuple of
+// the wrong arity (a truncated domain tuple), or a part of one. Such a
+// component has no step and nothing enabled but what wrappers add.
+func resolve(nodes []node, s State, dst []*TupleState) []*TupleState {
+	for _, n := range nodes {
+		p := s
+		if n.parent >= 0 {
+			if dst[n.parent] == nil {
+				dst = append(dst, nil)
+				continue
+			}
+			p = dst[n.parent].parts[n.part]
+		}
+		ts, ok := p.(*TupleState)
+		if !ok || len(ts.parts) != n.arity {
+			ts = nil
+		}
+		dst = append(dst, ts)
 	}
-	return ts
+	return dst
 }
 
 // Next implements Automaton: all components sharing the action step
@@ -390,36 +500,37 @@ func (c *Composite) Next(s State, a Action) []State {
 // Enabled implements Automaton. By Corollary 3 of the paper, a
 // locally-controlled action of component i is enabled in the
 // composition iff it is enabled in component i (all other components
-// see it as an input, which is always enabled).
+// see it as an input, which is always enabled). The leaves' rows and
+// the constant segments are gathered first, so the result is allocated
+// once at its final size.
 func (c *Composite) Enabled(s State) []Action {
-	ts := c.tuple(s)
-	if ts == nil {
+	var tupleStack [8]*TupleState
+	tuples := resolve(c.nodes, s, tupleStack[:0])
+	if tuples[0] == nil {
 		return nil
 	}
-	// Gather the components' lists first so the result is allocated
-	// once at its final size; the array keeps the gathering on the
-	// stack for compositions of ordinary width.
-	var stack [enabledStack][]Action
-	per, n := stack[:0], 0
-	for i, part := range ts.parts {
-		en := c.compEnabled(i, part)
-		per = append(per, en)
-		n += len(en)
+	var listStack [32][]Action
+	lists, n := listStack[:0], 0
+	for _, seg := range c.enabled {
+		t := tuples[seg.node]
+		if t == nil {
+			continue
+		}
+		en := seg.acts
+		if seg.leaf >= 0 {
+			en = c.leafEnabled(seg.leaf, t.parts[c.leaves[seg.leaf].part])
+		}
+		lists, n = append(lists, en), n+len(en)
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]Action, 0, n)
-	for _, en := range per {
+	for _, en := range lists {
 		out = append(out, en...)
 	}
 	return out
 }
-
-// enabledStack is how many components' enabled lists Enabled gathers
-// without a heap allocation (the closed level-3 arbiter on a seven-user
-// tree is eight components over a composition of seven).
-const enabledStack = 16
 
 // Parts implements Automaton.
 func (c *Composite) Parts() []Class { return c.parts }

@@ -44,14 +44,8 @@ func HideOutputsExcept(a Automaton, keep Set) Automaton {
 // Unwrap returns the automaton underneath Hide/Rename wrappers, or a
 // itself.
 func Unwrap(a Automaton) Automaton {
-	switch w := a.(type) {
-	case *hidden:
-		return Unwrap(w.inner)
-	case *Renamed:
-		return Unwrap(w.inner)
-	default:
-		return a
-	}
+	_, under := wrappers(a)
+	return under
 }
 
 // Name implements Automaton.

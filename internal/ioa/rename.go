@@ -109,6 +109,7 @@ type Renamed struct {
 	m     *Mapping
 	sig   Signature
 	parts []Class
+	inv   map[Action]Action // each action of sig to the inner action it steps
 }
 
 var _ Automaton = (*Renamed)(nil)
@@ -127,7 +128,11 @@ func Rename(a Automaton, m *Mapping) (*Renamed, error) {
 	for _, c := range a.Parts() {
 		parts = append(parts, Class{Name: c.Name, Actions: m.applySet(c.Actions)})
 	}
-	return &Renamed{inner: a, m: m, sig: sig, parts: parts}, nil
+	inv := make(map[Action]Action)
+	for b := range sig.Acts() {
+		inv[b] = m.Invert(b)
+	}
+	return &Renamed{inner: a, m: m, sig: sig, parts: parts, inv: inv}, nil
 }
 
 // MustRename is Rename but panics on error.
@@ -150,10 +155,11 @@ func (r *Renamed) Start() []State { return r.inner.Start() }
 
 // Next implements Automaton.
 func (r *Renamed) Next(s State, a Action) []State {
-	if !r.sig.HasAction(a) {
+	ia, ok := r.inv[a]
+	if !ok {
 		return nil
 	}
-	return r.inner.Next(s, r.m.Invert(a))
+	return r.inner.Next(s, ia)
 }
 
 // Enabled implements Automaton.

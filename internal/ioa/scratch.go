@@ -4,10 +4,8 @@ import "sync/atomic"
 
 // A Scratch is one goroutine's bump memory for successor tuples: part
 // slots and TupleState headers handed out of fixed chunks that are
-// allocated once and never move, and the lists the successors of
-// unmemoised nested components are collected in. Reset rewinds all
-// three, so a walk that borrows its successors allocates nothing once
-// the chunks exist.
+// allocated once and never move. Reset rewinds both, so a walk that
+// borrows its successors allocates nothing once the chunks exist.
 //
 // A state built in a Scratch is borrowed: it — and every nested tuple
 // it was built over — is valid until the next Reset of that Scratch and
@@ -21,14 +19,6 @@ type Scratch struct {
 	// request that moved on).
 	slotChunk, slotUsed int
 	headChunk, headUsed int
-	// lists[d] holds the successors collected from unmemoised components
-	// d compositions down (a component that is itself collecting borrows
-	// the next list, so the two never interleave). A list only grows
-	// between Resets: a reallocation leaves the views already taken
-	// pointing at the old array, whose contents nothing rewrites.
-	lists   [][]State
-	collect []func(State) bool // collect[d] appends to lists[d]; bound once, so collecting allocates no closure
-	depth   int
 }
 
 const (
@@ -65,9 +55,6 @@ func (sc *Scratch) Reset() {
 		sc.poison()
 	}
 	sc.slotChunk, sc.slotUsed, sc.headChunk, sc.headUsed = 0, 0, 0, 0
-	for d := range sc.lists {
-		sc.lists[d] = sc.lists[d][:0]
-	}
 }
 
 // poison overwrites what was handed out and drops the memory, so no
@@ -82,12 +69,6 @@ func (sc *Scratch) poison() {
 		for i := range chunk {
 			chunk[i].key.Store(nil)
 		}
-	}
-	for d, list := range sc.lists {
-		for i := range list {
-			list[i] = poisonState{}
-		}
-		sc.lists[d] = nil
 	}
 	sc.slots, sc.heads = nil, nil
 }
@@ -125,25 +106,6 @@ func (sc *Scratch) tuple(parts []State) *TupleState {
 		t.key.Store(nil)
 	}
 	return t
-}
-
-// next collects comp's successors of s by a, borrowed: what comp.Next
-// would return, in order, without its fresh slice or — where comp offers
-// the borrowed walk — its fresh tuples. The result is valid until Reset.
-func (sc *Scratch) next(comp Automaton, s State, a Action) []State {
-	d := sc.depth
-	if d == len(sc.lists) {
-		sc.lists = append(sc.lists, nil)
-		sc.collect = append(sc.collect, func(s State) bool {
-			sc.lists[d] = append(sc.lists[d], s)
-			return true
-		})
-	}
-	from := len(sc.lists[d])
-	sc.depth++
-	VisitBorrowed(comp, sc, s, a, sc.collect[d])
-	sc.depth--
-	return sc.lists[d][from:len(sc.lists[d]):len(sc.lists[d])]
 }
 
 // Keep returns a state equal to s that outlives any Scratch: s itself

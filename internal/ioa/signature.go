@@ -132,8 +132,7 @@ func Compatible(sigs ...Signature) error {
 				return fmt.Errorf("%w: shared output actions %v (components %d, %d)",
 					ErrIncompatible, shared, i, j)
 			}
-			if !sigs[i].internal.Disjoint(sigs[j].Acts()) {
-				shared := sigs[i].internal.Intersect(sigs[j].Acts())
+			if shared := sigs[i].internal.Filter(sigs[j].HasAction); shared.Len() > 0 {
 				return fmt.Errorf("%w: internal actions %v of component %d appear in component %d",
 					ErrIncompatible, shared, i, j)
 			}

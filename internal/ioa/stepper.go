@@ -1,5 +1,7 @@
 package ioa
 
+import "slices"
+
 // A Stepper is an optional successor-visitor fast path for Automaton
 // implementations. VisitNext enumerates exactly the states Next(s, a)
 // would return, in the same order, but hands them to yield one at a
@@ -108,43 +110,50 @@ func (c *Composite) VisitNext(s State, a Action, yield func(State) bool) bool {
 
 // VisitBorrowed implements BorrowStepper, and is a composition's one
 // successor enumerator (VisitNext is its nil-scratch case and Next
-// collects that). Every owner of the action steps at once — on the
-// arbiter systems the synchronising case is the common one: each send,
-// receive and user-facing action has two owners — and the other
-// components keep their state. An odometer over the owners' successor
-// lists, first owner most significant, walks their cross product in
-// place; a successor is a copy of the parent's part vector with the
+// collects that). Every leaf owning the action steps at once — on the
+// arbiter systems most actions have two owners — and the others stay.
+// An odometer over the owners' successor lists, first owner most
+// significant, walks their cross product in the order stepping each
+// nested composition and then the one over it would. A successor is a
+// copy of the parent's tuple and of each nested tuple an owner sits in,
 // owners' slots overwritten, in sc when there is one; an owner that
-// cannot step means no step at all.
+// cannot step, or sits in a malformed tuple, means no step at all.
 func (c *Composite) VisitBorrowed(sc *Scratch, s State, a Action, yield func(State) bool) bool {
-	ts := c.tuple(s)
-	if ts == nil {
+	r, ok := c.routes[a]
+	if !ok {
 		return true
 	}
-	owners := c.who[a]
-	if len(owners) == 0 {
+	// Arrays keep the walk on the stack for up to four nodes and owners.
+	var fromStack, toStack [4]*TupleState
+	from := resolve(r.nodes, s, fromStack[:0])
+	if slices.Contains(from, nil) {
 		return true
 	}
-	// Arrays keep the odometer on the stack for up to four owners.
 	var choiceStack [4][]State
 	var idxStack [4]int
 	choices, idx := choiceStack[:0], idxStack[:0]
-	for _, i := range owners {
-		next := c.compNext(sc, i, ts.parts[i], a)
+	for _, o := range r.owners {
+		next := c.leafNext(r.id, o, from[o.at].parts[o.part])
 		if len(next) == 0 {
 			return true
 		}
 		choices, idx = append(choices, next), append(idx, 0)
 	}
+	to := append(toStack[:0], from...)
 	for {
-		nxt := sc.tuple(ts.parts)
-		for k, i := range owners {
-			nxt.parts[i] = choices[k][idx[k]]
+		for k, n := range r.nodes {
+			to[k] = sc.tuple(from[k].parts)
+			if n.parent >= 0 {
+				to[n.parent].parts[n.part] = to[k]
+			}
 		}
-		if !yield(nxt) {
+		for k, o := range r.owners {
+			to[o.at].parts[o.part] = choices[k][idx[k]]
+		}
+		if !yield(to[0]) {
 			return false
 		}
-		k := len(owners) - 1
+		k := len(r.owners) - 1
 		for ; k >= 0; k-- {
 			if idx[k]++; idx[k] < len(choices[k]) {
 				break
@@ -181,10 +190,11 @@ func (r *Renamed) VisitNext(s State, a Action, yield func(State) bool) bool {
 
 // VisitBorrowed implements BorrowStepper; a nil sc makes it VisitNext.
 func (r *Renamed) VisitBorrowed(sc *Scratch, s State, a Action, yield func(State) bool) bool {
-	if !r.sig.HasAction(a) {
+	ia, ok := r.inv[a]
+	if !ok {
 		return true
 	}
-	return VisitBorrowed(r.inner, sc, s, r.m.Invert(a), yield)
+	return VisitBorrowed(r.inner, sc, s, ia, yield)
 }
 
 var _ BorrowStepper = (*Renamed)(nil)

@@ -2,6 +2,7 @@ package ioa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +93,54 @@ func TestTupleEncodingIsJoinKeys(t *testing.T) {
 			}
 			if ts.Key() != key {
 				t.Errorf("%s, %s: Key() not stable", name, order)
+			}
+		}
+	}
+}
+
+// TestNestedFrameDigitBoundaries: a nested tuple's frame is written in
+// one pass, its length prefix reserved at a guessed width and fixed up
+// after. Inner keys on both sides of every digit boundary the guess can
+// miss, two and three tuples deep, with the inner key cached or not, on
+// heap and on borrowed tuples, must all read as JoinKeys.
+func TestNestedFrameDigitBoundaries(t *testing.T) {
+	var sc Scratch
+	for _, n := range []int{9, 10, 99, 100, 999, 1000} {
+		// A one-part tuple over an m-byte key is digits(m)+1+m bytes long.
+		m := n - 2
+		for len(strconv.Itoa(m))+1+m > n {
+			m--
+		}
+		for _, depth := range []int{2, 3} {
+			for _, cached := range []bool{false, true} {
+				for _, borrowed := range []bool{false, true} {
+					sc.Reset()
+					tuple := func(parts ...State) *TupleState {
+						if borrowed {
+							return sc.tuple(parts)
+						}
+						return NewTupleState(parts)
+					}
+					inner := tuple(keyOfLen(m))
+					if cached {
+						inner.Key()
+					}
+					s := tuple(keyOfLen(3), inner)
+					if depth == 3 {
+						s = tuple(s, keyOfLen(9))
+					}
+					want := refKey(s)
+					if got := len(refKey(inner)); got != n {
+						t.Fatalf("the inner key is %d bytes, want %d", got, n)
+					}
+					name := fmt.Sprintf("inner %d B, depth %d, cached %v, borrowed %v", n, depth, cached, borrowed)
+					if enc := AppendState([]byte("p"), s); string(enc) != "p"+want {
+						t.Errorf("%s: AppendState = %.60q, want %.60q", name, enc[1:], want)
+					}
+					if key := s.Key(); key != want {
+						t.Errorf("%s: Key() = %.60q, want %.60q", name, key, want)
+					}
+				}
 			}
 		}
 	}
@@ -343,6 +392,13 @@ func FuzzTupleEncoding(f *testing.F) {
 	f.Add([]byte{3, 2, 6, 2, 19, 0, 22, 0, 1, 5})
 	// One-part tuples whose own keys are 9, 10, 99 and 100 bytes long.
 	f.Add([]byte{3, 4, 3, 1, 4, 7, 3, 1, 4, 8, 3, 1, 4, 96, 3, 1, 4, 97})
+	// Three deep, the innermost key 99 bytes, and 100 bytes cached.
+	f.Add([]byte{3, 1, 3, 1, 3, 1, 4, 96})
+	f.Add([]byte{3, 1, 3, 1, 6, 1, 4, 97})
+	// An inner key of 999 bytes (three 255-byte leaves and a 218-byte
+	// one) beside a leaf, and of 1000 bytes, cached, three deep.
+	f.Add([]byte{3, 2, 3, 4, 4, 255, 4, 255, 4, 255, 4, 218, 1})
+	f.Add([]byte{3, 1, 3, 1, 6, 4, 4, 255, 4, 255, 4, 255, 4, 219})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzTuple(&data, 0)
 		want := refKey(s)

@@ -6,12 +6,13 @@ import (
 )
 
 // lockcopy flags by-value copies of structs containing sync
-// primitives — in this repository, above all the compMemo/memoShard
-// sharded-mutex caches inside ioa.Composite and the striped atomic
-// counters and histograms of internal/obs. A copied mutex splits its
-// waiters from its lockers, and a copied atomic stripe silently forks
-// the tally it accumulates, so a copied shard stops synchronizing (or
-// counting for) the structure it belongs to. The analyzer reports
+// primitives — in this repository, above all the leaf memo of
+// ioa.Composite (a sync.Map of rows whose fields are atomic pointers)
+// and the striped atomic counters and histograms of internal/obs. A
+// copied mutex splits its waiters from its lockers, and a copied atomic
+// stripe silently forks the tally it accumulates, so a copied cache or
+// counter stops synchronizing (or counting for) the structure it
+// belongs to. The analyzer reports
 // copies at assignments, call arguments, by-value
 // parameter/receiver/result declarations, range clauses, and returns.
 // Fresh values (composite literals, function call results) are not
@@ -23,7 +24,7 @@ func init() { Register(lockcopy{}) }
 func (lockcopy) Name() string { return "lockcopy" }
 
 func (lockcopy) Doc() string {
-	return "flags by-value copies of structs containing sync primitives (compMemo shards and kin)"
+	return "flags by-value copies of structs containing sync primitives (memo rows, counter stripes and kin)"
 }
 
 // syncTypes are the sync package types whose copies are invalid after

@@ -116,8 +116,9 @@ func newExploreMetrics(r *Registry) *ExploreMetrics {
 	}
 }
 
-// MemoMetrics instruments the composition transition/enabled caches
-// (ioa compMemo).
+// MemoMetrics instruments the composition transition/enabled caches:
+// the memo rows an ioa.Composite keeps per leaf state, counted at the
+// composite being stepped and striped by leaf.
 type MemoMetrics struct {
 	NextHit, NextMiss       *Counter
 	EnabledHit, EnabledMiss *Counter
