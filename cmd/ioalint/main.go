@@ -1,19 +1,20 @@
 // Command ioalint runs the repository's static analyzer suite
-// (internal/lint): five stdlib-only analyzers that enforce the IOA
+// (internal/lint): six stdlib-only analyzers that enforce the IOA
 // model's semantic contracts before anything executes — nondet,
-// purestep, partition, lockcopy, and errflow.
+// purestep, invpure, partition, lockcopy, and errflow.
 //
 // Usage:
 //
 //	ioalint [-json] [-list] [-enable a,b] [-disable c] [patterns...]
 //
-// Patterns are package directories or "dir/..." trees (default
-// "./..."); testdata directories are skipped by tree patterns but may
-// be named explicitly, which is how CI proves the suite still fails
-// on seeded violations.
+// Patterns are go package patterns (default "./..."), resolved by
+// `go list` in the current directory; "..." skips testdata
+// directories, but one may be named explicitly, which is how CI
+// proves the suite still fails on seeded violations.
 //
 // Exit codes: 0 — no diagnostics; 1 — diagnostics reported; 2 — usage
-// or load error (unparseable source, type errors, unknown analyzer).
+// or load error (an unknown analyzer, or a package go list or the type
+// checker rejects, reported at the compiler's file:line).
 //
 // Diagnostics print as file:line:col: message [analyzer]; with -json
 // they are emitted as a JSON array of objects with analyzer, file,
@@ -64,22 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(stderr, "ioalint:", err)
-		return 2
-	}
-	root, err := lint.FindModuleRoot(cwd)
-	if err != nil {
-		fmt.Fprintln(stderr, "ioalint:", err)
-		return 2
-	}
-	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fmt.Fprintln(stderr, "ioalint:", err)
-		return 2
-	}
-	pkgs, err := loader.Load(patterns...)
+	pkgs, err := lint.NewLoader().Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "ioalint:", err)
 		return 2

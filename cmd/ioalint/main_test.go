@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,23 @@ func TestRunFailsOnFixture(t *testing.T) {
 		if d.Analyzer != "nondet" {
 			t.Errorf("unexpected analyzer %q in %+v", d.Analyzer, d)
 		}
+	}
+}
+
+// TestRunLoadErrorExits2 names a fixture that does not compile: the
+// suite must refuse it with exit 2, and stderr must carry the
+// compiler's file:line for the error, not a diagnostic.
+func TestRunLoadErrorExits2(t *testing.T) {
+	var stdout, stderr strings.Builder
+	code := run([]string{"../../internal/lint/testdata/src/typeerror"}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit %d on a package that does not compile, want 2\nstderr:\n%s", code, stderr.String())
+	}
+	if !regexp.MustCompile(`(?m)typeerror\.go:5:\d+: `).MatchString(stderr.String()) {
+		t.Errorf("stderr names no typeerror.go:5 position:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("unexpected stdout:\n%s", stdout.String())
 	}
 }
 

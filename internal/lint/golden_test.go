@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -80,14 +81,7 @@ func collectWants(t *testing.T, pkg *Package) map[wantKey][]string {
 // line, and every want comment must be matched by a diagnostic.
 // Negative fixtures carry no want comments, so any diagnostic fails.
 func TestGolden(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := NewLoader()
 	for _, fx := range fixtureCases {
 		t.Run(fx.dir, func(t *testing.T) {
 			a := ByName(fx.analyzer)
@@ -126,19 +120,54 @@ func TestGolden(t *testing.T) {
 	}
 }
 
+// TestMutationMessages pins the full text of the state-mutation
+// diagnostics both purestep and invpure derive from stateWrites; the
+// golden want regexes match only a prefix of them.
+func TestMutationMessages(t *testing.T) {
+	const (
+		step = "transition function mutates its state argument (%s); return a fresh state instead (§2.1: steps are relations over immutable states)"
+		pred = "invariant predicate mutates its state argument (%s); predicates must be pure observations"
+	)
+	cases := []struct {
+		dir, path, analyzer string
+		want                map[int]string // line -> message
+	}{
+		{"puresteppos", "repro/fixture/puresteppos", "purestep", map[int]string{
+			25: fmt.Sprintf(step, "increment of v"),
+			31: fmt.Sprintf(step, "delete from map of v"),
+			43: fmt.Sprintf(step, "write to pb"),
+		}},
+		{"invpurepos", "repro/fixture/invpurepos", "invpure", map[int]string{
+			29: fmt.Sprintf(pred, "write to pb"),
+			57: fmt.Sprintf(pred, "delete from map of b"),
+		}},
+	}
+	loader := NewLoader()
+	for _, c := range cases {
+		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", c.dir), c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[int]string)
+		for _, d := range Run([]*Package{pkg}, []Analyzer{ByName(c.analyzer)}) {
+			if _, pinned := c.want[d.Line]; pinned {
+				got[d.Line] = d.Message
+			}
+		}
+		for line, want := range c.want {
+			if got[line] != want {
+				t.Errorf("%s.go:%d: got %q, want %q", c.dir, line, got[line], want)
+			}
+		}
+	}
+}
+
 // TestRepoClean is the acceptance gate for the suite itself: loading
 // every package of the repository (testdata excluded, as the go tool
 // does) and running all analyzers must produce zero diagnostics.
 func TestRepoClean(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(filepath.Join(root, "..."))
+	loader := NewLoader()
+	pkgs, err := loader.Load("../../...")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +184,7 @@ func TestRepoClean(t *testing.T) {
 // (here: missing the mandatory reason) is itself reported by the
 // pseudo-analyzer "lint".
 func TestSuppressionReasonRequired(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := NewLoader()
 	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "badignore"), "repro/fixture/badignore")
 	if err != nil {
 		t.Fatal(err)

@@ -20,13 +20,14 @@ import (
 // lets map-iteration order reach its result, makes the verdict
 // irreproducible.
 //
-// The purity check reuses the purestep taint pass (aliasTaint,
-// writeViolation, taintedRoot): the ioa.State parameters are tainted
-// references, and any write that reaches the original is reported.
-// Map ranges inside a predicate are flagged only when an iteration
-// variable flows into a return result or an appended slice —
-// condition-only use (existence tests, counting) is order-insensitive
-// and exempt.
+// Predicates are found by purestep's anchor index (eachAnchored), and
+// writes reaching the state by its taint pass (stateWrites). The clock
+// and random reads are nondet's call classifier (nondetCall), and map
+// order is nondet's walk (mapOrderFlows), of which a predicate reports
+// an iteration variable flowing into a return result or an appended
+// slice — condition-only use (existence tests, counting) is
+// order-insensitive and exempt. What invpure checks on its own is the
+// write to a captured variable.
 type invpure struct{}
 
 func init() { Register(invpure{}) }
@@ -69,237 +70,78 @@ func isLatticeLemma(t types.Type) bool {
 }
 
 func (invpure) Run(p *Pass) {
-	decls := make(map[*types.Func]*ast.FuncDecl)
-	for _, f := range p.Pkg.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
-				}
-			}
-		}
-	}
-	analyzed := make(map[ast.Node]bool)
-	checkArg := func(arg ast.Expr) {
-		switch arg := ast.Unparen(arg).(type) {
-		case *ast.FuncLit:
-			if !analyzed[arg] {
-				analyzed[arg] = true
-				checkInvFunc(p, arg.Type, arg.Body)
-			}
-		case *ast.Ident:
-			if target, ok := p.Pkg.Info.Uses[arg].(*types.Func); ok {
-				if fd := decls[target]; fd != nil && !analyzed[fd] {
-					analyzed[fd] = true
-					checkInvFunc(p, fd.Type, fd.Body)
-				}
-			}
-		}
-	}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				fn := p.CalleeFunc(n)
-				if fn == nil {
-					return true
-				}
+	eachAnchored(p, func(n ast.Node) []ast.Expr {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if fn := p.CalleeFunc(n); fn != nil {
 				if idx := predicateArg(fn); idx >= 0 && idx < len(n.Args) {
-					checkArg(n.Args[idx])
+					return n.Args[idx : idx+1]
 				}
-			case *ast.CompositeLit:
-				t := p.TypeOf(n)
-				if t == nil || !isLatticeLemma(t) {
-					return true
-				}
-				for _, elt := range n.Elts {
-					kv, ok := elt.(*ast.KeyValueExpr)
-					if !ok {
-						continue
-					}
+			}
+		case *ast.CompositeLit:
+			if !isLatticeLemma(p.TypeOf(n)) {
+				break
+			}
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Pred" {
-						checkArg(kv.Value)
+						return []ast.Expr{kv.Value}
 					}
 				}
 			}
-			return true
-		})
-	}
+		}
+		return nil
+	}, func(ft *ast.FuncType, body *ast.BlockStmt) { checkPredicate(p, ft, body) })
 }
 
-// checkInvFunc runs every invpure obligation over one predicate: no
+// checkPredicate runs every invpure obligation over one predicate: no
 // writes reaching the state argument, no writes to captured
 // variables, no wall-clock or global-random reads, and no
 // map-iteration order flowing into the result.
-func checkInvFunc(p *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
+func checkPredicate(p *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 	if body == nil {
 		return
 	}
-	taint := make(map[types.Object]int)
-	for _, field := range ft.Params.List {
-		t := p.TypeOf(field.Type)
-		if t == nil || !isIoaState(t) {
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := p.Pkg.Info.Defs[name]; obj != nil {
-				taint[obj] = taintRef
-			}
-		}
-	}
-	// captured reports whether obj is a variable declared outside this
-	// function literal — a write to it leaks across evaluations.
-	captured := func(obj types.Object) bool {
-		v, ok := obj.(*types.Var)
-		if !ok || v.IsField() {
-			return false
-		}
-		return v.Pos() < ft.Pos() || v.Pos() > body.End()
-	}
-	checkWrite := func(n ast.Node, lhs ast.Expr, verb string) {
-		if obj, bad := writeViolation(p, taint, lhs); bad {
-			p.Reportf(n.Pos(), "invariant predicate mutates its state argument (%s of %s); predicates must be pure observations", verb, obj.Name())
-			return
-		}
-		if obj := baseIdent(p, lhs); obj != nil && captured(obj) {
-			p.Reportf(n.Pos(), "invariant predicate writes captured variable %s; the certificate would depend on evaluation order", obj.Name())
+	stateWrites(p, ft, body, func(n ast.Node, what string) {
+		p.Reportf(n.Pos(), "invariant predicate mutates its state argument (%s); predicates must be pure observations", what)
+	})
+	// A write to a variable declared outside this function leaks
+	// across evaluations.
+	captured := func(n ast.Node, lhs ast.Expr) {
+		v, ok := p.objectOf(peel(lhs, nil)).(*types.Var)
+		if ok && !v.IsField() && (v.Pos() < ft.Pos() || v.Pos() > body.End()) {
+			p.Reportf(n.Pos(), "invariant predicate writes captured variable %s; the certificate would depend on evaluation order", v.Name())
 		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if len(n.Lhs) == len(n.Rhs) {
-				for i, lhs := range n.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok || id.Name == "_" {
-						continue
-					}
-					if level := aliasTaint(p, taint, n.Rhs[i]); level != taintNone {
-						if obj := p.objectOf(id); obj != nil && taint[obj] < level {
-							taint[obj] = level
-						}
-					}
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					captured(n, lhs)
 				}
-			}
-			if n.Tok == token.DEFINE {
-				return true
-			}
-			for _, lhs := range n.Lhs {
-				checkWrite(n, lhs, "write to")
 			}
 		case *ast.IncDecStmt:
-			checkWrite(n, n.X, "increment of")
+			captured(n, n.X)
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if _, builtin := p.Pkg.Info.Uses[id].(*types.Builtin); builtin && id.Name == "delete" && len(n.Args) > 0 {
-					if obj := taintedRoot(p, taint, n.Args[0]); obj != nil {
-						p.Reportf(n.Pos(), "invariant predicate mutates its state argument (delete from map of %s); predicates must be pure observations", obj.Name())
-					} else if obj := baseIdent(p, n.Args[0]); obj != nil && captured(obj) {
-						p.Reportf(n.Pos(), "invariant predicate writes captured variable %s; the certificate would depend on evaluation order", obj.Name())
-					}
-					return true
-				}
+			if isBuiltin(p, n, "delete") {
+				captured(n, n.Args[0])
 			}
-			fn := p.CalleeFunc(n)
-			if fn == nil || fn.Pkg() == nil {
-				return true
-			}
-			switch fn.Pkg().Path() {
-			case "time":
-				if fn.Name() == "Now" && fn.Type().(*types.Signature).Recv() == nil {
-					p.Reportf(n.Pos(), "invariant predicate reads the wall clock (time.Now); the verdict becomes irreproducible")
-				}
-			case "math/rand", "math/rand/v2":
-				if fn.Type().(*types.Signature).Recv() == nil {
-					p.Reportf(n.Pos(), "invariant predicate calls %s.%s; a random predicate certifies nothing", fn.Pkg().Path(), fn.Name())
-				}
+			switch fn, kind := nondetCall(p, n); kind {
+			case callClock:
+				p.Reportf(n.Pos(), "invariant predicate reads the wall clock (time.Now); the verdict becomes irreproducible")
+			case callGlobalRand, callRandSource:
+				p.Reportf(n.Pos(), "invariant predicate calls %s.%s; a random predicate certifies nothing", fn.Pkg().Path(), fn.Name())
 			}
 		case *ast.RangeStmt:
-			checkPredMapRange(p, n)
-		}
-		return true
-	})
-}
-
-// baseIdent peels selectors, indexes, derefs, and type assertions off
-// an lvalue and returns the base object, if it resolves to one.
-func baseIdent(p *Pass, e ast.Expr) types.Object {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return p.objectOf(x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.TypeAssertExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// checkPredMapRange flags map ranges inside a predicate where an
-// iteration variable flows into a return result or an appended value.
-// A bool computed from unordered iteration is order-dependent exactly
-// when the iteration values reach the result; pure membership or
-// counting uses (conditions, ==, len) are exempt.
-func checkPredMapRange(p *Pass, rng *ast.RangeStmt) {
-	t := p.TypeOf(rng.X)
-	if t == nil {
-		return
-	}
-	if _, ok := t.Underlying().(*types.Map); !ok {
-		return
-	}
-	iterVars := make(map[types.Object]bool)
-	for _, e := range []ast.Expr{rng.Key, rng.Value} {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		if obj := p.objectOf(id); obj != nil {
-			iterVars[obj] = true
-		}
-	}
-	if len(iterVars) == 0 {
-		return
-	}
-	usesIter := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && iterVars[p.Pkg.Info.Uses[id]] {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	ast.Inspect(rng.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			for _, res := range n.Results {
-				// A bare boolean literal or a condition-derived bool is
-				// fine; the iteration value itself in the result is not.
-				if usesIter(res) {
-					p.Reportf(n.Pos(), "map iteration order flows into the predicate's return value; iterate sorted keys")
-					break
+			mapOrderFlows(p, n, func(at ast.Node, flow int) {
+				switch flow {
+				case flowReturn:
+					p.Reportf(at.Pos(), "map iteration order flows into the predicate's return value; iterate sorted keys")
+				case flowAppend:
+					p.Reportf(at.Pos(), "map iteration order flows into an append inside a predicate; iterate sorted keys or sort the result")
 				}
-			}
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if _, builtin := p.Pkg.Info.Uses[id].(*types.Builtin); builtin && id.Name == "append" {
-					for _, arg := range n.Args[1:] {
-						if usesIter(arg) {
-							p.Reportf(n.Pos(), "map iteration order flows into an append inside a predicate; iterate sorted keys or sort the result")
-							break
-						}
-					}
-				}
-			}
+			})
 		}
 		return true
 	})

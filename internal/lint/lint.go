@@ -1,15 +1,20 @@
 // Package lint is a from-scratch static analyzer suite for this
-// repository, built on the Go standard library only (go/parser,
-// go/ast, go/types, go/importer — no x/tools dependency). It enforces
-// the semantic contracts of the IOA model that the runtime otherwise
-// checks dynamically (or not at all): no unseeded nondeterminism in
-// trace-producing code, pure transition functions, well-formed action
-// partitions, no by-value copies of sharded-mutex caches, and no
-// silently discarded errors in the proof and exploration engines.
+// repository, built on the Go standard library and the go command
+// (go/parser, go/ast, go/types, go/importer, and `go list` to resolve
+// packages — no x/tools dependency). It enforces the semantic
+// contracts of the IOA model that the runtime otherwise checks
+// dynamically (or not at all): no unseeded nondeterminism in
+// trace-producing code, pure transition functions, pure invariant
+// predicates, well-formed action partitions, no by-value copies of
+// sharded-mutex caches, and no silently discarded errors in the proof
+// and exploration engines.
 //
 // Analyzers self-register via Register (each analyzer file carries an
 // init function), run over type-checked packages produced by a Loader,
-// and report file:line diagnostics. A diagnostic may be suppressed at
+// and report file:line diagnostics. Where two analyzers check the same
+// thing they share one walk: purestep and invpure the anchor index and
+// the state-mutation walk (purestep.go), nondet and invpure the
+// clock/rand classifier and the map-order walk (nondet.go). A diagnostic may be suppressed at
 // its site with an inline directive on the same line or the line
 // above:
 //

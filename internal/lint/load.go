@@ -1,16 +1,18 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // A Package is a loaded, type-checked package ready for analysis.
@@ -19,10 +21,8 @@ import (
 // the patterns the analyzers forbid (they route nondeterminism
 // through internal/testseed by convention).
 type Package struct {
-	// Path is the package's import path within the module.
+	// Path is the import path the package was type-checked under.
 	Path string
-	// Module is the module path (the go.mod module directive).
-	Module string
 	// Dir is the absolute directory holding the package's files.
 	Dir   string
 	Fset  *token.FileSet
@@ -31,127 +31,39 @@ type Package struct {
 	Info  *types.Info
 }
 
-// A Loader parses and type-checks the packages of one module without
-// invoking the go command: module-local imports are resolved by
-// recursively loading their directories from source, and everything
-// else (the standard library) goes through go/importer's export-data
-// reader, falling back to the source importer.
+// A Loader resolves packages the way the go command does, because it
+// asks the go command. Each Load or LoadDir runs one
+//
+//	go list -deps -export -json <patterns>
+//
+// in the current directory, which names the packages the patterns
+// match, lists each one's files with build constraints applied, and
+// writes every package's export data to the build cache. The named
+// packages are parsed and type-checked from source; their imports are
+// read from that export data by the gc importer.
 type Loader struct {
-	Fset    *token.FileSet
-	root    string // module root directory (absolute)
-	module  string // module path from go.mod
-	std     types.Importer
-	src     types.Importer
-	pkgs    map[string]*Package
-	loading map[string]bool
+	Fset *token.FileSet
 }
 
-// FindModuleRoot walks up from dir to the nearest directory containing
-// go.mod.
-func FindModuleRoot(dir string) (string, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("lint: no go.mod found above %s", dir)
-		}
-		dir = parent
-	}
+// NewLoader returns a loader with a fresh file set.
+func NewLoader() *Loader { return &Loader{Fset: token.NewFileSet()} }
+
+// listed is the part of one go list record the loader reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	DepOnly    bool
 }
 
-// NewLoader creates a loader for the module rooted at root.
-func NewLoader(root string) (*Loader, error) {
-	root, err := filepath.Abs(root)
-	if err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
-	}
-	module := ""
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			module = strings.TrimSpace(rest)
-			break
-		}
-	}
-	if module == "" {
-		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
-	}
-	fset := token.NewFileSet()
-	return &Loader{
-		Fset:    fset,
-		root:    root,
-		module:  module,
-		std:     importer.ForCompiler(fset, "gc", nil),
-		src:     importer.ForCompiler(fset, "source", nil),
-		pkgs:    make(map[string]*Package),
-		loading: make(map[string]bool),
-	}, nil
-}
-
-// Module returns the module path the loader serves.
-func (l *Loader) Module() string { return l.module }
-
-// Import implements types.Importer. Module-local paths are loaded from
-// source; all others resolve through the toolchain's export data.
-func (l *Loader) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	if l.isLocal(path) {
-		pkg, err := l.loadPath(path)
-		if err != nil {
-			return nil, err
-		}
-		return pkg.Types, nil
-	}
-	pkg, err := l.std.Import(path)
-	if err == nil {
-		return pkg, nil
-	}
-	pkg, srcErr := l.src.Import(path)
-	if srcErr != nil {
-		return nil, fmt.Errorf("lint: import %q: %v (source fallback: %v)", path, err, srcErr)
-	}
-	return pkg, nil
-}
-
-func (l *Loader) isLocal(path string) bool {
-	return path == l.module || strings.HasPrefix(path, l.module+"/")
-}
-
-// dirFor maps a module-local import path to its directory.
-func (l *Loader) dirFor(path string) string {
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")
-	return filepath.Join(l.root, filepath.FromSlash(rel))
-}
-
-// pathFor maps a directory inside the module to its import path.
-func (l *Loader) pathFor(dir string) (string, error) {
-	rel, err := filepath.Rel(l.root, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", fmt.Errorf("lint: directory %s is outside module %s", dir, l.module)
-	}
-	if rel == "." {
-		return l.module, nil
-	}
-	return l.module + "/" + filepath.ToSlash(rel), nil
-}
-
-func (l *Loader) loadPath(importPath string) (*Package, error) {
-	if pkg, ok := l.pkgs[importPath]; ok {
-		return pkg, nil
-	}
-	return l.loadDir(l.dirFor(importPath), importPath)
+// Load type-checks the packages that go package patterns match, in
+// go list's order. As with the go command, "..." patterns skip
+// testdata directories, but a directory inside testdata may be named
+// explicitly, which is how CI proves the suite can fail on seeded
+// violations.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
+	return l.load(patterns, "")
 }
 
 // LoadDir loads the package in dir under an explicit import path.
@@ -159,148 +71,82 @@ func (l *Loader) loadPath(importPath string) (*Package, error) {
 // paths so path-scoped analyzers treat them as the packages they
 // imitate.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	dir, err := filepath.Abs(dir)
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
-	if pkg, ok := l.pkgs[importPath]; ok {
-		return pkg, nil
-	}
-	return l.loadDir(dir, importPath)
-}
-
-func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
-	if l.loading[importPath] {
-		return nil, fmt.Errorf("lint: import cycle through %s", importPath)
-	}
-	l.loading[importPath] = true
-	defer delete(l.loading, importPath)
-
-	entries, err := os.ReadDir(dir)
+	pkgs, err := l.load([]string{abs}, importPath)
 	if err != nil {
-		return nil, fmt.Errorf("lint: %w", err)
+		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	files := make([]*ast.File, 0, len(names))
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, fmt.Errorf("lint: %w", err)
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	var typeErrs []error
-	conf := types.Config{
-		Importer: l,
-		Error:    func(err error) { typeErrs = append(typeErrs, err) },
-	}
-	tpkg, checkErr := conf.Check(importPath, l.Fset, files, info)
-	if len(typeErrs) > 0 {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, typeErrs[0])
-	}
-	if checkErr != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", importPath, checkErr)
-	}
-	pkg := &Package{
-		Path:   importPath,
-		Module: l.module,
-		Dir:    dir,
-		Fset:   l.Fset,
-		Files:  files,
-		Types:  tpkg,
-		Info:   info,
-	}
-	l.pkgs[importPath] = pkg
-	return pkg, nil
+	return pkgs[0], nil
 }
 
-// Load expands patterns to packages and loads each. A pattern is a
-// directory path, or a path ending in "..." which walks the directory
-// tree beneath it; the walk skips testdata, vendor, hidden, and
-// underscore-prefixed directories (matching the go command), but an
-// explicit directory argument — including one inside testdata — is
-// always loaded, which is how CI proves the suite can fail on seeded
-// violations.
-func (l *Loader) Load(patterns ...string) ([]*Package, error) {
-	var dirs []string
-	seen := make(map[string]bool)
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
+// load lists patterns with the go command and type-checks every
+// package they name, under importPath when it is not empty.
+func (l *Loader) load(patterns []string, importPath string) ([]*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,GoFiles,DepOnly"}, patterns...)...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list: %v\n%s", err, bytes.TrimSpace(stderr.Bytes()))
+	}
+	exports := make(map[string]string)
+	var targets []listed
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listed
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("lint: go list: %w", err)
+		}
+		exports[p.ImportPath] = p.Export
+		if !p.DepOnly {
+			targets = append(targets, p)
 		}
 	}
-	for _, pat := range patterns {
-		if base, ok := strings.CutSuffix(pat, "..."); ok {
-			base = strings.TrimSuffix(base, "/")
-			if base == "" {
-				base = "."
-			}
-			absBase, err := filepath.Abs(base)
-			if err != nil {
-				return nil, err
-			}
-			err = filepath.WalkDir(absBase, func(path string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if d.IsDir() {
-					name := d.Name()
-					if path != absBase && (name == "testdata" || name == "vendor" ||
-						strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-						return filepath.SkipDir
-					}
-					return nil
-				}
-				name := d.Name()
-				if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") &&
-					!strings.HasPrefix(name, "_") && !strings.HasPrefix(name, ".") {
-					add(filepath.Dir(path))
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			abs, err := filepath.Abs(pat)
-			if err != nil {
-				return nil, err
-			}
-			add(abs)
-		}
+	if len(targets) == 0 {
+		return nil, fmt.Errorf("lint: %v matched no packages", patterns)
 	}
-	sort.Strings(dirs)
-	pkgs := make([]*Package, 0, len(dirs))
-	for _, dir := range dirs {
-		importPath, err := l.pathFor(dir)
-		if err != nil {
-			return nil, err
+	imp := importer.ForCompiler(l.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-		pkg, err := l.LoadDir(dir, importPath)
+		return os.Open(exports[path])
+	})
+	pkgs := make([]*Package, 0, len(targets))
+	for _, t := range targets {
+		if importPath != "" {
+			t.ImportPath = importPath
+		}
+		pkg, err := l.check(t, imp)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// check parses one listed package's files and type-checks them.
+func (l *Loader) check(t listed, imp types.Importer) (*Package, error) {
+	files := make([]*ast.File, 0, len(t.GoFiles))
+	for _, name := range t.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(t.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(t.ImportPath, l.Fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: type-checking %s: %w", t.ImportPath, err)
+	}
+	return &Package{Path: t.ImportPath, Dir: t.Dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
 }

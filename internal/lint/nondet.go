@@ -58,35 +58,73 @@ func (nondet) Run(p *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				fn := p.CalleeFunc(n)
-				if fn == nil || fn.Pkg() == nil {
-					return true
-				}
-				switch fn.Pkg().Path() {
-				case "time":
-					if fn.Name() == "Now" && fn.Type().(*types.Signature).Recv() == nil {
-						p.Reportf(n.Pos(), "time.Now makes runs irreproducible; inject a clock or route through internal/testseed")
-					}
-				case "math/rand", "math/rand/v2":
-					if fn.Type().(*types.Signature).Recv() != nil {
-						break // method on an explicit, already-constructed source
-					}
-					if !randConstructors[fn.Name()] {
-						p.Reportf(n.Pos(), "%s.%s draws from the process-global random source; use a seeded *rand.Rand (e.g. from internal/testseed)",
-							fn.Pkg().Path(), fn.Name())
-					} else if checkRanges {
+				switch fn, kind := nondetCall(p, n); kind {
+				case callClock:
+					p.Reportf(n.Pos(), "time.Now makes runs irreproducible; inject a clock or route through internal/testseed")
+				case callGlobalRand:
+					p.Reportf(n.Pos(), "%s.%s draws from the process-global random source; use a seeded *rand.Rand (e.g. from internal/testseed)",
+						fn.Pkg().Path(), fn.Name())
+				case callRandSource:
+					if checkRanges {
 						p.Reportf(n.Pos(), "%s.%s builds an ad-hoc random source in a trace package; accept an injected *rand.Rand or use testseed.Source",
 							fn.Pkg().Path(), fn.Name())
 					}
 				}
 			case *ast.RangeStmt:
-				if checkRanges {
-					checkMapRange(p, n, sorted)
+				if !checkRanges {
+					break
 				}
+				mapOrderFlows(p, n, func(at ast.Node, flow int) {
+					switch flow {
+					case flowAppend:
+						// The collect-then-sort idiom erases iteration
+						// order: a slice sorted after the range is exempt.
+						for _, pos := range sorted[sliceObj(p, at.(*ast.CallExpr).Args[0])] {
+							if pos > n.End() {
+								return
+							}
+						}
+						p.Reportf(at.Pos(), "map iteration order flows into append; iterate sorted keys or sort the result")
+					case flowPrint:
+						p.Reportf(at.Pos(), "map iteration order flows into fmt.%s output; iterate sorted keys", p.CalleeFunc(at.(*ast.CallExpr)).Name())
+					case flowSend:
+						p.Reportf(at.Pos(), "map iteration order flows into a channel send; iterate sorted keys")
+					}
+				})
 			}
 			return true
 		})
 	}
+}
+
+// Kinds of call nondetCall tells apart.
+const (
+	callOther      = iota
+	callClock      // time.Now
+	callGlobalRand // a math/rand function drawing from the process-global source
+	callRandSource // a math/rand constructor building an explicit source
+)
+
+// nondetCall classifies a call of a package-level function of time,
+// math/rand, or math/rand/v2 that makes runs irreproducible. Methods
+// (on an explicit, already-constructed source) are callOther.
+func nondetCall(p *Pass, call *ast.CallExpr) (*types.Func, int) {
+	fn := p.CalleeFunc(call)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return fn, callOther
+	}
+	switch fn.Pkg().Path() {
+	case "time":
+		if fn.Name() == "Now" {
+			return fn, callClock
+		}
+	case "math/rand", "math/rand/v2":
+		if randConstructors[fn.Name()] {
+			return fn, callRandSource
+		}
+		return fn, callGlobalRand
+	}
+	return fn, callOther
 }
 
 // collectSortCalls records, per slice object, the positions of
@@ -129,13 +167,20 @@ func sliceObj(p *Pass, e ast.Expr) types.Object {
 	return nil
 }
 
-// checkMapRange flags statements inside a range-over-map body where an
-// iteration variable flows into an appended value, a channel send, or
-// a print call — the three ways unspecified map order becomes an
-// observable trace. Appends into a slice that a later sort call
-// canonicalizes are exempt; anything else order-insensitive carries a
-// //lint:ignore with its reason.
-func checkMapRange(p *Pass, rng *ast.RangeStmt, sorted map[types.Object][]token.Pos) {
+// Ways an iteration variable of a map range reaches an observable.
+const (
+	flowReturn = iota // a return result
+	flowAppend        // an appended value (the node is the append call)
+	flowPrint         // an argument of a fmt function (the node is the call)
+	flowSend          // a channel send
+)
+
+// mapOrderFlows walks the body of a range over a map and calls report
+// at every return, append, fmt call, or channel send that an iteration
+// variable flows into: the ways unspecified map order becomes
+// observable. Each analyzer decides which of these it reports.
+// Condition-only use (existence tests, counting) reaches none of them.
+func mapOrderFlows(p *Pass, rng *ast.RangeStmt, report func(n ast.Node, flow int)) {
 	t := p.TypeOf(rng.X)
 	if t == nil {
 		return
@@ -145,61 +190,42 @@ func checkMapRange(p *Pass, rng *ast.RangeStmt, sorted map[types.Object][]token.
 	}
 	iterVars := make(map[types.Object]bool)
 	for _, e := range []ast.Expr{rng.Key, rng.Value} {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		if obj := p.objectOf(id); obj != nil {
-			iterVars[obj] = true
+		if id, ok := e.(*ast.Ident); ok && id.Name != "_" && p.objectOf(id) != nil {
+			iterVars[p.objectOf(id)] = true
 		}
 	}
 	if len(iterVars) == 0 {
 		return
 	}
-	usesIter := func(e ast.Expr) bool {
+	usesIter := func(es ...ast.Expr) bool {
 		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && iterVars[p.Pkg.Info.Uses[id]] {
-				found = true
-			}
-			return !found
-		})
+		for _, e := range es {
+			ast.Inspect(e, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && iterVars[p.Pkg.Info.Uses[id]] {
+					found = true
+				}
+				return !found
+			})
+		}
 		return found
 	}
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if _, builtin := p.Pkg.Info.Uses[id].(*types.Builtin); builtin && id.Name == "append" {
-					if len(n.Args) > 0 {
-						if obj := sliceObj(p, n.Args[0]); obj != nil {
-							for _, pos := range sorted[obj] {
-								if pos > rng.End() {
-									return true // collected slice is sorted afterwards
-								}
-							}
-						}
-					}
-					for _, arg := range n.Args[1:] {
-						if usesIter(arg) {
-							p.Reportf(n.Pos(), "map iteration order flows into append; iterate sorted keys or sort the result")
-							break
-						}
-					}
-					return true
-				}
-			}
-			if fn := p.CalleeFunc(n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
-				for _, arg := range n.Args {
-					if usesIter(arg) {
-						p.Reportf(n.Pos(), "map iteration order flows into fmt.%s output; iterate sorted keys", fn.Name())
-						break
-					}
-				}
+		case *ast.ReturnStmt:
+			if usesIter(n.Results...) {
+				report(n, flowReturn)
 			}
 		case *ast.SendStmt:
 			if usesIter(n.Value) {
-				p.Reportf(n.Pos(), "map iteration order flows into a channel send; iterate sorted keys")
+				report(n, flowSend)
+			}
+		case *ast.CallExpr:
+			if isBuiltin(p, n, "append") {
+				if usesIter(n.Args[1:]...) {
+					report(n, flowAppend)
+				}
+			} else if fn := p.CalleeFunc(n); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" && usesIter(n.Args...) {
+				report(n, flowPrint)
 			}
 		}
 		return true

@@ -14,12 +14,13 @@ import (
 // compared by canonical key, so in-place mutation corrupts the state
 // graph silently.
 //
-// The check is a lightweight intra-function taint pass: the ioa.State
-// parameters are tainted; a type assertion to a pointer type yields a
-// reference alias (any field write through it is a violation); an
-// assertion to a value type yields a shallow copy (writes are
-// violations only when the path crosses a map, slice, or pointer
-// field, which still aliases the original).
+// The check is a lightweight intra-function taint pass (stateWrites,
+// shared with invpure): the ioa.State parameters are tainted; a type
+// assertion to a pointer type yields a reference alias (any field
+// write through it is a violation); an assertion to a value type
+// yields a shallow copy (writes are violations only when the path
+// crosses a map, slice, or pointer field, which still aliases the
+// original).
 type purestep struct{}
 
 func init() { Register(purestep{}) }
@@ -87,50 +88,62 @@ const (
 )
 
 func (purestep) Run(p *Pass) {
-	// Index this package's function declarations so named functions
-	// passed to the builder can be analyzed too.
-	decls := make(map[*types.Func]*ast.FuncDecl)
+	eachAnchored(p, func(n ast.Node) []ast.Expr {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return nil
+		}
+		fn := p.CalleeFunc(call)
+		if fn == nil {
+			return nil
+		}
+		method, _ := isIoaDefMethod(fn)
+		var args []ast.Expr
+		for _, idx := range stateArgIndexes[method] {
+			if idx < len(call.Args) {
+				args = append(args, call.Args[idx])
+			}
+		}
+		return args
+	}, func(ft *ast.FuncType, body *ast.BlockStmt) {
+		stateWrites(p, ft, body, func(n ast.Node, what string) {
+			p.Reportf(n.Pos(), "transition function mutates its state argument (%s); return a fresh state instead (§2.1: steps are relations over immutable states)", what)
+		})
+	})
+}
+
+// eachAnchored calls check once for every function handed to an
+// anchor. anchors names the argument expressions of a node that must
+// be functions under the analyzer's contract: a function literal is
+// checked where it stands, and an identifier naming a function
+// declared in this package is resolved to its declaration.
+func eachAnchored(p *Pass, anchors func(ast.Node) []ast.Expr, check func(*ast.FuncType, *ast.BlockStmt)) {
+	decls := make(map[types.Object]*ast.FuncDecl)
 	for _, f := range p.Pkg.Files {
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				if fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					decls[fn] = fd
-				}
+			if fd, ok := d.(*ast.FuncDecl); ok && p.Pkg.Info.Defs[fd.Name] != nil {
+				decls[p.Pkg.Info.Defs[fd.Name]] = fd
 			}
 		}
 	}
-	analyzed := make(map[ast.Node]bool)
+	checked := make(map[ast.Node]bool)
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := p.CalleeFunc(call)
-			if fn == nil {
-				return true
-			}
-			method, ok := isIoaDefMethod(fn)
-			if !ok {
-				return true
-			}
-			for _, idx := range stateArgIndexes[method] {
-				if idx >= len(call.Args) {
-					continue
-				}
-				switch arg := ast.Unparen(call.Args[idx]).(type) {
+			for _, arg := range anchors(n) {
+				var fn ast.Node
+				var ft *ast.FuncType
+				var body *ast.BlockStmt
+				switch arg := ast.Unparen(arg).(type) {
 				case *ast.FuncLit:
-					if !analyzed[arg] {
-						analyzed[arg] = true
-						checkStateFunc(p, arg.Type, arg.Body)
-					}
+					fn, ft, body = arg, arg.Type, arg.Body
 				case *ast.Ident:
-					if target, ok := p.Pkg.Info.Uses[arg].(*types.Func); ok {
-						if fd := decls[target]; fd != nil && !analyzed[fd] {
-							analyzed[fd] = true
-							checkStateFunc(p, fd.Type, fd.Body)
-						}
+					if fd := decls[p.Pkg.Info.Uses[arg]]; fd != nil {
+						fn, ft, body = fd, fd.Type, fd.Body
 					}
+				}
+				if fn != nil && !checked[fn] {
+					checked[fn] = true
+					check(ft, body)
 				}
 			}
 			return true
@@ -138,29 +151,26 @@ func (purestep) Run(p *Pass) {
 	}
 }
 
-// checkStateFunc taints the ioa.State parameters of one registered
-// function and reports writes that reach the original state.
-func checkStateFunc(p *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
+// stateWrites taints the ioa.State parameters of one function and
+// calls report at every write that reaches the original state, with
+// what naming it: "write to x", "increment of x", or "delete from map
+// of x", where x is the tainted variable the write goes through.
+func stateWrites(p *Pass, ft *ast.FuncType, body *ast.BlockStmt, report func(n ast.Node, what string)) {
 	if body == nil {
 		return
 	}
 	taint := make(map[types.Object]int)
 	for _, field := range ft.Params.List {
-		t := p.TypeOf(field.Type)
-		if t == nil || !isIoaState(t) {
-			continue
-		}
-		for _, name := range field.Names {
-			if obj := p.Pkg.Info.Defs[name]; obj != nil {
-				taint[obj] = taintRef
+		if t := p.TypeOf(field.Type); t != nil && isIoaState(t) {
+			for _, name := range field.Names {
+				if obj := p.Pkg.Info.Defs[name]; obj != nil {
+					taint[obj] = taintRef
+				}
 			}
 		}
 	}
 	if len(taint) == 0 {
 		return
-	}
-	report := func(pos ast.Node, what string) {
-		p.Reportf(pos.Pos(), "transition function mutates its state argument (%s); return a fresh state instead (§2.1: steps are relations over immutable states)", what)
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -189,13 +199,11 @@ func checkStateFunc(p *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 				report(n, "increment of "+obj.Name())
 			}
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if _, builtin := p.Pkg.Info.Uses[id].(*types.Builtin); builtin && id.Name == "delete" && len(n.Args) > 0 {
-					// delete always mutates the map it is handed; the
-					// path to it need only be rooted in tainted state.
-					if obj := taintedRoot(p, taint, n.Args[0]); obj != nil {
-						report(n, "delete from map of "+obj.Name())
-					}
+			// delete always mutates the map it is handed; the path to
+			// it need only be rooted in tainted state.
+			if isBuiltin(p, n, "delete") {
+				if root := peel(n.Args[0], nil); taint[p.Pkg.Info.Uses[root]] != taintNone {
+					report(n, "delete from map of "+root.Name)
 				}
 			}
 		}
@@ -203,35 +211,41 @@ func checkStateFunc(p *Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 	})
 }
 
+// isBuiltin reports whether call is a call of the named builtin with
+// at least one argument.
+func isBuiltin(p *Pass, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name || len(call.Args) == 0 {
+		return false
+	}
+	_, ok = p.Pkg.Info.Uses[id].(*types.Builtin)
+	return ok
+}
+
 // aliasTaint computes the taint of a right-hand side derived from
 // tainted state: assertions to pointer types and reference-kinded
 // field reads stay references; value reads become shallow copies.
 func aliasTaint(p *Pass, taint map[types.Object]int, rhs ast.Expr) int {
 	rhs = ast.Unparen(rhs)
+	level := taint[p.Pkg.Info.Uses[peel(rhs, nil)]]
 	switch e := rhs.(type) {
 	case *ast.Ident:
-		return taint[p.Pkg.Info.Uses[e]]
+		return level
 	case *ast.TypeAssertExpr:
-		if aliasTaint(p, taint, e.X) == taintNone {
-			return taintNone
-		}
 		if e.Type == nil {
 			return taintNone
 		}
-		if isRefKind(p.TypeOf(e.Type)) {
-			return taintRef
-		}
-		return taintShallow
 	case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-		if taintedRoot(p, taint, rhs) == nil {
-			return taintNone
-		}
-		if isRefKind(p.TypeOf(rhs)) {
-			return taintRef
-		}
-		return taintShallow
+	default:
+		return taintNone
 	}
-	return taintNone
+	if level == taintNone {
+		return taintNone
+	}
+	if isRefKind(p.TypeOf(rhs)) {
+		return taintRef
+	}
+	return taintShallow
 }
 
 // isRefKind reports whether values of t share underlying storage when
@@ -247,27 +261,31 @@ func isRefKind(t types.Type) bool {
 	return false
 }
 
-// taintedRoot peels selectors, indexes, derefs, and type assertions
-// off an expression and returns the tainted base object, if any.
-func taintedRoot(p *Pass, taint map[types.Object]int, e ast.Expr) types.Object {
+// peel strips parentheses, selectors, indexes, derefs, and type
+// assertions off e and returns the identifier at its base, or nil.
+// When step is not nil it sees each stripped layer, outermost first,
+// with the operand the layer reads through.
+func peel(e ast.Expr, step func(layer, operand ast.Expr)) *ast.Ident {
 	for {
+		var operand ast.Expr
 		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
-			if obj := p.Pkg.Info.Uses[x]; obj != nil && taint[obj] != taintNone {
-				return obj
-			}
-			return nil
+			return x
 		case *ast.SelectorExpr:
-			e = x.X
+			operand = x.X
 		case *ast.IndexExpr:
-			e = x.X
+			operand = x.X
 		case *ast.StarExpr:
-			e = x.X
+			operand = x.X
 		case *ast.TypeAssertExpr:
-			e = x.X
+			operand = x.X
 		default:
 			return nil
 		}
+		if step != nil {
+			step(ast.Unparen(e), operand)
+		}
+		e = operand
 	}
 }
 
@@ -276,52 +294,20 @@ func taintedRoot(p *Pass, taint map[types.Object]int, e ast.Expr) types.Object {
 // through at least one selector/index/deref), and for shallow copies
 // only when the path crosses a map, slice, or pointer boundary.
 func writeViolation(p *Pass, taint map[types.Object]int, lhs ast.Expr) (types.Object, bool) {
-	crossedRef := false
-	depth := 0
-	e := lhs
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			obj := p.Pkg.Info.Uses[x]
-			if obj == nil {
-				return nil, false
-			}
-			switch taint[obj] {
-			case taintRef:
-				return obj, depth > 0
-			case taintShallow:
-				return obj, crossedRef
-			}
-			return nil, false
-		case *ast.SelectorExpr:
-			if t := p.TypeOf(x.X); t != nil {
-				if _, ok := t.Underlying().(*types.Pointer); ok {
-					crossedRef = true
-				}
-			}
-			depth++
-			e = x.X
-		case *ast.IndexExpr:
-			if t := p.TypeOf(x.X); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Map, *types.Slice, *types.Pointer:
-					crossedRef = true
-				}
-			}
-			depth++
-			e = x.X
-		case *ast.StarExpr:
-			crossedRef = true
-			depth++
-			e = x.X
-		case *ast.TypeAssertExpr:
-			if x.Type != nil && isRefKind(p.TypeOf(x.Type)) {
-				crossedRef = true
-			}
-			depth++
-			e = x.X
-		default:
-			return nil, false
+	crossedRef, depth := false, 0
+	root := peel(lhs, func(layer, operand ast.Expr) {
+		depth++
+		if _, ok := layer.(*ast.TypeAssertExpr); ok {
+			operand = layer // an assertion reaches through the asserted type
 		}
+		crossedRef = crossedRef || isRefKind(p.TypeOf(operand))
+	})
+	obj := p.Pkg.Info.Uses[root]
+	switch taint[obj] {
+	case taintRef:
+		return obj, depth > 0
+	case taintShallow:
+		return obj, crossedRef
 	}
+	return nil, false
 }
