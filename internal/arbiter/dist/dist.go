@@ -1,14 +1,16 @@
 // Package dist implements the distributed arbiter of §3.3: one
 // automaton A_a per arbiter process (Figure 3.5), the asynchronous
-// message-system automaton M (Figure 3.6), their composition A₃ with
-// internal communication hidden, the execution modules E_a, E_M, E₃,
-// and the renaming f₂ onto the action names of A₂ over the
-// buffer-augmented graph 𝒢.
+// message-system automaton M (Figure 3.6) — the fault-free network of
+// package faults over the arbiter-to-arbiter channels —, their
+// composition A₃ with internal communication hidden, the execution
+// modules E_a, E_M, E₃, and the renaming f₂ onto the action names of
+// A₂ over the buffer-augmented graph 𝒢. The retry-hardened A₃ʳ
+// (retry.go) is assembled by the same function as A₃, over
+// alternating-bit links and a packet network in place of M.
 package dist
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/faults"
@@ -189,150 +191,11 @@ func anyRequesting(s *ProcState) bool {
 	return false
 }
 
-// MsgState is the state of the message system M (§3.3.1): the
-// undelivered messages, organized as one queue per directed channel
-// (a,a'), each entry a message kind.
-//
-// The paper's Figure 3.6 presents messages as an unordered set, but
-// the possibilities mapping h₂ of §3.3.6 is sound only if a channel
-// never delivers a request ahead of an earlier grant on the same
-// channel: a process that has just granted the resource toward a′ may
-// immediately forward a fresh request after it, and delivering that
-// request first yields a state whose h₂-image requires an A₂ step
-// request(b,a′) that is disabled (the buffer is the root, so the edge
-// does not point toward the root — the case Lemma 46's proof silently
-// excludes). The paper's own implementability argument for E_M
-// (Lemma 44) constructs M from FIFO buffers, so we adopt per-channel
-// FIFO order here; NewUnorderedMessageSystem preserves the literal
-// Figure 3.6 semantics and is used in tests to exhibit the
-// counterexample.
-type MsgState struct {
-	queues map[string][]string // channel "from>to" -> kinds in order
-	key    string
-}
-
-var _ ioa.State = (*MsgState)(nil)
-
-func chanKey(from, to string) string { return from + ">" + to }
-
-// NewMsgState builds a message-system state from per-channel queues.
-func NewMsgState(queues map[string][]string) *MsgState {
-	s := &MsgState{queues: make(map[string][]string, len(queues))}
-	keys := make([]string, 0, len(queues))
-	for ch, q := range queues {
-		if len(q) == 0 {
-			continue
-		}
-		s.queues[ch] = append([]string(nil), q...)
-		keys = append(keys, ch)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("{")
-	for _, ch := range keys {
-		b.WriteString(ch)
-		b.WriteString(":[")
-		b.WriteString(strings.Join(s.queues[ch], ","))
-		b.WriteString("] ")
-	}
-	b.WriteString("}")
-	s.key = b.String()
-	return s
-}
-
-// Key implements ioa.State.
-func (s *MsgState) Key() string { return s.key }
-
-// Has reports whether a message (from,to,kind) is undelivered
-// (anywhere in the channel's queue).
-func (s *MsgState) Has(from, to, kind string) bool {
-	for _, k := range s.queues[chanKey(from, to)] {
-		if k == kind {
-			return true
-		}
-	}
-	return false
-}
-
-// HeadIs reports whether the channel's next deliverable message has
-// the given kind.
-func (s *MsgState) HeadIs(from, to, kind string) bool {
-	q := s.queues[chanKey(from, to)]
-	return len(q) > 0 && q[0] == kind
-}
-
-// Len returns the total number of undelivered messages.
-func (s *MsgState) Len() int {
-	n := 0
-	for _, q := range s.queues {
-		n += len(q)
-	}
-	return n
-}
-
-func (s *MsgState) push(from, to, kind string) *MsgState {
-	next := make(map[string][]string, len(s.queues)+1)
-	for ch, q := range s.queues {
-		next[ch] = q
-	}
-	ch := chanKey(from, to)
-	next[ch] = append(append([]string(nil), s.queues[ch]...), kind)
-	return NewMsgState(next)
-}
-
-// pop removes the head of the channel (which must have the given kind).
-func (s *MsgState) pop(from, to string) *MsgState {
-	next := make(map[string][]string, len(s.queues))
-	for ch, q := range s.queues {
-		next[ch] = q
-	}
-	ch := chanKey(from, to)
-	next[ch] = s.queues[ch][1:]
-	return NewMsgState(next)
-}
-
-// remove deletes the first occurrence of kind from the channel,
-// regardless of position (unordered delivery).
-func (s *MsgState) remove(from, to, kind string) *MsgState {
-	next := make(map[string][]string, len(s.queues))
-	for ch, q := range s.queues {
-		next[ch] = q
-	}
-	ch := chanKey(from, to)
-	q := append([]string(nil), s.queues[ch]...)
-	for i, k := range q {
-		if k == kind {
-			q = append(q[:i], q[i+1:]...)
-			break
-		}
-	}
-	next[ch] = q
-	return NewMsgState(next)
-}
-
-// NewMessageSystem builds the automaton M for tree t (Figure 3.6 with
-// per-channel FIFO delivery; see MsgState): it accepts
-// sendrequest/sendgrant between adjacent arbiter processes and
-// delivers each channel's messages in order. Its partition has one
-// class per directed channel (a,a'), matching the per-direction buffer
-// classes of A₂ over 𝒢.
-func NewMessageSystem(t *graph.Tree) (*ioa.Prog, error) {
-	return newMessageSystem(t, true)
-}
-
-// NewUnorderedMessageSystem builds M with the literal Figure 3.6
-// semantics: messages on a channel may be delivered in any order. Used
-// to demonstrate why h₂ requires FIFO channels.
-func NewUnorderedMessageSystem(t *graph.Tree) (*ioa.Prog, error) {
-	return newMessageSystem(t, false)
-}
-
-// Links enumerates the directed arbiter-to-arbiter channels of t as
-// faults.Link descriptors, each carrying the request and grant
-// message kinds with the send/receive action names of Figure 3.6.
-// This is the bridge from the arbiter's topology to the generic
-// fault-injected network builder.
-func Links(t *graph.Tree) []faults.Link {
+// channels lists the directed arbiter-to-arbiter channels of t as
+// faults.Link descriptors in component order (arbiters ascending, each
+// one's neighbors in order), msgs naming what each carries: the one
+// walk behind Links, RetryLinks and the link pairs of A₃ʳ.
+func channels(t *graph.Tree, msgs func(from, to string) []faults.Msg) []faults.Link {
 	var links []faults.Link
 	for _, a := range t.NodesOf(graph.Arbiter) {
 		for _, v := range t.Neighbors(a) {
@@ -340,19 +203,52 @@ func Links(t *graph.Tree) []faults.Link {
 				continue
 			}
 			from, to := t.Node(a).Name, t.Node(v).Name
-			links = append(links, faults.Link{From: from, To: to, Msgs: []faults.Msg{
-				{Kind: KindRequest, Send: SendRequest(from, to), Recv: ReceiveRequest(from, to)},
-				{Kind: KindGrant, Send: SendGrant(from, to), Recv: ReceiveGrant(from, to)},
-			}})
+			links = append(links, faults.Link{From: from, To: to, Msgs: msgs(from, to)})
 		}
 	}
 	return links
 }
 
+// Links enumerates the directed arbiter-to-arbiter channels of t as
+// faults.Link descriptors, each carrying the request and grant
+// message kinds with the send/receive action names of Figure 3.6.
+func Links(t *graph.Tree) []faults.Link {
+	return channels(t, func(from, to string) []faults.Msg {
+		var msgs []faults.Msg
+		for _, k := range dataKinds {
+			msgs = append(msgs, faults.Msg{Kind: k, Send: sendActionFor(from, to, k), Recv: recvActionFor(from, to, k)})
+		}
+		return msgs
+	})
+}
+
+// NewMessageSystem builds the automaton M for tree t: the fault-free
+// network of package faults over Links(t). It accepts
+// sendrequest/sendgrant between adjacent arbiter processes and
+// delivers each channel's messages in order; its partition has one
+// class ch(a,a') per directed channel, matching the per-direction
+// buffer classes of A₂ over 𝒢.
+//
+// Figure 3.6 presents the undelivered messages as an unordered set,
+// but the possibilities mapping h₂ of §3.3.6 is sound only if a
+// channel never delivers a request ahead of an earlier grant on the
+// same channel: a process that has just granted the resource toward a′
+// may immediately forward a fresh request after it, and delivering
+// that request first yields a state whose h₂-image requires an A₂ step
+// request(b,a′) that is disabled (the buffer is the root, so the edge
+// does not point toward the root — the case Lemma 46's proof silently
+// excludes). The paper's own implementability argument for E_M
+// (Lemma 44) constructs M from FIFO buffers, so M is FIFO per channel;
+// the faults.Reorder adversary gives back the literal Figure 3.6
+// freedom, and the mapping package's tests exhibit the counterexample
+// over it.
+func NewMessageSystem(t *graph.Tree) (*ioa.Prog, error) {
+	return faults.NewNetwork("M", Links(t), faults.Injection{})
+}
+
 // NewFaultyMessageSystem builds the message system M for tree t with
 // the given fault injection (see faults.Injection). With the zero
-// injection it behaves like NewMessageSystem except that its state is
-// a *faults.NetState rather than a *MsgState; both satisfy Transit.
+// injection it is NewMessageSystem under another name.
 func NewFaultyMessageSystem(t *graph.Tree, inj faults.Injection) (*ioa.Prog, error) {
 	name := "M-faulty"
 	if inj.Sched != nil {
@@ -361,94 +257,89 @@ func NewFaultyMessageSystem(t *graph.Tree, inj faults.Injection) (*ioa.Prog, err
 	return faults.NewNetwork(name, Links(t), inj)
 }
 
-// NewLossyMessageSystem builds a faulty message system that may also
-// silently DROP the head of any channel (an internal action per
-// channel). It violates the delivery conditions DelReq/DelGr of E_M —
-// used in failure-injection tests to show that C_M is load-bearing for
-// no-lockout: with a lossy channel the resource or a request can
-// vanish and users starve even under fair scheduling.
-//
-// It is a thin wrapper over the faults package: an adversary Drop
-// injection on every channel.
-func NewLossyMessageSystem(t *graph.Tree) (*ioa.Prog, error) {
-	return faults.NewNetwork("M-lossy", Links(t),
-		faults.Injection{Adversary: []faults.Class{faults.Drop}})
-}
-
-func newMessageSystem(t *graph.Tree, fifo bool) (*ioa.Prog, error) {
-	name := "M"
-	if !fifo {
-		name = "M-unordered"
-	}
-	d := ioa.NewDef(name)
-	d.Start(NewMsgState(nil))
-	for _, a := range t.NodesOf(graph.Arbiter) {
-		for _, v := range t.Neighbors(a) {
-			if t.Node(v).Kind != graph.Arbiter {
-				continue
-			}
-			from, to := t.Node(a).Name, t.Node(v).Name
-			class := "ch(" + from + "," + to + ")"
-			for _, kind := range []string{KindRequest, KindGrant} {
-				kind := kind
-				var send, recv ioa.Action
-				if kind == KindRequest {
-					send, recv = SendRequest(from, to), ReceiveRequest(from, to)
-				} else {
-					send, recv = SendGrant(from, to), ReceiveGrant(from, to)
-				}
-				d.Input(send, func(st ioa.State) ioa.State {
-					return st.(*MsgState).push(from, to, kind)
-				})
-				if fifo {
-					d.Output(recv, class,
-						func(st ioa.State) bool { return st.(*MsgState).HeadIs(from, to, kind) },
-						func(st ioa.State) ioa.State { return st.(*MsgState).pop(from, to) })
-				} else {
-					d.Output(recv, class,
-						func(st ioa.State) bool { return st.(*MsgState).Has(from, to, kind) },
-						func(st ioa.State) ioa.State { return st.(*MsgState).remove(from, to, kind) })
-				}
-			}
-		}
-	}
-	return d.Build()
-}
-
-// System bundles the distributed arbiter: the per-process automata,
-// the message system, and their composition A₃ (§3.3.3) with all
-// outputs except sendgrant(a,u) hidden.
-type System struct {
+// assembly is what A₃ and A₃ʳ share: the processes of Figure 3.5 over
+// one tree, composed before their channel automata.
+type assembly struct {
 	// Tree is the process graph G.
 	Tree *graph.Tree
 	// Procs maps arbiter node ID to its automaton.
 	Procs map[int]*ioa.Prog
-	// Msg is the message-system automaton.
-	Msg *ioa.Prog
-	// A3 is the hidden composition.
-	A3 ioa.Automaton
 	// Composite is the raw composition (before hiding); its component
-	// order is arbiter nodes ascending, then M.
+	// order is arbiter nodes ascending, then the channel automata.
 	Composite *ioa.Composite
 	// Order lists the arbiter node IDs in component order.
 	Order []int
 }
 
-// New assembles the distributed arbiter over tree t with the given
-// initial holder process (FIFO channels; see MsgState).
-func New(t *graph.Tree, initialHolder int) (*System, error) {
-	m, err := newMessageSystem(t, true)
-	if err != nil {
-		return nil, err
+// assemble composes the processes of tree t, in node order, before the
+// channel automata chans, and returns the composition with every
+// output except sendgrant(a,u) hidden.
+func assemble(name string, t *graph.Tree, initialHolder int, chans []ioa.Automaton) (assembly, ioa.Automaton, error) {
+	asm := assembly{Tree: t, Procs: make(map[int]*ioa.Prog)}
+	var comps []ioa.Automaton
+	for _, a := range t.NodesOf(graph.Arbiter) {
+		p, err := NewProcess(t, a, initialHolder)
+		if err != nil {
+			return asm, nil, err
+		}
+		asm.Procs[a] = p
+		asm.Order = append(asm.Order, a)
+		comps = append(comps, p)
 	}
-	return newSystem(t, initialHolder, m)
+	composite, err := ioa.Compose(name, append(comps, chans...)...)
+	if err != nil {
+		return asm, nil, err
+	}
+	asm.Composite = composite
+	keep := make(ioa.Set)
+	for _, u := range t.NodesOf(graph.User) {
+		a := t.UserAttachment(u)
+		keep.Add(SendGrant(t.Node(a).Name, t.Node(u).Name))
+	}
+	return asm, ioa.HideOutputsExcept(composite, keep), nil
 }
 
-// NewUnordered assembles the arbiter with the literal Figure 3.6
-// unordered message system; used in tests demonstrating the
-// same-channel delivery race.
-func NewUnordered(t *graph.Tree, initialHolder int) (*System, error) {
-	m, err := newMessageSystem(t, false)
+// component returns part i of the composite state st.
+func component[T ioa.State](st ioa.State, i int) (T, error) {
+	var part T
+	ts, ok := st.(*ioa.TupleState)
+	if !ok {
+		return part, fmt.Errorf("dist: not a composite state")
+	}
+	if i >= ts.Len() {
+		return part, fmt.Errorf("dist: composite state has no component %d", i)
+	}
+	if part, ok = ts.At(i).(T); !ok {
+		return part, fmt.Errorf("dist: component %d is not a %T", i, part)
+	}
+	return part, nil
+}
+
+// ProcStateOf extracts process a's state from a composite state.
+func (asm *assembly) ProcStateOf(st ioa.State, a int) (*ProcState, error) {
+	i := indexOf(asm.Order, a)
+	if i < 0 {
+		return nil, fmt.Errorf("dist: node %d is not a process", a)
+	}
+	return component[*ProcState](st, i)
+}
+
+// System bundles the distributed arbiter: the per-process automata,
+// the message system, and their composition A₃ (§3.3.3) with all
+// outputs except sendgrant(a,u) hidden. Its components are the
+// processes, then M.
+type System struct {
+	assembly
+	// Msg is the message-system automaton.
+	Msg *ioa.Prog
+	// A3 is the hidden composition.
+	A3 ioa.Automaton
+}
+
+// New assembles the distributed arbiter over tree t with the given
+// initial holder process (FIFO channels; see NewMessageSystem).
+func New(t *graph.Tree, initialHolder int) (*System, error) {
+	m, err := NewMessageSystem(t)
 	if err != nil {
 		return nil, err
 	}
@@ -468,83 +359,17 @@ func NewWithFaults(t *graph.Tree, initialHolder int, inj faults.Injection) (*Sys
 }
 
 func newSystem(t *graph.Tree, initialHolder int, m *ioa.Prog) (*System, error) {
-	sys := &System{Tree: t, Procs: make(map[int]*ioa.Prog)}
-	var comps []ioa.Automaton
-	for _, a := range t.NodesOf(graph.Arbiter) {
-		p, err := NewProcess(t, a, initialHolder)
-		if err != nil {
-			return nil, err
-		}
-		sys.Procs[a] = p
-		sys.Order = append(sys.Order, a)
-		comps = append(comps, p)
-	}
-	sys.Msg = m
-	comps = append(comps, m)
-	composite, err := ioa.Compose("A3", comps...)
-	if err != nil {
+	sys := &System{Msg: m}
+	var err error
+	if sys.assembly, sys.A3, err = assemble("A3", t, initialHolder, []ioa.Automaton{m}); err != nil {
 		return nil, err
 	}
-	sys.Composite = composite
-	keep := make(ioa.Set)
-	for _, u := range t.NodesOf(graph.User) {
-		a := t.UserAttachment(u)
-		keep.Add(SendGrant(t.Node(a).Name, t.Node(u).Name))
-	}
-	sys.A3 = ioa.HideOutputsExcept(composite, keep)
 	return sys, nil
 }
 
-// ProcStateOf extracts process a's state from a composite state of A₃.
-func (s *System) ProcStateOf(st ioa.State, a int) (*ProcState, error) {
-	ts, ok := st.(*ioa.TupleState)
-	if !ok {
-		return nil, fmt.Errorf("dist: not a composite state")
-	}
-	for i, id := range s.Order {
-		if id == a {
-			ps, ok := ts.At(i).(*ProcState)
-			if !ok {
-				return nil, fmt.Errorf("dist: component %d is not a process state", i)
-			}
-			return ps, nil
-		}
-	}
-	return nil, fmt.Errorf("dist: node %d is not a process", a)
-}
-
-// Transit is the read interface over a message system's state: which
-// messages are in flight. Both the paper's M (*MsgState) and the
-// fault-injected networks of the faults package (*faults.NetState)
-// satisfy it, so refinement mappings and leads-to conditions work
-// over either.
-type Transit interface {
-	ioa.State
-	// Has reports whether a (from,to,kind) message is in flight.
-	Has(from, to, kind string) bool
-	// HeadIs reports whether the channel's next deliverable message
-	// has the given kind.
-	HeadIs(from, to, kind string) bool
-	// Len counts all in-flight messages.
-	Len() int
-}
-
-var (
-	_ Transit = (*MsgState)(nil)
-	_ Transit = (*faults.NetState)(nil)
-)
-
 // MsgStateOf extracts the message-system state from a composite state.
-func (s *System) MsgStateOf(st ioa.State) (Transit, error) {
-	ts, ok := st.(*ioa.TupleState)
-	if !ok {
-		return nil, fmt.Errorf("dist: not a composite state")
-	}
-	ms, ok := ts.At(ts.Len() - 1).(Transit)
-	if !ok {
-		return nil, fmt.Errorf("dist: last component is not the message state")
-	}
-	return ms, nil
+func (s *System) MsgStateOf(st ioa.State) (*faults.NetState, error) {
+	return component[*faults.NetState](st, len(s.Order))
 }
 
 // FwdReq3 is the condition FwdReq_a(v) of §3.3.4 for process a: having
@@ -675,18 +500,15 @@ func indexOf(xs []int, x int) int {
 //	receivegrant(a',a)   ↦ grant(b(a,a'),a)
 //	sendrequest(a,a')    ↦ request(a,b(a,a'))
 //	sendgrant(a,a')      ↦ grant(a,b(a,a'))
-func (s *System) F2(aug *graph.Tree) (*ioa.Mapping, error) {
-	return f2Mapping(s.Tree, aug, s.Order)
-}
-
-// f2Mapping builds the f₂ rename pairs for any system over tree t
-// whose external interface uses the send/receive action names of
-// §3.3 — both the plain A₃ and the retry-hardened A₃ʳ (whose extra
-// xmit/dlvr actions are left unmapped, i.e. renamed to themselves).
-func f2Mapping(t *graph.Tree, aug *graph.Tree, order []int) (*ioa.Mapping, error) {
+//
+// A₃ʳ has the same external interface and takes the same pairs; its
+// internal xmit/dlvr actions, and any fault actions, are left to
+// rename to themselves.
+func (asm *assembly) F2(aug *graph.Tree) (*ioa.Mapping, error) {
+	t := asm.Tree
 	pairs := make(map[ioa.Action]ioa.Action)
 	name := func(id int) string { return aug.Node(id).Name }
-	for _, a := range order {
+	for _, a := range asm.Order {
 		for _, v := range t.Neighbors(a) {
 			vName, aName := t.Node(v).Name, t.Node(a).Name
 			if t.Node(v).Kind == graph.User {

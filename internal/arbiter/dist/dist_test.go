@@ -168,22 +168,30 @@ func TestMessageSystemFIFO(t *testing.T) {
 	}
 }
 
+// TestMessageSystemUnordered: the Reorder adversary gives M back the
+// literal Figure 3.6 freedom — once the channel's head is swapped, the
+// request sent behind a grant is delivered first and the grant stays
+// in transit.
 func TestMessageSystemUnordered(t *testing.T) {
 	tr, _ := figSystem(t)
-	m, err := NewUnorderedMessageSystem(tr)
+	m, err := NewFaultyMessageSystem(tr, faults.Injection{Adversary: []faults.Class{faults.Reorder}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := m.Start()[0]
 	s, _ = ioa.StepTo(m, s, SendGrant("a1", "a2"), 0)
 	s, _ = ioa.StepTo(m, s, SendRequest("a1", "a2"), 0)
+	s, ok := ioa.StepTo(m, s, faults.ReorderAction("a1", "a2"), 0)
+	if !ok {
+		t.Fatal("reorder must be enabled with two messages on the channel")
+	}
 	enabled := ioa.NewSet(m.Enabled(s)...)
-	if !enabled.Has(ReceiveRequest("a1", "a2")) || !enabled.Has(ReceiveGrant("a1", "a2")) {
-		t.Error("unordered system must deliver either message")
+	if !enabled.Has(ReceiveRequest("a1", "a2")) || enabled.Has(ReceiveGrant("a1", "a2")) {
+		t.Errorf("after the swap only the request may be delivered: %v", m.Enabled(s))
 	}
 	// Deliver out of order; the other message survives.
 	s, _ = ioa.StepTo(m, s, ReceiveRequest("a1", "a2"), 0)
-	ms := s.(*MsgState)
+	ms := s.(*faults.NetState)
 	if !ms.Has("a1", "a2", KindGrant) || ms.Len() != 1 {
 		t.Errorf("after out-of-order delivery: %v", ms.Key())
 	}
@@ -362,16 +370,16 @@ func TestReachableStateSpaceMutualExclusion(t *testing.T) {
 }
 
 // TestLossyChannelBreaksDelivery is failure injection on C_M: a
-// message system that may drop a channel head violates DelGr, and a
-// dropped grant loses the resource forever — the system deadlocks (no
-// further grants), demonstrating the delivery conditions are
-// load-bearing for no-lockout.
+// message system whose Drop adversary may lose a channel head violates
+// DelGr, and a dropped grant loses the resource forever — the system
+// deadlocks (no further grants), demonstrating the delivery conditions
+// are load-bearing for no-lockout.
 func TestLossyChannelBreaksDelivery(t *testing.T) {
 	tr, err := graph.Figure32()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, err := NewLossyMessageSystem(tr)
+	lossy, err := NewFaultyMessageSystem(tr, faults.Injection{Adversary: []faults.Class{faults.Drop}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +411,7 @@ func TestLossyChannelBreaksDelivery(t *testing.T) {
 	cond := &proof.LeadsTo{
 		Name: "DelGr(a1,a2)",
 		S: func(st ioa.State) bool {
-			m, ok := st.(Transit)
+			m, ok := st.(*faults.NetState)
 			return ok && m.Has("a1", "a2", KindGrant)
 		},
 		T: func(a ioa.Action) bool { return a == ReceiveGrant("a1", "a2") },

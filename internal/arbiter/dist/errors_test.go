@@ -1,11 +1,13 @@
 package dist
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/faults"
 	"repro/internal/graph"
-
+	"repro/internal/ioa"
 	"repro/internal/testseed"
 )
 
@@ -63,36 +65,66 @@ func TestStateAccessorErrors(t *testing.T) {
 	}
 }
 
-// Property: MsgState queue operations behave like queues — pushes
-// append, pops remove the head, Len tracks, Keys are canonical.
-func TestMsgStateQueueProperties(t *testing.T) {
+// Property: driven through its own send and receive actions, each
+// channel of M is a queue — a send appends, only the head's receive is
+// enabled and it removes the head, Len tracks — and the key is the
+// model's, never carrying the '#' sequence counter or '~' slack mark
+// of a scheduled network: that is what keeps A₃ finite and its
+// encodings as they are.
+func TestMessageSystemQueueLaw(t *testing.T) {
+	tr, err := graph.Figure32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMessageSystem(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := map[string]ioa.Action{KindRequest: SendRequest("a1", "a2"), KindGrant: SendGrant("a1", "a2")}
+	recv := map[string]ioa.Action{KindRequest: ReceiveRequest("a1", "a2"), KindGrant: ReceiveGrant("a1", "a2")}
+	other := map[string]string{KindRequest: KindGrant, KindGrant: KindRequest}
 	f := func(ops []uint8) bool {
-		s := NewMsgState(nil)
+		s := m.Start()[0]
 		var model []string
 		for _, op := range ops {
 			kind := KindRequest
 			if op%2 == 1 {
 				kind = KindGrant
 			}
+			act := send[kind]
 			if op%3 == 0 && len(model) > 0 {
-				if !s.HeadIs("a", "b", model[0]) {
+				if _, ok := ioa.StepTo(m, s, recv[other[model[0]]], 0); ok {
 					return false
 				}
-				s = s.pop("a", "b")
+				act = recv[model[0]]
 				model = model[1:]
 			} else {
-				s = s.push("a", "b", kind)
 				model = append(model, kind)
 			}
-			if s.Len() != len(model) {
+			next, ok := ioa.StepTo(m, s, act, 0)
+			if !ok {
+				return false
+			}
+			s = next
+			want := "{}"
+			if len(model) > 0 {
+				want = "{a1>a2:[" + strings.Join(model, ",") + "] }"
+			}
+			ns := s.(*faults.NetState)
+			if ns.Len() != len(model) || s.Key() != want || strings.ContainsAny(s.Key(), "#~") {
 				return false
 			}
 		}
-		// Rebuilding from the model yields an identical key.
-		rebuilt := NewMsgState(map[string][]string{"a>b": model})
-		return rebuilt.Key() == s.Key()
+		return true
 	}
 	if err := quick.Check(f, testseed.Quick(t, 200)); err != nil {
 		t.Error(err)
+	}
+
+	s := m.Start()[0]
+	s, _ = ioa.StepTo(m, s, SendGrant("a1", "a2"), 0)
+	s, _ = ioa.StepTo(m, s, SendRequest("a1", "a2"), 0)
+	if got, want := s.Key(), "{a1>a2:[grant,request] }"; got != want {
+		t.Errorf("key = %q, want %q", got, want)
 	}
 }

@@ -41,8 +41,8 @@ import (
 // merely per kind. A process that has just granted toward a′ may
 // immediately forward a fresh request on the same channel, and if the
 // request's link could race ahead of the grant's, a′ would observe
-// the request first — the very counterexample that breaks h₂ for the
-// unordered message system (see MsgState). Lemma 44 implements M
+// the request first — the very counterexample that breaks h₂ when M
+// may reorder a channel (see NewMessageSystem). Lemma 44 implements M
 // from per-channel FIFO buffers; A₃ʳ implements the same per-channel
 // FIFO discipline over a lossy, duplicating packet network.
 //
@@ -244,56 +244,36 @@ func NewReceiverLink(from, to string) (*ioa.Prog, error) {
 // own traffic plus tagged ack packets for the reverse direction's
 // traffic.
 func RetryLinks(t *graph.Tree) []faults.Link {
-	var links []faults.Link
-	for _, a := range t.NodesOf(graph.Arbiter) {
-		for _, v := range t.Neighbors(a) {
-			if t.Node(v).Kind != graph.Arbiter {
-				continue
+	return channels(t, func(from, to string) []faults.Msg {
+		var msgs []faults.Msg
+		for b := 0; b <= 1; b++ {
+			for _, k := range []string{KindRequest, KindGrant, KindAck} {
+				msgs = append(msgs, faults.Msg{Kind: packetKind(k, b), Send: Xmit(from, to, k, b), Recv: Dlvr(from, to, k, b)})
 			}
-			from, to := t.Node(a).Name, t.Node(v).Name
-			var msgs []faults.Msg
-			for b := 0; b <= 1; b++ {
-				for _, k := range dataKinds {
-					msgs = append(msgs,
-						faults.Msg{Kind: packetKind(k, b), Send: Xmit(from, to, k, b), Recv: Dlvr(from, to, k, b)})
-				}
-				msgs = append(msgs,
-					faults.Msg{Kind: packetKind(KindAck, b), Send: Xmit(from, to, KindAck, b), Recv: Dlvr(from, to, KindAck, b)})
-			}
-			links = append(links, faults.Link{From: from, To: to, Msgs: msgs})
 		}
-	}
-	return links
+		return msgs
+	})
 }
-
-// linkKey identifies one channel's link pair.
-func linkKey(from, to string) string { return from + ">" + to }
 
 // Hardened bundles the retry-hardened arbiter A₃ʳ: the per-process
 // automata of Figure 3.5, alternating-bit sender/receiver links on
 // every directed arbiter channel, and a (possibly fault-injected)
 // packet network, composed with everything but the user-facing
-// sendgrant(a,u) outputs hidden.
+// sendgrant(a,u) outputs hidden. Its components are the processes,
+// then the sender/receiver link pair of each channel, then the
+// network.
 type Hardened struct {
-	// Tree is the process graph G.
-	Tree *graph.Tree
-	// Procs maps arbiter node ID to its automaton.
-	Procs map[int]*ioa.Prog
-	// Senders and Receivers map linkKey(from,to) to link automata.
+	assembly
+	// Senders and Receivers map faults.ChanKey(from,to) to link
+	// automata.
 	Senders   map[string]*ioa.Prog
 	Receivers map[string]*ioa.Prog
 	// Net is the packet network automaton.
 	Net *ioa.Prog
 	// A3R is the hidden composition.
 	A3R ioa.Automaton
-	// Composite is the raw composition; component order is arbiter
-	// processes ascending, then sender/receiver link pairs per
-	// channel, then the network last.
-	Composite *ioa.Composite
-	// Order lists the arbiter node IDs in component order.
-	Order []int
-	// idx maps linkKey -> component index (senders and receivers
-	// stored under "s " / "r " prefixes).
+	// idx maps faults.ChanKey(from,to) to the position of LS(from,to)
+	// among the components after the processes; LR(from,to) follows it.
 	idx map[string]int
 }
 
@@ -303,115 +283,53 @@ type Hardened struct {
 // scheduled) are tolerated by the protocol, Reorder/Delay are not.
 func NewHardened(t *graph.Tree, initialHolder int, inj faults.Injection) (*Hardened, error) {
 	h := &Hardened{
-		Tree:      t,
-		Procs:     make(map[int]*ioa.Prog),
 		Senders:   make(map[string]*ioa.Prog),
 		Receivers: make(map[string]*ioa.Prog),
 		idx:       make(map[string]int),
 	}
-	var comps []ioa.Automaton
-	for _, a := range t.NodesOf(graph.Arbiter) {
-		p, err := NewProcess(t, a, initialHolder)
+	links := RetryLinks(t)
+	var chans []ioa.Automaton
+	for _, l := range links {
+		ls, err := NewSenderLink(l.From, l.To)
 		if err != nil {
 			return nil, err
 		}
-		h.Procs[a] = p
-		h.Order = append(h.Order, a)
-		comps = append(comps, p)
-	}
-	for _, a := range t.NodesOf(graph.Arbiter) {
-		for _, v := range t.Neighbors(a) {
-			if t.Node(v).Kind != graph.Arbiter {
-				continue
-			}
-			from, to := t.Node(a).Name, t.Node(v).Name
-			ls, err := NewSenderLink(from, to)
-			if err != nil {
-				return nil, err
-			}
-			lr, err := NewReceiverLink(from, to)
-			if err != nil {
-				return nil, err
-			}
-			key := linkKey(from, to)
-			h.Senders[key] = ls
-			h.Receivers[key] = lr
-			h.idx["s "+key] = len(comps)
-			comps = append(comps, ls)
-			h.idx["r "+key] = len(comps)
-			comps = append(comps, lr)
+		lr, err := NewReceiverLink(l.From, l.To)
+		if err != nil {
+			return nil, err
 		}
+		key := faults.ChanKey(l.From, l.To)
+		h.Senders[key], h.Receivers[key] = ls, lr
+		h.idx[key] = len(chans)
+		chans = append(chans, ls, lr)
 	}
-	net, err := faults.NewNetwork("N", RetryLinks(t), inj)
+	net, err := faults.NewNetwork("N", links, inj)
 	if err != nil {
 		return nil, err
 	}
 	h.Net = net
-	comps = append(comps, net)
-	composite, err := ioa.Compose("A3R", comps...)
-	if err != nil {
+	if h.assembly, h.A3R, err = assemble("A3R", t, initialHolder, append(chans, net)); err != nil {
 		return nil, err
 	}
-	h.Composite = composite
-	keep := make(ioa.Set)
-	for _, u := range t.NodesOf(graph.User) {
-		a := t.UserAttachment(u)
-		keep.Add(SendGrant(t.Node(a).Name, t.Node(u).Name))
-	}
-	h.A3R = ioa.HideOutputsExcept(composite, keep)
 	return h, nil
-}
-
-// ProcStateOf extracts process a's state from a composite state of A₃ʳ.
-func (h *Hardened) ProcStateOf(st ioa.State, a int) (*ProcState, error) {
-	ts, ok := st.(*ioa.TupleState)
-	if !ok {
-		return nil, fmt.Errorf("dist: not a composite state")
-	}
-	for i, id := range h.Order {
-		if id == a {
-			ps, ok := ts.At(i).(*ProcState)
-			if !ok {
-				return nil, fmt.Errorf("dist: component %d is not a process state", i)
-			}
-			return ps, nil
-		}
-	}
-	return nil, fmt.Errorf("dist: node %d is not a process", a)
 }
 
 // SenderStateOf extracts the LS(from,to) state.
 func (h *Hardened) SenderStateOf(st ioa.State, from, to string) (*SenderState, error) {
-	i, ok := h.idx["s "+linkKey(from, to)]
+	i, ok := h.idx[faults.ChanKey(from, to)]
 	if !ok {
-		return nil, fmt.Errorf("dist: no sender link %s", linkKey(from, to))
+		return nil, fmt.Errorf("dist: no sender link %s", faults.ChanKey(from, to))
 	}
-	ts, ok := st.(*ioa.TupleState)
-	if !ok {
-		return nil, fmt.Errorf("dist: not a composite state")
-	}
-	ls, ok := ts.At(i).(*SenderState)
-	if !ok {
-		return nil, fmt.Errorf("dist: component %d is not a sender state", i)
-	}
-	return ls, nil
+	return component[*SenderState](st, len(h.Order)+i)
 }
 
 // ReceiverStateOf extracts the LR(from,to) state.
 func (h *Hardened) ReceiverStateOf(st ioa.State, from, to string) (*ReceiverState, error) {
-	i, ok := h.idx["r "+linkKey(from, to)]
+	i, ok := h.idx[faults.ChanKey(from, to)]
 	if !ok {
-		return nil, fmt.Errorf("dist: no receiver link %s", linkKey(from, to))
+		return nil, fmt.Errorf("dist: no receiver link %s", faults.ChanKey(from, to))
 	}
-	ts, ok := st.(*ioa.TupleState)
-	if !ok {
-		return nil, fmt.Errorf("dist: not a composite state")
-	}
-	lr, ok := ts.At(i).(*ReceiverState)
-	if !ok {
-		return nil, fmt.Errorf("dist: component %d is not a receiver state", i)
-	}
-	return lr, nil
+	return component[*ReceiverState](st, len(h.Order)+i+1)
 }
 
 // InTransit is the abstract in-transit predicate of the possibilities
@@ -449,12 +367,4 @@ func (h *Hardened) InTransit(st ioa.State, from, to, kind string) (bool, error) 
 		}
 	}
 	return false, nil
-}
-
-// F2 builds the renaming f₂ of §3.3.5 for the hardened system: the
-// same send/receive pairs as the plain A₃ (the external interface is
-// identical); the internal xmit/dlvr actions are left to rename to
-// themselves.
-func (h *Hardened) F2(aug *graph.Tree) (*ioa.Mapping, error) {
-	return f2Mapping(h.Tree, aug, h.Order)
 }

@@ -2,9 +2,11 @@ package mapping
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/arbiter/dist"
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/ioa"
 	"repro/internal/proof"
@@ -21,8 +23,10 @@ import (
 // The proof of Lemma 46 silently excludes a grant in transit on the
 // same channel, which is exactly per-channel FIFO order — and the
 // paper's own implementability argument for E_M (Lemma 44) builds M
-// from FIFO buffers. With FIFO channels (dist.New) the mapping
-// verifies; see mapping_test.go.
+// from FIFO buffers. The unordered M is the FIFO one under the Reorder
+// adversary, which swaps the channel's head so the request goes first.
+// With FIFO channels (dist.New) the mapping verifies; see
+// mapping_test.go.
 func TestUnorderedChannelBreaksH2(t *testing.T) {
 	tr, err := graph.Figure32()
 	if err != nil {
@@ -32,7 +36,7 @@ func TestUnorderedChannelBreaksH2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := dist.NewUnordered(tr, 0)
+	sys, err := dist.NewWithFaults(tr, 0, faults.Injection{Adversary: []faults.Class{faults.Reorder}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +61,14 @@ func TestUnorderedChannelBreaksH2(t *testing.T) {
 	err = h2.Verify(200000)
 	if !errors.Is(err, proof.ErrNotPossibilities) {
 		t.Fatalf("expected the unordered message system to break h2, got %v", err)
+	}
+	for _, want := range []string{
+		"request(b(a1,a2),a2)",
+		`no matching step of A2 from possibility "03100001100000"`,
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("counterexample %q does not name %s", err, want)
+		}
 	}
 	t.Logf("counterexample found as expected: %v", err)
 }

@@ -302,8 +302,12 @@ func Coordinate(ctx context.Context, cfg Config) (Result, error) {
 	defer ln.Close()
 
 	// Cancellation: closing the listener/conns unblocks Accept and the
-	// readers.
+	// readers. The accept loop stores a peer only under mu and while not
+	// stopped, so the sweep below sees every peer stored and the loop
+	// shuts down any it accepts after the sweep.
 	peers := make([]*peer, cfg.Procs)
+	var mu sync.Mutex
+	stopped := false
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -312,6 +316,9 @@ func Coordinate(ctx context.Context, cfg Config) (Result, error) {
 		case <-done:
 		}
 		ln.Close()
+		mu.Lock()
+		stopped = true
+		mu.Unlock()
 		for _, p := range peers {
 			if p != nil {
 				p.shutdown()
@@ -333,7 +340,14 @@ func Coordinate(ctx context.Context, cfg Config) (Result, error) {
 			return res, ctxErr(ctx, fmt.Errorf("cluster: accept: %w", err))
 		}
 		p := newPeer(conn)
+		mu.Lock()
+		if stopped {
+			mu.Unlock()
+			p.shutdown()
+			return res, ctx.Err() // only a cancel stops the sweep this early
+		}
 		peers[rank] = p
+		mu.Unlock()
 		go p.write(func(err error) { fail(rank, "write rank %d: %v", rank, err) })
 		if err := p.send(msg{Kind: kWelcome, To: rank, Procs: cfg.Procs}); err != nil {
 			return res, fmt.Errorf("cluster: welcome rank %d: %w", rank, err)

@@ -14,6 +14,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -418,6 +419,56 @@ func TestWorkRejectsBadFrames(t *testing.T) {
 				t.Fatalf("want one kFail and an error naming rank 0; kinds seen %v, error %v", seen, err)
 			}
 		})
+	}
+}
+
+// cancelListener hands Coordinate one end of a net.Pipe and cancels
+// the context inside that first Accept; every later Accept blocks until
+// the listener is closed.
+type cancelListener struct {
+	conn     net.Conn
+	cancel   context.CancelFunc
+	accepted bool
+	closed   chan struct{}
+	once     sync.Once
+}
+
+func (l *cancelListener) Accept() (net.Conn, error) {
+	if !l.accepted {
+		l.accepted = true
+		l.cancel()
+		return l.conn, nil
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+
+func (l *cancelListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *cancelListener) Addr() net.Addr { return l.conn.LocalAddr() }
+
+// TestCoordinateCancelShutsDownAcceptedPeer: a cancel that lands while
+// the accept loop is storing a peer must still shut that peer down.
+// Coordinate returns an error, and the worker's end of the accepted
+// connection reads to EOF (past at most the welcome) instead of
+// hanging on a connection nobody will ever close.
+func TestCoordinateCancelShutsDownAcceptedPeer(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := client.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	ln := &cancelListener{conn: server, cancel: cancel, closed: make(chan struct{})}
+	if _, err := Coordinate(ctx, Config{Procs: 2, Listener: ln}); err == nil {
+		t.Fatal("a cancelled Coordinate returned no error")
+	}
+	if _, err := io.Copy(io.Discard, client); err != nil {
+		t.Fatalf("the accepted connection was left open: %v", err)
 	}
 }
 

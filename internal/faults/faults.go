@@ -4,9 +4,10 @@
 //
 // The paper (§3.3) proves the arbiter correct over a reliable FIFO
 // message automaton M and names fault tolerance as the open direction
-// (Chapter 4). This package turns the repo's ad-hoc fault code (the
-// lossy message system in internal/arbiter/dist, the stuck shared
-// register in internal/mutex) into one reusable API, in two styles:
+// (Chapter 4). This package is the one place faults are built — M
+// itself is NewNetwork with the zero Injection, and the arbiter's
+// lossy and reordering channels and the stuck shared register of
+// internal/mutex are this API — in two styles:
 //
 //   - Adversary faults: extra internal actions (drop(a,a'),
 //     dup(a,a'), reorder(a,a')) added to a channel automaton. The

@@ -47,8 +47,7 @@ type Injection struct {
 }
 
 // DropAction names the adversary action that loses the head of
-// channel (from,to). It matches the action name used by the original
-// dist lossy message system.
+// channel (from,to).
 func DropAction(from, to string) ioa.Action { return ioa.Act("drop", from, to) }
 
 // DupAction names the adversary action that duplicates the head of
@@ -77,9 +76,10 @@ type netChan struct {
 }
 
 // NetState is the state of a network automaton built by NewNetwork:
-// one FIFO-with-faults queue per directed channel. It exposes the
-// same read API as the dist message system's state (Has / HeadIs /
-// Len), so refinement mappings can treat either interchangeably.
+// one FIFO-with-faults queue per directed channel. Under the zero
+// Injection it is the state of the arbiter's message system M, whose
+// refinement mapping and delivery conditions read it through Has /
+// HeadIs / Len.
 type NetState struct {
 	chans map[string]netChan
 	key   string
@@ -87,8 +87,8 @@ type NetState struct {
 
 var _ ioa.State = (*NetState)(nil)
 
-// ChanKey canonicalizes a directed channel name, matching the
-// encoding used by the dist message system.
+// ChanKey canonicalizes a directed channel name: "from>to", as it
+// appears in state keys and fault-schedule decisions.
 func ChanKey(from, to string) string { return from + ">" + to }
 
 func newNetState(chans map[string]netChan) *NetState {
@@ -297,10 +297,10 @@ func (s *NetState) swapHead(from, to string) *NetState {
 
 // NewNetwork builds a network automaton carrying the given links
 // under the given fault injection. With the zero Injection the
-// result is a reliable per-channel-FIFO message system; adversary
-// classes add internal fault actions (in the channel's own fairness
-// class, so fair scheduling never forces them), and a schedule
-// applies seeded faults at enqueue time.
+// result is a reliable per-channel-FIFO message system (the arbiter's
+// M over its links); adversary classes add internal fault actions (in
+// the channel's own fairness class, so fair scheduling never forces
+// them), and a schedule applies seeded faults at enqueue time.
 //
 // The automaton's fairness partition has one class ch(from,to) per
 // link, matching the per-direction buffer classes of the arbiter's
