@@ -1,9 +1,8 @@
 package explore
 
 // The Engine facade: the package's entry points (Reach,
-// CheckInvariant, Deadlocks, Behaviors, Schedules, Execs,
-// SameBehaviors, FindLasso, plus the diagnostic EnabledReport and
-// WriteDOT) are methods of one type constructed from Options, with
+// CheckInvariant, Behaviors, Schedules, Execs, SameBehaviors,
+// FindLasso, plus the diagnostic WriteDOT) are methods of one type constructed from Options, with
 // context.Context cancellation on every method.
 //
 // Internally every explorer dedups through internal/store: states are
@@ -215,23 +214,6 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 	}
 	_, v, _, _, err := e.parallelExplore(ctx, a, pred)
 	return v, err
-}
-
-// Deadlocks returns the reachable states from which no
-// locally-controlled action is enabled. (Such states end finite fair
-// executions, §2.2.1.)
-func (e *Engine) Deadlocks(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
-	states, err := e.Reach(ctx, a)
-	if err != nil {
-		return nil, err
-	}
-	var out []ioa.State
-	for _, s := range states {
-		if len(a.Enabled(s)) == 0 {
-			out = append(out, s)
-		}
-	}
-	return out, nil
 }
 
 // A Step enumerates one state's successors, and is the one place the

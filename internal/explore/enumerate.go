@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/ioa"
 	"repro/internal/ltl"
@@ -222,8 +221,14 @@ type Lasso struct {
 // The graph construction and cycle search live in internal/ltl
 // (BuildGraph / FindCycle), shared with the self-stabilization
 // certifier; this method adds reachability and the minimal stem.
+// Options.Canon is refused by name before exploring: a cycle over
+// orbit representatives is not an execution, and a symmetry may
+// permute the fairness classes.
 func (e *Engine) FindLasso(ctx context.Context, a ioa.Automaton, allowed func(ioa.Action) bool, fair bool) (*Lasso, error) {
 	ctx = ctxOr(ctx)
+	if c := e.opts.Canon; c != nil {
+		return nil, fmt.Errorf("explore: FindLasso: Options.Canon (%s) is not supported: a cycle over orbit representatives is not an execution", c.Name())
+	}
 	states, err := e.Reach(ctx, a)
 	if err != nil {
 		return nil, err
@@ -247,7 +252,7 @@ func (e *Engine) FindLasso(ctx context.Context, a ioa.Automaton, allowed func(io
 // BFS invariant checker (so the witness has minimal length).
 func (e *Engine) witnessTo(ctx context.Context, a ioa.Automaton, target ioa.State) (*ioa.Execution, error) {
 	tk := target.Key()
-	we := New(Options{Workers: 1, Limit: maxInt(e.opts.limit(), DefaultLimit), Obs: e.opts.Obs})
+	we := New(Options{Workers: 1, Limit: max(e.opts.limit(), DefaultLimit), Obs: e.opts.Obs})
 	v, err := we.CheckInvariant(ctx, a, func(s ioa.State) bool { return s.Key() != tk })
 	if err != nil {
 		return nil, err
@@ -256,29 +261,6 @@ func (e *Engine) witnessTo(ctx context.Context, a ioa.Automaton, target ioa.Stat
 		return nil, fmt.Errorf("explore: target state %q unreachable", tk)
 	}
 	return v.Trace, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// EnabledReport summarizes, for diagnostics, which locally-controlled
-// actions are enabled at each reachable state.
-func (e *Engine) EnabledReport(ctx context.Context, a ioa.Automaton) (map[string][]ioa.Action, error) {
-	states, err := e.Reach(ctxOr(ctx), a)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]ioa.Action, len(states))
-	for _, s := range states {
-		en := a.Enabled(s)
-		sort.Slice(en, func(i, j int) bool { return en[i] < en[j] })
-		out[s.Key()] = en
-	}
-	return out, nil
 }
 
 // WriteDOT renders the reachable state graph of a (up to
@@ -292,12 +274,9 @@ func (e *Engine) WriteDOT(ctx context.Context, w io.Writer, a ioa.Automaton) err
 	if err != nil {
 		return err
 	}
-	index := store.New(store.Options{})
-	for _, s := range states {
-		index.Intern(s)
-	}
-	if err := index.Err(); err != nil {
-		return seenErr(a, err)
+	g, err := ltl.BuildGraph(ctx, a, states, nil)
+	if err != nil {
+		return err
 	}
 	if _, err := fmt.Fprintf(w, "digraph %q {\n  rankdir=LR;\n", a.Name()); err != nil {
 		return err
@@ -316,27 +295,14 @@ func (e *Engine) WriteDOT(ctx context.Context, w io.Writer, a ioa.Automaton) err
 		}
 	}
 	ext := a.Sig().Ext()
-	acts := a.Sig().Acts().Sorted()
-	for i, s := range states {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, act := range acts {
-			var werr error
-			ioa.VisitNext(a, s, act, func(nxt ioa.State) bool {
-				j, ok := index.Has(nxt)
-				if !ok {
-					return true
-				}
-				style := "solid"
-				if !ext.Has(act) {
-					style = "dashed"
-				}
-				_, werr = fmt.Fprintf(w, "  n%d -> n%d [label=%q, style=%s];\n", i, j, act, style)
-				return werr == nil
-			})
-			if werr != nil {
-				return werr
+	for i, edges := range g.Adj {
+		for _, e := range edges {
+			style := "solid"
+			if !ext.Has(e.Act) {
+				style = "dashed"
+			}
+			if _, err := fmt.Fprintf(w, "  n%d -> n%d [label=%q, style=%s];\n", i, e.To, e.Act, style); err != nil {
+				return err
 			}
 		}
 	}

@@ -68,22 +68,6 @@ func TestCheckInvariantWitness(t *testing.T) {
 	}
 }
 
-func TestDeadlocks(t *testing.T) {
-	sig := ioa.MustSignature(nil, []ioa.Action{"go"}, nil)
-	a := ioa.MustTable("dl", sig,
-		[]ioa.State{ioa.KeyState("s")},
-		[]ioa.Step{{From: ioa.KeyState("s"), Act: "go", To: ioa.KeyState("t")}},
-		[]ioa.Class{{Name: "c", Actions: ioa.NewSet("go")}},
-	)
-	dl, err := New(Options{Workers: 1, Limit: 100}).Deadlocks(context.Background(), a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dl) != 1 || dl[0].Key() != "t" {
-		t.Errorf("Deadlocks = %v", dl)
-	}
-}
-
 func TestBehaviorsPingPong(t *testing.T) {
 	c := figures.Fig21()
 	m, err := New(Options{Workers: 1}).Behaviors(context.Background(), c, 4)
@@ -260,18 +244,34 @@ func TestFigure23FairVsUnfair(t *testing.T) {
 	})
 }
 
-func TestEnabledReport(t *testing.T) {
-	c := figures.Fig21()
-	rep, err := New(Options{Workers: 1, Limit: 10}).EnabledReport(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
+// swap maps y to its orbit-mate x.
+type swap struct{}
+
+func (swap) Name() string { return "swap" }
+func (swap) Canonical(s ioa.State) ioa.State {
+	if s.Key() == "y" {
+		return ioa.KeyState("x")
 	}
-	if len(rep) != 2 {
-		t.Fatalf("report size = %d", len(rep))
-	}
-	for key, acts := range rep {
-		if len(acts) != 1 {
-			t.Errorf("state %q enables %v, want exactly one action", key, acts)
+	return s
+}
+
+// TestFindLassoRefusesCanon: x and y flip by one internal action.
+// Under a canonicalizer the reachable set is the orbit {x}, and the
+// graph over it has no edge — a quotient would answer "no lasso" for a
+// system that has one, so FindLasso refuses it by name.
+func TestFindLassoRefusesCanon(t *testing.T) {
+	x, y := ioa.KeyState("x"), ioa.KeyState("y")
+	flip := ioa.MustTable("flip", ioa.MustSignature(nil, nil, []ioa.Action{"flip"}), []ioa.State{x},
+		[]ioa.Step{{From: x, Act: "flip", To: y}, {From: y, Act: "flip", To: x}},
+		[]ioa.Class{{Name: "c", Actions: ioa.NewSet("flip")}})
+	all := func(ioa.Action) bool { return true }
+	for _, fair := range []bool{false, true} {
+		if l, err := New(Options{Workers: 1}).FindLasso(context.Background(), flip, all, fair); err != nil || l == nil {
+			t.Fatalf("fair=%v without a canonicalizer: lasso %v, err %v", fair, l, err)
+		}
+		_, err := New(Options{Workers: 1, Canon: swap{}}).FindLasso(context.Background(), flip, all, fair)
+		if err == nil || !strings.Contains(err.Error(), "Options.Canon (swap)") {
+			t.Fatalf("fair=%v under a canonicalizer: %v; want a refusal naming Options.Canon", fair, err)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -246,8 +247,8 @@ func TestEngineContextCancellation(t *testing.T) {
 	if _, err := eng.FindLasso(ctx, a, func(ioa.Action) bool { return true }, false); !errors.Is(err, context.Canceled) {
 		t.Errorf("FindLasso err = %v, want context.Canceled", err)
 	}
-	if _, err := eng.Deadlocks(ctx, a); !errors.Is(err, context.Canceled) {
-		t.Errorf("Deadlocks err = %v, want context.Canceled", err)
+	if err := eng.WriteDOT(ctx, io.Discard, a); !errors.Is(err, context.Canceled) {
+		t.Errorf("WriteDOT err = %v, want context.Canceled", err)
 	}
 	// A nil context is normalized, not dereferenced.
 	if _, err := eng.Reach(nil, a); err != nil { //lint:ignore SA1012 nil-context normalization is part of the API contract

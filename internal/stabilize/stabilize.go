@@ -20,30 +20,25 @@
 //   - Closure scans every legitimate state's outgoing edges: an edge
 //     leaving L is a closure break, witnessed by its step.
 //
-//   - Convergence computes a per-state rounds-to-legitimacy table by
-//     DFS over the non-legitimate region: r(s) = 0 for s ∈ L,
-//     otherwise 1 + max over successors — the demonic bound over
-//     every scheduling choice. A cycle or deadlock inside the
-//     non-legitimate region makes those states divergent. With no
-//     divergence, convergence is bounded and k = max r over the
-//     envelope. With divergence, a deadlock outside L refutes
-//     convergence outright (a finite fair execution ends outside L);
-//     otherwise the ltl lasso machinery searches the divergent region
-//     for a fair-sustainable cycle (§2.2.1 condition 2) — one found
-//     refutes convergence under fair scheduling, none found certifies
-//     fair convergence without a uniform bound (a demon can postpone
+//   - Convergence computes a per-state rounds-to-legitimacy table in
+//     one pass over the strongly connected components of the
+//     non-legitimate region: r(s) = 0 for s ∈ L, otherwise 1 + max
+//     over successors — the demonic bound over every scheduling
+//     choice. A cycle or deadlock inside the non-legitimate region
+//     makes those states divergent. With no divergence, convergence
+//     is bounded and k = max r over the envelope. With divergence, a
+//     deadlock outside L refutes convergence outright (a finite fair
+//     execution ends outside L); otherwise ltl.FindCycle decides
+//     whether a component of the divergent region carries a
+//     fair-sustainable cycle (§2.2.1 condition 2) — one found refutes
+//     convergence under fair scheduling, none certifies fair
+//     convergence without a uniform bound (a demon can postpone
 //     recovery arbitrarily, but no fair execution avoids L forever).
 //
 // Determinism: the closure is explored in the engine's canonical
 // order, the graph probes actions sorted, and every scan walks nodes
 // in dense-ID order, so certificates — including which witness is
 // reported — are bit-identical across runs at a fixed worker count.
-//
-// Caveat carried from the lasso machinery: the fair-cycle search
-// covers simple cycles only, so a "converges fairly, unbounded"
-// verdict shares FindLasso's approximation (a non-simple fair cycle
-// whose simple sub-cycles are all unfair would be missed). Bounded
-// verdicts and refutations are exact.
 package stabilize
 
 import (
@@ -217,13 +212,6 @@ func (s *seeded) VisitNext(st ioa.State, a ioa.Action, yield func(ioa.State) boo
 
 var _ ioa.Stepper = (*seeded)(nil)
 
-// rounds-table colors.
-const (
-	colWhite = iota
-	colGray
-	colDone
-)
-
 // Certify checks closure and convergence of a with respect to the
 // legitimate-state predicate legit, from the corruption envelope env.
 func Certify(ctx context.Context, a ioa.Automaton, legit func(ioa.State) bool, env Envelope, opts Options) (*Certificate, error) {
@@ -342,76 +330,33 @@ closure:
 }
 
 // roundsTable fills cert.Rounds with the demonic rounds-to-legitimacy
-// bound per state — r(s) = 0 on L, else 1 + max over successors — via
-// iterative DFS with colors over the non-legitimate region. A state on
-// or leading into a non-legitimate cycle, or deadlocked outside L, is
-// divergent (-1). Returns whether any state diverged.
+// bound per state — r(s) = 0 on L, else 1 + max over successors — in
+// one pass over the strongly connected components of the
+// non-legitimate region, successors first. A singleton whose
+// successors are all settled gets 1 + max; every other state — in a
+// nontrivial component, on a self-loop, deadlocked, or with a
+// divergent successor — is divergent (-1). Returns whether any state
+// diverged.
 func (c *Certificate) roundsTable(g *ltl.StateGraph, legitAt []bool) bool {
-	n := len(g.States)
-	c.Rounds = make([]int, n)
-	color := make([]byte, n)
+	c.Rounds = make([]int, len(g.States))
+	comps, _ := g.SCCs(func(i int) bool { return !legitAt[i] })
 	diverged := false
-	for i := range c.Rounds {
-		if legitAt[i] {
-			color[i] = colDone
-		} else {
-			c.Rounds[i] = -1
+	for _, comp := range comps {
+		v, best := comp[0], -1
+		for _, e := range g.Adj[v] {
+			if len(comp) > 1 || e.To == v || c.Rounds[e.To] < 0 {
+				best = -1 // nontrivial, self-loop, divergent successor
+				break
+			}
+			best = max(best, c.Rounds[e.To]+1)
 		}
-	}
-	type frame struct {
-		node, edge, best int
-		div              bool
-	}
-	var stack []frame
-	for root := 0; root < n; root++ {
-		if color[root] != colWhite {
+		if best >= 0 { // no successors at all leaves best -1: a deadlock
+			c.Rounds[v] = best
 			continue
 		}
-		color[root] = colGray
-		stack = append(stack[:0], frame{node: root, best: -1})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			adj := g.Adj[f.node]
-			if f.edge < len(adj) {
-				child := adj[f.edge].To
-				f.edge++
-				switch color[child] {
-				case colWhite:
-					// Defer: the child's verdict folds into this frame
-					// when the child frame pops.
-					color[child] = colGray
-					stack = append(stack, frame{node: child, best: -1})
-				case colGray:
-					// Back edge: a cycle through non-legitimate states.
-					f.div = true
-				default:
-					if c.Rounds[child] < 0 {
-						f.div = true
-					} else if r := c.Rounds[child] + 1; r > f.best {
-						f.best = r
-					}
-				}
-				continue
-			}
-			// f.best < 0 with no divergent successor means no outgoing
-			// steps at all: a deadlock outside L.
-			childDiv := f.div || f.best < 0
-			if childDiv {
-				diverged = true
-			} else {
-				c.Rounds[f.node] = f.best
-			}
-			color[f.node] = colDone
-			node := f.node
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				if childDiv {
-					p.div = true
-				} else if r := c.Rounds[node] + 1; r > p.best {
-					p.best = r
-				}
-			}
+		diverged = true
+		for _, u := range comp {
+			c.Rounds[u] = -1
 		}
 	}
 	return diverged
@@ -438,8 +383,8 @@ func (c *Certificate) refuteOrCertifyFair(ctx context.Context, eng *explore.Engi
 		return err
 	}
 	if acts == nil {
-		// Divergent states exist but no fair simple cycle sustains
-		// them: every fair execution leaves the divergent region and,
+		// Divergent states exist but no fair cycle sustains them:
+		// every fair execution leaves the divergent region and,
 		// rounds decreasing thereafter, reaches L.
 		c.Converges = true
 		return nil

@@ -173,6 +173,55 @@ func TestCertifyFairCycleRefutes(t *testing.T) {
 	}
 }
 
+// TestCertifyFigureEightRefutes: a goes 0→1→0, b goes 0→2→0, and a
+// at 2 or b at 1 leads to the legitimate sink dead. Both classes stay
+// enabled outside dead, so neither simple cycle is fair, but a a b b
+// repeated forever is a fair execution that never reaches L.
+func TestCertifyFigureEightRefutes(t *testing.T) {
+	a, b := ioa.Act("a"), ioa.Act("b")
+	s := keys("0", "1", "2", "dead")
+	fig8 := ioa.MustTable("figure-eight", ioa.MustSignature(nil, nil, []ioa.Action{a, b}), s[:1],
+		[]ioa.Step{
+			{From: s[0], Act: a, To: s[1]}, {From: s[1], Act: a, To: s[0]},
+			{From: s[0], Act: b, To: s[2]}, {From: s[2], Act: b, To: s[0]},
+			{From: s[2], Act: a, To: s[3]}, {From: s[1], Act: b, To: s[3]},
+		},
+		[]ioa.Class{{Name: "a", Actions: ioa.NewSet(a)}, {Name: "b", Actions: ioa.NewSet(b)}})
+	cert := mustCertify(t, fig8, isKey("dead"), domain.Explicit("0", s[:1]))
+	if cert.Converges || cert.Divergence == nil || cert.Divergence.Kind != "cycle" {
+		t.Fatalf("figure-eight certified convergent:\n%s", cert)
+	}
+}
+
+// TestFairCycleSearchIsLinear: n states linked to each other by class
+// spin, each with an always-enabled exit into L. Spin starves exit,
+// so convergence holds under fairness only. A search over simple
+// paths takes about ten times longer per state; one pass over the
+// components certifies 40 states at once.
+func TestFairCycleSearchIsLinear(t *testing.T) {
+	const n = 40
+	spin, exit := ioa.Act("spin"), ioa.Act("exit")
+	var s []ioa.State
+	for i := range n {
+		s = append(s, ioa.KeyState(strconv.Itoa(i)))
+	}
+	var steps []ioa.Step
+	for i := range s {
+		steps = append(steps, ioa.Step{From: s[i], Act: exit, To: ioa.KeyState("L")})
+		for j := range s {
+			if i != j {
+				steps = append(steps, ioa.Step{From: s[i], Act: spin, To: s[j]})
+			}
+		}
+	}
+	clique := ioa.MustTable("clique", ioa.MustSignature(nil, nil, []ioa.Action{spin, exit}), s, steps,
+		[]ioa.Class{{Name: "spin", Actions: ioa.NewSet(spin)}, {Name: "exit", Actions: ioa.NewSet(exit)}})
+	cert := mustCertify(t, clique, isKey("L"), domain.Explicit("clique", s))
+	if !cert.Converges || cert.Bounded || !cert.Stabilizing() {
+		t.Fatalf("clique verdict, want converges under fairness:\n%s", cert)
+	}
+}
+
 func TestCertifyDeadlockOnly(t *testing.T) {
 	d := ioa.NewDef("stuck")
 	d.Start(ioa.KeyState("d"))
