@@ -199,7 +199,7 @@ func BenchmarkFigure21Composition(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		enabled := c.Enabled(s)
-		next := c.Next(s, enabled[0])
+		next := ioa.Successors(c, s, enabled[0])
 		s = next[0]
 	}
 }

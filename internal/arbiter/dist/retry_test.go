@@ -141,7 +141,7 @@ func TestAlternatingBitSurvivesDropAndDup(t *testing.T) {
 	if !ps.Holding() {
 		t.Fatal("a2 did not receive the grant")
 	}
-	if len(a.Next(s, SendGrant("a2", "u2"))) == 0 {
+	if len(ioa.Successors(a, s, SendGrant("a2", "u2"))) == 0 {
 		t.Fatal("a2 must be able to grant u2")
 	}
 }

@@ -46,7 +46,7 @@ func TestFigure32Scenario(t *testing.T) {
 	// u3 requests; the request is forwarded a3 → a2 → a1 (each hop
 	// enabled only toward the root, per Lemma 36).
 	step(RequestAct(tr, u3, a3))
-	if next := a2auto.Next(st, RequestAct(tr, a3, u3)); next != nil {
+	if next := ioa.Successors(a2auto, st, RequestAct(tr, a3, u3)); next != nil {
 		t.Error("a3 must not forward the request back toward u3 (away from the root)")
 	}
 	step(RequestAct(tr, a3, a2))

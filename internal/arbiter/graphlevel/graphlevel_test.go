@@ -323,7 +323,7 @@ func TestUserReturnClearsPendingRequestArrow(t *testing.T) {
 	if !st2.HasGrant(a0, u[0]) {
 		t.Fatal("u0 should hold the resource")
 	}
-	next := a2.Next(st, RequestAct(tr, a0, u[0]))
+	next := ioa.Successors(a2, st, RequestAct(tr, a0, u[0]))
 	if len(next) == 0 {
 		t.Fatal("a0 must be able to ask u0 to return")
 	}

@@ -325,7 +325,7 @@ func TestA1RandomDrives(t *testing.T) {
 					return false // bogus return must not move the resource
 				}
 			case 2:
-				next := a.Next(s, Grant(us[u]))
+				next := ioa.Successors(a, s, Grant(us[u]))
 				if len(next) == 0 {
 					// Disabled: must be because u is not requesting or
 					// someone holds the resource.

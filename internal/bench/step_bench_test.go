@@ -14,10 +14,10 @@ import (
 // BenchmarkCompositeStep is the exploration hot path in isolation: one
 // sweep over every reachable state of the closed level-3 arbiter (a
 // composition of a composition), each successor encoded into a reused
-// buffer the way Intern does. step is the sorted explore.Step sweep the
-// engines run, its successors borrowed from the Step's scratch; next is
-// the same actions through ioa.VisitNext, the heap adapter every other
-// caller uses. allocs/op divided by the successors metric is the
+// buffer the way Intern does. step is the sorted ioa.Walk sweep the
+// engines run, its successors borrowed from the Walk's scratch; next is
+// the same actions through Next with no scratch, the heap walk every
+// other caller takes. allocs/op divided by the successors metric is the
 // per-successor allocation count — next's minus step's is what a
 // successor's tuples cost, and what is left in step is Enabled.
 func BenchmarkCompositeStep(b *testing.B) {
@@ -41,7 +41,7 @@ func BenchmarkCompositeStep(b *testing.B) {
 		successors++
 		return true
 	}
-	step := explore.NewStep(sys, true)
+	step := ioa.NewWalk(sys, true)
 	inputs := sys.Sig().Inputs().Sorted()
 	for _, arm := range []struct {
 		name  string
@@ -51,7 +51,7 @@ func BenchmarkCompositeStep(b *testing.B) {
 		{"next", func(s ioa.State) {
 			for _, acts := range [][]ioa.Action{sys.Enabled(s), inputs} {
 				for _, act := range acts {
-					ioa.VisitNext(sys, s, act, yield)
+					sys.Next(nil, s, act, yield)
 				}
 			}
 		}},

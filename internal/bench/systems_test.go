@@ -31,7 +31,7 @@ func TestExploreSystemLevels(t *testing.T) {
 	}
 }
 
-// TestStepVisitMatchesAllActionsSweep pins explore.Step against the
+// TestStepVisitMatchesAllActionsSweep pins ioa.Walk against the
 // seed explorer's successor enumeration on every catalogue system at
 // smoke size: a sorted Visit yields exactly the (action, successor
 // key) sequence of the all-actions sweep `for act in sorted acts(A) {
@@ -52,8 +52,8 @@ func TestStepVisitMatchesAllActionsSweep(t *testing.T) {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
 		acts := a.Sig().Acts().Sorted()
-		sorted, unsorted := explore.NewStep(a, true), explore.NewStep(a, false)
-		visit := func(st *explore.Step, s ioa.State) (got []edge) {
+		sorted, unsorted := ioa.NewWalk(a, true), ioa.NewWalk(a, false)
+		visit := func(st *ioa.Walk, s ioa.State) (got []edge) {
 			st.Visit(s, func(nxt ioa.State) bool {
 				got = append(got, edge{st.Act, nxt.Key()})
 				return true
@@ -66,7 +66,7 @@ func TestStepVisitMatchesAllActionsSweep(t *testing.T) {
 		for _, s := range states {
 			var want []edge
 			for _, act := range acts {
-				for _, nxt := range a.Next(s, act) {
+				for _, nxt := range ioa.Successors(a, s, act) {
 					want = append(want, edge{act, nxt.Key()})
 				}
 			}

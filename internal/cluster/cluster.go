@@ -676,7 +676,7 @@ func work(ctx context.Context, conn net.Conn, cfg Config) error {
 	}
 
 	// The owners sort each level's candidates, so the walk need not.
-	step := explore.NewStep(a, false)
+	step := ioa.NewWalk(a, false)
 	// Level 0: every rank proposes the same start states and owner dedup
 	// keeps one copy of each.
 	for _, s := range a.Start() {

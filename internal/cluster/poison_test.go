@@ -10,7 +10,7 @@ import (
 )
 
 // The whole test binary runs with ioa's scratch poisoning on: every
-// explore.Step.Visit overwrites what the Visit before it lent, so a
+// ioa.Walk.Visit overwrites what the Visit before it lent, so a
 // loop that retains a borrowed successor without ioa.Keep feeds this
 // package's batteries garbage (explore/borrow_test.go has the contract
 // and the must-fail arm).

@@ -1,8 +1,8 @@
 package explore_test
 
-// The borrow contract of Step, checked rather than trusted. This file's
+// The borrow contract of ioa.Walk, checked rather than trusted. This file's
 // init turns ioa's scratch poisoning on for the whole test binary: every
-// Step.Visit then overwrites what the Visit before it lent, so a loop
+// Walk.Visit then overwrites what the Visit before it lent, so a loop
 // that retains a successor without ioa.Keep hands garbage to the
 // differential, spill, merge and census batteries — which is what makes
 // those, unedited, the tests of seqExplore's, expandLevel's and the
@@ -36,11 +36,11 @@ func closedArbiter(t *testing.T, users int) (ioa.Automaton, []ioa.State) {
 
 // TestStepRetainWithoutKeepIsCaught: two consumers walk the same
 // states. The one that retains what yield handed it reads ioa.PoisonKey
-// from every retained successor once the Step has moved on; the one
+// from every retained successor once the Walk has moved on; the one
 // that retains ioa.Keep of it reads the successor.
 func TestStepRetainWithoutKeepIsCaught(t *testing.T) {
 	a, states := closedArbiter(t, 3)
-	step := explore.NewStep(a, true)
+	step := ioa.NewWalk(a, true)
 	var want []string
 	var retained, kept []ioa.State
 	for _, s := range states {
@@ -76,61 +76,76 @@ func TestStepRetainWithoutKeepIsCaught(t *testing.T) {
 func TestStepVisitAllocatesNothingPerSuccessor(t *testing.T) {
 	ioa.SetScratchPoison(false) // a poisoned scratch abandons its memory on every Reset
 	defer ioa.SetScratchPoison(true)
-	a, states := closedArbiter(t, 4)
-	step := explore.NewStep(a, true)
-	var enc []byte
-	successors := 0
-	encode := func(nxt ioa.State) bool {
-		enc = ioa.AppendState(enc[:0], nxt)
-		successors++
-		return true
-	}
-	sweep := func() {
-		for _, s := range states {
-			step.Visit(s, encode)
+	// The wrappers that step by delegation step their inner automaton in
+	// the walk's scratch, so a sweep through them allocates no more than
+	// their Enabled either. Each arm builds its own arbiter, so its memo
+	// rows warm up exactly as the bare one's do.
+	for _, wrap := range []func(ioa.Automaton) ioa.Automaton{
+		func(a ioa.Automaton) ioa.Automaton { return a },
+		explore.ClosedWorld,
+		func(a ioa.Automaton) ioa.Automaton { return ioa.HideOutputsExcept(a, nil) },
+		func(a ioa.Automaton) ioa.Automaton {
+			out := a.Sig().Outputs().Sorted()[0]
+			return ioa.MustRename(a, ioa.MustMapping(map[ioa.Action]ioa.Action{out: out + "'"}))
+		},
+	} {
+		arbiter, states := closedArbiter(t, 4)
+		a := wrap(arbiter)
+		step := ioa.NewWalk(a, true)
+		var enc []byte
+		successors := 0
+		encode := func(nxt ioa.State) bool {
+			enc = ioa.AppendState(enc[:0], nxt)
+			successors++
+			return true
 		}
-	}
-	sweep() // warm the memo, the scratch chunks and the buffers
-	successors = 0
-	sweep()
-	perSweep := successors
-	enabledOnly := testing.AllocsPerRun(5, func() {
-		for _, s := range states {
-			_ = a.Enabled(s)
+		sweep := func() {
+			for _, s := range states {
+				step.Visit(s, encode)
+			}
 		}
-	})
-	stepping := testing.AllocsPerRun(5, sweep)
-	if perSweep < 2*len(states) {
-		t.Fatalf("%d successors of %d states: the sweep did not step", perSweep, len(states))
-	}
-	if stepping > enabledOnly {
-		t.Errorf("a sweep over %d states and %d successors allocates %.0f objects, Enabled alone %.0f: %.2f per successor, want 0",
-			len(states), perSweep, stepping, enabledOnly, (stepping-enabledOnly)/float64(perSweep))
-	}
-	if stepping > float64(len(states)) {
-		t.Errorf("a sweep over %d states allocates %.0f objects: %.2f per state, want at most 1",
-			len(states), stepping, stepping/float64(len(states)))
+		sweep() // warm the memo, the scratch chunks and the buffers
+		successors = 0
+		sweep()
+		perSweep := successors
+		enabledOnly := testing.AllocsPerRun(5, func() {
+			for _, s := range states {
+				_ = a.Enabled(s)
+			}
+		})
+		stepping := testing.AllocsPerRun(5, sweep)
+		if perSweep < 2*len(states) {
+			t.Fatalf("%s: %d successors of %d states: the sweep did not step", a.Name(), perSweep, len(states))
+		}
+		if stepping > enabledOnly {
+			t.Errorf("%s: a sweep over %d states and %d successors allocates %.0f objects, Enabled alone %.0f: %.2f per successor, want 0",
+				a.Name(), len(states), perSweep, stepping, enabledOnly, (stepping-enabledOnly)/float64(perSweep))
+		}
+		if a == arbiter && stepping > float64(len(states)) {
+			t.Errorf("%s: a sweep over %d states allocates %.0f objects: %.2f per state, want at most 1",
+				a.Name(), len(states), stepping, stepping/float64(len(states)))
+		}
 	}
 }
 
-// TestStepRecordsEnabled: Step.Enabled is the length of the Enabled list
+// TestStepRecordsEnabled: Walk.Enabled is the length of the Enabled list
 // of the last state visited, sorted walk or not — what the census loops
 // count deadlocks from instead of asking the automaton twice.
 func TestStepRecordsEnabled(t *testing.T) {
 	a, states := closedArbiter(t, 2)
 	deadEnd := chain(3)
 	for _, sorted := range []bool{false, true} {
-		step := explore.NewStep(a, sorted)
+		step := ioa.NewWalk(a, sorted)
 		for _, s := range states {
 			step.Visit(s, func(ioa.State) bool { return true })
 			if want := len(a.Enabled(s)); step.Enabled != want {
-				t.Fatalf("sorted=%v: Step.Enabled = %d at %s, Enabled lists %d", sorted, step.Enabled, s.Key(), want)
+				t.Fatalf("sorted=%v: Walk.Enabled = %d at %s, Enabled lists %d", sorted, step.Enabled, s.Key(), want)
 			}
 		}
-		step = explore.NewStep(deadEnd, sorted)
+		step = ioa.NewWalk(deadEnd, sorted)
 		step.Visit(ioa.KeyState("c02"), func(ioa.State) bool { t.Fatal("the end of the chain has a successor"); return true })
 		if step.Enabled != 0 {
-			t.Fatalf("sorted=%v: Step.Enabled = %d at a deadlock", sorted, step.Enabled)
+			t.Fatalf("sorted=%v: Walk.Enabled = %d at a deadlock", sorted, step.Enabled)
 		}
 	}
 }

@@ -13,10 +13,12 @@ package explore
 //     store.LevelSet in which a duplicate collapses on arrival, so the
 //     budget (Spill.MemBudget, in encoded bytes) buys distinct
 //     encodings; each full chunk is batch-interned in the set's Order
-//     through Spill.MergeIntern, which resolves it against the on-disk
-//     runs by whichever is cheaper for that chunk — one sequential pass
-//     over every run, or, for a chunk small beside what the runs hold,
-//     one point lookup per candidate;
+//     through Spill.MergeIntern, which resolves the whole chunk against
+//     the on-disk runs in one galloping merge (Spill.absent): each run's
+//     cursor meets the candidates in increasing order, decoding forward
+//     to a candidate in its block or the next and putting one farther
+//     on to the run's bloom filter first, seeking only the one block
+//     that can hold it;
 //   - each fresh state becomes, in the same pass, a member of the new
 //     run and an entry of the next level's frontier.
 //
@@ -198,7 +200,7 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 	}
 	cur, nxt = nxt, cur
 
-	step := NewStep(a, true)
+	step := ioa.NewWalk(a, true)
 	for depth := int64(1); cur.Len() > 0; depth++ {
 		if err := ctx.Err(); err != nil {
 			return sum, err

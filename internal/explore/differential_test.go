@@ -228,7 +228,7 @@ func bfsLevels(a ioa.Automaton) [][]string {
 		var next []ioa.State
 		for _, s := range level {
 			for _, act := range acts {
-				for _, nxt := range a.Next(s, act) {
+				for _, nxt := range ioa.Successors(a, s, act) {
 					if _, ok := seen[nxt.Key()]; ok {
 						continue
 					}

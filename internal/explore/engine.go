@@ -9,19 +9,17 @@ package explore
 // byte-encoded once (ioa.AppendState — the bytes of Key(), streamed
 // without building the string), interned into arena-backed shards, and
 // tracked by dense uint64 IDs instead of string-keyed maps; successor
-// enumeration goes through Step, which borrows each successor from its
-// own scratch memory (ioa.VisitBorrowed), so a successor that is found
-// already interned allocates nothing and only a kept one is copied to
-// the heap. The visit order is bit-identical
-// to the string-keyed seed explorer (reference.go keeps it as the
-// differential oracle): interning preserves first-insertion order, and
-// the encoding is the Key().
+// enumeration goes through an ioa.Walk, which borrows each successor
+// from its own scratch memory, so a successor that is found already
+// interned allocates nothing and only a kept one is copied to the heap.
+// The visit order is bit-identical to the string-keyed seed explorer
+// (reference.go keeps it as the differential oracle): interning
+// preserves first-insertion order, and the encoding is the Key().
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/ioa"
 	"repro/internal/obs"
@@ -216,78 +214,6 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 	return v, err
 }
 
-// A Step enumerates one state's successors, and is the one place the
-// exploration loops decide which actions are worth stepping: Enabled(s)
-// merged with the input actions. For I/O automata this loses nothing —
-// inputs are enabled in every state (input-enabledness, §2.1) and a
-// locally-controlled action outside Enabled(s) has no step — while
-// |acts(A)| − |enabled(s)| transition probes are skipped. Duplicates
-// (an Enabled implementation that also reports inputs) are harmless:
-// the second pass finds every successor already known.
-//
-// A sorted Step walks the merged list in sorted order, so successors
-// appear in exactly the order the seed explorer's all-actions sweep
-// discovers them (the sequential kernel's visit-order pin, and the
-// external census's chunk order). An unsorted Step walks Enabled(s)
-// then the inputs with no copy and no sort, for the level-synchronized
-// loops whose merge sorts the candidates anyway. A Step allocates
-// nothing per state and is not safe for concurrent use: each goroutine
-// owns one.
-//
-// Successors are borrowed. A Step owns the ioa.Scratch its automaton
-// builds them in — the one object that is already per goroutine and
-// lives as long as the walk — and rewinds it on entry to Visit, so the
-// state handed to yield is valid until the next Visit on this Step;
-// ioa.Keep what you retain. A successor that is encoded, found in the
-// seen set and dropped — most are — then costs no allocation.
-type Step struct {
-	// Act is the action being stepped; yield callbacks read it to label
-	// the transition that produced their argument.
-	Act ioa.Action
-	// Enabled is how many locally-controlled actions the state of the
-	// last Visit enabled; zero marks a deadlock.
-	Enabled int
-
-	a      ioa.Automaton
-	inputs []ioa.Action
-	sorted bool
-	buf    []ioa.Action
-	sc     ioa.Scratch
-}
-
-// NewStep builds the successor enumerator of a.
-func NewStep(a ioa.Automaton, sorted bool) *Step {
-	return &Step{a: a, inputs: a.Sig().Inputs().Sorted(), sorted: sorted}
-}
-
-// Visit calls yield on every successor of s worth stepping, with Act
-// set to the producing action, and stops early (returning false) as
-// soon as yield does.
-func (st *Step) Visit(s ioa.State, yield func(ioa.State) bool) bool {
-	st.sc.Reset()
-	enabled := st.a.Enabled(s)
-	st.Enabled = len(enabled)
-	if !st.sorted {
-		return st.walk(s, enabled, yield) && st.walk(s, st.inputs, yield)
-	}
-	// Copy before sorting: the memo layer may hand out a shared cached
-	// Enabled slice.
-	st.buf = append(append(st.buf[:0], enabled...), st.inputs...)
-	slices.Sort(st.buf)
-	return st.walk(s, st.buf, yield)
-}
-
-// walk steps s by each of acts in order.
-func (st *Step) walk(s ioa.State, acts []ioa.Action, yield func(ioa.State) bool) bool {
-	for _, act := range acts {
-		st.Act = act
-		if !ioa.VisitBorrowed(st.a, &st.sc, s, act, yield) {
-			return false
-		}
-	}
-	return true
-}
-
 // seqExplore is the one sequential kernel, under Reach (pred nil) and
 // CheckInvariant at one worker. The frontier is the unexpanded suffix
 // of the result slice itself (every admitted state is expanded exactly
@@ -323,7 +249,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 
 	var crumbs []crumb // indexed like order; kept only under a predicate
 	cur := store.None  // the state being expanded
-	step := NewStep(a, true)
+	step := ioa.NewWalk(a, true)
 	admit := func(s ioa.State) {
 		if _, fresh := st.Intern(s); fresh {
 			order = append(order, ioa.Keep(s))

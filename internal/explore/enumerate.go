@@ -66,7 +66,7 @@ func (e *Engine) Behaviors(ctx context.Context, a ioa.Automaton, depth int) (*io
 			if ext.Has(act) {
 				tr = append(append([]ioa.Action(nil), c.trace...), act)
 			}
-			ioa.VisitNext(a, c.state, act, func(nxt ioa.State) bool {
+			a.Next(nil, c.state, act, func(nxt ioa.State) bool {
 				push(cfg{state: nxt, trace: tr, steps: c.steps + 1})
 				return true
 			})
@@ -117,7 +117,7 @@ func (e *Engine) Schedules(ctx context.Context, a ioa.Automaton, depth int) (*io
 			continue
 		}
 		for _, act := range acts {
-			ioa.VisitNext(a, c.state, act, func(nxt ioa.State) bool {
+			a.Next(nil, c.state, act, func(nxt ioa.State) bool {
 				tr := append(append([]ioa.Action(nil), c.trace...), act)
 				traces[ioa.TraceString(tr)] = tr
 				stack = append(stack, cfg{state: nxt, trace: tr})
@@ -151,7 +151,7 @@ func (e *Engine) Execs(ctx context.Context, a ioa.Automaton, depth int) (*ioa.Ex
 		}
 		for _, act := range acts {
 			ok := true
-			ioa.VisitNext(a, x.Last(), act, func(nxt ioa.State) bool {
+			a.Next(nil, x.Last(), act, func(nxt ioa.State) bool {
 				x.Append(act, nxt)
 				ok = rec(x)
 				x.Acts = x.Acts[:len(x.Acts)-1]
@@ -219,7 +219,7 @@ type Lasso struct {
 // (§2.2.1 condition 2). Returns nil if no such lasso exists.
 //
 // The graph construction and cycle search live in internal/ltl
-// (BuildGraph / FindCycle), shared with the self-stabilization
+// (BuildGraphCanon / FindCycle), shared with the self-stabilization
 // certifier; this method adds reachability and the minimal stem.
 // Options.Canon is refused by name before exploring: a cycle over
 // orbit representatives is not an execution, and a symmetry may
@@ -233,7 +233,7 @@ func (e *Engine) FindLasso(ctx context.Context, a ioa.Automaton, allowed func(io
 	if err != nil {
 		return nil, err
 	}
-	g, err := ltl.BuildGraph(ctx, a, states, allowed)
+	g, err := ltl.BuildGraphCanon(ctx, a, states, allowed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -241,19 +241,23 @@ func (e *Engine) FindLasso(ctx context.Context, a ioa.Automaton, allowed func(io
 	if err != nil || cycle == nil {
 		return nil, err
 	}
-	stem, err := e.witnessTo(ctx, a, states[start])
+	// The stem comes from a sequential engine at no less than the
+	// default budget, so it is minimal whatever e's options are.
+	we := New(Options{Workers: 1, Limit: max(e.opts.limit(), DefaultLimit), Obs: e.opts.Obs})
+	stem, err := we.Witness(ctx, a, states[start])
 	if err != nil {
 		return nil, err
 	}
 	return &Lasso{Stem: stem, Cycle: cycle, CycleStates: g.PathStates(nodes)}, nil
 }
 
-// witnessTo builds an execution from a start state to target using the
-// BFS invariant checker (so the witness has minimal length).
-func (e *Engine) witnessTo(ctx context.Context, a ioa.Automaton, target ioa.State) (*ioa.Execution, error) {
+// Witness builds an execution from a start state of a to target: the
+// witness CheckInvariant reports for "the state is not target", so it
+// is minimal whenever the engine's is (at one worker, or in parallel
+// below the limit). Options.Canon applies as in CheckInvariant.
+func (e *Engine) Witness(ctx context.Context, a ioa.Automaton, target ioa.State) (*ioa.Execution, error) {
 	tk := target.Key()
-	we := New(Options{Workers: 1, Limit: max(e.opts.limit(), DefaultLimit), Obs: e.opts.Obs})
-	v, err := we.CheckInvariant(ctx, a, func(s ioa.State) bool { return s.Key() != tk })
+	v, err := e.CheckInvariant(ctx, a, func(s ioa.State) bool { return s.Key() != tk })
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +278,7 @@ func (e *Engine) WriteDOT(ctx context.Context, w io.Writer, a ioa.Automaton) err
 	if err != nil {
 		return err
 	}
-	g, err := ltl.BuildGraph(ctx, a, states, nil)
+	g, err := ltl.BuildGraphCanon(ctx, a, states, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -12,11 +12,11 @@
 //
 // All explorers dedup through internal/store (byte-encoded interned
 // states with dense IDs). The exhaustive loops enumerate successors
-// through Step, which lends each one from per-goroutine scratch memory
-// and lets the loop keep the few that are new; the bounded enumerators
-// go through ioa.VisitNext and get heap states. See engine.go and
-// parallel.go. The pre-store string-keyed explorer is preserved in
-// reference.go as the differential-testing oracle.
+// through an ioa.Walk, which lends each one from per-goroutine scratch
+// memory and lets the loop keep the few that are new; the bounded
+// enumerators step with a nil scratch and get heap states. See
+// engine.go and parallel.go. The pre-store string-keyed explorer is
+// preserved in reference.go as the differential-testing oracle.
 package explore
 
 import (
@@ -50,7 +50,6 @@ type closedWorld struct {
 }
 
 var _ ioa.Automaton = (*closedWorld)(nil)
-var _ ioa.BorrowStepper = (*closedWorld)(nil)
 
 // ClosedWorld treats a composition as a closed system: residual input
 // actions — those no component outputs, i.e. pure environment actions
@@ -77,27 +76,10 @@ func (c *closedWorld) Sig() ioa.Signature { return c.sig }
 // Start implements Automaton.
 func (c *closedWorld) Start() []ioa.State { return c.inner.Start() }
 
-// Next implements Automaton.
-func (c *closedWorld) Next(s ioa.State, a ioa.Action) []ioa.State {
-	if !c.sig.HasAction(a) {
-		return nil
-	}
-	return c.inner.Next(s, a)
-}
-
-// VisitNext implements ioa.Stepper: removed environment inputs have no
-// steps; everything else delegates to the inner automaton's fast path.
-func (c *closedWorld) VisitNext(s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
-	return c.VisitBorrowed(nil, s, a, yield)
-}
-
-// VisitBorrowed implements ioa.BorrowStepper the same way; a nil sc
-// makes it VisitNext.
-func (c *closedWorld) VisitBorrowed(sc *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
-	if !c.sig.HasAction(a) {
-		return true
-	}
-	return ioa.VisitBorrowed(c.inner, sc, s, a, yield)
+// Next implements Automaton: removed environment inputs have no steps;
+// everything else steps the inner automaton, in sc too.
+func (c *closedWorld) Next(sc *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
+	return !c.sig.HasAction(a) || c.inner.Next(sc, s, a, yield)
 }
 
 // Enabled implements Automaton.

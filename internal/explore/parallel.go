@@ -10,7 +10,7 @@ package explore
 // interns each new level in canonical key-sorted order from the
 // encodings and hashes the probes produced — so no two goroutines ever
 // write shared state and nothing is encoded or hashed twice. Which
-// actions a state is stepped by is Step's decision (engine.go).
+// actions a state is stepped by is ioa.Walk's decision.
 //
 // Determinism (DESIGN.md "Exploration engine" has the argument in
 // full). The states discovered at depth d are a pure function of those
@@ -99,7 +99,7 @@ func newLevelScratch(workers int, byKey bool) *levelScratch {
 	return lv
 }
 
-// add offers c, whose state may be borrowed from a Step, to worker wi's
+// add offers c, whose state may be borrowed from a Walk, to worker wi's
 // set, which keeps the state only if it keeps the candidate.
 func (lv *levelScratch) add(wi int, enc []byte, hash uint64, c cand) {
 	if kept := lv.sets[wi].Add(enc, hash, c); kept != nil {
@@ -164,12 +164,12 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	rep := reporter{o: o, st: gst, phase: "explore"}
 	defer func() { rep.emit(int64(maxDepth), int64(len(states)), 0, true) }()
 	var crumbs []crumb // indexed by ID; kept only under a predicate
-	// One probe and one Step per worker, for the whole run.
+	// One probe and one Walk per worker, for the whole run.
 	probes := make([]store.MemberProbe, w)
-	steps := make([]*Step, w)
+	steps := make([]*ioa.Walk, w)
 	for i := range probes {
 		probes[i] = gst.Probe()
-		steps[i] = NewStep(a, false)
+		steps[i] = ioa.NewWalk(a, false)
 	}
 
 	lv := newLevelScratch(w, e.opts.Canon != nil)
@@ -270,7 +270,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 // workers probe it freely, each deduplicating in its own row of lv's
 // sets on the bytes and hash its probe just produced.
 func expandLevel(a ioa.Automaton, lv *levelScratch, states []ioa.State, from int,
-	probes []store.MemberProbe, steps []*Step, depth int, o *obs.Obs) (next []cand, deadlocks int64) {
+	probes []store.MemberProbe, steps []*ioa.Walk, depth int, o *obs.Obs) (next []cand, deadlocks int64) {
 	var cursor int64
 	const chunk = 16
 	var wg sync.WaitGroup

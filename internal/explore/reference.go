@@ -2,9 +2,10 @@ package explore
 
 // The pre-store explorer, preserved verbatim as a differential oracle
 // and benchmark baseline. ReferenceReach is the seed string-keyed BFS
-// (map[string]struct{} dedup on State.Key(), successor slices
-// materialized by Next): the store-backed sequential engine must visit
-// states in bit-identical order to it, and BENCH_store.json measures
+// (map[string]struct{} dedup on State.Key(), successor slices collected
+// by ioa.Successors, every action of acts(A) stepped — which makes it
+// the oracle for Enabled too): the store-backed sequential engine must
+// visit states in bit-identical order to it, and BENCH_store.json measures
 // the interned engine against it. It is NOT deprecated — tests and
 // internal/bench call it on purpose — but production callers want
 // Engine.Reach.
@@ -37,7 +38,7 @@ func ReferenceReach(a ioa.Automaton, limit int) ([]ioa.State, error) {
 		s := frontier[0]
 		frontier = frontier[1:]
 		for _, act := range acts {
-			for _, nxt := range a.Next(s, act) {
+			for _, nxt := range ioa.Successors(a, s, act) {
 				if len(order) >= limit {
 					if _, ok := seen[nxt.Key()]; !ok {
 						return order, errLimit(a, limit)

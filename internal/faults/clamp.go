@@ -42,22 +42,17 @@ func (c *clamped) Start() []ioa.State {
 	return out
 }
 
-// Next implements ioa.Automaton.
-func (c *clamped) Next(s ioa.State, a ioa.Action) []ioa.State {
-	inner := c.inner.Next(s, a)
-	if len(inner) == 0 {
-		return inner
-	}
-	out := make([]ioa.State, len(inner))
-	for i, ss := range inner {
-		out[i] = c.fix(ss)
-	}
-	return out
+// Next implements ioa.Automaton: each inner successor is clamped as it
+// is yielded. The inner automaton steps on the heap whatever sc is, so
+// fix never sees a borrowed state.
+func (c *clamped) Next(_ *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
+	return c.inner.Next(nil, s, a, func(nxt ioa.State) bool {
+		return yield(c.fix(nxt))
+	})
 }
 
-// Enabled implements ioa.Automaton. Next is non-empty exactly when
-// the inner Next is, so enabledness coincides with the inner
-// automaton's.
+// Enabled implements ioa.Automaton. Next yields exactly when the inner
+// Next does, so enabledness coincides with the inner automaton's.
 func (c *clamped) Enabled(s ioa.State) []ioa.Action { return c.inner.Enabled(s) }
 
 // Parts implements ioa.Automaton.

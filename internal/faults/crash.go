@@ -136,52 +136,53 @@ func (c *crashed) Start() []ioa.State {
 	return out
 }
 
-// Next implements ioa.Automaton.
-func (c *crashed) Next(st ioa.State, a ioa.Action) []ioa.State {
+// Next implements ioa.Automaton. The inner automaton steps on the heap
+// whatever sc is: Keep could not copy a borrowed tuple hidden inside a
+// CrashState. The hot non-fault case — the process is up and the action
+// belongs to the inner automaton — wraps each inner successor as it is
+// yielded; fault metrics count once per transition computed.
+func (c *crashed) Next(_ *ioa.Scratch, st ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
 	s, ok := st.(*CrashState)
 	if !ok {
-		return nil
+		return true
 	}
 	switch a {
 	case c.crash:
 		if s.down {
-			return nil
+			return true
 		}
 		if o := c.obs; o != nil {
 			o.Faults.Crash.Add(1)
 			o.Tracer.Instant(0, "faults", "crash", map[string]any{"process": c.name})
 		}
-		return []ioa.State{newCrashState(true, s.inner)}
+		return yield(newCrashState(true, s.inner))
 	case c.restart:
 		if !s.down {
-			return nil
+			return true
 		}
 		if o := c.obs; o != nil {
 			o.Faults.Restart.Add(1)
 			o.Tracer.Instant(0, "faults", "restart", map[string]any{"process": c.name})
 		}
 		if c.mode == Resume {
-			return []ioa.State{newCrashState(false, s.inner)}
+			return yield(newCrashState(false, s.inner))
 		}
-		starts := c.inner.Start()
-		out := make([]ioa.State, len(starts))
-		for i, ss := range starts {
-			out[i] = newCrashState(false, ss)
+		for _, ss := range c.inner.Start() {
+			if !yield(newCrashState(false, ss)) {
+				return false
+			}
 		}
-		return out
+		return true
 	}
 	if s.down {
 		if c.sig.IsInput(a) {
-			return []ioa.State{s} // input absorbed by the crashed process
+			return yield(s) // input absorbed by the crashed process
 		}
-		return nil
+		return true
 	}
-	inner := c.inner.Next(s.inner, a)
-	out := make([]ioa.State, len(inner))
-	for i, ss := range inner {
-		out[i] = newCrashState(false, ss)
-	}
-	return out
+	return c.inner.Next(nil, s.inner, a, func(nxt ioa.State) bool {
+		return yield(newCrashState(false, nxt))
+	})
 }
 
 // Enabled implements ioa.Automaton.

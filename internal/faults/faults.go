@@ -23,7 +23,10 @@
 //
 // Process faults are automaton wrappers: CrashRestart adds
 // crash/restart actions around any automaton, and Clamp forces a
-// state corruption (e.g. a stuck register) after every step.
+// state corruption (e.g. a stuck register) after every step. Both step
+// the wrapped automaton on the heap whatever scratch they are handed:
+// the state they yield wraps or rewrites the inner successor, and
+// ioa.Keep could not copy a borrowed tuple hidden inside it.
 package faults
 
 import (

@@ -127,7 +127,7 @@ func TestNetworkReliableFIFO(t *testing.T) {
 	if !ns.HeadIs("x", "y", "k0") || ns.HeadIs("x", "y", "k1") || !ns.Has("x", "y", "k1") {
 		t.Fatal("head/has disagree with FIFO order")
 	}
-	if len(net.Next(s, ioa.Act("rcv", "k1"))) != 0 {
+	if len(ioa.Successors(net, s, ioa.Act("rcv", "k1"))) != 0 {
 		t.Fatal("out-of-order delivery enabled on reliable channel")
 	}
 	s = step(t, net, s, ioa.Act("rcv", "k0"))
@@ -191,7 +191,7 @@ func TestScheduledDelayIsBounded(t *testing.T) {
 func TestAdversaryDrop(t *testing.T) {
 	net := oneLink(t, 2, Injection{Adversary: []Class{Drop}})
 	s := net.Start()[0]
-	if len(net.Next(s, DropAction("x", "y"))) != 0 {
+	if len(ioa.Successors(net, s, DropAction("x", "y"))) != 0 {
 		t.Fatal("drop enabled on empty channel")
 	}
 	s = step(t, net, s, ioa.Act("snd", "k0"))
@@ -209,7 +209,7 @@ func TestAdversaryDuplicateAndReorder(t *testing.T) {
 	net := oneLink(t, 2, Injection{Adversary: []Class{Duplicate, Reorder, Delay}})
 	s := net.Start()[0]
 	s = step(t, net, s, ioa.Act("snd", "k0"))
-	if len(net.Next(s, ReorderAction("x", "y"))) != 0 {
+	if len(ioa.Successors(net, s, ReorderAction("x", "y"))) != 0 {
 		t.Fatal("reorder enabled with a single message")
 	}
 	s = step(t, net, s, DupAction("x", "y"))
@@ -274,7 +274,7 @@ func TestCrashRestart(t *testing.T) {
 		if !cs.Down() {
 			t.Fatal("not down after crash")
 		}
-		if len(c.Next(s, ioa.Act("emit"))) != 0 {
+		if len(ioa.Successors(c, s, ioa.Act("emit"))) != 0 {
 			t.Fatal("local action enabled while down")
 		}
 		// Inputs are absorbed while down.
@@ -297,7 +297,7 @@ func TestCrashRestart(t *testing.T) {
 				t.Fatalf("resume restart lost state, got %s", inner.Key())
 			}
 		}
-		if len(c.Next(s, CrashAction("p"))) == 0 {
+		if len(ioa.Successors(c, s, CrashAction("p"))) == 0 {
 			t.Fatal("cannot crash again after restart")
 		}
 	}

@@ -35,7 +35,7 @@ func TestFig22ExactlyOneLocalEnabled(t *testing.T) {
 		if got := len(c.Enabled(s)); got != 1 {
 			t.Fatalf("state %d: %d local actions enabled, want 1 (the figure's point)", i, got)
 		}
-		next := c.Next(s, Alpha)
+		next := ioa.Successors(c, s, Alpha)
 		if len(next) != 1 {
 			t.Fatal("α must be deterministic here")
 		}
@@ -45,11 +45,11 @@ func TestFig22ExactlyOneLocalEnabled(t *testing.T) {
 
 func TestFig23ANondeterministicAlpha(t *testing.T) {
 	a := Fig23A()
-	if got := len(a.Next(ioa.KeyState("s0"), Alpha)); got != 2 {
+	if got := len(ioa.Successors(a, ioa.KeyState("s0"), Alpha)); got != 2 {
 		t.Errorf("α from s0 has %d successors, want 2", got)
 	}
 	// β only from s0.
-	if got := a.Next(ioa.KeyState("s1"), Beta); got != nil {
+	if got := ioa.Successors(a, ioa.KeyState("s1"), Beta); got != nil {
 		t.Errorf("β enabled from s1: %v", got)
 	}
 }
@@ -58,16 +58,16 @@ func TestFig23DBoundedAlphaChain(t *testing.T) {
 	d := Fig23D(3)
 	s := d.Start()[0]
 	for i := 0; i < 3; i++ {
-		next := d.Next(s, Alpha)
+		next := ioa.Successors(d, s, Alpha)
 		if len(next) != 1 {
 			t.Fatalf("α blocked after %d steps", i)
 		}
 		s = next[0]
 	}
-	if got := d.Next(s, Alpha); got != nil {
+	if got := ioa.Successors(d, s, Alpha); got != nil {
 		t.Error("α must be exhausted at d0")
 	}
-	if got := d.Next(s, Beta); len(got) != 1 || got[0].Key() != "e" {
+	if got := ioa.Successors(d, s, Beta); len(got) != 1 || got[0].Key() != "e" {
 		t.Errorf("β from d0: %v", got)
 	}
 }

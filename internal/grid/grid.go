@@ -96,24 +96,10 @@ func (g *Grid) actIndex(a ioa.Action) int {
 	return -1
 }
 
-// Next implements ioa.Automaton.
-func (g *Grid) Next(s ioa.State, a ioa.Action) []ioa.State {
-	i := g.actIndex(a)
-	if i < 0 {
-		return nil
-	}
-	d := g.digit(s, i)
-	if d < 0 || d >= g.m-1 {
-		return nil
-	}
-	key := []byte(s.Key())
-	key[i]++
-	return []ioa.State{ioa.KeyState(key)}
-}
-
-// VisitNext implements ioa.Stepper without the slice allocation Next
-// makes — the path the 10⁸-state walks take.
-func (g *Grid) VisitNext(s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
+// Next implements ioa.Automaton: at most one successor, the digit
+// incremented, yielded without a slice — the path the 10⁸-state walks
+// take.
+func (g *Grid) Next(_ *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
 	i := g.actIndex(a)
 	if i < 0 {
 		return true
@@ -158,4 +144,3 @@ func (g *Grid) Decode(enc []byte) (ioa.State, error) {
 }
 
 var _ ioa.Automaton = (*Grid)(nil)
-var _ ioa.Stepper = (*Grid)(nil)

@@ -7,10 +7,10 @@
 // By the standard induction on execution length this certifies the
 // invariant over all reachable states — at domain sizes far beyond
 // what a reachability frontier could hold, because the domain is
-// streamed (internal/domain) and successors are pushed through the
-// zero-allocation Stepper/encoder fast path with no frontier, no
-// dedup table, and no trace crumbs: resident memory is O(1) in the
-// domain size.
+// streamed (internal/domain) and successors are borrowed from one
+// ioa.Walk and pushed through the encoder with no frontier, no dedup
+// table, and no trace crumbs: resident memory is O(1) in the domain
+// size.
 //
 // The price of induction is strengthening: a true invariant need not
 // be inductive. A failed inductive step yields a
@@ -170,11 +170,12 @@ type checker struct {
 	inv      *lattice.Conjunction
 	lemmas   []lattice.Lemma      // inv.Lemmas(), copied once per run
 	contains func(ioa.State) bool // nil when the domain has no Contains
-	inputs   []ioa.Action
 
-	actBuf  []ioa.Action // Enabled+inputs scratch, reused per state
-	fromEnc []byte       // pre-state encoding, reused per state
-	toEnc   []byte       // successor encoding, reused per push
+	step    *ioa.Walk               // sorted: fixes the CTI order
+	from    ioa.State               // the candidate being stepped
+	yield   func(to ioa.State) bool // push, bound once
+	fromEnc []byte                  // pre-state encoding, reused per state
+	toEnc   []byte                  // successor encoding, reused per push
 
 	discharged []int64 // per-conjunct obligation counts
 	cert       *Certificate
@@ -224,11 +225,12 @@ func Check(ctx context.Context, a ioa.Automaton, dom domain.Domain, inv *lattice
 		a:          a,
 		inv:        inv,
 		lemmas:     inv.Lemmas(),
-		inputs:     a.Sig().Inputs().Sorted(),
+		step:       ioa.NewWalk(a, true),
 		discharged: make([]int64, inv.Len()),
 		cert:       &cert,
 		o:          opts.Obs,
 	}
+	c.yield = c.push
 	if t := domain.Size(dom); t > 0 {
 		c.total = t
 	}
@@ -326,33 +328,16 @@ func (c *checker) visitState(s ioa.State, index int64) error {
 	}
 	c.cert.Candidates++
 	c.fromEnc = ioa.AppendState(c.fromEnc[:0], s)
-
-	// Enabled(s) merged with the inputs, sorted: the actionScratch
-	// idiom from explore. Inputs are enabled everywhere
-	// (input-enabledness, §2.1), locally-controlled actions outside
-	// Enabled(s) have no step, and sorting fixes the CTI order.
-	c.actBuf = append(c.actBuf[:0], c.a.Enabled(s)...)
-	c.actBuf = append(c.actBuf, c.inputs...)
-	sortActions(c.actBuf)
-	var prev ioa.Action
-	for i, act := range c.actBuf {
-		if i > 0 && act == prev {
-			continue // Enabled may also report inputs
-		}
-		prev = act
-		act := act
-		ok := ioa.VisitNext(c.a, s, act, func(to ioa.State) bool {
-			return c.push(s, act, to)
-		})
-		if !ok {
-			return errStop
-		}
+	c.from = s
+	if !c.step.Visit(s, c.yield) {
+		return errStop
 	}
 	return nil
 }
 
-// push checks one successor; false stops the enumeration (CTI found).
-func (c *checker) push(from ioa.State, act ioa.Action, to ioa.State) bool {
+// push checks one successor of c.from, borrowed from the walk; false
+// stops the enumeration (CTI found).
+func (c *checker) push(to ioa.State) bool {
 	c.cert.Transitions++
 	c.toEnc = ioa.AppendState(c.toEnc[:0], to)
 	if bytes.Equal(c.toEnc, c.fromEnc) {
@@ -367,29 +352,22 @@ func (c *checker) push(from ioa.State, act ioa.Action, to ioa.State) bool {
 	}
 	for i, l := range c.lemmas {
 		if !l.Pred(to) {
-			c.cti = &CTI{Kind: KindStep, From: from, Act: act, To: to, Conjunct: l.Name}
-			c.cti.Trace = ioa.NewExecution(c.a, from)
-			c.cti.Trace.Append(act, to)
-			return false
+			return c.fail(&CTI{Kind: KindStep, Conjunct: l.Name}, to)
 		}
 		c.discharged[i]++
 	}
 	if c.contains != nil && !c.contains(to) {
-		c.cti = &CTI{Kind: KindEscape, From: from, Act: act, To: to}
-		c.cti.Trace = ioa.NewExecution(c.a, from)
-		c.cti.Trace.Append(act, to)
-		return false
+		return c.fail(&CTI{Kind: KindEscape}, to)
 	}
 	return true
 }
 
-// sortActions is an allocation-free insertion sort: the merged
-// enabled+inputs buffer is short and nearly sorted, and sort.Slice's
-// closure would allocate per state.
-func sortActions(acts []ioa.Action) {
-	for i := 1; i < len(acts); i++ {
-		for j := i; j > 0 && acts[j] < acts[j-1]; j-- {
-			acts[j], acts[j-1] = acts[j-1], acts[j]
-		}
-	}
+// fail records cti as the step from c.from by c.step.Act to to, kept
+// past the walk, and stops the enumeration.
+func (c *checker) fail(cti *CTI, to ioa.State) bool {
+	cti.From, cti.Act, cti.To = c.from, c.step.Act, ioa.Keep(to)
+	cti.Trace = ioa.NewExecution(c.a, cti.From)
+	cti.Trace.Append(cti.Act, cti.To)
+	c.cti = cti
+	return false
 }

@@ -11,6 +11,15 @@
 // operations of the paper: composition, action hiding, action renaming,
 // executions and schedules, execution and schedule modules, and fair
 // computation.
+//
+// An automaton's transition relation steps(A) is asked for one way:
+// Automaton.Next(sc, s, a, yield) hands each successor to a visitor,
+// built in the caller's Scratch when sc is non-nil (borrowed until the
+// scratch is reset; Keep retains one) and on the heap when it is nil.
+// Successors collects the heap case for callers that want a slice, and
+// a Walk steps one state by every action worth stepping — Enabled(s)
+// and the inputs — which is how the explorers, induction and the
+// lasso graph enumerate successors.
 package ioa
 
 import (

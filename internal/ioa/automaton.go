@@ -73,9 +73,10 @@ func (c Class) Clone() Class {
 // classes.
 //
 // The state set may be infinite; it is represented implicitly by the
-// Next function. Implementations must be deterministic functions of
-// their arguments (the nondeterminism of the model lives in Next
-// returning multiple successor states, never in randomness).
+// Next function, the one way to ask for steps(A). Implementations must
+// be deterministic functions of their arguments (the nondeterminism of
+// the model lives in Next yielding several successor states, never in
+// randomness).
 type Automaton interface {
 	// Name identifies the automaton in diagnostics.
 	Name() string
@@ -86,14 +87,23 @@ type Automaton interface {
 	// Start returns the start states start(A); it must be non-empty.
 	Start() []State
 
-	// Next returns all states s' with (s, a, s') ∈ steps(A). For an
-	// input action a the result must be non-empty from every state
-	// (input-enabledness). For actions outside acts(A) it returns nil.
-	Next(s State, a Action) []State
+	// Next hands yield every state s' with (s, a, s') ∈ steps(A), in
+	// an order fixed by s and a, stopping early — and returning false —
+	// as soon as yield does; it returns true when the enumeration ran
+	// to completion. For an input action a it yields at least once from
+	// every state (input-enabledness); for actions outside acts(A) it
+	// yields nothing. It must not retain yield.
+	//
+	// A non-nil sc lets the automaton build its successors in the
+	// caller's scratch memory: such a state is borrowed, valid until sc
+	// is next Reset, and Keep returns one that outlives it. With a nil
+	// sc every successor is on the heap. sc never changes which states
+	// are yielded or in what order. Successors collects the nil case.
+	Next(sc *Scratch, s State, a Action, yield func(State) bool) bool
 
 	// Enabled returns the locally-controlled actions enabled from s,
-	// i.e. those π ∈ local(sig(A)) with Next(s, π) non-empty. Input
-	// actions are never reported (they are enabled by definition).
+	// i.e. those π ∈ local(sig(A)) with a step from s. Input actions
+	// are never reported (they are enabled by definition).
 	Enabled(s State) []Action
 
 	// Parts returns part(A): the partition of local(sig(A)) into
@@ -106,7 +116,7 @@ type Automaton interface {
 // made by pick (an index into the successor list, reduced modulo its
 // length); pass 0 for deterministic automata.
 func StepTo(a Automaton, s State, act Action, pick int) (State, bool) {
-	next := a.Next(s, act)
+	next := Successors(a, s, act)
 	if len(next) == 0 {
 		return nil, false
 	}
@@ -189,7 +199,7 @@ func CheckInputEnabled(a Automaton, states []State) error {
 	inputs := a.Sig().Inputs().Sorted()
 	for _, s := range states {
 		for _, in := range inputs {
-			if len(a.Next(s, in)) == 0 {
+			if len(Successors(a, s, in)) == 0 {
 				return fmt.Errorf("ioa: automaton %s: input %q not enabled from state %q",
 					a.Name(), in, s.Key())
 			}
@@ -225,7 +235,7 @@ func IsDeterministic(a Automaton, states []State) bool {
 	acts := a.Sig().Acts().Sorted()
 	for _, s := range states {
 		for _, act := range acts {
-			if len(a.Next(s, act)) > 1 {
+			if len(Successors(a, s, act)) > 1 {
 				return false
 			}
 		}

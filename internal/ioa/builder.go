@@ -201,19 +201,24 @@ func (p *Prog) Sig() Signature { return p.sig }
 func (p *Prog) Start() []State { return append([]State(nil), p.start...) }
 
 // Next implements Automaton. For input actions with no defined
-// successor it returns a self-loop, keeping the automaton
+// successor it yields a self-loop, keeping the automaton
 // input-enabled (the convention of §3.1.2: unexpected inputs are
 // "effectively ignored").
-func (p *Prog) Next(s State, a Action) []State {
+func (p *Prog) Next(_ *Scratch, s State, a Action, yield func(State) bool) bool {
 	t, ok := p.trans[a]
 	if !ok {
-		return nil
+		return true
 	}
 	next := t.next(s)
 	if len(next) == 0 && t.kind == kindInput {
-		return []State{s}
+		return yield(s)
 	}
-	return next
+	for _, nxt := range next {
+		if !yield(nxt) {
+			return false
+		}
+	}
+	return true
 }
 
 // Enabled implements Automaton.

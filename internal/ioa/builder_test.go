@@ -48,17 +48,17 @@ func TestBuilderSignatureAndPartition(t *testing.T) {
 func TestBuilderTransitions(t *testing.T) {
 	p := buildCounter(t)
 	s0 := p.Start()[0]
-	s1 := p.Next(s0, "inc")
+	s1 := Successors(p, s0, "inc")
 	if len(s1) != 1 || s1[0].Key() != "1" {
 		t.Fatalf("inc from 0: %v", s1)
 	}
-	if got := p.Next(s0, "emit"); got != nil {
+	if got := Successors(p, s0, "emit"); got != nil {
 		t.Fatalf("emit enabled from 0: %v", got)
 	}
-	if got := p.Next(s1[0], "emit"); len(got) != 1 || got[0].Key() != "0" {
+	if got := Successors(p, s1[0], "emit"); len(got) != 1 || got[0].Key() != "0" {
 		t.Fatalf("emit from 1: %v", got)
 	}
-	if got := p.Next(s0, "bogus"); got != nil {
+	if got := Successors(p, s0, "bogus"); got != nil {
 		t.Fatalf("unknown action produced steps: %v", got)
 	}
 }
@@ -111,7 +111,7 @@ func TestInputSelfLoopDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.Next(counter(5), "in")
+	got := Successors(p, counter(5), "in")
 	if len(got) != 1 || got[0].Key() != "5" {
 		t.Fatalf("input without effect must self-loop, got %v", got)
 	}
@@ -134,7 +134,7 @@ func TestRelabelRefinesPartition(t *testing.T) {
 		t.Error("Relabel mutated the original partition")
 	}
 	// Transitions are shared and unchanged.
-	if got := r.Next(counter(1), "emit"); len(got) != 1 || got[0].Key() != "0" {
+	if got := Successors(r, counter(1), "emit"); len(got) != 1 || got[0].Key() != "0" {
 		t.Fatalf("relabeled transitions changed: %v", got)
 	}
 }
@@ -149,7 +149,7 @@ func TestOutputNDMultipleSuccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := p.Next(counter(0), "fork")
+	got := Successors(p, counter(0), "fork")
 	if len(got) != 2 {
 		t.Fatalf("want 2 successors, got %v", got)
 	}
@@ -198,7 +198,7 @@ func TestTableAutomaton(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	// Input completion: "in" self-loops at s (not declared there).
-	if got := tab.Next(KeyState("s"), "in"); len(got) != 1 || got[0].Key() != "s" {
+	if got := Successors(tab, KeyState("s"), "in"); len(got) != 1 || got[0].Key() != "s" {
 		t.Fatalf("input completion failed: %v", got)
 	}
 	if got := tab.Enabled(KeyState("t")); len(got) != 0 {

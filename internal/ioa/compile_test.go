@@ -110,7 +110,7 @@ func refNext(a ioa.Automaton, s ioa.State, act ioa.Action) []ioa.State {
 	if inner := ioa.Wrapped(a); inner != nil {
 		return refNext(inner, s, act)
 	}
-	return a.Next(s, act)
+	return ioa.Successors(a, s, act)
 }
 
 func stateKeys(states []ioa.State) []string {
@@ -131,15 +131,15 @@ func agreeAt(got, ref ioa.Automaton, s ioa.State) error {
 	for _, act := range ref.Sig().Acts().Sorted() {
 		want := stateKeys(refNext(ref, s, act))
 		var lent []string
-		ioa.VisitBorrowed(got, &sc, s, act, func(nxt ioa.State) bool {
+		got.Next(&sc, s, act, func(nxt ioa.State) bool {
 			lent = append(lent, nxt.Key())
 			return true
 		})
-		if g := stateKeys(got.Next(s, act)); !slices.Equal(g, want) {
+		if g := stateKeys(ioa.Successors(got, s, act)); !slices.Equal(g, want) {
 			return fmt.Errorf("state %q: Next by %s = %q, definition %q", s.Key(), act, g, want)
 		}
 		if !slices.Equal(lent, want) {
-			return fmt.Errorf("state %q: VisitBorrowed by %s = %q, definition %q", s.Key(), act, lent, want)
+			return fmt.Errorf("state %q: Next borrowed by %s = %q, definition %q", s.Key(), act, lent, want)
 		}
 		sc.Reset()
 	}
@@ -200,10 +200,15 @@ func counters(prefix string, k, m int) *ioa.Composite {
 // list reversed.
 type reversed struct{ ioa.Automaton }
 
-func (r reversed) Next(s ioa.State, a ioa.Action) []ioa.State {
-	out := slices.Clone(r.Automaton.Next(s, a))
+func (r reversed) Next(_ *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
+	out := ioa.Successors(r.Automaton, s, a)
 	slices.Reverse(out)
-	return out
+	for _, nxt := range out {
+		if !yield(nxt) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCompiledCompositeMatchesDefinition(t *testing.T) {

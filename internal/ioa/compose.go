@@ -395,7 +395,7 @@ func (c *Composite) leafNext(id int, o owner, s State) []State {
 		m.NextMiss.AddShard(o.leaf, 1)
 	}
 	// Racing goroutines push equal lists; lookups find the first.
-	e := &memoNext{route: id, states: c.leaves[o.leaf].auto.Next(s, o.act)}
+	e := &memoNext{route: id, states: Successors(c.leaves[o.leaf].auto, s, o.act)}
 	for {
 		e.more = row.next.Load()
 		if row.next.CompareAndSwap(e.more, e) {
@@ -487,14 +487,61 @@ func resolve(nodes []node, s State, dst []*TupleState) []*TupleState {
 }
 
 // Next implements Automaton: all components sharing the action step
-// simultaneously; others are unchanged. It is VisitNext collected.
-func (c *Composite) Next(s State, a Action) []State {
-	var out []State
-	c.VisitNext(s, a, func(nxt State) bool {
-		out = append(out, nxt)
+// simultaneously; others are unchanged. Every leaf owning the action
+// steps at once — on the arbiter systems most actions have two owners —
+// and the others stay. An odometer over the owners' successor lists,
+// first owner most significant, walks their cross product in the order
+// stepping each nested composition and then the one over it would. A
+// successor is a copy of the parent's tuple and of each nested tuple an
+// owner sits in, owners' slots overwritten, in sc when there is one; an
+// owner that cannot step, or sits in a malformed tuple, means no step at
+// all.
+func (c *Composite) Next(sc *Scratch, s State, a Action, yield func(State) bool) bool {
+	r, ok := c.routes[a]
+	if !ok {
 		return true
-	})
-	return out
+	}
+	// Arrays keep the walk on the stack for up to four nodes and owners.
+	var fromStack, toStack [4]*TupleState
+	from := resolve(r.nodes, s, fromStack[:0])
+	if slices.Contains(from, nil) {
+		return true
+	}
+	var choiceStack [4][]State
+	var idxStack [4]int
+	choices, idx := choiceStack[:0], idxStack[:0]
+	for _, o := range r.owners {
+		next := c.leafNext(r.id, o, from[o.at].parts[o.part])
+		if len(next) == 0 {
+			return true
+		}
+		choices, idx = append(choices, next), append(idx, 0)
+	}
+	to := append(toStack[:0], from...)
+	for {
+		for k, n := range r.nodes {
+			to[k] = sc.tuple(from[k].parts)
+			if n.parent >= 0 {
+				to[n.parent].parts[n.part] = to[k]
+			}
+		}
+		for k, o := range r.owners {
+			to[o.at].parts[o.part] = choices[k][idx[k]]
+		}
+		if !yield(to[0]) {
+			return false
+		}
+		k := len(r.owners) - 1
+		for ; k >= 0; k-- {
+			if idx[k]++; idx[k] < len(choices[k]) {
+				break
+			}
+			idx[k] = 0
+		}
+		if k < 0 {
+			return true
+		}
+	}
 }
 
 // Enabled implements Automaton. By Corollary 3 of the paper, a

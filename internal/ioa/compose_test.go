@@ -230,7 +230,7 @@ func TestCompositeNextNondeterministicCross(t *testing.T) {
 		func(s State) State { return s })
 	drv := d.MustBuild()
 	c := MustCompose("PQD", p, q, drv)
-	next := c.Next(c.Start()[0], "go")
+	next := Successors(c, c.Start()[0], "go")
 	if len(next) != 4 {
 		t.Fatalf("cross product size = %d, want 4", len(next))
 	}

@@ -106,14 +106,8 @@ func (x *Execution) Validate(fromStart bool) error {
 		}
 	}
 	for i, a := range x.Acts {
-		found := false
-		for _, nxt := range x.Auto.Next(x.States[i], a) {
-			if nxt.Key() == x.States[i+1].Key() {
-				found = true
-				break
-			}
-		}
-		if !found {
+		want := x.States[i+1].Key()
+		if x.Auto.Next(nil, x.States[i], a, func(nxt State) bool { return nxt.Key() != want }) {
 			return fmt.Errorf("ioa: step %d (%q) is not a step of %s", i, a, x.Auto.Name())
 		}
 	}

@@ -139,7 +139,7 @@ func FuzzComposeLaws(f *testing.F) {
 		for _, s := range states {
 			enabled := ioa.NewSet(ab.Enabled(s)...)
 			for act := range local {
-				hasStep := len(ab.Next(s, act)) > 0
+				hasStep := len(ioa.Successors(ab, s, act)) > 0
 				if enabled.Has(act) != hasStep {
 					t.Fatalf("Corollary 3: state %q action %q: enabled=%t, step=%t",
 						s.Key(), act, enabled.Has(act), hasStep)

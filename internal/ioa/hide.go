@@ -57,8 +57,11 @@ func (h *hidden) Sig() Signature { return h.sig }
 // Start implements Automaton.
 func (h *hidden) Start() []State { return h.inner.Start() }
 
-// Next implements Automaton.
-func (h *hidden) Next(s State, a Action) []State { return h.inner.Next(s, a) }
+// Next implements Automaton: hiding changes only the signature, so
+// stepping — in sc too — is the inner automaton's.
+func (h *hidden) Next(sc *Scratch, s State, a Action, yield func(State) bool) bool {
+	return h.inner.Next(sc, s, a, yield)
+}
 
 // Enabled implements Automaton. Former input actions that became
 // internal are enabled from every state (input-enabledness of the

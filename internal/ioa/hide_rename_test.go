@@ -29,7 +29,7 @@ func TestHideMovesOutputsToInternal(t *testing.T) {
 		t.Error("out must stay an output")
 	}
 	// Transitions and partition unchanged.
-	if got := h.Next(KeyState("0"), "mid"); len(got) != 1 || got[0].Key() != "1" {
+	if got := Successors(h, KeyState("0"), "mid"); len(got) != 1 || got[0].Key() != "1" {
 		t.Errorf("hide changed transitions: %v", got)
 	}
 	if len(h.Parts()) != 1 {
@@ -103,10 +103,10 @@ func TestRenameAutomaton(t *testing.T) {
 		t.Errorf("input rename wrong: %v", r.Sig())
 	}
 	// Lemma 15-style: executions correspond under the mapping.
-	if got := r.Next(KeyState("1"), "publish"); len(got) != 1 || got[0].Key() != "2" {
+	if got := Successors(r, KeyState("1"), "publish"); len(got) != 1 || got[0].Key() != "2" {
 		t.Errorf("renamed transition broken: %v", got)
 	}
-	if got := r.Next(KeyState("1"), "out"); got != nil {
+	if got := Successors(r, KeyState("1"), "out"); got != nil {
 		t.Errorf("old name must not fire: %v", got)
 	}
 	enabled := NewSet(r.Enabled(KeyState("1"))...)
@@ -136,8 +136,8 @@ func TestLemma16HideRenameCommute(t *testing.T) {
 		t.Errorf("Lemma 16 signatures differ:\n  %v\n  %v", lhs.Sig(), rhs2.Sig())
 	}
 	// Same transitions on a probe.
-	l := lhs.Next(KeyState("0"), "m2")
-	r := rhs2.Next(KeyState("0"), "m2")
+	l := Successors(lhs, KeyState("0"), "m2")
+	r := Successors(rhs2, KeyState("0"), "m2")
 	if len(l) != 1 || len(r) != 1 || l[0].Key() != r[0].Key() {
 		t.Errorf("Lemma 16 transitions differ: %v vs %v", l, r)
 	}

@@ -59,9 +59,8 @@ func TestMalformedNestedPart(t *testing.T) {
 				}
 				var sc Scratch
 				for entry, got := range map[string][]string{
-					"Next":          keysOf(outer.Next(s, act)),
-					"VisitNext":     collect(func(y func(State) bool) { outer.VisitNext(s, act, y) }),
-					"VisitBorrowed": collect(func(y func(State) bool) { outer.VisitBorrowed(&sc, s, act, y) }),
+					"Next":          keysOf(Successors(outer, s, act)),
+					"Next borrowed": collect(func(y func(State) bool) { outer.Next(&sc, s, act, y) }),
 				} {
 					if fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Errorf("%s, %s part: %s by %s = %q, want %q", tc.name, name, entry, act, got, want)

@@ -158,7 +158,7 @@ func enumerate(t *testing.T, a Automaton, depth int) *ExecModule {
 			return
 		}
 		for _, act := range acts {
-			for _, nxt := range a.Next(x.Last(), act) {
+			for _, nxt := range Successors(a, x.Last(), act) {
 				x.Append(act, nxt)
 				rec(x)
 				x.Acts = x.Acts[:len(x.Acts)-1]

@@ -153,13 +153,15 @@ func (r *Renamed) Sig() Signature { return r.sig }
 // Start implements Automaton.
 func (r *Renamed) Start() []State { return r.inner.Start() }
 
-// Next implements Automaton.
-func (r *Renamed) Next(s State, a Action) []State {
+// Next implements Automaton: actions outside the renamed signature
+// have no steps; everything else steps the inner automaton, in sc too,
+// through the inverse mapping.
+func (r *Renamed) Next(sc *Scratch, s State, a Action, yield func(State) bool) bool {
 	ia, ok := r.inv[a]
 	if !ok {
-		return nil
+		return true
 	}
-	return r.inner.Next(s, ia)
+	return r.inner.Next(sc, s, ia, yield)
 }
 
 // Enabled implements Automaton.

@@ -97,18 +97,24 @@ func (t *Table) Sig() Signature { return t.sig }
 // Start implements Automaton.
 func (t *Table) Start() []State { return append([]State(nil), t.start...) }
 
-// Next implements Automaton. States outside the table are treated as
-// having only input self-loops (they are unreachable by construction,
-// but this keeps the automaton total and input-enabled).
-func (t *Table) Next(s State, a Action) []State {
+// Next implements Automaton by walking the stored successor row. States
+// outside the table are treated as having only input self-loops (they
+// are unreachable by construction, but this keeps the automaton total
+// and input-enabled).
+func (t *Table) Next(_ *Scratch, s State, a Action, yield func(State) bool) bool {
 	row, ok := t.steps[s.Key()]
 	if !ok {
 		if t.sig.IsInput(a) {
-			return []State{s}
+			return yield(s)
 		}
-		return nil
+		return true
 	}
-	return append([]State(nil), row[a]...)
+	for _, nxt := range row[a] {
+		if !yield(nxt) {
+			return false
+		}
+	}
+	return true
 }
 
 // Enabled implements Automaton.

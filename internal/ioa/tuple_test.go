@@ -204,7 +204,7 @@ func partKeys(s State) string {
 
 func visited(c *Composite, s State, a Action) []string {
 	var got []string
-	c.VisitNext(s, a, func(nxt State) bool {
+	c.Next(nil, s, a, func(nxt State) bool {
 		got = append(got, partKeys(nxt))
 		return true
 	})
@@ -213,7 +213,7 @@ func visited(c *Composite, s State, a Action) []string {
 
 // TestCompositeSynchronisingOrder pins the cross product of a
 // synchronising step: first owner most significant, bystanders
-// untouched, and VisitNext elementwise equal to Next.
+// untouched, and a declined yield stopping the walk.
 func TestCompositeSynchronisingOrder(t *testing.T) {
 	bystander := ndInput("B") // does not share "go" after renaming
 	by, err := Rename(bystander, MustMapping(map[Action]Action{"go": "elsewhere"}))
@@ -238,20 +238,11 @@ func TestCompositeSynchronisingOrder(t *testing.T) {
 		s := c.Start()[0]
 		got := visited(c, s, "go")
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("%s: VisitNext order\n got %v\nwant %v", tc.name, got, tc.want)
-		}
-		next := c.Next(s, "go")
-		if len(next) != len(got) {
-			t.Fatalf("%s: Next has %d successors, VisitNext %d", tc.name, len(next), len(got))
-		}
-		for i, nxt := range next {
-			if partKeys(nxt) != got[i] {
-				t.Errorf("%s: Next[%d] = %s, VisitNext yields %s", tc.name, i, partKeys(nxt), got[i])
-			}
+			t.Errorf("%s: Next order\n got %v\nwant %v", tc.name, got, tc.want)
 		}
 		// A yield that declines stops the walk at once.
 		calls := 0
-		if c.VisitNext(s, "go", func(State) bool { calls++; return false }) || calls != 1 {
+		if c.Next(nil, s, "go", func(State) bool { calls++; return false }) || calls != 1 {
 			t.Errorf("%s: declined walk returned true or made %d calls, want false after 1", tc.name, calls)
 		}
 	}
@@ -268,10 +259,7 @@ func TestCompositeOwnerWithoutStep(t *testing.T) {
 	c := MustCompose("blocked", ndInput("P", "L", "R"), d.MustBuild(), ndInput("Q", "X", "Y"))
 	s := c.Start()[0]
 	if got := visited(c, s, "go"); len(got) != 0 {
-		t.Errorf("VisitNext yielded %v, want nothing", got)
-	}
-	if next := c.Next(s, "go"); next != nil {
-		t.Errorf("Next = %v, want nil", next)
+		t.Errorf("Next yielded %v, want nothing", got)
 	}
 }
 
@@ -287,12 +275,9 @@ func TestCompositeRejectsWrongArity(t *testing.T) {
 		if en := c.Enabled(s); en != nil {
 			t.Errorf("%s tuple: Enabled = %v, want nil", name, en)
 		}
-		if next := c.Next(s, "α"); next != nil {
-			t.Errorf("%s tuple: Next = %v, want nil", name, next)
-		}
 		yielded := false
-		if !c.VisitNext(s, "α", func(State) bool { yielded = true; return true }) || yielded {
-			t.Errorf("%s tuple: VisitNext must return true without yielding", name)
+		if !c.Next(nil, s, "α", func(State) bool { yielded = true; return true }) || yielded {
+			t.Errorf("%s tuple: Next must return true without yielding", name)
 		}
 	}
 }
@@ -320,7 +305,7 @@ func TestCompositeStepAllocs(t *testing.T) {
 	s := c.Start()[0]
 	buf := make([]byte, 0, 4096)
 	step := func() {
-		c.VisitNext(s, "move", func(nxt State) bool {
+		c.Next(nil, s, "move", func(nxt State) bool {
 			buf = AppendState(buf[:0], nxt)
 			return true
 		})

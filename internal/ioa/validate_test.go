@@ -36,12 +36,13 @@ func TestCheckInputEnabledFailure(t *testing.T) {
 // brokenInput declares an input it never enables.
 type brokenInput struct{}
 
-func (brokenInput) Name() string               { return "broken" }
-func (brokenInput) Sig() Signature             { return MustSignature([]Action{"in"}, nil, nil) }
-func (brokenInput) Start() []State             { return []State{KeyState("s")} }
-func (brokenInput) Next(State, Action) []State { return nil }
-func (brokenInput) Enabled(State) []Action     { return nil }
-func (brokenInput) Parts() []Class             { return nil }
+func (brokenInput) Name() string           { return "broken" }
+func (brokenInput) Sig() Signature         { return MustSignature([]Action{"in"}, nil, nil) }
+func (brokenInput) Start() []State         { return []State{KeyState("s")} }
+func (brokenInput) Enabled(State) []Action { return nil }
+func (brokenInput) Parts() []Class         { return nil }
+
+func (brokenInput) Next(*Scratch, State, Action, func(State) bool) bool { return true }
 
 func TestSetFilter(t *testing.T) {
 	s := NewSet("ab", "cd", "ae")

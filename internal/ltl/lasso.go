@@ -40,24 +40,21 @@ type StateGraph struct {
 	Adj    [][]Edge
 }
 
-// BuildGraph interns states (position == dense ID, both insertion
-// order) and records, for every state and every action of sig(A)
-// satisfying allowed (nil allows every action), the successor edges
-// that land inside the set. Actions are probed in sorted order, so the
-// edge order — and therefore every search over the graph — is
-// deterministic.
-func BuildGraph(ctx context.Context, a ioa.Automaton, states []ioa.State, allowed func(ioa.Action) bool) (*StateGraph, error) {
-	return BuildGraphCanon(ctx, a, states, allowed, nil)
-}
-
-// BuildGraphCanon is BuildGraph over a symmetry-quotiented state set:
-// states holds one concrete orbit representative each (an explorer
+// BuildGraphCanon interns states (position == dense ID, both insertion
+// order) and records, for every state and every action satisfying
+// allowed (nil allows every action), the successor edges that land
+// inside the set. States are stepped by a sorted ioa.Walk — Enabled(s)
+// and the inputs, each action once, in sorted order — so the edge order,
+// and therefore every search over the graph, is deterministic.
+//
+// A non-nil canon builds the graph over a symmetry-quotiented state
+// set: states holds one concrete orbit representative each (an explorer
 // result under the same canonicalizer), and successor membership is
 // resolved canonically, so a step landing on any orbit-mate of a set
 // member produces an edge to that member's node. Without this, a
 // quotiented set would silently lose almost every edge — successors
 // are concrete states, and byte-exact lookup would miss their
-// representatives. canon nil is plain BuildGraph.
+// representatives.
 func BuildGraphCanon(ctx context.Context, a ioa.Automaton, states []ioa.State, allowed func(ioa.Action) bool, canon store.Canonicalizer) (*StateGraph, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -69,25 +66,24 @@ func BuildGraphCanon(ctx context.Context, a ioa.Automaton, states []ioa.State, a
 	if err := index.Err(); err != nil {
 		return nil, fmt.Errorf("ltl: indexing %s: %w", a.Name(), err)
 	}
-	acts := a.Sig().Acts().Sorted()
 	g := &StateGraph{States: states, Adj: make([][]Edge, len(states))}
-	for i, s := range states {
+	walk := ioa.NewWalk(a, true)
+	var i int
+	edge := func(nxt ioa.State) bool {
+		if allowed == nil || allowed(walk.Act) {
+			if j, ok := index.Has(nxt); ok {
+				g.Adj[i] = append(g.Adj[i], Edge{Act: walk.Act, To: int(j)})
+			}
+		}
+		return true
+	}
+	for i = range states {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		for _, act := range acts {
-			if allowed != nil && !allowed(act) {
-				continue
-			}
-			ioa.VisitNext(a, s, act, func(nxt ioa.State) bool {
-				if j, ok := index.Has(nxt); ok {
-					g.Adj[i] = append(g.Adj[i], Edge{Act: act, To: int(j)})
-				}
-				return true
-			})
-		}
+		walk.Visit(states[i], edge)
 	}
 	return g, nil
 }

@@ -1,7 +1,7 @@
 package ltl_test
 
 // Satellite regression battery for the graph-level lasso machinery:
-// BuildGraph adjacency is checked edge-for-edge against a direct Next
+// BuildGraphCanon adjacency is checked edge-for-edge against a direct Next
 // enumeration over explore.ReferenceReach oracles (the seed
 // string-keyed explorer), and every cycle the search returns is
 // replayed through Next and re-judged for fairness. The convergence
@@ -37,7 +37,7 @@ func graphOracles(t *testing.T) map[string]ioa.Automaton {
 }
 
 // TestBuildGraphMatchesReference checks, for every oracle system, that
-// BuildGraph over the ReferenceReach state set has exactly the edges a
+// BuildGraphCanon over the ReferenceReach state set has exactly the edges a
 // direct Next sweep produces, in sorted-action order, with dense IDs
 // agreeing with reference positions.
 func TestBuildGraphMatchesReference(t *testing.T) {
@@ -47,7 +47,7 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := ltl.BuildGraph(context.Background(), a, states, nil)
+			g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +62,7 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 			for i, s := range states {
 				var want []ltl.Edge
 				for _, act := range acts {
-					for _, nxt := range a.Next(s, act) {
+					for _, nxt := range ioa.Successors(a, s, act) {
 						j, ok := pos[nxt.Key()]
 						if !ok {
 							t.Fatalf("%s: successor %q of reachable state %q not in reference set",
@@ -94,7 +94,7 @@ func TestBuildGraphAllowedFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	allowed := func(act ioa.Action) bool { return act == figures.Alpha }
-	g, err := ltl.BuildGraph(context.Background(), a, states, allowed)
+	g, err := ltl.BuildGraphCanon(context.Background(), a, states, allowed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func checkCycleValid(t *testing.T, a ioa.Automaton, g *ltl.StateGraph, start int
 	for i, act := range acts {
 		from, to := g.States[nodes[i]], g.States[nodes[i+1]]
 		found := false
-		for _, nxt := range a.Next(from, act) {
+		for _, nxt := range ioa.Successors(a, from, act) {
 			if nxt.Key() == to.Key() {
 				found = true
 				break
@@ -142,7 +142,7 @@ func TestFindCycleAgainstReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := ltl.BuildGraph(context.Background(), a, states, nil)
+			g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func TestFindCycleWithin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ltl.BuildGraph(context.Background(), a, states, nil)
+	g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,12 +224,12 @@ func TestFindCycleFairRejectsUnfair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ltl.BuildGraph(context.Background(), a, states, nil)
+	g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noExit := func(act ioa.Action) bool { return act != exit }
-	gNoExit, err := ltl.BuildGraph(context.Background(), a, states, noExit)
+	gNoExit, err := ltl.BuildGraphCanon(context.Background(), a, states, noExit, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestFindCycleCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ltl.BuildGraph(context.Background(), a, states, nil)
+	g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestFindCycleCancellation(t *testing.T) {
 	if _, _, _, err := g.FindCycle(ctx, a, ltl.CycleOptions{}); err == nil {
 		t.Fatal("cancelled FindCycle returned nil error")
 	}
-	if _, err := ltl.BuildGraph(ctx, a, states, nil); err == nil {
-		t.Fatal("cancelled BuildGraph returned nil error")
+	if _, err := ltl.BuildGraphCanon(ctx, a, states, nil, nil); err == nil {
+		t.Fatal("cancelled BuildGraphCanon returned nil error")
 	}
 }

@@ -157,7 +157,7 @@ var spinExit = []byte{2, 1, 0b011,
 // runs through both simple cycles, neither of which is fair alone.
 func TestFindCycleFigureEight(t *testing.T) {
 	f := decodeAut(figureEight)
-	g, err := ltl.BuildGraph(context.Background(), f.a, f.states, nil)
+	g, err := ltl.BuildGraphCanon(context.Background(), f.a, f.states, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func FuzzFairCycle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fa := decodeAut(data)
 		ctx := context.Background()
-		g, err := ltl.BuildGraph(ctx, fa.a, fa.states, nil)
+		g, err := ltl.BuildGraphCanon(ctx, fa.a, fa.states, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,22 +80,23 @@ func (p *primitiveComponent) Sig() ioa.Signature { return p.sig }
 // Start implements Automaton.
 func (p *primitiveComponent) Start() []ioa.State { return p.inner.Start() }
 
-// Next implements Automaton.
-func (p *primitiveComponent) Next(s ioa.State, a ioa.Action) []ioa.State {
+// Next implements Automaton: the inner automaton's steps, in sc too,
+// and the dead state where an input has none.
+func (p *primitiveComponent) Next(sc *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
 	if !p.sig.HasAction(a) {
-		return nil
+		return true
 	}
 	if s.Key() == deadKey {
-		if p.sig.IsInput(a) {
-			return []ioa.State{s}
-		}
-		return nil
+		return !p.sig.IsInput(a) || yield(s)
 	}
-	next := p.inner.Next(s, a)
-	if len(next) == 0 && p.sig.IsInput(a) {
-		return []ioa.State{deadState{}}
+	stepped := false
+	if !p.inner.Next(sc, s, a, func(nxt ioa.State) bool {
+		stepped = true
+		return yield(nxt)
+	}) {
+		return false
 	}
-	return next
+	return stepped || !p.sig.IsInput(a) || yield(deadState{})
 }
 
 // Enabled implements Automaton.
@@ -228,7 +229,7 @@ func (d *determinized) run(origins []ioa.State, queue []ioa.Action) []ioa.State 
 		var next []ioa.State
 		seen := make(map[string]struct{})
 		for _, s := range cur {
-			for _, n := range d.inner.Next(s, act) {
+			for _, n := range ioa.Successors(d.inner, s, act) {
 				if _, ok := seen[n.Key()]; !ok {
 					seen[n.Key()] = struct{}{}
 					next = append(next, n)
@@ -251,43 +252,43 @@ func (d *determinized) origins(s *detState) []ioa.State {
 	return []ioa.State{s.s}
 }
 
-// Next implements Automaton.
-func (d *determinized) Next(s ioa.State, a ioa.Action) []ioa.State {
+// Next implements Automaton. Every state is built on the heap.
+func (d *determinized) Next(_ *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
 	ds, ok := s.(*detState)
 	if !ok {
-		return nil
+		return true
 	}
 	if d.schedSet.Has(a) {
 		// sched(t): (a, σ) -> (t, ε) iff t reachable by executing σ.
 		targetKey := a.Params()[0]
 		target, ok := d.targets[targetKey]
 		if !ok {
-			return nil
+			return true
 		}
 		for _, end := range d.run(d.origins(ds), ds.queue) {
 			if end.Key() == targetKey {
-				return []ioa.State{newDetState(false, target, nil)}
+				return yield(newDetState(false, target, nil))
 			}
 		}
-		return nil
+		return true
 	}
 	if d.sig.IsInput(a) {
 		extended := append(append([]ioa.Action(nil), ds.queue...), a)
-		return []ioa.State{newDetState(ds.pre, ds.s, extended)}
+		return yield(newDetState(ds.pre, ds.s, extended))
 	}
 	if d.sig.IsLocal(a) {
 		// Locally-controlled π′ of A: only enabled from non-pre states
 		// and only if the extended queue is executable.
 		if ds.pre {
-			return nil
+			return true
 		}
 		extended := append(append([]ioa.Action(nil), ds.queue...), a)
 		if len(d.run(d.origins(ds), extended)) == 0 {
-			return nil
+			return true
 		}
-		return []ioa.State{newDetState(false, ds.s, extended)}
+		return yield(newDetState(false, ds.s, extended))
 	}
-	return nil
+	return true
 }
 
 // Enabled implements Automaton.
@@ -305,7 +306,7 @@ func (d *determinized) Enabled(s ioa.State) []ioa.Action {
 		for act := range d.inner.Sig().Local() {
 			enabledAtSomeEnd := false
 			for _, end := range ends {
-				if len(d.inner.Next(end, act)) > 0 {
+				if len(ioa.Successors(d.inner, end, act)) > 0 {
 					enabledAtSomeEnd = true
 					break
 				}

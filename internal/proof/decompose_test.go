@@ -90,12 +90,12 @@ func TestLemma22DeadState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := comp0.Next(ioa.KeyState("0"), "pong")
+	next := ioa.Successors(comp0, ioa.KeyState("0"), "pong")
 	if len(next) != 1 || next[0].Key() != deadKey {
 		t.Fatalf("impossible input must lead to dead state, got %v", next)
 	}
 	// Dead state: inputs self-loop, no local actions.
-	if got := comp0.Next(next[0], "pong"); len(got) != 1 || got[0].Key() != deadKey {
+	if got := ioa.Successors(comp0, next[0], "pong"); len(got) != 1 || got[0].Key() != deadKey {
 		t.Error("dead state must absorb inputs")
 	}
 	if got := comp0.Enabled(next[0]); len(got) != 0 {

@@ -218,7 +218,7 @@ func (h *PossMapping) condition2(opts explore.Options, m *image) error {
 // work is one worker's share of the pass: chunks off the cursor until
 // they run out or start above the least failure known.
 func (c *condPass) work(wi int) {
-	w := &condWorker{c: c, step: explore.NewStep(c.h.A, true)}
+	w := &condWorker{c: c, step: ioa.NewWalk(c.h.A, true)}
 	// The two yields are bound once, so stepping allocates nothing.
 	check := w.checkStep
 	w.match = w.matchStep
@@ -272,11 +272,11 @@ func (c *condPass) report(i int, err error) {
 	}
 }
 
-// condWorker is one goroutine's side of the pass: its own Step and
+// condWorker is one goroutine's side of the pass: its own Walk and
 // probe buffers, and the state and step it is on.
 type condWorker struct {
 	c     *condPass
-	step  *explore.Step
+	step  *ioa.Walk
 	probe probe
 	match func(ioa.State) bool // matchStep, bound
 
@@ -316,7 +316,7 @@ func (w *condWorker) checkStep(aNext ioa.State) bool {
 			continue
 		}
 		w.matched, w.missed = false, false
-		ioa.VisitNext(c.h.B, b, act, w.match)
+		c.h.B.Next(nil, b, act, w.match)
 		if w.missed {
 			w.err = errOutsideReach(c.h.B, b, act, w.missedAt)
 			return false

@@ -268,12 +268,11 @@ type liar struct {
 	lie *bool
 }
 
-func (l liar) Next(s ioa.State, act ioa.Action) []ioa.State {
-	next := l.Automaton.Next(s, act)
-	if *l.lie && act == "tick" {
-		next = append([]ioa.State{ks("ghost")}, next...) // first, or a match ends the walk before it
+func (l liar) Next(sc *ioa.Scratch, s ioa.State, act ioa.Action, yield func(ioa.State) bool) bool {
+	if *l.lie && act == "tick" && !yield(ks("ghost")) { // first, or a match ends the walk before it
+		return false
 	}
-	return next
+	return l.Automaton.Next(sc, s, act, yield)
 }
 
 // TestStepOutsideReachIsInternalError: a successor the completed Reach

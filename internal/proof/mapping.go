@@ -140,7 +140,7 @@ func (h *PossMapping) Correspond(x *ioa.Execution) (*ioa.Execution, error) {
 			continue
 		}
 		var chosen ioa.State
-		for _, bNext := range h.B.Next(cur, act) {
+		for _, bNext := range ioa.Successors(h.B, cur, act) {
 			if containsKey(nextPoss, bNext.Key()) {
 				chosen = bNext
 				break

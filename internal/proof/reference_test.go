@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/explore"
+	"repro/internal/ioa"
 )
 
 // referenceVerify is VerifyOpts as it stood before the kernel (PR 17),
@@ -53,7 +54,7 @@ func referenceVerify(h *PossMapping, opts explore.Options) error {
 	actsA := h.A.Sig().Acts().Sorted()
 	for _, a := range reachA {
 		for _, act := range actsA {
-			for _, aNext := range h.A.Next(a, act) {
+			for _, aNext := range ioa.Successors(h.A, a, act) {
 				nextPoss := h.Map(aNext)
 				for _, b := range h.Map(a) {
 					if _, reachable := bReach[b.Key()]; !reachable {
@@ -67,7 +68,7 @@ func referenceVerify(h *PossMapping, opts explore.Options) error {
 						continue
 					}
 					ok := false
-					for _, bNext := range h.B.Next(b, act) {
+					for _, bNext := range ioa.Successors(h.B, b, act) {
 						if containsKey(nextPoss, bNext.Key()) {
 							ok = true
 							break

@@ -8,8 +8,8 @@ package reduce_test
 //     same key as Canonical(s) for fuzz-chosen group elements g;
 //   - idempotence: Canonical(Canonical(s)) == Canonical(s);
 //   - the walk itself is a concrete execution that replays on the
-//     unreduced automaton via the Stepper.Next path in
-//     reduce.ReplayTrace (witness traces stay replayable).
+//     unreduced automaton through its Next in reduce.ReplayTrace
+//     (witness traces stay replayable).
 
 import (
 	"math/rand"
@@ -40,7 +40,7 @@ func fuzzWalk(t *testing.T, a ioa.Automaton, rng *rand.Rand, steps int) *ioa.Exe
 			break
 		}
 		act := acts[rng.Intn(len(acts))]
-		succ := a.Next(s, act)
+		succ := ioa.Successors(a, s, act)
 		if len(succ) == 0 {
 			t.Fatalf("enabled action %q has no successors", act)
 		}

@@ -10,8 +10,8 @@
 // witness traces never need decanonicalization: the engine keeps the
 // concrete first-discovered member of each orbit and records the
 // concrete (parent, action) transition that produced it, so every
-// reported trace is a genuine execution replayable through
-// ioa.Stepper.Next.
+// reported trace is a genuine execution replayable through the
+// automaton's Next.
 //
 // The paper's §3.4 analysis is parameterized over n structurally
 // identical users; the quotient exploits exactly that regularity.
@@ -40,15 +40,8 @@ func ReplayTrace(a ioa.Automaton, x *ioa.Execution) error {
 	}
 	for i, act := range x.Acts {
 		src, dst := x.States[i], x.States[i+1]
-		found := false
-		ioa.VisitNext(a, src, act, func(nxt ioa.State) bool {
-			if nxt.Key() == dst.Key() {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
+		want := dst.Key()
+		if a.Next(nil, src, act, func(nxt ioa.State) bool { return nxt.Key() != want }) {
 			return fmt.Errorf("reduce: step %d not a transition: %s --%s--> %s",
 				i, src.Key(), act, dst.Key())
 		}

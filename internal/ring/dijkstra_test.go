@@ -63,11 +63,11 @@ func TestDijkstraMoves(t *testing.T) {
 
 	// All-zeros: only machine 0 is privileged; its move increments.
 	s0 := NewDijkstraState([]int{0, 0, 0})
-	if nxt := a.Next(s0, Move(0)); len(nxt) != 1 || nxt[0].Key() != "1.0.0" {
+	if nxt := ioa.Successors(a, s0, Move(0)); len(nxt) != 1 || nxt[0].Key() != "1.0.0" {
 		t.Fatalf("move(0) from 0.0.0: %v", nxt)
 	}
 	for i := 1; i < 3; i++ {
-		if nxt := a.Next(s0, Move(i)); len(nxt) != 0 {
+		if nxt := ioa.Successors(a, s0, Move(i)); len(nxt) != 0 {
 			t.Fatalf("move(%d) enabled at 0.0.0", i)
 		}
 	}
@@ -75,16 +75,16 @@ func TestDijkstraMoves(t *testing.T) {
 	// 1.0.0: machine 1 differs from machine 0 — it copies; machine 0
 	// sees x[0]=1 != x[2]=0 and is quiescent.
 	s1 := NewDijkstraState([]int{1, 0, 0})
-	if nxt := a.Next(s1, Move(1)); len(nxt) != 1 || nxt[0].Key() != "1.1.0" {
+	if nxt := ioa.Successors(a, s1, Move(1)); len(nxt) != 1 || nxt[0].Key() != "1.1.0" {
 		t.Fatalf("move(1) from 1.0.0: %v", nxt)
 	}
-	if nxt := a.Next(s1, Move(0)); len(nxt) != 0 {
+	if nxt := ioa.Successors(a, s1, Move(0)); len(nxt) != 0 {
 		t.Fatal("move(0) enabled at 1.0.0")
 	}
 
 	// Wraparound: 2.2.2 increments machine 0 mod K.
 	s2 := NewDijkstraState([]int{2, 2, 2})
-	if nxt := a.Next(s2, Move(0)); len(nxt) != 1 || nxt[0].Key() != "0.2.2" {
+	if nxt := ioa.Successors(a, s2, Move(0)); len(nxt) != 1 || nxt[0].Key() != "0.2.2" {
 		t.Fatalf("move(0) from 2.2.2: %v", nxt)
 	}
 }

@@ -194,7 +194,8 @@ func (c *Certificate) String() string {
 
 // seeded overrides an automaton's start states with the corruption
 // envelope, so the explore engine's reachability sweep computes the
-// envelope's closure under steps.
+// envelope's closure under steps. Everything else, Next with its
+// scratch included, is the embedded automaton's.
 type seeded struct {
 	ioa.Automaton
 	starts []ioa.State
@@ -202,15 +203,6 @@ type seeded struct {
 
 // Start implements ioa.Automaton.
 func (s *seeded) Start() []ioa.State { return s.starts }
-
-// VisitNext forwards the wrapped automaton's Stepper fast path;
-// embedding the interface alone would hide a dynamic Stepper behind
-// Next.
-func (s *seeded) VisitNext(st ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
-	return ioa.VisitNext(s.Automaton, st, a, yield)
-}
-
-var _ ioa.Stepper = (*seeded)(nil)
 
 // Certify checks closure and convergence of a with respect to the
 // legitimate-state predicate legit, from the corruption envelope env.
@@ -369,7 +361,7 @@ func (c *Certificate) roundsTable(g *ltl.StateGraph, legitAt []bool) bool {
 func (c *Certificate) refuteOrCertifyFair(ctx context.Context, eng *explore.Engine, w ioa.Automaton, g *ltl.StateGraph, legitAt []bool) error {
 	for i := range g.States {
 		if !legitAt[i] && len(g.Adj[i]) == 0 {
-			wit, err := witnessTo(ctx, eng, w, g.States[i])
+			wit, err := eng.Witness(ctx, w, g.States[i])
 			if err != nil {
 				return err
 			}
@@ -389,7 +381,7 @@ func (c *Certificate) refuteOrCertifyFair(ctx context.Context, eng *explore.Engi
 		c.Converges = true
 		return nil
 	}
-	wit, err := witnessTo(ctx, eng, w, g.States[start])
+	wit, err := eng.Witness(ctx, w, g.States[start])
 	if err != nil {
 		return err
 	}
@@ -401,18 +393,4 @@ func (c *Certificate) refuteOrCertifyFair(ctx context.Context, eng *explore.Engi
 		Witness:     wit,
 	}
 	return nil
-}
-
-// witnessTo builds a minimal execution from an envelope state to
-// target, via the engine's BFS invariant checker.
-func witnessTo(ctx context.Context, eng *explore.Engine, w ioa.Automaton, target ioa.State) (*ioa.Execution, error) {
-	tk := target.Key()
-	v, err := eng.CheckInvariant(ctx, w, func(s ioa.State) bool { return s.Key() != tk })
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return nil, fmt.Errorf("stabilize: witness target %q unreachable", tk)
-	}
-	return v.Trace, nil
 }
