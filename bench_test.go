@@ -219,7 +219,7 @@ func BenchmarkRefinementCheck(b *testing.B) {
 	h2 := c.H2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := h2.Verify(1 << 20); err != nil {
+		if err := h2.VerifyOpts(explore.Options{Limit: 1 << 20}); err != nil {
 			b.Fatal(err)
 		}
 	}

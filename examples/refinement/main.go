@@ -15,6 +15,7 @@ import (
 	"repro/internal/arbiter/graphlevel"
 	"repro/internal/arbiter/mapping"
 	"repro/internal/arbiter/spec"
+	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/ioa"
 	"repro/internal/proof"
@@ -64,11 +65,11 @@ func main() {
 	h1 := mapping.H1(aug, a2r, a1)
 
 	fmt.Println("verifying h₂ : A₃′ → A₂ over all reachable states (Lemma 46)…")
-	if err := h2.Verify(1 << 20); err != nil {
+	if err := h2.VerifyOpts(explore.Options{Limit: 1 << 20}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("verifying h₁ : A₂′ → A₁ over all reachable states (Lemma 39)…")
-	if err := h1.Verify(1 << 20); err != nil {
+	if err := h1.VerifyOpts(explore.Options{Limit: 1 << 20}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("both possibilities mappings verified ✓")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/arbiter/spec"
 	"repro/internal/arbiter/users"
 	"repro/internal/bench"
+	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/ioa"
 	"repro/internal/ring"
@@ -32,7 +33,7 @@ func main() {
 
 	fmt.Printf("token ring with %d processes; verifying the possibilities mapping to A₁…\n", n)
 	h := sys.H(a1)
-	if err := h.Verify(1 << 21); err != nil {
+	if err := h.VerifyOpts(explore.Options{Limit: 1 << 21}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("ring ≤ A₁ certified over the full reachable state space ✓")

@@ -372,22 +372,18 @@ func (s *System) MsgStateOf(st ioa.State) (*faults.NetState, error) {
 	return component[*faults.NetState](st, len(s.Order))
 }
 
-// FwdReq3 is the condition FwdReq_a(v) of §3.3.4 for process a: having
-// received a request while not holding the resource and not having
-// forwarded one, it either forwards a request toward the resource or
-// receives the resource.
-func (s *System) FwdReq3(a, v int) *proof.LeadsTo {
-	nb := s.Tree.Neighbors(a)
-	vi := indexOf(nb, v)
-	aName, vName := s.Tree.Node(a).Name, s.Tree.Node(v).Name
+// FwdReq3 is the condition FwdReq_a(v) of §3.3.4 on process a's own
+// state: having received a request while not holding the resource and
+// not having forwarded one, it either forwards a request toward the
+// resource or receives the resource.
+func FwdReq3(t *graph.Tree, a, v int) *proof.LeadsTo {
+	vi := indexOf(t.Neighbors(a), v)
+	aName, vName := t.Node(a).Name, t.Node(v).Name
 	return &proof.LeadsTo{
 		Name: fmt.Sprintf("FwdReq3(%s,%s)", aName, vName),
 		S: func(st ioa.State) bool {
-			ps, err := s.ProcStateOf(st, a)
-			if err != nil {
-				return false
-			}
-			return anyRequesting(ps) && !ps.requested && !ps.holding && ps.lastForward == vi
+			ps, ok := st.(*ProcState)
+			return ok && anyRequesting(ps) && !ps.requested && !ps.holding && ps.lastForward == vi
 		},
 		T: func(act ioa.Action) bool {
 			return act == ReceiveGrant(vName, aName) || act == SendRequest(aName, vName)
@@ -395,32 +391,43 @@ func (s *System) FwdReq3(a, v int) *proof.LeadsTo {
 	}
 }
 
-// FwdGr3 is the condition FwdGr_a(v,w) of §3.3.4: process a holding
-// the resource with v requesting (and the resource last forwarded to
-// w) eventually grants into the (w,v] window.
-func (s *System) FwdGr3(a, v, w int) *proof.LeadsTo {
-	nb := s.Tree.Neighbors(a)
+// FwdGr3 is the condition FwdGr_a(v,w) of §3.3.4 on process a's own
+// state: holding the resource with v requesting (and the resource last
+// forwarded to w), a eventually grants into the (w,v] window.
+func FwdGr3(t *graph.Tree, a, v, w int) *proof.LeadsTo {
+	nb := t.Neighbors(a)
 	vi, wi := indexOf(nb, v), indexOf(nb, w)
-	aName := s.Tree.Node(a).Name
+	aName := t.Node(a).Name
 	window := make(map[ioa.Action]bool)
 	for k := 1; k <= len(nb); k++ {
 		y := (wi + k) % len(nb)
-		window[SendGrant(aName, s.Tree.Node(nb[y]).Name)] = true
+		window[SendGrant(aName, t.Node(nb[y]).Name)] = true
 		if y == vi {
 			break
 		}
 	}
 	return &proof.LeadsTo{
-		Name: fmt.Sprintf("FwdGr3(%s,%s,%s)", aName, s.Tree.Node(v).Name, s.Tree.Node(w).Name),
+		Name: fmt.Sprintf("FwdGr3(%s,%s,%s)", aName, t.Node(v).Name, t.Node(w).Name),
 		S: func(st ioa.State) bool {
-			ps, err := s.ProcStateOf(st, a)
-			if err != nil {
-				return false
-			}
-			return ps.requesting[vi] && ps.holding && ps.lastForward == wi
+			ps, ok := st.(*ProcState)
+			return ok && ps.requesting[vi] && ps.holding && ps.lastForward == wi
 		},
 		T: func(act ioa.Action) bool { return window[act] },
 	}
+}
+
+// Ca returns C_a of §3.3.4, the conjunction of FwdReq3(a,v) and
+// FwdGr3(a,v,w) over a's neighbours, on A_a's own state: the
+// conditions Lemma 42 says every fair execution of A_a satisfies.
+func Ca(t *graph.Tree, a int) []*proof.LeadsTo {
+	var out []*proof.LeadsTo
+	for _, v := range t.Neighbors(a) {
+		out = append(out, FwdReq3(t, a, v))
+		for _, w := range t.Neighbors(a) {
+			out = append(out, FwdGr3(t, a, v, w))
+		}
+	}
+	return out
 }
 
 // DelReq3 is DelReq_M(a,a') of §3.3.4: an undelivered request message
@@ -454,12 +461,9 @@ func (s *System) DelGr3(a, aPrime int) *proof.LeadsTo {
 // obligations of every process and every channel.
 func (s *System) C3() []*proof.LeadsTo {
 	var out []*proof.LeadsTo
-	for _, a := range s.Order {
-		for _, v := range s.Tree.Neighbors(a) {
-			out = append(out, s.FwdReq3(a, v))
-			for _, w := range s.Tree.Neighbors(a) {
-				out = append(out, s.FwdGr3(a, v, w))
-			}
+	for i, a := range s.Order {
+		for _, c := range Ca(s.Tree, a) {
+			out = append(out, proof.OnComponent(i, c))
 		}
 	}
 	for _, a := range s.Order {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/arbiter/graphlevel"
 	"repro/internal/arbiter/users"
+	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/ioa"
 	"repro/internal/proof"
@@ -45,10 +46,10 @@ func TestRefinementChainOnTopologies(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := buildChain(t, tr, tc.holder)
-			if err := c.h2.Verify(2000000); err != nil {
+			if err := c.h2.VerifyOpts(explore.Options{Limit: 2000000}); err != nil {
 				t.Errorf("h2: %v", err)
 			}
-			if err := c.h1.Verify(2000000); err != nil {
+			if err := c.h1.VerifyOpts(explore.Options{Limit: 2000000}); err != nil {
 				t.Errorf("h1: %v", err)
 			}
 		})

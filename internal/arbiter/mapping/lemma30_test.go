@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/proof"
 )
 
@@ -16,7 +17,7 @@ import (
 // equals a FIFO channel class of M.
 func TestLemma30CertifiesH2(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	if err := proof.FairSatisfiesViaMapping(c.h2, 500000); err != nil {
+	if err := proof.FairSatisfiesViaMappingOpts(c.h2, explore.Options{Limit: 500000}); err != nil {
 		t.Fatalf("Lemma 30 hypothesis fails for h2: %v", err)
 	}
 }
@@ -31,7 +32,7 @@ func TestLemma30CertifiesH2(t *testing.T) {
 // report the containment failure.
 func TestLemma30PartitionFailsForH1(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	err := proof.FairSatisfiesViaMapping(c.h1, 500000)
+	err := proof.FairSatisfiesViaMappingOpts(c.h1, explore.Options{Limit: 500000})
 	if err == nil {
 		t.Fatal("expected the partition-containment hypothesis to fail for h1")
 	}

@@ -65,7 +65,7 @@ func TestExternalSignaturesAlign(t *testing.T) {
 // §2.3.1 for h₂ over the reachable states of A₃′ (Lemma 46).
 func TestH2IsPossibilitiesMapping(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	if err := c.h2.Verify(200000); err != nil {
+	if err := c.h2.VerifyOpts(explore.Options{Limit: 200000}); err != nil {
 		t.Fatalf("h2 verification failed: %v", err)
 	}
 }
@@ -73,7 +73,7 @@ func TestH2IsPossibilitiesMapping(t *testing.T) {
 // TestH1IsPossibilitiesMapping mechanically verifies h₁ (Lemma 39).
 func TestH1IsPossibilitiesMapping(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	if err := c.h1.Verify(200000); err != nil {
+	if err := c.h1.VerifyOpts(explore.Options{Limit: 200000}); err != nil {
 		t.Fatalf("h1 verification failed: %v", err)
 	}
 }

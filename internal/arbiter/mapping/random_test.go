@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/testseed"
 )
@@ -27,10 +28,10 @@ func TestRandomTreesRefinementChain(t *testing.T) {
 			}
 			holder := tr.NodesOf(graph.Arbiter)[int(seed)%nArb]
 			c := buildChain(t, tr, holder)
-			if err := c.h2.Verify(3000000); err != nil {
+			if err := c.h2.VerifyOpts(explore.Options{Limit: 3000000}); err != nil {
 				t.Errorf("h2: %v", err)
 			}
-			if err := c.h1.Verify(3000000); err != nil {
+			if err := c.h1.VerifyOpts(explore.Options{Limit: 3000000}); err != nil {
 				t.Errorf("h1: %v", err)
 			}
 		})

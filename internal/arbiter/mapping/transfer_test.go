@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/arbiter/graphlevel"
+	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/ioa"
 )
@@ -38,7 +39,7 @@ func TestLemma40ConditionTransfer(t *testing.T) {
 		uPred := func(st ioa.State) bool {
 			return st.(interface{ Requesting(int) bool }).Requesting(uIdx)
 		}
-		if err := c.h1.TransferDown(200000, s, tAct, uPred, tAct); err != nil {
+		if err := c.h1.TransferDownOpts(explore.Options{Limit: 200000}, s, tAct, uPred, tAct); err != nil {
 			t.Errorf("GrRes transfer for %s: %v", uName, err)
 		}
 
@@ -51,7 +52,7 @@ func TestLemma40ConditionTransfer(t *testing.T) {
 		uRtn := func(st ioa.State) bool {
 			return st.(interface{ Holder() int }).Holder() == uIdx
 		}
-		if err := c.h1.TransferDown(200000, sRtn, tRtn, uRtn, tRtn); err != nil {
+		if err := c.h1.TransferDownOpts(explore.Options{Limit: 200000}, sRtn, tRtn, uRtn, tRtn); err != nil {
 			t.Errorf("RtnRes transfer for %s: %v", uName, err)
 		}
 	}

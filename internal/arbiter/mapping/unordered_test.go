@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arbiter/dist"
+	"repro/internal/explore"
 	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/ioa"
@@ -58,7 +59,7 @@ func TestUnorderedChannelBreaksH2(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2 := h2m.H2(a3r, a2)
-	err = h2.Verify(200000)
+	err = h2.VerifyOpts(explore.Options{Limit: 200000})
 	if !errors.Is(err, proof.ErrNotPossibilities) {
 		t.Fatalf("expected the unordered message system to break h2, got %v", err)
 	}

@@ -166,138 +166,6 @@ func userAutomaton(t *testing.T, name string) *ioa.Prog {
 	return d.MustBuild()
 }
 
-// TestFairIsWeakerThanE1 documents that Fair(A₁) is a strict superset
-// of E₁: A₁ is primitive (all grants share one class), so class-level
-// weak fairness permits executions in which the arbiter always serves
-// the same user while another starves. The paper therefore specifies
-// the arbiter by the explicit conditions of E₁, not by Fair(A₁).
-func TestFairIsWeakerThanE1(t *testing.T) {
-	a, us := newA1(t, 2)
-	comps := []ioa.Automaton{a, userAutomaton(t, us[0]), userAutomaton(t, us[1])}
-	closed, err := ioa.Compose("biased", comps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A biased policy: it fires the arbiter class only at moments when
-	// grant(u0) is enabled. The arbiter class still fires infinitely
-	// often (u0 keeps cycling), so the execution is fair; u1 starves.
-	biased := &biasedPolicy{favored: Grant(us[0])}
-	x, err := sim.Run(closed, biased, 200, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ioa.CheckFairWindow(x, 2*len(closed.Parts())); err != nil {
-		t.Fatalf("the biased run must still be FAIR: %v", err)
-	}
-	proj, err := closed.ProjectExecution(x, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := E1(a, us)
-	if len(proof.Pending(proj, mod.Goals)) == 0 {
-		t.Error("expected a starving user: fair ≠ no-lockout for a primitive arbiter")
-	}
-	for _, act := range proj.Acts {
-		if act == Grant(us[1]) {
-			t.Fatal("u1 must never be granted under the biased (yet fair) policy")
-		}
-	}
-}
-
-// biasedPolicy is class-fair but fires the arbiter's class only when
-// the favored grant is enabled, and then always picks it.
-type biasedPolicy struct {
-	next    int
-	favored ioa.Action
-}
-
-func (p *biasedPolicy) Choose(a ioa.Automaton, s ioa.State, enabledClasses []int) sim.Choice {
-	n := len(a.Parts())
-	var fallback *sim.Choice
-	for k := 0; k < n; k++ {
-		ci := (p.next + k) % n
-		for _, e := range enabledClasses {
-			if e != ci {
-				continue
-			}
-			acts := ioa.NewSet(ioa.EnabledIn(a, s, a.Parts()[ci])...)
-			if acts.Has(p.favored) {
-				p.next = (ci + 1) % n
-				return sim.Choice{Class: ci, Action: p.favored}
-			}
-			isArbiterClass := false
-			for act := range acts {
-				if act.Base() == "grant" {
-					isArbiterClass = true
-					break
-				}
-			}
-			if isArbiterClass {
-				// Defer the arbiter until the favored grant is up.
-				if fallback == nil {
-					c := sim.Choice{Class: ci, Action: acts.Sorted()[0]}
-					fallback = &c
-				}
-				continue
-			}
-			p.next = (ci + 1) % n
-			return sim.Choice{Class: ci, Action: acts.Sorted()[0]}
-		}
-	}
-	// Only the arbiter class is enabled and the favored grant is not:
-	// forced to serve someone else (does not arise in this scenario).
-	return *fallback
-}
-
-// TestE1LockoutWithoutRtnRes injects the failure the C1 hypothesis
-// guards against: a user that never returns. The module judges such
-// executions vacuous (hypothesis pending), and other users starve.
-func TestE1LockoutWithoutRtnRes(t *testing.T) {
-	a, us := newA1(t, 2)
-	hog := ioa.NewDef("hog")
-	hog.Start(ioa.KeyState("idle"))
-	hog.Output(ioa.Act("request", us[0]), "hog",
-		func(s ioa.State) bool { return s.Key() == "idle" },
-		func(ioa.State) ioa.State { return ioa.KeyState("waiting") })
-	hog.Input(ioa.Act("grant", us[0]), func(s ioa.State) ioa.State {
-		return ioa.KeyState("holding-forever")
-	})
-	hogA := hog.MustBuild()
-	closed, err := ioa.Compose("lockout", a, hogA, userAutomaton(t, us[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := sim.Run(closed, &sim.RoundRobin{}, 200, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj, err := closed.ProjectExecution(x, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod := E1(a, us)
-	if v := mod.Judge(proj); v != proof.Vacuous {
-		t.Errorf("verdict = %v; a never-returning holder must make C1 vacuous", v)
-	}
-	// u1 never gets the resource after the hog holds it.
-	sawHogGrant := false
-	u1GrantsAfter := 0
-	for _, act := range proj.Acts {
-		if act == ioa.Act("grant", us[0]) {
-			sawHogGrant = true
-		}
-		if sawHogGrant && act == ioa.Act("grant", us[1]) {
-			u1GrantsAfter++
-		}
-	}
-	if !sawHogGrant {
-		t.Fatal("hog never got the resource")
-	}
-	if u1GrantsAfter != 0 {
-		t.Errorf("u1 was granted %d times after lockout", u1GrantsAfter)
-	}
-}
-
 // TestA1RandomDrives is a property test: arbitrary interleavings of
 // inputs and enabled grants never violate the arbiter's structural
 // invariants (holder changes only by grant/return; grants only to

@@ -1,9 +1,10 @@
 package explore
 
 // The Engine facade: the package's entry points (Reach,
-// CheckInvariant, Behaviors, Schedules, Execs, SameBehaviors,
-// FindLasso, plus the diagnostic WriteDOT) are methods of one type constructed from Options, with
-// context.Context cancellation on every method.
+// CheckInvariant, Witness, Census, Behaviors, Schedules, Execs,
+// SameBehaviors, FindLasso, plus the diagnostic WriteDOT) are methods
+// of one type constructed from Options, with context.Context
+// cancellation on every method.
 //
 // Internally every explorer dedups through internal/store: states are
 // byte-encoded once (ioa.AppendState — the bytes of Key(), streamed

@@ -200,12 +200,14 @@ func (e *Engine) SameBehaviors(ctx context.Context, a, b ioa.Automaton, depth in
 }
 
 // A Lasso is a reachable cycle: a stem execution from a start state to
-// a state on the cycle, plus the cycle's actions.
+// a state on the cycle, plus the cycle's actions. A lasso of
+// proof.CheckLeadsTo may instead end quiescent: Cycle is then empty
+// and CycleStates holds the stem's last state alone.
 type Lasso struct {
 	Stem  *ioa.Execution
 	Cycle []ioa.Action
 	// CycleStates holds the states visited around the cycle (the
-	// first equals the stem's last state).
+	// first and the last equal the stem's last state).
 	CycleStates []ioa.State
 }
 

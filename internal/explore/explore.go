@@ -1,7 +1,8 @@
 // Package explore provides finite-state analysis of input-output
-// automata: reachability, invariant checking, bounded behavior-set
-// computation, deadlock detection, and cycle analysis used to reason
-// about infinite (fair and unfair) behaviors of finite automata.
+// automata: reachability, invariant checking with minimal witnesses,
+// state censuses, bounded behavior-set computation, and lassos used to
+// reason about infinite (fair and unfair) behaviors of finite
+// automata.
 //
 // The entry point is the Engine facade: construct one from Options
 // (worker count, state budget, observability handle, storage backend,

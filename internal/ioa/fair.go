@@ -13,47 +13,16 @@ import (
 //     infinitely often, or states from which no action of C is enabled
 //     appear infinitely often.
 //
-// Finite executions are checked exactly (IsFairFinite). Infinite
-// executions are approximated by long prefixes: FairDebt reports, per
-// class, the length of the longest suffix during which the class was
-// continuously enabled without performing an action — a prefix of an
-// infinite fair execution keeps every class's debt bounded.
+// This file checks finite executions: condition 1 exactly
+// (IsFairFinite), and a window discipline standing in for condition 2
+// on scheduler output (CheckFairWindow). Condition 2 itself is decided
+// on the reachable graph, by ltl's fair-cycle search.
 
 // IsFairFinite reports whether the finite execution x is fair: no
 // locally-controlled action is enabled from its final state (§2.2.1,
 // condition 1).
 func IsFairFinite(x *Execution) bool {
 	return len(x.Auto.Enabled(x.Last())) == 0
-}
-
-// FairDebt returns, for each class index, the number of trailing steps
-// of x during which the class has been continuously enabled without
-// any of its actions occurring. A class that is disabled at some
-// recent state, or recently performed an action, has debt counted from
-// that point.
-func FairDebt(x *Execution) []int {
-	parts := x.Auto.Parts()
-	debt := make([]int, len(parts))
-	for ci, c := range parts {
-		d := 0
-		// Walk backward from the final state.
-		for i := x.Len(); i >= 0; i-- {
-			if i < x.Len() && c.Actions.Has(x.Acts[i]) {
-				break // class acted here
-			}
-			if !ClassEnabled(x.Auto, x.States[i], c) {
-				break // class disabled here
-			}
-			d++
-		}
-		// d counted states, not steps; a freshly enabled class at the
-		// final state only has debt 0 steps.
-		if d > 0 {
-			d--
-		}
-		debt[ci] = d
-	}
-	return debt
 }
 
 // CheckFairWindow verifies a weak-fairness discipline on a long finite
@@ -70,11 +39,6 @@ func CheckFairWindow(x *Execution, window int) error {
 	// lastOK[ci] = last index i (state position) at which class ci was
 	// either disabled or performed an action at step i.
 	lastOK := make([]int, len(parts))
-	for ci, c := range parts {
-		if !ClassEnabled(x.Auto, x.States[0], c) {
-			lastOK[ci] = 0
-		}
-	}
 	for i := 0; i < x.Len(); i++ {
 		for ci, c := range parts {
 			acted := c.Actions.Has(x.Acts[i])

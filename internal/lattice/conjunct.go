@@ -1,14 +1,14 @@
+// Package lattice organizes safety proofs as conjunct lattices: an
+// inductive invariant is rarely the bare safety property but a
+// conjunction Inv == TypeOK ∧ I1 ∧ … of named lemmas, each a state
+// predicate, strengthened one conjunct at a time until the whole
+// becomes closed under transitions. The induct engine walks this
+// sub-lattice of the predicate lattice: a counterexample-to-induction
+// names the violated conjunct, and the strengthening loop conjoins the
+// library lemma that refutes the CTI's predecessor. (Liveness is not
+// organized here: proof.CheckLeadsTo decides each S ↝ T on the
+// reachable graph.)
 package lattice
-
-// Conjunct lattices organize safety proofs the way proof lattices
-// organize liveness proofs: an inductive invariant is rarely the bare
-// safety property but a conjunction Inv == TypeOK ∧ I1 ∧ … of named
-// lemmas, each a state predicate, strengthened one conjunct at a time
-// until the whole becomes closed under transitions. The induct engine
-// walks this sub-lattice of the predicate lattice: a
-// counterexample-to-induction names the violated conjunct, and the
-// strengthening loop conjoins the library lemma that refutes the CTI's
-// predecessor.
 
 import (
 	"fmt"

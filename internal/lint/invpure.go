@@ -4,21 +4,23 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
-// invpure checks that invariant and legitimacy predicates — the
-// functions handed to lattice.L, set as the Pred field of a
-// lattice.Lemma, or passed as the legitimacy argument of
-// stabilize.Certify — are pure observations of their state argument.
-// The induction engine evaluates each conjunct millions of times over
-// a streamed candidate domain and credits per-conjunct obligations by
-// name; the stabilization certifier evaluates legitimacy on every
-// explored state. A predicate that mutates the state corrupts shared
-// interned states exactly like an impure transition; one that writes
-// captured variables makes the certificate depend on evaluation
-// order; one that reads the clock or the global random source, or
-// lets map-iteration order reach its result, makes the verdict
-// irreproducible.
+// invpure checks that invariant, legitimacy and leads-to predicates —
+// the functions handed to lattice.L, set as the Pred field of a
+// lattice.Lemma or the S and T fields of a proof.LeadsTo, or passed as
+// the legitimacy argument of stabilize.Certify — are pure observations
+// of their argument. The induction engine evaluates each conjunct
+// millions of times over a streamed candidate domain and credits
+// per-conjunct obligations by name; the stabilization certifier
+// evaluates legitimacy on every explored state, and the exact leads-to
+// check S on every reachable state and T on every edge. A predicate
+// that mutates the state corrupts shared interned states exactly like
+// an impure transition; one that writes captured variables makes the
+// certificate depend on evaluation order; one that reads the clock or
+// the global random source, or lets map-iteration order reach its
+// result, makes the verdict irreproducible.
 //
 // Predicates are found by purestep's anchor index (eachAnchored), and
 // writes reaching the state by its taint pass (stateWrites). The clock
@@ -35,7 +37,7 @@ func init() { Register(invpure{}) }
 func (invpure) Name() string { return "invpure" }
 
 func (invpure) Doc() string {
-	return "invariant/legitimacy predicates (lattice.L, Lemma.Pred, stabilize.Certify) must be pure"
+	return "invariant/legitimacy/leads-to predicates (lattice.L, Lemma.Pred, LeadsTo.S/T, stabilize.Certify) must be pure"
 }
 
 // predicateArg returns the argument position of the predicate for a
@@ -58,15 +60,21 @@ func predicateArg(fn *types.Func) int {
 	return -1
 }
 
-// isLatticeLemma reports whether t is the internal/lattice Lemma
-// struct type.
-func isLatticeLemma(t types.Type) bool {
+// predicateFields returns the predicate fields of a recognized struct
+// type: Pred of the internal/lattice Lemma, S and T of the
+// internal/proof LeadsTo.
+func predicateFields(t types.Type) []string {
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Lemma" {
-		return false
+	if !ok || named.Obj().Pkg() == nil {
+		return nil
 	}
-	pkg := named.Obj().Pkg()
-	return pkg != nil && internalSegment(pkg.Path()) == "lattice"
+	switch internalSegment(named.Obj().Pkg().Path()) + "." + named.Obj().Name() {
+	case "lattice.Lemma":
+		return []string{"Pred"}
+	case "proof.LeadsTo":
+		return []string{"S", "T"}
+	}
+	return nil
 }
 
 func (invpure) Run(p *Pass) {
@@ -79,16 +87,16 @@ func (invpure) Run(p *Pass) {
 				}
 			}
 		case *ast.CompositeLit:
-			if !isLatticeLemma(p.TypeOf(n)) {
-				break
-			}
+			fields := predicateFields(p.TypeOf(n))
+			var preds []ast.Expr
 			for _, elt := range n.Elts {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "Pred" {
-						return []ast.Expr{kv.Value}
+					if key, ok := kv.Key.(*ast.Ident); ok && slices.Contains(fields, key.Name) {
+						preds = append(preds, kv.Value)
 					}
 				}
 			}
+			return preds
 		}
 		return nil
 	}, func(ft *ast.FuncType, body *ast.BlockStmt) { checkPredicate(p, ft, body) })

@@ -1,17 +1,17 @@
+// Package ltl decides liveness on an explicit transition graph. For
+// infinite behaviour — "is there a fair execution that stays in this
+// region forever?" — a finite reachable state set is turned into a
+// StateGraph: states are interned (internal/store) so positions are
+// dense IDs, and adjacency is labeled with actions. FindCycle accepts
+// exactly the fair-sustainable cycles of §2.2.1 condition 2 (every
+// fairness class either acts on the cycle or is disabled at some cycle
+// state), one strongly connected component at a time, and FairEscape
+// adds the finite fair executions — a state enabling no
+// locally-controlled action. FairEscape is the one liveness decision
+// procedure: the stabilize convergence pass and proof.CheckLeadsTo
+// both call it; explore.FindLasso and WriteDOT use the graph and the
+// cycle search.
 package ltl
-
-// Graph-level lasso machinery over interned dense state IDs. The
-// temporal formulas in this package evaluate over finite executions;
-// for *infinite* behavior — "is there a fair execution that pumps this
-// cycle forever?" — the explorers and the self-stabilization certifier
-// need an explicit transition graph over a finite reachable set. That
-// graph lives here: states are interned (internal/store) so positions
-// are dense IDs, adjacency is labeled with actions, and the cycle
-// search accepts exactly the fair-sustainable cycles of §2.2.1
-// condition 2 (every fairness class either acts on the cycle or is
-// disabled at some cycle state). explore.FindLasso is a thin client;
-// the stabilize package reuses the same graph for its convergence
-// pass.
 
 import (
 	"context"
@@ -219,6 +219,30 @@ func (g *StateGraph) FindCycle(ctx context.Context, a ioa.Automaton, opts CycleO
 	}
 	acts, nodes = g.tour(a, start, of, opts.Fair)
 	return start, acts, nodes, nil
+}
+
+// FairEscape is the one liveness search: it looks for a fair
+// execution of a that, once inside region (nil: every node), never
+// leaves it. That is FindCycle's fair cycle within region, end its
+// start; else the least node of region at which a enables no
+// locally-controlled action — a finite fair execution may stop there
+// —, acts and nodes nil; else end is -1: every fair execution through
+// region leaves it. A fair cycle, when there is one, is the witness:
+// on an open automaton a quiescent node often lies on a fair cycle of
+// input steps too, and stabilize certificates report that cycle. The
+// stabilize convergence pass asks about the complement of the
+// legitimate set, the leads-to check about the states an S state
+// reaches without a T action.
+func (g *StateGraph) FairEscape(ctx context.Context, a ioa.Automaton, region func(int) bool) (end int, acts []ioa.Action, nodes []int, err error) {
+	if end, acts, nodes, err = g.FindCycle(ctx, a, CycleOptions{Fair: true, Within: region}); end >= 0 || err != nil {
+		return end, acts, nodes, err
+	}
+	for v, s := range g.States {
+		if (region == nil || region(v)) && len(a.Enabled(s)) == 0 {
+			return v, nil, nil, nil
+		}
+	}
+	return -1, nil, nil, nil
 }
 
 // acceptable reports whether component comp carries a cycle and, when

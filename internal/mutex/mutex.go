@@ -89,14 +89,17 @@ func (s *regState) Key() string { return s.key }
 
 // NewRegister builds the automaton for one binary register shared by
 // processes 0 and 1, initialized to initVal. Reads and writes from
-// each port are serialized by the register (atomicity); the register's
-// responses form its single fairness class.
+// each port are serialized by the register (atomicity); the responses
+// on each port form a fairness class of their own, as in an atomic
+// object's per-port tasks. With one class for both ports a fair
+// execution may serve one port forever and starve the other's pending
+// write, locking its process out (EXPERIMENTS.md E34).
 func NewRegister(name string, initVal int) *ioa.Prog {
 	d := ioa.NewDef("R_" + name)
 	d.Start(newRegState(initVal, [2]string{"", ""}))
-	class := name
 	for i := 0; i < 2; i++ {
 		i := i
+		class := name + "/" + itoa(i)
 		for v := 0; v < 2; v++ {
 			v := v
 			d.Input(Write(name, i, v), func(st ioa.State) ioa.State {

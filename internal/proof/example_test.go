@@ -3,14 +3,15 @@ package proof_test
 import (
 	"fmt"
 
+	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/proof"
 )
 
-// ExamplePossMapping_Verify verifies a small refinement: a three-phase
+// ExamplePossMapping_VerifyOpts verifies a small refinement: a three-phase
 // traffic light refines a two-phase go/stop abstraction by mapping
 // both "amber" and "red" to abstract "stop".
-func ExamplePossMapping_Verify() {
+func ExamplePossMapping_VerifyOpts() {
 	sigC := ioa.MustSignature(nil, []ioa.Action{"tick"}, nil)
 	s := func(k string) ioa.State { return ioa.KeyState(k) }
 	concrete := ioa.MustTable("light3", sigC,
@@ -40,7 +41,7 @@ func ExamplePossMapping_Verify() {
 			return []ioa.State{s("stop")}
 		},
 	}
-	fmt.Println("verified:", h.Verify(100) == nil)
+	fmt.Println("verified:", h.VerifyOpts(explore.Options{Limit: 100}) == nil)
 
 	// Lift a concrete execution to the abstract level (Lemma 28).
 	x := ioa.NewExecution(concrete, concrete.Start()[0])

@@ -351,12 +351,13 @@ func errOutsideReach(x ioa.Automaton, from ioa.State, act ioa.Action, to ioa.Sta
 // refuseCanon rejects a canonicalizer. Reach would then return one
 // representative per orbit, and nothing argues that the conditions of
 // a possibilities mapping checked on the representatives alone are the
-// conditions on the automaton.
+// conditions on the automaton, or that a lasso over representatives is
+// an execution.
 func refuseCanon(opts explore.Options) error {
 	if opts.Canon == nil {
 		return nil
 	}
-	return fmt.Errorf("proof: Options.Canon (%s) is not supported: a mapping is checked on every reachable state, not on one per orbit", opts.Canon.Name())
+	return fmt.Errorf("proof: Options.Canon (%s) is not supported: these checks run on every reachable state, not on one per orbit", opts.Canon.Name())
 }
 
 func (h *PossMapping) errNotPreserved(a ioa.State, act ioa.Action, aNext, b ioa.State) error {

@@ -245,6 +245,10 @@ func TestCanonRefused(t *testing.T) {
 		"TransferDownOpts": func(h *proof.PossMapping, o explore.Options) error {
 			return h.TransferDownOpts(o, never, none, never, none)
 		},
+		"CheckLeadsTo": func(h *proof.PossMapping, o explore.Options) error {
+			_, err := proof.CheckLeadsTo(context.Background(), h.A, o, &proof.LeadsTo{Name: "never", S: never, T: none})
+			return err
+		},
 	} {
 		if err := check(h, explore.Options{}); err != nil {
 			t.Errorf("%s without a canonicalizer: %v", name, err)

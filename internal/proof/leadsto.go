@@ -1,15 +1,20 @@
 // Package proof provides the hierarchical-verification machinery of
-// §2.3 of the paper: leads-to liveness conditions (S ↝ T),
-// condition-defined execution modules, possibilities mappings with
-// mechanical verification, corresponding-execution construction
-// (Lemma 28), satisfaction checks, and the primitive-decomposition
-// constructions of §2.2.3 (Lemma 22, Lemma 24, Theorem 23).
+// §2.3 of the paper: leads-to liveness conditions (S ↝ T), decided
+// exactly on the reachable graph (CheckLeadsTo) or scanned along a
+// finite execution (Pending, MaxLatency), condition-defined execution
+// modules, possibilities mappings with mechanical verification,
+// corresponding-execution construction (Lemma 28), satisfaction
+// checks, and the primitive-decomposition constructions of §2.2.3
+// (Lemma 22, Lemma 24, Theorem 23).
 package proof
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/explore"
 	"repro/internal/ioa"
+	"repro/internal/ltl"
 )
 
 // A LeadsTo is the condition S ↝ T of §2.3.2: whenever the automaton
@@ -21,6 +26,91 @@ type LeadsTo struct {
 	S func(ioa.State) bool
 	// T holds on actions that discharge the obligation.
 	T func(ioa.Action) bool
+}
+
+// CheckLeadsTo decides each condition exactly over the fair executions
+// of a (§2.2.1): S ↝ T fails iff some reachable S state reaches, by
+// steps that are not T actions, a state enabling no locally-controlled
+// action (a finite fair execution ends there) or a fair-sustainable
+// cycle of such steps. That is ltl's FairEscape — the search behind
+// stabilize's convergence verdict — over the region the S states reach
+// in the reachable graph with its T edges removed. Reach runs and the
+// graph is built once for all conditions.
+//
+// The result has one entry per condition: nil where it holds, else a
+// lasso whose stem is a minimal execution to an S state followed by
+// the T-free path on to the escape, and whose cycle is the fair cycle;
+// at a quiescent end the cycle is empty and CycleStates holds the end
+// state alone. Options.Canon is refused (refuseCanon).
+func CheckLeadsTo(ctx context.Context, a ioa.Automaton, opts explore.Options, conds ...*LeadsTo) ([]*explore.Lasso, error) {
+	if err := refuseCanon(opts); err != nil {
+		return nil, err
+	}
+	states, err := explore.New(opts).Reach(ctx, a)
+	if err != nil {
+		return nil, err
+	}
+	full, err := ltl.BuildGraphCanon(ctx, a, states, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*explore.Lasso, len(conds))
+	for ci, c := range conds {
+		g := &ltl.StateGraph{States: states, Adj: make([][]ltl.Edge, len(states))}
+		for v, es := range full.Adj {
+			for _, e := range es {
+				if !c.T(e.Act) {
+					g.Adj[v] = append(g.Adj[v], e)
+				}
+			}
+		}
+		// prev[v] is v's predecessor on a shortest T-free path from
+		// an S state: -1 at an S state, -2 outside the region.
+		prev, via := make([]int, len(states)), make([]ioa.Action, len(states))
+		var queue []int
+		for v, s := range states {
+			prev[v] = -2
+			if c.S(s) {
+				prev[v] = -1
+				queue = append(queue, v)
+			}
+		}
+		for ; len(queue) > 0; queue = queue[1:] {
+			for _, e := range g.Adj[queue[0]] {
+				if prev[e.To] == -2 {
+					prev[e.To], via[e.To] = queue[0], e.Act
+					queue = append(queue, e.To)
+				}
+			}
+		}
+		end, acts, nodes, err := g.FairEscape(ctx, a, func(v int) bool { return prev[v] > -2 })
+		if err != nil {
+			return nil, err
+		}
+		if end < 0 {
+			continue
+		}
+		root, path := end, []int(nil) // path: end back to root, root excluded
+		for ; prev[root] >= 0; root = prev[root] {
+			path = append(path, root)
+		}
+		// As in explore.FindLasso, a sequential engine at no less than
+		// the default budget makes the stem minimal.
+		we := explore.New(explore.Options{Workers: 1, Limit: max(opts.Limit, explore.DefaultLimit), Obs: opts.Obs})
+		stem, err := we.Witness(ctx, a, states[root])
+		if err != nil {
+			return nil, err
+		}
+		for k := len(path) - 1; k >= 0; k-- {
+			stem.Append(via[path[k]], states[path[k]])
+		}
+		l := &explore.Lasso{Stem: stem, Cycle: acts, CycleStates: []ioa.State{states[end]}}
+		if acts != nil {
+			l.CycleStates = g.PathStates(nodes)
+		}
+		out[ci] = l
+	}
+	return out, nil
 }
 
 // An Obligation records an outstanding S ↝ T obligation on a finite
@@ -93,12 +183,6 @@ func MaxLatency(x *ioa.Execution, conds []*LeadsTo) map[string]int {
 	return out
 }
 
-// StateSetLeadsTo builds an S ↝ T condition from an explicit state
-// predicate and action set.
-func StateSetLeadsTo(name string, s func(ioa.State) bool, t ioa.Set) *LeadsTo {
-	return &LeadsTo{Name: name, S: s, T: t.Has}
-}
-
 // A CondModule is an execution module defined intensionally: the
 // executions of an automaton satisfying a conjunction of leads-to
 // conditions, optionally guarded by hypothesis conditions (the
@@ -155,13 +239,6 @@ func (m *CondModule) Judge(x *ioa.Execution) Verdict {
 	return Holds
 }
 
-// AllConds returns hypotheses and goals together.
-func (m *CondModule) AllConds() []*LeadsTo {
-	out := make([]*LeadsTo, 0, len(m.Hypotheses)+len(m.Goals))
-	out = append(out, m.Hypotheses...)
-	return append(out, m.Goals...)
-}
-
 // OnComponent lifts a condition on a component automaton's states to
 // the composite's tuple states (the state side of Lemma 34: conditions
 // of the form S ↝ T transfer between a composition and its components
@@ -176,13 +253,4 @@ func OnComponent(i int, c *LeadsTo) *LeadsTo {
 		},
 		T: c.T,
 	}
-}
-
-// OnComponentAll lifts a batch of component conditions (Lemma 34).
-func OnComponentAll(i int, cs []*LeadsTo) []*LeadsTo {
-	out := make([]*LeadsTo, len(cs))
-	for k, c := range cs {
-		out[k] = OnComponent(i, c)
-	}
-	return out
 }

@@ -125,16 +125,6 @@ func TestCondModuleJudge(t *testing.T) {
 		// Final state is idle with no later want: goal open.
 		t.Errorf("verdict = %v, want pending-goals", v)
 	}
-	if len(m.AllConds()) != 2 {
-		t.Error("AllConds wrong")
-	}
-}
-
-func TestStateSetLeadsTo(t *testing.T) {
-	c := StateSetLeadsTo("x", func(s ioa.State) bool { return true }, ioa.NewSet("go"))
-	if !c.T("go") || c.T("stop") {
-		t.Error("action set predicate wrong")
-	}
 }
 
 func TestVerdictString(t *testing.T) {
@@ -163,8 +153,5 @@ func TestOnComponent(t *testing.T) {
 	}
 	if !lifted.T("cool") {
 		t.Error("action predicate unchanged")
-	}
-	if got := OnComponentAll(1, []*LeadsTo{inner, inner}); len(got) != 2 {
-		t.Error("batch lifting size")
 	}
 }

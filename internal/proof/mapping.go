@@ -40,17 +40,12 @@ type PossMapping struct {
 // counterexample to the possibilities-mapping conditions.
 var ErrNotPossibilities = errors.New("proof: not a possibilities mapping")
 
-// Verify mechanically checks the possibilities-mapping conditions over
-// the reachable states of A (exploring at most limit states of each
-// automaton). For finite-state A and B this is a complete check; for
-// larger systems it is a bounded certification.
-func (h *PossMapping) Verify(limit int) error {
-	return h.VerifyOpts(explore.Options{Limit: limit})
-}
-
-// VerifyOpts is Verify with explicit exploration options. The two
-// reachability passes run through the explore engine, Map is tabulated
-// once over the result, and condition 2 is then checked by
+// VerifyOpts mechanically checks the possibilities-mapping conditions
+// over the reachable states of A (exploring at most Options.Limit
+// states of each automaton). For finite-state A and B this is a
+// complete check; for larger systems it is a bounded certification.
+// The two reachability passes run through the explore engine, Map is
+// tabulated once over the result, and condition 2 is then checked by
 // Options.Workers goroutines over that table (kernel.go). The error is
 // the same at every worker count: the first failure in the order of
 // Reach(A), then sorted action, then Next order, then Map order. An
@@ -168,21 +163,15 @@ func CheckCorrespondence(x, y *ioa.Execution, b ioa.Automaton) error {
 	return nil
 }
 
-// TransferDown instantiates Lemma 32(2): if x satisfies S ↝ T and
+// TransferDownOpts instantiates Lemma 32(2): if x satisfies S ↝ T and
 // S ⊇ h⁻¹(U), T ⊆ V, then the corresponding y satisfies U ↝ V. It
 // verifies the two set conditions on the reachable states of A (up to
-// limit) and returns the transferred condition for use on B.
+// Options.Limit; see VerifyOpts) and returns the transferred condition
+// for use on B.
 //
 // The caller provides U over states of B and V over actions; the
 // returned checkable fact is that (U ↝ V) holds on any execution of B
 // corresponding to an execution of A satisfying (S ↝ T).
-func (h *PossMapping) TransferDown(limit int, s func(ioa.State) bool, t func(ioa.Action) bool,
-	u func(ioa.State) bool, v func(ioa.Action) bool) error {
-	return h.TransferDownOpts(explore.Options{Limit: limit}, s, t, u, v)
-}
-
-// TransferDownOpts is TransferDown with explicit exploration options
-// (see VerifyOpts).
 func (h *PossMapping) TransferDownOpts(opts explore.Options, s func(ioa.State) bool, t func(ioa.Action) bool,
 	u func(ioa.State) bool, v func(ioa.Action) bool) error {
 	if err := refuseCanon(opts); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/ioa"
 )
 
@@ -59,7 +60,7 @@ func TestPossMappingVerifies(t *testing.T) {
 			}
 		},
 	}
-	if err := h.Verify(1000); err != nil {
+	if err := h.VerifyOpts(explore.Options{Limit: 1000}); err != nil {
 		t.Fatalf("parity mapping should verify: %v", err)
 	}
 
@@ -92,7 +93,7 @@ func TestPossMappingRejectsBrokenMap(t *testing.T) {
 		B:   b,
 		Map: func(ioa.State) []ioa.State { return []ioa.State{ioa.KeyState("0")} },
 	}
-	err := h.Verify(1000)
+	err := h.VerifyOpts(explore.Options{Limit: 1000})
 	if !errors.Is(err, ErrNotPossibilities) {
 		t.Fatalf("want ErrNotPossibilities, got %v", err)
 	}
@@ -105,7 +106,7 @@ func TestPossMappingRejectsSignatureMismatch(t *testing.T) {
 		[]ioa.Step{{From: ioa.KeyState("0"), Act: "other", To: ioa.KeyState("0")}},
 		[]ioa.Class{{Name: "c", Actions: ioa.NewSet("other")}})
 	h := &PossMapping{A: a, B: b, Map: func(ioa.State) []ioa.State { return b.Start() }}
-	if err := h.Verify(100); !errors.Is(err, ErrNotPossibilities) {
+	if err := h.VerifyOpts(explore.Options{Limit: 100}); !errors.Is(err, ErrNotPossibilities) {
 		t.Fatalf("want signature mismatch, got %v", err)
 	}
 }
@@ -124,7 +125,7 @@ func TestPossMappingRejectsBadStart(t *testing.T) {
 			return []ioa.State{ioa.KeyState("0")}
 		},
 	}
-	if err := h.Verify(100); !errors.Is(err, ErrNotPossibilities) {
+	if err := h.VerifyOpts(explore.Options{Limit: 100}); !errors.Is(err, ErrNotPossibilities) {
 		t.Fatalf("want start-state violation, got %v", err)
 	}
 }
@@ -146,17 +147,17 @@ func TestTransferDown(t *testing.T) {
 	v := func(a ioa.Action) bool { return a == "fire" }
 	// S = h⁻¹(U) = {0, 2}; T = {fire} ⊆ V.
 	s := func(st ioa.State) bool { return st.Key() == "0" || st.Key() == "2" }
-	if err := h.TransferDown(100, s, v, u, v); err != nil {
+	if err := h.TransferDownOpts(explore.Options{Limit: 100}, s, v, u, v); err != nil {
 		t.Errorf("TransferDown should pass: %v", err)
 	}
 	// Too-small S must be rejected.
 	sSmall := func(st ioa.State) bool { return st.Key() == "0" }
-	if err := h.TransferDown(100, sSmall, v, u, v); err == nil {
+	if err := h.TransferDownOpts(explore.Options{Limit: 100}, sSmall, v, u, v); err == nil {
 		t.Error("TransferDown must reject S ⊉ h⁻¹(U)")
 	}
 	// T outside V must be rejected.
 	tBig := func(a ioa.Action) bool { return true }
-	if err := h.TransferDown(100, s, tBig, u, v); err == nil {
+	if err := h.TransferDownOpts(explore.Options{Limit: 100}, s, tBig, u, v); err == nil {
 		t.Error("TransferDown must reject T ⊄ V")
 	}
 }

@@ -3,6 +3,7 @@ package proof
 import (
 	"testing"
 
+	"repro/internal/explore"
 	"repro/internal/ioa"
 )
 
@@ -42,7 +43,7 @@ func liftPair(t *testing.T, suffix string) (conc, abs *ioa.Table, h *PossMapping
 func TestProductMapping(t *testing.T) {
 	c1, a1, h1 := liftPair(t, "1")
 	c2, a2, h2 := liftPair(t, "2")
-	if err := h1.Verify(100); err != nil {
+	if err := h1.VerifyOpts(explore.Options{Limit: 100}); err != nil {
 		t.Fatalf("component mapping 1: %v", err)
 	}
 	ca, err := ioa.Compose("concs", c1, c2)
@@ -57,7 +58,7 @@ func TestProductMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Verify(1000); err != nil {
+	if err := h.VerifyOpts(explore.Options{Limit: 1000}); err != nil {
 		t.Fatalf("Lemma 31 product mapping failed verification: %v", err)
 	}
 	// And corresponding executions exist across the product.
@@ -89,7 +90,7 @@ func TestProductMappingValidation(t *testing.T) {
 
 func TestRenameMapping(t *testing.T) {
 	_, _, h := liftPair(t, "1")
-	if err := h.Verify(100); err != nil {
+	if err := h.VerifyOpts(explore.Options{Limit: 100}); err != nil {
 		t.Fatal(err)
 	}
 	f := ioa.MustMapping(map[ioa.Action]ioa.Action{"tick1": "t", "tock1": "k"})
@@ -97,7 +98,7 @@ func TestRenameMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rh.Verify(100); err != nil {
+	if err := rh.VerifyOpts(explore.Options{Limit: 100}); err != nil {
 		t.Fatalf("Lemma 27: renamed mapping must still verify: %v", err)
 	}
 	if !rh.A.Sig().IsOutput("t") {

@@ -15,8 +15,8 @@ import (
 //
 //   - UnfairSatisfiesBounded: exact behavior-set inclusion up to a
 //     bounded execution depth (complete for that bound);
-//   - FairSatisfiesViaMapping: the sufficient condition of Lemma 30,
-//     checked over (bounded) reachable state sets.
+//   - FairSatisfiesViaMappingOpts: the sufficient condition of Lemma
+//     30, checked over (bounded) reachable state sets.
 
 // UnfairSatisfiesBounded reports whether every external behavior of a
 // with at most depth steps is an external behavior of b with at most
@@ -41,7 +41,7 @@ func UnfairSatisfiesBounded(a, b ioa.Automaton, depth int) (bool, []ioa.Action, 
 	return true, nil, nil
 }
 
-// FairSatisfiesViaMapping checks the hypothesis of Lemma 30 for the
+// FairSatisfiesViaMappingOpts checks the hypothesis of Lemma 30 for the
 // possibilities mapping h, which then implies fbeh(A) ⊆ fbeh(B):
 //
 //   - part(B) is contained in part(A) (every class of B is a subset of
@@ -51,14 +51,9 @@ func UnfairSatisfiesBounded(a, b ioa.Automaton, depth int) (bool, []ioa.Action, 
 //     reachable possibility of a, then an action of D is enabled from
 //     a and no action of C − D is enabled from a.
 //
-// The check explores at most limit states of each automaton.
-func FairSatisfiesViaMapping(h *PossMapping, limit int) error {
-	return FairSatisfiesViaMappingOpts(h, explore.Options{Limit: limit})
-}
-
-// FairSatisfiesViaMappingOpts is FairSatisfiesViaMapping with explicit
-// exploration options: both reachability passes run through
-// the explore engine, so a Workers setting parallelizes them.
+// The check explores at most Options.Limit states of each automaton;
+// both reachability passes run through the explore engine, so a
+// Workers setting parallelizes them.
 func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
 	if err := refuseCanon(opts); err != nil {
 		return err
@@ -161,17 +156,12 @@ func FairBehaviorsFinite(a ioa.Automaton, depth int) (*ioa.SchedModule, error) {
 	return ioa.NewSchedModule(a.Sig().External(), traces)
 }
 
-// SatisfactionChain verifies transitivity-style satisfaction evidence:
-// each adjacent pair (Oᵢ₊₁, Oᵢ) is certified by a possibilities
-// mapping whose Lemma 30 hypothesis holds, yielding Lemma 26(1)'s
-// conclusion that the last object satisfies the first. It returns the
-// per-link verification errors, nil-free on success.
-func SatisfactionChain(limit int, links ...*PossMapping) error {
-	return SatisfactionChainOpts(explore.Options{Limit: limit}, links...)
-}
-
-// SatisfactionChainOpts is SatisfactionChain with explicit exploration
-// options applied to every link's verification.
+// SatisfactionChainOpts verifies transitivity-style satisfaction
+// evidence: each adjacent pair (Oᵢ₊₁, Oᵢ) is certified by a
+// possibilities mapping whose Lemma 30 hypothesis holds, yielding Lemma
+// 26(1)'s conclusion that the last object satisfies the first. opts
+// applies to every link's verification; the error names the first
+// failing link.
 func SatisfactionChainOpts(opts explore.Options, links ...*PossMapping) error {
 	for i, h := range links {
 		if err := h.VerifyOpts(opts); err != nil {

@@ -47,10 +47,10 @@ func TestLemma30OnIdentity(t *testing.T) {
 		B:   a,
 		Map: func(s ioa.State) []ioa.State { return []ioa.State{s} },
 	}
-	if err := h.Verify(100); err != nil {
+	if err := h.VerifyOpts(explore.Options{Limit: 100}); err != nil {
 		t.Fatalf("identity mapping: %v", err)
 	}
-	if err := FairSatisfiesViaMapping(h, 100); err != nil {
+	if err := FairSatisfiesViaMappingOpts(h, explore.Options{Limit: 100}); err != nil {
 		t.Fatalf("Lemma 30 hypothesis on identity: %v", err)
 	}
 }
@@ -77,7 +77,7 @@ func TestLemma30RejectsPartitionMismatch(t *testing.T) {
 		B:   b,
 		Map: func(ioa.State) []ioa.State { return b.Start() },
 	}
-	if err := FairSatisfiesViaMapping(h, 100); err == nil {
+	if err := FairSatisfiesViaMappingOpts(h, explore.Options{Limit: 100}); err == nil {
 		t.Error("partition containment must fail")
 	}
 }
@@ -140,13 +140,13 @@ func TestSatisfactionChain(t *testing.T) {
 	id := func(s ioa.State) []ioa.State { return []ioa.State{s} }
 	h1 := &PossMapping{A: a, B: a, Map: id}
 	h2 := &PossMapping{A: a, B: a, Map: id}
-	if err := SatisfactionChain(100, h1, h2); err != nil {
+	if err := SatisfactionChainOpts(explore.Options{Limit: 100}, h1, h2); err != nil {
 		t.Fatalf("chain of identities must verify: %v", err)
 	}
 	bad := &PossMapping{A: a, B: figures.Fig23D(2), Map: func(ioa.State) []ioa.State {
 		return figures.Fig23D(2).Start()
 	}}
-	if err := SatisfactionChain(100, h1, bad); err == nil {
+	if err := SatisfactionChainOpts(explore.Options{Limit: 100}, h1, bad); err == nil {
 		t.Error("broken link must be reported")
 	}
 }

@@ -81,7 +81,9 @@ func itoa(i int) string {
 //
 // The token stays put while the local user is being served, and leaves
 // only once the user is idle again — so at most one user holds the
-// resource, and ring order bounds waiting.
+// resource. Waiting is not bounded: a user that requests again before
+// the pass is served again, fairness does not force the pass, and so
+// some fair execution locks out each user (TestRingLockoutExact).
 func NewProcess(i, n int, user string) *ioa.Prog {
 	pred, succ := (i+n-1)%n, (i+1)%n
 	class := "p" + itoa(i)

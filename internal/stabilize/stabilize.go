@@ -26,14 +26,14 @@
 //     over successors — the demonic bound over every scheduling
 //     choice. A cycle or deadlock inside the non-legitimate region
 //     makes those states divergent. With no divergence, convergence
-//     is bounded and k = max r over the envelope. With divergence, a
-//     deadlock outside L refutes convergence outright (a finite fair
-//     execution ends outside L); otherwise ltl.FindCycle decides
-//     whether a component of the divergent region carries a
-//     fair-sustainable cycle (§2.2.1 condition 2) — one found refutes
-//     convergence under fair scheduling, none certifies fair
-//     convergence without a uniform bound (a demon can postpone
-//     recovery arbitrarily, but no fair execution avoids L forever).
+//     is bounded and k = max r over the envelope. With divergence,
+//     ltl's FairEscape — the search the leads-to check of package
+//     proof also runs — decides it: a state outside L enabling no
+//     locally-controlled action (a finite fair execution ends outside
+//     L) or a fair-sustainable cycle outside L (§2.2.1 condition 2)
+//     refutes convergence; neither certifies fair convergence without
+//     a uniform bound (a demon can postpone recovery arbitrarily, but
+//     no fair execution avoids L forever).
 //
 // Determinism: the closure is explored in the engine's canonical
 // order, the graph probes actions sorted, and every scan walks nodes
@@ -102,9 +102,9 @@ func (s *Step) String() string {
 
 // A Divergence witnesses a convergence failure.
 type Divergence struct {
-	// Kind is "deadlock" (a non-legitimate state with no outgoing
-	// steps ends a finite fair execution outside L) or "cycle" (a
-	// fair-sustainable cycle avoids L forever).
+	// Kind is "deadlock" (a non-legitimate state enabling no
+	// locally-controlled action ends a finite fair execution outside
+	// L) or "cycle" (a fair-sustainable cycle avoids L forever).
 	Kind string
 	// State is the divergent state the witness reaches: the deadlock
 	// state, or the cycle's anchor.
@@ -355,42 +355,28 @@ func (c *Certificate) roundsTable(g *ltl.StateGraph, legitAt []bool) bool {
 }
 
 // refuteOrCertifyFair settles convergence when the rounds table
-// diverged: a deadlock outside L refutes it; otherwise a
-// fair-sustainable cycle within the non-legitimate region refutes it;
-// otherwise convergence holds under fairness, without a bound.
+// diverged, by ltl's one liveness search over the non-legitimate
+// region: a state there enabling no locally-controlled action, or a
+// fair-sustainable cycle inside it, refutes convergence; neither
+// certifies it under fairness, without a bound — every fair execution
+// leaves the divergent region and, rounds decreasing thereafter,
+// reaches L.
 func (c *Certificate) refuteOrCertifyFair(ctx context.Context, eng *explore.Engine, w ioa.Automaton, g *ltl.StateGraph, legitAt []bool) error {
-	for i := range g.States {
-		if !legitAt[i] && len(g.Adj[i]) == 0 {
-			wit, err := eng.Witness(ctx, w, g.States[i])
-			if err != nil {
-				return err
-			}
-			c.Divergence = &Divergence{Kind: "deadlock", State: g.States[i], Witness: wit}
-			return nil
-		}
-	}
-	outsideL := func(i int) bool { return !legitAt[i] }
-	start, acts, nodes, err := g.FindCycle(ctx, w, ltl.CycleOptions{Fair: true, Within: outsideL})
+	end, acts, nodes, err := g.FairEscape(ctx, w, func(i int) bool { return !legitAt[i] })
 	if err != nil {
 		return err
 	}
-	if acts == nil {
-		// Divergent states exist but no fair cycle sustains them:
-		// every fair execution leaves the divergent region and,
-		// rounds decreasing thereafter, reaches L.
+	if end < 0 {
 		c.Converges = true
 		return nil
 	}
-	wit, err := eng.Witness(ctx, w, g.States[start])
+	wit, err := eng.Witness(ctx, w, g.States[end])
 	if err != nil {
 		return err
 	}
-	c.Divergence = &Divergence{
-		Kind:        "cycle",
-		State:       g.States[start],
-		Cycle:       acts,
-		CycleStates: g.PathStates(nodes),
-		Witness:     wit,
+	c.Divergence = &Divergence{Kind: "deadlock", State: g.States[end], Witness: wit}
+	if acts != nil {
+		c.Divergence.Kind, c.Divergence.Cycle, c.Divergence.CycleStates = "cycle", acts, g.PathStates(nodes)
 	}
 	return nil
 }
