@@ -36,13 +36,15 @@
 // canonical decodable encoding (grid, the m^k-state scale harness) the
 // external census, frontier and seen set both on disk.
 //
-// -dist-listen starts a coordinator that shards the interned key space
-// across -dist-workers OS processes with level-synchronized barriers;
-// counts and verdicts are bit-identical at any process count.
-// -dist-spawn forks the workers from this binary; otherwise start each
-// by hand with -dist-join host:port and the same -system flags. A
-// corrupted shard assignment (-dist-corrupt, the CI must-fail probe)
-// aborts the cluster rather than double-counting.
+// -dist-listen starts a coordinator that expands every level itself and
+// shards the seen set across -dist-workers OS processes with
+// level-synchronized barriers; counts and verdicts are bit-identical at
+// any process count. The coordinator takes the system flags and
+// -symmetry; a worker builds nothing and takes only -dist-join
+// host:port and the -spill-* flags. -dist-spawn forks the workers from
+// this binary; otherwise start each by hand. A worker that misreads its
+// shard (-dist-corrupt, the CI must-fail probe) aborts the cluster
+// rather than double-counting.
 //
 // -induct certifies the system's safety invariant by one-step
 // induction over a streamed candidate domain, in O(1) resident memory;
@@ -151,7 +153,7 @@ func main() {
 	flag.IntVar(&cfg.distWorkers, "dist-workers", 2, "worker process count for -dist-listen")
 	flag.StringVar(&cfg.distJoin, "dist-join", "", "join a coordinator at this host:port as a worker process")
 	flag.BoolVar(&cfg.distSpawn, "dist-spawn", false, "with -dist-listen: spawn the worker processes from this binary")
-	flag.BoolVar(&cfg.distCorrupt, "dist-corrupt", false, "deliberately mis-shard this worker's candidates (CI must-fail probe)")
+	flag.BoolVar(&cfg.distCorrupt, "dist-corrupt", false, "deliberately misread this worker's shard rank, so it refuses what it is sent (CI must-fail probe)")
 	flag.StringVar(&cfg.obsAddr, "obs-addr", "", "serve live expvar + pprof debug endpoints on this address (e.g. :6060)")
 	flag.StringVar(&cfg.traceOut, "trace-out", "", "write a Chrome trace_event JSON file to this path")
 	flag.StringVar(&cfg.metricsOut, "metrics-out", "", "write a metrics snapshot JSON file to this path")

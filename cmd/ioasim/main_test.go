@@ -15,6 +15,7 @@ import (
 	"repro/internal/explore"
 	"repro/internal/ledger"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // TestTraceOutRoundTrip is the observability acceptance check: a
@@ -296,14 +297,12 @@ func TestWriteFileReportsErrors(t *testing.T) {
 	}
 }
 
-// TestDistListenTruncation: a sharded -reach that outgrows -limit
-// exits zero with the same "truncated at state budget" line the
-// single-process and census paths print — the cluster's budget abort is
-// explore.ErrLimit, which coordRun recognises.
-func TestDistListenTruncation(t *testing.T) {
-	grid := config{system: "grid", gridM: 4, gridK: 4, reach: true, faults: "none",
-		explore: explore.Options{Limit: 10}}
-	coord := grid
+// distRun runs coord as a coordinator and two hand-started workers
+// running worker with -dist-join set to the coordinator's banner
+// address. It returns what the coordinator printed after its banner,
+// its error and the workers' errors.
+func distRun(t *testing.T, coord, worker config) (string, error, []error) {
+	t.Helper()
 	coord.distListen, coord.distWorkers = "127.0.0.1:0", 2
 	pr, pw := io.Pipe()
 	coordErr := make(chan error, 1)
@@ -321,7 +320,6 @@ func TestDistListenTruncation(t *testing.T) {
 	if len(fields) < 3 {
 		t.Fatalf("coordinator banner %q", first)
 	}
-	worker := grid
 	worker.distJoin = fields[2]
 	workerErrs := make(chan error, coord.distWorkers)
 	for i := 0; i < coord.distWorkers; i++ {
@@ -331,16 +329,56 @@ func TestDistListenTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := <-coordErr; err != nil {
-		t.Fatalf("truncated coordinator run: %v", err)
+	errs := make([]error, coord.distWorkers)
+	for i := range errs {
+		errs[i] = <-workerErrs
 	}
-	if !strings.Contains(string(rest), "grid: truncated at state budget 10 (pass a larger -limit)") {
+	return string(rest), <-coordErr, errs
+}
+
+// TestDistListenTruncation: a sharded -reach that outgrows -limit
+// exits zero with the same "truncated at state budget" line the
+// single-process and census paths print — the cluster's budget abort is
+// explore.ErrLimit, which coordRun recognises.
+func TestDistListenTruncation(t *testing.T) {
+	grid := config{system: "grid", gridM: 4, gridK: 4, reach: true, faults: "none",
+		explore: explore.Options{Limit: 10}}
+	rest, coordErr, workerErrs := distRun(t, grid, grid)
+	if coordErr != nil {
+		t.Fatalf("truncated coordinator run: %v", coordErr)
+	}
+	if !strings.Contains(rest, "grid: truncated at state budget 10 (pass a larger -limit)") {
 		t.Fatalf("no truncation line in coordinator output: %q", rest)
 	}
-	for i := 0; i < coord.distWorkers; i++ {
-		if err := <-workerErrs; err == nil || !strings.Contains(err.Error(), "coordinator aborted") {
+	for _, err := range workerErrs {
+		if err == nil || !strings.Contains(err.Error(), "coordinator aborted") {
 			t.Fatalf("worker err = %v, want the coordinator's abort", err)
 		}
+	}
+}
+
+// TestDistJoinRemovesShardDir: a worker given -spill-dir d spills into a
+// private d/shard-* directory and removes it when it finishes, so a
+// finished cluster leaves d as it found it.
+func TestDistJoinRemovesShardDir(t *testing.T) {
+	dir := t.TempDir()
+	coord := config{system: "grid", gridM: 4, gridK: 4, reach: true, faults: "none",
+		explore: explore.Options{Limit: explore.DefaultLimit}}
+	worker := coord
+	worker.explore.Spill = &store.SpillOptions{Dir: dir, MemBudget: 1 << 20}
+	rest, coordErr, workerErrs := distRun(t, coord, worker)
+	if err := errors.Join(append(workerErrs, coordErr)...); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rest, "256 reachable states") {
+		t.Fatalf("coordinator output %q lacks the 4^4 grid's 256 states", rest)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("the workers left %s behind in the spill directory", e.Name())
 	}
 }
 

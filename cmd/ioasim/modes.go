@@ -56,15 +56,16 @@ func stabilizeCanon(s bench.System) bench.CanonFunc {
 }
 
 const (
-	concrete = "it follows the concrete transition graph; reductions apply to -reach"
-	walksDom = "induction walks the candidate domain, not the transition graph"
+	concrete    = "it follows the concrete transition graph; reductions apply to -reach"
+	walksDom    = "induction walks the candidate domain, not the transition graph"
+	coordinates = "the coordinator builds, reduces and expands the system; give the flag there"
 )
 
 // modes is the mode table, in precedence order: the first row whose
 // flag is set runs, and the last row is the default.
 var modes = []mode{
 	{name: "dist-worker", flag: "-dist-join", set: func(c *config) bool { return c.distJoin != "" },
-		sharded: true, canon: exploreCanon, run: workerRun},
+		sharded: true, faults: coordinates, symmetry: coordinates, run: workerRun},
 	{name: "dist-coordinate", flag: "-dist-listen", set: func(c *config) bool { return c.distListen != "" },
 		sharded: true, needsReach: true, canon: exploreCanon, run: coordRun},
 	{name: "stabilize", flag: "-stabilize", set: func(c *config) bool { return c.stabilize },
@@ -263,12 +264,12 @@ func simulateRun(inv *invocation) error {
 }
 
 // workerRun joins a coordinator at -dist-join as one worker process of
-// a sharded exploration. The worker builds the system locally — the
-// cluster protocol ships canonical encodings, never concrete states —
-// and owns the shard of the interned key space the coordinator's rank
-// assignment gives it. A -spill-dir is made rank-unique with a private
-// subdirectory, so several workers on one host never collide.
-func workerRun(inv *invocation) error {
+// a sharded exploration. A worker builds nothing: the coordinator
+// expands every level and sends each worker the canonical encodings its
+// shard of the seen set owns. A -spill-dir is made rank-unique with a
+// private subdirectory, so several workers on one host never collide,
+// and the subdirectory is removed when the worker finishes.
+func workerRun(inv *invocation) (err error) {
 	cfg := inv.cfg
 	spill := cfg.explore.Spill
 	if spill != nil {
@@ -279,6 +280,7 @@ func workerRun(inv *invocation) error {
 		if err != nil {
 			return err
 		}
+		defer func() { err = errors.Join(err, os.RemoveAll(dir)) }()
 		sp := *spill
 		sp.Dir = dir
 		spill = &sp
@@ -287,10 +289,7 @@ func workerRun(inv *invocation) error {
 	// race the coordinator's bind), so the exploration runs exactly once.
 	return cluster.Work(context.Background(), cluster.Config{
 		Addr:         cfg.distJoin,
-		Build:        func() (ioa.Automaton, error) { return inv.sys.Build(inv.par) },
-		Limit:        int64(cfg.explore.Limit),
 		Spill:        spill,
-		Canon:        inv.canon,
 		CorruptShard: cfg.distCorrupt,
 	})
 }
@@ -310,10 +309,10 @@ func joinAddr(a net.Addr) string {
 }
 
 // coordRun coordinates a sharded multi-process exploration: it listens
-// on -dist-listen, waits for -dist-workers worker processes, drives the
-// level barriers, and reports the cluster-wide census. With -dist-spawn
-// the workers are forked from this binary with the system flags passed
-// through; otherwise start them by hand with -dist-join.
+// on -dist-listen, waits for -dist-workers worker processes, expands
+// every level itself, and reports the cluster-wide census. With
+// -dist-spawn the workers are forked from this binary with the spill
+// flags passed through; otherwise start them by hand with -dist-join.
 func coordRun(inv *invocation) error {
 	cfg := inv.cfg
 	// Bind before spawning so workers can join an ephemeral port
@@ -327,23 +326,9 @@ func coordRun(inv *invocation) error {
 	fmt.Fprintf(inv.out, "coordinating on %s (%d workers)\n", join, cfg.distWorkers)
 	var spawned []*exec.Cmd
 	if cfg.distSpawn {
-		args := []string{
-			"-system", cfg.system,
-			"-users", fmt.Sprint(cfg.nUsers),
-			"-grid-base", fmt.Sprint(cfg.gridM), "-grid-digits", fmt.Sprint(cfg.gridK),
-			"-dist-join", join,
-		}
-		if cfg.explore.Limit != explore.DefaultLimit {
-			args = append(args, "-limit", fmt.Sprint(cfg.explore.Limit))
-		}
+		args := []string{"-dist-join", join}
 		if cfg.explore.Spill != nil {
 			args = append(args, "-spill-dir", cfg.explore.Spill.Dir, "-spill-mem-mb", fmt.Sprint(cfg.explore.Spill.MemBudget>>20))
-		}
-		if cfg.symmetry {
-			args = append(args, "-symmetry")
-		}
-		if cfg.faults != "" && cfg.faults != "none" {
-			args = append(args, "-faults", cfg.faults, "-fault-seed", fmt.Sprint(cfg.faultSd))
 		}
 		for i := 0; i < cfg.distWorkers; i++ {
 			cmd := exec.Command(os.Args[0], args...)
@@ -357,7 +342,9 @@ func coordRun(inv *invocation) error {
 	res, err := cluster.Coordinate(context.Background(), cluster.Config{
 		Listener: ln,
 		Procs:    cfg.distWorkers,
+		Build:    inv.build,
 		Limit:    int64(cfg.explore.Limit),
+		Canon:    inv.canon,
 		Obs:      inv.o,
 	})
 	// A budget abort stops the workers with the coordinator's reason;

@@ -11,6 +11,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/faults"
@@ -317,7 +318,7 @@ func component[T ioa.State](st ioa.State, i int) (T, error) {
 
 // ProcStateOf extracts process a's state from a composite state.
 func (asm *assembly) ProcStateOf(st ioa.State, a int) (*ProcState, error) {
-	i := indexOf(asm.Order, a)
+	i := slices.Index(asm.Order, a)
 	if i < 0 {
 		return nil, fmt.Errorf("dist: node %d is not a process", a)
 	}
@@ -377,7 +378,7 @@ func (s *System) MsgStateOf(st ioa.State) (*faults.NetState, error) {
 // not having forwarded one, it either forwards a request toward the
 // resource or receives the resource.
 func FwdReq3(t *graph.Tree, a, v int) *proof.LeadsTo {
-	vi := indexOf(t.Neighbors(a), v)
+	vi := slices.Index(t.Neighbors(a), v)
 	aName, vName := t.Node(a).Name, t.Node(v).Name
 	return &proof.LeadsTo{
 		Name: fmt.Sprintf("FwdReq3(%s,%s)", aName, vName),
@@ -396,7 +397,7 @@ func FwdReq3(t *graph.Tree, a, v int) *proof.LeadsTo {
 // forwarded to w), a eventually grants into the (w,v] window.
 func FwdGr3(t *graph.Tree, a, v, w int) *proof.LeadsTo {
 	nb := t.Neighbors(a)
-	vi, wi := indexOf(nb, v), indexOf(nb, w)
+	vi, wi := slices.Index(nb, v), slices.Index(nb, w)
 	aName := t.Node(a).Name
 	window := make(map[ioa.Action]bool)
 	for k := 1; k <= len(nb); k++ {
@@ -482,15 +483,6 @@ func (s *System) E3() *proof.CondModule {
 	return &proof.CondModule{Name: "E3", Auto: s.A3, Goals: s.C3()}
 }
 
-func indexOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
-}
-
 // F2 builds the action mapping f₂ of §3.3.5, renaming A₃'s actions to
 // those of A₂ over the buffer-augmented graph 𝒢 (aug must be
 // graph.Augment of the system's tree; node IDs of original nodes
@@ -522,7 +514,7 @@ func (asm *assembly) F2(aug *graph.Tree) (*ioa.Mapping, error) {
 				pairs[SendGrant(aName, vName)] = ioa.Act("grant", aName, vName)
 				continue
 			}
-			b, err := bufferBetween(aug, a, v)
+			b, err := aug.BufferBetween(a, v)
 			if err != nil {
 				return nil, err
 			}
@@ -533,20 +525,4 @@ func (asm *assembly) F2(aug *graph.Tree) (*ioa.Mapping, error) {
 		}
 	}
 	return ioa.NewMapping(pairs)
-}
-
-// bufferBetween locates the buffer node adjacent to both a and v in
-// the augmented graph.
-func bufferBetween(aug *graph.Tree, a, v int) (int, error) {
-	for _, b := range aug.Neighbors(a) {
-		if aug.Node(b).Kind != graph.Buffer {
-			continue
-		}
-		for _, w := range aug.Neighbors(b) {
-			if w == v {
-				return b, nil
-			}
-		}
-	}
-	return -1, fmt.Errorf("dist: no buffer between %s and %s", aug.Node(a).Name, aug.Node(v).Name)
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/explore"
@@ -355,7 +356,7 @@ func TestReachableStateSpaceMutualExclusion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ui := indexOf(tr.Neighbors(a), u)
+			ui := slices.Index(tr.Neighbors(a), u)
 			if !ps.Holding() && ps.LastForward() == ui {
 				holders++
 			}

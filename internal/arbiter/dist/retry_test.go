@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -106,7 +107,7 @@ func TestAlternatingBitSurvivesDropAndDup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ps.Requesting(indexOf(tr.Neighbors(0), 1)) {
+	if !ps.Requesting(slices.Index(tr.Neighbors(0), 1)) {
 		t.Fatal("a1 did not record a2's request")
 	}
 	// The ack is duplicated; the second copy must be ignored.

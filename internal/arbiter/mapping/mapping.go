@@ -124,7 +124,7 @@ func deriveArrows(g, aug *graph.Tree, order []int,
 			// user itself, or the buffer b(a,v).
 			other := v
 			if !isUser {
-				other, err = bufferBetween(aug, a, v)
+				other, err = aug.BufferBetween(a, v)
 				if err != nil {
 					return nil, err
 				}
@@ -209,7 +209,7 @@ func (h *H2Map) CheckI1(st ioa.State) error {
 			if g.Node(v).Kind != graph.Arbiter {
 				continue
 			}
-			b, err := bufferBetween(h.Aug, a, v)
+			b, err := h.Aug.BufferBetween(a, v)
 			if err != nil {
 				return err
 			}
@@ -246,7 +246,7 @@ func (h *H2Map) CheckI2(st ioa.State) error {
 			if g.Node(v).Kind != graph.Arbiter {
 				continue
 			}
-			b, err := bufferBetween(h.Aug, a, v)
+			b, err := h.Aug.BufferBetween(a, v)
 			if err != nil {
 				return err
 			}
@@ -278,25 +278,11 @@ func (h *H2Map) StartEdge() (from, at int, err error) {
 		if h.Sys.Tree.Node(v).Kind == graph.User {
 			return v, a, nil
 		}
-		b, berr := bufferBetween(h.Aug, a, v)
+		b, berr := h.Aug.BufferBetween(a, v)
 		if berr != nil {
 			return 0, 0, berr
 		}
 		return b, a, nil
 	}
 	return 0, 0, fmt.Errorf("mapping: no process holds the resource in the start state")
-}
-
-func bufferBetween(aug *graph.Tree, a, v int) (int, error) {
-	for _, b := range aug.Neighbors(a) {
-		if aug.Node(b).Kind != graph.Buffer {
-			continue
-		}
-		for _, w := range aug.Neighbors(b) {
-			if w == v {
-				return b, nil
-			}
-		}
-	}
-	return -1, fmt.Errorf("mapping: no buffer between %s and %s", aug.Node(a).Name, aug.Node(v).Name)
 }

@@ -87,7 +87,7 @@ func (h *H2RMap) StartEdge() (from, at int, err error) {
 		if h.Sys.Tree.Node(v).Kind == graph.User {
 			return v, a, nil
 		}
-		b, berr := bufferBetween(h.Aug, a, v)
+		b, berr := h.Aug.BufferBetween(a, v)
 		if berr != nil {
 			return 0, 0, berr
 		}

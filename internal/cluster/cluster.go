@@ -1,65 +1,55 @@
-// Package cluster shards state-space exploration across OS processes
-// over localhost TCP: ioasim -dist-listen runs the coordinator,
-// ioasim -dist-join runs a worker, and the reachable set is
-// partitioned by store.Hash of each state's canonical encoding modulo
-// the process count. The hash is unspecified beyond being the same
-// function within one binary, so all ranks of one run must be the same
-// build (-dist-spawn forks the coordinator's own executable); a rank
-// built from other source would route to other owners, and the
-// receiving owner's shard check aborts the run.
+// Package cluster shards the seen set of a state-space exploration
+// across OS processes over localhost TCP: ioasim -dist-listen runs the
+// coordinator, ioasim -dist-join runs a worker, and the reachable set
+// is partitioned by store.Hash of each state's canonical encoding
+// modulo the process count. The hash is unspecified beyond being the
+// same function within one binary, so all ranks of one run must be the
+// same build (-dist-spawn forks the coordinator's own executable); a
+// rank built from other source would disagree on owners, and the
+// receiving shard's check aborts the run.
 //
-// The protocol is level-synchronized BFS with a
-// discoverer-expands/owner-dedups split, chosen so that concrete
-// states never cross a process boundary — only canonical encodings
-// do, which means any automaton the in-process engines can explore
-// (composed tuples included) can be explored by a cluster, with no
-// Decode hook:
+// The protocol is level-synchronized BFS in which the coordinator
+// expands and the workers deduplicate:
 //
-//  1. Each worker expands its frontier (states it discovered and won
-//     last level) into one store.LevelSet per owner, Hash(enc) mod
-//     procs — each canonical encoding once, with the concrete state
-//     that produced it — and routes every set's encodings to its owner
-//     via the coordinator.
-//  2. Each owner folds what arrives from all ranks into one level set
-//     keeping the least (sender, index) per encoding, and interns those
-//     absent from its shard of the seen set in the set's Order — byte
-//     order, mirroring the in-process engine's key-sorted barrier
-//     interning. The least discoverer of each fresh encoding is told it
-//     won and will expand the state next level.
-//  3. Workers report per-level counts; the coordinator sums them,
-//     decides continuation, and broadcasts it.
+//  1. The coordinator expands the level's frontier into one
+//     store.LevelSet per owner, Hash(enc) mod procs — each canonical
+//     encoding once, with the first concrete state that produced it —
+//     and sends each owner its set in key order.
+//  2. Each worker interns what arrives, in arrival order, into its shard
+//     of the seen set — byte order, mirroring the in-process engine's
+//     key-sorted barrier interning — and replies with the indices of
+//     the fresh encodings and its shard size.
+//  3. The coordinator builds the next frontier from the fresh states,
+//     owner by owner and key order within each owner, checks the
+//     invariant and the limit, and sends the next level or stops.
+//
+// Only canonical encodings cross the wire, and only the coordinator
+// holds concrete states, so any automaton the in-process engines can
+// explore (composed tuples included) can be explored by a cluster, with
+// no Decode hook, and a worker needs no Build hook.
 //
 // Determinism: an owner's shard is a set of canonical encodings, and
-// step 2 makes the set admitted at each level a pure function of the
-// previous levels' global set — independent of process count, worker
-// scheduling, and network interleaving. State counts, depths, and
-// verdicts are therefore bit-identical at any -dist-workers value,
-// and identical to the in-process engines; the battery in
-// cluster_test.go pins all three against each other. Which process
-// expands a state (and hence wall-clock balance) does vary — that is
-// the point — but expansion is a pure function of the state, so the
-// candidate sets do not.
+// the set admitted at each level is a pure function of the previous
+// levels' global set — independent of process count and network
+// interleaving. State counts, depths, and verdicts are therefore
+// bit-identical at any -dist-workers value, and identical to the
+// in-process engines; the battery in cluster_test.go pins all three
+// against each other.
 //
-// Every received candidate is verified to belong to the receiving
-// rank's shard; a corrupted shard assignment (the -dist-corrupt test
-// hook, or a real routing bug) aborts the whole cluster rather than
-// silently double-counting. So does a frame whose rank, offset or win
-// index points outside what it may index: the wire is outside input.
+// Every received encoding is verified to belong to the receiving
+// worker's shard; a corrupted shard assignment (the -dist-corrupt test
+// hook, or a real bug) aborts the whole cluster rather than silently
+// double-counting. So does a frame whose rank, offset or index points
+// outside what it may index, on either end: the wire is outside input.
 //
-// Flow control: workers send their entire per-level batch set before
-// reading anything, so the coordinator must never let one peer's
-// inbound traffic block on another peer's outbound socket — that cycle
-// (reader of rank A blocked writing to rank B, whose own sends are
-// backed up behind A's) deadlocks the cluster as soon as routed volume
-// exceeds kernel TCP buffering. Two measures prevent it: workers chunk
-// batches into bounded kBatch messages (batchChunk encodings each,
-// with a Base offset keeping candidate indices global), and the
-// coordinator gives every peer an unbounded outbound queue drained by
-// a dedicated writer goroutine, so routing a message only ever
-// enqueues. The cost is that in-flight routed batches buffer in
-// coordinator RAM — bounded by one level's distinct cross-rank
-// candidates, the same O(level width) bound the workers themselves carry
-// (see the memory note on Work).
+// Deadlock freedom: each connection has one writer, the coordinator's
+// level loop, and one reader goroutine that forwards every frame to
+// that loop. A worker reads a whole level's batch before it writes
+// anything, and the coordinator drains every worker through its reader
+// goroutine, so no write can wait on a write: the coordinator's writes
+// to a worker complete because that worker is reading, and a worker's
+// replies complete because its reader drains them. Frames hold at most
+// batchChunk encodings or indices, so none holds a whole level.
 package cluster
 
 import (
@@ -88,18 +78,19 @@ type Config struct {
 	// Procs is the worker-process count the coordinator waits for.
 	// Workers learn it from their welcome message.
 	Procs int
-	// Build constructs the automaton locally. Every process must build
-	// the same automaton — the protocol ships encodings, not states.
+	// Build constructs the automaton the coordinator explores. Workers
+	// do not use it: they store encodings, never states.
 	Build func() (ioa.Automaton, error)
 	// Limit bounds the global admitted-state count; 0 means no bound.
 	Limit int64
-	// Pred, when non-nil, is the invariant checked on every admitted
-	// state (at its discoverer, which holds the concrete state).
+	// Pred, when non-nil, is the invariant the coordinator checks on
+	// every admitted state.
 	Pred func(ioa.State) bool
 	// Spill, when non-nil, backs each worker's shard of the seen set
 	// with the disk-spilling store.
 	Spill *store.SpillOptions
-	// Canon optionally canonicalizes encodings (symmetry quotient).
+	// Canon optionally canonicalizes the coordinator's encodings
+	// (symmetry quotient).
 	Canon store.Canonicalizer
 	// Listener, when non-nil, is a pre-bound coordinator listener;
 	// Coordinate takes ownership of it and ignores Addr. Callers bind
@@ -109,8 +100,9 @@ type Config struct {
 	// Obs, when non-nil on the coordinator, receives cluster-wide
 	// progress: dist.* metrics and per-level Progress snapshots.
 	Obs *obs.Obs
-	// CorruptShard is the must-fail test hook: the worker routes every
-	// candidate to the wrong owner, which the receiving owners detect.
+	// CorruptShard is the must-fail test hook: the worker misreads its
+	// own rank as (rank+1) mod Procs, so its shard check refuses what it
+	// is sent.
 	CorruptShard bool
 }
 
@@ -127,8 +119,8 @@ type Result struct {
 	// Violation is the key of the least violating state of the first
 	// violating level, "" when the invariant held.
 	Violation string
-	// BarrierWaitNS is the total time workers spent blocked at level
-	// barriers, summed across ranks.
+	// BarrierWaitNS is the total time workers spent waiting for their
+	// level's candidates, summed across ranks.
 	BarrierWaitNS int64
 }
 
@@ -148,144 +140,49 @@ var ErrLimit = explore.ErrLimit
 
 // Message kinds. One envelope struct keeps gob registration trivial.
 const (
-	kWelcome    = iota + 1 // coordinator → worker: rank assignment
-	kBatch                 // worker → owner (routed): candidate encodings
-	kCandsEnd              // worker → coordinator: done sending batches
-	kCandsAll              // coordinator → workers: every rank is done
-	kReply                 // owner → discoverer (routed): winning indices
-	kRepliesEnd            // worker → coordinator: done sending replies
-	kRepliesAll            // coordinator → workers: every owner is done
-	kLevel                 // worker → coordinator: level stats
-	kCtl                   // coordinator → workers: continue / stop
-	kFail                  // worker → coordinator: abort with error
+	kWelcome = iota + 1 // coordinator → worker: rank assignment
+	kBatch              // coordinator → worker: candidate encodings, key order
+	kEnd                // coordinator → worker: the level's batch is complete
+	kReply              // worker → coordinator: fresh indices into the batch
+	kLevel              // worker → coordinator: shard stats, ending the replies
+	kStop               // coordinator → workers: finished, or aborted with Err
+	kFail               // worker → coordinator: abort with error
 )
 
-// batchChunk caps the encodings per kBatch message (and wins per
-// kReply), so neither a gob allocation nor a coordinator queue entry
-// ever holds a whole level. A var only so tests can shrink it to force
-// multi-chunk reassembly on small systems.
+// batchChunk caps the encodings per kBatch message and the indices per
+// kReply, so no gob allocation ever holds a whole level. A var only so
+// tests can shrink it to force multi-chunk reassembly on small systems.
 var batchChunk = 4096
 
 // msg is the single wire envelope; the meaningful fields depend on
-// Kind.
+// Kind. It names no sender: the coordinator attributes each frame to
+// the connection it arrived on.
 type msg struct {
 	Kind int
-	From int // sender rank
-	To   int // routing target rank (kBatch, kReply)
 
+	Rank  int      // kWelcome
 	Procs int      // kWelcome
-	Base  int32    // kBatch: index of Encs[0] within everything From sent To this level
-	Encs  [][]byte // kBatch: distinct candidate encodings, discovery order
-	Win   []int32  // kReply: winning indices into the candidates From received from To
+	Base  int32    // kBatch: index of Encs[0] within the level's batch
+	Encs  [][]byte // kBatch: distinct candidate encodings, key order
+	Win   []int32  // kReply: indices of the fresh encodings, ascending
 
-	Fresh     int64  // kLevel: encodings this rank interned as owner
-	Owned     int64  // kLevel: this rank's shard size
-	Sent      int64  // kLevel: distinct encodings this rank routed to other ranks
-	BarrierNS int64  // kLevel: time blocked at this level's barriers
-	Violation string // kLevel: least violating key among this rank's wins
+	Owned     int64 // kLevel: the worker's shard size
+	BarrierNS int64 // kLevel: time spent waiting for this level's batch
 
-	Continue bool   // kCtl
-	Err      string // kCtl, kFail
+	Err string // kStop, kFail
 }
 
-// peer is one coordinator-side worker connection. Outbound messages go
-// through an unbounded queue drained by a dedicated writer goroutine
-// (write), so send never blocks on the peer's socket — the property
-// the routing-deadlock argument in the package doc rides on.
-type peer struct {
-	conn net.Conn
-	dec  *gob.Decoder
-	enc  *gob.Encoder
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []msg
-	busy   bool  // writer mid-batch
-	err    error // first write error, latched
-	closed bool
+// event is one frame a reader goroutine forwards, or its read error,
+// tagged with the rank of the connection it arrived on.
+type event struct {
+	rank int
+	m    msg
+	err  error
 }
 
-func newPeer(conn net.Conn) *peer {
-	p := &peer{conn: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(conn)}
-	p.cond = sync.NewCond(&p.mu)
-	return p
-}
-
-// send enqueues m for the writer goroutine. It returns the writer's
-// latched error, if any, so control-loop sends still fail fast.
-func (p *peer) send(m msg) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.err != nil {
-		return p.err
-	}
-	if p.closed {
-		return net.ErrClosed
-	}
-	p.queue = append(p.queue, m)
-	p.cond.Broadcast()
-	return nil
-}
-
-// drain blocks until the writer has flushed every queued message (or
-// failed, or been shut down). Coordinate drains before returning so a
-// final control broadcast reaches the workers instead of dying in the
-// queue when the deferred shutdown closes the sockets.
-func (p *peer) drain() {
-	p.mu.Lock()
-	for (len(p.queue) > 0 || p.busy) && p.err == nil && !p.closed {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
-
-// shutdown wakes the writer so it exits and closes the socket, which
-// also unblocks a writer mid-Encode.
-func (p *peer) shutdown() {
-	p.mu.Lock()
-	p.closed = true
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.conn.Close()
-}
-
-// write drains the queue onto the socket until shutdown or a write
-// error; fail reports the first error.
-func (p *peer) write(fail func(error)) {
-	for {
-		p.mu.Lock()
-		for len(p.queue) == 0 && !p.closed {
-			p.cond.Wait()
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return
-		}
-		batch := p.queue
-		p.queue = nil
-		p.busy = true
-		p.mu.Unlock()
-		for _, m := range batch {
-			if err := p.enc.Encode(m); err != nil {
-				p.mu.Lock()
-				p.err = err
-				p.busy = false
-				p.cond.Broadcast()
-				p.mu.Unlock()
-				fail(err)
-				return
-			}
-		}
-		p.mu.Lock()
-		p.busy = false
-		p.cond.Broadcast()
-		p.mu.Unlock()
-	}
-}
-
-// Coordinate listens on cfg.Addr, waits for cfg.Procs workers, drives
-// the level barriers, and returns the cluster-wide result. It does not
-// explore anything itself.
+// Coordinate listens on cfg.Addr, waits for cfg.Procs workers, then
+// builds the automaton and runs every level's expansion itself, the
+// workers holding the seen set. It returns the cluster-wide result.
 func Coordinate(ctx context.Context, cfg Config) (Result, error) {
 	var res Result
 	if cfg.Procs < 1 {
@@ -301,11 +198,12 @@ func Coordinate(ctx context.Context, cfg Config) (Result, error) {
 	}
 	defer ln.Close()
 
-	// Cancellation: closing the listener/conns unblocks Accept and the
-	// readers. The accept loop stores a peer only under mu and while not
-	// stopped, so the sweep below sees every peer stored and the loop
-	// shuts down any it accepts after the sweep.
-	peers := make([]*peer, cfg.Procs)
+	// Cancellation: closing the listener/conns unblocks Accept, the
+	// readers and the writes. The accept loop stores a connection only
+	// under mu and while not stopped, so the sweep below sees every
+	// connection stored and the loop closes any it accepts after the
+	// sweep.
+	conns := make([]net.Conn, cfg.Procs)
 	var mu sync.Mutex
 	stopped := false
 	done := make(chan struct{})
@@ -319,107 +217,52 @@ func Coordinate(ctx context.Context, cfg Config) (Result, error) {
 		mu.Lock()
 		stopped = true
 		mu.Unlock()
-		for _, p := range peers {
-			if p != nil {
-				p.shutdown()
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
 			}
 		}
 	}()
 
-	events := make(chan msg, 4*cfg.Procs)
-	var failOnce sync.Once
-	fail := func(from int, format string, a ...any) {
-		failOnce.Do(func() {
-			events <- msg{Kind: kFail, From: from, Err: fmt.Sprintf(format, a...)}
-		})
-	}
-
-	for rank := 0; rank < cfg.Procs; rank++ {
+	encs := make([]*gob.Encoder, cfg.Procs)
+	for rank := range conns {
 		conn, err := ln.Accept()
 		if err != nil {
 			return res, ctxErr(ctx, fmt.Errorf("cluster: accept: %w", err))
 		}
-		p := newPeer(conn)
 		mu.Lock()
 		if stopped {
 			mu.Unlock()
-			p.shutdown()
+			conn.Close()
 			return res, ctx.Err() // only a cancel stops the sweep this early
 		}
-		peers[rank] = p
+		conns[rank] = conn
 		mu.Unlock()
-		go p.write(func(err error) { fail(rank, "write rank %d: %v", rank, err) })
-		if err := p.send(msg{Kind: kWelcome, To: rank, Procs: cfg.Procs}); err != nil {
-			return res, fmt.Errorf("cluster: welcome rank %d: %w", rank, err)
+		encs[rank] = gob.NewEncoder(conn)
+		if err := encs[rank].Encode(msg{Kind: kWelcome, Rank: rank, Procs: cfg.Procs}); err != nil {
+			return res, ctxErr(ctx, fmt.Errorf("cluster: welcome rank %d: %w", rank, err))
 		}
 	}
 
-	// Readers route kBatch/kReply peer-to-peer — enqueueing onto the
-	// destination's writer queue, never blocking on its socket — and
-	// funnel everything else to the control loop.
-	for rank, p := range peers {
-		go func(rank int, p *peer) {
+	// Once the level loop is done the readers discard, so a worker still
+	// writing replies finishes and reads its stop.
+	events := make(chan event, 4*cfg.Procs)
+	quit := make(chan struct{})
+	for rank, conn := range conns {
+		go func() {
+			dec := gob.NewDecoder(conn)
 			for {
-				var m msg
-				if err := p.dec.Decode(&m); err != nil {
-					fail(rank, "read rank %d: %v", rank, err)
+				ev := event{rank: rank}
+				ev.err = dec.Decode(&ev.m)
+				select {
+				case events <- ev:
+				case <-quit:
+				}
+				if ev.err != nil {
 					return
 				}
-				switch m.Kind {
-				case kBatch, kReply:
-					if m.To < 0 || m.To >= cfg.Procs {
-						fail(rank, "rank %d routed to bogus rank %d", rank, m.To)
-						return
-					}
-					if err := peers[m.To].send(m); err != nil {
-						fail(rank, "route to rank %d: %v", m.To, err)
-						return
-					}
-				default:
-					events <- m
-				}
 			}
-		}(rank, p)
-	}
-
-	broadcast := func(m msg) error {
-		for rank, p := range peers {
-			if err := p.send(m); err != nil {
-				return fmt.Errorf("cluster: broadcast to rank %d: %w", rank, err)
-			}
-		}
-		return nil
-	}
-	drainAll := func() {
-		for _, p := range peers {
-			if p != nil {
-				p.drain()
-			}
-		}
-	}
-	abort := func(reason error) (Result, error) {
-		_ = broadcast(msg{Kind: kCtl, Continue: false, Err: reason.Error()}) //lint:ignore errflow already aborting; the primary error wins
-		drainAll()
-		return res, reason
-	}
-	// waitAll collects one message of the wanted kind from every rank.
-	waitAll := func(kind int) ([]msg, error) {
-		out := make([]msg, 0, cfg.Procs)
-		for len(out) < cfg.Procs {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case m := <-events:
-				if m.Kind == kFail {
-					return nil, fmt.Errorf("cluster: rank %d failed: %s", m.From, m.Err)
-				}
-				if m.Kind != kind {
-					return nil, fmt.Errorf("cluster: protocol: got kind %d, want %d", m.Kind, kind)
-				}
-				out = append(out, m)
-			}
-		}
-		return out, nil
+		}()
 	}
 
 	o := cfg.Obs
@@ -439,75 +282,202 @@ func Coordinate(ctx context.Context, cfg Config) (Result, error) {
 	}
 	res.Procs = cfg.Procs
 	res.PerRank = make([]int64, cfg.Procs)
+	err := lead(ctx, cfg, encs, events, &res)
+	close(quit)
+	stop := msg{Kind: kStop}
+	if err != nil {
+		stop.Err = err.Error()
+	}
+	for _, enc := range encs {
+		//lint:ignore errflow a worker that hung up needs no stop; the run's own error wins
+		enc.Encode(stop)
+	}
+	return res, err
+}
+
+// lead is the coordinator's level loop: expand the frontier, send each
+// worker its candidates, read back the fresh indices and build the
+// next frontier from them. It fills res as levels complete.
+func lead(ctx context.Context, cfg Config, encs []*gob.Encoder, events <-chan event, res *Result) error {
+	if cfg.Build == nil {
+		return errors.New("cluster: coordinator needs a Build hook")
+	}
+	a, err := cfg.Build()
+	if err != nil {
+		return fmt.Errorf("cluster: build: %w", err)
+	}
+	procs := len(encs)
+
+	// next returns the next frame a worker sent, or why the run stops: a
+	// cancel, a failed read, or the worker's own failure report.
+	next := func() (event, error) {
+		select {
+		case <-ctx.Done():
+			return event{}, ctx.Err()
+		case ev := <-events:
+			if ev.err != nil {
+				return ev, ctxErr(ctx, fmt.Errorf("cluster: read rank %d: %w", ev.rank, ev.err))
+			}
+			if ev.m.Kind == kFail {
+				return ev, fmt.Errorf("cluster: rank %d failed: %s", ev.rank, ev.m.Err)
+			}
+			return ev, nil
+		}
+	}
+	// send writes one frame to a worker. A write fails only once the
+	// worker has hung up, and its reader then reports why.
+	send := func(rank int, m msg) error {
+		if encs[rank].Encode(m) == nil {
+			return nil
+		}
+		for {
+			if _, err := next(); err != nil {
+				return err
+			}
+		}
+	}
+
+	// out[r] is what this level sends rank r: each canonical encoding
+	// once, with the first concrete state that produced it (one goroutine
+	// expands, so "first" is deterministic).
+	out := make([]store.LevelSet[ioa.State], procs)
+	var enc []byte
+	offer := func(s ioa.State) bool {
+		c := s
+		if cfg.Canon != nil {
+			c = cfg.Canon.Canonical(s)
+		}
+		enc = ioa.AppendState(enc[:0], c)
+		h := store.Hash(enc)
+		// s is borrowed from the walk: keep the one the set keeps.
+		if kept := out[h%uint64(procs)].Add(enc, h, s); kept != nil {
+			*kept = ioa.Keep(s)
+		}
+		return true
+	}
+	for _, s := range a.Start() {
+		offer(s)
+	}
+
+	// The sets are sorted before sending, so the walk need not be.
+	step := ioa.NewWalk(a, false)
+	orders := make([][]int, procs)
+	wins := make([][]int32, procs)
+	reported := make([]bool, procs)
+	views := make([][]byte, 0, batchChunk)
+	var frontier []ioa.State
+	o := cfg.Obs
 	for level := int64(0); ; level++ {
-		if _, err := waitAll(kCandsEnd); err != nil {
-			return abort(err)
+		// Send each worker its candidates in key order, as views into
+		// the set's arena.
+		var sent int64
+		for r := range encs {
+			orders[r] = out[r].Order()
+			n := len(orders[r])
+			sent += int64(n)
+			for base := 0; base < n; base += batchChunk {
+				views = views[:0]
+				for _, i := range orders[r][base:min(base+batchChunk, n)] {
+					views = append(views, out[r].Key(i))
+				}
+				if err := send(r, msg{Kind: kBatch, Base: int32(base), Encs: views}); err != nil {
+					return err
+				}
+			}
+			if err := send(r, msg{Kind: kEnd}); err != nil {
+				return err
+			}
 		}
-		if err := broadcast(msg{Kind: kCandsAll}); err != nil {
-			return abort(err)
+
+		// Read back each worker's fresh indices, then its stats. Every
+		// index must point past the one before it and into the batch that
+		// worker was sent.
+		for r := range wins {
+			wins[r], reported[r] = wins[r][:0], false
 		}
-		if _, err := waitAll(kRepliesEnd); err != nil {
-			return abort(err)
+		for left := procs; left > 0; {
+			ev, err := next()
+			if err != nil {
+				return err
+			}
+			r, m := ev.rank, ev.m
+			switch {
+			case reported[r] || m.Kind != kReply && m.Kind != kLevel:
+				return fmt.Errorf("cluster: protocol: rank %d sent kind %d out of turn", r, m.Kind)
+			case m.Kind == kReply:
+				for _, idx := range m.Win {
+					last := int32(-1)
+					if n := len(wins[r]); n > 0 {
+						last = wins[r][n-1]
+					}
+					if idx <= last || int(idx) >= len(orders[r]) {
+						return fmt.Errorf("cluster: protocol: rank %d replied Win index %d after %d, sent it %d candidates", r, idx, last, len(orders[r]))
+					}
+					wins[r] = append(wins[r], idx)
+				}
+			default:
+				reported[r] = true
+				left--
+				res.PerRank[r] = m.Owned
+				res.BarrierWaitNS += m.BarrierNS
+				if o != nil {
+					o.Dist.ShardStates(r, m.Owned)
+					o.Dist.BarrierWaitNS.Add(m.BarrierNS)
+				}
+			}
 		}
-		if err := broadcast(msg{Kind: kRepliesAll}); err != nil {
-			return abort(err)
-		}
-		stats, err := waitAll(kLevel)
-		if err != nil {
-			return abort(err)
-		}
-		var fresh, total, frontier int64
+
+		// The next frontier is the fresh states, owner by owner and key
+		// order within each owner.
+		frontier = frontier[:0]
 		violation := ""
-		for _, m := range stats {
-			fresh += m.Fresh
-			total += m.Owned
-			frontier += m.Fresh // next level's frontier is this level's winners
-			res.PerRank[m.From] = m.Owned
-			res.BarrierWaitNS += m.BarrierNS
-			if m.Violation != "" && (violation == "" || m.Violation < violation) {
-				violation = m.Violation
-			}
-			if o != nil {
-				o.Dist.ShardStates(m.From, m.Owned)
-				o.Dist.SentEncs.Add(m.Sent)
-				o.Dist.BarrierWaitNS.Add(m.BarrierNS)
+		for r, win := range wins {
+			for _, idx := range win {
+				s := out[r].Payload(orders[r][idx])
+				if cfg.Pred != nil && !cfg.Pred(s) {
+					if k := s.Key(); violation == "" || k < violation {
+						violation = k
+					}
+				}
+				frontier = append(frontier, s)
 			}
 		}
-		res.States = total
-		if fresh > 0 && level > 0 {
+		res.States = 0
+		for _, n := range res.PerRank {
+			res.States += n
+		}
+		if len(frontier) > 0 && level > 0 {
 			res.Depth = level
 		}
 		if o != nil {
 			o.Dist.Levels.Add(1)
+			o.Dist.SentEncs.Add(sent)
 			o.EmitProgress(obs.Progress{
 				Phase:         "dist",
 				Depth:         level,
-				States:        total,
-				Frontier:      frontier,
+				States:        res.States,
+				Frontier:      int64(len(frontier)),
 				BarrierWaitNS: res.BarrierWaitNS,
 				Done:          false,
 			})
 		}
 		if violation != "" {
 			res.Violation = violation
-			if err := broadcast(msg{Kind: kCtl, Continue: false}); err != nil {
-				return res, err
-			}
-			break
+			return nil
 		}
-		if cfg.Limit > 0 && total > cfg.Limit {
-			return abort(fmt.Errorf("%w: %d states, limit %d", ErrLimit, total, cfg.Limit))
+		if cfg.Limit > 0 && res.States > cfg.Limit {
+			return fmt.Errorf("%w: %d states, limit %d", ErrLimit, res.States, cfg.Limit)
 		}
-		cont := fresh > 0
-		if err := broadcast(msg{Kind: kCtl, Continue: cont}); err != nil {
-			return res, err
+		if len(frontier) == 0 {
+			return nil
 		}
-		if !cont {
-			break
+		for r := range out {
+			out[r].Reset()
+		}
+		for _, s := range frontier {
+			step.Visit(s, offer)
 		}
 	}
-	drainAll()
-	return res, nil
 }
 
 // dialRetry dials the coordinator, retrying refused connections for a
@@ -542,29 +512,17 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// ref names one candidate by its discoverer and its entry number in the
-// set that discoverer keeps for this owner.
-type ref struct {
-	from int
-	idx  int32
-}
-
-// Work dials the coordinator at cfg.Addr and explores this process's
-// shard until the cluster finishes. The error is nil iff the whole
-// cluster completed cleanly. Refused dials are retried for a bounded
-// window, since hand-started workers race the coordinator's bind; the
-// retry wraps only the dial, never the exploration.
+// Work dials the coordinator at cfg.Addr and serves this process's
+// shard of the seen set until the cluster finishes. The error is nil
+// iff the whole cluster completed cleanly. Refused dials are retried for
+// a bounded window, since hand-started workers race the coordinator's
+// bind; the retry wraps only the dial, never the exploration. Of cfg a
+// worker reads only Addr, Spill and CorruptShard.
 //
-// Memory: a worker holds the distinct candidates of the current level —
-// per owner, each encoding it discovered once with the concrete state
-// that produced it; as owner, each encoding routed to it once — so its
-// RAM scales with the widest BFS level's distinct states, like the
-// in-process engine's, even when Config.Spill backs the seen set
-// (DESIGN.md "Worker memory bound" says why the states must stay).
+// Memory: a worker holds its shard of the seen set and one frame; the
+// level's candidates and their concrete states live at the coordinator
+// (DESIGN.md "Coordinator memory bound").
 func Work(ctx context.Context, cfg Config) error {
-	if cfg.Build == nil {
-		return fmt.Errorf("cluster: worker needs a Build hook")
-	}
 	conn, err := dialRetry(ctx, cfg.Addr)
 	if err != nil {
 		return ctxErr(ctx, err)
@@ -594,16 +552,11 @@ func work(ctx context.Context, conn net.Conn, cfg Config) error {
 	if welcome.Kind != kWelcome {
 		return fmt.Errorf("cluster: protocol: first message kind %d", welcome.Kind)
 	}
-	rank, procs := welcome.To, welcome.Procs
+	rank, procs := welcome.Rank, welcome.Procs
 	if procs < 1 || rank < 0 || rank >= procs {
 		return fmt.Errorf("cluster: protocol: welcome assigns rank %d of %d", rank, procs)
 	}
-
-	a, err := cfg.Build()
-	if err != nil {
-		return fmt.Errorf("cluster: rank %d: build: %w", rank, err)
-	}
-	seen, err := store.Open(cfg.Spill, cfg.Canon)
+	seen, err := store.Open(cfg.Spill, nil)
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d: %w", rank, err)
 	}
@@ -612,221 +565,67 @@ func work(ctx context.Context, conn net.Conn, cfg Config) error {
 
 	fail := func(err error) error {
 		//lint:ignore errflow the primary error wins; the coordinator also notices the closed conn
-		enc.Encode(msg{Kind: kFail, From: rank, Err: err.Error()})
+		enc.Encode(msg{Kind: kFail, Err: err.Error()})
 		return err
 	}
+	// mine is the shard this worker believes it holds.
+	mine := uint64(rank)
+	if cfg.CorruptShard {
+		mine = uint64(rank+1) % uint64(procs)
+	}
 
-	// out[owner] is what this rank discovered for owner this level: each
-	// encoding once, with the first concrete state that produced it (one
-	// goroutine discovers, so "first" is deterministic). in is what this
-	// rank received as owner, the least (sender, index) per encoding — a
-	// minimum, so independent of the order batches arrive in.
-	out := make([]store.LevelSet[ioa.State], procs)
-	in := store.LevelSet[ref]{Less: func(a, b ref) bool {
-		return a.from < b.from || a.from == b.from && a.idx < b.idx
-	}}
-	var encBuf []byte
-	offer := func(s ioa.State) bool {
-		encBuf = seen.AppendCanonical(encBuf[:0], s)
-		h := store.Hash(encBuf)
-		owner := int(h % uint64(procs))
-		if cfg.CorruptShard {
-			owner = (owner + 1) % procs
-		}
-		// s is borrowed from step: keep the one the set keeps.
-		if kept := out[owner].Add(encBuf, h, s); kept != nil {
-			*kept = ioa.Keep(s)
-		}
-		return true
-	}
-	// receive files one candidate this rank was sent as owner, refusing
-	// what its shard does not own.
-	receive := func(e []byte, h uint64, r ref) error {
-		if owner := h % uint64(procs); owner != uint64(rank) {
-			return fail(fmt.Errorf("cluster: rank %d: shard assignment corrupt: encoding %x from rank %d belongs to rank %d", rank, e, r.from, owner))
-		}
-		in.Add(e, h, r)
-		return nil
-	}
-	// collect handles the messages of kind want routed to this rank until
-	// the coordinator's barrier message all, and returns the time spent
-	// at the barrier. The sender is vetted before handle indexes anything
-	// by it. A stop mid-level is an abort and carries its reason.
-	collect := func(want, all int, handle func(m msg) error) (int64, error) {
-		start := testseed.Now()
+	var wins []int32
+	for {
+		// Intern the level's batch as it arrives. Arrival order is the key
+		// order the coordinator sends in, so the shard's dense IDs are
+		// canonical.
+		wins = wins[:0]
+		var n int32
+		var waitNS int64
+	batch:
 		for {
+			start := testseed.Now()
 			var m msg
 			if err := dec.Decode(&m); err != nil {
-				return 0, ctxErr(ctx, fmt.Errorf("cluster: rank %d: read: %w", rank, err))
+				return ctxErr(ctx, fmt.Errorf("cluster: rank %d: read: %w", rank, err))
 			}
-			switch {
-			case m.Kind == all:
-				return testseed.Now().Sub(start).Nanoseconds(), nil
-			case m.Kind == kCtl && m.Err != "":
-				return 0, ctlErr(rank, m)
-			case m.Kind != want:
-				return 0, fmt.Errorf("cluster: rank %d: protocol: kind %d while collecting kind %d", rank, m.Kind, want)
-			case m.From < 0 || m.From >= procs:
-				return 0, fail(fmt.Errorf("cluster: rank %d: protocol: kind %d message has From %d, want a rank below %d", rank, m.Kind, m.From, procs))
-			}
-			if err := handle(m); err != nil {
-				return 0, err
-			}
-		}
-	}
-
-	// The owners sort each level's candidates, so the walk need not.
-	step := ioa.NewWalk(a, false)
-	// Level 0: every rank proposes the same start states and owner dedup
-	// keeps one copy of each.
-	for _, s := range a.Start() {
-		offer(s)
-	}
-
-	views := make([][]byte, 0, batchChunk)
-	for {
-		// Phase A: route each owner its distinct candidates, as views
-		// into the set's arena.
-		var sentCount int64
-		for owner := range out {
-			if owner == rank {
-				continue
-			}
-			n := out[owner].Len()
-			sentCount += int64(n)
-			for base := 0; base < n; base += batchChunk {
-				views = views[:0]
-				for i := base; i < min(base+batchChunk, n); i++ {
-					views = append(views, out[owner].Key(i))
+			waitNS += testseed.Now().Sub(start).Nanoseconds()
+			switch m.Kind {
+			case kBatch:
+			case kEnd:
+				break batch
+			case kStop:
+				if m.Err != "" {
+					return fmt.Errorf("cluster: rank %d: coordinator aborted: %s", rank, m.Err)
 				}
-				if err := enc.Encode(msg{Kind: kBatch, From: rank, To: owner, Base: int32(base), Encs: views}); err != nil {
-					return ctxErr(ctx, fmt.Errorf("cluster: rank %d: send batch: %w", rank, err))
+				return nil
+			default:
+				return fail(fmt.Errorf("cluster: rank %d: protocol: kind %d while reading a batch", rank, m.Kind))
+			}
+			if m.Base != n || int64(n)+int64(len(m.Encs)) > math.MaxInt32 {
+				return fail(fmt.Errorf("cluster: rank %d: protocol: batch has Base %d for %d encodings, want Base %d", rank, m.Base, len(m.Encs), n))
+			}
+			for _, e := range m.Encs {
+				h := store.Hash(e)
+				if owner := h % uint64(procs); owner != mine {
+					return fail(fmt.Errorf("cluster: rank %d: shard assignment corrupt: encoding %x belongs to rank %d, not %d", rank, e, owner, mine))
 				}
-			}
-		}
-		if err := enc.Encode(msg{Kind: kCandsEnd, From: rank}); err != nil {
-			return ctxErr(ctx, err)
-		}
-
-		// Phase B: owner dedup, on arrival — this rank's own candidates,
-		// then the batches addressed to it until the barrier.
-		in.Reset()
-		for i := 0; i < out[rank].Len(); i++ {
-			if err := receive(out[rank].Key(i), out[rank].Hash(i), ref{rank, int32(i)}); err != nil {
-				return err
-			}
-		}
-		barrierNS, err := collect(kBatch, kCandsAll, func(m msg) error {
-			if m.Base < 0 || int64(m.Base)+int64(len(m.Encs)) > math.MaxInt32 {
-				return fail(fmt.Errorf("cluster: rank %d: protocol: batch from rank %d has Base %d for %d encodings", rank, m.From, m.Base, len(m.Encs)))
-			}
-			for i, e := range m.Encs {
-				if err := receive(e, store.Hash(e), ref{m.From, m.Base + int32(i)}); err != nil {
-					return err
+				if _, fresh := seen.InternEncoded(e, h); fresh {
+					wins = append(wins, n)
 				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-
-		// Interning in key order, mirroring the in-process engine's
-		// barrier, makes the shard's dense IDs canonical; each fresh
-		// encoding's winner is told.
-		var freshCount int64
-		wins := make([][]int32, procs)
-		for _, i := range in.Order() {
-			if _, fresh := seen.InternEncoded(in.Key(i), in.Hash(i)); fresh {
-				freshCount++
-				r := in.Payload(i)
-				wins[r.from] = append(wins[r.from], r.idx)
+				n++
 			}
 		}
 		if err := seen.Err(); err != nil {
 			return fail(fmt.Errorf("cluster: rank %d: storage: %w", rank, err))
 		}
-		for r := 0; r < procs; r++ {
-			if r == rank {
-				continue
+		for base := 0; base < len(wins); base += batchChunk {
+			if err := enc.Encode(msg{Kind: kReply, Win: wins[base:min(base+batchChunk, len(wins))]}); err != nil {
+				return ctxErr(ctx, err)
 			}
-			for base := 0; base < len(wins[r]); base += batchChunk {
-				end := min(base+batchChunk, len(wins[r]))
-				if err := enc.Encode(msg{Kind: kReply, From: rank, To: r, Win: wins[r][base:end]}); err != nil {
-					return ctxErr(ctx, err)
-				}
-			}
-			wins[r] = nil // sent; from here wins[r] is what owner r says this rank won
 		}
-		if err := enc.Encode(msg{Kind: kRepliesEnd, From: rank}); err != nil {
+		if err := enc.Encode(msg{Kind: kLevel, Owned: int64(seen.Len()), BarrierNS: waitNS}); err != nil {
 			return ctxErr(ctx, err)
 		}
-
-		// Collect win lists addressed to this rank; every index must
-		// point into the set this rank sent that owner.
-		replyNS, err := collect(kReply, kRepliesAll, func(m msg) error {
-			for _, idx := range m.Win {
-				if idx < 0 || int(idx) >= out[m.From].Len() {
-					return fail(fmt.Errorf("cluster: rank %d: protocol: reply from rank %d has Win index %d, sent it %d candidates", rank, m.From, idx, out[m.From].Len()))
-				}
-			}
-			wins[m.From] = append(wins[m.From], m.Win...)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-
-		// Phase C: assemble the next frontier from winning candidates,
-		// check the invariant, and report the level. Each owner's wins
-		// (wins[rank] is this rank's verdict on itself) are in the key
-		// order it interned in.
-		violation := ""
-		var frontier []ioa.State
-		for owner, win := range wins {
-			for _, idx := range win {
-				s := out[owner].Payload(int(idx))
-				if cfg.Pred != nil && !cfg.Pred(s) {
-					if k := s.Key(); violation == "" || k < violation {
-						violation = k
-					}
-				}
-				frontier = append(frontier, s)
-			}
-		}
-		if err := enc.Encode(msg{
-			Kind: kLevel, From: rank,
-			Fresh: freshCount, Owned: int64(seen.Len()), Sent: sentCount,
-			BarrierNS: barrierNS + replyNS, Violation: violation,
-		}); err != nil {
-			return ctxErr(ctx, err)
-		}
-		var ctl msg
-		if err := dec.Decode(&ctl); err != nil {
-			return ctxErr(ctx, fmt.Errorf("cluster: rank %d: read ctl: %w", rank, err))
-		}
-		if ctl.Kind != kCtl {
-			return fmt.Errorf("cluster: rank %d: protocol: kind %d, want ctl", rank, ctl.Kind)
-		}
-		if !ctl.Continue {
-			return ctlErr(rank, ctl)
-		}
-
-		// Expand the frontier into next level's candidates.
-		for owner := range out {
-			out[owner].Reset()
-		}
-		for _, s := range frontier {
-			step.Visit(s, offer)
-		}
 	}
-}
-
-// ctlErr translates a stop control message into the worker's return
-// value.
-func ctlErr(rank int, m msg) error {
-	if m.Err != "" {
-		return fmt.Errorf("cluster: rank %d: coordinator aborted: %s", rank, m.Err)
-	}
-	return nil
 }

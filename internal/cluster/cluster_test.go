@@ -2,14 +2,13 @@ package cluster
 
 // In-process cluster battery: coordinator and workers run as
 // goroutines over real localhost TCP, so the whole protocol — gob
-// framing, routing, barriers, owner dedup, winner replies — is
+// framing, level batches, shard interning, fresh-index replies — is
 // exercised exactly as the multi-process CI job runs it. The pinned
 // property is the tentpole's: state counts, depths, and verdicts are
 // bit-identical at process counts {1, 2, 4} and identical to the
 // in-process engines.
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -181,35 +180,85 @@ func TestClusterSpillBackedWorkers(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSendNeverBlocks pins the routing-deadlock fix: a
-// coordinator-side send to a peer that is not reading must enqueue and
-// return, never block on the peer's socket. net.Pipe is zero-buffered,
-// so the pre-fix synchronous Encode would block on the first message.
-func TestCoordinatorSendNeverBlocks(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	p := newPeer(server)
-	defer p.shutdown()
-	go p.write(func(error) {})
+// pipeListener hands Coordinate one end of a net.Pipe per dial. A pipe
+// buffers nothing, so every write waits until its reader takes it:
+// whatever the protocol leaves to kernel buffering deadlocks here.
+type pipeListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+	once   sync.Once
+}
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		encs := make([][]byte, 256)
-		for i := range encs {
-			encs[i] = bytes.Repeat([]byte{byte(i)}, 1024)
+func newPipeListener(procs int) *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn, procs), closed: make(chan struct{})}
+}
+
+// dial returns the worker's end of a fresh pipe; the next Accept
+// returns the other.
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	l.conns <- server
+	return client
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// TestClusterOverUnbufferedPipes runs the whole protocol over pipes
+// with three encodings or indices a frame, so every level is many
+// frames each way and none can sit in a buffer: the counts must still
+// equal the engine's, within the timeout.
+func TestClusterOverUnbufferedPipes(t *testing.T) {
+	old := batchChunk
+	batchChunk = 3
+	defer func() { batchChunk = old }()
+
+	build := buildGrid(4, 4)
+	a, _ := build()
+	g := a.(*grid.Grid)
+	want, err := explore.New(explore.Options{Workers: 2}).Reach(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		ln := newPipeListener(procs)
+		errs := make(chan error, procs)
+		for rank := 0; rank < procs; rank++ {
+			conn := ln.dial()
+			go func() { errs <- work(ctx, conn, Config{}) }()
 		}
-		for i := 0; i < 64; i++ {
-			if err := p.send(msg{Kind: kBatch, From: 0, To: 1, Encs: encs}); err != nil {
-				t.Errorf("send %d: %v", i, err)
-				return
+		res, err := Coordinate(ctx, Config{Procs: procs, Listener: ln, Build: build})
+		for rank := 0; rank < procs; rank++ {
+			if werr := <-errs; werr != nil && err == nil {
+				err = werr
 			}
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("send blocked on an unread peer socket — routing deadlock regression")
+		cancel()
+		if err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
+		}
+		var sum int64
+		for _, n := range res.PerRank {
+			sum += n
+		}
+		if res.States != int64(len(want)) || res.Depth != g.Depth() || sum != res.States {
+			t.Fatalf("procs=%d: %d states at depth %d, shards summing to %d; the engine found %d at depth %d",
+				procs, res.States, res.Depth, sum, len(want), g.Depth())
+		}
 	}
 }
 
@@ -339,29 +388,24 @@ func TestClusterSendsDistinctEncodings(t *testing.T) {
 }
 
 // TestWorkRejectsBadFrames: whatever the wire says is outside input. A
-// scripted coordinator over net.Pipe welcomes the worker as rank 0 of 2,
-// plays the level-0 barriers honestly up to the named one, then sends
-// one frame whose From, Base or Win points outside what it may index.
-// Work must return an error naming the field and report kFail — never
-// panic, never reach the level count.
+// scripted coordinator over net.Pipe sends a bad welcome, or welcomes
+// the worker as rank 0 of 2 and then sends one frame whose Base points
+// outside the level's batch or whose kind is out of turn. Work must
+// return an error naming the field and report kFail — never panic,
+// never reply.
 func TestWorkRejectsBadFrames(t *testing.T) {
 	encs := [][]byte{{0, 0, 0}}
 	cases := []struct {
-		name  string
-		after int // the barrier message the bad frame follows
-		bad   msg
-		want  string
+		name     string
+		welcomed bool // an honest welcome precedes the bad frame
+		bad      msg
+		want     string
 	}{
-		{"welcome rank beyond procs", 0, msg{Kind: kWelcome, To: 2, Procs: 2}, "rank 2 of 2"},
-		{"welcome without procs", 0, msg{Kind: kWelcome}, "rank 0 of 0"},
-		{"batch From beyond procs", kCandsEnd, msg{Kind: kBatch, From: 2, Encs: encs}, "From 2"},
-		{"batch From negative", kCandsEnd, msg{Kind: kBatch, From: -1, Encs: encs}, "From -1"},
-		{"batch Base negative", kCandsEnd, msg{Kind: kBatch, From: 1, Base: -1, Encs: encs}, "Base -1"},
-		{"batch Base overflows", kCandsEnd, msg{Kind: kBatch, From: 1, Base: 1<<31 - 1, Encs: encs}, "Base 2147483647"},
-		{"reply From beyond procs", kRepliesEnd, msg{Kind: kReply, From: 7, Win: []int32{0}}, "From 7"},
-		{"reply From negative", kRepliesEnd, msg{Kind: kReply, From: -3, Win: []int32{0}}, "From -3"},
-		{"reply Win beyond set", kRepliesEnd, msg{Kind: kReply, From: 1, Win: []int32{1}}, "Win index 1"},
-		{"reply Win negative", kRepliesEnd, msg{Kind: kReply, From: 1, Win: []int32{-1}}, "Win index -1"},
+		{"welcome rank beyond procs", false, msg{Kind: kWelcome, Rank: 2, Procs: 2}, "rank 2 of 2"},
+		{"welcome without procs", false, msg{Kind: kWelcome}, "rank 0 of 0"},
+		{"batch Base negative", true, msg{Kind: kBatch, Base: -1, Encs: encs}, "Base -1"},
+		{"batch Base overflows", true, msg{Kind: kBatch, Base: 1<<31 - 1, Encs: encs}, "Base 2147483647"},
+		{"reply out of turn", true, msg{Kind: kReply, Win: []int32{0}}, fmt.Sprintf("kind %d", kReply)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -370,7 +414,7 @@ func TestWorkRejectsBadFrames(t *testing.T) {
 			client, server := net.Pipe()
 			defer server.Close()
 			workErr := make(chan error, 1)
-			go func() { workErr <- work(ctx, client, Config{Build: buildGrid(3, 3)}) }()
+			go func() { workErr <- work(ctx, client, Config{}) }()
 
 			enc, dec := gob.NewEncoder(server), gob.NewDecoder(server)
 			send := func(m msg) {
@@ -379,44 +423,86 @@ func TestWorkRejectsBadFrames(t *testing.T) {
 					t.Fatalf("coordinator script: send kind %d: %v", m.Kind, err)
 				}
 			}
-			// readUntil consumes the worker's messages up to one of kind
-			// (0: until the worker hangs up) and returns the kinds seen.
-			readUntil := func(kind int) map[int]int {
-				seen := map[int]int{}
-				for {
-					var m msg
-					if err := dec.Decode(&m); err != nil {
-						if kind != 0 {
-							t.Fatalf("coordinator script: waiting for kind %d: %v", kind, err)
-						}
-						return seen
-					}
-					if seen[m.Kind]++; m.Kind == kind {
-						return seen
-					}
-				}
+			if c.welcomed {
+				send(msg{Kind: kWelcome, Rank: 0, Procs: 2})
 			}
-			if c.after == 0 {
-				send(c.bad)
-			} else {
-				send(msg{Kind: kWelcome, To: 0, Procs: 2})
-				readUntil(kCandsEnd)
-				if c.after == kRepliesEnd {
-					send(msg{Kind: kCandsAll})
-					readUntil(kRepliesEnd)
+			send(c.bad)
+			seen := map[int]int{} // the kinds the worker sent before hanging up
+			for {
+				var m msg
+				if err := dec.Decode(&m); err != nil {
+					break
 				}
-				send(c.bad)
+				seen[m.Kind]++
 			}
-			seen := readUntil(0)
 			err := <-workErr
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Work returned %v, want an error naming %q", err, c.want)
 			}
-			if seen[kLevel] != 0 {
-				t.Fatalf("worker reported a level count after the bad frame (kinds seen: %v)", seen)
+			if seen[kReply] != 0 || seen[kLevel] != 0 {
+				t.Fatalf("worker replied after the bad frame (kinds seen: %v)", seen)
 			}
-			if c.after != 0 && (seen[kFail] != 1 || !strings.Contains(err.Error(), "rank 0")) {
+			if c.welcomed && (seen[kFail] != 1 || !strings.Contains(err.Error(), "rank 0")) {
 				t.Fatalf("want one kFail and an error naming rank 0; kinds seen %v, error %v", seen, err)
+			}
+		})
+	}
+}
+
+// TestCoordinateRejectsBadFrames is the other end: a scripted worker
+// over net.Pipe reads its level-0 batch (the 3^3 grid's one start state)
+// and answers with a Win index outside it, a repeated one, or a frame of
+// a kind it may not send. Coordinate must return an error naming the
+// field and stop the worker with it.
+func TestCoordinateRejectsBadFrames(t *testing.T) {
+	cases := []struct {
+		name string
+		bad  msg
+		want string
+	}{
+		{"reply Win beyond set", msg{Kind: kReply, Win: []int32{1}}, "Win index 1"},
+		{"reply Win negative", msg{Kind: kReply, Win: []int32{-1}}, "Win index -1"},
+		{"reply Win repeated", msg{Kind: kReply, Win: []int32{0, 0}}, "Win index 0 after 0"},
+		{"batch out of turn", msg{Kind: kBatch}, fmt.Sprintf("kind %d out of turn", kBatch)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			ln := newPipeListener(1)
+			conn := ln.dial()
+			defer conn.Close()
+			coordErr := make(chan error, 1)
+			go func() {
+				_, err := Coordinate(ctx, Config{Procs: 1, Listener: ln, Build: buildGrid(3, 3)})
+				coordErr <- err
+			}()
+
+			enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+			for kinds := map[int]int{}; kinds[kEnd] == 0; {
+				var m msg
+				if err := dec.Decode(&m); err != nil {
+					t.Fatalf("worker script: reading the level-0 batch: %v", err)
+				}
+				kinds[m.Kind]++
+			}
+			if err := enc.Encode(c.bad); err != nil {
+				t.Fatalf("worker script: send kind %d: %v", c.bad.Kind, err)
+			}
+			var last msg
+			for {
+				var m msg
+				if err := dec.Decode(&m); err != nil {
+					break
+				}
+				last = m
+			}
+			err := <-coordErr
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Coordinate returned %v, want an error naming %q", err, c.want)
+			}
+			if last.Kind != kStop || !strings.Contains(last.Err, c.want) {
+				t.Fatalf("the worker's last frame was %+v, want a stop naming %q", last, c.want)
 			}
 		})
 	}
@@ -473,9 +559,9 @@ func TestCoordinateCancelShutsDownAcceptedPeer(t *testing.T) {
 }
 
 // BenchmarkClusterLevel runs a two-rank in-process cluster over the 7^5
-// grid BenchmarkLevelMerge uses: B/op over states is what the wire and
-// the two level sets cost per state, sent_encs what crossed between the
-// ranks.
+// grid BenchmarkLevelMerge uses: B/op over states is what the wire, the
+// coordinator's level sets and the shards cost per state, sent_encs what
+// the coordinator sent the shards.
 func BenchmarkClusterLevel(b *testing.B) {
 	b.ReportAllocs()
 	var states, sent int64

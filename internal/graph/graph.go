@@ -8,6 +8,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -129,7 +130,7 @@ func (b *Builder) Build() (*Tree, error) {
 	for v, nb := range b.adj {
 		t.edgeBase[v] = len(t.edges)
 		for i, w := range nb {
-			if indexOf(nb[:i], w) >= 0 {
+			if slices.Index(nb[:i], w) >= 0 {
 				return nil, fmt.Errorf("graph: duplicate edge (%s,%s)", b.nodes[v].Name, b.nodes[w].Name)
 			}
 			t.edges = append(t.edges, [2]int{v, w})
@@ -248,8 +249,8 @@ func (t *Tree) PointsToward(v, w, z int) bool {
 // strictly before v (§3.2.2).
 func (t *Tree) Between(a, w, v int) []int {
 	nb := t.adj[a]
-	start := indexOf(nb, w)
-	if start < 0 || indexOf(nb, v) < 0 {
+	start := slices.Index(nb, w)
+	if start < 0 || slices.Index(nb, v) < 0 {
 		return nil
 	}
 	var out []int
@@ -270,7 +271,7 @@ func (t *Tree) Between(a, w, v int) []int {
 // arrow" after the node the grant arrived from.
 func (t *Tree) FirstRequesterAfter(a, w int, requesting func(int) bool) int {
 	nb := t.adj[a]
-	start := indexOf(nb, w)
+	start := slices.Index(nb, w)
 	if start < 0 {
 		start = 0
 	}
@@ -283,13 +284,15 @@ func (t *Tree) FirstRequesterAfter(a, w int, requesting func(int) bool) int {
 	return -1
 }
 
-func indexOf(xs []int, x int) int {
-	for i, v := range xs {
-		if v == x {
-			return i
+// BufferBetween returns the buffer node adjacent to both a and v in an
+// augmented graph (Augment): the node the arbiter edge {a, v} became.
+func (t *Tree) BufferBetween(a, v int) (int, error) {
+	for _, b := range t.adj[a] {
+		if t.nodes[b].Kind == Buffer && slices.Contains(t.adj[b], v) {
+			return b, nil
 		}
 	}
-	return -1
+	return -1, fmt.Errorf("graph: no buffer between %s and %s", t.nodes[a].Name, t.nodes[v].Name)
 }
 
 // PathLen returns the number of edges on the path from v to w.

@@ -315,13 +315,6 @@ func popHead(ch []byte) []byte {
 	return append([]byte(nil), ch[1:]...)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // InCrit counts processes in their critical section (0 for foreign
 // states).
 func (l *Lamport) InCrit(st ioa.State) int {

@@ -359,10 +359,11 @@ func (m *InductMetrics) Obligations(conjunct string, n int64) {
 type DistMetrics struct {
 	// Levels counts completed cluster-wide level barriers.
 	Levels *Counter
-	// SentEncs counts candidate encodings routed between processes.
+	// SentEncs counts candidate encodings the coordinator sent to the
+	// shards.
 	SentEncs *Counter
-	// BarrierWaitNS accumulates worker time spent blocked at level
-	// barriers, summed across ranks.
+	// BarrierWaitNS accumulates worker time spent waiting for each
+	// level's batch, summed across ranks.
 	BarrierWaitNS *Counter
 	// Procs is the worker process count of the current run.
 	Procs *Gauge

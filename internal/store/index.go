@@ -166,7 +166,7 @@ func (b *Batch) Add(enc []byte, hash uint64) {
 // whenever the words differ — and the keys themselves only on a tie, so
 // short keys (a grid's are six bytes) never reach bytes.Compare. That
 // matters where the entries do not arrive nearly sorted: a cluster
-// owner's level is one ascending run per sender, interleaved.
+// coordinator's per-owner set is in expansion order.
 func (b *Batch) Order() []int {
 	b.order, b.heads = b.order[:0], b.heads[:0]
 	for i := range b.ends {
