@@ -212,7 +212,11 @@ func BenchmarkRefinementCheck(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := mapping.NewChain(tr, 0)
+	sys, err := dist.New(tr, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := mapping.NewChain(sys)
 	if err != nil {
 		b.Fatal(err)
 	}

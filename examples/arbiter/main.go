@@ -28,39 +28,28 @@ func main() {
 	}
 	fmt.Print("the Figure 3.2 graph:\n", tr)
 
-	// Level 3: the distributed implementation, a1 initially holding.
+	// Level 3: the distributed implementation, a1 initially holding,
+	// wired to the levels above it: its arbiter renamed to speak A1
+	// names at the user ports, and the h₂ and h₁ abstraction maps.
 	sys, err := dist.New(tr, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	aug, err := graph.Augment(tr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	f2, err := sys.F2(aug)
-	if err != nil {
-		log.Fatal(err)
-	}
-	a3r, err := ioa.Rename(sys.A3, f2) // speak A2-over-𝒢 names
-	if err != nil {
-		log.Fatal(err)
-	}
-	f1 := graphlevel.F1(aug)
-	arb, err := ioa.Rename(a3r, f1) // speak A1 names at the user ports
+	c, err := mapping.NewChain(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Close the system with three users that request forever.
 	names := []string{"u1", "u2", "u3"}
-	comps := append([]ioa.Automaton{arb}, users.Automata(users.HeavyLoad(names))...)
+	comps := append([]ioa.Automaton{c.Arb}, users.Automata(users.HeavyLoad(names))...)
 	closed, err := ioa.Compose("arbiter", comps...)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The abstraction chain, used live during the run.
-	h2 := mapping.NewH2Map(sys, aug)
+	h2 := c.H2Map
 
 	grants := make(map[string]int)
 	violations := 0
@@ -83,7 +72,7 @@ func main() {
 			u := act.Params()[0]
 			grants[u]++
 			// Level 1 view via h1.
-			s1 := mapping.MapH1(aug, s2)
+			s1 := mapping.MapH1(c.Aug, s2)
 			fmt.Printf("step %3d  grant(%s)   level-1 state: %s\n", x.Len(), u, s1.Key())
 		}
 		return false

@@ -12,9 +12,7 @@ import (
 	"log"
 
 	"repro/internal/arbiter/dist"
-	"repro/internal/arbiter/graphlevel"
 	"repro/internal/arbiter/mapping"
-	"repro/internal/arbiter/spec"
 	"repro/internal/explore"
 	"repro/internal/graph"
 	"repro/internal/ioa"
@@ -29,56 +27,26 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	aug, err := graph.Augment(tr)
-	if err != nil {
-		log.Fatal(err)
-	}
 	sys, err := dist.New(tr, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	h2m := mapping.NewH2Map(sys, aug)
-	from, at, err := h2m.StartEdge()
+	c, err := mapping.NewChain(sys)
 	if err != nil {
 		log.Fatal(err)
 	}
-	a2, err := graphlevel.New(aug, from, at)
-	if err != nil {
-		log.Fatal(err)
-	}
-	f2, err := sys.F2(aug)
-	if err != nil {
-		log.Fatal(err)
-	}
-	a3r, err := ioa.Rename(sys.A3, f2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	f1 := graphlevel.F1(aug)
-	a2r, err := ioa.Rename(a2, f1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	a1 := spec.New(spec.Users{"u1", "u2", "u3"})
-
-	h2 := h2m.H2(a3r, a2)
-	h1 := mapping.H1(aug, a2r, a1)
 
 	fmt.Println("verifying h₂ : A₃′ → A₂ over all reachable states (Lemma 46)…")
-	if err := h2.VerifyOpts(explore.Options{Limit: 1 << 20}); err != nil {
+	if err := c.H2.VerifyOpts(explore.Options{Limit: 1 << 20}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("verifying h₁ : A₂′ → A₁ over all reachable states (Lemma 39)…")
-	if err := h1.VerifyOpts(explore.Options{Limit: 1 << 20}); err != nil {
+	if err := c.H1.VerifyOpts(explore.Options{Limit: 1 << 20}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("both possibilities mappings verified ✓")
 
 	// Drive a fair execution of A₃ (closed with users) and lift it.
-	arb, err := ioa.Rename(a3r, f1)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var userAutos []ioa.Automaton
 	for _, u := range []string{"u1", "u2", "u3"} {
 		d := ioa.NewDef("U_" + u)
@@ -97,7 +65,7 @@ func main() {
 			func(ioa.State) ioa.State { return ioa.KeyState("idle") })
 		userAutos = append(userAutos, d.MustBuild())
 	}
-	closed, err := ioa.Compose("closed", append([]ioa.Automaton{arb}, userAutos...)...)
+	closed, err := ioa.Compose("closed", append([]ioa.Automaton{c.Arb}, userAutos...)...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,32 +73,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	comp, err := closed.ProjectExecution(x, 0)
+	l, err := c.Lift(x)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Undo f1 to get an execution of A₃′.
-	x3 := &ioa.Execution{Auto: a3r, States: comp.States}
-	for _, act := range comp.Acts {
-		x3.Acts = append(x3.Acts, f1.Invert(act))
-	}
-
-	x2, err := h2.Correspond(x3)
-	if err != nil {
+	x3, x2, x1 := l.X3, l.X2, l.X1
+	if err := proof.CheckCorrespondence(x3, x2, c.A2); err != nil {
 		log.Fatal(err)
 	}
-	if err := proof.CheckCorrespondence(x3, x2, a2); err != nil {
-		log.Fatal(err)
-	}
-	x2r := &ioa.Execution{Auto: a2r, States: x2.States}
-	for _, act := range x2.Acts {
-		x2r.Acts = append(x2r.Acts, f1.Apply(act))
-	}
-	x1, err := h1.Correspond(x2r)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := proof.CheckCorrespondence(x2r, x1, a1); err != nil {
+	if err := proof.CheckCorrespondence(l.X2r, x1, c.A1); err != nil {
 		log.Fatal(err)
 	}
 

@@ -258,9 +258,10 @@ func NewFaultyMessageSystem(t *graph.Tree, inj faults.Injection) (*ioa.Prog, err
 	return faults.NewNetwork(name, Links(t), inj)
 }
 
-// assembly is what A₃ and A₃ʳ share: the processes of Figure 3.5 over
-// one tree, composed before their channel automata.
-type assembly struct {
+// Assembly is what A₃ and A₃ʳ share: the processes of Figure 3.5
+// over one tree, composed before their channel automata, with every
+// output but the user-facing sendgrant(a,u) hidden.
+type Assembly struct {
 	// Tree is the process graph G.
 	Tree *graph.Tree
 	// Procs maps arbiter node ID to its automaton.
@@ -270,18 +271,33 @@ type assembly struct {
 	Composite *ioa.Composite
 	// Order lists the arbiter node IDs in component order.
 	Order []int
+	// A3 is the hidden composition.
+	A3 ioa.Automaton
 }
 
+// A Transit answers, at one state of a level-3 arbiter, whether a
+// message of the given kind is logically in transit on the channel
+// (from,to) between two adjacent arbiter processes: what System and
+// Hardened answer differently, and all the possibilities mapping h₂
+// reads of their channels.
+type Transit interface {
+	Has(from, to, kind string) bool
+}
+
+// Base returns the shared assembly, which System and Hardened both
+// embed.
+func (asm *Assembly) Base() *Assembly { return asm }
+
 // assemble composes the processes of tree t, in node order, before the
-// channel automata chans, and returns the composition with every
-// output except sendgrant(a,u) hidden.
-func assemble(name string, t *graph.Tree, initialHolder int, chans []ioa.Automaton) (assembly, ioa.Automaton, error) {
-	asm := assembly{Tree: t, Procs: make(map[int]*ioa.Prog)}
+// channel automata chans, with every output except sendgrant(a,u)
+// hidden.
+func assemble(name string, t *graph.Tree, initialHolder int, chans []ioa.Automaton) (Assembly, error) {
+	asm := Assembly{Tree: t, Procs: make(map[int]*ioa.Prog)}
 	var comps []ioa.Automaton
 	for _, a := range t.NodesOf(graph.Arbiter) {
 		p, err := NewProcess(t, a, initialHolder)
 		if err != nil {
-			return asm, nil, err
+			return asm, err
 		}
 		asm.Procs[a] = p
 		asm.Order = append(asm.Order, a)
@@ -289,7 +305,7 @@ func assemble(name string, t *graph.Tree, initialHolder int, chans []ioa.Automat
 	}
 	composite, err := ioa.Compose(name, append(comps, chans...)...)
 	if err != nil {
-		return asm, nil, err
+		return asm, err
 	}
 	asm.Composite = composite
 	keep := make(ioa.Set)
@@ -297,7 +313,8 @@ func assemble(name string, t *graph.Tree, initialHolder int, chans []ioa.Automat
 		a := t.UserAttachment(u)
 		keep.Add(SendGrant(t.Node(a).Name, t.Node(u).Name))
 	}
-	return asm, ioa.HideOutputsExcept(composite, keep), nil
+	asm.A3 = ioa.HideOutputsExcept(composite, keep)
+	return asm, nil
 }
 
 // component returns part i of the composite state st.
@@ -317,7 +334,7 @@ func component[T ioa.State](st ioa.State, i int) (T, error) {
 }
 
 // ProcStateOf extracts process a's state from a composite state.
-func (asm *assembly) ProcStateOf(st ioa.State, a int) (*ProcState, error) {
+func (asm *Assembly) ProcStateOf(st ioa.State, a int) (*ProcState, error) {
 	i := slices.Index(asm.Order, a)
 	if i < 0 {
 		return nil, fmt.Errorf("dist: node %d is not a process", a)
@@ -330,11 +347,9 @@ func (asm *assembly) ProcStateOf(st ioa.State, a int) (*ProcState, error) {
 // outputs except sendgrant(a,u) hidden. Its components are the
 // processes, then M.
 type System struct {
-	assembly
+	Assembly
 	// Msg is the message-system automaton.
 	Msg *ioa.Prog
-	// A3 is the hidden composition.
-	A3 ioa.Automaton
 }
 
 // New assembles the distributed arbiter over tree t with the given
@@ -362,7 +377,7 @@ func NewWithFaults(t *graph.Tree, initialHolder int, inj faults.Injection) (*Sys
 func newSystem(t *graph.Tree, initialHolder int, m *ioa.Prog) (*System, error) {
 	sys := &System{Msg: m}
 	var err error
-	if sys.assembly, sys.A3, err = assemble("A3", t, initialHolder, []ioa.Automaton{m}); err != nil {
+	if sys.Assembly, err = assemble("A3", t, initialHolder, []ioa.Automaton{m}); err != nil {
 		return nil, err
 	}
 	return sys, nil
@@ -371,6 +386,16 @@ func newSystem(t *graph.Tree, initialHolder int, m *ioa.Prog) (*System, error) {
 // MsgStateOf extracts the message-system state from a composite state.
 func (s *System) MsgStateOf(st ioa.State) (*faults.NetState, error) {
 	return component[*faults.NetState](st, len(s.Order))
+}
+
+// InTransit reads the messages in transit at st off M: a message is in
+// transit iff M holds it undelivered.
+func (s *System) InTransit(st ioa.State) (Transit, error) {
+	ms, err := s.MsgStateOf(st)
+	if err != nil {
+		return nil, err
+	}
+	return ms, nil
 }
 
 // FwdReq3 is the condition FwdReq_a(v) of §3.3.4 on process a's own
@@ -500,7 +525,7 @@ func (s *System) E3() *proof.CondModule {
 // A₃ʳ has the same external interface and takes the same pairs; its
 // internal xmit/dlvr actions, and any fault actions, are left to
 // rename to themselves.
-func (asm *assembly) F2(aug *graph.Tree) (*ioa.Mapping, error) {
+func (asm *Assembly) F2(aug *graph.Tree) (*ioa.Mapping, error) {
 	t := asm.Tree
 	pairs := make(map[ioa.Action]ioa.Action)
 	name := func(id int) string { return aug.Node(id).Name }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,8 +20,8 @@ import (
 // correct only over the reliable FIFO automaton M (§3.3) and names
 // fault tolerance as the open direction (Chapter 4); A₃ʳ closes that
 // gap for the drop/duplicate fault classes, and the mapping package
-// checks the corresponding possibilities mapping h₂ʳ along sampled
-// fair executions.
+// checks the same possibilities mapping h₂ over it along sampled fair
+// executions, clause A4 read off the links (InTransit).
 //
 // Protocol, per directed channel (a,a') — one alternating-bit
 // instance for the whole channel, carrying messages tagged with their
@@ -263,15 +264,13 @@ func RetryLinks(t *graph.Tree) []faults.Link {
 // then the sender/receiver link pair of each channel, then the
 // network.
 type Hardened struct {
-	assembly
+	Assembly
 	// Senders and Receivers map faults.ChanKey(from,to) to link
 	// automata.
 	Senders   map[string]*ioa.Prog
 	Receivers map[string]*ioa.Prog
 	// Net is the packet network automaton.
 	Net *ioa.Prog
-	// A3R is the hidden composition.
-	A3R ioa.Automaton
 	// idx maps faults.ChanKey(from,to) to the position of LS(from,to)
 	// among the components after the processes; LR(from,to) follows it.
 	idx map[string]int
@@ -308,7 +307,7 @@ func NewHardened(t *graph.Tree, initialHolder int, inj faults.Injection) (*Harde
 		return nil, err
 	}
 	h.Net = net
-	if h.assembly, h.A3R, err = assemble("A3R", t, initialHolder, append(chans, net)); err != nil {
+	if h.Assembly, err = assemble("A3R", t, initialHolder, append(chans, net)); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -332,39 +331,57 @@ func (h *Hardened) ReceiverStateOf(st ioa.State, from, to string) (*ReceiverStat
 	return component[*ReceiverState](st, len(h.Order)+i+1)
 }
 
-// InTransit is the abstract in-transit predicate of the possibilities
-// mapping h₂ʳ: a (from,to,kind) message counts as logically in
-// transit exactly when it sits in the sender link's queue and has not
-// yet been accepted by the receiver (for the head message: the
-// receiver still expects the sender's bit), or the receiver has
-// accepted it but not yet delivered it to the process. Crucially this
-// never consults the packet network's queues, so drops, duplicates,
-// retransmissions, and stale deliveries all leave it unchanged — they
-// map to the stuttering case of the mapping.
-func (h *Hardened) InTransit(st ioa.State, from, to, kind string) (bool, error) {
-	ls, err := h.SenderStateOf(st, from, to)
-	if err != nil {
-		return false, err
+// InTransit reads the messages in transit at st off the link automata:
+// the abstract in-transit predicate of h₂ over A₃ʳ. A (from,to,kind)
+// message counts as logically in transit exactly when it sits in the
+// sender link's queue and has not yet been accepted by the receiver
+// (for the head message: the receiver still expects the sender's bit),
+// or the receiver has accepted it but not yet delivered it to the
+// process. Crucially this never consults the packet network's queues,
+// so drops, duplicates, retransmissions, and stale deliveries all leave
+// it unchanged — they map to the stuttering case of the mapping.
+func (h *Hardened) InTransit(st ioa.State) (Transit, error) {
+	lt := make(linkTransit, len(h.idx))
+	for key, i := range h.idx {
+		ls, err := component[*SenderState](st, len(h.Order)+i)
+		if err != nil {
+			return nil, err
+		}
+		lr, err := component[*ReceiverState](st, len(h.Order)+i+1)
+		if err != nil {
+			return nil, err
+		}
+		lt[key] = linkPair{ls, lr}
 	}
-	lr, err := h.ReceiverStateOf(st, from, to)
-	if err != nil {
-		return false, err
+	return lt, nil
+}
+
+// linkPair is one channel's sender and receiver link states.
+type linkPair struct {
+	ls *SenderState
+	lr *ReceiverState
+}
+
+// linkTransit is A₃ʳ's Transit: the link pairs of one state, by
+// faults.ChanKey(from,to).
+type linkTransit map[string]linkPair
+
+// Has implements Transit.
+func (lt linkTransit) Has(from, to, kind string) bool {
+	p, ok := lt[faults.ChanKey(from, to)]
+	if !ok {
+		return false
 	}
-	for i, k := range ls.queue {
+	for i, k := range p.ls.queue {
 		if k != kind {
 			continue
 		}
 		if i > 0 {
-			return true, nil // queued behind the head: untransmitted
+			return true // queued behind the head: untransmitted
 		}
-		if !ls.outstanding || lr.expect == ls.bit {
-			return true, nil // head, not yet accepted by the receiver
-		}
-	}
-	for _, k := range lr.deliver {
-		if k == kind {
-			return true, nil // accepted, awaiting process delivery
+		if !p.ls.outstanding || p.lr.expect == p.ls.bit {
+			return true // head, not yet accepted by the receiver
 		}
 	}
-	return false, nil
+	return slices.Contains(p.lr.deliver, kind) // accepted, awaiting process delivery
 }

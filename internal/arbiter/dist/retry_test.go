@@ -37,7 +37,7 @@ func TestHardenedValidate(t *testing.T) {
 	if err := ioa.Validate(h.Net); err != nil {
 		t.Error(err)
 	}
-	if err := ioa.Validate(h.A3R); err != nil {
+	if err := ioa.Validate(h.A3); err != nil {
 		t.Error(err)
 	}
 }
@@ -51,9 +51,9 @@ func TestHardenedExternalInterface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.A3.Sig().External().Equal(h.A3R.Sig().External()) {
+	if !sys.A3.Sig().External().Equal(h.A3.Sig().External()) {
 		t.Fatalf("external signatures differ:\nA3:  %s\nA3R: %s",
-			sys.A3.Sig().External(), h.A3R.Sig().External())
+			sys.A3.Sig().External(), h.A3.Sig().External())
 	}
 }
 
@@ -77,11 +77,11 @@ func TestAlternatingBitSurvivesDropAndDup(t *testing.T) {
 	}
 	transit := func(from, to, kind string) bool {
 		t.Helper()
-		v, err := h.InTransit(s, from, to, kind)
+		in, err := h.InTransit(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return in.Has(from, to, kind)
 	}
 
 	// u2 asks a2; a2 forwards the request toward the holder a1.

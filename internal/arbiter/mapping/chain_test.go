@@ -1,23 +1,19 @@
 package mapping
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
-	"repro/internal/arbiter/graphlevel"
+	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/users"
 	"repro/internal/explore"
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/ioa"
 	"repro/internal/proof"
 	"repro/internal/sim"
 )
-
-// graphlevelNew adapts graphlevel.New for test files in this package.
-func graphlevelNew(t *testing.T, tr *graph.Tree, from, at int) (*ioa.Prog, error) {
-	t.Helper()
-	return graphlevel.New(tr, from, at)
-}
 
 // TestRefinementChainOnTopologies verifies both possibilities mappings
 // over the full reachable state spaces for several graph shapes and
@@ -46,10 +42,10 @@ func TestRefinementChainOnTopologies(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := buildChain(t, tr, tc.holder)
-			if err := c.h2.VerifyOpts(explore.Options{Limit: 2000000}); err != nil {
+			if err := c.H2.VerifyOpts(explore.Options{Limit: 2000000}); err != nil {
 				t.Errorf("h2: %v", err)
 			}
-			if err := c.h1.VerifyOpts(explore.Options{Limit: 2000000}); err != nil {
+			if err := c.H1.VerifyOpts(explore.Options{Limit: 2000000}); err != nil {
 				t.Errorf("h1: %v", err)
 			}
 		})
@@ -63,14 +59,9 @@ func TestRefinementChainOnTopologies(t *testing.T) {
 // no-lockout goals (every recorded request is eventually granted).
 func TestTheorem49EndToEnd(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	f1 := graphlevel.F1(c.aug)
-	arb, err := ioa.Rename(c.a3r, f1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	names := []string{"u1", "u2", "u3"}
 	env := users.HeavyLoad(names)
-	closed, err := ioa.Compose("closed", append([]ioa.Automaton{arb}, users.Automata(env)...)...)
+	closed, err := ioa.Compose("closed", append([]ioa.Automaton{c.Arb}, users.Automata(env)...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,26 +69,11 @@ func TestTheorem49EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := closed.ProjectExecution(x, 0)
+	l, err := c.Lift(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x3 := &ioa.Execution{Auto: c.a3r, States: comp.States}
-	for _, act := range comp.Acts {
-		x3.Acts = append(x3.Acts, f1.Invert(act))
-	}
-	x2, err := c.h2.Correspond(x3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2r := &ioa.Execution{Auto: c.a2r, States: x2.States}
-	for _, act := range x2.Acts {
-		x2r.Acts = append(x2r.Acts, f1.Apply(act))
-	}
-	x1, err := c.h1.Correspond(x2r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	x1 := l.X1
 	// The level-1 execution must satisfy E1's goals with bounded
 	// latency away from the tail (an obligation born just before the
 	// cutoff cannot have been served yet).
@@ -130,5 +106,69 @@ func specGrRes(names []string, u int) *proof.LeadsTo {
 			return ok && st.Requesting(u)
 		},
 		T: func(a ioa.Action) bool { return a == ioa.Act("grant", name) },
+	}
+}
+
+// TestLiftOverEveryLevel3System: Chain.Lift carries a closed fair run
+// of the reliable A₃, and of A₃ʳ under a seeded drop+duplicate
+// schedule, all the way to A₁; a run of A₃ʳ under the Reorder
+// adversary does not lift, and the failure is attributed to h₂.
+func TestLiftOverEveryLevel3System(t *testing.T) {
+	tr := figure32(t)
+	sched, err := faults.NewSchedule(1, faults.Profile{Drop: 0.3, Duplicate: 0.15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		sys   func() (Level3, error)
+		steps int
+		link  string // the link that must fail, "" for none
+	}{
+		{"A3", func() (Level3, error) { return dist.New(tr, 0) }, 1000, ""},
+		{"A3r/drop+dup", func() (Level3, error) { return dist.NewHardened(tr, 0, faults.Injection{Sched: sched}) }, 4000, ""},
+		{"A3r/reorder", func() (Level3, error) {
+			return dist.NewHardened(tr, 0, faults.Injection{Adversary: []faults.Class{faults.Reorder}})
+		}, 4000, "h2"},
+	}
+	names := []string{"u1", "u2", "u3"}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := tc.sys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewChain(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			closed, err := ioa.Compose("closed", append([]ioa.Automaton{c.Arb}, users.Automata(users.HeavyLoad(names))...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x, err := sim.Run(closed, &sim.RoundRobin{}, tc.steps, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := c.Lift(x)
+			if l == nil {
+				t.Fatal(err)
+			}
+			var broken *LinkError
+			switch {
+			case tc.link == "" && err != nil:
+				t.Fatalf("%d steps do not lift: %v", x.Len(), err)
+			case tc.link == "":
+				if l.X1.Len() == 0 || l.X3.Len() < l.X1.Len() {
+					t.Fatalf("lifted %d steps of A3' to %d of A1", l.X3.Len(), l.X1.Len())
+				}
+			case !errors.As(err, &broken) || broken.Link != tc.link || !errors.Is(err, proof.ErrNotPossibilities):
+				t.Fatalf("want a %s failure, got %v", tc.link, err)
+			case l.X2 != nil || l.X1 != nil:
+				t.Fatalf("a run refuted at %s lifted past it", tc.link)
+			default:
+				t.Logf("refuted as expected: %v", err)
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ import (
 // equals a FIFO channel class of M.
 func TestLemma30CertifiesH2(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	if err := proof.FairSatisfiesViaMappingOpts(c.h2, explore.Options{Limit: 500000}); err != nil {
+	if err := proof.FairSatisfiesViaMappingOpts(c.H2, explore.Options{Limit: 500000}); err != nil {
 		t.Fatalf("Lemma 30 hypothesis fails for h2: %v", err)
 	}
 }
@@ -32,7 +32,7 @@ func TestLemma30CertifiesH2(t *testing.T) {
 // report the containment failure.
 func TestLemma30PartitionFailsForH1(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	err := proof.FairSatisfiesViaMappingOpts(c.h1, explore.Options{Limit: 500000})
+	err := proof.FairSatisfiesViaMappingOpts(c.H1, explore.Options{Limit: 500000})
 	if err == nil {
 		t.Fatal("expected the partition-containment hypothesis to fail for h1")
 	}

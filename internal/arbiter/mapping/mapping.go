@@ -1,8 +1,10 @@
 // Package mapping implements the possibilities mappings of Chapter 3:
 // h₁ from A₂′ (the renamed graph-level arbiter) to the specification
-// A₁ (§3.2.5), and h₂ from A₃′ (the renamed distributed arbiter) to A₂
-// over the buffer-augmented graph 𝒢 (§3.3.6), together with the
-// invariants I1 and I2 that make h₂ well-defined.
+// A₁ (§3.2.5), and h₂ from A₃′ (the renamed distributed arbiter, A₃
+// or the retry-hardened A₃ʳ) to A₂ over the buffer-augmented graph 𝒢
+// (§3.3.6), together with the invariants I1 and I2 that make h₂
+// well-defined; and the Chain that wires the three levels and lifts a
+// run through them.
 package mapping
 
 import (
@@ -63,42 +65,55 @@ func MapH1(t *graph.Tree, st *graphlevel.State) *spec.State {
 }
 
 // H2Map is the state function underlying h₂ (§3.3.6): it rebuilds the
-// arrow sets of A₂ over 𝒢 from the process and message states of A₃
-// using conditions U1–U4 and A1–A4.
+// arrow sets of A₂ over 𝒢 from the process states of a level-3
+// arbiter using conditions U1–U4 and A1–A4.
+//
+// It serves both level-3 arbiters, and clause A4 — "a grant is in
+// transit on channel (a,a′)" — is the one place they differ (Level3's
+// InTransit). Over A₃ it reads M's undelivered messages. Over the
+// retry-hardened A₃ʳ it reads the link automata's abstract in-transit
+// predicate, which never consults the packet network's queues; that is
+// what keeps h₂ a possibilities mapping in the presence of faults. Packet drops, duplicate deliveries,
+// retransmissions and stale-ack arrivals all leave the image state
+// unchanged (mapping condition 2(b) with an empty corresponding A₂
+// execution fragment), while the external send/receive actions step A₂
+// exactly as they do for A₃. The alternating-bit links need channels
+// that are FIFO up to loss and duplication: under reordering or delay
+// injections the mapping is expected to fail, and the chaos harness
+// shows it. A₃ʳ's state space is unbounded (retransmission counters
+// in the packet network), so check h₂ over it with Correspond along
+// sampled fair executions (Chain.Lift) rather than exhaustively.
 type H2Map struct {
-	// Sys is the distributed system (over G).
-	Sys *dist.System
+	// Sys is the level-3 arbiter (over G).
+	Sys Level3
 	// Aug is the buffer-augmented graph 𝒢.
 	Aug *graph.Tree
 }
 
-// NewH2Map prepares the h₂ state function.
+// Level3 is a level-3 arbiter, A₃ (*dist.System) or A₃ʳ
+// (*dist.Hardened), as h₂ reads it: the shared assembly, and the
+// messages in transit on its channels.
+type Level3 interface {
+	Base() *dist.Assembly
+	InTransit(st ioa.State) (dist.Transit, error)
+}
+
+// NewH2Map prepares the h₂ state function over the reliable A₃;
+// NewChain prepares it over either level-3 arbiter.
 func NewH2Map(sys *dist.System, aug *graph.Tree) *H2Map {
 	return &H2Map{Sys: sys, Aug: aug}
 }
 
-// Apply maps a composite state of A₃ to the corresponding state of A₂
-// over 𝒢. It returns an error if the composite state is malformed.
+// Apply maps a composite state of the level-3 arbiter to the
+// corresponding state of A₂ over 𝒢. It returns an error if the
+// composite state is malformed.
 func (h *H2Map) Apply(st ioa.State) (*graphlevel.State, error) {
-	msgs, err := h.Sys.MsgStateOf(st)
+	in, err := h.Sys.InTransit(st)
 	if err != nil {
 		return nil, err
 	}
-	g := h.Sys.Tree
-	return deriveArrows(g, h.Aug, h.Sys.Order,
-		func(a int) (*dist.ProcState, error) { return h.Sys.ProcStateOf(st, a) },
-		func(a, v int) (bool, error) {
-			return msgs.Has(g.Node(a).Name, g.Node(v).Name, dist.KindGrant), nil
-		})
-}
-
-// deriveArrows rebuilds the A₂ arrow sets over 𝒢 from per-process
-// states plus a grant-in-transit oracle for arbiter channels — the
-// common core of h₂ (which reads the message system M) and h₂ʳ
-// (which reads the link automata of the retry-hardened system).
-func deriveArrows(g, aug *graph.Tree, order []int,
-	procOf func(a int) (*dist.ProcState, error),
-	grantInTransit func(a, v int) (bool, error)) (*graphlevel.State, error) {
+	asm, aug := h.Sys.Base(), h.Aug
+	g := asm.Tree
 	arrows := make([]uint8, aug.DirectedEdges())
 	const (
 		bitRequest uint8 = 1
@@ -112,8 +127,8 @@ func deriveArrows(g, aug *graph.Tree, order []int,
 		arrows[id] |= bit
 		return nil
 	}
-	for _, a := range order {
-		ps, err := procOf(a)
+	for _, a := range asm.Order {
+		ps, err := asm.ProcStateOf(st, a)
 		if err != nil {
 			return nil, err
 		}
@@ -147,24 +162,18 @@ func deriveArrows(g, aug *graph.Tree, order []int,
 					return nil, err
 				}
 			}
+			// U4: grant ∈ arrows(a,u) iff ¬holding_a ∧ lastforward_a = u.
+			// A4: grant ∈ arrows(a, b(a,a')) iff a grant is in transit
+			// on the channel (a,a').
+			var grantOut bool
 			if isUser {
-				// U4: grant ∈ arrows(a,u) iff ¬holding_a ∧ lastforward_a = u.
-				if !ps.Holding() && ps.LastForward() == i {
-					if err := set(a, other, bitGrant); err != nil {
-						return nil, err
-					}
-				}
+				grantOut = !ps.Holding() && ps.LastForward() == i
 			} else {
-				// A4: grant ∈ arrows(a, b(a,a')) iff a grant is in
-				// transit on the channel (a,a').
-				transit, err := grantInTransit(a, v)
-				if err != nil {
+				grantOut = in.Has(g.Node(a).Name, g.Node(v).Name, dist.KindGrant)
+			}
+			if grantOut {
+				if err := set(a, other, bitGrant); err != nil {
 					return nil, err
-				}
-				if transit {
-					if err := set(a, other, bitGrant); err != nil {
-						return nil, err
-					}
 				}
 			}
 		}
@@ -172,10 +181,10 @@ func deriveArrows(g, aug *graph.Tree, order []int,
 	return graphlevel.NewState(aug, arrows), nil
 }
 
-// H2 builds the possibilities mapping h₂ from a3r = f₂(A₃) to a2 = A₂
-// over 𝒢. The mapping is functional (conditions U1–U4 and A1–A4
-// determine every arrow set); I1 and I2 are invariants validated
-// separately by CheckI1 and CheckI2.
+// H2 builds the possibilities mapping h₂ from a3r = f₂(A₃) (or
+// f₂(A₃ʳ)) to a2 = A₂ over 𝒢. The mapping is functional (conditions
+// U1–U4 and A1–A4 determine every arrow set); I1 and I2 are invariants
+// validated separately by CheckI1 and CheckI2.
 func (h *H2Map) H2(a3r, a2 ioa.Automaton) *proof.PossMapping {
 	return &proof.PossMapping{
 		A: a3r,
@@ -190,21 +199,22 @@ func (h *H2Map) H2(a3r, a2 ioa.Automaton) *proof.PossMapping {
 	}
 }
 
-// CheckI1 verifies invariant I1 of §3.3.6 on a composite state of A₃:
-// a request message (a,a′,request) is in transit iff, in the mapped
-// state, request ∈ arrows(a,b), request ∉ arrows(b,a′), and
-// grant ∉ arrows(a′,b).
+// CheckI1 verifies invariant I1 of §3.3.6 on a composite state of the
+// level-3 arbiter: a request message (a,a′,request) is in transit iff,
+// in the mapped state, request ∈ arrows(a,b), request ∉ arrows(b,a′),
+// and grant ∉ arrows(a′,b).
 func (h *H2Map) CheckI1(st ioa.State) error {
-	g := h.Sys.Tree
+	asm := h.Sys.Base()
+	g := asm.Tree
 	mapped, err := h.Apply(st)
 	if err != nil {
 		return err
 	}
-	msgs, err := h.Sys.MsgStateOf(st)
+	in, err := h.Sys.InTransit(st)
 	if err != nil {
 		return err
 	}
-	for _, a := range h.Sys.Order {
+	for _, a := range asm.Order {
 		for _, v := range g.Neighbors(a) {
 			if g.Node(v).Kind != graph.Arbiter {
 				continue
@@ -213,7 +223,7 @@ func (h *H2Map) CheckI1(st ioa.State) error {
 			if err != nil {
 				return err
 			}
-			inTransit := msgs.Has(g.Node(a).Name, g.Node(v).Name, dist.KindRequest)
+			inTransit := in.Has(g.Node(a).Name, g.Node(v).Name, dist.KindRequest)
 			derived := mapped.HasRequest(a, b) && !mapped.HasRequest(b, v) && !mapped.HasGrant(v, b)
 			if inTransit != derived {
 				return fmt.Errorf("mapping: I1 violated for (%s,%s): inTransit=%t derived=%t",
@@ -227,7 +237,8 @@ func (h *H2Map) CheckI1(st ioa.State) error {
 // CheckI2 verifies invariant I2 of §3.3.6: (a, b(a,a′)) points toward
 // the root iff holding_a = false and lastforward_a = a′.
 func (h *H2Map) CheckI2(st ioa.State) error {
-	g := h.Sys.Tree
+	asm := h.Sys.Base()
+	g := asm.Tree
 	mapped, err := h.Apply(st)
 	if err != nil {
 		return err
@@ -236,8 +247,8 @@ func (h *H2Map) CheckI2(st ioa.State) error {
 	if root < 0 {
 		return fmt.Errorf("mapping: mapped state has no root")
 	}
-	for _, a := range h.Sys.Order {
-		ps, err := h.Sys.ProcStateOf(st, a)
+	for _, a := range asm.Order {
+		ps, err := asm.ProcStateOf(st, a)
 		if err != nil {
 			return err
 		}
@@ -265,17 +276,18 @@ func (h *H2Map) CheckI2(st ioa.State) error {
 // matches h₂ of the system's start state: the edge into the initial
 // holder from the direction of its lastForward neighbor.
 func (h *H2Map) StartEdge() (from, at int, err error) {
-	start := h.Sys.Composite.Start()[0]
-	for _, a := range h.Sys.Order {
-		ps, perr := h.Sys.ProcStateOf(start, a)
+	asm := h.Sys.Base()
+	start := asm.Composite.Start()[0]
+	for _, a := range asm.Order {
+		ps, perr := asm.ProcStateOf(start, a)
 		if perr != nil {
 			return 0, 0, perr
 		}
 		if !ps.Holding() {
 			continue
 		}
-		v := h.Sys.Tree.Neighbors(a)[ps.LastForward()]
-		if h.Sys.Tree.Node(v).Kind == graph.User {
+		v := asm.Tree.Neighbors(a)[ps.LastForward()]
+		if asm.Tree.Node(v).Kind == graph.User {
 			return v, a, nil
 		}
 		b, berr := h.Aug.BufferBetween(a, v)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/arbiter/dist"
-	"repro/internal/arbiter/graphlevel"
 	"repro/internal/arbiter/users"
 	"repro/internal/explore"
 	"repro/internal/graph"
@@ -14,30 +13,18 @@ import (
 	"repro/internal/sim"
 )
 
-// chain bundles the three levels over one tree, fully wired.
-type chain struct {
-	tree *graph.Tree
-	aug  *graph.Tree
-	sys  *dist.System
-
-	a1  ioa.Automaton // A1
-	a2  ioa.Automaton // A2 over 𝒢
-	a2r ioa.Automaton // f1(A2)
-	a3r ioa.Automaton // f2(A3)
-
-	h2m *H2Map
-	h1  *proof.PossMapping
-	h2  *proof.PossMapping
-}
-
-func buildChain(t *testing.T, tr *graph.Tree, holder int) *chain {
+// buildChain builds the hierarchy over the reliable A₃ on tr.
+func buildChain(t *testing.T, tr *graph.Tree, holder int) *Chain {
 	t.Helper()
-	c, err := NewChain(tr, holder)
+	sys, err := dist.New(tr, holder)
+	if err != nil {
+		t.Fatalf("dist.New: %v", err)
+	}
+	c, err := NewChain(sys)
 	if err != nil {
 		t.Fatalf("NewChain: %v", err)
 	}
-	return &chain{tree: c.Tree, aug: c.Aug, sys: c.Sys, a1: c.A1, a2: c.A2, a2r: c.A2r, a3r: c.A3r,
-		h2m: c.H2Map, h1: c.H1, h2: c.H2}
+	return c
 }
 
 func figure32(t *testing.T) *graph.Tree {
@@ -53,11 +40,11 @@ func figure32(t *testing.T) *graph.Tree {
 // satisfaction claim: ext(f2(A3)) = ext(A2) and ext(f1(A2)) = ext(A1).
 func TestExternalSignaturesAlign(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	if !c.a3r.Sig().External().Equal(c.a2.Sig().External()) {
-		t.Errorf("ext(f2(A3)) != ext(A2):\n%v\n%v", c.a3r.Sig().External(), c.a2.Sig().External())
+	if !c.A3r.Sig().External().Equal(c.A2.Sig().External()) {
+		t.Errorf("ext(f2(A3)) != ext(A2):\n%v\n%v", c.A3r.Sig().External(), c.A2.Sig().External())
 	}
-	if !c.a2r.Sig().External().Equal(c.a1.Sig().External()) {
-		t.Errorf("ext(f1(A2)) != ext(A1):\n%v\n%v", c.a2r.Sig().External(), c.a1.Sig().External())
+	if !c.A2r.Sig().External().Equal(c.A1.Sig().External()) {
+		t.Errorf("ext(f1(A2)) != ext(A1):\n%v\n%v", c.A2r.Sig().External(), c.A1.Sig().External())
 	}
 }
 
@@ -65,7 +52,7 @@ func TestExternalSignaturesAlign(t *testing.T) {
 // §2.3.1 for h₂ over the reachable states of A₃′ (Lemma 46).
 func TestH2IsPossibilitiesMapping(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	if err := c.h2.VerifyOpts(explore.Options{Limit: 200000}); err != nil {
+	if err := c.H2.VerifyOpts(explore.Options{Limit: 200000}); err != nil {
 		t.Fatalf("h2 verification failed: %v", err)
 	}
 }
@@ -73,7 +60,7 @@ func TestH2IsPossibilitiesMapping(t *testing.T) {
 // TestH1IsPossibilitiesMapping mechanically verifies h₁ (Lemma 39).
 func TestH1IsPossibilitiesMapping(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	if err := c.h1.VerifyOpts(explore.Options{Limit: 200000}); err != nil {
+	if err := c.H1.VerifyOpts(explore.Options{Limit: 200000}); err != nil {
 		t.Fatalf("h1 verification failed: %v", err)
 	}
 }
@@ -82,16 +69,16 @@ func TestH1IsPossibilitiesMapping(t *testing.T) {
 // reachable state of A₃.
 func TestInvariantsI1I2(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	states, err := explore.New(explore.Options{Workers: 1, Limit: 200000}).Reach(context.Background(), c.sys.A3)
+	states, err := explore.New(explore.Options{Workers: 1, Limit: 200000}).Reach(context.Background(), c.Sys.Base().A3)
 	if err != nil {
 		t.Fatalf("reach: %v", err)
 	}
 	t.Logf("reachable states of A3: %d", len(states))
 	for _, s := range states {
-		if err := c.h2m.CheckI1(s); err != nil {
+		if err := c.H2Map.CheckI1(s); err != nil {
 			t.Fatalf("I1: %v", err)
 		}
-		if err := c.h2m.CheckI2(s); err != nil {
+		if err := c.H2Map.CheckI2(s); err != nil {
 			t.Fatalf("I2: %v", err)
 		}
 	}
@@ -104,17 +91,12 @@ func TestInvariantsI1I2(t *testing.T) {
 func TestCorrespondingExecutions(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
 	names := make([]string, 0)
-	for _, u := range c.tree.NodesOf(graph.User) {
-		names = append(names, c.tree.Node(u).Name)
+	for _, u := range c.Tree.NodesOf(graph.User) {
+		names = append(names, c.Tree.Node(u).Name)
 	}
 	// Close f1(f2(A3)) with heavy-load users.
-	f1 := graphlevel.F1(c.aug)
-	a3Full, err := ioa.Rename(c.a3r, f1)
-	if err != nil {
-		t.Fatalf("rename: %v", err)
-	}
 	env := users.HeavyLoad(names)
-	closed, err := ioa.Compose("closed3", append([]ioa.Automaton{a3Full}, users.Automata(env)...)...)
+	closed, err := ioa.Compose("closed3", append([]ioa.Automaton{c.Arb}, users.Automata(env)...)...)
 	if err != nil {
 		t.Fatalf("compose: %v", err)
 	}
@@ -125,8 +107,7 @@ func TestCorrespondingExecutions(t *testing.T) {
 	if x.Len() < 100 {
 		t.Fatalf("run too short: %d steps", x.Len())
 	}
-	// Project out the arbiter execution (component 0) and undo the f1
-	// renaming to get an execution of f2(A3).
+	// The arbiter execution (component 0) is an execution (Lemma 1).
 	comp, err := closed.ProjectExecution(x, 0)
 	if err != nil {
 		t.Fatalf("project: %v", err)
@@ -134,34 +115,23 @@ func TestCorrespondingExecutions(t *testing.T) {
 	if err := comp.Validate(true); err != nil {
 		t.Fatalf("projected execution invalid (Lemma 1): %v", err)
 	}
-	x3 := &ioa.Execution{Auto: c.a3r, States: comp.States}
-	for _, a := range comp.Acts {
-		x3.Acts = append(x3.Acts, f1.Invert(a))
+	// Lemma 28 at both links: an execution of f2(A3), and the A2 and
+	// A1 executions corresponding to it.
+	l, err := c.Lift(x)
+	if err != nil {
+		t.Fatalf("lift: %v", err)
 	}
+	x3, x2, x2r, x1 := l.X3, l.X2, l.X2r, l.X1
 	if err := x3.Validate(true); err != nil {
 		t.Fatalf("x3 invalid: %v", err)
 	}
-	// Lemma 28 at link 3→2.
-	x2, err := c.h2.Correspond(x3)
-	if err != nil {
-		t.Fatalf("correspond h2: %v", err)
-	}
-	if err := proof.CheckCorrespondence(x3, x2, c.a2); err != nil {
+	if err := proof.CheckCorrespondence(x3, x2, c.A2); err != nil {
 		t.Fatalf("lemma 29 (h2): %v", err)
 	}
 	if err := x2.Validate(true); err != nil {
 		t.Fatalf("x2 invalid: %v", err)
 	}
-	// Rename x2 to f1(A2) and correspond at link 2→1.
-	x2r := &ioa.Execution{Auto: c.a2r, States: x2.States}
-	for _, a := range x2.Acts {
-		x2r.Acts = append(x2r.Acts, f1.Apply(a))
-	}
-	x1, err := c.h1.Correspond(x2r)
-	if err != nil {
-		t.Fatalf("correspond h1: %v", err)
-	}
-	if err := proof.CheckCorrespondence(x2r, x1, c.a1); err != nil {
+	if err := proof.CheckCorrespondence(x2r, x1, c.A1); err != nil {
 		t.Fatalf("lemma 29 (h1): %v", err)
 	}
 	if err := x1.Validate(true); err != nil {

@@ -28,10 +28,10 @@ func TestRandomTreesRefinementChain(t *testing.T) {
 			}
 			holder := tr.NodesOf(graph.Arbiter)[int(seed)%nArb]
 			c := buildChain(t, tr, holder)
-			if err := c.h2.VerifyOpts(explore.Options{Limit: 3000000}); err != nil {
+			if err := c.H2.VerifyOpts(explore.Options{Limit: 3000000}); err != nil {
 				t.Errorf("h2: %v", err)
 			}
-			if err := c.h1.VerifyOpts(explore.Options{Limit: 3000000}); err != nil {
+			if err := c.H1.VerifyOpts(explore.Options{Limit: 3000000}); err != nil {
 				t.Errorf("h1: %v", err)
 			}
 		})

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/arbiter/dist"
-	"repro/internal/arbiter/graphlevel"
-	"repro/internal/arbiter/spec"
 	"repro/internal/arbiter/users"
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -15,72 +13,27 @@ import (
 	"repro/internal/sim"
 )
 
-// hchain bundles the three levels over one tree with the
-// retry-hardened A₃ʳ at the bottom.
-type hchain struct {
-	tree *graph.Tree
-	aug  *graph.Tree
-	sys  *dist.Hardened
-
-	a1   ioa.Automaton // A1
-	a2   ioa.Automaton // A2 over 𝒢
-	a2r  ioa.Automaton // f1(A2)
-	a3rr ioa.Automaton // f2(A3R)
-	f2   *ioa.Mapping
-
-	h2rm *H2RMap
-	h1   *proof.PossMapping
-	h2r  *proof.PossMapping
-}
-
-func buildHardenedChain(t *testing.T, tr *graph.Tree, holder int, inj faults.Injection) *hchain {
+// buildHardenedChain builds the hierarchy over the retry-hardened A₃ʳ
+// on tr, inj applied to its packet network.
+func buildHardenedChain(t *testing.T, tr *graph.Tree, holder int, inj faults.Injection) (*dist.Hardened, *Chain) {
 	t.Helper()
-	aug, err := graph.Augment(tr)
-	if err != nil {
-		t.Fatalf("Augment: %v", err)
-	}
 	sys, err := dist.NewHardened(tr, holder, inj)
 	if err != nil {
 		t.Fatalf("dist.NewHardened: %v", err)
 	}
-	h2rm := NewH2RMap(sys, aug)
-	from, at, err := h2rm.StartEdge()
+	c, err := NewChain(sys)
 	if err != nil {
-		t.Fatalf("StartEdge: %v", err)
+		t.Fatalf("NewChain: %v", err)
 	}
-	a2, err := graphlevel.New(aug, from, at)
-	if err != nil {
-		t.Fatalf("graphlevel.New: %v", err)
-	}
-	f2, err := sys.F2(aug)
-	if err != nil {
-		t.Fatalf("F2: %v", err)
-	}
-	a3rr, err := ioa.Rename(sys.A3R, f2)
-	if err != nil {
-		t.Fatalf("rename A3R: %v", err)
-	}
-	a2r, err := ioa.Rename(a2, graphlevel.F1(aug))
-	if err != nil {
-		t.Fatalf("rename A2: %v", err)
-	}
-	userNames := make(spec.Users, 0)
-	for _, u := range tr.NodesOf(graph.User) {
-		userNames = append(userNames, tr.Node(u).Name)
-	}
-	a1 := spec.New(userNames)
-	c := &hchain{tree: tr, aug: aug, sys: sys, a1: a1, a2: a2, a2r: a2r, a3rr: a3rr, f2: f2, h2rm: h2rm}
-	c.h1 = H1(aug, a2r, a1)
-	c.h2r = h2rm.H2R(a3rr, a2)
-	return c
+	return sys, c
 }
 
 // TestHardenedExternalSignaturesAlign: ext(f₂(A₃ʳ)) = ext(A₂), the
-// precondition for h₂ʳ to be a possibilities mapping at all.
+// precondition for h₂ over A₃ʳ to be a possibilities mapping at all.
 func TestHardenedExternalSignaturesAlign(t *testing.T) {
-	c := buildHardenedChain(t, figure32(t), 0, faults.Injection{})
-	if !c.a3rr.Sig().External().Equal(c.a2.Sig().External()) {
-		t.Errorf("ext(f2(A3R)) != ext(A2):\n%v\n%v", c.a3rr.Sig().External(), c.a2.Sig().External())
+	_, c := buildHardenedChain(t, figure32(t), 0, faults.Injection{})
+	if !c.A3r.Sig().External().Equal(c.A2.Sig().External()) {
+		t.Errorf("ext(f2(A3R)) != ext(A2):\n%v\n%v", c.A3r.Sig().External(), c.A2.Sig().External())
 	}
 }
 
@@ -110,7 +63,7 @@ func lastIndices(x *ioa.Execution, names []string) (lastReq, lastGrant, grants [
 
 // runClosed composes the (f₁∘f₂)-renamed arbiter with heavy-load
 // users and runs it fairly for maxSteps.
-func runClosed(t *testing.T, arb ioa.Automaton, names []string, maxSteps int) (*ioa.Composite, *ioa.Execution) {
+func runClosed(t *testing.T, arb ioa.Automaton, names []string, maxSteps int) *ioa.Execution {
 	t.Helper()
 	env := users.HeavyLoad(names)
 	closed, err := ioa.Compose("closed", append([]ioa.Automaton{arb}, users.Automata(env)...)...)
@@ -121,7 +74,7 @@ func runClosed(t *testing.T, arb ioa.Automaton, names []string, maxSteps int) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	return closed, x
+	return x
 }
 
 // holdersAt counts resource holders visible in a composite state of
@@ -158,7 +111,7 @@ func holdersAt(t *testing.T, h *dist.Hardened, st ioa.State) int {
 //     no-lockout — a user's request is eventually never answered,
 //     because a lost grant message destroys the resource token; while
 //   - the retry-hardened A₃ʳ keeps serving every user, and its fair
-//     executions still lift through h₂ʳ and h₁ all the way to the
+//     executions still lift through h₂ and h₁ all the way to the
 //     specification A₁ — the possibilities-mapping conditions hold
 //     along every sampled execution, and mutual exclusion (token
 //     uniqueness) holds in every reached state.
@@ -176,23 +129,11 @@ func TestChaosEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aug, err := graph.Augment(tr)
+		c, err := NewChain(sys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f2, err := sys.F2(aug)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a3f, err := ioa.Rename(sys.A3, f2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arb, err := ioa.Rename(a3f, graphlevel.F1(aug))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, x := runClosed(t, arb, names, 4000)
+		x := runClosed(t, c.Arb, names, 4000)
 		lastReq, lastGrant, grants := lastIndices(x, names)
 		t.Logf("plain A3, %s seed=1: %d steps, grants per user %v", prof, x.Len(), grants)
 		starved := -1
@@ -215,13 +156,8 @@ func TestChaosEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := buildHardenedChain(t, tr, 0, faults.Injection{Sched: sched})
-			f1 := graphlevel.F1(c.aug)
-			arb, err := ioa.Rename(c.a3rr, f1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			closed, x := runClosed(t, arb, names, 6000)
+			sys, c := buildHardenedChain(t, tr, 0, faults.Injection{Sched: sched})
+			x := runClosed(t, c.Arb, names, 6000)
 			_, _, grants := lastIndices(x, names)
 			t.Logf("A3R, %s seed=%d: %d steps, grants per user %v", prof, seed, x.Len(), grants)
 			for u, g := range grants {
@@ -230,37 +166,26 @@ func TestChaosEndToEnd(t *testing.T) {
 				}
 			}
 
-			// Lift the composite run back to an execution of f₂(A₃ʳ).
-			comp, err := closed.ProjectExecution(x, 0)
-			if err != nil {
+			// Lift the composite run back to an execution of f₂(A₃ʳ),
+			// and through h₂ and h₁ to A₁.
+			l, err := c.Lift(x)
+			if l == nil {
 				t.Fatal(err)
-			}
-			x3 := &ioa.Execution{Auto: c.a3rr, States: comp.States}
-			for _, act := range comp.Acts {
-				x3.Acts = append(x3.Acts, f1.Invert(act))
 			}
 
 			// Mutual exclusion: the token stays unique in every state.
-			for i, st := range x3.States {
-				if n := holdersAt(t, c.sys, st); n > 1 {
+			for i, st := range l.X3.States {
+				if n := holdersAt(t, sys, st); n > 1 {
 					t.Fatalf("seed %d: %d simultaneous holders at step %d", seed, n, i)
 				}
 			}
 
-			// Refinement of A₂: h₂ʳ holds along the execution.
-			x2, err := c.h2r.Correspond(x3)
+			// Refinement of A₂ (h₂ holds along the execution) and of A₁
+			// (h₁ holds along the corresponding A₂ run).
 			if err != nil {
-				t.Fatalf("seed %d: h2r fails along a fair execution: %v", seed, err)
+				t.Fatalf("seed %d: a fair execution does not lift: %v", seed, err)
 			}
-			// Refinement of A₁: h₁ holds along the corresponding A₂ run.
-			x2r := &ioa.Execution{Auto: c.a2r, States: x2.States}
-			for _, act := range x2.Acts {
-				x2r.Acts = append(x2r.Acts, f1.Apply(act))
-			}
-			x1, err := c.h1.Correspond(x2r)
-			if err != nil {
-				t.Fatalf("seed %d: h1 fails along the lifted execution: %v", seed, err)
-			}
+			x1 := l.X1
 
 			// No-lockout at the specification level: away from the
 			// tail, every request obligation is served.
@@ -288,15 +213,19 @@ func TestChaosEndToEnd(t *testing.T) {
 // channel's alternating bit has cycled back, at which point the
 // receiver accepts it as a fresh grant — the token is duplicated, two
 // processes hold simultaneously, and two users end up granted at
-// once. The same execution refutes h₂ʳ: Correspond reports a
+// once. The same execution refutes h₂ over A₃ʳ: Correspond reports a
 // possibilities-mapping violation, mirroring
 // TestUnorderedChannelBreaksH2 one level up.
 func TestReorderBreaksHardenedArbiter(t *testing.T) {
 	tr := figure32(t)
-	c := buildHardenedChain(t, tr, 0, faults.Injection{Adversary: []faults.Class{faults.Reorder}})
-	a := c.sys.Composite
+	sys, c := buildHardenedChain(t, tr, 0, faults.Injection{Adversary: []faults.Class{faults.Reorder}})
+	f2, err := sys.F2(c.Aug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := sys.Composite
 	s := a.Start()[0]
-	x3 := ioa.NewExecution(c.a3rr, s)
+	x3 := ioa.NewExecution(c.A3r, s)
 
 	step := func(act ioa.Action) {
 		t.Helper()
@@ -305,13 +234,13 @@ func TestReorderBreaksHardenedArbiter(t *testing.T) {
 			t.Fatalf("action %s not enabled from %s", act, s.Key())
 		}
 		s = next
-		if err := x3.Extend(c.f2.Apply(act), 0); err != nil {
+		if err := x3.Extend(f2.Apply(act), 0); err != nil {
 			t.Fatalf("extend %s: %v", act, err)
 		}
 	}
 	proc := func(i int) *dist.ProcState {
 		t.Helper()
-		ps, err := c.sys.ProcStateOf(s, i)
+		ps, err := sys.ProcStateOf(s, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +284,7 @@ func TestReorderBreaksHardenedArbiter(t *testing.T) {
 	step(faults.ReorderAction("a1", "a2")) // [grant/0 request/1] -> [request/1 grant/0]
 	step(dist.Dlvr("a1", "a2", req, 1))
 	step(dist.Dlvr("a1", "a2", gr, 0)) // the stale grant is accepted: a phantom token is born
-	lr, err := c.sys.ReceiverStateOf(s, "a1", "a2")
+	lr, err := sys.ReceiverStateOf(s, "a1", "a2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +318,11 @@ func TestReorderBreaksHardenedArbiter(t *testing.T) {
 		t.Fatalf("expected u1 and u2 granted simultaneously: a1=%s a2=%s", a1s.Key(), a2s.Key())
 	}
 
-	// The same execution refutes h₂ʳ: under reordering it is not a
+	// The same execution refutes h₂ over A₃ʳ: under reordering it is not a
 	// possibilities mapping.
-	if _, err := c.h2r.Correspond(x3); !errors.Is(err, proof.ErrNotPossibilities) {
+	if _, err := c.H2.Correspond(x3); !errors.Is(err, proof.ErrNotPossibilities) {
 		t.Fatalf("expected %v along the reordered execution, got %v", proof.ErrNotPossibilities, err)
 	} else {
-		t.Logf("h2r correctly refuted under reordering: %v", err)
+		t.Logf("h2 over A3R correctly refuted under reordering: %v", err)
 	}
 }

@@ -23,11 +23,11 @@ func TestLemma40ConditionTransfer(t *testing.T) {
 	tr := figure32(t)
 	c := buildChain(t, tr, 0)
 
-	for _, u := range c.aug.NodesOf(graph.User) {
+	for _, u := range c.Aug.NodesOf(graph.User) {
 		u := u
-		att := c.aug.UserAttachment(u)
-		uName := c.aug.Node(u).Name
-		uIdx := userIndex(c.aug, u)
+		att := c.Aug.UserAttachment(u)
+		uName := c.Aug.Node(u).Name
+		uIdx := userIndex(c.Aug, u)
 
 		// GrRes₂ˢ(u)′ as a predicate on (renamed) A2 states.
 		s := func(st ioa.State) bool {
@@ -39,7 +39,7 @@ func TestLemma40ConditionTransfer(t *testing.T) {
 		uPred := func(st ioa.State) bool {
 			return st.(interface{ Requesting(int) bool }).Requesting(uIdx)
 		}
-		if err := c.h1.TransferDownOpts(explore.Options{Limit: 200000}, s, tAct, uPred, tAct); err != nil {
+		if err := c.H1.TransferDownOpts(explore.Options{Limit: 200000}, s, tAct, uPred, tAct); err != nil {
 			t.Errorf("GrRes transfer for %s: %v", uName, err)
 		}
 
@@ -52,7 +52,7 @@ func TestLemma40ConditionTransfer(t *testing.T) {
 		uRtn := func(st ioa.State) bool {
 			return st.(interface{ Holder() int }).Holder() == uIdx
 		}
-		if err := c.h1.TransferDownOpts(explore.Options{Limit: 200000}, sRtn, tRtn, uRtn, tRtn); err != nil {
+		if err := c.H1.TransferDownOpts(explore.Options{Limit: 200000}, sRtn, tRtn, uRtn, tRtn); err != nil {
 			t.Errorf("RtnRes transfer for %s: %v", uName, err)
 		}
 	}

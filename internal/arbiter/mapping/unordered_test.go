@@ -9,7 +9,6 @@ import (
 	"repro/internal/explore"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/ioa"
 	"repro/internal/proof"
 )
 
@@ -33,32 +32,15 @@ func TestUnorderedChannelBreaksH2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aug, err := graph.Augment(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sys, err := dist.NewWithFaults(tr, 0, faults.Injection{Adversary: []faults.Class{faults.Reorder}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2m := NewH2Map(sys, aug)
-	from, at, err := h2m.StartEdge()
+	c, err := NewChain(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := graphlevelNew(t, aug, from, at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := sys.F2(aug)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a3r, err := ioa.Rename(sys.A3, f2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2 := h2m.H2(a3r, a2)
+	h2 := c.H2
 	err = h2.VerifyOpts(explore.Options{Limit: 200000})
 	if !errors.Is(err, proof.ErrNotPossibilities) {
 		t.Fatalf("expected the unordered message system to break h2, got %v", err)

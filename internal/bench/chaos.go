@@ -8,7 +8,6 @@ import (
 	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/graphlevel"
 	"repro/internal/arbiter/mapping"
-	"repro/internal/arbiter/spec"
 	"repro/internal/arbiter/users"
 	"repro/internal/faults"
 	"repro/internal/graph"
@@ -125,53 +124,22 @@ func Chaos(cfg ChaosConfig) ([]ChaosRow, error) {
 	return rows, nil
 }
 
-// level3 abstracts over the plain and hardened level-3 systems: the
-// hidden automaton, the f₂ renaming, the h₂-style state function into
-// A₂ over 𝒢, and access to per-process states.
-type level3 struct {
-	base      ioa.Automaton
-	f2        *ioa.Mapping
-	order     []int
-	procOf    func(ioa.State, int) (*dist.ProcState, error)
-	applyH2   func(ioa.State) (*graphlevel.State, error)
-	startEdge func() (int, int, error)
-}
-
-// buildLevel3 builds A₃ʳ (hardened) or A₃ over t, inj applied to the
-// channels; SystemOn and the chaos cells both start from it.
-func buildLevel3(t *graph.Tree, aug *graph.Tree, holder int, inj faults.Injection, hardened bool) (*level3, error) {
+// level3Chain builds the hierarchy over A₃ʳ (hardened) or A₃ on t,
+// inj applied to the channels; SystemOn and the chaos cells both start
+// from it.
+func level3Chain(t *graph.Tree, holder int, inj faults.Injection, hardened bool) (*mapping.Chain, error) {
 	if hardened {
 		sys, err := dist.NewHardened(t, holder, inj)
 		if err != nil {
 			return nil, err
 		}
-		f2, err := sys.F2(aug)
-		if err != nil {
-			return nil, err
-		}
-		m := mapping.NewH2RMap(sys, aug)
-		return &level3{
-			base: sys.A3R, f2: f2, order: sys.Order,
-			procOf:    sys.ProcStateOf,
-			applyH2:   m.Apply,
-			startEdge: m.StartEdge,
-		}, nil
+		return mapping.NewChain(sys)
 	}
 	sys, err := dist.NewWithFaults(t, holder, inj)
 	if err != nil {
 		return nil, err
 	}
-	f2, err := sys.F2(aug)
-	if err != nil {
-		return nil, err
-	}
-	m := mapping.NewH2Map(sys, aug)
-	return &level3{
-		base: sys.A3, f2: f2, order: sys.Order,
-		procOf:    sys.ProcStateOf,
-		applyH2:   m.Apply,
-		startEdge: m.StartEdge,
-	}, nil
+	return mapping.NewChain(sys)
 }
 
 func chaosCell(cfg ChaosConfig, prof faults.Profile, seed int64, hardened bool) (ChaosRow, error) {
@@ -181,27 +149,14 @@ func chaosCell(cfg ChaosConfig, prof faults.Profile, seed int64, hardened bool) 
 	if err != nil {
 		return row, err
 	}
-	aug, err := graph.Augment(t)
-	if err != nil {
-		return row, err
-	}
-	sys, err := buildLevel3(t, aug, cfg.Holder, faults.Injection{Sched: sched}, hardened)
+	c, err := level3Chain(t, cfg.Holder, faults.Injection{Sched: sched}, hardened)
 	if err != nil {
 		return row, err
 	}
 
 	names := userNames(t)
-	a3x, err := ioa.Rename(sys.base, sys.f2)
-	if err != nil {
-		return row, err
-	}
-	f1 := graphlevel.F1(aug)
-	arb, err := ioa.Rename(a3x, f1)
-	if err != nil {
-		return row, err
-	}
 	env := users.HeavyLoad(names)
-	closed, err := ioa.Compose("chaos", append([]ioa.Automaton{arb}, users.Automata(env)...)...)
+	closed, err := ioa.Compose("chaos", append([]ioa.Automaton{c.Arb}, users.Automata(env)...)...)
 	if err != nil {
 		return row, err
 	}
@@ -264,19 +219,17 @@ func chaosCell(cfg ChaosConfig, prof faults.Profile, seed int64, hardened bool) 
 		}
 	}
 
-	// Lift the run back to an execution of f₂(A₃) resp. f₂(A₃ʳ).
-	comp, err := closed.ProjectExecution(x, 0)
-	if err != nil {
+	// Lift the run to an execution of f₂(A₃) resp. f₂(A₃ʳ), and as far
+	// up the hierarchy as the links hold.
+	// A link that fails is reported below, not failed.
+	l, err := c.Lift(x)
+	if l == nil {
 		return row, err
-	}
-	x3 := &ioa.Execution{Auto: a3x, States: comp.States}
-	for _, act := range comp.Acts {
-		x3.Acts = append(x3.Acts, f1.Invert(act))
 	}
 
 	// Safety in every reached state: token uniqueness directly on the
 	// process states, Lemmas 35/36/41 in the h₂-image.
-	okAt, err := row.safetyScan(t, sys, x3.States)
+	okAt, err := row.safetyScan(c, l.X3.States)
 	if err != nil {
 		return row, err
 	}
@@ -293,52 +246,16 @@ func chaosCell(cfg ChaosConfig, prof faults.Profile, seed int64, hardened bool) 
 
 	// Refinement of A₂ along the execution, then of A₁, then the
 	// spec-level latency of request obligations.
-	from, at, err := sys.startEdge()
-	if err != nil {
-		return row, err
-	}
-	a2, err := graphlevel.New(aug, from, at)
-	if err != nil {
-		return row, err
-	}
-	h2 := &proof.PossMapping{
-		A: a3x,
-		B: a2,
-		Map: func(st ioa.State) []ioa.State {
-			img, err := sys.applyH2(st)
-			if err != nil {
-				return nil
-			}
-			return []ioa.State{img}
-		},
-	}
-	x2, err := h2.Correspond(x3)
-	if err != nil {
-		return row, nil // refinement of A₂ broken: report, not fail
-	}
-	row.RefinesA2 = true
-
-	a2r, err := ioa.Rename(a2, f1)
-	if err != nil {
-		return row, err
-	}
-	a1 := spec.New(spec.Users(names))
-	x2r := &ioa.Execution{Auto: a2r, States: x2.States}
-	for _, act := range x2.Acts {
-		x2r.Acts = append(x2r.Acts, f1.Apply(act))
-	}
-	x1, err := mapping.H1(aug, a2r, a1).Correspond(x2r)
-	if err != nil {
+	row.RefinesA2, row.RefinesA1 = l.X2 != nil, l.X1 != nil
+	if l.X1 == nil {
 		return row, nil
 	}
-	row.RefinesA1 = true
-
 	var goals []*proof.LeadsTo
 	for u := range names {
 		goals = append(goals, chaosGrantResponds(names, u))
 	}
 	row.MaxPending = 0
-	for _, lat := range proof.MaxLatency(x1, goals) {
+	for _, lat := range proof.MaxLatency(l.X1, goals) {
 		if lat > row.MaxPending {
 			row.MaxPending = lat
 		}
@@ -350,13 +267,14 @@ func chaosCell(cfg ChaosConfig, prof faults.Profile, seed int64, hardened bool) 
 // invariants over every state into the row's four verdicts. It returns
 // the per-state conjunction okAt, from which the recovery analysis
 // measures outage lengths.
-func (row *ChaosRow) safetyScan(t *graph.Tree, sys *level3, states []ioa.State) ([]bool, error) {
+func (row *ChaosRow) safetyScan(c *mapping.Chain, states []ioa.State) ([]bool, error) {
 	row.MutualExclusion, row.Lemma35, row.Lemma36, row.Lemma41 = true, true, true, true
+	asm, t := c.Sys.Base(), c.Tree
 	okAt := make([]bool, len(states))
 	for i, st := range states {
 		holders := 0
-		for _, a := range sys.order {
-			ps, err := sys.procOf(st, a)
+		for _, a := range asm.Order {
+			ps, err := asm.ProcStateOf(st, a)
 			if err != nil {
 				return nil, err
 			}
@@ -368,7 +286,7 @@ func (row *ChaosRow) safetyScan(t *graph.Tree, sys *level3, states []ioa.State) 
 				holders++
 			}
 		}
-		img, err := sys.applyH2(st)
+		img, err := c.H2Map.Apply(st)
 		if err != nil {
 			return nil, err
 		}

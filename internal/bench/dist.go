@@ -6,13 +6,18 @@ import (
 	"strconv"
 
 	"repro/internal/arbiter/dist"
+	"repro/internal/arbiter/graphlevel"
 	"repro/internal/graph"
 	"repro/internal/ioa"
 )
 
 // RunDist measures response times of the fully-distributed arbiter A₃
 // (per-process automata plus the FIFO message system) under the same
-// b-bounded discipline as the A₂-level runs. The paper performs its
+// b-bounded discipline as the A₂-level runs: one fairness class per
+// action of each component, renamed by f₂ and f₁ to speak the
+// specification's actions, and closed and observed as Run does. Its
+// EdgeMsgs counts arrow movements over 𝒢, two per message between
+// arbiters (into and out of the buffer). The paper performs its
 // §3.4 analysis at the A₂ level "for convenience" and notes
 // (Chapter 4) that relating complexity across abstraction levels is
 // future work; this harness does the comparison experimentally: the A₃
@@ -23,103 +28,39 @@ func RunDist(t *graph.Tree, holder int, load Load, b float64, grants int, seed i
 	if err != nil {
 		return nil, err
 	}
-	comps := make([]ioa.Automaton, 0, len(sys.Order)+2)
-	for _, a := range sys.Order {
-		comps = append(comps, sys.Procs[a].Relabel(perAction))
-	}
-	comps = append(comps, sys.Msg.Relabel(perAction))
-
-	userIDs := t.NodesOf(graph.User)
-	for i, u := range userIDs {
-		rounds := -1
-		if load == Light && i != 0 {
-			rounds = 0
-		}
-		uName := t.Node(u).Name
-		aName := t.Node(t.UserAttachment(u)).Name
-		comps = append(comps, distUser(uName, aName, rounds).Relabel(perAction))
-	}
-	closed, err := ioa.Compose("timed-dist", comps...)
+	aug, err := graph.Augment(t)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{First: math.NaN()}
-	pending := make(map[string]float64, len(userIDs))
-	observe := func(x *ioa.Execution, now float64) {
-		act := x.Acts[len(x.Acts)-1]
-		params := act.Params()
-		if len(params) != 2 {
-			return
-		}
-		switch act.Base() {
-		case "receiverequest":
-			// A user's request arriving at its arbiter: from-param is
-			// a user name.
-			if params[0][0] == 'u' {
-				if _, dup := pending[params[0]]; !dup {
-					pending[params[0]] = now
-				}
-			}
-		case "sendgrant":
-			if params[1][0] == 'u' {
-				if t0, ok := pending[params[1]]; ok {
-					res.served(now - t0)
-					delete(pending, params[1])
-				}
-			}
-		case "sendrequest", "receivegrant":
-			if params[0][0] != 'u' && params[1][0] != 'u' {
-				res.EdgeMsgs++
-			}
-		}
+	f2, err := sys.F2(aug)
+	if err != nil {
+		return nil, err
 	}
-	if _, err := res.timed(closed, b, seed, 400*grants*(t.EdgeCount()+2), grants, observe); err != nil {
+	comps := make([]ioa.Automaton, 0, len(sys.Order)+1)
+	for _, a := range sys.Order {
+		comps = append(comps, sys.Procs[a].Relabel(perAction))
+	}
+	a3, err := ioa.Compose("A3", append(comps, sys.Msg.Relabel(perAction))...)
+	if err != nil {
+		return nil, err
+	}
+	a3r, err := ioa.Rename(a3, f2)
+	if err != nil {
+		return nil, err
+	}
+	arb, err := ioa.Rename(a3r, graphlevel.F1(aug))
+	if err != nil {
+		return nil, err
+	}
+	closed, err := underLoad("timed-dist", []ioa.Automaton{arb}, userNames(t), load, 0)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{First: math.NaN()}
+	if _, err := res.timed(closed, b, seed, 400*grants*(t.EdgeCount()+2), grants, res.specObserver()); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// distUserState is the state of a level-3 user automaton.
-type distUserState struct {
-	phase string // idle, waiting, holding
-	rem   int    // rounds remaining; -1 = forever
-}
-
-// Key implements ioa.State.
-func (s distUserState) Key() string { return fmt.Sprintf("%s/%d", s.phase, s.rem) }
-
-// distUser is a level-3 user automaton speaking the raw
-// receiverequest/sendgrant/receivegrant interface.
-func distUser(user, arb string, rounds int) *ioa.Prog {
-	d := ioa.NewDef("U_" + user)
-	d.Start(distUserState{phase: "idle", rem: rounds})
-	d.Output(dist.ReceiveRequest(user, arb), user,
-		func(s ioa.State) bool {
-			st := s.(distUserState)
-			return st.phase == "idle" && st.rem != 0
-		},
-		func(s ioa.State) ioa.State {
-			return distUserState{phase: "waiting", rem: s.(distUserState).rem}
-		})
-	d.Input(dist.SendGrant(arb, user), func(s ioa.State) ioa.State {
-		st := s.(distUserState)
-		if st.phase == "waiting" {
-			st.phase = "holding"
-		}
-		return st
-	})
-	d.Output(dist.ReceiveGrant(user, arb), user,
-		func(s ioa.State) bool { return s.(distUserState).phase == "holding" },
-		func(s ioa.State) ioa.State {
-			st := s.(distUserState)
-			st.phase = "idle"
-			if st.rem > 0 {
-				st.rem--
-			}
-			return st
-		})
-	return d.MustBuild()
 }
 
 // DistVsGraphRow compares the two levels on one tree.

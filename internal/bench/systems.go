@@ -283,23 +283,11 @@ func SystemOn(name string, tr *graph.Tree, level int, hardened bool, inj faults.
 		}
 		return closed(name, arb, names)
 	}
-	aug, err := graph.Augment(tr)
+	c, err := level3Chain(tr, holder, inj, hardened)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := buildLevel3(tr, aug, holder, inj, hardened)
-	if err != nil {
-		return nil, err
-	}
-	a3x, err := ioa.Rename(sys.base, sys.f2)
-	if err != nil {
-		return nil, err
-	}
-	arb, err := ioa.Rename(a3x, graphlevel.F1(aug))
-	if err != nil {
-		return nil, err
-	}
-	return closed(name, arb, names)
+	return closed(name, c.Arb, names)
 }
 
 // userNames lists the tree's users in node order.

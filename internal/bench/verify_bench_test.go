@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/mapping"
 	"repro/internal/explore"
 	"repro/internal/graph"
@@ -22,7 +23,11 @@ func BenchmarkVerifyMapping(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := mapping.NewChain(tr, 0)
+	sys, err := dist.New(tr, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := mapping.NewChain(sys)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -367,23 +367,24 @@ func TestClusterObsGauges(t *testing.T) {
 	}
 }
 
-// TestClusterSendsDistinctEncodings: a discoverer keeps one set per
-// owner, so an encoding crosses the wire at most once per level per
-// discovering rank. On a grid every encoding is a candidate of exactly
-// one level, which bounds the whole run at states × (procs − 1). (Routing
-// every successor sent 2.67 per state on the benchmark's grid.)
+// TestClusterSendsDistinctEncodings: the coordinator deduplicates
+// each level's candidates into one set per owner before it sends, so an
+// encoding crosses the wire at most once per level, to its owner alone.
+// On a grid every encoding is a candidate of exactly one level, so the
+// whole run sends each state exactly once, at any process count.
+// (Routing every successor sent 2.67 per state on the benchmark's grid.)
 func TestClusterSendsDistinctEncodings(t *testing.T) {
-	const procs = 2
-	o := obs.New(nil)
-	res, errs := run(t, procs, nil, Config{Build: buildGrid(4, 4), Obs: o})
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", rank, err)
+	for _, procs := range []int{2, 4} {
+		o := obs.New(nil)
+		res, errs := run(t, procs, nil, Config{Build: buildGrid(4, 4), Obs: o})
+		for rank, err := range errs {
+			if err != nil {
+				t.Fatalf("procs %d rank %d: %v", procs, rank, err)
+			}
 		}
-	}
-	sent := o.Reg.Snapshot().Counters["dist.sent_encs"]
-	if sent <= 0 || sent > res.States*(procs-1) {
-		t.Fatalf("dist.sent_encs = %d for %d states at %d procs, want in (0, %d]", sent, res.States, procs, res.States*(procs-1))
+		if sent := o.Reg.Snapshot().Counters["dist.sent_encs"]; sent != res.States {
+			t.Fatalf("dist.sent_encs = %d for %d states at %d procs, want one per state", sent, res.States, procs)
+		}
 	}
 }
 

@@ -77,13 +77,13 @@ func TestRaceParallelReachArbiterA3r(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 2000
-	want, err := explore.New(explore.Options{Workers: 1, Limit: budget}).Reach(context.Background(), h.A3R)
+	want, err := explore.New(explore.Options{Workers: 1, Limit: budget}).Reach(context.Background(), h.A3)
 	if !errors.Is(err, explore.ErrLimit) {
 		t.Fatalf("sequential Reach err = %v, want ErrLimit (A3R should exceed %d states)", err, budget)
 	}
 	withGOMAXPROCS(t, []int{1, 4}, func(t *testing.T) {
 		for _, w := range []int{2, 8} {
-			got, gotErr := parallelReach(h.A3R, explore.Options{Workers: w, Limit: budget})
+			got, gotErr := parallelReach(h.A3, explore.Options{Workers: w, Limit: budget})
 			if (gotErr == nil) != (err == nil) {
 				t.Fatalf("workers %d: err = %v, sequential err = %v", w, gotErr, err)
 			}

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/mapping"
 	"repro/internal/bench"
 	"repro/internal/faults"
@@ -223,7 +224,11 @@ func TestCompiledCompositeMatchesDefinition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	certify, err := mapping.NewChain(tr, tr.NodesOf(graph.Arbiter)[0])
+	sys, err := dist.New(tr, tr.NodesOf(graph.Arbiter)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	certify, err := mapping.NewChain(sys)
 	if err != nil {
 		t.Fatal(err)
 	}

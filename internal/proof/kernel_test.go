@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/mapping"
 	"repro/internal/explore"
 	"repro/internal/graph"
@@ -93,7 +94,11 @@ func chainAt(t *testing.T, users, holder int) *mapping.Chain {
 		t.Fatal(err)
 	}
 	arbiters := tr.NodesOf(graph.Arbiter)
-	c, err := mapping.NewChain(tr, arbiters[holder%len(arbiters)])
+	sys, err := dist.New(tr, arbiters[holder%len(arbiters)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := mapping.NewChain(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
