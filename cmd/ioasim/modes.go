@@ -135,7 +135,7 @@ func (m *mode) admit(cfg *config, sys bench.System, prof faults.Profile) error {
 // corruption envelope — and prints the certificate. A non-stabilizing
 // verdict is an error, so the process exits non-zero.
 func stabilizeRun(inv *invocation) error {
-	opts := stabilize.Options{Workers: inv.cfg.explore.Workers, Limit: inv.cfg.explore.Limit, Obs: inv.o, Canon: inv.canon}
+	opts := stabilize.Options{Limit: inv.cfg.explore.Limit, Obs: inv.o, Canon: inv.canon}
 	auto, legit, env, err := inv.sys.Stabilize.Case(inv.cfg.nUsers, inv.engine())
 	if err != nil {
 		return err

@@ -56,7 +56,9 @@ func TestRefinementChainOnTopologies(t *testing.T) {
 // fully-detailed protocol under fair scheduling with users that return
 // the resource, lift the execution to the specification level through
 // h₂ and h₁, and check that the lifted execution satisfies E₁'s
-// no-lockout goals (every recorded request is eventually granted).
+// no-lockout goals (every recorded request is eventually granted). It
+// is a smoke test of the lift: bench's TestTheorem49Exact decides the
+// goals over every fair execution of closed A₃.
 func TestTheorem49EndToEnd(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
 	names := []string{"u1", "u2", "u3"}

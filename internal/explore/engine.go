@@ -1,7 +1,7 @@
 package explore
 
 // The Engine facade: the package's entry points (Reach,
-// CheckInvariant, Witness, Census, Behaviors, Schedules, Execs,
+// CheckInvariant, Graph, Census, Behaviors, Schedules, Execs,
 // SameBehaviors, FindLasso, plus the diagnostic WriteDOT) are methods
 // of one type constructed from Options, with context.Context
 // cancellation on every method.
@@ -23,6 +23,7 @@ import (
 	"runtime"
 
 	"repro/internal/ioa"
+	"repro/internal/ltl"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -187,7 +188,7 @@ func ctxOr(ctx context.Context) context.Context {
 func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
 	ctx = ctxOr(ctx)
 	if e.opts.WorkerCount() <= 1 {
-		order, _, err := e.seqExplore(ctx, a, nil)
+		order, _, err := e.seqExplore(ctx, a, nil, nil)
 		return order, err
 	}
 	order, _, _, _, err := e.parallelExplore(ctx, a, nil)
@@ -208,22 +209,44 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 		return nil, fmt.Errorf("explore: CheckInvariant: nil predicate")
 	}
 	if e.opts.WorkerCount() <= 1 {
-		_, v, err := e.seqExplore(ctx, a, pred)
+		_, v, err := e.seqExplore(ctx, a, pred, nil)
 		return v, err
 	}
 	_, v, _, _, err := e.parallelExplore(ctx, a, pred)
 	return v, err
 }
 
+// Graph explores a as Reach does and returns its reachable transition
+// graph: the states in sequential discovery order (Reach's order at one
+// worker), every step between them labeled with its action, and the
+// edge that discovered each state, so StateGraph.Witness is the
+// minimal execution CheckInvariant would report. It always runs the
+// sequential kernel, whatever Options.Workers says, so the graph —
+// and every lasso, certificate and drawing read off it — is the same
+// at any worker count. Limit, Canon, Obs and Spill apply as in Reach;
+// under Canon a step to any orbit-mate of a node is an edge to that
+// node. On ErrLimit or cancellation it returns the error and no graph.
+func (e *Engine) Graph(ctx context.Context, a ioa.Automaton) (*ltl.StateGraph, error) {
+	g := &ltl.StateGraph{Auto: a}
+	order, _, err := e.seqExplore(ctxOr(ctx), a, nil, g)
+	if err != nil {
+		return nil, err
+	}
+	g.States = order
+	return g, nil
+}
+
 // seqExplore is the one sequential kernel, under Reach (pred nil) and
-// CheckInvariant at one worker. The frontier is the unexpanded suffix
-// of the result slice itself (every admitted state is expanded exactly
-// once, in admission order), so visit order is bit-identical to the
-// seed explorer's explicit queue, and slice indices double as interned
-// IDs (both are dense admission order). With a predicate it also
-// records one (parent, act) crumb per state, checks pred on each state
-// as it comes up for expansion, and builds the witness from the crumb
-// chain.
+// CheckInvariant at one worker and under Graph (g non-nil). The
+// frontier is the unexpanded suffix of the result slice itself (every
+// admitted state is expanded exactly once, in admission order), so
+// visit order is bit-identical to the seed explorer's explicit queue,
+// and slice indices double as interned IDs (both are dense admission
+// order). With a predicate it also records one (parent, act) crumb per
+// state, checks pred on each state as it comes up for expansion, and
+// builds the witness from the crumb chain. With a graph it records
+// every successor's edge as the store answers it, and each state's
+// discovering node; Graph takes Reach's limit contract.
 //
 // The two limit contracts differ on purpose. Reach switches to probe
 // mode once the budget is full: the first unseen successor aborts the
@@ -233,7 +256,7 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 // seed): a full store is an error before the next expansion even when
 // the frontier is about to empty, because witnesses for states past
 // the budget could not be built.
-func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (order []ioa.State, v *Violation, err error) {
+func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, g *ltl.StateGraph) (order []ioa.State, v *Violation, err error) {
 	limit := e.opts.limit()
 	o := e.opts.Obs
 	if o != nil {
@@ -251,18 +274,21 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	var crumbs []crumb // indexed like order; kept only under a predicate
 	cur := store.None  // the state being expanded
 	step := ioa.NewWalk(a, true)
-	admit := func(s ioa.State) {
-		if _, fresh := st.Intern(s); fresh {
+	admit := func(s ioa.State) store.ID {
+		id, fresh := st.Intern(s)
+		if fresh {
 			order = append(order, ioa.Keep(s))
 			if pred != nil {
 				crumbs = append(crumbs, crumb{parent: cur, act: step.Act})
 			}
 		}
+		return id
 	}
 	for _, s := range a.Start() {
 		admit(s)
 	}
-	// One yield closure for the whole sweep.
+	// One yield closure for the whole sweep: Reach's and
+	// CheckInvariant's, or Graph's, which also records the edges.
 	yield := func(nxt ioa.State) bool {
 		if pred == nil && len(order) >= limit {
 			_, seen := st.Has(nxt)
@@ -270,6 +296,28 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 		}
 		admit(nxt)
 		return true
+	}
+	if g != nil {
+		g.Starts, g.Off = len(order), []int{0}
+		for range order {
+			g.Parent = append(g.Parent, -1)
+		}
+		yield = func(nxt ioa.State) bool {
+			n := len(order)
+			if n >= limit {
+				id, seen := st.Has(nxt)
+				if seen {
+					g.Edges = append(g.Edges, ltl.Edge{Act: step.Act, To: int(id)})
+				}
+				return seen
+			}
+			id := admit(nxt)
+			if len(order) > n {
+				g.Parent = append(g.Parent, int(cur))
+			}
+			g.Edges = append(g.Edges, ltl.Edge{Act: step.Act, To: int(id)})
+			return true
+		}
 	}
 	limited := false
 	for i := 0; i < len(order) && !limited; i++ {
@@ -294,8 +342,11 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 			}
 		}
 		cur = store.ID(i)
-		// Only Reach's probe mode ever stops the walk.
+		// Only the probe mode of Reach and Graph ever stops the walk.
 		limited = !step.Visit(s, yield)
+		if g != nil {
+			g.Off = append(g.Off, len(g.Edges))
+		}
 	}
 	if err := st.Err(); err != nil {
 		return order, nil, seenErr(a, err)

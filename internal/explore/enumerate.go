@@ -220,80 +220,45 @@ type Lasso struct {
 // which pumping the cycle forever yields a fair infinite execution
 // (§2.2.1 condition 2). Returns nil if no such lasso exists.
 //
-// The graph construction and cycle search live in internal/ltl
-// (BuildGraphCanon / FindCycle), shared with the self-stabilization
-// certifier; this method adds reachability and the minimal stem.
-// Options.Canon is refused by name before exploring: a cycle over
-// orbit representatives is not an execution, and a symmetry may
+// The graph is Graph's, built sequentially whatever Options.Workers
+// says; the cycle search is ltl's FindCycle, shared with the
+// self-stabilization certifier, and the stem is the graph's minimal
+// witness. Options.Canon is refused by name before exploring: a cycle
+// over orbit representatives is not an execution, and a symmetry may
 // permute the fairness classes.
 func (e *Engine) FindLasso(ctx context.Context, a ioa.Automaton, allowed func(ioa.Action) bool, fair bool) (*Lasso, error) {
 	ctx = ctxOr(ctx)
 	if c := e.opts.Canon; c != nil {
 		return nil, fmt.Errorf("explore: FindLasso: Options.Canon (%s) is not supported: a cycle over orbit representatives is not an execution", c.Name())
 	}
-	states, err := e.Reach(ctx, a)
+	g, err := e.Graph(ctx, a)
 	if err != nil {
 		return nil, err
 	}
-	g, err := ltl.BuildGraphCanon(ctx, a, states, allowed, nil)
-	if err != nil {
-		return nil, err
-	}
-	start, cycle, nodes, err := g.FindCycle(ctx, a, ltl.CycleOptions{Fair: fair})
+	start, cycle, nodes, err := g.FindCycle(ctx, a, ltl.CycleOptions{Fair: fair, Allowed: allowed})
 	if err != nil || cycle == nil {
 		return nil, err
 	}
-	// The stem comes from a sequential engine at no less than the
-	// default budget, so it is minimal whatever e's options are.
-	we := New(Options{Workers: 1, Limit: max(e.opts.limit(), DefaultLimit), Obs: e.opts.Obs})
-	stem, err := we.Witness(ctx, a, states[start])
-	if err != nil {
-		return nil, err
-	}
-	return &Lasso{Stem: stem, Cycle: cycle, CycleStates: g.PathStates(nodes)}, nil
-}
-
-// Witness builds an execution from a start state of a to target: the
-// witness CheckInvariant reports for "the state is not target", so it
-// is minimal whenever the engine's is (at one worker, or in parallel
-// below the limit). Options.Canon applies as in CheckInvariant.
-func (e *Engine) Witness(ctx context.Context, a ioa.Automaton, target ioa.State) (*ioa.Execution, error) {
-	tk := target.Key()
-	v, err := e.CheckInvariant(ctx, a, func(s ioa.State) bool { return s.Key() != tk })
-	if err != nil {
-		return nil, err
-	}
-	if v == nil {
-		return nil, fmt.Errorf("explore: target state %q unreachable", tk)
-	}
-	return v.Trace, nil
+	return &Lasso{Stem: g.Witness(start), Cycle: cycle, CycleStates: g.PathStates(nodes)}, nil
 }
 
 // WriteDOT renders the reachable state graph of a (up to
 // Options.Limit states) in Graphviz DOT format: one node per state,
 // one edge per step, labeled with the action. External actions are
-// drawn solid, internal actions dashed. Useful for inspecting small
+// drawn solid, internal actions dashed. The graph is Graph's, so under
+// Options.Canon it draws the quotient. Useful for inspecting small
 // automata and the figure examples.
 func (e *Engine) WriteDOT(ctx context.Context, w io.Writer, a ioa.Automaton) error {
-	ctx = ctxOr(ctx)
-	states, err := e.Reach(ctx, a)
-	if err != nil {
-		return err
-	}
-	g, err := ltl.BuildGraphCanon(ctx, a, states, nil, nil)
+	g, err := e.Graph(ctx, a)
 	if err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "digraph %q {\n  rankdir=LR;\n", a.Name()); err != nil {
 		return err
 	}
-	starts := make(map[string]bool)
-	for _, s := range a.Start() {
-		starts[s.Key()] = true
-	}
-	for i, s := range states {
+	for i, s := range g.States {
 		shape := "ellipse"
-		if starts[s.Key()] {
+		if i < g.Starts {
 			shape = "doublecircle"
 		}
 		if _, err := fmt.Fprintf(w, "  n%d [label=%q, shape=%s];\n", i, s.Key(), shape); err != nil {
@@ -301,8 +266,8 @@ func (e *Engine) WriteDOT(ctx context.Context, w io.Writer, a ioa.Automaton) err
 		}
 	}
 	ext := a.Sig().Ext()
-	for i, edges := range g.Adj {
-		for _, e := range edges {
+	for i := range g.States {
+		for _, e := range g.Out(i) {
 			style := "solid"
 			if !ext.Has(e.Act) {
 				style = "dashed"

@@ -257,8 +257,9 @@ func (swap) Canonical(s ioa.State) ioa.State {
 
 // TestFindLassoRefusesCanon: x and y flip by one internal action.
 // Under a canonicalizer the reachable set is the orbit {x}, and the
-// graph over it has no edge — a quotient would answer "no lasso" for a
-// system that has one, so FindLasso refuses it by name.
+// quotient's self-loop on it is no step of the automaton — a cycle over
+// orbit representatives is not an execution, so FindLasso refuses it
+// by name.
 func TestFindLassoRefusesCanon(t *testing.T) {
 	x, y := ioa.KeyState("x"), ioa.KeyState("y")
 	flip := ioa.MustTable("flip", ioa.MustSignature(nil, nil, []ioa.Action{"flip"}), []ioa.State{x},
@@ -273,6 +274,29 @@ func TestFindLassoRefusesCanon(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "Options.Canon (swap)") {
 			t.Fatalf("fair=%v under a canonicalizer: %v; want a refusal naming Options.Canon", fair, err)
 		}
+	}
+}
+
+// TestWriteDOTDrawsQuotientEdges: under a canonicalizer WriteDOT draws
+// the quotient graph — the flip automaton's orbit {x, y} is one node
+// whose flip steps land on itself.
+func TestWriteDOTDrawsQuotientEdges(t *testing.T) {
+	x, y := ioa.KeyState("x"), ioa.KeyState("y")
+	flip := ioa.MustTable("flip", ioa.MustSignature(nil, nil, []ioa.Action{"flip"}), []ioa.State{x},
+		[]ioa.Step{{From: x, Act: "flip", To: y}, {From: y, Act: "flip", To: x}},
+		[]ioa.Class{{Name: "c", Actions: ioa.NewSet("flip")}})
+	var sb strings.Builder
+	if err := New(Options{Workers: 1, Canon: swap{}}).WriteDOT(context.Background(), &sb, flip); err != nil {
+		t.Fatal(err)
+	}
+	want := `digraph "flip" {
+  rankdir=LR;
+  n0 [label="x", shape=doublecircle];
+  n0 -> n0 [label="flip", style=dashed];
+}
+`
+	if sb.String() != want {
+		t.Fatalf("DOT of the quotient:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
 

@@ -1,25 +1,25 @@
 // Package ltl decides liveness on an explicit transition graph. For
 // infinite behaviour — "is there a fair execution that stays in this
-// region forever?" — a finite reachable state set is turned into a
-// StateGraph: states are interned (internal/store) so positions are
-// dense IDs, and adjacency is labeled with actions. FindCycle accepts
-// exactly the fair-sustainable cycles of §2.2.1 condition 2 (every
-// fairness class either acts on the cycle or is disabled at some cycle
-// state), one strongly connected component at a time, and FairEscape
-// adds the finite fair executions — a state enabling no
-// locally-controlled action. FairEscape is the one liveness decision
-// procedure: the stabilize convergence pass and proof.CheckLeadsTo
-// both call it; explore.FindLasso and WriteDOT use the graph and the
-// cycle search.
+// region forever?" — the reachable states of a finite automaton form a
+// StateGraph, recorded by explore.Engine.Graph in one sequential
+// breadth-first pass: node IDs are discovery positions, adjacency is
+// labeled with actions, and each node keeps the edge that discovered
+// it. FindCycle accepts exactly the fair-sustainable cycles of §2.2.1
+// condition 2 (every fairness class either acts on the cycle or is
+// disabled at some cycle state), one strongly connected component at a
+// time, and FairEscape adds the finite fair executions — a state
+// enabling no locally-controlled action. FairEscape is the one liveness
+// decision procedure: the stabilize convergence pass and
+// proof.CheckLeadsTo both call it; explore.FindLasso and WriteDOT use
+// the graph and the cycle search. Every search walks nodes and edges in
+// ID order, so its answer does not depend on the engine's worker count.
 package ltl
 
 import (
 	"context"
-	"fmt"
 	"slices"
 
 	"repro/internal/ioa"
-	"repro/internal/store"
 )
 
 // An Edge is one labeled transition of a StateGraph: performing Act
@@ -29,63 +29,41 @@ type Edge struct {
 	To  int
 }
 
-// A StateGraph is an explicit labeled transition graph over a finite
-// state set, indexed by dense IDs (position i in States is node i).
-// Only transitions that stay inside the set appear; successors outside
-// it are silently dropped, so callers should pass a step-closed set
-// (e.g. the result of explore's Reach) when they need every step
-// represented.
+// A StateGraph is the reachable transition graph of Auto as
+// explore.Engine.Graph records it. Node i is States[i], in
+// breadth-first discovery order; the first Starts nodes are the
+// distinct start states. The edges are stored as compressed sparse
+// rows: node v's edges are Edges[Off[v]:Off[v+1]] (Out), in ioa.Walk's
+// sorted order. Parent[v] is the node whose expansion discovered v, -1
+// at a start state.
 type StateGraph struct {
+	Auto   ioa.Automaton
 	States []ioa.State
-	Adj    [][]Edge
+	Starts int
+	Edges  []Edge
+	Off    []int
+	Parent []int
 }
 
-// BuildGraphCanon interns states (position == dense ID, both insertion
-// order) and records, for every state and every action satisfying
-// allowed (nil allows every action), the successor edges that land
-// inside the set. States are stepped by a sorted ioa.Walk — Enabled(s)
-// and the inputs, each action once, in sorted order — so the edge order,
-// and therefore every search over the graph, is deterministic.
-//
-// A non-nil canon builds the graph over a symmetry-quotiented state
-// set: states holds one concrete orbit representative each (an explorer
-// result under the same canonicalizer), and successor membership is
-// resolved canonically, so a step landing on any orbit-mate of a set
-// member produces an edge to that member's node. Without this, a
-// quotiented set would silently lose almost every edge — successors
-// are concrete states, and byte-exact lookup would miss their
-// representatives.
-func BuildGraphCanon(ctx context.Context, a ioa.Automaton, states []ioa.State, allowed func(ioa.Action) bool, canon store.Canonicalizer) (*StateGraph, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// Out returns node v's outgoing edges.
+func (g *StateGraph) Out(v int) []Edge { return g.Edges[g.Off[v]:g.Off[v+1]] }
+
+// Witness returns a minimal execution from a start state to node v: it
+// follows the edges that first discovered each node, the witness a
+// breadth-first invariant check reports.
+func (g *StateGraph) Witness(v int) *ioa.Execution {
+	var path []int // v back to its start, the start excluded
+	for ; g.Parent[v] >= 0; v = g.Parent[v] {
+		path = append(path, v)
 	}
-	index := store.New(store.Options{Canon: canon})
-	for _, s := range states {
-		index.Intern(s)
+	x := ioa.NewExecution(g.Auto, g.States[v])
+	for i := len(path) - 1; i >= 0; i-- {
+		// The first edge from the parent to u is the one that found it.
+		u := path[i]
+		out := g.Out(g.Parent[u])
+		x.Append(out[slices.IndexFunc(out, func(e Edge) bool { return e.To == u })].Act, g.States[u])
 	}
-	if err := index.Err(); err != nil {
-		return nil, fmt.Errorf("ltl: indexing %s: %w", a.Name(), err)
-	}
-	g := &StateGraph{States: states, Adj: make([][]Edge, len(states))}
-	walk := ioa.NewWalk(a, true)
-	var i int
-	edge := func(nxt ioa.State) bool {
-		if allowed == nil || allowed(walk.Act) {
-			if j, ok := index.Has(nxt); ok {
-				g.Adj[i] = append(g.Adj[i], Edge{Act: walk.Act, To: int(j)})
-			}
-		}
-		return true
-	}
-	for i = range states {
-		if i&63 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		walk.Visit(states[i], edge)
-	}
-	return g, nil
+	return x
 }
 
 // PathStates maps a node sequence to its states.
@@ -110,15 +88,20 @@ type CycleOptions struct {
 	// convergence pass uses this to look for cycles that never touch
 	// the legitimate set.
 	Within func(int) bool
+	// Allowed, when non-nil, restricts the search to edges whose
+	// action satisfies it: explore.FindLasso's action filter, the
+	// leads-to check's T-free steps.
+	Allowed func(ioa.Action) bool
 }
 
 // SCCs returns the strongly connected components of the subgraph
-// induced by the nodes satisfying within (nil: every node), by one
-// iterative Tarjan pass, linear in the edges. comps lists each
+// induced by the nodes satisfying within and the edges whose action
+// satisfies allowed (nil: every node, every edge), by one iterative
+// Tarjan pass, linear in the edges. comps lists each
 // component's nodes, numbered successors first: an edge of the
 // subgraph leaving component c lands in a component numbered below c.
 // of maps a node to its component, -1 outside within.
-func (g *StateGraph) SCCs(within func(int) bool) (comps [][]int, of []int) {
+func (g *StateGraph) SCCs(within func(int) bool, allowed func(ioa.Action) bool) (comps [][]int, of []int) {
 	n := len(g.States)
 	of = make([]int, n)
 	index := make([]int, n) // DFS number from 1; 0 unvisited, -1 outside within
@@ -147,10 +130,12 @@ func (g *StateGraph) SCCs(within func(int) bool) (comps [][]int, of []int) {
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			v := f.node
-			if f.edge < len(g.Adj[v]) {
-				w := g.Adj[v][f.edge].To
+			if out := g.Out(v); f.edge < len(out) {
+				e := out[f.edge]
 				f.edge++
+				w := e.To
 				switch {
+				case allowed != nil && !allowed(e.Act):
 				case index[w] == 0:
 					visit(w)
 				case index[w] > 0 && of[w] < 0: // on the stack
@@ -180,7 +165,8 @@ func (g *StateGraph) SCCs(within func(int) bool) (comps [][]int, of []int) {
 }
 
 // FindCycle returns an acceptable cycle: a nonempty closed walk inside
-// the subgraph Within induces that, under Fair, is fair-sustainable.
+// the subgraph Within and Allowed induce that, under Fair, is
+// fair-sustainable.
 // One exists exactly when some strongly connected component of that
 // subgraph is cyclic (two or more nodes, or one with a self-loop) and,
 // under Fair, every class of part(A) labels an edge inside it or is
@@ -202,7 +188,10 @@ func (g *StateGraph) FindCycle(ctx context.Context, a ioa.Automaton, opts CycleO
 	if err := ctx.Err(); err != nil {
 		return -1, nil, nil, err
 	}
-	comps, of := g.SCCs(opts.Within)
+	comps, of := g.SCCs(opts.Within, opts.Allowed)
+	inside := func(v int, e Edge) bool {
+		return of[e.To] == of[v] && (opts.Allowed == nil || opts.Allowed(e.Act))
+	}
 	start = -1
 	for c, comp := range comps {
 		if c&63 == 0 {
@@ -210,20 +199,21 @@ func (g *StateGraph) FindCycle(ctx context.Context, a ioa.Automaton, opts CycleO
 				return -1, nil, nil, err
 			}
 		}
-		if least := slices.Min(comp); (start < 0 || least < start) && g.acceptable(a, comp, of, opts.Fair) {
+		if least := slices.Min(comp); (start < 0 || least < start) && g.acceptable(a, comp, inside, opts.Fair) {
 			start = least
 		}
 	}
 	if start < 0 {
 		return -1, nil, nil, nil
 	}
-	acts, nodes = g.tour(a, start, of, opts.Fair)
+	acts, nodes = g.tour(a, start, inside, opts.Fair)
 	return start, acts, nodes, nil
 }
 
 // FairEscape is the one liveness search: it looks for a fair
 // execution of a that, once inside region (nil: every node), never
-// leaves it. That is FindCycle's fair cycle within region, end its
+// leaves it by steps whose action satisfies allowed (nil: any step).
+// That is FindCycle's fair cycle over those nodes and edges, end its
 // start; else the least node of region at which a enables no
 // locally-controlled action — a finite fair execution may stop there
 // —, acts and nodes nil; else end is -1: every fair execution through
@@ -232,9 +222,9 @@ func (g *StateGraph) FindCycle(ctx context.Context, a ioa.Automaton, opts CycleO
 // input steps too, and stabilize certificates report that cycle. The
 // stabilize convergence pass asks about the complement of the
 // legitimate set, the leads-to check about the states an S state
-// reaches without a T action.
-func (g *StateGraph) FairEscape(ctx context.Context, a ioa.Automaton, region func(int) bool) (end int, acts []ioa.Action, nodes []int, err error) {
-	if end, acts, nodes, err = g.FindCycle(ctx, a, CycleOptions{Fair: true, Within: region}); end >= 0 || err != nil {
+// reaches by steps that are not T actions.
+func (g *StateGraph) FairEscape(ctx context.Context, a ioa.Automaton, region func(int) bool, allowed func(ioa.Action) bool) (end int, acts []ioa.Action, nodes []int, err error) {
+	if end, acts, nodes, err = g.FindCycle(ctx, a, CycleOptions{Fair: true, Within: region, Allowed: allowed}); end >= 0 || err != nil {
 		return end, acts, nodes, err
 	}
 	for v, s := range g.States {
@@ -246,13 +236,14 @@ func (g *StateGraph) FairEscape(ctx context.Context, a ioa.Automaton, region fun
 }
 
 // acceptable reports whether component comp carries a cycle and, when
-// fair, meets every class of part(A).
-func (g *StateGraph) acceptable(a ioa.Automaton, comp []int, of []int, fair bool) bool {
+// fair, meets every class of part(A); inside says which edges stay in
+// a node's component.
+func (g *StateGraph) acceptable(a ioa.Automaton, comp []int, inside func(int, Edge) bool, fair bool) bool {
 	m := newClassMeter(a, fair)
 	cyclic := false
 	for _, v := range comp {
-		for _, e := range g.Adj[v] {
-			if of[e.To] == of[v] {
+		for _, e := range g.Out(v) {
+			if inside(v, e) {
 				cyclic = true
 				m.act(e.Act)
 			}
@@ -268,7 +259,7 @@ func (g *StateGraph) acceptable(a ioa.Automaton, comp []int, of []int, fair bool
 }
 
 // tour builds FindCycle's witness walk from start inside its component.
-func (g *StateGraph) tour(a ioa.Automaton, start int, of []int, fair bool) (acts []ioa.Action, nodes []int) {
+func (g *StateGraph) tour(a ioa.Automaton, start int, inside func(int, Edge) bool, fair bool) (acts []ioa.Action, nodes []int) {
 	m := newClassMeter(a, fair)
 	extend := func(as []ioa.Action, ns []int) {
 		for _, act := range as {
@@ -280,16 +271,17 @@ func (g *StateGraph) tour(a ioa.Automaton, start int, of []int, fair bool) (acts
 		acts, nodes = append(acts, as...), append(nodes, ns...)
 	}
 	extend(nil, []int{start})
-	e := g.Adj[start][slices.IndexFunc(g.Adj[start], func(e Edge) bool { return of[e.To] == of[start] })]
+	out := g.Out(start)
+	e := out[slices.IndexFunc(out, func(e Edge) bool { return inside(start, e) })]
 	extend([]ioa.Action{e.Act}, []int{e.To})
 	for i, c := range m.parts {
 		if !m.met[i] {
-			extend(g.path(nodes[len(nodes)-1], of,
+			extend(g.path(nodes[len(nodes)-1], inside,
 				func(v int) bool { return !ioa.ClassEnabled(a, g.States[v], c) },
 				func(e Edge) bool { return c.Actions.Has(e.Act) }))
 		}
 	}
-	extend(g.path(nodes[len(nodes)-1], of, func(v int) bool { return v == start }, nil))
+	extend(g.path(nodes[len(nodes)-1], inside, func(v int) bool { return v == start }, nil))
 	return acts, nodes
 }
 
@@ -297,7 +289,7 @@ func (g *StateGraph) tour(a ioa.Automaton, start int, of []int, fair bool) (acts
 // and the nodes after from: to the nearest node where stop holds, or
 // across the nearest edge where cross (nil: none) holds, whichever the
 // breadth-first search meets first.
-func (g *StateGraph) path(from int, of []int, stop func(int) bool, cross func(Edge) bool) ([]ioa.Action, []int) {
+func (g *StateGraph) path(from int, inside func(int, Edge) bool, stop func(int) bool, cross func(Edge) bool) ([]ioa.Action, []int) {
 	type back struct {
 		prev int
 		act  ioa.Action
@@ -316,8 +308,8 @@ func (g *StateGraph) path(from int, of []int, stop func(int) bool, cross func(Ed
 		if stop(v) {
 			return unwind(v)
 		}
-		for _, e := range g.Adj[v] {
-			if of[e.To] != of[from] {
+		for _, e := range g.Out(v) {
+			if !inside(v, e) {
 				continue
 			}
 			if cross != nil && cross(e) {

@@ -1,7 +1,7 @@
 package ltl_test
 
 // Satellite regression battery for the graph-level lasso machinery:
-// BuildGraphCanon adjacency is checked edge-for-edge against a direct Next
+// explore.Engine.Graph is checked edge-for-edge against a direct Next
 // enumeration over explore.ReferenceReach oracles (the seed
 // string-keyed explorer), and every cycle the search returns is
 // replayed through Next and re-judged for fairness. The convergence
@@ -13,11 +13,14 @@ import (
 	"testing"
 
 	"repro/internal/arbiter/spec"
+	"repro/internal/arbiter/users"
 	"repro/internal/explore"
 	"repro/internal/figures"
 	"repro/internal/ioa"
 	"repro/internal/ltl"
+	"repro/internal/reduce"
 	"repro/internal/ring"
+	"repro/internal/store"
 )
 
 // graphOracles yields the battery systems: the paper's figures plus
@@ -36,42 +39,117 @@ func graphOracles(t *testing.T) map[string]ioa.Automaton {
 	}
 }
 
+// graph is the sequential engine's graph of a.
+func graph(t *testing.T, ctx context.Context, a ioa.Automaton) *ltl.StateGraph {
+	t.Helper()
+	g, err := explore.New(explore.Options{Workers: 1}).Graph(ctx, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// referenceGraph is the graph Engine.Graph must build, by the seed
+// algorithm: a string-keyed breadth-first search over canonical keys
+// (canon nil: the keys themselves) that keeps the first state of each
+// orbit it meets and steps it by every action of acts(A) in sorted
+// order, one edge per successor, to the node of its orbit. depth is
+// each node's distance from the start states.
+func referenceGraph(a ioa.Automaton, canon store.Canonicalizer) (states []ioa.State, adj [][]ltl.Edge, depth []int) {
+	pos := map[string]int{}
+	node := func(s ioa.State, d int) int {
+		k := s.Key()
+		if canon != nil {
+			k = canon.Canonical(s).Key()
+		}
+		if _, ok := pos[k]; !ok {
+			pos[k] = len(states)
+			states, depth = append(states, s), append(depth, d)
+		}
+		return pos[k]
+	}
+	for _, s := range a.Start() {
+		node(s, 0)
+	}
+	acts := a.Sig().Acts().Sorted()
+	for i := 0; i < len(states); i++ {
+		var out []ltl.Edge
+		for _, act := range acts {
+			for _, nxt := range ioa.Successors(a, states[i], act) {
+				out = append(out, ltl.Edge{Act: act, To: node(nxt, depth[i]+1)})
+			}
+		}
+		adj = append(adj, out)
+	}
+	return states, adj, depth
+}
+
 // TestBuildGraphMatchesReference checks, for every oracle system, that
-// BuildGraphCanon over the ReferenceReach state set has exactly the edges a
-// direct Next sweep produces, in sorted-action order, with dense IDs
-// agreeing with reference positions.
+// Engine.Graph — at four workers, which it ignores — has exactly the
+// edges a direct Next sweep over the ReferenceReach state set
+// produces, in sorted-action order, with dense IDs agreeing with
+// reference positions, and that every node's witness is a shortest
+// execution from a start state to it.
+// The canon case is the closed three-process ring under rotation: one
+// node per orbit, each step an edge to its successor's orbit.
 func TestBuildGraphMatchesReference(t *testing.T) {
+	cases := map[string]struct {
+		a     ioa.Automaton
+		canon store.Canonicalizer
+	}{}
 	for name, a := range graphOracles(t) {
+		cases[name] = struct {
+			a     ioa.Automaton
+			canon store.Canonicalizer
+		}{a, nil}
+	}
+	names := spec.DefaultUsers(3)
+	sys, err := ring.New(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := ioa.Compose("ring-closed", append([]ioa.Automaton{sys.Arbiter}, users.Automata(users.HeavyLoad(names))...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotation, err := reduce.NewRingRotation(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["ring3-closed-rotation"] = struct {
+		a     ioa.Automaton
+		canon store.Canonicalizer
+	}{closed, rotation}
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			states, err := explore.ReferenceReach(a, explore.DefaultLimit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(g.Adj) != len(states) {
-				t.Fatalf("adjacency over %d nodes, want %d", len(g.Adj), len(states))
-			}
-			pos := make(map[string]int, len(states))
-			for i, s := range states {
-				pos[s.Key()] = i
-			}
-			acts := a.Sig().Acts().Sorted()
-			for i, s := range states {
-				var want []ltl.Edge
-				for _, act := range acts {
-					for _, nxt := range ioa.Successors(a, s, act) {
-						j, ok := pos[nxt.Key()]
-						if !ok {
-							t.Fatalf("%s: successor %q of reachable state %q not in reference set",
-								name, nxt.Key(), s.Key())
-						}
-						want = append(want, ltl.Edge{Act: act, To: j})
+			a := c.a
+			states, adj, depth := referenceGraph(a, c.canon)
+			if c.canon == nil {
+				ref, err := explore.ReferenceReach(a, explore.DefaultLimit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ref) != len(states) {
+					t.Fatalf("reference sweep has %d states, ReferenceReach %d", len(states), len(ref))
+				}
+				for i := range ref {
+					if ref[i].Key() != states[i].Key() {
+						t.Fatalf("reference sweep state %d is %q, ReferenceReach's %q", i, states[i].Key(), ref[i].Key())
 					}
 				}
-				got := g.Adj[i]
+			}
+			g, err := explore.New(explore.Options{Workers: 4, Canon: c.canon}).Graph(context.Background(), a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g.States) != len(states) {
+				t.Fatalf("graph over %d nodes, want %d", len(g.States), len(states))
+			}
+			for i, s := range states {
+				if g.States[i].Key() != s.Key() {
+					t.Fatalf("%s node %d is %q, want %q", name, i, g.States[i].Key(), s.Key())
+				}
+				got, want := g.Out(i), adj[i]
 				if len(got) != len(want) {
 					t.Fatalf("%s node %d: %d edges, want %d", name, i, len(got), len(want))
 				}
@@ -80,28 +158,45 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 						t.Fatalf("%s node %d edge %d: %+v, want %+v", name, i, k, got[k], want[k])
 					}
 				}
+				x := g.Witness(i)
+				if err := x.Validate(true); err != nil || x.Last().Key() != s.Key() || x.Len() != depth[i] {
+					t.Fatalf("%s node %d at depth %d: witness %s ends at %q: %v",
+						name, i, depth[i], ioa.TraceString(x.Acts), x.Last().Key(), err)
+				}
+			}
+			// The last node's witness is the one CheckInvariant reports.
+			last := g.States[len(g.States)-1]
+			v, err := explore.New(explore.Options{Workers: 1, Canon: c.canon}).CheckInvariant(context.Background(), a,
+				func(s ioa.State) bool { return s.Key() != last.Key() })
+			if err != nil || v == nil {
+				t.Fatalf("CheckInvariant to the last node: %v, %v", v, err)
+			}
+			if got, want := ioa.TraceString(g.Witness(len(g.States)-1).Acts), ioa.TraceString(v.Trace.Acts); got != want {
+				t.Fatalf("%s: last node's witness %s, CheckInvariant's %s", name, got, want)
 			}
 		})
 	}
 }
 
-// TestBuildGraphAllowedFilter checks that an allowed filter removes
-// exactly the filtered actions' edges.
-func TestBuildGraphAllowedFilter(t *testing.T) {
+// TestCycleAllowedFilter checks that an Allowed filter keeps the
+// cycle search off the filtered actions' edges: Figure 2.3's C has an
+// α-cycle at its start state, and a search restricted to any one
+// action returns only cycles of that action.
+func TestCycleAllowedFilter(t *testing.T) {
 	a := figures.Fig23C()
-	states, err := explore.ReferenceReach(a, explore.DefaultLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allowed := func(act ioa.Action) bool { return act == figures.Alpha }
-	g, err := ltl.BuildGraphCanon(context.Background(), a, states, allowed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, edges := range g.Adj {
-		for _, e := range edges {
-			if e.Act != figures.Alpha {
-				t.Fatalf("node %d: filtered action %v survived", i, e.Act)
+	g := graph(t, context.Background(), a)
+	for _, only := range a.Sig().Acts().Sorted() {
+		allowed := func(act ioa.Action) bool { return act == only }
+		_, acts, _, err := g.FindCycle(context.Background(), a, ltl.CycleOptions{Allowed: allowed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if only == figures.Alpha && acts == nil {
+			t.Fatal("no α-cycle found")
+		}
+		for _, act := range acts {
+			if act != only {
+				t.Fatalf("search restricted to %v returned cycle %s", only, ioa.TraceString(acts))
 			}
 		}
 	}
@@ -138,14 +233,7 @@ func checkCycleValid(t *testing.T, a ioa.Automaton, g *ltl.StateGraph, start int
 func TestFindCycleAgainstReference(t *testing.T) {
 	for name, a := range graphOracles(t) {
 		t.Run(name, func(t *testing.T) {
-			states, err := explore.ReferenceReach(a, explore.DefaultLimit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := graph(t, context.Background(), a)
 			for _, fair := range []bool{false, true} {
 				start, acts, nodes, err := g.FindCycle(context.Background(), a, ltl.CycleOptions{Fair: fair})
 				if err != nil {
@@ -173,16 +261,9 @@ func TestFindCycleWithin(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := sys.Composite
-	states, err := explore.ReferenceReach(a, explore.DefaultLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph(t, context.Background(), a)
 	tokenAt0 := func(i int) bool {
-		ts := states[i].(*ioa.TupleState)
+		ts := g.States[i].(*ioa.TupleState)
 		return ts.At(0).(*ring.ProcState).HasToken()
 	}
 	start, acts, nodes, err := g.FindCycle(context.Background(), a, ltl.CycleOptions{Within: tokenAt0})
@@ -220,23 +301,12 @@ func TestFindCycleFairRejectsUnfair(t *testing.T) {
 		func(s ioa.State) bool { return s.Key() == "a" || s.Key() == "b" },
 		func(s ioa.State) ioa.State { return ioa.KeyState("done") })
 	a := d.MustBuild()
-	states, err := explore.ReferenceReach(a, explore.DefaultLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph(t, context.Background(), a)
 	noExit := func(act ioa.Action) bool { return act != exit }
-	gNoExit, err := ltl.BuildGraphCanon(context.Background(), a, states, noExit, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, acts, _, _ := gNoExit.FindCycle(context.Background(), a, ltl.CycleOptions{}); acts == nil {
+	if _, acts, _, _ := g.FindCycle(context.Background(), a, ltl.CycleOptions{Allowed: noExit}); acts == nil {
 		t.Fatal("unfair search missed the spin cycle")
 	}
-	if _, acts, _, _ := gNoExit.FindCycle(context.Background(), a, ltl.CycleOptions{Fair: true}); acts != nil {
+	if _, acts, _, _ := g.FindCycle(context.Background(), a, ltl.CycleOptions{Fair: true, Allowed: noExit}); acts != nil {
 		t.Fatalf("fair search accepted the exit-starving cycle %v", acts)
 	}
 	// With exit edges allowed, a fair cycle exists only if it performs
@@ -250,20 +320,13 @@ func TestFindCycleFairRejectsUnfair(t *testing.T) {
 // TestFindCycleCancellation checks the context is honored.
 func TestFindCycleCancellation(t *testing.T) {
 	a := figures.Fig23C()
-	states, err := explore.ReferenceReach(a, explore.DefaultLimit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := ltl.BuildGraphCanon(context.Background(), a, states, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := graph(t, context.Background(), a)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, _, err := g.FindCycle(ctx, a, ltl.CycleOptions{}); err == nil {
 		t.Fatal("cancelled FindCycle returned nil error")
 	}
-	if _, err := ltl.BuildGraphCanon(ctx, a, states, nil, nil); err == nil {
-		t.Fatal("cancelled BuildGraphCanon returned nil error")
+	if _, err := explore.New(explore.Options{Workers: 1}).Graph(ctx, a); err == nil {
+		t.Fatal("cancelled Graph returned nil error")
 	}
 }

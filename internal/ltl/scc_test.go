@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/domain"
+	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/ltl"
 	"repro/internal/stabilize"
@@ -157,7 +158,7 @@ var spinExit = []byte{2, 1, 0b011,
 // runs through both simple cycles, neither of which is fair alone.
 func TestFindCycleFigureEight(t *testing.T) {
 	f := decodeAut(figureEight)
-	g, err := ltl.BuildGraphCanon(context.Background(), f.a, f.states, nil, nil)
+	g, err := explore.New(explore.Options{Workers: 1}).Graph(context.Background(), f.a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func FuzzFairCycle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fa := decodeAut(data)
 		ctx := context.Background()
-		g, err := ltl.BuildGraphCanon(ctx, fa.a, fa.states, nil, nil)
+		g, err := explore.New(explore.Options{Workers: 1}).Graph(ctx, fa.a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +224,7 @@ func FuzzFairCycle(f *testing.F) {
 		// Sequential closure of an envelope listing every state keeps
 		// its order, so Rounds is indexed by node.
 		cert, err := stabilize.Certify(ctx, fa.a, func(s ioa.State) bool { return legit(node[s.Key()]) },
-			domain.Explicit("all", fa.states), stabilize.Options{Workers: 1})
+			domain.Explicit("all", fa.states), stabilize.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -244,9 +244,6 @@ func TestCanonRefused(t *testing.T) {
 	for name, check := range map[string]func(*proof.PossMapping, explore.Options) error{
 		"VerifyOpts":                  (*proof.PossMapping).VerifyOpts,
 		"FairSatisfiesViaMappingOpts": proof.FairSatisfiesViaMappingOpts,
-		"SatisfactionChainOpts": func(h *proof.PossMapping, o explore.Options) error {
-			return proof.SatisfactionChainOpts(o, h)
-		},
 		"TransferDownOpts": func(h *proof.PossMapping, o explore.Options) error {
 			return h.TransferDownOpts(o, never, none, never, none)
 		},

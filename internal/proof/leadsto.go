@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/explore"
 	"repro/internal/ioa"
-	"repro/internal/ltl"
 )
 
 // A LeadsTo is the condition S ↝ T of §2.3.2: whenever the automaton
@@ -34,8 +33,9 @@ type LeadsTo struct {
 // action (a finite fair execution ends there) or a fair-sustainable
 // cycle of such steps. That is ltl's FairEscape — the search behind
 // stabilize's convergence verdict — over the region the S states reach
-// in the reachable graph with its T edges removed. Reach runs and the
-// graph is built once for all conditions.
+// in the reachable graph by steps that are not T actions. The graph is
+// explore.Engine.Graph's, built once for all conditions and
+// sequentially whatever Options.Workers says.
 //
 // The result has one entry per condition: nil where it holds, else a
 // lasso whose stem is a minimal execution to an S state followed by
@@ -46,29 +46,18 @@ func CheckLeadsTo(ctx context.Context, a ioa.Automaton, opts explore.Options, co
 	if err := refuseCanon(opts); err != nil {
 		return nil, err
 	}
-	states, err := explore.New(opts).Reach(ctx, a)
-	if err != nil {
-		return nil, err
-	}
-	full, err := ltl.BuildGraphCanon(ctx, a, states, nil, nil)
+	g, err := explore.New(opts).Graph(ctx, a)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*explore.Lasso, len(conds))
 	for ci, c := range conds {
-		g := &ltl.StateGraph{States: states, Adj: make([][]ltl.Edge, len(states))}
-		for v, es := range full.Adj {
-			for _, e := range es {
-				if !c.T(e.Act) {
-					g.Adj[v] = append(g.Adj[v], e)
-				}
-			}
-		}
+		notT := func(act ioa.Action) bool { return !c.T(act) }
 		// prev[v] is v's predecessor on a shortest T-free path from
 		// an S state: -1 at an S state, -2 outside the region.
-		prev, via := make([]int, len(states)), make([]ioa.Action, len(states))
+		prev, via := make([]int, len(g.States)), make([]ioa.Action, len(g.States))
 		var queue []int
-		for v, s := range states {
+		for v, s := range g.States {
 			prev[v] = -2
 			if c.S(s) {
 				prev[v] = -1
@@ -76,14 +65,14 @@ func CheckLeadsTo(ctx context.Context, a ioa.Automaton, opts explore.Options, co
 			}
 		}
 		for ; len(queue) > 0; queue = queue[1:] {
-			for _, e := range g.Adj[queue[0]] {
-				if prev[e.To] == -2 {
+			for _, e := range g.Out(queue[0]) {
+				if prev[e.To] == -2 && notT(e.Act) {
 					prev[e.To], via[e.To] = queue[0], e.Act
 					queue = append(queue, e.To)
 				}
 			}
 		}
-		end, acts, nodes, err := g.FairEscape(ctx, a, func(v int) bool { return prev[v] > -2 })
+		end, acts, nodes, err := g.FairEscape(ctx, a, func(v int) bool { return prev[v] > -2 }, notT)
 		if err != nil {
 			return nil, err
 		}
@@ -94,17 +83,11 @@ func CheckLeadsTo(ctx context.Context, a ioa.Automaton, opts explore.Options, co
 		for ; prev[root] >= 0; root = prev[root] {
 			path = append(path, root)
 		}
-		// As in explore.FindLasso, a sequential engine at no less than
-		// the default budget makes the stem minimal.
-		we := explore.New(explore.Options{Workers: 1, Limit: max(opts.Limit, explore.DefaultLimit), Obs: opts.Obs})
-		stem, err := we.Witness(ctx, a, states[root])
-		if err != nil {
-			return nil, err
-		}
+		stem := g.Witness(root)
 		for k := len(path) - 1; k >= 0; k-- {
-			stem.Append(via[path[k]], states[path[k]])
+			stem.Append(via[path[k]], g.States[path[k]])
 		}
-		l := &explore.Lasso{Stem: stem, Cycle: acts, CycleStates: []ioa.State{states[end]}}
+		l := &explore.Lasso{Stem: stem, Cycle: acts, CycleStates: []ioa.State{g.States[end]}}
 		if acts != nil {
 			l.CycleStates = g.PathStates(nodes)
 		}

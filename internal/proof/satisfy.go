@@ -1,7 +1,6 @@
 package proof
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/explore"
@@ -10,36 +9,9 @@ import (
 
 // Satisfaction (§2.3): object O satisfies object P if they have the
 // same external action signature and fbeh(O) ⊆ fbeh(P). Behavior
-// inclusion is undecidable in general; this package offers two sound
-// mechanical instruments:
-//
-//   - UnfairSatisfiesBounded: exact behavior-set inclusion up to a
-//     bounded execution depth (complete for that bound);
-//   - FairSatisfiesViaMappingOpts: the sufficient condition of Lemma
-//     30, checked over (bounded) reachable state sets.
-
-// UnfairSatisfiesBounded reports whether every external behavior of a
-// with at most depth steps is an external behavior of b with at most
-// depth steps, returning a counterexample trace otherwise.
-func UnfairSatisfiesBounded(a, b ioa.Automaton, depth int) (bool, []ioa.Action, error) {
-	if !a.Sig().External().Equal(b.Sig().External()) {
-		return false, nil, fmt.Errorf("proof: external signatures differ")
-	}
-	ma, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), a, depth)
-	if err != nil {
-		return false, nil, err
-	}
-	mb, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), b, depth)
-	if err != nil {
-		return false, nil, err
-	}
-	for _, tr := range ma.Traces() {
-		if !mb.Has(tr) {
-			return false, tr, nil
-		}
-	}
-	return true, nil, nil
-}
+// inclusion is undecidable in general; FairSatisfiesViaMappingOpts
+// checks the sufficient condition of Lemma 30 over (bounded) reachable
+// state sets.
 
 // FairSatisfiesViaMappingOpts checks the hypothesis of Lemma 30 for the
 // possibilities mapping h, which then implies fbeh(A) ⊆ fbeh(B):
@@ -131,41 +103,6 @@ func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
 						a.Key(), act)
 				}
 			}
-		}
-	}
-	return nil
-}
-
-// FairBehaviorsFinite computes the set of behaviors of finite fair
-// executions of a with at most depth steps (executions ending in a
-// state with no locally-controlled action enabled). Together with
-// fair lassos (explore.FindLasso with fair=true) this characterizes
-// the fair behavior of finite automata.
-func FairBehaviorsFinite(a ioa.Automaton, depth int) (*ioa.SchedModule, error) {
-	mod, err := explore.New(explore.Options{Workers: 1}).Execs(context.Background(), a, depth)
-	if err != nil {
-		return nil, err
-	}
-	ext := a.Sig().Ext()
-	var traces [][]ioa.Action
-	for _, x := range mod.Execs {
-		if ioa.IsFairFinite(x) {
-			traces = append(traces, ext.Project(x.Acts))
-		}
-	}
-	return ioa.NewSchedModule(a.Sig().External(), traces)
-}
-
-// SatisfactionChainOpts verifies transitivity-style satisfaction
-// evidence: each adjacent pair (Oᵢ₊₁, Oᵢ) is certified by a
-// possibilities mapping whose Lemma 30 hypothesis holds, yielding Lemma
-// 26(1)'s conclusion that the last object satisfies the first. opts
-// applies to every link's verification; the error names the first
-// failing link.
-func SatisfactionChainOpts(opts explore.Options, links ...*PossMapping) error {
-	for i, h := range links {
-		if err := h.VerifyOpts(opts); err != nil {
-			return fmt.Errorf("link %d (%s → %s): %w", i, h.A.Name(), h.B.Name(), err)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package proof
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/explore"
@@ -9,9 +10,57 @@ import (
 	"repro/internal/ioa"
 )
 
+// The bounded behavior checks below are the executable Figure 2.3
+// claims: exact behavior-set inclusion up to a depth, and the finite
+// fair behaviors that, with fair lassos (explore.FindLasso), tell
+// fairly inequivalent automata apart.
+
+// unfairSatisfiesBounded reports whether every external behavior of a
+// with at most depth steps is an external behavior of b with at most
+// depth steps, returning a counterexample trace otherwise.
+func unfairSatisfiesBounded(a, b ioa.Automaton, depth int) (bool, []ioa.Action, error) {
+	if !a.Sig().External().Equal(b.Sig().External()) {
+		return false, nil, fmt.Errorf("proof: external signatures differ")
+	}
+	ma, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), a, depth)
+	if err != nil {
+		return false, nil, err
+	}
+	mb, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), b, depth)
+	if err != nil {
+		return false, nil, err
+	}
+	for _, tr := range ma.Traces() {
+		if !mb.Has(tr) {
+			return false, tr, nil
+		}
+	}
+	return true, nil, nil
+}
+
+// fairBehaviorsFinite computes the set of behaviors of finite fair
+// executions of a with at most depth steps (executions ending in a
+// state with no locally-controlled action enabled). Together with
+// fair lassos (explore.FindLasso with fair=true) this characterizes
+// the fair behavior of finite automata.
+func fairBehaviorsFinite(a ioa.Automaton, depth int) (*ioa.SchedModule, error) {
+	mod, err := explore.New(explore.Options{Workers: 1}).Execs(context.Background(), a, depth)
+	if err != nil {
+		return nil, err
+	}
+	ext := a.Sig().Ext()
+	var traces [][]ioa.Action
+	for _, x := range mod.Execs {
+		if ioa.IsFairFinite(x) {
+			traces = append(traces, ext.Project(x.Acts))
+		}
+	}
+	return ioa.NewSchedModule(a.Sig().External(), traces)
+}
+
 func TestUnfairSatisfiesBounded(t *testing.T) {
 	// Fig23 A and B have the same external behaviors.
-	ok, witness, err := UnfairSatisfiesBounded(figures.Fig23A(), figures.Fig23B(), 4)
+	ok, witness, err := unfairSatisfiesBounded(figures.Fig23A(), figures.Fig23B(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +68,7 @@ func TestUnfairSatisfiesBounded(t *testing.T) {
 		t.Fatalf("A must satisfy B unfairly; witness %v", ioa.TraceString(witness))
 	}
 	// Fig23 C does NOT unfairly satisfy D(2): α³ distinguishes.
-	ok, witness, err = UnfairSatisfiesBounded(figures.Fig23C(), figures.Fig23D(2), 4)
+	ok, witness, err = unfairSatisfiesBounded(figures.Fig23C(), figures.Fig23D(2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +81,7 @@ func TestUnfairSatisfiesBounded(t *testing.T) {
 }
 
 func TestUnfairSatisfiesRejectsSignatureMismatch(t *testing.T) {
-	if _, _, err := UnfairSatisfiesBounded(figures.Fig23A(), figures.Fig23C(), 3); err == nil {
+	if _, _, err := unfairSatisfiesBounded(figures.Fig23A(), figures.Fig23C(), 3); err == nil {
 		t.Error("differing external signatures must error")
 	}
 }
@@ -101,11 +150,11 @@ func TestLemma25PrimitiveFairImpliesUnfair(t *testing.T) {
 		t.Error("identical automata must be unfairly equivalent")
 	}
 	// Their finite fair behaviors agree too.
-	f1, err := FairBehaviorsFinite(a1, 4)
+	f1, err := fairBehaviorsFinite(a1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := FairBehaviorsFinite(a2, 4)
+	f2, err := fairBehaviorsFinite(a2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +166,14 @@ func TestLemma25PrimitiveFairImpliesUnfair(t *testing.T) {
 func TestFairBehaviorsFinite(t *testing.T) {
 	// Fig23A: finite fair behaviors end in s1 (β disabled): any α-run
 	// landing in s1. Fig23B: none (β always enabled).
-	fa, err := FairBehaviorsFinite(figures.Fig23A(), 3)
+	fa, err := fairBehaviorsFinite(figures.Fig23A(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fa.Len() == 0 {
 		t.Error("A has finite fair behaviors (α-runs ending with β disabled)")
 	}
-	fb, err := FairBehaviorsFinite(figures.Fig23B(), 3)
+	fb, err := fairBehaviorsFinite(figures.Fig23B(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,18 +184,23 @@ func TestFairBehaviorsFinite(t *testing.T) {
 	// inequivalent despite being unfairly equivalent (Figure 2.3).
 }
 
+// TestSatisfactionChain: Lemma 26(1)'s evidence that the last object
+// of a chain satisfies the first is a verified possibilities mapping
+// per adjacent pair, so a chain verifies iff each link does.
 func TestSatisfactionChain(t *testing.T) {
 	a := figures.Fig23C()
 	id := func(s ioa.State) []ioa.State { return []ioa.State{s} }
 	h1 := &PossMapping{A: a, B: a, Map: id}
 	h2 := &PossMapping{A: a, B: a, Map: id}
-	if err := SatisfactionChainOpts(explore.Options{Limit: 100}, h1, h2); err != nil {
-		t.Fatalf("chain of identities must verify: %v", err)
+	for _, h := range []*PossMapping{h1, h2} {
+		if err := h.VerifyOpts(explore.Options{Limit: 100}); err != nil {
+			t.Fatalf("chain of identities must verify: %v", err)
+		}
 	}
 	bad := &PossMapping{A: a, B: figures.Fig23D(2), Map: func(ioa.State) []ioa.State {
 		return figures.Fig23D(2).Start()
 	}}
-	if err := SatisfactionChainOpts(explore.Options{Limit: 100}, h1, bad); err == nil {
+	if err := bad.VerifyOpts(explore.Options{Limit: 100}); err == nil {
 		t.Error("broken link must be reported")
 	}
 }

@@ -31,7 +31,7 @@ func TestCertifyQuotientPreservesBound(t *testing.T) {
 			}
 			env := domain.Explicit("all-corruptions", all)
 			full, err := stabilize.Certify(context.Background(), r.Auto, r.Legit, env,
-				stabilize.Options{Workers: 1})
+				stabilize.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func TestCertifyQuotientPreservesBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			quot, err := stabilize.Certify(context.Background(), r.Auto, r.Legit, env,
-				stabilize.Options{Workers: 1, Canon: canon})
+				stabilize.Options{Canon: canon})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,8 +14,8 @@
 //   - The corruption envelope (an Envelope — an explicit state list,
 //     or the reachable states of a fault-wrapped automaton projected
 //     back into the certified automaton's state space) is closed
-//     under steps by the explore engine, giving dense state IDs in
-//     the interned store.
+//     under steps by explore.Engine.Graph, which records the
+//     transition graph, with dense state IDs, in the same pass.
 //
 //   - Closure scans every legitimate state's outgoing edges: an edge
 //     leaving L is a closure break, witnessed by its step.
@@ -35,10 +35,10 @@
 //     a uniform bound (a demon can postpone recovery arbitrarily, but
 //     no fair execution avoids L forever).
 //
-// Determinism: the closure is explored in the engine's canonical
+// Determinism: the closure is explored sequentially in discovery
 // order, the graph probes actions sorted, and every scan walks nodes
 // in dense-ID order, so certificates — including which witness is
-// reported — are bit-identical across runs at a fixed worker count.
+// reported — are bit-identical across runs at any worker count.
 package stabilize
 
 import (
@@ -56,9 +56,6 @@ import (
 
 // Options parameterizes certification.
 type Options struct {
-	// Workers is the explore engine's worker count (0 = GOMAXPROCS,
-	// 1 = sequential).
-	Workers int
 	// Limit bounds the envelope closure (0 = explore.DefaultLimit).
 	// Hitting the limit is an error: a certificate over a truncated
 	// closure certifies nothing.
@@ -76,16 +73,6 @@ type Options struct {
 	// worst-case schedules), so K and Rounds are unchanged — the
 	// reduce package's property test pins this on Dijkstra's ring.
 	Canon store.Canonicalizer
-}
-
-// exploreOptions converts to the engine options the certifier runs on.
-func (o Options) exploreOptions() explore.Options {
-	return explore.Options{Workers: o.Workers, Limit: o.Limit, Obs: o.Obs, Canon: o.Canon}
-}
-
-// engine builds the explore engine the options describe.
-func (o Options) engine() *explore.Engine {
-	return explore.New(o.exploreOptions())
 }
 
 // A Step is one transition witness.
@@ -223,31 +210,15 @@ func Certify(ctx context.Context, a ioa.Automaton, legit func(ioa.State) bool, e
 	if len(envStates) == 0 {
 		return nil, fmt.Errorf("stabilize: envelope %q is empty", env.Name())
 	}
-	distinct := store.New(store.Options{Canon: opts.Canon})
-	nEnv := 0
-	for _, s := range envStates {
-		if _, fresh := distinct.Intern(s); fresh {
-			nEnv++
-		}
-	}
-	if err := distinct.Err(); err != nil {
-		return nil, fmt.Errorf("stabilize: envelope %q: %w", env.Name(), err)
-	}
-
-	// Close the envelope under steps. The first nEnv states of the
-	// result are exactly the distinct envelope states: both engines
-	// emit depth 0 (the start states) before any successor.
+	// Close the envelope under steps. The first Starts nodes of the
+	// graph are exactly the distinct envelope states.
 	w := &seeded{Automaton: a, starts: envStates}
-	eng := opts.engine()
-	states, err := eng.Reach(ctx, w)
+	g, err := explore.New(explore.Options{Limit: opts.Limit, Obs: opts.Obs, Canon: opts.Canon}).Graph(ctx, w)
 	if err != nil {
 		return nil, fmt.Errorf("stabilize: closing envelope %q: %w", env.Name(), err)
 	}
-	g, err := ltl.BuildGraphCanon(ctx, w, states, nil, opts.Canon)
-	if err != nil {
-		return nil, err
-	}
-	// The closure Reach above emits "explore" progress through the
+	states, nEnv := g.States, g.Starts
+	// The closure exploration above emits "explore" progress through the
 	// engine; mark the certifier's own phase transitions so a ledger
 	// shows closure → rounds-analysis → verdict.
 	if o := opts.Obs; o != nil {
@@ -276,7 +247,7 @@ closure:
 		if !legitAt[i] {
 			continue
 		}
-		for _, e := range g.Adj[i] {
+		for _, e := range g.Out(i) {
 			if !legitAt[e.To] {
 				cert.Closed = false
 				cert.ClosureBreak = &Step{From: states[i], Act: e.Act, To: states[e.To]}
@@ -301,7 +272,7 @@ closure:
 		cert.MeanRounds = float64(sum) / float64(nEnv)
 	} else {
 		cert.K = -1
-		if err := cert.refuteOrCertifyFair(ctx, eng, w, g, legitAt); err != nil {
+		if err := cert.refuteOrCertifyFair(ctx, g, legitAt); err != nil {
 			return nil, err
 		}
 	}
@@ -331,11 +302,11 @@ closure:
 // diverged.
 func (c *Certificate) roundsTable(g *ltl.StateGraph, legitAt []bool) bool {
 	c.Rounds = make([]int, len(g.States))
-	comps, _ := g.SCCs(func(i int) bool { return !legitAt[i] })
+	comps, _ := g.SCCs(func(i int) bool { return !legitAt[i] }, nil)
 	diverged := false
 	for _, comp := range comps {
 		v, best := comp[0], -1
-		for _, e := range g.Adj[v] {
+		for _, e := range g.Out(v) {
 			if len(comp) > 1 || e.To == v || c.Rounds[e.To] < 0 {
 				best = -1 // nontrivial, self-loop, divergent successor
 				break
@@ -361,8 +332,8 @@ func (c *Certificate) roundsTable(g *ltl.StateGraph, legitAt []bool) bool {
 // certifies it under fairness, without a bound — every fair execution
 // leaves the divergent region and, rounds decreasing thereafter,
 // reaches L.
-func (c *Certificate) refuteOrCertifyFair(ctx context.Context, eng *explore.Engine, w ioa.Automaton, g *ltl.StateGraph, legitAt []bool) error {
-	end, acts, nodes, err := g.FairEscape(ctx, w, func(i int) bool { return !legitAt[i] })
+func (c *Certificate) refuteOrCertifyFair(ctx context.Context, g *ltl.StateGraph, legitAt []bool) error {
+	end, acts, nodes, err := g.FairEscape(ctx, g.Auto, func(i int) bool { return !legitAt[i] }, nil)
 	if err != nil {
 		return err
 	}
@@ -370,11 +341,7 @@ func (c *Certificate) refuteOrCertifyFair(ctx context.Context, eng *explore.Engi
 		c.Converges = true
 		return nil
 	}
-	wit, err := eng.Witness(ctx, w, g.States[end])
-	if err != nil {
-		return err
-	}
-	c.Divergence = &Divergence{Kind: "deadlock", State: g.States[end], Witness: wit}
+	c.Divergence = &Divergence{Kind: "deadlock", State: g.States[end], Witness: g.Witness(end)}
 	if acts != nil {
 		c.Divergence.Kind, c.Divergence.Cycle, c.Divergence.CycleStates = "cycle", acts, g.PathStates(nodes)
 	}

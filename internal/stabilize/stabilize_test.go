@@ -23,16 +23,13 @@ import (
 	"repro/internal/stabilize"
 )
 
-func seq(opts ...stabilize.Options) stabilize.Options {
-	if len(opts) > 0 {
-		return opts[0]
-	}
-	return stabilize.Options{Workers: 1}
-}
-
 func mustCertify(t *testing.T, a ioa.Automaton, legit func(ioa.State) bool, env stabilize.Envelope, opts ...stabilize.Options) *stabilize.Certificate {
 	t.Helper()
-	cert, err := stabilize.Certify(context.Background(), a, legit, env, seq(opts...))
+	var o stabilize.Options
+	if len(opts) > 0 {
+		o = opts[0]
+	}
+	cert, err := stabilize.Certify(context.Background(), a, legit, env, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,17 +234,17 @@ func TestCertifyDeadlockOnly(t *testing.T) {
 func TestCertifyValidation(t *testing.T) {
 	a := chain4()
 	ctx := context.Background()
-	if _, err := stabilize.Certify(ctx, a, nil, domain.Explicit("e", keys("0")), seq()); err == nil {
+	if _, err := stabilize.Certify(ctx, a, nil, domain.Explicit("e", keys("0")), stabilize.Options{}); err == nil {
 		t.Fatal("nil legit accepted")
 	}
-	if _, err := stabilize.Certify(ctx, a, isKey("0"), nil, seq()); err == nil {
+	if _, err := stabilize.Certify(ctx, a, isKey("0"), nil, stabilize.Options{}); err == nil {
 		t.Fatal("nil envelope accepted")
 	}
-	if _, err := stabilize.Certify(ctx, a, isKey("0"), domain.Explicit("e", nil), seq()); err == nil {
+	if _, err := stabilize.Certify(ctx, a, isKey("0"), domain.Explicit("e", nil), stabilize.Options{}); err == nil {
 		t.Fatal("empty envelope accepted")
 	}
 	if _, err := stabilize.Certify(ctx, a, isKey("0"),
-		domain.Explicit("e", keys("3")), stabilize.Options{Workers: 1, Limit: 2}); err == nil {
+		domain.Explicit("e", keys("3")), stabilize.Options{Limit: 2}); err == nil {
 		t.Fatal("truncated closure accepted")
 	}
 }
@@ -311,7 +308,7 @@ func TestCertifyObsMetrics(t *testing.T) {
 	o := obs.New(nil)
 	cert := mustCertify(t, chain4(), isKey("0"),
 		domain.Explicit("all", keys("3", "2", "1", "0")),
-		stabilize.Options{Workers: 1, Obs: o})
+		stabilize.Options{Obs: o})
 	if o.Stabilize.Runs.Value() != 1 {
 		t.Fatalf("runs %d", o.Stabilize.Runs.Value())
 	}
@@ -357,20 +354,6 @@ func TestDijkstraCertifiedStabilizing(t *testing.T) {
 		}
 		t.Logf("n=%d K=%d: closure %d states, k=%d, mean %.2f rounds",
 			tc.n, tc.k, cert.States, cert.K, cert.MeanRounds)
-	}
-}
-
-// TestDijkstraParallelMatchesSequential: the certificate's verdicts
-// and measurements are identical across worker counts.
-func TestDijkstraParallelMatchesSequential(t *testing.T) {
-	_, a := dijkstraFull(t, 3, 3, stabilize.Options{Workers: 1})
-	_, b := dijkstraFull(t, 3, 3, stabilize.Options{Workers: 4})
-	if a.Stabilizing() != b.Stabilizing() || a.Closed != b.Closed ||
-		a.Converges != b.Converges || a.Bounded != b.Bounded ||
-		a.K != b.K || a.MeanRounds != b.MeanRounds ||
-		a.States != b.States || a.LegitStates != b.LegitStates ||
-		a.EnvelopeStates != b.EnvelopeStates {
-		t.Fatalf("worker-count divergence:\n%s\nvs\n%s", a, b)
 	}
 }
 
