@@ -1,7 +1,7 @@
 package explore
 
 // The Engine facade: the package's entry points (Reach,
-// CheckInvariant, Graph, Census, Behaviors, Schedules, Execs,
+// CheckInvariant, Visit, Graph, Census, Behaviors, Schedules, Execs,
 // SameBehaviors, FindLasso, plus the diagnostic WriteDOT) are methods
 // of one type constructed from Options, with context.Context
 // cancellation on every method.
@@ -76,9 +76,8 @@ type Options struct {
 	Decode func(enc []byte) (ioa.State, error)
 }
 
-// WorkerCount resolves Workers: the number of goroutines an engine — or
-// a pass sharded the way the engine's levels are, like the proof
-// package's condition pass — runs under these options.
+// WorkerCount resolves Workers: the number of goroutines the parallel
+// engine runs under these options.
 func (o Options) WorkerCount() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -220,15 +219,16 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 // graph: the states in sequential discovery order (Reach's order at one
 // worker), every step between them labeled with its action, and the
 // edge that discovered each state, so StateGraph.Witness is the
-// minimal execution CheckInvariant would report. It always runs the
-// sequential kernel, whatever Options.Workers says, so the graph —
-// and every lasso, certificate and drawing read off it — is the same
-// at any worker count. Limit, Canon, Obs and Spill apply as in Reach;
-// under Canon a step to any orbit-mate of a node is an edge to that
-// node. On ErrLimit or cancellation it returns the error and no graph.
+// minimal execution CheckInvariant would report. It is Visit with a
+// visitor that fills the graph's arrays, so — like Visit — it runs the
+// sequential kernel whatever Options.Workers says, and the graph, and
+// every lasso, certificate and drawing read off it, is the same at any
+// worker count. Under Canon a step to any orbit-mate of a node is an
+// edge to that node. On ErrLimit or cancellation it returns the error
+// and no graph.
 func (e *Engine) Graph(ctx context.Context, a ioa.Automaton) (*ltl.StateGraph, error) {
-	g := &ltl.StateGraph{Auto: a}
-	order, _, err := e.seqExplore(ctxOr(ctx), a, nil, g)
+	g := &ltl.StateGraph{Auto: a, Off: []int{0}}
+	order, err := e.Visit(ctx, a, graphVisitor{g})
 	if err != nil {
 		return nil, err
 	}
@@ -236,17 +236,64 @@ func (e *Engine) Graph(ctx context.Context, a ioa.Automaton) (*ltl.StateGraph, e
 	return g, nil
 }
 
+// graphVisitor records a Visit as a CSR graph: Parent on admission,
+// Edges on each step, Off once a node is expanded.
+type graphVisitor struct{ g *ltl.StateGraph }
+
+func (v graphVisitor) Admit(_, parent int, _ ioa.State) {
+	if parent < 0 {
+		v.g.Starts++
+	}
+	v.g.Parent = append(v.g.Parent, parent)
+}
+
+func (v graphVisitor) Edge(_ int, act ioa.Action, to int) {
+	v.g.Edges = append(v.g.Edges, ltl.Edge{Act: act, To: to})
+}
+
+func (v graphVisitor) Expanded(int) { v.g.Off = append(v.g.Off, len(v.g.Edges)) }
+
+// A Visitor watches one pass of the sequential kernel (Engine.Visit).
+// Nodes are numbered in admission order from 0, which is the order of
+// the states Visit returns. Its methods are called on the goroutine
+// that called Visit, never concurrently.
+type Visitor interface {
+	// Admit is called once per admitted state s, numbered v, with the
+	// node that was being expanded when s was found (-1 for a start
+	// state). s is kept: the visitor may retain it.
+	Admit(v, parent int, s ioa.State)
+	// Edge is called once per step (from, act, to) between admitted
+	// nodes, in the walk's order: node by node in admission order, then
+	// sorted action, then Next order. to has been admitted before its
+	// first edge.
+	Edge(from int, act ioa.Action, to int)
+	// Expanded is called once every edge out of v has been reported.
+	Expanded(v int)
+}
+
+// Visit explores a as Reach does at one worker and reports the pass to
+// v: each state as it is admitted, each step as it is taken, each node
+// as its expansion ends. It always runs the sequential kernel, whatever
+// Options.Workers says, so what v sees is the same at any worker count.
+// Limit, Canon, Obs and Spill apply as in Reach; under Canon a step to
+// any orbit-mate of a node is an edge to that node. It returns the
+// states in discovery order and Reach's errors.
+func (e *Engine) Visit(ctx context.Context, a ioa.Automaton, v Visitor) ([]ioa.State, error) {
+	order, _, err := e.seqExplore(ctxOr(ctx), a, nil, v)
+	return order, err
+}
+
 // seqExplore is the one sequential kernel, under Reach (pred nil) and
-// CheckInvariant at one worker and under Graph (g non-nil). The
+// CheckInvariant at one worker and under Visit (vis non-nil). The
 // frontier is the unexpanded suffix of the result slice itself (every
 // admitted state is expanded exactly once, in admission order), so
 // visit order is bit-identical to the seed explorer's explicit queue,
 // and slice indices double as interned IDs (both are dense admission
 // order). With a predicate it also records one (parent, act) crumb per
 // state, checks pred on each state as it comes up for expansion, and
-// builds the witness from the crumb chain. With a graph it records
-// every successor's edge as the store answers it, and each state's
-// discovering node; Graph takes Reach's limit contract.
+// builds the witness from the crumb chain. With a visitor it reports
+// every admission, every successor's edge as the store answers it, and
+// the end of every expansion; Visit takes Reach's limit contract.
 //
 // The two limit contracts differ on purpose. Reach switches to probe
 // mode once the budget is full: the first unseen successor aborts the
@@ -256,7 +303,7 @@ func (e *Engine) Graph(ctx context.Context, a ioa.Automaton) (*ltl.StateGraph, e
 // seed): a full store is an error before the next expansion even when
 // the frontier is about to empty, because witnesses for states past
 // the budget could not be built.
-func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, g *ltl.StateGraph) (order []ioa.State, v *Violation, err error) {
+func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, vis Visitor) (order []ioa.State, v *Violation, err error) {
 	limit := e.opts.limit()
 	o := e.opts.Obs
 	if o != nil {
@@ -272,7 +319,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	defer func() { rep.emit(0, int64(len(order)), 0, true) }()
 
 	var crumbs []crumb // indexed like order; kept only under a predicate
-	cur := store.None  // the state being expanded
+	cur := store.None  // the state being expanded; int(store.None) is -1
 	step := ioa.NewWalk(a, true)
 	admit := func(s ioa.State) store.ID {
 		id, fresh := st.Intern(s)
@@ -281,6 +328,9 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 			if pred != nil {
 				crumbs = append(crumbs, crumb{parent: cur, act: step.Act})
 			}
+			if vis != nil {
+				vis.Admit(int(id), int(cur), order[id])
+			}
 		}
 		return id
 	}
@@ -288,7 +338,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 		admit(s)
 	}
 	// One yield closure for the whole sweep: Reach's and
-	// CheckInvariant's, or Graph's, which also records the edges.
+	// CheckInvariant's, or Visit's, which also reports the edges.
 	yield := func(nxt ioa.State) bool {
 		if pred == nil && len(order) >= limit {
 			_, seen := st.Has(nxt)
@@ -297,25 +347,18 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 		admit(nxt)
 		return true
 	}
-	if g != nil {
-		g.Starts, g.Off = len(order), []int{0}
-		for range order {
-			g.Parent = append(g.Parent, -1)
-		}
+	if vis != nil {
 		yield = func(nxt ioa.State) bool {
-			n := len(order)
-			if n >= limit {
-				id, seen := st.Has(nxt)
-				if seen {
-					g.Edges = append(g.Edges, ltl.Edge{Act: step.Act, To: int(id)})
-				}
-				return seen
+			id, seen := store.None, false
+			if len(order) < limit {
+				id = admit(nxt)
+			} else if id, seen = st.Has(nxt); !seen {
+				return false
 			}
-			id := admit(nxt)
-			if len(order) > n {
-				g.Parent = append(g.Parent, int(cur))
+			if id == store.None {
+				return false // the store latched an error; the loop reports it
 			}
-			g.Edges = append(g.Edges, ltl.Edge{Act: step.Act, To: int(id)})
+			vis.Edge(int(cur), step.Act, int(id))
 			return true
 		}
 	}
@@ -342,10 +385,10 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 			}
 		}
 		cur = store.ID(i)
-		// Only the probe mode of Reach and Graph ever stops the walk.
+		// Only the probe mode of Reach and Visit ever stops the walk.
 		limited = !step.Visit(s, yield)
-		if g != nil {
-			g.Off = append(g.Off, len(g.Edges))
+		if vis != nil && !limited {
+			vis.Expanded(i)
 		}
 	}
 	if err := st.Err(); err != nil {

@@ -272,6 +272,51 @@ func TestSpillCrashMidWalkSurfacesCleanError(t *testing.T) {
 
 // TestSpillCrashMidCensus: the external-memory walk surfaces the same
 // clean wrapped error when a run goes bad under it.
+// TestVisitCrashReportsNoDanglingEdge: once the spill store latches an
+// error mid-walk, Visit stops at the next successor and returns the
+// storage error; no edge into a node the store never admitted reaches
+// the visitor.
+func TestVisitCrashReportsNoDanglingEdge(t *testing.T) {
+	sp := tinySpill(t)
+	var truncated bool
+	sp.AfterFlush = func(path string) {
+		if truncated {
+			return
+		}
+		truncated = true
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("stat flushed run: %v", err)
+		}
+		if err := os.Truncate(path, fi.Size()-5); err != nil {
+			t.Fatalf("truncate flushed run: %v", err)
+		}
+	}
+	v := &edgeBounds{t: t}
+	_, err := explore.New(explore.Options{Workers: 1, Spill: sp}).Visit(context.Background(), loopChain(200), v)
+	if !errors.Is(err, store.ErrCorruptRun) || !strings.Contains(err.Error(), "storage:") {
+		t.Fatalf("err = %v, want the engine-wrapped store.ErrCorruptRun", err)
+	}
+	if !truncated || v.edges == 0 {
+		t.Fatalf("truncated %v after %d edges: walk too small to spill", truncated, v.edges)
+	}
+}
+
+// edgeBounds fails its test on an edge whose ends were never admitted.
+type edgeBounds struct {
+	t            *testing.T
+	nodes, edges int
+}
+
+func (v *edgeBounds) Admit(int, int, ioa.State) { v.nodes++ }
+func (v *edgeBounds) Expanded(int)              {}
+func (v *edgeBounds) Edge(from int, act ioa.Action, to int) {
+	v.edges++
+	if from < 0 || from >= v.nodes || to < 0 || to >= v.nodes {
+		v.t.Fatalf("edge (%d, %s, %d) with %d nodes admitted", from, act, to, v.nodes)
+	}
+}
+
 func TestSpillCrashMidCensus(t *testing.T) {
 	ctx := context.Background()
 	sp := tinySpill(t)

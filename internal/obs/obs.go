@@ -400,15 +400,19 @@ func (m *DistMetrics) ShardStates(rank int, states int64) {
 	g.Set(states)
 }
 
-// ProofMetrics instruments the possibilities-mapping checker.
+// ProofMetrics instruments the possibilities-mapping checker, whose one
+// walk of A checks condition 2 on each step as the engine takes it.
 type ProofMetrics struct {
-	// MapStates counts reachable states of A whose outgoing steps were
-	// checked against the mapping conditions.
+	// MapStates counts reachable states of A all of whose outgoing
+	// steps were checked against the mapping conditions.
 	MapStates *Counter
 	// MapSteps counts individual (state, action, successor) step
 	// checks.
 	MapSteps *Counter
-	// StateNS is the distribution of per-state check times (ns).
+	// StateNS is the distribution of per-state walk times (ns): from
+	// the end of one state's expansion (the walk's start, for the
+	// first) to the end of the next, so stepping the state, interning
+	// its successors, Map on the new ones and the checks on its steps.
 	StateNS *Histogram
 }
 

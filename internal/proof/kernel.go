@@ -3,25 +3,25 @@ package proof
 // The possibilities-mapping kernel: what VerifyOpts,
 // FairSatisfiesViaMappingOpts and TransferDownOpts run on.
 //
-// A check starts from Reach(B) and Reach(A) through the engine. Each
-// result is frozen behind a position index (posIndex: hash of the
-// streamed encoding → position in the result, confirmed against the
-// state stored there), so "is b reachable" and "which state is this
-// successor" are probes that return a position, and no state is asked
-// for its Key(). h.Map is then called once per reachable state of A, on
-// the calling goroutine, and resolved into one flat table of B
-// positions (image); from there on the checks compare positions.
+// A check that needs B's reachable states explores B through the
+// engine, at Options.Workers, and freezes the result behind a position
+// index (posIndex: hash of the streamed encoding → position in the
+// result, confirmed against the state stored there), so "is b
+// reachable" and "which state is this successor of b" are probes that
+// return a position, and no state is asked for its Key().
 //
-// Condition 2 is a pass over the positions of Reach(A) sharded over
-// Options.Workers by chunks off a shared cursor, the way the engine
-// shards a level. The error it returns is canonical: each worker walks
-// a state's steps in the sequential order (sorted action, Next order,
-// Map order) and so finds that state's first failure; the failure at
-// the least position wins; and every position below a reported failure
-// is still checked to the end, because chunks are claimed in ascending
-// order and a worker only abandons positions above the least failure
-// known. That is the error a sequential loop over Reach(A) returns, at
-// any worker count.
+// A itself is walked once, by the engine's sequential kernel
+// (explore.Engine.Visit), and checked as it goes: h.Map is called on
+// each state as it is admitted, on the calling goroutine, and resolved
+// into the state's row of B positions (an image); condition 2 is then
+// checked on each step as the engine emits it, comparing positions.
+// The steps come node by node in discovery order, then sorted action,
+// then Next order, and each is checked against the possibilities in
+// Map order, so the first failure is the one a sequential loop over
+// Reach(A) finds, at any worker count. After it the walk runs to the
+// end and checks nothing more: the engine's own errors (ErrLimit,
+// cancellation, storage) take precedence, and Map is still called once
+// per admitted state.
 
 import (
 	"bytes"
@@ -29,8 +29,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/explore"
 	"repro/internal/ioa"
@@ -48,16 +47,14 @@ const unreachable = math.MaxUint32
 // slots at load ≤ ½, about 16 bytes a state. It deliberately is neither
 // the engine's seen set kept alive nor a second store: both hold the
 // encodings a second time beside the states (DESIGN.md, "Possibilities-
-// mapping kernel"). Read-only once built, so any number of goroutines
-// may probe it, each through its own probe buffers.
+// mapping kernel"). It carries its own probe buffers, so one goroutine
+// at a time may probe it.
 type posIndex struct {
-	states []ioa.State
-	slots  []uint64 // 0 = empty, else hash&^MaxUint32 | position+1
-	mask   uint64
+	states   []ioa.State
+	slots    []uint64 // 0 = empty, else hash&^MaxUint32 | position+1
+	mask     uint64
+	enc, cmp []byte // find's encodings of the probed and the stored state
 }
-
-// probe holds one goroutine's encoding buffers for posIndex.find.
-type probe struct{ enc, cmp []byte }
 
 // reachIndexed explores x and freezes a position index over the result.
 // Engine errors — ErrLimit, cancellation, storage — pass through.
@@ -66,24 +63,17 @@ func reachIndexed(opts explore.Options, x ioa.Automaton) (*posIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return indexStates(states)
-}
-
-// indexStates freezes a position index over states, which must be
-// pairwise distinct (a Reach result is).
-func indexStates(states []ioa.State) (*posIndex, error) {
 	if len(states) >= unreachable {
-		return nil, fmt.Errorf("proof: %d reachable states exceed the position index", len(states))
+		return nil, fmt.Errorf("proof: %d reachable states of %s exceed the position index", len(states), x.Name())
 	}
 	size := 1
 	for size < 2*len(states) {
 		size <<= 1
 	}
 	idx := &posIndex{states: states, slots: make([]uint64, size), mask: uint64(size - 1)}
-	var enc []byte
 	for pos, s := range states {
-		enc = ioa.AppendState(enc[:0], s)
-		h := store.Hash(enc)
+		idx.enc = ioa.AppendState(idx.enc[:0], s)
+		h := store.Hash(idx.enc)
 		i := h & idx.mask
 		for idx.slots[i] != 0 {
 			i = (i + 1) & idx.mask
@@ -96,9 +86,9 @@ func indexStates(states []ioa.State) (*posIndex, error) {
 // find returns the position of s in the indexed result, or unreachable.
 // A slot whose hash half matches is confirmed by encoding the state
 // stored at that position and comparing bytes.
-func (x *posIndex) find(p *probe, s ioa.State) uint32 {
-	p.enc = ioa.AppendState(p.enc[:0], s)
-	h := store.Hash(p.enc)
+func (x *posIndex) find(s ioa.State) uint32 {
+	x.enc = ioa.AppendState(x.enc[:0], s)
+	h := store.Hash(x.enc)
 	for i := h & x.mask; ; i = (i + 1) & x.mask {
 		slot := x.slots[i]
 		if slot == 0 {
@@ -108,236 +98,152 @@ func (x *posIndex) find(p *probe, s ioa.State) uint32 {
 			continue
 		}
 		pos := uint32(slot) - 1
-		p.cmp = ioa.AppendState(p.cmp[:0], x.states[pos])
-		if bytes.Equal(p.enc, p.cmp) {
+		x.cmp = ioa.AppendState(x.cmp[:0], x.states[pos])
+		if bytes.Equal(x.enc, x.cmp) {
 			return pos
 		}
 	}
 }
 
-// mapAll explores A and hands each reachable state, with h.Map of it,
-// to row: in Reach's order, on the calling goroutine, once per state.
-// It is the only place a check applies Map to the reachable states,
-// which is what holds Map's contract (PossMapping.Map).
-func (h *PossMapping) mapAll(opts explore.Options, row func(a ioa.State, poss []ioa.State) error) ([]ioa.State, error) {
-	reachA, err := explore.New(opts).Reach(context.Background(), h.A)
-	if err != nil {
-		return nil, err
-	}
-	for _, a := range reachA {
-		if err := row(a, h.Map(a)); err != nil {
-			return nil, err
-		}
-	}
-	return reachA, nil
-}
+// walkProgressStride is how many expanded states separate two
+// heartbeats of a mapping walk.
+const walkProgressStride = 8192
 
-// An image is h over the reachable states: row(i) lists, in Map's
-// order, the positions in Reach(B) of the possibilities of reachA[i],
-// unreachable standing for a possibility outside Reach(B).
-type image struct {
-	reachA []ioa.State
-	b      *posIndex
-	off    []int // row(i) is ids[off[i]:off[i+1]]
-	ids    []uint32
-}
-
-func (m *image) row(i int) []uint32 { return m.ids[m.off[i]:m.off[i+1]] }
-
-// image explores A and tabulates h against the indexed Reach(B).
-func (h *PossMapping) image(opts explore.Options, b *posIndex) (*image, error) {
-	m := &image{b: b}
-	var p probe
-	var err error
-	m.reachA, err = h.mapAll(opts, func(_ ioa.State, poss []ioa.State) error {
-		m.off = append(m.off, len(m.ids))
-		for _, s := range poss {
-			m.ids = append(m.ids, b.find(&p, s))
-		}
-		return nil
-	})
-	m.off = append(m.off, len(m.ids))
-	return m, err
-}
-
-const (
-	// condChunk is how many positions of Reach(A) a worker claims at a
-	// time (a state costs microseconds, so a chunk is well under a
-	// millisecond and the tail imbalance stays small).
-	condChunk = 64
-	// condProgressStride is how many checked states separate two
-	// heartbeats of the condition pass.
-	condProgressStride = 8192
-)
-
-// condPass is the state the workers of one condition-2 pass share. All
-// of it but the cursor, the failure record and the heartbeat count is
-// read-only during the pass.
-type condPass struct {
+// A walk is one check's single pass over A, an explore.Visitor. Every
+// admitted state a is handed, with h.Map(a), to state; with b set, its
+// possibilities are also resolved into a row of positions in Reach(B)
+// and condition 2 is checked on every step. The first failure is kept
+// in fail, to be formatted once the walk has returned A's states.
+type walk struct {
 	h     *PossMapping
-	o     *obs.Obs
-	a     *posIndex // over m.reachA
-	m     *image
+	state func(a ioa.State, poss []ioa.State) error // nil: no per-state check
+	b     *posIndex                                 // nil: no rows, no condition 2
 	bActs ioa.Set
+	o     *obs.Obs // progress and the proof metrics, under VerifyOpts
 
-	cursor atomic.Int64 // next unclaimed position
-	least  atomic.Int64 // least failing position reported; len(reachA) while none
-	done   atomic.Int64 // states checked so far (kept only with Obs)
+	// The image: row(v) lists, in Map's order, the positions in Reach(B)
+	// of the possibilities of node v, unreachable standing for one
+	// outside Reach(B).
+	off []int // row(v) is ids[off[v]:off[v+1]]
+	ids []uint32
 
-	mu   sync.Mutex // guards fail
-	fail error      // the failure at position least
+	match    func(ioa.State) bool // matchStep, bound
+	next     []uint32             // row(a′) of the step being checked
+	matched  bool
+	missedAt ioa.State // a successor of a possibility outside Reach(B)
+
+	fail func(reachA []ioa.State) error // the first failure
+	// Under Obs: states and steps checked, nodes admitted, and when the
+	// previous expansion ended.
+	checked, steps, admitted int64
+	last                     time.Time
 }
 
-// condition2 checks condition 2 of the mapping over every reachable
-// state of A and returns the canonical first failure (see the file
-// comment). The calling goroutine is worker 0 and the only one that
-// emits progress.
-func (h *PossMapping) condition2(opts explore.Options, m *image) error {
-	a, err := indexStates(m.reachA)
-	if err != nil {
+func (h *PossMapping) newWalk(b *posIndex, state func(a ioa.State, poss []ioa.State) error) *walk {
+	w := &walk{h: h, state: state, b: b, bActs: h.B.Sig().Acts(), off: []int{0}}
+	w.match = w.matchStep
+	return w
+}
+
+// run walks A and returns the engine's error, else the first failure.
+func (w *walk) run(opts explore.Options) error {
+	if w.o != nil {
+		w.last = w.o.Now()
+		defer func() {
+			w.o.Proof.MapStates.Add(w.checked)
+			w.o.Proof.MapSteps.Add(w.steps)
+			w.o.EmitProgress(obs.Progress{Phase: "proof", States: w.checked, Total: w.admitted, Done: true})
+		}()
+	}
+	reachA, err := explore.New(opts).Visit(context.Background(), w.h.A, w)
+	if err != nil || w.fail == nil {
 		return err
 	}
-	c := &condPass{h: h, o: opts.Obs, a: a, m: m, bActs: h.B.Sig().Acts()}
-	n := int64(len(m.reachA))
-	c.least.Store(n)
-	workers := min(opts.WorkerCount(), (len(m.reachA)+condChunk-1)/condChunk) // no more than chunks
-	var wg sync.WaitGroup
-	for wi := 1; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			c.work(wi)
-		}(wi)
-	}
-	c.work(0)
-	wg.Wait()
-	c.o.EmitProgress(obs.Progress{Phase: "proof", States: c.done.Load(), Total: n, Done: true})
-	return c.fail
+	return w.fail(reachA)
 }
 
-// work is one worker's share of the pass: chunks off the cursor until
-// they run out or start above the least failure known.
-func (c *condPass) work(wi int) {
-	w := &condWorker{c: c, step: ioa.NewWalk(c.h.A, true)}
-	// The two yields are bound once, so stepping allocates nothing.
-	check := w.checkStep
-	w.match = w.matchStep
-	n := len(c.m.reachA)
-	var states, beat int64
-	for {
-		start := int(c.cursor.Add(condChunk)) - condChunk
-		if start >= n || int64(start) > c.least.Load() {
-			break
-		}
-		end := min(start+condChunk, n)
-		i := start
-		for ; i < end && int64(i) < c.least.Load(); i++ {
-			stateStart := c.o.Now()
-			w.a, w.row = c.m.reachA[i], c.m.row(i)
-			w.step.Visit(w.a, check)
-			if c.o != nil {
-				c.o.Proof.StateNS.ObserveShard(wi, c.o.Now().Sub(stateStart).Nanoseconds())
-			}
-			states++
-			if w.err != nil {
-				c.report(i, w.err)
-				break
-			}
-		}
-		if c.o == nil {
-			continue
-		}
-		// The heartbeat: every worker counts, worker 0 reports.
-		d := c.done.Add(int64(i - start))
-		if wi == 0 && d >= beat {
-			beat = d - d%condProgressStride + condProgressStride
-			c.o.EmitProgress(obs.Progress{Phase: "proof", States: d, Total: int64(n)})
+func (w *walk) row(v int) []uint32 { return w.ids[w.off[v]:w.off[v+1]] }
+
+// Admit calls Map on a, checks the state and appends its row.
+func (w *walk) Admit(_, _ int, a ioa.State) {
+	w.admitted++
+	poss := w.h.Map(a)
+	if w.state != nil && w.fail == nil {
+		if err := w.state(a, poss); err != nil {
+			w.fail = func([]ioa.State) error { return err }
 		}
 	}
-	// One flush per worker, so the totals do not depend on how the
-	// chunks fell.
-	if c.o != nil {
-		c.o.Proof.MapStates.AddShard(wi, states)
-		c.o.Proof.MapSteps.AddShard(wi, w.steps)
+	if w.b == nil {
+		return
 	}
-}
-
-// report records a failure at position i if it is the least so far.
-func (c *condPass) report(i int, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if int64(i) < c.least.Load() {
-		c.least.Store(int64(i))
-		c.fail = err
+	for _, s := range poss {
+		w.ids = append(w.ids, w.b.find(s))
 	}
+	w.off = append(w.off, len(w.ids))
 }
 
-// condWorker is one goroutine's side of the pass: its own Walk and
-// probe buffers, and the state and step it is on.
-type condWorker struct {
-	c     *condPass
-	step  *ioa.Walk
-	probe probe
-	match func(ioa.State) bool // matchStep, bound
-
-	a    ioa.State // the state being checked
-	row  []uint32  // h(a)
-	next []uint32  // h(a′) of the step being checked
-
-	matched, missed bool
-	missedAt        ioa.State // the successor of a possibility that missed Reach(B)
-	err             error     // a's first failure
-	steps           int64
-}
-
-// checkStep checks condition 2 on the step (a, step.Act, aNext),
-// against every reachable possibility of a in Map's order, and stops
-// a's enumeration at the first failure.
-func (w *condWorker) checkStep(aNext ioa.State) bool {
-	c, act := w.c, w.step.Act
+// Edge checks condition 2 on the step (from, act, to) against every
+// reachable possibility of from, in Map's order.
+func (w *walk) Edge(from int, act ioa.Action, to int) {
+	if w.b == nil || w.fail != nil {
+		return
+	}
 	w.steps++
-	j := c.a.find(&w.probe, aNext)
-	if j == unreachable {
-		w.err = errOutsideReach(c.h.A, w.a, act, aNext)
-		return false
-	}
-	w.next = c.m.row(int(j))
-	inB := c.bActs.Has(act)
-	for _, p := range w.row {
+	w.next = w.row(to)
+	inB := w.bActs.Has(act)
+	for _, p := range w.row(from) {
 		if p == unreachable {
 			continue // the condition applies to reachable possibilities only
 		}
-		b := c.m.b.states[p]
+		b := w.b.states[p]
 		if !inB {
 			if !slices.Contains(w.next, p) {
-				w.err = c.h.errNotPreserved(w.a, act, aNext, b)
-				return false
+				w.fail = func(reachA []ioa.State) error {
+					return w.h.errNotPreserved(reachA[from], act, reachA[to], b)
+				}
+				return
 			}
 			continue
 		}
-		w.matched, w.missed = false, false
-		c.h.B.Next(nil, b, act, w.match)
-		if w.missed {
-			w.err = errOutsideReach(c.h.B, b, act, w.missedAt)
-			return false
+		w.matched, w.missedAt = false, nil
+		w.h.B.Next(nil, b, act, w.match)
+		if missed := w.missedAt; missed != nil {
+			w.fail = func([]ioa.State) error { return errOutsideReach(w.h.B, b, act, missed) }
+			return
 		}
 		if !w.matched {
-			w.err = c.h.errNoMatch(w.a, act, aNext, b)
-			return false
+			w.fail = func(reachA []ioa.State) error {
+				return w.h.errNoMatch(reachA[from], act, reachA[to], b)
+			}
+			return
 		}
 	}
-	return true
 }
 
 // matchStep looks for a successor of the possibility among h(a′).
-func (w *condWorker) matchStep(bNext ioa.State) bool {
-	q := w.c.m.b.find(&w.probe, bNext)
+func (w *walk) matchStep(bNext ioa.State) bool {
+	q := w.b.find(bNext)
 	if q == unreachable {
-		w.missed, w.missedAt = true, bNext
+		w.missedAt = bNext
 		return false
 	}
 	w.matched = slices.Contains(w.next, q)
 	return !w.matched
+}
+
+// Expanded counts v as checked and, every walkProgressStride states,
+// reports progress.
+func (w *walk) Expanded(v int) {
+	if w.o == nil || w.fail != nil {
+		return
+	}
+	now := w.o.Now()
+	w.o.Proof.StateNS.Observe(now.Sub(w.last).Nanoseconds())
+	w.last = now
+	w.checked++
+	if v%walkProgressStride == 0 {
+		w.o.EmitProgress(obs.Progress{Phase: "proof", States: w.checked, Total: w.admitted})
+	}
 }
 
 // errOutsideReach is the internal error of a probe miss on a successor

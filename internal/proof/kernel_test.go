@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/arbiter/dist"
@@ -23,15 +24,17 @@ import (
 // most fixtures have chunks.
 var batteryWorkers = []int{1, 2, 8}
 
-// agree runs the kernel and the reference loop under the same options
-// at every battery worker count and requires the same verdict, byte for
-// byte. It returns the (common) error at the last worker count.
+// agree runs the kernel at every battery worker count and requires the
+// verdict of the reference loop run sequentially (Workers: 1) under
+// otherwise the same options, byte for byte: one expected error for
+// every count. It returns the (common) error.
 func agree(t *testing.T, name string, h *proof.PossMapping, opts explore.Options) error {
 	t.Helper()
+	opts.Workers = 1
+	want := proof.ReferenceVerify(h, opts)
 	var got error
 	for _, w := range batteryWorkers {
 		opts.Workers = w
-		want := proof.ReferenceVerify(h, opts)
 		got = h.VerifyOpts(opts)
 		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
 			t.Fatalf("%s, workers=%d: kernel and reference disagree\n  kernel:    %v\n  reference: %v", name, w, got, want)
@@ -194,6 +197,62 @@ func TestKernelFirstFailureIsCanonical(t *testing.T) {
 	}
 }
 
+// TestKernelFirstFailureIndependentOfWorkers: two start states, listed
+// z0 then a0, each with a tau step whose possibility is dropped. The
+// sequential walk reaches z0's step first; a walk in key order would
+// reach a0's. Every worker count must report z0's.
+func TestKernelFirstFailureIndependentOfWorkers(t *testing.T) {
+	sig := ioa.MustSignature(nil, []ioa.Action{"fire"}, []ioa.Action{"tau"})
+	two := ioa.MustTable("two", sig, []ioa.State{ks("z0"), ks("a0")}, []ioa.Step{
+		{From: ks("z0"), Act: "tau", To: ks("z1")},
+		{From: ks("a0"), Act: "tau", To: ks("a1")},
+	}, []ioa.Class{{Name: "c", Actions: ioa.NewSet("fire", "tau")}})
+	_, dot := line(1)
+	h := &proof.PossMapping{A: two, B: dot, Map: func(s ioa.State) []ioa.State {
+		if strings.HasSuffix(s.Key(), "1") {
+			return nil
+		}
+		return dot.Start()
+	}}
+	err := agree(t, "two starts", h, explore.Options{})
+	if err == nil || !strings.Contains(err.Error(), `step ("z0", tau, "z1")`) {
+		t.Errorf("want the 2(b) failure on z0's step, got %v", err)
+	}
+}
+
+// counting counts the Next calls made on its automaton.
+type counting struct {
+	ioa.Automaton
+	calls *atomic.Int64
+}
+
+func (c counting) Next(sc *ioa.Scratch, s ioa.State, act ioa.Action, yield func(ioa.State) bool) bool {
+	c.calls.Add(1)
+	return c.Automaton.Next(sc, s, act, yield)
+}
+
+// TestVerifyStepsAOnce: a verification steps A exactly as often as one
+// Engine.Graph walk of it — each reachable state once per action — at
+// every worker count.
+func TestVerifyStepsAOnce(t *testing.T) {
+	c := chainAt(t, 3, 0)
+	var calls atomic.Int64
+	a := counting{c.H2.A, &calls}
+	if _, err := explore.New(explore.Options{}).Graph(context.Background(), a); err != nil {
+		t.Fatal(err)
+	}
+	want := calls.Swap(0)
+	h := &proof.PossMapping{A: a, B: c.H2.B, Map: c.H2.Map}
+	for _, w := range batteryWorkers {
+		if err := h.VerifyOpts(explore.Options{Workers: w}); err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Swap(0); got != want {
+			t.Errorf("workers=%d: VerifyOpts called A's Next %d times, one Graph walk %d", w, got, want)
+		}
+	}
+}
+
 // TestKernelMixedPossibilities: a multi-valued map whose rows mix
 // possibilities inside and outside Reach(B). The unreachable ones are
 // skipped as sources and never match as targets; a seeded row left
@@ -281,31 +340,25 @@ func (l liar) Next(sc *ioa.Scratch, s ioa.State, act ioa.Action, yield func(ioa.
 	return l.Automaton.Next(sc, s, act, yield)
 }
 
-// TestStepOutsideReachIsInternalError: a successor the completed Reach
-// does not hold — on either side — is reported as an internal error
-// naming the step, never checked some other way and never a verdict
-// about the mapping. The lie starts at the second Map call, which
-// follows both explorations.
+// TestStepOutsideReachIsInternalError: a successor of a reachable
+// possibility that the completed Reach(B) does not hold is reported as
+// an internal error naming the step, never checked some other way and
+// never a verdict about the mapping. The lie starts at the second Map
+// call, which follows B's exploration. (A is walked once, so its Next
+// has no second answer to give.)
 func TestStepOutsideReachIsInternalError(t *testing.T) {
-	for _, side := range []string{"mod4", "mod2"} {
-		for _, w := range batteryWorkers {
-			lie, calls := false, 0
-			a, b := ioa.Automaton(counter("mod4", 4, 0, 2)), ioa.Automaton(counter("mod2", 2, 0))
-			if side == "mod4" {
-				a = liar{a, &lie}
-			} else {
-				b = liar{b, &lie}
-			}
-			h := &proof.PossMapping{A: a, B: b, Map: func(s ioa.State) []ioa.State {
-				calls++
-				lie = calls >= 2
-				return []ioa.State{ks("%d", parity(s))}
-			}}
-			err := h.VerifyOpts(explore.Options{Workers: w})
-			if err == nil || errors.Is(err, proof.ErrNotPossibilities) ||
-				!strings.Contains(err.Error(), "internal error") || !strings.Contains(err.Error(), `"ghost") of `+side) {
-				t.Errorf("%s lying, workers=%d: %v; want the internal error naming the ghost step of %s", side, w, err, side)
-			}
+	for _, w := range batteryWorkers {
+		lie, calls := false, 0
+		a, b := counter("mod4", 4, 0, 2), liar{counter("mod2", 2, 0), &lie}
+		h := &proof.PossMapping{A: a, B: b, Map: func(s ioa.State) []ioa.State {
+			calls++
+			lie = calls >= 2
+			return []ioa.State{ks("%d", parity(s))}
+		}}
+		err := h.VerifyOpts(explore.Options{Workers: w})
+		if err == nil || errors.Is(err, proof.ErrNotPossibilities) ||
+			!strings.Contains(err.Error(), "internal error") || !strings.Contains(err.Error(), `"ghost") of mod2`) {
+			t.Errorf("mod2 lying, workers=%d: %v; want the internal error naming the ghost step of mod2", w, err)
 		}
 	}
 }

@@ -29,10 +29,11 @@ type PossMapping struct {
 	// Map returns h(a), the possibilities for a state of A. For the
 	// common case of a functional mapping, return a singleton. The
 	// checks of this package call Map once per start state and once per
-	// reachable state of A — before checking any condition on them, so
-	// also on states past the first failure — and never from two
-	// goroutines at once, whatever Options.Workers says: Map may memoise
-	// without locking.
+	// reachable state of A, as their one walk of A admits the state —
+	// before any step from or into it is checked, and also on states
+	// past the first failure — and only on the goroutine that called
+	// the check, whatever Options.Workers says: Map may memoise without
+	// locking.
 	Map func(ioa.State) []ioa.State
 }
 
@@ -44,12 +45,13 @@ var ErrNotPossibilities = errors.New("proof: not a possibilities mapping")
 // over the reachable states of A (exploring at most Options.Limit
 // states of each automaton). For finite-state A and B this is a
 // complete check; for larger systems it is a bounded certification.
-// The two reachability passes run through the explore engine, Map is
-// tabulated once over the result, and condition 2 is then checked by
-// Options.Workers goroutines over that table (kernel.go). The error is
-// the same at every worker count: the first failure in the order of
-// Reach(A), then sorted action, then Next order, then Map order. An
-// Options.Canon is refused, as by every *Opts check here (refuseCanon).
+// Reach(B) runs through the explore engine at Options.Workers; A is
+// walked once by the engine's sequential kernel, Map is called on each
+// state as it is admitted, and condition 2 is checked on each step as
+// the walk takes it (kernel.go). The error is the same at every worker
+// count: the first failure in discovery order, then sorted action, then
+// Next order, then Map order. An Options.Canon is refused, as by every
+// *Opts check here (refuseCanon).
 func (h *PossMapping) VerifyOpts(opts explore.Options) error {
 	if err := refuseCanon(opts); err != nil {
 		return err
@@ -84,11 +86,9 @@ func (h *PossMapping) VerifyOpts(opts explore.Options) error {
 	}
 
 	// Condition 2, over reachable states of A.
-	m, err := h.image(opts, reachB)
-	if err != nil {
-		return err
-	}
-	return h.condition2(opts, m)
+	w := h.newWalk(reachB, nil)
+	w.o = opts.Obs
+	return w.run(opts)
 }
 
 func containsKey(states []ioa.State, key string) bool {
@@ -178,12 +178,12 @@ func (h *PossMapping) TransferDownOpts(opts explore.Options, s func(ioa.State) b
 		return err
 	}
 	// S ⊇ h⁻¹(U): every reachable a with some possibility in U must be in S.
-	if _, err := h.mapAll(opts, func(a ioa.State, poss []ioa.State) error {
+	if err := h.newWalk(nil, func(a ioa.State, poss []ioa.State) error {
 		if slices.ContainsFunc(poss, u) && !s(a) {
 			return fmt.Errorf("proof: S ⊉ h⁻¹(U): state %q has a possibility in U but is not in S", a.Key())
 		}
 		return nil
-	}); err != nil {
+	}).run(opts); err != nil {
 		return err
 	}
 	// T ⊆ V over the actions of A shared with B.

@@ -23,9 +23,11 @@ import (
 //     reachable possibility of a, then an action of D is enabled from
 //     a and no action of C − D is enabled from a.
 //
-// The check explores at most Options.Limit states of each automaton;
-// both reachability passes run through the explore engine, so a
-// Workers setting parallelizes them.
+// The check explores at most Options.Limit states of each automaton:
+// B's through the explore engine, which a Workers setting parallelizes,
+// and A's in one sequential walk that checks each state as it is
+// admitted (kernel.go), so the first failure reported is the first in
+// discovery order at any worker count.
 func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
 	if err := refuseCanon(opts); err != nil {
 		return err
@@ -59,21 +61,21 @@ func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
 	if err != nil {
 		return err
 	}
-	m, err := h.image(opts, b)
-	if err != nil {
-		return err
-	}
-	for i, a := range m.reachA {
+	var inReach []ioa.State // the possibilities of a inside Reach(B)
+	return h.newWalk(nil, func(a ioa.State, poss []ioa.State) error {
+		inReach = inReach[:0]
+		for _, s := range poss {
+			if b.find(s) != unreachable {
+				inReach = append(inReach, s)
+			}
+		}
 		enabledA := ioa.NewSet(h.A.Enabled(a)...)
 		for j, d := range partsB {
 			c := partsA[containing[j]]
 			// Is an action of D enabled from a reachable possibility?
 			dEnabledAtPoss := false
-			for _, p := range m.row(i) {
-				if p == unreachable {
-					continue
-				}
-				for _, act := range h.B.Enabled(b.states[p]) {
+			for _, s := range inReach {
+				for _, act := range h.B.Enabled(s) {
 					if d.Actions.Has(act) {
 						dEnabledAtPoss = true
 						break
@@ -104,6 +106,6 @@ func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
 				}
 			}
 		}
-	}
-	return nil
+		return nil
+	}).run(opts)
 }
