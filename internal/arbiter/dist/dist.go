@@ -46,8 +46,14 @@ var _ ioa.State = (*ProcState)(nil)
 
 // NewProcState builds a process state.
 func NewProcState(requesting []bool, lastForward int, holding, requested bool) *ProcState {
+	return newProcState(append([]bool(nil), requesting...), lastForward, holding, requested)
+}
+
+// newProcState is NewProcState taking ownership of requesting; states
+// are immutable, so a successor that keeps the flags shares them.
+func newProcState(requesting []bool, lastForward int, holding, requested bool) *ProcState {
 	s := &ProcState{
-		requesting:  append([]bool(nil), requesting...),
+		requesting:  requesting,
 		lastForward: lastForward,
 		holding:     holding,
 		requested:   requested,
@@ -82,10 +88,16 @@ func (s *ProcState) Holding() bool { return s.holding }
 // last holding the resource.
 func (s *ProcState) Requested() bool { return s.requested }
 
+// withRequesting returns s with neighbor i's request flag set to v: s
+// itself when it already is, else a new state over one copy of the
+// flags.
 func (s *ProcState) withRequesting(i int, v bool) *ProcState {
+	if s.requesting[i] == v {
+		return s
+	}
 	rq := append([]bool(nil), s.requesting...)
 	rq[i] = v
-	return NewProcState(rq, s.lastForward, s.holding, s.requested)
+	return newProcState(rq, s.lastForward, s.holding, s.requested)
 }
 
 // Action constructors (names carry sender and receiver node names).
@@ -143,7 +155,7 @@ func NewProcess(t *graph.Tree, a, initialHolder int) (*ioa.Prog, error) {
 		d.Input(ReceiveGrant(vName, aName), func(st ioa.State) ioa.State {
 			s := st.(*ProcState)
 			if !s.holding && s.lastForward == i {
-				return NewProcState(s.requesting, s.lastForward, true, false)
+				return newProcState(s.requesting, s.lastForward, true, false)
 			}
 			return s
 		})
@@ -154,7 +166,7 @@ func NewProcess(t *graph.Tree, a, initialHolder int) (*ioa.Prog, error) {
 			},
 			func(st ioa.State) ioa.State {
 				s := st.(*ProcState)
-				return NewProcState(s.requesting, s.lastForward, s.holding, true)
+				return newProcState(s.requesting, s.lastForward, s.holding, true)
 			})
 		d.Output(SendGrant(aName, vName), class,
 			func(st ioa.State) bool {
@@ -176,8 +188,10 @@ func NewProcess(t *graph.Tree, a, initialHolder int) (*ioa.Prog, error) {
 				return true
 			},
 			func(st ioa.State) ioa.State {
-				s := st.(*ProcState).withRequesting(i, false)
-				return NewProcState(s.requesting, i, false, s.requested)
+				s := st.(*ProcState)
+				rq := append([]bool(nil), s.requesting...)
+				rq[i] = false
+				return newProcState(rq, i, false, s.requested)
 			})
 	}
 	return d.Build()

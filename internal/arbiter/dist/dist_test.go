@@ -419,3 +419,42 @@ func TestLossyChannelBreaksDelivery(t *testing.T) {
 		t.Fatal("DelGr must be pending after the drop")
 	}
 }
+
+// TestIdleInputReturnsItsState: over every reachable state of each
+// arbiter process at four users, receiverequest(v,a) from a neighbor
+// whose request is already recorded yields the state it was given,
+// pointer-equal.
+func TestIdleInputReturnsItsState(t *testing.T) {
+	tr, err := graph.BinaryTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arbiters := tr.NodesOf(graph.Arbiter)
+	idle := 0
+	for _, a := range arbiters {
+		p, err := NewProcess(tr, a, arbiters[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range reach {
+			s := st.(*ProcState)
+			for i, v := range tr.Neighbors(a) {
+				if !s.Requesting(i) {
+					continue
+				}
+				idle++
+				act := ReceiveRequest(tr.Node(v).Name, tr.Node(a).Name)
+				if got := ioa.Successors(p, s, act); len(got) != 1 || got[0] != st {
+					t.Fatalf("%s from %s: yields %d state(s), not the state itself", act, s.Key(), len(got))
+				}
+			}
+		}
+	}
+	if idle == 0 {
+		t.Fatal("no process state with a recorded request: the test checks nothing")
+	}
+}

@@ -23,7 +23,8 @@ const (
 )
 
 // State is a state of A₂: one arrow set per directed edge of the
-// graph (§3.2.1). Immutable; mutators return copies.
+// graph (§3.2.1). Immutable; mutators return copies, or the receiver
+// itself when they change nothing.
 type State struct {
 	tree   *graph.Tree
 	arrows []uint8 // indexed by directed edge ID
@@ -39,7 +40,12 @@ var _ ioa.State = (*State)(nil)
 // NewState builds a state from explicit arrow sets (indexed by the
 // tree's directed-edge IDs).
 func NewState(t *graph.Tree, arrows []uint8) *State {
-	s := &State{tree: t, arrows: append([]uint8(nil), arrows...), root: -1}
+	return newState(t, append([]uint8(nil), arrows...))
+}
+
+// newState is NewState taking ownership of arrows.
+func newState(t *graph.Tree, arrows []uint8) *State {
+	s := &State{tree: t, arrows: arrows, root: -1}
 	var b strings.Builder
 	b.Grow(len(arrows))
 	for id, a := range s.arrows {
@@ -81,24 +87,35 @@ func (s *State) Root() int { return s.root }
 // asserts this is always exactly 1).
 func (s *State) RootCount() int { return s.rootCount }
 
-// mutate returns a copy of s with the given bit changes applied.
-// Each change is (v, w, set, clear).
+// arrowChange is one bit change (v, w, set, clear) for mutate.
 type arrowChange struct {
 	v, w       int
 	set, clear uint8
 }
 
+// mutate returns s with the given bit changes applied: s itself when
+// no bit changes (a request arrow already present), else a new state
+// over one copy of the arrow sets.
 func (s *State) mutate(changes ...arrowChange) *State {
-	arrows := append([]uint8(nil), s.arrows...)
+	arrows, copied := s.arrows, false
 	for _, c := range changes {
 		id, ok := s.tree.EdgeID(c.v, c.w)
 		if !ok {
 			panic(fmt.Sprintf("graphlevel: no edge (%d,%d)", c.v, c.w))
 		}
-		arrows[id] &^= c.clear
-		arrows[id] |= c.set
+		next := arrows[id]&^c.clear | c.set
+		if next == arrows[id] {
+			continue
+		}
+		if !copied {
+			arrows, copied = append([]uint8(nil), s.arrows...), true
+		}
+		arrows[id] = next
 	}
-	return NewState(s.tree, arrows)
+	if !copied {
+		return s
+	}
+	return newState(s.tree, arrows)
 }
 
 // RequestAct names the action request(v,w) for nodes of the tree.

@@ -359,3 +359,52 @@ func TestBogusUserReturnIgnored(t *testing.T) {
 		t.Error("bogus return must not change the state")
 	}
 }
+
+// TestIdleInputReturnsItsState: over every reachable state of A₂ at
+// four users, an input that moves no arrow — request(u,a) with the
+// request arrow already on (u,a), grant(u,a) from a user that does not
+// hold the resource — yields the state it was given, pointer-equal.
+func TestIdleInputReturnsItsState(t *testing.T) {
+	tr, err := graph.BinaryTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aug, err := graph.Augment(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := aug.NodesOf(graph.Arbiter)[0]
+	a2, err := New(aug, aug.Neighbors(holder)[0], holder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := map[string]int{}
+	for _, st := range reach {
+		s := st.(*State)
+		for _, u := range aug.NodesOf(graph.User) {
+			a := aug.UserAttachment(u)
+			for _, c := range []struct {
+				act  ioa.Action
+				idle bool
+			}{
+				{RequestAct(aug, u, a), s.HasRequest(u, a)},
+				{GrantAct(aug, u, a), !s.HasGrant(a, u)},
+			} {
+				if !c.idle {
+					continue
+				}
+				idle[c.act.Base()]++
+				if got := ioa.Successors(a2, s, c.act); len(got) != 1 || got[0] != st {
+					t.Fatalf("%s from %s: yields %d state(s), not the state itself", c.act, s.Key(), len(got))
+				}
+			}
+		}
+	}
+	if idle["request"] == 0 || idle["grant"] == 0 {
+		t.Fatalf("idle inputs checked over %d states: %v, want both kinds", len(reach), idle)
+	}
+}

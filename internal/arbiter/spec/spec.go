@@ -17,7 +17,8 @@ import (
 const ArbiterName = "a"
 
 // State is a state of A₁: the set of requesting users and the holder
-// (§3.1.1). It is immutable; mutators return copies.
+// (§3.1.1). It is immutable; mutators return copies, or the receiver
+// itself when they change nothing.
 type State struct {
 	// requesters[i] reports whether user i is requesting.
 	requesters []bool
@@ -31,7 +32,12 @@ var _ ioa.State = (*State)(nil)
 
 // NewState builds a spec state.
 func NewState(requesters []bool, holder int) *State {
-	s := &State{requesters: append([]bool(nil), requesters...), holder: holder}
+	return newState(append([]bool(nil), requesters...), holder)
+}
+
+// newState is NewState taking ownership of requesters.
+func newState(requesters []bool, holder int) *State {
+	s := &State{requesters: requesters, holder: holder}
 	var b strings.Builder
 	b.WriteString("req={")
 	for i, r := range s.requesters {
@@ -77,14 +83,20 @@ func (s *State) Holder() int { return s.holder }
 // NumUsers returns the number of users.
 func (s *State) NumUsers() int { return len(s.requesters) }
 
+// withRequest returns s with user u's request flag set to v: s itself
+// when it already is, else a new state over one copy of the flags.
 func (s *State) withRequest(u int, v bool) *State {
+	if s.requesters[u] == v {
+		return s
+	}
 	req := append([]bool(nil), s.requesters...)
 	req[u] = v
-	return NewState(req, s.holder)
+	return newState(req, s.holder)
 }
 
+// withHolder returns s with holder h, sharing s's (immutable) flags.
 func (s *State) withHolder(h int) *State {
-	return NewState(s.requesters, h)
+	return newState(s.requesters, h)
 }
 
 // Users names the users of an arbiter instance; user i is Users[i].

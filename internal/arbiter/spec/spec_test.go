@@ -215,3 +215,38 @@ func TestA1RandomDrives(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIdleInputReturnsItsState: over every reachable state of A₁ at
+// four users, request(u) while u is requesting and return(u) from a
+// non-holder yield the state they were given, pointer-equal.
+func TestIdleInputReturnsItsState(t *testing.T) {
+	a1, us := newA1(t, 4)
+	reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := map[string]int{}
+	for _, st := range reach {
+		s := st.(*State)
+		for i, u := range us {
+			for _, c := range []struct {
+				act  ioa.Action
+				idle bool
+			}{
+				{Request(u), s.Requesting(i)},
+				{Return(u), s.Holder() != i},
+			} {
+				if !c.idle {
+					continue
+				}
+				idle[c.act.Base()]++
+				if got := ioa.Successors(a1, s, c.act); len(got) != 1 || got[0] != st {
+					t.Fatalf("%s from %s: yields %d state(s), not the state itself", c.act, s.Key(), len(got))
+				}
+			}
+		}
+	}
+	if idle["request"] == 0 || idle["return"] == 0 {
+		t.Fatalf("idle inputs checked over %d states: %v, want both kinds", len(reach), idle)
+	}
+}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"strconv"
 	"testing"
 
@@ -202,6 +203,35 @@ func TestAdversaryDrop(t *testing.T) {
 	}
 	if !net.Sig().IsInternal(DropAction("x", "y")) {
 		t.Fatal("drop must be internal")
+	}
+}
+
+// TestNetworkEnabledCountsNoFault: asking which adversary actions are
+// enabled computes no fault, so it moves no counter and emits no trace
+// instant; a drop step counts exactly one.
+func TestNetworkEnabledCountsNoFault(t *testing.T) {
+	o := obs.New(nil)
+	net := oneLink(t, 2, Injection{Adversary: []Class{Drop, Duplicate, Reorder}, Obs: o})
+	s := net.Start()[0]
+	s = step(t, net, s, ioa.Act("snd", "k0"))
+	s = step(t, net, s, ioa.Act("snd", "k1"))
+	counters := func() [3]int64 {
+		return [3]int64{o.Faults.Drop.Value(), o.Faults.Dup.Value(), o.Faults.Reorder.Value()}
+	}
+	enabled := net.Enabled(s)
+	for _, a := range []ioa.Action{DropAction("x", "y"), DupAction("x", "y"), ReorderAction("x", "y")} {
+		if !slices.Contains(enabled, a) {
+			t.Fatalf("%s not enabled with two queued messages: %v", a, enabled)
+		}
+	}
+	if got := counters(); got != [3]int64{} || o.Tracer.Len() != 0 {
+		t.Fatalf("Enabled counted faults: drop/dup/reorder = %v, %d trace events", got, o.Tracer.Len())
+	}
+	if got := ioa.Successors(net, s, DropAction("x", "y")); len(got) != 1 {
+		t.Fatalf("drop yielded %d successors", len(got))
+	}
+	if got := counters(); got != [3]int64{1, 0, 0} || o.Tracer.Len() != 1 {
+		t.Fatalf("one drop step: drop/dup/reorder = %v, %d trace events, want [1 0 0] and 1", got, o.Tracer.Len())
 	}
 }
 

@@ -15,16 +15,36 @@ const (
 )
 
 // transition is the definition of one action's transition relation in
-// precondition/effect style (the notation of Figure 3.1).
+// precondition/effect style (the notation of Figure 3.1). A
+// deterministic action keeps its precondition and effect apart, so
+// asking whether it is enabled evaluates pre alone and a step runs eff
+// once; an effect that returns its argument (an ignored input, a
+// change that changes nothing) makes that step free: no allocation,
+// and one probe of the seen set, which already holds the state.
 type transition struct {
 	kind kind
-	// next returns all successors of s via this action; empty means
-	// the action is not enabled from s. For inputs, an empty result is
-	// interpreted as "ignore the input" and replaced by a self-loop,
-	// preserving input-enabledness.
+	// pre is the precondition of a deterministic output or internal
+	// action; nil for inputs, which are enabled everywhere.
+	pre func(State) bool
+	// eff is the effect of a deterministic action: its one successor
+	// from a state where pre holds. Nil for the *ND forms.
+	eff func(State) State
+	// next returns all successors of s via a nondeterministic action;
+	// empty means the action is not enabled from s. For inputs, an
+	// empty result is interpreted as "ignore the input" and replaced by
+	// a self-loop, preserving input-enabledness.
 	next func(State) []State
 	// class names the fairness class for locally-controlled actions.
 	class string
+}
+
+// enabled reports whether a locally-controlled t is enabled from s:
+// its precondition, or a nonempty successor list for the *ND forms.
+func (t *transition) enabled(s State) bool {
+	if t.eff != nil {
+		return t.pre(s)
+	}
+	return len(t.next(s)) > 0
 }
 
 // A Def accumulates the definition of an automaton in the
@@ -62,9 +82,11 @@ func (d *Def) add(a Action, t *transition) {
 
 // Input defines an input action with a deterministic effect. The
 // effect function must be total; return the argument unchanged to
-// ignore the input in a given state.
+// ignore the input in a given state — the same State value, not an
+// equal copy, which is what makes an ignored input cost no allocation
+// and one seen-set probe.
 func (d *Def) Input(a Action, eff func(State) State) *Def {
-	d.add(a, &transition{kind: kindInput, next: func(s State) []State { return []State{eff(s)} }})
+	d.add(a, &transition{kind: kindInput, eff: eff})
 	return d
 }
 
@@ -79,7 +101,7 @@ func (d *Def) InputND(a Action, next func(State) []State) *Def {
 // Output defines an output action with a precondition and a
 // deterministic effect, as in the paper's action tables.
 func (d *Def) Output(a Action, class string, pre func(State) bool, eff func(State) State) *Def {
-	d.add(a, &transition{kind: kindOutput, class: class, next: guarded(pre, eff)})
+	d.add(a, &transition{kind: kindOutput, class: class, pre: pre, eff: eff})
 	return d
 }
 
@@ -93,7 +115,7 @@ func (d *Def) OutputND(a Action, class string, next func(State) []State) *Def {
 // Internal defines an internal action with a precondition and a
 // deterministic effect.
 func (d *Def) Internal(a Action, class string, pre func(State) bool, eff func(State) State) *Def {
-	d.add(a, &transition{kind: kindInternal, class: class, next: guarded(pre, eff)})
+	d.add(a, &transition{kind: kindInternal, class: class, pre: pre, eff: eff})
 	return d
 }
 
@@ -102,15 +124,6 @@ func (d *Def) Internal(a Action, class string, pre func(State) bool, eff func(St
 func (d *Def) InternalND(a Action, class string, next func(State) []State) *Def {
 	d.add(a, &transition{kind: kindInternal, class: class, next: next})
 	return d
-}
-
-func guarded(pre func(State) bool, eff func(State) State) func(State) []State {
-	return func(s State) []State {
-		if !pre(s) {
-			return nil
-		}
-		return []State{eff(s)}
-	}
 }
 
 // Build finalizes the definition into an immutable Automaton. It
@@ -163,8 +176,13 @@ func (d *Def) Build() (*Prog, error) {
 		trans: d.trans,
 		parts: parts,
 	}
-	// Precompute sorted local action list for Enabled.
+	// Resolve the sorted locally-controlled actions once, so Enabled
+	// walks a slice and does no map lookups.
 	p.local = sig.Local().Sorted()
+	p.localT = make([]*transition, len(p.local))
+	for i, a := range p.local {
+		p.localT[i] = d.trans[a]
+	}
 	return p, nil
 }
 
@@ -186,7 +204,10 @@ type Prog struct {
 	start []State
 	trans map[Action]*transition
 	parts []Class
-	local []Action
+	// local lists the locally-controlled actions in sorted order and
+	// localT their transitions, index for index.
+	local  []Action
+	localT []*transition
 }
 
 var _ Automaton = (*Prog)(nil)
@@ -209,6 +230,12 @@ func (p *Prog) Next(_ *Scratch, s State, a Action, yield func(State) bool) bool 
 	if !ok {
 		return true
 	}
+	if t.eff != nil {
+		if t.kind != kindInput && !t.pre(s) {
+			return true
+		}
+		return yield(t.eff(s))
+	}
 	next := t.next(s)
 	if len(next) == 0 && t.kind == kindInput {
 		return yield(s)
@@ -221,15 +248,21 @@ func (p *Prog) Next(_ *Scratch, s State, a Action, yield func(State) bool) bool 
 	return true
 }
 
-// Enabled implements Automaton.
+// Enabled implements Automaton. It evaluates preconditions only: no
+// deterministic effect runs. The list is gathered in a stack buffer
+// and copied out once, so a call allocates at most its result.
 func (p *Prog) Enabled(s State) []Action {
-	var out []Action
-	for _, a := range p.local {
-		if len(p.trans[a].next(s)) > 0 {
-			out = append(out, a)
+	var buf [16]Action
+	out := buf[:0]
+	for i, t := range p.localT {
+		if t.enabled(s) {
+			out = append(out, p.local[i])
 		}
 	}
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return append([]Action(nil), out...)
 }
 
 // Parts implements Automaton.

@@ -246,3 +246,76 @@ func TestCheckPartitionErrors(t *testing.T) {
 		t.Error("want error for overlapping classes")
 	}
 }
+
+// TestEnabledRunsNoEffect: Enabled evaluates preconditions only, and a
+// deterministic step runs exactly one effect.
+func TestEnabledRunsNoEffect(t *testing.T) {
+	effects := 0
+	counted := func(eff func(State) State) func(State) State {
+		return func(s State) State {
+			effects++
+			return eff(s)
+		}
+	}
+	d := NewDef("counted")
+	d.Start(counter(0))
+	d.Input("inc", counted(func(s State) State { return s.(counter) + 1 }))
+	d.Output("emit", "main",
+		func(s State) bool { return s.(counter) > 0 },
+		counted(func(s State) State { return s.(counter) - 1 }))
+	d.Output("show", "main",
+		func(State) bool { return true },
+		counted(func(s State) State { return s }))
+	d.Internal("halve", "aux",
+		func(s State) bool { return s.(counter)%2 == 0 },
+		counted(func(s State) State { return s.(counter) / 2 }))
+	p := d.MustBuild()
+	states := []State{counter(0), counter(1), counter(2), counter(3), counter(4)}
+	listed := 0
+	for _, s := range states {
+		listed += len(p.Enabled(s))
+	}
+	if listed == 0 {
+		t.Fatal("no action enabled anywhere: the test exercises nothing")
+	}
+	if effects != 0 {
+		t.Fatalf("Enabled over %d states ran %d effects, want 0", len(states), effects)
+	}
+	steps := 0
+	for _, s := range states {
+		for _, a := range []Action{"inc", "emit", "show", "halve", "bogus"} {
+			p.Next(nil, s, a, func(State) bool { steps++; return true })
+		}
+	}
+	if effects != steps {
+		t.Fatalf("Next took %d steps and ran %d effects, want one effect per step", steps, effects)
+	}
+}
+
+// TestProgStepAllocs: a step whose effect returns an existing state
+// allocates nothing, and Enabled allocates at most its result list.
+func TestProgStepAllocs(t *testing.T) {
+	next := State(KeyState("b"))
+	eff := func(State) State { return next }
+	d := NewDef("allocs")
+	d.Start(KeyState("a"))
+	d.Input("in", eff)
+	d.Output("out", "c", func(State) bool { return true }, eff)
+	d.Output("out2", "c", func(State) bool { return true }, eff)
+	d.Internal("idle", "c", func(State) bool { return false }, eff)
+	p := d.MustBuild()
+	s := p.Start()[0]
+	yield := func(State) bool { return true }
+	for _, a := range []Action{"in", "out", "idle"} {
+		p.Next(nil, s, a, yield)
+		if n := testing.AllocsPerRun(100, func() { p.Next(nil, s, a, yield) }); n != 0 {
+			t.Errorf("Next(%s) allocates %.0f objects, want 0", a, n)
+		}
+	}
+	if got := p.Enabled(s); !reflect.DeepEqual(got, []Action{"out", "out2"}) {
+		t.Fatalf("Enabled = %v, want [out out2]", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { p.Enabled(s) }); n > 1 {
+		t.Errorf("Enabled allocates %.0f objects, want at most 1 (its result)", n)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/explore"
@@ -229,6 +230,156 @@ func FuzzHideRename(f *testing.F) {
 		}
 		if !fuzzSchedules(t, back).Equal(sa) {
 			t.Fatal("rename∘rename⁻¹ changed the schedules")
+		}
+	})
+}
+
+// progAction is one action of a random Def, with the tables its
+// constructor's functions read: a reference for what Prog must do.
+type progAction struct {
+	name  ioa.Action
+	ctor  int // index into progCtors
+	pre   map[string]bool
+	eff   map[string]ioa.State
+	succs map[string][]ioa.State
+}
+
+// progCtors names the six Def constructors in the order FuzzProgStep
+// draws them; the deterministic ones sit at even indices.
+var progCtors = []string{"Input", "InputND", "Output", "OutputND", "Internal", "InternalND"}
+
+// progRefEnabled is the constructors' documented meaning of enabledness:
+// a locally-controlled action with a precondition is enabled where it
+// holds, an *ND one where it has a successor; listed in sorted order.
+func progRefEnabled(acts []progAction, s ioa.State) []ioa.Action {
+	var out []ioa.Action
+	for _, pa := range acts {
+		switch progCtors[pa.ctor] {
+		case "Output", "Internal":
+			if pa.pre[s.Key()] {
+				out = append(out, pa.name)
+			}
+		case "OutputND", "InternalND":
+			if len(pa.succs[s.Key()]) > 0 {
+				out = append(out, pa.name)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// progRefNext is the constructors' documented meaning of a step: an Input
+// has its effect's one successor, an InputND its successors or else a
+// self-loop, an Output or Internal its effect's successor where the
+// precondition holds, and an *ND form its successors.
+func progRefNext(pa progAction, s ioa.State) []ioa.State {
+	switch progCtors[pa.ctor] {
+	case "Input":
+		return []ioa.State{pa.eff[s.Key()]}
+	case "InputND":
+		if next := pa.succs[s.Key()]; len(next) > 0 {
+			return next
+		}
+		return []ioa.State{s}
+	case "Output", "Internal":
+		if pa.pre[s.Key()] {
+			return []ioa.State{pa.eff[s.Key()]}
+		}
+		return nil
+	}
+	return pa.succs[s.Key()]
+}
+
+// FuzzProgStep holds Prog to the constructors' meaning: over random
+// Defs on KeyState tables, mixing all six constructors with false
+// guards and InputNDs that return nothing, Enabled lists and Next's
+// successor keys (in order) equal the reference's, Enabled runs no
+// effect, and Next runs one effect per deterministic step.
+func FuzzProgStep(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(38), uint8(7))
+	f.Add(int64(-5), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		states := make([]ioa.State, 2+int(shape)%4)
+		for i := range states {
+			states[i] = ioa.KeyState(fmt.Sprintf("s%d", i))
+		}
+		pick := func() ioa.State { return states[rng.Intn(len(states))] }
+		effects := 0
+		d := ioa.NewDef("fuzz").Start(states[0])
+		acts := make([]progAction, 1+int(shape>>2)%8)
+		for i := range acts {
+			pa := progAction{
+				name:  ioa.Action(fmt.Sprintf("a%d", rng.Intn(100)*10+i)),
+				ctor:  rng.Intn(len(progCtors)),
+				pre:   map[string]bool{},
+				eff:   map[string]ioa.State{},
+				succs: map[string][]ioa.State{},
+			}
+			for _, s := range states {
+				pa.pre[s.Key()] = rng.Intn(3) == 0
+				pa.eff[s.Key()] = pick()
+				for k := rng.Intn(4); k > 0; k-- {
+					pa.succs[s.Key()] = append(pa.succs[s.Key()], pick())
+				}
+			}
+			acts[i] = pa
+			class := fmt.Sprintf("c%d", rng.Intn(2))
+			pre := func(s ioa.State) bool { return pa.pre[s.Key()] }
+			eff := func(s ioa.State) ioa.State { effects++; return pa.eff[s.Key()] }
+			next := func(s ioa.State) []ioa.State { return pa.succs[s.Key()] }
+			switch progCtors[pa.ctor] {
+			case "Input":
+				d.Input(pa.name, eff)
+			case "InputND":
+				d.InputND(pa.name, next)
+			case "Output":
+				d.Output(pa.name, class, pre, eff)
+			case "OutputND":
+				d.OutputND(pa.name, class, next)
+			case "Internal":
+				d.Internal(pa.name, class, pre, eff)
+			case "InternalND":
+				d.InternalND(pa.name, class, next)
+			}
+		}
+		p, err := d.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range states {
+			got, want := p.Enabled(s), progRefEnabled(acts, s)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Enabled(%s) = %v, want %v", s.Key(), got, want)
+			}
+		}
+		if effects != 0 {
+			t.Fatalf("Enabled ran %d effects, want 0", effects)
+		}
+		for _, s := range states {
+			for _, pa := range append(acts, progAction{name: "bogus", ctor: 1}) {
+				before := effects
+				var got []string
+				p.Next(nil, s, pa.name, func(nxt ioa.State) bool {
+					got = append(got, nxt.Key())
+					return true
+				})
+				var want []string
+				if pa.name != "bogus" {
+					for _, nxt := range progRefNext(pa, s) {
+						want = append(want, nxt.Key())
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%s %s from %s: successors %v, want %v", progCtors[pa.ctor], pa.name, s.Key(), got, want)
+				}
+				ran, deterministic := effects-before, pa.ctor%2 == 0 // Input, Output, Internal
+				if deterministic && ran != len(got) || !deterministic && ran != 0 {
+					t.Fatalf("%s %s from %s: %d effects for %d successors", progCtors[pa.ctor], pa.name, s.Key(), ran, len(got))
+				}
+			}
 		}
 	})
 }

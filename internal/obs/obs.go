@@ -192,11 +192,14 @@ func (m *SimMetrics) ClassFire(class string) {
 	c.Add(1)
 }
 
-// FaultMetrics counts injected fault events per class. Under the
-// composition memo, scheduled-fault decisions are computed once per
-// distinct (state, action) and then replayed from cache, so these
-// count distinct fault computations, not trace occurrences; see
-// DESIGN.md's observability section.
+// FaultMetrics counts injected fault events per class, exactly one
+// count per computed fault effect: a step that runs an adversary
+// action's effect or a scheduled send counts once, and asking whether
+// an action is enabled runs no effect and counts nothing. Under the
+// composition memo, an effect is computed once per distinct (state,
+// action) and then replayed from cache, so these count distinct fault
+// computations, not trace occurrences; see DESIGN.md's observability
+// section.
 type FaultMetrics struct {
 	Sent    *Counter // messages offered to scheduled channels
 	Drop    *Counter
