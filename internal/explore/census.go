@@ -74,7 +74,9 @@ type Summary struct {
 // checking pred (when non-nil) on each. It stops early at the first
 // violation. With Options.Spill and Options.Decode both set it runs
 // the external-memory engine documented above; otherwise it streams
-// the in-RAM parallel engine's result. Options.Limit bounds admitted
+// the result of the in-RAM level-synchronized engine, which it runs at
+// every Options.Workers, one included, so visit sees the states in
+// depth-major, key-minor order. Options.Limit bounds admitted
 // states in either mode; exceeding it returns ErrLimit with the
 // partial summary.
 func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (Summary, error) {

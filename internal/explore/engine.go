@@ -34,7 +34,10 @@ const DefaultLimit = 1 << 20
 // Options parameterizes an exploration Engine.
 type Options struct {
 	// Workers is the number of exploration goroutines. 0 means
-	// GOMAXPROCS; 1 runs the sequential engine.
+	// GOMAXPROCS. At 1 Reach and CheckInvariant run the sequential
+	// kernel, in discovery order; above 1 they run the
+	// level-synchronized engine, in depth-major, key-minor order. The
+	// in-RAM Census runs the level engine at every worker count.
 	Workers int
 	// Limit is the maximum number of states to admit (0 =
 	// DefaultLimit). The ErrLimit contract is shared by both engines:

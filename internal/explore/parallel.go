@@ -2,30 +2,32 @@ package explore
 
 // Parallel state-space exploration over the interned state store: a
 // level-synchronized BFS. Workers steal fixed-size chunks of the
-// frontier off a shared cursor and deduplicate each undiscovered
-// successor on arrival in their own store.LevelSet; at the level barrier
-// the coordinator folds the other workers' sets into worker 0's. The
-// store is frozen (read-only, probed through per-worker probes) during
-// expansion and written only between levels by the coordinator, which
-// interns each new level in canonical key-sorted order from the
-// encodings and hashes the probes produced — so no two goroutines ever
-// write shared state and nothing is encoded or hashed twice. Which
-// actions a state is stepped by is ioa.Walk's decision.
+// frontier off a shared cursor, encode and hash each successor once and
+// deduplicate it in their own store.LevelSet before they probe the
+// store, so duplicates within a level never reach it (delayed duplicate
+// detection); each orders its set as it leaves the level. At the
+// barrier the coordinator merges the ordered sets and appends the level
+// to the store, every encoding known absent, without a second lookup.
+// The store is frozen (read-only) during expansion and written only
+// between levels by the coordinator, in canonical order — so no two
+// goroutines ever write shared state. Which actions a state is stepped
+// by is ioa.Walk's decision.
 //
 // Determinism (DESIGN.md "Exploration engine" has the argument in
 // full). The states discovered at depth d are a pure function of those
 // at depths < d: membership is decided against a store frozen during
 // expansion. Scheduling decides which worker's set a candidate lands in
 // and when, but a set keeps the candLess-least candidate per encoding,
-// folding is the same operation, and a minimum does not depend on
-// arrival order. Each level is then sorted by key (by encoding — the
-// key's bytes — without a canonicalizer) and interned in that order, so
-// results are bit-identical at any worker count: depth-major,
-// key-minor, each state with its least (parent ID, action) crumb. Under
-// Options.Canon all of this holds of orbits, candLess picking each
-// orbit's concrete representative.
+// the merge keeps the least of the sets' minima, and a minimum does not
+// depend on arrival order. Each level is then in key order (encoding
+// order — the key's bytes — without a canonicalizer) and interned in
+// that order, so results are bit-identical at any worker count:
+// depth-major, key-minor, each state with its least (parent ID, action)
+// crumb. Under Options.Canon all of this holds of orbits, candLess
+// picking each orbit's concrete representative.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -47,14 +49,11 @@ type crumb struct {
 }
 
 // cand is one candidate new state of a level and the transition that
-// found it. gather fills in enc (the canonical encoding the finding
-// probe produced, a view into a level-set arena) and its hash.
+// found it; its encoding and hash live in the level set that keeps it.
 type cand struct {
 	state  ioa.State
 	parent store.ID
 	act    ioa.Action
-	enc    []byte
-	hash   uint64
 }
 
 // candLess orders candidates for the same stored encoding: least
@@ -80,19 +79,28 @@ func candLess(a, b cand, byKey bool) bool {
 	return a.act < b.act
 }
 
+// member is one state of a merged level: the kept candidate and the
+// entry of sets[set] that holds its encoding.
+type member struct {
+	cand
+	set, entry int
+}
+
 // levelScratch is what a level is deduplicated and ordered in: one set
-// per worker, keeping the candLess-least candidate per encoding, and the
-// gathered result. Allocated once per exploration and reset per level,
-// it costs memory in proportion to workers × the widest level's distinct
-// new states.
+// per worker, keeping the candLess-least candidate per encoding, the
+// part of each set's Order the merge has not consumed, and the merged
+// result. Allocated once per exploration and reset per level, it costs
+// memory in proportion to workers × the widest level's distinct new
+// states.
 type levelScratch struct {
-	byKey bool // Options.Canon is set: order and dedup follow Key()
-	sets  []store.LevelSet[cand]
-	next  []cand
+	byKey  bool // Options.Canon is set: order and dedup follow Key()
+	sets   []store.LevelSet[cand]
+	orders [][]int
+	next   []member
 }
 
 func newLevelScratch(workers int, byKey bool) *levelScratch {
-	lv := &levelScratch{byKey: byKey, sets: make([]store.LevelSet[cand], workers)}
+	lv := &levelScratch{byKey: byKey, sets: make([]store.LevelSet[cand], workers), orders: make([][]int, workers)}
 	for wi := range lv.sets {
 		lv.sets[wi].Less = func(a, b cand) bool { return candLess(a, b, byKey) }
 	}
@@ -100,9 +108,15 @@ func newLevelScratch(workers int, byKey bool) *levelScratch {
 }
 
 // add offers c, whose state may be borrowed from a Walk, to worker wi's
-// set, which keeps the state only if it keeps the candidate.
+// set.
 func (lv *levelScratch) add(wi int, enc []byte, hash uint64, c cand) {
-	if kept := lv.sets[wi].Add(enc, hash, c); kept != nil {
+	keep(lv.sets[wi].Add(enc, hash, c))
+}
+
+// keep copies the state of a candidate a set kept, which may be
+// borrowed from a Walk; nil means the set kept what it had.
+func keep(kept *cand) {
+	if kept != nil {
 		kept.state = ioa.Keep(kept.state)
 	}
 }
@@ -110,26 +124,47 @@ func (lv *levelScratch) add(wi int, enc []byte, hash uint64, c cand) {
 // reset empties worker wi's set as it starts a level.
 func (lv *levelScratch) reset(wi int) { lv.sets[wi].Reset() }
 
-// gather folds every worker's set into worker 0's and returns the
-// level's distinct candidates in canonical order; they and their enc
-// views are valid until the next reset.
-func (lv *levelScratch) gather() []cand {
-	level := &lv.sets[0]
-	for wi := 1; wi < len(lv.sets); wi++ {
-		from := &lv.sets[wi]
-		for i := 0; i < from.Len(); i++ {
-			level.Add(from.Key(i), from.Hash(i), from.Payload(i))
-		}
-	}
+// order sorts worker wi's set as it leaves a level.
+func (lv *levelScratch) order(wi int) { lv.orders[wi] = lv.sets[wi].Order() }
+
+// encoding returns the bytes and hash of a merged member.
+func (lv *levelScratch) encoding(m member) ([]byte, uint64) {
+	s := &lv.sets[m.set]
+	return s.Key(m.entry), s.Hash(m.entry)
+}
+
+// gather merges the ordered sets into the level's distinct members in
+// canonical order, keeping the candLess-least candidate per encoding;
+// they and their encodings are valid until the next reset.
+func (lv *levelScratch) gather() []member {
 	clear(lv.next)
 	lv.next = lv.next[:0]
-	for _, i := range level.Order() {
-		c := level.Payload(i)
-		c.enc, c.hash = level.Key(i), level.Hash(i)
-		lv.next = append(lv.next, c)
+	head := func(wi int) []byte { return lv.sets[wi].Key(lv.orders[wi][0]) }
+	for {
+		// The first set whose head is the least encoding; later sets
+		// may hold it too, earlier ones cannot.
+		least := -1
+		for wi, ord := range lv.orders {
+			if len(ord) > 0 && (least < 0 || bytes.Compare(head(wi), head(least)) < 0) {
+				least = wi
+			}
+		}
+		if least < 0 {
+			break
+		}
+		key, m := head(least), member{set: -1}
+		for wi := least; wi < len(lv.orders); wi++ {
+			if ord := lv.orders[wi]; len(ord) > 0 && bytes.Equal(head(wi), key) {
+				if c := lv.sets[wi].Payload(ord[0]); m.set < 0 || candLess(c, m.cand, lv.byKey) {
+					m = member{cand: c, set: wi, entry: ord[0]}
+				}
+				lv.orders[wi] = ord[1:]
+			}
+		}
+		lv.next = append(lv.next, m)
 	}
 	if lv.byKey {
-		slices.SortFunc(lv.next, func(a, b cand) int { return strings.Compare(a.state.Key(), b.state.Key()) })
+		slices.SortFunc(lv.next, func(a, b member) int { return strings.Compare(a.state.Key(), b.state.Key()) })
 	}
 	return lv.next
 }
@@ -173,14 +208,15 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	}
 
 	lv := newLevelScratch(w, e.opts.Canon != nil)
-	// admit interns a gathered level in order from the bytes it carries.
-	// IDs are dense, so the next frontier is the tail of states it adds.
-	admit := func(next []cand) {
-		for _, c := range next {
-			gst.InternEncoded(c.enc, c.hash)
-			states = append(states, c.state)
+	// admit interns a merged level, whose encodings all missed their
+	// probes, in order. IDs are dense, so the next frontier is the tail
+	// of states it adds.
+	admit := func(next []member) {
+		gst.AppendFresh(len(next), w, func(i int) ([]byte, uint64) { return lv.encoding(next[i]) })
+		for _, m := range next {
+			states = append(states, m.state)
 			if pred != nil {
-				crumbs = append(crumbs, crumb{parent: c.parent, act: c.act})
+				crumbs = append(crumbs, crumb{parent: m.parent, act: m.act})
 			}
 		}
 	}
@@ -193,6 +229,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		enc = gst.AppendCanonical(enc[:0], s)
 		lv.add(0, enc, store.Hash(enc), cand{state: s, parent: store.None})
 	}
+	lv.order(0)
 	admit(lv.gather())
 	if err := gst.Err(); err != nil {
 		return nil, nil, 0, 0, seenErr(a, err)
@@ -212,7 +249,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		}
 		levelStart := o.Now()
 		frontier := len(states) - from
-		next, dead := expandLevel(a, lv, states, from, probes, steps, depth, o)
+		next, dead := expandLevel(a, gst, lv, states, from, probes, steps, depth, o)
 		deadlocks += dead
 		if err := gst.Err(); err != nil {
 			// A worker's probe latched a storage failure during the
@@ -266,11 +303,11 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 // expandLevel computes the undiscovered successors of the frontier
 // states[from:], deduplicated (canonical least crumb per state) and in
 // canonical order, ready for the coordinator to intern, and counts the
-// frontier states that enable nothing. The store is frozen meanwhile:
-// workers probe it freely, each deduplicating in its own row of lv's
-// sets on the bytes and hash its probe just produced.
-func expandLevel(a ioa.Automaton, lv *levelScratch, states []ioa.State, from int,
-	probes []store.MemberProbe, steps []*ioa.Walk, depth int, o *obs.Obs) (next []cand, deadlocks int64) {
+// frontier states that enable nothing. The store is frozen meanwhile;
+// a worker asks it only about successors its own row of lv's sets
+// lacks, a hit there being a duplicate the store cannot hold.
+func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states []ioa.State, from int,
+	probes []store.MemberProbe, steps []*ioa.Walk, depth int, o *obs.Obs) (next []member, deadlocks int64) {
 	var cursor int64
 	const chunk = 16
 	var wg sync.WaitGroup
@@ -285,12 +322,18 @@ func expandLevel(a ioa.Automaton, lv *levelScratch, states []ioa.State, from int
 			// enabled path stays contention-free.
 			var emitted, dead int64
 			workStart := o.Now()
-			probe, step := probes[wi], steps[wi]
+			probe, step, set := probes[wi], steps[wi], &lv.sets[wi]
 			var curParent store.ID
+			var enc []byte
 			yield := func(nxt ioa.State) bool {
-				if _, h, ok := probe.Lookup(nxt); !ok {
+				enc = seen.AppendCanonical(enc[:0], nxt)
+				h := store.Hash(enc)
+				if i, ok := set.Lookup(enc, h); ok {
 					emitted++
-					lv.add(wi, probe.Bytes(), h, cand{state: nxt, parent: curParent, act: step.Act})
+					keep(set.Offer(i, cand{state: nxt, parent: curParent, act: step.Act}))
+				} else if _, ok := probe.Lookup(enc, h); !ok {
+					emitted++
+					keep(set.AddNew(enc, h, cand{state: nxt, parent: curParent, act: step.Act}))
 				}
 				return true
 			}
@@ -307,6 +350,7 @@ func expandLevel(a ioa.Automaton, lv *levelScratch, states []ioa.State, from int
 					}
 				}
 			}
+			lv.order(wi)
 			atomic.AddInt64(&deadlocks, dead)
 			if o != nil {
 				o.Explore.Successors.AddShard(wi, emitted)

@@ -80,19 +80,19 @@ func TestCandLessNoCanon(t *testing.T) {
 		for i := range crumbs {
 			lv.add((i+rot)%3, enc, h, crumbs[(i+rot)%len(crumbs)])
 		}
-		next := lv.gather()
+		next := orderAndGather(lv)
 		if len(next) != 1 || next[0].parent != 1 || next[0].act != "x" {
 			t.Fatalf("rotation %d: kept %+v, want the (1, x) crumb alone", rot, next)
 		}
-		if !bytes.Equal(next[0].enc, enc) || next[0].hash != h {
-			t.Fatalf("rotation %d: gathered encoding %q hash %x, want %q %x", rot, next[0].enc, next[0].hash, enc, h)
+		if genc, gh := lv.encoding(next[0]); !bytes.Equal(genc, enc) || gh != h {
+			t.Fatalf("rotation %d: gathered encoding %q hash %x, want %q %x", rot, genc, gh, enc, h)
 		}
 	}
 }
 
 // TestLevelSetForgedCollision: distinct bytes under one forged hash are
 // two candidates, never a merge — in one worker's set and across the
-// fold.
+// merge.
 func TestLevelSetForgedCollision(t *testing.T) {
 	const forged = 0xfeedface
 	lv := newLevelScratch(2, false)
@@ -101,19 +101,28 @@ func TestLevelSetForgedCollision(t *testing.T) {
 		lv.add(i%2, enc, forged, cand{state: ioa.KeyState(enc), parent: store.ID(i), act: "a"})
 		lv.add((i+1)%2, enc, forged, cand{state: ioa.KeyState(enc), parent: store.ID(i + 1), act: "a"})
 	}
-	next := lv.gather()
+	next := orderAndGather(lv)
 	if len(next) != 100 {
 		t.Fatalf("gathered %d candidates, want 100", len(next))
 	}
 	for i, c := range next {
 		want := fmt.Sprintf("k%03d", i)
-		if string(c.enc) != want || c.state.Key() != want || c.parent != store.ID(i) {
-			t.Fatalf("entry %d: enc %q state %q parent %d, want %q with parent %d", i, c.enc, c.state.Key(), c.parent, want, i)
+		if enc, _ := lv.encoding(c); string(enc) != want || c.state.Key() != want || c.parent != store.ID(i) {
+			t.Fatalf("entry %d: enc %q state %q parent %d, want %q with parent %d", i, enc, c.state.Key(), c.parent, want, i)
 		}
 	}
 	lv.reset(0)
 	lv.reset(1)
-	if got := lv.gather(); len(got) != 0 {
+	if got := orderAndGather(lv); len(got) != 0 {
 		t.Fatalf("after reset gathered %d candidates, want none", len(got))
 	}
+}
+
+// orderAndGather orders every worker's set, as each worker does as it
+// leaves a level, and merges them.
+func orderAndGather(lv *levelScratch) []member {
+	for wi := range lv.sets {
+		lv.order(wi)
+	}
+	return lv.gather()
 }

@@ -97,8 +97,10 @@ type ExploreMetrics struct {
 	States *Counter
 	// Levels counts completed BFS levels.
 	Levels *Counter
-	// Successors counts successor states emitted by workers before
-	// merge-time deduplication.
+	// Successors counts the successors the level engine's workers
+	// found absent from the frozen seen set: every one, duplicates
+	// within the level included, not the distinct states the merge
+	// keeps.
 	Successors *Counter
 	// Frontier is the distribution of per-level frontier sizes.
 	Frontier *Histogram

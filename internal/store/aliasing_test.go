@@ -1,11 +1,10 @@
 package store_test
 
 // Regression battery for the no-aliasing contract: bytes handed to
-// InternEncoded (and the probe buffers backing Probe.Bytes) must be
-// copied into the shard arena before the call returns, so a caller
-// mutating or reusing its encoding buffer afterwards cannot corrupt
-// stored encodings. Exercised under a canonicalizer, where the merge
-// path hands InternEncoded exactly such reused buffers.
+// InternEncoded or AppendFresh must be copied into the arena before the
+// call returns, so a caller mutating or reusing its encoding buffer
+// afterwards cannot corrupt stored encodings. Exercised under a
+// canonicalizer, as the parallel engine's barrier is.
 
 import (
 	"bytes"
@@ -68,35 +67,34 @@ func TestInternEncodedCopiesBuffer(t *testing.T) {
 	}
 }
 
-// TestProbeBytesReusedAcrossLookups interns via the probe-buffer path
-// the parallel merge uses — InternEncoded(p.Bytes(), h) — then reuses
-// the probe. The stored encoding must survive the buffer being
-// overwritten by later Lookups.
-func TestProbeBytesReusedAcrossLookups(t *testing.T) {
+// TestAppendFreshCopiesBuffer admits encodings through the path the
+// parallel engine's barrier uses — AppendFresh reading a buffer the
+// caller goes on to reuse. The stored encodings must survive the
+// buffer being overwritten, and orbit-mates must still find them.
+func TestAppendFreshCopiesBuffer(t *testing.T) {
 	st := store.New(store.Options{Canon: sortPair{}})
-	p := st.NewProbe()
-
-	s1 := pair("z", "a")
-	if _, _, ok := p.Lookup(s1); ok {
-		t.Fatal("empty store reported a hit")
+	states := []ioa.State{pair("z", "a"), pair("m", "q"), pair("x", "c")}
+	var buf []byte
+	want := make([][]byte, len(states))
+	st.AppendFresh(len(states), 1, func(i int) ([]byte, uint64) {
+		buf = st.AppendCanonical(buf[:0], states[i])
+		want[i] = append([]byte(nil), buf...)
+		return buf, store.Hash(buf)
+	})
+	for i := range buf {
+		buf[i] = '#'
 	}
-	b := p.Bytes()
-	want := append([]byte(nil), b...)
-	id, fresh := st.InternEncoded(b, store.Hash(b))
-	if !fresh {
-		t.Fatal("first intern not fresh")
-	}
-
-	// Later lookups overwrite the probe buffer InternEncoded was given.
-	for _, other := range []ioa.State{pair("m", "q"), pair("x", "c"), pair("a", "z")} {
-		p.Lookup(other)
-	}
-	if got := st.Encoding(id); !bytes.Equal(got, want) {
-		t.Fatalf("stored encoding changed after probe reuse:\ngot  %q\nwant %q", got, want)
-	}
-	// The final lookup targeted s1's orbit and must hit the stored copy.
-	if hid, _, ok := p.Lookup(pair("a", "z")); !ok || hid != id {
-		t.Fatalf("orbit lookup after reuse: (%d, %v), want (%d, true)", hid, ok, id)
+	p := st.Probe()
+	for i, s := range states {
+		if got := st.Encoding(store.ID(i)); !bytes.Equal(got, want[i]) {
+			t.Fatalf("encoding %d changed after buffer reuse:\ngot  %q\nwant %q", i, got, want[i])
+		}
+		// The orbit-mate, the pair's parts swapped, finds the stored copy.
+		ts := s.(*ioa.TupleState)
+		enc := st.AppendCanonical(nil, pair(ts.At(1).Key(), ts.At(0).Key()))
+		if id, ok := p.Lookup(enc, store.Hash(enc)); !ok || id != store.ID(i) {
+			t.Fatalf("orbit lookup of %d: (%d, %v), want (%d, true)", i, id, ok, i)
+		}
 	}
 }
 

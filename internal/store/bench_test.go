@@ -65,12 +65,14 @@ func BenchmarkStoreProbeLookup(b *testing.B) {
 	for _, s := range states {
 		st.Intern(s)
 	}
-	p := st.NewProbe()
+	p := st.Probe()
+	var enc []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range states {
-			if _, _, ok := p.Lookup(s); !ok {
+			enc = st.AppendCanonical(enc[:0], s)
+			if _, ok := p.Lookup(enc, store.Hash(enc)); !ok {
 				b.Fatal("miss")
 			}
 		}

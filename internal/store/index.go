@@ -90,7 +90,7 @@ func (ix *Index) Reset() {
 // arena of concatenated bytes, entry boundaries, per-entry hashes and
 // an Index over them. It is the Spill's hot batch (the hashes feed the
 // bloom filter at flush) and the body of every LevelSet (the hashes
-// ride to InternEncoded at the barrier). Boundaries are int, not
+// ride to AppendFresh at the barrier). Boundaries are int, not
 // uint32: SpillOptions.MemBudget may legally exceed 4 GiB and nothing
 // bounds a level, so narrower offsets could wrap silently. The zero
 // Batch is empty and ready; concurrency is the Index's.
@@ -222,12 +222,23 @@ type LevelSet[P any] struct {
 // every candidate. The pointer is valid until the next Add.
 func (ls *LevelSet[P]) Add(enc []byte, hash uint64, p P) *P {
 	if i, ok := ls.Lookup(enc, hash); ok {
-		if ls.Less == nil || !ls.Less(p, ls.payloads[i]) {
-			return nil
-		}
-		ls.payloads[i] = p
-		return &ls.payloads[i]
+		return ls.Offer(i, p)
 	}
+	return ls.AddNew(enc, hash, p)
+}
+
+// Offer merges p into entry i, found by Lookup, as Add does.
+func (ls *LevelSet[P]) Offer(i int, p P) *P {
+	if ls.Less == nil || !ls.Less(p, ls.payloads[i]) {
+		return nil
+	}
+	ls.payloads[i] = p
+	return &ls.payloads[i]
+}
+
+// AddNew appends enc, which Lookup did not find, with payload p, and
+// returns where p was stored, as Add does.
+func (ls *LevelSet[P]) AddNew(enc []byte, hash uint64, p P) *P {
 	ls.Batch.Add(enc, hash)
 	ls.payloads = append(ls.payloads, p)
 	return &ls.payloads[len(ls.payloads)-1]

@@ -102,7 +102,8 @@ func checkInternAgreesWithKey(t *testing.T, label string, a ioa.Automaton) {
 			t.Fatalf("%s: keyless copy of %q interned to %d fresh=%t, want %d", label, s.Key(), cid, cfresh, byKey[s.Key()])
 		}
 		// The probe view agrees with the writer view.
-		if pid, _, ok := st.NewProbe().Lookup(s); !ok || pid != byKey[s.Key()] {
+		enc := st.AppendCanonical(nil, s)
+		if pid, ok := st.Probe().Lookup(enc, store.Hash(enc)); !ok || pid != byKey[s.Key()] {
 			t.Fatalf("%s: probe disagrees for %q: id=%d ok=%t", label, s.Key(), pid, ok)
 		}
 	}

@@ -12,17 +12,15 @@ package store
 
 import "repro/internal/ioa"
 
-// A MemberProbe is a read-only membership view with its own encoding
-// buffer, valid while the set is frozen (no Intern in flight). Each
-// concurrent goroutine needs its own probe.
+// A MemberProbe is a read-only membership view, valid while the set is
+// frozen (no Intern in flight). Each concurrent goroutine needs its own
+// probe.
 type MemberProbe interface {
-	// Lookup reports whether s is in the set, returning its ID, the
-	// Hash of its canonical encoding, and the membership verdict. Implementations that can fail (disk reads) report
-	// not-found and latch the error on the owning set's Err.
-	Lookup(s ioa.State) (ID, uint64, bool)
-	// Bytes returns the canonical encoding produced by the most recent
-	// Lookup; valid until the next Lookup on this probe.
-	Bytes() []byte
+	// Lookup reports whether enc — canonical bytes, AppendCanonical's —
+	// is in the set, given its Hash, and under which ID. Implementations
+	// that can fail (disk reads) report not-found and latch the error on
+	// the owning set's Err.
+	Lookup(enc []byte, hash uint64) (ID, bool)
 }
 
 // A SeenSet interns state encodings and hands out dense IDs: the i-th
@@ -40,6 +38,12 @@ type SeenSet interface {
 	// InternEncoded interns already-canonical bytes given their Hash.
 	// The bytes are copied before it returns.
 	InternEncoded(enc []byte, hash uint64) (ID, bool)
+	// AppendFresh interns n encodings the caller has shown absent from
+	// the set and distinct, without looking them up: the i-th, at(i)'s
+	// canonical bytes and Hash, gets ID Len()+i. at may be called from
+	// up to workers goroutines at once. A failure latches on Err as
+	// InternEncoded's does and ends the append there.
+	AppendFresh(n, workers int, at func(i int) ([]byte, uint64))
 	// Has reports membership without interning. Writer-side only.
 	Has(s ioa.State) (ID, bool)
 	// Len returns the number of interned states.
@@ -75,14 +79,14 @@ func Open(spill *SpillOptions, canon Canonicalizer) (SeenSet, error) {
 	return sp, nil
 }
 
-// Probe returns the arena store's probe behind the MemberProbe
-// interface (NewProbe keeps the concrete type for existing callers).
-func (st *Store) Probe() MemberProbe { return st.NewProbe() }
+// Probe returns the arena store itself: its Lookup is the frozen-phase
+// read.
+func (st *Store) Probe() MemberProbe { return st }
 
 // Close implements SeenSet: nothing to release.
 func (st *Store) Close() error { return nil }
 
 var (
 	_ SeenSet     = (*Store)(nil)
-	_ MemberProbe = (*Probe)(nil)
+	_ MemberProbe = (*Store)(nil)
 )

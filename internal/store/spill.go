@@ -379,12 +379,20 @@ func (sp *Spill) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 		return None, false
 	}
 	id := ID(sp.total)
-	sp.hot.Add(enc, hash)
-	sp.total++
-	if sp.hot.Footprint() >= sp.budget {
-		sp.Flush() // a failure latches on Err
-	}
+	sp.AppendFresh(1, 1, func(int) ([]byte, uint64) { return enc, hash })
 	return id, true
+}
+
+// AppendFresh implements SeenSet: each encoding joins the hot batch,
+// which flushes whenever it passes its budget, serially.
+func (sp *Spill) AppendFresh(n, _ int, at func(i int) ([]byte, uint64)) {
+	for i := 0; i < n && sp.Err() == nil; i++ {
+		sp.hot.Add(at(i))
+		sp.total++
+		if sp.hot.Footprint() >= sp.budget {
+			sp.Flush() // a failure latches on Err
+		}
+	}
 }
 
 // Has reports membership without interning. Writer-side only.
@@ -696,11 +704,10 @@ func (sp *Spill) writeMerged(in []*runMeta) (*runMeta, error) {
 	}
 }
 
-// spillProbe is the frozen-phase concurrent read view: its own encoding
-// buffer and cursor over the shared immutable run set.
+// spillProbe is the frozen-phase concurrent read view: its own cursor
+// over the shared immutable run set.
 type spillProbe struct {
 	sp  *Spill
-	buf []byte
 	cur runCursor
 }
 
@@ -710,16 +717,9 @@ func (sp *Spill) Probe() MemberProbe { return &spillProbe{sp: sp} }
 
 // Lookup reports membership as Probe.Lookup does; disk errors latch on
 // the Spill's Err and report not-found.
-func (p *spillProbe) Lookup(s ioa.State) (ID, uint64, bool) {
-	p.buf = p.sp.AppendCanonical(p.buf[:0], s)
-	h := Hash(p.buf)
-	id, ok := p.sp.search(p.buf, h, &p.cur)
-	return id, h, ok
+func (p *spillProbe) Lookup(enc []byte, hash uint64) (ID, bool) {
+	return p.sp.search(enc, hash, &p.cur)
 }
-
-// Bytes returns the canonical encoding from the most recent Lookup,
-// valid until the next Lookup on this probe.
-func (p *spillProbe) Bytes() []byte { return p.buf }
 
 // runCursor is the one decoder of a run: compaction walks a run front to
 // back with it, merges and lookups seek it to the blocks their keys fall

@@ -432,14 +432,14 @@ func TestSpillProgramsMatchStore(t *testing.T) {
 			if id, ok := sp.search(k, f.hash(k), &sp.lookup); ok != want || (ok && id != wantID) {
 				t.Fatalf("seed %d: search(%q) = (%d, %v), store (%d, %v)", seed, k, id, ok, wantID, want)
 			}
+			if id, ok := probe.Lookup(k, f.hash(k)); ok != want || (ok && id != wantID) {
+				t.Fatalf("seed %d: Lookup(%q) = (%d, %v), store (%d, %v)", seed, k, id, ok, wantID, want)
+			}
 			if f.name != "fnv" {
-				continue // Has and Lookup hash for themselves
+				continue // Has hashes for itself
 			}
 			if id, ok := sp.Has(ioa.KeyState(k)); ok != want || (ok && id != wantID) {
 				t.Fatalf("seed %d: Has(%q) = (%d, %v), store (%d, %v)", seed, k, id, ok, wantID, want)
-			}
-			if id, _, ok := probe.Lookup(ioa.KeyState(k)); ok != want || (ok && id != wantID) {
-				t.Fatalf("seed %d: Lookup(%q) = (%d, %v), store (%d, %v)", seed, k, id, ok, wantID, want)
 			}
 		}
 		if s := sp.Stats(); s.SpillRuns == 0 {

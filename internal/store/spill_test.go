@@ -100,7 +100,7 @@ func TestSpillMatchesStoreDifferential(t *testing.T) {
 		if gotID, gotOK := sp.Has(ioa.KeyState(k)); gotID != wantID || gotOK != wantOK {
 			t.Fatalf("Has(%q) = (%d, %v), store = (%d, %v)", k, gotID, gotOK, wantID, wantOK)
 		}
-		gotID, _, gotOK := probe.Lookup(ioa.KeyState(k))
+		gotID, gotOK := probe.Lookup([]byte(k), Hash([]byte(k)))
 		if gotID != wantID || gotOK != wantOK {
 			t.Fatalf("probe Lookup(%q) = (%d, %v), store = (%d, %v)", k, gotID, gotOK, wantID, wantOK)
 		}
@@ -124,12 +124,13 @@ func TestSpillProbesConcurrent(t *testing.T) {
 			defer wg.Done()
 			probe := sp.Probe()
 			for i, k := range keys {
-				id, _, ok := probe.Lookup(ioa.KeyState(k))
+				id, ok := probe.Lookup([]byte(k), Hash([]byte(k)))
 				if !ok || id != want[k] {
 					t.Errorf("worker %d: Lookup(%q) = (%d, %v), want (%d, true)", w, k, id, ok, want[k])
 					return
 				}
-				if _, _, ok := probe.Lookup(ioa.KeyState(fmt.Sprintf("miss-%d-%d", w, i))); ok {
+				miss := []byte(fmt.Sprintf("miss-%d-%d", w, i))
+				if _, ok := probe.Lookup(miss, Hash(miss)); ok {
 					t.Errorf("worker %d: phantom member", w)
 					return
 				}

@@ -14,12 +14,11 @@
 //
 // Concurrency contract. A Store is single-writer: Intern and Has must
 // only be called from one goroutine at a time with no concurrent
-// readers. Probes (NewProbe) support the parallel explorer's frozen
-// phase: any number of Probes may run Lookup concurrently as long as
-// no Intern is in flight — exactly the level-synchronized discipline
-// of explore's sharded BFS, where the store is read-only while workers
-// expand a level and written only at the level barrier by the
-// coordinator.
+// readers. Lookup supports the parallel explorer's frozen phase: any
+// number of goroutines may run it concurrently as long as no Intern is
+// in flight — exactly the level-synchronized discipline of explore's
+// sharded BFS, where the store is read-only while workers expand a
+// level and written only at the level barrier by the coordinator.
 //
 // Determinism. IDs are assigned in insertion order, so a caller that
 // interns states in a canonical order (BFS discovery order for the
@@ -36,6 +35,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"repro/internal/ioa"
 )
@@ -82,8 +82,9 @@ type Options struct {
 	// and hashing, so the store dedups symmetry orbits instead of
 	// individual states. Callers still hand Intern concrete states and
 	// may keep them as orbit representatives; only the stored encoding
-	// is canonical. InternEncoded bypasses canonicalization and must be
-	// given canonical bytes (AppendCanonical's or Probe.Bytes').
+	// is canonical. InternEncoded, AppendFresh and Lookup bypass
+	// canonicalization and must be given canonical bytes
+	// (AppendCanonical's).
 	Canon Canonicalizer
 }
 
@@ -286,11 +287,11 @@ func (st *Store) Intern(s ioa.State) (ID, bool) {
 }
 
 // InternEncoded interns an already-encoded state given its Hash. Under
-// a canonicalizer the bytes must be canonical (AppendCanonical or
-// Probe.Bytes). The bytes are copied into the arena before
-// InternEncoded returns, so enc may be reused — or mutated — by the
-// caller immediately afterwards without disturbing the stored
-// encoding; the regression battery pins this no-aliasing contract.
+// a canonicalizer the bytes must be canonical (AppendCanonical's). The
+// bytes are copied into the arena before InternEncoded returns, so enc
+// may be reused — or mutated — by the caller immediately afterwards
+// without disturbing the stored encoding; the regression battery pins
+// this no-aliasing contract.
 //
 // An encoding that would grow the arena past what a loc can address is
 // not stored: InternEncoded returns (None, false) and latches
@@ -298,20 +299,58 @@ func (st *Store) Intern(s ioa.State) (ID, bool) {
 // exploration with an error instead of wrapped offsets and a wrong
 // state count.
 func (st *Store) InternEncoded(enc []byte, hash uint64) (ID, bool) {
-	if id, ok := st.lookup(enc, hash); ok {
+	if id, ok := st.Lookup(enc, hash); ok {
 		return id, false
 	}
-	if uint64(st.arenaBytes)+uint64(len(enc)) > arenaLimit || uint64(len(enc)) > math.MaxUint32 {
-		if st.err == nil {
-			st.err = fmt.Errorf("%w: arena holds %d bytes, encoding of %d more exceeds %d",
-				ErrArenaFull, st.arenaBytes, len(enc), arenaLimit)
-		}
+	if !st.fits(enc) {
 		return None, false
 	}
 	id := ID(len(st.locs))
 	st.locs = append(st.locs, st.place(enc))
 	st.shards[hash%shardCount].ix.Insert(hash, int(id))
 	return id, true
+}
+
+// AppendFresh implements SeenSet: the encodings go into the arena in ID
+// order, then each of the workers files the IDs of the shards it owns
+// (shard index mod workers) in their indexes, all at once.
+func (st *Store) AppendFresh(n, workers int, at func(i int) ([]byte, uint64)) {
+	base := len(st.locs)
+	for i := 0; i < n; i++ {
+		enc, _ := at(i)
+		if !st.fits(enc) {
+			n = i
+			break
+		}
+		st.locs = append(st.locs, st.place(enc))
+	}
+	workers = max(1, min(workers, shardCount))
+	var wg sync.WaitGroup
+	for own := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range n {
+				if _, h := at(i); int(h%shardCount)%workers == own {
+					st.shards[h%shardCount].ix.Insert(h, base+i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// fits reports whether enc can join the arena, latching ErrArenaFull on
+// Err when it cannot.
+func (st *Store) fits(enc []byte) bool {
+	if uint64(st.arenaBytes)+uint64(len(enc)) <= arenaLimit && uint64(len(enc)) <= math.MaxUint32 {
+		return true
+	}
+	if st.err == nil {
+		st.err = fmt.Errorf("%w: arena holds %d bytes, encoding of %d more exceeds %d",
+			ErrArenaFull, st.arenaBytes, len(enc), arenaLimit)
+	}
+	return false
 }
 
 // place copies enc into the arena, opening a slab when the last one
@@ -335,15 +374,18 @@ func (st *Store) place(enc []byte) loc {
 
 // Has reports whether s (canonicalized when Options.Canon is set) is
 // interned, and under which ID. It shares the writer's scratch buffer,
-// so it follows the single-writer rule; concurrent readers use Probes
+// so it follows the single-writer rule; concurrent readers use Lookup
 // instead.
 func (st *Store) Has(s ioa.State) (ID, bool) {
 	st.scratch = st.AppendCanonical(st.scratch[:0], s)
-	return st.lookup(st.scratch, Hash(st.scratch))
+	return st.Lookup(st.scratch, Hash(st.scratch))
 }
 
-// lookup finds an encoding without interning it.
-func (st *Store) lookup(enc []byte, hash uint64) (ID, bool) {
+// Lookup reports whether enc, canonical bytes with their Hash, is
+// interned, and under which ID, without interning it. It writes
+// nothing, so any number of goroutines may call it while the store is
+// frozen: the store is its own MemberProbe.
+func (st *Store) Lookup(enc []byte, hash uint64) (ID, bool) {
 	id, ok := st.shards[hash%shardCount].ix.Find(hash, func(id int) bool {
 		return bytes.Equal(st.Encoding(ID(id)), enc)
 	})
@@ -352,34 +394,3 @@ func (st *Store) lookup(enc []byte, hash uint64) (ID, bool) {
 	}
 	return ID(id), true
 }
-
-// A Probe is a read-only view with its own encoding buffer, letting
-// concurrent workers test membership allocation-free while the store
-// is frozen (no Intern in flight).
-type Probe struct {
-	st  *Store
-	buf []byte
-}
-
-// NewProbe returns a fresh probe. Each concurrent goroutine needs its
-// own.
-func (st *Store) NewProbe() *Probe { return &Probe{st: st} }
-
-// Lookup reports whether s is interned, returning its ID, the Hash of
-// its canonical encoding (for reuse at the level barrier), and
-// the membership verdict. Under a canonicalizer the probe looks up the
-// orbit representative, so a hit means some orbit-mate of s was
-// interned.
-func (p *Probe) Lookup(s ioa.State) (ID, uint64, bool) {
-	p.buf = p.st.AppendCanonical(p.buf[:0], s)
-	h := Hash(p.buf)
-	id, ok := p.st.lookup(p.buf, h)
-	return id, h, ok
-}
-
-// Bytes returns the canonical encoding produced by the most recent
-// Lookup. The slice aliases the probe's buffer — never the caller's
-// input state or the store arenas — and is only valid until the next
-// Lookup on this probe; consumers that outlive that window (the level
-// sets) copy it.
-func (p *Probe) Bytes() []byte { return p.buf }

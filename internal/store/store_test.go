@@ -52,11 +52,12 @@ func TestHasAndProbeAgree(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		st.Intern(ioa.KeyState(fmt.Sprintf("s%d", i)))
 	}
-	p := st.NewProbe()
+	p := st.Probe()
 	for i := 0; i < 120; i++ {
 		s := ioa.KeyState(fmt.Sprintf("s%d", i))
 		hid, hok := st.Has(s)
-		pid, _, pok := p.Lookup(s)
+		enc := st.AppendCanonical(nil, s)
+		pid, pok := p.Lookup(enc, Hash(enc))
 		if hok != pok || hid != pid {
 			t.Fatalf("Has(%q) = (%d,%v) but Probe = (%d,%v)", s, hid, hok, pid, pok)
 		}
@@ -66,22 +67,21 @@ func TestHasAndProbeAgree(t *testing.T) {
 	}
 }
 
+// TestProbeHashReuse: the bytes and hash a worker computes once serve
+// the probe and the intern alike.
 func TestProbeHashReuse(t *testing.T) {
 	st := New(Options{})
-	p := st.NewProbe()
-	s := ioa.KeyState("reuse-me")
-	_, h, ok := p.Lookup(s)
-	if ok {
+	p := st.Probe()
+	enc := st.AppendCanonical(nil, ioa.KeyState("reuse-me"))
+	h := Hash(enc)
+	if _, ok := p.Lookup(enc, h); ok {
 		t.Fatal("unexpected membership before intern")
 	}
-	if want := Hash([]byte("reuse-me")); h != want {
-		t.Fatalf("probe hash %#x, want %#x", h, want)
-	}
-	id, fresh := st.InternEncoded([]byte("reuse-me"), h)
+	id, fresh := st.InternEncoded(enc, h)
 	if !fresh || id != 0 {
 		t.Fatalf("InternEncoded = (%d,%v), want (0,true)", id, fresh)
 	}
-	if got, _, ok := p.Lookup(s); !ok || got != id {
+	if got, ok := p.Lookup([]byte("reuse-me"), h); !ok || got != id {
 		t.Fatalf("post-intern Lookup = (%d,%v), want (%d,true)", got, ok, id)
 	}
 }
@@ -100,10 +100,11 @@ func TestConcurrentProbesFrozen(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			p := st.NewProbe()
+			p := st.Probe()
 			for i := 0; i < n+50; i++ {
 				s := ioa.KeyState(fmt.Sprintf("frozen-%d", i))
-				id, _, ok := p.Lookup(s)
+				enc := st.AppendCanonical(nil, s)
+				id, ok := p.Lookup(enc, Hash(enc))
 				if want := i < n; ok != want {
 					t.Errorf("worker %d: membership of %q = %v, want %v", w, s, ok, want)
 					return
