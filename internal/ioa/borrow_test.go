@@ -9,7 +9,9 @@ package ioa_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -174,4 +176,88 @@ func TestWalkStepsEachActionOnce(t *testing.T) {
 			t.Errorf("sorted=%v: walk yields %q, want %q", tc.sorted, got, tc.want)
 		}
 	}
+}
+
+// rawRebuild is s with every tuple rebuilt by NewTupleState from At:
+// the form of a state no composite built — a domain tuple, a reducer's
+// representative — whose leaf parts are bare states.
+func rawRebuild(s ioa.State) ioa.State {
+	ts, ok := s.(*ioa.TupleState)
+	if !ok {
+		return s
+	}
+	parts := make([]ioa.State, ts.Len())
+	for i := range parts {
+		parts[i] = rawRebuild(ts.At(i))
+	}
+	return ioa.NewTupleState(parts)
+}
+
+// stepView is what a stepping automaton makes of s: its encoding, its
+// Enabled list and the key of every successor by every action.
+func stepView(a ioa.Automaton, s ioa.State) []string {
+	view := []string{string(ioa.AppendState(nil, s)), fmt.Sprint(a.Enabled(s))}
+	for _, act := range a.Sig().Acts().Sorted() {
+		for _, nxt := range ioa.Successors(a, s, act) {
+			view = append(view, string(act)+">"+nxt.Key())
+		}
+	}
+	return view
+}
+
+// TestCellAndRawPartsAgree: a composite steps and encodes a state the
+// same whatever form its leaf parts take — its own cells (a state it
+// stepped to), bare states (a raw rebuild), or another composite's
+// cells (the outer system's state as the inner A₃ sees it through
+// At(0)) — on every reachable state of the closed arbiter3.
+func TestCellAndRawPartsAgree(t *testing.T) {
+	for _, users := range []int{3, 4} {
+		a, states := catalogueReach(t, "arbiter3", users)
+		var inner ioa.Automaton = a.(*ioa.Composite).Components()[0]
+		for ioa.Wrapped(inner) != nil {
+			inner = ioa.Wrapped(inner)
+		}
+		a3 := inner.(*ioa.Composite)
+		for _, s := range states {
+			raw := rawRebuild(s)
+			if got, want := stepView(a, s), stepView(a, raw); !slices.Equal(got, want) {
+				t.Fatalf("arbiter3/%d: state %q in its own cells steps to\n %q\nrebuilt raw to\n %q", users, s.Key(), got, want)
+			}
+			foreign, bare := s.(*ioa.TupleState).At(0), raw.(*ioa.TupleState).At(0)
+			if got, want := stepView(a3, foreign), stepView(a3, bare); !slices.Equal(got, want) {
+				t.Fatalf("arbiter3/%d: A₃ steps %q in the outer system's cells to\n %q\nrebuilt raw to\n %q", users, foreign.Key(), got, want)
+			}
+		}
+	}
+}
+
+// TestCellsSharedAcrossGoroutines: goroutines stepping one fresh
+// composite at once create its cells and fill their rows concurrently
+// (run it under -race); each sees what the composite that reached the
+// states sees.
+func TestCellsSharedAcrossGoroutines(t *testing.T) {
+	a, states := catalogueReach(t, "arbiter3", 3)
+	fresh, err := bench.ExploreSystem(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]string, len(states))
+	for i, s := range states {
+		want[i] = stepView(a, s)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range states {
+				k := (i + g*len(states)/4) % len(states)
+				if got := stepView(fresh, states[k]); !slices.Equal(got, want[k]) {
+					t.Errorf("goroutine %d: a fresh composite steps %q to %q, want %q", g, states[k].Key(), got, want[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

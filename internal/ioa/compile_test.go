@@ -396,9 +396,9 @@ func malformed(s ioa.State) []ioa.State {
 }
 
 // FuzzNestedComposition holds random wrapper trees to the definition
-// from every state a bounded reference BFS reaches, and from copies of
-// the first few of them whose tuples are not their compositions'
-// states. `go test -fuzz=FuzzNestedComposition ./internal/ioa`.
+// from every state a bounded reference BFS reaches, from its raw
+// rebuild, and from copies of the first few of them whose tuples are
+// not their compositions' states. `go test -fuzz=FuzzNestedComposition ./internal/ioa`.
 func FuzzNestedComposition(f *testing.F) {
 	f.Add(int64(1), []byte{1, 2, 0, 3, 1, 0, 5, 7, 9})
 	f.Add(int64(7), []byte{5, 6, 1, 0, 0x9f, 3, 2, 0, 0, 1, 17, 0, 0x83})
@@ -413,6 +413,11 @@ func FuzzNestedComposition(f *testing.F) {
 		states, err := agreeWithDefinition(a, a, 200)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
+		}
+		for _, s := range states {
+			if err := agreeAt(a, a, rawRebuild(s)); err != nil {
+				t.Fatalf("%s, rebuilt raw: %v", a.Name(), err)
+			}
 		}
 		for _, s := range states[:min(len(states), 8)] {
 			for _, m := range malformed(s) {

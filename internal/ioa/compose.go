@@ -15,7 +15,9 @@ import (
 // JoinKeys framing of the part keys; it is built on first use, not at
 // construction — exploration encodes most tuples once through
 // AppendState, finds them already interned and drops them, so they
-// never own a key string — and is stable from then on.
+// never own a key string — and is stable from then on. A tuple a
+// Composite built holds each leaf state in that composite's leafCell,
+// whose frame the encoding copies; At hands out the state itself.
 type TupleState struct {
 	parts []State
 	// key caches Key() once something asks for it. Tuples are shared by
@@ -45,22 +47,33 @@ func (t *TupleState) Key() string {
 
 // At returns the i-th component state (the paper's a|Aᵢ projection on
 // states).
-func (t *TupleState) At(i int) State { return t.parts[i] }
+func (t *TupleState) At(i int) State {
+	if c, ok := t.parts[i].(*leafCell); ok {
+		return c.state
+	}
+	return t.parts[i]
+}
 
 // Len returns the number of components.
 func (t *TupleState) Len() int { return len(t.parts) }
 
 // appendKey appends t's key to dst: len:key per part, byte for byte
-// the JoinKeys framing, recursing through nested tuples and copying
-// any key that is already cached.
+// the JoinKeys framing, copying a cell's frame and any key that is
+// already cached, and recursing through nested tuples.
 func (t *TupleState) appendKey(dst []byte) []byte {
 	if k := t.key.Load(); k != nil {
 		return append(dst, *k...)
 	}
 	for _, p := range t.parts {
-		if pt, ok := p.(*TupleState); ok && pt.key.Load() == nil {
-			dst = pt.appendFrame(dst)
+		switch p := p.(type) {
+		case *leafCell:
+			dst = append(dst, p.frame...)
 			continue
+		case *TupleState:
+			if p.key.Load() == nil {
+				dst = p.appendFrame(dst)
+				continue
+			}
 		}
 		k := p.Key()
 		dst = strconv.AppendInt(dst, int64(len(k)), 10)
@@ -121,14 +134,29 @@ type node struct{ parent, part, arity int }
 
 // A leaf is a component stepped by its own Next and Enabled, at part
 // `part` of node `node`. renames carry its actions to the composite's,
-// innermost first; rows maps its state keys to *memoRow — sound because
-// Next and Enabled are deterministic functions of their arguments.
+// innermost first; cells maps its state keys to their *leafCell.
 type leaf struct {
 	auto       Automaton
 	node, part int
 	renames    []*Mapping
-	rows       sync.Map
+	cells      sync.Map
 }
+
+// A leafCell is leaf's one cell for a state key: the state, its
+// JoinKeys frame len:key, built once, and its memo row — sound because
+// Next and Enabled are deterministic functions of their arguments. The
+// tuples a Composite builds hold cells at their leaf parts, so stepping
+// reaches a row and encoding a frame with no hashing. Cells are
+// immutable but for the row, and shared.
+type leafCell struct {
+	memoRow
+	state      State
+	leaf       *leaf
+	frame, key string // key is frame's suffix
+}
+
+// Key implements State, for the slots a tuple keeps its parts in.
+func (c *leafCell) Key() string { return c.key }
 
 // A memoRow is read without a lock: enabled is stored once, already
 // renamed; each route's successors are pushed onto next once computed.
@@ -138,9 +166,33 @@ type memoRow struct {
 }
 
 type memoNext struct {
-	route  int
-	states []State
-	more   *memoNext
+	route int
+	cells []*leafCell
+	more  *memoNext
+}
+
+// cell is l's cell for the leaf part p: p itself when it is l's,
+// otherwise — a raw state from NewTupleState, or another composite's
+// cell — the cell of p's key, created on first use.
+func (l *leaf) cell(p State) *leafCell {
+	var k string
+	switch pc := p.(type) {
+	case *leafCell:
+		if pc.leaf == l {
+			return pc
+		}
+		p, k = pc.state, pc.key
+	default:
+		k = p.Key()
+	}
+	if c, ok := l.cells.Load(k); ok {
+		return c.(*leafCell)
+	}
+	frame := strconv.Itoa(len(k)) + ":" + k
+	// Kept: the cell outlives the call that lent p.
+	c := &leafCell{state: Keep(p), leaf: l, frame: frame, key: frame[len(frame)-len(k):]}
+	got, _ := l.cells.LoadOrStore(c.key, c)
+	return got.(*leafCell)
 }
 
 // A route steps one action: the leaves owning it, each by its own name
@@ -369,45 +421,40 @@ func SetObsDeep(a Automaton, o *obs.Obs) {
 	}
 }
 
-// row is leaf i's memo row for state s, created empty on first use.
-func (c *Composite) row(i int, s State) *memoRow {
-	rows := &c.leaves[i].rows
-	if r, ok := rows.Load(s.Key()); ok {
-		return r.(*memoRow)
-	}
-	r, _ := rows.LoadOrStore(s.Key(), new(memoRow))
-	return r.(*memoRow)
-}
-
-// leafNext is leaf o.leaf's successors of s by o.act, through its memo
-// row, where route id's entry holds them.
-func (c *Composite) leafNext(id int, o owner, s State) []State {
-	row := c.row(o.leaf, s)
+// leafNext is leaf o.leaf's successors of part p by o.act, through its
+// cell's memo row, where route id's entry holds them.
+func (c *Composite) leafNext(id int, o owner, p State) []*leafCell {
+	l := c.leaves[o.leaf]
+	row := l.cell(p)
 	for e := row.next.Load(); e != nil; e = e.more {
 		if e.route == id {
 			if m := c.obsMemo; m != nil {
 				m.NextHit.AddShard(o.leaf, 1)
 			}
-			return e.states
+			return e.cells
 		}
 	}
 	if m := c.obsMemo; m != nil {
 		m.NextMiss.AddShard(o.leaf, 1)
 	}
 	// Racing goroutines push equal lists; lookups find the first.
-	e := &memoNext{route: id, states: Successors(c.leaves[o.leaf].auto, s, o.act)}
+	e := &memoNext{route: id}
+	l.auto.Next(nil, row.state, o.act, func(s State) bool {
+		e.cells = append(e.cells, l.cell(s))
+		return true
+	})
 	for {
 		e.more = row.next.Load()
 		if row.next.CompareAndSwap(e.more, e) {
-			return e.states
+			return e.cells
 		}
 	}
 }
 
-// leafEnabled is leaf i's Enabled(s) in the composite's actions,
-// through its memo row: the same actions in the same order.
-func (c *Composite) leafEnabled(i int, s State) []Action {
-	row := c.row(i, s)
+// leafEnabled is leaf i's Enabled of part p in the composite's actions,
+// through its cell's memo row: the same actions in the same order.
+func (c *Composite) leafEnabled(i int, p State) []Action {
+	row := c.leaves[i].cell(p)
 	if en := row.enabled.Load(); en != nil {
 		if m := c.obsMemo; m != nil {
 			m.EnabledHit.AddShard(i, 1)
@@ -418,7 +465,7 @@ func (c *Composite) leafEnabled(i int, s State) []Action {
 		m.EnabledMiss.AddShard(i, 1)
 	}
 	l := c.leaves[i]
-	en := applyAll(l.renames, l.auto.Enabled(s))
+	en := applyAll(l.renames, l.auto.Enabled(row.state))
 	row.enabled.Store(&en)
 	return en
 }
@@ -442,7 +489,7 @@ func (c *Composite) Sig() Signature { return c.sig }
 func (c *Composite) Components() []Automaton { return c.comps }
 
 // Start implements Automaton: the Cartesian product of component start
-// states.
+// states, adopted into this composite's cells.
 func (c *Composite) Start() []State {
 	combos := [][]State{nil}
 	for _, comp := range c.comps {
@@ -458,7 +505,15 @@ func (c *Composite) Start() []State {
 	}
 	out := make([]State, 0, len(combos))
 	for _, row := range combos {
-		out = append(out, NewTupleState(row))
+		t := NewTupleState(row)
+		// The tuples under t are as new as t, built by the nested
+		// compositions' Start, so their leaf parts move into cells in place.
+		tuples := resolve(c.nodes, t, nil)
+		for _, l := range c.leaves {
+			p := &tuples[l.node].parts[l.part]
+			*p = l.cell(*p)
+		}
+		out = append(out, t)
 	}
 	return out
 }
@@ -507,7 +562,7 @@ func (c *Composite) Next(sc *Scratch, s State, a Action, yield func(State) bool)
 	if slices.Contains(from, nil) {
 		return true
 	}
-	var choiceStack [4][]State
+	var choiceStack [4][]*leafCell
 	var idxStack [4]int
 	choices, idx := choiceStack[:0], idxStack[:0]
 	for _, o := range r.owners {

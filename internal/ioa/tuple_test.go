@@ -2,9 +2,11 @@ package ioa
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -316,6 +318,61 @@ func TestCompositeStepAllocs(t *testing.T) {
 	}
 	if string(buf) != JoinKeys("a"+big, "m1", "b"+big) {
 		t.Errorf("the step's encoding is not the JoinKeys framing")
+	}
+}
+
+// countedState is a leaf state that counts the Key calls made on it.
+type countedState struct {
+	v     int
+	calls *atomic.Int64
+}
+
+func (s countedState) Key() string {
+	s.calls.Add(1)
+	return strconv.Itoa(s.v)
+}
+
+// TestCompositeStepKeysNoLeaf: once a state's memo rows are warm,
+// walking its successors and encoding each asks no leaf state for its
+// key — a tuple the composite built holds its leaves in cells, which
+// carry their rows and their frames. Three counters, two under a
+// hidden inner composition, each stepping on its own tick and on its
+// left neighbour's: every route has two owners, and every successor
+// rebuilds the nested tuple.
+func TestCompositeStepKeysNoLeaf(t *testing.T) {
+	var calls atomic.Int64
+	counter := func(name string, listen Action) *Prog {
+		step := func(by int) func(State) State {
+			return func(s State) State { return countedState{(s.(countedState).v + by) % 3, &calls} }
+		}
+		d := NewDef(name)
+		d.Start(countedState{0, &calls})
+		d.Output(Act("tick", name), name, func(s State) bool { return s.(countedState).v < 2 }, step(1))
+		d.Input(listen, step(2))
+		return d.MustBuild()
+	}
+	inner := MustCompose("inner", counter("p", Act("tick", "r")), counter("q", Act("tick", "p")))
+	c := MustCompose("outer", Hide(inner, NewSet()), counter("r", Act("tick", "q")))
+
+	walk := NewWalk(c, true)
+	var s State
+	walk.Visit(c.Start()[0], func(nxt State) bool { s = Keep(nxt); return false })
+	walk.Visit(s, func(State) bool { return true }) // warm s's rows
+	calls.Store(0)
+	var encs []string
+	var buf []byte
+	walk.Visit(s, func(nxt State) bool {
+		buf = AppendState(buf[:0], nxt)
+		encs = append(encs, string(buf))
+		return true
+	})
+	if n := calls.Load(); n != 0 {
+		t.Errorf("a warm Walk.Visit and the encodings of its %d successors call leaf Key() %d times, want none", len(encs), n)
+	}
+	var want []string
+	walk.Visit(s, func(nxt State) bool { want = append(want, refKey(nxt)); return true })
+	if len(encs) < 2 || !slices.Equal(encs, want) {
+		t.Errorf("successor encodings %q, want %q", encs, want)
 	}
 }
 

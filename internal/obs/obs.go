@@ -119,8 +119,8 @@ func newExploreMetrics(r *Registry) *ExploreMetrics {
 }
 
 // MemoMetrics instruments the composition transition/enabled caches:
-// the memo rows an ioa.Composite keeps per leaf state, counted at the
-// composite being stepped and striped by leaf.
+// the memo rows an ioa.Composite keeps in its cell of each leaf state,
+// counted at the composite being stepped and striped by leaf.
 type MemoMetrics struct {
 	NextHit, NextMiss       *Counter
 	EnabledHit, EnabledMiss *Counter
