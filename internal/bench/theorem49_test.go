@@ -53,7 +53,7 @@ func closedA3(t *testing.T, n int) (*ioa.Composite, []string) {
 // every other user must then be refuted by a lasso that replays from a
 // start state, is fair-sustainable, and grants it nothing.
 func TestTheorem49Exact(t *testing.T) {
-	for n := 3; n <= 6; n++ {
+	for n := 3; n <= 7; n++ {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			a, names := closedA3(t, n)
 			var goals []*proof.LeadsTo

@@ -7,15 +7,21 @@ package explore
 // cancellation on every method.
 //
 // Internally every explorer dedups through internal/store: states are
-// byte-encoded once (ioa.AppendState — the bytes of Key(), streamed
-// without building the string), interned into arena-backed shards, and
-// tracked by dense uint64 IDs instead of string-keyed maps; successor
-// enumeration goes through an ioa.Walk, which borrows each successor
-// from its own scratch memory, so a successor that is found already
-// interned allocates nothing and only a kept one is copied to the heap.
-// The visit order is bit-identical to the string-keyed seed explorer
-// (reference.go keeps it as the differential oracle): interning
-// preserves first-insertion order, and the encoding is the Key().
+// byte-encoded once, interned into arena-backed shards, and tracked by
+// dense uint64 IDs instead of string-keyed maps; successor enumeration
+// goes through an ioa.Walk, which borrows each successor from its own
+// scratch memory, so a successor that is found already interned
+// allocates nothing and only a kept one is copied to the heap. The
+// level engine, the census and the cluster order candidates by their
+// bytes, so they encode with ioa.AppendState — the bytes of Key(),
+// streamed without building the string. The sequential kernel orders
+// by admission alone and interns ioa.Encoder's encoding, which for a
+// composition is its leaves' cell indices: equal iff the Keys are, a
+// few bytes long, and built without reading a leaf's key. The visit
+// order is bit-identical to the string-keyed seed explorer (reference.go
+// keeps it as the differential oracle): interning preserves
+// first-insertion order, and both encodings decide equality as the
+// Key() does.
 
 import (
 	"context"
@@ -324,8 +330,19 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	var crumbs []crumb // indexed like order; kept only under a predicate
 	cur := store.None  // the state being expanded; int(store.None) is -1
 	step := ioa.NewWalk(a, true)
+	// The kernel orders nothing by bytes, so it interns ioa.Encoder's
+	// encoding, a composite's cell indices, rather than the Key.
+	encode, canon, probe := ioa.Encoder(a), e.opts.Canon, st.Probe()
+	var enc []byte
+	encoded := func(s ioa.State) ([]byte, uint64) {
+		if canon != nil {
+			s = canon.Canonical(s)
+		}
+		enc = encode(enc[:0], s)
+		return enc, store.Hash(enc)
+	}
 	admit := func(s ioa.State) store.ID {
-		id, fresh := st.Intern(s)
+		id, fresh := st.InternEncoded(encoded(s))
 		if fresh {
 			order = append(order, ioa.Keep(s))
 			if pred != nil {
@@ -344,7 +361,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	// CheckInvariant's, or Visit's, which also reports the edges.
 	yield := func(nxt ioa.State) bool {
 		if pred == nil && len(order) >= limit {
-			_, seen := st.Has(nxt)
+			_, seen := probe.Lookup(encoded(nxt))
 			return seen
 		}
 		admit(nxt)
@@ -355,7 +372,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 			id, seen := store.None, false
 			if len(order) < limit {
 				id = admit(nxt)
-			} else if id, seen = st.Has(nxt); !seen {
+			} else if id, seen = probe.Lookup(encoded(nxt)); !seen {
 				return false
 			}
 			if id == store.None {

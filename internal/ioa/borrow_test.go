@@ -231,10 +231,12 @@ func TestCellAndRawPartsAgree(t *testing.T) {
 	}
 }
 
-// TestCellsSharedAcrossGoroutines: goroutines stepping one fresh
-// composite at once create its cells and fill their rows concurrently
-// (run it under -race); each sees what the composite that reached the
-// states sees.
+// TestCellsSharedAcrossGoroutines: goroutines stepping and encoding one
+// fresh composite at once create its cells and fill their rows
+// concurrently (run it under -race); each sees what the composite that
+// reached the states sees, and each encodes a state as the others do
+// and distinct states distinctly — a racing creation leaves one cell,
+// one index, per leaf state.
 func TestCellsSharedAcrossGoroutines(t *testing.T) {
 	a, states := catalogueReach(t, "arbiter3", 3)
 	fresh, err := bench.ExploreSystem(3, 3)
@@ -245,13 +247,17 @@ func TestCellsSharedAcrossGoroutines(t *testing.T) {
 	for i, s := range states {
 		want[i] = stepView(a, s)
 	}
+	encode := ioa.Encoder(fresh)
+	encs := make([][]string, 4)
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := range encs {
+		encs[g] = make([]string, len(states))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range states {
 				k := (i + g*len(states)/4) % len(states)
+				encs[g][k] = string(encode(nil, states[k]))
 				if got := stepView(fresh, states[k]); !slices.Equal(got, want[k]) {
 					t.Errorf("goroutine %d: a fresh composite steps %q to %q, want %q", g, states[k].Key(), got, want[k])
 					return
@@ -260,4 +266,16 @@ func TestCellsSharedAcrossGoroutines(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	owner := make(map[string]int)
+	for k, s := range states {
+		for g := range encs {
+			if encs[g][k] != encs[0][k] {
+				t.Fatalf("state %q encodes as %x on goroutine %d, %x on goroutine 0", s.Key(), encs[g][k], g, encs[0][k])
+			}
+		}
+		if j, ok := owner[encs[0][k]]; ok {
+			t.Fatalf("states %q and %q both encode as %x", states[j].Key(), s.Key(), encs[0][k])
+		}
+		owner[encs[0][k]] = k
+	}
 }

@@ -1,6 +1,7 @@
 package ioa
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strconv"
@@ -134,12 +135,14 @@ type node struct{ parent, part, arity int }
 
 // A leaf is a component stepped by its own Next and Enabled, at part
 // `part` of node `node`. renames carry its actions to the composite's,
-// innermost first; cells maps its state keys to their *leafCell.
+// innermost first; cells maps its state keys to their *leafCell, and
+// made counts the cells it has built.
 type leaf struct {
 	auto       Automaton
 	node, part int
 	renames    []*Mapping
 	cells      sync.Map
+	made       atomic.Uint64
 }
 
 // A leafCell is leaf's one cell for a state key: the state, its
@@ -147,12 +150,14 @@ type leaf struct {
 // Next and Enabled are deterministic functions of their arguments. The
 // tuples a Composite builds hold cells at their leaf parts, so stepping
 // reaches a row and encoding a frame with no hashing. Cells are
-// immutable but for the row, and shared.
+// immutable but for the row, and shared. index numbers the leaf's cells
+// in creation order: unique per leaf, gaps where a racing creation lost.
 type leafCell struct {
 	memoRow
 	state      State
 	leaf       *leaf
 	frame, key string // key is frame's suffix
+	index      uint64
 }
 
 // Key implements State, for the slots a tuple keeps its parts in.
@@ -171,18 +176,23 @@ type memoNext struct {
 	more  *memoNext
 }
 
-// cell is l's cell for the leaf part p: p itself when it is l's,
-// otherwise — a raw state from NewTupleState, or another composite's
-// cell — the cell of p's key, created on first use.
+// cell is l's cell for the leaf part p: p itself when it is l's, and
+// otherwise adopt's — a fast path the compiler inlines.
 func (l *leaf) cell(p State) *leafCell {
+	if c, ok := p.(*leafCell); ok && c.leaf == l {
+		return c
+	}
+	return l.adopt(p)
+}
+
+// adopt is l's cell for a part that is not one of l's — a raw state
+// from NewTupleState, or another composite's cell: the cell of p's key,
+// created on first use.
+func (l *leaf) adopt(p State) *leafCell {
 	var k string
-	switch pc := p.(type) {
-	case *leafCell:
-		if pc.leaf == l {
-			return pc
-		}
+	if pc, ok := p.(*leafCell); ok {
 		p, k = pc.state, pc.key
-	default:
+	} else {
 		k = p.Key()
 	}
 	if c, ok := l.cells.Load(k); ok {
@@ -190,7 +200,7 @@ func (l *leaf) cell(p State) *leafCell {
 	}
 	frame := strconv.Itoa(len(k)) + ":" + k
 	// Kept: the cell outlives the call that lent p.
-	c := &leafCell{state: Keep(p), leaf: l, frame: frame, key: frame[len(frame)-len(k):]}
+	c := &leafCell{state: Keep(p), leaf: l, frame: frame, key: frame[len(frame)-len(k):], index: l.made.Add(1) - 1}
 	got, _ := l.cells.LoadOrStore(c.key, c)
 	return got.(*leafCell)
 }
@@ -537,6 +547,35 @@ func resolve(nodes []node, s State, dst []*TupleState) []*TupleState {
 			ts = nil
 		}
 		dst = append(dst, ts)
+	}
+	return dst
+}
+
+// Encoder returns the encoding the sequential kernel interns a's states
+// under. Over a Hide/Rename chain ending in a composition it is tag 1
+// and the uvarint index of each leaf's cell, in leaf order — injective,
+// as a leaf has one cell per state key and uvarints delimit themselves
+// — or tag 0 and AppendState for a state whose tuples are not the
+// composition's. For any other automaton it is AppendState. Indices
+// follow the order cells were created in, so the bytes order nothing.
+func Encoder(a Automaton) func(dst []byte, s State) []byte {
+	_, under := wrappers(a)
+	if c, ok := under.(*Composite); ok {
+		return c.appendCells
+	}
+	return AppendState
+}
+
+// appendCells is Encoder's encoding of c's states.
+func (c *Composite) appendCells(dst []byte, s State) []byte {
+	var tupleStack [8]*TupleState
+	tuples := resolve(c.nodes, s, tupleStack[:0])
+	if slices.Contains(tuples, nil) {
+		return AppendState(append(dst, 0), s)
+	}
+	dst = append(dst, 1)
+	for _, l := range c.leaves {
+		dst = binary.AppendUvarint(dst, l.cell(tuples[l.node].parts[l.part]).index)
 	}
 	return dst
 }

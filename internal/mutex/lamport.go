@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/ioa"
 )
@@ -42,7 +43,9 @@ func lampReq(c int) byte { return byte(2 + c) }
 
 // LamportState is the global state: clocks, request records, ack
 // bitmasks, critical-section flags, and the N·(N-1) FIFO channels.
-// Immutable; transitions derive fresh states.
+// Immutable; transitions derive fresh states. Its key is built on first
+// use: the candidate domain streams millions of states whose conjuncts
+// read the fields, and encodes only the few it keeps.
 type LamportState struct {
 	n     int
 	clock []int    // clock[p] ∈ 1..M
@@ -50,13 +53,21 @@ type LamportState struct {
 	ack   []uint   // ack[p]: bitmask of processes whose ack p holds (own bit set on request)
 	crit  []bool   // crit[p]: p is in its critical section
 	net   [][]byte // net[p*n+q]: FIFO p→q, head first; diagonal unused
-	key   string
+	// key caches Key(); racing builders store equal strings.
+	key atomic.Pointer[string]
 }
 
 var _ ioa.State = (*LamportState)(nil)
 
-// Key implements ioa.State.
-func (s *LamportState) Key() string { return s.key }
+// Key implements ioa.State: the canonical key, built once.
+func (s *LamportState) Key() string {
+	if k := s.key.Load(); k != nil {
+		return *k
+	}
+	k := s.buildKey()
+	s.key.Store(&k)
+	return k
+}
 
 // N returns the process count.
 func (s *LamportState) N() int { return s.n }
@@ -71,7 +82,7 @@ func (s *LamportState) Crit(p int) bool { return s.crit[p] }
 // Chan returns the FIFO p→q, head first (not a copy; do not mutate).
 func (s *LamportState) Chan(p, q int) []byte { return s.net[p*s.n+q] }
 
-// clone deep-copies everything but the key (finalize rebuilds it).
+// clone deep-copies everything but the key.
 func (s *LamportState) clone() *LamportState {
 	c := &LamportState{
 		n:     s.n,
@@ -89,8 +100,8 @@ func (s *LamportState) clone() *LamportState {
 	return c
 }
 
-// finalize computes the canonical key and returns the state.
-func (s *LamportState) finalize() *LamportState {
+// buildKey computes the canonical key.
+func (s *LamportState) buildKey() string {
 	var b strings.Builder
 	for p := 0; p < s.n; p++ {
 		if p > 0 {
@@ -127,8 +138,7 @@ func (s *LamportState) finalize() *LamportState {
 			b.WriteString(strconv.Itoa(int(m)))
 		}
 	}
-	s.key = b.String()
-	return s
+	return b.String()
 }
 
 // Action constructors.
@@ -173,7 +183,7 @@ func NewLamport(n, maxClock, cap int) (*Lamport, error) {
 		start.clock[p] = 1
 	}
 	d := ioa.NewDef(fmt.Sprintf("Lamport(n=%d,M=%d,C=%d)", n, maxClock, cap))
-	d.Start(start.finalize())
+	d.Start(start)
 	for p := 0; p < n; p++ {
 		p := p
 		class := "p" + strconv.Itoa(p)
@@ -192,7 +202,7 @@ func NewLamport(n, maxClock, cap int) (*Lamport, error) {
 						s.net[p*n+q] = append(s.net[p*n+q], lampReq(stamp))
 					}
 				}
-				return s.finalize()
+				return s
 			})
 		d.Internal(LampEnter(p), class,
 			func(st ioa.State) bool {
@@ -210,7 +220,7 @@ func NewLamport(n, maxClock, cap int) (*Lamport, error) {
 			func(st ioa.State) ioa.State {
 				s := st.(*LamportState).clone()
 				s.crit[p] = true
-				return s.finalize()
+				return s
 			})
 		d.Internal(LampExit(p), class,
 			func(st ioa.State) bool {
@@ -227,7 +237,7 @@ func NewLamport(n, maxClock, cap int) (*Lamport, error) {
 						s.net[p*n+q] = append(s.net[p*n+q], lampRel)
 					}
 				}
-				return s.finalize()
+				return s
 			})
 		for q := 0; q < n; q++ {
 			if q == p {
@@ -253,7 +263,7 @@ func NewLamport(n, maxClock, cap int) (*Lamport, error) {
 					s.req[p*n+q] = c
 					s.clock[p] = max(s.clock[p], c) + 1
 					s.net[p*n+q] = append(s.net[p*n+q], lampAck)
-					return s.finalize()
+					return s
 				})
 			d.Internal(LampRcvAck(p, q), class,
 				func(st ioa.State) bool {
@@ -264,7 +274,7 @@ func NewLamport(n, maxClock, cap int) (*Lamport, error) {
 					s := st.(*LamportState).clone()
 					s.net[q*n+p] = popHead(s.net[q*n+p])
 					s.ack[p] |= 1 << uint(q)
-					return s.finalize()
+					return s
 				})
 			d.Internal(LampRcvRel(p, q), class,
 				func(st ioa.State) bool {
@@ -275,7 +285,7 @@ func NewLamport(n, maxClock, cap int) (*Lamport, error) {
 					s := st.(*LamportState).clone()
 					s.net[q*n+p] = popHead(s.net[q*n+p])
 					s.req[p*n+q] = 0
-					return s.finalize()
+					return s
 				})
 		}
 	}

@@ -498,7 +498,7 @@ func (l *Lamport) domainState(digits []int) ioa.State {
 			}
 		}
 	}
-	return s.finalize()
+	return s
 }
 
 // Domain streams every TypeOK-shaped state — the candidate space for

@@ -2,6 +2,7 @@ package mutex
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/domain"
@@ -36,6 +37,34 @@ func TestLamportInvInductive(t *testing.T) {
 	}
 	if cert.Candidates == 0 || cert.Transitions == 0 {
 		t.Fatalf("vacuous certification: %+v", cert)
+	}
+}
+
+// TestLamportKeyConcurrent: a state builds its key on first use, so
+// goroutines asking one unkeyed state at once race to build it (run it
+// under -race); every one gets the key of the state it was cloned from.
+func TestLamportKeyConcurrent(t *testing.T) {
+	l, err := NewLamport(2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), l.Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range states {
+		want, fresh := s.Key(), s.(*LamportState).clone()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := fresh.Key(); got != want {
+					t.Errorf("goroutine %d: a clone of %q keys as %q", g, want, got)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -16,10 +16,11 @@ import "repro/internal/ioa"
 // frozen (no Intern in flight). Each concurrent goroutine needs its own
 // probe.
 type MemberProbe interface {
-	// Lookup reports whether enc — canonical bytes, AppendCanonical's —
-	// is in the set, given its Hash, and under which ID. Implementations
-	// that can fail (disk reads) report not-found and latch the error on
-	// the owning set's Err.
+	// Lookup reports whether enc — canonical bytes in the encoding the
+	// set was filled with, AppendCanonical's unless every InternEncoded
+	// brought another — is in the set, given its Hash, and under which
+	// ID. Implementations that can fail (disk reads) report not-found and
+	// latch the error on the owning set's Err.
 	Lookup(enc []byte, hash uint64) (ID, bool)
 }
 

@@ -2,7 +2,10 @@
 // state-space exploration. Each state is encoded once into its
 // canonical byte representation (ioa.AppendState: the bytes of Key(),
 // built on demand — a tuple is streamed part by part and never owns a
-// key string unless something asks for one),
+// key string unless something asks for one — for Intern, Has and
+// AppendCanonical; a caller of InternEncoded may bring any encoding
+// that is equal iff the Keys are, as the sequential explorer brings
+// ioa.Encoder's cell indices),
 // hashed (Hash: an unspecified 64-bit function of those bytes, stable
 // within one binary, never persisted and never trusted for equality),
 // and appended to an arena of fixed slabs behind sharded hash indexes;
