@@ -70,6 +70,41 @@ func BenchmarkCompositeStep(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckInvariantArbiter is the sequential kernel end to end:
+// one-worker CheckInvariant of mutual exclusion on the closed level-3
+// arbiter with five users, every one of its 4 837 states checked — the
+// loop arbiter3-check times at seven. One untimed run first fills the
+// composite's cells and memo rows, so B/op and allocs/op over the states
+// metric are what the kernel itself spends per checked state: its store,
+// its crumbs, and whatever states it keeps.
+func BenchmarkCheckInvariantArbiter(b *testing.B) {
+	ioa.SetScratchPoison(false) // as in BenchmarkCompositeStep
+	defer ioa.SetScratchPoison(true)
+	sys, err := ExploreSystem(3, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := explore.New(explore.Options{Workers: 1})
+	checked := 0
+	check := func() {
+		checked = 0
+		v, err := eng.CheckInvariant(context.Background(), sys, func(s ioa.State) bool {
+			checked++
+			return MutexInvariant(s)
+		})
+		if err != nil || v != nil {
+			b.Fatalf("CheckInvariant: violation %v, error %v", v, err)
+		}
+	}
+	check()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		check()
+	}
+	b.ReportMetric(float64(checked), "states")
+}
+
 // BenchmarkLevelMerge is a Census where the level set, not the
 // automaton, is the workload: the 7^5 grid (16 807 states, four in five
 // successors a duplicate inside its level), as ram — the two-worker

@@ -17,11 +17,13 @@ package explore
 // streamed without building the string. The sequential kernel orders
 // by admission alone and interns ioa.Encoder's encoding, which for a
 // composition is its leaves' cell indices: equal iff the Keys are, a
-// few bytes long, and built without reading a leaf's key. The visit
-// order is bit-identical to the string-keyed seed explorer (reference.go
-// keeps it as the differential oracle): interning preserves
-// first-insertion order, and both encodings decide equality as the
-// Key() does.
+// few bytes long, and built without reading a leaf's key. Those bytes
+// are the state (ioa.Decoder), so where nothing needs a heap state the
+// kernel keeps none: its frontier is the store's unexpanded IDs, each
+// decoded when it comes up. The visit order is bit-identical to the
+// string-keyed seed explorer (reference.go keeps it as the differential
+// oracle): interning preserves first-insertion order, and both
+// encodings decide equality as the Key() does.
 
 import (
 	"context"
@@ -81,7 +83,9 @@ type Options struct {
 	// required by Census's external mode, which keeps frontiers on disk
 	// as encodings and must re-expand them; systems whose encodings are
 	// self-describing (KeyState systems, internal/grid) provide it
-	// trivially. Reach and CheckInvariant never call it.
+	// trivially. Reach and CheckInvariant never call it: a composition's
+	// seam is ioa.Decoder, which the sequential kernel decodes its own
+	// cell encodings through, and Decode stays for the census alone.
 	Decode func(enc []byte) (ioa.State, error)
 }
 
@@ -210,7 +214,10 @@ func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error
 // the seed CheckInvariant; in parallel the verdict agrees whenever the
 // reachable state count is below the limit and any reported violation
 // is a true, reachable violation with a minimal-length canonical
-// witness. pred is only called from the coordinating goroutine.
+// witness. pred is only called from the coordinating goroutine, and its
+// argument is borrowed for the call: the kernel may rebuild the state in
+// memory it reuses for the next one, so ioa.Keep what you retain. The
+// violation's state and witness are the caller's to keep.
 func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (*Violation, error) {
 	ctx = ctxOr(ctx)
 	if pred == nil {
@@ -294,15 +301,24 @@ func (e *Engine) Visit(ctx context.Context, a ioa.Automaton, v Visitor) ([]ioa.S
 
 // seqExplore is the one sequential kernel, under Reach (pred nil) and
 // CheckInvariant at one worker and under Visit (vis non-nil). The
-// frontier is the unexpanded suffix of the result slice itself (every
-// admitted state is expanded exactly once, in admission order), so
-// visit order is bit-identical to the seed explorer's explicit queue,
-// and slice indices double as interned IDs (both are dense admission
-// order). With a predicate it also records one (parent, act) crumb per
-// state, checks pred on each state as it comes up for expansion, and
-// builds the witness from the crumb chain. With a visitor it reports
-// every admission, every successor's edge as the store answers it, and
-// the end of every expansion; Visit takes Reach's limit contract.
+// frontier is the range of store IDs not yet expanded (every admitted
+// state is expanded exactly once, in admission order), so visit order is
+// bit-identical to the seed explorer's explicit queue, and IDs double as
+// result indices (both are dense admission order). A composite explored
+// with no visitor, no Canon and the in-RAM store keeps no state at all:
+// it expands each state decoded from its encoding into a Scratch of its
+// own, decodes the witness's states onto the heap, and Reach's result
+// from every ID once on the way out. Everything else keeps a heap copy
+// of each admitted state in the result slice and expands that — a
+// visitor may retain what Admit hands it, under Canon the state kept is
+// the first-discovered concrete one while the encoding is its orbit's,
+// and spill and non-composites have nothing to decode.
+//
+// With a predicate it also records one (parent, act) crumb per state,
+// checks pred on each state as it comes up for expansion, and builds the
+// witness from the crumb chain. With a visitor it reports every
+// admission, every successor's edge as the store answers it, and the end
+// of every expansion; Visit takes Reach's limit contract.
 //
 // The two limit contracts differ on purpose. Reach switches to probe
 // mode once the budget is full: the first unseen successor aborts the
@@ -325,14 +341,36 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
 	defer st.Close()
 	rep := reporter{o: o, st: st, phase: "explore"}
-	defer func() { rep.emit(0, int64(len(order)), 0, true) }()
+	defer func() { rep.emit(0, int64(st.Len()), 0, true) }()
 
-	var crumbs []crumb // indexed like order; kept only under a predicate
+	var crumbs []crumb // indexed by ID; kept only under a predicate
 	cur := store.None  // the state being expanded; int(store.None) is -1
 	step := ioa.NewWalk(a, true)
 	// The kernel orders nothing by bytes, so it interns ioa.Encoder's
 	// encoding, a composite's cell indices, rather than the Key.
 	encode, canon, probe := ioa.Encoder(a), e.opts.Canon, st.Probe()
+	// decode is nil where the kernel keeps heap states in order. A
+	// composition's starts and steps are its own tuples, so every
+	// encoding it interns has tag 1 and decodes.
+	arena, _ := st.(*store.Store)
+	decode := ioa.Decoder(a)
+	if vis != nil || canon != nil || arena == nil {
+		decode = nil
+	}
+	state := func(sc *ioa.Scratch, id store.ID) ioa.State {
+		if decode == nil {
+			return order[id]
+		}
+		return decode(sc, arena.Encoding(id))
+	}
+	if decode != nil && pred == nil {
+		defer func() { // Reach's result, whatever the exit
+			order = make([]ioa.State, st.Len())
+			for i := range order {
+				order[i] = state(nil, store.ID(i))
+			}
+		}()
+	}
 	var enc []byte
 	encoded := func(s ioa.State) ([]byte, uint64) {
 		if canon != nil {
@@ -344,7 +382,9 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	admit := func(s ioa.State) store.ID {
 		id, fresh := st.InternEncoded(encoded(s))
 		if fresh {
-			order = append(order, ioa.Keep(s))
+			if decode == nil {
+				order = append(order, ioa.Keep(s))
+			}
 			if pred != nil {
 				crumbs = append(crumbs, crumb{parent: cur, act: step.Act})
 			}
@@ -360,7 +400,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	// One yield closure for the whole sweep: Reach's and
 	// CheckInvariant's, or Visit's, which also reports the edges.
 	yield := func(nxt ioa.State) bool {
-		if pred == nil && len(order) >= limit {
+		if pred == nil && st.Len() >= limit {
 			_, seen := probe.Lookup(encoded(nxt))
 			return seen
 		}
@@ -370,7 +410,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	if vis != nil {
 		yield = func(nxt ioa.State) bool {
 			id, seen := store.None, false
-			if len(order) < limit {
+			if st.Len() < limit {
 				id = admit(nxt)
 			} else if id, seen = probe.Lookup(encoded(nxt)); !seen {
 				return false
@@ -382,8 +422,9 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 			return true
 		}
 	}
+	var sc ioa.Scratch // the decoded state being expanded
 	limited := false
-	for i := 0; i < len(order) && !limited; i++ {
+	for i := 0; i < st.Len() && !limited; i++ {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return order, nil, err
@@ -392,19 +433,21 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 				return order, nil, seenErr(a, err)
 			}
 			if i&(seqProgressStride-1) == 0 && i > 0 {
-				rep.emit(0, int64(len(order)), int64(len(order)-i), false)
-			}
-		}
-		s := order[i]
-		if pred != nil {
-			if !pred(s) {
-				return order, &Violation{State: s, Trace: witnessFromCrumbs(a, order, crumbs, store.ID(i))}, nil
-			}
-			if len(order) >= limit {
-				return order, nil, errLimit(a, limit)
+				rep.emit(0, int64(st.Len()), int64(st.Len()-i), false)
 			}
 		}
 		cur = store.ID(i)
+		sc.Reset()
+		s := state(&sc, cur)
+		if pred != nil {
+			if !pred(s) {
+				at := func(id store.ID) ioa.State { return state(nil, id) }
+				return order, &Violation{State: at(cur), Trace: witnessFromCrumbs(a, at, crumbs, cur)}, nil
+			}
+			if st.Len() >= limit {
+				return order, nil, errLimit(a, limit)
+			}
+		}
 		// Only the probe mode of Reach and Visit ever stops the walk.
 		limited = !step.Visit(s, yield)
 		if vis != nil && !limited {

@@ -371,14 +371,16 @@ func checkLevel(a ioa.Automaton, states []ioa.State, crumbs []crumb, from int, p
 		if pred(states[i]) {
 			continue
 		}
-		return &Violation{State: states[i], Trace: witnessFromCrumbs(a, states, crumbs, store.ID(i))}
+		at := func(id store.ID) ioa.State { return states[id] }
+		return &Violation{State: states[i], Trace: witnessFromCrumbs(a, at, crumbs, store.ID(i))}
 	}
 	return nil
 }
 
 // witnessFromCrumbs rebuilds the canonical minimal-length execution
-// from a start state to target by following parent IDs.
-func witnessFromCrumbs(a ioa.Automaton, states []ioa.State, crumbs []crumb, target store.ID) *ioa.Execution {
+// from a start state to target by following parent IDs, reading each
+// state on the chain, and only those, from at.
+func witnessFromCrumbs(a ioa.Automaton, at func(store.ID) ioa.State, crumbs []crumb, target store.ID) *ioa.Execution {
 	var rev []store.ID
 	for id := target; ; id = crumbs[id].parent {
 		rev = append(rev, id)
@@ -386,9 +388,9 @@ func witnessFromCrumbs(a ioa.Automaton, states []ioa.State, crumbs []crumb, targ
 			break
 		}
 	}
-	x := ioa.NewExecution(a, states[rev[len(rev)-1]])
+	x := ioa.NewExecution(a, at(rev[len(rev)-1]))
 	for i := len(rev) - 2; i >= 0; i-- {
-		x.Append(crumbs[rev[i]].act, states[rev[i]])
+		x.Append(crumbs[rev[i]].act, at(rev[i]))
 	}
 	return x
 }

@@ -231,12 +231,14 @@ func TestCellAndRawPartsAgree(t *testing.T) {
 	}
 }
 
-// TestCellsSharedAcrossGoroutines: goroutines stepping and encoding one
-// fresh composite at once create its cells and fill their rows
-// concurrently (run it under -race); each sees what the composite that
-// reached the states sees, and each encodes a state as the others do
-// and distinct states distinctly — a racing creation leaves one cell,
-// one index, per leaf state.
+// TestCellsSharedAcrossGoroutines: goroutines stepping, encoding and
+// decoding one fresh composite at once create its cells and fill their
+// rows concurrently (run it under -race); each sees what the composite
+// that reached the states sees, each encodes a state as the others do
+// and distinct states distinctly, and each decodes every encoding back
+// to its state's key — a racing creation leaves one cell, one index, per
+// leaf state, and a leaf's k cells, the key map's and the table's alike,
+// are numbered exactly 0, 1, …, k−1.
 func TestCellsSharedAcrossGoroutines(t *testing.T) {
 	a, states := catalogueReach(t, "arbiter3", 3)
 	fresh, err := bench.ExploreSystem(3, 3)
@@ -247,7 +249,7 @@ func TestCellsSharedAcrossGoroutines(t *testing.T) {
 	for i, s := range states {
 		want[i] = stepView(a, s)
 	}
-	encode := ioa.Encoder(fresh)
+	encode, decode := ioa.Encoder(fresh), ioa.Decoder(fresh)
 	encs := make([][]string, 4)
 	var wg sync.WaitGroup
 	for g := range encs {
@@ -255,6 +257,7 @@ func TestCellsSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var sc ioa.Scratch
 			for i := range states {
 				k := (i + g*len(states)/4) % len(states)
 				encs[g][k] = string(encode(nil, states[k]))
@@ -262,10 +265,33 @@ func TestCellsSharedAcrossGoroutines(t *testing.T) {
 					t.Errorf("goroutine %d: a fresh composite steps %q to %q, want %q", g, states[k].Key(), got, want[k])
 					return
 				}
+				sc.Reset()
+				if got := decode(&sc, []byte(encs[g][k])).Key(); got != states[k].Key() {
+					t.Errorf("goroutine %d: %q encodes as %x, which decodes to %q", g, states[k].Key(), encs[g][k], got)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	for g := range encs {
+		for k := range states {
+			if got := decode(nil, []byte(encs[g][k])).Key(); got != states[k].Key() {
+				t.Fatalf("goroutine %d's encoding %x of %q decodes to %q once the goroutines are done", g, encs[g][k], states[k].Key(), got)
+			}
+		}
+	}
+	tables, err := ioa.CellIndices(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, table := range tables {
+		for i, index := range table {
+			if index != uint64(i) {
+				t.Fatalf("leaf %d: cell %d of %d has index %d: the indices are not 0…%d", l, i, len(table), index, len(table)-1)
+			}
+		}
+	}
 	owner := make(map[string]int)
 	for k, s := range states {
 		for g := range encs {

@@ -136,13 +136,15 @@ type node struct{ parent, part, arity int }
 // A leaf is a component stepped by its own Next and Enabled, at part
 // `part` of node `node`. renames carry its actions to the composite's,
 // innermost first; cells maps its state keys to their *leafCell, and
-// made counts the cells it has built.
+// table lists them by index. mu serializes creating a cell; lookups
+// take no lock.
 type leaf struct {
 	auto       Automaton
 	node, part int
 	renames    []*Mapping
 	cells      sync.Map
-	made       atomic.Uint64
+	mu         sync.Mutex
+	table      atomic.Pointer[[]*leafCell]
 }
 
 // A leafCell is leaf's one cell for a state key: the state, its
@@ -150,8 +152,9 @@ type leaf struct {
 // Next and Enabled are deterministic functions of their arguments. The
 // tuples a Composite builds hold cells at their leaf parts, so stepping
 // reaches a row and encoding a frame with no hashing. Cells are
-// immutable but for the row, and shared. index numbers the leaf's cells
-// in creation order: unique per leaf, gaps where a racing creation lost.
+// immutable but for the row, and shared. index is the cell's place in
+// its leaf's table: the leaf's cells are numbered 0, 1, … in creation
+// order, with no gaps.
 type leafCell struct {
 	memoRow
 	state      State
@@ -198,11 +201,24 @@ func (l *leaf) adopt(p State) *leafCell {
 	if c, ok := l.cells.Load(k); ok {
 		return c.(*leafCell)
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if c, ok := l.cells.Load(k); ok {
+		return c.(*leafCell) // a racing creation won
+	}
+	var table []*leafCell
+	if t := l.table.Load(); t != nil {
+		table = *t
+	}
 	frame := strconv.Itoa(len(k)) + ":" + k
 	// Kept: the cell outlives the call that lent p.
-	c := &leafCell{state: Keep(p), leaf: l, frame: frame, key: frame[len(frame)-len(k):], index: l.made.Add(1) - 1}
-	got, _ := l.cells.LoadOrStore(c.key, c)
-	return got.(*leafCell)
+	c := &leafCell{state: Keep(p), leaf: l, frame: frame, key: frame[len(frame)-len(k):], index: uint64(len(table))}
+	// Readers of the old table never look past its length, so append may
+	// fill its spare capacity in place.
+	table = append(table, c)
+	l.table.Store(&table)
+	l.cells.Store(c.key, c)
+	return c
 }
 
 // A route steps one action: the leaves owning it, each by its own name
@@ -564,6 +580,46 @@ func Encoder(a Automaton) func(dst []byte, s State) []byte {
 		return c.appendCells
 	}
 	return AppendState
+}
+
+// Decoder returns the inverse of Encoder(a) when a is a Hide/Rename
+// chain ending in a composition, and nil otherwise. The function it
+// returns rebuilds a tag-1 encoding as the composition's tuples, each
+// leaf part the cell its index names, laid out in sc — borrowed until
+// sc is reset — or on the heap when sc is nil; a tag-0 encoding decodes
+// to nil. Encodings are only meaningful to the composition that made
+// them.
+func Decoder(a Automaton) func(sc *Scratch, enc []byte) State {
+	_, under := wrappers(a)
+	if c, ok := under.(*Composite); ok {
+		return c.decodeCells
+	}
+	return nil
+}
+
+// decodeCells is Decoder's inverse of appendCells.
+func (c *Composite) decodeCells(sc *Scratch, enc []byte) State {
+	if len(enc) == 0 || enc[0] != 1 {
+		return nil
+	}
+	var tupleStack [8]*TupleState
+	tuples := tupleStack[:0]
+	for _, n := range c.nodes {
+		t := sc.blank(n.arity)
+		if n.parent >= 0 {
+			tuples[n.parent].parts[n.part] = t
+		}
+		tuples = append(tuples, t)
+	}
+	enc = enc[1:]
+	for _, l := range c.leaves {
+		i, w := binary.Uvarint(enc)
+		if w <= 0 {
+			panic(fmt.Sprintf("ioa: %s: decode: truncated cell encoding", c.name))
+		}
+		tuples[l.node].parts[l.part], enc = (*l.table.Load())[i], enc[w:]
+	}
+	return tuples[0]
 }
 
 // appendCells is Encoder's encoding of c's states.

@@ -78,10 +78,18 @@ func (sc *Scratch) poison() {
 // NewTupleState's. The caller may overwrite parts of the copy before it
 // hands the tuple on.
 func (sc *Scratch) tuple(parts []State) *TupleState {
+	t := sc.blank(len(parts))
+	copy(t.parts, parts)
+	return t
+}
+
+// blank returns a tuple state of n parts for the caller to fill: borrowed
+// from the scratch, where its parts hold whatever they last held, or —
+// the nil Scratch — on the heap, all nil.
+func (sc *Scratch) blank(n int) *TupleState {
 	if sc == nil {
-		return NewTupleState(parts)
+		return &TupleState{parts: make([]State, n)}
 	}
-	n := len(parts)
 	for sc.slotChunk < len(sc.slots) && len(sc.slots[sc.slotChunk])-sc.slotUsed < n {
 		sc.slotChunk, sc.slotUsed = sc.slotChunk+1, 0
 	}
@@ -90,7 +98,6 @@ func (sc *Scratch) tuple(parts []State) *TupleState {
 	}
 	own := sc.slots[sc.slotChunk][sc.slotUsed : sc.slotUsed+n : sc.slotUsed+n]
 	sc.slotUsed += n
-	copy(own, parts)
 
 	if sc.headChunk < len(sc.heads) && sc.headUsed == len(sc.heads[sc.headChunk]) {
 		sc.headChunk, sc.headUsed = sc.headChunk+1, 0
