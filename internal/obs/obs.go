@@ -405,8 +405,8 @@ func (m *DistMetrics) ShardStates(rank int, states int64) {
 	g.Set(states)
 }
 
-// ProofMetrics instruments the possibilities-mapping checker, whose one
-// walk of A checks condition 2 on each step as the engine takes it.
+// ProofMetrics instruments the possibilities-mapping checker, which
+// checks condition 2 on each step of its one walk of A, in walk order.
 type ProofMetrics struct {
 	// MapStates counts reachable states of A all of whose outgoing
 	// steps were checked against the mapping conditions.
@@ -414,10 +414,13 @@ type ProofMetrics struct {
 	// MapSteps counts individual (state, action, successor) step
 	// checks.
 	MapSteps *Counter
-	// StateNS is the distribution of per-state walk times (ns): from
-	// the end of one state's expansion (the walk's start, for the
-	// first) to the end of the next, so stepping the state, interning
-	// its successors, Map on the new ones and the checks on its steps.
+	// StateNS is the distribution of per-state check times (ns): from
+	// the end of one state's checks (the walk's start, for the first)
+	// to the end of the next. At one worker that is stepping the state,
+	// interning its successors, Map on the new ones and the checks on
+	// its steps; at two or more the walk runs on its own goroutine, and
+	// this times the checking side: Map, the checks, and any wait for
+	// the walk.
 	StateNS *Histogram
 }
 

@@ -29,11 +29,11 @@ type PossMapping struct {
 	// Map returns h(a), the possibilities for a state of A. For the
 	// common case of a functional mapping, return a singleton. The
 	// checks of this package call Map once per start state and once per
-	// reachable state of A, as their one walk of A admits the state —
-	// before any step from or into it is checked, and also on states
-	// past the first failure — and only on the goroutine that called
-	// the check, whatever Options.Workers says: Map may memoise without
-	// locking.
+	// reachable state of A, in the order their one walk of A admits the
+	// states — before any step from or into it is checked, and also on
+	// states past the first failure — and only on the goroutine that
+	// called the check, whatever Options.Workers says (at two or more
+	// the walk itself runs on another): Map may memoise without locking.
 	Map func(ioa.State) []ioa.State
 }
 
@@ -46,12 +46,13 @@ var ErrNotPossibilities = errors.New("proof: not a possibilities mapping")
 // states of each automaton). For finite-state A and B this is a
 // complete check; for larger systems it is a bounded certification.
 // Reach(B) runs through the explore engine at Options.Workers; A is
-// walked once by the engine's sequential kernel, Map is called on each
-// state as it is admitted, and condition 2 is checked on each step as
-// the walk takes it (kernel.go). The error is the same at every worker
-// count: the first failure in discovery order, then sorted action, then
-// Next order, then Map order. An Options.Canon is refused, as by every
-// *Opts check here (refuseCanon).
+// walked once by the engine's sequential kernel, beside the checks on a
+// goroutine of its own at two or more workers, and in the walk's order
+// Map is called on each admitted state and condition 2 is checked on
+// each step, on the calling goroutine (kernel.go). The error is the
+// same at every worker count: the first failure in discovery order,
+// then sorted action, then Next order, then Map order. An Options.Canon
+// is refused, as by every *Opts check here (refuseCanon).
 func (h *PossMapping) VerifyOpts(opts explore.Options) error {
 	if err := refuseCanon(opts); err != nil {
 		return err

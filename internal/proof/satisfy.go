@@ -25,9 +25,10 @@ import (
 //
 // The check explores at most Options.Limit states of each automaton:
 // B's through the explore engine, which a Workers setting parallelizes,
-// and A's in one sequential walk that checks each state as it is
-// admitted (kernel.go), so the first failure reported is the first in
-// discovery order at any worker count.
+// and A's in one sequential walk, beside the checks at two or more
+// workers, whose admitted states are checked in discovery order on the
+// calling goroutine (kernel.go), so the first failure reported is the
+// first in discovery order at any worker count.
 func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
 	if err := refuseCanon(opts); err != nil {
 		return err
