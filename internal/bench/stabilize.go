@@ -162,9 +162,9 @@ func stabilizeRows(cfg SweepConfig) ([]StabilizeRow, error) {
 // lelannCrashCell builds the LeLann negative control: the n-process
 // token ring, with the corruption envelope generated by crash-restart
 // (Reset) wrappers around every process — the reachable states of the
-// wrapped ring, explored under opts at one worker — projected back into
-// the clean composition's state space. A lost token never regenerates,
-// so the case must fail certification.
+// wrapped ring, explored under opts, in BFS order at any worker count —
+// projected back into the clean composition's state space. A lost token
+// never regenerates, so the case must fail certification.
 func lelannCrashCell(n int, opts explore.Options) (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
 	sys, err := ring.New(spec.DefaultUsers(n))
 	if err != nil {
@@ -181,9 +181,6 @@ func lelannCrashCell(n int, opts explore.Options) (ioa.Automaton, func(ioa.State
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// The envelope's order numbers the certificate's graph: enumerated
-	// sequentially, it leaves the certificate independent of workers.
-	opts.Workers = 1
 	env := domain.Reachable("crash(reset)", crashed, domain.TupleMap(domain.CrashInner), opts)
 	legit := func(s ioa.State) bool { return sys.TokenCount(s) == 1 }
 	return sys.Composite, legit, env, nil

@@ -41,7 +41,7 @@ func BenchmarkCompositeStep(b *testing.B) {
 		successors++
 		return true
 	}
-	step := ioa.NewWalk(sys, true)
+	step := ioa.NewWalk(sys)
 	inputs := sys.Sig().Inputs().Sorted()
 	for _, arm := range []struct {
 		name  string

@@ -11,17 +11,18 @@
 // The protocol is level-synchronized BFS in which the coordinator
 // expands and the workers deduplicate:
 //
-//  1. The coordinator expands the level's frontier into one
-//     store.LevelSet per owner, Hash(enc) mod procs — each canonical
-//     encoding once, with the first concrete state that produced it —
-//     and sends each owner its set in key order.
+//  1. The coordinator expands the level's frontier, in order, with
+//     ioa.Walk into one store.LevelSet per owner, Hash(enc) mod procs —
+//     each canonical encoding once, with the first concrete state that
+//     produced it — noting each new (owner, entry) in the order it found
+//     them, and sends each owner its set in insertion order.
 //  2. Each worker interns what arrives, in arrival order, into its shard
-//     of the seen set — byte order, mirroring the in-process engine's
-//     key-sorted barrier interning — and replies with the indices of
-//     the fresh encodings and its shard size.
-//  3. The coordinator builds the next frontier from the fresh states,
-//     owner by owner and key order within each owner, checks the
-//     invariant and the limit, and sends the next level or stops.
+//     of the seen set and replies with the indices of the fresh
+//     encodings and its shard size.
+//  3. The coordinator's next frontier is its noted list filtered by the
+//     fresh replies — sequential BFS order, as the in-process engines
+//     number states. It checks the invariant and the limit, and sends
+//     the next level or stops.
 //
 // Only canonical encodings cross the wire, and only the coordinator
 // holds concrete states, so any automaton the in-process engines can
@@ -31,10 +32,13 @@
 // Determinism: an owner's shard is a set of canonical encodings, and
 // the set admitted at each level is a pure function of the previous
 // levels' global set — independent of process count and network
-// interleaving. State counts, depths, and verdicts are therefore
-// bit-identical at any -dist-workers value, and identical to the
-// in-process engines; the battery in cluster_test.go pins all three
-// against each other.
+// interleaving. By induction over levels each frontier is in sequential
+// BFS order: the one expanding goroutine finds the new states of a level
+// in (parent, walk position) order, and the noted list keeps each
+// encoding's first discovery. State counts, depths, verdicts and the
+// violating state are therefore bit-identical at any -dist-workers
+// value, and identical to the in-process engines; the battery in
+// cluster_test.go pins them against each other.
 //
 // Every received encoding is verified to belong to the receiving
 // worker's shard; a corrupted shard assignment (the -dist-corrupt test
@@ -116,8 +120,9 @@ type Result struct {
 	Procs int
 	// PerRank is each rank's shard size (balance check).
 	PerRank []int64
-	// Violation is the key of the least violating state of the first
-	// violating level, "" when the invariant held.
+	// Violation is the key of the first violating state in BFS order —
+	// the state explore's CheckInvariant reports — "" when the invariant
+	// held.
 	Violation string
 	// BarrierWaitNS is the total time workers spent waiting for their
 	// level's candidates, summed across ranks.
@@ -141,7 +146,7 @@ var ErrLimit = explore.ErrLimit
 // Message kinds. One envelope struct keeps gob registration trivial.
 const (
 	kWelcome = iota + 1 // coordinator → worker: rank assignment
-	kBatch              // coordinator → worker: candidate encodings, key order
+	kBatch              // coordinator → worker: candidate encodings, discovery order
 	kEnd                // coordinator → worker: the level's batch is complete
 	kReply              // worker → coordinator: fresh indices into the batch
 	kLevel              // worker → coordinator: shard stats, ending the replies
@@ -163,7 +168,7 @@ type msg struct {
 	Rank  int      // kWelcome
 	Procs int      // kWelcome
 	Base  int32    // kBatch: index of Encs[0] within the level's batch
-	Encs  [][]byte // kBatch: distinct candidate encodings, key order
+	Encs  [][]byte // kBatch: distinct candidate encodings, discovery order
 	Win   []int32  // kReply: indices of the fresh encodings, ascending
 
 	Owned     int64 // kLevel: the worker's shard size
@@ -338,9 +343,12 @@ func lead(ctx context.Context, cfg Config, encs []*gob.Encoder, events <-chan ev
 	}
 
 	// out[r] is what this level sends rank r: each canonical encoding
-	// once, with the first concrete state that produced it (one goroutine
-	// expands, so "first" is deterministic).
+	// once, with the first concrete state that produced it. found notes
+	// each entry the sets gain, in the order the one expanding goroutine
+	// found them.
+	type entry struct{ rank, i int }
 	out := make([]store.LevelSet[ioa.State], procs)
+	var found []entry
 	var enc []byte
 	offer := func(s ioa.State) bool {
 		c := s
@@ -349,9 +357,11 @@ func lead(ctx context.Context, cfg Config, encs []*gob.Encoder, events <-chan ev
 		}
 		enc = ioa.AppendState(enc[:0], c)
 		h := store.Hash(enc)
+		r := int(h % uint64(procs))
 		// s is borrowed from the walk: keep the one the set keeps.
-		if kept := out[h%uint64(procs)].Add(enc, h, s); kept != nil {
+		if kept := out[r].Add(enc, h, s); kept != nil {
 			*kept = ioa.Keep(s)
+			found = append(found, entry{r, out[r].Len() - 1})
 		}
 		return true
 	}
@@ -359,25 +369,23 @@ func lead(ctx context.Context, cfg Config, encs []*gob.Encoder, events <-chan ev
 		offer(s)
 	}
 
-	// The sets are sorted before sending, so the walk need not be.
-	step := ioa.NewWalk(a, false)
-	orders := make([][]int, procs)
+	step := ioa.NewWalk(a)
 	wins := make([][]int32, procs)
+	taken := make([]int, procs)
 	reported := make([]bool, procs)
 	views := make([][]byte, 0, batchChunk)
 	var frontier []ioa.State
 	o := cfg.Obs
 	for level := int64(0); ; level++ {
-		// Send each worker its candidates in key order, as views into
-		// the set's arena.
+		// Send each worker its candidates in insertion order, as views
+		// into the set's arena.
 		var sent int64
 		for r := range encs {
-			orders[r] = out[r].Order()
-			n := len(orders[r])
+			n := out[r].Len()
 			sent += int64(n)
 			for base := 0; base < n; base += batchChunk {
 				views = views[:0]
-				for _, i := range orders[r][base:min(base+batchChunk, n)] {
+				for i := base; i < min(base+batchChunk, n); i++ {
 					views = append(views, out[r].Key(i))
 				}
 				if err := send(r, msg{Kind: kBatch, Base: int32(base), Encs: views}); err != nil {
@@ -410,8 +418,8 @@ func lead(ctx context.Context, cfg Config, encs []*gob.Encoder, events <-chan ev
 					if n := len(wins[r]); n > 0 {
 						last = wins[r][n-1]
 					}
-					if idx <= last || int(idx) >= len(orders[r]) {
-						return fmt.Errorf("cluster: protocol: rank %d replied Win index %d after %d, sent it %d candidates", r, idx, last, len(orders[r]))
+					if idx <= last || int(idx) >= out[r].Len() {
+						return fmt.Errorf("cluster: protocol: rank %d replied Win index %d after %d, sent it %d candidates", r, idx, last, out[r].Len())
 					}
 					wins[r] = append(wins[r], idx)
 				}
@@ -427,20 +435,22 @@ func lead(ctx context.Context, cfg Config, encs []*gob.Encoder, events <-chan ev
 			}
 		}
 
-		// The next frontier is the fresh states, owner by owner and key
-		// order within each owner.
+		// The next frontier is the fresh states in the order they were
+		// found. A rank's entries were found in increasing index order, as
+		// its Win indices ascend, so taken[r] of them are matched so far.
 		frontier = frontier[:0]
 		violation := ""
-		for r, win := range wins {
-			for _, idx := range win {
-				s := out[r].Payload(orders[r][idx])
-				if cfg.Pred != nil && !cfg.Pred(s) {
-					if k := s.Key(); violation == "" || k < violation {
-						violation = k
-					}
-				}
-				frontier = append(frontier, s)
+		clear(taken)
+		for _, f := range found {
+			if k := taken[f.rank]; k == len(wins[f.rank]) || int(wins[f.rank][k]) != f.i {
+				continue
 			}
+			taken[f.rank]++
+			s := out[f.rank].Payload(f.i)
+			if cfg.Pred != nil && violation == "" && !cfg.Pred(s) {
+				violation = s.Key()
+			}
+			frontier = append(frontier, s)
 		}
 		res.States = 0
 		for _, n := range res.PerRank {
@@ -474,6 +484,7 @@ func lead(ctx context.Context, cfg Config, encs []*gob.Encoder, events <-chan ev
 		for r := range out {
 			out[r].Reset()
 		}
+		found = found[:0]
 		for _, s := range frontier {
 			step.Visit(s, offer)
 		}
@@ -576,9 +587,8 @@ func work(ctx context.Context, conn net.Conn, cfg Config) error {
 
 	var wins []int32
 	for {
-		// Intern the level's batch as it arrives. Arrival order is the key
-		// order the coordinator sends in, so the shard's dense IDs are
-		// canonical.
+		// Intern the level's batch as it arrives, in the coordinator's
+		// discovery order.
 		wins = wins[:0]
 		var n int32
 		var waitNS int64

@@ -160,6 +160,38 @@ func TestClusterVerdictsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterViolationIsFirstInBFSOrder: an invariant failing on two
+// states of one grid level, the one with the least key found last
+// (inc0 is stepped before inc2, so 100 comes before 001). The cluster
+// reports the first in BFS order at every process count — the state
+// explore's CheckInvariant reports at one worker and at two.
+func TestClusterViolationIsFirstInBFSOrder(t *testing.T) {
+	build := buildGrid(3, 3)
+	a, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, least := string([]byte{1, 0, 0}), string([]byte{0, 0, 1})
+	pred := func(s ioa.State) bool { return s.Key() != first && s.Key() != least }
+	for _, w := range []int{1, 2} {
+		v, err := explore.New(explore.Options{Workers: w}).CheckInvariant(context.Background(), a, pred)
+		if err != nil || v == nil || v.State.Key() != first {
+			t.Fatalf("CheckInvariant at workers %d = (%v, %v), want the violation at %q", w, v, err, first)
+		}
+	}
+	for _, procs := range []int{1, 2, 4} {
+		res, errs := run(t, procs, nil, Config{Build: build, Pred: pred})
+		for rank, err := range errs {
+			if err != nil {
+				t.Fatalf("procs=%d rank %d: %v", procs, rank, err)
+			}
+		}
+		if res.Violation != first {
+			t.Fatalf("procs=%d: violation %q, want %q, the first in BFS order", procs, res.Violation, first)
+		}
+	}
+}
+
 func TestClusterSpillBackedWorkers(t *testing.T) {
 	build := buildGrid(4, 4)
 	a, _ := build()

@@ -40,7 +40,7 @@ func closedArbiter(t *testing.T, users int) (ioa.Automaton, []ioa.State) {
 // that retains ioa.Keep of it reads the successor.
 func TestStepRetainWithoutKeepIsCaught(t *testing.T) {
 	a, states := closedArbiter(t, 3)
-	step := ioa.NewWalk(a, true)
+	step := ioa.NewWalk(a)
 	var want []string
 	var retained, kept []ioa.State
 	for _, s := range states {
@@ -91,7 +91,7 @@ func TestStepVisitAllocatesNothingPerSuccessor(t *testing.T) {
 	} {
 		arbiter, states := closedArbiter(t, 4)
 		a := wrap(arbiter)
-		step := ioa.NewWalk(a, true)
+		step := ioa.NewWalk(a)
 		var enc []byte
 		successors := 0
 		encode := func(nxt ioa.State) bool {
@@ -129,23 +129,20 @@ func TestStepVisitAllocatesNothingPerSuccessor(t *testing.T) {
 }
 
 // TestStepRecordsEnabled: Walk.Enabled is the length of the Enabled list
-// of the last state visited, sorted walk or not — what the census loops
-// count deadlocks from instead of asking the automaton twice.
+// of the last state visited — what the census loops count deadlocks from
+// instead of asking the automaton twice.
 func TestStepRecordsEnabled(t *testing.T) {
 	a, states := closedArbiter(t, 2)
-	deadEnd := chain(3)
-	for _, sorted := range []bool{false, true} {
-		step := ioa.NewWalk(a, sorted)
-		for _, s := range states {
-			step.Visit(s, func(ioa.State) bool { return true })
-			if want := len(a.Enabled(s)); step.Enabled != want {
-				t.Fatalf("sorted=%v: Walk.Enabled = %d at %s, Enabled lists %d", sorted, step.Enabled, s.Key(), want)
-			}
+	step := ioa.NewWalk(a)
+	for _, s := range states {
+		step.Visit(s, func(ioa.State) bool { return true })
+		if want := len(a.Enabled(s)); step.Enabled != want {
+			t.Fatalf("Walk.Enabled = %d at %s, Enabled lists %d", step.Enabled, s.Key(), want)
 		}
-		step = ioa.NewWalk(deadEnd, sorted)
-		step.Visit(ioa.KeyState("c02"), func(ioa.State) bool { t.Fatal("the end of the chain has a successor"); return true })
-		if step.Enabled != 0 {
-			t.Fatalf("sorted=%v: Walk.Enabled = %d at a deadlock", sorted, step.Enabled)
-		}
+	}
+	step = ioa.NewWalk(chain(3))
+	step.Visit(ioa.KeyState("c02"), func(ioa.State) bool { t.Fatal("the end of the chain has a successor"); return true })
+	if step.Enabled != 0 {
+		t.Fatalf("Walk.Enabled = %d at a deadlock", step.Enabled)
 	}
 }

@@ -35,7 +35,8 @@ package explore
 // the dist package's cross-process battery pins the counts against both
 // engines. Within a level, visit order follows chunk-then-key order
 // (each chunk is interned in key order; chunks flush in discovery
-// order), so it moves with MemBudget, as does the run count.
+// order), so it moves with MemBudget, as does the run count: this is
+// the one walk whose order is not Reach's BFS discovery order.
 //
 // External mode requires Options.Decode because frontier states are
 // re-built from their canonical encodings. Systems whose encodings
@@ -76,7 +77,7 @@ type Summary struct {
 // the external-memory engine documented above; otherwise it streams
 // the result of the in-RAM level-synchronized engine, which it runs at
 // every Options.Workers, one included, so visit sees the states in
-// depth-major, key-minor order. Options.Limit bounds admitted
+// Reach's BFS discovery order. Options.Limit bounds admitted
 // states in either mode; exceeding it returns ErrLimit with the
 // partial summary.
 func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (Summary, error) {
@@ -87,9 +88,8 @@ func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.Stat
 	return e.censusMaterialized(ctx, a, pred, visit)
 }
 
-// censusMaterialized wraps the level-synchronized engine: same
-// depth-then-key visit order as censusExternal, with witness-bearing
-// violations. A walk that ran to completion expanded every state, so the
+// censusMaterialized wraps the level-synchronized engine: BFS
+// discovery order, with witness-bearing violations. A walk that ran to completion expanded every state, so the
 // deadlock count is the one its workers tallied.
 func (e *Engine) censusMaterialized(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (Summary, error) {
 	order, v, depth, deadlocks, err := e.parallelExplore(ctx, a, pred)
@@ -202,7 +202,7 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 	}
 	cur, nxt = nxt, cur
 
-	step := ioa.NewWalk(a, true)
+	step := ioa.NewWalk(a)
 	for depth := int64(1); cur.Len() > 0; depth++ {
 		if err := ctx.Err(); err != nil {
 			return sum, err

@@ -11,19 +11,20 @@ package explore
 // dense uint64 IDs instead of string-keyed maps; successor enumeration
 // goes through an ioa.Walk, which borrows each successor from its own
 // scratch memory, so a successor that is found already interned
-// allocates nothing and only a kept one is copied to the heap. The
-// level engine, the census and the cluster order candidates by their
-// bytes, so they encode with ioa.AppendState — the bytes of Key(),
-// streamed without building the string. The sequential kernel orders
-// by admission alone and interns ioa.Encoder's encoding, which for a
-// composition is its leaves' cell indices: equal iff the Keys are, a
-// few bytes long, and built without reading a leaf's key. Those bytes
-// are the state (ioa.Decoder), so where nothing needs a heap state the
-// kernel keeps none: its frontier is the store's unexpanded IDs, each
-// decoded when it comes up. The visit order is bit-identical to the
-// string-keyed seed explorer (reference.go keeps it as the differential
-// oracle): interning preserves first-insertion order, and both
-// encodings decide equality as the Key() does.
+// allocates nothing and only a kept one is copied to the heap. Every
+// engine numbers states in the same order, BFS discovery order. The
+// level engine, the census and the cluster encode with ioa.AppendState
+// — the bytes of Key(), streamed without building the string, which the
+// external census and the spill store sort. The sequential kernel
+// interns ioa.Encoder's encoding, which for a composition is its
+// leaves' cell indices: equal iff the Keys are, a few bytes long, and
+// built without reading a leaf's key. Those bytes are the state
+// (ioa.Decoder), so where nothing needs a heap state the kernel keeps
+// none: its frontier is the store's unexpanded IDs, each decoded when it
+// comes up. The visit order is bit-identical to the string-keyed seed
+// explorer (reference.go keeps it as the differential oracle):
+// interning preserves first-insertion order, and both encodings decide
+// equality as the Key() does.
 
 import (
 	"context"
@@ -43,9 +44,10 @@ const DefaultLimit = 1 << 20
 type Options struct {
 	// Workers is the number of exploration goroutines. 0 means
 	// GOMAXPROCS. At 1 Reach and CheckInvariant run the sequential
-	// kernel, in discovery order; above 1 they run the
-	// level-synchronized engine, in depth-major, key-minor order. The
-	// in-RAM Census runs the level engine at every worker count.
+	// kernel; above 1 they run the level-synchronized engine. Both
+	// number states in BFS discovery order, so the result is the same
+	// at any worker count. The in-RAM Census runs the level engine at
+	// every worker count.
 	Workers int
 	// Limit is the maximum number of states to admit (0 =
 	// DefaultLimit). The ErrLimit contract is shared by both engines:
@@ -63,12 +65,11 @@ type Options struct {
 	// Canon, when non-nil, quotients the explored state space by a
 	// symmetry: the state store dedups canonical encodings, so one
 	// concrete representative per orbit is admitted — the first
-	// discovered sequentially, the least-keyed candidate of the
-	// earliest level in parallel. Results stay concrete states and
-	// witness traces stay genuine executions; invariant predicates
-	// must be orbit-invariant (the symmetry must be an automorphism of
-	// the automaton — see the reduce package, whose differential
-	// battery enforces both obligations).
+	// discovered in BFS order, at any worker count. Results stay
+	// concrete states and witness traces stay genuine executions;
+	// invariant predicates must be orbit-invariant (the symmetry must
+	// be an automorphism of the automaton — see the reduce package,
+	// whose differential battery enforces both obligations).
 	Canon store.Canonicalizer
 	// Spill, when non-nil, backs every seen set with the disk-spilling
 	// store implementation (store.NewSpill) instead of the in-RAM
@@ -190,11 +191,8 @@ func ctxOr(ctx context.Context) context.Context {
 
 // Reach computes the reachable states of a, visiting at most
 // Options.Limit states, sequentially at one worker and via the sharded
-// parallel engine otherwise. The result is deterministic for a given
-// worker mode: the sequential order is BFS discovery order (bit-
-// identical to ReferenceReach); the parallel order is BFS-depth order,
-// key-sorted within each depth, independent of the worker count. It
-// returns ErrLimit (with a partial result of exactly Limit states) iff
+// parallel engine otherwise. The result is BFS discovery order at any
+// worker count, bit-identical to ReferenceReach. It returns ErrLimit (with a partial result of exactly Limit states) iff
 // an unseen state remains, and ctx.Err() (with the partial result so
 // far) on cancellation.
 func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
@@ -210,11 +208,10 @@ func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error
 // CheckInvariant explores reachable states (up to Options.Limit) and
 // checks pred at each, returning the first violation found with a
 // witness execution, or nil if the invariant holds on every explored
-// state. At one worker the search and the witness are bit-identical to
-// the seed CheckInvariant; in parallel the verdict agrees whenever the
-// reachable state count is below the limit and any reported violation
-// is a true, reachable violation with a minimal-length canonical
-// witness. pred is only called from the coordinating goroutine, and its
+// state. The violation is the first failing state in BFS discovery
+// order and the witness its minimal-length discovery path, bit-identical
+// to the seed CheckInvariant at any worker count whenever the reachable
+// state count is below the limit. pred is only called from the coordinating goroutine, and its
 // argument is borrowed for the call: the kernel may rebuild the state in
 // memory it reuses for the next one, so ioa.Keep what you retain. The
 // violation's state and witness are the caller's to keep.
@@ -232,8 +229,7 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 }
 
 // Graph explores a as Reach does and returns its reachable transition
-// graph: the states in sequential discovery order (Reach's order at one
-// worker), every step between them labeled with its action, and the
+// graph: the states in BFS discovery order (Reach's order), every step between them labeled with its action, and the
 // edge that discovered each state, so StateGraph.Witness is the
 // minimal execution CheckInvariant would report. It is Visit with a
 // visitor that fills the graph's arrays, so — like Visit — it runs the
@@ -345,7 +341,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 
 	var crumbs []crumb // indexed by ID; kept only under a predicate
 	cur := store.None  // the state being expanded; int(store.None) is -1
-	step := ioa.NewWalk(a, true)
+	step := ioa.NewWalk(a)
 	// The kernel orders nothing by bytes, so it interns ioa.Encoder's
 	// encoding, a composite's cell indices, rather than the Key.
 	encode, canon, probe := ioa.Encoder(a), e.opts.Canon, st.Probe()

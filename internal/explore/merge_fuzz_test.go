@@ -3,68 +3,66 @@ package explore
 import (
 	"bytes"
 	"encoding/hex"
-	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/ioa"
 	"repro/internal/store"
 )
 
-// FuzzLevelMerge holds the barrier's merge of per-worker ordered sets
-// to one LevelSet fed every candidate and then ordered (and, under a
-// canonicalizer, sorted by key): same encodings, same order, same kept
-// candidate. The program's first byte picks 1–8 workers, its second
-// whether the merge runs by key and whether hashes are forged to
-// collide; every following four bytes are one candidate — its
-// encoding, its concrete-state variant, its (parent, act) crumb and the
-// worker whose set it arrives in.
+// FuzzLevelMerge holds the barrier's merge of per-worker sets to one
+// LevelSet fed every candidate in discovery order and read in insertion
+// order: same encodings, same order, same kept candidate — the first
+// discovery of each. The program's first byte picks 1–8 workers, its
+// second whether hashes are forged to collide; every following four
+// bytes are one candidate — its encoding, its concrete-state variant
+// (orbit-mates under a canonicalizer share an encoding), how far its
+// parent is past the previous candidate's (zero: the same parent) and,
+// for a new parent, the worker that expands it, and its action. Parents
+// come in increasing order and each is expanded by one worker, as the
+// level engine's chunks are.
 func FuzzLevelMerge(f *testing.F) {
 	f.Add([]byte{1, 0, 5, 0, 3, 1, 5, 0, 1, 0})
-	// One encoding in both sets, the lesser crumb arriving second in the
-	// later worker's set: a merge that kept the first set's candidate
-	// would keep parent 9.
-	f.Add([]byte{2, 0, 7, 0, 9, 0, 7, 0, 2, 4, 12, 0, 4, 4})
-	f.Add([]byte{2, 1, 7, 1, 9, 0, 7, 0, 9, 4, 12, 2, 4, 5})
-	f.Add([]byte{8, 3, 0, 0, 1, 0, 1, 0, 2, 1, 2, 1, 3, 2, 3, 0, 4, 3, 4, 1, 5, 7, 8, 1, 6, 5, 12, 0, 1, 6})
-	f.Add([]byte{3, 2, 4, 0, 1, 0, 8, 0, 1, 1, 12, 0, 1, 2, 4, 0, 0, 2, 8, 0, 0, 0})
+	// Two encodings in both sets of two workers, one found first by the
+	// second worker (parent 1) and one by the first (parent 2): a merge
+	// that kept the first set's candidate, or the later parent's, keeps
+	// another parent for one of them.
+	f.Add([]byte{1, 0, 9, 0, 4, 0, 9, 1, 1, 1, 7, 0, 0, 2, 7, 2, 4, 3})
+	f.Add([]byte{2, 1, 7, 1, 3, 0, 7, 2, 2, 1, 12, 2, 0, 2, 7, 0, 4, 3})
+	f.Add([]byte{8, 0, 0, 0, 1, 0, 1, 0, 2, 1, 2, 1, 3, 2, 3, 0, 4, 3, 4, 1, 5, 7, 8, 1, 6, 5, 12, 0, 1, 6, 0, 2})
+	f.Add([]byte{3, 1, 4, 0, 1, 0, 8, 0, 1, 1, 12, 0, 4, 2, 4, 0, 0, 2, 8, 0, 5, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) < 2 || len(prog) > 4<<10 {
 			t.Skip()
 		}
-		w, byKey, forged := int(prog[0])%8+1, prog[1]&1 != 0, prog[1]&2 != 0
+		w, forged := int(prog[0])%8+1, prog[1]&1 != 0
 		hash := func(enc []byte) uint64 {
 			if forged {
 				return store.Hash(enc) & 3 // four hashes for every encoding
 			}
 			return store.Hash(enc)
 		}
-		oracle := store.LevelSet[cand]{Less: func(a, b cand) bool { return candLess(a, b, byKey) }}
-		lv := newLevelScratch(w, byKey)
+		var oracle store.LevelSet[cand]
+		lv := &levelScratch{sets: make([]store.LevelSet[cand], w), pos: make([]int, w)}
+		parent, set := store.ID(0), 0
 		for p := prog[2:]; len(p) >= 4; p = p[4:] {
-			enc := fuzzEncoding(p[0])
-			c := cand{state: fuzzState(enc, p[1], byKey), parent: store.ID(p[2] % 16), act: ioa.Action("abcd"[p[3]%4 : p[3]%4+1])}
-			oracle.Add(enc, hash(enc), c)
-			lv.add(int(p[3]/4)%w, enc, hash(enc), c)
-		}
-		want := make([]member, 0, oracle.Len())
-		for _, i := range oracle.Order() {
-			want = append(want, member{cand: oracle.Payload(i), entry: i})
-		}
-		if byKey {
-			slices.SortFunc(want, func(a, b member) int { return strings.Compare(a.state.Key(), b.state.Key()) })
-		}
-		got := orderAndGather(lv)
-		if len(got) != len(want) {
-			t.Fatalf("merged %d encodings, one set holds %d", len(got), len(want))
-		}
-		for i := range want {
-			genc, gh := lv.encoding(got[i])
-			wenc := oracle.Key(want[i].entry)
-			if !bytes.Equal(genc, wenc) || gh != oracle.Hash(want[i].entry) {
-				t.Fatalf("entry %d: merged encoding %q, one set has %q", i, genc, wenc)
+			if step := store.ID(p[2] % 3); step > 0 {
+				parent, set = parent+step, int(p[2]/3)%w
 			}
-			g, o := got[i].cand, want[i].cand
+			enc := fuzzEncoding(p[0])
+			c := cand{state: fuzzState(enc, p[1]), parent: parent, act: ioa.Action("abcd"[p[3]%4 : p[3]%4+1])}
+			oracle.Add(enc, hash(enc), c)
+			lv.sets[set].Add(enc, hash(enc), c)
+		}
+		got := lv.gather()
+		if len(got) != oracle.Len() {
+			t.Fatalf("merged %d encodings, one set holds %d", len(got), oracle.Len())
+		}
+		for i, m := range got {
+			genc, gh := lv.encoding(m)
+			if !bytes.Equal(genc, oracle.Key(i)) || gh != oracle.Hash(i) {
+				t.Fatalf("entry %d: merged encoding %q, one set has %q", i, genc, oracle.Key(i))
+			}
+			g, o := m.cand, oracle.Payload(i)
 			if g.state.Key() != o.state.Key() || g.parent != o.parent || g.act != o.act {
 				t.Fatalf("entry %d (%q): merged kept (%s, %d, %s), one set keeps (%s, %d, %s)",
 					i, genc, g.state.Key(), g.parent, g.act, o.state.Key(), o.parent, o.act)
@@ -73,11 +71,9 @@ func FuzzLevelMerge(f *testing.F) {
 	})
 }
 
-// fuzzEncoding maps a byte to one of 64 encodings built to stress the
-// order: one 8-byte head shared by many, heads one byte shorter and
-// longer, tails with zero bytes (which pad a short key's head word
-// exactly as a missing byte does) and encodings that are prefixes of
-// others.
+// fuzzEncoding maps a byte to one of 64 encodings: one 8-byte head
+// shared by many, heads one byte shorter and longer, tails with zero
+// bytes and encodings that are prefixes of others.
 func fuzzEncoding(b byte) []byte {
 	heads := [...]string{"", "ABCDEFG", "ABCDEFGH", "ABCDEFGHI"}
 	tail := "\x00\x01a\x00"[:int(b/4)%5]
@@ -88,13 +84,9 @@ func fuzzEncoding(b byte) []byte {
 }
 
 // fuzzState is a candidate's concrete state. Its key starts with its
-// encoding, so distinct encodings never share a key; under a
-// canonicalizer one encoding has orbit-mates told apart by a variant,
-// without one it is the single state its bytes spell.
-func fuzzState(enc []byte, variant byte, byKey bool) ioa.State {
-	key := hex.EncodeToString(enc) + "/"
-	if byKey {
-		key += string(rune('0' + variant%3))
-	}
-	return ioa.KeyState(key)
+// encoding, so distinct encodings never share a key, and ends with a
+// variant, so one encoding holds orbit-mates whose kept representative
+// shows.
+func fuzzState(enc []byte, variant byte) ioa.State {
+	return ioa.KeyState(hex.EncodeToString(enc) + "/" + string(rune('0'+variant%3)))
 }

@@ -5,8 +5,8 @@ package explore_test
 // the carried bytes. None of that may show: the state slice, the
 // violation and its witness are the same at every worker count, with
 // and without a canonicalizer, on the arena and on a spill that flushes
-// every few dozen states — and without a canonicalizer they are the
-// key-sorted BFS levels of the sequential oracle.
+// every few dozen states — and without a canonicalizer they are the BFS
+// order of the sequential oracle.
 
 import (
 	"errors"
@@ -70,7 +70,7 @@ func mergeBackends(t *testing.T) map[string]func() *store.SpillOptions {
 
 func TestMergeIdenticalAcrossWorkersCanonAndBackend(t *testing.T) {
 	for _, sys := range mergeSystems(t) {
-		oracle := sortedLevelOrder(sys.a)
+		oracle := bfsOrder(sys.a)
 		for _, canon := range []store.Canonicalizer{nil, sys.canon} {
 			// The reference everything else must equal element-wise: one
 			// worker on the arena.
@@ -81,7 +81,7 @@ func TestMergeIdenticalAcrossWorkersCanonAndBackend(t *testing.T) {
 			label := fmt.Sprintf("%s canon=%v", sys.name, canon != nil)
 			if canon == nil || !sys.quotients {
 				if len(ref) != len(oracle) {
-					t.Fatalf("%s: %d states, key-sorted-level oracle has %d", label, len(ref), len(oracle))
+					t.Fatalf("%s: %d states, BFS oracle has %d", label, len(ref), len(oracle))
 				}
 				for i, s := range ref {
 					if s.Key() != oracle[i] {
@@ -91,8 +91,8 @@ func TestMergeIdenticalAcrossWorkersCanonAndBackend(t *testing.T) {
 			} else if len(ref) >= len(oracle) {
 				t.Fatalf("%s: quotient has %d states, full space %d", label, len(ref), len(oracle))
 			}
-			// A violation two thirds of the way through the canonical
-			// order, so the witness crosses many merged levels.
+			// A violation two thirds of the way through the BFS order, so
+			// the witness crosses many merged levels.
 			target := ref[2*len(ref)/3].Key()
 			pred := func(s ioa.State) bool { return s.Key() != target }
 			var refTrace string
@@ -126,7 +126,7 @@ func TestMergeIdenticalAcrossWorkersCanonAndBackend(t *testing.T) {
 }
 
 // TestMergeErrLimitMidLevel: a Limit that lands inside a level cuts the
-// level in canonical order, so every worker count returns the same
+// level in BFS order, so every worker count returns the same
 // prefix of the unlimited result.
 func TestMergeErrLimitMidLevel(t *testing.T) {
 	for _, sys := range mergeSystems(t) {

@@ -5,33 +5,34 @@ package explore
 // frontier off a shared cursor, encode and hash each successor once and
 // deduplicate it in their own store.LevelSet before they probe the
 // store, so duplicates within a level never reach it (delayed duplicate
-// detection); each orders its set as it leaves the level. At the
-// barrier the coordinator merges the ordered sets and appends the level
-// to the store, every encoding known absent, without a second lookup.
-// The store is frozen (read-only) during expansion and written only
-// between levels by the coordinator, in canonical order — so no two
-// goroutines ever write shared state. Which actions a state is stepped
-// by is ioa.Walk's decision.
+// detection). At the barrier the coordinator merges the sets and
+// appends the level to the store, every encoding known absent, without
+// a second lookup. The store is frozen (read-only) during expansion and
+// written only between levels by the coordinator — so no two goroutines
+// ever write shared state. Which actions a state is stepped by, and in
+// which order, is ioa.Walk's decision.
 //
 // Determinism (DESIGN.md "Exploration engine" has the argument in
-// full). The states discovered at depth d are a pure function of those
-// at depths < d: membership is decided against a store frozen during
-// expansion. Scheduling decides which worker's set a candidate lands in
-// and when, but a set keeps the candLess-least candidate per encoding,
-// the merge keeps the least of the sets' minima, and a minimum does not
-// depend on arrival order. Each level is then in key order (encoding
-// order — the key's bytes — without a canonicalizer) and interned in
-// that order, so results are bit-identical at any worker count:
-// depth-major, key-minor, each state with its least (parent ID, action)
-// crumb. Under Options.Canon all of this holds of orbits, candLess
-// picking each orbit's concrete representative.
+// full). Every level is numbered in sequential BFS order: by each new
+// state's first discovery, (parent ID, position in the parent's walk).
+// By induction over levels the IDs are the sequential kernel's. Level 0
+// is the start states in Start's order, first occurrence kept. If level
+// d has the sequential IDs, then a worker takes its chunks of it in
+// increasing ID order and its set keeps each encoding's first arrival,
+// so the set is in (parent, position) order; a parent is expanded by
+// exactly one worker, so a state's first discovery is in the set that
+// holds it under the least parent; and gather merges the sets by
+// parent, dropping an entry whenever another set holds its encoding
+// under a smaller one. Level d+1 comes out in first-discovery order —
+// the sequential IDs — at any worker count and under any scheduling,
+// each state with the (parent ID, action) crumb of its first discovery.
+// Under Options.Canon all of this holds of orbits: the representative
+// kept is the first-discovered concrete state, as in the sequential
+// kernel.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -40,9 +41,9 @@ import (
 	"repro/internal/store"
 )
 
-// crumb is the canonical discovery record of one interned state,
-// indexed by its dense ID: the least (parent ID, action) transition
-// that reached it. Start states carry parent store.None.
+// crumb is the discovery record of one interned state, indexed by its
+// dense ID: the (parent ID, action) transition that first reached it.
+// Start states carry parent store.None.
 type crumb struct {
 	parent store.ID
 	act    ioa.Action
@@ -56,29 +57,6 @@ type cand struct {
 	act    ioa.Action
 }
 
-// candLess orders candidates for the same stored encoding: least
-// (state key, parent, act) wins, making both the kept concrete
-// representative and its witness crumb deterministic. Without a
-// canonicalizer (byKey false) equal encodings are equal states, no key
-// is built, and the rule is the seed's least (parent, act); under
-// symmetry quotienting they are orbit-mates whose concrete states may
-// differ, and the least key picks the same representative regardless of
-// worker scheduling — with the crumb that actually produced that
-// concrete state, so witnesses remain genuine executions. parent IDs
-// are comparable as keys because all candidates' parents sit in the
-// same (key-sorted-interned) level.
-func candLess(a, b cand, byKey bool) bool {
-	if byKey {
-		if ak, bk := a.state.Key(), b.state.Key(); ak != bk {
-			return ak < bk
-		}
-	}
-	if a.parent != b.parent {
-		return a.parent < b.parent
-	}
-	return a.act < b.act
-}
-
 // member is one state of a merged level: the kept candidate and the
 // entry of sets[set] that holds its encoding.
 type member struct {
@@ -86,46 +64,16 @@ type member struct {
 	set, entry int
 }
 
-// levelScratch is what a level is deduplicated and ordered in: one set
-// per worker, keeping the candLess-least candidate per encoding, the
-// part of each set's Order the merge has not consumed, and the merged
-// result. Allocated once per exploration and reset per level, it costs
-// memory in proportion to workers × the widest level's distinct new
-// states.
+// levelScratch is what a level is deduplicated in: one set per worker,
+// keeping the first arrival per encoding, gather's cursor in each, and
+// the merged result. Allocated once per exploration and reset per
+// level, it costs memory in proportion to workers × the widest level's
+// distinct new states.
 type levelScratch struct {
-	byKey  bool // Options.Canon is set: order and dedup follow Key()
-	sets   []store.LevelSet[cand]
-	orders [][]int
-	next   []member
+	sets []store.LevelSet[cand]
+	pos  []int
+	next []member
 }
-
-func newLevelScratch(workers int, byKey bool) *levelScratch {
-	lv := &levelScratch{byKey: byKey, sets: make([]store.LevelSet[cand], workers), orders: make([][]int, workers)}
-	for wi := range lv.sets {
-		lv.sets[wi].Less = func(a, b cand) bool { return candLess(a, b, byKey) }
-	}
-	return lv
-}
-
-// add offers c, whose state may be borrowed from a Walk, to worker wi's
-// set.
-func (lv *levelScratch) add(wi int, enc []byte, hash uint64, c cand) {
-	keep(lv.sets[wi].Add(enc, hash, c))
-}
-
-// keep copies the state of a candidate a set kept, which may be
-// borrowed from a Walk; nil means the set kept what it had.
-func keep(kept *cand) {
-	if kept != nil {
-		kept.state = ioa.Keep(kept.state)
-	}
-}
-
-// reset empties worker wi's set as it starts a level.
-func (lv *levelScratch) reset(wi int) { lv.sets[wi].Reset() }
-
-// order sorts worker wi's set as it leaves a level.
-func (lv *levelScratch) order(wi int) { lv.orders[wi] = lv.sets[wi].Order() }
 
 // encoding returns the bytes and hash of a merged member.
 func (lv *levelScratch) encoding(m member) ([]byte, uint64) {
@@ -133,46 +81,55 @@ func (lv *levelScratch) encoding(m member) ([]byte, uint64) {
 	return s.Key(m.entry), s.Hash(m.entry)
 }
 
-// gather merges the ordered sets into the level's distinct members in
-// canonical order, keeping the candLess-least candidate per encoding;
-// they and their encodings are valid until the next reset.
+// parent returns the parent of the next entry gather takes from set wi.
+func (lv *levelScratch) parent(wi int) store.ID { return lv.sets[wi].Payload(lv.pos[wi]).parent }
+
+// gather merges the sets into the level's distinct members in
+// first-discovery order. Each set is in that order and no parent is in
+// two sets, so the merge takes the entries by least parent and drops
+// one whose encoding another set holds under a smaller parent. Members
+// and their encodings are valid until the sets are reset.
 func (lv *levelScratch) gather() []member {
 	clear(lv.next)
 	lv.next = lv.next[:0]
-	head := func(wi int) []byte { return lv.sets[wi].Key(lv.orders[wi][0]) }
+	clear(lv.pos)
 	for {
-		// The first set whose head is the least encoding; later sets
-		// may hold it too, earlier ones cannot.
 		least := -1
-		for wi, ord := range lv.orders {
-			if len(ord) > 0 && (least < 0 || bytes.Compare(head(wi), head(least)) < 0) {
+		for wi := range lv.sets {
+			if lv.pos[wi] < lv.sets[wi].Len() && (least < 0 || lv.parent(wi) < lv.parent(least)) {
 				least = wi
 			}
 		}
 		if least < 0 {
-			break
+			return lv.next
 		}
-		key, m := head(least), member{set: -1}
-		for wi := least; wi < len(lv.orders); wi++ {
-			if ord := lv.orders[wi]; len(ord) > 0 && bytes.Equal(head(wi), key) {
-				if c := lv.sets[wi].Payload(ord[0]); m.set < 0 || candLess(c, m.cand, lv.byKey) {
-					m = member{cand: c, set: wi, entry: ord[0]}
-				}
-				lv.orders[wi] = ord[1:]
-			}
+		i := lv.pos[least]
+		lv.pos[least]++
+		if !lv.claimed(least, i) {
+			lv.next = append(lv.next, member{cand: lv.sets[least].Payload(i), set: least, entry: i})
 		}
-		lv.next = append(lv.next, m)
 	}
-	if lv.byKey {
-		slices.SortFunc(lv.next, func(a, b member) int { return strings.Compare(a.state.Key(), b.state.Key()) })
+}
+
+// claimed reports whether a set other than wi holds the encoding of
+// entry i of set wi under a smaller parent: that set found it first.
+func (lv *levelScratch) claimed(wi, i int) bool {
+	enc, h, p := lv.sets[wi].Key(i), lv.sets[wi].Hash(i), lv.sets[wi].Payload(i).parent
+	for wj := range lv.sets {
+		if wj == wi {
+			continue
+		}
+		if j, ok := lv.sets[wj].Lookup(enc, h); ok && lv.sets[wj].Payload(j).parent < p {
+			return true
+		}
 	}
-	return lv.next
+	return false
 }
 
 // parallelExplore is the shared engine under the parallel Reach and
-// CheckInvariant paths. When pred is non-nil it is evaluated on every
-// level in canonical order and the first failing state is returned as
-// a Violation with a witness built from the canonical crumb chain.
+// CheckInvariant paths and the in-RAM Census. When pred is non-nil it is
+// evaluated on every level in ID order and the first failing state is
+// returned as a Violation with a witness built from the crumb chain.
 // deadlocks counts the expanded states that enabled nothing: all of
 // them when the walk ran to completion.
 // Cancellation is checked at level granularity.
@@ -204,10 +161,10 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	steps := make([]*ioa.Walk, w)
 	for i := range probes {
 		probes[i] = gst.Probe()
-		steps[i] = ioa.NewWalk(a, false)
+		steps[i] = ioa.NewWalk(a)
 	}
 
-	lv := newLevelScratch(w, e.opts.Canon != nil)
+	lv := &levelScratch{sets: make([]store.LevelSet[cand], w), pos: make([]int, w)}
 	// admit interns a merged level, whose encodings all missed their
 	// probes, in order. IDs are dense, so the next frontier is the tail
 	// of states it adds.
@@ -221,15 +178,13 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		}
 	}
 
-	// Level 0: the start states, deduplicated, sorted and interned like
-	// any level (ID order equals key order within a level from the
-	// start) but, as in the sequential explorer, regardless of the limit.
+	// Level 0: the start states, deduplicated and interned like any
+	// level but, as in the sequential explorer, regardless of the limit.
 	var enc []byte
 	for _, s := range a.Start() {
 		enc = gst.AppendCanonical(enc[:0], s)
-		lv.add(0, enc, store.Hash(enc), cand{state: s, parent: store.None})
+		lv.sets[0].Add(enc, store.Hash(enc), cand{state: s, parent: store.None})
 	}
-	lv.order(0)
 	admit(lv.gather())
 	if err := gst.Err(); err != nil {
 		return nil, nil, 0, 0, seenErr(a, err)
@@ -301,11 +256,11 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 }
 
 // expandLevel computes the undiscovered successors of the frontier
-// states[from:], deduplicated (canonical least crumb per state) and in
-// canonical order, ready for the coordinator to intern, and counts the
-// frontier states that enable nothing. The store is frozen meanwhile;
-// a worker asks it only about successors its own row of lv's sets
-// lacks, a hit there being a duplicate the store cannot hold.
+// states[from:], deduplicated (first discovery per state) and in
+// first-discovery order, ready for the coordinator to intern, and counts
+// the frontier states that enable nothing. The store is frozen
+// meanwhile; a worker asks it only about successors its own set lacks, a
+// hit there being a duplicate the store cannot hold.
 func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states []ioa.State, from int,
 	probes []store.MemberProbe, steps []*ioa.Walk, depth int, o *obs.Obs) (next []member, deadlocks int64) {
 	var cursor int64
@@ -315,7 +270,7 @@ func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states [
 		wg.Add(1)
 		go func(wi int) {
 			defer wg.Done()
-			lv.reset(wi)
+			lv.sets[wi].Reset()
 			// The per-worker tally is a plain local (register
 			// increments), flushed to the sharded counter once per
 			// level — so the disabled path stays metric-free and the
@@ -328,12 +283,11 @@ func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states [
 			yield := func(nxt ioa.State) bool {
 				enc = seen.AppendCanonical(enc[:0], nxt)
 				h := store.Hash(enc)
-				if i, ok := set.Lookup(enc, h); ok {
+				if _, ok := set.Lookup(enc, h); ok {
 					emitted++
-					keep(set.Offer(i, cand{state: nxt, parent: curParent, act: step.Act}))
 				} else if _, ok := probe.Lookup(enc, h); !ok {
 					emitted++
-					keep(set.AddNew(enc, h, cand{state: nxt, parent: curParent, act: step.Act}))
+					set.AddNew(enc, h, cand{state: ioa.Keep(nxt), parent: curParent, act: step.Act})
 				}
 				return true
 			}
@@ -350,7 +304,6 @@ func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states [
 					}
 				}
 			}
-			lv.order(wi)
 			atomic.AddInt64(&deadlocks, dead)
 			if o != nil {
 				o.Explore.Successors.AddShard(wi, emitted)
@@ -364,7 +317,7 @@ func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states [
 }
 
 // checkLevel evaluates pred over the newly admitted states (IDs from
-// .. len(states)) in canonical order and turns the first failure into
+// .. len(states)) in ID order and turns the first failure into
 // a Violation with a crumb-chain witness.
 func checkLevel(a ioa.Automaton, states []ioa.State, crumbs []crumb, from int, pred func(ioa.State) bool) *Violation {
 	for i := from; i < len(states); i++ {
@@ -377,7 +330,7 @@ func checkLevel(a ioa.Automaton, states []ioa.State, crumbs []crumb, from int, p
 	return nil
 }
 
-// witnessFromCrumbs rebuilds the canonical minimal-length execution
+// witnessFromCrumbs rebuilds the minimal-length execution
 // from a start state to target by following parent IDs, reading each
 // state on the chain, and only those, from at.
 func witnessFromCrumbs(a ioa.Automaton, at func(store.ID) ioa.State, crumbs []crumb, target store.ID) *ioa.Execution {

@@ -3,10 +3,8 @@ package explore_test
 // PR 5 differential battery extension: the store-backed Engine must
 // visit states in an order bit-identical to the seed explorer at every
 // worker count. ReferenceReach keeps the seed's string-keyed BFS
-// verbatim as the sequential oracle; the parallel oracle is the
-// concatenation of key-sorted BFS levels (the canonical order the seed
-// parallel explorer produced). Also pinned here: the Reach limit edge
-// case (immediate return with a consistent partial order and a wrapped
+// verbatim as that oracle. Also pinned here: the Reach limit edge case
+// (immediate return with a consistent partial order and a wrapped
 // ErrLimit) and context cancellation on every Engine method.
 
 import (
@@ -38,20 +36,11 @@ func assertSameOrder(t *testing.T, label string, want, got []ioa.State) {
 	}
 }
 
-// sortedLevelOrder flattens bfsLevels with each level key-sorted — the
-// canonical order the parallel engine must produce at any worker
-// count.
-func sortedLevelOrder(a ioa.Automaton) []string {
+// bfsOrder flattens bfsLevels: the sequential BFS order every engine
+// must produce at any worker count.
+func bfsOrder(a ioa.Automaton) []string {
 	var out []string
 	for _, lvl := range bfsLevels(a) {
-		lvl = append([]string(nil), lvl...)
-		for i := range lvl {
-			for j := i + 1; j < len(lvl); j++ {
-				if lvl[j] < lvl[i] {
-					lvl[i], lvl[j] = lvl[j], lvl[i]
-				}
-			}
-		}
 		out = append(out, lvl...)
 	}
 	return out
@@ -92,42 +81,31 @@ func TestDifferentialOrderSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialOrderParallel: at workers 1 the engine reproduces the
-// seed BFS order; at workers 2 and 8 it reproduces the canonical
-// depth-then-key order, identically across worker counts.
+// TestDifferentialOrderParallel: at every worker count the engine
+// reproduces the seed BFS order, and so does the oracle built level by
+// level.
 func TestDifferentialOrderParallel(t *testing.T) {
 	ctx := context.Background()
 	for name, a := range diffSystems(t) {
-		seq, err := explore.New(explore.Options{Workers: 1}).Reach(ctx, a)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
 		ref, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		assertSameOrder(t, name+" workers=1", ref, seq)
-
-		canon := sortedLevelOrder(a)
-		var prev []ioa.State
-		for _, w := range []int{2, 8} {
+		levels := bfsOrder(a)
+		if len(levels) != len(ref) {
+			t.Fatalf("%s: level oracle has %d states, reference %d", name, len(levels), len(ref))
+		}
+		for i, k := range levels {
+			if k != ref[i].Key() {
+				t.Fatalf("%s: level oracle differs at %d: %q, reference %q", name, i, k, ref[i].Key())
+			}
+		}
+		for _, w := range []int{1, 2, 8} {
 			got, err := explore.New(explore.Options{Workers: w}).Reach(ctx, a)
 			if err != nil {
 				t.Fatalf("%s workers %d: %v", name, w, err)
 			}
-			if len(got) != len(canon) {
-				t.Fatalf("%s workers %d: %d states, want %d", name, w, len(got), len(canon))
-			}
-			for i := range canon {
-				if got[i].Key() != canon[i] {
-					t.Fatalf("%s workers %d: order differs at %d: %q, want %q",
-						name, w, i, got[i].Key(), canon[i])
-				}
-			}
-			if prev != nil {
-				assertSameOrder(t, fmt.Sprintf("%s workers 2 vs %d", name, w), prev, got)
-			}
-			prev = got
+			assertSameOrder(t, fmt.Sprintf("%s workers=%d", name, w), ref, got)
 		}
 	}
 }

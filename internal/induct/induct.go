@@ -225,7 +225,7 @@ func Check(ctx context.Context, a ioa.Automaton, dom domain.Domain, inv *lattice
 		a:          a,
 		inv:        inv,
 		lemmas:     inv.Lemmas(),
-		step:       ioa.NewWalk(a, true),
+		step:       ioa.NewWalk(a),
 		discharged: make([]int64, inv.Len()),
 		cert:       &cert,
 		o:          opts.Obs,

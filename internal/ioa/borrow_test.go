@@ -148,32 +148,55 @@ func (r inputReporter) Enabled(s ioa.State) []ioa.Action {
 	return append(r.Automaton.Enabled(s), r.Sig().Inputs().Sorted()...)
 }
 
-// TestWalkStepsEachActionOnce: a sorted walk steps an action Enabled
-// repeats as an input once, so a graph edge or an induction transition
-// is never counted twice. The unsorted walk steps it twice — which
-// shows the input does repeat — and its level merge drops the repeat.
+// doubler's Enabled lists each of its actions twice in a row: sorted,
+// but not strictly.
+type doubler struct{ ioa.Automaton }
+
+func (d doubler) Enabled(s ioa.State) []ioa.Action {
+	var out []ioa.Action
+	for _, act := range d.Automaton.Enabled(s) {
+		out = append(out, act, act)
+	}
+	return out
+}
+
+// TestWalkStepsEachActionOnce: a walk steps an action Enabled repeats —
+// as an input, or outright in an automaton with no inputs — once, so a
+// graph edge or an induction transition is never counted twice.
 func TestWalkStepsEachActionOnce(t *testing.T) {
-	sig := ioa.MustSignature([]ioa.Action{"in"}, []ioa.Action{"out"}, nil)
-	a := inputReporter{ioa.MustTable("rep", sig, []ioa.State{ioa.KeyState("0")}, []ioa.Step{
+	steps := []ioa.Step{
 		{From: ioa.KeyState("0"), Act: "in", To: ioa.KeyState("1")},
 		{From: ioa.KeyState("1"), Act: "in", To: ioa.KeyState("1")},
 		{From: ioa.KeyState("1"), Act: "out", To: ioa.KeyState("0")},
-	}, []ioa.Class{{Name: "rep", Actions: ioa.NewSet("out")}})}
+		{From: ioa.KeyState("1"), Act: "tick", To: ioa.KeyState("1")},
+	}
+	classes := []ioa.Class{{Name: "rep", Actions: ioa.NewSet("out", "tick")}}
+	table := func(in []ioa.Action) *ioa.Table {
+		var own []ioa.Step
+		for _, st := range steps {
+			if st.Act != "in" || len(in) > 0 {
+				own = append(own, st)
+			}
+		}
+		sig := ioa.MustSignature(in, []ioa.Action{"out"}, []ioa.Action{"tick"})
+		return ioa.MustTable("rep", sig, []ioa.State{ioa.KeyState("0")}, own, classes)
+	}
 	for _, tc := range []struct {
-		sorted bool
-		want   []string
+		name string
+		a    ioa.Automaton
+		want []string
 	}{
-		{true, []string{"in>1", "out>0"}},
-		{false, []string{"out>0", "in>1", "in>1"}},
+		{"inputs reported", inputReporter{table([]ioa.Action{"in"})}, []string{"in>1", "out>0", "tick>1"}},
+		{"no inputs, each twice", doubler{table(nil)}, []string{"out>0", "tick>1"}},
 	} {
-		walk := ioa.NewWalk(a, tc.sorted)
+		walk := ioa.NewWalk(tc.a)
 		var got []string
 		walk.Visit(ioa.KeyState("1"), func(nxt ioa.State) bool {
 			got = append(got, string(walk.Act)+">"+nxt.Key())
 			return true
 		})
 		if !slices.Equal(got, tc.want) {
-			t.Errorf("sorted=%v: walk yields %q, want %q", tc.sorted, got, tc.want)
+			t.Errorf("%s: walk yields %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

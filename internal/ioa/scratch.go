@@ -129,8 +129,8 @@ func Keep(s State) State {
 	for i, p := range t.parts {
 		kept.parts[i] = Keep(p)
 	}
-	// A key built during the borrow (an error text, a candLess compare)
-	// is the copy's key too.
+	// A key built during the borrow (an error text, a predicate) is the
+	// copy's key too.
 	kept.key.Store(t.key.Load())
 	return kept
 }

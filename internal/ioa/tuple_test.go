@@ -354,7 +354,7 @@ func TestCompositeStepKeysNoLeaf(t *testing.T) {
 	inner := MustCompose("inner", counter("p", Act("tick", "r")), counter("q", Act("tick", "p")))
 	c := MustCompose("outer", Hide(inner, NewSet()), counter("r", Act("tick", "q")))
 
-	walk := NewWalk(c, true)
+	walk := NewWalk(c)
 	var s State
 	walk.Visit(c.Start()[0], func(nxt State) bool { s = Keep(nxt); return false })
 	walk.Visit(s, func(State) bool { return true }) // warm s's rows

@@ -26,16 +26,13 @@ func VisitNext(a Automaton, s State, act Action, yield func(State) bool) bool {
 // locally-controlled action outside Enabled(s) has no step — while
 // |acts(A)| − |enabled(s)| transition probes are skipped.
 //
-// A sorted Walk steps the merged list in sorted order, each action once
-// (an Enabled that also reports inputs repeats them), so successors
-// appear in exactly the order an all-actions sweep discovers them: the
-// sequential explorer's visit-order pin, the external census's chunk
-// order, the edge order of ltl's graphs and induct's CTI order. An
-// unsorted Walk steps Enabled(s) then the inputs with no copy and no
-// sort, for the level-synchronized loops whose merge sorts the
-// candidates anyway; a repeated action there only finds every
-// successor again. A Walk allocates nothing per state and is not safe
-// for concurrent use: each goroutine owns one.
+// A Walk steps the merged list in sorted order, each action once (an
+// Enabled that also reports inputs repeats them), so successors appear
+// in exactly the order an all-actions sweep discovers them: the BFS
+// visit order every explorer numbers states in, the external census's
+// chunk order, the edge order of ltl's graphs and induct's CTI order.
+// A Walk allocates nothing per state and is not safe for concurrent
+// use: each goroutine owns one.
 //
 // Successors are borrowed. A Walk owns the Scratch its automaton builds
 // them in — the one object that is already per goroutine and lives as
@@ -53,14 +50,13 @@ type Walk struct {
 
 	a      Automaton
 	inputs []Action
-	sorted bool
 	buf    []Action
 	sc     Scratch
 }
 
 // NewWalk builds the successor enumerator of a.
-func NewWalk(a Automaton, sorted bool) *Walk {
-	return &Walk{a: a, inputs: a.Sig().Inputs().Sorted(), sorted: sorted}
+func NewWalk(a Automaton) *Walk {
+	return &Walk{a: a, inputs: a.Sig().Inputs().Sorted()}
 }
 
 // Visit calls yield on every successor of s worth stepping, with Act
@@ -68,24 +64,29 @@ func NewWalk(a Automaton, sorted bool) *Walk {
 // soon as yield does.
 func (w *Walk) Visit(s State, yield func(State) bool) bool {
 	w.sc.Reset()
-	enabled := w.a.Enabled(s)
-	w.Enabled = len(enabled)
-	if !w.sorted {
-		return w.walk(s, enabled, yield) && w.walk(s, w.inputs, yield)
+	acts := w.a.Enabled(s)
+	w.Enabled = len(acts)
+	if len(w.inputs) > 0 || !increasing(acts) {
+		// Copy before sorting: the memo layer may hand out a shared
+		// cached Enabled slice.
+		w.buf = append(append(w.buf[:0], acts...), w.inputs...)
+		slices.Sort(w.buf)
+		acts = slices.Compact(w.buf)
 	}
-	// Copy before sorting: the memo layer may hand out a shared cached
-	// Enabled slice.
-	w.buf = append(append(w.buf[:0], enabled...), w.inputs...)
-	slices.Sort(w.buf)
-	w.buf = slices.Compact(w.buf)
-	return w.walk(s, w.buf, yield)
-}
-
-// walk steps s by each of acts in order.
-func (w *Walk) walk(s State, acts []Action, yield func(State) bool) bool {
 	for _, act := range acts {
 		w.Act = act
 		if !w.a.Next(&w.sc, s, act, yield) {
+			return false
+		}
+	}
+	return true
+}
+
+// increasing reports whether acts is strictly sorted, so that Visit can
+// step it as it is — a grid's Enabled list is — without a copy.
+func increasing(acts []Action) bool {
+	for i := 1; i < len(acts); i++ {
+		if acts[i-1] >= acts[i] {
 			return false
 		}
 	}

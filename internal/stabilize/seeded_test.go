@@ -33,7 +33,7 @@ func TestSeededStepsBorrowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep := func(a ioa.Automaton) (allocs float64, successors int) {
-		walk := ioa.NewWalk(a, true)
+		walk := ioa.NewWalk(a)
 		var enc []byte
 		encode := func(nxt ioa.State) bool {
 			enc = ioa.AppendState(enc[:0], nxt)

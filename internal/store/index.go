@@ -158,15 +158,16 @@ func (b *Batch) Add(enc []byte, hash uint64) {
 
 // Order returns the entry numbers in bytes.Compare order of their
 // encodings — strictly increasing, since entries are distinct. This is
-// the one place a run, a census chunk or a BFS level gets its canonical
-// order. The slice is the batch's own, valid until the next Order.
+// the one place a spill run or an external census chunk gets its key
+// order; no BFS level is ordered by key. The slice is the batch's own,
+// valid until the next Order.
 //
 // The sort compares each entry's first eight bytes as one big-endian
 // word, zero-padded — which orders two keys as bytes.Compare does
 // whenever the words differ — and the keys themselves only on a tie, so
 // short keys (a grid's are six bytes) never reach bytes.Compare. That
-// matters where the entries do not arrive nearly sorted: a cluster
-// coordinator's per-owner set is in expansion order.
+// matters because the entries arrive in discovery order, not nearly
+// sorted.
 func (b *Batch) Order() []int {
 	b.order, b.heads = b.order[:0], b.heads[:0]
 	for i := range b.ends {
@@ -204,40 +205,28 @@ func (b *Batch) Reset() {
 // A LevelSet is the candidate set of one BFS level (or one shard, chunk
 // or destination's share of it): a Batch of distinct encodings and,
 // entry for entry, the payload kept with each — a witness crumb, a
-// concrete state, a (sender, index); struct{} when the bytes are all
-// there is. A duplicate collapses on arrival, so the set costs memory in
+// concrete state; struct{} when the bytes are all there is. A duplicate
+// collapses on arrival and the first arrival's payload stays, so the
+// entries are in first-arrival order and the set costs memory in
 // proportion to the distinct candidates, not the successors.
 type LevelSet[P any] struct {
 	Batch
-	// Less orders the payloads offered for one encoding; the least
-	// stays, so the kept payload does not depend on arrival order. Nil
-	// keeps the first arrival.
-	Less     func(a, b P) bool
 	payloads []P
 }
 
 // Add merges one candidate into the set, copying enc. It returns where
-// p was stored, nil when the payload already kept for enc stayed — so a
-// caller whose payload borrows memory copies what the set keeps, not
-// every candidate. The pointer is valid until the next Add.
+// p was stored, nil when enc was already there — so a caller whose
+// payload borrows memory copies what the set keeps, not every
+// candidate. The pointer is valid until the next Add.
 func (ls *LevelSet[P]) Add(enc []byte, hash uint64, p P) *P {
-	if i, ok := ls.Lookup(enc, hash); ok {
-		return ls.Offer(i, p)
+	if _, ok := ls.Lookup(enc, hash); ok {
+		return nil
 	}
 	return ls.AddNew(enc, hash, p)
 }
 
-// Offer merges p into entry i, found by Lookup, as Add does.
-func (ls *LevelSet[P]) Offer(i int, p P) *P {
-	if ls.Less == nil || !ls.Less(p, ls.payloads[i]) {
-		return nil
-	}
-	ls.payloads[i] = p
-	return &ls.payloads[i]
-}
-
 // AddNew appends enc, which Lookup did not find, with payload p, and
-// returns where p was stored, as Add does.
+// returns where p was stored.
 func (ls *LevelSet[P]) AddNew(enc []byte, hash uint64, p P) *P {
 	ls.Batch.Add(enc, hash)
 	ls.payloads = append(ls.payloads, p)

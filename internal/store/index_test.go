@@ -34,7 +34,7 @@ var forgers = []struct {
 // resets the Batch; any other byte b takes the next 1 + b%3 bytes as a
 // key and interns it into a Store and a Batch under hash, and offers it
 // to a LevelSet with the program bytes still unread as payload (so each
-// repeat of a key is the lesser). All three are held to map oracles at
+// arrival of a key carries another payload, and the first must stay). All three are held to map oracles at
 // every step and in full at every reset and the end. A Spill whose
 // budget holds a handful of keys rides along (ISSUE 23): it interns
 // every key under the same hash and must answer as the Store does
@@ -47,11 +47,11 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 	sp := newTestSpill(t, SpillOptions{MemBudget: 96, BlockEvery: 1 + len(prog)%16})
 	var batch Batch
 	entries := map[string]int{}
-	set := LevelSet[int]{Less: func(a, b int) bool { return a < b }}
-	least := map[string]int{}
+	var set LevelSet[int]
+	first := map[string]int{}
 	checkBatch := func() {
 		t.Helper()
-		checkLevelSet(t, &set, least, hash)
+		checkLevelSet(t, &set, first, hash)
 		if batch.Len() != len(entries) {
 			t.Fatalf("batch holds %d entries, oracle %d", batch.Len(), len(entries))
 		}
@@ -73,7 +73,7 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 			batch.Reset()
 			clear(entries)
 			set.Reset()
-			clear(least)
+			clear(first)
 			continue
 		}
 		n := min(1+int(op%3), len(prog))
@@ -103,8 +103,8 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 		}
 
 		set.Add(key, h, len(prog))
-		if old, seen := least[string(key)]; !seen || len(prog) < old {
-			least[string(key)] = len(prog)
+		if _, seen := first[string(key)]; !seen {
+			first[string(key)] = len(prog)
 		}
 	}
 	checkBatch()
@@ -124,22 +124,22 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 	}
 }
 
-// checkLevelSet holds a set to its encoding → least-payload oracle:
+// checkLevelSet holds a set to its encoding → first-payload oracle:
 // nothing lost, nothing merged, and Order is the oracle's keys, strictly
 // increasing.
-func checkLevelSet[P comparable](t *testing.T, set *LevelSet[P], least map[string]P, hash func([]byte) uint64) {
+func checkLevelSet[P comparable](t *testing.T, set *LevelSet[P], first map[string]P, hash func([]byte) uint64) {
 	t.Helper()
-	if set.Len() != len(least) {
-		t.Fatalf("level set holds %d entries, oracle %d", set.Len(), len(least))
+	if set.Len() != len(first) {
+		t.Fatalf("level set holds %d entries, oracle %d", set.Len(), len(first))
 	}
-	for k, want := range least {
+	for k, want := range first {
 		if i, ok := set.Lookup([]byte(k), hash([]byte(k))); !ok || set.Payload(i) != want {
 			t.Fatalf("level set lost %q (found %v) or kept a payload other than %v", k, ok, want)
 		}
 	}
 	order := set.Order()
-	if len(order) != len(least) {
-		t.Fatalf("Order has %d entries, oracle %d", len(order), len(least))
+	if len(order) != len(first) {
+		t.Fatalf("Order has %d entries, oracle %d", len(order), len(first))
 	}
 	for n, i := range order {
 		if n > 0 && bytes.Compare(set.Key(order[n-1]), set.Key(i)) >= 0 {
@@ -148,10 +148,11 @@ func checkLevelSet[P comparable](t *testing.T, set *LevelSet[P], least map[strin
 	}
 }
 
-// TestLevelSetArrivalOrder: the kept payloads and Order are a function
-// of the multiset offered — every permutation gives the same encoding →
-// least-payload map in the same order, whatever chains the hash forges —
-// and Reset keeps capacity while dropping every payload reference.
+// TestLevelSetArrivalOrder: a set keeps each encoding's first arrival,
+// its entries in first-arrival order, whatever chains the hash forges;
+// Order is a function of the encodings alone — every permutation gives
+// the same one; and Reset keeps capacity while dropping every payload
+// reference.
 func TestLevelSetArrivalOrder(t *testing.T) {
 	type pair struct {
 		enc     []byte
@@ -163,26 +164,33 @@ func TestLevelSetArrivalOrder(t *testing.T) {
 	}
 	rng := testseed.Rand(t, 29)
 	for _, f := range forgers {
-		var want []pair // the first permutation's Order
+		var want [][]byte // the first permutation's Order
 		for perm := 0; perm < 6; perm++ {
 			rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
-			set := LevelSet[*int]{Less: func(a, b *int) bool { return *a < *b }}
-			least := map[string]*int{}
+			var set LevelSet[*int]
+			first := map[string]*int{}
+			var arrivals [][]byte
 			for _, p := range pairs {
 				set.Add(p.enc, f.hash(p.enc), p.payload)
-				if old, seen := least[string(p.enc)]; !seen || *p.payload < *old {
-					least[string(p.enc)] = p.payload
+				if _, seen := first[string(p.enc)]; !seen {
+					first[string(p.enc)] = p.payload
+					arrivals = append(arrivals, p.enc)
 				}
 			}
-			checkLevelSet(t, &set, least, f.hash)
-			var got []pair
+			checkLevelSet(t, &set, first, f.hash)
+			for i, enc := range arrivals {
+				if !bytes.Equal(set.Key(i), enc) {
+					t.Fatalf("%s: permutation %d: entry %d is %q, arrival %d was %q", f.name, perm, i, set.Key(i), i, enc)
+				}
+			}
+			var got [][]byte
 			for _, i := range set.Order() {
-				got = append(got, pair{slices.Clone(set.Key(i)), set.Payload(i)})
+				got = append(got, slices.Clone(set.Key(i)))
 			}
 			if want == nil {
 				want = got
-			} else if !slices.EqualFunc(got, want, func(a, b pair) bool { return bytes.Equal(a.enc, b.enc) && a.payload == b.payload }) {
-				t.Fatalf("%s: permutation %d kept a different set or order", f.name, perm)
+			} else if !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("%s: permutation %d ordered another set of encodings", f.name, perm)
 			}
 
 			n, kept := set.Len(), cap(set.payloads)

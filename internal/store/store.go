@@ -24,10 +24,10 @@
 // level and written only at the level barrier by the coordinator.
 //
 // Determinism. IDs are assigned in insertion order, so a caller that
-// interns states in a canonical order (BFS discovery order for the
-// sequential explorer; per-level key-sorted order for the parallel
-// one) gets IDs whose numeric order reproduces that canonical order.
-// The explorers rely on this to keep witness-trace canonicalization
+// interns states in a canonical order (BFS discovery order, which the
+// sequential explorer and the level-synchronized one both produce) gets
+// IDs whose numeric order reproduces that canonical order. The
+// explorers rely on this to keep witness-trace canonicalization
 // bit-identical to the string-keyed seed implementation.
 package store
 
