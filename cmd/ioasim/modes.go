@@ -208,9 +208,7 @@ func reachRun(inv *invocation) error {
 	opts := inv.cfg.explore
 	opts.Obs, opts.Canon = inv.o, inv.canon
 	rep := reachReport{name: auto.Name(), depth: -1, budget: opts.Limit}
-	dec, decodable := auto.(interface {
-		Decode([]byte) (ioa.State, error)
-	})
+	dec, decodable := auto.(ioa.Decodable)
 	if opts.Spill != nil && decodable {
 		opts.Decode = dec.Decode
 		var sum explore.Summary

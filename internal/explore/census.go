@@ -42,8 +42,9 @@ package explore
 // re-built from their canonical encodings. Systems whose encodings
 // are self-describing provide it trivially (ioa.KeyState round-trips
 // as its own key; internal/grid decodes digit vectors). Without
-// Decode — or without Options.Spill — Census falls back to the
-// level-synchronized in-RAM engine and just streams its result.
+// Decode — or without Options.Spill — Census runs the sequential
+// kernel in RAM, at every worker count, and keeps no heap state of an
+// automaton ioa.Decoder can rebuild from its encoding.
 
 import (
 	"context"
@@ -58,11 +59,11 @@ import (
 type Summary struct {
 	// States is the number of distinct reachable states admitted.
 	States int64
-	// Depth is the last completed BFS level (0 when only the start
-	// states exist).
+	// Depth is the BFS depth of the deepest admitted state: the last
+	// level, 0 when only the start states exist, on a completed walk.
 	Depth int64
-	// Deadlocks counts states with no locally-controlled action
-	// enabled.
+	// Deadlocks counts the expanded states with no locally-controlled
+	// action enabled: every deadlock, on a completed walk.
 	Deadlocks int64
 	// Violation is the first invariant violation encountered, when a
 	// predicate was given. External-mode violations carry the state
@@ -74,34 +75,21 @@ type Summary struct {
 // them, calling visit (when non-nil) on each admitted state and
 // checking pred (when non-nil) on each. It stops early at the first
 // violation. With Options.Spill and Options.Decode both set it runs
-// the external-memory engine documented above; otherwise it streams
-// the result of the in-RAM level-synchronized engine, which it runs at
-// every Options.Workers, one included, so visit sees the states in
-// Reach's BFS discovery order. Options.Limit bounds admitted
-// states in either mode; exceeding it returns ErrLimit with the
-// partial summary.
-func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (Summary, error) {
+// the external-memory engine documented above; otherwise it runs the
+// sequential kernel at every Options.Workers: visit and pred see the
+// states in Reach's BFS discovery order, the violation is the first in
+// that order with CheckInvariant's witness, and a state ioa.Decoder can
+// rebuild is kept only as its encoding. Their argument is borrowed for
+// the call, as CheckInvariant's pred's is, so ioa.Keep what you retain
+// (an ioa.Decodable's states are its Decode's results and stay valid).
+// Options.Limit bounds admitted states in either mode; exceeding it,
+// not an exact fit, returns ErrLimit with the partial summary.
+func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (sum Summary, err error) {
 	ctx = ctxOr(ctx)
 	if e.opts.Spill != nil && e.opts.Decode != nil {
 		return e.censusExternal(ctx, a, pred, visit)
 	}
-	return e.censusMaterialized(ctx, a, pred, visit)
-}
-
-// censusMaterialized wraps the level-synchronized engine: BFS
-// discovery order, with witness-bearing violations. A walk that ran to completion expanded every state, so the
-// deadlock count is the one its workers tallied.
-func (e *Engine) censusMaterialized(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (Summary, error) {
-	order, v, depth, deadlocks, err := e.parallelExplore(ctx, a, pred)
-	sum := Summary{States: int64(len(order)), Depth: int64(depth), Violation: v}
-	if visit != nil {
-		for _, s := range order {
-			visit(s)
-		}
-	}
-	if err == nil && v == nil {
-		sum.Deadlocks = deadlocks
-	}
+	_, _, err = e.seqExplore(ctx, a, pred, nil, &sum, visit)
 	return sum, err
 }
 

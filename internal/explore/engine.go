@@ -13,18 +13,18 @@ package explore
 // scratch memory, so a successor that is found already interned
 // allocates nothing and only a kept one is copied to the heap. Every
 // engine numbers states in the same order, BFS discovery order. The
-// level engine, the census and the cluster encode with ioa.AppendState
-// — the bytes of Key(), streamed without building the string, which the
-// external census and the spill store sort. The sequential kernel
-// interns ioa.Encoder's encoding, which for a composition is its
-// leaves' cell indices: equal iff the Keys are, a few bytes long, and
-// built without reading a leaf's key. Those bytes are the state
-// (ioa.Decoder), so where nothing needs a heap state the kernel keeps
-// none: its frontier is the store's unexpanded IDs, each decoded when it
-// comes up. The visit order is bit-identical to the string-keyed seed
-// explorer (reference.go keeps it as the differential oracle):
-// interning preserves first-insertion order, and both encodings decide
-// equality as the Key() does.
+// level engine, the external census and the cluster encode with
+// ioa.AppendState — the bytes of Key(), streamed without building the
+// string, which the external census and the spill store sort. The
+// sequential kernel interns ioa.Encoder's encoding, which for a
+// composition is its leaves' cell indices: equal iff the Keys are, a few
+// bytes long, and built without reading a leaf's key. Those bytes (an
+// ioa.Decodable's Key bytes) are the state (ioa.Decoder), so where
+// nothing needs a heap state the kernel keeps none: its frontier is the
+// store's unexpanded IDs, each decoded when it comes up. The visit order
+// is bit-identical to the string-keyed seed explorer (reference.go keeps
+// it as the differential oracle): interning preserves first-insertion
+// order, and both encodings decide equality as the Key() does.
 
 import (
 	"context"
@@ -46,8 +46,8 @@ type Options struct {
 	// GOMAXPROCS. At 1 Reach and CheckInvariant run the sequential
 	// kernel; above 1 they run the level-synchronized engine. Both
 	// number states in BFS discovery order, so the result is the same
-	// at any worker count. The in-RAM Census runs the level engine at
-	// every worker count.
+	// at any worker count. The in-RAM Census runs the sequential kernel
+	// at every worker count.
 	Workers int
 	// Limit is the maximum number of states to admit (0 =
 	// DefaultLimit). The ErrLimit contract is shared by both engines:
@@ -84,9 +84,10 @@ type Options struct {
 	// required by Census's external mode, which keeps frontiers on disk
 	// as encodings and must re-expand them; systems whose encodings are
 	// self-describing (KeyState systems, internal/grid) provide it
-	// trivially. Reach and CheckInvariant never call it: a composition's
-	// seam is ioa.Decoder, which the sequential kernel decodes its own
-	// cell encodings through, and Decode stays for the census alone.
+	// trivially. Reach, CheckInvariant and the in-RAM Census never call
+	// it: the sequential kernel decodes its own encodings through
+	// ioa.Decoder (a composition's cells, an ioa.Decodable's bytes), and
+	// Decode stays for the external census alone.
 	Decode func(enc []byte) (ioa.State, error)
 }
 
@@ -198,10 +199,10 @@ func ctxOr(ctx context.Context) context.Context {
 func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
 	ctx = ctxOr(ctx)
 	if e.opts.WorkerCount() <= 1 {
-		order, _, err := e.seqExplore(ctx, a, nil, nil)
+		order, _, err := e.seqExplore(ctx, a, nil, nil, nil, nil)
 		return order, err
 	}
-	order, _, _, _, err := e.parallelExplore(ctx, a, nil)
+	order, _, err := e.parallelExplore(ctx, a, nil)
 	return order, err
 }
 
@@ -221,10 +222,10 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 		return nil, fmt.Errorf("explore: CheckInvariant: nil predicate")
 	}
 	if e.opts.WorkerCount() <= 1 {
-		_, v, err := e.seqExplore(ctx, a, pred, nil)
+		_, v, err := e.seqExplore(ctx, a, pred, nil, nil, nil)
 		return v, err
 	}
-	_, v, _, _, err := e.parallelExplore(ctx, a, pred)
+	_, v, err := e.parallelExplore(ctx, a, pred)
 	return v, err
 }
 
@@ -291,40 +292,45 @@ type Visitor interface {
 // any orbit-mate of a node is an edge to that node. It returns the
 // states in discovery order and Reach's errors.
 func (e *Engine) Visit(ctx context.Context, a ioa.Automaton, v Visitor) ([]ioa.State, error) {
-	order, _, err := e.seqExplore(ctxOr(ctx), a, nil, v)
+	order, _, err := e.seqExplore(ctxOr(ctx), a, nil, v, nil, nil)
 	return order, err
 }
 
 // seqExplore is the one sequential kernel, under Reach (pred nil) and
-// CheckInvariant at one worker and under Visit (vis non-nil). The
-// frontier is the range of store IDs not yet expanded (every admitted
-// state is expanded exactly once, in admission order), so visit order is
-// bit-identical to the seed explorer's explicit queue, and IDs double as
-// result indices (both are dense admission order). A composite explored
-// with no visitor, no Canon and the in-RAM store keeps no state at all:
-// it expands each state decoded from its encoding into a Scratch of its
-// own, decodes the witness's states onto the heap, and Reach's result
-// from every ID once on the way out. Everything else keeps a heap copy
-// of each admitted state in the result slice and expands that — a
-// visitor may retain what Admit hands it, under Canon the state kept is
-// the first-discovered concrete one while the encoding is its orbit's,
-// and spill and non-composites have nothing to decode.
+// CheckInvariant at one worker, under Visit (vis non-nil) and, with sum
+// non-nil, under the in-RAM Census at every worker count. The frontier
+// is the range of store IDs not yet expanded (every admitted state is
+// expanded exactly once, in admission order), so visit order is
+// bit-identical to the seed explorer's explicit queue, IDs double as
+// result indices (both are dense admission order), and a level ends
+// where the first state found while expanding it was admitted. A
+// composite or an ioa.Decodable explored with no visitor, no Canon and
+// the in-RAM store keeps no state at all: it expands each state decoded
+// from its encoding into a Scratch of its own, decodes the witness's
+// states onto the heap, and Reach's result from every ID once on the way
+// out. Everything else keeps a heap copy of each admitted state in the
+// result slice and expands that — a visitor may retain what Admit hands
+// it, under Canon the state kept is the first-discovered concrete one
+// while the encoding is its orbit's, and spill and other automata have
+// nothing to decode.
 //
 // With a predicate it also records one (parent, act) crumb per state,
 // checks pred on each state as it comes up for expansion, and builds the
 // witness from the crumb chain. With a visitor it reports every
 // admission, every successor's edge as the store answers it, and the end
-// of every expansion; Visit takes Reach's limit contract.
+// of every expansion; Visit takes Reach's limit contract. A census also
+// calls visit, fills sum and builds no result.
 //
-// The two limit contracts differ on purpose. Reach switches to probe
-// mode once the budget is full: the first unseen successor aborts the
-// enumeration with ErrLimit and exactly Limit states, and an exact-fit
-// exploration (budget full, no unseen successor anywhere) still
-// completes with a nil error. CheckInvariant is stricter (matching the
-// seed): a full store is an error before the next expansion even when
-// the frontier is about to empty, because witnesses for states past
-// the budget could not be built.
-func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, vis Visitor) (order []ioa.State, v *Violation, err error) {
+// The two limit contracts differ on purpose. Reach (and Census) switch
+// to probe mode once the budget is full: the first unseen successor
+// aborts the enumeration with ErrLimit and exactly Limit states, and an
+// exact-fit exploration (budget full, no unseen successor anywhere)
+// still completes with a nil error; a census still visits and checks the
+// admitted states it leaves unexpanded. CheckInvariant is stricter
+// (matching the seed): a full store is an error before the next
+// expansion even when the frontier is about to empty, because witnesses
+// for states past the budget could not be built.
+func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, vis Visitor, sum *Summary, visit func(ioa.State)) (order []ioa.State, v *Violation, err error) {
 	limit := e.opts.limit()
 	o := e.opts.Obs
 	if o != nil {
@@ -341,6 +347,20 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 
 	var crumbs []crumb // indexed by ID; kept only under a predicate
 	cur := store.None  // the state being expanded; int(store.None) is -1
+	// level is cur's BFS depth, levelEnd the first ID past its level;
+	// deepest is the depth of the last state admitted, emitted the
+	// successors not admitted before cur's level ended.
+	level, levelEnd, deepest := -1, 0, 0
+	var deadlocks, emitted int64
+	if sum != nil {
+		defer func() {
+			*sum = Summary{States: int64(st.Len()), Depth: int64(deepest), Deadlocks: deadlocks, Violation: v}
+			if o != nil {
+				o.Explore.Successors.Add(emitted)
+			}
+		}()
+	}
+	strict := pred != nil && sum == nil // CheckInvariant's limit contract
 	step := ioa.NewWalk(a)
 	// The kernel orders nothing by bytes, so it interns ioa.Encoder's
 	// encoding, a composite's cell indices, rather than the Key.
@@ -359,7 +379,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 		}
 		return decode(sc, arena.Encoding(id))
 	}
-	if decode != nil && pred == nil {
+	if decode != nil && pred == nil && sum == nil {
 		defer func() { // Reach's result, whatever the exit
 			order = make([]ioa.State, st.Len())
 			for i := range order {
@@ -378,6 +398,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	admit := func(s ioa.State) store.ID {
 		id, fresh := st.InternEncoded(encoded(s))
 		if fresh {
+			deepest = level + 1
 			if decode == nil {
 				order = append(order, ioa.Keep(s))
 			}
@@ -393,15 +414,19 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	for _, s := range a.Start() {
 		admit(s)
 	}
-	// One yield closure for the whole sweep: Reach's and
-	// CheckInvariant's, or Visit's, which also reports the edges.
+	// One yield closure for the whole sweep: Reach's, CheckInvariant's
+	// and Census's, or Visit's, which also reports the edges.
 	yield := func(nxt ioa.State) bool {
-		if pred == nil && st.Len() >= limit {
-			_, seen := probe.Lookup(encoded(nxt))
-			return seen
+		id, seen := store.None, true
+		if !strict && st.Len() >= limit {
+			id, seen = probe.Lookup(encoded(nxt))
+		} else {
+			id = admit(nxt)
 		}
-		admit(nxt)
-		return true
+		if int(id) >= levelEnd {
+			emitted++
+		}
+		return seen
 	}
 	if vis != nil {
 		yield = func(nxt ioa.State) bool {
@@ -420,7 +445,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	}
 	var sc ioa.Scratch // the decoded state being expanded
 	limited := false
-	for i := 0; i < st.Len() && !limited; i++ {
+	for i := 0; i < st.Len() && (!limited || sum != nil); i++ {
 		if i&63 == 0 {
 			if err := ctx.Err(); err != nil {
 				return order, nil, err
@@ -432,20 +457,37 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 				rep.emit(0, int64(st.Len()), int64(st.Len()-i), false)
 			}
 		}
+		if i == levelEnd && !limited {
+			level, levelEnd = level+1, st.Len()
+			if o != nil && sum != nil {
+				o.Explore.Levels.Add(1)
+				o.Explore.Frontier.Observe(int64(levelEnd - i))
+			}
+		}
 		cur = store.ID(i)
 		sc.Reset()
 		s := state(&sc, cur)
+		if visit != nil {
+			visit(s)
+		}
 		if pred != nil {
 			if !pred(s) {
 				at := func(id store.ID) ioa.State { return state(nil, id) }
 				return order, &Violation{State: at(cur), Trace: witnessFromCrumbs(a, at, crumbs, cur)}, nil
 			}
-			if st.Len() >= limit {
+			if strict && st.Len() >= limit {
 				return order, nil, errLimit(a, limit)
 			}
 		}
-		// Only the probe mode of Reach and Visit ever stops the walk.
+		if limited {
+			continue
+		}
+		// Only the probe mode of Reach, Census and Visit ever stops the
+		// walk.
 		limited = !step.Visit(s, yield)
+		if step.Enabled == 0 {
+			deadlocks++
+		}
 		if vis != nil && !limited {
 			vis.Expanded(i)
 		}

@@ -127,13 +127,11 @@ func (lv *levelScratch) claimed(wi, i int) bool {
 }
 
 // parallelExplore is the shared engine under the parallel Reach and
-// CheckInvariant paths and the in-RAM Census. When pred is non-nil it is
-// evaluated on every level in ID order and the first failing state is
-// returned as a Violation with a witness built from the crumb chain.
-// deadlocks counts the expanded states that enabled nothing: all of
-// them when the walk ran to completion.
-// Cancellation is checked at level granularity.
-func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (states []ioa.State, v *Violation, maxDepth int, deadlocks int64, err error) {
+// CheckInvariant paths. When pred is non-nil it is evaluated on every
+// level in ID order and the first failing state is returned as a
+// Violation with a witness built from the crumb chain. Cancellation is
+// checked at level granularity.
+func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (states []ioa.State, v *Violation, err error) {
 	ctx = ctxOr(ctx)
 	w := e.opts.WorkerCount()
 	limit := e.opts.limit()
@@ -147,12 +145,12 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	}
 	gst, err := store.Open(e.opts.Spill, e.opts.Canon)
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, nil, err
 	}
 	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
 	defer gst.Close()
-	// states is indexed by ID and is also the returned order; maxDepth
-	// is the last completed BFS level.
+	// states is indexed by ID and is also the returned order.
+	maxDepth := 0 // the last completed BFS level
 	rep := reporter{o: o, st: gst, phase: "explore"}
 	defer func() { rep.emit(int64(maxDepth), int64(len(states)), 0, true) }()
 	var crumbs []crumb // indexed by ID; kept only under a predicate
@@ -187,30 +185,29 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 	}
 	admit(lv.gather())
 	if err := gst.Err(); err != nil {
-		return nil, nil, 0, 0, seenErr(a, err)
+		return nil, nil, seenErr(a, err)
 	}
 	if pred != nil {
 		if v := checkLevel(a, states, crumbs, 0, pred); v != nil {
-			return states, v, maxDepth, deadlocks, nil
+			return states, v, nil
 		}
 		if len(states) >= limit {
-			return states, nil, maxDepth, deadlocks, errLimit(a, limit)
+			return states, nil, errLimit(a, limit)
 		}
 	}
 
 	for depth, from := 1, 0; from < len(states); depth++ {
 		if err := ctx.Err(); err != nil {
-			return states, nil, maxDepth, deadlocks, err
+			return states, nil, err
 		}
 		levelStart := o.Now()
 		frontier := len(states) - from
-		next, dead := expandLevel(a, gst, lv, states, from, probes, steps, depth, o)
-		deadlocks += dead
+		next := expandLevel(a, gst, lv, states, from, probes, steps, depth, o)
 		if err := gst.Err(); err != nil {
 			// A worker's probe latched a storage failure during the
 			// frozen phase: the candidate set may be incomplete, so the
 			// level is abandoned.
-			return states, nil, maxDepth, deadlocks, seenErr(a, err)
+			return states, nil, seenErr(a, err)
 		}
 		if o != nil {
 			o.Explore.Levels.Add(1)
@@ -227,7 +224,7 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		if room <= 0 {
 			// An unseen state exists beyond a full budget: the
 			// sequential contract returns the partial result as-is.
-			return states, nil, maxDepth, deadlocks, errLimit(a, limit)
+			return states, nil, errLimit(a, limit)
 		}
 		over := len(next) > room
 		if over {
@@ -237,32 +234,31 @@ func (e *Engine) parallelExplore(ctx context.Context, a ioa.Automaton, pred func
 		from = len(states)
 		admit(next)
 		if err := gst.Err(); err != nil {
-			return states[:from], nil, maxDepth, deadlocks, seenErr(a, err)
+			return states[:from], nil, seenErr(a, err)
 		}
 		rep.emit(int64(depth), int64(len(states)), int64(len(states)-from), false)
 		if pred != nil {
 			if v := checkLevel(a, states, crumbs, from, pred); v != nil {
-				return states, v, maxDepth, deadlocks, nil
+				return states, v, nil
 			}
 		}
 		// With a predicate, mirror CheckInvariant's stricter budget
 		// check: it errors once the node store is full even when the
 		// frontier is about to empty.
 		if over || (pred != nil && len(states) >= limit) {
-			return states, nil, maxDepth, deadlocks, errLimit(a, limit)
+			return states, nil, errLimit(a, limit)
 		}
 	}
-	return states, nil, maxDepth, deadlocks, nil
+	return states, nil, nil
 }
 
 // expandLevel computes the undiscovered successors of the frontier
 // states[from:], deduplicated (first discovery per state) and in
-// first-discovery order, ready for the coordinator to intern, and counts
-// the frontier states that enable nothing. The store is frozen
-// meanwhile; a worker asks it only about successors its own set lacks, a
-// hit there being a duplicate the store cannot hold.
+// first-discovery order, ready for the coordinator to intern. The store
+// is frozen meanwhile; a worker asks it only about successors its own
+// set lacks, a hit there being a duplicate the store cannot hold.
 func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states []ioa.State, from int,
-	probes []store.MemberProbe, steps []*ioa.Walk, depth int, o *obs.Obs) (next []member, deadlocks int64) {
+	probes []store.MemberProbe, steps []*ioa.Walk, depth int, o *obs.Obs) []member {
 	var cursor int64
 	const chunk = 16
 	var wg sync.WaitGroup
@@ -275,7 +271,7 @@ func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states [
 			// increments), flushed to the sharded counter once per
 			// level — so the disabled path stays metric-free and the
 			// enabled path stays contention-free.
-			var emitted, dead int64
+			var emitted int64
 			workStart := o.Now()
 			probe, step, set := probes[wi], steps[wi], &lv.sets[wi]
 			var curParent store.ID
@@ -299,12 +295,8 @@ func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states [
 				for i := end - chunk; i < min(end, len(states)); i++ {
 					curParent = store.ID(i)
 					step.Visit(states[i], yield)
-					if step.Enabled == 0 {
-						dead++
-					}
 				}
 			}
-			atomic.AddInt64(&deadlocks, dead)
 			if o != nil {
 				o.Explore.Successors.AddShard(wi, emitted)
 				o.Tracer.Complete(wi+1, "explore", "expand", workStart,
@@ -313,7 +305,7 @@ func expandLevel(a ioa.Automaton, seen store.SeenSet, lv *levelScratch, states [
 		}(wi)
 	}
 	wg.Wait()
-	return lv.gather(), deadlocks
+	return lv.gather()
 }
 
 // checkLevel evaluates pred over the newly admitted states (IDs from

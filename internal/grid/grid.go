@@ -129,8 +129,9 @@ func (g *Grid) Enabled(s ioa.State) []ioa.Action {
 func (g *Grid) Parts() []ioa.Class { return g.parts }
 
 // Decode rebuilds a grid state from its canonical encoding (the digit
-// bytes) — the Options.Decode hook for external Census and the
-// cluster workers.
+// bytes). It makes the grid an ioa.Decodable, so the sequential kernel
+// keeps each state as its encoding alone and decodes it when it expands
+// it, and it is the Options.Decode hook of the external Census.
 func (g *Grid) Decode(enc []byte) (ioa.State, error) {
 	if len(enc) != g.k {
 		return nil, fmt.Errorf("grid: encoding is %d bytes, want %d", len(enc), g.k)
@@ -144,3 +145,4 @@ func (g *Grid) Decode(enc []byte) (ioa.State, error) {
 }
 
 var _ ioa.Automaton = (*Grid)(nil)
+var _ ioa.Decodable = (*Grid)(nil)

@@ -582,17 +582,33 @@ func Encoder(a Automaton) func(dst []byte, s State) []byte {
 	return AppendState
 }
 
+// A Decodable automaton can rebuild any of its states from the bytes
+// AppendState writes for it.
+type Decodable interface {
+	Decode(enc []byte) (State, error)
+}
+
 // Decoder returns the inverse of Encoder(a) when a is a Hide/Rename
-// chain ending in a composition, and nil otherwise. The function it
-// returns rebuilds a tag-1 encoding as the composition's tuples, each
-// leaf part the cell its index names, laid out in sc — borrowed until
-// sc is reset — or on the heap when sc is nil; a tag-0 encoding decodes
-// to nil. Encodings are only meaningful to the composition that made
-// them.
+// chain ending in a composition or in a Decodable, and nil otherwise.
+// Over a composition the function it returns rebuilds a tag-1 encoding
+// as the composition's tuples, each leaf part the cell its index names,
+// laid out in sc — borrowed until sc is reset — or on the heap when sc
+// is nil; a tag-0 encoding decodes to nil. Encodings are only
+// meaningful to the composition that made them. Over a Decodable it
+// ignores sc and panics on an encoding Decode refuses.
 func Decoder(a Automaton) func(sc *Scratch, enc []byte) State {
 	_, under := wrappers(a)
-	if c, ok := under.(*Composite); ok {
-		return c.decodeCells
+	switch u := under.(type) {
+	case *Composite:
+		return u.decodeCells
+	case Decodable:
+		return func(_ *Scratch, enc []byte) State {
+			s, err := u.Decode(enc)
+			if err != nil {
+				panic(fmt.Sprintf("ioa: %s: decode: %v", a.Name(), err))
+			}
+			return s
+		}
 	}
 	return nil
 }
