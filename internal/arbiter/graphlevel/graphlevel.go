@@ -9,7 +9,8 @@ package graphlevel
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/ioa"
@@ -23,16 +24,16 @@ const (
 )
 
 // State is a state of A₂: one arrow set per directed edge of the
-// graph (§3.2.1). Immutable; mutators return copies, or the receiver
-// itself when they change nothing.
+// graph (§3.2.1). Its key is its only copy of them: byte id of the key
+// is '0' plus the arrow set of directed edge id. Immutable; mutators
+// return copies, or the receiver itself when they change nothing.
 type State struct {
-	tree   *graph.Tree
-	arrows []uint8 // indexed by directed edge ID
-	key    string
+	tree *graph.Tree
+	key  string
 	// root caches the head of the grant arrow (-1 if none); computed
-	// once at construction since states are immutable.
-	root      int
-	rootCount int
+	// once at construction since states are immutable. 32 bits each
+	// keep the struct in a 32-byte size class.
+	root, rootCount int32
 }
 
 var _ ioa.State = (*State)(nil)
@@ -40,24 +41,40 @@ var _ ioa.State = (*State)(nil)
 // NewState builds a state from explicit arrow sets (indexed by the
 // tree's directed-edge IDs).
 func NewState(t *graph.Tree, arrows []uint8) *State {
-	return newState(t, append([]uint8(nil), arrows...))
+	return AdoptState(t, append([]uint8(nil), arrows...))
 }
 
-// newState is NewState taking ownership of arrows.
-func newState(t *graph.Tree, arrows []uint8) *State {
-	s := &State{tree: t, arrows: arrows, root: -1}
-	var b strings.Builder
-	b.Grow(len(arrows))
-	for id, a := range s.arrows {
-		b.WriteByte('0' + a)
-		if a&bitGrant != 0 {
+// AdoptState is NewState taking ownership of arrows: it rewrites them
+// in place into the state's key, which then shares their memory, so
+// the caller must neither read nor write the slice afterwards.
+func AdoptState(t *graph.Tree, arrows []uint8) *State {
+	for id := range arrows {
+		arrows[id] += '0'
+	}
+	return fromKey(t, arrows)
+}
+
+// fromKey builds the state whose key is the given bytes, which it
+// owns: the key string is made over them, not copied.
+func fromKey(t *graph.Tree, key []byte) *State {
+	s := &State{tree: t, key: owned(key), root: -1}
+	for id, c := range key {
+		if (c-'0')&bitGrant != 0 {
 			_, w := t.Edge(id)
-			s.root = w
+			s.root = int32(w)
 			s.rootCount++
 		}
 	}
-	s.key = b.String()
 	return s
+}
+
+// owned returns b as a string sharing its memory; nothing may write b
+// afterwards.
+func owned(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }
 
 // Key implements ioa.State.
@@ -66,56 +83,75 @@ func (s *State) Key() string { return s.key }
 // Tree returns the underlying graph.
 func (s *State) Tree() *graph.Tree { return s.tree }
 
+// has reports whether the arrow set of directed edge id holds bit.
+func (s *State) has(id int, bit uint8) bool { return (s.key[id]-'0')&bit != 0 }
+
 // HasRequest reports whether a request arrow is on edge (v,w).
 func (s *State) HasRequest(v, w int) bool {
 	id, ok := s.tree.EdgeID(v, w)
-	return ok && s.arrows[id]&bitRequest != 0
+	return ok && s.has(id, bitRequest)
 }
 
 // HasGrant reports whether a grant arrow is on edge (v,w).
 func (s *State) HasGrant(v, w int) bool {
 	id, ok := s.tree.EdgeID(v, w)
-	return ok && s.arrows[id]&bitGrant != 0
+	return ok && s.has(id, bitGrant)
 }
 
 // Root returns the unique root — the node at the head of the grant
 // arrow — or -1 if no grant arrow is on any edge (which never happens
 // in reachable states, Lemma 35).
-func (s *State) Root() int { return s.root }
+func (s *State) Root() int { return int(s.root) }
 
 // RootCount returns the number of grant arrows in the state (Lemma 35
 // asserts this is always exactly 1).
-func (s *State) RootCount() int { return s.rootCount }
+func (s *State) RootCount() int { return int(s.rootCount) }
 
-// arrowChange is one bit change (v, w, set, clear) for mutate.
+// arrowChange is one bit change (edge ID, set, clear) for mutate.
 type arrowChange struct {
-	v, w       int
+	id         int
 	set, clear uint8
 }
 
-// mutate returns s with the given bit changes applied: s itself when
-// no bit changes (a request arrow already present), else a new state
-// over one copy of the arrow sets.
+// mutate returns s with the given bit changes applied in order: s
+// itself when no bit changes (a request arrow already present), else a
+// new state over one copy of the key, which keeps s's root unless a
+// grant arrow moved.
 func (s *State) mutate(changes ...arrowChange) *State {
-	arrows, copied := s.arrows, false
+	var key []byte
+	grantMoved := false
 	for _, c := range changes {
-		id, ok := s.tree.EdgeID(c.v, c.w)
-		if !ok {
-			panic(fmt.Sprintf("graphlevel: no edge (%d,%d)", c.v, c.w))
+		cur := s.key[c.id]
+		if key != nil {
+			cur = key[c.id]
 		}
-		next := arrows[id]&^c.clear | c.set
-		if next == arrows[id] {
+		next := '0' + ((cur-'0')&^c.clear | c.set)
+		if next == cur {
 			continue
 		}
-		if !copied {
-			arrows, copied = append([]uint8(nil), s.arrows...), true
+		if key == nil {
+			key = []byte(s.key)
 		}
-		arrows[id] = next
+		key[c.id] = next
+		grantMoved = grantMoved || (cur^next)&bitGrant != 0
 	}
-	if !copied {
+	switch {
+	case key == nil:
 		return s
+	case grantMoved:
+		return fromKey(s.tree, key)
 	}
-	return newState(s.tree, arrows)
+	return &State{tree: s.tree, key: owned(key), root: s.root, rootCount: s.rootCount}
+}
+
+// edgeID returns the ID of directed edge (v,w), which the caller knows
+// exists.
+func edgeID(t *graph.Tree, v, w int) int {
+	id, ok := t.EdgeID(v, w)
+	if !ok {
+		panic(fmt.Sprintf("graphlevel: no edge (%d,%d)", v, w))
+	}
+	return id
 }
 
 // RequestAct names the action request(v,w) for nodes of the tree.
@@ -128,25 +164,66 @@ func GrantAct(t *graph.Tree, v, w int) ioa.Action {
 	return ioa.Act("grant", t.Node(v).Name, t.Node(w).Name)
 }
 
-// requestingInto reports whether some arrow set arrows(w,a) carries a
-// request arrow.
-func requestingInto(s *State, a int) bool {
-	for _, w := range s.tree.Neighbors(a) {
-		if s.HasRequest(w, a) {
+// A node is an arbiter (or buffer) node a with the edge IDs its steps
+// read and write, resolved once when the automaton is built: for a's
+// k-th neighbor nb[k], in[k] is edge (nb[k], a) and out[k] is edge
+// (a, nb[k]); window[j][k] lists the in-edges of the neighbors
+// properly between nb[k] and nb[j] in a's cyclic order (Tree.Between).
+type node struct {
+	a       int
+	nb      []int
+	in, out []int
+	window  [][][]int
+}
+
+func newNode(t *graph.Tree, a int) *node {
+	nb := t.Neighbors(a)
+	n := &node{a: a, nb: nb, in: make([]int, len(nb)), out: make([]int, len(nb)), window: make([][][]int, len(nb))}
+	for k, w := range nb {
+		n.in[k], n.out[k] = edgeID(t, w, a), edgeID(t, a, w)
+	}
+	for j, v := range nb {
+		n.window[j] = make([][]int, len(nb))
+		for k, w := range nb {
+			for _, y := range t.Between(a, w, v) {
+				n.window[j][k] = append(n.window[j][k], edgeID(t, y, a))
+			}
+		}
+	}
+	return n
+}
+
+// grantFrom returns the index k of the neighbor with grant ∈
+// arrows(nb[k],a), or -1.
+func (n *node) grantFrom(s *State) int {
+	for k, id := range n.in {
+		if s.has(id, bitGrant) {
+			return k
+		}
+	}
+	return -1
+}
+
+// requested reports whether some arrow set arrows(nb[k],a) with k ≠
+// except carries a request arrow (except -1: any k).
+func (n *node) requested(s *State, except int) bool {
+	for k, id := range n.in {
+		if k != except && s.has(id, bitRequest) {
 			return true
 		}
 	}
 	return false
 }
 
-// grantSource returns the neighbor w with grant ∈ arrows(w,a), or -1.
-func grantSource(s *State, a int) int {
-	for _, w := range s.tree.Neighbors(a) {
-		if s.HasGrant(w, a) {
-			return w
-		}
+// canRequest is the precondition of request(a, nb[j]): some request
+// has arrived at a, (a, nb[j]) points toward the root, and the request
+// was not already forwarded on (a, nb[j]).
+func (n *node) canRequest(s *State, j int) bool {
+	if !n.requested(s, -1) || s.has(n.out[j], bitRequest) {
+		return false
 	}
-	return -1
+	root := s.Root()
+	return root >= 0 && root != n.a && s.tree.PointsToward(n.a, n.nb[j], root)
 }
 
 // New builds the automaton A₂ over the given tree (Figure 3.3), with
@@ -207,17 +284,18 @@ func NewWithOptions(t *graph.Tree, rootFrom, rootAt int, opts Options) (*ioa.Pro
 // (ignored unless the user actually holds it).
 func defineUserInputs(d *ioa.Def, t *graph.Tree, u int) {
 	a := t.UserAttachment(u)
+	ua, au := edgeID(t, u, a), edgeID(t, a, u)
 	d.Input(RequestAct(t, u, a), func(st ioa.State) ioa.State {
-		return st.(*State).mutate(arrowChange{v: u, w: a, set: bitRequest})
+		return st.(*State).mutate(arrowChange{id: ua, set: bitRequest})
 	})
 	d.Input(GrantAct(t, u, a), func(st ioa.State) ioa.State {
 		s := st.(*State)
-		if !s.HasGrant(a, u) {
+		if !s.has(au, bitGrant) {
 			return s // faulty return of a resource not held: ignored
 		}
 		return s.mutate(
-			arrowChange{v: a, w: u, clear: bitRequest | bitGrant},
-			arrowChange{v: u, w: a, set: bitGrant},
+			arrowChange{id: au, clear: bitRequest | bitGrant},
+			arrowChange{id: ua, set: bitGrant},
 		)
 	})
 }
@@ -227,8 +305,8 @@ func defineUserInputs(d *ioa.Def, t *graph.Tree, u int) {
 // root, and grant(a,v) forwarding the resource to the next requesting
 // neighbor after the one it arrived from (Figure 3.3).
 func defineArbiterActions(d *ioa.Def, t *graph.Tree, a int, opts Options) {
-	for _, v := range t.Neighbors(a) {
-		v := v
+	n := newNode(t, a)
+	for j, v := range n.nb {
 		// Arbiter nodes model one process each: one class per node.
 		// Buffer nodes model one message channel per direction: one
 		// class per (buffer, target) pair, mirroring the partition of
@@ -237,19 +315,9 @@ func defineArbiterActions(d *ioa.Def, t *graph.Tree, a int, opts Options) {
 		if t.Node(a).Kind == graph.Buffer {
 			class = t.Node(a).Name + "->" + t.Node(v).Name
 		}
-		// request(a,v): pre — some request has arrived at a, (a,v)
-		// points toward the root, and the request was not already
-		// forwarded on (a,v).
-		reqPre := func(st ioa.State) bool {
-			s := st.(*State)
-			if !requestingInto(s, a) || s.HasRequest(a, v) {
-				return false
-			}
-			root := s.Root()
-			return root >= 0 && root != a && s.tree.PointsToward(a, v, root)
-		}
+		reqPre := func(st ioa.State) bool { return n.canRequest(st.(*State), j) }
 		reqEff := func(st ioa.State) ioa.State {
-			return st.(*State).mutate(arrowChange{v: a, w: v, set: bitRequest})
+			return st.(*State).mutate(arrowChange{id: n.out[j], set: bitRequest})
 		}
 		d.Internal(RequestAct(t, a, v), class, reqPre, reqEff)
 
@@ -258,33 +326,36 @@ func defineArbiterActions(d *ioa.Def, t *graph.Tree, a int, opts Options) {
 		// in a's neighbor ordering.
 		grPre := func(st ioa.State) bool {
 			s := st.(*State)
-			if !s.HasRequest(v, a) {
+			if !s.has(n.in[j], bitRequest) {
 				return false
 			}
-			w := grantSource(s, a)
-			if w < 0 {
+			k := n.grantFrom(s)
+			if k < 0 {
 				return false
 			}
-			for _, y := range s.tree.Between(a, w, v) {
-				if s.HasRequest(y, a) {
+			for _, id := range n.window[j][k] {
+				if s.has(id, bitRequest) {
 					return false
 				}
 			}
 			return true
 		}
+		// The combined variant also places the follow-up request on
+		// (a,v) when, the request from v consumed, another neighbor is
+		// still requesting and (a,v) carries no request yet.
+		combine := opts.CombineGrantRequest && t.Node(v).Kind != graph.User
 		grEff := func(st ioa.State) ioa.State {
 			s := st.(*State)
-			w := grantSource(s, a)
-			next := s.mutate(
-				arrowChange{v: v, w: a, clear: bitRequest},
-				arrowChange{v: w, w: a, clear: bitGrant},
-				arrowChange{v: a, w: v, set: bitGrant},
-			)
-			if opts.CombineGrantRequest && t.Node(v).Kind != graph.User &&
-				requestingInto(next, a) && !next.HasRequest(a, v) {
-				next = next.mutate(arrowChange{v: a, w: v, set: bitRequest})
+			k := n.grantFrom(s)
+			set := bitGrant
+			if combine && !s.has(n.out[j], bitRequest) && n.requested(s, j) {
+				set |= bitRequest
 			}
-			return next
+			return s.mutate(
+				arrowChange{id: n.in[j], clear: bitRequest},
+				arrowChange{id: n.in[k], clear: bitGrant},
+				arrowChange{id: n.out[j], set: set},
+			)
 		}
 		if t.Node(v).Kind == graph.User {
 			d.Output(GrantAct(t, a, v), class, grPre, grEff)
@@ -375,16 +446,11 @@ func MutualExclusion(st ioa.State) bool {
 // at the head of a request arrow that has not forwarded it toward the
 // root either becomes the root or forwards the request.
 func FwdReq2(t *graph.Tree, a, v int) *proof.LeadsTo {
+	n := newNode(t, a)
+	j := slices.Index(n.nb, v)
 	return &proof.LeadsTo{
 		Name: fmt.Sprintf("FwdReq2(%s,%s)", t.Node(a).Name, t.Node(v).Name),
-		S: func(st ioa.State) bool {
-			s := st.(*State)
-			if !requestingInto(s, a) || s.HasRequest(a, v) {
-				return false
-			}
-			root := s.Root()
-			return root >= 0 && root != a && s.tree.PointsToward(a, v, root)
-		},
+		S:    func(st ioa.State) bool { return n.canRequest(st.(*State), j) },
 		T: func(act ioa.Action) bool {
 			return act == GrantAct(t, v, a) || act == RequestAct(t, a, v)
 		},

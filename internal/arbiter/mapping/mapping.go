@@ -9,6 +9,7 @@ package mapping
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/graphlevel"
@@ -25,7 +26,7 @@ import (
 //	holder = u      iff grant ∈ arrows(a,u)
 //	holder = a      iff no user-bound edge carries a grant arrow
 func H1(t *graph.Tree, a2r, a1 ioa.Automaton) *proof.PossMapping {
-	users := t.NodesOf(graph.User)
+	users, att := attachments(t)
 	return &proof.PossMapping{
 		A: a2r,
 		B: a1,
@@ -34,16 +35,7 @@ func H1(t *graph.Tree, a2r, a1 ioa.Automaton) *proof.PossMapping {
 			if !ok {
 				return nil
 			}
-			req := make([]bool, len(users))
-			holder := -1
-			for i, u := range users {
-				att := t.UserAttachment(u)
-				req[i] = s.HasRequest(u, att)
-				if s.HasGrant(att, u) {
-					holder = i
-				}
-			}
-			return []ioa.State{spec.NewState(req, holder)}
+			return []ioa.State{mapH1(users, att, s)}
 		},
 	}
 }
@@ -51,13 +43,28 @@ func H1(t *graph.Tree, a2r, a1 ioa.Automaton) *proof.PossMapping {
 // MapH1 applies the h₁ state function directly (for use in simulations
 // that track all three levels at once).
 func MapH1(t *graph.Tree, st *graphlevel.State) *spec.State {
-	users := t.NodesOf(graph.User)
+	users, att := attachments(t)
+	return mapH1(users, att, st)
+}
+
+// attachments returns the user nodes of t, ascending, and the arbiter
+// node each is attached to, index for index.
+func attachments(t *graph.Tree) (users, att []int) {
+	users = t.NodesOf(graph.User)
+	att = make([]int, len(users))
+	for i, u := range users {
+		att[i] = t.UserAttachment(u)
+	}
+	return users, att
+}
+
+// mapH1 is the h₁ state function over the users of attachments.
+func mapH1(users, att []int, st *graphlevel.State) *spec.State {
 	req := make([]bool, len(users))
 	holder := -1
 	for i, u := range users {
-		att := t.UserAttachment(u)
-		req[i] = st.HasRequest(u, att)
-		if st.HasGrant(att, u) {
+		req[i] = st.HasRequest(u, att[i])
+		if st.HasGrant(att[i], u) {
 			holder = i
 		}
 	}
@@ -88,6 +95,52 @@ type H2Map struct {
 	Sys Level3
 	// Aug is the buffer-augmented graph 𝒢.
 	Aug *graph.Tree
+
+	// The 𝒢 edges Apply writes, resolved from Sys and Aug on its first
+	// call: edges[p][i] for the p-th process of the assembly's Order
+	// and its i-th neighbor; err if 𝒢 lacks one.
+	once  sync.Once
+	edges [][]h2Edge
+	err   error
+}
+
+// An h2Edge is what Apply reads and writes for process a and its
+// neighbor v: the IDs of the 𝒢 edges (other, a) and (a, other), where
+// other is the node on a's side of the edge in 𝒢 (the user v itself,
+// or the buffer b(a,v)), and the names the channel (a,v) goes by.
+type h2Edge struct {
+	in, out      int
+	user         bool
+	aName, vName string
+}
+
+// resolve fills h.edges, or h.err.
+func (h *H2Map) resolve() {
+	asm, aug := h.Sys.Base(), h.Aug
+	g := asm.Tree
+	id := func(v, w int) int {
+		id, ok := aug.EdgeID(v, w)
+		if !ok && h.err == nil {
+			h.err = fmt.Errorf("mapping: no edge (%s,%s) in 𝒢", aug.Node(v).Name, aug.Node(w).Name)
+		}
+		return id
+	}
+	h.edges = make([][]h2Edge, len(asm.Order))
+	for p, a := range asm.Order {
+		for _, v := range g.Neighbors(a) {
+			e := h2Edge{user: g.Node(v).Kind == graph.User, aName: g.Node(a).Name, vName: g.Node(v).Name}
+			other := v
+			if !e.user {
+				var err error
+				if other, err = aug.BufferBetween(a, v); err != nil {
+					h.err = err
+					return
+				}
+			}
+			e.in, e.out = id(other, a), id(a, other)
+			h.edges[p] = append(h.edges[p], e)
+		}
+	}
 }
 
 // Level3 is a level-3 arbiter, A₃ (*dist.System) or A₃ʳ
@@ -108,77 +161,53 @@ func NewH2Map(sys *dist.System, aug *graph.Tree) *H2Map {
 // corresponding state of A₂ over 𝒢. It returns an error if the
 // composite state is malformed.
 func (h *H2Map) Apply(st ioa.State) (*graphlevel.State, error) {
+	h.once.Do(h.resolve)
+	if h.err != nil {
+		return nil, h.err
+	}
 	in, err := h.Sys.InTransit(st)
 	if err != nil {
 		return nil, err
 	}
-	asm, aug := h.Sys.Base(), h.Aug
-	g := asm.Tree
-	arrows := make([]uint8, aug.DirectedEdges())
+	asm := h.Sys.Base()
+	arrows := make([]uint8, h.Aug.DirectedEdges())
 	const (
 		bitRequest uint8 = 1
 		bitGrant   uint8 = 2
 	)
-	set := func(v, w int, bit uint8) error {
-		id, ok := aug.EdgeID(v, w)
-		if !ok {
-			return fmt.Errorf("mapping: no edge (%s,%s) in 𝒢", aug.Node(v).Name, aug.Node(w).Name)
-		}
-		arrows[id] |= bit
-		return nil
-	}
-	for _, a := range asm.Order {
+	for p, a := range asm.Order {
 		ps, err := asm.ProcStateOf(st, a)
 		if err != nil {
 			return nil, err
 		}
-		nb := g.Neighbors(a)
-		for i, v := range nb {
-			isUser := g.Node(v).Kind == graph.User
-			// "other" is the node on a's side of the edge in 𝒢: the
-			// user itself, or the buffer b(a,v).
-			other := v
-			if !isUser {
-				other, err = aug.BufferBetween(a, v)
-				if err != nil {
-					return nil, err
-				}
-			}
+		for i, e := range h.edges[p] {
 			// U1/A1: request into a iff v ∈ requesting_a.
 			if ps.Requesting(i) {
-				if err := set(other, a, bitRequest); err != nil {
-					return nil, err
-				}
+				arrows[e.in] |= bitRequest
 			}
 			// U2/A2: grant into a iff holding_a ∧ lastforward_a = v.
 			if ps.Holding() && ps.LastForward() == i {
-				if err := set(other, a, bitGrant); err != nil {
-					return nil, err
-				}
+				arrows[e.in] |= bitGrant
 			}
 			// U3/A3: request out of a iff requested_a ∧ lastforward_a = v.
 			if ps.Requested() && ps.LastForward() == i {
-				if err := set(a, other, bitRequest); err != nil {
-					return nil, err
-				}
+				arrows[e.out] |= bitRequest
 			}
 			// U4: grant ∈ arrows(a,u) iff ¬holding_a ∧ lastforward_a = u.
 			// A4: grant ∈ arrows(a, b(a,a')) iff a grant is in transit
 			// on the channel (a,a').
 			var grantOut bool
-			if isUser {
+			if e.user {
 				grantOut = !ps.Holding() && ps.LastForward() == i
 			} else {
-				grantOut = in.Has(g.Node(a).Name, g.Node(v).Name, dist.KindGrant)
+				grantOut = in.Has(e.aName, e.vName, dist.KindGrant)
 			}
 			if grantOut {
-				if err := set(a, other, bitGrant); err != nil {
-					return nil, err
-				}
+				arrows[e.out] |= bitGrant
 			}
 		}
 	}
-	return graphlevel.NewState(aug, arrows), nil
+	return graphlevel.AdoptState(h.Aug, arrows), nil
 }
 
 // H2 builds the possibilities mapping h₂ from a3r = f₂(A₃) (or

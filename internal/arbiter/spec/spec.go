@@ -6,6 +6,7 @@
 package spec
 
 import (
+	"strconv"
 	"strings"
 
 	"repro/internal/ioa"
@@ -35,39 +36,38 @@ func NewState(requesters []bool, holder int) *State {
 	return newState(append([]bool(nil), requesters...), holder)
 }
 
-// newState is NewState taking ownership of requesters.
+// newState is NewState taking ownership of requesters. The key is
+// built in one allocation, sized before it is written.
 func newState(requesters []bool, holder int) *State {
 	s := &State{requesters: requesters, holder: holder}
+	const head, tail = "req={", " } holder="
+	size := len(head) + len(tail) + len(itoa(holder))
+	for i, r := range s.requesters {
+		if r {
+			size += 1 + len(itoa(i))
+		}
+	}
 	var b strings.Builder
-	b.WriteString("req={")
+	b.Grow(size)
+	b.WriteString(head)
 	for i, r := range s.requesters {
 		if r {
 			b.WriteString(" ")
 			b.WriteString(itoa(i))
 		}
 	}
-	b.WriteString(" } holder=")
+	b.WriteString(tail)
 	b.WriteString(itoa(holder))
 	s.key = b.String()
 	return s
 }
 
+// itoa renders a user index, or ArbiterName for -1.
 func itoa(i int) string {
 	if i < 0 {
 		return ArbiterName
 	}
-	const digits = "0123456789"
-	if i == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	pos := len(buf)
-	for i > 0 {
-		pos--
-		buf[pos] = digits[i%10]
-		i /= 10
-	}
-	return string(buf[pos:])
+	return strconv.Itoa(i)
 }
 
 // Key implements ioa.State.
@@ -83,20 +83,19 @@ func (s *State) Holder() int { return s.holder }
 // NumUsers returns the number of users.
 func (s *State) NumUsers() int { return len(s.requesters) }
 
-// withRequest returns s with user u's request flag set to v: s itself
-// when it already is, else a new state over one copy of the flags.
-func (s *State) withRequest(u int, v bool) *State {
-	if s.requesters[u] == v {
-		return s
+// with returns s with user u's request flag set to req and holder h:
+// s itself when both already are, else one new state, over a copy of
+// the flags only when the flag changes.
+func (s *State) with(u int, req bool, h int) *State {
+	if s.requesters[u] == req {
+		if s.holder == h {
+			return s
+		}
+		return newState(s.requesters, h) // the flags are immutable: shared
 	}
-	req := append([]bool(nil), s.requesters...)
-	req[u] = v
-	return newState(req, s.holder)
-}
-
-// withHolder returns s with holder h, sharing s's (immutable) flags.
-func (s *State) withHolder(h int) *State {
-	return newState(s.requesters, h)
+	flags := append([]bool(nil), s.requesters...)
+	flags[u] = req
+	return newState(flags, h)
 }
 
 // Users names the users of an arbiter instance; user i is Users[i].
@@ -135,12 +134,13 @@ func New(users Users) *ioa.Prog {
 	for i, u := range users {
 		i := i
 		d.Input(Request(u), func(s ioa.State) ioa.State {
-			return s.(*State).withRequest(i, true)
+			st := s.(*State)
+			return st.with(i, true, st.holder)
 		})
 		d.Input(Return(u), func(s ioa.State) ioa.State {
 			st := s.(*State)
 			if st.holder == i {
-				return st.withHolder(-1)
+				return st.with(i, st.requesters[i], -1)
 			}
 			return st
 		})
@@ -150,7 +150,7 @@ func New(users Users) *ioa.Prog {
 				return st.requesters[i] && st.holder == -1
 			},
 			func(s ioa.State) ioa.State {
-				return s.(*State).withRequest(i, false).withHolder(i)
+				return s.(*State).with(i, false, i)
 			})
 	}
 	return d.MustBuild()

@@ -419,8 +419,9 @@ type ProofMetrics struct {
 	// to the end of the next. At one worker that is stepping the state,
 	// interning its successors, Map on the new ones and the checks on
 	// its steps; at two or more the walk runs on its own goroutine, and
-	// this times the checking side: Map, the checks, and any wait for
-	// the walk.
+	// this times the checking side only: Map and the checks, the clock
+	// restarting when a batch of the walk's calls arrives, so no wait
+	// for the walk is counted.
 	StateNS *Histogram
 }
 

@@ -242,6 +242,9 @@ func (w *walk) relayed(opts explore.Options) (reachA []ioa.State, err error) {
 		r.flush()
 	}()
 	for b := range r.full {
+		if w.o != nil {
+			w.last = w.o.Now() // the wait for this batch is the walk's time
+		}
 		for _, e := range b {
 			switch e.kind {
 			case 'a':

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/mapping"
@@ -465,6 +466,46 @@ func TestProofObsIndependentOfWorkers(t *testing.T) {
 			if p.Done || p.States > p.Total {
 				t.Errorf("workers=%d: heartbeat %+v", w, p)
 			}
+		}
+	}
+}
+
+// sleepy sleeps in every Next call on its automaton and adds the time
+// slept to slept.
+type sleepy struct {
+	ioa.Automaton
+	slept *atomic.Int64
+}
+
+func (s sleepy) Next(sc *ioa.Scratch, st ioa.State, act ioa.Action, yield func(ioa.State) bool) bool {
+	t0 := time.Now()
+	time.Sleep(100 * time.Microsecond)
+	s.slept.Add(int64(time.Since(t0)))
+	return s.Automaton.Next(sc, st, act, yield)
+}
+
+// TestProofObsStateNSTimesChecksOnly: proof.map_state_check_ns times
+// the checks. At one worker A is stepped between two states' checks,
+// so the histogram's sum covers every sleep in A's Next; at two or
+// more the walk steps A on its own goroutine, and the time the checks
+// spend waiting for it is not counted: the sum stays well below the
+// sleeps' total.
+func TestProofObsStateNSTimesChecksOnly(t *testing.T) {
+	line, dot := line(100)
+	for _, w := range batteryWorkers {
+		var slept atomic.Int64
+		h := &proof.PossMapping{A: sleepy{line, &slept}, B: dot,
+			Map: func(ioa.State) []ioa.State { return dot.Start() }}
+		o := obs.New(nil)
+		if err := h.VerifyOpts(explore.Options{Workers: w, Obs: o}); err != nil {
+			t.Fatal(err)
+		}
+		sum, total := o.Proof.StateNS.Snapshot().Sum, slept.Load()
+		switch {
+		case w == 1 && sum < total:
+			t.Errorf("workers=1: state check times sum to %v, below the %v A's Next slept", time.Duration(sum), time.Duration(total))
+		case w > 1 && sum > total/4:
+			t.Errorf("workers=%d: state check times sum to %v, a quarter or more of the %v A's Next slept: waits for the walk counted", w, time.Duration(sum), time.Duration(total))
 		}
 	}
 }
