@@ -29,8 +29,8 @@
 //
 // -reach explores the reachable state space instead of simulating,
 // reporting the state count and the quiescent states, through the
-// knobs of explore.Flags: -workers (0 = GOMAXPROCS, 1 = sequential;
-// the BFS visit order is identical at any count) and -limit,
+// knobs of explore.Flags: -workers (0 = GOMAXPROCS; exploration runs
+// the sequential kernel at any count) and -limit,
 // which arbiterbench shares, and -spill-dir/-spill-mem-mb, which
 // back the seen set with the disk-spilling store — for a system with a
 // canonical decodable encoding (grid, the m^k-state scale harness) the

@@ -16,8 +16,8 @@ import (
 // first orderStates states where it has more: mutex has 288 800, A₃ʳ's
 // retransmissions more than a million), at workers 2, 3 and 8, on the
 // arena and on a spill that flushes every kilobyte, with no
-// canonicalizer and with the catalogue's, the level engine returns the
-// one-worker kernel's Reach slice element by element (and
+// canonicalizer and with the catalogue's, Reach returns the one-worker
+// kernel's Reach slice element by element (and
 // ReferenceReach's, which has no canonicalizer), the same CheckInvariant
 // violation with the same witness, and the same partial result under a
 // limit of half the states.

@@ -106,56 +106,38 @@ func BenchmarkCheckInvariantArbiter(b *testing.B) {
 }
 
 // BenchmarkLevelMerge is a walk where the level set, not the automaton,
-// is the workload: the 7^5 grid (16 807 states, four in five successors
-// a duplicate inside its level), as ram — a two-worker Reach, the
-// level-synchronized engine — and as spill — the external census, its
-// chunk a fifth of the encoded state space. B/op over the states metric
-// is bytes allocated per state. The successor and run counts come from
-// one untimed instrumented run.
+// is the workload: the external census of the 7^5 grid (16 807 states,
+// four in five successors a duplicate inside its level), its chunk a
+// fifth of the encoded state space. B/op over the states metric is bytes
+// allocated per state. The run count comes from one untimed instrumented
+// run.
 func BenchmarkLevelMerge(b *testing.B) {
 	g, err := grid.New(7, 5)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, mode := range []string{"ram", "spill"} {
-		b.Run(mode, func(b *testing.B) {
-			opts := explore.Options{Workers: 2, Limit: int(g.States()), Obs: obs.New(nil)}
-			walk := func(eng *explore.Engine) (int64, error) {
-				states, err := eng.Reach(ctx, g)
-				return int64(len(states)), err
-			}
-			if mode == "spill" {
-				opts.Decode = g.Decode
-				opts.Spill = &store.SpillOptions{Dir: b.TempDir(), MemBudget: 16 << 10}
-				walk = func(eng *explore.Engine) (int64, error) {
-					sum, err := eng.Census(ctx, g, nil, nil)
-					return sum.States, err
-				}
-			}
-			if _, err := walk(explore.New(opts)); err != nil {
+	b.Run("spill", func(b *testing.B) {
+		opts := explore.Options{Limit: int(g.States()), Obs: obs.New(nil), Decode: g.Decode,
+			Spill: &store.SpillOptions{Dir: b.TempDir(), MemBudget: 16 << 10}}
+		if _, err := explore.New(opts).Census(ctx, g, nil, nil); err != nil {
+			b.Fatal(err)
+		}
+		runs := opts.Obs.Store.SpillRuns.Value()
+		opts.Obs = nil
+		eng := explore.New(opts)
+		var sum explore.Summary
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if sum, err = eng.Census(ctx, g, nil, nil); err != nil {
 				b.Fatal(err)
 			}
-			successors, runs := opts.Obs.Explore.Successors.Value(), opts.Obs.Store.SpillRuns.Value()
-			opts.Obs = nil
-			eng := explore.New(opts)
-			var states int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if states, err = walk(eng); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if states != g.States() {
-				b.Fatalf("walk counted %d states, want %d", states, g.States())
-			}
-			b.ReportMetric(float64(states), "states")
-			if mode == "ram" {
-				b.ReportMetric(float64(successors), "successors")
-			} else {
-				b.ReportMetric(float64(runs), "runs")
-			}
-		})
-	}
+		}
+		if sum.States != g.States() {
+			b.Fatalf("census counted %d states, want %d", sum.States, g.States())
+		}
+		b.ReportMetric(float64(sum.States), "states")
+		b.ReportMetric(float64(runs), "runs")
+	})
 }

@@ -4,9 +4,9 @@ package explore_test
 // init turns ioa's scratch poisoning on for the whole test binary: every
 // Walk.Visit then overwrites what the Visit before it lent, so a loop
 // that retains a successor without ioa.Keep hands garbage to the
-// differential, spill, merge and census batteries — which is what makes
-// those, unedited, the tests of seqExplore's, expandLevel's and the
-// census's side of the contract. The must-fail arm below shows the
+// differential, spill and census batteries — which is what makes those,
+// unedited, the tests of seqExplore's and the census's side of the
+// contract. The must-fail arm below shows the
 // switch catches exactly that mistake; the allocation fence shows what
 // the contract buys.
 

@@ -18,8 +18,7 @@ import (
 // TestSeqKernelInternsCellIndices: the sequential kernel interns a
 // composite's state as ioa.Encoder's bytes — a tag and one uvarint cell
 // index per leaf, at most two bytes each on arbiter3, where the Key runs
-// to hundreds — while the level engine, which orders candidates by
-// their bytes, still interns AppendState's.
+// to hundreds — at one worker and at two.
 func TestSeqKernelInternsCellIndices(t *testing.T) {
 	a, err := bench.ExploreSystem(3, 4)
 	if err != nil {
@@ -33,19 +32,13 @@ func TestSeqKernelInternsCellIndices(t *testing.T) {
 		}
 		return states, o.Store.ArenaBytes.Value()
 	}
-	states, seq := reach(1)
-	leaves := leafCount(states[0])
-	if bound := int64(len(states) * (1 + 2*leaves)); seq > bound {
-		t.Fatalf("Workers 1: %d states of %d leaves take %d arena bytes (%.1f a state), over the %d cell indices allow",
-			len(states), leaves, seq, float64(seq)/float64(len(states)), bound)
-	}
-	states, par := reach(2)
-	var keys int64
-	for _, s := range states {
-		keys += int64(len(ioa.AppendState(nil, s)))
-	}
-	if par != keys {
-		t.Fatalf("Workers 2: the arena holds %d bytes, the states' AppendState encodings %d", par, keys)
+	for _, workers := range []int{1, 2} {
+		states, arena := reach(workers)
+		leaves := leafCount(states[0])
+		if bound := int64(len(states) * (1 + 2*leaves)); arena > bound {
+			t.Fatalf("Workers %d: %d states of %d leaves take %d arena bytes (%.1f a state), over the %d cell indices allow",
+				workers, len(states), leaves, arena, float64(arena)/float64(len(states)), bound)
+		}
 	}
 }
 
@@ -62,12 +55,12 @@ func leafCount(s ioa.State) int {
 	return n
 }
 
-// TestCheckInvariantKeepsNoStates: a warmed-up one-worker CheckInvariant
-// on the closed level-3 arbiter with five users allocates about one
-// object per checked state — the Enabled list — and no copy of the
-// state, which the kernel decodes from its cell indices in the store
-// when it expands it. A kernel that keeps a heap tuple per admitted
-// state allocates five objects per state here.
+// TestCheckInvariantKeepsNoStates: a warmed-up CheckInvariant on the
+// closed level-3 arbiter with five users allocates about one object per
+// checked state — the Enabled list — and no copy of the state, which
+// the kernel decodes from its cell indices in the store when it expands
+// it, at any worker count. A kernel that keeps a heap tuple per
+// admitted state allocates five objects per state here.
 func TestCheckInvariantKeepsNoStates(t *testing.T) {
 	ioa.SetScratchPoison(false) // a poisoned scratch abandons its memory on every Reset
 	defer ioa.SetScratchPoison(true)
@@ -75,30 +68,32 @@ func TestCheckInvariantKeepsNoStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := explore.New(explore.Options{Workers: 1})
-	checked := 0
-	check := func() {
-		checked = 0
-		v, err := eng.CheckInvariant(context.Background(), a, func(s ioa.State) bool {
-			checked++
-			return bench.MutexInvariant(s)
-		})
-		if err != nil || v != nil {
-			t.Fatalf("CheckInvariant: violation %v, error %v", v, err)
+	for _, workers := range []int{1, 2, 8} {
+		eng := explore.New(explore.Options{Workers: workers})
+		checked := 0
+		check := func() {
+			checked = 0
+			v, err := eng.CheckInvariant(context.Background(), a, func(s ioa.State) bool {
+				checked++
+				return bench.MutexInvariant(s)
+			})
+			if err != nil || v != nil {
+				t.Fatalf("Workers %d: CheckInvariant: violation %v, error %v", workers, v, err)
+			}
 		}
-	}
-	check() // fill the composite's cells and memo rows
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	check()
-	runtime.ReadMemStats(&after)
-	if checked != 4837 {
-		t.Fatalf("checked %d states, want 4837", checked)
-	}
-	perState := float64(after.Mallocs-before.Mallocs) / float64(checked)
-	t.Logf("%.2f objects allocated per checked state", perState)
-	if perState > 2 {
-		t.Fatalf("%d objects allocated for %d checked states: %.2f a state, want at most 2", after.Mallocs-before.Mallocs, checked, perState)
+		check() // fill the composite's cells and memo rows
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		check()
+		runtime.ReadMemStats(&after)
+		if checked != 4837 {
+			t.Fatalf("Workers %d: checked %d states, want 4837", workers, checked)
+		}
+		perState := float64(after.Mallocs-before.Mallocs) / float64(checked)
+		t.Logf("Workers %d: %.2f objects allocated per checked state", workers, perState)
+		if perState > 2 {
+			t.Fatalf("Workers %d: %d objects allocated for %d checked states: %.2f a state, want at most 2", workers, after.Mallocs-before.Mallocs, checked, perState)
+		}
 	}
 }
 

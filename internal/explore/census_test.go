@@ -20,8 +20,8 @@ import (
 // allocates per state what walking the state costs (its Enabled list and
 // successors) plus at most the decoded state itself, and when it visits
 // its last state nothing it admitted is alive on the heap but the store.
-// A census that keeps a heap copy of every state — the level engine, on
-// a composite five objects a state — fails the first bound on the closed
+// A census that keeps a heap copy of every state — five objects a state
+// on a composite — fails the first bound on the closed
 // arbiter and the second on both systems.
 func TestCensusKeepsNoStates(t *testing.T) {
 	ioa.SetScratchPoison(false) // a poisoned scratch abandons its memory on every Reset
@@ -146,7 +146,7 @@ func TestCensusMatchesReach(t *testing.T) {
 		// A violation two thirds of the way through the BFS order, and
 		// the length of its shortest execution.
 		target, steps := ref[2*len(ref)/3].Key(), int(depth[key(ref[2*len(ref)/3])])
-		for _, w := range mergeWorkers {
+		for _, w := range []int{1, 2, 3, 8} {
 			census := func(limit int, pred func(ioa.State) bool) (explore.Summary, []string, error) {
 				opts := explore.Options{Workers: w, Limit: limit, Canon: sys.canon}
 				if sys.spill {

@@ -11,20 +11,21 @@ package explore
 // dense uint64 IDs instead of string-keyed maps; successor enumeration
 // goes through an ioa.Walk, which borrows each successor from its own
 // scratch memory, so a successor that is found already interned
-// allocates nothing and only a kept one is copied to the heap. Every
-// engine numbers states in the same order, BFS discovery order. The
-// level engine, the external census and the cluster encode with
-// ioa.AppendState — the bytes of Key(), streamed without building the
-// string, which the external census and the spill store sort. The
-// sequential kernel interns ioa.Encoder's encoding, which for a
-// composition is its leaves' cell indices: equal iff the Keys are, a few
-// bytes long, and built without reading a leaf's key. Those bytes (an
-// ioa.Decodable's Key bytes) are the state (ioa.Decoder), so where
-// nothing needs a heap state the kernel keeps none: its frontier is the
-// store's unexpanded IDs, each decoded when it comes up. The visit order
-// is bit-identical to the string-keyed seed explorer (reference.go keeps
-// it as the differential oracle): interning preserves first-insertion
-// order, and both encodings decide equality as the Key() does.
+// allocates nothing and only a kept one is copied to the heap. Reach,
+// CheckInvariant, Visit, Graph and the in-RAM Census all run one
+// sequential kernel, seqExplore, whatever Options.Workers says; the
+// external census and the cluster have level loops of their own, encode
+// with ioa.AppendState — the bytes of Key(), streamed without building
+// the string — and order chunks by them. The kernel interns
+// ioa.Encoder's encoding, which for a composition is its leaves' cell
+// indices: equal iff the Keys are, a few bytes long, and built without
+// reading a leaf's key. Those bytes (an ioa.Decodable's Key bytes) are
+// the state (ioa.Decoder), so where nothing needs a heap state the
+// kernel keeps none: its frontier is the store's unexpanded IDs, each
+// decoded when it comes up. The visit order is bit-identical to the
+// string-keyed seed explorer (reference.go keeps it as the differential
+// oracle): interning preserves first-insertion order, and both encodings
+// decide equality as the Key() does.
 
 import (
 	"context"
@@ -42,22 +43,21 @@ const DefaultLimit = 1 << 20
 
 // Options parameterizes an exploration Engine.
 type Options struct {
-	// Workers is the number of exploration goroutines. 0 means
-	// GOMAXPROCS. At 1 Reach and CheckInvariant run the sequential
-	// kernel; above 1 they run the level-synchronized engine. Both
-	// number states in BFS discovery order, so the result is the same
-	// at any worker count. The in-RAM Census runs the sequential kernel
-	// at every worker count.
+	// Workers is the number of goroutines a check may use. 0 means
+	// GOMAXPROCS. Every Engine method runs on the calling goroutine
+	// whatever it says; at two or more a possibilities-mapping check
+	// (package proof) walks A on a goroutine of its own beside its
+	// condition pass.
 	Workers int
 	// Limit is the maximum number of states to admit (0 =
-	// DefaultLimit). The ErrLimit contract is shared by both engines:
-	// the partial result holds exactly Limit states and ErrLimit is
-	// returned iff an unseen state remains.
+	// DefaultLimit). Reach's partial result holds exactly Limit states
+	// and ErrLimit is returned iff an unseen state remains;
+	// CheckInvariant's stricter contract is seqExplore's.
 	Limit int
-	// Obs, when non-nil, enables observability: per-level spans and
-	// frontier/latency histograms, per-worker expansion spans, the
-	// successor counter, and the state-store occupancy and arena-bytes
-	// gauges. Level timing reads the Obs clock (obs.New injects it).
+	// Obs, when non-nil, enables observability: the level counter,
+	// frontier histogram and successor counter, a progress snapshot
+	// and memo counter series per level, the exploration's trace span,
+	// and the state-store occupancy and arena-bytes gauges.
 	// Nil (the default) is the disabled fast path — the engine performs
 	// no clock reads and no metric writes. Observability never affects
 	// the explored state set.
@@ -91,8 +91,8 @@ type Options struct {
 	Decode func(enc []byte) (ioa.State, error)
 }
 
-// WorkerCount resolves Workers: the number of goroutines the parallel
-// engine runs under these options.
+// WorkerCount resolves Workers: the number of goroutines a check runs
+// under these options.
 func (o Options) WorkerCount() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -129,12 +129,11 @@ func seenErr(a ioa.Automaton, err error) error {
 }
 
 // reporter is the one progress and gauge emitter under every loop: the
-// sequential kernel, the level-synchronized engine and the external
-// census all publish through it, so they cannot disagree about what a
-// running or a finished exploration reports. Each loop defers one
-// emit(…, done=true), so completion, violation, ErrLimit and
-// cancellation all leave through the same report. With a nil Obs emit
-// is a no-op.
+// sequential kernel and the external census both publish through it, so
+// they cannot disagree about what a running or a finished exploration
+// reports. Each loop defers one emit(…, done=true), so completion,
+// violation, ErrLimit and cancellation all leave through the same
+// report. With a nil Obs emit is a no-op.
 type reporter struct {
 	o       *obs.Obs
 	st      store.SeenSet
@@ -191,18 +190,13 @@ func ctxOr(ctx context.Context) context.Context {
 }
 
 // Reach computes the reachable states of a, visiting at most
-// Options.Limit states, sequentially at one worker and via the sharded
-// parallel engine otherwise. The result is BFS discovery order at any
-// worker count, bit-identical to ReferenceReach. It returns ErrLimit (with a partial result of exactly Limit states) iff
+// Options.Limit states, with the sequential kernel at any worker count.
+// The result is BFS discovery order, bit-identical to ReferenceReach. It
+// returns ErrLimit (with a partial result of exactly Limit states) iff
 // an unseen state remains, and ctx.Err() (with the partial result so
 // far) on cancellation.
 func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
-	ctx = ctxOr(ctx)
-	if e.opts.WorkerCount() <= 1 {
-		order, _, err := e.seqExplore(ctx, a, nil, nil, nil, nil)
-		return order, err
-	}
-	order, _, err := e.parallelExplore(ctx, a, nil)
+	order, _, err := e.seqExplore(ctxOr(ctx), a, nil, nil, nil, nil)
 	return order, err
 }
 
@@ -211,21 +205,16 @@ func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error
 // witness execution, or nil if the invariant holds on every explored
 // state. The violation is the first failing state in BFS discovery
 // order and the witness its minimal-length discovery path, bit-identical
-// to the seed CheckInvariant at any worker count whenever the reachable
-// state count is below the limit. pred is only called from the coordinating goroutine, and its
+// to the seed CheckInvariant whenever the reachable state count is below
+// the limit. pred is only called from the calling goroutine, and its
 // argument is borrowed for the call: the kernel may rebuild the state in
 // memory it reuses for the next one, so ioa.Keep what you retain. The
 // violation's state and witness are the caller's to keep.
 func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (*Violation, error) {
-	ctx = ctxOr(ctx)
 	if pred == nil {
 		return nil, fmt.Errorf("explore: CheckInvariant: nil predicate")
 	}
-	if e.opts.WorkerCount() <= 1 {
-		_, v, err := e.seqExplore(ctx, a, pred, nil, nil, nil)
-		return v, err
-	}
-	_, v, err := e.parallelExplore(ctx, a, pred)
+	_, v, err := e.seqExplore(ctxOr(ctx), a, pred, nil, nil, nil)
 	return v, err
 }
 
@@ -296,9 +285,9 @@ func (e *Engine) Visit(ctx context.Context, a ioa.Automaton, v Visitor) ([]ioa.S
 	return order, err
 }
 
-// seqExplore is the one sequential kernel, under Reach (pred nil) and
-// CheckInvariant at one worker, under Visit (vis non-nil) and, with sum
-// non-nil, under the in-RAM Census at every worker count. The frontier
+// seqExplore is the one sequential kernel, under Reach (pred nil),
+// CheckInvariant, Visit (vis non-nil) and, with sum non-nil, the in-RAM
+// Census. The frontier
 // is the range of store IDs not yet expanded (every admitted state is
 // expanded exactly once, in admission order), so visit order is
 // bit-identical to the seed explorer's explicit queue, IDs double as
@@ -342,9 +331,6 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	}
 	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
 	defer st.Close()
-	rep := reporter{o: o, st: st, phase: "explore"}
-	defer func() { rep.emit(0, int64(st.Len()), 0, true) }()
-
 	var crumbs []crumb // indexed by ID; kept only under a predicate
 	cur := store.None  // the state being expanded; int(store.None) is -1
 	// level is cur's BFS depth, levelEnd the first ID past its level;
@@ -352,14 +338,20 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	// successors not admitted before cur's level ended.
 	level, levelEnd, deepest := -1, 0, 0
 	var deadlocks, emitted int64
-	if sum != nil {
-		defer func() {
+	// A pass without a visitor publishes its levels, frontiers and
+	// successors; Visit's passes walk an automaton some other check
+	// is about, and count nothing but their states.
+	counts := o != nil && vis == nil
+	rep := reporter{o: o, st: st, phase: "explore"}
+	defer func() {
+		if sum != nil {
 			*sum = Summary{States: int64(st.Len()), Depth: int64(deepest), Deadlocks: deadlocks, Violation: v}
-			if o != nil {
-				o.Explore.Successors.Add(emitted)
-			}
-		}()
-	}
+		}
+		if counts {
+			o.Explore.Successors.Add(emitted)
+		}
+		rep.emit(int64(deepest), int64(st.Len()), 0, true)
+	}()
 	strict := pred != nil && sum == nil // CheckInvariant's limit contract
 	step := ioa.NewWalk(a)
 	// The kernel orders nothing by bytes, so it interns ioa.Encoder's
@@ -454,14 +446,16 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 				return order, nil, seenErr(a, err)
 			}
 			if i&(seqProgressStride-1) == 0 && i > 0 {
-				rep.emit(0, int64(st.Len()), int64(st.Len()-i), false)
+				rep.emit(int64(deepest), int64(st.Len()), int64(st.Len()-i), false)
 			}
 		}
 		if i == levelEnd && !limited {
 			level, levelEnd = level+1, st.Len()
-			if o != nil && sum != nil {
+			if counts {
 				o.Explore.Levels.Add(1)
 				o.Explore.Frontier.Observe(int64(levelEnd - i))
+				rep.emit(int64(deepest), int64(levelEnd), int64(levelEnd-i), false)
+				o.Tracer.CounterEvent(0, "memo", o.Memo.Values())
 			}
 		}
 		cur = store.ID(i)
@@ -499,4 +493,30 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 		return order, nil, errLimit(a, limit)
 	}
 	return order, nil, nil
+}
+
+// crumb is the discovery record of one interned state, indexed by its
+// dense ID: the (parent ID, action) transition that first reached it.
+// Start states carry parent store.None.
+type crumb struct {
+	parent store.ID
+	act    ioa.Action
+}
+
+// witnessFromCrumbs rebuilds the minimal-length execution
+// from a start state to target by following parent IDs, reading each
+// state on the chain, and only those, from at.
+func witnessFromCrumbs(a ioa.Automaton, at func(store.ID) ioa.State, crumbs []crumb, target store.ID) *ioa.Execution {
+	var rev []store.ID
+	for id := target; ; id = crumbs[id].parent {
+		rev = append(rev, id)
+		if crumbs[id].parent == store.None {
+			break
+		}
+	}
+	x := ioa.NewExecution(a, at(rev[len(rev)-1]))
+	for i := len(rev) - 2; i >= 0; i-- {
+		x.Append(crumbs[rev[i]].act, at(rev[i]))
+	}
+	return x
 }

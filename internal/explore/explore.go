@@ -8,7 +8,7 @@
 // (worker count, state budget, observability handle, storage backend,
 // symmetry reduction) with New and call its context-aware methods —
 //
-//	eng := explore.New(explore.Options{Workers: 4, Limit: 1 << 20})
+//	eng := explore.New(explore.Options{Limit: 1 << 20})
 //	states, err := eng.Reach(ctx, a)
 //
 // All explorers dedup through internal/store (byte-encoded interned
@@ -16,7 +16,7 @@
 // through an ioa.Walk, which lends each one from per-goroutine scratch
 // memory and lets the loop keep the few that are new; the bounded
 // enumerators step with a nil scratch and get heap states. See
-// engine.go and parallel.go. The pre-store string-keyed explorer is
+// engine.go. The pre-store string-keyed explorer is
 // preserved in reference.go as the differential-testing oracle.
 package explore
 

@@ -24,7 +24,7 @@ type Flags struct {
 // Bind registers -workers and -limit on fs: the knobs of every CLI
 // that builds an engine.
 func (f *Flags) Bind(fs *flag.FlagSet) {
-	fs.IntVar(&f.Workers, "workers", 0, "exploration worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
+	fs.IntVar(&f.Workers, "workers", 0, "goroutines a possibilities-mapping check may use (0 = GOMAXPROCS); exploration is sequential at any count")
 	fs.IntVar(&f.Limit, "limit", DefaultLimit, "exploration state budget")
 }
 

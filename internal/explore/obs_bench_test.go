@@ -1,7 +1,7 @@
 package explore
 
 // BenchmarkObsOverhead measures the cost of the observability layer on
-// the parallel exploration hot path. The "off" case runs the
+// the exploration hot path. The "off" case runs the
 // instrumented engine with a nil *obs.Obs — the production default —
 // and is the number that must stay within 2% of the
 // pre-instrumentation throughput (E17 in EXPERIMENTS.md records the
@@ -11,6 +11,7 @@ package explore
 // BENCH_obs.json.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -47,7 +48,7 @@ func benchReach(b *testing.B, opts Options, instrument bool) {
 		if instrument {
 			ioa.SetObsDeep(a, opts.Obs)
 		}
-		states, err := ParallelReachForTest(a, opts)
+		states, err := New(opts).Reach(context.Background(), a)
 		if err != nil {
 			b.Fatal(err)
 		}

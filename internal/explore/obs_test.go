@@ -11,14 +11,14 @@ import (
 // TestObsDoesNotChangeResults pins the core observability contract:
 // attaching an Obs changes nothing about the explored state set.
 func TestObsDoesNotChangeResults(t *testing.T) {
-	plain, err := ParallelReachForTest(modCounters(3, 4), Options{Workers: 3})
+	plain, err := New(Options{Workers: 3}).Reach(context.Background(), modCounters(3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New(nil)
 	a := modCounters(3, 4)
 	ioa.SetObsDeep(a, o)
-	instrumented, err := ParallelReachForTest(a, Options{Workers: 3, Obs: o})
+	instrumented, err := New(Options{Workers: 3, Obs: o}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestObsExploreMetrics(t *testing.T) {
 	o := obs.New(nil)
 	a := modCounters(3, 4) // 64 states
 	ioa.SetObsDeep(a, o)
-	states, err := ParallelReachForTest(a, Options{Workers: 2, Obs: o})
+	states, err := New(Options{Workers: 2, Obs: o}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,13 @@ func TestObsExploreMetrics(t *testing.T) {
 	if mv["next_hit"]+mv["next_miss"] == 0 {
 		t.Error("memo counters empty; SetObsDeep did not reach the composite")
 	}
-	// The trace should hold metadata, level spans, worker spans, and
-	// memo counter series.
+	// The trace should hold the exploration's span and memo counter
+	// series.
 	phases := map[string]bool{}
 	for _, e := range o.Tracer.Events() {
 		phases[e.Ph] = true
 	}
-	for _, ph := range []string{"M", "X", "C"} {
+	for _, ph := range []string{"X", "C"} {
 		if !phases[ph] {
 			t.Errorf("trace has no %q events", ph)
 		}
@@ -79,7 +79,7 @@ func TestObsExploreMetrics(t *testing.T) {
 func TestObsStatesCounterAtLimit(t *testing.T) {
 	o := obs.New(nil)
 	a := modCounters(3, 4)
-	states, err := ParallelReachForTest(a, Options{Workers: 2, Limit: 10, Obs: o})
+	states, err := New(Options{Workers: 2, Limit: 10, Obs: o}).Reach(context.Background(), a)
 	if err == nil {
 		t.Fatal("want ErrLimit")
 	}

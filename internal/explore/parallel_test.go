@@ -1,12 +1,8 @@
 package explore
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
-
-	"repro/internal/ioa"
-	"repro/internal/store"
 )
 
 func TestOptionsResolution(t *testing.T) {
@@ -31,35 +27,5 @@ func TestParallelCheckNilPred(t *testing.T) {
 	e := New(Options{Workers: 1})
 	if _, err := e.CheckInvariant(nil, nil, nil); err == nil {
 		t.Fatal("Engine.CheckInvariant accepted nil predicate")
-	}
-}
-
-// TestLevelSetForgedCollision: distinct bytes under one forged hash are
-// two candidates, never a merge — in one worker's set and across the
-// merge. Every encoding is found twice, under parents i and i+1, and
-// parent p is expanded by worker p mod 2, so the merge keeps each under
-// parent i.
-func TestLevelSetForgedCollision(t *testing.T) {
-	const forged = 0xfeedface
-	lv := &levelScratch{sets: make([]store.LevelSet[cand], 2), pos: make([]int, 2)}
-	for i := 0; i < 100; i++ {
-		enc := []byte(fmt.Sprintf("k%03d", i))
-		lv.sets[i%2].Add(enc, forged, cand{state: ioa.KeyState(enc), parent: store.ID(i), act: "a"})
-		lv.sets[(i+1)%2].Add(enc, forged, cand{state: ioa.KeyState(enc), parent: store.ID(i + 1), act: "a"})
-	}
-	next := lv.gather()
-	if len(next) != 100 {
-		t.Fatalf("gathered %d candidates, want 100", len(next))
-	}
-	for i, c := range next {
-		want := fmt.Sprintf("k%03d", i)
-		if enc, _ := lv.encoding(c); string(enc) != want || c.state.Key() != want || c.parent != store.ID(i) {
-			t.Fatalf("entry %d: enc %q state %q parent %d, want %q with parent %d", i, enc, c.state.Key(), c.parent, want, i)
-		}
-	}
-	lv.sets[0].Reset()
-	lv.sets[1].Reset()
-	if got := lv.gather(); len(got) != 0 {
-		t.Fatalf("after reset gathered %d candidates, want none", len(got))
 	}
 }

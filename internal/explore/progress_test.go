@@ -12,8 +12,8 @@ import (
 	"repro/internal/store"
 )
 
-// progressSink collects Progress snapshots under a lock; the parallel
-// coordinator emits from one goroutine, but the contract only promises
+// progressSink collects Progress snapshots under a lock; every explorer
+// emits from one goroutine, but the contract only promises
 // that sinks are internally synchronized.
 type progressSink struct {
 	mu    sync.Mutex
@@ -74,8 +74,8 @@ func TestSeqProgressEmission(t *testing.T) {
 	}
 }
 
-// TestParallelProgressEmission: the level-synchronized explorer emits
-// one snapshot per depth barrier with increasing Depth, then Done.
+// TestParallelProgressEmission: Reach at two workers emits one snapshot
+// per BFS level with increasing Depth, then Done.
 func TestParallelProgressEmission(t *testing.T) {
 	sink := &progressSink{}
 	o := obs.New(nil)

@@ -1,7 +1,7 @@
 package explore_test
 
-// Race stress tests for the parallel engine and the composition memo
-// cache. Run under `go test -race`; the GOMAXPROCS sweep exercises
+// Race stress tests for exploration at several worker counts and the
+// composition memo cache. Run under `go test -race`; the GOMAXPROCS sweep exercises
 // both the degenerate (single-P) and genuinely concurrent schedules.
 
 import (

@@ -8,8 +8,8 @@ package explore_test
 //
 //   - sequential Reach over a Spill reproduces ReferenceReach
 //     elementwise;
-//   - the parallel engine over a Spill at workers {1,2,8} reproduces
-//     the RAM-backed engine bit-identically (and hence the sequential
+//   - Reach over a Spill at workers {1,2,8} reproduces the RAM-backed
+//     engine bit-identically (and hence the sequential
 //     BFS order);
 //   - Census in external mode (Spill + Decode) agrees with the
 //     materialized walk on states, depth, deadlocks, and verdicts;

@@ -10,7 +10,7 @@ import (
 // code: wall-clock reads (time.Now), uses of the global math/rand
 // source (whose sequence depends on process-global state), and map
 // iteration whose order leaks into an appended slice, a channel, or a
-// printed trace. The determinism guarantee of the parallel explorer —
+// printed trace. The determinism guarantee of the explorers —
 // bit-identical results at any worker count — rests on these
 // conventions, so the analyzer makes them mechanical.
 //

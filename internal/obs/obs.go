@@ -91,21 +91,18 @@ func (o *Obs) Now() time.Time {
 	return o.clock()
 }
 
-// ExploreMetrics instruments the parallel state-space explorer.
+// ExploreMetrics instruments the state-space explorers.
 type ExploreMetrics struct {
 	// States counts admitted states (equals the result length).
 	States *Counter
-	// Levels counts completed BFS levels.
+	// Levels counts expanded BFS levels.
 	Levels *Counter
-	// Successors counts the successors the level engine's workers
-	// found absent from the frozen seen set: every one, duplicates
-	// within the level included, not the distinct states the merge
-	// keeps.
+	// Successors counts the successors not seen before their level's
+	// expansion began: every one, duplicates within the level
+	// included, not the distinct states admitted.
 	Successors *Counter
 	// Frontier is the distribution of per-level frontier sizes.
 	Frontier *Histogram
-	// LevelNS is the distribution of per-level wall times (ns).
-	LevelNS *Histogram
 }
 
 func newExploreMetrics(r *Registry) *ExploreMetrics {
@@ -114,7 +111,6 @@ func newExploreMetrics(r *Registry) *ExploreMetrics {
 		Levels:     r.Counter("explore.levels"),
 		Successors: r.Counter("explore.successors_emitted"),
 		Frontier:   r.Histogram("explore.frontier_size"),
-		LevelNS:    r.Histogram("explore.level_ns"),
 	}
 }
 

@@ -10,8 +10,8 @@ type Progress struct {
 	// Phase names the emitting walk: "explore", "induct",
 	// "stabilize-closure", ... One run may pass through several phases.
 	Phase string `json:"phase"`
-	// Depth is the completed BFS level for level-synchronized
-	// exploration; 0 when the walk has no level structure.
+	// Depth is the deepest BFS level admitted so far by a level-
+	// structured exploration; 0 when the walk has no level structure.
 	Depth int64 `json:"depth,omitempty"`
 	// States is the monotone unit of work: admitted states for
 	// exploration, visited domain states for induction.

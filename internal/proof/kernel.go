@@ -4,7 +4,8 @@ package proof
 // FairSatisfiesViaMappingOpts and TransferDownOpts run on.
 //
 // A check that needs B's reachable states explores B through the
-// engine, at Options.Workers, and freezes the result behind a position
+// engine's sequential kernel (explore.Engine.Reach, the same at any
+// Options.Workers) and freezes the result behind a position
 // index (posIndex: hash of the streamed encoding → position in the
 // result, confirmed against the state stored there), so "is b
 // reachable" and "which state is this successor of b" are probes that

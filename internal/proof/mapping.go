@@ -45,8 +45,8 @@ var ErrNotPossibilities = errors.New("proof: not a possibilities mapping")
 // over the reachable states of A (exploring at most Options.Limit
 // states of each automaton). For finite-state A and B this is a
 // complete check; for larger systems it is a bounded certification.
-// Reach(B) runs through the explore engine at Options.Workers; A is
-// walked once by the engine's sequential kernel, beside the checks on a
+// Reach(B) runs through the explore engine's sequential kernel; A is
+// walked once by the same kernel, beside the checks on a
 // goroutine of its own at two or more workers, and in the walk's order
 // Map is called on each admitted state and condition 2 is checked on
 // each step, on the calling goroutine (kernel.go). The error is the

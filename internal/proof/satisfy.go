@@ -24,8 +24,8 @@ import (
 //     a and no action of C − D is enabled from a.
 //
 // The check explores at most Options.Limit states of each automaton:
-// B's through the explore engine, which a Workers setting parallelizes,
-// and A's in one sequential walk, beside the checks at two or more
+// B's through the explore engine's sequential kernel, and A's in one
+// sequential walk, beside the checks at two or more
 // workers, whose admitted states are checked in discovery order on the
 // calling goroutine (kernel.go), so the first failure reported is the
 // first in discovery order at any worker count.

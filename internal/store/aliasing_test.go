@@ -1,10 +1,9 @@
 package store_test
 
 // Regression battery for the no-aliasing contract: bytes handed to
-// InternEncoded or AppendFresh must be copied into the arena before the
-// call returns, so a caller mutating or reusing its encoding buffer
-// afterwards cannot corrupt stored encodings. Exercised under a
-// canonicalizer, as the parallel engine's barrier is.
+// InternEncoded must be copied into the arena before the call returns,
+// so a caller mutating or reusing its encoding buffer afterwards cannot
+// corrupt stored encodings. Exercised under a canonicalizer.
 
 import (
 	"bytes"
@@ -64,37 +63,6 @@ func TestInternEncodedCopiesBuffer(t *testing.T) {
 	}
 	if st.Len() != 1 {
 		t.Fatalf("store holds %d states, want 1", st.Len())
-	}
-}
-
-// TestAppendFreshCopiesBuffer admits encodings through the path the
-// parallel engine's barrier uses — AppendFresh reading a buffer the
-// caller goes on to reuse. The stored encodings must survive the
-// buffer being overwritten, and orbit-mates must still find them.
-func TestAppendFreshCopiesBuffer(t *testing.T) {
-	st := store.New(store.Options{Canon: sortPair{}})
-	states := []ioa.State{pair("z", "a"), pair("m", "q"), pair("x", "c")}
-	var buf []byte
-	want := make([][]byte, len(states))
-	st.AppendFresh(len(states), 1, func(i int) ([]byte, uint64) {
-		buf = st.AppendCanonical(buf[:0], states[i])
-		want[i] = append([]byte(nil), buf...)
-		return buf, store.Hash(buf)
-	})
-	for i := range buf {
-		buf[i] = '#'
-	}
-	p := st.Probe()
-	for i, s := range states {
-		if got := st.Encoding(store.ID(i)); !bytes.Equal(got, want[i]) {
-			t.Fatalf("encoding %d changed after buffer reuse:\ngot  %q\nwant %q", i, got, want[i])
-		}
-		// The orbit-mate, the pair's parts swapped, finds the stored copy.
-		ts := s.(*ioa.TupleState)
-		enc := st.AppendCanonical(nil, pair(ts.At(1).Key(), ts.At(0).Key()))
-		if id, ok := p.Lookup(enc, store.Hash(enc)); !ok || id != store.ID(i) {
-			t.Fatalf("orbit lookup of %d: (%d, %v), want (%d, true)", i, id, ok, i)
-		}
 	}
 }
 

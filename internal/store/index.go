@@ -10,7 +10,7 @@ import (
 
 // An Index is a pointer-free, open-addressed table from a 64-bit hash
 // to a dense ordinal — the one dedup index under the arena Store's
-// shards, the Spill's hot batch and the explorer's level sets. It holds
+// shards, the Spill's hot batch and the level sets. It holds
 // no encodings: Find asks the caller's eq which of the ordinals filed
 // under exactly that hash is the wanted entry (hashes route, bytes
 // decide). A slot is the full hash plus ordinal+1, zero meaning empty,
@@ -89,10 +89,9 @@ func (ix *Index) Reset() {
 // A Batch is an insertion-ordered set of encodings held in RAM: one
 // arena of concatenated bytes, entry boundaries, per-entry hashes and
 // an Index over them. It is the Spill's hot batch (the hashes feed the
-// bloom filter at flush) and the body of every LevelSet (the hashes
-// ride to AppendFresh at the barrier). Boundaries are int, not
-// uint32: SpillOptions.MemBudget may legally exceed 4 GiB and nothing
-// bounds a level, so narrower offsets could wrap silently. The zero
+// bloom filter at flush) and the body of every LevelSet. Boundaries
+// are int, not uint32: SpillOptions.MemBudget may legally exceed 4 GiB
+// and nothing bounds a level, so narrower offsets could wrap silently. The zero
 // Batch is empty and ready; concurrency is the Index's.
 type Batch struct {
 	ix     Index
@@ -202,10 +201,10 @@ func (b *Batch) Reset() {
 	b.arena, b.ends, b.hashes = b.arena[:0], b.ends[:0], b.hashes[:0]
 }
 
-// A LevelSet is the candidate set of one BFS level (or one shard, chunk
-// or destination's share of it): a Batch of distinct encodings and,
-// entry for entry, the payload kept with each — a witness crumb, a
-// concrete state; struct{} when the bytes are all there is. A duplicate
+// A LevelSet is the candidate set of a share of one BFS level — an
+// external census chunk, a cluster owner's candidates: a Batch of
+// distinct encodings and, entry for entry, the payload kept with each —
+// a concrete state; struct{} when the bytes are all there is. A duplicate
 // collapses on arrival and the first arrival's payload stays, so the
 // entries are in first-arrival order and the set costs memory in
 // proportion to the distinct candidates, not the successors.
@@ -222,12 +221,6 @@ func (ls *LevelSet[P]) Add(enc []byte, hash uint64, p P) *P {
 	if _, ok := ls.Lookup(enc, hash); ok {
 		return nil
 	}
-	return ls.AddNew(enc, hash, p)
-}
-
-// AddNew appends enc, which Lookup did not find, with payload p, and
-// returns where p was stored.
-func (ls *LevelSet[P]) AddNew(enc []byte, hash uint64, p P) *P {
 	ls.Batch.Add(enc, hash)
 	ls.payloads = append(ls.payloads, p)
 	return &ls.payloads[len(ls.payloads)-1]

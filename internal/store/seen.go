@@ -1,14 +1,14 @@
 package store
 
 // The storage abstraction behind the exploration engines (PR 10). A
-// SeenSet is the dedup structure both explorers drive — intern a
+// SeenSet is the dedup structure every explorer drives — intern a
 // state's canonical encoding, get a dense ID and a freshness verdict —
-// and a MemberProbe is its frozen-phase concurrent read view. The
-// in-RAM arena Store is one implementation; Spill (spill.go) is the
-// disk-backed second, which keeps a bounded hot batch in memory and
-// flushes delta-encoded sorted runs to disk. The engines are written
-// against these interfaces, so sequential and parallel BFS run
-// unchanged over either backend.
+// and a MemberProbe is a read view of it that interns nothing (the
+// sequential kernel's probe mode at a full budget). The in-RAM arena
+// Store is one implementation; Spill (spill.go) is the disk-backed
+// second, which keeps a bounded hot batch in memory and flushes
+// delta-encoded sorted runs to disk. The engines are written against
+// these interfaces, so they run unchanged over either backend.
 
 import "repro/internal/ioa"
 
@@ -39,12 +39,6 @@ type SeenSet interface {
 	// InternEncoded interns already-canonical bytes given their Hash.
 	// The bytes are copied before it returns.
 	InternEncoded(enc []byte, hash uint64) (ID, bool)
-	// AppendFresh interns n encodings the caller has shown absent from
-	// the set and distinct, without looking them up: the i-th, at(i)'s
-	// canonical bytes and Hash, gets ID Len()+i. at may be called from
-	// up to workers goroutines at once. A failure latches on Err as
-	// InternEncoded's does and ends the append there.
-	AppendFresh(n, workers int, at func(i int) ([]byte, uint64))
 	// Has reports membership without interning. Writer-side only.
 	Has(s ioa.State) (ID, bool)
 	// Len returns the number of interned states.

@@ -379,20 +379,12 @@ func (sp *Spill) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 		return None, false
 	}
 	id := ID(sp.total)
-	sp.AppendFresh(1, 1, func(int) ([]byte, uint64) { return enc, hash })
-	return id, true
-}
-
-// AppendFresh implements SeenSet: each encoding joins the hot batch,
-// which flushes whenever it passes its budget, serially.
-func (sp *Spill) AppendFresh(n, _ int, at func(i int) ([]byte, uint64)) {
-	for i := 0; i < n && sp.Err() == nil; i++ {
-		sp.hot.Add(at(i))
-		sp.total++
-		if sp.hot.Footprint() >= sp.budget {
-			sp.Flush() // a failure latches on Err
-		}
+	sp.hot.Add(enc, hash)
+	sp.total++
+	if sp.hot.Footprint() >= sp.budget {
+		sp.Flush() // a failure latches on Err
 	}
+	return id, true
 }
 
 // Has reports membership without interning. Writer-side only.

@@ -17,16 +17,13 @@
 //
 // Concurrency contract. A Store is single-writer: Intern and Has must
 // only be called from one goroutine at a time with no concurrent
-// readers. Lookup supports the parallel explorer's frozen phase: any
-// number of goroutines may run it concurrently as long as no Intern is
-// in flight — exactly the level-synchronized discipline of explore's
-// sharded BFS, where the store is read-only while workers expand a
-// level and written only at the level barrier by the coordinator.
+// readers. Lookup writes nothing, so any number of goroutines may run
+// it while no Intern is in flight.
 //
 // Determinism. IDs are assigned in insertion order, so a caller that
-// interns states in a canonical order (BFS discovery order, which the
-// sequential explorer and the level-synchronized one both produce) gets
-// IDs whose numeric order reproduces that canonical order. The
+// interns states in a canonical order (BFS discovery order, which every
+// explorer produces) gets IDs whose numeric order reproduces that
+// canonical order. The
 // explorers rely on this to keep witness-trace canonicalization
 // bit-identical to the string-keyed seed implementation.
 package store
@@ -38,7 +35,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"repro/internal/ioa"
 )
@@ -85,8 +81,7 @@ type Options struct {
 	// and hashing, so the store dedups symmetry orbits instead of
 	// individual states. Callers still hand Intern concrete states and
 	// may keep them as orbit representatives; only the stored encoding
-	// is canonical. InternEncoded, AppendFresh and Lookup bypass
-	// canonicalization and must be given canonical bytes
+	// is canonical. InternEncoded and Lookup bypass canonicalization and must be given canonical bytes
 	// (AppendCanonical's).
 	Canon Canonicalizer
 }
@@ -312,35 +307,6 @@ func (st *Store) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 	st.locs = append(st.locs, st.place(enc))
 	st.shards[hash%shardCount].ix.Insert(hash, int(id))
 	return id, true
-}
-
-// AppendFresh implements SeenSet: the encodings go into the arena in ID
-// order, then each of the workers files the IDs of the shards it owns
-// (shard index mod workers) in their indexes, all at once.
-func (st *Store) AppendFresh(n, workers int, at func(i int) ([]byte, uint64)) {
-	base := len(st.locs)
-	for i := 0; i < n; i++ {
-		enc, _ := at(i)
-		if !st.fits(enc) {
-			n = i
-			break
-		}
-		st.locs = append(st.locs, st.place(enc))
-	}
-	workers = max(1, min(workers, shardCount))
-	var wg sync.WaitGroup
-	for own := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range n {
-				if _, h := at(i); int(h%shardCount)%workers == own {
-					st.shards[h%shardCount].ix.Insert(h, base+i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // fits reports whether enc can join the arena, latching ErrArenaFull on
