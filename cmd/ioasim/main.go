@@ -89,7 +89,6 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/ledger"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/internal/testseed"
 )
 
@@ -279,7 +278,7 @@ type invocation struct {
 	cfg   config
 	sys   bench.System
 	par   bench.Params
-	canon store.Canonicalizer // nil without -symmetry
+	canon explore.Canonicalizer // nil without -symmetry
 	o     *obs.Obs
 	rec   *ledger.Run
 	out   io.Writer

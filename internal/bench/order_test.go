@@ -29,7 +29,7 @@ func TestOneVisitOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
-		canons := []store.Canonicalizer{nil}
+		canons := []explore.Canonicalizer{nil}
 		if sys.Canon != nil {
 			c, err := sys.Canon(3)
 			if err != nil {

@@ -22,7 +22,6 @@ import (
 	"repro/internal/arbiter/users"
 	"repro/internal/explore"
 	"repro/internal/ioa"
-	"repro/internal/store"
 )
 
 // ReductionRow is one measurement of the reduction sweep.
@@ -53,7 +52,7 @@ type reductionCase struct {
 	system string // the row label
 	users  int
 	sys    System
-	canon  store.Canonicalizer
+	canon  explore.Canonicalizer
 }
 
 // reductionCases lists the instances: arbiter1 at 6 users, the star at

@@ -23,7 +23,6 @@ import (
 	"repro/internal/reduce"
 	"repro/internal/ring"
 	"repro/internal/stabilize"
-	"repro/internal/store"
 )
 
 // Params sizes one build of a catalogue system.
@@ -42,7 +41,7 @@ type Params struct {
 
 // A CanonFunc builds the canonicalizer of a system's symmetry group
 // at n users.
-type CanonFunc func(n int) (store.Canonicalizer, error)
+type CanonFunc func(n int) (explore.Canonicalizer, error)
 
 // A Stabilization is a system's self-stabilization case: the
 // automaton at n, its legitimacy predicate and the corruption envelope
@@ -70,8 +69,8 @@ type System struct {
 }
 
 // canon adapts a typed canonicalizer constructor to a CanonFunc.
-func canon[C store.Canonicalizer](mk func(int) (C, error)) CanonFunc {
-	return func(n int) (store.Canonicalizer, error) {
+func canon[C explore.Canonicalizer](mk func(int) (C, error)) CanonFunc {
+	return func(n int) (explore.Canonicalizer, error) {
 		c, err := mk(n)
 		if err != nil {
 			return nil, err

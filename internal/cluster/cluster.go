@@ -95,7 +95,7 @@ type Config struct {
 	Spill *store.SpillOptions
 	// Canon optionally canonicalizes the coordinator's encodings
 	// (symmetry quotient).
-	Canon store.Canonicalizer
+	Canon explore.Canonicalizer
 	// Listener, when non-nil, is a pre-bound coordinator listener;
 	// Coordinate takes ownership of it and ignores Addr. Callers bind
 	// it themselves to listen on an ephemeral port (":0") and learn
@@ -567,7 +567,7 @@ func work(ctx context.Context, conn net.Conn, cfg Config) error {
 	if procs < 1 || rank < 0 || rank >= procs {
 		return fmt.Errorf("cluster: protocol: welcome assigns rank %d of %d", rank, procs)
 	}
-	seen, err := store.Open(cfg.Spill, nil)
+	seen, err := store.Open(cfg.Spill)
 	if err != nil {
 		return fmt.Errorf("cluster: rank %d: %w", rank, err)
 	}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/explore"
 	"repro/internal/faults"
 	"repro/internal/ioa"
-	"repro/internal/store"
 )
 
 // A Domain is an enumerable set of states.
@@ -114,7 +113,7 @@ func (d *explicitDomain) Contains(s ioa.State) bool {
 // reached state into the target state space (nil is the identity; a
 // nil projected state is skipped). The reach set is computed once, on
 // first use, and retained: a Reachable domain is inherently
-// O(reachable) memory, and the retained store answers Contains.
+// O(reachable) memory, and the retained key set answers Contains.
 func Reachable(name string, corrupted ioa.Automaton, project func(ioa.State) ioa.State, opts explore.Options) Domain {
 	return &reachDomain{name: name, corrupted: corrupted, project: project, opts: opts}
 }
@@ -127,7 +126,7 @@ type reachDomain struct {
 
 	once   sync.Once
 	states []ioa.State
-	seen   *store.Store
+	keys   map[string]struct{}
 	err    error
 }
 
@@ -140,7 +139,7 @@ func (d *reachDomain) materialize(ctx context.Context) error {
 			d.err = fmt.Errorf("domain: %q: %w", d.name, err)
 			return
 		}
-		d.seen = store.New(store.Options{})
+		d.keys = make(map[string]struct{}, len(states))
 		d.states = make([]ioa.State, 0, len(states))
 		for _, s := range states {
 			if d.project != nil {
@@ -149,12 +148,11 @@ func (d *reachDomain) materialize(ctx context.Context) error {
 					continue
 				}
 			}
-			if _, fresh := d.seen.Intern(s); fresh {
+			k := s.Key()
+			if _, dup := d.keys[k]; !dup {
+				d.keys[k] = struct{}{}
 				d.states = append(d.states, s)
 			}
-		}
-		if err := d.seen.Err(); err != nil {
-			d.err = fmt.Errorf("domain: %q: %w", d.name, err)
 		}
 	})
 	return d.err
@@ -183,7 +181,7 @@ func (d *reachDomain) Contains(s ioa.State) bool {
 	if d.materialize(context.Background()) != nil {
 		return false
 	}
-	_, ok := d.seen.Has(s)
+	_, ok := d.keys[s.Key()]
 	return ok
 }
 

@@ -106,13 +106,12 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 	limit := int64(e.opts.limit())
 	decode := e.opts.Decode
 
-	seen, err := store.Open(e.opts.Spill, e.opts.Canon)
+	sp, err := store.NewSpill(*e.opts.Spill) // Census routes here only with Spill set
 	if err != nil {
 		return sum, err
 	}
 	//lint:ignore errflow storage failures surface through sp.Err during the walk; Close here only releases temp files
-	defer seen.Close()
-	sp := seen.(*store.Spill) // Census routes here only with Spill set
+	defer sp.Close()
 	dir, chunkCap := e.opts.Spill.Dir, e.opts.Spill.MemBudget
 	if chunkCap <= 0 {
 		chunkCap = store.DefaultSpillBudget
@@ -175,10 +174,15 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 		return err
 	}
 
-	// Level 0: the canonically sorted start states.
+	// Level 0: the canonically sorted start states. Every candidate is
+	// its orbit representative's Key bytes, which Decode rebuilds.
 	var enc []byte
+	canon := e.opts.Canon
 	offer := func(s ioa.State) bool {
-		enc = sp.AppendCanonical(enc[:0], s)
+		if canon != nil {
+			s = canon.Canonical(s)
+		}
+		enc = ioa.AppendState(enc[:0], s)
 		chunk.Add(enc, store.Hash(enc), struct{}{})
 		return true
 	}

@@ -109,7 +109,7 @@ func TestCensusMatchesReach(t *testing.T) {
 	type system struct {
 		name  string
 		a     ioa.Automaton
-		canon store.Canonicalizer
+		canon explore.Canonicalizer
 		spill bool
 	}
 	systems := []system{{"arbiter3", arbiter3, nil, false}, {"arbiter1/canon", arbiter1, users, false}}

@@ -41,6 +41,29 @@ import (
 // DefaultLimit is the state budget used when Options.Limit is zero.
 const DefaultLimit = 1 << 20
 
+// A Canonicalizer maps each state to the canonical representative of
+// its symmetry orbit. An explorer under one encodes Canonical(s) where
+// it would encode s, so two states related by a symmetry of the
+// automaton encode to the same bytes and share one dense ID: the
+// explored space is quotiented.
+//
+// Contract: Canonical must be a pure function, idempotent
+// (Canonical(Canonical(s)) == Canonical(s)), orbit-invariant
+// (s ~ t implies Canonical(s).Key() == Canonical(t).Key()), and exact
+// (Canonical(s).Key() == Canonical(t).Key() only when s ~ t). The
+// symmetry itself must be an automorphism of the transition relation;
+// the reduce package provides checked implementations and the
+// differential battery there enforces the contract against the
+// unreduced oracle. Canonical must be safe for concurrent use: one
+// Engine's methods may run concurrently.
+type Canonicalizer interface {
+	// Name identifies the symmetry (for certificates and bench rows).
+	Name() string
+	// Canonical returns the orbit representative of s. It must not
+	// retain or mutate s.
+	Canonical(s ioa.State) ioa.State
+}
+
 // Options parameterizes an exploration Engine.
 type Options struct {
 	// Workers is the number of goroutines a check may use. 0 means
@@ -63,22 +86,22 @@ type Options struct {
 	// the explored state set.
 	Obs *obs.Obs
 	// Canon, when non-nil, quotients the explored state space by a
-	// symmetry: the state store dedups canonical encodings, so one
+	// symmetry: every explorer interns the encoding of a state's
+	// orbit representative, Canon.Canonical(s), so one
 	// concrete representative per orbit is admitted — the first
 	// discovered in BFS order, at any worker count. Results stay
 	// concrete states and witness traces stay genuine executions;
 	// invariant predicates must be orbit-invariant (the symmetry must
 	// be an automorphism of the automaton — see the reduce package,
 	// whose differential battery enforces both obligations).
-	Canon store.Canonicalizer
+	Canon Canonicalizer
 	// Spill, when non-nil, backs every seen set with the disk-spilling
 	// store implementation (store.NewSpill) instead of the in-RAM
 	// arena: interned encodings flush to delta-encoded sorted runs once
 	// the hot batch exceeds its byte budget, and membership probes
 	// merge-on-lookup across the runs. Exploration results are
 	// bit-identical to the arena backend — the differential battery
-	// pins it — at bounded RAM. Canon is threaded through
-	// automatically; a set Spill.Canon is ignored.
+	// pins it — at bounded RAM.
 	Spill *store.SpillOptions
 	// Decode rebuilds a state from its canonical encoding. It is only
 	// required by Census's external mode, which keeps frontiers on disk
@@ -325,7 +348,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	if o != nil {
 		defer o.Tracer.Span(0, "explore", "seq "+a.Name())()
 	}
-	st, err := store.Open(e.opts.Spill, e.opts.Canon)
+	st, err := store.Open(e.opts.Spill)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -356,7 +379,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	step := ioa.NewWalk(a)
 	// The kernel orders nothing by bytes, so it interns ioa.Encoder's
 	// encoding, a composite's cell indices, rather than the Key.
-	encode, canon, probe := ioa.Encoder(a), e.opts.Canon, st.Probe()
+	encode, canon := ioa.Encoder(a), e.opts.Canon
 	// decode is nil where the kernel keeps heap states in order. A
 	// composition's starts and steps are its own tuples, so every
 	// encoding it interns has tag 1 and decodes.
@@ -411,7 +434,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	yield := func(nxt ioa.State) bool {
 		id, seen := store.None, true
 		if !strict && st.Len() >= limit {
-			id, seen = probe.Lookup(encoded(nxt))
+			id, seen = st.Lookup(encoded(nxt))
 		} else {
 			id = admit(nxt)
 		}
@@ -425,7 +448,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 			id, seen := store.None, false
 			if st.Len() < limit {
 				id = admit(nxt)
-			} else if id, seen = probe.Lookup(encoded(nxt)); !seen {
+			} else if id, seen = st.Lookup(encoded(nxt)); !seen {
 				return false
 			}
 			if id == store.None {

@@ -222,12 +222,12 @@ func (s *NetState) offer(from, to, kind string, sched *Schedule) *NetState {
 		c.sent++
 		o := sched.Obs
 		if o != nil {
-			o.Faults.Sent.AddShard(int(seq), 1)
+			o.Faults.Sent.Add(1)
 		}
 		if lost, opens := sched.CrashesMessage(ch, seq); lost {
 			if o != nil {
 				if opens {
-					o.Faults.Crash.AddShard(int(seq), 1)
+					o.Faults.Crash.Add(1)
 				}
 				o.Tracer.Instant(0, "faults", "crash-window", map[string]any{"channel": ch, "seq": seq, "opens": opens})
 			}
@@ -236,7 +236,7 @@ func (s *NetState) offer(from, to, kind string, sched *Schedule) *NetState {
 		}
 		if sched.DropsMessage(ch, seq) {
 			if o != nil {
-				o.Faults.Drop.AddShard(int(seq), 1)
+				o.Faults.Drop.Add(1)
 				o.Tracer.Instant(0, "faults", "drop", map[string]any{"channel": ch, "seq": seq})
 			}
 			next[ch] = c
@@ -244,13 +244,13 @@ func (s *NetState) offer(from, to, kind string, sched *Schedule) *NetState {
 		}
 		slack := sched.SlackOf(ch, seq)
 		if o != nil && slack > 0 {
-			o.Faults.Delay.AddShard(int(seq), 1)
+			o.Faults.Delay.Add(1)
 			o.Tracer.Instant(0, "faults", "delay", map[string]any{"channel": ch, "seq": seq, "slack": slack})
 		}
 		c.q = insertWithSlack(c.q, entry{kind: kind, slack: slack})
 		if sched.DuplicatesMessage(ch, seq) {
 			if o != nil {
-				o.Faults.Dup.AddShard(int(seq), 1)
+				o.Faults.Dup.Add(1)
 				o.Tracer.Instant(0, "faults", "dup", map[string]any{"channel": ch, "seq": seq})
 			}
 			c.q = insertWithSlack(c.q, entry{kind: kind})

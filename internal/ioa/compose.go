@@ -455,13 +455,13 @@ func (c *Composite) leafNext(id int, o owner, p State) []*leafCell {
 	for e := row.next.Load(); e != nil; e = e.more {
 		if e.route == id {
 			if m := c.obsMemo; m != nil {
-				m.NextHit.AddShard(o.leaf, 1)
+				m.NextHit.Add(1)
 			}
 			return e.cells
 		}
 	}
 	if m := c.obsMemo; m != nil {
-		m.NextMiss.AddShard(o.leaf, 1)
+		m.NextMiss.Add(1)
 	}
 	// Racing goroutines push equal lists; lookups find the first.
 	e := &memoNext{route: id}
@@ -483,12 +483,12 @@ func (c *Composite) leafEnabled(i int, p State) []Action {
 	row := c.leaves[i].cell(p)
 	if en := row.enabled.Load(); en != nil {
 		if m := c.obsMemo; m != nil {
-			m.EnabledHit.AddShard(i, 1)
+			m.EnabledHit.Add(1)
 		}
 		return *en
 	}
 	if m := c.obsMemo; m != nil {
-		m.EnabledMiss.AddShard(i, 1)
+		m.EnabledMiss.Add(1)
 	}
 	l := c.leaves[i]
 	en := applyAll(l.renames, l.auto.Enabled(row.state))

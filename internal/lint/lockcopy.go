@@ -8,9 +8,9 @@ import (
 // lockcopy flags by-value copies of structs containing sync
 // primitives — in this repository, above all the leaf memo of
 // ioa.Composite (a sync.Map of rows whose fields are atomic pointers)
-// and the striped atomic counters and histograms of internal/obs. A
-// copied mutex splits its waiters from its lockers, and a copied atomic
-// stripe silently forks the tally it accumulates, so a copied cache or
+// and the atomic counters and histograms of internal/obs. A copied
+// mutex splits its waiters from its lockers, and a copied atomic cell
+// silently forks the tally it accumulates, so a copied cache or
 // counter stops synchronizing (or counting for) the structure it
 // belongs to. The analyzer reports
 // copies at assignments, call arguments, by-value
@@ -24,7 +24,7 @@ func init() { Register(lockcopy{}) }
 func (lockcopy) Name() string { return "lockcopy" }
 
 func (lockcopy) Doc() string {
-	return "flags by-value copies of structs containing sync primitives (memo rows, counter stripes and kin)"
+	return "flags by-value copies of structs containing sync primitives (memo rows, metric cells and kin)"
 }
 
 // syncTypes are the sync package types whose copies are invalid after
@@ -35,7 +35,7 @@ var syncTypes = map[string]bool{
 }
 
 // atomicTypes are the sync/atomic wrapper types, equally no-copy: a
-// copied stripe keeps accepting Adds that the original never sees.
+// copied cell keeps accepting Adds that the original never sees.
 var atomicTypes = map[string]bool{
 	"Bool": true, "Int32": true, "Int64": true, "Uint32": true,
 	"Uint64": true, "Uintptr": true, "Pointer": true, "Value": true,

@@ -1,5 +1,5 @@
 // Package obsneg uses the internal/obs metric structs the sanctioned
-// way — always behind pointers from the registry, ranging over shard
+// way — always behind pointers from the registry, ranging over
 // indices, and taking snapshots (plain data, freely copyable) when a
 // value is needed. The golden test expects zero diagnostics.
 package obsneg
@@ -11,8 +11,8 @@ type board struct {
 }
 
 func observeAll(h *obs.Histogram, vs []int64) {
-	for i, v := range vs {
-		h.ObserveShard(i, v)
+	for _, v := range vs {
+		h.Observe(v)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package obspos copies internal/obs metric structs by value in every
-// position the lockcopy analyzer checks. The striped Counter and the
-// sharded Histogram are built from sync/atomic stripes: a by-value
-// copy forks the tallies, so Adds land in a stripe the registry (and
-// every snapshot) never reads. The golden test expects a diagnostic
+// position the lockcopy analyzer checks. The Counter and the Histogram
+// are built from sync/atomic cells: a by-value copy forks the tallies,
+// so Adds land in a cell the registry (and every snapshot) never
+// reads. The golden test expects a diagnostic
 // at each marked line.
 package obspos
 

@@ -20,7 +20,6 @@ import (
 	"repro/internal/ltl"
 	"repro/internal/reduce"
 	"repro/internal/ring"
-	"repro/internal/store"
 )
 
 // graphOracles yields the battery systems: the paper's figures plus
@@ -55,7 +54,7 @@ func graph(t *testing.T, ctx context.Context, a ioa.Automaton) *ltl.StateGraph {
 // orbit it meets and steps it by every action of acts(A) in sorted
 // order, one edge per successor, to the node of its orbit. depth is
 // each node's distance from the start states.
-func referenceGraph(a ioa.Automaton, canon store.Canonicalizer) (states []ioa.State, adj [][]ltl.Edge, depth []int) {
+func referenceGraph(a ioa.Automaton, canon explore.Canonicalizer) (states []ioa.State, adj [][]ltl.Edge, depth []int) {
 	pos := map[string]int{}
 	node := func(s ioa.State, d int) int {
 		k := s.Key()
@@ -95,12 +94,12 @@ func referenceGraph(a ioa.Automaton, canon store.Canonicalizer) (states []ioa.St
 func TestBuildGraphMatchesReference(t *testing.T) {
 	cases := map[string]struct {
 		a     ioa.Automaton
-		canon store.Canonicalizer
+		canon explore.Canonicalizer
 	}{}
 	for name, a := range graphOracles(t) {
 		cases[name] = struct {
 			a     ioa.Automaton
-			canon store.Canonicalizer
+			canon explore.Canonicalizer
 		}{a, nil}
 	}
 	names := spec.DefaultUsers(3)
@@ -118,7 +117,7 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 	}
 	cases["ring3-closed-rotation"] = struct {
 		a     ioa.Automaton
-		canon store.Canonicalizer
+		canon explore.Canonicalizer
 	}{closed, rotation}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -9,53 +9,28 @@ import (
 	"sync/atomic"
 )
 
-// CounterShards is the stripe count of a Counter (power of two). Hot
-// writers that know their worker index spread across stripes with
-// AddShard; Value folds the stripes.
-const CounterShards = 8
-
-// stripe is one cache-line-padded counter cell: the padding keeps
-// concurrent writers on different stripes from false-sharing a line.
-type stripe struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
 // A Counter is a monotonically increasing (or at least add-only)
-// sharded counter. The zero value is ready to use; a nil *Counter
-// discards every operation, which is the disabled fast path of the
-// whole metrics layer.
+// counter, safe for concurrent use. The zero value is ready to use; a
+// nil *Counter discards every operation, which is the disabled fast
+// path of the whole metrics layer.
 type Counter struct {
-	stripes [CounterShards]stripe
+	n atomic.Int64
 }
 
-// Add adds n on stripe 0 — the single-writer path.
+// Add adds n.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.stripes[0].n.Add(n)
+	c.n.Add(n)
 }
 
-// AddShard adds n on the stripe selected by shard (masked into
-// range), letting concurrent workers write contention-free.
-func (c *Counter) AddShard(shard int, n int64) {
-	if c == nil {
-		return
-	}
-	c.stripes[shard&(CounterShards-1)].n.Add(n)
-}
-
-// Value folds the stripes into the counter's total.
+// Value returns the counter's total.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var total int64
-	for i := range c.stripes {
-		total += c.stripes[i].n.Load()
-	}
-	return total
+	return c.n.Load()
 }
 
 // A Gauge is a last-write-wins instantaneous value. Nil-safe like
@@ -94,12 +69,12 @@ func (g *Gauge) Value() int64 {
 // range with a constant-time, division-free index.
 const histBuckets = 65
 
-// HistShards is the stripe count of a Histogram.
-const HistShards = 4
-
-// histShard is one stripe of a Histogram. All fields are atomics, so
-// a shard is written lock-free; min/max converge by compare-and-swap.
-type histShard struct {
+// A Histogram records a distribution in power-of-two buckets —
+// latencies in nanoseconds, frontier sizes, retry counts. All fields are
+// atomics, so it is written lock-free; min/max converge by
+// compare-and-swap. Construct with NewHistogram (min tracking needs a
+// sentinel); a nil *Histogram discards observations.
+type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	min     atomic.Int64 // valid only when count > 0
@@ -107,21 +82,11 @@ type histShard struct {
 	buckets [histBuckets]atomic.Int64
 }
 
-// A Histogram records a distribution in power-of-two buckets —
-// latencies in nanoseconds, frontier sizes, retry counts. Construct
-// with NewHistogram (min tracking needs a sentinel); a nil *Histogram
-// discards observations.
-type Histogram struct {
-	shards [HistShards]histShard
-}
-
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
 	h := &Histogram{}
-	for i := range h.shards {
-		h.shards[i].min.Store(math.MaxInt64)
-		h.shards[i].max.Store(math.MinInt64)
-	}
+	h.min.Store(math.MaxInt64)
+	h.max.Store(math.MinInt64)
 	return h
 }
 
@@ -133,27 +98,23 @@ func bucketOf(v int64) int {
 	return bits.Len64(uint64(v))
 }
 
-// Observe records v on stripe 0.
-func (h *Histogram) Observe(v int64) { h.ObserveShard(0, v) }
-
-// ObserveShard records v on the stripe selected by shard.
-func (h *Histogram) ObserveShard(shard int, v int64) {
+// Observe records v.
+func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	sh := &h.shards[shard&(HistShards-1)]
-	sh.count.Add(1)
-	sh.sum.Add(v)
-	sh.buckets[bucketOf(v)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(v)
+	h.buckets[bucketOf(v)].Add(1)
 	for {
-		cur := sh.min.Load()
-		if v >= cur || sh.min.CompareAndSwap(cur, v) {
+		cur := h.min.Load()
+		if v >= cur || h.min.CompareAndSwap(cur, v) {
 			break
 		}
 	}
 	for {
-		cur := sh.max.Load()
-		if v <= cur || sh.max.CompareAndSwap(cur, v) {
+		cur := h.max.Load()
+		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			break
 		}
 	}
@@ -167,7 +128,7 @@ type HistBucket struct {
 	N  int64 `json:"n"`
 }
 
-// A HistSnapshot is a point-in-time merge of a histogram's stripes.
+// A HistSnapshot is a point-in-time reading of a histogram.
 type HistSnapshot struct {
 	Count   int64        `json:"count"`
 	Sum     int64        `json:"sum"`
@@ -189,7 +150,7 @@ func bucketRange(i int) (int64, int64) {
 	return lo, int64(1)<<i - 1
 }
 
-// Snapshot merges the stripes. The result is not atomic with respect
+// Snapshot reads the histogram. The result is not atomic with respect
 // to concurrent observers (counts may trail sums by an in-flight
 // observation), which is fine for monitoring.
 func (h *Histogram) Snapshot() HistSnapshot {
@@ -197,28 +158,14 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return s
 	}
-	s.Min, s.Max = math.MaxInt64, math.MinInt64
-	var counts [histBuckets]int64
-	for i := range h.shards {
-		sh := &h.shards[i]
-		s.Count += sh.count.Load()
-		s.Sum += sh.sum.Load()
-		if m := sh.min.Load(); m < s.Min {
-			s.Min = m
-		}
-		if m := sh.max.Load(); m > s.Max {
-			s.Max = m
-		}
-		for b := range sh.buckets {
-			counts[b] += sh.buckets[b].Load()
-		}
-	}
+	s.Count, s.Sum = h.count.Load(), h.sum.Load()
 	if s.Count == 0 {
-		s.Min, s.Max = 0, 0
 		return s
 	}
+	s.Min, s.Max = h.min.Load(), h.max.Load()
 	s.Mean = float64(s.Sum) / float64(s.Count)
-	for b, n := range counts {
+	for b := range h.buckets {
+		n := h.buckets[b].Load()
 		if n == 0 {
 			continue
 		}

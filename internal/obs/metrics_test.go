@@ -12,7 +12,7 @@ func TestCounterShardsSum(t *testing.T) {
 	var c Counter
 	c.Add(3)
 	for i := 0; i < 100; i++ {
-		c.AddShard(i, 2)
+		c.Add(2)
 	}
 	if got := c.Value(); got != 203 {
 		t.Fatalf("Value = %d, want 203", got)
@@ -28,7 +28,7 @@ func TestCounterConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.AddShard(w, 1)
+				c.Add(1)
 			}
 		}(w)
 	}
@@ -78,7 +78,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramShardsMerge(t *testing.T) {
 	h := NewHistogram()
 	for shard := 0; shard < 16; shard++ {
-		h.ObserveShard(shard, int64(shard+1))
+		h.Observe(int64(shard + 1))
 	}
 	s := h.Snapshot()
 	if s.Count != 16 {
@@ -102,7 +102,6 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	var h *Histogram
 	var r *Registry
 	c.Add(1)
-	c.AddShard(3, 1)
 	g.Set(1)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {

@@ -35,14 +35,13 @@ import (
 	"repro/internal/mutex"
 	"repro/internal/reduce"
 	"repro/internal/ring"
-	"repro/internal/store"
 )
 
 // batteryCase is one system under differential test.
 type batteryCase struct {
 	name  string
 	build func(t *testing.T) ioa.Automaton
-	canon store.Canonicalizer
+	canon explore.Canonicalizer
 	// invariant holds on every reachable state (orbit-invariant).
 	invariant func(ioa.State) bool
 	// target fails on some reachable state (orbit-invariant), to
@@ -265,7 +264,7 @@ func batteryCases(t *testing.T) []batteryCase {
 // canonKeys maps states to their orbit identities: the canonical
 // representative's key under c, or the state's own key with no
 // canonicalizer.
-func canonKeys(c store.Canonicalizer, states []ioa.State) map[string]bool {
+func canonKeys(c explore.Canonicalizer, states []ioa.State) map[string]bool {
 	out := make(map[string]bool, len(states))
 	for _, s := range states {
 		if c != nil {
@@ -306,7 +305,7 @@ func consultOracle(t *testing.T, c batteryCase) oracle {
 
 // checkAgainstOracle explores c at the given worker count, quotiented
 // by canon (nil: unreduced), and holds the run to the oracle.
-func checkAgainstOracle(t *testing.T, c batteryCase, o oracle, mode string, canon store.Canonicalizer, workers int) {
+func checkAgainstOracle(t *testing.T, c batteryCase, o oracle, mode string, canon explore.Canonicalizer, workers int) {
 	a := c.build(t)
 	eng := explore.New(explore.Options{Workers: workers, Canon: canon})
 	reduced, err := eng.Reach(context.Background(), a)
@@ -365,7 +364,7 @@ func TestDifferentialBattery(t *testing.T) {
 			o := consultOracle(t, c)
 			type arm struct {
 				mode  string
-				canon store.Canonicalizer
+				canon explore.Canonicalizer
 			}
 			arms := []arm{{"full", nil}}
 			if c.canon != nil {
@@ -403,7 +402,7 @@ func (c targetBlind) Canonical(s ioa.State) ioa.State {
 
 // unsoundArm is the first battery case with its oracle and the
 // targetBlind canonicalizer built for it.
-func unsoundArm(t *testing.T) (batteryCase, oracle, store.Canonicalizer) {
+func unsoundArm(t *testing.T) (batteryCase, oracle, explore.Canonicalizer) {
 	t.Helper()
 	c := batteryCases(t)[0]
 	o := consultOracle(t, c)

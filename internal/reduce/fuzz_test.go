@@ -18,10 +18,10 @@ import (
 	"repro/internal/arbiter/spec"
 	"repro/internal/arbiter/users"
 	"repro/internal/bench"
+	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/reduce"
 	"repro/internal/ring"
-	"repro/internal/store"
 )
 
 // fuzzWalk takes up to steps random transitions from a random start
@@ -53,7 +53,7 @@ func fuzzWalk(t *testing.T, a ioa.Automaton, rng *rand.Rand, steps int) *ioa.Exe
 
 // orbitCheck asserts the canonicalizer laws at s for a group element
 // produced by apply.
-func orbitCheck(t *testing.T, c store.Canonicalizer, s ioa.State, apply func(ioa.State) ioa.State) {
+func orbitCheck(t *testing.T, c explore.Canonicalizer, s ioa.State, apply func(ioa.State) ioa.State) {
 	t.Helper()
 	canon := c.Canonical(s)
 	if again := c.Canonical(canon); again.Key() != canon.Key() {

@@ -1,6 +1,6 @@
 // Package reduce shrinks exhaustive state-space exploration without
 // changing its verdicts, by symmetry quotienting (symmetry.go): a
-// store.Canonicalizer that maps every state to the canonical
+// explore.Canonicalizer that maps every state to the canonical
 // representative of its orbit under a declared automorphism group of
 // the automaton — permutations of interchangeable arbiter users,
 // rotations of the LeLann ring, counter shifts of Dijkstra's K-state

@@ -1,6 +1,6 @@
 package reduce
 
-// Symmetry canonicalizers: store.Canonicalizer implementations for the
+// Symmetry canonicalizers: explore.Canonicalizer implementations for the
 // automorphism groups this repository's systems actually have. Each
 // Canonical picks the orbit representative by sorting interchangeable
 // components into a canonical order (and consistently relabeling every
@@ -22,9 +22,9 @@ import (
 
 	"repro/internal/arbiter/dist"
 	"repro/internal/arbiter/spec"
+	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/ring"
-	"repro/internal/store"
 )
 
 // ArbiterUsers is the full symmetric group Sₙ on the n users of the
@@ -47,7 +47,7 @@ type ArbiterUsers struct {
 	n int
 }
 
-var _ store.Canonicalizer = (*ArbiterUsers)(nil)
+var _ explore.Canonicalizer = (*ArbiterUsers)(nil)
 
 // NewArbiterUsers builds the Sₙ canonicalizer for n users.
 func NewArbiterUsers(n int) (*ArbiterUsers, error) {
@@ -57,10 +57,10 @@ func NewArbiterUsers(n int) (*ArbiterUsers, error) {
 	return &ArbiterUsers{n: n}, nil
 }
 
-// Name implements store.Canonicalizer.
+// Name implements explore.Canonicalizer.
 func (c *ArbiterUsers) Name() string { return fmt.Sprintf("users-S%d", c.n) }
 
-// Canonical implements store.Canonicalizer. States that do not have
+// Canonical implements explore.Canonicalizer. States that do not have
 // the closed-arbiter shape pass through unchanged (the identity orbit).
 func (c *ArbiterUsers) Canonical(s ioa.State) ioa.State {
 	ts, ok := s.(*ioa.TupleState)
@@ -145,7 +145,7 @@ type StarRotation struct {
 	n int
 }
 
-var _ store.Canonicalizer = (*StarRotation)(nil)
+var _ explore.Canonicalizer = (*StarRotation)(nil)
 
 // NewStarRotation builds the Zₙ canonicalizer for the star arbiter
 // with n users.
@@ -156,10 +156,10 @@ func NewStarRotation(n int) (*StarRotation, error) {
 	return &StarRotation{n: n}, nil
 }
 
-// Name implements store.Canonicalizer.
+// Name implements explore.Canonicalizer.
 func (c *StarRotation) Name() string { return fmt.Sprintf("star-Z%d", c.n) }
 
-// Canonical implements store.Canonicalizer.
+// Canonical implements explore.Canonicalizer.
 func (c *StarRotation) Canonical(s ioa.State) ioa.State {
 	ts, ok := s.(*ioa.TupleState)
 	if !ok || ts.Len() != c.n+1 {
@@ -220,7 +220,7 @@ type RingRotation struct {
 	n int
 }
 
-var _ store.Canonicalizer = (*RingRotation)(nil)
+var _ explore.Canonicalizer = (*RingRotation)(nil)
 
 // NewRingRotation builds the Zₙ canonicalizer for a ring of n
 // processes/users.
@@ -231,10 +231,10 @@ func NewRingRotation(n int) (*RingRotation, error) {
 	return &RingRotation{n: n}, nil
 }
 
-// Name implements store.Canonicalizer.
+// Name implements explore.Canonicalizer.
 func (c *RingRotation) Name() string { return fmt.Sprintf("ring-Z%d", c.n) }
 
-// Canonical implements store.Canonicalizer.
+// Canonical implements explore.Canonicalizer.
 func (c *RingRotation) Canonical(s ioa.State) ioa.State {
 	best := s
 	for k := 1; k < c.n; k++ {
@@ -284,7 +284,7 @@ type DijkstraShift struct {
 	k int
 }
 
-var _ store.Canonicalizer = (*DijkstraShift)(nil)
+var _ explore.Canonicalizer = (*DijkstraShift)(nil)
 
 // NewDijkstraShift builds the Z_K canonicalizer for counter modulus k.
 func NewDijkstraShift(k int) (*DijkstraShift, error) {
@@ -294,10 +294,10 @@ func NewDijkstraShift(k int) (*DijkstraShift, error) {
 	return &DijkstraShift{k: k}, nil
 }
 
-// Name implements store.Canonicalizer.
+// Name implements explore.Canonicalizer.
 func (c *DijkstraShift) Name() string { return fmt.Sprintf("dijkstra-Z%d", c.k) }
 
-// Canonical implements store.Canonicalizer.
+// Canonical implements explore.Canonicalizer.
 func (c *DijkstraShift) Canonical(s ioa.State) ioa.State {
 	ds, ok := s.(*ring.DijkstraState)
 	if !ok || ds.Len() == 0 {

@@ -51,7 +51,6 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/ltl"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // Options parameterizes certification.
@@ -72,7 +71,7 @@ type Options struct {
 	// concrete one (an automorphism maps worst-case schedules to
 	// worst-case schedules), so K and Rounds are unchanged — the
 	// reduce package's property test pins this on Dijkstra's ring.
-	Canon store.Canonicalizer
+	Canon explore.Canonicalizer
 }
 
 // A Step is one transition witness.

@@ -3,7 +3,8 @@ package store_test
 // Regression battery for the no-aliasing contract: bytes handed to
 // InternEncoded must be copied into the arena before the call returns,
 // so a caller mutating or reusing its encoding buffer afterwards cannot
-// corrupt stored encodings. Exercised under a canonicalizer.
+// corrupt stored encodings. Canonical encodings are their callers'
+// business; internal/explore's canon_test.go holds the orbit arms.
 
 import (
 	"bytes"
@@ -13,24 +14,6 @@ import (
 	"repro/internal/store"
 )
 
-// sortPair canonicalizes a two-part tuple state by ordering the parts'
-// keys — a minimal nontrivial symmetry for the aliasing tests.
-type sortPair struct{}
-
-func (sortPair) Name() string { return "sort-pair" }
-
-func (sortPair) Canonical(s ioa.State) ioa.State {
-	ts, ok := s.(*ioa.TupleState)
-	if !ok || ts.Len() != 2 {
-		return s
-	}
-	a, b := ts.At(0), ts.At(1)
-	if a.Key() <= b.Key() {
-		return s
-	}
-	return ioa.NewTupleState([]ioa.State{b, a})
-}
-
 func pair(a, b string) ioa.State {
 	return ioa.NewTupleState([]ioa.State{ioa.KeyState(a), ioa.KeyState(b)})
 }
@@ -39,10 +22,10 @@ func pair(a, b string) ioa.State {
 // immediately after InternEncoded and asserts the stored bytes are
 // unchanged and still dedup correctly.
 func TestInternEncodedCopiesBuffer(t *testing.T) {
-	st := store.New(store.Options{Canon: sortPair{}})
+	st := store.New(store.Options{})
 	s := pair("b", "a")
 
-	enc := st.AppendCanonical(nil, s)
+	enc := ioa.AppendState(nil, s)
 	want := append([]byte(nil), enc...)
 	id, fresh := st.InternEncoded(enc, store.Hash(enc))
 	if !fresh {
@@ -57,29 +40,32 @@ func TestInternEncodedCopiesBuffer(t *testing.T) {
 		t.Fatalf("stored encoding changed after caller mutation:\ngot  %q\nwant %q", got, want)
 	}
 
-	// The orbit-mate still dedups against the intact stored bytes.
-	if id2, fresh := st.Intern(pair("a", "b")); fresh || id2 != id {
-		t.Fatalf("orbit-mate interned as (%d, fresh=%v), want (%d, false)", id2, fresh, id)
+	// The same state still dedups against the intact stored bytes.
+	if id2, fresh := store.InternState(st, pair("b", "a")); fresh || id2 != id {
+		t.Fatalf("re-intern interned as (%d, fresh=%v), want (%d, false)", id2, fresh, id)
 	}
 	if st.Len() != 1 {
 		t.Fatalf("store holds %d states, want 1", st.Len())
 	}
 }
 
-// TestInternScratchIndependence pins that Intern's internal scratch
-// reuse never leaks into arenas: interleaved interns of many states,
-// each verified against an encoding snapshot at the end.
+// TestInternScratchIndependence pins that a caller's scratch buffer,
+// reused for every encoding as the explorers reuse theirs, never leaks
+// into arenas: interleaved interns of many states, each verified
+// against an encoding snapshot at the end.
 func TestInternScratchIndependence(t *testing.T) {
-	st := store.New(store.Options{Canon: sortPair{}})
+	st := store.New(store.Options{})
 	keys := []string{"a", "bb", "ccc", "dddd", "e", "ff"}
 	type snap struct {
 		id  store.ID
 		enc []byte
 	}
 	var snaps []snap
+	var scratch []byte
 	for i, a := range keys {
 		for _, b := range keys[i:] {
-			id, fresh := st.Intern(pair(b, a))
+			scratch = ioa.AppendState(scratch[:0], pair(b, a))
+			id, fresh := st.InternEncoded(scratch, store.Hash(scratch))
 			if fresh {
 				snaps = append(snaps, snap{id, append([]byte(nil), st.Encoding(id)...)})
 			}

@@ -20,10 +20,10 @@ import (
 func TestArenaFullLatchesError(t *testing.T) {
 	defer store.ShrinkArenaLimit(8)()
 	st := store.New(store.Options{})
-	if _, fresh := st.Intern(ioa.KeyState("12345678")); !fresh || st.Err() != nil {
+	if _, fresh := store.InternState(st, ioa.KeyState("12345678")); !fresh || st.Err() != nil {
 		t.Fatalf("exact fit refused: fresh=%v err=%v", fresh, st.Err())
 	}
-	if id, fresh := st.Intern(ioa.KeyState("9")); fresh || id != store.None {
+	if id, fresh := store.InternState(st, ioa.KeyState("9")); fresh || id != store.None {
 		t.Fatalf("overflowing intern returned (%d, %v), want (None, false)", id, fresh)
 	}
 	if !errors.Is(st.Err(), store.ErrArenaFull) {
@@ -32,7 +32,7 @@ func TestArenaFullLatchesError(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("store holds %d states after the refused intern, want 1", st.Len())
 	}
-	if id, fresh := st.Intern(ioa.KeyState("12345678")); fresh || id != 0 {
+	if id, fresh := store.InternState(st, ioa.KeyState("12345678")); fresh || id != 0 {
 		t.Fatalf("stored encoding lost after overflow: (%d, %v)", id, fresh)
 	}
 }

@@ -1,7 +1,6 @@
 package store_test
 
-// Micro-benchmarks for the store hot paths: writer-side interning and
-// frozen-phase probe lookups. Run in CI at -benchtime=1x under -race
+// Micro-benchmarks for the store hot paths: interning and lookups. Run in CI at -benchtime=1x under -race
 // as a build-and-run sanity check.
 
 import (
@@ -41,10 +40,12 @@ func BenchmarkStoreIntern(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
 			b.ResetTimer()
+			var enc []byte
 			for i := 0; i < b.N; i++ {
 				st := store.New(store.Options{})
 				for _, s := range arm.states {
-					st.Intern(s)
+					enc = ioa.AppendState(enc[:0], s)
+					st.InternEncoded(enc, store.Hash(enc))
 				}
 				if st.Len() != len(arm.states) {
 					b.Fatal("bad count")
@@ -63,16 +64,15 @@ func BenchmarkStoreProbeLookup(b *testing.B) {
 	states := benchStates(1024)
 	st := store.New(store.Options{})
 	for _, s := range states {
-		st.Intern(s)
+		store.InternState(st, s)
 	}
-	p := st.Probe()
 	var enc []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, s := range states {
-			enc = st.AppendCanonical(enc[:0], s)
-			if _, ok := p.Lookup(enc, store.Hash(enc)); !ok {
+			enc = ioa.AppendState(enc[:0], s)
+			if _, ok := st.Lookup(enc, store.Hash(enc)); !ok {
 				b.Fatal("miss")
 			}
 		}

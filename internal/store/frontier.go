@@ -1,6 +1,6 @@
 package store
 
-// The Frontier half of the storage abstraction: a FIFO of canonical
+// The Frontier half of the storage abstraction: a FIFO of
 // state encodings for level-synchronized BFS. Engines ping-pong two
 // frontiers — drain the current level while pushing the next — and
 // report Len through obs.Progress, so the ledger's geometric-tail ETA

@@ -17,8 +17,6 @@ import (
 // so the table is one allocation the collector never scans and an entry
 // allocates nothing. Probing is linear; the table doubles rather than
 // pass three-quarters full. The zero Index is empty and ready.
-// Single-writer; any number of goroutines may Find concurrently while
-// nobody Inserts or Resets.
 type Index struct {
 	slots []indexSlot
 	n     int
@@ -87,19 +85,17 @@ func (ix *Index) Reset() {
 }
 
 // A Batch is an insertion-ordered set of encodings held in RAM: one
-// arena of concatenated bytes, entry boundaries, per-entry hashes and
-// an Index over them. It is the Spill's hot batch (the hashes feed the
-// bloom filter at flush) and the body of every LevelSet. Boundaries
-// are int, not uint32: SpillOptions.MemBudget may legally exceed 4 GiB
-// and nothing bounds a level, so narrower offsets could wrap silently. The zero
-// Batch is empty and ready; concurrency is the Index's.
+// arena of concatenated bytes, entry boundaries and an Index over them.
+// It is the Spill's hot batch and the body of every LevelSet.
+// Boundaries are int, not uint32: SpillOptions.MemBudget may legally
+// exceed 4 GiB and nothing bounds a level, so narrower offsets could
+// wrap silently. The zero Batch is empty and ready.
 type Batch struct {
-	ix     Index
-	arena  []byte
-	ends   []int // entry i is arena[ends[i-1]:ends[i]], from 0 for i == 0
-	hashes []uint64
-	order  []int    // Order's result, reused
-	heads  []uint64 // Order's scratch: each entry's first eight bytes
+	ix    Index
+	arena []byte
+	ends  []int    // entry i is arena[ends[i-1]:ends[i]], from 0 for i == 0
+	order []int    // Order's result, reused
+	heads []uint64 // Order's scratch: each entry's first eight bytes
 }
 
 // Len returns the number of entries.
@@ -110,7 +106,7 @@ func (b *Batch) Len() int { return len(b.ends) }
 func (b *Batch) Bytes() int64 { return int64(len(b.arena)) }
 
 // Footprint returns the bytes the batch's entries cost it: their
-// encodings, a boundary and a hash each, and the index table they need
+// encodings, an 8-byte boundary each, and the index table they need
 // (16-byte slots; a real table never starts under 16 of them, which
 // only a budget of a few hundred bytes can tell). It is what a memory
 // budget on the batch compares against: a function of the entries, not
@@ -120,13 +116,13 @@ func (b *Batch) Footprint() int64 {
 	if n == 0 {
 		return 0
 	}
-	return int64(len(b.arena)) + 16*int64(n) + 16*int64(slotsFor(n))
+	return int64(len(b.arena)) + 8*int64(n) + 16*int64(slotsFor(n))
 }
 
 // Resident returns the bytes the batch holds, spare capacity and
 // Order's scratch included.
 func (b *Batch) Resident() int64 {
-	return int64(cap(b.arena)) + 8*int64(cap(b.ends)+cap(b.hashes)+cap(b.order)+cap(b.heads)) + 16*int64(len(b.ix.slots))
+	return int64(cap(b.arena)) + 8*int64(cap(b.ends)+cap(b.order)+cap(b.heads)) + 16*int64(len(b.ix.slots))
 }
 
 // Key returns entry i's encoding, a view valid until the next Add.
@@ -137,9 +133,6 @@ func (b *Batch) Key(i int) []byte {
 	}
 	return b.arena[lo:b.ends[i]]
 }
-
-// Hash returns the hash entry i was added under.
-func (b *Batch) Hash(i int) uint64 { return b.hashes[i] }
 
 // Lookup finds enc, given its hash, and returns its entry number.
 func (b *Batch) Lookup(enc []byte, hash uint64) (int, bool) {
@@ -152,7 +145,6 @@ func (b *Batch) Add(enc []byte, hash uint64) {
 	b.ix.Insert(hash, len(b.ends))
 	b.arena = append(b.arena, enc...)
 	b.ends = append(b.ends, len(b.arena))
-	b.hashes = append(b.hashes, hash)
 }
 
 // Order returns the entry numbers in bytes.Compare order of their
@@ -198,7 +190,7 @@ func head8(key []byte) uint64 {
 // Reset empties the batch and keeps its capacity.
 func (b *Batch) Reset() {
 	b.ix.Reset()
-	b.arena, b.ends, b.hashes = b.arena[:0], b.ends[:0], b.hashes[:0]
+	b.arena, b.ends = b.arena[:0], b.ends[:0]
 }
 
 // A LevelSet is the candidate set of a share of one BFS level — an

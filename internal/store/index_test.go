@@ -57,7 +57,7 @@ func runIndexProgram(t *testing.T, prog []byte, hash func([]byte) uint64) {
 		}
 		for k, want := range entries {
 			i, ok := batch.Lookup([]byte(k), hash([]byte(k)))
-			if !ok || i != want || string(batch.Key(i)) != k || batch.Hash(i) != hash([]byte(k)) {
+			if !ok || i != want || string(batch.Key(i)) != k {
 				t.Fatalf("batch lost %q: Lookup = (%d, %v), want entry %d", k, i, ok, want)
 			}
 		}

@@ -82,7 +82,7 @@ func checkInternAgreesWithKey(t *testing.T, label string, a ioa.Automaton) {
 	st := store.New(store.Options{})
 	byKey := make(map[string]store.ID, len(states))
 	for _, s := range visits {
-		id, fresh := st.Intern(s)
+		id, fresh := store.InternState(st, s)
 		prev, seen := byKey[s.Key()]
 		if fresh != !seen {
 			t.Fatalf("%s: state %q fresh=%t, want %t", label, s.Key(), fresh, !seen)
@@ -98,13 +98,13 @@ func checkInternAgreesWithKey(t *testing.T, label string, a ioa.Automaton) {
 			byKey[s.Key()] = id
 		}
 		// A copy whose key was never built streams to the same bytes.
-		if cid, cfresh := st.Intern(keyless(s)); cfresh || cid != byKey[s.Key()] {
+		if cid, cfresh := store.InternState(st, keyless(s)); cfresh || cid != byKey[s.Key()] {
 			t.Fatalf("%s: keyless copy of %q interned to %d fresh=%t, want %d", label, s.Key(), cid, cfresh, byKey[s.Key()])
 		}
-		// The probe view agrees with the writer view.
-		enc := st.AppendCanonical(nil, s)
-		if pid, ok := st.Probe().Lookup(enc, store.Hash(enc)); !ok || pid != byKey[s.Key()] {
-			t.Fatalf("%s: probe disagrees for %q: id=%d ok=%t", label, s.Key(), pid, ok)
+		// Lookup agrees with the intern path.
+		enc := ioa.AppendState(nil, s)
+		if pid, ok := st.Lookup(enc, store.Hash(enc)); !ok || pid != byKey[s.Key()] {
+			t.Fatalf("%s: Lookup disagrees for %q: id=%d ok=%t", label, s.Key(), pid, ok)
 		}
 	}
 	if st.Len() != len(byKey) {

@@ -112,7 +112,7 @@ func TestSmallStoreStaysSmall(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	st := New(Options{})
 	for i := 0; i < 10; i++ {
-		st.Intern(ioa.KeyState(patterned(283, i)))
+		InternState(st, ioa.KeyState(patterned(283, i)))
 	}
 	runtime.ReadMemStats(&after)
 	if st.Len() != 10 {

@@ -41,10 +41,9 @@ package store
 // Close; with Dir empty the Spill owns a temp directory and removes it
 // wholesale.
 //
-// Concurrency matches Store: single-writer, with Probe views valid for
-// concurrent reads only while the set is frozen. Flushing, merging and
-// compacting all happen in the writer, never in a frozen phase. Disk
-// and decode failures cannot surface through the Intern/Lookup
+// Like Store, a Spill is used by one goroutine at a time: lookups,
+// flushes, merges and compactions all run on the caller's. Disk and
+// decode failures cannot surface through the InternEncoded/Lookup
 // signatures, so they latch on Err; engines poll Err at strides and
 // level barriers.
 
@@ -59,10 +58,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/ioa"
 )
 
 // ErrCorruptRun reports a spill run file whose bytes do not decode
@@ -107,9 +102,6 @@ type SpillOptions struct {
 	// BlockEvery is the restart interval in entries (sparse-index
 	// granularity); 0 means 16.
 	BlockEvery int
-	// Canon, when non-nil, canonicalizes states before encoding, as in
-	// store.Options.
-	Canon Canonicalizer
 	// AfterFlush, when non-nil, runs after each run file — flushed,
 	// merge-interned or compacted — is written and indexed, with the
 	// run's path. Tests use it to damage a run and assert the clean
@@ -238,7 +230,6 @@ type Spill struct {
 	opts       SpillOptions
 	dir        string
 	ownDir     bool
-	canon      Canonicalizer
 	budget     int64
 	blockEvery int
 
@@ -247,23 +238,20 @@ type Spill struct {
 	flushedBase uint64
 	runs        []*runMeta // in creation order, which is ID order
 
-	spilledBytes int64 // live run files
-	scratch      []byte
-	lookup       runCursor // the writer's point lookups
+	spilledBytes int64     // live run files
+	lookup       runCursor // every point lookup's
 
 	cursors []*runCursor  // idle cursors: their buffers outlive a merge
 	wbuf    *bufio.Writer // the one run writer's buffer
 
-	// Counters behind Stats. Lookups run concurrently in frozen phases,
-	// so what they touch is atomic.
+	// Counters behind Stats.
 	compactions    int64
 	merges         int64 // MergeIntern calls
 	mergeCands     int64 // and the candidates they brought
-	entriesDecoded atomic.Int64
-	blocksRead     atomic.Int64
-	bloomFalse     atomic.Int64
+	entriesDecoded int64
+	blocksRead     int64
+	bloomFalse     int64
 
-	errMu  sync.Mutex
 	err    error
 	closed bool
 }
@@ -284,7 +272,6 @@ func NewSpill(opts SpillOptions) (*Spill, error) {
 		opts:       opts,
 		dir:        dir,
 		ownDir:     ownDir,
-		canon:      opts.Canon,
 		budget:     opts.MemBudget,
 		blockEvery: opts.BlockEvery,
 	}
@@ -295,18 +282,6 @@ func NewSpill(opts SpillOptions) (*Spill, error) {
 		sp.blockEvery = defaultBlockEvery
 	}
 	return sp, nil
-}
-
-// Canon returns the set's canonicalizer (nil without symmetry).
-func (sp *Spill) Canon() Canonicalizer { return sp.canon }
-
-// AppendCanonical appends the canonical encoding of s to dst, exactly
-// as Store.AppendCanonical.
-func (sp *Spill) AppendCanonical(dst []byte, s ioa.State) []byte {
-	if sp.canon != nil {
-		s = sp.canon.Canonical(s)
-	}
-	return ioa.AppendState(dst, s)
 }
 
 // Len returns the number of interned states (hot + spilled).
@@ -333,50 +308,31 @@ func (sp *Spill) Stats() Stats {
 		Compactions:         sp.compactions,
 		Merges:              sp.merges,
 		MergeCandidates:     sp.mergeCands,
-		EntriesDecoded:      sp.entriesDecoded.Load(),
-		BlocksRead:          sp.blocksRead.Load(),
-		BloomFalsePositives: sp.bloomFalse.Load(),
+		EntriesDecoded:      sp.entriesDecoded,
+		BlocksRead:          sp.blocksRead,
+		BloomFalsePositives: sp.bloomFalse,
 	}
 }
 
 // Err returns the first latched I/O or corruption error.
-func (sp *Spill) Err() error {
-	sp.errMu.Lock()
-	defer sp.errMu.Unlock()
-	return sp.err
-}
+func (sp *Spill) Err() error { return sp.err }
 
 func (sp *Spill) setErr(err error) {
-	if err == nil {
-		return
-	}
-	sp.errMu.Lock()
 	if sp.err == nil {
 		sp.err = err
 	}
-	sp.errMu.Unlock()
 }
 
-// Intern encodes s (canonicalizing when configured), dedups it against
-// the hot batch and every run, and returns its dense ID plus whether
-// it was new. After a latched error it returns (None, false); callers
-// observe the failure through Err.
-func (sp *Spill) Intern(s ioa.State) (ID, bool) {
-	sp.scratch = sp.AppendCanonical(sp.scratch[:0], s)
-	return sp.InternEncoded(sp.scratch, Hash(sp.scratch))
-}
-
-// InternEncoded interns already-canonical bytes given their Hash. The
-// bytes are copied before it returns.
+// InternEncoded dedups enc, given its Hash, against the hot batch and
+// every run, and returns its dense ID plus whether it was new. The
+// bytes are copied before it returns. After a latched error it returns
+// (None, false); callers observe the failure through Err.
 func (sp *Spill) InternEncoded(enc []byte, hash uint64) (ID, bool) {
-	if sp.Err() != nil {
+	if sp.err != nil {
 		return None, false
 	}
-	if id, ok := sp.search(enc, hash, &sp.lookup); ok {
+	if id, ok := sp.Lookup(enc, hash); ok || sp.err != nil {
 		return id, false
-	}
-	if sp.Err() != nil {
-		return None, false
 	}
 	id := ID(sp.total)
 	sp.hot.Add(enc, hash)
@@ -387,20 +343,14 @@ func (sp *Spill) InternEncoded(enc []byte, hash uint64) (ID, bool) {
 	return id, true
 }
 
-// Has reports membership without interning. Writer-side only.
-func (sp *Spill) Has(s ioa.State) (ID, bool) {
-	sp.scratch = sp.AppendCanonical(sp.scratch[:0], s)
-	return sp.search(sp.scratch, Hash(sp.scratch), &sp.lookup)
-}
-
-// search is the merge-on-lookup membership path: hot batch first, then
-// runs newest-first through the caller's cursor. Disk errors latch on
-// Err and report not-found.
-func (sp *Spill) search(enc []byte, hash uint64, c *runCursor) (ID, bool) {
+// Lookup is the merge-on-lookup membership path: hot batch first, then
+// runs newest-first through the Spill's one lookup cursor. Disk errors
+// latch on Err and report not-found.
+func (sp *Spill) Lookup(enc []byte, hash uint64) (ID, bool) {
 	if i, ok := sp.hot.Lookup(enc, hash); ok {
 		return ID(sp.flushedBase + uint64(i)), true
 	}
-	id, ok, err := sp.searchRuns(enc, c)
+	id, ok, err := sp.searchRuns(enc)
 	sp.setErr(err)
 	return id, ok
 }
@@ -409,13 +359,13 @@ func (sp *Spill) search(enc []byte, hash uint64, c *runCursor) (ID, bool) {
 // Hash(enc) as the Spill computes it, not about the hash the caller
 // interned enc under: a compacted run's filter is rebuilt from its keys
 // alone, so that is the one hash every filter can have been fed.
-func (sp *Spill) searchRuns(enc []byte, c *runCursor) (ID, bool, error) {
+func (sp *Spill) searchRuns(enc []byte) (ID, bool, error) {
 	if len(sp.runs) == 0 {
 		return None, false, nil
 	}
 	hash := Hash(enc)
 	for i := len(sp.runs) - 1; i >= 0; i-- {
-		if id, ok, err := sp.searchRun(sp.runs[i], enc, hash, c); ok || err != nil {
+		if id, ok, err := sp.searchRun(sp.runs[i], enc, hash); ok || err != nil {
 			return id, ok, err
 		}
 	}
@@ -423,11 +373,12 @@ func (sp *Spill) searchRuns(enc []byte, c *runCursor) (ID, bool, error) {
 }
 
 // searchRun looks enc up in one run: the filter first, so that a miss
-// costs no more, then the cursor, which asks it again and seeks.
-func (sp *Spill) searchRun(r *runMeta, enc []byte, hash uint64, c *runCursor) (ID, bool, error) {
+// costs no more, then the lookup cursor, which asks it again and seeks.
+func (sp *Spill) searchRun(r *runMeta, enc []byte, hash uint64) (ID, bool, error) {
 	if !r.filter.maybe(hash) {
 		return None, false, nil
 	}
+	c := &sp.lookup
 	c.reset(r)
 	ok, err := c.find(head8(enc), enc, &hash)
 	sp.account(c)
@@ -439,9 +390,9 @@ func (sp *Spill) searchRun(r *runMeta, enc []byte, hash uint64, c *runCursor) (I
 
 // account moves what a cursor counted to the Spill's totals.
 func (sp *Spill) account(c *runCursor) {
-	sp.entriesDecoded.Add(c.decoded)
-	sp.blocksRead.Add(c.reads)
-	sp.bloomFalse.Add(c.misses)
+	sp.entriesDecoded += c.decoded
+	sp.blocksRead += c.reads
+	sp.bloomFalse += c.misses
 	c.decoded, c.reads, c.misses = 0, 0, 0
 }
 
@@ -696,23 +647,6 @@ func (sp *Spill) writeMerged(in []*runMeta) (*runMeta, error) {
 	}
 }
 
-// spillProbe is the frozen-phase concurrent read view: its own cursor
-// over the shared immutable run set.
-type spillProbe struct {
-	sp  *Spill
-	cur runCursor
-}
-
-// Probe returns a fresh probe; each concurrent goroutine needs its
-// own.
-func (sp *Spill) Probe() MemberProbe { return &spillProbe{sp: sp} }
-
-// Lookup reports membership as Probe.Lookup does; disk errors latch on
-// the Spill's Err and report not-found.
-func (p *spillProbe) Lookup(enc []byte, hash uint64) (ID, bool) {
-	return p.sp.search(enc, hash, &p.cur)
-}
-
 // runCursor is the one decoder of a run: compaction walks a run front to
 // back with it, merges and lookups seek it to the blocks their keys fall
 // in. It reads with ReadAt — one block at a seek, buffer-sized pieces
@@ -962,7 +896,7 @@ func (c *runCursor) compare(head uint64, key []byte) int {
 	return bytes.Compare(c.key, key)
 }
 
-// MergeIntern takes a set of distinct canonical encodings, filters out
+// MergeIntern takes a set of distinct encodings, filters out
 // the members, interns the fresh remainder in the batch's Order as one
 // new sorted run, and hands each fresh encoding and its assigned ID to
 // emit before moving on. This is the batch interning path for

@@ -99,7 +99,7 @@ func BenchmarkSpillMerge(b *testing.B) {
 			for j := 0; j < len(keys); j += 8 {
 				absent := [5]byte(keys[j])
 				absent[j%5] = 7
-				if _, ok, err := sp.searchRuns(absent[:], &sp.lookup); ok || err != nil {
+				if _, ok, err := sp.searchRuns(absent[:]); ok || err != nil {
 					b.Fatalf("absent key found (%v) or failed: %v", ok, err)
 				}
 			}

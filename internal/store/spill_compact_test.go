@@ -95,7 +95,7 @@ func TestSpillCursorRefusesDamagedRun(t *testing.T) {
 			var paths []string
 			sp := newTestSpill(t, SpillOptions{MemBudget: 1 << 10, AfterFlush: func(p string) { paths = append(paths, p) }})
 			for _, k := range shuffledKeys(6, 11) {
-				sp.Intern(ioa.KeyState(k))
+				InternState(sp, ioa.KeyState(k))
 			}
 			if err := sp.Flush(); err != nil || len(paths) != 1 {
 				t.Fatalf("Flush: %v, runs %v", err, paths)
@@ -116,7 +116,7 @@ func TestSpillCursorRefusesDamagedRun(t *testing.T) {
 			sp := newTestSpill(t, SpillOptions{AfterFlush: func(p string) { paths = append(paths, p) }})
 			for run := 0; run < compactFanIn; run++ {
 				for i := 0; i < 5; i++ {
-					sp.Intern(ioa.KeyState(fmt.Sprintf("key-%d-%d", i, run)))
+					InternState(sp, ioa.KeyState(fmt.Sprintf("key-%d-%d", i, run)))
 				}
 				if run == compactFanIn-1 {
 					fault.apply(t, paths[1])
@@ -135,7 +135,7 @@ func TestSpillCursorRefusesDamagedRun(t *testing.T) {
 			if s := sp.Stats(); s.SpillRuns != compactFanIn || s.Compactions != 0 {
 				t.Fatalf("after a failed compaction: %+v", s)
 			}
-			if id, fresh := sp.Intern(ioa.KeyState("later")); fresh || id != None {
+			if id, fresh := InternState(sp, ioa.KeyState("later")); fresh || id != None {
 				t.Fatalf("Intern after the latch = (%d, %v)", id, fresh)
 			}
 		})
@@ -213,7 +213,7 @@ func TestSpillMergeMatchesStore(t *testing.T) {
 		var want, got []admitted
 		var wantKeys []string
 		for _, i := range cands.Order() {
-			if id, fresh := st.InternEncoded(cands.Key(i), cands.Hash(i)); fresh {
+			if id, fresh := st.InternEncoded(cands.Key(i), Hash(cands.Key(i))); fresh {
 				want = append(want, admitted{string(cands.Key(i)), id})
 				wantKeys = append(wantKeys, string(cands.Key(i)))
 			}
@@ -323,7 +323,7 @@ func TestSpillCompactedRunFaults(t *testing.T) {
 				var keys []string
 				for i := 0; victim == "" && i < 500; i++ {
 					keys = append(keys, fmt.Sprintf("state-%05d", i))
-					sp.Intern(ioa.KeyState(keys[i]))
+					InternState(sp, ioa.KeyState(keys[i]))
 				}
 				if victim == "" || sp.Err() != nil {
 					t.Fatalf("no compaction in %d keys (Err %v)", len(keys), sp.Err())
@@ -336,7 +336,7 @@ func TestSpillCompactedRunFaults(t *testing.T) {
 					t.Fatalf("victim %s, oldest run %s of %d keys", victim, r.path, r.count)
 				}
 				for which, i := range map[string]int{"first": 0, "last": r.count - 1} {
-					id, ok, err := sp.searchRuns([]byte(keys[i]), &sp.lookup)
+					id, ok, err := sp.searchRuns([]byte(keys[i]))
 					if which == fault.breaks {
 						wantCorrupt(t, "lookup of "+keys[i], err, victim, "")
 					} else if err != nil || !ok || id != ID(i) {
@@ -404,7 +404,7 @@ func TestSpillProgramsMatchStore(t *testing.T) {
 				// The oracle interns the batch in its order, one by one.
 				want := map[string]ID{}
 				for _, i := range cands.Order() {
-					if id, fresh := st.InternEncoded(cands.Key(i), cands.Hash(i)); fresh {
+					if id, fresh := st.InternEncoded(cands.Key(i), f.hash(cands.Key(i))); fresh {
 						want[string(cands.Key(i))], ids[string(cands.Key(i))] = id, id
 						known = append(known, slices.Clone(cands.Key(i)))
 					}
@@ -425,21 +425,17 @@ func TestSpillProgramsMatchStore(t *testing.T) {
 		if sp.Len() != st.Len() || sp.Err() != nil {
 			t.Fatalf("seed %d: Len %d, store %d, Err %v", seed, sp.Len(), st.Len(), sp.Err())
 		}
-		probe := sp.Probe()
 		for i := 0; i < 3000; i += 7 {
 			k := []byte(fmt.Sprintf("k%04d", i))
 			wantID, want := ids[string(k)]
-			if id, ok := sp.search(k, f.hash(k), &sp.lookup); ok != want || (ok && id != wantID) {
-				t.Fatalf("seed %d: search(%q) = (%d, %v), store (%d, %v)", seed, k, id, ok, wantID, want)
-			}
-			if id, ok := probe.Lookup(k, f.hash(k)); ok != want || (ok && id != wantID) {
+			if id, ok := sp.Lookup(k, f.hash(k)); ok != want || (ok && id != wantID) {
 				t.Fatalf("seed %d: Lookup(%q) = (%d, %v), store (%d, %v)", seed, k, id, ok, wantID, want)
 			}
 			if f.name != "fnv" {
-				continue // Has hashes for itself
+				continue // LookupState hashes for itself
 			}
-			if id, ok := sp.Has(ioa.KeyState(k)); ok != want || (ok && id != wantID) {
-				t.Fatalf("seed %d: Has(%q) = (%d, %v), store (%d, %v)", seed, k, id, ok, wantID, want)
+			if id, ok := LookupState(sp, ioa.KeyState(k)); ok != want || (ok && id != wantID) {
+				t.Fatalf("seed %d: LookupState(%q) = (%d, %v), store (%d, %v)", seed, k, id, ok, wantID, want)
 			}
 		}
 		if s := sp.Stats(); s.SpillRuns == 0 {
@@ -457,7 +453,7 @@ func validRun(t testing.TB, n int) []byte {
 	}
 	defer sp.Close()
 	for _, k := range shuffledKeys(n, 31) {
-		sp.Intern(ioa.KeyState(k))
+		InternState(sp, ioa.KeyState(k))
 	}
 	if err := sp.Flush(); err != nil {
 		t.Fatal(err)
@@ -535,9 +531,8 @@ func FuzzRunCursor(f *testing.F) {
 		for _, k := range keys {
 			r.filter.add(Hash(k))
 		}
-		var lookup runCursor
 		for i, k := range keys {
-			id, ok, err := sp.searchRun(r, k, Hash(k), &lookup)
+			id, ok, err := sp.searchRun(r, k, Hash(k))
 			if err != nil && !errors.Is(err, ErrCorruptRun) || err == nil && (!ok || uint64(id) != ids[i]) {
 				t.Fatalf("lookup of entry %d, %q = (%d, %v), %v; the cursor read ID %d", i, k, id, ok, err, ids[i])
 			}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/ioa"
@@ -66,19 +65,19 @@ func TestSpillMatchesStoreDifferential(t *testing.T) {
 	st := New(Options{})
 	sp := newTestSpill(t, SpillOptions{})
 	for i, k := range keys {
-		wantID, wantFresh := st.Intern(ioa.KeyState(k))
-		gotID, gotFresh := sp.Intern(ioa.KeyState(k))
+		wantID, wantFresh := InternState(st, ioa.KeyState(k))
+		gotID, gotFresh := InternState(sp, ioa.KeyState(k))
 		if gotID != wantID || gotFresh != wantFresh {
-			t.Fatalf("Intern(%q) = (%d, %v), store = (%d, %v)", k, gotID, gotFresh, wantID, wantFresh)
+			t.Fatalf("InternState(%q) = (%d, %v), store = (%d, %v)", k, gotID, gotFresh, wantID, wantFresh)
 		}
 		// Periodically re-intern an already-seen key: it may be hot or
 		// in any run by now.
 		if i%7 == 0 {
 			old := keys[i/2]
-			wantID, _ = st.Intern(ioa.KeyState(old))
-			gotID, gotFresh = sp.Intern(ioa.KeyState(old))
+			wantID, _ = InternState(st, ioa.KeyState(old))
+			gotID, gotFresh = InternState(sp, ioa.KeyState(old))
 			if gotID != wantID || gotFresh {
-				t.Fatalf("re-Intern(%q) = (%d, %v), want (%d, false)", old, gotID, gotFresh, wantID)
+				t.Fatalf("re-InternState(%q) = (%d, %v), want (%d, false)", old, gotID, gotFresh, wantID)
 			}
 		}
 	}
@@ -92,54 +91,12 @@ func TestSpillMatchesStoreDifferential(t *testing.T) {
 	if err := sp.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
 	}
-	// Has and probe Lookup agree with the writer path for members and
-	// non-members alike.
-	probe := sp.Probe()
+	// Lookup agrees with the store for members and non-members alike.
 	for _, k := range []string{"state-00000", "state-00599", "state-01199", "absent", "state-99999"} {
-		wantID, wantOK := st.Has(ioa.KeyState(k))
-		if gotID, gotOK := sp.Has(ioa.KeyState(k)); gotID != wantID || gotOK != wantOK {
-			t.Fatalf("Has(%q) = (%d, %v), store = (%d, %v)", k, gotID, gotOK, wantID, wantOK)
+		wantID, wantOK := LookupState(st, ioa.KeyState(k))
+		if gotID, gotOK := LookupState(sp, ioa.KeyState(k)); gotID != wantID || gotOK != wantOK {
+			t.Fatalf("Lookup(%q) = (%d, %v), store = (%d, %v)", k, gotID, gotOK, wantID, wantOK)
 		}
-		gotID, gotOK := probe.Lookup([]byte(k), Hash([]byte(k)))
-		if gotID != wantID || gotOK != wantOK {
-			t.Fatalf("probe Lookup(%q) = (%d, %v), store = (%d, %v)", k, gotID, gotOK, wantID, wantOK)
-		}
-	}
-}
-
-// TestSpillProbesConcurrent runs many probes against a frozen spill in
-// parallel — the level-expansion access pattern.
-func TestSpillProbesConcurrent(t *testing.T) {
-	keys := shuffledKeys(800, 2)
-	sp := newTestSpill(t, SpillOptions{})
-	want := make(map[string]ID, len(keys))
-	for _, k := range keys {
-		id, _ := sp.Intern(ioa.KeyState(k))
-		want[k] = id
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			probe := sp.Probe()
-			for i, k := range keys {
-				id, ok := probe.Lookup([]byte(k), Hash([]byte(k)))
-				if !ok || id != want[k] {
-					t.Errorf("worker %d: Lookup(%q) = (%d, %v), want (%d, true)", w, k, id, ok, want[k])
-					return
-				}
-				miss := []byte(fmt.Sprintf("miss-%d-%d", w, i))
-				if _, ok := probe.Lookup(miss, Hash(miss)); ok {
-					t.Errorf("worker %d: phantom member", w)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := sp.Err(); err != nil {
-		t.Fatalf("Err = %v", err)
 	}
 }
 
@@ -173,7 +130,7 @@ func TestSpillMergeIntern(t *testing.T) {
 		var wantFresh []string
 		wantIDs := map[string]ID{}
 		for _, c := range uniq {
-			if id, fresh := st.Intern(ioa.KeyState(c)); fresh {
+			if id, fresh := InternState(st, ioa.KeyState(c)); fresh {
 				wantFresh = append(wantFresh, c)
 				wantIDs[c] = id
 			}
@@ -204,10 +161,10 @@ func TestSpillMergeIntern(t *testing.T) {
 	}
 	// Point lookups still see everything interned via the batch path.
 	for _, k := range universe[:next] {
-		wantID, _ := st.Has(ioa.KeyState(k))
-		gotID, ok := sp.Has(ioa.KeyState(k))
+		wantID, _ := LookupState(st, ioa.KeyState(k))
+		gotID, ok := LookupState(sp, ioa.KeyState(k))
 		if !ok || gotID != wantID {
-			t.Fatalf("Has(%q) = (%d, %v), want (%d, true)", k, gotID, ok, wantID)
+			t.Fatalf("Lookup(%q) = (%d, %v), want (%d, true)", k, gotID, ok, wantID)
 		}
 	}
 }
@@ -222,7 +179,7 @@ func TestSpillTruncatedRunSurfacesCorruptError(t *testing.T) {
 	})
 	keys := shuffledKeys(400, 5)
 	for _, k := range keys {
-		sp.Intern(ioa.KeyState(k))
+		InternState(sp, ioa.KeyState(k))
 	}
 	if err := sp.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -243,7 +200,7 @@ func TestSpillTruncatedRunSurfacesCorruptError(t *testing.T) {
 	// at least one lookup crosses the cut.
 	found := false
 	for _, k := range keys {
-		if _, ok := sp.Has(ioa.KeyState(k)); !ok {
+		if _, ok := LookupState(sp, ioa.KeyState(k)); !ok {
 			found = true
 		}
 	}
@@ -255,7 +212,7 @@ func TestSpillTruncatedRunSurfacesCorruptError(t *testing.T) {
 	}
 	// After the latch, Intern refuses quietly rather than corrupting
 	// the ID space.
-	if id, fresh := sp.Intern(ioa.KeyState("post-corruption")); fresh || id != None {
+	if id, fresh := InternState(sp, ioa.KeyState("post-corruption")); fresh || id != None {
 		t.Fatalf("Intern after latch = (%d, %v), want (None, false)", id, fresh)
 	}
 }
@@ -268,7 +225,7 @@ func TestSpillTruncatedRunFailsMergeIntern(t *testing.T) {
 		AfterFlush: func(path string) { paths = append(paths, path) },
 	})
 	for _, k := range shuffledKeys(200, 6) {
-		sp.Intern(ioa.KeyState(k))
+		InternState(sp, ioa.KeyState(k))
 	}
 	if err := sp.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -292,7 +249,8 @@ func TestSpillTruncatedRunFailsMergeIntern(t *testing.T) {
 // state-00255, interned in key order, whose first block stops
 // increasing at entry 5 — its one suffix byte, file offset 40, rewritten
 // from '5' to '0', so that it reads state-00000 again. Every way of
-// reading that entry — InternEncoded and Has of the key it held, and
+// reading that entry — InternEncoded and Lookup (the "Has" arm) of the
+// key it held, and
 // MergeIntern of that key alone and of its whole block — must latch
 // ErrCorruptRun, and none may take the key for absent: no second ID for
 // a stored key.
@@ -310,8 +268,8 @@ func TestSpillRefusesOrderBreak(t *testing.T) {
 			return nil
 		},
 		"Has": func(sp *Spill) error {
-			if id, ok := sp.Has(ioa.KeyState(damaged)); ok && id != 5 {
-				return fmt.Errorf("Has = (%d, %v)", id, ok)
+			if id, ok := LookupState(sp, ioa.KeyState(damaged)); ok && id != 5 {
+				return fmt.Errorf("Lookup = (%d, %v)", id, ok)
 			}
 			return nil
 		},
@@ -367,7 +325,7 @@ func TestSpillCloseRemovesOwnedDir(t *testing.T) {
 		t.Fatalf("NewSpill: %v", err)
 	}
 	for _, k := range shuffledKeys(100, 7) {
-		sp.Intern(ioa.KeyState(k))
+		InternState(sp, ioa.KeyState(k))
 	}
 	dir := sp.dir
 	if err := sp.Close(); err != nil {
@@ -383,7 +341,7 @@ func TestSpillCloseRemovesOwnedDir(t *testing.T) {
 		t.Fatalf("NewSpill: %v", err)
 	}
 	for _, k := range shuffledKeys(100, 8) {
-		sp2.Intern(ioa.KeyState(k))
+		InternState(sp2, ioa.KeyState(k))
 	}
 	if err := sp2.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -462,7 +420,7 @@ func TestFrontierRoundTrip(t *testing.T) {
 // through the shared Stats shape.
 func TestStoreSeenSetStats(t *testing.T) {
 	var seen SeenSet = New(Options{})
-	seen.Intern(ioa.KeyState("a"))
+	InternState(seen, ioa.KeyState("a"))
 	s := seen.Stats()
 	if s.SpilledStates != 0 || s.SpilledBytes != 0 || s.SpillRuns != 0 {
 		t.Fatalf("arena store reports spill volume: %+v", s)

@@ -1,31 +1,27 @@
-// Package store provides a compact interned state store for
-// state-space exploration. Each state is encoded once into its
-// canonical byte representation (ioa.AppendState: the bytes of Key(),
-// built on demand — a tuple is streamed part by part and never owns a
-// key string unless something asks for one — for Intern, Has and
-// AppendCanonical; a caller of InternEncoded may bring any encoding
-// that is equal iff the Keys are, as the sequential explorer brings
-// ioa.Encoder's cell indices),
-// hashed (Hash: an unspecified 64-bit function of those bytes, stable
-// within one binary, never persisted and never trusted for equality),
-// and appended to an arena of fixed slabs behind sharded hash indexes;
-// interning hands out dense uint64 IDs in insertion order. Explorers
-// keep their seen sets, BFS parent links, and witness reconstruction on
-// IDs instead of map[string] keys, which removes per-state string-map
-// overhead (string headers, per-probe string hashing, GC pressure from
-// millions of map entries) on the reachability hot path.
+// Package store is a set of byte strings with dense IDs, for one
+// goroutine. Each string — a state's encoding, whatever bytes its
+// caller chose, equal iff the states are — is hashed (Hash: an
+// unspecified 64-bit function of the bytes, stable within one binary,
+// never persisted and never trusted for equality) and appended to an
+// arena of fixed slabs behind sharded hash indexes; interning hands out
+// dense uint64 IDs in insertion order. Explorers keep their seen sets,
+// BFS parent links, and witness reconstruction on IDs instead of
+// map[string] keys, which removes per-state string-map overhead (string
+// headers, per-probe string hashing, GC pressure from millions of map
+// entries) on the reachability hot path. Which bytes stand for a state,
+// and which state of a symmetry orbit they encode, is the caller's
+// choice: the package imports nothing of the project and knows no
+// state.
 //
-// Concurrency contract. A Store is single-writer: Intern and Has must
-// only be called from one goroutine at a time with no concurrent
-// readers. Lookup writes nothing, so any number of goroutines may run
-// it while no Intern is in flight.
+// Concurrency. A Store, a Spill and their Batch and Index are used by
+// one goroutine at a time.
 //
 // Determinism. IDs are assigned in insertion order, so a caller that
-// interns states in a canonical order (BFS discovery order, which every
+// interns in a canonical order (BFS discovery order, which every
 // explorer produces) gets IDs whose numeric order reproduces that
-// canonical order. The
-// explorers rely on this to keep witness-trace canonicalization
-// bit-identical to the string-keyed seed implementation.
+// canonical order. The explorers rely on this to keep witness-trace
+// canonicalization bit-identical to the string-keyed seed
+// implementation.
 package store
 
 import (
@@ -35,8 +31,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"repro/internal/ioa"
 )
 
 // An ID is a dense state identifier: the i-th state interned into a
@@ -52,39 +46,8 @@ const None ID = ^ID(0)
 // no such bound.)
 const shardCount = 16
 
-// A Canonicalizer maps each state to the canonical representative of
-// its symmetry orbit, so that interning quotients the state space: two
-// states related by a symmetry of the automaton canonicalize to the
-// same representative, encode to the same bytes, and share one dense
-// ID.
-//
-// Contract: Canonical must be a pure function, idempotent
-// (Canonical(Canonical(s)) == Canonical(s)), orbit-invariant
-// (s ~ t implies Canonical(s).Key() == Canonical(t).Key()), and exact
-// (Canonical(s).Key() == Canonical(t).Key() only when s ~ t). The
-// symmetry itself must be an automorphism of the transition relation;
-// the reduce package provides checked implementations and the
-// differential battery there enforces the contract against the
-// unreduced oracle. Canonical must be safe for concurrent use: frozen
-// stores are probed from many goroutines.
-type Canonicalizer interface {
-	// Name identifies the symmetry (for certificates and bench rows).
-	Name() string
-	// Canonical returns the orbit representative of s. It must not
-	// retain or mutate s.
-	Canonical(s ioa.State) ioa.State
-}
-
-// Options parameterizes a Store.
-type Options struct {
-	// Canon, when non-nil, canonicalizes every state before encoding
-	// and hashing, so the store dedups symmetry orbits instead of
-	// individual states. Callers still hand Intern concrete states and
-	// may keep them as orbit representatives; only the stored encoding
-	// is canonical. InternEncoded and Lookup bypass canonicalization and must be given canonical bytes
-	// (AppendCanonical's).
-	Canon Canonicalizer
-}
+// Options parameterizes a Store. It has no fields.
+type Options struct{}
 
 // loc records where one interned encoding lives: its slab and the byte
 // range inside it.
@@ -127,34 +90,16 @@ type Store struct {
 	// arenaBytes is the slabs' summed len, kept for the limit check.
 	arenaBytes int64
 	locs       []loc
-	scratch    []byte
-	canon      Canonicalizer
 	// err latches the first arena overflow (see InternEncoded).
 	err error
 }
 
 // New builds an empty store.
-func New(opts Options) *Store { return &Store{canon: opts.Canon} }
-
-// Canon returns the store's canonicalizer (nil without symmetry
-// reduction).
-func (st *Store) Canon() Canonicalizer { return st.canon }
-
-// AppendCanonical appends the canonical encoding of s to dst: the
-// encoding of Canon.Canonical(s) when a canonicalizer is set, s's own
-// encoding otherwise. This is the byte form Intern dedups on. The
-// returned slice follows the append contract and never aliases
-// store-owned memory.
-func (st *Store) AppendCanonical(dst []byte, s ioa.State) []byte {
-	if st.canon != nil {
-		s = st.canon.Canonical(s)
-	}
-	return ioa.AppendState(dst, s)
-}
+func New(Options) *Store { return &Store{} }
 
 // Hash is the hash every store site uses — shard and cluster-owner
-// routing, index slots, level sets, spill blooms — exported so probes
-// and explorers can share computed values. Its contract is the uses'
+// routing, index slots, level sets, spill blooms — exported so a
+// caller hashes each encoding once for every use. Its contract is the uses'
 // common need and no more: a 64-bit function of b, well spread in every
 // bit range, the same within one binary. The values are unspecified,
 // are in no persisted format (they may change between builds), and
@@ -198,7 +143,7 @@ func fold(x, k uint64) uint64 {
 var ErrArenaFull = errors.New("store: arena full")
 
 // Err returns the first arena overflow InternEncoded latched, nil
-// otherwise. Like Intern it follows the single-writer rule.
+// otherwise.
 func (st *Store) Err() error { return st.err }
 
 // Len returns the number of interned states.
@@ -275,18 +220,8 @@ func (st *Store) Encoding(id ID) []byte {
 	return st.slabs[l.slab][l.off : l.off+l.n]
 }
 
-// Intern encodes s (canonicalizing first when Options.Canon is set),
-// deduplicates it against the store, and returns its ID plus whether
-// it was newly added. Single-writer: callers serialize Intern against
-// all other store calls.
-func (st *Store) Intern(s ioa.State) (ID, bool) {
-	st.scratch = st.AppendCanonical(st.scratch[:0], s)
-	return st.InternEncoded(st.scratch, Hash(st.scratch))
-}
-
-// InternEncoded interns an already-encoded state given its Hash. Under
-// a canonicalizer the bytes must be canonical (AppendCanonical's). The
-// bytes are copied into the arena before InternEncoded returns, so enc
+// InternEncoded interns enc given its Hash, returning its ID plus
+// whether it was newly added. The bytes are copied into the arena before InternEncoded returns, so enc
 // may be reused — or mutated — by the caller immediately afterwards
 // without disturbing the stored encoding; the regression battery pins
 // this no-aliasing contract.
@@ -341,19 +276,8 @@ func (st *Store) place(enc []byte) loc {
 	return loc{slab: uint32(last), off: uint32(off), n: uint32(len(enc))}
 }
 
-// Has reports whether s (canonicalized when Options.Canon is set) is
-// interned, and under which ID. It shares the writer's scratch buffer,
-// so it follows the single-writer rule; concurrent readers use Lookup
-// instead.
-func (st *Store) Has(s ioa.State) (ID, bool) {
-	st.scratch = st.AppendCanonical(st.scratch[:0], s)
-	return st.Lookup(st.scratch, Hash(st.scratch))
-}
-
-// Lookup reports whether enc, canonical bytes with their Hash, is
-// interned, and under which ID, without interning it. It writes
-// nothing, so any number of goroutines may call it while the store is
-// frozen: the store is its own MemberProbe.
+// Lookup reports whether enc, given its Hash, is interned, and under
+// which ID, without interning it.
 func (st *Store) Lookup(enc []byte, hash uint64) (ID, bool) {
 	id, ok := st.shards[hash%shardCount].ix.Find(hash, func(id int) bool {
 		return bytes.Equal(st.Encoding(ID(id)), enc)
