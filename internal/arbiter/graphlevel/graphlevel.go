@@ -89,14 +89,22 @@ func (s *State) has(id int, bit uint8) bool { return (s.key[id]-'0')&bit != 0 }
 // HasRequest reports whether a request arrow is on edge (v,w).
 func (s *State) HasRequest(v, w int) bool {
 	id, ok := s.tree.EdgeID(v, w)
-	return ok && s.has(id, bitRequest)
+	return ok && s.RequestAt(id)
 }
 
 // HasGrant reports whether a grant arrow is on edge (v,w).
 func (s *State) HasGrant(v, w int) bool {
 	id, ok := s.tree.EdgeID(v, w)
-	return ok && s.has(id, bitGrant)
+	return ok && s.GrantAt(id)
 }
+
+// RequestAt reports whether a request arrow is on the edge with dense
+// ID id (graph.Tree.EdgeID): HasRequest with the edge resolved by the
+// caller, once.
+func (s *State) RequestAt(id int) bool { return s.has(id, bitRequest) }
+
+// GrantAt reports whether a grant arrow is on the edge with dense ID id.
+func (s *State) GrantAt(id int) bool { return s.has(id, bitGrant) }
 
 // Root returns the unique root — the node at the head of the grant
 // arrow — or -1 if no grant arrow is on any edge (which never happens

@@ -26,7 +26,7 @@ import (
 //	holder = u      iff grant ∈ arrows(a,u)
 //	holder = a      iff no user-bound edge carries a grant arrow
 func H1(t *graph.Tree, a2r, a1 ioa.Automaton) *proof.PossMapping {
-	users, att := attachments(t)
+	e := userEdges(t)
 	return &proof.PossMapping{
 		A: a2r,
 		B: a1,
@@ -35,7 +35,7 @@ func H1(t *graph.Tree, a2r, a1 ioa.Automaton) *proof.PossMapping {
 			if !ok {
 				return nil
 			}
-			return []ioa.State{mapH1(users, att, s)}
+			return []ioa.State{e.mapH1(s)}
 		},
 	}
 }
@@ -43,32 +43,43 @@ func H1(t *graph.Tree, a2r, a1 ioa.Automaton) *proof.PossMapping {
 // MapH1 applies the h₁ state function directly (for use in simulations
 // that track all three levels at once).
 func MapH1(t *graph.Tree, st *graphlevel.State) *spec.State {
-	users, att := attachments(t)
-	return mapH1(users, att, st)
+	return userEdges(t).mapH1(st)
 }
 
-// attachments returns the user nodes of t, ascending, and the arbiter
-// node each is attached to, index for index.
-func attachments(t *graph.Tree) (users, att []int) {
-	users = t.NodesOf(graph.User)
-	att = make([]int, len(users))
-	for i, u := range users {
-		att[i] = t.UserAttachment(u)
+// h1Edges is what the h₁ state function reads for each user of t, in
+// ascending order: the IDs of the edges (u, att) and (att, u) between
+// the user and the node it is attached to, -1 where t has no such edge.
+type h1Edges struct{ req, grant []int }
+
+// userEdges resolves the users' edges of t once.
+func userEdges(t *graph.Tree) h1Edges {
+	id := func(v, w int) int {
+		if i, ok := t.EdgeID(v, w); ok {
+			return i
+		}
+		return -1
 	}
-	return users, att
+	users := t.NodesOf(graph.User)
+	e := h1Edges{req: make([]int, len(users)), grant: make([]int, len(users))}
+	for i, u := range users {
+		att := t.UserAttachment(u)
+		e.req[i], e.grant[i] = id(u, att), id(att, u)
+	}
+	return e
 }
 
-// mapH1 is the h₁ state function over the users of attachments.
-func mapH1(users, att []int, st *graphlevel.State) *spec.State {
-	req := make([]bool, len(users))
+// mapH1 is the h₁ state function: one flag slice, adopted by the state
+// it builds.
+func (e h1Edges) mapH1(st *graphlevel.State) *spec.State {
+	req := make([]bool, len(e.req))
 	holder := -1
-	for i, u := range users {
-		req[i] = st.HasRequest(u, att[i])
-		if st.HasGrant(att[i], u) {
+	for i := range req {
+		req[i] = e.req[i] >= 0 && st.RequestAt(e.req[i])
+		if e.grant[i] >= 0 && st.GrantAt(e.grant[i]) {
 			holder = i
 		}
 	}
-	return spec.NewState(req, holder)
+	return spec.AdoptState(req, holder)
 }
 
 // H2Map is the state function underlying h₂ (§3.3.6): it rebuilds the

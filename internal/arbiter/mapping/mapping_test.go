@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/arbiter/dist"
+	"repro/internal/arbiter/graphlevel"
+	"repro/internal/arbiter/spec"
 	"repro/internal/arbiter/users"
 	"repro/internal/explore"
 	"repro/internal/graph"
@@ -62,6 +64,37 @@ func TestH1IsPossibilitiesMapping(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
 	if err := c.H1.VerifyOpts(explore.Options{Limit: 200000}); err != nil {
 		t.Fatalf("h1 verification failed: %v", err)
+	}
+}
+
+// TestH1MapMakesOneState: on every reachable state of A₂, h₁'s Map
+// reads the arrows the users' edges carry by the edge IDs it resolved
+// once — the image is the one HasRequest and HasGrant describe — and
+// allocates four objects: the flags the state adopts, the state, its
+// key and the one-element result.
+func TestH1MapMakesOneState(t *testing.T) {
+	c := buildChain(t, figure32(t), 0)
+	states, err := explore.New(explore.Options{}).Reach(context.Background(), c.A2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := c.Aug.NodesOf(graph.User)
+	for _, st := range states {
+		s := st.(*graphlevel.State)
+		req, holder := make([]bool, len(users)), -1
+		for i, u := range users {
+			att := c.Aug.UserAttachment(u)
+			req[i] = s.HasRequest(u, att)
+			if s.HasGrant(att, u) {
+				holder = i
+			}
+		}
+		if got, want := c.H1.Map(s)[0].Key(), spec.NewState(req, holder).Key(); got != want {
+			t.Fatalf("h1(%q) = %q, want %q", s.Key(), got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { c.H1.Map(states[len(states)-1]) }); n > 4 {
+		t.Errorf("h1's Map allocates %.0f objects, want at most 4", n)
 	}
 }
 

@@ -33,12 +33,14 @@ var _ ioa.State = (*State)(nil)
 
 // NewState builds a spec state.
 func NewState(requesters []bool, holder int) *State {
-	return newState(append([]bool(nil), requesters...), holder)
+	return AdoptState(append([]bool(nil), requesters...), holder)
 }
 
-// newState is NewState taking ownership of requesters. The key is
-// built in one allocation, sized before it is written.
-func newState(requesters []bool, holder int) *State {
+// AdoptState is NewState taking ownership of requesters, as
+// graphlevel.AdoptState is for A₂: the state keeps the slice, so the
+// caller must neither read nor write it afterwards. The key is built in
+// one allocation, sized before it is written.
+func AdoptState(requesters []bool, holder int) *State {
 	s := &State{requesters: requesters, holder: holder}
 	const head, tail = "req={", " } holder="
 	size := len(head) + len(tail) + len(itoa(holder))
@@ -91,11 +93,11 @@ func (s *State) with(u int, req bool, h int) *State {
 		if s.holder == h {
 			return s
 		}
-		return newState(s.requesters, h) // the flags are immutable: shared
+		return AdoptState(s.requesters, h) // the flags are immutable: shared
 	}
 	flags := append([]bool(nil), s.requesters...)
 	flags[u] = req
-	return newState(flags, h)
+	return AdoptState(flags, h)
 }
 
 // Users names the users of an arbiter instance; user i is Users[i].

@@ -253,7 +253,7 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 // and no graph.
 func (e *Engine) Graph(ctx context.Context, a ioa.Automaton) (*ltl.StateGraph, error) {
 	g := &ltl.StateGraph{Auto: a, Off: []int{0}}
-	order, err := e.Visit(ctx, a, graphVisitor{g})
+	order, err := e.Visit(ctx, a, graphVisitor{g, ioa.Number(a).Actions()})
 	if err != nil {
 		return nil, err
 	}
@@ -262,8 +262,11 @@ func (e *Engine) Graph(ctx context.Context, a ioa.Automaton) (*ltl.StateGraph, e
 }
 
 // graphVisitor records a Visit as a CSR graph: Parent on admission,
-// Edges on each step, Off once a node is expanded.
-type graphVisitor struct{ g *ltl.StateGraph }
+// Edges on each step, named from acts, Off once a node is expanded.
+type graphVisitor struct {
+	g    *ltl.StateGraph
+	acts []ioa.Action
+}
 
 func (v graphVisitor) Admit(_, parent int, _ ioa.State) {
 	if parent < 0 {
@@ -272,8 +275,8 @@ func (v graphVisitor) Admit(_, parent int, _ ioa.State) {
 	v.g.Parent = append(v.g.Parent, parent)
 }
 
-func (v graphVisitor) Edge(_ int, act ioa.Action, to int) {
-	v.g.Edges = append(v.g.Edges, ltl.Edge{Act: act, To: to})
+func (v graphVisitor) Edge(_ int, act int32, to int) {
+	v.g.Edges = append(v.g.Edges, ltl.Edge{Act: v.acts[act], To: to})
 }
 
 func (v graphVisitor) Expanded(int) { v.g.Off = append(v.g.Off, len(v.g.Edges)) }
@@ -289,9 +292,10 @@ type Visitor interface {
 	Admit(v, parent int, s ioa.State)
 	// Edge is called once per step (from, act, to) between admitted
 	// nodes, in the walk's order: node by node in admission order, then
-	// sorted action, then Next order. to has been admitted before its
-	// first edge.
-	Edge(from int, act ioa.Action, to int)
+	// sorted action, then Next order. act is the action's number, its
+	// name ioa.Number(a).Actions()[act] (the visitor resolves it once,
+	// not per edge). to has been admitted before its first edge.
+	Edge(from int, act int32, to int)
 	// Expanded is called once every edge out of v has been reported.
 	Expanded(v int)
 }
@@ -418,7 +422,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 				order = append(order, ioa.Keep(s))
 			}
 			if pred != nil {
-				crumbs = append(crumbs, crumb{parent: cur, act: step.Act})
+				crumbs = append(crumbs, crumb{parent: cur, act: step.Num})
 			}
 			if vis != nil {
 				vis.Admit(int(id), int(cur), order[id])
@@ -454,7 +458,7 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 			if id == store.None {
 				return false // the store latched an error; the loop reports it
 			}
-			vis.Edge(int(cur), step.Act, int(id))
+			vis.Edge(int(cur), step.Num, int(id))
 			return true
 		}
 	}
@@ -519,16 +523,17 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 }
 
 // crumb is the discovery record of one interned state, indexed by its
-// dense ID: the (parent ID, action) transition that first reached it.
-// Start states carry parent store.None.
+// dense ID: the (parent ID, action number) transition that first reached
+// it, 16 bytes. Start states carry parent store.None.
 type crumb struct {
 	parent store.ID
-	act    ioa.Action
+	act    int32
 }
 
 // witnessFromCrumbs rebuilds the minimal-length execution
 // from a start state to target by following parent IDs, reading each
-// state on the chain, and only those, from at.
+// state on the chain, and only those, from at, and naming each action
+// from a's table.
 func witnessFromCrumbs(a ioa.Automaton, at func(store.ID) ioa.State, crumbs []crumb, target store.ID) *ioa.Execution {
 	var rev []store.ID
 	for id := target; ; id = crumbs[id].parent {
@@ -537,9 +542,10 @@ func witnessFromCrumbs(a ioa.Automaton, at func(store.ID) ioa.State, crumbs []cr
 			break
 		}
 	}
+	acts := ioa.Number(a).Actions()
 	x := ioa.NewExecution(a, at(rev[len(rev)-1]))
 	for i := len(rev) - 2; i >= 0; i-- {
-		x.Append(crumbs[rev[i]].act, at(rev[i]))
+		x.Append(acts[crumbs[rev[i]].act], at(rev[i]))
 	}
 	return x
 }

@@ -44,13 +44,18 @@ type Violation struct {
 }
 
 // closedWorld removes an automaton's input actions from its signature
-// and transition relation.
+// and transition relation. Its numbering is its own signature's: down
+// carries each number to the inner automaton's, up brings an inner
+// number back, -1 for a removed input.
 type closedWorld struct {
-	inner ioa.Automaton
-	sig   ioa.Signature
+	inner    ioa.Automaton
+	num      ioa.Numbered // inner, numbered
+	sig      ioa.Signature
+	acts     []ioa.Action
+	down, up []int32
 }
 
-var _ ioa.Automaton = (*closedWorld)(nil)
+var _ ioa.Numbered = (*closedWorld)(nil)
 
 // ClosedWorld treats a composition as a closed system: residual input
 // actions — those no component outputs, i.e. pure environment actions
@@ -65,7 +70,15 @@ func ClosedWorld(a ioa.Automaton) ioa.Automaton {
 		// Outputs and internals of a valid signature are disjoint.
 		panic(fmt.Sprintf("explore: internal error: %v", err))
 	}
-	return &closedWorld{inner: a, sig: closed}
+	c := &closedWorld{inner: a, num: ioa.Number(a), sig: closed, acts: closed.Acts().Sorted()}
+	for _, act := range c.num.Actions() {
+		c.up = append(c.up, -1)
+		if closed.HasAction(act) {
+			c.up[len(c.up)-1] = int32(len(c.down))
+			c.down = append(c.down, int32(len(c.up)-1))
+		}
+	}
+	return c
 }
 
 // Name implements Automaton.
@@ -85,6 +98,27 @@ func (c *closedWorld) Next(sc *ioa.Scratch, s ioa.State, a ioa.Action, yield fun
 
 // Enabled implements Automaton.
 func (c *closedWorld) Enabled(s ioa.State) []ioa.Action { return c.inner.Enabled(s) }
+
+// Actions implements ioa.Numbered.
+func (c *closedWorld) Actions() []ioa.Action { return c.acts }
+
+// NextNum implements ioa.Numbered.
+func (c *closedWorld) NextNum(sc *ioa.Scratch, s ioa.State, i int32, yield func(ioa.State) bool) bool {
+	return c.num.NextNum(sc, s, c.down[i], yield)
+}
+
+// AppendEnabled implements ioa.Numbered: the inner automaton's numbers,
+// carried up in place, less any removed input it reports.
+func (c *closedWorld) AppendEnabled(dst []int32, s ioa.State) []int32 {
+	all := c.num.AppendEnabled(dst, s)
+	out := all[:len(dst)]
+	for _, i := range all[len(dst):] {
+		if j := c.up[i]; j >= 0 {
+			out = append(out, j)
+		}
+	}
+	return out
+}
 
 // Parts implements Automaton.
 func (c *closedWorld) Parts() []ioa.Class { return c.inner.Parts() }

@@ -310,10 +310,10 @@ type edgeBounds struct {
 
 func (v *edgeBounds) Admit(int, int, ioa.State) { v.nodes++ }
 func (v *edgeBounds) Expanded(int)              {}
-func (v *edgeBounds) Edge(from int, act ioa.Action, to int) {
+func (v *edgeBounds) Edge(from int, act int32, to int) {
 	v.edges++
 	if from < 0 || from >= v.nodes || to < 0 || to >= v.nodes {
-		v.t.Fatalf("edge (%d, %s, %d) with %d nodes admitted", from, act, to, v.nodes)
+		v.t.Fatalf("edge (%d, action %d, %d) with %d nodes admitted", from, act, to, v.nodes)
 	}
 }
 

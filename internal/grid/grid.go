@@ -31,6 +31,10 @@ type Grid struct {
 	sig   ioa.Signature
 	acts  []ioa.Action // acts[i] increments digit i
 	parts []ioa.Class
+	// sorted is the numbering, acts sorted by name (inc10 before inc2),
+	// and digitOf[n] the digit action n increments.
+	sorted  []ioa.Action
+	digitOf []int
 }
 
 // New builds the k-digit base-m grid. Both dimensions must be at
@@ -45,13 +49,18 @@ func New(m, k int) (*Grid, error) {
 	}
 	sig := ioa.MustSignature(nil, nil, acts)
 	parts := []ioa.Class{{Name: "counter", Actions: ioa.NewSet(acts...)}}
-	return &Grid{
+	g := &Grid{
 		m:    m,
 		k:    k,
 		name: fmt.Sprintf("grid-%dx%d", m, k),
 		sig:  sig,
 		acts: acts, parts: parts,
-	}, nil
+		sorted: sig.Acts().Sorted(),
+	}
+	for _, a := range g.sorted {
+		g.digitOf = append(g.digitOf, g.actIndex(a))
+	}
+	return g, nil
 }
 
 // States returns the closed-form state count m^k.
@@ -101,9 +110,16 @@ func (g *Grid) actIndex(a ioa.Action) int {
 // take.
 func (g *Grid) Next(_ *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.State) bool) bool {
 	i := g.actIndex(a)
-	if i < 0 {
-		return true
-	}
+	return i < 0 || g.inc(s, i, yield)
+}
+
+// NextNum implements ioa.Numbered: Next by number.
+func (g *Grid) NextNum(_ *ioa.Scratch, s ioa.State, n int32, yield func(ioa.State) bool) bool {
+	return g.inc(s, g.digitOf[n], yield)
+}
+
+// inc yields s with digit i incremented, unless it is at m-1.
+func (g *Grid) inc(s ioa.State, i int, yield func(ioa.State) bool) bool {
 	d := g.digit(s, i)
 	if d < 0 || d >= g.m-1 {
 		return true
@@ -114,15 +130,29 @@ func (g *Grid) Next(_ *ioa.Scratch, s ioa.State, a ioa.Action, yield func(ioa.St
 }
 
 // Enabled implements ioa.Automaton: the increments of digits below
-// m-1.
+// m-1, sorted by name as AppendEnabled's numbers are.
 func (g *Grid) Enabled(s ioa.State) []ioa.Action {
 	out := make([]ioa.Action, 0, g.k)
-	for i, act := range g.acts {
+	for n, i := range g.digitOf {
 		if d := g.digit(s, i); d >= 0 && d < g.m-1 {
-			out = append(out, act)
+			out = append(out, g.sorted[n])
 		}
 	}
 	return out
+}
+
+// Actions implements ioa.Numbered: the increments sorted by name.
+func (g *Grid) Actions() []ioa.Action { return g.sorted }
+
+// AppendEnabled implements ioa.Numbered: the numbers of the increments
+// of digits below m-1, increasing.
+func (g *Grid) AppendEnabled(dst []int32, s ioa.State) []int32 {
+	for n, i := range g.digitOf {
+		if d := g.digit(s, i); d >= 0 && d < g.m-1 {
+			dst = append(dst, int32(n))
+		}
+	}
+	return dst
 }
 
 // Parts implements ioa.Automaton.
@@ -144,5 +174,5 @@ func (g *Grid) Decode(enc []byte) (ioa.State, error) {
 	return ioa.KeyState(enc), nil
 }
 
-var _ ioa.Automaton = (*Grid)(nil)
+var _ ioa.Numbered = (*Grid)(nil)
 var _ ioa.Decodable = (*Grid)(nil)

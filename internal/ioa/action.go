@@ -20,6 +20,14 @@
 // a Walk steps one state by every action worth stepping — Enabled(s)
 // and the inputs — which is how the explorers, induction and the
 // lasso graph enumerate successors.
+//
+// Actions are names in the API and numbers in the hot loops. Action i
+// of automaton A is A.Sig().Acts().Sorted()[i], so ascending numbers
+// are sorted names. Every automaton built here is Numbered — it steps
+// and reports enabled actions by number — and Number adapts any other;
+// a Walk, a composition's routes and memo rows, and the
+// possibilities-mapping check resolve each name once, when they are
+// built, and hash none per step.
 package ioa
 
 import (

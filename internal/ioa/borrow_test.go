@@ -328,3 +328,64 @@ func TestCellsSharedAcrossGoroutines(t *testing.T) {
 		owner[encs[0][k]] = k
 	}
 }
+
+// ring builds a Prog named name that counts modulo m by its internal
+// tick, and also outputs go from every state and listens to in. Its
+// effects return states built once, so a step allocates nothing.
+func ring(name string, m int) *ioa.Prog {
+	states := make([]ioa.State, m)
+	next := make(map[string]ioa.State, m)
+	for v := range states {
+		states[v] = ioa.KeyState(fmt.Sprintf("%s%d", name, v))
+	}
+	for v, s := range states {
+		next[s.Key()] = states[(v+1)%m]
+	}
+	tick := func(s ioa.State) ioa.State { return next[s.Key()] }
+	always := func(ioa.State) bool { return true }
+	d := ioa.NewDef(name)
+	d.Start(states[0])
+	d.Internal(ioa.Act("tick", name), name, always, tick)
+	d.Output(ioa.Act("go", name), name, always, func(s ioa.State) ioa.State { return s })
+	d.Input(ioa.Act("in", name), func(s ioa.State) ioa.State { return s })
+	return d.MustBuild()
+}
+
+// TestWalkVisitAllocatesNoEnabledList: once warm, a walk steps a renamed
+// Prog and a renamed hidden composition by number — enabled numbers in
+// the walk's own buffer, no name list built, renamed or sorted per state
+// — so a sweep over every reachable state allocates nothing at all.
+func TestWalkVisitAllocatesNoEnabledList(t *testing.T) {
+	rename := func(a ioa.Automaton) ioa.Automaton {
+		pairs := make(map[ioa.Action]ioa.Action)
+		for _, act := range a.Sig().Acts().Sorted() {
+			pairs[act] = act + "'"
+		}
+		return ioa.MustRename(a, ioa.MustMapping(pairs))
+	}
+	comp := ioa.MustCompose("pair", ring("l", 3), rename(ring("r", 4)))
+	for name, a := range map[string]ioa.Automaton{
+		"Rename(Prog)":            rename(ring("p", 5)),
+		"Rename(Hide(Composite))": rename(ioa.Hide(comp, ioa.NewSet(ioa.Act("go", "l"), ioa.Act("in", "l")))),
+	} {
+		states, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk := ioa.NewWalk(a)
+		successors := 0
+		count := func(ioa.State) bool { successors++; return true }
+		sweep := func() {
+			for _, s := range states {
+				walk.Visit(s, count)
+			}
+		}
+		sweep() // warm the memo rows, the scratch chunks and the buffer
+		if successors <= len(states) {
+			t.Fatalf("%s: %d successors over %d states: too few to tell", name, successors, len(states))
+		}
+		if n := testing.AllocsPerRun(10, sweep); n != 0 {
+			t.Errorf("%s: a sweep of %d states allocates %.0f objects, want 0", name, len(states), n)
+		}
+	}
+}

@@ -170,18 +170,21 @@ func (d *Def) Build() (*Prog, error) {
 		parts = append(parts, Class{Name: name, Actions: classActs[name]})
 	}
 	p := &Prog{
-		name:  d.name,
-		sig:   sig,
-		start: append([]State(nil), d.start...),
-		trans: d.trans,
-		parts: parts,
+		name:      d.name,
+		sig:       sig,
+		start:     append([]State(nil), d.start...),
+		parts:     parts,
+		numbering: newNumbering(sig.Acts()),
 	}
-	// Resolve the sorted locally-controlled actions once, so Enabled
-	// walks a slice and does no map lookups.
-	p.local = sig.Local().Sorted()
-	p.localT = make([]*transition, len(p.local))
-	for i, a := range p.local {
-		p.localT[i] = d.trans[a]
+	// Resolve every transition to its number once, so a step indexes a
+	// slice and Enabled walks one: neither hashes an action name.
+	p.trans = make([]*transition, len(p.acts))
+	for i, a := range p.acts {
+		p.trans[i] = d.trans[a]
+		if p.trans[i].kind != kindInput {
+			p.local = append(p.local, int32(i))
+			p.localT = append(p.localT, p.trans[i])
+		}
 	}
 	return p, nil
 }
@@ -197,20 +200,22 @@ func (d *Def) MustBuild() *Prog {
 }
 
 // A Prog is an automaton defined in precondition/effect style via Def.
-// It implements Automaton.
+// It implements Automaton and Numbered.
 type Prog struct {
 	name  string
 	sig   Signature
 	start []State
-	trans map[Action]*transition
 	parts []Class
-	// local lists the locally-controlled actions in sorted order and
+	numbering
+	// trans holds each action's transition by number; local lists the
+	// numbers of the locally-controlled actions in increasing order and
 	// localT their transitions, index for index.
-	local  []Action
+	trans  []*transition
+	local  []int32
 	localT []*transition
 }
 
-var _ Automaton = (*Prog)(nil)
+var _ Numbered = (*Prog)(nil)
 
 // Name implements Automaton.
 func (p *Prog) Name() string { return p.name }
@@ -221,15 +226,18 @@ func (p *Prog) Sig() Signature { return p.sig }
 // Start implements Automaton.
 func (p *Prog) Start() []State { return append([]State(nil), p.start...) }
 
-// Next implements Automaton. For input actions with no defined
-// successor it yields a self-loop, keeping the automaton
-// input-enabled (the convention of §3.1.2: unexpected inputs are
-// "effectively ignored").
-func (p *Prog) Next(_ *Scratch, s State, a Action, yield func(State) bool) bool {
-	t, ok := p.trans[a]
-	if !ok {
-		return true
-	}
+// Next implements Automaton: the action's number, then NextNum.
+func (p *Prog) Next(sc *Scratch, s State, a Action, yield func(State) bool) bool {
+	i, ok := p.index[a]
+	return !ok || p.NextNum(sc, s, i, yield)
+}
+
+// NextNum implements Numbered. For input actions with no defined
+// successor it yields a self-loop, keeping the automaton input-enabled
+// (the convention of §3.1.2: unexpected inputs are "effectively
+// ignored").
+func (p *Prog) NextNum(_ *Scratch, s State, i int32, yield func(State) bool) bool {
+	t := p.trans[i]
 	if t.eff != nil {
 		if t.kind != kindInput && !t.pre(s) {
 			return true
@@ -248,21 +256,22 @@ func (p *Prog) Next(_ *Scratch, s State, a Action, yield func(State) bool) bool 
 	return true
 }
 
-// Enabled implements Automaton. It evaluates preconditions only: no
-// deterministic effect runs. The list is gathered in a stack buffer
-// and copied out once, so a call allocates at most its result.
-func (p *Prog) Enabled(s State) []Action {
-	var buf [16]Action
-	out := buf[:0]
-	for i, t := range p.localT {
+// AppendEnabled implements Numbered. It evaluates preconditions only:
+// no deterministic effect runs. The numbers come out increasing.
+func (p *Prog) AppendEnabled(dst []int32, s State) []int32 {
+	for k, t := range p.localT {
 		if t.enabled(s) {
-			out = append(out, p.local[i])
+			dst = append(dst, p.local[k])
 		}
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return append([]Action(nil), out...)
+	return dst
+}
+
+// Enabled implements Automaton: AppendEnabled into a stack buffer,
+// named, so a call allocates at most its result.
+func (p *Prog) Enabled(s State) []Action {
+	var buf [16]int32
+	return p.names(p.AppendEnabled(buf[:0], s))
 }
 
 // Parts implements Automaton.
@@ -276,7 +285,8 @@ func (p *Prog) Parts() []Class { return p.parts }
 func (p *Prog) Relabel(classOf func(Action) string) *Prog {
 	classActs := make(map[string]Set)
 	var order []string
-	for _, a := range p.local {
+	for _, i := range p.local {
+		a := p.acts[i]
 		name := classOf(a)
 		if _, ok := classActs[name]; !ok {
 			classActs[name] = make(Set)

@@ -6,9 +6,10 @@ package ioa_test
 // automaton's structure — Components(), Renamed.Mapping() and the
 // automaton a Hide or a Rename wraps — with no memo, no scratch and no
 // routes. On every state a reference BFS reaches, Enabled, Next and the
-// borrowed walk must agree with them element for element, in order: on
-// the catalogue's nested systems, on random wrapper trees, and on tuples
-// whose nested parts are not their compositions' states.
+// borrowed walk must agree with them element for element, in order, and
+// so must the numbered steps, AppendEnabled and NextNum: on every
+// catalogue system, on random wrapper trees, and on tuples whose nested
+// parts are not their compositions' states.
 
 import (
 	"fmt"
@@ -123,10 +124,16 @@ func stateKeys(states []ioa.State) []string {
 }
 
 // agreeAt compares got with the definition of ref at one state, by
-// every action of ref's signature.
+// every action of ref's signature, by name and then by number.
 func agreeAt(got, ref ioa.Automaton, s ioa.State) error {
 	if g, w := got.Enabled(s), refEnabled(ref, s); !slices.Equal(g, w) {
 		return fmt.Errorf("state %q: Enabled = %v, definition %v", s.Key(), g, w)
+	}
+	if acts := ref.Sig().Acts().Sorted(); !slices.Equal(ioa.Number(got).Actions(), acts) {
+		return fmt.Errorf("numbering %v, sorted signature %v", ioa.Number(got).Actions(), acts)
+	}
+	if err := agreeByNumber(got, s); err != nil {
+		return err
 	}
 	var sc ioa.Scratch
 	for _, act := range ref.Sig().Acts().Sorted() {
@@ -141,6 +148,48 @@ func agreeAt(got, ref ioa.Automaton, s ioa.State) error {
 		}
 		if !slices.Equal(lent, want) {
 			return fmt.Errorf("state %q: Next borrowed by %s = %q, definition %q", s.Key(), act, lent, want)
+		}
+		sc.Reset()
+	}
+	return nil
+}
+
+// agreeByNumber compares a's numbered steps with its steps by name at
+// one state: AppendEnabled appends, to what dst held, the numbers of
+// Enabled's names in Enabled's order, and NextNum(i) yields the
+// successors of Next(Actions()[i]) in Next's order, on the heap and
+// borrowed.
+func agreeByNumber(a ioa.Automaton, s ioa.State) error {
+	num := ioa.Number(a)
+	acts := num.Actions()
+	nums := num.AppendEnabled([]int32{-1}, s)
+	if nums[0] != -1 {
+		return fmt.Errorf("state %q: AppendEnabled overwrote its dst", s.Key())
+	}
+	named := make([]ioa.Action, 0, len(nums)-1)
+	for _, i := range nums[1:] {
+		if i < 0 || int(i) >= len(acts) {
+			return fmt.Errorf("state %q: AppendEnabled reports number %d of %d actions", s.Key(), i, len(acts))
+		}
+		named = append(named, acts[i])
+	}
+	if want := a.Enabled(s); !slices.Equal(named, want) {
+		return fmt.Errorf("state %q: AppendEnabled names %v, Enabled %v", s.Key(), named, want)
+	}
+	var sc ioa.Scratch
+	for i, act := range acts {
+		want := stateKeys(ioa.Successors(a, s, act))
+		var heap, lent []string
+		num.NextNum(nil, s, int32(i), func(nxt ioa.State) bool {
+			heap = append(heap, nxt.Key())
+			return true
+		})
+		num.NextNum(&sc, s, int32(i), func(nxt ioa.State) bool {
+			lent = append(lent, nxt.Key())
+			return true
+		})
+		if !slices.Equal(heap, want) || !slices.Equal(lent, want) {
+			return fmt.Errorf("state %q: NextNum(%d) = %q, borrowed %q, Next by %s %q", s.Key(), i, heap, lent, act, want)
 		}
 		sc.Reset()
 	}
@@ -287,6 +336,28 @@ func TestCompiledCompositeMatchesDefinition(t *testing.T) {
 	}
 	if start := good.Start()[0].Key(); !strings.Contains(err.Error(), fmt.Sprintf("state %q: Next by go", start)) {
 		t.Fatalf("the disagreement is not reported at the first differing state, the start state %q, by go: %v", start, err)
+	}
+}
+
+// TestCatalogueMatchesDefinition holds every catalogue system, at three
+// users, to the definition: Enabled and Next by name and AppendEnabled
+// and NextNum by number, at each of the first 1 500 states a reference
+// BFS reaches. The grid has twelve digits, so its numbering (inc10 and
+// inc11 sort before inc2) is not its digit order.
+func TestCatalogueMatchesDefinition(t *testing.T) {
+	for _, sys := range bench.Systems() {
+		a, err := sys.Build(bench.Params{Users: 3, GridBase: 3, GridDigits: 12})
+		if err != nil {
+			t.Fatalf("%s: %v", sys.Name, err)
+		}
+		states, err := agreeWithDefinition(a, a, 1500)
+		if err != nil {
+			t.Fatalf("%s: %v", sys.Name, err)
+		}
+		if len(states) < 2 {
+			t.Fatalf("%s: only %d state compared", sys.Name, len(states))
+		}
+		t.Logf("%s: %d states", sys.Name, len(states))
 	}
 }
 

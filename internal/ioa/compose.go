@@ -116,15 +116,17 @@ func (t *TupleState) appendFrame(dst []byte) []byte {
 // Compose compiles it down to its leaves, the components at any depth
 // that are not a Hide/Rename chain over a composition. Hiding and
 // renaming change only the signature (§2.1.2, §2.1.3): they are resolved
-// once, into a route per action and a list of Enabled segments.
+// once, into a route per action number and a list of Enabled segments,
+// all in the composite's numbering.
 type Composite struct {
-	name    string
-	comps   []Automaton
-	sig     Signature
-	parts   []Class
-	nodes   []node  // a state's tuples: nodes[0] the state, parents first
-	leaves  []*leaf // in component order, depth first
-	routes  map[Action]route
+	name  string
+	comps []Automaton
+	sig   Signature
+	parts []Class
+	numbering
+	nodes   []node    // a state's tuples: nodes[0] the state, parents first
+	leaves  []*leaf   // in component order, depth first
+	routes  []route   // by action number
 	enabled []segment // what Enabled concatenates
 	obsMemo *obs.MemoMetrics
 }
@@ -133,15 +135,15 @@ type Composite struct {
 // composition of arity components.
 type node struct{ parent, part, arity int }
 
-// A leaf is a component stepped by its own Next and Enabled, at part
-// `part` of node `node`. renames carry its actions to the composite's,
-// innermost first; cells maps its state keys to their *leafCell, and
-// table lists them by index. mu serializes creating a cell; lookups
-// take no lock.
+// A leaf is a component stepped by its own NextNum and AppendEnabled,
+// at part `part` of node `node`. up carries its action numbers to the
+// composite's, through the renamings above it; cells maps its state
+// keys to their *leafCell, and table lists them by index. mu
+// serializes creating a cell; lookups take no lock.
 type leaf struct {
-	auto       Automaton
+	auto       Numbered
 	node, part int
-	renames    []*Mapping
+	up         []int32
 	cells      sync.Map
 	mu         sync.Mutex
 	table      atomic.Pointer[[]*leafCell]
@@ -166,15 +168,16 @@ type leafCell struct {
 // Key implements State, for the slots a tuple keeps its parts in.
 func (c *leafCell) Key() string { return c.key }
 
-// A memoRow is read without a lock: enabled is stored once, already
-// renamed; each route's successors are pushed onto next once computed.
+// A memoRow is read without a lock: enabled is stored once, already in
+// the composite's numbers; each route's successors are pushed onto next
+// once computed.
 type memoRow struct {
-	enabled atomic.Pointer[[]Action]
+	enabled atomic.Pointer[[]int32]
 	next    atomic.Pointer[memoNext]
 }
 
 type memoNext struct {
-	route int
+	route int32
 	cells []*leafCell
 	more  *memoNext
 }
@@ -221,29 +224,30 @@ func (l *leaf) adopt(p State) *leafCell {
 	return c
 }
 
-// A route steps one action: the leaves owning it, each by its own name
-// for it, in the order the component-by-component cross product walks
-// them, and the tuples they sit in (nodes[0] the state, parents first).
-// An owner's state is part `part` of route node `at`.
+// A route steps one action: the leaves owning it, each by its own
+// number for it, in the order the component-by-component cross product
+// walks them, and the tuples they sit in (nodes[0] the state, parents
+// first). An owner's state is part `part` of route node `at`. A route
+// with no owners is an action some component cannot step, so neither
+// can the composite.
 type route struct {
-	id     int
 	owners []owner
 	nodes  []node
 }
 
 type owner struct {
 	leaf, at, part int
-	act            Action
+	act            int32
 }
 
 // A segment of Enabled is a leaf's list (leaf ≥ 0) or a constant — a
 // Hide's newly local inputs — counted while node `node` is well formed.
 type segment struct {
 	leaf, node int
-	acts       []Action
+	nums       []int32
 }
 
-var _ Automaton = (*Composite)(nil)
+var _ Numbered = (*Composite)(nil)
 
 // Compose forms the composition of the given automata, which must be
 // compatible (§2.1.1). At least one component is required.
@@ -265,7 +269,7 @@ func Compose(name string, comps ...Automaton) (*Composite, error) {
 			parts = append(parts, Class{Name: c.Name() + "/" + cl.Name, Actions: cl.Actions.Clone()})
 		}
 	}
-	c := &Composite{name: name, comps: comps, sig: sig, parts: parts}
+	c := &Composite{name: name, comps: comps, sig: sig, parts: parts, numbering: newNumbering(sig.Acts())}
 	c.compile()
 	return c, nil
 }
@@ -277,92 +281,109 @@ func Compose(name string, comps ...Automaton) (*Composite, error) {
 func (c *Composite) compile() {
 	c.nodes = []node{{parent: -1, arity: len(c.comps)}}
 	type nested struct {
-		inner              *Composite  // nil for a leaf
-		chain              []Automaton // outermost first
-		nodeBase, leafBase int         // a leaf's leafBase is its leaf
+		inner    *Composite // nil for a leaf
+		leafBase int        // a leaf's leafBase is its leaf
 	}
 	sub := make([]nested, len(c.comps))
+	// who lists, for each of c's actions, the components having it in
+	// component order, with each one's number for it: a leaf's own, or
+	// the inner composition's under the chain.
+	type owned struct{ comp, act int32 }
+	who := make([][]owned, len(c.acts))
 	for i, comp := range c.comps {
 		chain, under := wrappers(comp)
 		inner, _ := under.(*Composite)
 		n := &sub[i]
-		*n = nested{inner, chain, len(c.nodes), len(c.leaves)}
+		*n = nested{inner: inner, leafBase: len(c.leaves)}
+		// up carries the component's numbers to c's.
+		var up []int32
 		if inner == nil {
+			num := Number(comp)
+			for _, a := range num.Actions() {
+				up = append(up, c.number(a))
+			}
 			c.enabled = append(c.enabled, segment{leaf: n.leafBase})
-			c.leaves = append(c.leaves, &leaf{auto: comp, part: i})
-			continue
-		}
-		var renames []*Mapping // innermost first
-		for j := len(chain) - 1; j >= 0; j-- {
-			if r, ok := chain[j].(*Renamed); ok {
-				renames = append(renames, r.m)
-			}
-		}
-		c.nodes = append(c.nodes, node{0, i, len(inner.comps)})
-		for _, nd := range inner.nodes[1:] {
-			c.nodes = append(c.nodes, node{nd.parent + n.nodeBase, nd.part, nd.arity})
-		}
-		for _, l := range inner.leaves {
-			c.leaves = append(c.leaves, &leaf{auto: l.auto, node: n.nodeBase + l.node, part: l.part,
-				renames: append(slices.Clip(l.renames), renames...)})
-		}
-		for _, seg := range inner.enabled {
-			if seg.leaf >= 0 {
-				seg.leaf += n.leafBase
-			}
-			c.enabled = append(c.enabled, segment{seg.leaf, seg.node + n.nodeBase, applyAll(renames, seg.acts)})
-		}
-		// A Hide appends its newly local inputs after everything under
-		// it, renamed by the Renames over it.
-		for j, below := len(chain)-1, 0; j >= 0; j-- {
-			switch w := chain[j].(type) {
-			case *Renamed:
-				below++
-			case *hidden:
-				if len(w.newlyLocal) > 0 {
-					c.enabled = append(c.enabled, segment{leaf: -1, acts: applyAll(renames[below:], w.newlyLocal)})
+			c.leaves = append(c.leaves, &leaf{auto: num, part: i, up: up})
+		} else {
+			var renames []*Mapping // innermost first
+			for j := len(chain) - 1; j >= 0; j-- {
+				if r, ok := chain[j].(*Renamed); ok {
+					renames = append(renames, r.m)
 				}
 			}
+			for _, a := range inner.acts {
+				up = append(up, c.number(applyAll(renames, a)))
+			}
+			nodeBase := len(c.nodes)
+			c.nodes = append(c.nodes, node{0, i, len(inner.comps)})
+			for _, nd := range inner.nodes[1:] {
+				c.nodes = append(c.nodes, node{nd.parent + nodeBase, nd.part, nd.arity})
+			}
+			for _, l := range inner.leaves {
+				c.leaves = append(c.leaves, &leaf{auto: l.auto, node: nodeBase + l.node, part: l.part, up: mapNums(up, l.up)})
+			}
+			for _, seg := range inner.enabled {
+				if seg.leaf >= 0 {
+					seg.leaf += n.leafBase
+				}
+				c.enabled = append(c.enabled, segment{seg.leaf, seg.node + nodeBase, mapNums(up, seg.nums)})
+			}
+			// A Hide appends its newly local inputs after everything under
+			// it, renamed by the Renames over it.
+			for j, below := len(chain)-1, 0; j >= 0; j-- {
+				switch w := chain[j].(type) {
+				case *Renamed:
+					below++
+				case *hidden:
+					if len(w.newlyLocal) > 0 {
+						var nums []int32
+						for _, a := range w.newlyLocal {
+							nums = append(nums, c.number(applyAll(renames[below:], a)))
+						}
+						c.enabled = append(c.enabled, segment{leaf: -1, nums: nums})
+					}
+				}
+			}
+		}
+		for k, j := range up {
+			who[j] = append(who[j], owned{int32(i), int32(k)})
 		}
 	}
 
-	who := make(map[Action][]int) // the components having each action, in order
-	for i, comp := range c.comps {
-		for a := range comp.Sig().Acts() {
-			who[a] = append(who[a], i)
-		}
-	}
-	c.routes = make(map[Action]route)
+	c.routes = make([]route, len(c.acts))
 actions:
-	for id, a := range c.sig.Acts().Sorted() {
+	for id, comps := range who {
 		var owners []owner
-		for _, i := range who[a] {
-			n := &sub[i]
+		for _, w := range comps {
+			n := &sub[w.comp]
 			if n.inner == nil {
-				owners = append(owners, owner{leaf: n.leafBase, act: a})
+				owners = append(owners, owner{leaf: n.leafBase, act: w.act})
 				continue
 			}
-			ia, ok := a, true // what the chain's Renames pass down
-			for _, w := range n.chain {
-				if r, isRename := w.(*Renamed); isRename && ok {
-					ia, ok = r.inv[ia]
-				}
-			}
-			r, found := n.inner.routes[ia]
-			if !ok || !found {
+			r := &n.inner.routes[w.act]
+			if r.owners == nil {
 				continue actions // the component cannot step a, so neither can c
 			}
 			for _, o := range r.owners {
 				owners = append(owners, owner{leaf: n.leafBase + o.leaf, act: o.act})
 			}
 		}
-		c.routes[a] = c.route(id, owners)
+		c.routes[id] = c.route(owners)
 	}
+}
+
+// mapNums returns nums carried through the table to.
+func mapNums(to, nums []int32) []int32 {
+	out := make([]int32, len(nums))
+	for k, i := range nums {
+		out[k] = to[i]
+	}
+	return out
 }
 
 // route finishes a route over owners: the nodes on their paths to the
 // root, in node order, and each owner's place among them.
-func (c *Composite) route(id int, owners []owner) route {
+func (c *Composite) route(owners []owner) route {
 	var at []int
 	for _, o := range owners {
 		for n := c.leaves[o.leaf].node; n >= 0 && !slices.Contains(at, n); n = c.nodes[n].parent {
@@ -370,7 +391,7 @@ func (c *Composite) route(id int, owners []owner) route {
 		}
 	}
 	slices.Sort(at)
-	r := route{id: id, owners: owners, nodes: make([]node, len(at))}
+	r := route{owners: owners, nodes: make([]node, len(at))}
 	for k, n := range at {
 		nd := c.nodes[n]
 		r.nodes[k] = node{parent: slices.Index(at, nd.parent), part: nd.part, arity: nd.arity}
@@ -397,19 +418,12 @@ func wrappers(a Automaton) ([]Automaton, Automaton) {
 	}
 }
 
-// applyAll maps acts through renames, innermost first.
-func applyAll(renames []*Mapping, acts []Action) []Action {
-	if len(renames) == 0 || len(acts) == 0 {
-		return acts
+// applyAll maps a through renames, innermost first.
+func applyAll(renames []*Mapping, a Action) Action {
+	for _, m := range renames {
+		a = m.Apply(a)
 	}
-	out := make([]Action, len(acts))
-	for i, a := range acts {
-		for _, m := range renames {
-			a = m.Apply(a)
-		}
-		out[i] = a
-	}
-	return out
+	return a
 }
 
 // SetObs attaches (or, with nil, detaches) memo-cache metrics.
@@ -447,9 +461,9 @@ func SetObsDeep(a Automaton, o *obs.Obs) {
 	}
 }
 
-// leafNext is leaf o.leaf's successors of part p by o.act, through its
-// cell's memo row, where route id's entry holds them.
-func (c *Composite) leafNext(id int, o owner, p State) []*leafCell {
+// leafNext is leaf o.leaf's successors of part p by its action o.act,
+// through its cell's memo row, where route id's entry holds them.
+func (c *Composite) leafNext(id int32, o owner, p State) []*leafCell {
 	l := c.leaves[o.leaf]
 	row := l.cell(p)
 	for e := row.next.Load(); e != nil; e = e.more {
@@ -465,7 +479,7 @@ func (c *Composite) leafNext(id int, o owner, p State) []*leafCell {
 	}
 	// Racing goroutines push equal lists; lookups find the first.
 	e := &memoNext{route: id}
-	l.auto.Next(nil, row.state, o.act, func(s State) bool {
+	l.auto.NextNum(nil, row.state, o.act, func(s State) bool {
 		e.cells = append(e.cells, l.cell(s))
 		return true
 	})
@@ -477,9 +491,10 @@ func (c *Composite) leafNext(id int, o owner, p State) []*leafCell {
 	}
 }
 
-// leafEnabled is leaf i's Enabled of part p in the composite's actions,
-// through its cell's memo row: the same actions in the same order.
-func (c *Composite) leafEnabled(i int, p State) []Action {
+// leafEnabled is leaf i's AppendEnabled of part p in the composite's
+// numbers, through its cell's memo row: the same actions in the same
+// order.
+func (c *Composite) leafEnabled(i int, p State) []int32 {
 	row := c.leaves[i].cell(p)
 	if en := row.enabled.Load(); en != nil {
 		if m := c.obsMemo; m != nil {
@@ -491,7 +506,10 @@ func (c *Composite) leafEnabled(i int, p State) []Action {
 		m.EnabledMiss.Add(1)
 	}
 	l := c.leaves[i]
-	en := applyAll(l.renames, l.auto.Enabled(row.state))
+	en := l.auto.AppendEnabled(nil, row.state)
+	for k, n := range en {
+		en[k] = l.up[n]
+	}
 	row.enabled.Store(&en)
 	return en
 }
@@ -663,8 +681,14 @@ func (c *Composite) appendCells(dst []byte, s State) []byte {
 // owner that cannot step, or sits in a malformed tuple, means no step at
 // all.
 func (c *Composite) Next(sc *Scratch, s State, a Action, yield func(State) bool) bool {
-	r, ok := c.routes[a]
-	if !ok {
+	i, ok := c.index[a]
+	return !ok || c.NextNum(sc, s, i, yield)
+}
+
+// NextNum implements Numbered: Next by the action's route.
+func (c *Composite) NextNum(sc *Scratch, s State, i int32, yield func(State) bool) bool {
+	r := &c.routes[i]
+	if r.owners == nil {
 		return true
 	}
 	// Arrays keep the walk on the stack for up to four nodes and owners.
@@ -677,7 +701,7 @@ func (c *Composite) Next(sc *Scratch, s State, a Action, yield func(State) bool)
 	var idxStack [4]int
 	choices, idx := choiceStack[:0], idxStack[:0]
 	for _, o := range r.owners {
-		next := c.leafNext(r.id, o, from[o.at].parts[o.part])
+		next := c.leafNext(i, o, from[o.at].parts[o.part])
 		if len(next) == 0 {
 			return true
 		}
@@ -710,39 +734,36 @@ func (c *Composite) Next(sc *Scratch, s State, a Action, yield func(State) bool)
 	}
 }
 
-// Enabled implements Automaton. By Corollary 3 of the paper, a
+// AppendEnabled implements Numbered. By Corollary 3 of the paper, a
 // locally-controlled action of component i is enabled in the
 // composition iff it is enabled in component i (all other components
-// see it as an input, which is always enabled). The leaves' rows and
-// the constant segments are gathered first, so the result is allocated
-// once at its final size.
-func (c *Composite) Enabled(s State) []Action {
+// see it as an input, which is always enabled): the leaves' rows and
+// the constant segments, concatenated.
+func (c *Composite) AppendEnabled(dst []int32, s State) []int32 {
 	var tupleStack [8]*TupleState
 	tuples := resolve(c.nodes, s, tupleStack[:0])
 	if tuples[0] == nil {
-		return nil
+		return dst
 	}
-	var listStack [32][]Action
-	lists, n := listStack[:0], 0
 	for _, seg := range c.enabled {
 		t := tuples[seg.node]
 		if t == nil {
 			continue
 		}
-		en := seg.acts
 		if seg.leaf >= 0 {
-			en = c.leafEnabled(seg.leaf, t.parts[c.leaves[seg.leaf].part])
+			dst = append(dst, c.leafEnabled(seg.leaf, t.parts[c.leaves[seg.leaf].part])...)
+		} else {
+			dst = append(dst, seg.nums...)
 		}
-		lists, n = append(lists, en), n+len(en)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Action, 0, n)
-	for _, en := range lists {
-		out = append(out, en...)
-	}
-	return out
+	return dst
+}
+
+// Enabled implements Automaton: AppendEnabled into a stack buffer,
+// named, so the result is allocated once at its final size.
+func (c *Composite) Enabled(s State) []Action {
+	var buf [64]int32
+	return c.names(c.AppendEnabled(buf[:0], s))
 }
 
 // Parts implements Automaton.

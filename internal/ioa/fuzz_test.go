@@ -157,7 +157,9 @@ func FuzzComposeLaws(f *testing.F) {
 //   - schedules are invariant under hiding (only the signature
 //     changes) and behaviors are the projections;
 //   - an injective renaming maps schedules elementwise and composes
-//     with its inverse to the identity.
+//     with its inverse to the identity;
+//   - each of them, and a composition under them, steps by number
+//     (AppendEnabled, NextNum) exactly as it does by name.
 func FuzzHideRename(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(9), uint8(7))
@@ -230,6 +232,28 @@ func FuzzHideRename(f *testing.F) {
 		}
 		if !fuzzSchedules(t, back).Equal(sa) {
 			t.Fatal("rename∘rename⁻¹ changed the schedules")
+		}
+
+		// Numbered: every wrapper, and a hidden renamed composition over
+		// them, steps by number exactly as by name — hiding an input
+		// (which makes it locally controlled) included.
+		b := fuzzAutomaton(rng, shape/3, "B", []ioa.Action{"X"}, []ioa.Action{"y"}, nil)
+		comp := ioa.MustRename(ioa.Hide(ioa.MustCompose("AB", ra, b), ioa.NewSet("I", "y")), bwd)
+		compStates, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []ioa.Automaton{hidden, ioa.Hide(a, ioa.NewSet("i")), ra, back, ioa.MustRename(ioa.Hide(a, ioa.NewSet("i", "z")), fwd)} {
+			for _, s := range a.States() {
+				if err := agreeByNumber(x, s); err != nil {
+					t.Fatalf("%s: %v", x.Name(), err)
+				}
+			}
+		}
+		for _, s := range compStates {
+			if err := agreeByNumber(comp, s); err != nil {
+				t.Fatalf("%s: %v", comp.Name(), err)
+			}
 		}
 	})
 }

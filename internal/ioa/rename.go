@@ -103,16 +103,21 @@ func (m *Mapping) applySet(s Set) Set {
 
 // A Renamed is f(A), the automaton A with its actions renamed by an
 // injective action mapping f (§2.1.3). States, start states, and the
-// shape of the transition relation are unchanged.
+// shape of the transition relation are unchanged. Its numbering is its
+// own sorted signature; two permutations, built once, carry numbers
+// down to the inner automaton's and up from them.
 type Renamed struct {
 	inner Automaton
+	num   Numbered // inner, numbered
 	m     *Mapping
 	sig   Signature
 	parts []Class
-	inv   map[Action]Action // each action of sig to the inner action it steps
+	numbering
+	down []int32 // each action's number to the inner action it steps
+	up   []int32 // each inner action's number to its renamed one
 }
 
-var _ Automaton = (*Renamed)(nil)
+var _ Numbered = (*Renamed)(nil)
 
 // Rename applies the action mapping m to automaton a.
 func Rename(a Automaton, m *Mapping) (*Renamed, error) {
@@ -128,11 +133,16 @@ func Rename(a Automaton, m *Mapping) (*Renamed, error) {
 	for _, c := range a.Parts() {
 		parts = append(parts, Class{Name: c.Name, Actions: m.applySet(c.Actions)})
 	}
-	inv := make(map[Action]Action)
-	for b := range sig.Acts() {
-		inv[b] = m.Invert(b)
+	r := &Renamed{inner: a, num: Number(a), m: m, sig: sig, parts: parts, numbering: newNumbering(sig.Acts())}
+	r.up = make([]int32, len(r.acts))
+	for i, ia := range r.num.Actions() {
+		r.up[i] = r.number(m.Apply(ia))
 	}
-	return &Renamed{inner: a, m: m, sig: sig, parts: parts, inv: inv}, nil
+	r.down = make([]int32, len(r.acts))
+	for i, j := range r.up {
+		r.down[j] = int32(i)
+	}
+	return r, nil
 }
 
 // MustRename is Rename but panics on error.
@@ -155,23 +165,32 @@ func (r *Renamed) Start() []State { return r.inner.Start() }
 
 // Next implements Automaton: actions outside the renamed signature
 // have no steps; everything else steps the inner automaton, in sc too,
-// through the inverse mapping.
+// by the number of the action's preimage.
 func (r *Renamed) Next(sc *Scratch, s State, a Action, yield func(State) bool) bool {
-	ia, ok := r.inv[a]
-	if !ok {
-		return true
-	}
-	return r.inner.Next(sc, s, ia, yield)
+	i, ok := r.index[a]
+	return !ok || r.NextNum(sc, s, i, yield)
 }
 
-// Enabled implements Automaton.
-func (r *Renamed) Enabled(s State) []Action {
-	inner := r.inner.Enabled(s)
-	out := make([]Action, len(inner))
-	for i, a := range inner {
-		out[i] = r.m.Apply(a)
+// NextNum implements Numbered.
+func (r *Renamed) NextNum(sc *Scratch, s State, i int32, yield func(State) bool) bool {
+	return r.num.NextNum(sc, s, r.down[i], yield)
+}
+
+// AppendEnabled implements Numbered: the inner automaton's numbers,
+// carried up in place.
+func (r *Renamed) AppendEnabled(dst []int32, s State) []int32 {
+	n := len(dst)
+	dst = r.num.AppendEnabled(dst, s)
+	for k := n; k < len(dst); k++ {
+		dst[k] = r.up[dst[k]]
 	}
-	return out
+	return dst
+}
+
+// Enabled implements Automaton: AppendEnabled, named.
+func (r *Renamed) Enabled(s State) []Action {
+	var buf [16]int32
+	return r.names(r.AppendEnabled(buf[:0], s))
 }
 
 // Parts implements Automaton.

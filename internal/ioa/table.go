@@ -13,15 +13,16 @@ type Table struct {
 	name  string
 	sig   Signature
 	start []State
-	// steps maps state key -> action -> successor states.
-	steps map[string]map[Action][]State
+	numbering
+	// steps maps state key -> action number -> successor states.
+	steps map[string][][]State
 	// states maps key -> state, to recover State values.
 	states map[string]State
 	parts  []Class
-	local  []Action
+	local  []int32 // the numbers of the locally-controlled actions
 }
 
-var _ Automaton = (*Table)(nil)
+var _ Numbered = (*Table)(nil)
 
 // A Step is one transition (s, a, s') of a table automaton.
 type Step struct {
@@ -39,18 +40,21 @@ func NewTable(name string, sig Signature, start []State, steps []Step, parts []C
 		return nil, fmt.Errorf("ioa: table %s: no start states", name)
 	}
 	t := &Table{
-		name:   name,
-		sig:    sig,
-		start:  append([]State(nil), start...),
-		steps:  make(map[string]map[Action][]State),
-		states: make(map[string]State),
-		parts:  parts,
-		local:  sig.Local().Sorted(),
+		name:      name,
+		sig:       sig,
+		start:     append([]State(nil), start...),
+		numbering: newNumbering(sig.Acts()),
+		steps:     make(map[string][][]State),
+		states:    make(map[string]State),
+		parts:     parts,
+	}
+	for _, a := range sig.Local().Sorted() {
+		t.local = append(t.local, t.number(a))
 	}
 	record := func(s State) {
 		if _, ok := t.states[s.Key()]; !ok {
 			t.states[s.Key()] = s
-			t.steps[s.Key()] = make(map[Action][]State)
+			t.steps[s.Key()] = make([][]State, len(t.acts))
 		}
 	}
 	for _, s := range start {
@@ -62,14 +66,15 @@ func NewTable(name string, sig Signature, start []State, steps []Step, parts []C
 		}
 		record(st.From)
 		record(st.To)
-		t.steps[st.From.Key()][st.Act] = append(t.steps[st.From.Key()][st.Act], st.To)
+		row, i := t.steps[st.From.Key()], t.number(st.Act)
+		row[i] = append(row[i], st.To)
 	}
 	// Complete inputs with self-loops.
 	inputs := sig.Inputs().Sorted()
-	for key := range t.steps {
+	for key, row := range t.steps {
 		for _, in := range inputs {
-			if len(t.steps[key][in]) == 0 {
-				t.steps[key][in] = []State{t.states[key]}
+			if i := t.number(in); len(row[i]) == 0 {
+				row[i] = []State{t.states[key]}
 			}
 		}
 	}
@@ -101,15 +106,21 @@ func (t *Table) Start() []State { return append([]State(nil), t.start...) }
 // outside the table are treated as having only input self-loops (they
 // are unreachable by construction, but this keeps the automaton total
 // and input-enabled).
-func (t *Table) Next(_ *Scratch, s State, a Action, yield func(State) bool) bool {
+func (t *Table) Next(sc *Scratch, s State, a Action, yield func(State) bool) bool {
+	i, ok := t.index[a]
+	return !ok || t.NextNum(sc, s, i, yield)
+}
+
+// NextNum implements Numbered.
+func (t *Table) NextNum(_ *Scratch, s State, i int32, yield func(State) bool) bool {
 	row, ok := t.steps[s.Key()]
 	if !ok {
-		if t.sig.IsInput(a) {
+		if t.sig.IsInput(t.acts[i]) {
 			return yield(s)
 		}
 		return true
 	}
-	for _, nxt := range row[a] {
+	for _, nxt := range row[i] {
 		if !yield(nxt) {
 			return false
 		}
@@ -117,20 +128,20 @@ func (t *Table) Next(_ *Scratch, s State, a Action, yield func(State) bool) bool
 	return true
 }
 
-// Enabled implements Automaton.
-func (t *Table) Enabled(s State) []Action {
-	row, ok := t.steps[s.Key()]
-	if !ok {
-		return nil
-	}
-	var out []Action
-	for _, a := range t.local {
-		if len(row[a]) > 0 {
-			out = append(out, a)
+// AppendEnabled implements Numbered: the local actions with a stored
+// step, in increasing order.
+func (t *Table) AppendEnabled(dst []int32, s State) []int32 {
+	row := t.steps[s.Key()]
+	for _, i := range t.local {
+		if row != nil && len(row[i]) > 0 {
+			dst = append(dst, i)
 		}
 	}
-	return out
+	return dst
 }
+
+// Enabled implements Automaton.
+func (t *Table) Enabled(s State) []Action { return t.names(t.AppendEnabled(nil, s)) }
 
 // Parts implements Automaton.
 func (t *Table) Parts() []Class { return t.parts }
@@ -157,9 +168,9 @@ func (t *Table) Steps() []Step {
 	var out []Step
 	for key, row := range t.steps {
 		from := t.states[key]
-		for act, tos := range row {
+		for i, tos := range row {
 			for _, to := range tos {
-				out = append(out, Step{From: from, Act: act, To: to})
+				out = append(out, Step{From: from, Act: t.acts[i], To: to})
 			}
 		}
 	}

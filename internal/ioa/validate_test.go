@@ -11,11 +11,12 @@ import (
 func TestValidateCatchesMissingStart(t *testing.T) {
 	// A hand-built automaton with no start states.
 	bad := &Table{
-		name:  "bad",
-		sig:   MustSignature(nil, []Action{"x"}, nil),
-		steps: map[string]map[Action][]State{},
-		parts: []Class{{Name: "c", Actions: NewSet("x")}},
-		local: []Action{"x"},
+		name:      "bad",
+		sig:       MustSignature(nil, []Action{"x"}, nil),
+		numbering: newNumbering(NewSet("x")),
+		steps:     map[string][][]State{},
+		parts:     []Class{{Name: "c", Actions: NewSet("x")}},
+		local:     []int32{0},
 	}
 	if err := Validate(bad); err == nil {
 		t.Error("empty start set must fail validation")

@@ -26,13 +26,16 @@ func VisitNext(a Automaton, s State, act Action, yield func(State) bool) bool {
 // locally-controlled action outside Enabled(s) has no step — while
 // |acts(A)| − |enabled(s)| transition probes are skipped.
 //
-// A Walk steps the merged list in sorted order, each action once (an
-// Enabled that also reports inputs repeats them), so successors appear
-// in exactly the order an all-actions sweep discovers them: the BFS
-// visit order every explorer numbers states in, the external census's
-// chunk order, the edge order of ltl's graphs and induct's CTI order.
-// A Walk allocates nothing per state and is not safe for concurrent
-// use: each goroutine owns one.
+// A Walk steps by number (Numbered): the inputs are numbered once when
+// it is built, each state's enabled numbers go into the Walk's own
+// buffer, and it steps the merged list in increasing order, each action
+// once (an Enabled that also reports inputs repeats them). Numbers
+// order as names do, so successors appear in exactly the order an
+// all-actions sweep by sorted name discovers them: the BFS visit order
+// every explorer numbers states in, the external census's chunk order,
+// the edge order of ltl's graphs and induct's CTI order. A Walk hashes
+// no action name and allocates nothing per state, and is not safe for
+// concurrent use: each goroutine owns one.
 //
 // Successors are borrowed. A Walk owns the Scratch its automaton builds
 // them in — the one object that is already per goroutine and lives as
@@ -41,52 +44,63 @@ func VisitNext(a Automaton, s State, act Action, yield func(State) bool) bool {
 // you retain. A successor that is encoded, found in a seen set and
 // dropped — most are — then costs no allocation.
 type Walk struct {
-	// Act is the action being stepped; yield callbacks read it to label
-	// the transition that produced their argument.
+	// Act is the action being stepped and Num its number; yield
+	// callbacks read them to label the transition that produced their
+	// argument.
 	Act Action
+	Num int32
 	// Enabled is how many locally-controlled actions the state of the
 	// last Visit enabled; zero marks a deadlock.
 	Enabled int
 
-	a      Automaton
-	inputs []Action
-	buf    []Action
+	a      Numbered
+	acts   []Action
+	inputs []int32
+	buf    []int32
 	sc     Scratch
 }
 
 // NewWalk builds the successor enumerator of a.
 func NewWalk(a Automaton) *Walk {
-	return &Walk{a: a, inputs: a.Sig().Inputs().Sorted()}
+	w := &Walk{a: Number(a)}
+	w.acts = w.a.Actions()
+	sig := a.Sig()
+	for i, act := range w.acts {
+		if sig.IsInput(act) {
+			w.inputs = append(w.inputs, int32(i))
+		}
+	}
+	return w
 }
 
 // Visit calls yield on every successor of s worth stepping, with Act
-// set to the producing action, and stops early (returning false) as
-// soon as yield does.
+// and Num set to the producing action, and stops early (returning
+// false) as soon as yield does.
 func (w *Walk) Visit(s State, yield func(State) bool) bool {
 	w.sc.Reset()
-	acts := w.a.Enabled(s)
-	w.Enabled = len(acts)
-	if len(w.inputs) > 0 || !increasing(acts) {
-		// Copy before sorting: the memo layer may hand out a shared
-		// cached Enabled slice.
-		w.buf = append(append(w.buf[:0], acts...), w.inputs...)
+	w.buf = w.a.AppendEnabled(w.buf[:0], s)
+	w.Enabled = len(w.buf)
+	nums := w.buf
+	if len(w.inputs) > 0 || !increasing(nums) {
+		w.buf = append(w.buf, w.inputs...)
 		slices.Sort(w.buf)
-		acts = slices.Compact(w.buf)
+		nums = slices.Compact(w.buf)
 	}
-	for _, act := range acts {
-		w.Act = act
-		if !w.a.Next(&w.sc, s, act, yield) {
+	for _, i := range nums {
+		w.Act, w.Num = w.acts[i], i
+		if !w.a.NextNum(&w.sc, s, i, yield) {
 			return false
 		}
 	}
 	return true
 }
 
-// increasing reports whether acts is strictly sorted, so that Visit can
-// step it as it is — a grid's Enabled list is — without a copy.
-func increasing(acts []Action) bool {
-	for i := 1; i < len(acts); i++ {
-		if acts[i-1] >= acts[i] {
+// increasing reports whether nums is strictly increasing, so that Visit
+// can step it as it is — a Prog's, a grid's and a table's are — without
+// sorting.
+func increasing(nums []int32) bool {
+	for i := 1; i < len(nums); i++ {
+		if nums[i-1] >= nums[i] {
 			return false
 		}
 	}

@@ -124,8 +124,13 @@ type walk struct {
 	h     *PossMapping
 	state func(a ioa.State, poss []ioa.State) error // nil: no per-state check
 	b     *posIndex                                 // nil: no rows, no condition 2
-	bActs ioa.Set
-	o     *obs.Obs // progress and the proof metrics, under VerifyOpts
+	o     *obs.Obs                                  // progress and the proof metrics, under VerifyOpts
+
+	// Actions by number: A's names, B stepped by number, and toB
+	// carrying each of A's numbers to B's, -1 outside acts(B).
+	aActs []ioa.Action
+	bNum  ioa.Numbered
+	toB   []int32
 
 	// The image: row(v) lists, in Map's order, the positions in Reach(B)
 	// of the possibilities of node v, unreachable standing for one
@@ -146,7 +151,14 @@ type walk struct {
 }
 
 func (h *PossMapping) newWalk(b *posIndex, state func(a ioa.State, poss []ioa.State) error) *walk {
-	w := &walk{h: h, state: state, b: b, bActs: h.B.Sig().Acts(), off: []int{0}}
+	w := &walk{h: h, state: state, b: b, aActs: ioa.Number(h.A).Actions(), bNum: ioa.Number(h.B), off: []int{0}}
+	for _, act := range w.aActs {
+		i, inB := slices.BinarySearch(w.bNum.Actions(), act)
+		if !inB {
+			i = -1
+		}
+		w.toB = append(w.toB, int32(i))
+	}
 	w.match = w.matchStep
 	return w
 }
@@ -184,8 +196,8 @@ const relayBatch, relayDepth = 256, 4
 // Expanded(v).
 type event struct {
 	kind byte // 'a', 'e' or 'x'
+	act  int32
 	v, w int
-	act  ioa.Action
 	s    ioa.State
 }
 
@@ -198,7 +210,7 @@ type relay struct {
 }
 
 func (r *relay) Admit(v, parent int, s ioa.State) { r.push(event{kind: 'a', v: v, w: parent, s: s}) }
-func (r *relay) Edge(from int, act ioa.Action, to int) {
+func (r *relay) Edge(from int, act int32, to int) {
 	r.push(event{kind: 'e', v: from, w: to, act: act})
 }
 func (r *relay) Expanded(v int) { r.push(event{kind: 'x', v: v}) }
@@ -285,20 +297,20 @@ func (w *walk) Admit(_, _ int, a ioa.State) {
 }
 
 // Edge checks condition 2 on the step (from, act, to) against every
-// reachable possibility of from, in Map's order.
-func (w *walk) Edge(from int, act ioa.Action, to int) {
+// reachable possibility of from, in Map's order, stepping B by number.
+func (w *walk) Edge(from int, i int32, to int) {
 	if w.b == nil || w.fail != nil {
 		return
 	}
 	w.steps++
 	w.next = w.row(to)
-	inB := w.bActs.Has(act)
+	act, bi := w.aActs[i], w.toB[i]
 	for _, p := range w.row(from) {
 		if p == unreachable {
 			continue // the condition applies to reachable possibilities only
 		}
 		b := w.b.states[p]
-		if !inB {
+		if bi < 0 {
 			if !slices.Contains(w.next, p) {
 				w.fail = func(reachA []ioa.State) error {
 					return w.h.errNotPreserved(reachA[from], act, reachA[to], b)
@@ -308,7 +320,7 @@ func (w *walk) Edge(from int, act ioa.Action, to int) {
 			continue
 		}
 		w.matched, w.missedAt = false, nil
-		w.h.B.Next(nil, b, act, w.match)
+		w.bNum.NextNum(nil, b, bi, w.match)
 		if missed := w.missedAt; missed != nil {
 			w.fail = func([]ioa.State) error { return errOutsideReach(w.h.B, b, act, missed) }
 			return

@@ -51,7 +51,7 @@ func TestSeededStepsBorrowed(t *testing.T) {
 		return testing.AllocsPerRun(5, run), successors
 	}
 	bare, n := sweep(c)
-	wrapped, m := sweep(&seeded{Automaton: c, starts: states})
+	wrapped, m := sweep(&seeded{Numbered: c, starts: states})
 	if n != 3*len(states) || m != n {
 		t.Fatalf("%d states: %d successors bare, %d through seeded, want %d each", len(states), n, m, 3*len(states))
 	}

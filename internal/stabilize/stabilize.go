@@ -181,9 +181,9 @@ func (c *Certificate) String() string {
 // seeded overrides an automaton's start states with the corruption
 // envelope, so the explore engine's reachability sweep computes the
 // envelope's closure under steps. Everything else, Next with its
-// scratch included, is the embedded automaton's.
+// scratch and the numbered steps included, is the embedded automaton's.
 type seeded struct {
-	ioa.Automaton
+	ioa.Numbered
 	starts []ioa.State
 }
 
@@ -211,7 +211,7 @@ func Certify(ctx context.Context, a ioa.Automaton, legit func(ioa.State) bool, e
 	}
 	// Close the envelope under steps. The first Starts nodes of the
 	// graph are exactly the distinct envelope states.
-	w := &seeded{Automaton: a, starts: envStates}
+	w := &seeded{Numbered: ioa.Number(a), starts: envStates}
 	g, err := explore.New(explore.Options{Limit: opts.Limit, Obs: opts.Obs, Canon: opts.Canon}).Graph(ctx, w)
 	if err != nil {
 		return nil, fmt.Errorf("stabilize: closing envelope %q: %w", env.Name(), err)
