@@ -27,14 +27,15 @@
 // every rejection list the systems a flag applies to. README.md walks
 // through each mode.
 //
-// -reach explores the reachable state space instead of simulating,
+// -reach censuses the reachable state space instead of simulating,
 // reporting the state count and the quiescent states, through the
-// knobs of explore.Flags: -workers (0 = GOMAXPROCS; exploration runs
-// the sequential kernel at any count) and -limit,
-// which arbiterbench shares, and -spill-dir/-spill-mem-mb, which
-// back the seen set with the disk-spilling store — for a system with a
-// canonical decodable encoding (grid, the m^k-state scale harness) the
-// external census, frontier and seen set both on disk.
+// knobs of explore.Flags: -workers (0 = GOMAXPROCS; the census runs
+// the sequential kernel in RAM at any count) and -limit, which
+// arbiterbench shares, and -spill-dir/-spill-mem-mb, which run the
+// external census instead, frontier and seen set both on disk, for
+// every system ioa.Decoder rebuilds from its encodings (the
+// compositions and grid, the m^k-state scale harness); -spill-dir on
+// fig23c, dijkstra or lamport is refused by the system's name.
 //
 // -dist-listen starts a coordinator that expands every level itself and
 // shards the seen set across -dist-workers OS processes with

@@ -196,10 +196,10 @@ func dotRun(inv *invocation) error {
 	return eng.WriteDOT(context.Background(), inv.out, auto)
 }
 
-// reachRun explores the reachable state space in this process. With
-// -spill-dir a canonically decodable system runs the external census —
-// frontier and seen set both on disk, O(spill budget) resident memory
-// regardless of state count.
+// reachRun censuses the reachable state space in this process. In RAM
+// the census's visit records the first quiescent state; with -spill-dir
+// it is the external census, frontier and seen set both on disk, which
+// refuses a system that cannot be rebuilt from its encodings.
 func reachRun(inv *invocation) error {
 	auto, err := inv.build()
 	if err != nil {
@@ -207,27 +207,22 @@ func reachRun(inv *invocation) error {
 	}
 	opts := inv.cfg.explore
 	opts.Obs, opts.Canon = inv.o, inv.canon
-	rep := reachReport{name: auto.Name(), depth: -1, budget: opts.Limit}
-	dec, decodable := auto.(ioa.Decodable)
-	if opts.Spill != nil && decodable {
-		opts.Decode = dec.Decode
-		var sum explore.Summary
-		sum, err = explore.New(opts).Census(context.Background(), auto, nil, nil)
-		rep.states, rep.depth, rep.quiescent = sum.States, sum.Depth, sum.Deadlocks
-	} else {
-		var states []ioa.State
-		states, err = explore.New(opts).Reach(context.Background(), auto)
-		rep.states, rep.partial = int64(len(states)), true
-		if err == nil { // a truncated report stops at the count
-			for _, s := range states {
-				if len(auto.Enabled(s)) == 0 {
-					if rep.quiescent == 0 {
-						rep.first = s.Key()
-					}
-					rep.quiescent++
+	rep := reachReport{name: auto.Name(), depth: -1, budget: opts.Limit, partial: opts.Spill == nil}
+	var visit func(ioa.State)
+	if opts.Spill == nil {
+		num, enabled := ioa.Number(auto), []int32(nil)
+		visit = func(s ioa.State) {
+			if rep.first == "" {
+				if enabled = num.AppendEnabled(enabled[:0], s); len(enabled) == 0 {
+					rep.first = s.Key()
 				}
 			}
 		}
+	}
+	sum, err := explore.New(opts).Census(context.Background(), auto, nil, visit)
+	rep.states, rep.quiescent = sum.States, sum.Deadlocks
+	if opts.Spill != nil {
+		rep.depth = sum.Depth
 	}
 	return rep.print(inv, err)
 }

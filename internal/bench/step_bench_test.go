@@ -118,7 +118,7 @@ func BenchmarkLevelMerge(b *testing.B) {
 	}
 	ctx := context.Background()
 	b.Run("spill", func(b *testing.B) {
-		opts := explore.Options{Limit: int(g.States()), Obs: obs.New(nil), Decode: g.Decode,
+		opts := explore.Options{Limit: int(g.States()), Obs: obs.New(nil),
 			Spill: &store.SpillOptions{Dir: b.TempDir(), MemBudget: 16 << 10}}
 		if _, err := explore.New(opts).Census(ctx, g, nil, nil); err != nil {
 			b.Fatal(err)

@@ -567,9 +567,13 @@ func work(ctx context.Context, conn net.Conn, cfg Config) error {
 	if procs < 1 || rank < 0 || rank >= procs {
 		return fmt.Errorf("cluster: protocol: welcome assigns rank %d of %d", rank, procs)
 	}
-	seen, err := store.Open(cfg.Spill)
-	if err != nil {
-		return fmt.Errorf("cluster: rank %d: %w", rank, err)
+	var seen store.SeenSet = store.New(store.Options{})
+	if cfg.Spill != nil {
+		sp, err := store.NewSpill(*cfg.Spill)
+		if err != nil {
+			return fmt.Errorf("cluster: rank %d: %w", rank, err)
+		}
+		seen = sp
 	}
 	//lint:ignore errflow storage failures already aborted the level loop; Close here only releases temp files
 	defer seen.Close()

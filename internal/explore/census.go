@@ -3,12 +3,13 @@ package explore
 // Census: reachability analysis that never materializes the state
 // space. Reach returns []ioa.State — fine up to tens of millions of
 // states, impossible at 10⁸⁺. Census instead streams the walk and
-// returns counts and verdicts, and in its external mode keeps both the
-// seen set and the frontier on disk:
+// returns counts and verdicts: in RAM, the sequential kernel; with
+// Options.Spill, the one out-of-core loop, which keeps both the seen set
+// and the frontier on disk and needs ioa.Decoder(a):
 //
-//   - the frontier is a store.Frontier of canonical encodings
-//     (DiskFrontier once spilling is on), drained sequentially and
-//     re-expanded through Options.Decode;
+//   - the frontier is a store.DiskFrontier of ioa.Encoder encodings
+//     (a composition's leaf cell indices, an ioa.Decodable's Key
+//     bytes), drained sequentially and rebuilt through ioa.Decoder;
 //   - successor candidates accumulate in a bounded in-RAM chunk, a
 //     store.LevelSet in which a duplicate collapses on arrival, so the
 //     budget (Spill.MemBudget, in encoded bytes) buys distinct
@@ -26,8 +27,10 @@ package explore
 // indexes (about 1.3 + 2 bytes per state at the default block size —
 // store.Stats.ResidentBytes reports it, Spill.MemBudget does not bound
 // it) plus a read buffer for each of the O(log states) runs compaction
-// leaves — this is the path behind the ≥10⁸-state runs in
-// EXPERIMENTS.md E23.
+// leaves, plus a composition's leaf cells (one per component state) —
+// this is the path behind the ≥10⁸-state runs in EXPERIMENTS.md E23.
+// Runs sort encodings only to deduplicate, so process-local cell
+// indices serve.
 //
 // Determinism: the walk is single-goroutine and chunk boundaries are a
 // pure function of the candidate stream and the budget, so counts,
@@ -37,14 +40,6 @@ package explore
 // (each chunk is interned in key order; chunks flush in discovery
 // order), so it moves with MemBudget, as does the run count: this is
 // the one walk whose order is not Reach's BFS discovery order.
-//
-// External mode requires Options.Decode because frontier states are
-// re-built from their canonical encodings. Systems whose encodings
-// are self-describing provide it trivially (ioa.KeyState round-trips
-// as its own key; internal/grid decodes digit vectors). Without
-// Decode — or without Options.Spill — Census runs the sequential
-// kernel in RAM, at every worker count, and keeps no heap state of an
-// automaton ioa.Decoder can rebuild from its encoding.
 
 import (
 	"context"
@@ -74,37 +69,45 @@ type Summary struct {
 // Census explores the reachable states of a without materializing
 // them, calling visit (when non-nil) on each admitted state and
 // checking pred (when non-nil) on each. It stops early at the first
-// violation. With Options.Spill and Options.Decode both set it runs
-// the external-memory engine documented above; otherwise it runs the
-// sequential kernel at every Options.Workers: visit and pred see the
+// violation. With Options.Spill set it runs the external-memory engine
+// documented above, and refuses by name an automaton ioa.Decoder cannot
+// rebuild; otherwise the sequential kernel: visit and pred see the
 // states in Reach's BFS discovery order, the violation is the first in
 // that order with CheckInvariant's witness, and a state ioa.Decoder can
-// rebuild is kept only as its encoding. Their argument is borrowed for
-// the call, as CheckInvariant's pred's is, so ioa.Keep what you retain
-// (an ioa.Decodable's states are its Decode's results and stay valid).
+// rebuild is kept only as its encoding. In either mode their argument is
+// borrowed for the call, as CheckInvariant's pred's is, so ioa.Keep what
+// you retain.
 // Options.Limit bounds admitted states in either mode; exceeding it,
 // not an exact fit, returns ErrLimit with the partial summary.
 func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (sum Summary, err error) {
 	ctx = ctxOr(ctx)
-	if e.opts.Spill != nil && e.opts.Decode != nil {
-		return e.censusExternal(ctx, a, pred, visit)
+	if e.opts.Spill == nil {
+		_, _, err = e.seqExplore(ctx, a, pred, nil, &sum, visit)
+		return sum, err
 	}
-	_, _, err = e.seqExplore(ctx, a, pred, nil, &sum, visit)
-	return sum, err
+	decode := ioa.Decoder(a)
+	if decode == nil {
+		return sum, fmt.Errorf("explore: Census over a spill: %s has no decoder (ioa.Decoder) to rebuild its frontier from disk", a.Name())
+	}
+	return e.censusExternal(ctx, a, decode, pred, visit)
 }
 
 // errCensusStop ends the external walk at the first violation; the
 // exit path turns it into a nil error.
 var errCensusStop = errors.New("census: stop")
 
-// censusExternal is the disk-backed walk.
-func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool, visit func(ioa.State)) (sum Summary, err error) {
+// censusExternal is the disk-backed walk over ioa.Encoder(a)'s bytes,
+// which decode inverts.
+func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, decode func(*ioa.Scratch, []byte) ioa.State, pred func(ioa.State) bool, visit func(ioa.State)) (sum Summary, err error) {
 	o := e.opts.Obs
 	if o != nil {
 		defer o.Tracer.Span(0, "explore", "census "+a.Name())()
 	}
 	limit := int64(e.opts.limit())
-	decode := e.opts.Decode
+	// sc holds the one decoded state in use — checked, or expanded — and
+	// is reset before the next; a composition's starts and steps are its
+	// own tuples, so every encoding it offers decodes.
+	var sc ioa.Scratch
 
 	sp, err := store.NewSpill(*e.opts.Spill) // Census routes here only with Spill set
 	if err != nil {
@@ -156,15 +159,13 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 			}
 			sum.States++
 			if pred != nil || visit != nil {
-				s, derr := decode(enc)
-				if derr != nil {
-					return fmt.Errorf("explore: %s: decode: %w", a.Name(), derr)
-				}
+				sc.Reset()
+				s := decode(&sc, enc)
 				if visit != nil {
 					visit(s)
 				}
 				if pred != nil && !pred(s) {
-					sum.Violation = &Violation{State: s}
+					sum.Violation = &Violation{State: ioa.Keep(s)}
 					return errCensusStop
 				}
 			}
@@ -174,15 +175,15 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 		return err
 	}
 
-	// Level 0: the canonically sorted start states. Every candidate is
-	// its orbit representative's Key bytes, which Decode rebuilds.
+	// Level 0: the start states in encoding order. Every candidate is
+	// its orbit representative's encoding, which decode rebuilds.
 	var enc []byte
-	canon := e.opts.Canon
+	encode, canon := ioa.Encoder(a), e.opts.Canon
 	offer := func(s ioa.State) bool {
 		if canon != nil {
 			s = canon.Canonical(s)
 		}
-		enc = ioa.AppendState(enc[:0], s)
+		enc = encode(enc[:0], s)
 		chunk.Add(enc, store.Hash(enc), struct{}{})
 		return true
 	}
@@ -207,11 +208,8 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, pred func(
 					return err
 				}
 			}
-			s, derr := decode(rec)
-			if derr != nil {
-				return fmt.Errorf("explore: %s: decode: %w", a.Name(), derr)
-			}
-			step.Visit(s, offer)
+			sc.Reset()
+			step.Visit(decode(&sc, rec), offer)
 			if step.Enabled == 0 {
 				sum.Deadlocks++
 			}

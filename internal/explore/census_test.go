@@ -13,7 +13,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/ioa"
 	"repro/internal/reduce"
-	"repro/internal/store"
 )
 
 // TestCensusKeepsNoStates: a warmed-up in-RAM Census at two workers
@@ -85,8 +84,8 @@ func TestCensusKeepsNoStates(t *testing.T) {
 }
 
 // TestCensusMatchesReach: the in-RAM Census, at every worker count, on
-// grids, the closed arbiter, a symmetry-reduced arbiter and a spilling
-// store with no Decode hook, visits the states of ReferenceReach (of the
+// grids, the closed arbiter and a symmetry-reduced arbiter, visits the
+// states of ReferenceReach (of the
 // one-worker Reach under Canon) in their order, reports their count, the
 // BFS depth and the states that enable nothing, names the first state
 // that breaks an invariant with a minimal-length witness, and holds
@@ -110,21 +109,15 @@ func TestCensusMatchesReach(t *testing.T) {
 		name  string
 		a     ioa.Automaton
 		canon explore.Canonicalizer
-		spill bool
 	}
-	systems := []system{{"arbiter3", arbiter3, nil, false}, {"arbiter1/canon", arbiter1, users, false}}
+	systems := []system{{"arbiter3", arbiter3, nil}, {"arbiter1/canon", arbiter1, users}}
 	for _, shape := range [][2]int{{3, 3}, {2, 5}, {5, 2}} {
 		g, err := grid.New(shape[0], shape[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		systems = append(systems, system{g.Name(), g, nil, false})
+		systems = append(systems, system{g.Name(), g, nil})
 	}
-	g, err := grid.New(4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	systems = append(systems, system{g.Name() + "/spill", g, nil, true})
 
 	for _, sys := range systems {
 		ref, err := explore.ReferenceReach(sys.a, explore.DefaultLimit)
@@ -149,9 +142,6 @@ func TestCensusMatchesReach(t *testing.T) {
 		for _, w := range []int{1, 2, 3, 8} {
 			census := func(limit int, pred func(ioa.State) bool) (explore.Summary, []string, error) {
 				opts := explore.Options{Workers: w, Limit: limit, Canon: sys.canon}
-				if sys.spill {
-					opts.Spill = &store.SpillOptions{Dir: t.TempDir(), MemBudget: 256}
-				}
 				var visited []string
 				sum, err := explore.New(opts).Census(ctx, sys.a, pred, func(s ioa.State) { visited = append(visited, s.Key()) })
 				return sum, visited, err

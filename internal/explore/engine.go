@@ -13,19 +13,17 @@ package explore
 // scratch memory, so a successor that is found already interned
 // allocates nothing and only a kept one is copied to the heap. Reach,
 // CheckInvariant, Visit, Graph and the in-RAM Census all run one
-// sequential kernel, seqExplore, whatever Options.Workers says; the
-// external census and the cluster have level loops of their own, encode
-// with ioa.AppendState — the bytes of Key(), streamed without building
-// the string — and order chunks by them. The kernel interns
-// ioa.Encoder's encoding, which for a composition is its leaves' cell
-// indices: equal iff the Keys are, a few bytes long, and built without
-// reading a leaf's key. Those bytes (an ioa.Decodable's Key bytes) are
-// the state (ioa.Decoder), so where nothing needs a heap state the
-// kernel keeps none: its frontier is the store's unexpanded IDs, each
-// decoded when it comes up. The visit order is bit-identical to the
-// string-keyed seed explorer (reference.go keeps it as the differential
-// oracle): interning preserves first-insertion order, and both encodings
-// decide equality as the Key() does.
+// sequential kernel, seqExplore, in RAM, whatever Options.Workers says;
+// the external census and the cluster have level loops of their own.
+// The kernel and the external census intern ioa.Encoder's encoding,
+// which for a composition is its leaves' cell indices: equal iff the
+// Keys are, a few bytes long, and built without reading a leaf's key.
+// Those bytes (an ioa.Decodable's Key bytes) are the state (ioa.Decoder),
+// so where nothing needs a heap state the kernel keeps none: its
+// frontier is the store's unexpanded IDs, each decoded when it comes up. The visit order is bit-identical to the string-keyed seed
+// explorer (reference.go keeps it as the differential oracle):
+// interning preserves first-insertion order, and both encodings decide
+// equality as the Key() does.
 
 import (
 	"context"
@@ -95,22 +93,13 @@ type Options struct {
 	// be an automorphism of the automaton — see the reduce package,
 	// whose differential battery enforces both obligations).
 	Canon Canonicalizer
-	// Spill, when non-nil, backs every seen set with the disk-spilling
-	// store implementation (store.NewSpill) instead of the in-RAM
-	// arena: interned encodings flush to delta-encoded sorted runs once
-	// the hot batch exceeds its byte budget, and membership probes
-	// merge-on-lookup across the runs. Exploration results are
-	// bit-identical to the arena backend — the differential battery
-	// pins it — at bounded RAM.
+	// Spill, when non-nil, makes Census run out of core (census.go) over
+	// the disk-spilling store (store.NewSpill), for an automaton
+	// ioa.Decoder can rebuild; on any other Census returns an error
+	// naming it. Reach, CheckInvariant, Visit and Graph refuse it.
 	Spill *store.SpillOptions
-	// Decode rebuilds a state from its canonical encoding. It is only
-	// required by Census's external mode, which keeps frontiers on disk
-	// as encodings and must re-expand them; systems whose encodings are
-	// self-describing (KeyState systems, internal/grid) provide it
-	// trivially. Reach, CheckInvariant and the in-RAM Census never call
-	// it: the sequential kernel decodes its own encodings through
-	// ioa.Decoder (a composition's cells, an ioa.Decodable's bytes), and
-	// Decode stays for the external census alone.
+	// Decode is ignored (the external census uses ioa.Decoder); it stays
+	// while the benchmark harness still sets it.
 	Decode func(enc []byte) (ioa.State, error)
 }
 
@@ -213,8 +202,8 @@ func ctxOr(ctx context.Context) context.Context {
 }
 
 // Reach computes the reachable states of a, visiting at most
-// Options.Limit states, with the sequential kernel at any worker count.
-// The result is BFS discovery order, bit-identical to ReferenceReach. It
+// Options.Limit states, with the sequential kernel in RAM at any worker
+// count; it refuses Options.Spill. The result is BFS discovery order, bit-identical to ReferenceReach. It
 // returns ErrLimit (with a partial result of exactly Limit states) iff
 // an unseen state remains, and ctx.Err() (with the partial result so
 // far) on cancellation.
@@ -232,7 +221,8 @@ func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error
 // the limit. pred is only called from the calling goroutine, and its
 // argument is borrowed for the call: the kernel may rebuild the state in
 // memory it reuses for the next one, so ioa.Keep what you retain. The
-// violation's state and witness are the caller's to keep.
+// violation's state and witness are the caller's to keep. It refuses
+// Options.Spill.
 func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(ioa.State) bool) (*Violation, error) {
 	if pred == nil {
 		return nil, fmt.Errorf("explore: CheckInvariant: nil predicate")
@@ -304,7 +294,7 @@ type Visitor interface {
 // v: each state as it is admitted, each step as it is taken, each node
 // as its expansion ends. It always runs the sequential kernel, whatever
 // Options.Workers says, so what v sees is the same at any worker count.
-// Limit, Canon, Obs and Spill apply as in Reach; under Canon a step to
+// Limit, Canon and Obs apply as in Reach; under Canon a step to
 // any orbit-mate of a node is an edge to that node. It returns the
 // states in discovery order and Reach's errors.
 func (e *Engine) Visit(ctx context.Context, a ioa.Automaton, v Visitor) ([]ioa.State, error) {
@@ -314,21 +304,20 @@ func (e *Engine) Visit(ctx context.Context, a ioa.Automaton, v Visitor) ([]ioa.S
 
 // seqExplore is the one sequential kernel, under Reach (pred nil),
 // CheckInvariant, Visit (vis non-nil) and, with sum non-nil, the in-RAM
-// Census. The frontier
+// Census; it interns into the arena store only. The frontier
 // is the range of store IDs not yet expanded (every admitted state is
 // expanded exactly once, in admission order), so visit order is
 // bit-identical to the seed explorer's explicit queue, IDs double as
 // result indices (both are dense admission order), and a level ends
 // where the first state found while expanding it was admitted. A
-// composite or an ioa.Decodable explored with no visitor, no Canon and
-// the in-RAM store keeps no state at all: it expands each state decoded
-// from its encoding into a Scratch of its own, decodes the witness's
-// states onto the heap, and Reach's result from every ID once on the way
-// out. Everything else keeps a heap copy of each admitted state in the
-// result slice and expands that — a visitor may retain what Admit hands
-// it, under Canon the state kept is the first-discovered concrete one
-// while the encoding is its orbit's, and spill and other automata have
-// nothing to decode.
+// composite or an ioa.Decodable explored with no visitor and no Canon
+// keeps no state at all: it expands each state decoded from its encoding
+// into a Scratch of its own, decodes the witness's states onto the heap,
+// and Reach's result from every ID once on the way out. Everything else
+// keeps a heap copy of each admitted state in the result slice and
+// expands that — a visitor may retain what Admit hands it, under Canon
+// the state kept is the first-discovered concrete one while the encoding
+// is its orbit's, and other automata have nothing to decode.
 //
 // With a predicate it also records one (parent, act) crumb per state,
 // checks pred on each state as it comes up for expansion, and builds the
@@ -352,12 +341,10 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	if o != nil {
 		defer o.Tracer.Span(0, "explore", "seq "+a.Name())()
 	}
-	st, err := store.Open(e.opts.Spill)
-	if err != nil {
-		return nil, nil, err
+	if e.opts.Spill != nil {
+		return nil, nil, fmt.Errorf("explore: %s: Options.Spill backs only Census; Reach, CheckInvariant, Visit and Graph explore in RAM", a.Name())
 	}
-	//lint:ignore errflow storage failures surface through the sticky Err checks; Close here only releases temp files
-	defer st.Close()
+	st := store.New(store.Options{})
 	var crumbs []crumb // indexed by ID; kept only under a predicate
 	cur := store.None  // the state being expanded; int(store.None) is -1
 	// level is cur's BFS depth, levelEnd the first ID past its level;
@@ -387,16 +374,15 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 	// decode is nil where the kernel keeps heap states in order. A
 	// composition's starts and steps are its own tuples, so every
 	// encoding it interns has tag 1 and decodes.
-	arena, _ := st.(*store.Store)
 	decode := ioa.Decoder(a)
-	if vis != nil || canon != nil || arena == nil {
+	if vis != nil || canon != nil {
 		decode = nil
 	}
 	state := func(sc *ioa.Scratch, id store.ID) ioa.State {
 		if decode == nil {
 			return order[id]
 		}
-		return decode(sc, arena.Encoding(id))
+		return decode(sc, st.Encoding(id))
 	}
 	if decode != nil && pred == nil && sum == nil {
 		defer func() { // Reach's result, whatever the exit

@@ -5,14 +5,16 @@
 // automata.
 //
 // The entry point is the Engine facade: construct one from Options
-// (worker count, state budget, observability handle, storage backend,
-// symmetry reduction) with New and call its context-aware methods —
+// (worker count, state budget, observability handle, the census's disk
+// spill, symmetry reduction) with New and call its context-aware
+// methods —
 //
 //	eng := explore.New(explore.Options{Limit: 1 << 20})
 //	states, err := eng.Reach(ctx, a)
 //
 // All explorers dedup through internal/store (byte-encoded interned
-// states with dense IDs). The exhaustive loops enumerate successors
+// states with dense IDs), in RAM but for Census with Options.Spill, the
+// one out-of-core loop. The exhaustive loops enumerate successors
 // through an ioa.Walk, which lends each one from per-goroutine scratch
 // memory and lets the loop keep the few that are new; the bounded
 // enumerators step with a nil scratch and get heap states. See

@@ -30,7 +30,7 @@ func (f *Flags) Bind(fs *flag.FlagSet) {
 
 // BindSpill registers the -spill-* external-memory knobs on fs.
 func (f *Flags) BindSpill(fs *flag.FlagSet) {
-	fs.StringVar(&f.SpillDir, "spill-dir", "", "spill the seen set to delta-encoded runs under this directory when RAM budget is exceeded")
+	fs.StringVar(&f.SpillDir, "spill-dir", "", "census out of core: keep the seen set as delta-encoded runs, and the frontier, under this directory (systems that decode from their encodings)")
 	fs.IntVar(&f.SpillMemMB, "spill-mem-mb", 512, "in-RAM budget in MiB before the seen set spills (with -spill-dir)")
 }
 

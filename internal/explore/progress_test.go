@@ -106,8 +106,17 @@ func TestParallelProgressEmission(t *testing.T) {
 	}
 }
 
+// hopKey is the key of a hopCounter state, bare or as the one part of
+// a composed state.
+func hopKey(s ioa.State) string {
+	if t, ok := s.(*ioa.TupleState); ok {
+		return t.At(0).Key()
+	}
+	return s.Key()
+}
+
 // hopCounter is a 50-state KeyState system (+1 and ×2 modulo 50 from
-// "0"), so the external census can decode its encodings.
+// "0").
 func hopCounter() ioa.Automaton {
 	const m = 50
 	val := func(s ioa.State) (v int) { fmt.Sscan(s.Key(), &v); return v }
@@ -125,7 +134,6 @@ func hopCounter() ioa.Automaton {
 // snapshot, last.
 func TestEveryExitReports(t *testing.T) {
 	const total = 50
-	keyDecode := func(enc []byte) (ioa.State, error) { return ioa.KeyState(enc), nil }
 	// Each loop returns the admitted count it reports to its caller
 	// (-1 when the entry point returns none) and whether it found a
 	// violation.
@@ -170,7 +178,7 @@ func TestEveryExitReports(t *testing.T) {
 		wantErr error
 	}{
 		{"complete", 0, holds, false, nil},
-		{"violation", 0, func(s ioa.State) bool { return s.Key() != "7" }, false, nil},
+		{"violation", 0, func(s ioa.State) bool { return hopKey(s) != "7" }, false, nil},
 		{"limit", 10, holds, false, ErrLimit},
 		{"cancel", 0, holds, true, context.Canceled},
 	}
@@ -184,16 +192,17 @@ func TestEveryExitReports(t *testing.T) {
 				o := obs.New(nil)
 				o.Progress = sink.on
 				opts := Options{Workers: loop.workers, Limit: exit.limit, Obs: o}
-				if loop.ext {
+				a := hopCounter()
+				if loop.ext { // composed, so ioa.Decoder can rebuild its states from disk
 					opts.Spill = &store.SpillOptions{Dir: t.TempDir(), MemBudget: 64, BlockEvery: 4}
-					opts.Decode = keyDecode
+					a = ioa.MustCompose("hop", a)
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				if exit.cancel {
 					cancel()
 				}
-				admitted, violated, err := loop.run(ctx, New(opts), hopCounter(), exit.pred)
+				admitted, violated, err := loop.run(ctx, New(opts), a, exit.pred)
 				if !errors.Is(err, exit.wantErr) || (exit.wantErr == nil && err != nil) {
 					t.Fatalf("err = %v, want %v", err, exit.wantErr)
 				}

@@ -1,20 +1,15 @@
 package explore_test
 
-// Spill-backed exploration differential battery (ISSUE 10): the
+// External census differential battery: Census over the
 // disk-spilling SeenSet must be observationally identical to the
-// in-RAM arena. Every test here runs with a MemBudget small enough to
+// in-RAM census. Every test here runs with a MemBudget small enough to
 // force multiple on-disk runs, so merge-on-lookup and batch
 // merge-intern paths are genuinely exercised:
 //
-//   - sequential Reach over a Spill reproduces ReferenceReach
-//     elementwise;
-//   - Reach over a Spill at workers {1,2,8} reproduces the RAM-backed
-//     engine bit-identically (and hence the sequential
-//     BFS order);
-//   - Census in external mode (Spill + Decode) agrees with the
-//     materialized walk on states, depth, deadlocks, and verdicts;
+//   - Census in external mode agrees with the in-RAM census on states,
+//     depth, deadlocks, and verdicts;
 //   - a run file truncated mid-walk surfaces a clean wrapped
-//     store.ErrCorruptRun from the engine, and a ledger journaling
+//     store.ErrCorruptRun from the census, and a ledger journaling
 //     that run still parses to a usable prefix.
 
 import (
@@ -44,57 +39,24 @@ func tinySpill(t *testing.T) *store.SpillOptions {
 	return &store.SpillOptions{Dir: t.TempDir(), MemBudget: 256, BlockEvery: 4}
 }
 
-// TestDifferentialSpillReachSequential: the sequential engine over the
-// disk-spilling store visits states in exactly ReferenceReach's order.
-func TestDifferentialSpillReachSequential(t *testing.T) {
-	ctx := context.Background()
-	for name, a := range diffSystems(t) {
-		want, err := explore.ReferenceReach(a, explore.DefaultLimit)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
-		}
-		got, err := explore.New(explore.Options{Workers: 1, Spill: tinySpill(t)}).Reach(ctx, a)
-		if err != nil {
-			t.Fatalf("%s: spill engine: %v", name, err)
-		}
-		assertSameOrder(t, name, want, got)
-	}
-}
+// composed is a as the one component of a composition, which
+// ioa.Decoder can rebuild from its leaf cell indices: a Table alone has
+// no decoder, so the external census refuses it.
+func composed(a ioa.Automaton) *ioa.Composite { return ioa.MustCompose(a.Name(), a) }
 
-// TestDifferentialSpillReachParallel: at workers {1,2,8} the parallel
-// engine over the disk-spilling store is bit-identical to the
-// RAM-backed engine at the same worker count.
-func TestDifferentialSpillReachParallel(t *testing.T) {
-	for name, a := range diffSystems(t) {
-		for _, w := range []int{1, 2, 8} {
-			ram, err := parallelReach(a, explore.Options{Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers %d: ram: %v", name, w, err)
-			}
-			spill, err := parallelReach(a, explore.Options{Workers: w, Spill: tinySpill(t)})
-			if err != nil {
-				t.Fatalf("%s workers %d: spill: %v", name, w, err)
-			}
-			assertSameOrder(t, fmt.Sprintf("%s workers %d ram vs spill", name, w), ram, spill)
-		}
-	}
-}
+// leafKey is the key of the one component of a composed state.
+func leafKey(s ioa.State) string { return s.(*ioa.TupleState).At(0).Key() }
 
-// keyDecode rebuilds a KeyState from its canonical encoding — the
-// Decode hook for Table-backed systems, whose states are identified by
-// key.
-func keyDecode(enc []byte) (ioa.State, error) { return ioa.KeyState(enc), nil }
-
-// censusSystems: Table-backed systems (KeyState states) so external
-// Census can round-trip encodings through keyDecode.
+// censusSystems: Table-backed systems, composed so the external Census
+// can decode their encodings.
 func censusSystems(t *testing.T) map[string]ioa.Automaton {
 	t.Helper()
 	base := testseed.Base(t)
-	systems := map[string]ioa.Automaton{"chain40": chain(40)}
+	systems := map[string]ioa.Automaton{"chain40": composed(chain(40))}
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(base + 1700 + seed))
-		systems[fmt.Sprintf("table%d", seed)] = randTable(rng, fmt.Sprintf("t%d", seed),
-			nil, []ioa.Action{"a", "b"}, []ioa.Action{"c"})
+		systems[fmt.Sprintf("table%d", seed)] = composed(randTable(rng, fmt.Sprintf("t%d", seed),
+			nil, []ioa.Action{"a", "b"}, []ioa.Action{"c"}))
 	}
 	return systems
 }
@@ -115,7 +77,6 @@ func TestDifferentialCensusExternal(t *testing.T) {
 		extSum, err = explore.New(explore.Options{
 			Workers: 1,
 			Spill:   tinySpill(t),
-			Decode:  keyDecode,
 		}).Census(ctx, a, nil, func(s ioa.State) { visited[s.Key()]++ })
 		if err != nil {
 			t.Fatalf("%s: external census: %v", name, err)
@@ -146,16 +107,16 @@ func TestDifferentialCensusVerdicts(t *testing.T) {
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(base + 2100 + seed))
-		a := randTable(rng, fmt.Sprintf("v%d", seed), nil, []ioa.Action{"a", "b"}, []ioa.Action{"c"})
+		a := composed(randTable(rng, fmt.Sprintf("v%d", seed), nil, []ioa.Action{"a", "b"}, []ioa.Action{"c"}))
 		bad := fmt.Sprintf("v%d%d", seed, rng.Intn(4))
-		pred := func(s ioa.State) bool { return s.Key() != bad }
+		pred := func(s ioa.State) bool { return leafKey(s) != bad }
 
 		ramSum, err := explore.New(explore.Options{Workers: 1}).Census(ctx, a, pred, nil)
 		if err != nil {
 			t.Fatalf("seed %d: materialized: %v", seed, err)
 		}
 		extSum, err := explore.New(explore.Options{
-			Workers: 1, Spill: tinySpill(t), Decode: keyDecode,
+			Workers: 1, Spill: tinySpill(t),
 		}).Census(ctx, a, pred, nil)
 		if err != nil {
 			t.Fatalf("seed %d: external: %v", seed, err)
@@ -174,9 +135,9 @@ func TestDifferentialCensusVerdicts(t *testing.T) {
 // wrapped ErrLimit, like every other engine entry point.
 func TestDifferentialCensusLimit(t *testing.T) {
 	ctx := context.Background()
-	a := chain(40)
+	a := composed(chain(40))
 	sum, err := explore.New(explore.Options{
-		Workers: 1, Limit: 7, Spill: tinySpill(t), Decode: keyDecode,
+		Workers: 1, Limit: 7, Spill: tinySpill(t),
 	}).Census(ctx, a, nil, nil)
 	if !errors.Is(err, explore.ErrLimit) {
 		t.Fatalf("err = %v, want ErrLimit", err)
@@ -211,11 +172,11 @@ func loopChain(n int) *ioa.Table {
 	return ioa.MustTable("loopchain", sig, states[:1], steps, classes)
 }
 
-// TestSpillCrashMidWalkSurfacesCleanError: truncating a run file while
-// the engine is mid-walk must surface as a wrapped store.ErrCorruptRun
-// from Reach — not a panic, not a silent wrong answer — and a ledger
-// journaling the run's progress still parses to a usable prefix.
-func TestSpillCrashMidWalkSurfacesCleanError(t *testing.T) {
+// TestSpillCrashMidCensus: truncating a run file while the external
+// census is mid-walk must surface as a wrapped store.ErrCorruptRun — not
+// a panic, not a silent wrong answer — and a ledger journaling the
+// run's progress still parses to a usable prefix.
+func TestSpillCrashMidCensus(t *testing.T) {
 	ctx := context.Background()
 	var journal bytes.Buffer
 	led := ledger.New(&journal, ledger.Options{MinInterval: -1})
@@ -240,13 +201,11 @@ func TestSpillCrashMidWalkSurfacesCleanError(t *testing.T) {
 			t.Fatalf("truncate flushed run: %v", err)
 		}
 	}
-	a := loopChain(200)
-	_, err := explore.New(explore.Options{Workers: 1, Spill: sp, Obs: o}).Reach(ctx, a)
+	_, err := explore.New(explore.Options{
+		Workers: 1, Spill: sp, Obs: o,
+	}).Census(ctx, composed(loopChain(200)), nil, nil)
 	if !errors.Is(err, store.ErrCorruptRun) {
 		t.Fatalf("err = %v, want wrapped store.ErrCorruptRun", err)
-	}
-	if !strings.Contains(err.Error(), "storage:") {
-		t.Fatalf("error not engine-wrapped: %v", err)
 	}
 	if !truncated {
 		t.Fatal("AfterFlush never fired: walk too small to spill")
@@ -267,78 +226,6 @@ func TestSpillCrashMidWalkSurfacesCleanError(t *testing.T) {
 		if e.Schema != ledger.Schema {
 			t.Fatalf("entry %d: schema %d", e.Seq, e.Schema)
 		}
-	}
-}
-
-// TestSpillCrashMidCensus: the external-memory walk surfaces the same
-// clean wrapped error when a run goes bad under it.
-// TestVisitCrashReportsNoDanglingEdge: once the spill store latches an
-// error mid-walk, Visit stops at the next successor and returns the
-// storage error; no edge into a node the store never admitted reaches
-// the visitor.
-func TestVisitCrashReportsNoDanglingEdge(t *testing.T) {
-	sp := tinySpill(t)
-	var truncated bool
-	sp.AfterFlush = func(path string) {
-		if truncated {
-			return
-		}
-		truncated = true
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatalf("stat flushed run: %v", err)
-		}
-		if err := os.Truncate(path, fi.Size()-5); err != nil {
-			t.Fatalf("truncate flushed run: %v", err)
-		}
-	}
-	v := &edgeBounds{t: t}
-	_, err := explore.New(explore.Options{Workers: 1, Spill: sp}).Visit(context.Background(), loopChain(200), v)
-	if !errors.Is(err, store.ErrCorruptRun) || !strings.Contains(err.Error(), "storage:") {
-		t.Fatalf("err = %v, want the engine-wrapped store.ErrCorruptRun", err)
-	}
-	if !truncated || v.edges == 0 {
-		t.Fatalf("truncated %v after %d edges: walk too small to spill", truncated, v.edges)
-	}
-}
-
-// edgeBounds fails its test on an edge whose ends were never admitted.
-type edgeBounds struct {
-	t            *testing.T
-	nodes, edges int
-}
-
-func (v *edgeBounds) Admit(int, int, ioa.State) { v.nodes++ }
-func (v *edgeBounds) Expanded(int)              {}
-func (v *edgeBounds) Edge(from int, act int32, to int) {
-	v.edges++
-	if from < 0 || from >= v.nodes || to < 0 || to >= v.nodes {
-		v.t.Fatalf("edge (%d, action %d, %d) with %d nodes admitted", from, act, to, v.nodes)
-	}
-}
-
-func TestSpillCrashMidCensus(t *testing.T) {
-	ctx := context.Background()
-	sp := tinySpill(t)
-	var truncated bool
-	sp.AfterFlush = func(path string) {
-		if truncated {
-			return
-		}
-		truncated = true
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatalf("stat flushed run: %v", err)
-		}
-		if err := os.Truncate(path, fi.Size()-5); err != nil {
-			t.Fatalf("truncate flushed run: %v", err)
-		}
-	}
-	_, err := explore.New(explore.Options{
-		Workers: 1, Spill: sp, Decode: keyDecode,
-	}).Census(ctx, chain(200), nil, nil)
-	if !errors.Is(err, store.ErrCorruptRun) {
-		t.Fatalf("err = %v, want wrapped store.ErrCorruptRun", err)
 	}
 }
 
@@ -364,7 +251,7 @@ func TestCensusChunksHoldDistinctEncodings(t *testing.T) {
 	o := obs.New(nil)
 	var distinctBytes int64
 	extSum, err := explore.New(explore.Options{
-		Workers: 1, Obs: o, Decode: g.Decode,
+		Workers: 1, Obs: o,
 		Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: budget},
 	}).Census(ctx, g, nil, func(s ioa.State) { distinctBytes += int64(len(s.Key())) })
 	if err != nil {
@@ -406,7 +293,7 @@ func TestCensusSpillRunsBounded(t *testing.T) {
 	o := obs.New(nil)
 	mostFiles := 0
 	sum, err := explore.New(explore.Options{
-		Workers: 1, Obs: o, Decode: g.Decode,
+		Workers: 1, Obs: o,
 		Spill: &store.SpillOptions{Dir: dir, MemBudget: 2 << 10, AfterFlush: func(string) {
 			files, err := filepath.Glob(filepath.Join(dir, "run*"))
 			if err != nil {
@@ -465,7 +352,7 @@ func TestCensusCompactedRunFaultsNeverMiscount(t *testing.T) {
 	walk := func(nth int, fault func(string) error) (explore.Summary, int, error) {
 		seen, compacted := map[string]bool{}, 0
 		sum, err := explore.New(explore.Options{
-			Workers: 1, Decode: g.Decode,
+			Workers: 1,
 			Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: 256, BlockEvery: 4, AfterFlush: func(path string) {
 				if seen[path] {
 					if compacted++; compacted == nth {

@@ -161,7 +161,7 @@ func (g *Grid) Parts() []ioa.Class { return g.parts }
 // Decode rebuilds a grid state from its canonical encoding (the digit
 // bytes). It makes the grid an ioa.Decodable, so the sequential kernel
 // keeps each state as its encoding alone and decodes it when it expands
-// it, and it is the Options.Decode hook of the external Census.
+// it, and the external Census rebuilds its disk frontier through it.
 func (g *Grid) Decode(enc []byte) (ioa.State, error) {
 	if len(enc) != g.k {
 		return nil, fmt.Errorf("grid: encoding is %d bytes, want %d", len(enc), g.k)

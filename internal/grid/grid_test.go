@@ -58,7 +58,6 @@ func TestGridCensusExternal(t *testing.T) {
 	sum, err := explore.New(explore.Options{
 		Workers: 1,
 		Spill:   &store.SpillOptions{Dir: t.TempDir(), MemBudget: 128},
-		Decode:  g.Decode,
 	}).Census(ctx, g, nil, nil)
 	if err != nil {
 		t.Fatalf("census: %v", err)

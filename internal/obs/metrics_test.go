@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func TestCounterShardsSum(t *testing.T) {
+func TestCounterSums(t *testing.T) {
 	var c Counter
 	c.Add(3)
 	for i := 0; i < 100; i++ {
@@ -75,7 +75,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramShardsMerge(t *testing.T) {
+func TestHistogramCountMinMax(t *testing.T) {
 	h := NewHistogram()
 	for shard := 0; shard < 16; shard++ {
 		h.Observe(int64(shard + 1))

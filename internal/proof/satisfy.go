@@ -58,55 +58,80 @@ func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
 		}
 	}
 
+	// Resolve the classes to action numbers once: classB files each of
+	// B's numbers under its class of B (-1: an input), inD marks each
+	// class's actions among A's numbers, and classA files each of A's
+	// numbers under its class of A, so C − D is classA = containing[j]
+	// and not inD[j].
+	numA, numB := ioa.Number(h.A), ioa.Number(h.B)
+	classA := classOf(numA.Actions(), partsA)
+	classB := classOf(numB.Actions(), partsB)
+	inD := make([][]bool, len(partsB))
+	for j, d := range partsB {
+		inD[j] = make([]bool, len(numA.Actions()))
+		for i, act := range numA.Actions() {
+			inD[j][i] = d.Actions.Has(act)
+		}
+	}
+
 	b, err := reachIndexed(opts, h.B)
 	if err != nil {
 		return err
 	}
-	var inReach []ioa.State // the possibilities of a inside Reach(B)
+	var enA, enB []int32
+	atPoss := make([]bool, len(partsB)) // D enabled at a reachable possibility
 	return h.newWalk(nil, func(a ioa.State, poss []ioa.State) error {
-		inReach = inReach[:0]
+		clear(atPoss)
 		for _, s := range poss {
-			if b.find(s) != unreachable {
-				inReach = append(inReach, s)
-			}
-		}
-		enabledA := ioa.NewSet(h.A.Enabled(a)...)
-		for j, d := range partsB {
-			c := partsA[containing[j]]
-			// Is an action of D enabled from a reachable possibility?
-			dEnabledAtPoss := false
-			for _, s := range inReach {
-				for _, act := range h.B.Enabled(s) {
-					if d.Actions.Has(act) {
-						dEnabledAtPoss = true
-						break
-					}
-				}
-				if dEnabledAtPoss {
-					break
-				}
-			}
-			if !dEnabledAtPoss {
+			if b.find(s) == unreachable {
 				continue
 			}
-			dEnabledAtA := false
-			for act := range d.Actions {
-				if enabledA.Has(act) {
-					dEnabledAtA = true
-					break
+			enB = numB.AppendEnabled(enB[:0], s)
+			for _, e := range enB {
+				if j := classB[e]; j >= 0 {
+					atPoss[j] = true
 				}
 			}
-			if !dEnabledAtA {
+		}
+		enA = numA.AppendEnabled(enA[:0], a)
+		for j, d := range partsB {
+			if !atPoss[j] {
+				continue
+			}
+			atA, cd := false, int32(-1) // cd: the least action of C − D enabled
+			for _, e := range enA {
+				switch {
+				case inD[j][e]:
+					atA = true
+				case classA[e] == containing[j] && (cd < 0 || e < cd):
+					cd = e
+				}
+			}
+			if !atA {
 				return fmt.Errorf("proof: Lemma 30 hypothesis fails at state %q: class %q enabled at a possibility but not at the state",
 					a.Key(), d.Name)
 			}
-			for act := range c.Actions.Minus(d.Actions) {
-				if enabledA.Has(act) {
-					return fmt.Errorf("proof: Lemma 30 hypothesis fails at state %q: action %q of C−D enabled",
-						a.Key(), act)
-				}
+			if cd >= 0 {
+				return fmt.Errorf("proof: Lemma 30 hypothesis fails at state %q: action %q of C−D enabled",
+					a.Key(), numA.Actions()[cd])
 			}
 		}
 		return nil
 	}).run(opts)
+}
+
+// classOf files each action of acts under the index of its class in
+// parts, -1 for an action in none (an input).
+func classOf(acts []ioa.Action, parts []ioa.Class) []int {
+	class := make([]int, len(acts))
+	for i, act := range acts {
+		class[i] = -1
+		for j, c := range parts {
+			if c.Actions.Has(act) {
+				class[i] = j
+				break
+			}
+		}
+	}
+	return class
 }

@@ -5,8 +5,9 @@ package store
 // dense ID and a freshness verdict, or look one up without interning
 // it. The in-RAM arena Store is one implementation; Spill (spill.go) is
 // the disk-backed second, which keeps a bounded hot batch in memory and
-// flushes delta-encoded sorted runs to disk. The engines are written
-// against this interface, so they run unchanged over either backend.
+// flushes delta-encoded sorted runs to disk. The cluster worker and the
+// progress reporter are written against this interface, so they run
+// unchanged over either backend.
 
 // A SeenSet interns encodings and hands out dense IDs: the i-th distinct
 // encoding added gets ID i, so callers that intern in a canonical order
@@ -30,21 +31,6 @@ type SeenSet interface {
 	Err() error
 	// Close releases any resources (run files, spill directories).
 	Close() error
-}
-
-// Open builds a seen set: the disk-spilling Spill when spill is
-// non-nil, the in-RAM arena Store otherwise. It is the one opener
-// behind the exploration engine, the external census and the cluster
-// worker.
-func Open(spill *SpillOptions) (SeenSet, error) {
-	if spill == nil {
-		return New(Options{}), nil
-	}
-	sp, err := NewSpill(*spill)
-	if err != nil {
-		return nil, err
-	}
-	return sp, nil
 }
 
 // Close implements SeenSet: nothing to release.

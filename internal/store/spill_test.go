@@ -249,8 +249,7 @@ func TestSpillTruncatedRunFailsMergeIntern(t *testing.T) {
 // state-00255, interned in key order, whose first block stops
 // increasing at entry 5 — its one suffix byte, file offset 40, rewritten
 // from '5' to '0', so that it reads state-00000 again. Every way of
-// reading that entry — InternEncoded and Lookup (the "Has" arm) of the
-// key it held, and
+// reading that entry — InternEncoded and Lookup of the key it held, and
 // MergeIntern of that key alone and of its whole block — must latch
 // ErrCorruptRun, and none may take the key for absent: no second ID for
 // a stored key.
@@ -267,7 +266,7 @@ func TestSpillRefusesOrderBreak(t *testing.T) {
 			}
 			return nil
 		},
-		"Has": func(sp *Spill) error {
+		"Lookup": func(sp *Spill) error {
 			if id, ok := LookupState(sp, ioa.KeyState(damaged)); ok && id != 5 {
 				return fmt.Errorf("Lookup = (%d, %v)", id, ok)
 			}

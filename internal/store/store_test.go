@@ -46,10 +46,10 @@ func TestEncodingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHasAndProbeAgree: Lookup, the one membership read (the writer's
-// Has and the readers' Probe both), reports members under their IDs and
-// nothing else.
-func TestHasAndProbeAgree(t *testing.T) {
+// TestLookupStateMatchesLookup: Lookup, the one membership read,
+// reports members under their IDs and nothing else, whether it is given
+// a state (LookupState) or that state's encoded bytes.
+func TestLookupStateMatchesLookup(t *testing.T) {
 	st := New(Options{})
 	for i := 0; i < 100; i++ {
 		InternState(st, ioa.KeyState(fmt.Sprintf("s%d", i)))
@@ -71,9 +71,9 @@ func TestHasAndProbeAgree(t *testing.T) {
 	}
 }
 
-// TestProbeHashReuse: the bytes and hash a caller computes once serve
-// the lookup and the intern alike.
-func TestProbeHashReuse(t *testing.T) {
+// TestLookupAndInternShareHash: the bytes and hash a caller computes
+// once serve the lookup and the intern alike.
+func TestLookupAndInternShareHash(t *testing.T) {
 	st := New(Options{})
 	enc := ioa.AppendState(nil, ioa.KeyState("reuse-me"))
 	h := Hash(enc)
