@@ -243,7 +243,7 @@ func BenchmarkReachabilityA3(b *testing.B) {
 	var states []ioa.State
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		states, err = explore.New(explore.Options{Workers: 1, Limit: 1 << 20}).Reach(context.Background(), sys.A3)
+		states, err = explore.New(explore.Options{Limit: 1 << 20}).Reach(context.Background(), sys.A3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func BenchmarkDecomposition(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), composed, 4); err != nil {
+		if _, err := explore.New(explore.Options{}).Behaviors(context.Background(), composed, 4); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,7 +7,7 @@
 //
 //	arbiterbench [-sweep name [-sweep-out file]] [-quick]
 //	             [-b bound] [-seed n] [-max n] [-recover-within k]
-//	             [-stabilize-sizes n] [-workers n] [-limit n]
+//	             [-stabilize-sizes n] [-limit n]
 //	             [-obs-addr host:port] [-ledger-out file]
 //
 // The exact sweeps time nothing, so equal flags give equal bytes:
@@ -71,7 +71,7 @@ func main() {
 	flag.StringVar(&cfg.obsAddr, "obs-addr", "", "serve live expvar + pprof debug endpoints on this address (e.g. :6060)")
 	flag.StringVar(&cfg.ledgerOut, "ledger-out", "", "append a provenance record per run to this JSONL journal")
 	flag.Parse()
-	cfg.sweep.Workers, cfg.sweep.Limit = ex.Workers, ex.Limit
+	cfg.sweep.Limit = ex.Limit
 	cfg.flags = make(map[string]string)
 	flag.Visit(func(f *flag.Flag) { cfg.flags[f.Name] = f.Value.String() })
 	if err := run(cfg, os.Stdout); err != nil {
@@ -86,7 +86,7 @@ func main() {
 func run(cfg config, out io.Writer) (err error) {
 	rec := ledger.Run{
 		Tool: "arbiterbench", Mode: "full", Seed: cfg.sweep.Seed,
-		Workers: cfg.sweep.Workers, Limit: cfg.sweep.Limit, Flags: cfg.flags,
+		Limit: cfg.sweep.Limit, Flags: cfg.flags,
 	}
 	if cfg.name != "" {
 		rec.Mode = "sweep-" + cfg.name

@@ -10,7 +10,7 @@
 //	       [-grid-base m] [-grid-digits k]
 //	       [-faults drop=0.1,dup=0.05,delay=3] [-fault-seed n]
 //	       [-trace] [-json] [-dot] [-reach] [-stabilize] [-induct]
-//	       [-workers n] [-limit n] [-symmetry]
+//	       [-limit n] [-symmetry]
 //	       [-spill-dir dir] [-spill-mem-mb n]
 //	       [-dist-listen host:port -dist-workers n [-dist-spawn]]
 //	       [-dist-join host:port [-dist-corrupt]]
@@ -29,11 +29,10 @@
 //
 // -reach censuses the reachable state space instead of simulating,
 // reporting the state count and the quiescent states, through the
-// knobs of explore.Flags: -workers (0 = GOMAXPROCS; the census runs
-// the sequential kernel in RAM at any count) and -limit, which
-// arbiterbench shares, and -spill-dir/-spill-mem-mb, which run the
-// external census instead, frontier and seen set both on disk, for
-// every system ioa.Decoder rebuilds from its encodings (the
+// knobs of explore.Flags: -limit, which arbiterbench shares, and
+// -spill-dir/-spill-mem-mb, which run the external census instead,
+// frontier and seen set both on disk, for every system ioa.Decoder
+// rebuilds from its encodings (the
 // compositions and grid, the m^k-state scale harness); -spill-dir on
 // fig23c, dijkstra or lamport is refused by the system's name.
 //
@@ -236,7 +235,6 @@ func run(cfg config, out io.Writer) error {
 		System:   cfg.system,
 		Seed:     cfg.seed,
 		Users:    cfg.nUsers,
-		Workers:  cfg.explore.Workers,
 		Limit:    cfg.explore.Limit,
 		Symmetry: cfg.symmetry,
 		Flags:    cfg.flags,
@@ -324,5 +322,5 @@ func (inv *invocation) build() (ioa.Automaton, error) {
 
 // engine is the exploration configuration a certifier's hook gets.
 func (inv *invocation) engine() explore.Options {
-	return explore.Options{Workers: inv.cfg.explore.Workers, Limit: inv.cfg.explore.Limit}
+	return explore.Options{Limit: inv.cfg.explore.Limit}
 }

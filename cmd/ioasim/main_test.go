@@ -29,7 +29,7 @@ func TestTraceOutRoundTrip(t *testing.T) {
 	metricsPath := filepath.Join(dir, "metrics.json")
 	cfg := config{
 		system: "arbiter3", nUsers: 3, reach: true,
-		explore: explore.Options{Workers: 2, Limit: 20000},
+		explore: explore.Options{Limit: 20000},
 		faults:  "drop=0.2", faultSd: 1, steps: 100, policy: "rr",
 		traceOut: tracePath, metricsOut: metricsPath,
 	}
@@ -182,7 +182,7 @@ func TestRunLedger(t *testing.T) {
 	}
 	cfg2 := config{
 		system: "arbiter1", nUsers: 3, reach: true,
-		explore: explore.Options{Workers: 2},
+		explore: explore.Options{},
 		faults:  "none", policy: "rr", ledgerOut: path,
 	}
 	if err := run(cfg2, &out); err != nil {

@@ -135,7 +135,7 @@ func (m *mode) admit(cfg *config, sys bench.System, prof faults.Profile) error {
 // corruption envelope — and prints the certificate. A non-stabilizing
 // verdict is an error, so the process exits non-zero.
 func stabilizeRun(inv *invocation) error {
-	opts := stabilize.Options{Limit: inv.cfg.explore.Limit, Obs: inv.o, Canon: inv.canon}
+	opts := explore.Options{Limit: inv.cfg.explore.Limit, Obs: inv.o, Canon: inv.canon}
 	auto, legit, env, err := inv.sys.Stabilize.Case(inv.cfg.nUsers, inv.engine())
 	if err != nil {
 		return err
@@ -192,7 +192,7 @@ func dotRun(inv *invocation) error {
 	if err != nil {
 		return err
 	}
-	eng := explore.New(explore.Options{Workers: 1, Limit: 4096, Obs: inv.o})
+	eng := explore.New(explore.Options{Limit: 4096, Obs: inv.o})
 	return eng.WriteDOT(context.Background(), inv.out, auto)
 }
 

@@ -22,32 +22,30 @@ import (
 // not twice it (the quiescent states are counted from the states in
 // hand, not from a second walk).
 func TestReachExploresOnce(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		metrics := filepath.Join(t.TempDir(), "metrics.json")
-		cfg := config{
-			system: "arbiter3", nUsers: 3, reach: true, faults: "none",
-			explore: explore.Options{Workers: workers}, metricsOut: metrics,
-		}
-		var out bytes.Buffer
-		if err := run(cfg, &out); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		var printed int64
-		if _, err := fmt.Sscanf(out.String(), "arbiter3: %d reachable states", &printed); err != nil || printed != 139 {
-			t.Fatalf("workers=%d: printed %d states (%v) in %q, want 139", workers, printed, err, out.String())
-		}
-		raw, err := os.ReadFile(metrics)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap obs.Snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			t.Fatal(err)
-		}
-		if got := snap.Counters["explore.states_admitted"]; got != printed {
-			t.Errorf("workers=%d: explore.states_admitted = %d, printed %d states: -reach explored %.1f times",
-				workers, got, printed, float64(got)/float64(printed))
-		}
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	cfg := config{
+		system: "arbiter3", nUsers: 3, reach: true, faults: "none",
+		explore: explore.Options{}, metricsOut: metrics,
+	}
+	var out bytes.Buffer
+	if err := run(cfg, &out); err != nil {
+		t.Fatal(err)
+	}
+	var printed int64
+	if _, err := fmt.Sscanf(out.String(), "arbiter3: %d reachable states", &printed); err != nil || printed != 139 {
+		t.Fatalf("printed %d states (%v) in %q, want 139", printed, err, out.String())
+	}
+	raw, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Counters["explore.states_admitted"]; got != printed {
+		t.Errorf("explore.states_admitted = %d, printed %d states: -reach explored %.1f times",
+			got, printed, float64(got)/float64(printed))
 	}
 }
 
@@ -85,7 +83,7 @@ func smoke(system string) config {
 	return config{
 		system: system, nUsers: 2, usersSet: true, gridM: 3, gridK: 3,
 		steps: 20, policy: "rr", faults: "none", faultSd: 1,
-		explore: explore.Options{Workers: 1, Limit: 2000},
+		explore: explore.Options{Limit: 2000},
 	}
 }
 

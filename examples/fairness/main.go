@@ -60,7 +60,7 @@ func figure22() {
 func figure23() {
 	fmt.Println("=== Figure 2.3: fair vs unfair equivalence ===")
 	ctx := context.Background()
-	eng := explore.New(explore.Options{Workers: 1, Limit: 100})
+	eng := explore.New(explore.Options{Limit: 100})
 	a, b := figures.Fig23A(), figures.Fig23B()
 	same, _, err := eng.SameBehaviors(ctx, a, b, 5)
 	if err != nil {

@@ -344,7 +344,7 @@ func userDriver(t *testing.T, user, arb string) *ioa.Prog {
 // attachment process last forwarded to it and is not holding).
 func TestReachableStateSpaceMutualExclusion(t *testing.T) {
 	tr, sys := figSystem(t)
-	states, err := explore.New(explore.Options{Workers: 1, Limit: 500000}).Reach(context.Background(), sys.A3)
+	states, err := explore.New(explore.Options{Limit: 500000}).Reach(context.Background(), sys.A3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestIdleInputReturnsItsState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), p)
+		reach, err := explore.New(explore.Options{}).Reach(context.Background(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

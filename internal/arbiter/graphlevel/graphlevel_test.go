@@ -60,7 +60,7 @@ func TestA2Invariants(t *testing.T) {
 	}
 	for _, c := range checks {
 		t.Run(c.name, func(t *testing.T) {
-			v, err := explore.New(explore.Options{Workers: 1, Limit: 1000000}).CheckInvariant(context.Background(), a2, c.pred)
+			v, err := explore.New(explore.Options{Limit: 1000000}).CheckInvariant(context.Background(), a2, c.pred)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +95,7 @@ func TestLemma41BufferInvariant(t *testing.T) {
 		{name: "Lemma36-RequestsPointToRoot", pred: RequestsPointToRoot},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			v, err := explore.New(explore.Options{Workers: 1, Limit: 2000000}).CheckInvariant(context.Background(), a2, c.pred)
+			v, err := explore.New(explore.Options{Limit: 2000000}).CheckInvariant(context.Background(), a2, c.pred)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func TestCombinedVariantKeepsInvariants(t *testing.T) {
 		{name: "Lemma36", pred: RequestsPointToRoot},
 		{name: "Mutex", pred: MutualExclusion},
 	} {
-		v, err := explore.New(explore.Options{Workers: 1, Limit: 1000000}).CheckInvariant(context.Background(), a2, c.pred)
+		v, err := explore.New(explore.Options{Limit: 1000000}).CheckInvariant(context.Background(), a2, c.pred)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func TestIdleInputReturnsItsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a2)
+	reach, err := explore.New(explore.Options{}).Reach(context.Background(), a2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,7 +220,7 @@ func buildA2(t testing.TB, sh stepShape, combine bool) (*graph.Tree, *ioa.Prog) 
 // state and returns the first disagreement.
 func againstReference(t *testing.T, a2 *ioa.Prog, f figure33) (int, error) {
 	t.Helper()
-	reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a2)
+	reach, err := explore.New(explore.Options{}).Reach(context.Background(), a2)
 	if err != nil {
 		t.Fatal(err)
 	}

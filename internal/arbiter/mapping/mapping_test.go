@@ -102,7 +102,7 @@ func TestH1MapMakesOneState(t *testing.T) {
 // reachable state of A₃.
 func TestInvariantsI1I2(t *testing.T) {
 	c := buildChain(t, figure32(t), 0)
-	states, err := explore.New(explore.Options{Workers: 1, Limit: 200000}).Reach(context.Background(), c.Sys.Base().A3)
+	states, err := explore.New(explore.Options{Limit: 200000}).Reach(context.Background(), c.Sys.Base().A3)
 	if err != nil {
 		t.Fatalf("reach: %v", err)
 	}

@@ -91,7 +91,7 @@ func TestA1RequestWhileHoldingRecorded(t *testing.T) {
 // input-enabledness across the space.
 func TestA1MutualExclusionStructural(t *testing.T) {
 	a, _ := newA1(t, 2)
-	states, err := explore.New(explore.Options{Workers: 1, Limit: 10000}).Reach(context.Background(), a)
+	states, err := explore.New(explore.Options{Limit: 10000}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestA1RandomDrives(t *testing.T) {
 // non-holder yield the state they were given, pointer-equal.
 func TestIdleInputReturnsItsState(t *testing.T) {
 	a1, us := newA1(t, 4)
-	reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a1)
+	reach, err := explore.New(explore.Options{}).Reach(context.Background(), a1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func TestFaultyUserAgainstSpec(t *testing.T) {
 	// The interesting safety check: whenever the good user believes it
 	// holds the resource, the arbiter agrees — the faulty user's bogus
 	// returns never yank the resource out from under u1.
-	v, err := explore.New(explore.Options{Workers: 1, Limit: 1000000}).CheckInvariant(context.Background(), explore.ClosedWorld(closed), func(s ioa.State) bool {
+	v, err := explore.New(explore.Options{Limit: 1000000}).CheckInvariant(context.Background(), explore.ClosedWorld(closed), func(s ioa.State) bool {
 		ts := s.(*ioa.TupleState)
 		arb := ts.At(0).(*spec.State)
 		goodUser := ts.At(2).(*State)

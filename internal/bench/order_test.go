@@ -10,15 +10,15 @@ import (
 	"repro/internal/ioa"
 )
 
-// TestOneVisitOrder: every engine numbers states in one order, the
+// TestOneVisitOrder: every entry point numbers states in one order, the
 // sequential BFS order. On every catalogue system at three users (its
 // first orderStates states where it has more: mutex has 288 800, A₃ʳ's
-// retransmissions more than a million), at workers 2, 3 and 8, with no
-// canonicalizer and with the catalogue's, Reach returns the one-worker
-// kernel's Reach slice element by element (and
-// ReferenceReach's, which has no canonicalizer), the same CheckInvariant
-// violation with the same witness, and the same partial result under a
-// limit of half the states.
+// retransmissions more than a million), with no canonicalizer and with
+// the catalogue's, Reach returns ReferenceReach's slice element by
+// element (where there is no canonicalizer), CheckInvariant reports the
+// first violating state in that order with a witness that is an
+// execution, and Reach under a limit of half the states returns the
+// first half.
 func TestOneVisitOrder(t *testing.T) {
 	const orderStates = 3000
 	ctx := context.Background()
@@ -37,13 +37,13 @@ func TestOneVisitOrder(t *testing.T) {
 		}
 		for _, canon := range canons {
 			label := fmt.Sprintf("%s canon=%v", sys.Name, canon != nil)
-			run := func(w int, limit int) explore.Options {
-				return explore.Options{Workers: w, Canon: canon, Limit: limit}
+			run := func(limit int) explore.Options {
+				return explore.Options{Canon: canon, Limit: limit}
 			}
 			// The kernel's Reach ends in ErrLimit when the system has more
 			// than orderStates states, and every other Reach must end as
 			// it does.
-			ref, limited := explore.New(run(1, orderStates)).Reach(ctx, a)
+			ref, limited := explore.New(run(orderStates)).Reach(ctx, a)
 			if limited != nil && !errors.Is(limited, explore.ErrLimit) {
 				t.Fatalf("%s: %v", label, limited)
 			}
@@ -67,32 +67,22 @@ func TestOneVisitOrder(t *testing.T) {
 			}
 			target := orbit(ref[2*len(ref)/3])
 			pred := func(s ioa.State) bool { return orbit(s) != target }
-			refV, err := explore.New(run(1, 0)).CheckInvariant(ctx, a, pred)
-			if err != nil || refV == nil {
-				t.Fatalf("%s: one-worker check = (%v, %v), want a violation", label, refV, err)
+			v, err := explore.New(run(0)).CheckInvariant(ctx, a, pred)
+			if err != nil || v == nil {
+				t.Fatalf("%s: check = (%v, %v), want a violation", label, v, err)
+			}
+			if want := ref[2*len(ref)/3].Key(); v.State.Key() != want {
+				t.Fatalf("%s: violation at %q, want the first in BFS order, %q", label, v.State.Key(), want)
+			}
+			if err := v.Trace.Validate(true); err != nil || v.Trace.Last().Key() != v.State.Key() {
+				t.Fatalf("%s: the witness is not an execution ending at the violation (%v)", label, err)
 			}
 			half := len(ref) / 2
-			for _, w := range []int{2, 3, 8} {
-				at := fmt.Sprintf("%s workers=%d", label, w)
-				got, err := explore.New(run(w, orderStates)).Reach(ctx, a)
-				if !sameEnd(err) {
-					t.Fatalf("%s: %v, one worker: %v", at, err, limited)
-				}
-				sameStates(t, at, ref, got)
-				v, err := explore.New(run(w, 0)).CheckInvariant(ctx, a, pred)
-				if err != nil || v == nil {
-					t.Fatalf("%s: check = (%v, %v), want a violation", at, v, err)
-				}
-				if v.State.Key() != refV.State.Key() || v.Trace.String() != refV.Trace.String() {
-					t.Fatalf("%s: violation %q with witness\n%s\nwant %q with\n%s",
-						at, v.State.Key(), v.Trace, refV.State.Key(), refV.Trace)
-				}
-				part, err := explore.New(run(w, half)).Reach(ctx, a)
-				if !errors.Is(err, explore.ErrLimit) {
-					t.Fatalf("%s limit=%d: err = %v, want ErrLimit", at, half, err)
-				}
-				sameStates(t, fmt.Sprintf("%s limit=%d", at, half), ref[:half], part)
+			part, err := explore.New(run(half)).Reach(ctx, a)
+			if !errors.Is(err, explore.ErrLimit) {
+				t.Fatalf("%s limit=%d: err = %v, want ErrLimit", label, half, err)
 			}
+			sameStates(t, fmt.Sprintf("%s limit=%d", label, half), ref[:half], part)
 		}
 	}
 }

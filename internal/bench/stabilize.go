@@ -52,7 +52,7 @@ type StabilizeRow struct {
 // stabilizeCell certifies one (automaton, envelope) cell, best-of-reps
 // timed.
 func stabilizeCell(cfg SweepConfig, row StabilizeRow, build func() (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error)) (StabilizeRow, error) {
-	opts := stabilize.Options{Limit: cfg.Limit}
+	opts := cfg.explore()
 	var cert *stabilize.Certificate
 	ns, err := cfg.bestOf(func() (func() error, error) {
 		a, legit, env, err := build()
@@ -162,8 +162,8 @@ func stabilizeRows(cfg SweepConfig) ([]StabilizeRow, error) {
 // lelannCrashCell builds the LeLann negative control: the n-process
 // token ring, with the corruption envelope generated by crash-restart
 // (Reset) wrappers around every process — the reachable states of the
-// wrapped ring, explored under opts, in BFS order at any worker count —
-// projected back into the clean composition's state space. A lost token
+// wrapped ring, explored under opts, in BFS order — projected back
+// into the clean composition's state space. A lost token
 // never regenerates, so the case must fail certification.
 func lelannCrashCell(n int, opts explore.Options) (ioa.Automaton, func(ioa.State) bool, stabilize.Envelope, error) {
 	sys, err := ring.New(spec.DefaultUsers(n))

@@ -12,7 +12,7 @@ import (
 // row is the certified-unstable negative control. TestSweepRegistry
 // covers the table and the JSON.
 func TestStabilizeSweep(t *testing.T) {
-	rows, err := stabilizeRows(SweepConfig{Sizes: 4, Workers: 1})
+	rows, err := stabilizeRows(SweepConfig{Sizes: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

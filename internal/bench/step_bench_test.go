@@ -30,7 +30,7 @@ func BenchmarkCompositeStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	states, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), sys)
+	states, err := explore.New(explore.Options{}).Reach(context.Background(), sys)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func BenchmarkCompositeStep(b *testing.B) {
 }
 
 // BenchmarkCheckInvariantArbiter is the sequential kernel end to end:
-// one-worker CheckInvariant of mutual exclusion on the closed level-3
+// CheckInvariant of mutual exclusion on the closed level-3
 // arbiter with five users, every one of its 4 837 states checked — the
 // loop arbiter3-check times at seven. One untimed run first fills the
 // composite's cells and memo rows, so B/op and allocs/op over the states
@@ -84,7 +84,7 @@ func BenchmarkCheckInvariantArbiter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := explore.New(explore.Options{Workers: 1})
+	eng := explore.New(explore.Options{})
 	checked := 0
 	check := func() {
 		checked = 0

@@ -33,10 +33,8 @@ import (
 type SweepConfig struct {
 	// Sizes is the largest Dijkstra ring size of the stabilize sweep.
 	Sizes int
-	// Workers and Limit configure every exploration engine a cell
-	// builds.
-	Workers int
-	Limit   int
+	// Limit bounds every exploration engine a cell builds.
+	Limit int
 	// Quick shrinks sweeps to smoke sizes.
 	Quick bool
 	// B is the per-step time bound, Seed the scheduler tie-break seed
@@ -57,7 +55,7 @@ type SweepConfig struct {
 
 // explore returns the engine options of the configuration.
 func (c SweepConfig) explore() explore.Options {
-	return explore.Options{Workers: c.Workers, Limit: c.Limit}
+	return explore.Options{Limit: c.Limit}
 }
 
 // sizes yields the user counts of the b-bounded runs: the powers of two

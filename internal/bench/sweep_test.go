@@ -32,7 +32,7 @@ func TestSweepRegistry(t *testing.T) {
 				t.Fatalf("FindSweep(%q) = %q, %v", sw.Name, found.Name, err)
 			}
 			var table bytes.Buffer
-			rows, n, err := sw.Run(SweepConfig{Quick: true, Sizes: 4, B: 1, Reps: 1, Workers: 1, Out: &table})
+			rows, n, err := sw.Run(SweepConfig{Quick: true, Sizes: 4, B: 1, Reps: 1, Out: &table})
 			if err != nil {
 				t.Fatal(err)
 			}

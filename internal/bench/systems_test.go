@@ -19,7 +19,7 @@ func TestExploreSystemLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		states, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		states, err := explore.New(explore.Options{Limit: explore.DefaultLimit}).Reach(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,8 @@ import (
 
 // BenchmarkVerifyMapping is the possibilities-mapping kernel in
 // isolation: both links of the open four-user hierarchy (h₂ then h₁,
-// Lemmas 46 and 39) verified at two workers. Beside ns/op and allocs/op
-// it reports the reachable states of the two lower automata and the Map
-// calls made — one per reachable state plus one per start state, so the
+// Lemmas 46 and 39) verified. Beside ns/op and allocs/op it reports the
+// reachable states of the two lower automata and the Map calls made — one per reachable state plus one per start state, so the
 // two differ by two here.
 func BenchmarkVerifyMapping(b *testing.B) {
 	tr, err := graph.BinaryTree(4)
@@ -39,7 +38,7 @@ func BenchmarkVerifyMapping(b *testing.B) {
 		}}
 	}
 	links := []*proof.PossMapping{counted(c.H2), counted(c.H1)}
-	opts := explore.Options{Workers: 2}
+	opts := explore.Options{}
 	states := 0
 	for _, h := range links {
 		reach, err := explore.New(opts).Reach(context.Background(), h.A)

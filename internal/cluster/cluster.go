@@ -27,7 +27,12 @@
 // Only canonical encodings cross the wire, and only the coordinator
 // holds concrete states, so any automaton the in-process engines can
 // explore (composed tuples included) can be explored by a cluster, with
-// no Decode hook, and a worker needs no Build hook.
+// no Decode hook, and a worker needs no Build hook. The encoding is
+// ioa.Encoder's, the one the in-process kernel interns: for a
+// composition its leaves' cell indices. Those indices mean something
+// only to the coordinator's automaton, but only the coordinator encodes
+// and nothing decodes: workers hash and compare the bytes, so no
+// dictionary crosses the wire.
 //
 // Determinism: an owner's shard is a set of canonical encodings, and
 // the set admitted at each level is a pure function of the previous
@@ -350,12 +355,13 @@ func lead(ctx context.Context, cfg Config, encs []*gob.Encoder, events <-chan ev
 	out := make([]store.LevelSet[ioa.State], procs)
 	var found []entry
 	var enc []byte
+	encode := ioa.Encoder(a)
 	offer := func(s ioa.State) bool {
 		c := s
 		if cfg.Canon != nil {
 			c = cfg.Canon.Canonical(s)
 		}
-		enc = ioa.AppendState(enc[:0], c)
+		enc = encode(enc[:0], c)
 		h := store.Hash(enc)
 		r := int(h % uint64(procs))
 		// s is borrowed from the walk: keep the one the set keeps.

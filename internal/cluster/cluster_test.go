@@ -9,6 +9,7 @@ package cluster
 // in-process engines.
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -21,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/explore"
 	"repro/internal/figures"
 	"repro/internal/grid"
@@ -101,7 +103,7 @@ func TestClusterMatchesEngineAcrossProcs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := explore.New(explore.Options{Workers: 2}).Reach(ctx, a)
+		want, err := explore.New(explore.Options{}).Reach(ctx, a)
 		if err != nil {
 			t.Fatalf("%s: engine: %v", name, err)
 		}
@@ -164,7 +166,7 @@ func TestClusterVerdictsBitIdentical(t *testing.T) {
 // states of one grid level, the one with the least key found last
 // (inc0 is stepped before inc2, so 100 comes before 001). The cluster
 // reports the first in BFS order at every process count — the state
-// explore's CheckInvariant reports at one worker and at two.
+// explore's CheckInvariant reports.
 func TestClusterViolationIsFirstInBFSOrder(t *testing.T) {
 	build := buildGrid(3, 3)
 	a, err := build()
@@ -173,11 +175,9 @@ func TestClusterViolationIsFirstInBFSOrder(t *testing.T) {
 	}
 	first, least := string([]byte{1, 0, 0}), string([]byte{0, 0, 1})
 	pred := func(s ioa.State) bool { return s.Key() != first && s.Key() != least }
-	for _, w := range []int{1, 2} {
-		v, err := explore.New(explore.Options{Workers: w}).CheckInvariant(context.Background(), a, pred)
-		if err != nil || v == nil || v.State.Key() != first {
-			t.Fatalf("CheckInvariant at workers %d = (%v, %v), want the violation at %q", w, v, err, first)
-		}
+	v, err := explore.New(explore.Options{}).CheckInvariant(context.Background(), a, pred)
+	if err != nil || v == nil || v.State.Key() != first {
+		t.Fatalf("CheckInvariant = (%v, %v), want the violation at %q", v, err, first)
 	}
 	for _, procs := range []int{1, 2, 4} {
 		res, errs := run(t, procs, nil, Config{Build: build, Pred: pred})
@@ -261,7 +261,7 @@ func TestClusterOverUnbufferedPipes(t *testing.T) {
 	build := buildGrid(4, 4)
 	a, _ := build()
 	g := a.(*grid.Grid)
-	want, err := explore.New(explore.Options{Workers: 2}).Reach(context.Background(), a)
+	want, err := explore.New(explore.Options{}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,6 +416,113 @@ func TestClusterSendsDistinctEncodings(t *testing.T) {
 		}
 		if sent := o.Reg.Snapshot().Counters["dist.sent_encs"]; sent != res.States {
 			t.Fatalf("dist.sent_encs = %d for %d states at %d procs, want one per state", sent, res.States, procs)
+		}
+	}
+}
+
+// tee is a worker's end of a connection that keeps a copy of every
+// byte the worker reads.
+type tee struct {
+	net.Conn
+	got *bytes.Buffer
+}
+
+func (c tee) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.got.Write(p[:n])
+	return n, err
+}
+
+// TestClusterShipsEncoderBytes: every encoding the coordinator sends in
+// a kBatch is ioa.Encoder(a) of a reachable state, and every reachable
+// state's is sent, at 1, 2 and 4 processes, with the totals and depth of
+// the in-process kernel. On the closed five-user arbiter those bytes are
+// a composition's leaf cell indices, at most a fifth of AppendState's
+// per state; on the grid, whose Encoder is AppendState, they are the
+// AppendState bytes themselves.
+func TestClusterShipsEncoderBytes(t *testing.T) {
+	arbiter, err := bench.ExploreSystem(3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gr, err := grid.New(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []ioa.Automaton{arbiter, gr} {
+		sum, err := explore.New(explore.Options{}).Census(context.Background(), a, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reach, err := explore.New(explore.Options{}).Reach(context.Background(), a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The coordinator builds this very automaton, so its cell
+		// indices are the ones encode reads here.
+		encode := ioa.Encoder(a)
+		want := make(map[string]bool, len(reach))
+		var encBytes, stateBytes int
+		for _, s := range reach {
+			enc := encode(nil, s)
+			want[string(enc)] = false
+			encBytes += len(enc)
+			stateBytes += len(ioa.AppendState(nil, s))
+			if a == gr && !bytes.Equal(enc, ioa.AppendState(nil, s)) {
+				t.Fatalf("grid: Encoder gives %x for %q, AppendState %x", enc, s.Key(), ioa.AppendState(nil, s))
+			}
+		}
+		if a == arbiter && 5*encBytes > stateBytes {
+			t.Fatalf("%s: %.1f encoded bytes a state against AppendState's %.1f: more than a fifth",
+				a.Name(), float64(encBytes)/float64(len(reach)), float64(stateBytes)/float64(len(reach)))
+		}
+		for _, procs := range []int{1, 2, 4} {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			ln := newPipeListener(procs)
+			got := make([]*bytes.Buffer, procs)
+			errs := make(chan error, procs)
+			for rank := range got {
+				got[rank] = new(bytes.Buffer)
+				conn := tee{ln.dial(), got[rank]}
+				go func() { errs <- work(ctx, conn, Config{}) }()
+			}
+			res, err := Coordinate(ctx, Config{Procs: procs, Listener: ln,
+				Build: func() (ioa.Automaton, error) { return a, nil }})
+			for range got {
+				if werr := <-errs; werr != nil && err == nil {
+					err = werr
+				}
+			}
+			cancel()
+			if err != nil {
+				t.Fatalf("%s procs=%d: %v", a.Name(), procs, err)
+			}
+			if res.States != sum.States || res.Depth != sum.Depth || res.Violation != "" {
+				t.Fatalf("%s procs=%d: %d states at depth %d (violation %q), the kernel %d at depth %d",
+					a.Name(), procs, res.States, res.Depth, res.Violation, sum.States, sum.Depth)
+			}
+			seen := make(map[string]bool, len(want))
+			for rank, buf := range got {
+				dec := gob.NewDecoder(buf)
+				for {
+					var m msg
+					if err := dec.Decode(&m); err != nil {
+						break
+					}
+					if m.Kind != kBatch {
+						continue
+					}
+					for _, enc := range m.Encs {
+						if _, ok := want[string(enc)]; !ok {
+							t.Fatalf("%s procs=%d: rank %d was sent %x, no reachable state's Encoder bytes", a.Name(), procs, rank, enc)
+						}
+						seen[string(enc)] = true
+					}
+				}
+			}
+			if len(seen) != len(want) {
+				t.Fatalf("%s procs=%d: %d of the %d reachable states' encodings were sent", a.Name(), procs, len(seen), len(want))
+			}
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestClusterKeepsWhatItExpands(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a)
+		want, err := explore.New(explore.Options{}).Reach(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func closedArbiter(t *testing.T, users int) (ioa.Automaton, []ioa.State) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a)
+	states, err := explore.New(explore.Options{}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}

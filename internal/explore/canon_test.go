@@ -70,7 +70,7 @@ const pairOrbits = pairDigits * (pairDigits + 1) / 2
 // the stored canonical bytes, never against the buffer the kernel
 // reuses.
 func TestCanonInternsEachOrbitOnce(t *testing.T) {
-	states, err := explore.New(explore.Options{Workers: 1, Canon: sortPair{}}).Reach(context.Background(), pairTable())
+	states, err := explore.New(explore.Options{Canon: sortPair{}}).Reach(context.Background(), pairTable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestCensusExternalUnderCanon(t *testing.T) {
 		}
 		return sum, seen
 	}
-	ram, ramSeen := visits(explore.Options{Workers: 1, Canon: sortLeaf{}})
-	ext, extSeen := visits(explore.Options{Workers: 1, Canon: sortLeaf{},
+	ram, ramSeen := visits(explore.Options{Canon: sortLeaf{}})
+	ext, extSeen := visits(explore.Options{Canon: sortLeaf{},
 		Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: 256, BlockEvery: 4}})
 	if ram != ext {
 		t.Fatalf("summaries differ: external %+v, in-RAM %+v", ext, ram)

@@ -17,27 +17,21 @@ import (
 // TestSeqKernelInternsCellIndices: the sequential kernel interns a
 // composite's state as ioa.Encoder's bytes — a tag and one uvarint cell
 // index per leaf, at most two bytes each on arbiter3, where the Key runs
-// to hundreds — at one worker and at two.
+// to hundreds.
 func TestSeqKernelInternsCellIndices(t *testing.T) {
 	a, err := bench.ExploreSystem(3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reach := func(workers int) ([]ioa.State, int64) {
-		o := obs.New(nil)
-		states, err := explore.New(explore.Options{Workers: workers, Obs: o}).Reach(context.Background(), a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return states, o.Store.ArenaBytes.Value()
+	o := obs.New(nil)
+	states, err := explore.New(explore.Options{Obs: o}).Reach(context.Background(), a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2} {
-		states, arena := reach(workers)
-		leaves := leafCount(states[0])
-		if bound := int64(len(states) * (1 + 2*leaves)); arena > bound {
-			t.Fatalf("Workers %d: %d states of %d leaves take %d arena bytes (%.1f a state), over the %d cell indices allow",
-				workers, len(states), leaves, arena, float64(arena)/float64(len(states)), bound)
-		}
+	arena, leaves := o.Store.ArenaBytes.Value(), leafCount(states[0])
+	if bound := int64(len(states) * (1 + 2*leaves)); arena > bound {
+		t.Fatalf("%d states of %d leaves take %d arena bytes (%.1f a state), over the %d cell indices allow",
+			len(states), leaves, arena, float64(arena)/float64(len(states)), bound)
 	}
 }
 
@@ -58,7 +52,7 @@ func leafCount(s ioa.State) int {
 // closed level-3 arbiter with five users allocates about one object per
 // checked state — the Enabled list — and no copy of the state, which
 // the kernel decodes from its cell indices in the store when it expands
-// it, at any worker count. A kernel that keeps a heap tuple per
+// it. A kernel that keeps a heap tuple per
 // admitted state allocates five objects per state here.
 func TestCheckInvariantKeepsNoStates(t *testing.T) {
 	ioa.SetScratchPoison(false) // a poisoned scratch abandons its memory on every Reset
@@ -67,36 +61,34 @@ func TestCheckInvariantKeepsNoStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		eng := explore.New(explore.Options{Workers: workers})
-		checked := 0
-		check := func() {
-			checked = 0
-			v, err := eng.CheckInvariant(context.Background(), a, func(s ioa.State) bool {
-				checked++
-				return bench.MutexInvariant(s)
-			})
-			if err != nil || v != nil {
-				t.Fatalf("Workers %d: CheckInvariant: violation %v, error %v", workers, v, err)
-			}
+	eng := explore.New(explore.Options{})
+	checked := 0
+	check := func() {
+		checked = 0
+		v, err := eng.CheckInvariant(context.Background(), a, func(s ioa.State) bool {
+			checked++
+			return bench.MutexInvariant(s)
+		})
+		if err != nil || v != nil {
+			t.Fatalf("CheckInvariant: violation %v, error %v", v, err)
 		}
-		check() // fill the composite's cells and memo rows
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		check()
-		runtime.ReadMemStats(&after)
-		if checked != 4837 {
-			t.Fatalf("Workers %d: checked %d states, want 4837", workers, checked)
-		}
-		perState := float64(after.Mallocs-before.Mallocs) / float64(checked)
-		t.Logf("Workers %d: %.2f objects allocated per checked state", workers, perState)
-		if perState > 2 {
-			t.Fatalf("Workers %d: %d objects allocated for %d checked states: %.2f a state, want at most 2", workers, after.Mallocs-before.Mallocs, checked, perState)
-		}
+	}
+	check() // fill the composite's cells and memo rows
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	check()
+	runtime.ReadMemStats(&after)
+	if checked != 4837 {
+		t.Fatalf("checked %d states, want 4837", checked)
+	}
+	perState := float64(after.Mallocs-before.Mallocs) / float64(checked)
+	t.Logf("%.2f objects allocated per checked state", perState)
+	if perState > 2 {
+		t.Fatalf("%d objects allocated for %d checked states: %.2f a state, want at most 2", after.Mallocs-before.Mallocs, checked, perState)
 	}
 }
 
-// TestCheckInvariantWitnessOutlivesKernel: the violation a one-worker
+// TestCheckInvariantWitnessOutlivesKernel: the violation
 // CheckInvariant reports is decoded onto the heap, so in this poisoned
 // binary its state and every state of its trace keep their keys after
 // another exploration has reused every scratch, none of them is
@@ -123,9 +115,9 @@ func TestCheckInvariantWitnessOutlivesKernel(t *testing.T) {
 			}
 			return v
 		}
-		v := check(explore.Options{Workers: 1})
+		v := check(explore.Options{})
 		want := witnessKeys(v)
-		if _, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), sys.a); err != nil {
+		if _, err := explore.New(explore.Options{}).Reach(context.Background(), sys.a); err != nil {
 			t.Fatal(err)
 		}
 		if got := witnessKeys(v); !slices.Equal(got, want) {
@@ -142,7 +134,7 @@ func TestCheckInvariantWitnessOutlivesKernel(t *testing.T) {
 		if v.Trace.Last().Key() != v.State.Key() {
 			t.Fatalf("%s: the witness ends at %q, not at the violation %q", sys.a.Name(), v.Trace.Last().Key(), v.State.Key())
 		}
-		kept := check(explore.Options{Workers: 1, Canon: identity{}})
+		kept := check(explore.Options{Canon: identity{}})
 		if got := witnessKeys(kept); !slices.Equal(got, want) {
 			t.Fatalf("%s: the kernel keeping heap states reports\n %q\nthe one decoding them\n %q", sys.a.Name(), got, want)
 		}

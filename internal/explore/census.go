@@ -92,12 +92,20 @@ func (e *Engine) Census(ctx context.Context, a ioa.Automaton, pred func(ioa.Stat
 	return e.censusExternal(ctx, a, decode, pred, visit)
 }
 
+// undecodable is the external census's error for an encoding of a
+// state at depth that ioa.Decoder cannot rebuild.
+func undecodable(a ioa.Automaton, depth int64, enc []byte) error {
+	return fmt.Errorf("explore: %s: census: a state of depth %d does not decode from its %d-byte encoding (ioa.Decoder)", a.Name(), depth, len(enc))
+}
+
 // errCensusStop ends the external walk at the first violation; the
 // exit path turns it into a nil error.
 var errCensusStop = errors.New("census: stop")
 
 // censusExternal is the disk-backed walk over ioa.Encoder(a)'s bytes,
-// which decode inverts.
+// which decode inverts. An encoding decode cannot rebuild — a damaged
+// frontier record, or a Decodable refusing its own bytes — ends the walk
+// with an error naming a and the depth of the state it encodes.
 func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, decode func(*ioa.Scratch, []byte) ioa.State, pred func(ioa.State) bool, visit func(ioa.State)) (sum Summary, err error) {
 	o := e.opts.Obs
 	if o != nil {
@@ -108,6 +116,7 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, decode fun
 	// is reset before the next; a composition's starts and steps are its
 	// own tuples, so every encoding it offers decodes.
 	var sc ioa.Scratch
+	level := int64(0) // the depth of the states flushChunk admits
 
 	sp, err := store.NewSpill(*e.opts.Spill) // Census routes here only with Spill set
 	if err != nil {
@@ -161,6 +170,9 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, decode fun
 			if pred != nil || visit != nil {
 				sc.Reset()
 				s := decode(&sc, enc)
+				if s == nil {
+					return undecodable(a, level, enc)
+				}
 				if visit != nil {
 					visit(s)
 				}
@@ -200,6 +212,7 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, decode fun
 		if err := ctx.Err(); err != nil {
 			return sum, err
 		}
+		level = depth
 		drained := 0
 		err := cur.Drain(func(rec []byte) error {
 			drained++
@@ -209,7 +222,11 @@ func (e *Engine) censusExternal(ctx context.Context, a ioa.Automaton, decode fun
 				}
 			}
 			sc.Reset()
-			step.Visit(decode(&sc, rec), offer)
+			s := decode(&sc, rec)
+			if s == nil {
+				return undecodable(a, depth-1, rec)
+			}
+			step.Visit(s, offer)
 			if step.Enabled == 0 {
 				sum.Deadlocks++
 			}

@@ -66,7 +66,7 @@ func TestExternalCensusOverComposites(t *testing.T) {
 			key = func(s ioa.State) string { return sys.canon.Canonical(s).Key() }
 		}
 		want := map[string]int{}
-		ram, err := explore.New(explore.Options{Workers: 1, Canon: sys.canon}).Census(ctx, sys.a, nil,
+		ram, err := explore.New(explore.Options{Canon: sys.canon}).Census(ctx, sys.a, nil,
 			func(s ioa.State) { want[key(s)]++ })
 		if err != nil {
 			t.Fatalf("%s: in-RAM census: %v", sys.name, err)
@@ -83,7 +83,7 @@ func TestExternalCensusOverComposites(t *testing.T) {
 		}
 		o := obs.New(nil)
 		got := map[string]int{}
-		ext, err := explore.New(explore.Options{Workers: 1, Canon: sys.canon, Obs: o,
+		ext, err := explore.New(explore.Options{Canon: sys.canon, Obs: o,
 			Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: 512, BlockEvery: 8}}).Census(ctx, sys.a, nil,
 			func(s ioa.State) { got[key(s)]++ })
 		if err != nil {
@@ -129,7 +129,7 @@ func TestExternalCensusViolationAtItsDepth(t *testing.T) {
 	if least <= 0 {
 		t.Fatalf("the first user never holds the resource past the start (least depth %d)", least)
 	}
-	sum, err := explore.New(explore.Options{Workers: 1,
+	sum, err := explore.New(explore.Options{
 		Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: 512}}).Census(ctx, a,
 		func(s ioa.State) bool { return !firstHolds(s) }, nil)
 	v := sum.Violation
@@ -152,7 +152,7 @@ func TestExternalCensusViolationAtItsDepth(t *testing.T) {
 func TestSpillBacksOnlyCensus(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir() + "/spill"
-	eng := explore.New(explore.Options{Workers: 1, Spill: &store.SpillOptions{Dir: dir}})
+	eng := explore.New(explore.Options{Spill: &store.SpillOptions{Dir: dir}})
 	a := chain(10)
 	if _, err := eng.Census(ctx, a, nil, nil); err == nil || !strings.Contains(err.Error(), a.Name()) ||
 		!strings.Contains(err.Error(), "no decoder") {
@@ -197,7 +197,7 @@ func TestExternalCensusKeepsNoStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ram, err := explore.New(explore.Options{Workers: 1}).Census(ctx, a, nil, nil) // fills the cells and memo rows
+	ram, err := explore.New(explore.Options{}).Census(ctx, a, nil, nil) // fills the cells and memo rows
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestExternalCensusKeepsNoStates(t *testing.T) {
 	visited := int64(0)
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	sum, err := explore.New(explore.Options{Workers: 1,
+	sum, err := explore.New(explore.Options{
 		Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: 4 << 10}}).Census(ctx, a, nil, func(ioa.State) {
 		if visited++; visited == ram.States {
 			runtime.GC()
@@ -220,4 +220,44 @@ func TestExternalCensusKeepsNoStates(t *testing.T) {
 	if live > 0.1 {
 		t.Fatalf("%.3f objects a state are alive at the last visit of the external census, want at most 0.1", live)
 	}
+}
+
+// refusing is a Decodable whose Decode refuses the encoding of one of
+// its own reachable states, bad, as a damaged frontier record would
+// read: every other state decodes from its Key bytes.
+type refusing struct {
+	ioa.Automaton
+	bad string
+}
+
+func (r refusing) Decode(enc []byte) (ioa.State, error) {
+	if string(enc) == r.bad {
+		return nil, fmt.Errorf("record %q refused", enc)
+	}
+	return ioa.KeyState(enc), nil
+}
+
+// TestExternalCensusReportsUndecodableRecord: a frontier record that
+// ioa.Decoder cannot rebuild ends the external census with an error
+// naming the automaton and the depth of the state it encodes, not a
+// panic; the in-RAM kernel panics on it. The counter steps 0 → 1 → … → 9 and refuses "4", at depth 4.
+func TestExternalCensusReportsUndecodableRecord(t *testing.T) {
+	d := ioa.NewDef("line10")
+	d.Start(ioa.KeyState("0"))
+	d.Internal("inc", "line", func(s ioa.State) bool { return s.Key() != "9" },
+		func(s ioa.State) ioa.State { return ioa.KeyState(string('1' + s.Key()[0] - '0')) })
+	a := refusing{d.MustBuild(), "4"}
+	_, err := explore.New(explore.Options{Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: 64}}).Census(context.Background(), a, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "line10") || !strings.Contains(err.Error(), "depth 4") {
+		t.Fatalf("census over a refused record returned %v; want an error naming line10 and depth 4", err)
+	}
+	// The in-RAM kernel decodes only encodings it interned itself, so a
+	// refusal there is a program fault: it panics, naming the automaton.
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "line10") {
+			t.Fatalf("Reach over a refused encoding recovered %v; want a panic naming line10", r)
+		}
+	}()
+	explore.New(explore.Options{}).Reach(context.Background(), a)
+	t.Fatal("Reach over a refused encoding returned")
 }

@@ -3,7 +3,6 @@ package explore_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -15,7 +14,7 @@ import (
 	"repro/internal/reduce"
 )
 
-// TestCensusKeepsNoStates: a warmed-up in-RAM Census at two workers
+// TestCensusKeepsNoStates: a warmed-up in-RAM Census
 // allocates per state what walking the state costs (its Enabled list and
 // successors) plus at most the decoded state itself, and when it visits
 // its last state nothing it admitted is alive on the heap but the store.
@@ -34,9 +33,9 @@ func TestCensusKeepsNoStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	eng := explore.New(explore.Options{Workers: 2})
+	eng := explore.New(explore.Options{})
 	for _, a := range []ioa.Automaton{g, arbiter} {
-		states, err := explore.New(explore.Options{Workers: 1}).Reach(ctx, a) // also fills the cells and memo rows
+		states, err := explore.New(explore.Options{}).Reach(ctx, a) // also fills the cells and memo rows
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,10 +82,9 @@ func TestCensusKeepsNoStates(t *testing.T) {
 	}
 }
 
-// TestCensusMatchesReach: the in-RAM Census, at every worker count, on
-// grids, the closed arbiter and a symmetry-reduced arbiter, visits the
-// states of ReferenceReach (of the
-// one-worker Reach under Canon) in their order, reports their count, the
+// TestCensusMatchesReach: the in-RAM Census, on grids, the closed
+// arbiter and a symmetry-reduced arbiter, visits the states of
+// ReferenceReach (of Reach under Canon) in their order, reports their count, the
 // BFS depth and the states that enable nothing, names the first state
 // that breaks an invariant with a minimal-length witness, and holds
 // Limit as Reach does: an exact fit completes, one state fewer is
@@ -122,7 +120,7 @@ func TestCensusMatchesReach(t *testing.T) {
 	for _, sys := range systems {
 		ref, err := explore.ReferenceReach(sys.a, explore.DefaultLimit)
 		if sys.canon != nil {
-			ref, err = explore.New(explore.Options{Workers: 1, Canon: sys.canon}).Reach(ctx, sys.a)
+			ref, err = explore.New(explore.Options{Canon: sys.canon}).Reach(ctx, sys.a)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -139,43 +137,41 @@ func TestCensusMatchesReach(t *testing.T) {
 		// A violation two thirds of the way through the BFS order, and
 		// the length of its shortest execution.
 		target, steps := ref[2*len(ref)/3].Key(), int(depth[key(ref[2*len(ref)/3])])
-		for _, w := range []int{1, 2, 3, 8} {
-			census := func(limit int, pred func(ioa.State) bool) (explore.Summary, []string, error) {
-				opts := explore.Options{Workers: w, Limit: limit, Canon: sys.canon}
-				var visited []string
-				sum, err := explore.New(opts).Census(ctx, sys.a, pred, func(s ioa.State) { visited = append(visited, s.Key()) })
-				return sum, visited, err
-			}
-			at := fmt.Sprintf("%s workers=%d", sys.name, w)
-			sum, visited, err := census(0, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", at, err)
-			}
-			if !slices.Equal(visited, keys) {
-				t.Fatalf("%s: visited %d states, not the %d of the reference in its order", at, len(visited), len(keys))
-			}
-			if sum != want {
-				t.Fatalf("%s: summary %+v, want %+v", at, sum, want)
-			}
+		census := func(limit int, pred func(ioa.State) bool) (explore.Summary, []string, error) {
+			opts := explore.Options{Limit: limit, Canon: sys.canon}
+			var visited []string
+			sum, err := explore.New(opts).Census(ctx, sys.a, pred, func(s ioa.State) { visited = append(visited, s.Key()) })
+			return sum, visited, err
+		}
+		at := sys.name
+		sum, visited, err := census(0, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", at, err)
+		}
+		if !slices.Equal(visited, keys) {
+			t.Fatalf("%s: visited %d states, not the %d of the reference in its order", at, len(visited), len(keys))
+		}
+		if sum != want {
+			t.Fatalf("%s: summary %+v, want %+v", at, sum, want)
+		}
 
-			sum, _, err = census(0, func(s ioa.State) bool { return s.Key() != target })
-			if v := sum.Violation; err != nil || v == nil || v.State.Key() != target {
-				t.Fatalf("%s: census returned (%+v, %v), want the violation at %q", at, v, err, target)
-			}
-			if err := sum.Violation.Trace.Validate(true); err != nil {
-				t.Fatalf("%s: witness is not an execution: %v", at, err)
-			}
-			if x := sum.Violation.Trace; x.Len() != steps || x.Last().Key() != target {
-				t.Fatalf("%s: a %d-step witness ending at %q, want the %d steps to %q", at, x.Len(), x.Last().Key(), steps, target)
-			}
+		sum, _, err = census(0, func(s ioa.State) bool { return s.Key() != target })
+		if v := sum.Violation; err != nil || v == nil || v.State.Key() != target {
+			t.Fatalf("%s: census returned (%+v, %v), want the violation at %q", at, v, err, target)
+		}
+		if err := sum.Violation.Trace.Validate(true); err != nil {
+			t.Fatalf("%s: witness is not an execution: %v", at, err)
+		}
+		if x := sum.Violation.Trace; x.Len() != steps || x.Last().Key() != target {
+			t.Fatalf("%s: a %d-step witness ending at %q, want the %d steps to %q", at, x.Len(), x.Last().Key(), steps, target)
+		}
 
-			if sum, _, err = census(len(ref), nil); err != nil || sum.States != want.States {
-				t.Fatalf("%s: Limit %d (exact fit): %d states, %v", at, len(ref), sum.States, err)
-			}
-			sum, visited, err = census(len(ref)-1, nil)
-			if !errors.Is(err, explore.ErrLimit) || sum.States != want.States-1 || !slices.Equal(visited, keys[:len(keys)-1]) {
-				t.Fatalf("%s: Limit %d: %d states, %d visited, %v; want ErrLimit and the reference less its last state", at, len(ref)-1, sum.States, len(visited), err)
-			}
+		if sum, _, err = census(len(ref), nil); err != nil || sum.States != want.States {
+			t.Fatalf("%s: Limit %d (exact fit): %d states, %v", at, len(ref), sum.States, err)
+		}
+		sum, visited, err = census(len(ref)-1, nil)
+		if !errors.Is(err, explore.ErrLimit) || sum.States != want.States-1 || !slices.Equal(visited, keys[:len(keys)-1]) {
+			t.Fatalf("%s: Limit %d: %d states, %d visited, %v; want ErrLimit and the reference less its last state", at, len(ref)-1, sum.States, len(visited), err)
 		}
 	}
 }

@@ -20,8 +20,6 @@ import (
 	"repro/internal/testseed"
 )
 
-var diffWorkers = []int{1, 2, 8}
-
 // randTable builds a small random table automaton over the given
 // action sets (every output/internal action its own class).
 func randTable(rng *rand.Rand, name string, in, out, internal []ioa.Action) *ioa.Table {
@@ -77,121 +75,103 @@ func stateSet(states []ioa.State) map[string]struct{} {
 	return m
 }
 
-func assertSameSet(t *testing.T, label string, seq, par []ioa.State) {
-	t.Helper()
-	ss, ps := stateSet(seq), stateSet(par)
-	if len(ss) != len(seq) || len(ps) != len(par) {
-		t.Fatalf("%s: duplicate states in result (seq %d/%d unique, par %d/%d unique)",
-			label, len(ss), len(seq), len(ps), len(par))
-	}
-	for k := range ss {
-		if _, ok := ps[k]; !ok {
-			t.Fatalf("%s: state %q reached sequentially but not in parallel", label, k)
-		}
-	}
-	for k := range ps {
-		if _, ok := ss[k]; !ok {
-			t.Fatalf("%s: state %q reached in parallel but not sequentially", label, k)
-		}
-	}
-}
-
-// TestDifferentialReachRandom: ParallelReach ≡ Reach on state sets for
-// randomized automata at every worker count.
+// TestDifferentialReachRandom: Reach ≡ ReferenceReach, element-wise,
+// on randomized automata.
 func TestDifferentialReachRandom(t *testing.T) {
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(base + seed))
 		a := randSystem(rng, seed)
-		seq, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		ref, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, w := range diffWorkers {
-			par, err := parallelReach(a, explore.Options{Workers: w})
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, w, err)
-			}
-			assertSameSet(t, fmt.Sprintf("seed %d workers %d", seed, w), seq, par)
+		got, err := explore.New(explore.Options{}).Reach(context.Background(), a)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		assertSameOrder(t, fmt.Sprintf("seed %d", seed), ref, got)
 	}
 }
 
-// TestDifferentialReachDeterministic: the parallel result is
-// element-wise the sequential kernel's, on every run and at every worker
-// count.
+// TestDifferentialReachDeterministic: the kernel's result is
+// element-wise the same on every run.
 func TestDifferentialReachDeterministic(t *testing.T) {
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(base + 200 + seed))
 		a := randSystem(rng, seed)
-		ref, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a)
+		ref, err := explore.New(explore.Options{}).Reach(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for run := 0; run < 3; run++ {
-			for _, w := range diffWorkers {
-				got, err := parallelReach(a, explore.Options{Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameOrder(t, fmt.Sprintf("seed %d run %d workers %d", seed, run, w), ref, got)
+			got, err := reachOf(a, explore.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
+			assertSameOrder(t, fmt.Sprintf("seed %d run %d", seed, run), ref, got)
 		}
 	}
 }
 
-// TestDifferentialInvariantVerdicts: CheckInvariant and ParallelCheck
-// agree on verdicts (limit-free), and parallel witnesses are valid
-// minimal traces.
+// TestDifferentialInvariantVerdicts: CheckInvariant's verdicts are the
+// oracle's (a violation iff some reachable state fails the predicate),
+// and its witnesses are valid traces as short as the shallowest
+// violating state's BFS depth.
 func TestDifferentialInvariantVerdicts(t *testing.T) {
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(base + 300 + seed))
 		a := randSystem(rng, seed)
-		seq, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		depth := make(map[string]int)
+		for d, lvl := range bfsLevels(a) {
+			for _, k := range lvl {
+				depth[k] = d
+			}
+		}
+		reach, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// One predicate that fails at a random reachable state, one
 		// tautology, one that fails only at a start state.
-		victim := seq[rng.Intn(len(seq))].Key()
+		victim := reach[rng.Intn(len(reach))].Key()
 		preds := map[string]func(ioa.State) bool{
 			"victim":    func(s ioa.State) bool { return s.Key() != victim },
 			"tautology": func(ioa.State) bool { return true },
 			"start":     func(s ioa.State) bool { return s.Key() != a.Start()[0].Key() },
 		}
 		for name, pred := range preds {
-			sv, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).CheckInvariant(context.Background(), a, pred)
-			if err != nil {
-				t.Fatal(err)
+			shallowest := -1
+			for _, s := range reach {
+				if !pred(s) && (shallowest < 0 || depth[s.Key()] < shallowest) {
+					shallowest = depth[s.Key()]
+				}
 			}
-			for _, w := range diffWorkers {
-				pv, err := parallelCheck(a, explore.Options{Workers: w}, pred)
-				if err != nil {
-					t.Fatalf("seed %d %s workers %d: %v", seed, name, w, err)
-				}
-				if (sv == nil) != (pv == nil) {
-					t.Fatalf("seed %d %s workers %d: verdicts differ: seq=%v par=%v",
-						seed, name, w, sv, pv)
-				}
-				if pv == nil {
-					continue
-				}
-				if pred(pv.State) {
-					t.Fatalf("seed %d %s: parallel violation state %q satisfies pred", seed, name, pv.State.Key())
-				}
-				if err := pv.Trace.Validate(true); err != nil {
-					t.Fatalf("seed %d %s: parallel witness invalid: %v", seed, name, err)
-				}
-				if pv.Trace.Last().Key() != pv.State.Key() {
-					t.Fatalf("seed %d %s: witness does not end at the violation", seed, name)
-				}
-				// BFS finds violations at minimal depth on both paths.
-				if len(pv.Trace.Acts) != len(sv.Trace.Acts) {
-					t.Fatalf("seed %d %s: witness depth differs: seq=%d par=%d",
-						seed, name, len(sv.Trace.Acts), len(pv.Trace.Acts))
-				}
+			v, err := checkOf(a, explore.Options{}, pred)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, name, err)
+			}
+			if (v == nil) != (shallowest < 0) {
+				t.Fatalf("seed %d %s: violation %v, want one iff a reachable state fails (shallowest depth %d)",
+					seed, name, v, shallowest)
+			}
+			if v == nil {
+				continue
+			}
+			if pred(v.State) {
+				t.Fatalf("seed %d %s: violation state %q satisfies pred", seed, name, v.State.Key())
+			}
+			if err := v.Trace.Validate(true); err != nil {
+				t.Fatalf("seed %d %s: witness invalid: %v", seed, name, err)
+			}
+			if v.Trace.Last().Key() != v.State.Key() {
+				t.Fatalf("seed %d %s: witness does not end at the violation", seed, name)
+			}
+			// BFS finds violations at minimal depth.
+			if len(v.Trace.Acts) != shallowest {
+				t.Fatalf("seed %d %s: witness depth %d, want %d", seed, name, len(v.Trace.Acts), shallowest)
 			}
 		}
 	}
@@ -234,17 +214,16 @@ func bfsLevels(a ioa.Automaton) [][]string {
 	return levels
 }
 
-// TestDifferentialErrLimitContract: under a tight budget both
-// explorers return explore.ErrLimit with exactly limit states; the partial
-// results agree on all complete BFS levels and are subsets of the
-// true reachable set.
+// TestDifferentialErrLimitContract: under a tight budget Reach returns
+// explore.ErrLimit with exactly limit states, a subset of the true
+// reachable set holding every complete BFS level.
 func TestDifferentialErrLimitContract(t *testing.T) {
 	base := testseed.Base(t)
 	tried := 0
 	for seed := int64(0); seed < 40 && tried < 12; seed++ {
 		rng := rand.New(rand.NewSource(base + 400 + seed))
 		a := randSystem(rng, seed)
-		full, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		full, err := explore.New(explore.Options{}).Reach(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,40 +232,31 @@ func TestDifferentialErrLimitContract(t *testing.T) {
 		}
 		tried++
 		limit := len(full)/2 + 1
-		seq, seqErr := explore.New(explore.Options{Workers: 1, Limit: limit}).Reach(context.Background(), a)
-		if !errors.Is(seqErr, explore.ErrLimit) {
-			t.Fatalf("seed %d: sequential explore.Reach(limit=%d) err = %v, want explore.ErrLimit", seed, limit, seqErr)
+		part, err := reachOf(a, explore.Options{Limit: limit})
+		if !errors.Is(err, explore.ErrLimit) {
+			t.Fatalf("seed %d: Reach(limit=%d) err = %v, want explore.ErrLimit", seed, limit, err)
+		}
+		if len(part) != limit {
+			t.Fatalf("seed %d: partial result holds %d states, want the limit %d", seed, len(part), limit)
 		}
 		fullSet := stateSet(full)
-		levels := bfsLevels(a)
-		for _, w := range diffWorkers {
-			par, parErr := parallelReach(a, explore.Options{Workers: w, Limit: limit})
-			if !errors.Is(parErr, explore.ErrLimit) {
-				t.Fatalf("seed %d workers %d: parallel err = %v, want explore.ErrLimit", seed, w, parErr)
+		ps := stateSet(part)
+		for k := range ps {
+			if _, ok := fullSet[k]; !ok {
+				t.Fatalf("seed %d: partial result contains unreachable %q", seed, k)
 			}
-			if len(par) != len(seq) {
-				t.Fatalf("seed %d workers %d: partial sizes differ: seq=%d par=%d",
-					seed, w, len(seq), len(par))
+		}
+		// Every complete level (all of whose states fit in the
+		// budget in cumulative depth order) must be present.
+		admitted := 0
+		for _, lvl := range bfsLevels(a) {
+			if admitted+len(lvl) > limit {
+				break
 			}
-			ps := stateSet(par)
-			for k := range ps {
-				if _, ok := fullSet[k]; !ok {
-					t.Fatalf("seed %d workers %d: partial result contains unreachable %q", seed, w, k)
-				}
-			}
-			// Every complete level (all of whose states fit in the
-			// budget in cumulative depth order) must be present.
-			admitted := 0
-			for _, lvl := range levels {
-				if admitted+len(lvl) > limit {
-					break
-				}
-				admitted += len(lvl)
-				for _, k := range lvl {
-					if _, ok := ps[k]; !ok {
-						t.Fatalf("seed %d workers %d: complete-level state %q missing from partial result",
-							seed, w, k)
-					}
+			admitted += len(lvl)
+			for _, k := range lvl {
+				if _, ok := ps[k]; !ok {
+					t.Fatalf("seed %d: complete-level state %q missing from partial result", seed, k)
 				}
 			}
 		}
@@ -296,16 +266,15 @@ func TestDifferentialErrLimitContract(t *testing.T) {
 	}
 }
 
-// TestDifferentialCheckLimitErrors: when the sequential invariant
-// check exhausts its budget cleanly, the parallel check also reports
-// failure (explore.ErrLimit, or a genuine violation found on the boundary
-// level).
+// TestDifferentialCheckLimitErrors: an invariant check whose budget is
+// below the reachable set reports explore.ErrLimit, never a violation
+// of a tautology.
 func TestDifferentialCheckLimitErrors(t *testing.T) {
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 15; seed++ {
 		rng := rand.New(rand.NewSource(base + 500 + seed))
 		a := randSystem(rng, seed)
-		full, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		full, err := explore.New(explore.Options{}).Reach(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,19 +282,12 @@ func TestDifferentialCheckLimitErrors(t *testing.T) {
 			continue
 		}
 		limit := len(full) / 2
-		pred := func(ioa.State) bool { return true }
-		_, seqErr := explore.New(explore.Options{Workers: 1, Limit: limit}).CheckInvariant(context.Background(), a, pred)
-		if !errors.Is(seqErr, explore.ErrLimit) {
-			t.Fatalf("seed %d: sequential err = %v, want explore.ErrLimit", seed, seqErr)
+		v, err := checkOf(a, explore.Options{Limit: limit}, func(ioa.State) bool { return true })
+		if v != nil {
+			t.Fatalf("seed %d: tautology produced violation %v", seed, v)
 		}
-		for _, w := range diffWorkers {
-			pv, parErr := parallelCheck(a, explore.Options{Workers: w, Limit: limit}, pred)
-			if pv != nil {
-				t.Fatalf("seed %d workers %d: tautology produced violation %v", seed, w, pv)
-			}
-			if !errors.Is(parErr, explore.ErrLimit) {
-				t.Fatalf("seed %d workers %d: parallel err = %v, want explore.ErrLimit", seed, w, parErr)
-			}
+		if !errors.Is(err, explore.ErrLimit) {
+			t.Fatalf("seed %d: err = %v, want explore.ErrLimit", seed, err)
 		}
 	}
 }
@@ -349,56 +311,47 @@ func TestDifferentialRealSystems(t *testing.T) {
 	}
 	systems["arbiterA3"] = sys.A3
 	for name, a := range systems {
-		seq, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		ref, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, w := range diffWorkers {
-			par, err := parallelReach(a, explore.Options{Workers: w})
-			if err != nil {
-				t.Fatalf("%s workers %d: %v", name, w, err)
-			}
-			assertSameSet(t, fmt.Sprintf("%s workers %d", name, w), seq, par)
+		got, err := reachOf(a, explore.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		// Invariant check differential on a real predicate: "the key
-		// of every reachable state differs from the last sequential
-		// state" — false exactly once.
-		victim := seq[len(seq)-1].Key()
-		pred := func(s ioa.State) bool { return s.Key() != victim }
-		sv, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).CheckInvariant(context.Background(), a, pred)
+		assertSameOrder(t, name, ref, got)
+		// Invariant check on a real predicate: "the key of every
+		// reachable state differs from the last one" — false exactly
+		// once.
+		victim := ref[len(ref)-1].Key()
+		v, err := checkOf(a, explore.Options{}, func(s ioa.State) bool { return s.Key() != victim })
 		if err != nil {
 			t.Fatal(err)
 		}
-		pv, err := parallelCheck(a, explore.Options{Workers: 4}, pred)
-		if err != nil {
-			t.Fatal(err)
+		if v == nil || v.State.Key() != victim {
+			t.Fatalf("%s: violation %v, want one at %q", name, v, victim)
 		}
-		if (sv == nil) != (pv == nil) {
-			t.Fatalf("%s: verdicts differ", name)
-		}
-		if pv != nil {
-			if err := pv.Trace.Validate(true); err != nil {
-				t.Fatalf("%s: invalid parallel witness: %v", name, err)
-			}
+		if err := v.Trace.Validate(true); err != nil {
+			t.Fatalf("%s: invalid witness: %v", name, err)
 		}
 	}
 }
 
-// TestReachOptsDispatch: the options front door picks the sequential
-// path at one worker and the parallel path otherwise, with identical
-// state sets either way.
+// TestReachOptsDispatch: the options front door explores in RAM with
+// zero Options, in ReferenceReach's order, and CheckInvariant under
+// them finds nothing to refute in a tautology.
 func TestReachOptsDispatch(t *testing.T) {
 	a := figures.Fig21()
-	seq, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a)
+	ref, err := explore.ReferenceReach(a, explore.DefaultLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := explore.New(explore.Options{Workers: 4}).Reach(context.Background(), a)
+	got, err := explore.New(explore.Options{}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameSet(t, "dispatch", seq, par)
-	if v, err := explore.New(explore.Options{Workers: 4}).CheckInvariant(context.Background(), a, func(ioa.State) bool { return true }); err != nil || v != nil {
+	assertSameOrder(t, "dispatch", ref, got)
+	if v, err := explore.New(explore.Options{}).CheckInvariant(context.Background(), a, func(ioa.State) bool { return true }); err != nil || v != nil {
 		t.Fatalf("CheckInvariantOpts: v=%v err=%v", v, err)
 	}
 }

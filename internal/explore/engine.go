@@ -13,8 +13,8 @@ package explore
 // scratch memory, so a successor that is found already interned
 // allocates nothing and only a kept one is copied to the heap. Reach,
 // CheckInvariant, Visit, Graph and the in-RAM Census all run one
-// sequential kernel, seqExplore, in RAM, whatever Options.Workers says;
-// the external census and the cluster have level loops of their own.
+// sequential kernel, seqExplore, in RAM; the external census and the
+// cluster have level loops of their own.
 // The kernel and the external census intern ioa.Encoder's encoding,
 // which for a composition is its leaves' cell indices: equal iff the
 // Keys are, a few bytes long, and built without reading a leaf's key.
@@ -28,7 +28,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/ioa"
 	"repro/internal/ltl"
@@ -64,11 +63,8 @@ type Canonicalizer interface {
 
 // Options parameterizes an exploration Engine.
 type Options struct {
-	// Workers is the number of goroutines a check may use. 0 means
-	// GOMAXPROCS. Every Engine method runs on the calling goroutine
-	// whatever it says; at two or more a possibilities-mapping check
-	// (package proof) walks A on a goroutine of its own beside its
-	// condition pass.
+	// Workers is ignored (every Engine method runs on the calling
+	// goroutine); it stays while the benchmark harness still sets it.
 	Workers int
 	// Limit is the maximum number of states to admit (0 =
 	// DefaultLimit). Reach's partial result holds exactly Limit states
@@ -87,8 +83,8 @@ type Options struct {
 	// symmetry: every explorer interns the encoding of a state's
 	// orbit representative, Canon.Canonical(s), so one
 	// concrete representative per orbit is admitted — the first
-	// discovered in BFS order, at any worker count. Results stay
-	// concrete states and witness traces stay genuine executions;
+	// discovered in BFS order. Results stay concrete states and witness
+	// traces stay genuine executions;
 	// invariant predicates must be orbit-invariant (the symmetry must
 	// be an automorphism of the automaton — see the reduce package,
 	// whose differential battery enforces both obligations).
@@ -101,18 +97,6 @@ type Options struct {
 	// Decode is ignored (the external census uses ioa.Decoder); it stays
 	// while the benchmark harness still sets it.
 	Decode func(enc []byte) (ioa.State, error)
-}
-
-// WorkerCount resolves Workers: the number of goroutines a check runs
-// under these options.
-func (o Options) WorkerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	if o.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
 }
 
 // limit resolves the state budget.
@@ -202,11 +186,11 @@ func ctxOr(ctx context.Context) context.Context {
 }
 
 // Reach computes the reachable states of a, visiting at most
-// Options.Limit states, with the sequential kernel in RAM at any worker
-// count; it refuses Options.Spill. The result is BFS discovery order, bit-identical to ReferenceReach. It
-// returns ErrLimit (with a partial result of exactly Limit states) iff
-// an unseen state remains, and ctx.Err() (with the partial result so
-// far) on cancellation.
+// Options.Limit states, with the sequential kernel in RAM; it refuses
+// Options.Spill. The result is BFS discovery order, bit-identical to
+// ReferenceReach. It returns ErrLimit (with a partial result of exactly
+// Limit states) iff an unseen state remains, and ctx.Err() (with the
+// partial result so far) on cancellation.
 func (e *Engine) Reach(ctx context.Context, a ioa.Automaton) ([]ioa.State, error) {
 	order, _, err := e.seqExplore(ctxOr(ctx), a, nil, nil, nil, nil)
 	return order, err
@@ -232,15 +216,13 @@ func (e *Engine) CheckInvariant(ctx context.Context, a ioa.Automaton, pred func(
 }
 
 // Graph explores a as Reach does and returns its reachable transition
-// graph: the states in BFS discovery order (Reach's order), every step between them labeled with its action, and the
-// edge that discovered each state, so StateGraph.Witness is the
-// minimal execution CheckInvariant would report. It is Visit with a
-// visitor that fills the graph's arrays, so — like Visit — it runs the
-// sequential kernel whatever Options.Workers says, and the graph, and
-// every lasso, certificate and drawing read off it, is the same at any
-// worker count. Under Canon a step to any orbit-mate of a node is an
-// edge to that node. On ErrLimit or cancellation it returns the error
-// and no graph.
+// graph: the states in BFS discovery order (Reach's order), every step
+// between them labeled with its action, and the edge that discovered
+// each state, so StateGraph.Witness is the minimal execution
+// CheckInvariant would report. It is Visit with a visitor that fills
+// the graph's arrays. Under Canon a step to any orbit-mate of a node is
+// an edge to that node. On ErrLimit or cancellation it returns the
+// error and no graph.
 func (e *Engine) Graph(ctx context.Context, a ioa.Automaton) (*ltl.StateGraph, error) {
 	g := &ltl.StateGraph{Auto: a, Off: []int{0}}
 	order, err := e.Visit(ctx, a, graphVisitor{g, ioa.Number(a).Actions()})
@@ -290,13 +272,11 @@ type Visitor interface {
 	Expanded(v int)
 }
 
-// Visit explores a as Reach does at one worker and reports the pass to
-// v: each state as it is admitted, each step as it is taken, each node
-// as its expansion ends. It always runs the sequential kernel, whatever
-// Options.Workers says, so what v sees is the same at any worker count.
-// Limit, Canon and Obs apply as in Reach; under Canon a step to
-// any orbit-mate of a node is an edge to that node. It returns the
-// states in discovery order and Reach's errors.
+// Visit explores a as Reach does and reports the pass to v: each state
+// as it is admitted, each step as it is taken, each node as its
+// expansion ends. Limit, Canon and Obs apply as in Reach; under Canon
+// a step to any orbit-mate of a node is an edge to that node. It
+// returns the states in discovery order and Reach's errors.
 func (e *Engine) Visit(ctx context.Context, a ioa.Automaton, v Visitor) ([]ioa.State, error) {
 	order, _, err := e.seqExplore(ctxOr(ctx), a, nil, v, nil, nil)
 	return order, err
@@ -382,7 +362,11 @@ func (e *Engine) seqExplore(ctx context.Context, a ioa.Automaton, pred func(ioa.
 		if decode == nil {
 			return order[id]
 		}
-		return decode(sc, st.Encoding(id))
+		s := decode(sc, st.Encoding(id))
+		if s == nil { // the kernel decodes only what it interned
+			panic(fmt.Sprintf("explore: %s: state %d does not decode from the encoding the kernel interned (ioa.Decoder)", a.Name(), id))
+		}
+		return s
 	}
 	if decode != nil && pred == nil && sum == nil {
 		defer func() { // Reach's result, whatever the exit

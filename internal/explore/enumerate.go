@@ -220,8 +220,7 @@ type Lasso struct {
 // which pumping the cycle forever yields a fair infinite execution
 // (§2.2.1 condition 2). Returns nil if no such lasso exists.
 //
-// The graph is Graph's, built sequentially whatever Options.Workers
-// says; the cycle search is ltl's FindCycle, shared with the
+// The graph is Graph's; the cycle search is ltl's FindCycle, shared with the
 // self-stabilization certifier, and the stem is the graph's minimal
 // witness. Options.Canon is refused by name before exploring: a cycle
 // over orbit representatives is not an execution, and a symmetry may

@@ -5,8 +5,8 @@
 // automata.
 //
 // The entry point is the Engine facade: construct one from Options
-// (worker count, state budget, observability handle, the census's disk
-// spill, symmetry reduction) with New and call its context-aware
+// (state budget, observability handle, the census's disk spill,
+// symmetry reduction) with New and call its context-aware
 // methods —
 //
 //	eng := explore.New(explore.Options{Limit: 1 << 20})

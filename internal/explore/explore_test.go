@@ -12,7 +12,7 @@ import (
 
 func TestReachPingPong(t *testing.T) {
 	c := figures.Fig21()
-	states, err := New(Options{Workers: 1, Limit: 100}).Reach(context.Background(), c)
+	states, err := New(Options{Limit: 100}).Reach(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestReachLimit(t *testing.T) {
 		func(ioa.State) bool { return true },
 		func(s ioa.State) ioa.State { return ioa.KeyState(s.Key() + "x") })
 	a := d.MustBuild()
-	_, err := New(Options{Workers: 1, Limit: 10}).Reach(context.Background(), a)
+	_, err := New(Options{Limit: 10}).Reach(context.Background(), a)
 	if !errors.Is(err, ErrLimit) {
 		t.Errorf("want ErrLimit, got %v", err)
 	}
@@ -39,7 +39,7 @@ func TestReachLimit(t *testing.T) {
 func TestCheckInvariantWitness(t *testing.T) {
 	c := figures.Fig21()
 	// A deliberately false invariant: "B never reaches b1".
-	v, err := New(Options{Workers: 1, Limit: 100}).CheckInvariant(context.Background(), c, func(s ioa.State) bool {
+	v, err := New(Options{Limit: 100}).CheckInvariant(context.Background(), c, func(s ioa.State) bool {
 		ts := s.(*ioa.TupleState)
 		return ts.At(1).Key() != "b1"
 	})
@@ -56,7 +56,7 @@ func TestCheckInvariantWitness(t *testing.T) {
 		t.Error("witness trace must end at the violating state")
 	}
 	// A true invariant: components stay in lock step.
-	v, err = New(Options{Workers: 1, Limit: 100}).CheckInvariant(context.Background(), c, func(s ioa.State) bool {
+	v, err = New(Options{Limit: 100}).CheckInvariant(context.Background(), c, func(s ioa.State) bool {
 		ts := s.(*ioa.TupleState)
 		return (ts.At(0).Key() == "a0") == (ts.At(1).Key() == "b0")
 	})
@@ -70,7 +70,7 @@ func TestCheckInvariantWitness(t *testing.T) {
 
 func TestBehaviorsPingPong(t *testing.T) {
 	c := figures.Fig21()
-	m, err := New(Options{Workers: 1}).Behaviors(context.Background(), c, 4)
+	m, err := New(Options{}).Behaviors(context.Background(), c, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBehaviorsPingPong(t *testing.T) {
 
 func TestBehaviorsHidesInternals(t *testing.T) {
 	c := ioa.Hide(figures.Fig21(), ioa.NewSet(figures.Beta))
-	m, err := New(Options{Workers: 1}).Behaviors(context.Background(), c, 4)
+	m, err := New(Options{}).Behaviors(context.Background(), c, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestBehaviorsHidesInternals(t *testing.T) {
 
 func TestSchedulesIncludesInternals(t *testing.T) {
 	c := ioa.Hide(figures.Fig21(), ioa.NewSet(figures.Beta))
-	m, err := New(Options{Workers: 1}).Schedules(context.Background(), c, 2)
+	m, err := New(Options{}).Schedules(context.Background(), c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSchedulesIncludesInternals(t *testing.T) {
 
 func TestExecsEnumeration(t *testing.T) {
 	c := figures.Fig21()
-	mod, err := New(Options{Workers: 1}).Execs(context.Background(), c, 3)
+	mod, err := New(Options{}).Execs(context.Background(), c, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFigure23FairVsUnfair(t *testing.T) {
 	cAut, dAut := figures.Fig23C(), figures.Fig23D(6)
 
 	t.Run("A,B unfairly equivalent", func(t *testing.T) {
-		same, witness, err := New(Options{Workers: 1}).SameBehaviors(context.Background(), a, b, 5)
+		same, witness, err := New(Options{}).SameBehaviors(context.Background(), a, b, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,14 +153,14 @@ func TestFigure23FairVsUnfair(t *testing.T) {
 
 	t.Run("A,B fairly inequivalent: α^ω fair only for A", func(t *testing.T) {
 		alphaOnly := func(act ioa.Action) bool { return act == figures.Alpha }
-		lasso, err := New(Options{Workers: 1, Limit: 100}).FindLasso(context.Background(), a, alphaOnly, true)
+		lasso, err := New(Options{Limit: 100}).FindLasso(context.Background(), a, alphaOnly, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if lasso == nil {
 			t.Error("A must have a fair all-α lasso (α^ω ∈ fbeh(A))")
 		}
-		lasso, err = New(Options{Workers: 1, Limit: 100}).FindLasso(context.Background(), b, alphaOnly, true)
+		lasso, err = New(Options{Limit: 100}).FindLasso(context.Background(), b, alphaOnly, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func TestFigure23FairVsUnfair(t *testing.T) {
 		}
 		// Without the fairness requirement B does have an α-cycle:
 		// the distinction is exactly fairness.
-		lasso, err = New(Options{Workers: 1, Limit: 100}).FindLasso(context.Background(), b, alphaOnly, false)
+		lasso, err = New(Options{Limit: 100}).FindLasso(context.Background(), b, alphaOnly, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestFigure23FairVsUnfair(t *testing.T) {
 		// lassos exist and end pumping α after β.
 		any := func(ioa.Action) bool { return true }
 		for name, aut := range map[string]ioa.Automaton{"C": cAut, "D": dAut} {
-			lasso, err := New(Options{Workers: 1, Limit: 100}).FindLasso(context.Background(), aut, any, true)
+			lasso, err := New(Options{Limit: 100}).FindLasso(context.Background(), aut, any, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +208,7 @@ func TestFigure23FairVsUnfair(t *testing.T) {
 		alphaOnly := func(act ioa.Action) bool { return act == figures.Alpha }
 		// C: an all-α cycle reachable without β (i.e. from the start
 		// state itself).
-		lasso, err := New(Options{Workers: 1, Limit: 100}).FindLasso(context.Background(), cAut, alphaOnly, false)
+		lasso, err := New(Options{Limit: 100}).FindLasso(context.Background(), cAut, alphaOnly, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,11 +217,11 @@ func TestFigure23FairVsUnfair(t *testing.T) {
 		}
 		// D: every α-run from the start without β is bounded; check
 		// α^m behaviors cut off at the truncation bound.
-		mC, err := New(Options{Workers: 1}).Behaviors(context.Background(), cAut, 8)
+		mC, err := New(Options{}).Behaviors(context.Background(), cAut, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mD, err := New(Options{Workers: 1}).Behaviors(context.Background(), dAut, 8)
+		mD, err := New(Options{}).Behaviors(context.Background(), dAut, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,10 +267,10 @@ func TestFindLassoRefusesCanon(t *testing.T) {
 		[]ioa.Class{{Name: "c", Actions: ioa.NewSet("flip")}})
 	all := func(ioa.Action) bool { return true }
 	for _, fair := range []bool{false, true} {
-		if l, err := New(Options{Workers: 1}).FindLasso(context.Background(), flip, all, fair); err != nil || l == nil {
+		if l, err := New(Options{}).FindLasso(context.Background(), flip, all, fair); err != nil || l == nil {
 			t.Fatalf("fair=%v without a canonicalizer: lasso %v, err %v", fair, l, err)
 		}
-		_, err := New(Options{Workers: 1, Canon: swap{}}).FindLasso(context.Background(), flip, all, fair)
+		_, err := New(Options{Canon: swap{}}).FindLasso(context.Background(), flip, all, fair)
 		if err == nil || !strings.Contains(err.Error(), "Options.Canon (swap)") {
 			t.Fatalf("fair=%v under a canonicalizer: %v; want a refusal naming Options.Canon", fair, err)
 		}
@@ -286,7 +286,7 @@ func TestWriteDOTDrawsQuotientEdges(t *testing.T) {
 		[]ioa.Step{{From: x, Act: "flip", To: y}, {From: y, Act: "flip", To: x}},
 		[]ioa.Class{{Name: "c", Actions: ioa.NewSet("flip")}})
 	var sb strings.Builder
-	if err := New(Options{Workers: 1, Canon: swap{}}).WriteDOT(context.Background(), &sb, flip); err != nil {
+	if err := New(Options{Canon: swap{}}).WriteDOT(context.Background(), &sb, flip); err != nil {
 		t.Fatal(err)
 	}
 	want := `digraph "flip" {
@@ -302,7 +302,7 @@ func TestWriteDOTDrawsQuotientEdges(t *testing.T) {
 
 func TestWriteDOT(t *testing.T) {
 	var sb strings.Builder
-	if err := New(Options{Workers: 1, Limit: 100}).WriteDOT(context.Background(), &sb, figures.Fig21()); err != nil {
+	if err := New(Options{Limit: 100}).WriteDOT(context.Background(), &sb, figures.Fig21()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -313,7 +313,7 @@ func TestWriteDOT(t *testing.T) {
 	}
 	// Hidden actions draw dashed.
 	var sb2 strings.Builder
-	if err := New(Options{Workers: 1, Limit: 100}).WriteDOT(context.Background(), &sb2, ioa.Hide(figures.Fig21(), ioa.NewSet(figures.Beta))); err != nil {
+	if err := New(Options{Limit: 100}).WriteDOT(context.Background(), &sb2, ioa.Hide(figures.Fig21(), ioa.NewSet(figures.Beta))); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb2.String(), "style=dashed") {

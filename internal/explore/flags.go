@@ -15,16 +15,14 @@ import (
 // Bind (and, for a CLI that explores out of core, BindSpill) has
 // registered them.
 type Flags struct {
-	Workers    int
 	Limit      int
 	SpillDir   string
 	SpillMemMB int
 }
 
-// Bind registers -workers and -limit on fs: the knobs of every CLI
-// that builds an engine.
+// Bind registers -limit on fs: the knob of every CLI that builds an
+// engine.
 func (f *Flags) Bind(fs *flag.FlagSet) {
-	fs.IntVar(&f.Workers, "workers", 0, "goroutines a possibilities-mapping check may use (0 = GOMAXPROCS); exploration is sequential at any count")
 	fs.IntVar(&f.Limit, "limit", DefaultLimit, "exploration state budget")
 }
 
@@ -38,11 +36,7 @@ func (f *Flags) BindSpill(fs *flag.FlagSet) {
 // attaches the run's observability handle (Options.Obs) where it builds
 // one.
 func (f *Flags) Options() Options {
-	return Options{
-		Workers: f.Workers,
-		Limit:   f.Limit,
-		Spill:   f.SpillOptions(),
-	}
+	return Options{Limit: f.Limit, Spill: f.SpillOptions()}
 }
 
 // SpillOptions resolves the -spill-* flags into store.SpillOptions,

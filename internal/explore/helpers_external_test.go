@@ -7,13 +7,13 @@ import (
 	"repro/internal/ioa"
 )
 
-// Shorthands for the batteries that run Reach and CheckInvariant at
-// several worker counts.
+// Shorthands for the batteries that run Reach and CheckInvariant under
+// a background context.
 
-func parallelReach(a ioa.Automaton, opts explore.Options) ([]ioa.State, error) {
+func reachOf(a ioa.Automaton, opts explore.Options) ([]ioa.State, error) {
 	return explore.New(opts).Reach(context.Background(), a)
 }
 
-func parallelCheck(a ioa.Automaton, opts explore.Options, pred func(ioa.State) bool) (*explore.Violation, error) {
+func checkOf(a ioa.Automaton, opts explore.Options, pred func(ioa.State) bool) (*explore.Violation, error) {
 	return explore.New(opts).CheckInvariant(context.Background(), a, pred)
 }

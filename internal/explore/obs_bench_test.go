@@ -62,10 +62,10 @@ func benchReach(b *testing.B, opts Options, instrument bool) {
 
 func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
-		benchReach(b, Options{Workers: 2}, false)
+		benchReach(b, Options{}, false)
 	})
 	b.Run("on", func(b *testing.B) {
 		o := obs.New(nil)
-		benchReach(b, Options{Workers: 2, Obs: o}, true)
+		benchReach(b, Options{Obs: o}, true)
 	})
 }

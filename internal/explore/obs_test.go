@@ -11,14 +11,14 @@ import (
 // TestObsDoesNotChangeResults pins the core observability contract:
 // attaching an Obs changes nothing about the explored state set.
 func TestObsDoesNotChangeResults(t *testing.T) {
-	plain, err := New(Options{Workers: 3}).Reach(context.Background(), modCounters(3, 4))
+	plain, err := New(Options{}).Reach(context.Background(), modCounters(3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New(nil)
 	a := modCounters(3, 4)
 	ioa.SetObsDeep(a, o)
-	instrumented, err := New(Options{Workers: 3, Obs: o}).Reach(context.Background(), a)
+	instrumented, err := New(Options{Obs: o}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestObsExploreMetrics(t *testing.T) {
 	o := obs.New(nil)
 	a := modCounters(3, 4) // 64 states
 	ioa.SetObsDeep(a, o)
-	states, err := New(Options{Workers: 2, Obs: o}).Reach(context.Background(), a)
+	states, err := New(Options{Obs: o}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestObsExploreMetrics(t *testing.T) {
 func TestObsStatesCounterAtLimit(t *testing.T) {
 	o := obs.New(nil)
 	a := modCounters(3, 4)
-	states, err := New(Options{Workers: 2, Limit: 10, Obs: o}).Reach(context.Background(), a)
+	states, err := New(Options{Limit: 10, Obs: o}).Reach(context.Background(), a)
 	if err == nil {
 		t.Fatal("want ErrLimit")
 	}
@@ -91,21 +91,19 @@ func TestObsStatesCounterAtLimit(t *testing.T) {
 	}
 }
 
-// TestObsStoreGauges checks both engines publish the state store's
+// TestObsStoreGauges checks the engine publishes the state store's
 // occupancy and arena footprint through the obs gauges (PR 5).
 func TestObsStoreGauges(t *testing.T) {
-	for _, w := range []int{1, 3} {
-		o := obs.New(nil)
-		states, err := New(Options{Workers: w, Obs: o}).Reach(nil, modCounters(3, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := o.Store.Occupancy.Value(); got != int64(len(states)) {
-			t.Errorf("workers %d: store.occupancy = %d, want %d", w, got, len(states))
-		}
-		if o.Store.ArenaBytes.Value() <= 0 {
-			t.Errorf("workers %d: store.arena_bytes = %d, want > 0", w, o.Store.ArenaBytes.Value())
-		}
+	o := obs.New(nil)
+	states, err := New(Options{Obs: o}).Reach(nil, modCounters(3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.Store.Occupancy.Value(); got != int64(len(states)) {
+		t.Errorf("store.occupancy = %d, want %d", got, len(states))
+	}
+	if o.Store.ArenaBytes.Value() <= 0 {
+		t.Errorf("store.arena_bytes = %d, want > 0", o.Store.ArenaBytes.Value())
 	}
 }
 
@@ -136,18 +134,16 @@ func TestMemoBelongsToLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3} {
-		got, err := New(Options{Workers: workers, Obs: outerObs}).Reach(context.Background(), outer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) || len(got) != 9*16 {
-			t.Fatalf("workers %d: reached %d states, reference %d, want 144", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Key() != want[i].Key() {
-				t.Fatalf("workers %d: state %d is %q, reference %q", workers, i, got[i].Key(), want[i].Key())
-			}
+	got, err := New(Options{Obs: outerObs}).Reach(context.Background(), outer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(got) != 9*16 {
+		t.Fatalf("reached %d states, reference %d, want 144", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Key() != want[i].Key() {
+			t.Fatalf("state %d is %q, reference %q", i, got[i].Key(), want[i].Key())
 		}
 	}
 	for name, v := range innerObs.Memo.Values() {

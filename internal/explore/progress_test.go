@@ -40,7 +40,7 @@ func TestSeqProgressEmission(t *testing.T) {
 	o := obs.New(nil)
 	o.Progress = sink.on
 	a := modCounters(5, 8) // 32768 states: several strides' worth
-	eng := New(Options{Workers: 1, Obs: o})
+	eng := New(Options{Obs: o})
 	states, err := eng.Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
@@ -74,14 +74,14 @@ func TestSeqProgressEmission(t *testing.T) {
 	}
 }
 
-// TestParallelProgressEmission: Reach at two workers emits one snapshot
+// TestParallelProgressEmission: Reach emits one snapshot
 // per BFS level with increasing Depth, then Done.
 func TestParallelProgressEmission(t *testing.T) {
 	sink := &progressSink{}
 	o := obs.New(nil)
 	o.Progress = sink.on
 	a := modCounters(3, 4) // 64 states over many shallow levels
-	eng := New(Options{Workers: 2, Obs: o})
+	eng := New(Options{Obs: o})
 	states, err := eng.Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
@@ -136,35 +136,37 @@ func TestEveryExitReports(t *testing.T) {
 	const total = 50
 	// Each loop returns the admitted count it reports to its caller
 	// (-1 when the entry point returns none) and whether it found a
-	// violation.
+	// violation. The seq- arms explore the bare table, whose states the
+	// kernel keeps on the heap; the par- arms explore it composed, whose
+	// states the kernel decodes from their cell encodings instead.
 	loops := []struct {
-		name    string
-		checks  bool // takes a predicate
-		workers int
-		ext     bool
-		run     func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error)
+		name     string
+		checks   bool // takes a predicate
+		composed bool // wrapped in a one-component composition
+		ext      bool
+		run      func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error)
 	}{
-		{"seq-reach", false, 1, false, func(ctx context.Context, e *Engine, a ioa.Automaton, _ func(ioa.State) bool) (int64, bool, error) {
+		{"seq-reach", false, false, false, func(ctx context.Context, e *Engine, a ioa.Automaton, _ func(ioa.State) bool) (int64, bool, error) {
 			states, err := e.Reach(ctx, a)
 			return int64(len(states)), false, err
 		}},
-		{"seq-check", true, 1, false, func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error) {
+		{"seq-check", true, false, false, func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error) {
 			v, err := e.CheckInvariant(ctx, a, pred)
 			return -1, v != nil, err
 		}},
-		{"par-reach", false, 2, false, func(ctx context.Context, e *Engine, a ioa.Automaton, _ func(ioa.State) bool) (int64, bool, error) {
+		{"par-reach", false, true, false, func(ctx context.Context, e *Engine, a ioa.Automaton, _ func(ioa.State) bool) (int64, bool, error) {
 			states, err := e.Reach(ctx, a)
 			return int64(len(states)), false, err
 		}},
-		{"par-check", true, 2, false, func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error) {
+		{"par-check", true, true, false, func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error) {
 			v, err := e.CheckInvariant(ctx, a, pred)
 			return -1, v != nil, err
 		}},
-		{"census-ram", true, 2, false, func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error) {
+		{"census-ram", true, true, false, func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error) {
 			sum, err := e.Census(ctx, a, pred, nil)
 			return sum.States, sum.Violation != nil, err
 		}},
-		{"census-ext", true, 1, true, func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error) {
+		{"census-ext", true, true, true, func(ctx context.Context, e *Engine, a ioa.Automaton, pred func(ioa.State) bool) (int64, bool, error) {
 			sum, err := e.Census(ctx, a, pred, nil)
 			return sum.States, sum.Violation != nil, err
 		}},
@@ -191,11 +193,13 @@ func TestEveryExitReports(t *testing.T) {
 				sink := &progressSink{}
 				o := obs.New(nil)
 				o.Progress = sink.on
-				opts := Options{Workers: loop.workers, Limit: exit.limit, Obs: o}
+				opts := Options{Limit: exit.limit, Obs: o}
 				a := hopCounter()
-				if loop.ext { // composed, so ioa.Decoder can rebuild its states from disk
-					opts.Spill = &store.SpillOptions{Dir: t.TempDir(), MemBudget: 64, BlockEvery: 4}
+				if loop.composed { // so ioa.Decoder can rebuild its states
 					a = ioa.MustCompose("hop", a)
+				}
+				if loop.ext {
+					opts.Spill = &store.SpillOptions{Dir: t.TempDir(), MemBudget: 64, BlockEvery: 4}
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()

@@ -1,7 +1,6 @@
 package explore_test
 
-// Race stress tests for exploration at several worker counts and the
-// composition memo cache. Run under `go test -race`; the GOMAXPROCS sweep exercises
+// Race stress tests for exploration and the composition memo cache. Run under `go test -race`; the GOMAXPROCS sweep exercises
 // both the degenerate (single-P) and genuinely concurrent schedules.
 
 import (
@@ -34,25 +33,23 @@ func withGOMAXPROCS(t *testing.T, procs []int, f func(t *testing.T)) {
 	}
 }
 
-// TestRaceParallelReachPingPong hammers ParallelReach on the Fig. 2.1
-// ping-pong, many iterations at several worker counts, checking size
+// TestRaceParallelReachPingPong hammers Reach on the Fig. 2.1
+// ping-pong, many iterations at several GOMAXPROCS, checking size
 // stability throughout.
 func TestRaceParallelReachPingPong(t *testing.T) {
 	withGOMAXPROCS(t, []int{1, 2, 4}, func(t *testing.T) {
 		a := figures.Fig21()
-		want, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a)
+		want, err := explore.New(explore.Options{Limit: explore.DefaultLimit}).Reach(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for iter := 0; iter < 20; iter++ {
-			for _, w := range []int{2, 4, 8} {
-				got, err := parallelReach(a, explore.Options{Workers: w})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("iter %d workers %d: %d states, want %d", iter, w, len(got), len(want))
-				}
+			got, err := reachOf(a, explore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("iter %d: %d states, want %d", iter, len(got), len(want))
 			}
 		}
 	})
@@ -63,7 +60,7 @@ func TestRaceParallelReachPingPong(t *testing.T) {
 // deepest memo traffic. Its full state space is beyond exhaustive
 // exploration (the seed only simulates it), so the stress runs under
 // a state budget and asserts the ErrLimit partial-result contract
-// holds identically across worker counts.
+// holds identically across GOMAXPROCS.
 func TestRaceParallelReachArbiterA3r(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -77,24 +74,22 @@ func TestRaceParallelReachArbiterA3r(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 2000
-	want, err := explore.New(explore.Options{Workers: 1, Limit: budget}).Reach(context.Background(), h.A3)
+	want, err := explore.New(explore.Options{Limit: budget}).Reach(context.Background(), h.A3)
 	if !errors.Is(err, explore.ErrLimit) {
 		t.Fatalf("sequential Reach err = %v, want ErrLimit (A3R should exceed %d states)", err, budget)
 	}
 	withGOMAXPROCS(t, []int{1, 4}, func(t *testing.T) {
-		for _, w := range []int{2, 8} {
-			got, gotErr := parallelReach(h.A3, explore.Options{Workers: w, Limit: budget})
-			if (gotErr == nil) != (err == nil) {
-				t.Fatalf("workers %d: err = %v, sequential err = %v", w, gotErr, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("workers %d: %d states, want %d", w, len(got), len(want))
-			}
+		got, gotErr := reachOf(h.A3, explore.Options{Limit: budget})
+		if (gotErr == nil) != (err == nil) {
+			t.Fatalf("err = %v, first err = %v", gotErr, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d states, want %d", len(got), len(want))
 		}
 	})
 }
 
-// TestRaceSharedCompositeMemo runs several ParallelReach calls
+// TestRaceSharedCompositeMemo runs several Reach calls
 // concurrently against ONE shared composite, so the memo cache sees
 // simultaneous readers and writers from independent explorations.
 func TestRaceSharedCompositeMemo(t *testing.T) {
@@ -106,7 +101,7 @@ func TestRaceSharedCompositeMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), sys.A3)
+	want, err := explore.New(explore.Options{Limit: explore.DefaultLimit}).Reach(context.Background(), sys.A3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +112,7 @@ func TestRaceSharedCompositeMemo(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := parallelReach(sys.A3, explore.Options{Workers: 1 + g%4})
+			got, err := reachOf(sys.A3, explore.Options{})
 			if err != nil {
 				errs <- err
 				return
@@ -134,9 +129,9 @@ func TestRaceSharedCompositeMemo(t *testing.T) {
 	}
 }
 
-// TestRaceMemoMixedSequentialParallel interleaves sequential Reach and
-// ParallelCheck on one composite — memo reads from the coordinating
-// goroutine race-test against worker writes.
+// TestRaceMemoMixedSequentialParallel interleaves Reach and
+// CheckInvariant calls on one composite from several goroutines, so
+// each one's memo reads race-test against the others' writes.
 func TestRaceMemoMixedSequentialParallel(t *testing.T) {
 	a := ioa.MustCompose("pp", figures.Fig21A(), figures.Fig21B())
 	var wg sync.WaitGroup
@@ -144,14 +139,14 @@ func TestRaceMemoMixedSequentialParallel(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := explore.New(explore.Options{Workers: 1, Limit: explore.DefaultLimit}).Reach(context.Background(), a); err != nil {
+			if _, err := explore.New(explore.Options{Limit: explore.DefaultLimit}).Reach(context.Background(), a); err != nil {
 				t.Error(err)
 			}
 		}()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := parallelCheck(a, explore.Options{Workers: 4}, func(ioa.State) bool { return true })
+			v, err := checkOf(a, explore.Options{}, func(ioa.State) bool { return true })
 			if err != nil || v != nil {
 				t.Errorf("v=%v err=%v", v, err)
 			}

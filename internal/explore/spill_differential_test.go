@@ -69,14 +69,13 @@ func TestDifferentialCensusExternal(t *testing.T) {
 	for name, a := range censusSystems(t) {
 		var ramSum, extSum explore.Summary
 		var err error
-		ramSum, err = explore.New(explore.Options{Workers: 1}).Census(ctx, a, nil, nil)
+		ramSum, err = explore.New(explore.Options{}).Census(ctx, a, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: materialized census: %v", name, err)
 		}
 		visited := make(map[string]int)
 		extSum, err = explore.New(explore.Options{
-			Workers: 1,
-			Spill:   tinySpill(t),
+			Spill: tinySpill(t),
 		}).Census(ctx, a, nil, func(s ioa.State) { visited[s.Key()]++ })
 		if err != nil {
 			t.Fatalf("%s: external census: %v", name, err)
@@ -111,12 +110,12 @@ func TestDifferentialCensusVerdicts(t *testing.T) {
 		bad := fmt.Sprintf("v%d%d", seed, rng.Intn(4))
 		pred := func(s ioa.State) bool { return leafKey(s) != bad }
 
-		ramSum, err := explore.New(explore.Options{Workers: 1}).Census(ctx, a, pred, nil)
+		ramSum, err := explore.New(explore.Options{}).Census(ctx, a, pred, nil)
 		if err != nil {
 			t.Fatalf("seed %d: materialized: %v", seed, err)
 		}
 		extSum, err := explore.New(explore.Options{
-			Workers: 1, Spill: tinySpill(t),
+			Spill: tinySpill(t),
 		}).Census(ctx, a, pred, nil)
 		if err != nil {
 			t.Fatalf("seed %d: external: %v", seed, err)
@@ -137,7 +136,7 @@ func TestDifferentialCensusLimit(t *testing.T) {
 	ctx := context.Background()
 	a := composed(chain(40))
 	sum, err := explore.New(explore.Options{
-		Workers: 1, Limit: 7, Spill: tinySpill(t),
+		Limit: 7, Spill: tinySpill(t),
 	}).Census(ctx, a, nil, nil)
 	if !errors.Is(err, explore.ErrLimit) {
 		t.Fatalf("err = %v, want ErrLimit", err)
@@ -202,7 +201,7 @@ func TestSpillCrashMidCensus(t *testing.T) {
 		}
 	}
 	_, err := explore.New(explore.Options{
-		Workers: 1, Spill: sp, Obs: o,
+		Spill: sp, Obs: o,
 	}).Census(ctx, composed(loopChain(200)), nil, nil)
 	if !errors.Is(err, store.ErrCorruptRun) {
 		t.Fatalf("err = %v, want wrapped store.ErrCorruptRun", err)
@@ -243,7 +242,7 @@ func TestCensusChunksHoldDistinctEncodings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ramSum, err := explore.New(explore.Options{Workers: 1}).Census(ctx, g, nil, nil)
+	ramSum, err := explore.New(explore.Options{}).Census(ctx, g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +250,7 @@ func TestCensusChunksHoldDistinctEncodings(t *testing.T) {
 	o := obs.New(nil)
 	var distinctBytes int64
 	extSum, err := explore.New(explore.Options{
-		Workers: 1, Obs: o,
+		Obs:   o,
 		Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: budget},
 	}).Census(ctx, g, nil, func(s ioa.State) { distinctBytes += int64(len(s.Key())) })
 	if err != nil {
@@ -293,7 +292,7 @@ func TestCensusSpillRunsBounded(t *testing.T) {
 	o := obs.New(nil)
 	mostFiles := 0
 	sum, err := explore.New(explore.Options{
-		Workers: 1, Obs: o,
+		Obs: o,
 		Spill: &store.SpillOptions{Dir: dir, MemBudget: 2 << 10, AfterFlush: func(string) {
 			files, err := filepath.Glob(filepath.Join(dir, "run*"))
 			if err != nil {
@@ -352,7 +351,6 @@ func TestCensusCompactedRunFaultsNeverMiscount(t *testing.T) {
 	walk := func(nth int, fault func(string) error) (explore.Summary, int, error) {
 		seen, compacted := map[string]bool{}, 0
 		sum, err := explore.New(explore.Options{
-			Workers: 1,
 			Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: 256, BlockEvery: 4, AfterFlush: func(path string) {
 				if seen[path] {
 					if compacted++; compacted == nth {

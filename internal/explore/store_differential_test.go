@@ -1,8 +1,8 @@
 package explore_test
 
 // PR 5 differential battery extension: the store-backed Engine must
-// visit states in an order bit-identical to the seed explorer at every
-// worker count. ReferenceReach keeps the seed's string-keyed BFS
+// visit states in an order bit-identical to the seed explorer.
+// ReferenceReach keeps the seed's string-keyed BFS
 // verbatim as that oracle. Also pinned here: the Reach limit edge case
 // (immediate return with a consistent partial order and a wrapped
 // ErrLimit) and context cancellation on every Engine method.
@@ -37,7 +37,7 @@ func assertSameOrder(t *testing.T, label string, want, got []ioa.State) {
 }
 
 // bfsOrder flattens bfsLevels: the sequential BFS order every engine
-// must produce at any worker count.
+// must produce.
 func bfsOrder(a ioa.Automaton) []string {
 	var out []string
 	for _, lvl := range bfsLevels(a) {
@@ -67,7 +67,7 @@ func diffSystems(t *testing.T) map[string]ioa.Automaton {
 // visits states in exactly the seed explorer's order.
 func TestDifferentialOrderSequential(t *testing.T) {
 	ctx := context.Background()
-	eng := explore.New(explore.Options{Workers: 1})
+	eng := explore.New(explore.Options{})
 	for name, a := range diffSystems(t) {
 		want, err := explore.ReferenceReach(a, explore.DefaultLimit)
 		if err != nil {
@@ -81,9 +81,8 @@ func TestDifferentialOrderSequential(t *testing.T) {
 	}
 }
 
-// TestDifferentialOrderParallel: at every worker count the engine
-// reproduces the seed BFS order, and so does the oracle built level by
-// level.
+// TestDifferentialOrderParallel: the oracle built level by level
+// reproduces the seed BFS order, and so does the engine.
 func TestDifferentialOrderParallel(t *testing.T) {
 	ctx := context.Background()
 	for name, a := range diffSystems(t) {
@@ -100,13 +99,11 @@ func TestDifferentialOrderParallel(t *testing.T) {
 				t.Fatalf("%s: level oracle differs at %d: %q, reference %q", name, i, k, ref[i].Key())
 			}
 		}
-		for _, w := range []int{1, 2, 8} {
-			got, err := explore.New(explore.Options{Workers: w}).Reach(ctx, a)
-			if err != nil {
-				t.Fatalf("%s workers %d: %v", name, w, err)
-			}
-			assertSameOrder(t, fmt.Sprintf("%s workers=%d", name, w), ref, got)
+		got, err := explore.New(explore.Options{}).Reach(ctx, a)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		assertSameOrder(t, name, ref, got)
 	}
 }
 
@@ -134,39 +131,36 @@ func chain(n int) *ioa.Table {
 func TestReachLimitEdgeCases(t *testing.T) {
 	ctx := context.Background()
 	a := chain(9)
-	full, err := explore.New(explore.Options{Workers: 1}).Reach(ctx, a)
+	full, err := explore.New(explore.Options{}).Reach(ctx, a)
 	if err != nil || len(full) != 9 {
 		t.Fatalf("full sweep: %d states, err %v", len(full), err)
 	}
-	for _, w := range diffWorkers {
-		for limit := 1; limit < 9; limit++ {
-			got, err := explore.New(explore.Options{Workers: w, Limit: limit}).Reach(ctx, a)
-			if !errors.Is(err, explore.ErrLimit) {
-				t.Fatalf("workers %d limit %d: err = %v, want ErrLimit", w, limit, err)
-			}
-			if !strings.Contains(err.Error(), "chain") {
-				t.Errorf("workers %d limit %d: error %q does not name the automaton", w, limit, err)
-			}
-			assertSameOrder(t, fmt.Sprintf("workers %d limit %d", w, limit), full[:limit], got)
+	for limit := 1; limit < 9; limit++ {
+		got, err := explore.New(explore.Options{Limit: limit}).Reach(ctx, a)
+		if !errors.Is(err, explore.ErrLimit) {
+			t.Fatalf("limit %d: err = %v, want ErrLimit", limit, err)
 		}
-		// Exact fit and oversize budgets both complete cleanly: ErrLimit
-		// means an unseen state remains, and here none does.
-		for _, limit := range []int{9, 10, 1000} {
-			got, err := explore.New(explore.Options{Workers: w, Limit: limit}).Reach(ctx, a)
-			if err != nil {
-				t.Fatalf("workers %d limit %d: err = %v, want nil (exact fit)", w, limit, err)
-			}
-			assertSameOrder(t, fmt.Sprintf("workers %d limit %d", w, limit), full, got)
+		if !strings.Contains(err.Error(), "chain") {
+			t.Errorf("limit %d: error %q does not name the automaton", limit, err)
 		}
+		assertSameOrder(t, fmt.Sprintf("limit %d", limit), full[:limit], got)
+	}
+	// Exact fit and oversize budgets both complete cleanly: ErrLimit
+	// means an unseen state remains, and here none does.
+	for _, limit := range []int{9, 10, 1000} {
+		got, err := explore.New(explore.Options{Limit: limit}).Reach(ctx, a)
+		if err != nil {
+			t.Fatalf("limit %d: err = %v, want nil (exact fit)", limit, err)
+		}
+		assertSameOrder(t, fmt.Sprintf("limit %d", limit), full, got)
 	}
 	// The random battery again, elementwise: the partial order is a
-	// prefix of (sequential) or consistent with (parallel canonical
-	// order) the unbounded sweep.
+	// prefix of the unbounded sweep.
 	base := testseed.Base(t)
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(base + 950 + seed))
 		a := randSystem(rng, seed)
-		full, err := explore.New(explore.Options{Workers: 1}).Reach(ctx, a)
+		full, err := explore.New(explore.Options{}).Reach(ctx, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +168,7 @@ func TestReachLimitEdgeCases(t *testing.T) {
 			continue
 		}
 		limit := len(full) / 2
-		got, err := explore.New(explore.Options{Workers: 1, Limit: limit}).Reach(ctx, a)
+		got, err := explore.New(explore.Options{Limit: limit}).Reach(ctx, a)
 		if !errors.Is(err, explore.ErrLimit) {
 			t.Fatalf("seed %d: err = %v, want ErrLimit", seed, err)
 		}
@@ -189,10 +183,10 @@ func TestCheckInvariantLimitStricter(t *testing.T) {
 	ctx := context.Background()
 	a := chain(9)
 	taut := func(ioa.State) bool { return true }
-	if _, err := explore.New(explore.Options{Workers: 1, Limit: 9}).CheckInvariant(ctx, a, taut); !errors.Is(err, explore.ErrLimit) {
+	if _, err := explore.New(explore.Options{Limit: 9}).CheckInvariant(ctx, a, taut); !errors.Is(err, explore.ErrLimit) {
 		t.Fatalf("exact-fit CheckInvariant err = %v, want ErrLimit", err)
 	}
-	if _, err := explore.New(explore.Options{Workers: 1, Limit: 10}).CheckInvariant(ctx, a, taut); err != nil {
+	if _, err := explore.New(explore.Options{Limit: 10}).CheckInvariant(ctx, a, taut); err != nil {
 		t.Fatalf("roomy CheckInvariant err = %v, want nil", err)
 	}
 }
@@ -203,16 +197,13 @@ func TestEngineContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := figures.Fig21()
-	for _, w := range []int{1, 4} {
-		eng := explore.New(explore.Options{Workers: w})
-		if _, err := eng.Reach(ctx, a); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers %d: Reach err = %v, want context.Canceled", w, err)
-		}
-		if _, err := eng.CheckInvariant(ctx, a, func(ioa.State) bool { return true }); !errors.Is(err, context.Canceled) {
-			t.Errorf("workers %d: CheckInvariant err = %v, want context.Canceled", w, err)
-		}
+	eng := explore.New(explore.Options{})
+	if _, err := eng.Reach(ctx, a); !errors.Is(err, context.Canceled) {
+		t.Errorf("Reach err = %v, want context.Canceled", err)
 	}
-	eng := explore.New(explore.Options{Workers: 1})
+	if _, err := eng.CheckInvariant(ctx, a, func(ioa.State) bool { return true }); !errors.Is(err, context.Canceled) {
+		t.Errorf("CheckInvariant err = %v, want context.Canceled", err)
+	}
 	if _, err := eng.Behaviors(ctx, a, 8); !errors.Is(err, context.Canceled) {
 		t.Errorf("Behaviors err = %v, want context.Canceled", err)
 	}

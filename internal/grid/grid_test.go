@@ -39,7 +39,7 @@ func TestGridReachMatchesClosedForm(t *testing.T) {
 		if int64(len(ref)) != g.States() {
 			t.Fatalf("%s: reference found %d states, closed form %d", g.Name(), len(ref), g.States())
 		}
-		got, err := explore.New(explore.Options{Workers: 2}).Reach(ctx, g)
+		got, err := explore.New(explore.Options{}).Reach(ctx, g)
 		if err != nil {
 			t.Fatalf("%s: engine: %v", g.Name(), err)
 		}
@@ -56,8 +56,7 @@ func TestGridCensusExternal(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum, err := explore.New(explore.Options{
-		Workers: 1,
-		Spill:   &store.SpillOptions{Dir: t.TempDir(), MemBudget: 128},
+		Spill: &store.SpillOptions{Dir: t.TempDir(), MemBudget: 128},
 	}).Census(ctx, g, nil, nil)
 	if err != nil {
 		t.Fatalf("census: %v", err)

@@ -30,7 +30,7 @@ func catalogueReach(t *testing.T, name string, users int) (ioa.Automaton, []ioa.
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a)
+	states, err := explore.New(explore.Options{}).Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestWalkVisitAllocatesNoEnabledList(t *testing.T) {
 		"Rename(Prog)":            rename(ring("p", 5)),
 		"Rename(Hide(Composite))": rename(ioa.Hide(comp, ioa.NewSet(ioa.Act("go", "l"), ioa.Act("in", "l")))),
 	} {
-		states, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), a)
+		states, err := explore.New(explore.Options{}).Reach(context.Background(), a)
 		if err != nil {
 			t.Fatal(err)
 		}

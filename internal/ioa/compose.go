@@ -21,8 +21,9 @@ import (
 // whose frame the encoding copies; At hands out the state itself.
 type TupleState struct {
 	parts []State
-	// key caches Key() once something asks for it. Tuples are shared by
-	// the parallel workers; racing builders store equal strings.
+	// key caches Key() once something asks for it. Tuples may be shared
+	// across goroutines (a mapping check's walk hands them to its
+	// checks); racing builders store equal strings.
 	key atomic.Pointer[string]
 	// borrowed marks a tuple built in a Scratch: valid until that
 	// Scratch is reset, and what Keep copies.
@@ -611,9 +612,10 @@ type Decodable interface {
 // Over a composition the function it returns rebuilds a tag-1 encoding
 // as the composition's tuples, each leaf part the cell its index names,
 // laid out in sc — borrowed until sc is reset — or on the heap when sc
-// is nil; a tag-0 encoding decodes to nil. Encodings are only
-// meaningful to the composition that made them. Over a Decodable it
-// ignores sc and panics on an encoding Decode refuses.
+// is nil. Encodings are only meaningful to the composition that made
+// them. Over a Decodable it ignores sc. Either way an encoding it cannot
+// rebuild decodes to nil: a tag-0 or unknown tag, a truncated cell
+// index or one past its leaf's table, bytes Decode refuses.
 func Decoder(a Automaton) func(sc *Scratch, enc []byte) State {
 	_, under := wrappers(a)
 	switch u := under.(type) {
@@ -623,7 +625,7 @@ func Decoder(a Automaton) func(sc *Scratch, enc []byte) State {
 		return func(_ *Scratch, enc []byte) State {
 			s, err := u.Decode(enc)
 			if err != nil {
-				panic(fmt.Sprintf("ioa: %s: decode: %v", a.Name(), err))
+				return nil
 			}
 			return s
 		}
@@ -631,7 +633,8 @@ func Decoder(a Automaton) func(sc *Scratch, enc []byte) State {
 	return nil
 }
 
-// decodeCells is Decoder's inverse of appendCells.
+// decodeCells is Decoder's inverse of appendCells, nil for an encoding
+// it cannot rebuild.
 func (c *Composite) decodeCells(sc *Scratch, enc []byte) State {
 	if len(enc) == 0 || enc[0] != 1 {
 		return nil
@@ -648,10 +651,14 @@ func (c *Composite) decodeCells(sc *Scratch, enc []byte) State {
 	enc = enc[1:]
 	for _, l := range c.leaves {
 		i, w := binary.Uvarint(enc)
-		if w <= 0 {
-			panic(fmt.Sprintf("ioa: %s: decode: truncated cell encoding", c.name))
+		var table []*leafCell
+		if t := l.table.Load(); t != nil {
+			table = *t
 		}
-		tuples[l.node].parts[l.part], enc = (*l.table.Load())[i], enc[w:]
+		if w <= 0 || i >= uint64(len(table)) {
+			return nil
+		}
+		tuples[l.node].parts[l.part], enc = table[i], enc[w:]
 	}
 	return tuples[0]
 }

@@ -1,6 +1,7 @@
 package ioa
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -240,5 +241,44 @@ func TestCompositeNextNondeterministicCross(t *testing.T) {
 	}
 	if len(seen) != 4 {
 		t.Errorf("duplicate successors: %v", seen)
+	}
+}
+
+// refuser is a Decodable that refuses every encoding.
+type refuser struct{ *Table }
+
+func (refuser) Decode([]byte) (State, error) { return nil, errors.New("refused") }
+
+// TestDecoderRefusesDamagedEncodings: Decoder hands back nil, never a
+// panic, for an encoding it cannot rebuild — an empty one, tag 0 or an
+// unknown tag, a truncated cell index, a leaf missing, an index past its
+// leaf's table — and for bytes a Decodable's Decode refuses, while the
+// composition's own encoding still decodes to its state.
+func TestDecoderRefusesDamagedEncodings(t *testing.T) {
+	a, _, c := pingPong(t)
+	start := c.Start()[0]
+	decode := Decoder(c)
+	var sc Scratch
+	enc := Encoder(c)(nil, start)
+	if got := decode(&sc, enc); got == nil || got.Key() != start.Key() {
+		t.Fatalf("the start state's encoding %x decodes to %v", enc, got)
+	}
+	for name, bad := range map[string][]byte{
+		"empty":           {},
+		"tag 0":           AppendState([]byte{0}, start),
+		"unknown tag":     {7, 0, 0},
+		"truncated index": {1, 0, 0x80},
+		"missing leaf":    {1, 0},
+		"index past":      {1, 0, 9},
+	} {
+		if got := decode(&sc, bad); got != nil {
+			t.Errorf("%s: %x decodes to %q, want nil", name, bad, got.Key())
+		}
+		if got := decode(nil, bad); got != nil {
+			t.Errorf("%s: %x decodes to %q on the heap, want nil", name, bad, got.Key())
+		}
+	}
+	if got := Decoder(refuser{a})(nil, []byte("a0")); got != nil {
+		t.Errorf("a refused encoding decodes to %q, want nil", got.Key())
 	}
 }

@@ -54,7 +54,7 @@ func fuzzAutomaton(rng *rand.Rand, shape uint8, name string, in, out, internal [
 
 func fuzzSchedules(t *testing.T, a ioa.Automaton) *ioa.SchedModule {
 	t.Helper()
-	m, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), a, fuzzDepth)
+	m, err := explore.New(explore.Options{}).Schedules(context.Background(), a, fuzzDepth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func FuzzComposeLaws(f *testing.F) {
 
 		// Corollary 3 on the pairwise composition: enabled iff a step
 		// exists, state by state.
-		states, err := explore.New(explore.Options{Workers: 1, Limit: 512}).Reach(context.Background(), ab)
+		states, err := explore.New(explore.Options{Limit: 512}).Reach(context.Background(), ab)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,11 +189,11 @@ func FuzzHideRename(f *testing.F) {
 				t.Fatalf("schedule %v lost by hiding", ioa.TraceString(tr))
 			}
 		}
-		ba, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), a, fuzzDepth)
+		ba, err := explore.New(explore.Options{}).Behaviors(context.Background(), a, fuzzDepth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bh, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), hidden, fuzzDepth)
+		bh, err := explore.New(explore.Options{}).Behaviors(context.Background(), hidden, fuzzDepth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func FuzzHideRename(f *testing.F) {
 		// (which makes it locally controlled) included.
 		b := fuzzAutomaton(rng, shape/3, "B", []ioa.Action{"X"}, []ioa.Action{"y"}, nil)
 		comp := ioa.MustRename(ioa.Hide(ioa.MustCompose("AB", ra, b), ioa.NewSet("I", "y")), bwd)
-		compStates, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), comp)
+		compStates, err := explore.New(explore.Options{}).Reach(context.Background(), comp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,15 +59,15 @@ func TestLemma5ExecsOfCompositionProject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod, err := explore.New(explore.Options{Workers: 1}).Execs(context.Background(), c, 4)
+		mod, err := explore.New(explore.Options{}).Execs(context.Background(), c, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		schedsA, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), a, 4)
+		schedsA, err := explore.New(explore.Options{}).Schedules(context.Background(), a, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		schedsB, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), b, 4)
+		schedsB, err := explore.New(explore.Options{}).Schedules(context.Background(), b, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,15 +107,15 @@ func TestLemma6SchedsCommute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lhs, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), c, depth)
+		lhs, err := explore.New(explore.Options{}).Schedules(context.Background(), c, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sa, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), a, depth)
+		sa, err := explore.New(explore.Options{}).Schedules(context.Background(), a, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), b, depth)
+		sb, err := explore.New(explore.Options{}).Schedules(context.Background(), b, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,16 +143,16 @@ func TestLemma7ExternalCommute(t *testing.T) {
 			t.Fatal(err)
 		}
 		// LHS: behaviors of the composition.
-		lhs, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), c, depth)
+		lhs, err := explore.New(explore.Options{}).Behaviors(context.Background(), c, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// RHS: compose the components' behaviors.
-		ba, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), a, depth)
+		ba, err := explore.New(explore.Options{}).Behaviors(context.Background(), a, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bb, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), b, depth)
+		bb, err := explore.New(explore.Options{}).Behaviors(context.Background(), b, depth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestLemma7ExternalCommute(t *testing.T) {
 		// trace of length ≤ k, so LHS ⊆ RHS always; RHS traces of
 		// length ≤ depth that used few internal steps must appear in
 		// LHS computed with a deeper internal budget.
-		deep, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), c, 2*depth)
+		deep, err := explore.New(explore.Options{}).Behaviors(context.Background(), c, 2*depth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +190,11 @@ func TestLemma12HideCommutesWithExecs(t *testing.T) {
 		rng := rand.New(rand.NewSource(base + seed))
 		a := randAutomaton(rng, "A", []ioa.Action{"i"}, []ioa.Action{"x", "z"}, nil)
 		h := ioa.Hide(a, ioa.NewSet("z"))
-		sa, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), a, 3)
+		sa, err := explore.New(explore.Options{}).Schedules(context.Background(), a, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), h, 3)
+		sh, err := explore.New(explore.Options{}).Schedules(context.Background(), h, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +209,11 @@ func TestLemma12HideCommutesWithExecs(t *testing.T) {
 			}
 		}
 		// Behaviors: hide(z) behaviors = project out z.
-		ba, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), a, 3)
+		ba, err := explore.New(explore.Options{}).Behaviors(context.Background(), a, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bh, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), h, 3)
+		bh, err := explore.New(explore.Options{}).Behaviors(context.Background(), h, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,11 +246,11 @@ func TestLemma14HideComposeCommute(t *testing.T) {
 		if !lhs.Sig().Equal(rhs.Sig()) {
 			t.Fatalf("seed %d: Lemma 14 signatures differ:\n%v\n%v", seed, lhs.Sig(), rhs.Sig())
 		}
-		sl, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), lhs, 3)
+		sl, err := explore.New(explore.Options{}).Schedules(context.Background(), lhs, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := explore.New(explore.Options{Workers: 1}).Schedules(context.Background(), rhs, 3)
+		sr, err := explore.New(explore.Options{}).Schedules(context.Background(), rhs, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestLemma19FairComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := explore.New(explore.Options{Workers: 1}).Execs(context.Background(), c, 5)
+	mod, err := explore.New(explore.Options{}).Execs(context.Background(), c, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

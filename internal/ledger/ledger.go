@@ -85,8 +85,7 @@ type Run struct {
 	System string `json:"system,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
 	Users  int    `json:"users,omitempty"`
-	// Workers/Limit/Symmetry are the exploration engine knobs.
-	Workers  int  `json:"workers,omitempty"`
+	// Limit/Symmetry are the exploration engine knobs.
 	Limit    int  `json:"limit,omitempty"`
 	Symmetry bool `json:"symmetry,omitempty"`
 	// Domain names the induction candidate domain walked, when the

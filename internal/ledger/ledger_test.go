@@ -43,7 +43,6 @@ func TestRecordRoundTrip(t *testing.T) {
 		System:  "lamport",
 		Seed:    7,
 		Users:   2,
-		Workers: 4,
 		Limit:   1 << 20,
 		Domain:  "lamport-typeok(n=2,M=2,C=1)",
 		Flags:   map[string]string{"induct": "true", "users": "2"},
@@ -80,13 +79,14 @@ func TestRecordRoundTrip(t *testing.T) {
 
 // TestParseReadsRetiredPORField: journals written before PR 16 carry
 // "por":true on run lines whose exploration used the since-deleted
-// ample-set reduction. Schema stays 1, so such a line must still parse
+// ample-set reduction, and journals written before the worker count
+// went carry "workers". Schema stays 1, so such a line must still parse
 // and every other field must round-trip.
 func TestParseReadsRetiredPORField(t *testing.T) {
 	var buf bytes.Buffer
 	run := Run{
 		Tool: "ioasim", Mode: "reach", System: "star", Seed: 1, Users: 12,
-		Workers: 2, Limit: 1 << 20, Symmetry: true,
+		Limit: 1 << 20, Symmetry: true,
 		Flags:  map[string]string{"reach": "true", "symmetry": "true", "por": "true"},
 		WallNS: 42, States: 8191, Verdict: "ok",
 	}
@@ -94,8 +94,9 @@ func TestParseReadsRetiredPORField(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := strings.Replace(buf.String(), `"symmetry":true,`, `"symmetry":true,"por":true,`, 1)
-	if old == buf.String() {
-		t.Fatalf("could not splice the retired field into %q", buf.String())
+	old = strings.Replace(old, `"limit":`, `"workers":2,"limit":`, 1)
+	if !strings.Contains(old, `"por":true`) || !strings.Contains(old, `"workers":2`) {
+		t.Fatalf("could not splice the retired fields into %q", buf.String())
 	}
 	entries, err := Parse(strings.NewReader(old))
 	if err != nil {

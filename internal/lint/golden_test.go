@@ -138,8 +138,8 @@ func TestMutationMessages(t *testing.T) {
 			43: fmt.Sprintf(step, "write to pb"),
 		}},
 		{"invpurepos", "repro/fixture/invpurepos", "invpure", map[int]string{
-			29: fmt.Sprintf(pred, "write to pb"),
-			57: fmt.Sprintf(pred, "delete from map of b"),
+			30: fmt.Sprintf(pred, "write to pb"),
+			58: fmt.Sprintf(pred, "delete from map of b"),
 		}},
 	}
 	loader := NewLoader()

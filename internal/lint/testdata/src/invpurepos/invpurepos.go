@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/explore"
 	"repro/internal/ioa"
 	"repro/internal/lattice"
 	"repro/internal/stabilize"
@@ -56,6 +57,6 @@ func certify() error {
 		b := s.(*box)
 		delete(b.m, "seen") // want "mutates its state argument"
 		return true
-	}, nil, stabilize.Options{})
+	}, nil, explore.Options{})
 	return err
 }

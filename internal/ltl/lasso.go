@@ -12,7 +12,7 @@
 // decision procedure: the stabilize convergence pass and
 // proof.CheckLeadsTo both call it; explore.FindLasso and WriteDOT use
 // the graph and the cycle search. Every search walks nodes and edges in
-// ID order, so its answer does not depend on the engine's worker count.
+// ID order, so its answer is a function of the graph.
 package ltl
 
 import (

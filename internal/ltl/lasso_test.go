@@ -41,7 +41,7 @@ func graphOracles(t *testing.T) map[string]ioa.Automaton {
 // graph is the sequential engine's graph of a.
 func graph(t *testing.T, ctx context.Context, a ioa.Automaton) *ltl.StateGraph {
 	t.Helper()
-	g, err := explore.New(explore.Options{Workers: 1}).Graph(ctx, a)
+	g, err := explore.New(explore.Options{}).Graph(ctx, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func referenceGraph(a ioa.Automaton, canon explore.Canonicalizer) (states []ioa.
 }
 
 // TestBuildGraphMatchesReference checks, for every oracle system, that
-// Engine.Graph — at four workers, which it ignores — has exactly the
+// Engine.Graph has exactly the
 // edges a direct Next sweep over the ReferenceReach state set
 // produces, in sorted-action order, with dense IDs agreeing with
 // reference positions, and that every node's witness is a shortest
@@ -137,7 +137,7 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 					}
 				}
 			}
-			g, err := explore.New(explore.Options{Workers: 4, Canon: c.canon}).Graph(context.Background(), a)
+			g, err := explore.New(explore.Options{Canon: c.canon}).Graph(context.Background(), a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +165,7 @@ func TestBuildGraphMatchesReference(t *testing.T) {
 			}
 			// The last node's witness is the one CheckInvariant reports.
 			last := g.States[len(g.States)-1]
-			v, err := explore.New(explore.Options{Workers: 1, Canon: c.canon}).CheckInvariant(context.Background(), a,
+			v, err := explore.New(explore.Options{Canon: c.canon}).CheckInvariant(context.Background(), a,
 				func(s ioa.State) bool { return s.Key() != last.Key() })
 			if err != nil || v == nil {
 				t.Fatalf("CheckInvariant to the last node: %v, %v", v, err)
@@ -325,7 +325,7 @@ func TestFindCycleCancellation(t *testing.T) {
 	if _, _, _, err := g.FindCycle(ctx, a, ltl.CycleOptions{}); err == nil {
 		t.Fatal("cancelled FindCycle returned nil error")
 	}
-	if _, err := explore.New(explore.Options{Workers: 1}).Graph(ctx, a); err == nil {
+	if _, err := explore.New(explore.Options{}).Graph(ctx, a); err == nil {
 		t.Fatal("cancelled Graph returned nil error")
 	}
 }

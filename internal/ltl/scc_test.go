@@ -158,7 +158,7 @@ var spinExit = []byte{2, 1, 0b011,
 // runs through both simple cycles, neither of which is fair alone.
 func TestFindCycleFigureEight(t *testing.T) {
 	f := decodeAut(figureEight)
-	g, err := explore.New(explore.Options{Workers: 1}).Graph(context.Background(), f.a)
+	g, err := explore.New(explore.Options{}).Graph(context.Background(), f.a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func FuzzFairCycle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fa := decodeAut(data)
 		ctx := context.Background()
-		g, err := explore.New(explore.Options{Workers: 1}).Graph(ctx, fa.a)
+		g, err := explore.New(explore.Options{}).Graph(ctx, fa.a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func FuzzFairCycle(f *testing.F) {
 		// Sequential closure of an envelope listing every state keeps
 		// its order, so Rounds is indexed by node.
 		cert, err := stabilize.Certify(ctx, fa.a, func(s ioa.State) bool { return legit(node[s.Key()]) },
-			domain.Explicit("all", fa.states), stabilize.Options{})
+			domain.Explicit("all", fa.states), explore.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func TestLamportKeyConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	states, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), l.Auto)
+	states, err := explore.New(explore.Options{}).Reach(context.Background(), l.Auto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestMutualExclusionExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := explore.New(explore.Options{Workers: 1, Limit: 5000000}).CheckInvariant(context.Background(), explore.ClosedWorld(closed), func(s ioa.State) bool {
+	v, err := explore.New(explore.Options{Limit: 5000000}).CheckInvariant(context.Background(), explore.ClosedWorld(closed), func(s ioa.State) bool {
 		ts := s.(*ioa.TupleState)
 		return sys.InCritCount(ts.At(0)) <= 1
 	})
@@ -125,7 +125,7 @@ func TestOpenWorldEnvironmentCanBreakMutex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := explore.New(explore.Options{Workers: 1, Limit: 5000000}).CheckInvariant(context.Background(), closed, func(s ioa.State) bool {
+	v, err := explore.New(explore.Options{Limit: 5000000}).CheckInvariant(context.Background(), closed, func(s ioa.State) bool {
 		ts := s.(*ioa.TupleState)
 		return sys.InCritCount(ts.At(0)) <= 1
 	})
@@ -260,7 +260,7 @@ func TestFaultyRegisterBreaksMutex(t *testing.T) {
 		inner := ts.At(0).(*ioa.TupleState)
 		return inner.At(i).(*procState).pc == pcInCrit
 	}
-	v, err := explore.New(explore.Options{Workers: 1, Limit: 5000000}).CheckInvariant(context.Background(), explore.ClosedWorld(closed), func(s ioa.State) bool {
+	v, err := explore.New(explore.Options{Limit: 5000000}).CheckInvariant(context.Background(), explore.ClosedWorld(closed), func(s ioa.State) bool {
 		ts := s.(*ioa.TupleState)
 		return !(inCrit(ts, 0) && inCrit(ts, 1))
 	})

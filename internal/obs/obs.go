@@ -412,9 +412,7 @@ type ProofMetrics struct {
 	MapSteps *Counter
 	// StateNS is the distribution of per-state check times (ns): from
 	// the end of one state's checks (the walk's start, for the first)
-	// to the end of the next. At one worker that is stepping the state,
-	// interning its successors, Map on the new ones and the checks on
-	// its steps; at two or more the walk runs on its own goroutine, and
+	// to the end of the next. The walk runs on its own goroutine, and
 	// this times the checking side only: Map and the checks, the clock
 	// restarting when a batch of the walk's calls arrives, so no wait
 	// for the walk is counted.

@@ -54,7 +54,7 @@ func TestLemma22Decomposition(t *testing.T) {
 		t.Fatalf("external signatures differ: %v vs %v",
 			composed.Sig().External(), a.Sig().External())
 	}
-	ok, witness, err := explore.New(explore.Options{Workers: 1}).SameBehaviors(context.Background(), a, composed, 5)
+	ok, witness, err := explore.New(explore.Options{}).SameBehaviors(context.Background(), a, composed, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestLemma22Decomposition(t *testing.T) {
 	// both (ping enabled everywhere... it is: ping enabled from both
 	// states, so an in-only cycle is NOT fair for either).
 	inOnly := func(act ioa.Action) bool { return act == "in" }
-	la, err := explore.New(explore.Options{Workers: 1, Limit: 1000}).FindLasso(context.Background(), a, inOnly, true)
+	la, err := explore.New(explore.Options{Limit: 1000}).FindLasso(context.Background(), a, inOnly, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := explore.New(explore.Options{Workers: 1, Limit: 1000}).FindLasso(context.Background(), composed, inOnly, true)
+	lc, err := explore.New(explore.Options{Limit: 1000}).FindLasso(context.Background(), composed, inOnly, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestLemma24Determinize(t *testing.T) {
 	// The determinized state space is infinite (queues grow without
 	// bound), so sample a bounded prefix of it for the determinism
 	// check.
-	states, err := explore.New(explore.Options{Workers: 1, Limit: 800}).Reach(context.Background(), det)
+	states, err := explore.New(explore.Options{Limit: 800}).Reach(context.Background(), det)
 	if err != nil && !errors.Is(err, explore.ErrLimit) {
 		t.Fatal(err)
 	}
@@ -140,11 +140,11 @@ func TestLemma24Determinize(t *testing.T) {
 	}
 	// External behaviors agree up to depth (sched actions are
 	// internal).
-	ma, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), a, 3)
+	ma, err := explore.New(explore.Options{}).Behaviors(context.Background(), a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), det, 7)
+	md, err := explore.New(explore.Options{}).Behaviors(context.Background(), det, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +180,13 @@ func TestTheorem23(t *testing.T) {
 	if !composed.Sig().External().Equal(a.Sig().External()) {
 		t.Fatalf("external signature changed: %v", composed.Sig().External())
 	}
-	ma, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), a, 3)
+	ma, err := explore.New(explore.Options{}).Behaviors(context.Background(), a, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The decomposition needs extra internal (sched) steps; search
 	// deeper on its side.
-	md, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), composed, 9)
+	md, err := explore.New(explore.Options{}).Behaviors(context.Background(), composed, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

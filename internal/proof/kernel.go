@@ -4,30 +4,29 @@ package proof
 // FairSatisfiesViaMappingOpts and TransferDownOpts run on.
 //
 // A check that needs B's reachable states explores B through the
-// engine's sequential kernel (explore.Engine.Reach, the same at any
-// Options.Workers) and freezes the result behind a position
-// index (posIndex: hash of the streamed encoding → position in the
-// result, confirmed against the state stored there), so "is b
-// reachable" and "which state is this successor of b" are probes that
-// return a position, and no state is asked for its Key().
+// engine's sequential kernel (explore.Engine.Reach) and freezes the
+// result behind a position index (posIndex: hash of the streamed
+// encoding → position in the result, confirmed against the state
+// stored there), so "is b reachable" and "which state is this
+// successor of b" are probes that return a position, and no state is
+// asked for its Key().
 //
 // A itself is walked once, by the engine's sequential kernel
 // (explore.Engine.Visit), and checked in the walk's order: h.Map is
-// called on each admitted state, on the calling goroutine, and resolved
-// into the state's row of B positions (an image); condition 2 is then
-// checked on each step, comparing positions. At one worker the engine
-// calls the checks itself. At two or more it walks A on a goroutine of
-// its own, and a relay hands its admissions, steps and expansions over
-// in batches, which the calling goroutine replays in emission order:
-// the walk steps A while the checks step B. Either way the steps come
-// node by node in discovery order, then sorted action, then Next order,
-// and each is checked against the possibilities in Map order, so the
-// first failure is the one a sequential loop over Reach(A) finds, at
-// any worker count. After it the walk runs to the end and checks
-// nothing more: the engine's own errors (ErrLimit, cancellation,
-// storage) take precedence, and Map is still called once per admitted
-// state. A panic on either side reaches the caller, and the walk's
-// goroutine never outlives the call (walk.relayed).
+// called on each admitted state, on the calling goroutine, and
+// resolved into the state's row of B positions (an image); condition
+// 2 is then checked on each step, comparing positions. The engine
+// walks A on a goroutine of its own, and a relay hands its
+// admissions, steps and expansions over in batches, which the calling
+// goroutine replays in emission order: the walk steps A while the
+// checks step B. The steps come node by node in discovery order, then
+// sorted action, then Next order, and each is checked against the
+// possibilities in Map order, so the first failure is the one a
+// sequential loop over Reach(A) finds. After it the walk runs to the
+// end and checks nothing more: the engine's own errors (ErrLimit,
+// cancellation, storage) take precedence, and Map is still called
+// once per admitted state. A panic on either side reaches the caller,
+// and the walk's goroutine never outlives the call (walk.relayed).
 
 import (
 	"bytes"
@@ -115,7 +114,8 @@ func (x *posIndex) find(s ioa.State) uint32 {
 // heartbeats of a mapping walk.
 const walkProgressStride = 8192
 
-// A walk is one check's single pass over A, an explore.Visitor. Every
+// A walk is one check's single pass over A: the Visitor calls the relay
+// hands over are replayed into it, in the walk's order. Every
 // admitted state a is handed, with h.Map(a), to state; with b set, its
 // possibilities are also resolved into a row of positions in Reach(B)
 // and condition 2 is checked on every step. The first failure is kept
@@ -173,13 +173,7 @@ func (w *walk) run(opts explore.Options) error {
 			w.o.EmitProgress(obs.Progress{Phase: "proof", States: w.checked, Total: w.admitted, Done: true})
 		}()
 	}
-	var reachA []ioa.State
-	var err error
-	if opts.WorkerCount() < 2 {
-		reachA, err = explore.New(opts).Visit(context.Background(), w.h.A, w)
-	} else {
-		reachA, err = w.relayed(opts)
-	}
+	reachA, err := w.relayed(opts)
 	if err != nil || w.fail == nil {
 		return err
 	}

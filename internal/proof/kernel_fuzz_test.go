@@ -2,7 +2,7 @@ package proof_test
 
 // VerifyOpts against the reference loop on random small table pairs
 // and random multi-valued maps: the walk of A, checked as it goes, must
-// return the sequential reference's error string at every worker count.
+// return the sequential reference's error string at every GOMAXPROCS.
 
 import (
 	"fmt"

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,29 +21,35 @@ import (
 	"repro/internal/testseed"
 )
 
-// batteryWorkers are the worker counts every differential arm runs at:
-// the sequential engine, the benchmark's count, and more workers than
-// most fixtures have chunks.
-var batteryWorkers = []int{1, 2, 8}
+// batteryProcs are the GOMAXPROCS values the arms that run the relay
+// sweep: the walk of A and the checks sharing one processor, the
+// benchmark's two, and more than either needs.
+var batteryProcs = []int{1, 2, 4}
 
-// agree runs the kernel at every battery worker count and requires the
-// verdict of the reference loop run sequentially (Workers: 1) under
-// otherwise the same options, byte for byte: one expected error for
-// every count. It returns the (common) error.
+// setProcs sets GOMAXPROCS to p until the test ends. Called in a loop,
+// the cleanups run last-first, so the value before the first call is
+// the one restored.
+func setProcs(t *testing.T, p int) {
+	old := runtime.GOMAXPROCS(p)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// agree runs the kernel at every battery GOMAXPROCS and requires the
+// verdict of the reference loop under the same options, byte for byte:
+// one expected error for every value. It returns the (common) error.
 func agree(t *testing.T, name string, h *proof.PossMapping, opts explore.Options) error {
 	t.Helper()
-	opts.Workers = 1
 	want := proof.ReferenceVerify(h, opts)
 	var got error
-	for _, w := range batteryWorkers {
-		opts.Workers = w
+	for _, p := range batteryProcs {
+		setProcs(t, p)
 		got = h.VerifyOpts(opts)
 		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
-			t.Fatalf("%s, workers=%d: kernel and reference disagree\n  kernel:    %v\n  reference: %v", name, w, got, want)
+			t.Fatalf("%s, GOMAXPROCS=%d: kernel and reference disagree\n  kernel:    %v\n  reference: %v", name, p, got, want)
 		}
 		for _, target := range []error{proof.ErrNotPossibilities, explore.ErrLimit} {
 			if errors.Is(got, target) != errors.Is(want, target) {
-				t.Fatalf("%s, workers=%d: errors.Is(%v) differs", name, w, target)
+				t.Fatalf("%s, GOMAXPROCS=%d: errors.Is(%v) differs", name, p, target)
 			}
 		}
 	}
@@ -55,7 +62,7 @@ func ks(format string, args ...any) ioa.State { return ioa.KeyState(fmt.Sprintf(
 // (i → i+1), fire a self-loop everywhere. Its abstraction dot is one
 // state with the fire self-loop, so tau lies outside acts(B) and every
 // tau step must preserve the possibility. Reach visits state i at
-// position i, at any worker count.
+// position i.
 func line(n int) (a, b *ioa.Table) {
 	sigA := ioa.MustSignature(nil, []ioa.Action{"fire"}, []ioa.Action{"tau"})
 	var steps []ioa.Step
@@ -162,7 +169,7 @@ func TestKernelAgreesOnCounters(t *testing.T) {
 
 // TestKernelFirstFailureIsCanonical plants failures at seeded positions
 // of a fixture several chunks long: one in the last chunk, then one in
-// the first as well. At every worker count the error names the step
+// the first as well. At every GOMAXPROCS the error names the step
 // into the least planted position, as the sequential loop's does.
 func TestKernelFirstFailureIsCanonical(t *testing.T) {
 	const n = 300 // positions 0..299: five chunks of 64
@@ -201,7 +208,7 @@ func TestKernelFirstFailureIsCanonical(t *testing.T) {
 // TestKernelFirstFailureIndependentOfWorkers: two start states, listed
 // z0 then a0, each with a tau step whose possibility is dropped. The
 // sequential walk reaches z0's step first; a walk in key order would
-// reach a0's. Every worker count must report z0's.
+// reach a0's. Every GOMAXPROCS must report z0's.
 func TestKernelFirstFailureIndependentOfWorkers(t *testing.T) {
 	sig := ioa.MustSignature(nil, []ioa.Action{"fire"}, []ioa.Action{"tau"})
 	two := ioa.MustTable("two", sig, []ioa.State{ks("z0"), ks("a0")}, []ioa.Step{
@@ -234,7 +241,7 @@ func (c counting) Next(sc *ioa.Scratch, s ioa.State, act ioa.Action, yield func(
 
 // TestVerifyStepsAOnce: a verification steps A exactly as often as one
 // Engine.Graph walk of it — each reachable state once per action — at
-// every worker count.
+// every GOMAXPROCS.
 func TestVerifyStepsAOnce(t *testing.T) {
 	c := chainAt(t, 3, 0)
 	var calls atomic.Int64
@@ -244,12 +251,13 @@ func TestVerifyStepsAOnce(t *testing.T) {
 	}
 	want := calls.Swap(0)
 	h := &proof.PossMapping{A: a, B: c.H2.B, Map: c.H2.Map}
-	for _, w := range batteryWorkers {
-		if err := h.VerifyOpts(explore.Options{Workers: w}); err != nil {
+	for _, p := range batteryProcs {
+		setProcs(t, p)
+		if err := h.VerifyOpts(explore.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		if got := calls.Swap(0); got != want {
-			t.Errorf("workers=%d: VerifyOpts called A's Next %d times, one Graph walk %d", w, got, want)
+			t.Errorf("GOMAXPROCS=%d: VerifyOpts called A's Next %d times, one Graph walk %d", p, got, want)
 		}
 	}
 }
@@ -348,7 +356,8 @@ func (l liar) Next(sc *ioa.Scratch, s ioa.State, act ioa.Action, yield func(ioa.
 // call, which follows B's exploration. (A is walked once, so its Next
 // has no second answer to give.)
 func TestStepOutsideReachIsInternalError(t *testing.T) {
-	for _, w := range batteryWorkers {
+	for _, p := range batteryProcs {
+		setProcs(t, p)
 		lie, calls := false, 0
 		a, b := counter("mod4", 4, 0, 2), liar{counter("mod2", 2, 0), &lie}
 		h := &proof.PossMapping{A: a, B: b, Map: func(s ioa.State) []ioa.State {
@@ -356,45 +365,46 @@ func TestStepOutsideReachIsInternalError(t *testing.T) {
 			lie = calls >= 2
 			return []ioa.State{ks("%d", parity(s))}
 		}}
-		err := h.VerifyOpts(explore.Options{Workers: w})
+		err := h.VerifyOpts(explore.Options{})
 		if err == nil || errors.Is(err, proof.ErrNotPossibilities) ||
 			!strings.Contains(err.Error(), "internal error") || !strings.Contains(err.Error(), `"ghost") of mod2`) {
-			t.Errorf("mod2 lying, workers=%d: %v; want the internal error naming the ghost step of mod2", w, err)
+			t.Errorf("mod2 lying, GOMAXPROCS=%d: %v; want the internal error naming the ghost step of mod2", p, err)
 		}
 	}
 }
 
 // TestMapCalledOncePerState pins Map's contract: a verification that
-// passes calls it |reach(A)| + |start(A)| times, whatever the worker
-// count.
+// passes calls it |reach(A)| + |start(A)| times, whatever GOMAXPROCS
+// is.
 func TestMapCalledOncePerState(t *testing.T) {
 	c := chainAt(t, 3, 0)
 	for _, h := range []*proof.PossMapping{c.H2, c.H1} {
-		reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), h.A)
+		reach, err := explore.New(explore.Options{}).Reach(context.Background(), h.A)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := len(reach) + len(h.A.Start())
-		for _, w := range batteryWorkers {
+		for _, p := range batteryProcs {
+			setProcs(t, p)
 			calls := 0
 			counted := &proof.PossMapping{A: h.A, B: h.B, Map: func(s ioa.State) []ioa.State {
 				calls++
 				return h.Map(s)
 			}}
-			if err := counted.VerifyOpts(explore.Options{Workers: w}); err != nil {
+			if err := counted.VerifyOpts(explore.Options{}); err != nil {
 				t.Fatal(err)
 			}
 			if calls != want {
-				t.Errorf("%s → %s, workers=%d: Map called %d times, want |reach|+|start| = %d",
-					h.A.Name(), h.B.Name(), w, calls, want)
+				t.Errorf("%s → %s, GOMAXPROCS=%d: Map called %d times, want |reach|+|start| = %d",
+					h.A.Name(), h.B.Name(), p, calls, want)
 			}
 		}
 	}
 }
 
 // TestMapNeverCalledConcurrently: a Map that memoises into a plain Go
-// map is legal at any worker count. Under -race this fails the moment
-// two goroutines are inside Map at once.
+// map is legal, the walk of A running on a goroutine of its own. Under
+// -race this fails the moment two goroutines are inside Map at once.
 func TestMapNeverCalledConcurrently(t *testing.T) {
 	c := chainAt(t, 3, 0)
 	memo := make(map[string][]ioa.State)
@@ -406,7 +416,7 @@ func TestMapNeverCalledConcurrently(t *testing.T) {
 		memo[s.Key()] = poss
 		return poss
 	}}
-	opts := explore.Options{Workers: 8}
+	opts := explore.Options{}
 	if err := memoised.VerifyOpts(opts); err != nil {
 		t.Fatal(err)
 	}
@@ -421,50 +431,51 @@ func TestMapNeverCalledConcurrently(t *testing.T) {
 }
 
 // TestProofObsIndependentOfWorkers: the three proof metrics count the
-// same states and steps however the pass was sharded, and the pass
+// same states and steps at every battery GOMAXPROCS, and the pass
 // reports progress in phase "proof", ending on a Done snapshot that
 // accounts for every reachable state.
 func TestProofObsIndependentOfWorkers(t *testing.T) {
 	c := chainAt(t, 3, 0)
-	reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), c.A3r)
+	reach, err := explore.New(explore.Options{}).Reach(context.Background(), c.A3r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	type totals struct{ states, steps, timed int64 }
 	var first totals
-	for i, w := range batteryWorkers {
+	for i, p := range batteryProcs {
+		setProcs(t, p)
 		o := obs.New(nil)
 		var mu sync.Mutex
 		var beats []obs.Progress
-		o.Progress = func(p obs.Progress) {
-			if p.Phase == "proof" {
+		o.Progress = func(b obs.Progress) {
+			if b.Phase == "proof" {
 				mu.Lock()
-				beats = append(beats, p)
+				beats = append(beats, b)
 				mu.Unlock()
 			}
 		}
-		if err := c.H2.VerifyOpts(explore.Options{Workers: w, Obs: o}); err != nil {
+		if err := c.H2.VerifyOpts(explore.Options{Obs: o}); err != nil {
 			t.Fatal(err)
 		}
 		got := totals{o.Proof.MapStates.Value(), o.Proof.MapSteps.Value(), o.Proof.StateNS.Snapshot().Count}
 		if got.states != int64(len(reach)) || got.timed != got.states || got.steps < got.states {
-			t.Errorf("workers=%d: totals %+v, want %d states each timed once", w, got, len(reach))
+			t.Errorf("GOMAXPROCS=%d: totals %+v, want %d states each timed once", p, got, len(reach))
 		}
 		if i == 0 {
 			first = got
 		} else if got != first {
-			t.Errorf("workers=%d: totals %+v differ from %+v at workers=%d", w, got, first, batteryWorkers[0])
+			t.Errorf("GOMAXPROCS=%d: totals %+v differ from %+v at GOMAXPROCS=%d", p, got, first, batteryProcs[0])
 		}
 		if len(beats) < 2 {
-			t.Fatalf("workers=%d: %d proof progress snapshots, want a heartbeat and a final one", w, len(beats))
+			t.Fatalf("GOMAXPROCS=%d: %d proof progress snapshots, want a heartbeat and a final one", p, len(beats))
 		}
 		last := beats[len(beats)-1]
 		if !last.Done || last.States != int64(len(reach)) || last.Total != last.States {
-			t.Errorf("workers=%d: final snapshot %+v, want Done with %d of %d states", w, last, len(reach), len(reach))
+			t.Errorf("GOMAXPROCS=%d: final snapshot %+v, want Done with %d of %d states", p, last, len(reach), len(reach))
 		}
-		for _, p := range beats[:len(beats)-1] {
-			if p.Done || p.States > p.Total {
-				t.Errorf("workers=%d: heartbeat %+v", w, p)
+		for _, b := range beats[:len(beats)-1] {
+			if b.Done || b.States > b.Total {
+				t.Errorf("GOMAXPROCS=%d: heartbeat %+v", p, b)
 			}
 		}
 	}
@@ -485,27 +496,24 @@ func (s sleepy) Next(sc *ioa.Scratch, st ioa.State, act ioa.Action, yield func(i
 }
 
 // TestProofObsStateNSTimesChecksOnly: proof.map_state_check_ns times
-// the checks. At one worker A is stepped between two states' checks,
-// so the histogram's sum covers every sleep in A's Next; at two or
-// more the walk steps A on its own goroutine, and the time the checks
-// spend waiting for it is not counted: the sum stays well below the
-// sleeps' total.
+// the checks. The walk steps A on its own goroutine, and the time the
+// checks spend waiting for it is not counted: at every battery
+// GOMAXPROCS the histogram's sum stays well below the total the
+// sleeps in A's Next took.
 func TestProofObsStateNSTimesChecksOnly(t *testing.T) {
 	line, dot := line(100)
-	for _, w := range batteryWorkers {
+	for _, p := range batteryProcs {
+		setProcs(t, p)
 		var slept atomic.Int64
 		h := &proof.PossMapping{A: sleepy{line, &slept}, B: dot,
 			Map: func(ioa.State) []ioa.State { return dot.Start() }}
 		o := obs.New(nil)
-		if err := h.VerifyOpts(explore.Options{Workers: w, Obs: o}); err != nil {
+		if err := h.VerifyOpts(explore.Options{Obs: o}); err != nil {
 			t.Fatal(err)
 		}
 		sum, total := o.Proof.StateNS.Snapshot().Sum, slept.Load()
-		switch {
-		case w == 1 && sum < total:
-			t.Errorf("workers=1: state check times sum to %v, below the %v A's Next slept", time.Duration(sum), time.Duration(total))
-		case w > 1 && sum > total/4:
-			t.Errorf("workers=%d: state check times sum to %v, a quarter or more of the %v A's Next slept: waits for the walk counted", w, time.Duration(sum), time.Duration(total))
+		if sum > total/4 {
+			t.Errorf("GOMAXPROCS=%d: state check times sum to %v, a quarter or more of the %v A's Next slept: waits for the walk counted", p, time.Duration(sum), time.Duration(total))
 		}
 	}
 }

@@ -34,8 +34,7 @@ type LeadsTo struct {
 // cycle of such steps. That is ltl's FairEscape — the search behind
 // stabilize's convergence verdict — over the region the S states reach
 // in the reachable graph by steps that are not T actions. The graph is
-// explore.Engine.Graph's, built once for all conditions and
-// sequentially whatever Options.Workers says.
+// explore.Engine.Graph's, built once for all conditions.
 //
 // The result has one entry per condition: nil where it holds, else a
 // lasso whose stem is a minimal execution to an S state followed by

@@ -184,7 +184,7 @@ func FuzzLeadsTo(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fa := decodeAut(data)
 		c := fa.cond()
-		ls, err := proof.CheckLeadsTo(context.Background(), fa.a, explore.Options{Workers: 1}, c)
+		ls, err := proof.CheckLeadsTo(context.Background(), fa.a, explore.Options{}, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,9 +31,9 @@ func renderLasso(l *explore.Lasso) string {
 }
 
 // TestLeadsToLassosIndependentOfWorkers: CheckLeadsTo builds its graph
-// sequentially whatever Options.Workers says, so on
-// TestRingLockoutExact's system — the closed five-process ring — the
-// lockout lassos at one worker and at four are identical.
+// sequentially, so on TestRingLockoutExact's system — the closed
+// five-process ring — the lockout lassos at GOMAXPROCS 1 and 4 are
+// identical.
 func TestLeadsToLassosIndependentOfWorkers(t *testing.T) {
 	us := spec.DefaultUsers(5)
 	sys, err := ring.New(us)
@@ -49,14 +49,15 @@ func TestLeadsToLassosIndependentOfWorkers(t *testing.T) {
 		goals = append(goals, proof.OnComponent(0, sys.GrRing(i)))
 	}
 	var runs [2][]*explore.Lasso
-	for k, workers := range []int{1, 4} {
-		if runs[k], err = proof.CheckLeadsTo(context.Background(), closed, explore.Options{Workers: workers}, goals...); err != nil {
+	for k, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		if runs[k], err = proof.CheckLeadsTo(context.Background(), closed, explore.Options{}, goals...); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, g := range goals {
 		if one, four := renderLasso(runs[0][i]), renderLasso(runs[1][i]); one != four {
-			t.Errorf("%s: one worker gives\n%s four give\n%s", g.Name, one, four)
+			t.Errorf("%s: GOMAXPROCS=1 gives\n%s GOMAXPROCS=4 gives\n%s", g.Name, one, four)
 		}
 	}
 }

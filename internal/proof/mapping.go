@@ -32,8 +32,8 @@ type PossMapping struct {
 	// reachable state of A, in the order their one walk of A admits the
 	// states — before any step from or into it is checked, and also on
 	// states past the first failure — and only on the goroutine that
-	// called the check, whatever Options.Workers says (at two or more
-	// the walk itself runs on another): Map may memoise without locking.
+	// called the check (the walk itself runs on another): Map may
+	// memoise without locking.
 	Map func(ioa.State) []ioa.State
 }
 
@@ -46,13 +46,12 @@ var ErrNotPossibilities = errors.New("proof: not a possibilities mapping")
 // states of each automaton). For finite-state A and B this is a
 // complete check; for larger systems it is a bounded certification.
 // Reach(B) runs through the explore engine's sequential kernel; A is
-// walked once by the same kernel, beside the checks on a
-// goroutine of its own at two or more workers, and in the walk's order
-// Map is called on each admitted state and condition 2 is checked on
-// each step, on the calling goroutine (kernel.go). The error is the
-// same at every worker count: the first failure in discovery order,
-// then sorted action, then Next order, then Map order. An Options.Canon
-// is refused, as by every *Opts check here (refuseCanon).
+// walked once by the same kernel, beside the checks on a goroutine of
+// its own, and in the walk's order Map is called on each admitted state
+// and condition 2 is checked on each step, on the calling goroutine
+// (kernel.go). The error is the first failure in discovery order, then
+// sorted action, then Next order, then Map order. An Options.Canon is
+// refused, as by every *Opts check here (refuseCanon).
 func (h *PossMapping) VerifyOpts(opts explore.Options) error {
 	if err := refuseCanon(opts); err != nil {
 		return err

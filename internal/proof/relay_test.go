@@ -1,7 +1,7 @@
 package proof_test
 
-// The relay between A's walk and the checks at two or more workers:
-// panics on either side reach the caller and leave no goroutine behind,
+// The relay between A's walk and the checks, at every battery
+// GOMAXPROCS: panics on either side reach the caller and leave no goroutine behind,
 // Map runs on the caller's goroutine under every check, and a failure
 // several batches into the walk is reported as the sequential loop
 // reports it.
@@ -74,7 +74,7 @@ func (p panicky) Next(sc *ioa.Scratch, s ioa.State, act ioa.Action, yield func(i
 }
 
 // TestMappingWalkPanics: a panic in A's Next, which runs on the walk's
-// goroutine at two or more workers, and one in Map past the relay's
+// goroutine, and one in Map past the relay's
 // first batch both reach the caller of VerifyOpts with their own value,
 // and the goroutine count returns to what it was. After Map's panic the
 // walk must stop short of its end: the relay is a few batches ahead of
@@ -87,14 +87,15 @@ func TestMappingWalkPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	nexts := calls.Load()
-	for _, w := range batteryWorkers {
-		opts := explore.Options{Workers: w}
+	for _, p := range batteryProcs {
+		setProcs(t, p)
+		opts := explore.Options{}
 
 		calls.Store(0)
 		boom := "A's Next gives up"
 		a := panicky{c.H2.A, &calls, nexts / 2, &boom}
 		base := runtime.NumGoroutine()
-		name := fmt.Sprintf("A panics, workers=%d", w)
+		name := fmt.Sprintf("A panics, GOMAXPROCS=%d", p)
 		h := &proof.PossMapping{A: a, B: c.H2.B, Map: c.H2.Map}
 		if got := mustPanic(t, name, func() error { return h.VerifyOpts(opts) }); got != &boom {
 			t.Errorf("%s: panicked with %v, want A's value", name, got)
@@ -110,7 +111,7 @@ func TestMappingWalkPanics(t *testing.T) {
 			return c.H2.Map(s)
 		}}
 		base = runtime.NumGoroutine()
-		name = fmt.Sprintf("Map panics, workers=%d", w)
+		name = fmt.Sprintf("Map panics, GOMAXPROCS=%d", p)
 		if got := mustPanic(t, name, func() error { return h.VerifyOpts(opts) }); got != bad {
 			t.Errorf("%s: panicked with %v, want Map's value", name, got)
 		}
@@ -123,7 +124,7 @@ func TestMappingWalkPanics(t *testing.T) {
 
 // TestMapRunsOnCallingGoroutine: under each check that walks A, every
 // Map call runs on the goroutine that called the check, at every
-// battery worker count.
+// battery GOMAXPROCS.
 func TestMapRunsOnCallingGoroutine(t *testing.T) {
 	c := chainAt(t, 3, 0)
 	always := func(ioa.State) bool { return true }
@@ -135,7 +136,8 @@ func TestMapRunsOnCallingGoroutine(t *testing.T) {
 			return h.TransferDownOpts(o, always, never, always, never)
 		},
 	} {
-		for _, w := range batteryWorkers {
+		for _, p := range batteryProcs {
+			setProcs(t, p)
 			caller, calls, elsewhere := goid(t), 0, 0
 			h := &proof.PossMapping{A: c.H2.A, B: c.H2.B, Map: func(s ioa.State) []ioa.State {
 				calls++
@@ -144,11 +146,11 @@ func TestMapRunsOnCallingGoroutine(t *testing.T) {
 				}
 				return c.H2.Map(s)
 			}}
-			if err := check(h, explore.Options{Workers: w}); err != nil {
-				t.Fatalf("%s, workers=%d: %v", name, w, err)
+			if err := check(h, explore.Options{}); err != nil {
+				t.Fatalf("%s, GOMAXPROCS=%d: %v", name, p, err)
 			}
 			if calls == 0 || elsewhere != 0 {
-				t.Errorf("%s, workers=%d: %d of %d Map calls ran off the calling goroutine", name, w, elsewhere, calls)
+				t.Errorf("%s, GOMAXPROCS=%d: %d of %d Map calls ran off the calling goroutine", name, p, elsewhere, calls)
 			}
 		}
 	}
@@ -157,12 +159,12 @@ func TestMapRunsOnCallingGoroutine(t *testing.T) {
 // TestKernelFailureSeveralBatchesIn: h₂ on the four-user hierarchy with
 // Map perturbed to drop every possibility of the state admitted in the
 // middle of the walk, a few thousand relayed calls in. The kernel must
-// name the step into that state at every worker count, as the
+// name the step into that state at every GOMAXPROCS, as the
 // reference loop does; a relay that lost or reordered a batch would
 // check rows against the wrong states.
 func TestKernelFailureSeveralBatchesIn(t *testing.T) {
 	c := chainAt(t, 4, 0)
-	reach, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), c.H2.A)
+	reach, err := explore.New(explore.Options{}).Reach(context.Background(), c.H2.A)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,9 @@ import (
 //
 // The check explores at most Options.Limit states of each automaton:
 // B's through the explore engine's sequential kernel, and A's in one
-// sequential walk, beside the checks at two or more
-// workers, whose admitted states are checked in discovery order on the
-// calling goroutine (kernel.go), so the first failure reported is the
-// first in discovery order at any worker count.
+// sequential walk beside the checks, whose admitted states are checked
+// in discovery order on the calling goroutine (kernel.go), so the first
+// failure reported is the first in discovery order.
 func FairSatisfiesViaMappingOpts(h *PossMapping, opts explore.Options) error {
 	if err := refuseCanon(opts); err != nil {
 		return err

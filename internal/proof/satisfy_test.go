@@ -22,11 +22,11 @@ func unfairSatisfiesBounded(a, b ioa.Automaton, depth int) (bool, []ioa.Action, 
 	if !a.Sig().External().Equal(b.Sig().External()) {
 		return false, nil, fmt.Errorf("proof: external signatures differ")
 	}
-	ma, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), a, depth)
+	ma, err := explore.New(explore.Options{}).Behaviors(context.Background(), a, depth)
 	if err != nil {
 		return false, nil, err
 	}
-	mb, err := explore.New(explore.Options{Workers: 1}).Behaviors(context.Background(), b, depth)
+	mb, err := explore.New(explore.Options{}).Behaviors(context.Background(), b, depth)
 	if err != nil {
 		return false, nil, err
 	}
@@ -44,7 +44,7 @@ func unfairSatisfiesBounded(a, b ioa.Automaton, depth int) (bool, []ioa.Action, 
 // fair lassos (explore.FindLasso with fair=true) this characterizes
 // the fair behavior of finite automata.
 func fairBehaviorsFinite(a ioa.Automaton, depth int) (*ioa.SchedModule, error) {
-	mod, err := explore.New(explore.Options{Workers: 1}).Execs(context.Background(), a, depth)
+	mod, err := explore.New(explore.Options{}).Execs(context.Background(), a, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,7 @@ func TestLemma25PrimitiveFairImpliesUnfair(t *testing.T) {
 	if !ioa.IsPrimitive(a1) {
 		t.Fatal("Fig23A must be primitive")
 	}
-	same, _, err := explore.New(explore.Options{Workers: 1}).SameBehaviors(context.Background(), a1, a2, 4)
+	same, _, err := explore.New(explore.Options{}).SameBehaviors(context.Background(), a1, a2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,13 @@ package reduce_test
 // The oracle-differential battery: the engine, unreduced and under
 // each system's symmetry quotient, is replayed against the
 // explore.ReferenceReach oracle on the repository's closed systems, at
-// worker counts {1, 2, 8}. Checked per case:
+// GOMAXPROCS {1, 2, 8}. Checked per case:
 //
 //   - the reach holds exactly one concrete member per orbit of the
 //     oracle's reachable set (both directions, compared through the
 //     canonicalizer; with no canonicalizer an orbit is a single state,
-//     so the unreduced arm pins the same state set at every worker
-//     count);
+//     so the unreduced arm pins the same state set at every
+//     GOMAXPROCS);
 //   - the invariant verdict matches the oracle's, a symmetric target
 //     predicate that fails somewhere yields a violation in reduced and
 //     unreduced runs alike, and the run's witness replays step-by-step
@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -303,11 +304,12 @@ func consultOracle(t *testing.T, c batteryCase) oracle {
 	return o
 }
 
-// checkAgainstOracle explores c at the given worker count, quotiented
-// by canon (nil: unreduced), and holds the run to the oracle.
-func checkAgainstOracle(t *testing.T, c batteryCase, o oracle, mode string, canon explore.Canonicalizer, workers int) {
+// checkAgainstOracle explores c at GOMAXPROCS procs, quotiented by
+// canon (nil: unreduced), and holds the run to the oracle.
+func checkAgainstOracle(t *testing.T, c batteryCase, o oracle, mode string, canon explore.Canonicalizer, procs int) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	a := c.build(t)
-	eng := explore.New(explore.Options{Workers: workers, Canon: canon})
+	eng := explore.New(explore.Options{Canon: canon})
 	reduced, err := eng.Reach(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +358,7 @@ func checkAgainstOracle(t *testing.T, c batteryCase, o oracle, mode string, cano
 }
 
 // TestDifferentialBattery is the oracle-differential battery over all
-// systems, modes, and worker counts.
+// systems, modes, and GOMAXPROCS values.
 func TestDifferentialBattery(t *testing.T) {
 	for _, c := range batteryCases(t) {
 		c := c
@@ -370,11 +372,11 @@ func TestDifferentialBattery(t *testing.T) {
 			if c.canon != nil {
 				arms = append(arms, arm{"symmetry", c.canon})
 			}
+			// The -wN suffix is the GOMAXPROCS the arm runs at.
 			for _, m := range arms {
-				for _, workers := range []int{1, 2, 8} {
-					m, workers := m, workers
-					t.Run(fmt.Sprintf("%s-w%d", m.mode, workers), func(t *testing.T) {
-						checkAgainstOracle(t, c, o, m.mode, m.canon, workers)
+				for _, procs := range []int{1, 2, 8} {
+					t.Run(fmt.Sprintf("%s-w%d", m.mode, procs), func(t *testing.T) {
+						checkAgainstOracle(t, c, o, m.mode, m.canon, procs)
 					})
 				}
 			}
@@ -410,13 +412,15 @@ func unsoundArm(t *testing.T) (batteryCase, oracle, explore.Canonicalizer) {
 }
 
 // TestTargetBlindHidesViolation pins that the must-fail fixture is
-// still unsound: under targetBlind both engines report the target as
-// an invariant, although the oracle reaches a violation.
+// still unsound: under targetBlind the engine reports the target as
+// an invariant, although the oracle reaches a violation, at every
+// GOMAXPROCS (the subtest's wN).
 func TestTargetBlindHidesViolation(t *testing.T) {
 	c, o, canon := unsoundArm(t)
-	for _, workers := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
-			eng := explore.New(explore.Options{Workers: workers, Canon: canon})
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("w%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			eng := explore.New(explore.Options{Canon: canon})
 			v, err := eng.CheckInvariant(context.Background(), o.auto, c.target)
 			if err != nil {
 				t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/domain"
+	"repro/internal/explore"
 	"repro/internal/reduce"
 	"repro/internal/ring"
 	"repro/internal/stabilize"
@@ -31,7 +32,7 @@ func TestCertifyQuotientPreservesBound(t *testing.T) {
 			}
 			env := domain.Explicit("all-corruptions", all)
 			full, err := stabilize.Certify(context.Background(), r.Auto, r.Legit, env,
-				stabilize.Options{})
+				explore.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +41,7 @@ func TestCertifyQuotientPreservesBound(t *testing.T) {
 				t.Fatal(err)
 			}
 			quot, err := stabilize.Certify(context.Background(), r.Auto, r.Legit, env,
-				stabilize.Options{Canon: canon})
+				explore.Options{Canon: canon})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func TestRingValidates(t *testing.T) {
 
 func TestSingleTokenInvariant(t *testing.T) {
 	sys, _ := ringOf(t, 3)
-	v, err := explore.New(explore.Options{Workers: 1, Limit: 1000000}).CheckInvariant(context.Background(), sys.Arbiter, func(s ioa.State) bool {
+	v, err := explore.New(explore.Options{Limit: 1000000}).CheckInvariant(context.Background(), sys.Arbiter, func(s ioa.State) bool {
 		return sys.TokenCount(s) == 1 && sys.HolderCount(s) <= 1
 	})
 	if err != nil {

@@ -28,7 +28,7 @@ func TestSeededStepsBorrowed(t *testing.T) {
 		comps[i] = d.MustBuild()
 	}
 	c := ioa.MustCompose("ticks", comps...)
-	states, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), c)
+	states, err := explore.New(explore.Options{}).Reach(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}

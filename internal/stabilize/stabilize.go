@@ -38,7 +38,7 @@
 // Determinism: the closure is explored sequentially in discovery
 // order, the graph probes actions sorted, and every scan walks nodes
 // in dense-ID order, so certificates — including which witness is
-// reported — are bit-identical across runs at any worker count.
+// reported — are bit-identical across runs.
 package stabilize
 
 import (
@@ -52,27 +52,6 @@ import (
 	"repro/internal/ltl"
 	"repro/internal/obs"
 )
-
-// Options parameterizes certification.
-type Options struct {
-	// Limit bounds the envelope closure (0 = explore.DefaultLimit).
-	// Hitting the limit is an error: a certificate over a truncated
-	// closure certifies nothing.
-	Limit int
-	// Obs, when non-nil, publishes stabilize.* metrics: run counts,
-	// envelope/closure gauges, the measured k, and the
-	// rounds-to-legitimacy histogram.
-	Obs *obs.Obs
-	// Canon, when non-nil, certifies over the symmetry quotient: the
-	// envelope, its closure, and the transition graph all dedup
-	// canonically, so EnvelopeStates/States count orbits. Requires the
-	// symmetry to be an automorphism and legit to be orbit-invariant;
-	// then the demonic rounds table over representatives equals the
-	// concrete one (an automorphism maps worst-case schedules to
-	// worst-case schedules), so K and Rounds are unchanged — the
-	// reduce package's property test pins this on Dijkstra's ring.
-	Canon explore.Canonicalizer
-}
 
 // A Step is one transition witness.
 type Step struct {
@@ -192,7 +171,24 @@ func (s *seeded) Start() []ioa.State { return s.starts }
 
 // Certify checks closure and convergence of a with respect to the
 // legitimate-state predicate legit, from the corruption envelope env.
-func Certify(ctx context.Context, a ioa.Automaton, legit func(ioa.State) bool, env Envelope, opts Options) (*Certificate, error) {
+// opts configure the closure's exploration (explore.Engine.Graph);
+// Spill is refused and Workers and Decode are ignored:
+//
+//   - Limit bounds the envelope closure (0 = explore.DefaultLimit).
+//     Hitting the limit is an error: a certificate over a truncated
+//     closure certifies nothing.
+//   - Obs, when non-nil, publishes stabilize.* metrics: run counts,
+//     envelope/closure gauges, the measured k, and the
+//     rounds-to-legitimacy histogram.
+//   - Canon, when non-nil, certifies over the symmetry quotient: the
+//     envelope, its closure, and the transition graph all dedup
+//     canonically, so EnvelopeStates/States count orbits. Requires the
+//     symmetry to be an automorphism and legit to be orbit-invariant;
+//     then the demonic rounds table over representatives equals the
+//     concrete one (an automorphism maps worst-case schedules to
+//     worst-case schedules), so K and Rounds are unchanged — the
+//     reduce package's property test pins this on Dijkstra's ring.
+func Certify(ctx context.Context, a ioa.Automaton, legit func(ioa.State) bool, env Envelope, opts explore.Options) (*Certificate, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -201,6 +197,9 @@ func Certify(ctx context.Context, a ioa.Automaton, legit func(ioa.State) bool, e
 	}
 	if env == nil {
 		return nil, fmt.Errorf("stabilize: nil envelope")
+	}
+	if opts.Spill != nil {
+		return nil, fmt.Errorf("stabilize: Options.Spill is not supported: the certificate reads the closure's transition graph, which is built in RAM")
 	}
 	envStates, err := domain.Collect(ctx, env)
 	if err != nil {
@@ -212,7 +211,7 @@ func Certify(ctx context.Context, a ioa.Automaton, legit func(ioa.State) bool, e
 	// Close the envelope under steps. The first Starts nodes of the
 	// graph are exactly the distinct envelope states.
 	w := &seeded{Numbered: ioa.Number(a), starts: envStates}
-	g, err := explore.New(explore.Options{Limit: opts.Limit, Obs: opts.Obs, Canon: opts.Canon}).Graph(ctx, w)
+	g, err := explore.New(opts).Graph(ctx, w)
 	if err != nil {
 		return nil, fmt.Errorf("stabilize: closing envelope %q: %w", env.Name(), err)
 	}

@@ -11,6 +11,7 @@ package stabilize_test
 import (
 	"context"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/arbiter/spec"
@@ -21,11 +22,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/stabilize"
+	"repro/internal/store"
 )
 
-func mustCertify(t *testing.T, a ioa.Automaton, legit func(ioa.State) bool, env stabilize.Envelope, opts ...stabilize.Options) *stabilize.Certificate {
+func mustCertify(t *testing.T, a ioa.Automaton, legit func(ioa.State) bool, env stabilize.Envelope, opts ...explore.Options) *stabilize.Certificate {
 	t.Helper()
-	var o stabilize.Options
+	var o explore.Options
 	if len(opts) > 0 {
 		o = opts[0]
 	}
@@ -234,18 +236,23 @@ func TestCertifyDeadlockOnly(t *testing.T) {
 func TestCertifyValidation(t *testing.T) {
 	a := chain4()
 	ctx := context.Background()
-	if _, err := stabilize.Certify(ctx, a, nil, domain.Explicit("e", keys("0")), stabilize.Options{}); err == nil {
+	if _, err := stabilize.Certify(ctx, a, nil, domain.Explicit("e", keys("0")), explore.Options{}); err == nil {
 		t.Fatal("nil legit accepted")
 	}
-	if _, err := stabilize.Certify(ctx, a, isKey("0"), nil, stabilize.Options{}); err == nil {
+	if _, err := stabilize.Certify(ctx, a, isKey("0"), nil, explore.Options{}); err == nil {
 		t.Fatal("nil envelope accepted")
 	}
-	if _, err := stabilize.Certify(ctx, a, isKey("0"), domain.Explicit("e", nil), stabilize.Options{}); err == nil {
+	if _, err := stabilize.Certify(ctx, a, isKey("0"), domain.Explicit("e", nil), explore.Options{}); err == nil {
 		t.Fatal("empty envelope accepted")
 	}
 	if _, err := stabilize.Certify(ctx, a, isKey("0"),
-		domain.Explicit("e", keys("3")), stabilize.Options{Limit: 2}); err == nil {
+		domain.Explicit("e", keys("3")), explore.Options{Limit: 2}); err == nil {
 		t.Fatal("truncated closure accepted")
+	}
+	_, err := stabilize.Certify(ctx, a, isKey("0"), domain.Explicit("e", keys("0")),
+		explore.Options{Spill: &store.SpillOptions{Dir: t.TempDir()}})
+	if err == nil || !strings.Contains(err.Error(), "stabilize: Options.Spill") {
+		t.Fatalf("Spill: err = %v, want the certifier's own refusal", err)
 	}
 }
 
@@ -275,7 +282,7 @@ func TestEnvelopeReachableCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := domain.Reachable("crash(t)", crashed, domain.CrashInner, explore.Options{Workers: 1})
+	env := domain.Reachable("crash(t)", crashed, domain.CrashInner, explore.Options{})
 	states, err := domain.Collect(context.Background(), env)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +315,7 @@ func TestCertifyObsMetrics(t *testing.T) {
 	o := obs.New(nil)
 	cert := mustCertify(t, chain4(), isKey("0"),
 		domain.Explicit("all", keys("3", "2", "1", "0")),
-		stabilize.Options{Obs: o})
+		explore.Options{Obs: o})
 	if o.Stabilize.Runs.Value() != 1 {
 		t.Fatalf("runs %d", o.Stabilize.Runs.Value())
 	}
@@ -323,7 +330,7 @@ func TestCertifyObsMetrics(t *testing.T) {
 
 // dijkstraFull certifies a Dijkstra ring against its full K^n
 // corruption envelope.
-func dijkstraFull(t *testing.T, n, k int, opts ...stabilize.Options) (*ring.DijkstraRing, *stabilize.Certificate) {
+func dijkstraFull(t *testing.T, n, k int, opts ...explore.Options) (*ring.DijkstraRing, *stabilize.Certificate) {
 	t.Helper()
 	r, err := ring.NewDijkstra(n, k)
 	if err != nil {
@@ -378,7 +385,7 @@ func TestLeLannCrashRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := domain.Reachable("crash(reset)", crashed, domain.TupleMap(domain.CrashInner), explore.Options{Workers: 1})
+	env := domain.Reachable("crash(reset)", crashed, domain.TupleMap(domain.CrashInner), explore.Options{})
 	legit := func(s ioa.State) bool { return sys.TokenCount(s) == 1 }
 	cert := mustCertify(t, sys.Composite, legit, env)
 

@@ -46,20 +46,18 @@ func TestReachArenaFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, workers := range []int{1, 2} {
-		eng := explore.New(explore.Options{Workers: workers})
-		states, err := eng.Reach(ctx, g)
-		if err != nil || int64(len(states)) != g.States() {
-			t.Fatalf("workers=%d: unbounded reach = %d states, %v; want %d", workers, len(states), err, g.States())
-		}
-		restore := store.ShrinkArenaLimit(8)
-		_, reachErr := eng.Reach(ctx, g)
-		_, checkErr := eng.CheckInvariant(ctx, g, func(ioa.State) bool { return true })
-		restore()
-		for name, err := range map[string]error{"Reach": reachErr, "CheckInvariant": checkErr} {
-			if !errors.Is(err, store.ErrArenaFull) {
-				t.Errorf("workers=%d %s: err = %v, want a wrapped ErrArenaFull", workers, name, err)
-			}
+	eng := explore.New(explore.Options{})
+	states, err := eng.Reach(ctx, g)
+	if err != nil || int64(len(states)) != g.States() {
+		t.Fatalf("unbounded reach = %d states, %v; want %d", len(states), err, g.States())
+	}
+	restore := store.ShrinkArenaLimit(8)
+	_, reachErr := eng.Reach(ctx, g)
+	_, checkErr := eng.CheckInvariant(ctx, g, func(ioa.State) bool { return true })
+	restore()
+	for name, err := range map[string]error{"Reach": reachErr, "CheckInvariant": checkErr} {
+		if !errors.Is(err, store.ErrArenaFull) {
+			t.Errorf("%s: err = %v, want a wrapped ErrArenaFull", name, err)
 		}
 	}
 }

@@ -46,7 +46,7 @@ func realKeys(t *testing.T) map[string][][]byte {
 		a    ioa.Automaton
 		want int
 	}{"arbiter3": {arb, 4837}, "grid": {g, 1000}, "lamport": {l.Auto, 143}} {
-		states, err := explore.New(explore.Options{Workers: 1}).Reach(context.Background(), sys.a)
+		states, err := explore.New(explore.Options{}).Reach(context.Background(), sys.a)
 		if err != nil || len(states) != sys.want {
 			t.Fatalf("%s: reach = %d states, %v; want %d", name, len(states), err, sys.want)
 		}
